@@ -1,6 +1,10 @@
 //! Pipeline runners: execute each of the five compared systems on a
 //! workload and reduce the outcome to the numbers the figures need.
 
+// Runners return typed errors instead of panicking; `cargo clippy
+// -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use baselines::{CudaBlastp, GpuBlastp};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;

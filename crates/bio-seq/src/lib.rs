@@ -15,6 +15,10 @@
 //! * [`db`] — an in-memory sequence database with the block partitioning
 //!   used by the CPU–GPU overlap pipeline.
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod alphabet;
 pub mod db;
 pub mod fasta;

@@ -15,6 +15,10 @@
 //! * [`params`] — the shared search parameter set (word length, two-hit
 //!   window, x-drop values, gap penalties, cutoffs).
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dfa;
 pub mod matrix;
 pub mod montecarlo;

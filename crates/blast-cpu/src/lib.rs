@@ -16,6 +16,10 @@
 //! output-identity property the paper claims is testable across pipelines
 //! that order work completely differently.
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod gapped;
 pub mod hit;
 pub mod itrace;

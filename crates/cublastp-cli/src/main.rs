@@ -10,6 +10,10 @@
 //! prints a BLAST-like report. `--engine` switches to the CPU reference
 //! or the coarse-grained baselines — all of them produce identical hits.
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 /// Print to stdout, exiting quietly when the reader closed the pipe
 /// (`cublastp --demo | head` must not panic).
 macro_rules! out {
@@ -28,10 +32,10 @@ use args::{Args, DbCmd, Engine};
 use bio_seq::fasta::read_fasta_strict;
 use bio_seq::{Sequence, SequenceDb};
 use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
+use cublastp::gapped_device::FINE_GAPPED_KERNEL;
 use cublastp::{
-    search_all_vs_all, search_batch_with, search_sharded_batch, AllVsAllOptions, BatchOptions,
-    CuBlastp, DeviceDb, DeviceDbCache, GappedBackend, SearchError, SeedMode, ShardedBatchOptions,
-    ShardedDb, ShardedOptions,
+    search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpResult,
+    DeviceDb, GappedBackend, SearchError, SeedMode, ShardedBatchOptions, ShardedDb, ShardedOptions,
 };
 use cublastp_db::{build_shard_set, DbImage, ShardSetManifest};
 use gpu_sim::{DeviceConfig, FaultInjector};
@@ -69,10 +73,21 @@ fn exit_code_for(err: &SearchError) -> u8 {
     }
 }
 
-/// Per-phase simulated time accumulated across the batch, for the
-/// `--phase-table` report (Fig. 11-style breakdown).
+/// Print a `#` summary row: stdout normally, stderr under `--outfmt tab`
+/// so stdout stays machine-readable (one tab line per hit, nothing else).
+fn note(args: &Args, row: &str) {
+    if args.outfmt == args::OutFmt::Tab {
+        eprintln!("{row}");
+    } else {
+        out!("{row}");
+    }
+}
+
+/// Per-phase simulated time and recovery telemetry accumulated across the
+/// batch: the `--phase-table` report (Fig. 11-style breakdown) and the
+/// `# gapped backend:` summary row.
 #[derive(Default)]
-struct PhaseTable {
+struct Telemetry {
     /// `(kernel name, summed simulated ms)` in pipeline order.
     kernels: Vec<(String, f64)>,
     h2d_ms: f64,
@@ -83,17 +98,17 @@ struct PhaseTable {
     overlapped_ms: f64,
     serial_ms: f64,
     queries: usize,
-    /// Active gapped backend name (set once from the flags).
-    gapped_backend: &'static str,
     /// Host wall-clock spent queued behind earlier work, microseconds
     /// (batch scheduler / serving layer; zero for standalone searches).
     queue_wait_us: u64,
     /// Host wall-clock spent on the fault-retry path, microseconds.
     retry_wait_us: u64,
+    /// Blocks whose device gapped phase degraded to the CPU tail.
+    degraded_gapped: u64,
 }
 
-impl PhaseTable {
-    fn absorb(&mut self, r: &cublastp::CuBlastpResult, device: &DeviceConfig) {
+impl Telemetry {
+    fn absorb(&mut self, r: &CuBlastpResult, device: &DeviceConfig) {
         for k in &r.kernels {
             let ms = k.time_ms(device);
             match self.kernels.iter_mut().find(|(n, _)| *n == k.name) {
@@ -110,10 +125,11 @@ impl PhaseTable {
         self.serial_ms += r.timing.serial_ms;
         self.queue_wait_us += r.recovery.queue_wait_us;
         self.retry_wait_us += r.recovery.retry_wait_us;
+        self.degraded_gapped += r.recovery.degraded_gapped;
         self.queries += 1;
     }
 
-    fn print(&self) {
+    fn print_phase_table(&self, args: &Args) {
         let gpu: f64 = self.kernels.iter().map(|(_, ms)| ms).sum();
         let total =
             gpu + self.h2d_ms + self.d2h_ms + self.gapped_ms + self.traceback_ms + self.other_ms;
@@ -148,9 +164,7 @@ impl PhaseTable {
                 ""
             }
         );
-        if !self.gapped_backend.is_empty() {
-            out!("# gapped backend: {}", self.gapped_backend);
-        }
+        out!("# gapped backend: {}", args.gapped_backend.name());
         // Host wait time, kept out of the phase totals above so retries
         // and queueing are no longer indistinguishable from compute.
         out!(
@@ -168,47 +182,31 @@ impl PhaseTable {
             );
         }
     }
-}
 
-/// Batch-level gapped-backend telemetry behind the `# gapped backend:`
-/// summary row — the grep target of the CI backend-equivalence job, like
-/// the `# grouped seeding:` row for grouped seeding.
-#[derive(Default)]
-struct GappedSummary {
-    /// Simulated time of the fine gapped kernel, summed over queries.
-    fine_kernel_ms: f64,
-    /// Blocks whose device gapped phase degraded to the CPU tail.
-    degraded: u64,
-}
-
-impl GappedSummary {
-    fn absorb(&mut self, r: &cublastp::CuBlastpResult, device: &DeviceConfig) {
-        if let Some(k) = r.kernel("gapped_extension_fine") {
-            self.fine_kernel_ms += k.time_ms(device);
-        }
-        self.degraded += r.recovery.degraded_gapped;
-    }
-
-    /// Print the summary row (stderr under `--outfmt tab` to keep stdout
-    /// machine-readable), plus a loud warning when any block silently
-    /// left the device gapped path.
-    fn print(&self, args: &Args) {
-        let row = format!(
-            "# gapped backend: {} fine-kernel-ms={:.3} degraded-gapped={}",
-            args.gapped_backend.name(),
-            self.fine_kernel_ms,
-            self.degraded,
+    /// Print the `# gapped backend:` summary row — the grep target of the
+    /// CI backend-equivalence job, like the `# grouped seeding:` row for
+    /// grouped seeding — plus a loud warning when any block silently left
+    /// the device gapped path.
+    fn print_gapped_summary(&self, args: &Args) {
+        let fine_kernel_ms = self
+            .kernels
+            .iter()
+            .find(|(name, _)| name == FINE_GAPPED_KERNEL)
+            .map_or(0.0, |(_, ms)| *ms);
+        note(
+            args,
+            &format!(
+                "# gapped backend: {} fine-kernel-ms={:.3} degraded-gapped={}",
+                args.gapped_backend.name(),
+                fine_kernel_ms,
+                self.degraded_gapped,
+            ),
         );
-        if args.outfmt == args::OutFmt::Tab {
-            eprintln!("{row}");
-        } else {
-            out!("{row}");
-        }
-        if args.gapped_backend == GappedBackend::Gpu && self.degraded > 0 {
+        if args.gapped_backend == GappedBackend::Gpu && self.degraded_gapped > 0 {
             eprintln!(
                 "# warning: gapped device backend degraded {} block{} to the CPU tail",
-                self.degraded,
-                if self.degraded == 1 { "" } else { "s" },
+                self.degraded_gapped,
+                if self.degraded_gapped == 1 { "" } else { "s" },
             );
         }
     }
@@ -310,82 +308,48 @@ fn main() -> ExitCode {
         return run_allvsall(&queries, &db, &sharded, &args);
     }
 
-    let banner = format!(
-        "# cublastp: {} quer{} vs {} ({} sequences, {} residues), engine = {}",
-        queries.len(),
-        if queries.len() == 1 { "y" } else { "ies" },
-        db.name(),
-        db.len(),
-        db.total_residues(),
-        args.engine.name(),
+    note(
+        &args,
+        &format!(
+            "# cublastp: {} quer{} vs {} ({} sequences, {} residues), engine = {}",
+            queries.len(),
+            if queries.len() == 1 { "y" } else { "ies" },
+            db.name(),
+            db.len(),
+            db.total_residues(),
+            args.engine.name(),
+        ),
     );
-    if args.outfmt == args::OutFmt::Tab {
-        // Keep stdout machine-readable: one tab line per hit, nothing else.
-        eprintln!("{banner}");
-    } else {
-        out!("{banner}");
-    }
 
-    // The database is parsed once above and flattened into device layout
-    // once here: every query of the stream searches the resident copy
-    // (only the first is charged the upload). With `--db-image` the
-    // mapped layout is installed directly — zero flatten passes. The CPU
+    // The database is parsed once above and made resident once below:
+    // every query of the stream searches the resident copy. The CPU
     // worker pool is the process-wide shared one, built on first use.
-    let dev_cache = DeviceDbCache::new();
-    if let Some(img) = &image {
-        if args.engine == Engine::CuBlastp {
-            dev_cache.insert(Arc::new(DeviceDb::from_image(img)));
-        }
-    }
     let flattens_before = cublastp::flatten_count();
-    let injector = Arc::new(FaultInjector::new(args.fault_plan.clone()));
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
-    let mut phase_table = args.phase_table.then(PhaseTable::default);
-    if let Some(table) = &mut phase_table {
-        table.gapped_backend = args.gapped_backend.name();
-    }
-    let mut gapped_summary = (args.engine == Engine::CuBlastp).then(GappedSummary::default);
+    let mut telemetry = Telemetry::default();
     let t_batch = std::time::Instant::now();
-    let mut failures: Vec<(usize, String, SearchError)> = Vec::new();
-    if args.shards > 1 || sharded_set.is_some() {
-        let sharded = sharded_set.take().unwrap_or_else(|| {
-            ShardedDb::split(&db, args.shards, args.cublastp_config().db_block_size)
+    let failures = if args.engine == Engine::CuBlastp {
+        let sharded = sharded_set.take().or_else(|| {
+            (args.shards > 1)
+                .then(|| ShardedDb::split(&db, args.shards, args.cublastp_config().db_block_size))
         });
-        failures = run_sharded_batch(
+        run_batch(
             &queries,
             &db,
-            &sharded,
+            image.as_ref(),
+            sharded.as_ref(),
             &args,
-            &injector,
-            &mut phase_table,
-            &mut gapped_summary,
-        );
-    } else if args.engine == Engine::CuBlastp && args.seed_mode == SeedMode::Grouped {
-        failures = run_grouped_batch(
-            &queries,
-            &db,
-            &args,
-            &injector,
-            &mut phase_table,
-            &mut gapped_summary,
-        );
+            &mut telemetry,
+        )
     } else {
-        for (i, query) in queries.iter().enumerate() {
-            if let Err(e) = run_query(
-                query,
-                i,
-                &db,
-                &args,
-                &dev_cache,
-                &injector,
-                &mut phase_table,
-                &mut gapped_summary,
-            ) {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
+        for query in &queries {
+            let t0 = std::time::Instant::now();
+            if let Some((report, line)) = baseline_search(query, &db, &args) {
+                report::print(query, &db, &report, &args, t0.elapsed(), &line);
             }
         }
-    }
+        Vec::new()
+    };
     let batch_wall = t_batch.elapsed();
     if let Some(img) = &image {
         // Stderr so `--outfmt tab` stdout stays machine-readable; the CI
@@ -399,40 +363,34 @@ fn main() -> ExitCode {
             cublastp::flatten_count() - flattens_before,
         );
     }
-    if let Some(table) = &phase_table {
-        if args.outfmt != args::OutFmt::Tab {
-            table.print();
-        }
+    if args.phase_table && args.outfmt != args::OutFmt::Tab {
+        telemetry.print_phase_table(&args);
     }
-    if let Some(summary) = &gapped_summary {
-        summary.print(&args);
+    if args.engine == Engine::CuBlastp {
+        telemetry.print_gapped_summary(&args);
     }
     if let Err(e) = write_observability(&args) {
         eprintln!("error: {e}");
         return ExitCode::from(EXIT_INPUT);
     }
 
-    let summary = format!(
-        "# batch: {} quer{} in {:.2} ms ({:.2} queries/sec), {} ok, {} failed",
-        queries.len(),
-        if queries.len() == 1 { "y" } else { "ies" },
-        batch_wall.as_secs_f64() * 1e3,
-        queries.len() as f64 / batch_wall.as_secs_f64().max(1e-12),
-        queries.len() - failures.len(),
-        failures.len(),
+    note(
+        &args,
+        &format!(
+            "# batch: {} quer{} in {:.2} ms ({:.2} queries/sec), {} ok, {} failed",
+            queries.len(),
+            if queries.len() == 1 { "y" } else { "ies" },
+            batch_wall.as_secs_f64() * 1e3,
+            queries.len() as f64 / batch_wall.as_secs_f64().max(1e-12),
+            queries.len() - failures.len(),
+            failures.len(),
+        ),
     );
-    if args.outfmt == args::OutFmt::Tab {
-        eprintln!("{summary}");
-    } else {
-        out!("{summary}");
-    }
     for (i, id, err) in &failures {
-        let row = format!("# query {} ({id}): {} error: {err}", i + 1, err.category());
-        if args.outfmt == args::OutFmt::Tab {
-            eprintln!("{row}");
-        } else {
-            out!("{row}");
-        }
+        note(
+            &args,
+            &format!("# query {} ({id}): {} error: {err}", i + 1, err.category()),
+        );
     }
     match failures.first() {
         Some((_, _, err)) => ExitCode::from(exit_code_for(err)),
@@ -880,205 +838,163 @@ fn load_db_fasta(args: &Args) -> Result<SequenceDb, String> {
     Ok(SequenceDb::new(dpath.clone(), subjects))
 }
 
-/// The `--seed-mode grouped` path: the whole query stream runs as one
-/// grouped batch (round-packed shared word index, one seeding pass per
-/// round per database block), then per-query reports print in input
-/// order — bit-identical to what `run_query` prints per query.
-fn run_grouped_batch(
+/// The cuBLASTP engine's runner: the whole query stream goes through the
+/// search executor as one batch — flat (`--seed-mode per-query`, or
+/// `grouped`: a round-packed shared word index, one seeding pass per
+/// round per database block), or sharded (`--shards` > 1 or `--db-set`:
+/// every query searches every shard, cross-shard statistics keep output
+/// bit-identical to the flat path, and the work-stealing fleet schedule
+/// spans `--devices` simulated devices). Per-query reports print in
+/// input order, then the mode's summary row: `# grouped seeding:` and
+/// `# shards:` are the grep targets of the CI equivalence jobs. With a
+/// `--db-image` the mapped layout is made resident directly — zero
+/// flatten passes.
+fn run_batch(
     queries: &[Sequence],
     db: &SequenceDb,
+    image: Option<&DbImage>,
+    sharded: Option<&ShardedDb>,
     args: &Args,
-    injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
+    telemetry: &mut Telemetry,
 ) -> Vec<(usize, String, SearchError)> {
-    let params = args.params();
-    let config = args.cublastp_config();
+    let (params, config, device) = (args.params(), args.cublastp_config(), DeviceConfig::k20c());
+    let injector = Some(Arc::new(FaultInjector::new(args.fault_plan.clone())));
     let t0 = std::time::Instant::now();
-    let out = search_batch_with(
-        queries,
-        params,
-        config,
-        DeviceConfig::k20c(),
-        db,
-        BatchOptions {
-            injector: Some(Arc::clone(injector)),
-            seed_mode: SeedMode::Grouped,
-            group_budget: args.group_budget,
-            ..Default::default()
-        },
-    );
-    // Individual wall-clocks are not observable in a batched run; report
-    // each query's share of the batch.
-    let wall = t0.elapsed().div_f64(queries.len().max(1) as f64);
-    let mut failures = Vec::new();
-    for (i, (query, result)) in queries.iter().zip(out.per_query).enumerate() {
-        match result {
-            Ok(r) => {
-                if let Some(table) = phase_table {
-                    table.absorb(&r, &DeviceConfig::k20c());
+    // Print every query's report (stderr row for a failed one) and fold
+    // its telemetry; `mode` is the mode's note on the telemetry line.
+    let mut report_all = |per_query: Vec<Result<CuBlastpResult, SearchError>>,
+                          mode: &dyn Fn(&CuBlastpResult) -> String| {
+        // Individual wall-clocks are not observable in a batched run;
+        // report each query's share of the batch.
+        let wall = t0.elapsed().div_f64(queries.len().max(1) as f64);
+        let mut failures = Vec::new();
+        for (i, (query, result)) in queries.iter().zip(per_query).enumerate() {
+            match result {
+                Ok(r) => {
+                    telemetry.absorb(&r, &device);
+                    let line = telemetry_line(&r, &mode(&r));
+                    report::print(query, db, &r.report, args, wall, &line);
                 }
-                if let Some(summary) = gapped_summary {
-                    summary.absorb(&r, &DeviceConfig::k20c());
+                Err(e) => {
+                    eprintln!("error: query {} ({}): {e}", i + 1, query.id);
+                    failures.push((i, query.id.clone(), e));
                 }
-                let mut telemetry = format!(
-                    "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms (grouped seeding)",
-                    r.counts.hits,
-                    r.counts.filtered,
-                    100.0 * r.counts.survival_ratio(),
-                    r.counts.extensions,
-                    r.timing.gpu_ms,
-                );
-                if !r.recovery.is_clean() {
-                    telemetry.push_str(&format!(
-                        "; recovered from {} fault{} ({} block{} degraded to CPU)",
-                        r.recovery.faults,
-                        if r.recovery.faults == 1 { "" } else { "s" },
-                        r.recovery.degraded_blocks,
-                        if r.recovery.degraded_blocks == 1 {
-                            ""
-                        } else {
-                            "s"
-                        },
-                    ));
-                }
-                report::print(query, db, &r.report, args, wall, &telemetry);
-            }
-            Err(e) => {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
             }
         }
-    }
-    match &out.grouped {
-        Some(g) => {
-            let mean_occ = if g.rounds.is_empty() {
-                0.0
-            } else {
-                g.rounds.iter().map(|r| r.occupancy).sum::<f64>() / g.rounds.len() as f64
-            };
-            let row = format!(
-                "# grouped seeding: rounds={} queries={} budget={} mean-occupancy={:.3} \
-                 amortized-seeding={:.4} ms/block/query",
-                g.rounds.len(),
-                g.queries_covered(),
-                args.group_budget,
-                mean_occ,
-                g.seeding_ms_per_block_query(),
+        failures
+    };
+    match sharded {
+        Some(sharded) => {
+            let mut out = search_sharded_batch(
+                queries,
+                params,
+                config,
+                device,
+                sharded,
+                &ShardedBatchOptions {
+                    sharded: ShardedOptions {
+                        devices: args.devices,
+                        seed: args.steal_seed,
+                    },
+                    injector,
+                },
             );
-            if args.outfmt == args::OutFmt::Tab {
-                eprintln!("{row}");
-            } else {
-                out!("{row}");
+            let shards = sharded.num_shards();
+            let failures = report_all(std::mem::take(&mut out.per_query), &|_| {
+                format!(" ({shards} shards)")
+            });
+            note(
+                args,
+                &format!(
+                    "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
+                     speedup={:.2}x efficiency={:.2} steals={} upload={:.3}ms",
+                    out.devices,
+                    out.schedule.makespan_ms,
+                    out.single_device_ms,
+                    out.speedup(),
+                    out.efficiency(),
+                    out.schedule.total_steals(),
+                    out.shard_upload_ms.iter().sum::<f64>(),
+                ),
+            );
+            if args.phase_table && args.outfmt != args::OutFmt::Tab {
+                print_fleet_table(sharded, &out);
             }
+            failures
         }
-        // Unreachable by construction; keep it loud so the CI equivalence
-        // job catches any future silent fallback.
-        None => eprintln!("# warning: grouped seed mode fell back to per-query seeding"),
+        None => {
+            let dev_db = match image {
+                Some(img) => DeviceDb::from_image(img),
+                None => DeviceDb::upload(db, config.db_block_size),
+            };
+            let out = search_batch_resident(
+                queries,
+                params,
+                config,
+                device,
+                db,
+                &dev_db,
+                BatchOptions {
+                    injector,
+                    seed_mode: args.seed_mode,
+                    group_budget: args.group_budget,
+                    ..Default::default()
+                },
+            );
+            let failures = report_all(out.per_query, &|r| match args.seed_mode {
+                SeedMode::Grouped => " (grouped seeding)".to_string(),
+                SeedMode::PerQuery => {
+                    format!(", overlapped total {:.2} ms", r.timing.total_ms())
+                }
+            });
+            if let Some(g) = &out.grouped {
+                let mean_occ = if g.rounds.is_empty() {
+                    0.0
+                } else {
+                    g.rounds.iter().map(|r| r.occupancy).sum::<f64>() / g.rounds.len() as f64
+                };
+                note(
+                    args,
+                    &format!(
+                        "# grouped seeding: rounds={} queries={} budget={} mean-occupancy={:.3} \
+                         amortized-seeding={:.4} ms/block/query",
+                        g.rounds.len(),
+                        g.queries_covered(),
+                        args.group_budget,
+                        mean_occ,
+                        g.seeding_ms_per_block_query(),
+                    ),
+                );
+            }
+            failures
+        }
     }
-    failures
 }
 
-/// The sharded path (`--shards` > 1 or `--db-set`): the whole query
-/// stream runs through the sharded engine — every query searches every
-/// shard, cross-shard statistics keep output bit-identical to the flat
-/// path, and the work-stealing fleet schedule spans `--devices`
-/// simulated devices. The `# shards:` summary row is the grep target of
-/// the CI sharded-equivalence job.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_batch(
-    queries: &[Sequence],
-    db: &SequenceDb,
-    sharded: &ShardedDb,
-    args: &Args,
-    injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
-) -> Vec<(usize, String, SearchError)> {
-    let t0 = std::time::Instant::now();
-    let mut out = search_sharded_batch(
-        queries,
-        args.params(),
-        args.cublastp_config(),
-        DeviceConfig::k20c(),
-        sharded,
-        &ShardedBatchOptions {
-            sharded: ShardedOptions {
-                devices: args.devices,
-                seed: args.steal_seed,
-            },
-            injector: Some(Arc::clone(injector)),
-        },
+/// One query's telemetry line: pipeline counters, simulated GPU time,
+/// the batch mode's note, and what the recovery policy had to do.
+fn telemetry_line(r: &CuBlastpResult, mode: &str) -> String {
+    let mut line = format!(
+        "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms{mode}",
+        r.counts.hits,
+        r.counts.filtered,
+        100.0 * r.counts.survival_ratio(),
+        r.counts.extensions,
+        r.timing.gpu_ms,
     );
-    // Individual wall-clocks are not observable in a batched run; report
-    // each query's share of the batch.
-    let wall = t0.elapsed().div_f64(queries.len().max(1) as f64);
-    let mut failures = Vec::new();
-    for (i, (query, result)) in queries
-        .iter()
-        .zip(std::mem::take(&mut out.per_query))
-        .enumerate()
-    {
-        match result {
-            Ok(r) => {
-                if let Some(table) = phase_table {
-                    table.absorb(&r, &DeviceConfig::k20c());
-                }
-                if let Some(summary) = gapped_summary {
-                    summary.absorb(&r, &DeviceConfig::k20c());
-                }
-                let mut telemetry = format!(
-                    "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms \
-                     ({} shards)",
-                    r.counts.hits,
-                    r.counts.filtered,
-                    100.0 * r.counts.survival_ratio(),
-                    r.counts.extensions,
-                    r.timing.gpu_ms,
-                    sharded.num_shards(),
-                );
-                if !r.recovery.is_clean() {
-                    telemetry.push_str(&format!(
-                        "; recovered from {} fault{} ({} block{} degraded to CPU)",
-                        r.recovery.faults,
-                        if r.recovery.faults == 1 { "" } else { "s" },
-                        r.recovery.degraded_blocks,
-                        if r.recovery.degraded_blocks == 1 {
-                            ""
-                        } else {
-                            "s"
-                        },
-                    ));
-                }
-                report::print(query, db, &r.report, args, wall, &telemetry);
-            }
-            Err(e) => {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
-            }
-        }
+    if !r.recovery.is_clean() {
+        let plural = |n: u64| if n == 1 { "" } else { "s" };
+        line.push_str(&format!(
+            "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
+            r.recovery.faults,
+            plural(r.recovery.faults),
+            r.recovery.retries,
+            if r.recovery.retries == 1 { "y" } else { "ies" },
+            r.recovery.degraded_blocks,
+            plural(r.recovery.degraded_blocks),
+        ));
     }
-    let row = format!(
-        "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x \
-         efficiency={:.2} steals={} upload={:.3}ms",
-        sharded.num_shards(),
-        out.devices,
-        out.schedule.makespan_ms,
-        out.single_device_ms,
-        out.speedup(),
-        out.efficiency(),
-        out.schedule.total_steals(),
-        out.shard_upload_ms.iter().sum::<f64>(),
-    );
-    if args.outfmt == args::OutFmt::Tab {
-        eprintln!("{row}");
-    } else {
-        out!("{row}");
-    }
-    if args.phase_table && args.outfmt != args::OutFmt::Tab {
-        print_fleet_table(sharded, &out);
-    }
-    failures
+    line
 }
 
 /// The per-shard / per-device rows of `--phase-table` under the sharded
@@ -1136,12 +1052,12 @@ fn run_allvsall(
         args.cublastp_config(),
         DeviceConfig::k20c(),
         sharded,
-        &AllVsAllOptions {
+        &ShardedBatchOptions {
             sharded: ShardedOptions {
                 devices: args.devices,
                 seed: args.steal_seed,
             },
-            ..AllVsAllOptions::default()
+            injector: Some(Arc::new(FaultInjector::new(args.fault_plan.clone()))),
         },
     ) {
         Ok(r) => r,
@@ -1169,31 +1085,30 @@ fn run_allvsall(
     } else {
         0.0
     };
-    let summary = format!(
-        "# allvsall: {} x {} pairs, {} above threshold ({:.2}% dense), {} tiles, {:.2} ms wall",
-        r.matrix.num_queries,
-        r.matrix.num_subjects,
-        r.matrix.nnz(),
-        density,
-        r.tiles,
-        wall_ms,
+    note(
+        args,
+        &format!(
+            "# allvsall: {} x {} pairs, {} above threshold ({:.2}% dense), {} tiles, {:.2} ms wall",
+            r.matrix.num_queries,
+            r.matrix.num_subjects,
+            r.matrix.nnz(),
+            density,
+            r.tiles,
+            wall_ms,
+        ),
     );
-    let row = format!(
-        "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x steals={}",
-        sharded.num_shards(),
-        args.devices,
-        r.schedule.makespan_ms,
-        r.single_device_ms,
-        r.speedup(),
-        r.schedule.total_steals(),
+    note(
+        args,
+        &format!(
+            "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x steals={}",
+            sharded.num_shards(),
+            args.devices,
+            r.schedule.makespan_ms,
+            r.single_device_ms,
+            r.schedule.speedup(r.single_device_ms),
+            r.schedule.total_steals(),
+        ),
     );
-    if args.outfmt == args::OutFmt::Tab {
-        eprintln!("{summary}");
-        eprintln!("{row}");
-    } else {
-        out!("{summary}");
-        out!("{row}");
-    }
     if let Err(e) = write_observability(args) {
         eprintln!("error: {e}");
         return ExitCode::from(EXIT_INPUT);
@@ -1201,60 +1116,17 @@ fn run_allvsall(
     ExitCode::SUCCESS
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_query(
+/// Search one query with a reference or coarse-grained baseline engine
+/// (all of them produce the hits the cuBLASTP pipeline does). `None` for
+/// the cuBLASTP engine itself, which [`run_batch`] drives.
+fn baseline_search(
     query: &Sequence,
-    index: usize,
     db: &SequenceDb,
     args: &Args,
-    dev_cache: &DeviceDbCache,
-    injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
-) -> Result<(), SearchError> {
+) -> Option<(blast_cpu::report::SearchReport, String)> {
     let params = args.params();
-    let t0 = std::time::Instant::now();
-    let (report, telemetry) = match args.engine {
-        Engine::CuBlastp => {
-            let config = args.cublastp_config();
-            let mut searcher =
-                CuBlastp::new(query.clone(), params, config, DeviceConfig::k20c(), db);
-            searcher.injector = Arc::clone(injector);
-            searcher.stream_index = index as u32;
-            let dev_db = dev_cache.get(db, config.db_block_size);
-            let r = searcher.search_resident(db, &dev_db, index == 0)?;
-            if let Some(table) = phase_table {
-                table.absorb(&r, &DeviceConfig::k20c());
-            }
-            if let Some(summary) = gapped_summary {
-                summary.absorb(&r, &DeviceConfig::k20c());
-            }
-            let mut telemetry = format!(
-                "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms, overlapped total {:.2} ms",
-                r.counts.hits,
-                r.counts.filtered,
-                100.0 * r.counts.survival_ratio(),
-                r.counts.extensions,
-                r.timing.gpu_ms,
-                r.timing.total_ms(),
-            );
-            if !r.recovery.is_clean() {
-                telemetry.push_str(&format!(
-                    "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
-                    r.recovery.faults,
-                    if r.recovery.faults == 1 { "" } else { "s" },
-                    r.recovery.retries,
-                    if r.recovery.retries == 1 { "y" } else { "ies" },
-                    r.recovery.degraded_blocks,
-                    if r.recovery.degraded_blocks == 1 {
-                        ""
-                    } else {
-                        "s"
-                    },
-                ));
-            }
-            (r.report, telemetry)
-        }
+    match args.engine {
+        Engine::CuBlastp => None,
         Engine::Cpu => {
             let engine = SearchEngine::new(query.clone(), params, db);
             let r = if args.threads > 1 {
@@ -1266,23 +1138,20 @@ fn run_query(
                 "hits {} → extensions {}",
                 r.hit_stats.hits, r.hit_stats.extensions
             );
-            (r.report, telemetry)
+            Some((r.report, telemetry))
         }
         Engine::CudaBlastp => {
             let r = baselines::CudaBlastp::new(query.clone(), params, DeviceConfig::k20c(), db)
                 .search(db);
             let telemetry = format!("fused kernel {:.2} ms (simulated)", r.timing.gpu_ms);
-            (r.report, telemetry)
+            Some((r.report, telemetry))
         }
         Engine::GpuBlastp => {
             let mut s = baselines::GpuBlastp::new(query.clone(), params, DeviceConfig::k20c(), db);
             s.total_warps = (db.len() / 160).clamp(8, 104);
             let r = s.search(db);
             let telemetry = format!("fused kernel {:.2} ms (simulated)", r.timing.gpu_ms);
-            (r.report, telemetry)
+            Some((r.report, telemetry))
         }
-    };
-    let wall = t0.elapsed();
-    report::print(query, db, &report, args, wall, &telemetry);
-    Ok(())
+    }
 }

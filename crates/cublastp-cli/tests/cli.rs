@@ -129,6 +129,20 @@ fn unrecoverable_device_fault_exits_four() {
 }
 
 #[test]
+fn allvsall_hands_the_fault_plan_to_the_engine() {
+    let out = run(&[
+        "allvsall",
+        "--demo",
+        "--fault-plan",
+        "alloc:perm",
+        "--no-cpu-fallback",
+    ]);
+    assert_eq!(out.status.code(), Some(4));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("device fault"), "{err}");
+}
+
+#[test]
 fn injected_panic_exits_five_with_summary_row() {
     let out = run(&["--demo", "--fault-plan", "panic:perm"]);
     assert_eq!(out.status.code(), Some(5));

@@ -25,6 +25,9 @@
 //! assert_eq!(img.to_sequence_db().sequences(), db.sequences());
 //! ```
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -51,6 +51,10 @@
 //!          out.result.report.hits.len(), out.queue_wait_ms, out.service_ms);
 //! ```
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod admission;
 pub mod controller;
 pub mod server;

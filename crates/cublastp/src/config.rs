@@ -20,6 +20,17 @@ pub enum ExtensionStrategy {
     Window,
 }
 
+impl ExtensionStrategy {
+    /// Stats / span name of the strategy's ungapped-extension kernel.
+    pub fn kernel_name(self) -> &'static str {
+        match self {
+            ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
+            ExtensionStrategy::Hit => "ungapped_extension_hit",
+            ExtensionStrategy::Window => "ungapped_extension_window",
+        }
+    }
+}
+
 /// Scoring-table placement for the extension kernels (§3.5, Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoringMode {

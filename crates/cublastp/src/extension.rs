@@ -237,11 +237,7 @@ pub fn extension_kernel(
         use_readonly_cache: cfg.use_readonly_cache,
     };
 
-    let name = match cfg.extension {
-        ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-        ExtensionStrategy::Hit => "ungapped_extension_hit",
-        ExtensionStrategy::Window => "ungapped_extension_window",
-    };
+    let name = cfg.extension.kernel_name();
 
     let blocks = cfg.grid_blocks.max(1);
 

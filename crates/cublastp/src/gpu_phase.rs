@@ -2,8 +2,8 @@
 //! kernels (hit detection with binning → assembling → sorting → filtering
 //! → ungapped extension) run back to back, as in §3.2–3.4.
 
-use crate::binning::binning_kernel;
-use crate::config::{CuBlastpConfig, ExtensionStrategy};
+use crate::binning::{binning_kernel, BinnedHits};
+use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::extension::{extension_kernel, ExtensionResult};
 use crate::reorder::{assemble_kernel, sort_kernel};
@@ -27,6 +27,14 @@ pub struct GpuPhaseCounts {
 }
 
 impl GpuPhaseCounts {
+    /// Add another block's (or shard's) counters to these.
+    pub fn absorb(&mut self, other: &GpuPhaseCounts) {
+        self.hits += other.hits;
+        self.filtered += other.filtered;
+        self.extensions += other.extensions;
+        self.redundant += other.redundant;
+    }
+
     /// Fraction of hits that survived filtering (§3.3 reports 5–11 %).
     pub fn survival_ratio(&self) -> f64 {
         if self.hits == 0 {
@@ -126,22 +134,26 @@ impl GpuPhaseOutput {
     }
 }
 
-/// Map a kernel's stats name onto its static span label (modelled trace
-/// events need `&'static str`; the extension kernel name varies by
-/// strategy).
-fn kernel_label(name: &str) -> &'static str {
-    match name {
-        "hit_detection" => "hit_detection",
-        "hit_assembling" => "hit_assembling",
-        "hit_sorting" => "hit_sorting",
-        "hit_filtering" => "hit_filtering",
-        "ungapped_extension_diagonal" => "ungapped_extension_diagonal",
-        "ungapped_extension_hit" => "ungapped_extension_hit",
-        "ungapped_extension_window" => "ungapped_extension_window",
-        "gapped_extension_fine" => "gapped_extension_fine",
-        _ => "kernel",
+/// Merge one block's (or shard's) per-kernel stats into the running
+/// per-kernel totals, positionally — every block runs the same kernels in
+/// the same order. A block that ran more kernels than the totals hold yet
+/// (a shard whose gapped phase carried a 6th entry) extends them.
+pub(crate) fn merge_kernels(totals: &mut Vec<KernelStats>, block: Vec<KernelStats>) {
+    for (k, o) in totals.iter_mut().zip(&block) {
+        k.merge(o);
     }
+    let have = totals.len();
+    totals.extend(block.into_iter().skip(have));
 }
+
+/// Stats names of hit-path kernels 1–4, in execution order (kernel 5's is
+/// [`crate::ExtensionStrategy::kernel_name`]).
+pub(crate) const HIT_PATH_KERNELS: [&str; 4] = [
+    "hit_detection",
+    "hit_assembling",
+    "hit_sorting",
+    "hit_filtering",
+];
 
 /// Run the five fine-grained kernels over one uploaded database block.
 /// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
@@ -165,38 +177,54 @@ pub fn run_gpu_phase(
     injector: &FaultInjector,
     ctx: FaultCtx,
 ) -> Result<GpuPhaseOutput, DeviceError> {
+    run_seeded_phase(device, cfg, query, db, params, ws, injector, ctx, None)
+}
+
+/// [`run_gpu_phase`] with the block's seed source explicit. `None` runs
+/// kernel 1 through the query's own DFA. `Some(bins)` is this query's
+/// demuxed slice of a grouped seeding pass over the block: kernel 1 is
+/// skipped and its stats stay zeroed — the pass is a round-level cost the
+/// batch timeline bills once, not to each member.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_seeded_phase(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query: &DeviceQuery,
+    db: &DeviceDbBlock,
+    params: &SearchParams,
+    ws: &KernelWorkspace,
+    injector: &FaultInjector,
+    ctx: FaultCtx,
+    seeded: Option<BinnedHits>,
+) -> Result<GpuPhaseOutput, DeviceError> {
     let _phase_span = obs::span("gpu_phase", "gpu")
         .with_block(ctx.block)
         .with_query(ctx.query);
 
-    check_phase_preamble(injector, ctx)?;
-
-    // Kernel 1: warp-based hit detection with binning (Algorithm 2).
-    injector.check(FaultSite::KernelLaunch, ctx, "hit_detection")?;
-    let mut k_span = obs::span("hit_detection", "kernel").with_block(ctx.block);
-    let (binned, k_bin) = binning_kernel(device, cfg, query, db, ws);
-    k_span.set_arg("sim_ms", k_bin.time_ms(device));
-    drop(k_span);
-
-    run_gpu_tail(
-        device, cfg, query, db, params, ws, injector, ctx, binned, k_bin,
-    )
-}
-
-/// The device-footprint fault checks every GPU phase starts with: scratch
-/// arena, workspace checkout, and the H2D leg that made the block resident
-/// (Fig. 12 upload). Shared between the per-query phase and the grouped
-/// seeding driver, which runs them once per member before the tail.
-pub(crate) fn check_phase_preamble(
-    injector: &FaultInjector,
-    ctx: FaultCtx,
-) -> Result<(), DeviceError> {
+    // The device footprint every phase starts with: scratch arena,
+    // workspace checkout, and the H2D leg that made the block resident
+    // (Fig. 12 upload).
     injector.check(FaultSite::DeviceAlloc, ctx, "block scratch arena")?;
     injector.check(FaultSite::Workspace, ctx, "hit-arena pools")?;
     injector.check(FaultSite::H2d, ctx, "db block upload")?;
     injector.check(FaultSite::H2dTimeout, ctx, "db block upload")?;
     injector.check(FaultSite::HostPanic, ctx, "gpu phase")?;
-    Ok(())
+
+    let (binned, k_bin) = match seeded {
+        Some(binned) => (binned, KernelStats::new("hit_detection")),
+        None => {
+            // Kernel 1: warp-based hit detection with binning (Algorithm 2).
+            injector.check(FaultSite::KernelLaunch, ctx, "hit_detection")?;
+            let mut k_span = obs::span("hit_detection", "kernel").with_block(ctx.block);
+            let (binned, k_bin) = binning_kernel(device, cfg, query, db, ws);
+            k_span.set_arg("sim_ms", k_bin.time_ms(device));
+            (binned, k_bin)
+        }
+    };
+
+    run_gpu_tail(
+        device, cfg, query, db, params, ws, injector, ctx, binned, k_bin,
+    )
 }
 
 /// Kernels 2–5 over an already-binned hit arena: assembling → sorting →
@@ -206,7 +234,7 @@ pub(crate) fn check_phase_preamble(
 /// pass — either way `binned` holds that query's hits in the standard
 /// arena shape, so downstream semantics are identical by construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_gpu_tail(
+fn run_gpu_tail(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
     query: &DeviceQuery,
@@ -215,7 +243,7 @@ pub(crate) fn run_gpu_tail(
     ws: &KernelWorkspace,
     injector: &FaultInjector,
     ctx: FaultCtx,
-    binned: crate::binning::BinnedHits,
+    binned: BinnedHits,
     k_bin: KernelStats,
 ) -> Result<GpuPhaseOutput, DeviceError> {
     let hits = binned.total_hits;
@@ -254,12 +282,7 @@ pub(crate) fn run_gpu_tail(
 
     // Kernel 5: fine-grained ungapped extension (Algorithms 3–5).
     injector.check(FaultSite::KernelLaunch, ctx, "ungapped_extension")?;
-    let ext_span_name = match cfg.extension {
-        ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-        ExtensionStrategy::Hit => "ungapped_extension_hit",
-        ExtensionStrategy::Window => "ungapped_extension_window",
-    };
-    let mut k_span = obs::span(ext_span_name, "kernel").with_block(ctx.block);
+    let mut k_span = obs::span(cfg.extension.kernel_name(), "kernel").with_block(ctx.block);
     let ExtensionResult {
         extensions,
         stats: k_ext,
@@ -279,16 +302,13 @@ pub(crate) fn run_gpu_tail(
     injector.check(FaultSite::D2hTimeout, ctx, "extension download")?;
 
     if obs::state() != 0 {
-        for k in [&k_bin, &k_asm, &k_sort, &k_filter, &k_ext] {
+        let labels = HIT_PATH_KERNELS
+            .into_iter()
+            .chain([cfg.extension.kernel_name()]);
+        for (label, k) in labels.zip([&k_bin, &k_asm, &k_sort, &k_filter, &k_ext]) {
             let sim_ms = k.time_ms(device);
-            obs::modelled(
-                "gpu (modelled)",
-                kernel_label(&k.name),
-                sim_ms,
-                Some(ctx.block),
-                None,
-            );
-            obs::observe("kernel_sim_ms", &[("kernel", &k.name)], sim_ms);
+            obs::modelled("gpu (modelled)", label, sim_ms, Some(ctx.block), None);
+            obs::observe("kernel_sim_ms", &[("kernel", label)], sim_ms);
         }
         obs::counter("hits_detected_total", &[], hits);
         obs::counter("hits_survived_total", &[], n_filtered);

@@ -45,12 +45,16 @@
 //! and pipeline worker panics surface as typed [`SearchError`]s instead of
 //! process aborts. See DESIGN.md §3.3 for the fault model.
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod binning;
 pub mod cancel;
-pub mod cluster;
 pub mod config;
 pub mod devicedata;
 pub mod error;
+mod executor;
 pub mod extension;
 pub mod gapped_device;
 pub mod gapped_gpu;
@@ -65,7 +69,6 @@ pub mod search;
 pub mod shard;
 
 pub use cancel::CancelToken;
-pub use cluster::{search_cluster, ClusterConfig, ClusterResult};
 pub use config::{
     CuBlastpConfig, ExtensionStrategy, GappedBackend, PipelineConfig, RecoveryPolicy, ScoringMode,
 };
@@ -79,12 +82,12 @@ pub use scheduler::{
     schedule_work_stealing, DeviceTimeline, StealEvent, StealSchedule, DEFAULT_STEAL_SEED,
 };
 pub use search::{
-    search_batch, search_batch_parallel, search_batch_with, BatchOptions, BatchOutcome,
-    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport, RecoveryReport,
-    RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
+    search_batch, search_batch_parallel, search_batch_resident, search_batch_with, BatchOptions,
+    BatchOutcome, BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport,
+    RecoveryReport, RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
 };
 pub use shard::{
     search_all_vs_all, search_sharded, search_sharded_batch, search_sharded_with_hooks,
-    AllVsAllOptions, AllVsAllResult, DbShard, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb,
-    ShardedOptions, ShardedResult, SimEntry, SparseSimMatrix,
+    AllVsAllResult, DbShard, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions,
+    ShardedResult, SimEntry, SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
 };

@@ -76,6 +76,16 @@ impl StealSchedule {
         self.per_device.iter().map(|d| d.steals).sum()
     }
 
+    /// Makespan speedup over a given single-device makespan of the same
+    /// items (1.0 for an empty schedule).
+    pub fn speedup(&self, single_device_ms: f64) -> f64 {
+        if self.makespan_ms <= 0.0 {
+            1.0
+        } else {
+            single_device_ms / self.makespan_ms
+        }
+    }
+
     /// Scaling efficiency against a given single-device makespan:
     /// `serial / (devices × makespan)`, 1.0 = perfect linear scaling.
     pub fn efficiency(&self, single_device_ms: f64) -> f64 {

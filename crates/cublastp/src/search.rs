@@ -1,34 +1,32 @@
-//! The public cuBLASTP search driver.
+//! The cuBLASTP searcher and the flat batch plan.
 //!
-//! Orchestrates the whole paper: database blocks stream through the five
-//! fine-grained GPU kernels (§3.2–3.5), their extension records cross the
-//! modelled PCIe link, and a multicore CPU pool finishes gapped extension
-//! and alignment with traceback (§3.6), overlapped block-against-block as
-//! in Fig. 12. Output is bit-identical to the FSA-BLAST reference
-//! (`blast_cpu::search_sequential`) — the property §4.3 claims and the
-//! integration tests enforce.
+//! [`CuBlastp`] orchestrates the whole paper: database blocks stream
+//! through the five fine-grained GPU kernels (§3.2–3.5), their extension
+//! records cross the modelled PCIe link, and a multicore CPU pool finishes
+//! gapped extension and alignment with traceback (§3.6), overlapped
+//! block-against-block as in Fig. 12. Output is bit-identical to the
+//! FSA-BLAST reference (`blast_cpu::search_sequential`) — the property
+//! §4.3 claims and the integration tests enforce.
 
 use crate::binning::BinnedHits;
 use crate::cancel::CancelToken;
-use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend};
+use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
-use crate::error::{panic_message, PipelineError, SearchError};
-use crate::gapped_device::{gapped_fine_kernel, GappedDeviceOutput, FINE_GAPPED_KERNEL};
+use crate::error::SearchError;
+use crate::executor::{execute, Plan, ShardView};
+use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
-    check_phase_preamble, run_gpu_phase, run_gpu_tail, ExtensionsCsr, GpuPhaseCounts,
-    GpuPhaseOutput,
+    merge_kernels, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
+    HIT_PATH_KERNELS,
 };
-use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
-use crate::grouping::plan_rounds;
 use crate::pipeline::{overlap_blocks_depth, schedule, BlockTiming, PipelineSchedule};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::{Alignment, PhaseTimes, SearchReport};
 use blast_cpu::search::SearchEngine;
-use gpu_sim::{DeviceConfig, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,7 +88,7 @@ pub struct RecoveryReport {
     #[serde(default)]
     pub retry_wait_us: u64,
     /// Host wall-clock this query spent queued behind earlier work before
-    /// its search started, in microseconds. Set by the batch drivers and
+    /// its search started, in microseconds. Set by the search executor and
     /// the serving layer; zero for a standalone search.
     #[serde(default)]
     pub queue_wait_us: u64,
@@ -107,8 +105,8 @@ impl RecoveryReport {
             && self.degraded_gapped == 0
     }
 
-    /// Fold another report into this one (batch drivers, the serving
-    /// layer, and the sharded engine sum recovery telemetry per query).
+    /// Fold another report into this one (recovery telemetry is summed
+    /// per block, per shard and per query).
     pub fn absorb(&mut self, other: &RecoveryReport) {
         self.faults += other.faults;
         self.retries += other.retries;
@@ -162,7 +160,7 @@ impl SearchHooks<'_> {
 }
 
 /// Result of a cuBLASTP search.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CuBlastpResult {
     /// Ranked hit list — identical to the CPU reference.
     pub report: SearchReport,
@@ -175,7 +173,7 @@ pub struct CuBlastpResult {
     /// Pipeline schedule details.
     pub pipeline: PipelineSchedule,
     /// Per-block stage times in pipeline order — the raw schedule input,
-    /// kept so batch drivers can chain several queries into one timeline.
+    /// kept so the batch plan can chain several queries into one timeline.
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
@@ -185,6 +183,14 @@ impl CuBlastpResult {
     /// Stats of one kernel by (partial) name.
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
         self.kernels.iter().find(|k| k.name.contains(name))
+    }
+
+    /// Stamp the makespan of a result merged over shards: the query's
+    /// serial chain in a batch, the fleet makespan for a single sharded
+    /// search.
+    pub(crate) fn stamp_makespan(&mut self, makespan_ms: f64) {
+        self.timing.overlapped_ms = makespan_ms;
+        self.pipeline.overlapped_ms = makespan_ms;
     }
 }
 
@@ -198,7 +204,7 @@ pub struct CuBlastp {
     /// Pipeline configuration.
     pub config: CuBlastpConfig,
     /// Pooled hit-path scratch, reused across database blocks and across
-    /// searches. Batch drivers share one workspace between all queries of
+    /// searches. The executor shares one workspace between all queries of
     /// a stream, so after warm-up the hot path performs zero allocations
     /// (see [`KernelWorkspace`]).
     pub workspace: Arc<KernelWorkspace>,
@@ -209,8 +215,51 @@ pub struct CuBlastp {
     /// This query's index in a batch stream (0 standalone) — the `query`
     /// coordinate fault specs can scope to.
     pub stream_index: u32,
-    query_device: DeviceQuery,
+    pub(crate) query_device: DeviceQuery,
     setup_ms: f64,
+}
+
+/// One leg of the modelled PCIe link: counter label, trace track, event.
+type PcieLeg = (&'static str, &'static str, &'static str);
+const H2D: PcieLeg = ("h2d", "pcie h2d (modelled)", "h2d_transfer");
+const D2H: PcieLeg = ("d2h", "pcie d2h (modelled)", "d2h_transfer");
+
+/// One database block entering the pipeline: index, host range, resident
+/// copy, and its seed source — this query's bins from a grouped seeding
+/// round, or `None` for the query's own DFA pass.
+type BlockInput = (u32, DbBlock, Arc<DeviceDbBlock>, Option<BinnedHits>);
+
+/// Where a device step runs, as the recovery loop needs it: the fault
+/// scope, and what a deadline error reports.
+#[derive(Clone, Copy)]
+struct BlockAt<'a> {
+    ctx: FaultCtx,
+    blocks_total: u32,
+    hooks: &'a SearchHooks<'a>,
+}
+
+/// What the GPU side of one block hands to its CPU tail.
+struct GpuSide {
+    block: u32,
+    /// Database index of the block's first sequence.
+    base: usize,
+    out: GpuPhaseOutput,
+    /// `Some` when the device gapped backend already produced the block's
+    /// alignments: the CPU tail then only does statistics.
+    aligns: Option<Vec<Vec<Alignment>>>,
+    recovery: RecoveryReport,
+    /// The block's device stages; the CPU tail fills in `cpu_ms`.
+    timing: BlockTiming,
+}
+
+/// What the CPU tail of one block produced. Phase times are modelled
+/// multicore wall-clock (Fig. 13) and zero when the gapped phase ran on
+/// the device — `wall_ms` is then the measured reporting pass.
+struct CpuTail {
+    report: SearchReport,
+    gapped_ms: f64,
+    traceback_ms: f64,
+    wall_ms: f64,
 }
 
 impl CuBlastp {
@@ -267,48 +316,278 @@ impl CuBlastp {
         self.search_resident(db, &dev_db, true)
     }
 
-    /// Run one block's GPU phase under the recovery policy: retry
-    /// transient faults (workspace reset + linear backoff between
-    /// attempts), degrade permanent or retry-exhausted ones to the CPU
-    /// reference path when the policy allows, and fail the search with a
-    /// [`SearchError::Device`] otherwise.
-    fn run_block_recovered(
+    /// Search against a database already resident on the device (see
+    /// [`DeviceDb`]). `charge_h2d` controls whether the database upload is
+    /// billed to this query's timing: a standalone search pays it; in a
+    /// batch only the first query does, the rest reuse the resident copy.
+    pub fn search_resident(
         &self,
-        dev_block: &DeviceDbBlock,
-        block_idx: u32,
-        blocks_total: u32,
-        cancel: &CancelToken,
-    ) -> Result<(GpuPhaseOutput, RecoveryReport), SearchError> {
-        let ctx = FaultCtx {
-            query: self.stream_index,
-            block: block_idx,
+        db: &SequenceDb,
+        dev_db: &DeviceDb,
+        charge_h2d: bool,
+    ) -> Result<CuBlastpResult, SearchError> {
+        self.search_resident_with_hooks(db, dev_db, charge_h2d, &SearchHooks::default())
+    }
+
+    /// [`search_resident`](Self::search_resident) with serving-layer hooks
+    /// (DESIGN.md §3.8): the hooks' [`CancelToken`] is polled at every
+    /// block boundary (GPU side, CPU side, and recovery retries) so an
+    /// expired query returns [`SearchError::DeadlineExceeded`] between
+    /// blocks instead of running to completion, and `on_block` streams
+    /// each block's partial report as soon as its CPU tail finishes.
+    /// With default hooks this is exactly `search_resident`.
+    pub fn search_resident_with_hooks(
+        &self,
+        db: &SequenceDb,
+        dev_db: &DeviceDb,
+        charge_h2d: bool,
+        hooks: &SearchHooks<'_>,
+    ) -> Result<CuBlastpResult, SearchError> {
+        self.run_blocks(db, dev_db, charge_h2d, None, hooks)
+    }
+
+    /// The per-block loop every search runs (Fig. 12): each resident block
+    /// goes through the GPU side (hit phase, gapped backend, PCIe legs)
+    /// and then the CPU tail, overlapped block-against-block when
+    /// configured, and the per-block outputs fold into one result.
+    /// `seeds` only says where the hit bins come from: one demuxed
+    /// [`BinnedHits`] per block from a grouped seeding round, or `None`
+    /// for the query's own DFA pass over every block.
+    pub(crate) fn run_blocks(
+        &self,
+        db: &SequenceDb,
+        dev_db: &DeviceDb,
+        charge_h2d: bool,
+        seeds: Option<Vec<BinnedHits>>,
+        hooks: &SearchHooks<'_>,
+    ) -> Result<CuBlastpResult, SearchError> {
+        let _search_span = obs::span("search", "host").with_query(self.stream_index);
+        self.config.validate()?;
+        // Record which SIMD instruction set the CPU phases dispatch to for
+        // this search, and which backend owns the gapped phase (§3.7).
+        let dispatch = blast_cpu::simd::dispatch_report();
+        obs::gauge("cpu_simd_dispatch", &[("isa", dispatch.active.name())], 1.0);
+        let backend = self.config.gapped_backend.name();
+        obs::gauge("gapped_backend", &[("backend", backend)], 1.0);
+        if dev_db.block_size() != self.config.db_block_size {
+            return Err(SearchError::config(format!(
+                "resident database was partitioned at block size {}, config wants {}",
+                dev_db.block_size(),
+                self.config.db_block_size
+            )));
+        }
+
+        let blocks_total = dev_db.blocks().len() as u32;
+        // Reject an already-expired request before any device work: the
+        // serving layer admits with the deadline clock already running.
+        if hooks.cancel.is_cancelled() {
+            return Err(hooks.deadline_error(0, blocks_total));
+        }
+
+        let gpu_side = |(block, range, dev_block, bins): BlockInput| {
+            // Cancellation checkpoint between blocks: an expired query
+            // stops launching kernels and frees the device mid-search.
+            if hooks.cancel.check() {
+                return Err(hooks.deadline_error(block, blocks_total));
+            }
+            let mut timing = BlockTiming::default();
+            if charge_h2d {
+                timing.h2d_ms = self.bill_transfer(H2D, dev_block.upload_bytes(), block);
+            }
+            let at = BlockAt {
+                ctx: FaultCtx {
+                    query: self.stream_index,
+                    block,
+                },
+                blocks_total,
+                hooks,
+            };
+            let mut recovery = RecoveryReport::default();
+            let mut out = self.hit_phase(&dev_block, at, bins, &mut recovery)?;
+            let aligns = self.attach_gapped_backend(&dev_block, at, &mut out, &mut recovery)?;
+            timing.gpu_ms = out.gpu_ms(&self.device);
+            timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+            Ok(GpuSide {
+                block,
+                base: range.start,
+                out,
+                aligns,
+                recovery,
+                timing,
+            })
         };
-        let policy = self.config.recovery;
-        let mut recovery = RecoveryReport::default();
-        let mut attempts = 0u32;
-        let final_err = loop {
-            attempts += 1;
-            // A retry is a fresh launch the deadline must cover: poll the
-            // token so an expired query stops retrying and frees its slot.
-            if attempts > 1 && cancel.check() {
-                return Err(SearchError::DeadlineExceeded {
-                    elapsed_ms: cancel.elapsed_ms(),
-                    blocks_completed: block_idx,
+
+        // The CPU tail runs on the shared pool, which never oversubscribes
+        // the host; wall-clock at the requested thread count is modelled
+        // (see `blast_cpu::search::modeled_parallel_speedup`). A failed
+        // block skips its tail and carries the error through.
+        let cpu_side = |gpu: Result<GpuSide, SearchError>| {
+            let gpu = gpu?;
+            // Checkpoint before the CPU tail: the GPU side may be a block
+            // ahead, so an expired query skips its remaining host work too.
+            if hooks.cancel.check() {
+                return Err(hooks.deadline_error(gpu.block, blocks_total));
+            }
+            let tail = match &gpu.aligns {
+                Some(a) => self.cpu_report_block(db, gpu.base, a),
+                None => self.cpu_finish_block(db, gpu.base, &gpu.out.extensions),
+            };
+            if let Some(on_block) = hooks.on_block {
+                on_block(BlockProgress {
+                    block: gpu.block,
                     blocks_total,
+                    partial: &tail.report,
                 });
             }
+            Ok((gpu, tail))
+        };
+
+        // Run the pipeline: actually overlapped (two host threads) when
+        // configured, serial otherwise. Functional output is identical.
+        let mut seeds = seeds.map(Vec::into_iter);
+        let inputs: Vec<BlockInput> = (0u32..)
+            .zip(dev_db.blocks())
+            .map(|(i, (range, dev_block))| {
+                let bins = seeds.as_mut().and_then(Iterator::next);
+                (i, *range, Arc::clone(dev_block), bins)
+            })
+            .collect();
+        let block_results: Vec<Result<(GpuSide, CpuTail), SearchError>> = if self.config.overlap {
+            overlap_blocks_depth(self.config.pipeline.depth, inputs, gpu_side, cpu_side)
+                .map_err(SearchError::Pipeline)?
+        } else {
+            inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
+        };
+
+        let t_merge = Instant::now();
+        let merge_span = obs::span("merge", "host").with_query(self.stream_index);
+        let mut r = CuBlastpResult::default();
+        for block_result in block_results {
+            let (gpu, tail) = block_result?;
+            r.report.hits.extend(tail.report.hits);
+            r.recovery.absorb(&gpu.recovery);
+            r.counts.absorb(&gpu.out.counts);
+            merge_kernels(&mut r.kernels, gpu.out.kernels);
+            r.timing.gpu_ms += gpu.timing.gpu_ms;
+            r.timing.h2d_ms += gpu.timing.h2d_ms;
+            r.timing.d2h_ms += gpu.timing.d2h_ms;
+            r.timing.gapped_ms += tail.gapped_ms;
+            r.timing.traceback_ms += tail.traceback_ms;
+            r.timing.cpu_wall_ms += tail.wall_ms;
+            r.block_timings.push(BlockTiming {
+                cpu_ms: tail.wall_ms,
+                ..gpu.timing
+            });
+        }
+        r.report.finalize(self.engine.params.max_reported);
+        r.pipeline = schedule(&r.block_timings);
+        r.timing.overlapped_ms = r.pipeline.overlapped_ms;
+        r.timing.serial_ms = r.pipeline.serial_ms;
+        r.timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
+        drop(merge_span);
+        if obs::metrics_enabled() {
+            let checkouts = self.workspace.checkouts();
+            let allocs = self.workspace.allocations();
+            if checkouts > 0 {
+                let hit_rate = 1.0 - allocs as f64 / checkouts as f64;
+                obs::gauge("workspace_pool_hit_rate", &[], hit_rate);
+            }
+        }
+        Ok(r)
+    }
+
+    /// Modelled time of moving `bytes` for `block` over one PCIe leg,
+    /// recorded on the leg's trace track and byte counter.
+    fn bill_transfer(&self, leg: PcieLeg, bytes: u64, block: u32) -> f64 {
+        let (dir, track, event) = leg;
+        let ms = self.device.transfer_ms(bytes);
+        obs::modelled(track, event, ms, Some(block), Some(self.stream_index));
+        obs::counter("pcie_bytes_total", &[("dir", dir)], bytes);
+        ms
+    }
+
+    /// The retry loop every device fault site shares. A transient fault
+    /// is retried up to the policy's attempt budget (workspace reset and
+    /// linear backoff in between); the cancel token is polled before each
+    /// retry, so an expired query stops relaunching and frees its slot.
+    /// `Ok(None)`: the device cannot get past the fault and the policy
+    /// allows degradation — how is the caller's `None` arm. With fallback
+    /// disabled the last fault fails the search.
+    fn recover<T>(
+        &self,
+        retry_span: &'static str,
+        at: BlockAt<'_>,
+        recovery: &mut RecoveryReport,
+        mut attempt: impl FnMut() -> Result<T, DeviceError>,
+    ) -> Result<Option<T>, SearchError> {
+        let policy = self.config.recovery;
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            if attempts > 1 && at.hooks.cancel.check() {
+                return Err(at.hooks.deadline_error(at.ctx.block, at.blocks_total));
+            }
             // Re-launches after a fault get their own span, so retry storms
-            // are visible as repeated `block_retry` lanes in the trace.
-            let _retry_span = if attempts > 1 {
-                obs::span("block_retry", "recovery")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index)
+            // are visible as repeated retry lanes in the trace.
+            let _retry_span = (attempts > 1).then(|| {
+                obs::span(retry_span, "recovery")
+                    .with_block(at.ctx.block)
+                    .with_query(at.ctx.query)
                     .with_arg("attempt", attempts as f64)
-            } else {
-                obs::PhaseSpan::inert()
-            };
+            });
             let t_attempt = Instant::now();
-            match run_gpu_phase(
+            let fault = match attempt() {
+                Ok(out) => return Ok(Some(out)),
+                Err(e) => e,
+            };
+            recovery.faults += 1;
+            obs::counter("recovery_faults_total", &[], 1);
+            let retry = fault.is_transient() && attempts < policy.max_attempts;
+            if retry {
+                // A retry starts from known-good device state: drop pooled
+                // buffers the failed launch may have left inconsistent,
+                // then back off linearly.
+                recovery.retries += 1;
+                obs::counter("recovery_retries_total", &[], 1);
+                self.workspace.reset();
+                if policy.backoff_ms > 0.0 {
+                    std::thread::sleep(Duration::from_secs_f64(
+                        policy.backoff_ms * attempts as f64 / 1e3,
+                    ));
+                }
+            }
+            // The failed attempt, the reset and the backoff are retry cost,
+            // not compute — billed separately so phase tables stay honest.
+            recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
+            if retry {
+                continue;
+            }
+            return if policy.cpu_fallback {
+                Ok(None)
+            } else {
+                Err(SearchError::Device {
+                    source: fault,
+                    block: at.ctx.block,
+                    attempts,
+                })
+            };
+        }
+    }
+
+    /// One block's hit phase (kernels 1–5) under the recovery policy. The
+    /// first attempt consumes the block's grouped-round `bins`, if any; a
+    /// retry re-seeds through the query's own DFA (per-slot multiset-equal
+    /// to the demuxed bins, so output is bit-identical). A fault the
+    /// device cannot get past degrades the block to the CPU scan.
+    fn hit_phase(
+        &self,
+        dev_block: &DeviceDbBlock,
+        at: BlockAt<'_>,
+        mut bins: Option<BinnedHits>,
+        recovery: &mut RecoveryReport,
+    ) -> Result<GpuPhaseOutput, SearchError> {
+        let out = self.recover("block_retry", at, recovery, || {
+            run_seeded_phase(
                 &self.device,
                 &self.config,
                 &self.query_device,
@@ -316,182 +595,81 @@ impl CuBlastp {
                 &self.engine.params,
                 &self.workspace,
                 &self.injector,
-                ctx,
-            ) {
-                Ok(out) => return Ok((out, recovery)),
-                Err(e) => {
-                    recovery.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if e.is_transient() && attempts < policy.max_attempts {
-                        // A retry starts from known-good device state: drop
-                        // pooled buffers the failed launch may have left
-                        // inconsistent, then back off linearly.
-                        recovery.retries += 1;
-                        obs::counter("recovery_retries_total", &[], 1);
-                        self.workspace.reset();
-                        if policy.backoff_ms > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                policy.backoff_ms * attempts as f64 / 1e3,
-                            ));
-                        }
-                        // The failed attempt, the reset and the backoff are
-                        // retry cost, not compute — billed separately so
-                        // phase tables stay honest.
-                        recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                        continue;
-                    }
-                    recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                    break e;
-                }
-            }
-        };
-        if policy.cpu_fallback {
+                at.ctx,
+                bins.take(),
+            )
+        })?;
+        Ok(out.unwrap_or_else(|| {
             recovery.degraded_blocks += 1;
             obs::counter("recovery_degraded_blocks_total", &[], 1);
             let _fb_span = obs::span("cpu_fallback", "recovery")
-                .with_block(block_idx)
-                .with_query(self.stream_index);
-            Ok((self.cpu_fallback_phase(dev_block), recovery))
-        } else {
-            Err(SearchError::Device {
-                source: final_err,
-                block: block_idx,
-                attempts,
-            })
-        }
-    }
-
-    /// Run the fine-grained device gapped kernel over one block's
-    /// extension CSR under the recovery policy (`--gapped-backend gpu`,
-    /// DESIGN.md §3.7): transient faults retry with workspace reset and
-    /// linear backoff; permanent or retry-exhausted faults degrade *only
-    /// this block's gapped phase* back to the CPU tail when the policy
-    /// allows (`Ok(None)` — the hit-path kernels' output is already
-    /// downloaded and stays valid), and fail the search otherwise.
-    fn run_gapped_device_recovered(
-        &self,
-        dev_block: &DeviceDbBlock,
-        extensions: &ExtensionsCsr,
-        block_idx: u32,
-    ) -> Result<(Option<GappedDeviceOutput>, RecoveryReport), SearchError> {
-        let ctx = FaultCtx {
-            query: self.stream_index,
-            block: block_idx,
-        };
-        let policy = self.config.recovery;
-        let mut recovery = RecoveryReport::default();
-        let mut attempts = 0u32;
-        let final_err = loop {
-            attempts += 1;
-            let _retry_span = if attempts > 1 {
-                obs::span("gapped_retry", "recovery")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index)
-                    .with_arg("attempt", attempts as f64)
-            } else {
-                obs::PhaseSpan::inert()
-            };
-            let t_attempt = Instant::now();
-            let run = {
-                let _span = obs::span("gapped_device", "gpu")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index);
-                gapped_fine_kernel(
-                    &self.device,
-                    &self.config,
-                    &self.query_device,
-                    self.engine.query.residues(),
-                    dev_block,
-                    extensions,
-                    &self.engine.params,
-                    self.engine.cutoffs.gapped_trigger,
-                    self.engine.cutoffs.report_cutoff,
-                    &self.workspace,
-                    &self.injector,
-                    ctx,
-                )
-            };
-            match run {
-                Ok(out) => {
-                    if obs::state() != 0 {
-                        let sim_ms = out.stats.time_ms(&self.device);
-                        obs::modelled(
-                            "gpu (modelled)",
-                            "gapped_extension_fine",
-                            sim_ms,
-                            Some(block_idx),
-                            None,
-                        );
-                        obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
-                    }
-                    return Ok((Some(out), recovery));
-                }
-                Err(e) => {
-                    recovery.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if e.is_transient() && attempts < policy.max_attempts {
-                        recovery.retries += 1;
-                        obs::counter("recovery_retries_total", &[], 1);
-                        self.workspace.reset();
-                        if policy.backoff_ms > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                policy.backoff_ms * attempts as f64 / 1e3,
-                            ));
-                        }
-                        recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                        continue;
-                    }
-                    recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                    break e;
-                }
-            }
-        };
-        if policy.cpu_fallback {
-            recovery.degraded_gapped += 1;
-            obs::counter("recovery_degraded_gapped_total", &[], 1);
-            Ok((None, recovery))
-        } else {
-            Err(SearchError::Device {
-                source: final_err,
-                block: block_idx,
-                attempts,
-            })
-        }
+                .with_block(at.ctx.block)
+                .with_query(at.ctx.query);
+            self.cpu_fallback_phase(dev_block)
+        }))
     }
 
     /// Run the gapped backend for one block whose hit phase is done:
     /// under [`GappedBackend::Gpu`] the fine kernel produces the block's
-    /// alignments on the device (its stats join `out.kernels` as the 6th
-    /// entry — zeroed when the gapped phase degraded — and its alignment
-    /// download joins `out.download_bytes`); under [`GappedBackend::Cpu`]
-    /// this is a no-op and the CPU tail owns the gapped phase.
+    /// alignments on the device under the recovery policy (DESIGN.md
+    /// §3.7; its stats join `out.kernels` as the 6th entry, its alignment
+    /// download joins `out.download_bytes`). A fault the device cannot get
+    /// past degrades *only this block's gapped phase* back to the CPU tail
+    /// — the hit-path kernels' output is already downloaded and stays
+    /// valid. Under [`GappedBackend::Cpu`] this is a no-op.
     fn attach_gapped_backend(
         &self,
         dev_block: &DeviceDbBlock,
+        at: BlockAt<'_>,
         out: &mut GpuPhaseOutput,
         recovery: &mut RecoveryReport,
-        block_idx: u32,
     ) -> Result<Option<Vec<Vec<Alignment>>>, SearchError> {
         if self.config.gapped_backend != GappedBackend::Gpu {
             return Ok(None);
         }
-        let (dev_out, gr) =
-            self.run_gapped_device_recovered(dev_block, &out.extensions, block_idx)?;
-        recovery.absorb(&gr);
-        match dev_out {
-            Some(g) => {
-                out.download_bytes += g.download_bytes;
-                out.kernels.push(g.stats);
-                Ok(Some(g.alignments))
-            }
-            None => {
-                // A zeroed 6th entry keeps the positional per-kernel merge
-                // aligned across blocks; `None` routes this block's tail to
-                // the CPU gapped phase (bit-identical by construction).
-                out.kernels.push(KernelStats::new(FINE_GAPPED_KERNEL));
-                Ok(None)
-            }
+        let block = at.ctx.block;
+        let run = self.recover("gapped_retry", at, recovery, || {
+            let _span = obs::span("gapped_device", "gpu")
+                .with_block(block)
+                .with_query(at.ctx.query);
+            gapped_fine_kernel(
+                &self.device,
+                &self.config,
+                &self.query_device,
+                self.engine.query.residues(),
+                dev_block,
+                &out.extensions,
+                &self.engine.params,
+                self.engine.cutoffs.gapped_trigger,
+                self.engine.cutoffs.report_cutoff,
+                &self.workspace,
+                &self.injector,
+                at.ctx,
+            )
+        })?;
+        let Some(g) = run else {
+            recovery.degraded_gapped += 1;
+            obs::counter("recovery_degraded_gapped_total", &[], 1);
+            // A zeroed 6th entry keeps the positional per-kernel merge
+            // aligned across blocks; `None` routes this block's tail to
+            // the CPU gapped phase (bit-identical by construction).
+            out.kernels.push(KernelStats::new(FINE_GAPPED_KERNEL));
+            return Ok(None);
+        };
+        if obs::state() != 0 {
+            let sim_ms = g.stats.time_ms(&self.device);
+            obs::modelled(
+                "gpu (modelled)",
+                FINE_GAPPED_KERNEL,
+                sim_ms,
+                Some(block),
+                None,
+            );
+            obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
         }
+        out.download_bytes += g.download_bytes;
+        out.kernels.push(g.stats);
+        Ok(Some(g.alignments))
     }
 
     /// Degradation path: reproduce the GPU phase for one block on the CPU
@@ -524,25 +702,14 @@ impl CuBlastp {
         stream.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
         let n_ext = stream.len() as u64;
         let download_bytes = n_ext * std::mem::size_of::<blast_cpu::ungapped::UngappedExt>() as u64;
-        let extension_kernel_name = match self.config.extension {
-            ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-            ExtensionStrategy::Hit => "ungapped_extension_hit",
-            ExtensionStrategy::Window => "ungapped_extension_window",
-        };
         GpuPhaseOutput {
             extensions: ExtensionsCsr::from_stream(stream, db.num_seqs()),
             // Zeroed stats under the standard names keep the per-kernel
             // merge across blocks aligned.
-            kernels: [
-                "hit_detection",
-                "hit_assembling",
-                "hit_sorting",
-                "hit_filtering",
-                extension_kernel_name,
-            ]
-            .into_iter()
-            .map(KernelStats::new)
-            .collect(),
+            kernels: (HIT_PATH_KERNELS.into_iter())
+                .chain([self.config.extension.kernel_name()])
+                .map(KernelStats::new)
+                .collect(),
             counts: GpuPhaseCounts {
                 hits: stats.hits,
                 filtered: stats.triggers,
@@ -555,14 +722,8 @@ impl CuBlastp {
 
     /// CPU tail for one block: gapped extension + traceback over the
     /// block's extension CSR on the shared pool, with the Fig. 13
-    /// multicore wall-clock model and the phase's metrics. Shared between
-    /// the per-query pipeline and the grouped-seeding member tails.
-    fn cpu_finish_block(
-        &self,
-        db: &SequenceDb,
-        base: usize,
-        csr: &ExtensionsCsr,
-    ) -> (SearchReport, PhaseTimes, f64) {
+    /// multicore wall-clock model and the phase's metrics.
+    fn cpu_finish_block(&self, db: &SequenceDb, base: usize, csr: &ExtensionsCsr) -> CpuTail {
         let mut cpu_span = obs::span("cpu_phase", "cpu").with_query(self.stream_index);
         let mut times = PhaseTimes::default();
         let partials: Vec<(SearchReport, PhaseTimes)> =
@@ -595,7 +756,6 @@ impl CuBlastp {
         let cpu_scale = 1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
         let gapped_ms = times.gapped.as_secs_f64() * 1e3 * cpu_scale;
         let traceback_ms = times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-        let cpu_wall_ms = gapped_ms + traceback_ms;
         if obs::state() != 0 {
             cpu_span.set_arg("gapped_ms", gapped_ms);
             cpu_span.set_arg("traceback_ms", traceback_ms);
@@ -616,21 +776,26 @@ impl CuBlastp {
             obs::counter("alignments_total", &[], report.hits.len() as u64);
         }
         drop(cpu_span);
-        (report, times, cpu_wall_ms)
+        CpuTail {
+            report,
+            gapped_ms,
+            traceback_ms,
+            wall_ms: gapped_ms + traceback_ms,
+        }
     }
 
     /// CPU reporting tail for one block whose gapped extension *and*
     /// traceback already ran on the device (`--gapped-backend gpu`):
     /// statistics and e-value filtering over the downloaded alignments
-    /// only. Returns the block report and the measured host wall-clock of
-    /// the reporting pass (the CPU lane all but vanishes — the gapped
-    /// work now shows up in the block's kernel time instead).
+    /// only. `wall_ms` is the measured host wall-clock of the reporting
+    /// pass (the CPU lane all but vanishes — the gapped work now shows up
+    /// in the block's kernel time instead).
     fn cpu_report_block(
         &self,
         db: &SequenceDb,
         base: usize,
         alignments: &[Vec<Alignment>],
-    ) -> (SearchReport, f64) {
+    ) -> CpuTail {
         let t0 = Instant::now();
         let cpu_span = obs::span("cpu_report", "cpu").with_query(self.stream_index);
         let mut report = SearchReport::default();
@@ -646,381 +811,12 @@ impl CuBlastp {
             obs::counter("alignments_total", &[], report.hits.len() as u64);
         }
         drop(cpu_span);
-        (report, t0.elapsed().as_secs_f64() * 1e3)
-    }
-
-    /// Finish a search whose hit detection already happened: one demuxed
-    /// [`BinnedHits`] arena per database block (this query's slice of a
-    /// grouped seeding pass) runs through kernels 2–5 and the CPU tail.
-    ///
-    /// The per-member `hit_detection` stats are zeroed — the grouped pass
-    /// is a round-level cost accounted once by the batch driver, not
-    /// re-billed to each member. Device faults on a member's tail degrade
-    /// straight to the CPU reference path when the policy allows (the
-    /// binned arena is consumed by the failed tail, so the retry path of
-    /// the per-query driver does not apply) and fail the member otherwise.
-    fn search_resident_prebinned(
-        &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
-        binned: Vec<BinnedHits>,
-    ) -> Result<CuBlastpResult, SearchError> {
-        let _search_span = obs::span("search", "host").with_query(self.stream_index);
-        self.config.validate()?;
-        let device = self.device;
-        debug_assert_eq!(binned.len(), dev_db.blocks().len());
-
-        let mut report = SearchReport::default();
-        let mut kernels: Vec<KernelStats> = Vec::new();
-        let mut counts = GpuPhaseCounts::default();
-        let mut timings: Vec<BlockTiming> = Vec::new();
-        let mut timing = CuBlastpTiming::default();
-        let mut recovery_total = RecoveryReport::default();
-        for ((idx, (block, dev_block)), member_bins) in
-            dev_db.blocks().iter().enumerate().zip(binned)
-        {
-            let ctx = FaultCtx {
-                query: self.stream_index,
-                block: idx as u32,
-            };
-            let tail = {
-                let _phase_span = obs::span("gpu_phase", "gpu")
-                    .with_block(ctx.block)
-                    .with_query(ctx.query);
-                check_phase_preamble(&self.injector, ctx).and_then(|()| {
-                    run_gpu_tail(
-                        &device,
-                        &self.config,
-                        &self.query_device,
-                        dev_block,
-                        &self.engine.params,
-                        &self.workspace,
-                        &self.injector,
-                        ctx,
-                        member_bins,
-                        KernelStats::new("hit_detection"),
-                    )
-                })
-            };
-            let mut out = match tail {
-                Ok(out) => out,
-                Err(e) => {
-                    recovery_total.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if self.config.recovery.cpu_fallback {
-                        recovery_total.degraded_blocks += 1;
-                        obs::counter("recovery_degraded_blocks_total", &[], 1);
-                        let _fb_span = obs::span("cpu_fallback", "recovery")
-                            .with_block(ctx.block)
-                            .with_query(ctx.query);
-                        self.cpu_fallback_phase(dev_block)
-                    } else {
-                        return Err(SearchError::Device {
-                            source: e,
-                            block: ctx.block,
-                            attempts: 1,
-                        });
-                    }
-                }
-            };
-            let aligns =
-                self.attach_gapped_backend(dev_block, &mut out, &mut recovery_total, ctx.block)?;
-            let d2h = device.transfer_ms(out.download_bytes);
-            obs::modelled(
-                "pcie d2h (modelled)",
-                "d2h_transfer",
-                d2h,
-                Some(ctx.block),
-                Some(self.stream_index),
-            );
-            obs::counter("pcie_bytes_total", &[("dir", "d2h")], out.download_bytes);
-            let (partial, times, cpu_wall_ms) = match aligns {
-                Some(a) => {
-                    let (partial, wall_ms) = self.cpu_report_block(db, block.start, &a);
-                    (partial, PhaseTimes::default(), wall_ms)
-                }
-                None => self.cpu_finish_block(db, block.start, &out.extensions),
-            };
-            report.hits.extend(partial.hits);
-            counts.hits += out.counts.hits;
-            counts.filtered += out.counts.filtered;
-            counts.extensions += out.counts.extensions;
-            counts.redundant += out.counts.redundant;
-            let gpu_ms = out.gpu_ms(&device);
-            if kernels.is_empty() {
-                kernels = out.kernels;
-            } else {
-                for (k, o) in kernels.iter_mut().zip(&out.kernels) {
-                    k.merge(o);
-                }
-            }
-            timings.push(BlockTiming {
-                h2d_ms: 0.0,
-                gpu_ms,
-                d2h_ms: d2h,
-                cpu_ms: cpu_wall_ms,
-            });
-            timing.gpu_ms += gpu_ms;
-            timing.d2h_ms += d2h;
-            let cpu_scale =
-                1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
-            timing.gapped_ms += times.gapped.as_secs_f64() * 1e3 * cpu_scale;
-            timing.traceback_ms += times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-            timing.cpu_wall_ms += cpu_wall_ms;
-        }
-        let t_merge = Instant::now();
-        report.finalize(self.engine.params.max_reported);
-        let pipeline = schedule(&timings);
-        timing.overlapped_ms = pipeline.overlapped_ms;
-        timing.serial_ms = pipeline.serial_ms;
-        timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
-
-        Ok(CuBlastpResult {
+        CpuTail {
             report,
-            kernels,
-            counts,
-            timing,
-            pipeline,
-            block_timings: timings,
-            recovery: recovery_total,
-        })
-    }
-
-    /// Search against a database already resident on the device (see
-    /// [`DeviceDb`]). `charge_h2d` controls whether the database upload is
-    /// billed to this query's timing: a standalone search pays it; in a
-    /// batch only the first query does, the rest reuse the resident copy.
-    pub fn search_resident(
-        &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
-        charge_h2d: bool,
-    ) -> Result<CuBlastpResult, SearchError> {
-        self.search_resident_with_hooks(db, dev_db, charge_h2d, &SearchHooks::default())
-    }
-
-    /// [`search_resident`](Self::search_resident) with serving-layer hooks
-    /// (DESIGN.md §3.8): the hooks' [`CancelToken`] is polled at every
-    /// block boundary (GPU side, CPU side, and recovery retries) so an
-    /// expired query returns [`SearchError::DeadlineExceeded`] between
-    /// blocks instead of running to completion, and `on_block` streams
-    /// each block's partial report as soon as its CPU tail finishes.
-    /// With default hooks this is exactly `search_resident`.
-    pub fn search_resident_with_hooks(
-        &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
-        charge_h2d: bool,
-        hooks: &SearchHooks<'_>,
-    ) -> Result<CuBlastpResult, SearchError> {
-        let _search_span = obs::span("search", "host").with_query(self.stream_index);
-        self.config.validate()?;
-        // Record which SIMD instruction set the CPU phases (gapped
-        // extension, traceback) dispatch to for this search.
-        let dispatch = blast_cpu::simd::dispatch_report();
-        obs::gauge("cpu_simd_dispatch", &[("isa", dispatch.active.name())], 1.0);
-        // ... and which backend owns the gapped phase (§3.7).
-        obs::gauge(
-            "gapped_backend",
-            &[("backend", self.config.gapped_backend.name())],
-            1.0,
-        );
-        if dev_db.block_size() != self.config.db_block_size {
-            return Err(SearchError::config(format!(
-                "resident database was partitioned at block size {}, config wants {}",
-                dev_db.block_size(),
-                self.config.db_block_size
-            )));
+            gapped_ms: 0.0,
+            traceback_ms: 0.0,
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         }
-        let device = self.device;
-
-        let blocks_total = dev_db.blocks().len() as u32;
-        // Reject an already-expired request before any device work: the
-        // serving layer admits with the deadline clock already running.
-        if hooks.cancel.is_cancelled() {
-            return Err(hooks.deadline_error(0, blocks_total));
-        }
-
-        // GPU side of one block: five kernels over the resident block
-        // (six under the device gapped backend), under the recovery
-        // policy. `Some(alignments)` routes the block's CPU tail to the
-        // reporting-only path.
-        type GpuSideOut = Result<
-            (
-                u32,
-                usize,
-                GpuPhaseOutput,
-                Option<Vec<Vec<Alignment>>>,
-                RecoveryReport,
-                f64,
-                f64,
-            ),
-            SearchError,
-        >;
-        let gpu_side =
-            |(idx, (block, dev_block)): (usize, (DbBlock, Arc<DeviceDbBlock>))| -> GpuSideOut {
-                // Cancellation checkpoint between blocks: an expired query
-                // stops launching kernels and frees the device mid-search.
-                if hooks.cancel.check() {
-                    return Err(hooks.deadline_error(idx as u32, blocks_total));
-                }
-                let h2d = if charge_h2d {
-                    let ms = device.transfer_ms(dev_block.upload_bytes());
-                    obs::modelled(
-                        "pcie h2d (modelled)",
-                        "h2d_transfer",
-                        ms,
-                        Some(idx as u32),
-                        Some(self.stream_index),
-                    );
-                    obs::counter(
-                        "pcie_bytes_total",
-                        &[("dir", "h2d")],
-                        dev_block.upload_bytes(),
-                    );
-                    ms
-                } else {
-                    0.0
-                };
-                let (mut out, mut recovery) =
-                    self.run_block_recovered(&dev_block, idx as u32, blocks_total, &hooks.cancel)?;
-                let aligns =
-                    self.attach_gapped_backend(&dev_block, &mut out, &mut recovery, idx as u32)?;
-                let d2h = device.transfer_ms(out.download_bytes);
-                obs::modelled(
-                    "pcie d2h (modelled)",
-                    "d2h_transfer",
-                    d2h,
-                    Some(idx as u32),
-                    Some(self.stream_index),
-                );
-                obs::counter("pcie_bytes_total", &[("dir", "d2h")], out.download_bytes);
-                Ok((idx as u32, block.start, out, aligns, recovery, h2d, d2h))
-            };
-
-        // CPU side of one block: gapped extension + traceback on the
-        // shared pool. The pool never oversubscribes the host; wall-clock
-        // at the requested thread count is modelled from the summed
-        // per-subject times (see `blast_cpu::search::modeled_parallel_speedup`).
-        // A failed block skips the CPU phase and carries its error through.
-        type CpuSideOut = Result<
-            (
-                SearchReport,
-                PhaseTimes,
-                GpuPhaseOutput,
-                RecoveryReport,
-                f64,
-                f64,
-                f64,
-            ),
-            SearchError,
-        >;
-        let cpu_side = |gpu_out: GpuSideOut| -> CpuSideOut {
-            let (idx, base, out, aligns, recovery, h2d, d2h) = gpu_out?;
-            // Checkpoint before the CPU tail: the GPU side may be a block
-            // ahead, so an expired query skips its remaining host work too.
-            if hooks.cancel.check() {
-                return Err(hooks.deadline_error(idx, blocks_total));
-            }
-            let (report, times, cpu_wall_ms) = match aligns {
-                // Device gapped backend: the alignments came down the PCIe
-                // link already — the CPU lane only does statistics.
-                Some(a) => {
-                    let (report, wall_ms) = self.cpu_report_block(db, base, &a);
-                    (report, PhaseTimes::default(), wall_ms)
-                }
-                None => self.cpu_finish_block(db, base, &out.extensions),
-            };
-            if let Some(on_block) = hooks.on_block {
-                on_block(BlockProgress {
-                    block: idx,
-                    blocks_total,
-                    partial: &report,
-                });
-            }
-            Ok((report, times, out, recovery, h2d, d2h, cpu_wall_ms))
-        };
-
-        // Run the pipeline: actually overlapped (two host threads) when
-        // configured, serial otherwise. Functional output is identical.
-        let inputs: Vec<(usize, (DbBlock, Arc<DeviceDbBlock>))> = dev_db
-            .blocks()
-            .iter()
-            .map(|(b, d)| (*b, Arc::clone(d)))
-            .enumerate()
-            .collect();
-        let block_results: Vec<CpuSideOut> = if self.config.overlap {
-            overlap_blocks_depth(self.config.pipeline.depth, inputs, gpu_side, cpu_side)
-                .map_err(SearchError::Pipeline)?
-        } else {
-            inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
-        };
-
-        // Merge.
-        let t_merge = Instant::now();
-        let merge_span = obs::span("merge", "host").with_query(self.stream_index);
-        let mut report = SearchReport::default();
-        let mut kernels: Vec<KernelStats> = Vec::new();
-        let mut counts = GpuPhaseCounts::default();
-        let mut timings: Vec<BlockTiming> = Vec::new();
-        let mut timing = CuBlastpTiming::default();
-        let mut recovery_total = RecoveryReport::default();
-        for block_result in block_results {
-            let (partial, times, out, recovery, h2d, d2h, cpu_wall_ms) = block_result?;
-            report.hits.extend(partial.hits);
-            recovery_total.absorb(&recovery);
-            counts.hits += out.counts.hits;
-            counts.filtered += out.counts.filtered;
-            counts.extensions += out.counts.extensions;
-            counts.redundant += out.counts.redundant;
-            let gpu_ms = out.gpu_ms(&device);
-            let block_kernels = out.kernels;
-            if kernels.is_empty() {
-                kernels = block_kernels;
-            } else {
-                for (k, o) in kernels.iter_mut().zip(&block_kernels) {
-                    k.merge(o);
-                }
-            }
-            timings.push(BlockTiming {
-                h2d_ms: h2d,
-                gpu_ms,
-                d2h_ms: d2h,
-                cpu_ms: cpu_wall_ms,
-            });
-            timing.gpu_ms += gpu_ms;
-            timing.h2d_ms += h2d;
-            timing.d2h_ms += d2h;
-            let cpu_scale =
-                1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
-            timing.gapped_ms += times.gapped.as_secs_f64() * 1e3 * cpu_scale;
-            timing.traceback_ms += times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-            timing.cpu_wall_ms += cpu_wall_ms;
-        }
-        report.finalize(self.engine.params.max_reported);
-        let pipeline = schedule(&timings);
-        timing.overlapped_ms = pipeline.overlapped_ms;
-        timing.serial_ms = pipeline.serial_ms;
-        timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
-        drop(merge_span);
-        if obs::metrics_enabled() {
-            let checkouts = self.workspace.checkouts();
-            let allocs = self.workspace.allocations();
-            if checkouts > 0 {
-                let hit_rate = 1.0 - allocs as f64 / checkouts as f64;
-                obs::gauge("workspace_pool_hit_rate", &[], hit_rate);
-            }
-        }
-
-        Ok(CuBlastpResult {
-            report,
-            kernels,
-            counts,
-            timing,
-            pipeline,
-            block_timings: timings,
-            recovery: recovery_total,
-        })
     }
 }
 
@@ -1219,44 +1015,16 @@ pub fn search_batch_parallel(
     device: DeviceConfig,
     db: &SequenceDb,
 ) -> BatchOutcome {
-    search_batch_with(
-        queries,
-        params,
-        config,
-        device,
-        db,
-        BatchOptions {
-            parallel: true,
-            ..Default::default()
-        },
-    )
+    let opts = BatchOptions {
+        parallel: true,
+        ..Default::default()
+    };
+    search_batch_with(queries, params, config, device, db, opts)
 }
 
-/// Batch driver. The database is flattened into device layout exactly
-/// once ([`DeviceDb`]); every query searches the resident copy, with only
-/// the first charged the upload. The batched makespan chains all queries'
-/// block timings through one [`schedule`] timeline, so later queries'
-/// GPU work overlaps earlier queries' CPU tail across query boundaries.
-///
-/// Queries are isolated: each runs under [`catch_unwind`], so a poisoned
-/// query (malformed state, injected panic) lands as an `Err` in its own
-/// `per_query` slot while every other query completes normally.
+/// Batch search of a flat database: flattens it into device layout
+/// exactly once ([`DeviceDb`]) and runs [`search_batch_resident`].
 pub fn search_batch_with(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-    opts: BatchOptions,
-) -> BatchOutcome {
-    match opts.seed_mode {
-        SeedMode::PerQuery => search_batch_per_query(queries, params, config, device, db, opts),
-        SeedMode::Grouped => search_batch_grouped(queries, params, config, device, db, opts),
-    }
-}
-
-/// The per-query batch driver (the default [`SeedMode::PerQuery`] path).
-fn search_batch_per_query(
     queries: &[Sequence],
     params: SearchParams,
     config: CuBlastpConfig,
@@ -1266,52 +1034,60 @@ fn search_batch_per_query(
 ) -> BatchOutcome {
     let t0 = Instant::now();
     let dev_db = DeviceDb::upload(db, config.db_block_size);
-    // One scratch pool for the whole stream: buffers warmed by early
-    // queries serve every later one.
-    let workspace = Arc::new(KernelWorkspace::new());
+    let mut out = search_batch_resident(queries, params, config, device, db, &dev_db, opts);
+    // The flatten is part of this batch's wall-clock.
+    out.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    out
+}
 
-    let run_query = |(i, q): (usize, &Sequence)| -> Result<CuBlastpResult, SearchError> {
-        // Time from batch start to this query's own start: scheduler queue
-        // wait, surfaced separately from compute in the recovery report.
-        let queue_wait_us = t0.elapsed().as_micros() as u64;
-        let mut result = catch_unwind(AssertUnwindSafe(|| {
-            let _batch_span = obs::span("batch_query", "batch").with_query(i as u32);
-            let mut searcher = CuBlastp::new(q.clone(), params, config, device, db);
-            searcher.workspace = Arc::clone(&workspace);
-            if let Some(inj) = &opts.injector {
-                searcher.injector = Arc::clone(inj);
-            }
-            searcher.stream_index = i as u32;
-            searcher.search_resident(db, &dev_db, i == 0)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                side: "batch query",
-                payload: panic_message(payload.as_ref()),
-            }))
-        });
-        if let Ok(r) = &mut result {
-            r.recovery.queue_wait_us = queue_wait_us;
-            obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
-        }
-        let outcome = if result.is_ok() { "ok" } else { "err" };
-        obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
-        result
+/// [`search_batch_with`] over a database that is already resident (a
+/// cached flatten, or a mapped `.cdb` image — no flatten pass runs).
+///
+/// The flat plan over the search executor (`executor.rs`): the database
+/// is one borrowed shard view and every query searches the resident
+/// copy, only the first charged the upload. With [`SeedMode::Grouped`]
+/// the executor packs the queries into index-budget-bounded rounds and
+/// seeds each round with one pass per database block; per-query reports
+/// are bit-identical in both modes. The batched makespan chains all
+/// queries' block timings through one [`schedule`] timeline, so later
+/// queries' GPU work overlaps earlier queries' CPU tail across query
+/// boundaries, and each grouped seeding pass sits on that timeline once.
+/// The unbatched baseline is every query standalone — re-uploading the
+/// database and, under grouped seeding, paying its round's full seeding
+/// passes itself (conservative: what it would pay running the grouped
+/// engine alone).
+///
+/// Queries are isolated: a poisoned query (malformed state, injected
+/// panic) lands as an `Err` in its own `per_query` slot while every other
+/// query completes normally.
+pub fn search_batch_resident(
+    queries: &[Sequence],
+    params: SearchParams,
+    config: CuBlastpConfig,
+    device: DeviceConfig,
+    db: &SequenceDb,
+    dev_db: &DeviceDb,
+    opts: BatchOptions,
+) -> BatchOutcome {
+    let plan = Plan {
+        params,
+        config,
+        device,
+        shards: &[ShardView {
+            db,
+            dev: dev_db,
+            start: 0,
+        }],
+        grouped: (opts.seed_mode == SeedMode::Grouped).then_some(opts.group_budget),
+        parallel: opts.parallel,
+        injector: opts.injector,
+        charge_h2d: true,
     };
-    let per_query: Vec<Result<CuBlastpResult, SearchError>> = if opts.parallel {
-        blast_cpu::search::shared_pool()
-            .install(|| queries.par_iter().enumerate().map(run_query).collect())
-    } else {
-        queries.iter().enumerate().map(run_query).collect()
-    };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Upload cost of each resident block, for re-adding H2D to queries
-    // that did not pay it when modelling their standalone cost.
-    let h2d_per_block: Vec<f64> = dev_db
-        .blocks()
-        .iter()
-        .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
+    let run = execute(&plan, queries);
+    let per_query: Vec<Result<CuBlastpResult, SearchError>> = run
+        .per_query
+        .into_iter()
+        .map(|r| r.map(|searched| searched.result))
         .collect();
 
     // With the concurrent driver, query setups (DFA/PSSM build — "other")
@@ -1328,28 +1104,31 @@ fn search_batch_per_query(
         1.0
     };
 
-    let mut stream: Vec<BlockTiming> = Vec::new();
+    // The batch pays each seeding pass once, ahead of the members' tails.
+    let mut stream: Vec<BlockTiming> = run.rounds.iter().flat_map(|r| &r.rows).copied().collect();
     let mut other_serial = 0.0f64;
     let mut unbatched_ms = 0.0f64;
     // Failed queries contribute nothing to the modelled timelines.
     for (i, r) in per_query.iter().enumerate() {
         let Ok(r) = r else { continue };
+        // The seeding rows of the query's grouped round, if it had one.
+        let round = run.rounds.iter().find(|round| round.queries.contains(&i));
+        let seeding = round.map_or(&[][..], |round| &round.rows);
         if opts.parallel {
             stream.push(BlockTiming {
-                h2d_ms: 0.0,
-                gpu_ms: 0.0,
-                d2h_ms: 0.0,
                 cpu_ms: r.timing.other_ms / setup_scale,
+                ..BlockTiming::default()
             });
         } else {
             other_serial += r.timing.other_ms;
         }
         stream.extend(&r.block_timings);
+        // Standalone, the query re-uploads every block (whether or not it
+        // paid for it in the batch) and runs its round's seeding passes.
         let mut alone = r.block_timings.clone();
-        if i > 0 {
-            for (t, h) in alone.iter_mut().zip(&h2d_per_block) {
-                t.h2d_ms = *h;
-            }
+        for (b, (t, (_, block))) in alone.iter_mut().zip(dev_db.blocks()).enumerate() {
+            t.h2d_ms = device.transfer_ms(block.upload_bytes());
+            t.gpu_ms += seeding.get(b).map_or(0.0, |row| row.gpu_ms);
         }
         unbatched_ms += schedule(&alone).overlapped_ms + r.timing.other_ms;
     }
@@ -1359,251 +1138,9 @@ fn search_batch_per_query(
         per_query,
         batch_ms,
         unbatched_ms,
-        wall_ms,
-        grouped: None,
-    }
-}
-
-/// The grouped batch driver ([`SeedMode::Grouped`]): pack the batch into
-/// index-budget-bounded rounds, run one grouped seeding pass per
-/// (round, database block), demux each pass into per-member hit arenas,
-/// and finish every member through the unchanged kernels 2–5 + CPU tail.
-///
-/// Per-query reports are bit-identical to the per-query driver (the demux
-/// reproduces each member's hit multiset per arena slot, and downstream
-/// sorting is insensitive to within-slot order). The modelled batch
-/// timeline charges each seeding pass once per round; the unbatched
-/// baseline conservatively charges every member the full pass of its
-/// round — i.e. what it would pay running the grouped engine alone.
-fn search_batch_grouped(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-    opts: BatchOptions,
-) -> BatchOutcome {
-    let t0 = Instant::now();
-    let dev_db = DeviceDb::upload(db, config.db_block_size);
-    let workspace = Arc::new(KernelWorkspace::new());
-
-    // Query setup (DFA/PSSM build + device upload), isolated per query so
-    // a poisoned input cannot take the batch down.
-    let mut searchers: Vec<Result<CuBlastp, SearchError>> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut s = CuBlastp::new(q.clone(), params, config, device, db);
-                s.workspace = Arc::clone(&workspace);
-                if let Some(inj) = &opts.injector {
-                    s.injector = Arc::clone(inj);
-                }
-                s.stream_index = i as u32;
-                s
-            }))
-            .map_err(|payload| {
-                SearchError::Pipeline(PipelineError::WorkerPanicked {
-                    side: "batch query setup",
-                    payload: panic_message(payload.as_ref()),
-                })
-            })
-        })
-        .collect();
-
-    // Round packing over the queries that set up cleanly; failed ones
-    // already occupy their per_query slot as errors.
-    let ok_idx: Vec<usize> = searchers
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_ok().then_some(i))
-        .collect();
-    let entry_counts: Vec<usize> = ok_idx
-        .iter()
-        .map(|&i| match &searchers[i] {
-            Ok(s) => s.query_device.dfa.neighborhood().total_entries(),
-            Err(_) => unreachable!("ok_idx only holds Ok slots"),
-        })
-        .collect();
-    let rounds = plan_rounds(&entry_counts, opts.group_budget);
-    obs::counter("grouped_rounds_total", &[], rounds.len() as u64);
-
-    let num_blocks = dev_db.blocks().len();
-    let mut per_query: Vec<Option<Result<CuBlastpResult, SearchError>>> =
-        (0..queries.len()).map(|_| None).collect();
-    let mut round_reports: Vec<RoundReport> = Vec::with_capacity(rounds.len());
-    let mut seeding_rows: Vec<BlockTiming> = Vec::new();
-    // Per-round, per-block seeding gpu_ms — re-billed to standalone
-    // members by the unbatched model.
-    let mut round_block_ms: Vec<Vec<f64>> = Vec::with_capacity(rounds.len());
-
-    for round in &rounds {
-        let members: Vec<&CuBlastp> = ok_idx[round.clone()]
-            .iter()
-            .map(|&i| match &searchers[i] {
-                Ok(s) => s,
-                Err(_) => unreachable!("ok_idx only holds Ok slots"),
-            })
-            .collect();
-        let member_queries: Vec<&DeviceQuery> = members.iter().map(|s| &s.query_device).collect();
-
-        let group = {
-            let _span =
-                obs::span("group_index_build", "grouped").with_query(ok_idx[round.start] as u32);
-            DeviceGroupIndex::upload(&member_queries)
-        };
-        let index = group.index();
-        obs::gauge("group_index_occupancy", &[], index.occupancy());
-        obs::gauge("group_index_entries", &[], index.entries() as f64);
-        obs::gauge("group_members", &[], members.len() as f64);
-        let index_h2d_ms = device.transfer_ms(group.upload_bytes());
-
-        // One pass over each resident block for the whole round.
-        let mut per_member_bins: Vec<Vec<BinnedHits>> = (0..members.len())
-            .map(|_| Vec::with_capacity(num_blocks))
-            .collect();
-        let mut seeding_ms = 0.0f64;
-        let mut block_ms = Vec::with_capacity(num_blocks);
-        for (idx, (_, dev_block)) in dev_db.blocks().iter().enumerate() {
-            let mut k_span = obs::span("grouped_seeding", "kernel").with_block(idx as u32);
-            let (bins, stats) =
-                grouped_seeding_kernel(&device, &config, &group, dev_block, &workspace);
-            let sim_ms = stats.time_ms(&device);
-            k_span.set_arg("sim_ms", sim_ms);
-            drop(k_span);
-            obs::modelled(
-                "gpu (modelled)",
-                "grouped_seeding",
-                sim_ms,
-                Some(idx as u32),
-                None,
-            );
-            seeding_ms += sim_ms;
-            block_ms.push(sim_ms);
-            for (m, b) in bins.into_iter().enumerate() {
-                per_member_bins[m].push(b);
-            }
-            seeding_rows.push(BlockTiming {
-                // The first round's first pass rides on the database
-                // upload; the index upload is charged to the round's
-                // first block row.
-                h2d_ms: if idx == 0 { index_h2d_ms } else { 0.0 }
-                    + if round_reports.is_empty() {
-                        device.transfer_ms(dev_block.upload_bytes())
-                    } else {
-                        0.0
-                    },
-                gpu_ms: sim_ms,
-                d2h_ms: 0.0,
-                cpu_ms: 0.0,
-            });
-        }
-        round_block_ms.push(block_ms);
-
-        round_reports.push(RoundReport {
-            first_query: ok_idx[round.start],
-            members: members.len(),
-            index_entries: index.entries(),
-            index_capacity: index.capacity(),
-            occupancy: index.occupancy(),
-            index_upload_bytes: group.upload_bytes(),
-            seeding_ms,
-            blocks: num_blocks,
-        });
-
-        // Finish each member through kernels 2–5 and the CPU tail,
-        // panic-isolated like the per-query driver.
-        for (m, bins) in per_member_bins.into_iter().enumerate() {
-            let qi = ok_idx[round.start + m];
-            let searcher = match &searchers[qi] {
-                Ok(s) => s,
-                Err(_) => unreachable!("ok_idx only holds Ok slots"),
-            };
-            let queue_wait_us = t0.elapsed().as_micros() as u64;
-            let mut result = catch_unwind(AssertUnwindSafe(|| {
-                let _batch_span = obs::span("batch_query", "batch").with_query(qi as u32);
-                searcher.search_resident_prebinned(db, &dev_db, bins)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                    side: "batch query",
-                    payload: panic_message(payload.as_ref()),
-                }))
-            });
-            if let Ok(r) = &mut result {
-                r.recovery.queue_wait_us = queue_wait_us;
-                obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
-            }
-            let outcome = if result.is_ok() { "ok" } else { "err" };
-            obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
-            per_query[qi] = Some(result);
-        }
-    }
-
-    // Fold setup failures back into their input slots.
-    for (i, slot) in per_query.iter_mut().enumerate() {
-        if slot.is_none() {
-            let err = match std::mem::replace(
-                &mut searchers[i],
-                Err(SearchError::config("slot already drained")),
-            ) {
-                Err(e) => e,
-                Ok(_) => SearchError::config("grouped driver skipped a healthy query"),
-            };
-            *slot = Some(Err(err));
-        }
-    }
-    let per_query: Vec<Result<CuBlastpResult, SearchError>> = per_query
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(SearchError::config(
-                    "grouped driver left a query slot unfilled",
-                ))
-            })
-        })
-        .collect();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Modelled timelines. The batch pays each seeding pass once (the
-    // seeding rows) and chains every member's tail; a standalone member
-    // would pay the database upload plus its round's full seeding passes
-    // itself.
-    let h2d_per_block: Vec<f64> = dev_db
-        .blocks()
-        .iter()
-        .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
-        .collect();
-    let mut stream: Vec<BlockTiming> = seeding_rows;
-    let mut other_serial = 0.0f64;
-    let mut unbatched_ms = 0.0f64;
-    for (round_i, round) in rounds.iter().enumerate() {
-        for m in 0..round.len() {
-            let qi = ok_idx[round.start + m];
-            let Ok(r) = &per_query[qi] else { continue };
-            other_serial += r.timing.other_ms;
-            stream.extend(&r.block_timings);
-            let mut alone = r.block_timings.clone();
-            for ((t, h), seed) in alone
-                .iter_mut()
-                .zip(&h2d_per_block)
-                .zip(&round_block_ms[round_i])
-            {
-                t.h2d_ms = *h;
-                t.gpu_ms += *seed;
-            }
-            unbatched_ms += schedule(&alone).overlapped_ms + r.timing.other_ms;
-        }
-    }
-    let batch_ms = schedule(&stream).overlapped_ms + other_serial;
-
-    BatchOutcome {
-        per_query,
-        batch_ms,
-        unbatched_ms,
-        wall_ms,
-        grouped: Some(GroupedReport {
-            rounds: round_reports,
+        wall_ms: run.wall_ms,
+        grouped: plan.grouped.map(|_| GroupedReport {
+            rounds: run.rounds.into_iter().map(|r| r.report).collect(),
         }),
     }
 }
@@ -2043,7 +1580,7 @@ mod tests {
 
     #[test]
     fn grouped_batch_with_gpu_gapped_backend_is_identical() {
-        // The prebinned member tail must honour the backend too: grouped
+        // A grouped member's tail must honour the backend too: grouped
         // seeding + device gapped phase vs the plain per-query CPU tail.
         let (q, db) = workload();
         let queries = vec![q, make_query(80), make_query(110)];
@@ -2153,32 +1690,43 @@ mod tests {
             DeviceConfig::k20c(),
             &db,
         );
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::DeviceAlloc).on_query(1)),
-        ));
-        let out = search_batch_with(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-            BatchOptions {
-                seed_mode: SeedMode::Grouped,
-                injector: Some(injector),
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.succeeded(), 3);
-        let r1 = out.per_query[1].as_ref().expect("degraded, not failed");
-        assert!(r1.recovery.degraded_blocks > 0);
-        assert_eq!(
-            r1.report.identity_key(),
-            clean.per_query[1]
-                .as_ref()
-                .expect("clean")
-                .report
-                .identity_key()
-        );
+        // A permanent fault degrades the member's blocks to the CPU scan;
+        // a transient one retries on the device, re-seeding the block
+        // through the member's own DFA (its round bins are spent).
+        for (spec, transient) in [
+            (FaultSpec::permanent(FaultSite::DeviceAlloc), false),
+            (FaultSpec::once(FaultSite::KernelLaunch), true),
+        ] {
+            let injector = Arc::new(FaultInjector::new(FaultPlan::none().with(spec.on_query(1))));
+            let out = search_batch_with(
+                &queries,
+                SearchParams::default(),
+                cfg,
+                DeviceConfig::k20c(),
+                &db,
+                BatchOptions {
+                    seed_mode: SeedMode::Grouped,
+                    injector: Some(injector),
+                    ..Default::default()
+                },
+            );
+            assert_eq!(out.succeeded(), 3);
+            let r1 = out.per_query[1].as_ref().expect("degraded, not failed");
+            if transient {
+                assert_eq!(r1.recovery.retries, 1);
+                assert_eq!(r1.recovery.degraded_blocks, 0);
+            } else {
+                assert!(r1.recovery.degraded_blocks > 0);
+            }
+            assert_eq!(
+                r1.report.identity_key(),
+                clean.per_query[1]
+                    .as_ref()
+                    .expect("clean")
+                    .report
+                    .identity_key()
+            );
+        }
     }
 
     #[test]
@@ -2225,6 +1773,35 @@ mod tests {
             .search_resident_with_hooks(&db, &dev_db, false, &hooks)
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
+        // The device gapped phase polls the token before a retry too: a
+        // transient gapped fault with the token tripping on the retry
+        // checkpoint (poll 1 = block 0's launch, poll 2 = the retry) ends
+        // the search instead of relaunching.
+        use gpu_sim::{FaultKind, FaultPlan, FaultSite, FaultSpec};
+        let mut gpu = gpu;
+        gpu.config.gapped_backend = GappedBackend::Gpu;
+        gpu.injector = Arc::new(FaultInjector::new(FaultPlan::none().with(FaultSpec {
+            kind: FaultKind::Transient { failures: 2 },
+            ..FaultSpec::once(FaultSite::GappedLaunch).on_block(0)
+        })));
+        let hooks = SearchHooks {
+            cancel: CancelToken::after_checks(2),
+            on_block: None,
+        };
+        let err = gpu
+            .search_resident_with_hooks(&db, &dev_db, false, &hooks)
+            .expect_err("tripped token must stop the gapped retry");
+        assert!(
+            matches!(
+                err,
+                SearchError::DeadlineExceeded {
+                    blocks_completed: 0,
+                    ..
+                }
+            ),
+            "expected deadline error, got {err:?}"
+        );
+        assert_eq!(gpu.injector.injected(), 1, "no relaunch after the deadline");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The sharded multi-device execution engine (DESIGN.md §3.10).
+//! The sharded multi-device engine (DESIGN.md §3.10): the paper's §6
+//! future work — scale-out for very large databases — as plans over the
+//! search executor.
 //!
-//! The paper's §6 future work — GPU-cluster scale-out for very large
-//! databases — promoted from the analytic model in [`crate::cluster`] to a
-//! real execution layer. The database is partitioned into [`DbShard`]s
-//! (mpiBLAST-style contiguous segmentation), each flattened into its own
-//! resident [`DeviceDb`] (or materialised zero-copy from a per-shard
-//! `.cdb` image), and (query × shard) work items are distributed across N
+//! The database is partitioned into [`DbShard`]s (mpiBLAST-style
+//! contiguous segmentation), each flattened into its own resident
+//! [`DeviceDb`] (or materialised zero-copy from a per-shard `.cdb`
+//! image), and (query-group × shard) work items are distributed across N
 //! simulated devices by the deterministic work-stealing scheduler in
 //! [`crate::scheduler`].
 //!
@@ -20,26 +20,21 @@
 //! `sharded_equivalence` proptests and CI job pin down.
 //!
 //! [`search_all_vs_all`] drives the many-against-many workload (PASTIS's
-//! problem shape): query groups stream against shard tiles and above-
-//! threshold pairs land in a CSR [`SparseSimMatrix`], best HSP per
-//! (query, subject) pair, so memory stays bounded by one tile of rows.
+//! problem shape): above-threshold pairs land in a CSR
+//! [`SparseSimMatrix`], best HSP per (query, subject) pair.
 
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
-use crate::error::{panic_message, PipelineError, SearchError};
-use crate::pipeline::PipelineSchedule;
+use crate::error::SearchError;
+use crate::executor::{execute, search_shards, Plan, ShardView};
 use crate::scheduler::{schedule_work_stealing, StealSchedule, DEFAULT_STEAL_SEED};
-use crate::search::{
-    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, RecoveryReport, SearchHooks,
-};
+use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
 use cublastp_db::DbImage;
-use gpu_sim::{DeviceConfig, FaultInjector, KernelStats, KernelWorkspace};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use gpu_sim::{DeviceConfig, FaultInjector};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One contiguous database shard with its resident device copy.
 pub struct DbShard {
@@ -218,6 +213,24 @@ impl ShardedDb {
         )
     }
 
+    /// The shards as the search executor sees them: borrowed views.
+    pub(crate) fn views(&self) -> Vec<ShardView<'_>> {
+        self.shards
+            .iter()
+            .map(|s| ShardView {
+                db: &s.db,
+                dev: &s.dev,
+                start: s.start,
+            })
+            .collect()
+    }
+
+    /// Indices of the shards that hold sequences — the ones that become
+    /// work items.
+    pub(crate) fn live_shards(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.shards.len()).filter(|&s| !self.shards[s].is_empty())
+    }
+
     /// Modelled H2D upload cost of each shard on `device`, indexed by
     /// shard — the residence charge the scheduler bills per
     /// (device, shard) first touch.
@@ -253,6 +266,32 @@ impl Default for ShardedOptions {
     }
 }
 
+/// The fleet fold every sharded plan ends with: the work-stealing
+/// schedule of the measured items at the requested device count, the same
+/// items on one device as the scaling baseline, and the fleet's
+/// per-device gauges (disarmed-cheap like every obs call).
+fn fleet_schedule(
+    item_costs: &[f64],
+    item_shards: &[usize],
+    uploads: &[f64],
+    opts: &ShardedOptions,
+) -> (StealSchedule, f64) {
+    let schedule =
+        schedule_work_stealing(item_costs, item_shards, uploads, opts.devices, opts.seed);
+    let single_device_ms =
+        schedule_work_stealing(item_costs, item_shards, uploads, 1, opts.seed).makespan_ms;
+    if obs::metrics_enabled() {
+        for (d, tl) in schedule.per_device.iter().enumerate() {
+            let label = d.to_string();
+            obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
+            obs::gauge("device_steals", &[("device", &label)], tl.steals as f64);
+        }
+        obs::counter("fleet_steals_total", &[], schedule.total_steals());
+        obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
+    }
+    (schedule, single_device_ms)
+}
+
 /// Merged outcome of one query searched across every shard.
 pub struct ShardedResult {
     /// Merged, re-ranked result — bit-identical to the single-DB search.
@@ -264,128 +303,16 @@ pub struct ShardedResult {
     pub per_shard_hits: Vec<usize>,
     /// The work-stealing schedule the fleet executed.
     pub schedule: StealSchedule,
-    /// Makespan of the same items on one device (the scaling baseline).
+    /// Makespan of the same items on one device (the scaling baseline;
+    /// see [`StealSchedule::speedup`]).
     pub single_device_ms: f64,
 }
 
-impl ShardedResult {
-    /// Makespan speedup over the single-device baseline.
-    pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
-    }
-}
-
-/// Accumulates per-shard [`CuBlastpResult`]s into one merged result whose
-/// report, counters and timings look exactly like a single-DB run.
-struct ShardMerge {
-    report: SearchReport,
-    kernels: Vec<KernelStats>,
-    counts: crate::gpu_phase::GpuPhaseCounts,
-    timing: CuBlastpTiming,
-    block_timings: Vec<crate::pipeline::BlockTiming>,
-    recovery: RecoveryReport,
-}
-
-impl ShardMerge {
-    fn new() -> Self {
-        Self {
-            report: SearchReport::default(),
-            kernels: Vec::new(),
-            counts: Default::default(),
-            timing: CuBlastpTiming::default(),
-            block_timings: Vec::new(),
-            recovery: RecoveryReport::default(),
-        }
-    }
-
-    /// Fold one shard's result in, remapping subject indices by the
-    /// shard's global start. Returns the shard's remapped partial report
-    /// (for streaming hooks) and its hit count.
-    fn absorb(&mut self, shard_start: usize, r: CuBlastpResult) -> (SearchReport, usize) {
-        let mut partial = r.report;
-        for hit in &mut partial.hits {
-            hit.subject_index += shard_start;
-        }
-        let hits = partial.hits.len();
-        self.report.hits.extend(partial.hits.iter().cloned());
-        if self.kernels.is_empty() {
-            self.kernels = r.kernels;
-        } else {
-            for (k, o) in self.kernels.iter_mut().zip(&r.kernels) {
-                k.merge(o);
-            }
-            // A shard that degraded its gapped phase differently can carry
-            // an extra kernel entry; keep it rather than dropping stats.
-            if r.kernels.len() > self.kernels.len() {
-                self.kernels
-                    .extend(r.kernels.into_iter().skip(self.kernels.len()));
-            }
-        }
-        self.counts.hits += r.counts.hits;
-        self.counts.filtered += r.counts.filtered;
-        self.counts.extensions += r.counts.extensions;
-        self.counts.redundant += r.counts.redundant;
-        self.timing.gpu_ms += r.timing.gpu_ms;
-        self.timing.h2d_ms += r.timing.h2d_ms;
-        self.timing.d2h_ms += r.timing.d2h_ms;
-        self.timing.gapped_ms += r.timing.gapped_ms;
-        self.timing.traceback_ms += r.timing.traceback_ms;
-        self.timing.cpu_wall_ms += r.timing.cpu_wall_ms;
-        // Query setup happens once on the host however many shards run;
-        // take the largest shard's "other" instead of summing it.
-        self.timing.other_ms = self.timing.other_ms.max(r.timing.other_ms);
-        self.timing.serial_ms += r.timing.serial_ms;
-        self.block_timings.extend(r.block_timings);
-        self.recovery.absorb(&r.recovery);
-        (partial, hits)
-    }
-
-    /// Finish the merge: rank the global report and stamp the fleet
-    /// makespan as the overlapped time.
-    fn finish(mut self, max_reported: usize, makespan_ms: f64) -> CuBlastpResult {
-        self.report.finalize(max_reported);
-        self.timing.overlapped_ms = makespan_ms;
-        let serial_ms = self.timing.serial_ms;
-        CuBlastpResult {
-            report: self.report,
-            kernels: self.kernels,
-            counts: self.counts,
-            timing: self.timing,
-            pipeline: PipelineSchedule {
-                overlapped_ms: makespan_ms,
-                serial_ms,
-            },
-            block_timings: self.block_timings,
-            recovery: self.recovery,
-        }
-    }
-}
-
-/// Publish the fleet's per-device utilization and steal counters
-/// (`device_busy_ms` / `device_steals` gauges — disarmed-cheap like every
-/// obs call).
-fn publish_fleet_metrics(schedule: &StealSchedule) {
-    if !obs::metrics_enabled() {
-        return;
-    }
-    for (d, tl) in schedule.per_device.iter().enumerate() {
-        let label = d.to_string();
-        obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
-        obs::gauge("device_steals", &[("device", &label)], tl.steals as f64);
-    }
-    obs::counter("fleet_steals_total", &[], schedule.total_steals());
-    obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
-}
-
-/// Search every shard with `searcher` and merge — the single-query core
-/// of the engine. The searcher must carry global statistics (build it
-/// with [`ShardedDb::searcher`], or against the full database); a shard
-/// whose search fails fails the whole query, as partial merges would
-/// break the identical-to-single-DB contract.
+/// Search every shard with `searcher` and merge — the single-query plan.
+/// The searcher must carry global statistics (build it with
+/// [`ShardedDb::searcher`], or against the full database); a shard whose
+/// search fails fails the whole query, as partial merges would break the
+/// identical-to-single-DB contract.
 pub fn search_sharded(
     searcher: &CuBlastp,
     sharded: &ShardedDb,
@@ -404,49 +331,26 @@ pub fn search_sharded_with_hooks(
     opts: &ShardedOptions,
     hooks: &SearchHooks<'_>,
 ) -> Result<ShardedResult, SearchError> {
-    let num_shards = sharded.num_shards();
-    let inner_hooks = SearchHooks {
-        cancel: hooks.cancel.clone(),
-        on_block: None,
-    };
-    let mut merge = ShardMerge::new();
-    let mut per_shard_ms = vec![0.0f64; num_shards];
-    let mut per_shard_hits = vec![0usize; num_shards];
-    let mut item_costs = Vec::new();
-    let mut item_shards = Vec::new();
+    let searched = search_shards(searcher, &sharded.views(), false, None, hooks)?;
+    // The fleet runs one item per non-empty shard. Uploads are billed by
+    // the scheduler per (device, shard) first touch, setup once globally.
     let uploads = sharded.upload_ms(&searcher.device);
-    for shard in sharded.shards() {
-        if shard.is_empty() {
-            continue;
-        }
-        let r = searcher.search_resident_with_hooks(&shard.db, &shard.dev, false, &inner_hooks)?;
-        // Modelled on-device cost of this (query, shard) item: the shard's
-        // overlapped pipeline makespan. Uploads are billed by the
-        // scheduler per (device, shard) first touch, setup once globally.
-        let cost = r.timing.overlapped_ms;
-        per_shard_ms[shard.index] = cost + uploads[shard.index];
-        item_costs.push(cost);
-        item_shards.push(shard.index);
-        let (partial, hits) = merge.absorb(shard.start, r);
-        per_shard_hits[shard.index] = hits;
-        if let Some(on_block) = hooks.on_block {
-            on_block(BlockProgress {
-                block: shard.index as u32,
-                blocks_total: num_shards as u32,
-                partial: &partial,
-            });
-        }
-    }
-    let schedule =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, opts.devices, opts.seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, opts.seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
-    let result = merge.finish(searcher.engine.params.max_reported, schedule.makespan_ms);
+    let (item_shards, item_costs): (Vec<usize>, Vec<f64>) = sharded
+        .live_shards()
+        .map(|s| (s, searched.shard_ms[s]))
+        .unzip();
+    let (schedule, single_device_ms) = fleet_schedule(&item_costs, &item_shards, &uploads, opts);
+    let mut result = searched.result;
+    result.stamp_makespan(schedule.makespan_ms);
     Ok(ShardedResult {
         result,
-        per_shard_ms,
-        per_shard_hits,
+        per_shard_ms: searched
+            .shard_ms
+            .iter()
+            .zip(&uploads)
+            .map(|(cost, upload)| cost + upload)
+            .collect(),
+        per_shard_hits: searched.shard_hits,
         schedule,
         single_device_ms,
     })
@@ -491,11 +395,7 @@ pub struct ShardedBatchOutcome {
 impl ShardedBatchOutcome {
     /// Makespan speedup over the single-device baseline.
     pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
+        self.schedule.speedup(self.single_device_ms)
     }
 
     /// Scaling efficiency at the schedule's device count.
@@ -522,11 +422,65 @@ impl ShardedBatchOutcome {
     }
 }
 
+/// The sharded batch plan over the search executor: every query searches
+/// every shard, and the fleet schedules one item per `tile` consecutive
+/// queries per non-empty shard (cost: the sum over the tile; a tile with
+/// no successful query contributes none).
+fn sharded_plan(
+    queries: &[Sequence],
+    params: SearchParams,
+    config: CuBlastpConfig,
+    device: DeviceConfig,
+    sharded: &ShardedDb,
+    opts: &ShardedBatchOptions,
+    tile: usize,
+) -> ShardedBatchOutcome {
+    let plan = Plan {
+        params,
+        config,
+        device,
+        shards: &sharded.views(),
+        grouped: None,
+        parallel: false,
+        injector: opts.injector.clone(),
+        charge_h2d: false,
+    };
+    let run = execute(&plan, queries);
+    let mut item_costs = Vec::new();
+    let mut item_shards = Vec::new();
+    for tile in run.per_query.chunks(tile) {
+        let costs: Vec<&Vec<f64>> = tile.iter().flatten().map(|s| &s.shard_ms).collect();
+        if costs.is_empty() {
+            continue;
+        }
+        for shard in sharded.live_shards() {
+            item_costs.push(costs.iter().map(|ms| ms[shard]).sum());
+            item_shards.push(shard);
+        }
+    }
+    let uploads = sharded.upload_ms(&device);
+    let (schedule, single_device_ms) =
+        fleet_schedule(&item_costs, &item_shards, &uploads, &opts.sharded);
+    ShardedBatchOutcome {
+        per_query: (run.per_query.into_iter())
+            .map(|r| r.map(|searched| searched.result))
+            .collect(),
+        devices: schedule.per_device.len(),
+        schedule,
+        single_device_ms,
+        item_costs,
+        item_shards,
+        shard_upload_ms: uploads,
+        seed: opts.sharded.seed,
+        wall_ms: run.wall_ms,
+    }
+}
+
 /// Search a batch of queries against a sharded database: every query
 /// searches every shard (one (query × shard) work item each) and the
 /// fleet schedule distributes the items across devices. Per-query merged
 /// results are bit-identical to single-DB searches; queries are isolated
-/// under `catch_unwind` like the flat batch driver.
+/// like the flat batch's.
 pub fn search_sharded_batch(
     queries: &[Sequence],
     params: SearchParams,
@@ -535,79 +489,7 @@ pub fn search_sharded_batch(
     sharded: &ShardedDb,
     opts: &ShardedBatchOptions,
 ) -> ShardedBatchOutcome {
-    let t0 = Instant::now();
-    let workspace = Arc::new(KernelWorkspace::new());
-    let uploads = sharded.upload_ms(&device);
-    let mut per_query = Vec::with_capacity(queries.len());
-    let mut item_costs = Vec::new();
-    let mut item_shards = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let queue_wait_us = t0.elapsed().as_micros() as u64;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let _span = obs::span("sharded_query", "batch").with_query(i as u32);
-            let mut searcher = sharded.searcher(q.clone(), params, config, device);
-            searcher.workspace = Arc::clone(&workspace);
-            if let Some(inj) = &opts.injector {
-                searcher.injector = Arc::clone(inj);
-            }
-            searcher.stream_index = i as u32;
-            let mut merge = ShardMerge::new();
-            let mut costs = Vec::new();
-            let mut shards = Vec::new();
-            for shard in sharded.shards() {
-                if shard.is_empty() {
-                    continue;
-                }
-                let r = searcher.search_resident(&shard.db, &shard.dev, false)?;
-                costs.push(r.timing.overlapped_ms);
-                shards.push(shard.index);
-                merge.absorb(shard.start, r);
-            }
-            // The query's own overlapped time is its serial chain; the
-            // fleet-level makespan lives on the batch outcome.
-            let serial: f64 = costs.iter().sum();
-            let result = merge.finish(params.max_reported, serial);
-            Ok((result, costs, shards))
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                side: "sharded batch query",
-                payload: panic_message(payload.as_ref()),
-            }))
-        });
-        match run {
-            Ok((mut result, costs, shards)) => {
-                result.recovery.queue_wait_us = queue_wait_us;
-                item_costs.extend(costs);
-                item_shards.extend(shards);
-                per_query.push(Ok(result));
-            }
-            Err(e) => per_query.push(Err(e)),
-        }
-        let outcome = if per_query.last().is_some_and(|r| r.is_ok()) {
-            "ok"
-        } else {
-            "err"
-        };
-        obs::counter("sharded_queries_total", &[("outcome", outcome)], 1);
-    }
-    let devices = opts.sharded.devices.max(1);
-    let seed = opts.sharded.seed;
-    let schedule = schedule_work_stealing(&item_costs, &item_shards, &uploads, devices, seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
-    ShardedBatchOutcome {
-        per_query,
-        schedule,
-        single_device_ms,
-        devices,
-        item_costs,
-        item_shards,
-        shard_upload_ms: uploads,
-        seed,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
+    sharded_plan(queries, params, config, device, sharded, opts, 1)
 }
 
 /// One above-threshold (query, subject) pair in the similarity matrix:
@@ -663,24 +545,9 @@ impl SparseSimMatrix {
     }
 }
 
-/// Options for the many-against-many driver.
-#[derive(Debug, Clone, Copy)]
-pub struct AllVsAllOptions {
-    /// Schedule geometry (devices, steal seed).
-    pub sharded: ShardedOptions,
-    /// Queries per streamed tile: memory is bounded by one tile of matrix
-    /// rows plus one shard of results.
-    pub tile_rows: usize,
-}
-
-impl Default for AllVsAllOptions {
-    fn default() -> Self {
-        Self {
-            sharded: ShardedOptions::default(),
-            tile_rows: 16,
-        }
-    }
-}
+/// Queries per work item of the many-against-many sweep: the fleet
+/// schedules (16-query tile × shard) items.
+pub const ALL_VS_ALL_TILE_ROWS: usize = 16;
 
 /// Outcome of a many-against-many sweep.
 pub struct AllVsAllResult {
@@ -688,107 +555,58 @@ pub struct AllVsAllResult {
     pub matrix: SparseSimMatrix,
     /// Fleet schedule over the (tile × shard) work items.
     pub schedule: StealSchedule,
-    /// Makespan of the same items on one device.
+    /// Makespan of the same items on one device (the scaling baseline;
+    /// see [`StealSchedule::speedup`]).
     pub single_device_ms: f64,
     /// Query tiles the sweep streamed.
     pub tiles: usize,
 }
 
-impl AllVsAllResult {
-    /// Makespan speedup over the single-device baseline.
-    pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
-    }
-}
-
-/// Reduce one query's ranked report into its matrix row: best HSP per
-/// subject. The report arrives in canonical rank order (score descending,
-/// subject ascending), so the first sighting of a subject is its best HSP.
-fn reduce_row(row: &mut Vec<SimEntry>, report: &SearchReport) {
+/// One query's matrix row from its ranked report: best HSP per subject,
+/// subject-sorted. The report arrives in canonical rank order (score
+/// descending, subject ascending), so the first sighting of a subject is
+/// its best HSP.
+fn matrix_row(report: &SearchReport) -> Vec<SimEntry> {
+    let mut row: Vec<SimEntry> = Vec::new();
     for hit in &report.hits {
         let subject = hit.subject_index as u32;
-        if row.iter().any(|e| e.subject == subject) {
-            continue;
+        if row.iter().all(|e| e.subject != subject) {
+            row.push(SimEntry {
+                subject,
+                score: hit.alignment.score,
+                bit_score: hit.bit_score,
+                evalue: hit.evalue,
+            });
         }
-        row.push(SimEntry {
-            subject,
-            score: hit.alignment.score,
-            bit_score: hit.bit_score,
-            evalue: hit.evalue,
-        });
     }
+    row.sort_by_key(|e| e.subject);
+    row
 }
 
-/// Many-against-many search: every query against every shard, streamed as
-/// (query-tile × shard) work items, emitting the sparse similarity matrix
-/// of above-threshold pairs. Each pair's entry is its best HSP under
-/// global statistics, so the matrix equals what per-query single-DB
-/// searches would produce (the dense-reference property test).
+/// Many-against-many search: every query against every shard, scheduled
+/// as ([`ALL_VS_ALL_TILE_ROWS`]-query tile × shard) work items, emitting
+/// the sparse similarity matrix of above-threshold pairs. A row is
+/// reduced from the query's globally merged, globally ranked report —
+/// best HSP per pair under global statistics — so the matrix equals what
+/// per-query single-DB searches would produce at any partition (the
+/// dense-reference property test). A query that fails fails the sweep.
 pub fn search_all_vs_all(
     queries: &[Sequence],
     params: SearchParams,
     config: CuBlastpConfig,
     device: DeviceConfig,
     sharded: &ShardedDb,
-    opts: &AllVsAllOptions,
+    opts: &ShardedBatchOptions,
 ) -> Result<AllVsAllResult, SearchError> {
-    let tile_rows = opts.tile_rows.max(1);
-    let workspace = Arc::new(KernelWorkspace::new());
-    let uploads = sharded.upload_ms(&device);
-    let mut rows: Vec<Vec<SimEntry>> = vec![Vec::new(); queries.len()];
-    let mut item_costs = Vec::new();
-    let mut item_shards = Vec::new();
-    let mut tiles = 0usize;
-    for (tile_idx, tile) in queries.chunks(tile_rows).enumerate() {
-        tiles += 1;
-        let tile_base = tile_idx * tile_rows;
-        // Per-tile searchers are built once and reused across shards.
-        let mut searchers = Vec::with_capacity(tile.len());
-        for (j, q) in tile.iter().enumerate() {
-            let mut s = sharded.searcher(q.clone(), params, config, device);
-            s.workspace = Arc::clone(&workspace);
-            s.stream_index = (tile_base + j) as u32;
-            searchers.push(s);
-        }
-        for shard in sharded.shards() {
-            if shard.is_empty() {
-                continue;
-            }
-            // One work item: this whole tile against this shard.
-            let mut tile_cost = 0.0f64;
-            for (j, searcher) in searchers.iter().enumerate() {
-                let r = searcher.search_resident(&shard.db, &shard.dev, false)?;
-                tile_cost += r.timing.overlapped_ms;
-                let mut partial = r.report;
-                for hit in &mut partial.hits {
-                    hit.subject_index += shard.start;
-                }
-                // Rank the shard slice so reduce_row sees best-HSP-first.
-                partial.finalize(params.max_reported);
-                reduce_row(&mut rows[tile_base + j], &partial);
-            }
-            item_costs.push(tile_cost);
-            item_shards.push(shard.index);
-        }
-    }
+    let tile = ALL_VS_ALL_TILE_ROWS;
+    let batch = sharded_plan(queries, params, config, device, sharded, opts, tile);
     let mut row_offsets = Vec::with_capacity(queries.len() + 1);
     row_offsets.push(0usize);
     let mut entries = Vec::new();
-    for mut row in rows {
-        row.sort_by_key(|e| e.subject);
-        entries.extend(row);
+    for result in batch.per_query {
+        entries.extend(matrix_row(&result?.report));
         row_offsets.push(entries.len());
     }
-    let devices = opts.sharded.devices.max(1);
-    let seed = opts.sharded.seed;
-    let schedule = schedule_work_stealing(&item_costs, &item_shards, &uploads, devices, seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
     Ok(AllVsAllResult {
         matrix: SparseSimMatrix {
             num_queries: queries.len(),
@@ -796,9 +614,9 @@ pub fn search_all_vs_all(
             row_offsets,
             entries,
         },
-        schedule,
-        single_device_ms,
-        tiles,
+        schedule: batch.schedule,
+        single_device_ms: batch.single_device_ms,
+        tiles: queries.len().div_ceil(tile),
     })
 }
 
@@ -948,46 +766,61 @@ mod tests {
 
     #[test]
     fn all_vs_all_matches_dense_reference() {
-        let (_, db, cfg) = workload(32);
+        let (_, db, cfg) = workload(33);
         let device = DeviceConfig::k20c();
-        let queries: Vec<Sequence> = db.sequences()[..6].to_vec();
-        let sharded = ShardedDb::split(&db, 3, cfg.db_block_size);
-        let opts = AllVsAllOptions {
+        // Every sequence against the database: 33 queries make three
+        // 16-row tiles.
+        let queries: Vec<Sequence> = db.sequences().to_vec();
+        let opts = ShardedBatchOptions {
             sharded: ShardedOptions {
                 devices: 2,
                 ..Default::default()
             },
-            tile_rows: 2,
+            ..Default::default()
         };
-        let r = search_all_vs_all(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            device,
-            &sharded,
-            &opts,
-        )
-        .expect("all-vs-all");
-        assert_eq!(r.matrix.num_queries, queries.len());
-        assert_eq!(r.matrix.row_offsets.len(), queries.len() + 1);
-        assert_eq!(r.tiles, 3);
-        // Dense reference: per-query single-DB search, best HSP per pair.
-        for (qi, query) in queries.iter().enumerate() {
-            let single = CuBlastp::new(query.clone(), SearchParams::default(), cfg, device, &db)
-                .search(&db)
-                .expect("single");
-            let mut expect: Vec<SimEntry> = Vec::new();
-            reduce_row(&mut expect, &single.report);
-            expect.sort_by_key(|e| e.subject);
-            let row = r.matrix.row(qi);
-            assert_eq!(row.len(), expect.len(), "query {qi} pair count");
-            for (a, b) in row.iter().zip(&expect) {
-                assert_eq!(a.subject, b.subject);
-                assert_eq!(a.score, b.score);
-                assert_eq!(a.evalue.to_bits(), b.evalue.to_bits());
+        // A report cap small enough to bite (3) must cut the same pairs at
+        // every partition: rows come from the globally ranked report.
+        for (max_reported, shard_counts) in [
+            (SearchParams::default().max_reported, &[3usize][..]),
+            (3, &[1, 3][..]),
+        ] {
+            let params = SearchParams {
+                max_reported,
+                ..SearchParams::default()
+            };
+            // Dense reference: per-query single-DB search, best HSP per pair.
+            let expect: Vec<Vec<SimEntry>> = queries
+                .iter()
+                .map(|query| {
+                    let single = CuBlastp::new(query.clone(), params, cfg, device, &db)
+                        .search(&db)
+                        .expect("single");
+                    matrix_row(&single.report)
+                })
+                .collect();
+            for &num_shards in shard_counts {
+                let sharded = ShardedDb::split(&db, num_shards, cfg.db_block_size);
+                let r = search_all_vs_all(&queries, params, cfg, device, &sharded, &opts)
+                    .expect("all-vs-all");
+                assert_eq!(r.matrix.num_queries, queries.len());
+                assert_eq!(r.matrix.row_offsets.len(), queries.len() + 1);
+                assert_eq!(r.tiles, 3);
+                for (qi, expect) in expect.iter().enumerate() {
+                    let row = r.matrix.row(qi);
+                    assert_eq!(
+                        row.len(),
+                        expect.len(),
+                        "query {qi} pair count, cap {max_reported}, {num_shards} shards"
+                    );
+                    for (a, b) in row.iter().zip(expect) {
+                        assert_eq!(a.subject, b.subject);
+                        assert_eq!(a.score, b.score);
+                        assert_eq!(a.evalue.to_bits(), b.evalue.to_bits());
+                    }
+                    // Self-hit present: a query searched against a DB containing it.
+                    assert!(r.matrix.get(qi, qi).is_some(), "query {qi} self pair");
+                }
             }
-            // Self-hit present: a query searched against a DB containing it.
-            assert!(r.matrix.get(qi, qi).is_some(), "query {qi} self pair");
         }
     }
 

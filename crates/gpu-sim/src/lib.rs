@@ -29,6 +29,10 @@
 //! 48 kB read-only cache), [`block`]/[`mod@launch`] (execution), [`scan`] and
 //! [`sort`] (the CUB / ModernGPU library substitutes §3.3–3.4 rely on).
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod block;
 pub mod cache;
 pub mod device;

@@ -27,6 +27,10 @@
 //! gate and the trace-schema tests (this workspace builds offline; there
 //! is no serde_json to lean on).
 
+// Library code returns typed errors instead of panicking (DESIGN.md §3.3);
+// `cargo clippy -- -D warnings` in CI enforces it outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod json;
 pub mod metrics;
 pub mod span;

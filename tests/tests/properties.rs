@@ -261,21 +261,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_tree_monotone_in_nodes_and_volume(
-        hits in 1usize..5_000,
-        nodes in 2usize..24,
-    ) {
-        let cfg = cublastp::ClusterConfig::default();
-        let cap = 1_000_000;
-        let small = cublastp::cluster::merge_tree_ms(&vec![hits; nodes], &cfg, cap);
-        let more_nodes = cublastp::cluster::merge_tree_ms(&vec![hits; nodes * 2], &cfg, cap);
-        let more_hits = cublastp::cluster::merge_tree_ms(&vec![hits * 2; nodes], &cfg, cap);
-        prop_assert!(more_nodes >= small);
-        prop_assert!(more_hits >= small);
-        prop_assert!(small > 0.0);
-    }
-
-    #[test]
     fn lockstep_divergence_is_bounded(
         lanes in prop::collection::vec(1u64..1_000, 1..32),
     ) {
