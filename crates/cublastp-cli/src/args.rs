@@ -65,8 +65,6 @@ OPTIONS:
                          device timeline as a warp-per-seed banded-DP
                          kernel with constant-memory interval traceback
                          (cublastp engine only; output is identical)
-    --pipeline-depth <n> database blocks the GPU side may run ahead of the
-                         CPU side when overlapped (default 1)
     --alignments         print the aligned residues, not just the table
     --outfmt <name>      pairwise (default) | tab (BLAST outfmt-6 columns:
                          qseqid sseqid pident length mismatch gapopen
@@ -202,7 +200,6 @@ pub struct Args {
     pub mask: bool,
     pub comp_based_stats: bool,
     pub overlap: bool,
-    pub pipeline_depth: usize,
     pub seed_mode: SeedMode,
     pub group_budget: usize,
     pub gapped_backend: GappedBackend,
@@ -248,7 +245,6 @@ impl Default for Args {
             mask: false,
             comp_based_stats: false,
             overlap: true,
-            pipeline_depth: 1,
             seed_mode: SeedMode::PerQuery,
             group_budget: DEFAULT_GROUP_BUDGET,
             gapped_backend: GappedBackend::Cpu,
@@ -384,11 +380,6 @@ impl Args {
                 "--mask" => args.mask = true,
                 "--comp-based-stats" => args.comp_based_stats = true,
                 "--no-overlap" => args.overlap = false,
-                "--pipeline-depth" => {
-                    args.pipeline_depth = value(&mut argv, "--pipeline-depth")?
-                        .parse()
-                        .map_err(|e| format!("--pipeline-depth: {e}"))?
-                }
                 "--seed-mode" => {
                     args.seed_mode = match value(&mut argv, "--seed-mode")?.as_str() {
                         "per-query" => SeedMode::PerQuery,
@@ -536,9 +527,6 @@ impl Args {
         if args.max_retries == 0 {
             return Err("--max-retries must be positive".into());
         }
-        if args.pipeline_depth == 0 {
-            return Err("--pipeline-depth must be positive".into());
-        }
         if args.group_budget == 0 {
             return Err("--group-budget must be positive".into());
         }
@@ -591,7 +579,6 @@ impl Args {
         };
         config.recovery.max_attempts = self.max_retries;
         config.recovery.cpu_fallback = self.cpu_fallback;
-        config.pipeline.depth = self.pipeline_depth;
         if let Some(block_size) = self.block_size {
             config.db_block_size = block_size;
         }
@@ -639,8 +626,6 @@ mod tests {
             "64",
             "--mask",
             "--no-overlap",
-            "--pipeline-depth",
-            "3",
             "--alignments",
         ])
         .unwrap();
@@ -657,16 +642,6 @@ mod tests {
         let c = a.cublastp_config();
         assert_eq!(c.num_bins, 64);
         assert!(!c.overlap);
-        assert_eq!(c.pipeline.depth, 3);
-    }
-
-    #[test]
-    fn pipeline_depth_defaults_and_rejects_zero() {
-        let a = parse(&["--demo"]).unwrap();
-        assert_eq!(a.pipeline_depth, 1);
-        assert_eq!(a.cublastp_config().pipeline.depth, 1);
-        assert!(parse(&["--demo", "--pipeline-depth", "0"]).is_err());
-        assert!(parse(&["--demo", "--pipeline-depth", "two"]).is_err());
     }
 
     #[test]

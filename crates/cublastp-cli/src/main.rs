@@ -35,7 +35,8 @@ use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
 use cublastp::gapped_device::FINE_GAPPED_KERNEL;
 use cublastp::{
     search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpResult,
-    DeviceDb, GappedBackend, SearchError, SeedMode, ShardedBatchOptions, ShardedDb, ShardedOptions,
+    DeviceDb, GappedBackend, RecoveryReport, SearchError, SeedMode, ShardedBatchOptions, ShardedDb,
+    ShardedOptions,
 };
 use cublastp_db::{build_shard_set, DbImage, ShardSetManifest};
 use gpu_sim::{DeviceConfig, FaultInjector};
@@ -411,7 +412,7 @@ fn run_serve(
     image: Option<&DbImage>,
     args: &Args,
 ) -> ExitCode {
-    use cublastp_serve::{Event, Request, ServeConfig, Server};
+    use cublastp_serve::{DbSource, Event, Request, ServeConfig, Server};
     use std::time::Duration;
 
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
@@ -426,28 +427,17 @@ fn run_serve(
     };
     let injector = (!args.fault_plan.is_empty())
         .then(|| Arc::new(FaultInjector::new(args.fault_plan.clone())));
-    let server = match image {
-        // Serve straight off the mapped generation (zero flatten passes;
-        // later generations arrive via hot swap, not process restart).
-        Some(img) if injector.is_none() => Server::from_image(
-            img,
-            args.params(),
-            args.cublastp_config(),
-            DeviceConfig::k20c(),
-            serve_cfg,
-        ),
-        Some(_) => Err(SearchError::config(
-            "serve: --fault-plan is not supported with --db-image",
-        )),
-        None => Server::with_injector(
-            db,
-            args.params(),
-            args.cublastp_config(),
-            DeviceConfig::k20c(),
-            serve_cfg,
-            injector,
-        ),
-    };
+    // An image is served straight off the mapping (zero flatten passes;
+    // later generations arrive via hot swap, not process restart).
+    let source = image.map_or(DbSource::Inline(db), DbSource::Image);
+    let server = Server::with_injector(
+        source,
+        args.params(),
+        args.cublastp_config(),
+        DeviceConfig::k20c(),
+        serve_cfg,
+        injector,
+    );
     let server = match server {
         Ok(s) => s,
         Err(e) => {
@@ -525,7 +515,7 @@ fn run_serve(
                             latencies.push(r.queue_wait_ms + r.service_ms);
                             out!(
                                 "# serve q{} {class}: ok, {} hits, queue-wait {:.2} ms, \
-                                 service {:.2} ms{}",
+                                 service {:.2} ms{}{}",
                                 i + 1,
                                 r.result.report.hits.len(),
                                 r.queue_wait_ms,
@@ -535,6 +525,7 @@ fn run_serve(
                                 } else {
                                     ""
                                 },
+                                recovery_note(&r.result.recovery),
                             );
                         }
                         Err(e) => {
@@ -974,7 +965,7 @@ fn run_batch(
 /// One query's telemetry line: pipeline counters, simulated GPU time,
 /// the batch mode's note, and what the recovery policy had to do.
 fn telemetry_line(r: &CuBlastpResult, mode: &str) -> String {
-    let mut line = format!(
+    let line = format!(
         "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms{mode}",
         r.counts.hits,
         r.counts.filtered,
@@ -982,19 +973,25 @@ fn telemetry_line(r: &CuBlastpResult, mode: &str) -> String {
         r.counts.extensions,
         r.timing.gpu_ms,
     );
-    if !r.recovery.is_clean() {
-        let plural = |n: u64| if n == 1 { "" } else { "s" };
-        line.push_str(&format!(
-            "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
-            r.recovery.faults,
-            plural(r.recovery.faults),
-            r.recovery.retries,
-            if r.recovery.retries == 1 { "y" } else { "ies" },
-            r.recovery.degraded_blocks,
-            plural(r.recovery.degraded_blocks),
-        ));
+    line + &recovery_note(&r.recovery)
+}
+
+/// What the recovery policy had to do for one search, as a row suffix;
+/// empty for a fault-free search.
+fn recovery_note(recovery: &RecoveryReport) -> String {
+    if recovery.is_clean() {
+        return String::new();
     }
-    line
+    let plural = |n: u64| if n == 1 { "" } else { "s" };
+    format!(
+        "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
+        recovery.faults,
+        plural(recovery.faults),
+        recovery.retries,
+        if recovery.retries == 1 { "y" } else { "ies" },
+        recovery.degraded_blocks,
+        plural(recovery.degraded_blocks),
+    )
 }
 
 /// The per-shard / per-device rows of `--phase-table` under the sharded

@@ -588,6 +588,27 @@ fn serve_runs_from_a_mapped_image() {
     );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("# serve summary: 3 requests, 3 ok"), "{text}");
+    // Fault injection reaches an image-backed server like any other: the
+    // transient launch fault is retried and shows in the request's row.
+    let out = run(&[
+        "serve",
+        "--query",
+        q.to_str().unwrap(),
+        "--db-image",
+        img.to_str().unwrap(),
+        "--requests",
+        "3",
+        "--fault-plan",
+        "launch:x1",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("# serve summary: 3 requests, 3 ok"), "{text}");
+    assert!(text.contains("recovered from 1 fault (1 retry"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -126,6 +126,22 @@ impl Admission {
         };
     }
 
+    /// Current pressure in `[0, 1]`: the worst of (deepest class queue
+    /// over queue capacity, outstanding cost over cost budget) — the one
+    /// input of the degradation ladder (see [`crate::controller`]).
+    pub(crate) fn pressure(&self) -> f64 {
+        let st = self.lock();
+        // A zero budget admits nothing, so it never holds anything either.
+        let frac = |held: f64, budget: f64| if budget > 0.0 { held / budget } else { 0.0 };
+        let queued = st.queued[0].max(st.queued[1]);
+        frac(queued as f64, self.cfg.queue_capacity as f64)
+            .max(frac(
+                st.outstanding_cost as f64,
+                self.cfg.cost_capacity as f64,
+            ))
+            .clamp(0.0, 1.0)
+    }
+
     /// Snapshot for gauge publication: (outstanding cost, queued per
     /// class).
     pub(crate) fn snapshot(&self) -> (u64, [usize; 2]) {
@@ -268,6 +284,33 @@ mod tests {
         // Completion releases the cost.
         adm.complete(800, 5.0);
         assert!(adm.try_admit(Priority::Bulk, 300, false).is_ok());
+    }
+
+    #[test]
+    fn pressure_is_worst_of_queue_and_cost() {
+        // Queue pressure dominates: 8 of 10 interactive slots, 2 bulk,
+        // cost near-idle.
+        let adm = Admission::new(cfg(10, 1000));
+        for _ in 0..8 {
+            adm.try_admit(Priority::Interactive, 1, false)
+                .expect("admit");
+        }
+        for _ in 0..2 {
+            adm.try_admit(Priority::Bulk, 1, false).expect("admit");
+        }
+        assert!((adm.pressure() - 0.8).abs() < 1e-9);
+        // Cost pressure dominates: queues drained, budget nearly spent.
+        for _ in 0..8 {
+            adm.dequeued(Priority::Interactive);
+        }
+        adm.dequeued(Priority::Bulk);
+        adm.dequeued(Priority::Bulk);
+        adm.try_admit(Priority::Bulk, 950, false).expect("admit");
+        adm.dequeued(Priority::Bulk);
+        assert!((adm.pressure() - 0.96).abs() < 1e-9);
+        // Idle again once everything completes.
+        adm.complete(960, 1.0);
+        assert_eq!(adm.pressure(), 0.0);
     }
 
     #[test]

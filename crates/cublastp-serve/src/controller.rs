@@ -1,12 +1,14 @@
 //! The load controller: maps observed pressure to a degradation level.
 //!
-//! The controller is deliberately dumb — it reads four gauges the server
-//! publishes into the [`obs`] metrics registry, computes a single scalar
-//! *pressure* in `[0, 1]`, and maps it through three fixed thresholds to a
-//! [`DegradationLevel`]. Keeping the policy stateless (pure function of
-//! current gauges) means there is no hysteresis state to corrupt under
-//! concurrent assessment, and the bench can reproduce any decision from a
-//! metrics snapshot alone.
+//! The controller is deliberately dumb — it takes the single scalar
+//! *pressure* in `[0, 1]` that the server's own admission state reports
+//! (the worst of queue occupancy and cost-budget occupancy) and maps it
+//! through three fixed thresholds to a [`DegradationLevel`]. The policy is
+//! a pure function of that typed state: there is no hysteresis state to
+//! corrupt under concurrent assessment, two servers in one process never
+//! see each other's load, and the decision does not depend on whether the
+//! metrics registry is armed — the `serve_*` gauges export the same
+//! numbers, but nothing reads them back.
 //!
 //! The ladder, in escalation order (DESIGN.md §3.8):
 //!
@@ -19,8 +21,6 @@
 //!
 //! Each level implies all the ones below it: at `CoarseOnly` bulk is shed
 //! *and* budgets are shrunk *and* placement is coarse.
-
-use obs::Registry;
 
 /// Rung on the degradation ladder. `Ord` follows escalation order, so
 /// `level >= DegradationLevel::ShedBulk` reads as "shedding bulk (or
@@ -72,34 +72,6 @@ impl Default for LoadController {
 }
 
 impl LoadController {
-    /// Compute current pressure from the server's published gauges:
-    /// the worst of (queue occupancy fraction, cost budget fraction).
-    /// Missing gauges read as zero pressure, so an unarmed registry
-    /// degrades to "always Normal" rather than spurious shedding.
-    pub fn pressure(&self, reg: &Registry) -> f64 {
-        let queue_cap = reg.gauge_value("serve_queue_capacity", &[]).unwrap_or(0.0);
-        let queued = reg
-            .gauge_value("serve_queue_depth", &[("class", "interactive")])
-            .unwrap_or(0.0)
-            .max(
-                reg.gauge_value("serve_queue_depth", &[("class", "bulk")])
-                    .unwrap_or(0.0),
-            );
-        let queue_frac = if queue_cap > 0.0 {
-            queued / queue_cap
-        } else {
-            0.0
-        };
-
-        let cost_cap = reg.gauge_value("serve_cost_capacity", &[]).unwrap_or(0.0);
-        let cost = reg
-            .gauge_value("serve_cost_outstanding", &[])
-            .unwrap_or(0.0);
-        let cost_frac = if cost_cap > 0.0 { cost / cost_cap } else { 0.0 };
-
-        queue_frac.max(cost_frac).clamp(0.0, 1.0)
-    }
-
     /// Map a pressure value to its ladder rung.
     pub fn level_for_pressure(&self, p: f64) -> DegradationLevel {
         if p >= self.coarse_at {
@@ -112,26 +84,11 @@ impl LoadController {
             DegradationLevel::Normal
         }
     }
-
-    /// Read the gauges and return the current rung.
-    pub fn assess(&self, reg: &Registry) -> DegradationLevel {
-        self.level_for_pressure(self.pressure(reg))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reg_with(queued_i: f64, queued_b: f64, cap: f64, cost: f64, cost_cap: f64) -> Registry {
-        let reg = Registry::new();
-        reg.gauge_set("serve_queue_depth", &[("class", "interactive")], queued_i);
-        reg.gauge_set("serve_queue_depth", &[("class", "bulk")], queued_b);
-        reg.gauge_set("serve_queue_capacity", &[], cap);
-        reg.gauge_set("serve_cost_outstanding", &[], cost);
-        reg.gauge_set("serve_cost_capacity", &[], cost_cap);
-        reg
-    }
 
     #[test]
     fn levels_escalate_with_pressure() {
@@ -145,26 +102,6 @@ mod tests {
         // Ord follows escalation.
         assert!(DegradationLevel::CoarseOnly > DegradationLevel::ShedBulk);
         assert!(DegradationLevel::ShedBulk > DegradationLevel::Normal);
-    }
-
-    #[test]
-    fn pressure_is_worst_of_queue_and_cost() {
-        let c = LoadController::default();
-        // Queue pressure dominates: 8/10 queued, cost near-idle.
-        let reg = reg_with(8.0, 2.0, 10.0, 10.0, 1000.0);
-        assert!((c.pressure(&reg) - 0.8).abs() < 1e-9);
-        // Cost pressure dominates: queues empty, budget nearly spent.
-        let reg = reg_with(0.0, 0.0, 10.0, 960.0, 1000.0);
-        assert!((c.pressure(&reg) - 0.96).abs() < 1e-9);
-        assert_eq!(c.assess(&reg), DegradationLevel::CoarseOnly);
-    }
-
-    #[test]
-    fn missing_gauges_read_as_no_pressure() {
-        let c = LoadController::default();
-        let reg = Registry::new();
-        assert_eq!(c.pressure(&reg), 0.0);
-        assert_eq!(c.assess(&reg), DegradationLevel::Normal);
     }
 
     #[test]

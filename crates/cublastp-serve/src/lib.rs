@@ -62,5 +62,6 @@ pub mod server;
 pub use admission::{estimate_cost, AdmissionConfig, RateLimitConfig};
 pub use controller::{DegradationLevel, LoadController};
 pub use server::{
-    DbGeneration, Event, Priority, Request, ResponseHandle, ServeConfig, ServeResult, Server,
+    DbGeneration, DbSource, Event, Priority, Request, ResponseHandle, ServeConfig, ServeResult,
+    Server,
 };

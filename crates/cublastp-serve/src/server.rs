@@ -1,8 +1,9 @@
 //! The serving front-end: priority queues, worker pool, deadlines and
 //! result streaming over a resident database.
 //!
-//! A [`Server`] owns one database (flattened to device layout once, via
-//! [`DeviceDbCache`]) and a small pool of worker threads. [`Server::submit`]
+//! A [`Server`] owns one resident database (a [`ShardedDb`] handle, made
+//! resident once per generation) and a small pool of worker threads.
+//! [`Server::submit`]
 //! is the admission gate — it runs the tenant rate limit, the degradation
 //! ladder, and the bounded-cost admission check *on the caller's thread*
 //! and returns either a [`ResponseHandle`] or a typed
@@ -35,8 +36,8 @@ use blast_cpu::report::SearchReport;
 use cublastp::error::{panic_message, PipelineError};
 use cublastp::CancelToken;
 use cublastp::{
-    search_sharded_with_hooks, BlockProgress, CuBlastp, CuBlastpConfig, CuBlastpResult, DeviceDb,
-    DeviceDbCache, GappedBackend, SearchError, SearchHooks, ShardedDb, ShardedOptions,
+    search_sharded, BlockProgress, CuBlastpConfig, CuBlastpResult, DeviceDb, GappedBackend,
+    SearchError, SearchHooks, ShardedDb, ShardedOptions,
 };
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
 
@@ -45,8 +46,8 @@ use cublastp_db::DbImage;
 use crate::admission::{estimate_cost, Admission, AdmissionConfig, RateLimitConfig, RateLimiter};
 use crate::controller::{DegradationLevel, LoadController};
 
-/// One immutable database generation: a [`SequenceDb`] and its resident
-/// device layout, stamped with a monotonically increasing id.
+/// One immutable database generation: a resident database handle stamped
+/// with a monotonically increasing id.
 ///
 /// The server holds the *current* generation behind a mutex; every
 /// admitted job clones the `Arc` at admission and carries it end-to-end,
@@ -59,17 +60,82 @@ pub struct DbGeneration {
     /// Generation id, starting at 1 for the database the server was
     /// constructed with.
     pub id: u64,
-    /// Host-side database (e-value statistics, subject ids).
-    pub db: Arc<SequenceDb>,
-    /// Device-resident layout (flattened or mapped from a `.cdb` image).
-    pub dev_db: Arc<DeviceDb>,
-    /// Sharded view of the same database when the server runs with
-    /// `shards > 1`; jobs pinned to this generation route through the
-    /// sharded engine (output identical to the flat path).
-    pub sharded: Option<Arc<ShardedDb>>,
+    /// The resident database every job pinned to this generation
+    /// searches: `shards` shards, the whole database as one shard when
+    /// `shards` is 1 (output identical at any shard count).
+    pub resident: ShardedDb,
     /// Where the generation came from: `"inline"` for an uploaded
     /// [`SequenceDb`], otherwise the image source label.
     pub source: String,
+}
+
+/// Where a database generation comes from.
+pub enum DbSource<'a> {
+    /// An in-memory database, flattened to device layout at the server's
+    /// block size.
+    Inline(SequenceDb),
+    /// A validated `.cdb` image, materialised zero-copy from the mapped
+    /// arena — no flatten pass. Its stored block size must match the
+    /// server's.
+    Image(&'a DbImage),
+}
+
+impl From<SequenceDb> for DbSource<'_> {
+    fn from(db: SequenceDb) -> Self {
+        Self::Inline(db)
+    }
+}
+
+impl<'a> From<&'a DbImage> for DbSource<'a> {
+    fn from(img: &'a DbImage) -> Self {
+        Self::Image(img)
+    }
+}
+
+impl DbSource<'_> {
+    /// Counter label of the source kind.
+    fn kind(&self) -> &'static str {
+        match self {
+            Self::Inline(_) => "inline",
+            Self::Image(_) => "image",
+        }
+    }
+
+    /// Make the source resident as generation `id`. One shard keeps the
+    /// database whole, moved in beside its device copy (flattened once,
+    /// or the mapped image: no flatten, one host copy); more shards
+    /// re-partition the sequences.
+    fn into_generation(
+        self,
+        id: u64,
+        shards: usize,
+        block_size: usize,
+    ) -> Result<DbGeneration, SearchError> {
+        let (db, image, source) = match self {
+            Self::Inline(db) => (db, None, "inline".to_string()),
+            Self::Image(img) => {
+                if img.block_size() != block_size {
+                    return Err(SearchError::config(format!(
+                        "serve: image was built at block size {}, config wants {block_size}",
+                        img.block_size(),
+                    )));
+                }
+                let source = img.region().source().to_string();
+                (img.to_sequence_db(), Some(img), source)
+            }
+        };
+        let resident = if shards > 1 {
+            ShardedDb::split(&db, shards, block_size)
+        } else {
+            let dev = image.map_or_else(|| DeviceDb::upload(&db, block_size), DeviceDb::from_image);
+            ShardedDb::resident(db, Arc::new(dev))
+        };
+        Ok(DbGeneration {
+            id,
+            resident,
+            source,
+        })
+    }
 }
 
 /// Request priority class. Interactive requests get the weighted share of
@@ -239,9 +305,9 @@ pub struct ServeConfig {
     pub cost_capacity: u64,
     /// Interactive picks per bulk pick when both queues are non-empty.
     pub interactive_weight: u32,
-    /// Shards each database generation is partitioned into (1 = the flat
-    /// single-device path). Sharded searches use cross-shard statistics,
-    /// so results are bit-identical to the flat path.
+    /// Shards each database generation is partitioned into (1 = the whole
+    /// database as one shard). Searches use cross-shard statistics, so
+    /// results are bit-identical at any shard count.
     pub shards: usize,
     /// Simulated devices the sharded fleet schedule spans.
     pub devices: usize,
@@ -338,7 +404,8 @@ struct Shared {
 }
 
 impl Shared {
-    /// Publish the admission gauges the load controller reads.
+    /// Export the admission gauges. Exports only: the ladder reads
+    /// [`Admission`] itself, never the registry.
     fn publish_gauges(&self) {
         let (cost, queued) = self.admission.snapshot();
         obs::gauge(
@@ -350,8 +417,11 @@ impl Shared {
         obs::gauge("serve_cost_outstanding", &[], cost as f64);
     }
 
+    /// The ladder rung for the admission state right now.
     fn level(&self) -> DegradationLevel {
-        self.cfg.controller.assess(obs::metrics())
+        self.cfg
+            .controller
+            .level_for_pressure(self.admission.pressure())
     }
 
     /// Pin the current database generation.
@@ -359,15 +429,12 @@ impl Shared {
         Arc::clone(&self.current.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Atomically publish `gen` as the current generation. In-flight and
-    /// queued jobs keep their pinned `Arc`; only future admissions see it.
-    fn install(&self, generation: DbGeneration) -> u64 {
-        let id = generation.id;
-        let blocks = generation.dev_db.num_blocks() as f64;
-        *self.current.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(generation);
-        obs::gauge("serve_db_generation", &[], id as f64);
-        obs::gauge("serve_db_blocks", &[], blocks);
-        id
+    /// Export the current generation's gauges.
+    fn publish_generation(&self) {
+        let generation = self.current();
+        obs::gauge("serve_db_generation", &[], generation.id as f64);
+        let blocks = generation.resident.num_blocks();
+        obs::gauge("serve_db_blocks", &[], blocks as f64);
     }
 }
 
@@ -380,9 +447,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a server over `db`: validates both configs, arms the metrics
-    /// registry (the load controller reads its own gauges back), flattens
-    /// the database to device layout once, and spawns the workers.
+    /// Build a server over `db`: validates both configs, flattens the
+    /// database to device layout once, and spawns the workers.
     pub fn new(
         db: SequenceDb,
         params: SearchParams,
@@ -391,30 +457,6 @@ impl Server {
         cfg: ServeConfig,
     ) -> Result<Self, SearchError> {
         Self::with_injector(db, params, search_cfg, device, cfg, None)
-    }
-
-    /// [`new`](Self::new) with a fault injector shared by every request —
-    /// the chaos/fault-matrix entry point.
-    pub fn with_injector(
-        db: SequenceDb,
-        params: SearchParams,
-        search_cfg: CuBlastpConfig,
-        device: DeviceConfig,
-        cfg: ServeConfig,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<Self, SearchError> {
-        let cache = DeviceDbCache::new();
-        let dev_db = cache.get(&db, search_cfg.db_block_size);
-        Self::build(
-            Arc::new(db),
-            dev_db,
-            "inline".to_string(),
-            params,
-            search_cfg,
-            device,
-            cfg,
-            injector,
-        )
     }
 
     /// Build a server over a validated `.cdb` image: the device layout is
@@ -428,31 +470,15 @@ impl Server {
         device: DeviceConfig,
         cfg: ServeConfig,
     ) -> Result<Self, SearchError> {
-        if img.block_size() != search_cfg.db_block_size {
-            return Err(SearchError::config(format!(
-                "serve: image was built at block size {}, config wants {}",
-                img.block_size(),
-                search_cfg.db_block_size
-            )));
-        }
-        let dev_db = Arc::new(DeviceDb::from_image(img));
-        Self::build(
-            Arc::new(img.to_sequence_db()),
-            dev_db,
-            img.region().source().to_string(),
-            params,
-            search_cfg,
-            device,
-            cfg,
-            None,
-        )
+        Self::with_injector(img, params, search_cfg, device, cfg, None)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        db: Arc<SequenceDb>,
-        dev_db: Arc<DeviceDb>,
-        source: String,
+    /// Build a server over either [`DbSource`] with a fault injector
+    /// shared by every request — the chaos/fault-matrix entry point, and
+    /// the constructor [`new`](Self::new) and
+    /// [`from_image`](Self::from_image) forward to.
+    pub fn with_injector<'a>(
+        source: impl Into<DbSource<'a>>,
         params: SearchParams,
         search_cfg: CuBlastpConfig,
         device: DeviceConfig,
@@ -461,12 +487,9 @@ impl Server {
     ) -> Result<Self, SearchError> {
         cfg.validate()?;
         search_cfg.validate()?;
-        let sharded = make_sharded(&db, cfg.shards, search_cfg.db_block_size);
-        // The ladder reads gauges back out of the registry, so metrics
-        // must be armed for the lifetime of the server (tracing keeps its
-        // prior state).
-        obs::arm(obs::tracing_enabled(), true);
-
+        let first = source
+            .into()
+            .into_generation(1, cfg.shards, search_cfg.db_block_size)?;
         let shared = Arc::new(Shared {
             admission: Admission::new(AdmissionConfig {
                 queue_capacity: cfg.queue_capacity,
@@ -476,13 +499,7 @@ impl Server {
             cfg,
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
-            current: Mutex::new(Arc::new(DbGeneration {
-                id: 1,
-                db,
-                dev_db,
-                sharded,
-                source,
-            })),
+            current: Mutex::new(Arc::new(first)),
             params,
             search_cfg,
             device,
@@ -490,12 +507,7 @@ impl Server {
             next_id: AtomicU64::new(1),
             next_generation: AtomicU64::new(2),
         });
-        obs::gauge("serve_db_generation", &[], 1.0);
-        obs::gauge(
-            "serve_db_blocks",
-            &[],
-            shared.current().dev_db.num_blocks() as f64,
-        );
+        shared.publish_generation();
         obs::gauge(
             "serve_queue_capacity",
             &[],
@@ -517,9 +529,11 @@ impl Server {
         Ok(Self { shared, workers })
     }
 
-    /// Number of database blocks a search admitted now will run.
+    /// Number of database blocks a search admitted now will run — the
+    /// unit of [`Event::Block`] and of deadline telemetry, at any shard
+    /// count.
     pub fn num_blocks(&self) -> u32 {
-        self.shared.current().dev_db.blocks().len() as u32
+        self.shared.current().resident.num_blocks() as u32
     }
 
     /// Id of the generation new admissions are pinned to.
@@ -534,20 +548,7 @@ impl Server {
     /// only admissions after the swap see the new database. The flatten
     /// runs on the caller's thread, outside every server lock.
     pub fn swap_db(&self, db: SequenceDb) -> Result<u64, SearchError> {
-        let sh = &self.shared;
-        let _span = obs::span("db_swap", "serve");
-        let dev_db = Arc::new(DeviceDb::upload(&db, sh.search_cfg.db_block_size));
-        let sharded = make_sharded(&db, sh.cfg.shards, sh.search_cfg.db_block_size);
-        let id = sh.next_generation.fetch_add(1, Ordering::Relaxed);
-        let id = sh.install(DbGeneration {
-            id,
-            db: Arc::new(db),
-            dev_db,
-            sharded,
-            source: "inline".to_string(),
-        });
-        obs::counter("serve_swaps_total", &[("source", "inline")], 1);
-        Ok(id)
+        self.swap(db.into())
     }
 
     /// Hot-swap to a validated `.cdb` image, zero-copy (no flatten pass).
@@ -556,27 +557,21 @@ impl Server {
     /// when its refcount reaches zero — after the last search pinned to it
     /// completes. The image block size must match the server's.
     pub fn swap_image(&self, img: &DbImage) -> Result<u64, SearchError> {
+        self.swap(img.into())
+    }
+
+    /// Make `source` resident and atomically publish it as the next
+    /// generation. In-flight and queued jobs keep their pinned `Arc`; only
+    /// future admissions see the new one.
+    fn swap(&self, source: DbSource<'_>) -> Result<u64, SearchError> {
         let sh = &self.shared;
-        if img.block_size() != sh.search_cfg.db_block_size {
-            return Err(SearchError::config(format!(
-                "serve: image was built at block size {}, config wants {}",
-                img.block_size(),
-                sh.search_cfg.db_block_size
-            )));
-        }
         let _span = obs::span("db_swap", "serve");
-        let dev_db = Arc::new(DeviceDb::from_image(img));
-        let db = Arc::new(img.to_sequence_db());
-        let sharded = make_sharded(&db, sh.cfg.shards, sh.search_cfg.db_block_size);
+        let kind = source.kind();
         let id = sh.next_generation.fetch_add(1, Ordering::Relaxed);
-        let id = sh.install(DbGeneration {
-            id,
-            db,
-            dev_db,
-            sharded,
-            source: img.region().source().to_string(),
-        });
-        obs::counter("serve_swaps_total", &[("source", "image")], 1);
+        let next = source.into_generation(id, sh.cfg.shards, sh.search_cfg.db_block_size)?;
+        *sh.current.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
+        sh.publish_generation();
+        obs::counter("serve_swaps_total", &[("source", kind)], 1);
         Ok(id)
     }
 
@@ -624,7 +619,7 @@ impl Server {
         // Pin the generation before the cost estimate so the cost refers
         // to the database the job will actually search.
         let generation = sh.current();
-        let cost = estimate_cost(request.query.len(), generation.db.total_residues());
+        let cost = estimate_cost(request.query.len(), generation.resident.total_residues());
         if let Err(e) =
             sh.admission
                 .try_admit(class, cost, level >= DegradationLevel::ShrinkBudgets)
@@ -733,12 +728,6 @@ fn pick_job(sh: &Shared, interactive_only: bool) -> Option<Job> {
     }
 }
 
-/// Build the sharded view of a generation when the server is configured
-/// with more than one shard; `None` keeps the flat single-device path.
-fn make_sharded(db: &SequenceDb, shards: usize, block_size: usize) -> Option<Arc<ShardedDb>> {
-    (shards > 1).then(|| Arc::new(ShardedDb::split(db, shards, block_size)))
-}
-
 fn worker_loop(sh: &Shared, interactive_only: bool) {
     // One scratch workspace per worker, reused across requests, so the
     // steady-state hot path allocates nothing (same pooling as the batch
@@ -760,12 +749,7 @@ fn process_job(sh: &Shared, workspace: &Arc<KernelWorkspace>, job: Job) {
     );
     // The job's pinned generation, not the server's current one: a swap
     // that landed while this job was queued must not change its database.
-    let generation = Arc::clone(&job.generation);
-    let blocks_total = match &generation.sharded {
-        // Sharded jobs stream one progress event per shard.
-        Some(s) => s.num_shards() as u32,
-        None => generation.dev_db.blocks().len() as u32,
-    };
+    let resident = &job.generation.resident;
 
     // A request whose deadline expired while queued is refused before any
     // device work — this is the "server queued you to death" path.
@@ -779,7 +763,7 @@ fn process_job(sh: &Shared, workspace: &Arc<KernelWorkspace>, job: Job) {
             Err(SearchError::DeadlineExceeded {
                 elapsed_ms: job.cancel.elapsed_ms(),
                 blocks_completed: 0,
-                blocks_total,
+                blocks_total: resident.num_blocks() as u32,
             }),
         );
         return;
@@ -812,45 +796,17 @@ fn process_job(sh: &Shared, workspace: &Arc<KernelWorkspace>, job: Job) {
             cancel: job.cancel.clone(),
             on_block: Some(&on_block),
         };
-        match &generation.sharded {
-            // Sharded generation: every shard with global statistics,
-            // merged to the same report the flat path produces. Shards
-            // are already resident; no request pays the upload.
-            Some(sharded) => {
-                let mut searcher =
-                    sharded.searcher(job.query.clone(), sh.params, search_cfg, sh.device);
-                searcher.workspace = Arc::clone(workspace);
-                if let Some(inj) = &sh.injector {
-                    searcher.injector = Arc::clone(inj);
-                }
-                let opts = ShardedOptions {
-                    devices: sh.cfg.devices,
-                    ..ShardedOptions::default()
-                };
-                search_sharded_with_hooks(&searcher, sharded, &opts, &hooks).map(|r| r.result)
-            }
-            None => {
-                let mut searcher = CuBlastp::new(
-                    job.query.clone(),
-                    sh.params,
-                    search_cfg,
-                    sh.device,
-                    &generation.db,
-                );
-                searcher.workspace = Arc::clone(workspace);
-                if let Some(inj) = &sh.injector {
-                    searcher.injector = Arc::clone(inj);
-                }
-                // The database is already resident; no request pays the
-                // upload.
-                searcher.search_resident_with_hooks(
-                    &generation.db,
-                    &generation.dev_db,
-                    false,
-                    &hooks,
-                )
-            }
+        let mut searcher = resident.searcher(job.query.clone(), sh.params, search_cfg, sh.device);
+        searcher.workspace = Arc::clone(workspace);
+        if let Some(inj) = &sh.injector {
+            searcher.injector = Arc::clone(inj);
         }
+        let opts = ShardedOptions {
+            devices: sh.cfg.devices,
+            ..ShardedOptions::default()
+        };
+        // The generation is already resident; no request pays the upload.
+        search_sharded(&searcher, resident, &opts, false, &hooks).map(|r| r.result)
     }));
     let service_ms = t_service.elapsed().as_secs_f64() * 1e3;
 
@@ -922,15 +878,17 @@ fn finish(
 mod tests {
     use super::*;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
+    use cublastp::CuBlastp;
 
-    /// The obs metrics registry is process-global and `cargo test` runs
-    /// unit tests threaded, so every test that builds a `Server` (which
-    /// arms metrics and publishes gauges) must hold this lock.
-    /// (`obs::test_lock` is crate-private.)
-    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+    /// Held by the tests that map `.cdb` images and assert on the
+    /// process-global `cublastp_db::unmap_count` / `mapped_block_count`
+    /// deltas: `cargo test` runs unit tests threaded, and another test
+    /// mapping or unmapping an image in between would move the counters.
+    /// Nothing else needs a lock — servers share no state.
+    static MAPPING_LOCK: Mutex<()> = Mutex::new(());
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn mapping_lock() -> std::sync::MutexGuard<'static, ()> {
+        MAPPING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn workload() -> (Sequence, SequenceDb) {
@@ -970,8 +928,6 @@ mod tests {
 
     #[test]
     fn sharded_serve_matches_flat_serve() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, q) = server(ServeConfig::default());
         let flat = srv
             .submit(Request::interactive(q.clone(), "t0"))
@@ -982,10 +938,15 @@ mod tests {
 
         let sharded_srv = {
             let (_, db) = workload();
+            // 40-sequence shards of three blocks each.
+            let cfg = CuBlastpConfig {
+                db_block_size: 15,
+                ..search_cfg()
+            };
             Server::new(
                 db,
                 SearchParams::default(),
-                search_cfg(),
+                cfg,
                 DeviceConfig::k20c(),
                 ServeConfig {
                     shards: 3,
@@ -995,21 +956,38 @@ mod tests {
             )
             .expect("sharded server config valid")
         };
-        // Per-shard progress events: exactly one Block per shard, then Done.
+        // Progress is per database block at any shard count: exactly
+        // `num_blocks()` Block events in global pipeline order, then Done.
+        let total = sharded_srv.num_blocks();
+        assert_eq!(total, 9, "shards must span several blocks each");
         let handle = sharded_srv
             .submit(Request::interactive(q, "t0"))
             .expect("admitted");
-        let mut blocks = 0u32;
+        let mut streamed = SearchReport::default();
+        let mut blocks = Vec::new();
         let out = loop {
             match handle.next_event().expect("event stream open") {
-                Event::Block { blocks_total, .. } => {
-                    assert_eq!(blocks_total, 3);
-                    blocks += 1;
+                Event::Block {
+                    block,
+                    blocks_total,
+                    partial,
+                } => {
+                    assert_eq!(blocks_total, total);
+                    blocks.push(block);
+                    streamed.hits.extend(partial.hits);
                 }
                 Event::Done(result) => break result.expect("sharded serve"),
             }
         };
-        assert_eq!(blocks, 3);
+        assert_eq!(blocks, (0..total).collect::<Vec<_>>());
+        // Partials carry global subject indices: accumulated and ranked,
+        // they are the final report.
+        streamed.finalize(SearchParams::default().max_reported);
+        assert_eq!(
+            streamed.identity_key(),
+            out.result.report.identity_key(),
+            "accumulated partials must reproduce the final report"
+        );
         assert_eq!(
             out.result.report.identity_key(),
             flat.result.report.identity_key()
@@ -1032,10 +1010,164 @@ mod tests {
         .is_err());
     }
 
+    /// A resident generation charges no upload, flat or sharded: the
+    /// one-shard served result is the flat resident search field by field
+    /// (every modelled field — CPU fields are measured wall-clock), and a
+    /// 3-shard served makespan is the shards' pipeline makespans alone.
+    #[test]
+    fn served_requests_pay_no_upload_at_any_shard_count() {
+        let (q, db) = workload();
+        let dev_db = DeviceDb::upload(&db, search_cfg().db_block_size);
+        let flat = CuBlastp::new(
+            q.clone(),
+            SearchParams::default(),
+            search_cfg(),
+            DeviceConfig::k20c(),
+            &db,
+        )
+        .search_resident(&db, &dev_db, false)
+        .expect("flat resident search");
+
+        let (srv, _) = server(ServeConfig::default());
+        let one = srv
+            .submit(Request::interactive(q.clone(), "t0"))
+            .expect("admitted")
+            .wait()
+            .expect("one-shard serve")
+            .result;
+        assert_eq!(one.report.identity_key(), flat.report.identity_key());
+        assert_eq!(one.kernels, flat.kernels);
+        let modelled = |t: &cublastp::CuBlastpTiming| (t.gpu_ms, t.h2d_ms, t.d2h_ms);
+        assert_eq!(modelled(&one.timing), modelled(&flat.timing));
+        assert_eq!(one.timing.h2d_ms, 0.0);
+        assert_eq!(one.block_timings.len(), flat.block_timings.len());
+        for (a, b) in one.block_timings.iter().zip(&flat.block_timings) {
+            assert_eq!(
+                (a.h2d_ms, a.gpu_ms, a.d2h_ms),
+                (b.h2d_ms, b.gpu_ms, b.d2h_ms)
+            );
+        }
+        // One item, no upload: the fleet makespan is the pipeline's own.
+        let pipeline_ms = cublastp::schedule(&one.block_timings).overlapped_ms;
+        assert_eq!(one.timing.overlapped_ms, pipeline_ms);
+
+        let srv = Server::new(
+            db,
+            SearchParams::default(),
+            search_cfg(),
+            DeviceConfig::k20c(),
+            ServeConfig {
+                shards: 3,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("sharded server config valid");
+        let three = srv
+            .submit(Request::interactive(q, "t0"))
+            .expect("admitted")
+            .wait()
+            .expect("3-shard serve")
+            .result;
+        let resident = &srv.shared.current().resident;
+        let uploads: f64 = resident.upload_ms(&DeviceConfig::k20c()).iter().sum();
+        assert!(uploads > 0.0);
+        let mut timings = three.block_timings.iter().copied();
+        let shards_ms: f64 = (resident.shards().iter())
+            .map(|s| {
+                let own: Vec<_> = timings.by_ref().take(s.dev.num_blocks()).collect();
+                cublastp::schedule(&own).overlapped_ms
+            })
+            .sum();
+        assert!(
+            (three.timing.overlapped_ms - shards_ms).abs() < 1e-9,
+            "makespan {} must not contain the {uploads} ms of resident uploads (shards: {shards_ms})",
+            three.timing.overlapped_ms
+        );
+    }
+
+    /// Fill `srv`'s interactive queue with a back-to-back burst (submission
+    /// is microseconds, a search milliseconds) and return the highest rung
+    /// its ladder reached, calling `between` after every submission.
+    fn burst_max_level(srv: &Server, q: &Sequence, between: impl Fn()) -> DegradationLevel {
+        let mut max = srv.level();
+        let handles: Vec<_> = (0..8)
+            .filter_map(|_| {
+                let h = srv.submit(Request::interactive(q.clone(), "t0")).ok();
+                max = max.max(srv.level());
+                between();
+                h
+            })
+            .collect();
+        for h in handles {
+            h.wait().expect("admitted request completes");
+        }
+        max
+    }
+
+    #[test]
+    fn two_live_servers_never_see_each_others_load() {
+        let one_worker = ServeConfig {
+            workers: 1,
+            reserved_interactive_workers: 0,
+            ..Default::default()
+        };
+        let (a, q) = server(ServeConfig {
+            queue_capacity: 64,
+            ..one_worker
+        });
+        let (b, _) = server(ServeConfig {
+            queue_capacity: 1,
+            ..one_worker
+        });
+        // Two requests on A leave one queued at most: 1/64 is no pressure,
+        // whatever B's capacity is.
+        let queued: Vec<_> = (0..2)
+            .map(|_| {
+                a.submit(Request::interactive(q.clone(), "t0"))
+                    .expect("admitted")
+            })
+            .collect();
+        assert_eq!(a.level(), DegradationLevel::Normal);
+        assert_eq!(b.level(), DegradationLevel::Normal);
+        for h in queued {
+            h.wait().expect("completes");
+        }
+        // Saturating B's one-slot queue moves B's ladder and never A's...
+        let b_max = burst_max_level(&b, &q, || {
+            assert_eq!(a.level(), DegradationLevel::Normal);
+        });
+        assert!(b_max >= DegradationLevel::ShedBulk, "B reached {b_max:?}");
+        // ...and a burst that is light for A's 64 slots never moves B's.
+        let a_max = burst_max_level(&a, &q, || {
+            assert_eq!(b.level(), DegradationLevel::Normal);
+        });
+        assert_eq!(a_max, DegradationLevel::Normal);
+    }
+
+    #[test]
+    fn ladder_works_with_the_metrics_registry_disarmed() {
+        let (srv, q) = server(ServeConfig {
+            workers: 1,
+            reserved_interactive_workers: 0,
+            queue_capacity: 4,
+            // One queued request (1/4) is already the shed rung, so the
+            // burst only has to outpace a single search.
+            controller: LoadController {
+                shed_bulk_at: 0.25,
+                shrink_at: 2.0,
+                coarse_at: 2.0,
+            },
+            ..Default::default()
+        });
+        // Overload protection must not depend on whether exporting is on.
+        obs::disarm();
+        let max = burst_max_level(&srv, &q, || {});
+        assert!(max >= DegradationLevel::ShedBulk, "ladder stuck at {max:?}");
+        assert_eq!(srv.level(), DegradationLevel::Normal, "drained");
+    }
+
     #[test]
     fn served_search_matches_direct_search() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, q) = server(ServeConfig::default());
         let (_, db) = workload();
         let direct = CuBlastp::new(
@@ -1065,8 +1197,6 @@ mod tests {
 
     #[test]
     fn block_events_stream_in_order_then_done() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, q) = server(ServeConfig::default());
         let total = srv.num_blocks();
         assert!(total > 1, "workload must span multiple blocks");
@@ -1095,8 +1225,6 @@ mod tests {
 
     #[test]
     fn zero_deadline_yields_typed_deadline_error() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, q) = server(ServeConfig::default());
         let handle = srv
             .submit(Request::interactive(q, "t0").with_deadline(Duration::ZERO))
@@ -1116,8 +1244,6 @@ mod tests {
 
     #[test]
     fn shed_bulk_rung_refuses_bulk_but_not_interactive() {
-        let _g = lock();
-        obs::metrics().reset();
         let cfg = ServeConfig {
             // Threshold at zero pressure: permanently at ShedBulk.
             controller: LoadController {
@@ -1143,8 +1269,6 @@ mod tests {
 
     #[test]
     fn tenant_rate_limit_refuses_with_backoff() {
-        let _g = lock();
-        obs::metrics().reset();
         let cfg = ServeConfig {
             tenant_rate: RateLimitConfig {
                 rate_per_sec: 0.001, // one request per ~17 minutes
@@ -1164,8 +1288,6 @@ mod tests {
 
     #[test]
     fn queue_capacity_sheds_with_typed_overload() {
-        let _g = lock();
-        obs::metrics().reset();
         // One worker, one queue slot: the third submission in a burst must
         // be refused (one running + one queued).
         let cfg = ServeConfig {
@@ -1196,8 +1318,6 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
-        let _g = lock();
-        obs::metrics().reset();
         let (mut srv, q) = server(ServeConfig::default());
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -1250,8 +1370,6 @@ mod tests {
 
     #[test]
     fn swap_pins_inflight_and_routes_new_admissions() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, q) = server(ServeConfig::default());
         assert_eq!(srv.generation(), 1);
         let (_, db_a) = workload();
@@ -1287,14 +1405,14 @@ mod tests {
 
     #[test]
     fn image_server_and_swap_release_mapping_at_refcount_zero() {
-        let _g = lock();
-        obs::metrics().reset();
+        let _g = mapping_lock();
         let (q, db) = workload();
         let img = cublastp_db::DbImage::from_bytes(
             cublastp_db::build_to_vec(&db, search_cfg().db_block_size),
             "serve-img-a",
         )
         .expect("valid image");
+        let mapped_before = cublastp::mapped_block_count();
         let srv = Server::from_image(
             &img,
             SearchParams::default(),
@@ -1303,6 +1421,18 @@ mod tests {
             ServeConfig::default(),
         )
         .expect("server from image");
+        // The generation *is* the mapped image: one materialisation of its
+        // blocks, none of them flattened, one host copy of the sequences.
+        // (The process-wide `flatten_count` delta is asserted where no
+        // other test flattens: tests/tests/flatten_count.rs.)
+        assert_eq!(
+            cublastp::mapped_block_count() - mapped_before,
+            u64::from(srv.num_blocks())
+        );
+        let generation = srv.shared.current();
+        assert_eq!(generation.resident.num_shards(), 1);
+        assert!(generation.resident.shards()[0].dev.is_mapped());
+        drop(generation);
         drop(img); // the generation keeps the mapping alive
         let key_a = direct_key(&q, &db);
         let h = srv
@@ -1342,8 +1472,7 @@ mod tests {
 
     #[test]
     fn image_block_size_mismatch_is_a_config_error() {
-        let _g = lock();
-        obs::metrics().reset();
+        let _g = mapping_lock();
         let (q, db) = workload();
         let img = cublastp_db::DbImage::from_bytes(
             cublastp_db::build_to_vec(&db, 999),
@@ -1369,8 +1498,6 @@ mod tests {
 
     #[test]
     fn empty_query_is_an_input_error() {
-        let _g = lock();
-        obs::metrics().reset();
         let (srv, _q) = server(ServeConfig::default());
         let empty = Sequence::from_residues("empty", Vec::new());
         let err = srv

@@ -112,23 +112,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Tuning for the executable CPU–GPU overlap pipeline (Fig. 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// Database blocks the GPU side may run ahead of the CPU side (the
-    /// bound of the channel between them). 1 reproduces the paper's
-    /// one-staged-block regime; larger values smooth GPU-side jitter at
-    /// the cost of holding more extension records in host memory. Must be
-    /// ≥ 1. Per-block results are bit-identical at any depth.
-    pub depth: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self { depth: 1 }
-    }
-}
-
 /// Full cuBLASTP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CuBlastpConfig {
@@ -152,9 +135,6 @@ pub struct CuBlastpConfig {
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12).
     pub overlap: bool,
-    /// Overlap-executor tuning (in-flight block depth).
-    #[serde(default)]
-    pub pipeline: PipelineConfig,
     /// Where the gapped phase runs (CPU tail vs device kernel, §3.7).
     #[serde(default)]
     pub gapped_backend: GappedBackend,
@@ -175,7 +155,6 @@ impl Default for CuBlastpConfig {
             db_block_size: 1024,
             cpu_threads: 4,
             overlap: true,
-            pipeline: PipelineConfig::default(),
             gapped_backend: GappedBackend::default(),
             recovery: RecoveryPolicy::default(),
         }
@@ -242,11 +221,6 @@ impl CuBlastpConfig {
         if self.cpu_threads == 0 {
             return Err(SearchError::config("cpu_threads must be > 0"));
         }
-        if self.pipeline.depth == 0 {
-            return Err(SearchError::config(
-                "pipeline.depth must be >= 1 (blocks in flight)",
-            ));
-        }
         if self.recovery.max_attempts == 0 {
             return Err(SearchError::config(
                 "recovery.max_attempts must be >= 1 (1 = no retry)",
@@ -273,7 +247,6 @@ mod tests {
         assert_eq!(c.window_size, 8);
         assert!(c.use_readonly_cache);
         assert_eq!(c.cpu_threads, 4);
-        assert_eq!(c.pipeline.depth, 1, "default depth is the paper regime");
         assert_eq!(c.gapped_backend, GappedBackend::Cpu, "paper tail is CPU");
     }
 
@@ -346,10 +319,6 @@ mod tests {
                     max_attempts: 0,
                     ..Default::default()
                 },
-                ..Default::default()
-            },
-            CuBlastpConfig {
-                pipeline: PipelineConfig { depth: 0 },
                 ..Default::default()
             },
         ] {

@@ -1,13 +1,12 @@
 //! Device-resident data: the flattened database block and the query-side
 //! structures (DFA, PSSM) with their synthetic addresses, plus the
-//! whole-database residency layer ([`DeviceDb`], [`DeviceDbCache`]) that
-//! lets a stream of queries share one flattened copy of the database.
+//! whole-database residency layer ([`DeviceDb`]) that lets a stream of
+//! queries share one flattened copy of the database.
 
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::{Dfa, Pssm};
 use cublastp_db::{DbImage, MappedRegion};
 use gpu_sim::GlobalBuffer;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -266,46 +265,6 @@ impl DeviceDb {
     }
 }
 
-/// Cache of [`DeviceDb`] uploads keyed by block size, for drivers that
-/// search one database under several partitionings (CLI, benches). Each
-/// distinct block size flattens once; repeat requests share the `Arc`.
-#[derive(Default)]
-pub struct DeviceDbCache {
-    entries: Mutex<Vec<(usize, Arc<DeviceDb>)>>,
-}
-
-impl DeviceDbCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The resident database at `block_size`, uploading it on first use.
-    pub fn get(&self, db: &SequenceDb, block_size: usize) -> Arc<DeviceDb> {
-        let mut entries = self.entries.lock();
-        if let Some((_, cached)) = entries.iter().find(|(size, _)| *size == block_size) {
-            return Arc::clone(cached);
-        }
-        let fresh = Arc::new(DeviceDb::upload(db, block_size));
-        entries.push((block_size, Arc::clone(&fresh)));
-        fresh
-    }
-
-    /// Install an already-resident database (e.g. one materialised via
-    /// [`DeviceDb::from_image`]) under its own block size, replacing any
-    /// cached upload at that size. Subsequent [`DeviceDbCache::get`]
-    /// calls at the same block size share it instead of re-flattening.
-    pub fn insert(&self, dev: Arc<DeviceDb>) {
-        let mut entries = self.entries.lock();
-        let block_size = dev.block_size();
-        if let Some(entry) = entries.iter_mut().find(|(size, _)| *size == block_size) {
-            entry.1 = dev;
-        } else {
-            entries.push((block_size, dev));
-        }
-    }
-}
-
 /// Query-side device structures shared by all kernels of one search.
 pub struct DeviceQuery {
     /// The hit-detection automaton (host copy; the state table is modelled
@@ -499,33 +458,5 @@ mod tests {
         drop(dev);
         // Refcount zero: the mapping is released.
         assert_eq!(cublastp_db::unmap_count(), unmaps_before + 1);
-    }
-
-    #[test]
-    fn cache_insert_installs_mapped_db() {
-        let db = tiny_db();
-        let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 4), "test")
-            .expect("valid image");
-        let cache = DeviceDbCache::new();
-        let mapped = Arc::new(DeviceDb::from_image(&img));
-        cache.insert(Arc::clone(&mapped));
-        let got = cache.get(&db, 4);
-        assert!(Arc::ptr_eq(&mapped, &got), "get must share the inserted db");
-        // Insert replaces an existing upload at the same block size.
-        let other = cache.get(&db, 2);
-        cache.insert(Arc::clone(&mapped));
-        assert!(!Arc::ptr_eq(&other, &cache.get(&db, 2)) || other.block_size() == 2);
-    }
-
-    #[test]
-    fn cache_shares_one_upload_per_block_size() {
-        let db = tiny_db();
-        let cache = DeviceDbCache::new();
-        let a = cache.get(&db, 4);
-        let b = cache.get(&db, 4);
-        assert!(Arc::ptr_eq(&a, &b), "same block size must share the upload");
-        let c = cache.get(&db, 2);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.num_blocks(), 4);
     }
 }

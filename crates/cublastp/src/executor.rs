@@ -107,11 +107,12 @@ fn isolated<T>(
 /// The (query × shard) items of one query: search every non-empty view
 /// with `searcher` (which must carry global statistics) and merge.
 /// `seeds` holds the query's grouped-round bins, one per block in view
-/// order. The cancel token is polled inside every shard search;
-/// `on_block` fires once per completed shard with its remapped partial
-/// report (`block` = view index, `blocks_total` = view count). A failed
-/// shard fails the query: a partial merge would break the
-/// identical-to-single-database contract.
+/// order. The cancel token is polled inside every shard search. Progress
+/// is forwarded per database block in global pipeline order: `on_block`
+/// and a deadline error number the blocks over all views
+/// (`blocks_total` = Σ blocks) and partial reports carry global subject
+/// indices — one unit at any shard count. A failed shard fails the query:
+/// a partial merge would break the identical-to-single-database contract.
 pub(crate) fn search_shards(
     searcher: &CuBlastp,
     shards: &[ShardView<'_>],
@@ -120,30 +121,46 @@ pub(crate) fn search_shards(
     hooks: &SearchHooks<'_>,
 ) -> Result<Searched, SearchError> {
     let mut seeds = seeds.map(Vec::into_iter);
-    let per_block = SearchHooks {
-        cancel: hooks.cancel.clone(),
-        on_block: None,
-    };
+    let blocks_total: u32 = shards.iter().map(|v| v.dev.num_blocks() as u32).sum();
+    let mut next_block = 0u32;
     let mut merged = CuBlastpResult::default();
     let mut shard_ms = vec![0.0f64; shards.len()];
     let mut shard_hits = vec![0usize; shards.len()];
     for (index, view) in shards.iter().enumerate() {
+        let blocks = view.dev.num_blocks();
+        let first_block = next_block;
+        next_block += blocks as u32;
         if view.db.is_empty() {
             continue;
         }
-        let blocks = view.dev.blocks().len();
+        let forward = |p: BlockProgress<'_>| {
+            if let Some(on_block) = hooks.on_block {
+                on_block(BlockProgress {
+                    block: first_block + p.block,
+                    blocks_total,
+                    partial: p.partial,
+                });
+            }
+        };
+        let per_block = SearchHooks {
+            cancel: hooks.cancel.clone(),
+            on_block: Some(&forward),
+        };
         let bins = seeds.as_mut().map(|s| s.take(blocks).collect());
-        let mut r = searcher.run_blocks(view.db, view.dev, charge_h2d, bins, &per_block)?;
-        for hit in &mut r.report.hits {
-            hit.subject_index += view.start;
-        }
-        if let Some(on_block) = hooks.on_block {
-            on_block(BlockProgress {
-                block: index as u32,
-                blocks_total: shards.len() as u32,
-                partial: &r.report,
-            });
-        }
+        let r = searcher
+            .run_blocks(*view, charge_h2d, bins, &per_block)
+            .map_err(|e| match e {
+                SearchError::DeadlineExceeded {
+                    elapsed_ms,
+                    blocks_completed,
+                    ..
+                } => SearchError::DeadlineExceeded {
+                    elapsed_ms,
+                    blocks_completed: first_block + blocks_completed,
+                    blocks_total,
+                },
+                other => other,
+            })?;
         shard_ms[index] = r.timing.overlapped_ms;
         shard_hits[index] = r.report.hits.len();
         merged.report.hits.extend(r.report.hits);

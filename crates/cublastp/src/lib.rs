@@ -69,15 +69,13 @@ pub mod search;
 pub mod shard;
 
 pub use cancel::CancelToken;
-pub use config::{
-    CuBlastpConfig, ExtensionStrategy, GappedBackend, PipelineConfig, RecoveryPolicy, ScoringMode,
-};
-pub use devicedata::{flatten_count, mapped_block_count, DeviceDb, DeviceDbCache, ResidueStore};
+pub use config::{CuBlastpConfig, ExtensionStrategy, GappedBackend, RecoveryPolicy, ScoringMode};
+pub use devicedata::{flatten_count, mapped_block_count, DeviceDb, ResidueStore};
 pub use error::{PipelineError, SearchError};
 pub use gpu_phase::{ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput};
 pub use grouped::DeviceGroupIndex;
 pub use grouping::plan_rounds;
-pub use pipeline::{overlap_blocks, overlap_blocks_depth, schedule, BlockTiming, PipelineSchedule};
+pub use pipeline::{overlap_blocks, schedule, BlockTiming, PipelineSchedule};
 pub use scheduler::{
     schedule_work_stealing, DeviceTimeline, StealEvent, StealSchedule, DEFAULT_STEAL_SEED,
 };
@@ -87,7 +85,7 @@ pub use search::{
     RecoveryReport, RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
 };
 pub use shard::{
-    search_all_vs_all, search_sharded, search_sharded_batch, search_sharded_with_hooks,
-    AllVsAllResult, DbShard, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions,
-    ShardedResult, SimEntry, SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
+    search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard,
+    ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions, ShardedResult, SimEntry,
+    SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
 };

@@ -88,32 +88,15 @@ pub fn schedule(blocks: &[BlockTiming]) -> PipelineSchedule {
 pub fn overlap_blocks<I, M, R>(
     inputs: Vec<I>,
     producer: impl Fn(I) -> M + Send,
-    consumer: impl FnMut(M) -> R,
-) -> Result<Vec<R>, PipelineError>
-where
-    I: Send,
-    M: Send,
-{
-    overlap_blocks_depth(1, inputs, producer, consumer)
-}
-
-/// [`overlap_blocks`] with a configurable in-flight depth: the producer
-/// may run up to `depth` blocks ahead of the consumer before its `send`
-/// blocks. Depth 1 is the paper's Fig. 12 regime (one block staged while
-/// one is consumed); deeper queues smooth producer jitter at the cost of
-/// holding more intermediate blocks in memory. Results are identical at
-/// any depth — only wall-clock scheduling changes.
-pub fn overlap_blocks_depth<I, M, R>(
-    depth: usize,
-    inputs: Vec<I>,
-    producer: impl Fn(I) -> M + Send,
     mut consumer: impl FnMut(M) -> R,
 ) -> Result<Vec<R>, PipelineError>
 where
     I: Send,
     M: Send,
 {
-    let (tx, rx) = bounded::<M>(depth.max(1));
+    // One staged block: the GPU side runs at most one block ahead of the
+    // CPU side, as in Fig. 12.
+    let (tx, rx) = bounded::<M>(1);
     std::thread::scope(|scope| {
         let gpu = scope.spawn(move || {
             // The closure owns `tx`; dropping it (normally or via unwind)
@@ -315,30 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn depth_two_results_are_bit_identical_per_block() {
-        let inputs: Vec<i32> = (0..64).collect();
-        let d1 = overlap_blocks_depth(1, inputs.clone(), |x| x * 3 - 7, |m| (m, m * m))
-            .expect("no panics");
-        let d2 = overlap_blocks_depth(2, inputs.clone(), |x| x * 3 - 7, |m| (m, m * m))
-            .expect("no panics");
-        let d8 = overlap_blocks_depth(8, inputs, |x| x * 3 - 7, |m| (m, m * m)).expect("no panics");
-        assert_eq!(d1, d2);
-        assert_eq!(d1, d8);
-    }
-
-    #[test]
-    fn depth_zero_is_clamped_not_deadlocked() {
-        // bounded(0) would be a rendezvous channel; the depth API clamps
-        // to 1 so a misconfigured caller still makes progress.
-        let out = overlap_blocks_depth(0, (0..10).collect::<Vec<i32>>(), |x| x, |m: i32| m)
-            .expect("no panics");
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
     fn schedule_makespan_is_monotone_in_block_count() {
-        // Adding a block can never shrink the overlapped makespan — the
-        // analytic schedule the depth knob is reasoned against.
+        // Adding a block can never shrink the overlapped makespan.
         let blocks: Vec<BlockTiming> = (0..12)
             .map(|i| {
                 block(

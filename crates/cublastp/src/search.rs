@@ -19,7 +19,7 @@ use crate::gpu_phase::{
     merge_kernels, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
     HIT_PATH_KERNELS,
 };
-use crate::pipeline::{overlap_blocks_depth, schedule, BlockTiming, PipelineSchedule};
+use crate::pipeline::{overlap_blocks, schedule, BlockTiming, PipelineSchedule};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::{Alignment, PhaseTimes, SearchReport};
@@ -134,9 +134,10 @@ pub struct BlockProgress<'a> {
 }
 
 /// Per-search hooks for the serving layer (see DESIGN.md §3.8):
-/// cooperative cancellation polled at block boundaries, and an optional
-/// per-block streaming callback. [`SearchHooks::default`] is inert — the
-/// plain [`CuBlastp::search_resident`] path uses it and pays nothing.
+/// cooperative cancellation polled at every block boundary (GPU side, CPU
+/// side, and recovery retries), and an optional per-block streaming
+/// callback. [`SearchHooks::default`] is inert — the plain
+/// [`CuBlastp::search_resident`] path uses it and pays nothing.
 #[derive(Default)]
 pub struct SearchHooks<'a> {
     /// Polled between database blocks and at every recovery retry; when it
@@ -241,7 +242,7 @@ struct BlockAt<'a> {
 /// What the GPU side of one block hands to its CPU tail.
 struct GpuSide {
     block: u32,
-    /// Database index of the block's first sequence.
+    /// Shard-local index of the block's first sequence.
     base: usize,
     out: GpuPhaseOutput,
     /// `Some` when the device gapped backend already produced the block's
@@ -326,24 +327,12 @@ impl CuBlastp {
         dev_db: &DeviceDb,
         charge_h2d: bool,
     ) -> Result<CuBlastpResult, SearchError> {
-        self.search_resident_with_hooks(db, dev_db, charge_h2d, &SearchHooks::default())
-    }
-
-    /// [`search_resident`](Self::search_resident) with serving-layer hooks
-    /// (DESIGN.md §3.8): the hooks' [`CancelToken`] is polled at every
-    /// block boundary (GPU side, CPU side, and recovery retries) so an
-    /// expired query returns [`SearchError::DeadlineExceeded`] between
-    /// blocks instead of running to completion, and `on_block` streams
-    /// each block's partial report as soon as its CPU tail finishes.
-    /// With default hooks this is exactly `search_resident`.
-    pub fn search_resident_with_hooks(
-        &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
-        charge_h2d: bool,
-        hooks: &SearchHooks<'_>,
-    ) -> Result<CuBlastpResult, SearchError> {
-        self.run_blocks(db, dev_db, charge_h2d, None, hooks)
+        let view = ShardView {
+            db,
+            dev: dev_db,
+            start: 0,
+        };
+        self.run_blocks(view, charge_h2d, None, &SearchHooks::default())
     }
 
     /// The per-block loop every search runs (Fig. 12): each resident block
@@ -352,11 +341,12 @@ impl CuBlastp {
     /// configured, and the per-block outputs fold into one result.
     /// `seeds` only says where the hit bins come from: one demuxed
     /// [`BinnedHits`] per block from a grouped seeding round, or `None`
-    /// for the query's own DFA pass over every block.
+    /// for the query's own DFA pass over every block. Hits carry *global*
+    /// subject indices (`view.start` + shard-local index); block indices
+    /// are the view's own.
     pub(crate) fn run_blocks(
         &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
+        view: ShardView<'_>,
         charge_h2d: bool,
         seeds: Option<Vec<BinnedHits>>,
         hooks: &SearchHooks<'_>,
@@ -369,6 +359,7 @@ impl CuBlastp {
         obs::gauge("cpu_simd_dispatch", &[("isa", dispatch.active.name())], 1.0);
         let backend = self.config.gapped_backend.name();
         obs::gauge("gapped_backend", &[("backend", backend)], 1.0);
+        let dev_db = view.dev;
         if dev_db.block_size() != self.config.db_block_size {
             return Err(SearchError::config(format!(
                 "resident database was partitioned at block size {}, config wants {}",
@@ -429,8 +420,8 @@ impl CuBlastp {
                 return Err(hooks.deadline_error(gpu.block, blocks_total));
             }
             let tail = match &gpu.aligns {
-                Some(a) => self.cpu_report_block(db, gpu.base, a),
-                None => self.cpu_finish_block(db, gpu.base, &gpu.out.extensions),
+                Some(a) => self.cpu_report_block(view, gpu.base, a),
+                None => self.cpu_finish_block(view, gpu.base, &gpu.out.extensions),
             };
             if let Some(on_block) = hooks.on_block {
                 on_block(BlockProgress {
@@ -453,8 +444,7 @@ impl CuBlastp {
             })
             .collect();
         let block_results: Vec<Result<(GpuSide, CpuTail), SearchError>> = if self.config.overlap {
-            overlap_blocks_depth(self.config.pipeline.depth, inputs, gpu_side, cpu_side)
-                .map_err(SearchError::Pipeline)?
+            overlap_blocks(inputs, gpu_side, cpu_side).map_err(SearchError::Pipeline)?
         } else {
             inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
         };
@@ -723,7 +713,7 @@ impl CuBlastp {
     /// CPU tail for one block: gapped extension + traceback over the
     /// block's extension CSR on the shared pool, with the Fig. 13
     /// multicore wall-clock model and the phase's metrics.
-    fn cpu_finish_block(&self, db: &SequenceDb, base: usize, csr: &ExtensionsCsr) -> CpuTail {
+    fn cpu_finish_block(&self, view: ShardView<'_>, base: usize, csr: &ExtensionsCsr) -> CpuTail {
         let mut cpu_span = obs::span("cpu_phase", "cpu").with_query(self.stream_index);
         let mut times = PhaseTimes::default();
         let partials: Vec<(SearchReport, PhaseTimes)> =
@@ -736,8 +726,8 @@ impl CuBlastp {
                         let mut report = SearchReport::default();
                         let mut t = PhaseTimes::default();
                         self.engine.finish_subject(
-                            idx,
-                            &db.sequences()[idx],
+                            view.start + idx,
+                            &view.db.sequences()[idx],
                             csr.seq(local),
                             &mut report,
                             Some(&mut t),
@@ -792,7 +782,7 @@ impl CuBlastp {
     /// in the block's kernel time instead).
     fn cpu_report_block(
         &self,
-        db: &SequenceDb,
+        view: ShardView<'_>,
         base: usize,
         alignments: &[Vec<Alignment>],
     ) -> CpuTail {
@@ -804,8 +794,9 @@ impl CuBlastp {
                 continue;
             }
             let idx = base + local;
+            let subject = &view.db.sequences()[idx];
             self.engine
-                .report_from_alignments(idx, &db.sequences()[idx], aligns, &mut report);
+                .report_from_alignments(view.start + idx, subject, aligns, &mut report);
         }
         if obs::state() != 0 {
             obs::counter("alignments_total", &[], report.hits.len() as u64);
@@ -1161,6 +1152,11 @@ mod tests {
             seed: 21,
         };
         (q.clone(), generate_db(&spec, &q).db)
+    }
+
+    /// A flat database as the per-block loop sees it.
+    fn flat<'a>(db: &'a SequenceDb, dev: &'a DeviceDb) -> ShardView<'a> {
+        ShardView { db, dev, start: 0 }
     }
 
     #[test]
@@ -1749,7 +1745,7 @@ mod tests {
             on_block: None,
         };
         let err = gpu
-            .search_resident_with_hooks(&db, &dev_db, false, &hooks)
+            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
             .expect_err("tripped token must cancel the search");
         match err {
             SearchError::DeadlineExceeded {
@@ -1770,7 +1766,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(1));
         let err = gpu
-            .search_resident_with_hooks(&db, &dev_db, false, &hooks)
+            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
         // The device gapped phase polls the token before a retry too: a
@@ -1789,7 +1785,7 @@ mod tests {
             on_block: None,
         };
         let err = gpu
-            .search_resident_with_hooks(&db, &dev_db, false, &hooks)
+            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
             .expect_err("tripped token must stop the gapped retry");
         assert!(
             matches!(
@@ -1831,7 +1827,7 @@ mod tests {
             on_block: Some(&on_block),
         };
         let r = gpu
-            .search_resident_with_hooks(&db, &dev_db, false, &hooks)
+            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
             .expect("fault-free search");
         let streamed = streamed.into_inner().expect("test mutex");
         let blocks_total = dev_db.blocks().len();

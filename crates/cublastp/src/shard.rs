@@ -66,8 +66,9 @@ impl DbShard {
     }
 }
 
-/// A database partitioned across shards, with global statistics retained
-/// for cross-shard Karlin–Altschul correction.
+/// The resident-database handle: a database partitioned across shards —
+/// a flat database is the one-shard case ([`ShardedDb::resident`]) — with
+/// global statistics retained for cross-shard Karlin–Altschul correction.
 pub struct ShardedDb {
     name: String,
     shards: Vec<DbShard>,
@@ -77,6 +78,24 @@ pub struct ShardedDb {
 }
 
 impl ShardedDb {
+    /// A flat database as one shard: `db` and its already-resident device
+    /// copy (flattened, or mapped from a `.cdb` image) are moved in — no
+    /// sequence is copied and no flatten pass runs.
+    pub fn resident(db: SequenceDb, dev: Arc<DeviceDb>) -> Self {
+        Self {
+            name: db.name().to_string(),
+            block_size: dev.block_size(),
+            total_sequences: db.len(),
+            total_residues: db.total_residues(),
+            shards: vec![DbShard {
+                index: 0,
+                start: 0,
+                db,
+                dev,
+            }],
+        }
+    }
+
     /// Partition `db` into `num_shards` contiguous near-equal shards
     /// (mpiBLAST segmentation), flattening each at `block_size`. A split
     /// wider than the database keeps its empty tail shards, so per-shard
@@ -176,6 +195,12 @@ impl ShardedDb {
     /// Block size every shard was flattened at.
     pub fn block_size(&self) -> usize {
         self.block_size
+    }
+
+    /// Database blocks over all shards — what one search streams, and the
+    /// unit of its progress and deadline telemetry.
+    pub fn num_blocks(&self) -> usize {
+        self.shards.iter().map(|s| s.dev.num_blocks()).sum()
     }
 
     /// Global sequence count — the `db.len()` of the unsharded database.
@@ -296,8 +321,9 @@ fn fleet_schedule(
 pub struct ShardedResult {
     /// Merged, re-ranked result — bit-identical to the single-DB search.
     pub result: CuBlastpResult,
-    /// Modelled per-shard cost (device pipeline + shard upload), indexed
-    /// by shard; zero for empty shards.
+    /// Modelled per-shard cost (device pipeline, plus the shard upload
+    /// when the search was charged for it), indexed by shard; zero for
+    /// empty shards.
     pub per_shard_ms: Vec<f64>,
     /// Hits each shard contributed before the report cap.
     pub per_shard_hits: Vec<usize>,
@@ -312,29 +338,28 @@ pub struct ShardedResult {
 /// The searcher must carry global statistics (build it with
 /// [`ShardedDb::searcher`], or against the full database); a shard whose
 /// search fails fails the whole query, as partial merges would break the
-/// identical-to-single-DB contract.
+/// identical-to-single-DB contract. `charge_h2d` bills each shard's upload
+/// to the fleet schedule per (device, shard) first touch — a standalone
+/// search pays it, a search over an already-resident handle (the serving
+/// layer's) does not. The hooks' cancel token is polled at every block
+/// boundary of every shard, and `on_block` fires once per database block
+/// in global pipeline order (`blocks_total` = [`ShardedDb::num_blocks`])
+/// with the block's partial report in global subject indices.
 pub fn search_sharded(
     searcher: &CuBlastp,
     sharded: &ShardedDb,
     opts: &ShardedOptions,
-) -> Result<ShardedResult, SearchError> {
-    search_sharded_with_hooks(searcher, sharded, opts, &SearchHooks::default())
-}
-
-/// [`search_sharded`] with serving-layer hooks: the cancel token is
-/// polled inside every shard search at block boundaries, and `on_block`
-/// fires once per completed shard with the shard's remapped partial
-/// report (`block` = shard index, `blocks_total` = shard count).
-pub fn search_sharded_with_hooks(
-    searcher: &CuBlastp,
-    sharded: &ShardedDb,
-    opts: &ShardedOptions,
+    charge_h2d: bool,
     hooks: &SearchHooks<'_>,
 ) -> Result<ShardedResult, SearchError> {
     let searched = search_shards(searcher, &sharded.views(), false, None, hooks)?;
-    // The fleet runs one item per non-empty shard. Uploads are billed by
-    // the scheduler per (device, shard) first touch, setup once globally.
-    let uploads = sharded.upload_ms(&searcher.device);
+    // The fleet runs one item per non-empty shard; setup is paid once
+    // globally.
+    let uploads = if charge_h2d {
+        sharded.upload_ms(&searcher.device)
+    } else {
+        vec![0.0; sharded.num_shards()]
+    };
     let (item_shards, item_costs): (Vec<usize>, Vec<f64>) = sharded
         .live_shards()
         .map(|s| (s, searched.shard_ms[s]))
@@ -651,11 +676,12 @@ mod tests {
         let single = CuBlastp::new(q.clone(), SearchParams::default(), cfg, device, &db)
             .search(&db)
             .expect("single-DB search");
+        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
         for num_shards in [1usize, 2, 3, 5, 8] {
             let sharded = ShardedDb::split(&db, num_shards, cfg.db_block_size);
             let searcher = sharded.searcher(q.clone(), SearchParams::default(), cfg, device);
-            let r = search_sharded(&searcher, &sharded, &ShardedOptions::default())
-                .expect("sharded search");
+            let r =
+                search_sharded(&searcher, &sharded, &opts, true, &hooks).expect("sharded search");
             assert_eq!(
                 r.result.report.identity_key(),
                 single.report.identity_key(),
@@ -670,6 +696,43 @@ mod tests {
         }
     }
 
+    /// The flat database is the one-shard case: moved into a resident
+    /// handle, its uncharged search is the flat resident search in every
+    /// modelled number; charging the uploads adds exactly them to a
+    /// one-device makespan.
+    #[test]
+    fn resident_handle_is_the_flat_search() {
+        let (q, db, cfg) = workload(96);
+        let device = DeviceConfig::k20c();
+        let dev = Arc::new(DeviceDb::upload(&db, cfg.db_block_size));
+        let searcher = CuBlastp::new(q, SearchParams::default(), cfg, device, &db);
+        let flat = searcher
+            .search_resident(&db, &dev, false)
+            .expect("flat resident search");
+        let resident = ShardedDb::resident(db, dev);
+        assert_eq!(resident.num_shards(), 1);
+        assert_eq!(resident.num_blocks(), flat.block_timings.len());
+        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
+        let free = search_sharded(&searcher, &resident, &opts, false, &hooks).expect("resident");
+        assert_eq!(
+            free.result.report.identity_key(),
+            flat.report.identity_key()
+        );
+        assert_eq!(free.result.kernels, flat.kernels);
+        let device_ms = |r: &CuBlastpResult| (r.timing.gpu_ms, r.timing.h2d_ms, r.timing.d2h_ms);
+        assert_eq!(device_ms(&free.result), device_ms(&flat));
+        assert_eq!(free.result.timing.h2d_ms, 0.0);
+        let pipeline_ms = crate::pipeline::schedule(&free.result.block_timings).overlapped_ms;
+        assert_eq!(free.schedule.makespan_ms, pipeline_ms);
+        assert_eq!(free.per_shard_ms, vec![pipeline_ms]);
+
+        let charged = search_sharded(&searcher, &resident, &opts, true, &hooks).expect("charged");
+        let uploads: f64 = resident.upload_ms(&device).iter().sum();
+        assert!(uploads > 0.0);
+        let own_ms = crate::pipeline::schedule(&charged.result.block_timings).overlapped_ms;
+        assert!((charged.schedule.makespan_ms - own_ms - uploads).abs() < 1e-9);
+    }
+
     #[test]
     fn ragged_boundaries_cover_everything() {
         let (q, db, cfg) = workload(61);
@@ -682,7 +745,8 @@ mod tests {
         assert_eq!(sharded.num_shards(), 5);
         assert!(sharded.shards()[1].is_empty());
         let searcher = sharded.searcher(q, SearchParams::default(), cfg, device);
-        let r = search_sharded(&searcher, &sharded, &ShardedOptions::default()).expect("sharded");
+        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
+        let r = search_sharded(&searcher, &sharded, &opts, true, &hooks).expect("sharded");
         assert_eq!(r.result.report.identity_key(), single.report.identity_key());
         assert!(r.per_shard_hits.iter().sum::<usize>() >= r.result.report.hits.len());
     }
@@ -707,10 +771,11 @@ mod tests {
         assert_eq!(mapped.total_sequences(), db.len());
         assert_eq!(mapped.total_residues(), db.total_residues());
         assert!(mapped.shards().iter().all(|s| s.dev.is_mapped()));
+        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
         let searcher = mapped.searcher(q.clone(), SearchParams::default(), cfg, device);
-        let a = search_sharded(&searcher, &mapped, &ShardedOptions::default()).expect("mapped");
+        let a = search_sharded(&searcher, &mapped, &opts, true, &hooks).expect("mapped");
         let searcher = split.searcher(q, SearchParams::default(), cfg, device);
-        let b = search_sharded(&searcher, &split, &ShardedOptions::default()).expect("split");
+        let b = search_sharded(&searcher, &split, &opts, true, &hooks).expect("split");
         assert_eq!(
             a.result.report.identity_key(),
             b.result.report.identity_key()

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
-use cublastp::{CuBlastp, CuBlastpConfig, DeviceDb, DeviceDbCache};
+use cublastp::{CuBlastp, CuBlastpConfig, DeviceDb};
 use cublastp_db::{build_to_vec, crc32, DbImage, HEADER_LEN};
 use gpu_sim::DeviceConfig;
 use integration_support::workload;
@@ -74,7 +74,7 @@ fn roundtrip_preserves_database_and_search_results() {
 
     // The mapped device layout searches bit-identically to the flattened
     // one, without running the flatten loop.
-    let flattened = DeviceDbCache::new().get(&fx.db, BLOCK_SIZE);
+    let flattened = Arc::new(DeviceDb::upload(&fx.db, BLOCK_SIZE));
     let flattens_before = cublastp::flatten_count();
     let mapped = Arc::new(DeviceDb::from_image(&img));
     assert_eq!(cublastp::flatten_count(), flattens_before);

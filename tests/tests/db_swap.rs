@@ -9,12 +9,12 @@
 //! bit-identical to the direct (no-swap) reference search on that
 //! generation — never a blend, never a loss.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
-use cublastp::{CuBlastp, CuBlastpConfig, DeviceDbCache, SearchError};
+use cublastp::{CuBlastp, CuBlastpConfig, DeviceDb, SearchError};
 use cublastp_db::DbImage;
 use cublastp_serve::{Request, ResponseHandle, ServeConfig, Server};
 use gpu_sim::DeviceConfig;
@@ -23,10 +23,6 @@ use proptest::prelude::*;
 
 const BLOCK_SIZE: usize = 14;
 const REQUESTS: usize = 6;
-
-/// Server tests must not overlap: the serve gauges live in the
-/// process-global metrics registry.
-static SERVER_LOCK: Mutex<()> = Mutex::new(());
 
 fn config() -> CuBlastpConfig {
     CuBlastpConfig {
@@ -47,7 +43,7 @@ struct Fixture {
 }
 
 fn reference_key(query: &Sequence, db: &SequenceDb) -> IdentityKey {
-    let dev = DeviceDbCache::new().get(db, BLOCK_SIZE);
+    let dev = DeviceDb::upload(db, BLOCK_SIZE);
     CuBlastp::new(
         query.clone(),
         SearchParams::default(),
@@ -102,7 +98,6 @@ fn submit(server: &Server, query: &Sequence, tenant: String) -> ResponseHandle {
 /// (inline flatten or mapped image), then the rest on generation 2 —
 /// while generation-1 requests are still in flight.
 fn swap_race(swap_after: usize, via_image: bool) -> Result<(), TestCaseError> {
-    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let fx = fixture();
     let server = Server::new(
         fx.db_a.clone(),

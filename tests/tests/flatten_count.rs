@@ -6,7 +6,11 @@
 
 use bio_seq::Sequence;
 use blast_core::SearchParams;
-use cublastp::{flatten_count, search_batch, CuBlastpConfig, DeviceDbCache};
+use cublastp::{
+    flatten_count, mapped_block_count, search_batch, CuBlastpConfig, DeviceDb, ShardedDb,
+};
+use cublastp_db::DbImage;
+use cublastp_serve::{Request, ServeConfig, Server};
 use gpu_sim::DeviceConfig;
 use integration_support::workload;
 
@@ -36,15 +40,35 @@ fn one_flatten_per_block_regardless_of_batch_size() {
         "search_batch must upload each block exactly once"
     );
 
-    // The CLI-side cache shares one flattening across repeated lookups.
-    let cache = DeviceDbCache::new();
+    // Making an already-flattened database the one-shard resident handle
+    // moves it in: no second flatten.
+    let dev = std::sync::Arc::new(DeviceDb::upload(&db, config.db_block_size));
     let before = flatten_count();
-    let first = cache.get(&db, config.db_block_size);
-    let second = cache.get(&db, config.db_block_size);
-    assert!(std::sync::Arc::ptr_eq(&first, &second));
+    let resident = ShardedDb::resident(db.clone(), dev);
+    assert_eq!(resident.num_blocks(), blocks);
     assert_eq!(
-        flatten_count() - before,
-        blocks as u64,
-        "cache hit must not re-flatten"
+        flatten_count(),
+        before,
+        "resident handle must not re-flatten"
     );
+
+    // A server over a `.cdb` image serves off the mapping: zero flatten
+    // passes from construction through a served request and an image
+    // swap, and each generation materialises its blocks exactly once.
+    let img = DbImage::from_bytes(
+        cublastp_db::build_to_vec(&db, config.db_block_size),
+        "flatten-count",
+    )
+    .expect("valid image");
+    let (before, mapped_before) = (flatten_count(), mapped_block_count());
+    let server = Server::from_image(&img, params, config, device, ServeConfig::default())
+        .expect("server from image");
+    server
+        .submit(Request::interactive(queries[0].clone(), "t0"))
+        .expect("admitted")
+        .wait()
+        .expect("served from the image");
+    server.swap_image(&img).expect("image swap");
+    assert_eq!(flatten_count(), before, "image generations never flatten");
+    assert_eq!(mapped_block_count() - mapped_before, 2 * blocks as u64);
 }

@@ -11,14 +11,15 @@
 //!    terminates with exactly one `Done` event.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bio_seq::generate::{generate_db, make_query, DbPreset, DbSpec};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use cublastp::{
-    CancelToken, CuBlastp, CuBlastpConfig, DeviceDb, DeviceDbCache, SearchError, SearchHooks,
+    search_sharded, CancelToken, CuBlastp, CuBlastpConfig, DeviceDb, SearchError, SearchHooks,
+    ShardedDb, ShardedOptions,
 };
 use cublastp_serve::{Event, Request, ResponseHandle, ServeConfig, Server};
 use gpu_sim::DeviceConfig;
@@ -28,11 +29,11 @@ use proptest::prelude::*;
 /// real work; small enough that the proptest sweep stays fast.
 const NUM_BLOCKS: u32 = 3;
 const BLOCK_SIZE: usize = 15;
-
-/// The serve gauges live in the process-global metrics registry, so tests
-/// that construct a [`Server`] must not overlap (each server publishes its
-/// own `serve_queue_capacity`, and the load controller reads it back).
-static SERVER_LOCK: Mutex<()> = Mutex::new(());
+/// The sharded handle splits the same database into three shards of
+/// three blocks each, so a shard-local block count (3) and the global one
+/// (9) cannot be confused.
+const SHARDED_BLOCK_SIZE: usize = 5;
+const SHARDED_NUM_BLOCKS: u32 = 9;
 
 fn serve_config() -> CuBlastpConfig {
     CuBlastpConfig {
@@ -50,7 +51,9 @@ type IdentityKey = Vec<(usize, i32, u32, u32, u32, u32)>;
 struct Fixture {
     query: Sequence,
     db: SequenceDb,
-    dev_db: Arc<DeviceDb>,
+    /// The database as one resident shard, and as three.
+    flat: ShardedDb,
+    sharded: ShardedDb,
     reference: IdentityKey,
 }
 
@@ -63,7 +66,7 @@ fn fixture() -> &'static Fixture {
             ..DbPreset::SwissprotMini.spec()
         };
         let db = generate_db(&spec, &query).db;
-        let dev_db = DeviceDbCache::new().get(&db, BLOCK_SIZE);
+        let dev_db = Arc::new(DeviceDb::upload(&db, BLOCK_SIZE));
         let searcher = CuBlastp::new(
             query.clone(),
             SearchParams::default(),
@@ -76,54 +79,74 @@ fn fixture() -> &'static Fixture {
             .expect("fault-free reference")
             .report
             .identity_key();
+        let sharded = ShardedDb::split(&db, 3, SHARDED_BLOCK_SIZE);
+        assert_eq!(sharded.num_blocks(), SHARDED_NUM_BLOCKS as usize);
         Fixture {
             query,
+            flat: ShardedDb::resident(db.clone(), dev_db),
+            sharded,
             db,
-            dev_db,
             reference,
         }
     })
 }
 
-/// Run one search with a deterministic cancel point after `n` checkpoint
-/// polls and assert the all-or-nothing contract. Returns whether the
-/// search ran to completion.
-fn assert_all_or_nothing(n: u64) -> Result<bool, TestCaseError> {
+/// Run one search over `resident` with a deterministic cancel point after
+/// `n` checkpoint polls and assert the all-or-nothing contract. Returns
+/// `None` when the search ran to completion, else the `blocks_completed`
+/// of its deadline error.
+fn cancel_at(n: u64, resident: &ShardedDb, overlap: bool) -> Result<Option<u32>, TestCaseError> {
     let fx = fixture();
-    let searcher = CuBlastp::new(
+    let config = CuBlastpConfig {
+        db_block_size: resident.block_size(),
+        overlap,
+        ..serve_config()
+    };
+    let searcher = resident.searcher(
         fx.query.clone(),
         SearchParams::default(),
-        serve_config(),
+        config,
         DeviceConfig::k20c(),
-        &fx.db,
     );
     let hooks = SearchHooks {
         cancel: CancelToken::after_checks(n),
         on_block: None,
     };
-    match searcher.search_resident_with_hooks(&fx.db, &fx.dev_db, true, &hooks) {
+    match search_sharded(
+        &searcher,
+        resident,
+        &ShardedOptions::default(),
+        true,
+        &hooks,
+    ) {
         Ok(r) => {
             // Complete means *complete*: bit-identical to the reference.
             prop_assert_eq!(
-                r.report.identity_key(),
+                r.result.report.identity_key(),
                 fx.reference.clone(),
                 "cancel at {}",
                 n
             );
-            Ok(true)
+            Ok(None)
         }
         Err(SearchError::DeadlineExceeded {
             blocks_completed,
             blocks_total,
             ..
         }) => {
-            prop_assert_eq!(blocks_total, NUM_BLOCKS, "cancel at {}", n);
+            // Telemetry counts database blocks over every shard.
+            prop_assert_eq!(
+                blocks_total as usize,
+                resident.num_blocks(),
+                "cancel at {}",
+                n
+            );
             prop_assert!(
                 blocks_completed < blocks_total,
                 "cancel at {}: a search that finished every block must not report a deadline",
                 n
             );
-            Ok(false)
+            Ok(Some(blocks_completed))
         }
         Err(e) => Err(TestCaseError::fail(format!(
             "cancel at {n}: expected Ok or DeadlineExceeded, got {} ({e})",
@@ -133,13 +156,15 @@ fn assert_all_or_nothing(n: u64) -> Result<bool, TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random cancel points: every outcome is either the bit-identical
-    /// complete result or a typed deadline error — never partial-but-OK.
+    /// Random cancel points over the one-shard and the three-shard handle:
+    /// every outcome is either the bit-identical complete result or a
+    /// typed deadline error — never partial-but-OK.
     #[test]
-    fn cancellation_is_all_or_nothing(n in 0u64..12) {
-        assert_all_or_nothing(n)?;
+    fn cancellation_is_all_or_nothing(n in 0u64..24, sharded in any::<bool>()) {
+        let fx = fixture();
+        cancel_at(n, if sharded { &fx.sharded } else { &fx.flat }, true)?;
     }
 }
 
@@ -148,15 +173,18 @@ proptest! {
 /// Together with the proptest this proves both arms are reachable.
 #[test]
 fn cancel_point_endpoints_are_deterministic() {
+    let fx = fixture();
     assert!(
-        !assert_all_or_nothing(1).expect("first poll"),
+        cancel_at(1, &fx.flat, true).expect("first poll").is_some(),
         "a token tripped on the first poll must cancel the search"
     );
     // One counting poll per pipeline side per block, plus retry polls
     // (zero here, fault-free): 2 * NUM_BLOCKS is the exact budget, so
     // anything past it completes.
     assert!(
-        assert_all_or_nothing(2 * u64::from(NUM_BLOCKS) + 1).expect("past the last poll"),
+        cancel_at(2 * u64::from(NUM_BLOCKS) + 1, &fx.flat, true)
+            .expect("past the last poll")
+            .is_none(),
         "a token past every checkpoint must not cancel"
     );
     assert_eq!(
@@ -170,40 +198,74 @@ fn cancel_point_endpoints_are_deterministic() {
     );
 }
 
+/// Deadline telemetry is in global blocks at any shard count: sweeping
+/// the cancel point over a serial three-shard search (polls land in block
+/// order: GPU side, then CPU side, of each block), `blocks_total` is
+/// always Σ blocks and `blocks_completed` climbs from the first block of
+/// the first shard to the last block of the last.
+#[test]
+fn sharded_deadline_telemetry_counts_global_blocks() {
+    let fx = fixture();
+    let polls = 2 * u64::from(SHARDED_NUM_BLOCKS);
+    let completed: Vec<u32> = (1..=polls)
+        .map(|n| {
+            cancel_at(n, &fx.sharded, false)
+                .expect("all-or-nothing")
+                .expect("a poll inside the search cancels it")
+        })
+        .collect();
+    assert!(completed.windows(2).all(|w| w[0] <= w[1]), "{completed:?}");
+    assert_eq!(completed.first(), Some(&0));
+    assert_eq!(completed.last(), Some(&(SHARDED_NUM_BLOCKS - 1)));
+    assert!(cancel_at(polls + 1, &fx.sharded, false)
+        .expect("past the last poll")
+        .is_none());
+}
+
 /// Cancellation composed with the serving layer: a deadline that expires
-/// in the queue surfaces as a typed error event, not a lost request.
+/// in the queue surfaces as a typed error event, not a lost request — in
+/// the same global block unit as a mid-search expiry, at any shard count.
 #[test]
 fn server_deadline_is_a_typed_event() {
     let fx = fixture();
-    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let server = Server::new(
-        fx.db.clone(),
-        SearchParams::default(),
-        serve_config(),
-        DeviceConfig::k20c(),
-        ServeConfig {
-            workers: 1,
-            reserved_interactive_workers: 0,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server");
-    let handle = server
-        .submit(
-            Request::interactive(fx.query.clone(), "t-deadline")
-                .with_deadline(Duration::from_millis(0)),
+    for (shards, block_size, num_blocks) in [
+        (1, BLOCK_SIZE, NUM_BLOCKS),
+        (3, SHARDED_BLOCK_SIZE, SHARDED_NUM_BLOCKS),
+    ] {
+        let server = Server::new(
+            fx.db.clone(),
+            SearchParams::default(),
+            CuBlastpConfig {
+                db_block_size: block_size,
+                ..serve_config()
+            },
+            DeviceConfig::k20c(),
+            ServeConfig {
+                workers: 1,
+                reserved_interactive_workers: 0,
+                shards,
+                ..ServeConfig::default()
+            },
         )
-        .expect("admitted");
-    match handle.wait() {
-        Err(SearchError::DeadlineExceeded {
-            blocks_completed,
-            blocks_total,
-            ..
-        }) => {
-            assert_eq!(blocks_total, NUM_BLOCKS);
-            assert!(blocks_completed < blocks_total);
+        .expect("server");
+        assert_eq!(server.num_blocks(), num_blocks);
+        let handle = server
+            .submit(
+                Request::interactive(fx.query.clone(), "t-deadline")
+                    .with_deadline(Duration::from_millis(0)),
+            )
+            .expect("admitted");
+        match handle.wait() {
+            Err(SearchError::DeadlineExceeded {
+                blocks_completed,
+                blocks_total,
+                ..
+            }) => {
+                assert_eq!(blocks_total, num_blocks, "{shards} shards");
+                assert!(blocks_completed < blocks_total);
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 }
 
@@ -257,7 +319,6 @@ fn run_burst(server: &Server, fx: &Fixture, n: usize) -> (usize, usize) {
 fn overload_sheds_monotonically_and_loses_nothing() {
     const QUEUE_CAPACITY: usize = 4;
     let fx = fixture();
-    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::new(
         fx.db.clone(),
         SearchParams::default(),

@@ -11,7 +11,7 @@
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use cublastp::{
-    search_sharded, search_sharded_batch, CuBlastp, CuBlastpConfig, CuBlastpResult,
+    search_sharded, search_sharded_batch, CuBlastp, CuBlastpConfig, CuBlastpResult, SearchHooks,
     ShardedBatchOptions, ShardedDb, ShardedOptions,
 };
 use gpu_sim::{DeviceConfig, FaultInjector, FaultPlan, FaultSite, FaultSpec};
@@ -88,7 +88,7 @@ proptest! {
             DeviceConfig::k20c(),
         );
         let opts = ShardedOptions { devices, ..ShardedOptions::default() };
-        let r = search_sharded(&searcher, &sharded, &opts)
+        let r = search_sharded(&searcher, &sharded, &opts, true, &SearchHooks::default())
             .expect("fault-free sharded search");
         assert_bit_identical(
             &r.result,
@@ -112,7 +112,8 @@ proptest! {
                 config(),
                 DeviceConfig::k20c(),
             );
-            let r = search_sharded(&searcher, &sharded, &ShardedOptions::default())
+            let opts = ShardedOptions::default();
+            let r = search_sharded(&searcher, &sharded, &opts, true, &SearchHooks::default())
                 .expect("fault-free sharded search");
             assert_bit_identical(&r.result, &flat, &format!("even split into {shards}"));
         }
