@@ -1,13 +1,17 @@
 //! CPU-stage SIMD speedup — scalar vs runtime-dispatched vector kernels.
 //!
-//! The gapped x-drop extension and the ungapped two-hit walk carry SIMD
-//! inner loops (`blast_cpu::simd`) selected at runtime (AVX2 → SSE4.1 →
-//! scalar). Their outputs are bit-identical to the scalar reference by
-//! contract, so what the vectorization buys is pure host time. This
-//! binary measures it directly: the same seed set (collected once per
-//! database preset) is pushed through the gapped phase and the traceback
-//! phase twice — once forced scalar, once at the detected ISA — and both
-//! passes must produce identical extensions and alignments.
+//! The banded x-drop DP (gapped extension, traceback and interval
+//! traceback all run the one row engine) and the ungapped two-hit walk
+//! carry SIMD inner loops (`blast_cpu::simd`) selected at runtime (AVX2 →
+//! SSE4.1 → scalar). Their outputs are bit-identical to the scalar
+//! reference by contract, so what the vectorization buys is pure host
+//! time. This binary measures it directly: the same seed set (collected
+//! once per database preset) is pushed through the gapped phase, the
+//! traceback phase and the device backend's interval traceback twice —
+//! once forced scalar, once at the detected ISA — and both passes must
+//! produce identical extensions, alignments and interval-traceback
+//! reports. The stage row (gapped + traceback, what the CPU tail runs) is
+//! where a layer's speedup has to show.
 //!
 //! DP throughput is reported as cells/second from the monotone
 //! [`blast_cpu::gapped::dp_cells`] counter, whose value is a pure
@@ -26,6 +30,7 @@ use bio_seq::generate::DbPreset;
 use bio_seq::{Sequence, SequenceDb};
 use blast_cpu::gapped::{dp_cells, gapped_phase_subject, GappedExt};
 use blast_cpu::hit::{scan_subject_mode, DiagonalScratch, HitStats};
+use blast_cpu::itrace::{default_interval, traceback_interval, ItraceReport, ItraceScratch};
 use blast_cpu::report::Alignment;
 use blast_cpu::search::SearchEngine;
 use blast_cpu::simd::{self, IsaLevel};
@@ -45,14 +50,33 @@ struct SubjectSeeds {
 
 /// One timed pass over every seeded subject at the currently forced ISA:
 /// full gapped phase, then traceback of everything above the report
-/// cutoff. Returns the outputs (for the bit-identity assertion) plus the
+/// cutoff, then the same extensions through the interval traceback.
+/// Returns the outputs (for the bit-identity assertion) plus the
 /// wall-clock of each phase and the DP cells the gapped phase touched.
 struct PassOut {
     gapped: Vec<Vec<GappedExt>>,
     alignments: Vec<Alignment>,
+    itrace: Vec<ItraceReport>,
     gapped_ms: f64,
     traceback_ms: f64,
+    itrace_ms: f64,
     cells: u64,
+}
+
+/// Every extension of a pass at or above the report cutoff, with its
+/// subject.
+fn reportable<'a>(
+    engine: &'a SearchEngine,
+    db: &'a SequenceDb,
+    seeds: &'a [SubjectSeeds],
+    gapped: &'a [Vec<GappedExt>],
+) -> impl Iterator<Item = (&'a [u8], &'a GappedExt)> {
+    seeds.iter().zip(gapped).flat_map(move |(s, exts)| {
+        let subject = db.sequences()[s.index].residues();
+        exts.iter()
+            .filter(|g| g.score >= engine.cutoffs.report_cutoff)
+            .map(move |g| (subject, g))
+    })
 }
 
 fn run_pass(engine: &SearchEngine, db: &SequenceDb, seeds: &[SubjectSeeds]) -> PassOut {
@@ -72,28 +96,50 @@ fn run_pass(engine: &SearchEngine, db: &SequenceDb, seeds: &[SubjectSeeds]) -> P
     let cells = dp_cells() - c0;
 
     let t1 = Instant::now();
-    let mut alignments = Vec::new();
-    for (s, exts) in seeds.iter().zip(&gapped) {
-        let subject = db.sequences()[s.index].residues();
-        for g in exts {
-            if g.score < engine.cutoffs.report_cutoff {
-                continue;
-            }
-            alignments.push(traceback(
+    let alignments: Vec<Alignment> = reportable(engine, db, seeds, &gapped)
+        .map(|(subject, g)| {
+            traceback(
                 &engine.pssm,
                 engine.query.residues(),
                 subject,
                 g,
                 &engine.params,
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     let traceback_ms = t1.elapsed().as_secs_f64() * 1e3;
+
+    // The device backend's recovery of the same alignments, at the
+    // interval `gapped_fine_kernel` picks for this query.
+    let interval = default_interval(engine.pssm.query_len());
+    let mut scratch = ItraceScratch::default();
+    let t2 = Instant::now();
+    let traced: Vec<(Alignment, ItraceReport)> = reportable(engine, db, seeds, &gapped)
+        .map(|(subject, g)| {
+            traceback_interval(
+                &engine.pssm,
+                engine.query.residues(),
+                subject,
+                g,
+                &engine.params,
+                interval,
+                &mut scratch,
+            )
+        })
+        .collect();
+    let itrace_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let (recovered, itrace): (Vec<Alignment>, Vec<ItraceReport>) = traced.into_iter().unzip();
+    assert_eq!(
+        recovered, alignments,
+        "interval traceback must equal traceback"
+    );
     PassOut {
         gapped,
         alignments,
+        itrace,
         gapped_ms,
         traceback_ms,
+        itrace_ms,
         cells,
     }
 }
@@ -113,6 +159,7 @@ fn best_pass(
         assert_eq!(rep.cells, best.cells, "DP cell count must be deterministic");
         best.gapped_ms = best.gapped_ms.min(rep.gapped_ms);
         best.traceback_ms = best.traceback_ms.min(rep.traceback_ms);
+        best.itrace_ms = best.itrace_ms.min(rep.itrace_ms);
     }
     simd::force_level(None);
     best
@@ -123,8 +170,10 @@ struct Row {
     cells: u64,
     scalar_gapped_ms: f64,
     simd_gapped_ms: f64,
-    scalar_stage_ms: f64,
-    simd_stage_ms: f64,
+    scalar_traceback_ms: f64,
+    simd_traceback_ms: f64,
+    scalar_itrace_ms: f64,
+    simd_itrace_ms: f64,
     traceback_ops: u64,
     alignments: u64,
 }
@@ -135,6 +184,26 @@ impl Row {
     }
     fn simd_cps(&self) -> f64 {
         self.cells as f64 / (self.simd_gapped_ms / 1e3)
+    }
+    /// Gapped + traceback: the CPU tail of one search.
+    fn scalar_stage_ms(&self) -> f64 {
+        self.scalar_gapped_ms + self.scalar_traceback_ms
+    }
+    fn simd_stage_ms(&self) -> f64 {
+        self.simd_gapped_ms + self.simd_traceback_ms
+    }
+    /// `(layer, scalar ms, simd ms)` for every timed layer.
+    fn layers(&self) -> [(&'static str, f64, f64); 4] {
+        [
+            ("gapped", self.scalar_gapped_ms, self.simd_gapped_ms),
+            (
+                "traceback",
+                self.scalar_traceback_ms,
+                self.simd_traceback_ms,
+            ),
+            ("itrace", self.scalar_itrace_ms, self.simd_itrace_ms),
+            ("stage", self.scalar_stage_ms(), self.simd_stage_ms()),
+        ]
     }
 }
 
@@ -198,6 +267,10 @@ fn main() {
             scalar.alignments, native.alignments,
             "SIMD alignments must be bit-identical to scalar"
         );
+        assert_eq!(
+            scalar.itrace, native.itrace,
+            "SIMD interval-traceback reports must be bit-identical to scalar"
+        );
         assert_eq!(scalar.cells, native.cells, "band evolution must match");
 
         let traceback_ops: u64 = scalar.alignments.iter().map(|a| a.ops.len() as u64).sum();
@@ -206,8 +279,10 @@ fn main() {
             cells: scalar.cells,
             scalar_gapped_ms: scalar.gapped_ms,
             simd_gapped_ms: native.gapped_ms,
-            scalar_stage_ms: scalar.gapped_ms + scalar.traceback_ms,
-            simd_stage_ms: native.gapped_ms + native.traceback_ms,
+            scalar_traceback_ms: scalar.traceback_ms,
+            simd_traceback_ms: native.traceback_ms,
+            scalar_itrace_ms: scalar.itrace_ms,
+            simd_itrace_ms: native.itrace_ms,
             traceback_ops,
             alignments: scalar.alignments.len() as u64,
         });
@@ -240,18 +315,30 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     print_table(
-        &format!("CPU stage end-to-end (gapped + traceback, best of {REPS})"),
-        &["db", "scalar ms", "simd ms", "speedup", "alignments"],
+        &format!(
+            "CPU alignment layers, scalar vs simd (best of {REPS}; stage = gapped + traceback)"
+        ),
+        &[
+            "db",
+            "layer",
+            "scalar ms",
+            "simd ms",
+            "speedup",
+            "alignments",
+        ],
         &rows
             .iter()
-            .map(|r| {
-                vec![
-                    r.preset.clone(),
-                    format!("{:.2}", r.scalar_stage_ms),
-                    format!("{:.2}", r.simd_stage_ms),
-                    format!("{:.2}x", r.scalar_stage_ms / r.simd_stage_ms),
-                    r.alignments.to_string(),
-                ]
+            .flat_map(|r| {
+                r.layers().map(|(layer, scalar_ms, simd_ms)| {
+                    vec![
+                        r.preset.clone(),
+                        layer.to_string(),
+                        format!("{scalar_ms:.2}"),
+                        format!("{simd_ms:.2}"),
+                        format!("{:.2}x", scalar_ms / simd_ms),
+                        r.alignments.to_string(),
+                    ]
+                })
             })
             .collect::<Vec<_>>(),
     );
@@ -263,6 +350,28 @@ fn main() {
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
     obsenv::write_exports();
+
+    // A vector body that loses to the scalar reference is a regression,
+    // whatever the counts say.
+    if report.active > IsaLevel::Scalar {
+        let mut slower = false;
+        for r in &rows {
+            for (layer, scalar_ms, simd_ms) in r.layers() {
+                if simd_ms > scalar_ms {
+                    eprintln!(
+                        "error: {}: {layer} at {} ({simd_ms:.3} ms) must not be slower \
+                         than scalar ({scalar_ms:.3} ms)",
+                        r.preset,
+                        report.active.name(),
+                    );
+                    slower = true;
+                }
+            }
+        }
+        if slower {
+            std::process::exit(1);
+        }
+    }
 }
 
 fn render_json(rows: &[Row], report: &blast_cpu::DispatchReport, scale: f64) -> String {
@@ -297,6 +406,10 @@ fn render_json(rows: &[Row], report: &blast_cpu::DispatchReport, scale: f64) -> 
              \"scalar_gapped_ms\": {:.3}, \"simd_gapped_ms\": {:.3}, \
              \"scalar_cells_per_sec\": {:.0}, \"simd_cells_per_sec\": {:.0}, \
              \"gapped_speedup\": {:.3}, \
+             \"scalar_traceback_ms\": {:.3}, \"simd_traceback_ms\": {:.3}, \
+             \"traceback_speedup\": {:.3}, \
+             \"scalar_itrace_ms\": {:.3}, \"simd_itrace_ms\": {:.3}, \
+             \"itrace_speedup\": {:.3}, \
              \"scalar_stage_ms\": {:.3}, \"simd_stage_ms\": {:.3}, \
              \"stage_speedup\": {:.3}, \"alignments\": {}}}{}\n",
             r.preset,
@@ -306,9 +419,15 @@ fn render_json(rows: &[Row], report: &blast_cpu::DispatchReport, scale: f64) -> 
             r.scalar_cps(),
             r.simd_cps(),
             r.scalar_gapped_ms / r.simd_gapped_ms,
-            r.scalar_stage_ms,
-            r.simd_stage_ms,
-            r.scalar_stage_ms / r.simd_stage_ms,
+            r.scalar_traceback_ms,
+            r.simd_traceback_ms,
+            r.scalar_traceback_ms / r.simd_traceback_ms,
+            r.scalar_itrace_ms,
+            r.simd_itrace_ms,
+            r.scalar_itrace_ms / r.simd_itrace_ms,
+            r.scalar_stage_ms(),
+            r.simd_stage_ms(),
+            r.scalar_stage_ms() / r.simd_stage_ms(),
             r.alignments,
             if ri + 1 < rows.len() { "," } else { "" },
         ));

@@ -10,21 +10,17 @@
 //! defaults 11 + k).
 //!
 //! This is the phase cuBLASTP keeps on the multicore CPU (§3.6); the same
-//! functions are called from `cublastp`'s threaded pipeline. The band
-//! inner loop is vectorized (F and M states in i32 lanes, serial E in a
-//! scalar correction pass — see DESIGN.md §3.5); [`crate::simd`] picks
-//! the widest ISA the host supports and the scalar path remains the
-//! bit-identical reference.
+//! functions are called from `cublastp`'s threaded pipeline. The DP
+//! itself is the `band` module's row engine run with no sink; this module
+//! is the score-only caller, the anchor arithmetic and the per-subject
+//! containment order.
 
-use crate::simd::{self, IsaLevel, LANE_PAD};
+use crate::band::{self, HalfView, Outcome};
 use crate::ungapped::UngappedExt;
-use bio_seq::alphabet::{Residue, PADDED_ALPHABET_SIZE};
+use bio_seq::alphabet::Residue;
 use blast_core::{Pssm, SearchParams};
 use serde::{Deserialize, Serialize};
-
-/// Sentinel for unreachable DP cells (low enough that arithmetic on it
-/// cannot wrap).
-pub(crate) const NEG_INF: i32 = i32::MIN / 4;
+use std::cell::Cell;
 
 /// Result of a gapped extension (score-only pass).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,411 +43,9 @@ pub struct GappedExt {
     pub score: i32,
 }
 
-/// One direction of a gapped half-extension, in half-extension
-/// coordinates: offset `qi` is the `qi+1`-th query residue consumed
-/// walking away from the anchor, likewise `sj` for the subject.
-pub(crate) struct HalfView<'a> {
-    pssm: &'a Pssm,
-    subject: &'a [Residue],
-    q_anchor: usize,
-    s_anchor: usize,
-    forward: bool,
-    /// Residues available in the query direction.
-    pub q_len: usize,
-    /// Residues available in the subject direction.
-    pub s_len: usize,
-}
-
-impl HalfView<'_> {
-    fn q_pos(&self, qi: usize) -> usize {
-        if self.forward {
-            self.q_anchor + 1 + qi
-        } else {
-            self.q_anchor - 1 - qi
-        }
-    }
-
-    fn s_res(&self, sj: usize) -> Residue {
-        if self.forward {
-            self.subject[self.s_anchor + 1 + sj]
-        } else {
-            self.subject[self.s_anchor - 1 - sj]
-        }
-    }
-
-    fn score(&self, qi: usize, sj: usize) -> i32 {
-        self.pssm.score(self.q_pos(qi), self.s_res(sj))
-    }
-
-    /// PSSM column for query offset `qi` (32 i16 scores indexed by
-    /// residue).
-    fn col(&self, qi: usize) -> &[i16] {
-        let p = self.q_pos(qi) * PADDED_ALPHABET_SIZE;
-        &self.pssm.raw()[p..p + PADDED_ALPHABET_SIZE]
-    }
-}
-
-/// Fill row 0 (a leading gap in the query dimension) and return the last
-/// column kept by the x-drop test. `best` is 0 throughout row 0 because
-/// every cell is a pure gap penalty.
-fn init_row0(d_prev: &mut [i32], width: usize, open: i32, ext: i32, xdrop: i32) -> usize {
-    d_prev[0] = 0;
-    let mut jmax = 0usize;
-    for (j, cell) in d_prev.iter_mut().enumerate().take(width).skip(1) {
-        let s = -(open + (j as i32 - 1) * ext);
-        if -s > xdrop {
-            break;
-        }
-        *cell = s;
-        jmax = j;
-    }
-    jmax
-}
-
-/// One directional x-drop half-extension: aligns `q_at(1..)` against
-/// `s_at(1..)` where the closures map offset → residue-table coordinates.
-/// Returns `(best_score, q_offset, s_offset)` — offsets are counts of
-/// consumed residues at the best-scoring cell (0 means the half extension
-/// is empty). This is the scalar reference path; [`half_extend_view`]
-/// dispatches to the vectorized twin when the host supports it.
-fn half_extend(
-    q_len: usize,
-    s_len: usize,
-    score_at: impl Fn(usize, usize) -> i32, // (q_offset-1, s_offset-1) → pssm score
-    params: &SearchParams,
-) -> (i32, usize, usize) {
-    if q_len == 0 || s_len == 0 {
-        return (0, 0, 0);
-    }
-    let open = params.gap_open + params.gap_extend; // cost of a length-1 gap
-    let ext = params.gap_extend;
-    let xdrop = params.xdrop_gapped;
-
-    // Rolling rows over the subject dimension. `d` is the best of the
-    // three affine states; `f` is the vertical gap state (consuming query
-    // residues), carried per column across rows; the horizontal gap state
-    // `e` is carried as a scalar along each row. Row buffers are
-    // thread-local: gapped extension runs thousands of times per search
-    // and on several CPU threads at once (§3.6), so per-call allocation
-    // would serialize on the allocator.
-    let width = s_len + 1;
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let ([d_prev, f_prev, d_row, f_row], _, cells) = scratch.prepare(width);
-
-        let mut best = 0i32;
-        let mut best_cell = (0usize, 0usize);
-
-        let mut jmax = init_row0(d_prev, width, open, ext, xdrop);
-        let mut jmin = 0usize;
-        *cells += jmax as u64 + 1;
-        // The buffers are not pre-cleared, so make exactly the cells row 1
-        // reads beyond row 0's writes look unreachable.
-        d_prev[jmax + 1] = NEG_INF;
-        f_prev[..=(jmax + 1).min(s_len)].fill(NEG_INF);
-
-        for i in 1..=q_len {
-            let row_hi = (jmax + 1).min(s_len);
-            if jmin > row_hi {
-                break;
-            }
-            *cells += (row_hi - jmin + 1) as u64;
-            // Clear the band plus a one-cell margin on each side: every
-            // read this row and the next stays inside cleared-or-written
-            // cells, and the cost stays proportional to the band.
-            let clear_lo = jmin.saturating_sub(1);
-            let clear_hi = (row_hi + 1).min(width - 1);
-            d_row[clear_lo..=clear_hi].fill(NEG_INF);
-            f_row[clear_lo..=clear_hi].fill(NEG_INF);
-            let mut new_jmin = usize::MAX;
-            let mut new_jmax = 0usize;
-            let mut e = NEG_INF; // horizontal gap state within this row
-            for j in jmin..=row_hi {
-                // Vertical gap: open from the cell above or extend its F.
-                let f_open = if d_prev[j] > NEG_INF {
-                    d_prev[j] - open
-                } else {
-                    NEG_INF
-                };
-                let f_ext = if f_prev[j] > NEG_INF {
-                    f_prev[j] - ext
-                } else {
-                    NEG_INF
-                };
-                let f = f_open.max(f_ext);
-                f_row[j] = f;
-
-                // Horizontal gap: open from the cell to the left or extend.
-                e = if j > 0 {
-                    let e_open = if d_row[j - 1] > NEG_INF {
-                        d_row[j - 1] - open
-                    } else {
-                        NEG_INF
-                    };
-                    let e_ext = if e > NEG_INF { e - ext } else { NEG_INF };
-                    e_open.max(e_ext)
-                } else {
-                    NEG_INF
-                };
-
-                // Diagonal match/mismatch.
-                let m = if j >= 1 && d_prev[j - 1] > NEG_INF {
-                    d_prev[j - 1] + score_at(i - 1, j - 1)
-                } else {
-                    NEG_INF
-                };
-
-                let d = m.max(e).max(f);
-                if d > NEG_INF && best - d <= xdrop {
-                    d_row[j] = d;
-                    if d > best {
-                        best = d;
-                        best_cell = (i, j);
-                    }
-                    if j < new_jmin {
-                        new_jmin = j;
-                    }
-                    new_jmax = j;
-                }
-            }
-            if new_jmin == usize::MAX {
-                break; // every cell dropped: the extension is finished
-            }
-            jmin = new_jmin;
-            jmax = new_jmax;
-            std::mem::swap(d_prev, d_row);
-            std::mem::swap(f_prev, f_row);
-        }
-
-        (best, best_cell.0, best_cell.1)
-    })
-}
-
-/// Vectorized twin of [`half_extend`]: the F/M states of each row run
-/// through [`simd::GappedRow`] in whole-lane chunks, then a scalar
-/// correction pass threads the serial E state through the row and applies
-/// the order-dependent x-drop acceptance, best tracking and band
-/// bookkeeping. Produces bit-identical results by construction; the
-/// equivalence proptests in `tests/` pin that down.
-fn half_extend_simd(
-    view: &HalfView<'_>,
-    params: &SearchParams,
-    level: IsaLevel,
-) -> (i32, usize, usize) {
-    let (q_len, s_len) = (view.q_len, view.s_len);
-    debug_assert!(q_len > 0 && s_len > 0);
-    let open = params.gap_open + params.gap_extend;
-    let ext = params.gap_extend;
-    let xdrop = params.xdrop_gapped;
-    let width = s_len + 1;
-
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let ([d_prev, f_prev, d_row, f_row], sub, cells) = scratch.prepare(width);
-
-        let mut best = 0i32;
-        let mut best_cell = (0usize, 0usize);
-
-        let mut jmax = init_row0(d_prev, width, open, ext, xdrop);
-        let mut jmin = 0usize;
-        *cells += jmax as u64 + 1;
-        d_prev[jmax + 1] = NEG_INF;
-        f_prev[..=(jmax + 1).min(s_len)].fill(NEG_INF);
-
-        // Subject residues in band coordinates (`sub[j-1]` pairs with
-        // column `j`), extended lazily as the band advances; the pad past
-        // `s_len` holds residue 0 and only ever feeds discarded lanes.
-        let mut sub_filled = 0usize;
-        let mut col32 = [0i32; 32];
-
-        for i in 1..=q_len {
-            let row_hi = (jmax + 1).min(s_len);
-            if jmin > row_hi {
-                break;
-            }
-            *cells += (row_hi - jmin + 1) as u64;
-
-            let need_sub = row_hi + LANE_PAD - 1;
-            if need_sub > sub_filled {
-                if sub.len() < need_sub {
-                    sub.resize(need_sub, 0);
-                }
-                for (k, slot) in sub.iter_mut().enumerate().take(need_sub).skip(sub_filled) {
-                    *slot = if k < s_len { view.s_res(k) } else { 0 };
-                }
-                sub_filled = need_sub;
-            }
-            simd::widen_col(view.col(i - 1), &mut col32);
-
-            let mut new_jmin = usize::MAX;
-            let mut new_jmax = 0usize;
-
-            // Left margin: the correction pass reads `d_row[j-1]` at the
-            // band's first column, and the next row's diagonal reads it
-            // too.
-            let clear_lo = jmin.saturating_sub(1);
-            d_row[clear_lo] = NEG_INF;
-            f_row[clear_lo] = NEG_INF;
-
-            // Column 0 has no diagonal and no horizontal state; handle it
-            // scalar so the vector pass always starts at j ≥ 1.
-            if jmin == 0 {
-                let f_open = if d_prev[0] > NEG_INF {
-                    d_prev[0] - open
-                } else {
-                    NEG_INF
-                };
-                let f_ext = if f_prev[0] > NEG_INF {
-                    f_prev[0] - ext
-                } else {
-                    NEG_INF
-                };
-                let f = f_open.max(f_ext);
-                f_row[0] = f;
-                let d = f;
-                if d > NEG_INF && best - d <= xdrop {
-                    d_row[0] = d;
-                    if d > best {
-                        best = d;
-                        best_cell = (i, 0);
-                    }
-                    new_jmin = 0;
-                    new_jmax = 0;
-                } else {
-                    d_row[0] = NEG_INF;
-                }
-            }
-
-            let j0 = jmin.max(1);
-            let mut wrote_hi = j0;
-            if j0 <= row_hi {
-                wrote_hi = simd::GappedRow {
-                    d_prev,
-                    f_prev,
-                    d_row,
-                    f_row,
-                    col: &col32,
-                    sub,
-                    j0,
-                    j1: row_hi,
-                    open,
-                    ext,
-                }
-                .run(level);
-
-                // Correction pass: serial E through the vector pass's
-                // max(M, F), then the same acceptance as the scalar path.
-                // The E chain runs unguarded: subtracting from a NEG_INF
-                // operand only sinks the value further below NEG_INF
-                // (bounded by NEG_INF - open, far from wrapping thanks to
-                // the i32::MIN / 4 headroom), and the max against the
-                // exact D0 ≥ NEG_INF then restores the exact scalar
-                // result — whenever the guarded chain holds a real value
-                // the unguarded one equals it, and whenever it holds
-                // NEG_INF the unguarded one sits at or below NEG_INF
-                // where it cannot win a max. Two branches per cell gone.
-                let mut e = NEG_INF;
-                for j in j0..=row_hi {
-                    e = (d_row[j - 1] - open).max(e - ext);
-                    let d = d_row[j].max(e);
-                    if d > NEG_INF && best - d <= xdrop {
-                        d_row[j] = d;
-                        if d > best {
-                            best = d;
-                            best_cell = (i, j);
-                        }
-                        if j < new_jmin {
-                            new_jmin = j;
-                        }
-                        new_jmax = j;
-                    } else {
-                        d_row[j] = NEG_INF;
-                    }
-                }
-            }
-
-            // Re-clear the vector overshoot and the one-cell top margin so
-            // the next row only ever reads cleared-or-written cells.
-            let clear_end = wrote_hi.max(row_hi + 2);
-            for jj in row_hi + 1..clear_end {
-                d_row[jj] = NEG_INF;
-                f_row[jj] = NEG_INF;
-            }
-
-            if new_jmin == usize::MAX {
-                break;
-            }
-            jmin = new_jmin;
-            jmax = new_jmax;
-            std::mem::swap(d_prev, d_row);
-            std::mem::swap(f_prev, f_row);
-        }
-
-        (best, best_cell.0, best_cell.1)
-    })
-}
-
-/// Dispatch a half-extension to the widest available kernel.
-pub(crate) fn half_extend_view(view: &HalfView<'_>, params: &SearchParams) -> (i32, usize, usize) {
-    if view.q_len == 0 || view.s_len == 0 {
-        return (0, 0, 0);
-    }
-    match simd::active_level() {
-        IsaLevel::Scalar => {
-            half_extend(view.q_len, view.s_len, |qi, sj| view.score(qi, sj), params)
-        }
-        level => half_extend_simd(view, params, level),
-    }
-}
-
-/// Largest cell count a thread-local row buffer keeps after a call; a
-/// pathological subject can grow the band arbitrarily, but the scratch
-/// shrinks back the next time a normal-sized extension runs.
-const MAX_RETAIN: usize = 64 * 1024;
-
-/// Thread-local DP buffers for [`half_extend`] / [`half_extend_simd`].
-struct DpScratch {
-    rows: [Vec<i32>; 4],
-    /// Subject residues in band coordinates for the gather pass.
-    sub: Vec<Residue>,
-    /// DP cells computed on this thread (row 0 included); the `cpusimd`
-    /// bench derives cells/sec from deltas of this counter.
-    cells: u64,
-}
-
-impl DpScratch {
-    /// Borrow the row buffers (grown to `width` plus lane padding) plus
-    /// the subject-gather buffer and the cell counter. Rows are *not*
-    /// cleared: callers maintain the cleared-or-written invariant
-    /// per row, which is what keeps the cost proportional to the band
-    /// rather than the subject length.
-    fn prepare(&mut self, width: usize) -> ([&mut Vec<i32>; 4], &mut Vec<Residue>, &mut u64) {
-        let need = width + LANE_PAD;
-        for row in &mut self.rows {
-            if row.len() < need {
-                row.resize(need, NEG_INF);
-            } else if need <= MAX_RETAIN && row.len() > MAX_RETAIN {
-                row.truncate(MAX_RETAIN);
-                row.shrink_to(MAX_RETAIN);
-            }
-        }
-        if need <= MAX_RETAIN && self.sub.len() > MAX_RETAIN {
-            self.sub.truncate(MAX_RETAIN);
-            self.sub.shrink_to(MAX_RETAIN);
-        }
-        let [a, b, c, d] = &mut self.rows;
-        ([a, b, c, d], &mut self.sub, &mut self.cells)
-    }
-}
-
 thread_local! {
-    static SCRATCH: std::cell::RefCell<DpScratch> = const {
-        std::cell::RefCell::new(DpScratch {
-            rows: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            sub: Vec::new(),
-            cells: 0,
-        })
-    };
+    /// Score-pass DP cells computed on this thread (row 0 included).
+    static CELLS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Gapped-extension DP cells computed so far on the calling thread.
@@ -459,77 +53,76 @@ thread_local! {
 /// Monotone; benches subtract two readings around a timed region. Counts
 /// are a pure function of the inputs (the band evolution is bit-identical
 /// across ISA levels), which makes them usable as deterministic
-/// perf-gate medians.
+/// perf-gate medians. Only the score pass counts: traceback and interval
+/// re-fill recompute cells this counter has already seen.
 pub fn dp_cells() -> u64 {
-    SCRATCH.with(|cell| cell.borrow().cells)
+    CELLS.get()
+}
+
+/// Add one score pass's cells to [`dp_cells`].
+pub(crate) fn count_cells(cells: u64) {
+    CELLS.set(CELLS.get() + cells);
+}
+
+/// Score-only half-extension. The outcome's best cell is `(q_offset,
+/// s_offset)`, counts of consumed residues (`(0, 0)` means the half
+/// extension is empty).
+fn score_half(view: &HalfView<'_>, params: &SearchParams) -> Outcome {
+    if view.is_empty() {
+        return Outcome::default();
+    }
+    let out = band::run(view, params, None, usize::MAX, &mut ());
+    count_cells(out.cells);
+    out
+}
+
+/// The extension of subject `seq_id` anchored at `(qs, ss)` whose halves
+/// ended at `right` / `left`: the total is `left + anchor + right`, the
+/// gapped analogue of the paper's Fig. 1 third stage.
+pub(crate) fn join_halves(
+    pssm: &Pssm,
+    subject: &[Residue],
+    seq_id: u32,
+    (qs, ss): (usize, usize),
+    right: &Outcome,
+    left: &Outcome,
+) -> GappedExt {
+    GappedExt {
+        seq_id,
+        q_seed: qs as u32,
+        s_seed: ss as u32,
+        q_start: (qs - left.best_cell.0) as u32,
+        s_start: (ss - left.best_cell.1) as u32,
+        q_end: (qs + 1 + right.best_cell.0) as u32,
+        s_end: (ss + 1 + right.best_cell.1) as u32,
+        score: left.best + pssm.score(qs, subject[ss]) + right.best,
+    }
 }
 
 /// Run a gapped extension seeded at the midpoint of `seed`.
 ///
 /// The anchor pair is scored once; the right half extends over
 /// `(q_seed+1.., s_seed+1..)` and the left half over the reversed
-/// prefixes. The total is `left + anchor + right`, the gapped analogue of
-/// the paper's Fig. 1 third stage.
+/// prefixes.
 pub fn extend_gapped(
     pssm: &Pssm,
     subject: &[Residue],
     seed: &UngappedExt,
     params: &SearchParams,
 ) -> GappedExt {
-    let qs = seed.q_mid() as usize;
-    let ss = seed.s_mid() as usize;
-    let qlen = pssm.query_len();
-    let slen = subject.len();
-    debug_assert!(qs < qlen && ss < slen);
-
-    let anchor = pssm.score(qs, subject[ss]);
-
-    // Right half: q[qs+1..], s[ss+1..].
-    let right = HalfView {
-        pssm,
-        subject,
-        q_anchor: qs,
-        s_anchor: ss,
-        forward: true,
-        q_len: qlen - qs - 1,
-        s_len: slen - ss - 1,
-    };
-    let (rs, rq, rsj) = half_extend_view(&right, params);
-
-    // Left half: reversed q[..qs], s[..ss].
-    let left = HalfView {
-        pssm,
-        subject,
-        q_anchor: qs,
-        s_anchor: ss,
-        forward: false,
-        q_len: qs,
-        s_len: ss,
-    };
-    let (ls, lq, lsj) = half_extend_view(&left, params);
-
-    GappedExt {
-        seq_id: seed.seq_id,
-        q_seed: qs as u32,
-        s_seed: ss as u32,
-        q_start: (qs - lq) as u32,
-        s_start: (ss - lsj) as u32,
-        q_end: (qs + 1 + rq) as u32,
-        s_end: (ss + 1 + rsj) as u32,
-        score: ls + anchor + rs,
-    }
+    let (qs, ss) = (seed.q_mid() as usize, seed.s_mid() as usize);
+    debug_assert!(qs < pssm.query_len() && ss < subject.len());
+    let right = score_half(&HalfView::new(pssm, subject, qs, ss, true), params);
+    let left = score_half(&HalfView::new(pssm, subject, qs, ss, false), params);
+    join_halves(pssm, subject, seed.seq_id, (qs, ss), &right, &left)
 }
 
-/// Gapped phase for one subject: take every ungapped extension that reached
-/// the trigger score, process them best-first, and skip seeds whose anchor
-/// already lies inside a computed gapped alignment (the standard
-/// containment heuristic — identical across all pipelines).
-pub fn gapped_phase_subject(
-    pssm: &Pssm,
-    subject: &[Residue],
+/// [`gapped_phase_subject`]'s seed order and containment skipping, over
+/// any way of extending one seed.
+pub(crate) fn gapped_phase_with(
     ungapped: &[UngappedExt],
-    params: &SearchParams,
     trigger: i32,
+    mut extend: impl FnMut(&UngappedExt) -> GappedExt,
 ) -> Vec<GappedExt> {
     let mut seeds: Vec<&UngappedExt> = ungapped.iter().filter(|e| e.score >= trigger).collect();
     // Deterministic best-first order.
@@ -549,19 +142,35 @@ pub fn gapped_phase_subject(
         if contained {
             continue;
         }
-        out.push(extend_gapped(pssm, subject, seed, params));
+        out.push(extend(seed));
     }
     out
+}
+
+/// Gapped phase for one subject: take every ungapped extension that reached
+/// the trigger score, process them best-first, and skip seeds whose anchor
+/// already lies inside a computed gapped alignment (the standard
+/// containment heuristic — identical across all pipelines).
+pub fn gapped_phase_subject(
+    pssm: &Pssm,
+    subject: &[Residue],
+    ungapped: &[UngappedExt],
+    params: &SearchParams,
+    trigger: i32,
+) -> Vec<GappedExt> {
+    gapped_phase_with(ungapped, trigger, |seed| {
+        extend_gapped(pssm, subject, seed, params)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{self, IsaLevel};
+    use crate::testutil::seed;
     use bio_seq::alphabet::encode_str;
     use bio_seq::Sequence;
     use blast_core::Matrix;
-
-    use crate::testutil::seed;
 
     fn pssm_for(q: &[u8]) -> Pssm {
         Pssm::build(&Sequence::from_bytes("q", q), &Matrix::blosum62())
@@ -681,8 +290,15 @@ mod tests {
     #[test]
     fn half_extend_empty_inputs() {
         let p = SearchParams::default();
-        assert_eq!(half_extend(0, 5, |_, _| 0, &p), (0, 0, 0));
-        assert_eq!(half_extend(5, 0, |_, _| 0, &p), (0, 0, 0));
+        let pssm = pssm_for(b"MKVLWA");
+        let s = encode_str(b"MKVLWA");
+        let before = dp_cells();
+        // Left halves of anchors on either sequence's first residue.
+        for (qs, ss) in [(0, 5), (5, 0)] {
+            let view = HalfView::new(&pssm, &s, qs, ss, false);
+            assert_eq!(score_half(&view, &p), Outcome::default());
+        }
+        assert_eq!(dp_cells(), before, "an empty half runs no DP");
     }
 
     #[test]
@@ -738,16 +354,11 @@ mod tests {
         // A huge subject grows the thread-local rows past MAX_RETAIN; the
         // next normal-sized call must give the memory back.
         let p = SearchParams::default();
-        half_extend(8, MAX_RETAIN + 4096, |_, _| -1, &p);
-        let grown = SCRATCH.with(|c| c.borrow().rows[0].len());
-        assert!(grown > MAX_RETAIN);
-        half_extend(8, 64, |_, _| -1, &p);
-        SCRATCH.with(|c| {
-            let sc = c.borrow();
-            for row in &sc.rows {
-                assert!(row.len() <= MAX_RETAIN);
-                assert!(row.capacity() <= MAX_RETAIN);
-            }
-        });
+        let pssm = pssm_for(b"AAAAAAAA");
+        let huge = encode_str(&vec![b'W'; band::MAX_RETAIN + 4096]);
+        score_half(&HalfView::new(&pssm, &huge, 0, 0, true), &p);
+        assert!(band::retained_row_cells() > band::MAX_RETAIN);
+        score_half(&HalfView::new(&pssm, &huge[..64], 0, 0, true), &p);
+        assert!(band::retained_row_cells() <= band::MAX_RETAIN);
     }
 }

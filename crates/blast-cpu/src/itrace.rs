@@ -6,39 +6,35 @@
 //! per-cell buffer a GPU cannot afford per in-flight alignment. Following
 //! IMPACT's interval scheme, this module splits the recovery into:
 //!
-//! 1. a **forward score pass** identical to the gapped DP that stores a
-//!    *checkpoint* (the rolling D/F rows plus band bounds and the running
-//!    best) every `interval` rows — O(band × rows / interval) words; and
+//! 1. a **forward score pass** — the gapped DP itself, run with a sink
+//!    that stores a *checkpoint* (the rolling D/F rows over the live band
+//!    plus the band state) every `interval` rows — O(band × rows /
+//!    interval) words; and
 //! 2. a **multi-pass re-fill**: walking back from the best cell, each
 //!    interval of rows is recomputed from its checkpoint with direction
 //!    bytes recorded only for those rows — O(band × interval) bytes
 //!    resident at any time — and the backtrack consumes them before the
 //!    next interval down is re-filled.
 //!
-//! Both passes run the exact recurrence of [`crate::traceback::traceback`]
-//! (same tie-breaks, same x-drop acceptance, same running-best evolution),
-//! so the recovered alignment is bit-identical — an invariant the
-//! equivalence proptests pin down. The checkpoint and direction buffers are
-//! caller-provided ([`ItraceScratch`]) so `cublastp`'s device workspace can
-//! pool them; [`ItraceReport`] returns the work and peak-memory counters
-//! the simulated kernel charges and asserts its memory bound against.
+//! Both passes are the `band` module's row engine (started at row 0 with the
+//! checkpoint sink, then resumed from a checkpoint with the direction
+//! sink), so the recovered alignment is bit-identical to
+//! [`crate::traceback::traceback`] — an invariant the equivalence
+//! proptests pin down. Because the checkpointing pass *is* the score pass,
+//! [`gapped_phase_subject_traced`] runs each extension's forward DP once
+//! and traces the reportable ones back from the checkpoints it left. The
+//! checkpoint and direction buffers are caller-provided
+//! ([`ItraceScratch`]) so `cublastp`'s device workspace can pool them;
+//! [`ItraceReport`] returns the work and peak-memory counters the
+//! simulated kernel charges and asserts its memory bound against.
 
-use crate::gapped::{GappedExt, NEG_INF};
-use crate::report::{AlignOp, Alignment};
+use crate::band::{self, Frontier, HalfView, Outcome, Sink};
+use crate::gapped::{count_cells, gapped_phase_with, join_halves, GappedExt};
+use crate::report::Alignment;
+use crate::traceback::{assemble, backtrack, with_scratch, Dirs, TraceScratch};
+use crate::ungapped::UngappedExt;
 use bio_seq::alphabet::Residue;
 use blast_core::{Pssm, SearchParams};
-
-// Direction byte layout — identical to `crate::traceback`.
-const FROM_M: u8 = 0;
-const FROM_E: u8 = 1;
-const FROM_F: u8 = 2;
-const START: u8 = 3;
-const E_OPEN: u8 = 1 << 2;
-const F_OPEN: u8 = 1 << 3;
-
-/// Largest cell count a thread-local row buffer keeps after a call (same
-/// policy as the gapped phase's scratch).
-const MAX_RETAIN: usize = 64 * 1024;
 
 /// Caller-provided buffers: checkpoint words and the single resident
 /// interval of direction bytes. `cublastp::gapped_device` checks these out
@@ -46,7 +42,9 @@ const MAX_RETAIN: usize = 64 * 1024;
 #[derive(Default)]
 pub struct ItraceScratch {
     /// Checkpoint storage: per checkpoint a fixed header followed by the
-    /// D then F row values over the live band (see `CKPT_HEADER`).
+    /// D then F row values over the live band (see `CKPT_HEADER`). Both
+    /// halves of one extension are resident at once, the right half's
+    /// checkpoints first.
     pub ckpt: Vec<i32>,
     /// Direction bytes of the one resident interval.
     pub dirs: Vec<u8>,
@@ -105,434 +103,197 @@ pub fn default_interval(rows: usize) -> usize {
     (rows as f64).sqrt().ceil().clamp(1.0, 256.0) as usize
 }
 
-/// Words of fixed header per checkpoint: `[row, jmin, jmax, lo, len, best]`.
+/// Words of fixed header per checkpoint: `[row, jmin, jmax, prev, len,
+/// best]` — the [`Frontier`], the stored band's length, and the offset of
+/// the same half's previous checkpoint (the backtrack walks the chain
+/// downwards, so no separate index exists).
 const CKPT_HEADER: usize = 6;
 
-/// Thread-local working set: four rolling DP rows, the resident-interval
-/// band metadata, and the raw op accumulator. The large buffers (checkpoint
-/// words, direction bytes) are the caller's.
-struct LocalScratch {
-    rows: [Vec<i32>; 4],
-    band_rows: Vec<(u32, u32, u32)>, // (jlo, off, len) per resident row
-    ops: Vec<AlignOp>,
-}
-
-thread_local! {
-    static SCRATCH: std::cell::RefCell<LocalScratch> = const {
-        std::cell::RefCell::new(LocalScratch {
-            rows: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            band_rows: Vec::new(),
-            ops: Vec::new(),
-        })
-    };
-}
-
-/// Forward state at a checkpoint row, parsed back out of the flat buffer.
-struct Ckpt {
-    row: usize,
-    jmin: usize,
-    jmax: usize,
-    lo: usize,
-    len: usize,
-    best: i32,
-    values_at: usize,
-}
-
-/// Append a checkpoint for row `row` to `ckpt`. `d` / `f` are the rolling
-/// rows holding row `row`'s values; the stored band `[lo, lo+len)` covers
-/// every cell the next row reads (accepted band plus the one-cell cleared
-/// margin on each side).
-#[allow(clippy::too_many_arguments)]
-fn push_ckpt(
-    ckpt: &mut Vec<i32>,
-    index: &mut Vec<usize>,
-    row: usize,
-    jmin: usize,
-    jmax: usize,
-    s_len: usize,
-    best: i32,
-    d: &[i32],
-    f: &[i32],
-) {
-    let lo = jmin.saturating_sub(1);
-    let hi = (jmax + 1).min(s_len);
-    let len = hi - lo + 1;
-    index.push(ckpt.len());
-    ckpt.extend_from_slice(&[
-        row as i32,
-        jmin as i32,
-        jmax as i32,
-        lo as i32,
-        len as i32,
-        best,
-    ]);
-    ckpt.extend_from_slice(&d[lo..=hi]);
-    ckpt.extend_from_slice(&f[lo..=hi]);
-}
-
-fn read_ckpt(ckpt: &[i32], at: usize) -> Ckpt {
-    Ckpt {
-        row: ckpt[at] as usize,
-        jmin: ckpt[at + 1] as usize,
-        jmax: ckpt[at + 2] as usize,
-        lo: ckpt[at + 3] as usize,
-        len: ckpt[at + 4] as usize,
-        best: ckpt[at + 5],
-        values_at: at + CKPT_HEADER,
-    }
-}
-
-/// One directional half-alignment via checkpoint + interval re-fill.
-/// Appends ops to `scratch.ops` in raw backtrack order (outermost →
-/// anchor); returns `(score, q_offset, s_offset, ops_appended)` — exactly
-/// the contract of the full-matrix `half_align`.
-#[allow(clippy::too_many_arguments)]
-fn half_itrace(
-    local: &mut LocalScratch,
-    buffers: &mut ItraceScratch,
-    report: &mut ItraceReport,
-    q_len: usize,
-    s_len: usize,
-    score_at: &dyn Fn(usize, usize) -> i32,
-    params: &SearchParams,
+/// The checkpointing sink: every `interval`-th completed row (row 0
+/// included) is appended to `ckpt` over the band the next row reads.
+struct Checkpoints<'a> {
     interval: usize,
-) -> (i32, usize, usize, usize) {
-    if q_len == 0 || s_len == 0 {
-        return (0, 0, 0, 0);
-    }
-    let interval = interval.max(1);
-    let open = params.gap_open + params.gap_extend;
-    let ext = params.gap_extend;
-    let xdrop = params.xdrop_gapped;
-    let width = s_len + 1;
+    s_len: usize,
+    ckpt: &'a mut Vec<i32>,
+    /// Offset of the most recent checkpoint.
+    last: usize,
+}
 
-    for row in local.rows.iter_mut() {
-        if row.len() < width {
-            row.resize(width, NEG_INF);
-        } else if width <= MAX_RETAIN && row.len() > MAX_RETAIN {
-            row.truncate(MAX_RETAIN);
-            row.shrink_to(MAX_RETAIN);
+impl Sink for Checkpoints<'_> {
+    fn row_done(&mut self, at: &Frontier, d: &[i32], f: &[i32]) {
+        if at.row % self.interval != 0 {
+            return;
         }
+        let band = at.read_band(self.s_len);
+        let here = self.ckpt.len();
+        self.ckpt.extend_from_slice(&[
+            at.row as i32,
+            at.jmin as i32,
+            at.jmax as i32,
+            self.last as i32,
+            (band.end() - band.start() + 1) as i32,
+            at.best,
+        ]);
+        self.ckpt.extend_from_slice(&d[band.clone()]);
+        self.ckpt.extend_from_slice(&f[band]);
+        self.last = here;
     }
-    buffers.ckpt.clear();
-    let mut ckpt_index: Vec<usize> = Vec::new();
-    let [d_prev, f_prev, d_row, f_row] = &mut local.rows;
+}
 
-    // ---- Forward pass: score-only DP, checkpoints every `interval` rows.
-    let mut best = 0i32;
-    let mut best_cell = (0usize, 0usize);
+/// One half's forward pass: its outcome and where its checkpoint chain
+/// ends.
+#[derive(Default)]
+struct Forward {
+    out: Outcome,
+    last_ckpt: usize,
+}
 
-    d_prev[0] = 0;
-    let mut jmax = 0usize;
-    for (j, cell) in d_prev.iter_mut().enumerate().take(width).skip(1) {
-        let s = -(open + (j as i32 - 1) * ext);
-        if -s > xdrop {
-            break;
-        }
-        *cell = s;
-        jmax = j;
+/// Forward (checkpointing) pass of one half, appending to `ckpt` and
+/// accounting into `report`.
+fn forward(
+    view: &HalfView<'_>,
+    params: &SearchParams,
+    ckpt: &mut Vec<i32>,
+    report: &mut ItraceReport,
+) -> Forward {
+    if view.is_empty() {
+        return Forward::default();
     }
-    if jmax + 1 < width {
-        d_prev[jmax + 1] = NEG_INF;
-    }
-    f_prev[..=(jmax + 1).min(s_len)].fill(NEG_INF);
-    let mut jmin = 0usize;
-    report.rows += 1;
-    report.forward_cells += jmax as u64 + 1;
-    report.band_max = report.band_max.max(jmax as u64 + 1);
-    push_ckpt(
-        &mut buffers.ckpt,
-        &mut ckpt_index,
-        0,
-        jmin,
-        jmax,
-        s_len,
-        best,
-        d_prev,
-        f_prev,
-    );
+    let start = ckpt.len();
+    let mut sink = Checkpoints {
+        interval: report.interval as usize,
+        s_len: view.s_len,
+        ckpt,
+        last: start,
+    };
+    let out = band::run(view, params, None, usize::MAX, &mut sink);
+    let last_ckpt = sink.last;
+    report.forward_cells += out.cells;
+    report.rows += out.rows;
+    report.band_max = report.band_max.max(out.band_max);
+    report.checkpoint_words = report.checkpoint_words.max((ckpt.len() - start) as u64);
+    Forward { out, last_ckpt }
+}
 
-    for i in 1..=q_len {
-        let row_hi = (jmax + 1).min(s_len);
-        if jmin > row_hi {
-            break;
-        }
-        let clear_lo = jmin.saturating_sub(1);
-        let clear_hi = (row_hi + 1).min(width - 1);
-        d_row[clear_lo..=clear_hi].fill(NEG_INF);
-        f_row[clear_lo..=clear_hi].fill(NEG_INF);
-        report.rows += 1;
-        report.forward_cells += (row_hi - jmin + 1) as u64;
-        report.band_max = report.band_max.max((row_hi - jmin + 1) as u64);
-        let mut new_jmin = usize::MAX;
-        let mut new_jmax = 0usize;
-        let mut e = NEG_INF;
-        for j in jmin..=row_hi {
-            let f_open = if d_prev[j] > NEG_INF {
-                d_prev[j] - open
-            } else {
-                NEG_INF
-            };
-            let f_ext = if f_prev[j] > NEG_INF {
-                f_prev[j] - ext
-            } else {
-                NEG_INF
-            };
-            let f = f_open.max(f_ext);
-            f_row[j] = f;
-            e = if j > 0 {
-                let e_open = if d_row[j - 1] > NEG_INF {
-                    d_row[j - 1] - open
-                } else {
-                    NEG_INF
-                };
-                let e_ext = if e > NEG_INF { e - ext } else { NEG_INF };
-                e_open.max(e_ext)
-            } else {
-                NEG_INF
-            };
-            let m = if j >= 1 && d_prev[j - 1] > NEG_INF {
-                d_prev[j - 1] + score_at(i - 1, j - 1)
-            } else {
-                NEG_INF
-            };
-            let d = m.max(e).max(f);
-            if d > NEG_INF && best - d <= xdrop {
-                d_row[j] = d;
-                if d > best {
-                    best = d;
-                    best_cell = (i, j);
-                }
-                if j < new_jmin {
-                    new_jmin = j;
-                }
-                new_jmax = j;
+/// Backward pass of one half: walk back from its best cell, re-filling one
+/// interval of direction bytes at a time from the checkpoint chain ending
+/// at `fwd.last_ckpt`. Appends the raw ops to `scratch.ops`.
+fn backward(
+    view: &HalfView<'_>,
+    params: &SearchParams,
+    fwd: &Forward,
+    ckpt: &[i32],
+    dir_bytes: &mut Vec<u8>,
+    scratch: &mut TraceScratch,
+    report: &mut ItraceReport,
+) {
+    let mut dirs = Dirs::new(&mut scratch.rows, dir_bytes);
+    let mut at = fwd.last_ckpt;
+    backtrack(fwd.out.best_cell, &mut scratch.ops, |i, j| {
+        if !dirs.holds(i) {
+            // Re-fill rows (checkpoint row, i] from the last checkpoint
+            // strictly below `i`: a checkpoint row's own bytes belong to
+            // the interval below it (they were written while that row was
+            // computed). Row 0's checkpoint ends every chain.
+            while ckpt[at] as usize >= i {
+                at = ckpt[at + 3] as usize;
             }
-        }
-        if new_jmin == usize::MAX {
-            break;
-        }
-        jmin = new_jmin;
-        jmax = new_jmax;
-        std::mem::swap(d_prev, d_row);
-        std::mem::swap(f_prev, f_row);
-        if i % interval == 0 {
-            push_ckpt(
-                &mut buffers.ckpt,
-                &mut ckpt_index,
-                i,
-                jmin,
-                jmax,
-                s_len,
-                best,
-                d_prev,
-                f_prev,
-            );
-        }
-    }
-    report.checkpoint_words = report.checkpoint_words.max(buffers.ckpt.len() as u64);
-
-    // ---- Backward pass: re-fill one interval at a time and backtrack.
-    // `resident` = rows (r_base, r_hi] whose direction bytes are live in
-    // `buffers.dirs` / `local.band_rows`; row 0's bytes are synthesized.
-    let mut resident: Option<(usize, usize)> = None;
-
-    // Re-fill rows (ck.row, hi] from the last checkpoint at or below
-    // `hi - 1`... precisely: the largest checkpoint row strictly below
-    // `hi`, so the checkpoint row's own bytes stay with the interval
-    // *below* it (they were written while that row was computed).
-    macro_rules! refill {
-        ($hi:expr) => {{
-            let hi: usize = $hi;
-            let ci = match ckpt_index
-                .iter()
-                .rposition(|&at| read_ckpt(&buffers.ckpt, at).row < hi)
-            {
-                Some(p) => p,
-                // Unreachable: checkpoint 0 sits at row 0 < hi for hi >= 1.
-                None => 0,
+            let from = Frontier {
+                row: ckpt[at] as usize,
+                jmin: ckpt[at + 1] as usize,
+                jmax: ckpt[at + 2] as usize,
+                best: ckpt[at + 5],
             };
-            let ck = read_ckpt(&buffers.ckpt, ckpt_index[ci]);
+            let values = &ckpt[at + CKPT_HEADER..][..2 * ckpt[at + 4] as usize];
+            dirs.reset(from.row);
+            let out = band::run(view, params, Some((from, values)), i, &mut dirs);
+            debug_assert!(dirs.holds(i), "re-fill band died before the requested row");
             report.refill_passes += 1;
-            d_prev[..width].fill(NEG_INF);
-            f_prev[..width].fill(NEG_INF);
-            let vals = &buffers.ckpt[ck.values_at..ck.values_at + 2 * ck.len];
-            d_prev[ck.lo..ck.lo + ck.len].copy_from_slice(&vals[..ck.len]);
-            f_prev[ck.lo..ck.lo + ck.len].copy_from_slice(&vals[ck.len..]);
-            let mut rjmin = ck.jmin;
-            let mut rjmax = ck.jmax;
-            let mut rbest = ck.best;
-            buffers.dirs.clear();
-            local.band_rows.clear();
-            for i in ck.row + 1..=hi {
-                let row_hi = (rjmax + 1).min(s_len);
-                debug_assert!(rjmin <= row_hi, "re-fill ran past the live band");
-                let clear_lo = rjmin.saturating_sub(1);
-                let clear_hi = (row_hi + 1).min(width - 1);
-                d_row[clear_lo..=clear_hi].fill(NEG_INF);
-                f_row[clear_lo..=clear_hi].fill(NEG_INF);
-                report.refill_cells += (row_hi - rjmin + 1) as u64;
-                let off = buffers.dirs.len();
-                let len = row_hi - rjmin + 1;
-                buffers.dirs.resize(off + len, 0);
-                local.band_rows.push((rjmin as u32, off as u32, len as u32));
-                let band = &mut buffers.dirs[off..];
-                let mut new_jmin = usize::MAX;
-                let mut new_jmax = 0usize;
-                let mut e = NEG_INF;
-                let mut e_opened = false;
-                for j in rjmin..=row_hi {
-                    let f_open_score = if d_prev[j] > NEG_INF {
-                        d_prev[j] - open
-                    } else {
-                        NEG_INF
-                    };
-                    let f_ext_score = if f_prev[j] > NEG_INF {
-                        f_prev[j] - ext
-                    } else {
-                        NEG_INF
-                    };
-                    let (f, f_opened) = if f_open_score >= f_ext_score {
-                        (f_open_score, true)
-                    } else {
-                        (f_ext_score, false)
-                    };
-                    f_row[j] = f;
-                    if j > 0 {
-                        let e_open_score = if d_row[j - 1] > NEG_INF {
-                            d_row[j - 1] - open
-                        } else {
-                            NEG_INF
-                        };
-                        let e_ext_score = if e > NEG_INF { e - ext } else { NEG_INF };
-                        if e_open_score >= e_ext_score {
-                            e = e_open_score;
-                            e_opened = true;
-                        } else {
-                            e = e_ext_score;
-                            e_opened = false;
-                        }
-                    } else {
-                        e = NEG_INF;
-                    }
-                    let m = if j >= 1 && d_prev[j - 1] > NEG_INF {
-                        d_prev[j - 1] + score_at(i - 1, j - 1)
-                    } else {
-                        NEG_INF
-                    };
-                    let (d, from) = if m >= e && m >= f {
-                        (m, FROM_M)
-                    } else if e >= f {
-                        (e, FROM_E)
-                    } else {
-                        (f, FROM_F)
-                    };
-                    let mut byte = from;
-                    if e_opened {
-                        byte |= E_OPEN;
-                    }
-                    if f_opened {
-                        byte |= F_OPEN;
-                    }
-                    band[j - rjmin] = byte;
-                    if d > NEG_INF && rbest - d <= xdrop {
-                        d_row[j] = d;
-                        if d > rbest {
-                            rbest = d;
-                        }
-                        if j < new_jmin {
-                            new_jmin = j;
-                        }
-                        new_jmax = j;
-                    }
-                }
-                debug_assert!(
-                    new_jmin != usize::MAX || i == hi,
-                    "re-fill band died before the requested row"
-                );
-                if new_jmin != usize::MAX {
-                    rjmin = new_jmin;
-                    rjmax = new_jmax;
-                }
-                std::mem::swap(d_prev, d_row);
-                std::mem::swap(f_prev, f_row);
-            }
-            report.peak_dir_bytes = report.peak_dir_bytes.max(buffers.dirs.len() as u64);
+            report.refill_cells += out.cells;
+            report.peak_dir_bytes = report.peak_dir_bytes.max(dirs.resident_bytes() as u64);
             debug_assert!(
-                buffers.dirs.len() as u64 <= report.band_max * interval as u64,
+                dirs.resident_bytes() as u64 <= report.dir_budget(),
                 "resident direction bytes exceed the O(band x interval) budget"
             );
-            resident = Some((ck.row, hi));
-        }};
-    }
+        }
+        dirs.get(i, j)
+    });
+}
 
-    macro_rules! dir_at {
-        ($i:expr, $j:expr) => {{
-            let (i, j): (usize, usize) = ($i, $j);
-            if i == 0 {
-                if j == 0 {
-                    START
-                } else if j == 1 {
-                    FROM_E | E_OPEN
-                } else {
-                    FROM_E
-                }
-            } else {
-                let hit = matches!(resident, Some((base, hi)) if i > base && i <= hi);
-                if !hit {
-                    refill!(i);
-                }
-                let base = match resident {
-                    Some((base, _)) => base,
-                    None => 0,
-                };
-                let (jlo, off, _len) = local.band_rows[i - base - 1];
-                debug_assert!(
-                    j >= jlo as usize && j < (jlo + _len) as usize,
-                    "backtrack left the recorded band: row {i}, col {j}"
-                );
-                buffers.dirs[off as usize + (j - jlo as usize)]
-            }
-        }};
-    }
+/// One extension's interval traceback: the forward pass of both halves
+/// (checkpoints of both left resident in `buffers.ckpt`), then on demand
+/// the backward pass.
+struct Extension<'a> {
+    pssm: &'a Pssm,
+    subject: &'a [Residue],
+    params: &'a SearchParams,
+    halves: [HalfView<'a>; 2],
+    fwd: [Forward; 2],
+    report: ItraceReport,
+}
 
-    let before = local.ops.len();
-    let (mut i, mut j) = best_cell;
-    let mut state = dir_at!(i, j) & 0b11;
-    while (i, j) != (0, 0) {
-        match state {
-            FROM_M => {
-                local.ops.push(AlignOp::Sub);
-                i -= 1;
-                j -= 1;
-                state = dir_at!(i, j) & 0b11;
-            }
-            FROM_E => {
-                loop {
-                    local.ops.push(AlignOp::Ins);
-                    let opened = dir_at!(i, j) & E_OPEN != 0;
-                    j -= 1;
-                    if opened {
-                        break;
-                    }
-                }
-                state = dir_at!(i, j) & 0b11;
-            }
-            FROM_F => {
-                loop {
-                    local.ops.push(AlignOp::Del);
-                    let opened = dir_at!(i, j) & F_OPEN != 0;
-                    i -= 1;
-                    if opened {
-                        break;
-                    }
-                }
-                state = dir_at!(i, j) & 0b11;
-            }
-            _ => break, // START
+impl<'a> Extension<'a> {
+    /// Run the forward pass of the extension anchored at `(qs, ss)`,
+    /// right half first.
+    fn forward(
+        pssm: &'a Pssm,
+        subject: &'a [Residue],
+        (qs, ss): (usize, usize),
+        params: &'a SearchParams,
+        interval: usize,
+        buffers: &mut ItraceScratch,
+    ) -> Self {
+        let mut report = ItraceReport {
+            interval: interval.max(1) as u64,
+            ..ItraceReport::default()
+        };
+        buffers.ckpt.clear();
+        let halves = [true, false].map(|fwd| HalfView::new(pssm, subject, qs, ss, fwd));
+        let fwd = [0, 1].map(|h| forward(&halves[h], params, &mut buffers.ckpt, &mut report));
+        Self {
+            pssm,
+            subject,
+            params,
+            halves,
+            fwd,
+            report,
         }
     }
-    (best, best_cell.0, best_cell.1, local.ops.len() - before)
+
+    /// Walk both halves back and assemble `g`'s alignment.
+    fn trace(
+        mut self,
+        query: &[Residue],
+        g: &GappedExt,
+        buffers: &mut ItraceScratch,
+    ) -> (Alignment, ItraceReport) {
+        with_scratch(|scratch| {
+            let [right_ops, _] = [0, 1].map(|h| {
+                backward(
+                    &self.halves[h],
+                    self.params,
+                    &self.fwd[h],
+                    &buffers.ckpt,
+                    &mut buffers.dirs,
+                    scratch,
+                    &mut self.report,
+                );
+                scratch.ops.len()
+            });
+            let [right, left] = &self.fwd;
+            let alignment = assemble(
+                self.pssm,
+                query,
+                self.subject,
+                g,
+                &right.out,
+                &left.out,
+                &scratch.ops,
+                right_ops,
+            );
+            (alignment, self.report)
+        })
+    }
 }
 
 /// Recover the full alignment for a gapped extension using interval
@@ -547,101 +308,40 @@ pub fn traceback_interval(
     interval: usize,
     buffers: &mut ItraceScratch,
 ) -> (Alignment, ItraceReport) {
-    let qs = g.q_seed as usize;
-    let ss = g.s_seed as usize;
-    let qlen = pssm.query_len();
-    let slen = subject.len();
-    let anchor_score = pssm.score(qs, subject[ss]);
-    let mut report = ItraceReport {
-        interval: interval.max(1) as u64,
-        ..ItraceReport::default()
-    };
+    let anchor = (g.q_seed as usize, g.s_seed as usize);
+    Extension::forward(pssm, subject, anchor, params, interval, buffers).trace(query, g, buffers)
+}
 
-    SCRATCH.with(|cell| {
-        let local = &mut *cell.borrow_mut();
-        local.ops.clear();
-        if local.ops.capacity() > MAX_RETAIN {
-            local.ops.shrink_to(MAX_RETAIN);
-        }
-
-        let (right_score, rq, rs, right_len) = half_itrace(
-            local,
-            buffers,
-            &mut report,
-            qlen - qs - 1,
-            slen - ss - 1,
-            &|qi, sj| pssm.score(qs + 1 + qi, subject[ss + 1 + sj]),
-            params,
-            interval,
-        );
-        let (left_score, lq, ls, left_len) = half_itrace(
-            local,
-            buffers,
-            &mut report,
-            qs,
-            ss,
-            &|qi, sj| pssm.score(qs - 1 - qi, subject[ss - 1 - sj]),
-            params,
-            interval,
-        );
-
-        let raw = &local.ops;
-        let mut ops: Vec<AlignOp> = Vec::with_capacity(left_len + right_len + 1);
-        ops.extend_from_slice(&raw[right_len..right_len + left_len]);
-        ops.push(AlignOp::Sub);
-        ops.extend(raw[..right_len].iter().rev().copied());
-
-        let q_start = qs - lq;
-        let s_start = ss - ls;
-        let q_end = qs + 1 + rq;
-        let s_end = ss + 1 + rs;
-
-        let mut qi = q_start;
-        let mut si = s_start;
-        let mut identities = 0usize;
-        let mut positives = 0usize;
-        let mut gaps = 0usize;
-        for op in &ops {
-            match op {
-                AlignOp::Sub => {
-                    if query[qi] == subject[si] {
-                        identities += 1;
-                    }
-                    if pssm.score(qi, subject[si]) > 0 {
-                        positives += 1;
-                    }
-                    qi += 1;
-                    si += 1;
-                }
-                AlignOp::Ins => {
-                    si += 1;
-                    gaps += 1;
-                }
-                AlignOp::Del => {
-                    qi += 1;
-                    gaps += 1;
-                }
-            }
-        }
-        debug_assert_eq!(qi, q_end);
-        debug_assert_eq!(si, s_end);
-
-        (
-            Alignment {
-                seq_id: g.seq_id,
-                q_start: q_start as u32,
-                q_end: q_end as u32,
-                s_start: s_start as u32,
-                s_end: s_end as u32,
-                score: left_score + anchor_score + right_score,
-                ops,
-                identities: identities as u32,
-                positives: positives as u32,
-                gaps: gaps as u32,
-            },
-            report,
-        )
-    })
+/// [`crate::gapped::gapped_phase_subject`] with the interval traceback
+/// fused in: each extension's score pass *is* the checkpointing pass, and
+/// every extension scoring at least `report_cutoff` is traced back from
+/// the checkpoints it just left — one forward DP per extension instead of
+/// two. Returns the extensions in gapped-phase order and, parallel to
+/// them, the alignment and report of each reportable one (exactly what
+/// [`traceback_interval`] returns for it; `None` below the cutoff).
+#[allow(clippy::too_many_arguments)]
+pub fn gapped_phase_subject_traced(
+    pssm: &Pssm,
+    query: &[Residue],
+    subject: &[Residue],
+    ungapped: &[UngappedExt],
+    params: &SearchParams,
+    trigger: i32,
+    report_cutoff: i32,
+    interval: usize,
+    buffers: &mut ItraceScratch,
+) -> (Vec<GappedExt>, Vec<Option<(Alignment, ItraceReport)>>) {
+    let mut traced = Vec::new();
+    let gapped = gapped_phase_with(ungapped, trigger, |seed| {
+        let anchor = (seed.q_mid() as usize, seed.s_mid() as usize);
+        let ext = Extension::forward(pssm, subject, anchor, params, interval, buffers);
+        count_cells(ext.report.forward_cells);
+        let [right, left] = &ext.fwd;
+        let g = join_halves(pssm, subject, seed.seq_id, anchor, &right.out, &left.out);
+        traced.push((g.score >= report_cutoff).then(|| ext.trace(query, &g, buffers)));
+        g
+    });
+    (gapped, traced)
 }
 
 #[cfg(test)]

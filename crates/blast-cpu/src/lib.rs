@@ -20,6 +20,7 @@
 // `cargo clippy -- -D warnings` in CI enforces it outside test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod band;
 pub mod gapped;
 pub mod hit;
 pub mod itrace;

@@ -453,6 +453,51 @@ mod tests {
     }
 
     #[test]
+    fn only_the_score_pass_counts_dp_cells() {
+        // The `blast-cpu.dp_cells` metric and the `cpusimd` gate read the
+        // counter around `finish_subject`: traceback recomputes cells the
+        // score pass already counted and must not count them again.
+        let (engine, db) = small_workload();
+        let mut scratch = DiagonalScratch::new(engine.query.len() + db.max_length() + 1);
+        let mut stats = HitStats::default();
+        let mut report = SearchReport::default();
+        let (mut whole_tail, mut score_pass) = (0u64, 0u64);
+        for (idx, subject) in db.sequences().iter().enumerate() {
+            let mut ungapped = Vec::new();
+            crate::hit::scan_subject_mode(
+                &engine.dfa,
+                &engine.pssm,
+                subject.residues(),
+                idx as u32,
+                engine.params.two_hit,
+                engine.params.two_hit_window as i64,
+                engine.params.xdrop_ungapped,
+                &mut scratch,
+                &mut ungapped,
+                &mut stats,
+            );
+            let c0 = crate::gapped::dp_cells();
+            engine.finish_subject(idx, subject, &ungapped, &mut report, None);
+            let c1 = crate::gapped::dp_cells();
+            gapped_phase_subject(
+                &engine.pssm,
+                subject.residues(),
+                &ungapped,
+                &engine.params,
+                engine.cutoffs.gapped_trigger,
+            );
+            whole_tail += c1 - c0;
+            score_pass += crate::gapped::dp_cells() - c1;
+        }
+        assert!(
+            !report.hits.is_empty(),
+            "the tail must have traced something"
+        );
+        assert!(score_pass > 0);
+        assert_eq!(whole_tail, score_pass);
+    }
+
+    #[test]
     fn empty_database_yields_empty_report() {
         let query = make_query(64);
         let db = SequenceDb::new("empty", vec![]);

@@ -15,11 +15,12 @@
 //! (`if x > NEG_INF { x - cost } else { NEG_INF }`) lane-wise with
 //! compare + subtract + blend, and by keeping every order-dependent
 //! decision (x-drop acceptance, running best, band endpoints, the serial
-//! E state) in a scalar correction pass over the vector pass's output.
+//! E state and the direction bits that depend on it) in a scalar
+//! correction pass over the vector pass's output.
 //! See DESIGN.md §3.5 for the lane layout and the garbage-lane
 //! containment argument.
 
-use crate::gapped::NEG_INF;
+use crate::band::{FROM_F, F_OPEN, NEG_INF};
 use bio_seq::alphabet::Residue;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -188,12 +189,15 @@ pub(crate) fn widen_col(col: &[i16], out: &mut [i32; 32]) {
 // Gapped DP row pass
 // ---------------------------------------------------------------------------
 
-/// One banded DP row for the vector pass of `gapped::half_extend`: for
-/// every column `j` in `j0..=j1` (processed in whole vector chunks, so
-/// writes run past `j1` into the padding) compute
+/// One banded DP row for the lane pass of the vector body in
+/// [`crate::band`]: for every column `j` in `j0..=j1` (processed in whole
+/// vector chunks, so writes run past `j1` into the padding) compute
 ///
 /// * `f_row[j] = max(guard(d_prev[j]) - open, guard(f_prev[j]) - ext)`
 /// * `d_row[j] = max(guard(d_prev[j-1]) + score(sub[j-1]), f_row[j])`
+/// * with `DIRS`, `dirs[j-j0]` = `F_OPEN` if the first operand of F's max
+///   is ≥ the second, `| FROM_F` if F beat M strictly — the two direction
+///   bits that do not depend on the row's serial E state
 ///
 /// where `guard(x)` maps dead cells (`x <= NEG_INF`) to `NEG_INF`,
 /// exactly mirroring the scalar guard idiom. The serial E state, x-drop
@@ -214,6 +218,9 @@ pub(crate) struct GappedRow<'a> {
     /// Subject residues in band coordinates: `sub[j-1]` pairs with
     /// column `j`.
     pub sub: &'a [Residue],
+    /// Direction bytes of columns `j0..` (through the padding); unused
+    /// without `DIRS`.
+    pub dirs: &'a mut [u8],
     /// First column of the vector pass (≥ 1; column 0 has no diagonal
     /// and is handled by the correction pass).
     pub j0: usize,
@@ -228,7 +235,7 @@ pub(crate) struct GappedRow<'a> {
 impl GappedRow<'_> {
     /// Dispatch to the widest kernel `level` allows. Bounds are checked
     /// here once per row; the unsafe kernels rely on them.
-    pub(crate) fn run(self, level: IsaLevel) -> usize {
+    pub(crate) fn run<const DIRS: bool>(self, level: IsaLevel) -> usize {
         assert!(self.j0 >= 1 && self.j0 <= self.j1, "empty or invalid band");
         let need = self.j1 + LANE_PAD;
         assert!(
@@ -242,32 +249,39 @@ impl GappedRow<'_> {
             self.sub.len() + 1 >= need,
             "subject view must cover the band"
         );
+        assert!(
+            !DIRS || self.dirs.len() + self.j0 >= need,
+            "direction row must cover the padded band"
+        );
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         {
             debug_assert!(level <= detected_level());
             match level {
                 // SAFETY: the dispatcher clamps `level` to the detected
                 // CPU capability, and the asserts above bound every
-                // unaligned load/store to the padded buffers. Gather
+                // unaligned load/store to the padded buffers (with `DIRS`,
+                // the direction row included). Gather
                 // indices are masked to 0..32, inside `col`.
-                IsaLevel::Avx2 => return unsafe { x86::gapped_row_avx2(self) },
-                IsaLevel::Sse41 => return unsafe { x86::gapped_row_sse41(self) },
+                IsaLevel::Avx2 => return unsafe { x86::gapped_row_avx2::<DIRS>(self) },
+                IsaLevel::Sse41 => return unsafe { x86::gapped_row_sse41::<DIRS>(self) },
                 IsaLevel::Scalar => {}
             }
         }
         let _ = level;
-        self.run_generic()
+        self.run_generic::<DIRS>()
     }
 
     /// Portable implementation of the same pass (non-x86 fallback and
     /// the reference the kernel unit tests compare against). Chunks by
     /// [`LANE_PAD`] so the write extent matches the widest kernel.
-    pub(crate) fn run_generic(self) -> usize {
+    pub(crate) fn run_generic<const DIRS: bool>(self) -> usize {
         let guard = |x: i32, cost: i32| if x > NEG_INF { x - cost } else { NEG_INF };
         let mut j = self.j0;
         while j <= self.j1 {
             for lane in j..j + LANE_PAD {
-                let f = guard(self.d_prev[lane], self.open).max(guard(self.f_prev[lane], self.ext));
+                let f_open = guard(self.d_prev[lane], self.open);
+                let f_ext = guard(self.f_prev[lane], self.ext);
+                let f = f_open.max(f_ext);
                 self.f_row[lane] = f;
                 let dpl = self.d_prev[lane - 1];
                 let m = if dpl > NEG_INF {
@@ -276,6 +290,10 @@ impl GappedRow<'_> {
                     NEG_INF
                 };
                 self.d_row[lane] = m.max(f);
+                if DIRS {
+                    self.dirs[lane - self.j0] =
+                        if f_open >= f_ext { F_OPEN } else { 0 } | if f > m { FROM_F } else { 0 };
+                }
             }
             j += LANE_PAD;
         }
@@ -369,7 +387,7 @@ pub(crate) fn diag_chunk_generic(scores: &[i32], running: i32, best: i32, xdrop:
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 mod x86 {
-    use super::{DiagChunk, GappedRow, NEG_INF};
+    use super::{DiagChunk, GappedRow, FROM_F, F_OPEN, NEG_INF};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -381,11 +399,13 @@ mod x86 {
     /// Caller must ensure AVX2 is available and the buffer bounds checked
     /// in [`GappedRow::run`] hold.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gapped_row_avx2(row: GappedRow<'_>) -> usize {
+    pub(super) unsafe fn gapped_row_avx2<const DIRS: bool>(row: GappedRow<'_>) -> usize {
         let neg = _mm256_set1_epi32(NEG_INF);
         let open = _mm256_set1_epi32(row.open);
         let ext = _mm256_set1_epi32(row.ext);
         let idx_mask = _mm256_set1_epi32(31);
+        let f_open_bit = _mm256_set1_epi32(F_OPEN as i32);
+        let from_f_bit = _mm256_set1_epi32(FROM_F as i32);
         let col = row.col.as_ptr();
         let mut j = row.j0;
         while j <= row.j1 {
@@ -408,6 +428,20 @@ mod x86 {
                 _mm256_blendv_epi8(neg, _mm256_add_epi32(dpl, sc), _mm256_cmpgt_epi32(dpl, neg));
             let d0 = _mm256_max_epi32(m, f);
             _mm256_storeu_si256(row.d_row.as_mut_ptr().add(j) as *mut __m256i, d0);
+            if DIRS {
+                // F_OPEN where !(f_ext > f_open), FROM_F where f > m; the
+                // 8 small lane values narrow to 8 bytes in column order.
+                let bits = _mm256_or_si256(
+                    _mm256_andnot_si256(_mm256_cmpgt_epi32(f_ext, f_open), f_open_bit),
+                    _mm256_and_si256(_mm256_cmpgt_epi32(f, m), from_f_bit),
+                );
+                let p16 = _mm_packs_epi32(
+                    _mm256_castsi256_si128(bits),
+                    _mm256_extracti128_si256::<1>(bits),
+                );
+                let p8 = _mm_packus_epi16(p16, p16);
+                _mm_storel_epi64(row.dirs.as_mut_ptr().add(j - row.j0) as *mut __m128i, p8);
+            }
             j += 8;
         }
         j
@@ -419,10 +453,12 @@ mod x86 {
     /// Caller must ensure SSE4.1 is available and the buffer bounds
     /// checked in [`GappedRow::run`] hold.
     #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn gapped_row_sse41(row: GappedRow<'_>) -> usize {
+    pub(super) unsafe fn gapped_row_sse41<const DIRS: bool>(row: GappedRow<'_>) -> usize {
         let neg = _mm_set1_epi32(NEG_INF);
         let open = _mm_set1_epi32(row.open);
         let ext = _mm_set1_epi32(row.ext);
+        let f_open_bit = _mm_set1_epi32(F_OPEN as i32);
+        let from_f_bit = _mm_set1_epi32(FROM_F as i32);
         let mut j = row.j0;
         while j <= row.j1 {
             let dp = _mm_loadu_si128(row.d_prev.as_ptr().add(j) as *const __m128i);
@@ -443,6 +479,15 @@ mod x86 {
             let m = _mm_blendv_epi8(neg, _mm_add_epi32(dpl, sc), _mm_cmpgt_epi32(dpl, neg));
             let d0 = _mm_max_epi32(m, f);
             _mm_storeu_si128(row.d_row.as_mut_ptr().add(j) as *mut __m128i, d0);
+            if DIRS {
+                let bits = _mm_or_si128(
+                    _mm_andnot_si128(_mm_cmpgt_epi32(f_ext, f_open), f_open_bit),
+                    _mm_and_si128(_mm_cmpgt_epi32(f, m), from_f_bit),
+                );
+                let p16 = _mm_packs_epi32(bits, bits);
+                let p8 = _mm_cvtsi128_si32(_mm_packus_epi16(p16, p16));
+                (row.dirs.as_mut_ptr().add(j - row.j0) as *mut i32).write_unaligned(p8);
+            }
             j += 4;
         }
         j
@@ -686,42 +731,36 @@ mod tests {
                 let j1 = j0 + (rng.next() as usize % (width - j0 + 1)).min(width - j0);
                 let (open, ext) = (12, 1);
 
-                let mut d_a = vec![0i32; n + LANE_PAD];
-                let mut f_a = vec![0i32; n + LANE_PAD];
-                let wrote_a = GappedRow {
-                    d_prev: &d_prev,
-                    f_prev: &f_prev,
-                    d_row: &mut d_a,
-                    f_row: &mut f_a,
-                    col: &col,
-                    sub: &sub,
-                    j0,
-                    j1,
-                    open,
-                    ext,
-                }
-                .run(level);
-                let mut d_b = vec![0i32; n + LANE_PAD];
-                let mut f_b = vec![0i32; n + LANE_PAD];
-                let wrote_b = GappedRow {
-                    d_prev: &d_prev,
-                    f_prev: &f_prev,
-                    d_row: &mut d_b,
-                    f_row: &mut f_b,
-                    col: &col,
-                    sub: &sub,
-                    j0,
-                    j1,
-                    open,
-                    ext,
-                }
-                .run_generic();
-                // Compare only the contracted range [j0, j1]; lanes past
-                // j1 are padding both variants may fill differently
-                // (different chunk widths) and the caller re-clears.
-                assert_eq!(d_a[j0..=j1], d_b[j0..=j1], "{level:?} case {case} D");
-                assert_eq!(f_a[j0..=j1], f_b[j0..=j1], "{level:?} case {case} F");
-                assert!(wrote_a > j1 && wrote_b > j1);
+                let run = |generic: bool| {
+                    let mut d = vec![0i32; n + LANE_PAD];
+                    let mut f = vec![0i32; n + LANE_PAD];
+                    let mut dirs = vec![0u8; n + LANE_PAD];
+                    let row = GappedRow {
+                        d_prev: &d_prev,
+                        f_prev: &f_prev,
+                        d_row: &mut d,
+                        f_row: &mut f,
+                        col: &col,
+                        sub: &sub,
+                        dirs: &mut dirs,
+                        j0,
+                        j1,
+                        open,
+                        ext,
+                    };
+                    let wrote = if generic {
+                        row.run_generic::<true>()
+                    } else {
+                        row.run::<true>(level)
+                    };
+                    assert!(wrote > j1);
+                    // Only the contracted range [j0, j1] is compared; lanes
+                    // past j1 are padding both variants may fill differently
+                    // (different chunk widths) and the caller re-clears.
+                    dirs.truncate(j1 - j0 + 1);
+                    (d[j0..=j1].to_vec(), f[j0..=j1].to_vec(), dirs)
+                };
+                assert_eq!(run(false), run(true), "{level:?} case {case} (D, F, dirs)");
             }
         }
     }

@@ -6,69 +6,85 @@
 //! gapped phase, cuBLASTP keeps this on the multicore CPU (§3.6); the same
 //! entry point is called from the threaded pipeline.
 //!
-//! The DP state (four rolling rows), the direction storage and the op
-//! accumulator all live in a thread-local `TraceScratch` mirroring the
-//! gapped phase's `DpScratch`, so the steady-state CPU stage performs no
+//! The DP is the `band` module's row engine with the `Dirs` sink: one
+//! direction byte per *band* cell, not per matrix cell, which keeps
+//! traceback memory proportional to the x-drop band like the score-only
+//! pass. The direction storage and the op accumulator live in a
+//! thread-local `TraceScratch`, so the steady-state CPU stage performs no
 //! per-call allocation beyond the returned [`Alignment`]'s own op vector
-//! (sized exactly once). Directions are stored band-limited — one byte per
-//! *band* cell, not per matrix cell — which keeps traceback memory
-//! proportional to the x-drop band like the score-only pass.
+//! (sized exactly once). The backtrack walker and the op → [`Alignment`]
+//! assembly here also serve [`crate::itrace`].
 
-use crate::gapped::{GappedExt, NEG_INF};
+use crate::band::{
+    self, HalfView, Outcome, Sink, E_OPEN, FROM_E, FROM_F, FROM_M, F_OPEN, MAX_RETAIN, START,
+};
+use crate::gapped::GappedExt;
 use crate::report::{AlignOp, Alignment};
+use crate::simd::LANE_PAD;
 use bio_seq::alphabet::Residue;
 use blast_core::{Pssm, SearchParams};
+use std::cell::RefCell;
 
-// Direction byte layout: bits 0–1 = source state of D (0 = diagonal M,
-// 1 = horizontal gap E, 2 = vertical gap F, 3 = start cell), bit 2 = E
-// opened here (vs extended), bit 3 = F opened here.
-const FROM_M: u8 = 0;
-const FROM_E: u8 = 1;
-const FROM_F: u8 = 2;
-const START: u8 = 3;
-const E_OPEN: u8 = 1 << 2;
-const F_OPEN: u8 = 1 << 3;
-
-/// Largest cell count a thread-local row buffer keeps after a call (same
-/// policy as the gapped phase's scratch).
-const MAX_RETAIN: usize = 64 * 1024;
 /// Retention cap for the direction byte arena.
 const BYTES_RETAIN: usize = 1 << 20;
 
-/// Band-limited direction storage: row `i` records one byte per band cell
-/// `[jlo, jlo+len)`. The backtrack only ever visits cells whose DP value
-/// was live, and every live cell's sources lie inside the previous rows'
-/// recorded bands, so out-of-band reads cannot occur (debug-asserted).
-#[derive(Default)]
-struct DirBand {
-    rows: Vec<BandRow>,
-    bytes: Vec<u8>,
-}
-
-struct BandRow {
+/// One stored direction row: columns `[jlo, jlo + len)` at `bytes[off..]`.
+pub(crate) struct BandRow {
     jlo: usize,
     off: usize,
     len: usize,
 }
 
-impl DirBand {
-    fn clear(&mut self) {
+/// Band-limited direction storage for rows `base + 1 ..` of one run, rows
+/// packed back to back in `bytes` (row 0 is a pure leading gap and is
+/// synthesized). The backtrack only ever visits cells whose DP value was
+/// live, and every live cell's sources lie inside the previous rows'
+/// recorded bands, so out-of-band reads cannot occur (debug-asserted).
+pub(crate) struct Dirs<'a> {
+    base: usize,
+    rows: &'a mut Vec<BandRow>,
+    bytes: &'a mut Vec<u8>,
+}
+
+impl<'a> Dirs<'a> {
+    /// Empty storage over the given buffers.
+    pub(crate) fn new(rows: &'a mut Vec<BandRow>, bytes: &'a mut Vec<u8>) -> Self {
+        let mut dirs = Self {
+            base: 0,
+            rows,
+            bytes,
+        };
+        dirs.reset(0);
+        dirs
+    }
+
+    /// Drop every stored row; the next run starts after row `base`.
+    pub(crate) fn reset(&mut self, base: usize) {
+        self.base = base;
         self.rows.clear();
         self.bytes.clear();
     }
 
-    /// Append storage for row `row` covering columns `[jlo, jlo+len)` and
-    /// return it zeroed for writing. Rows must be pushed in order.
-    fn push_row(&mut self, row: usize, jlo: usize, len: usize) -> &mut [u8] {
-        debug_assert_eq!(self.rows.len(), row, "direction rows must be contiguous");
-        let off = self.bytes.len();
-        self.rows.push(BandRow { jlo, off, len });
-        self.bytes.resize(off + len, 0);
-        &mut self.bytes[off..]
+    /// Whether row `i`'s bytes are stored (or synthesized).
+    pub(crate) fn holds(&self, i: usize) -> bool {
+        i == 0 || (i > self.base && i <= self.base + self.rows.len())
     }
 
-    fn get(&self, i: usize, j: usize) -> u8 {
-        let r = &self.rows[i];
+    /// Direction bytes stored, not counting the vector body's overshoot
+    /// pad after the last row.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.bytes.len().saturating_sub(LANE_PAD)
+    }
+
+    pub(crate) fn get(&self, i: usize, j: usize) -> u8 {
+        if i == 0 {
+            return match j {
+                0 => START,
+                1 => FROM_E | E_OPEN,
+                _ => FROM_E,
+            };
+        }
+        let r = &self.rows[i - self.base - 1];
         debug_assert!(
             j >= r.jlo && j < r.jlo + r.len,
             "backtrack left the recorded band: row {i}, col {j}, band [{}, {})",
@@ -79,236 +95,192 @@ impl DirBand {
     }
 }
 
-/// Thread-local working set for [`traceback`].
-struct TraceScratch {
-    rows: [Vec<i32>; 4],
-    dirs: DirBand,
-    /// Raw backtrack ops: the right half's ops first, then the left
-    /// half's; [`traceback`] assembles the final vector from both runs.
-    ops: Vec<AlignOp>,
+impl Sink for Dirs<'_> {
+    const DIRS: bool = true;
+
+    fn dir_row(&mut self, i: usize, jlo: usize, len: usize) -> &mut [u8] {
+        debug_assert_eq!(
+            i,
+            self.base + self.rows.len() + 1,
+            "rows must be contiguous"
+        );
+        // The next row starts where this one's logical bytes end: the
+        // overshoot pad is rewritten by whichever row comes next.
+        let off = self.resident_bytes();
+        self.rows.push(BandRow { jlo, off, len });
+        self.bytes.resize(off + len + LANE_PAD, 0);
+        &mut self.bytes[off..]
+    }
+}
+
+/// Thread-local working set of [`traceback`] and
+/// [`crate::itrace::traceback_interval`] (which brings its own `bytes`).
+pub(crate) struct TraceScratch {
+    pub rows: Vec<BandRow>,
+    pub bytes: Vec<u8>,
+    /// Raw backtrack ops: the right half's first, then the left half's;
+    /// [`assemble`] builds the final vector from both runs.
+    pub ops: Vec<AlignOp>,
 }
 
 thread_local! {
-    static SCRATCH: std::cell::RefCell<TraceScratch> = const {
-        std::cell::RefCell::new(TraceScratch {
-            rows: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            dirs: DirBand {
-                rows: Vec::new(),
-                bytes: Vec::new(),
-            },
+    static SCRATCH: RefCell<TraceScratch> = const {
+        RefCell::new(TraceScratch {
+            rows: Vec::new(),
+            bytes: Vec::new(),
             ops: Vec::new(),
         })
     };
 }
 
-/// One directional half-alignment: same banded x-drop DP as
-/// [`crate::gapped`], plus band-limited per-cell directions and a
-/// backtrack. Ops are appended to `scratch.ops` in raw backtrack order
-/// (outermost cell → anchor); returns `(score, q_offset, s_offset,
-/// ops_appended)`.
-fn half_align(
-    scratch: &mut TraceScratch,
-    q_len: usize,
-    s_len: usize,
-    score_at: impl Fn(usize, usize) -> i32,
-    params: &SearchParams,
-) -> (i32, usize, usize, usize) {
-    if q_len == 0 || s_len == 0 {
-        // Degenerate: no room to extend in one dimension. An x-drop
-        // half-extension never ends in a dangling gap (gaps only lose
-        // score), so the empty alignment is correct — and reaches here
-        // without touching the DP buffers at all.
-        return (0, 0, 0, 0);
-    }
-    let open = params.gap_open + params.gap_extend;
-    let ext = params.gap_extend;
-    let xdrop = params.xdrop_gapped;
-
-    let width = s_len + 1;
-    let TraceScratch { rows, dirs, ops } = scratch;
-    for row in rows.iter_mut() {
-        if row.len() < width {
-            row.resize(width, NEG_INF);
-        } else if width <= MAX_RETAIN && row.len() > MAX_RETAIN {
-            row.truncate(MAX_RETAIN);
-            row.shrink_to(MAX_RETAIN);
+/// Run `f` on this thread's scratch with `ops` emptied and every buffer
+/// shrunk back under its retention cap.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TraceScratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        scratch.ops.clear();
+        if scratch.ops.capacity() > MAX_RETAIN {
+            scratch.ops.shrink_to(MAX_RETAIN);
         }
-    }
-    dirs.clear();
-    if dirs.bytes.capacity() > BYTES_RETAIN {
-        dirs.bytes.shrink_to(BYTES_RETAIN);
-    }
-    if dirs.rows.capacity() > MAX_RETAIN {
-        dirs.rows.shrink_to(MAX_RETAIN);
-    }
-    let [d_prev, f_prev, d_row, f_row] = rows;
-
-    let mut best = 0i32;
-    let mut best_cell = (0usize, 0usize);
-
-    // Row 0: leading gap in the query dimension.
-    d_prev[0] = 0;
-    let mut jmax = 0usize;
-    for (j, cell) in d_prev.iter_mut().enumerate().take(width).skip(1) {
-        let s = -(open + (j as i32 - 1) * ext);
-        if -s > xdrop {
-            break;
+        if scratch.rows.capacity() > MAX_RETAIN {
+            scratch.rows.clear();
+            scratch.rows.shrink_to(MAX_RETAIN);
         }
-        *cell = s;
-        jmax = j;
-    }
-    let row0 = dirs.push_row(0, 0, jmax + 1);
-    row0[0] = START;
-    for (j, byte) in row0.iter_mut().enumerate().skip(1) {
-        *byte = FROM_E | if j == 1 { E_OPEN } else { 0 };
-    }
-    // The buffers are not pre-cleared: make exactly the cells row 1 reads
-    // beyond row 0's writes look unreachable. When row 0 spans the whole
-    // width there is no cell past its last write.
-    if jmax + 1 < width {
-        d_prev[jmax + 1] = NEG_INF;
-    }
-    f_prev[..=(jmax + 1).min(s_len)].fill(NEG_INF);
-    let mut jmin = 0usize;
-
-    for i in 1..=q_len {
-        let row_hi = (jmax + 1).min(s_len);
-        if jmin > row_hi {
-            break;
+        if scratch.bytes.capacity() > BYTES_RETAIN {
+            scratch.bytes.clear();
+            scratch.bytes.shrink_to(BYTES_RETAIN);
         }
-        // Clear the band plus a one-cell margin on each side (the same
-        // cleared-or-written protocol as the score-only pass).
-        let clear_lo = jmin.saturating_sub(1);
-        let clear_hi = (row_hi + 1).min(width - 1);
-        d_row[clear_lo..=clear_hi].fill(NEG_INF);
-        f_row[clear_lo..=clear_hi].fill(NEG_INF);
-        let band = dirs.push_row(i, jmin, row_hi - jmin + 1);
-        let mut new_jmin = usize::MAX;
-        let mut new_jmax = 0usize;
-        let mut e = NEG_INF;
-        let mut e_opened = false;
-        for j in jmin..=row_hi {
-            let f_open_score = if d_prev[j] > NEG_INF {
-                d_prev[j] - open
-            } else {
-                NEG_INF
-            };
-            let f_ext_score = if f_prev[j] > NEG_INF {
-                f_prev[j] - ext
-            } else {
-                NEG_INF
-            };
-            let (f, f_opened) = if f_open_score >= f_ext_score {
-                (f_open_score, true)
-            } else {
-                (f_ext_score, false)
-            };
-            f_row[j] = f;
+        f(scratch)
+    })
+}
 
-            if j > 0 {
-                let e_open_score = if d_row[j - 1] > NEG_INF {
-                    d_row[j - 1] - open
-                } else {
-                    NEG_INF
-                };
-                let e_ext_score = if e > NEG_INF { e - ext } else { NEG_INF };
-                if e_open_score >= e_ext_score {
-                    e = e_open_score;
-                    e_opened = true;
-                } else {
-                    e = e_ext_score;
-                    e_opened = false;
-                }
-            } else {
-                e = NEG_INF;
-            }
-
-            let m = if j >= 1 && d_prev[j - 1] > NEG_INF {
-                d_prev[j - 1] + score_at(i - 1, j - 1)
-            } else {
-                NEG_INF
-            };
-
-            // Prefer the diagonal on ties so alignments favour substitutions
-            // over gaps — the convention BLAST output uses.
-            let (d, from) = if m >= e && m >= f {
-                (m, FROM_M)
-            } else if e >= f {
-                (e, FROM_E)
-            } else {
-                (f, FROM_F)
-            };
-
-            let mut byte = from;
-            if e_opened {
-                byte |= E_OPEN;
-            }
-            if f_opened {
-                byte |= F_OPEN;
-            }
-            band[j - jmin] = byte;
-
-            if d > NEG_INF && best - d <= xdrop {
-                d_row[j] = d;
-                if d > best {
-                    best = d;
-                    best_cell = (i, j);
-                }
-                if j < new_jmin {
-                    new_jmin = j;
-                }
-                new_jmax = j;
-            }
-        }
-        if new_jmin == usize::MAX {
-            break;
-        }
-        jmin = new_jmin;
-        jmax = new_jmax;
-        std::mem::swap(d_prev, d_row);
-        std::mem::swap(f_prev, f_row);
-    }
-
-    // Backtrack from the best cell, appending ops in raw order (from the
-    // outermost cell toward the anchor).
-    let before = ops.len();
-    let (mut i, mut j) = best_cell;
-    let mut state = dirs.get(i, j) & 0b11;
+/// Walk back from `cell` to the origin of a half-extension, appending ops
+/// in raw order (outermost cell → anchor). `dir_at` yields a visited
+/// cell's direction byte.
+pub(crate) fn backtrack(
+    cell: (usize, usize),
+    ops: &mut Vec<AlignOp>,
+    mut dir_at: impl FnMut(usize, usize) -> u8,
+) {
+    let (mut i, mut j) = cell;
+    let mut state = dir_at(i, j) & 0b11;
     while (i, j) != (0, 0) {
         match state {
             FROM_M => {
                 ops.push(AlignOp::Sub);
                 i -= 1;
                 j -= 1;
-                state = dirs.get(i, j) & 0b11;
             }
             FROM_E => {
                 // Horizontal gap run: consume subject residues.
                 loop {
                     ops.push(AlignOp::Ins);
-                    let opened = dirs.get(i, j) & E_OPEN != 0;
+                    let opened = dir_at(i, j) & E_OPEN != 0;
                     j -= 1;
                     if opened {
                         break;
                     }
                 }
-                state = dirs.get(i, j) & 0b11;
             }
-            FROM_F => {
-                loop {
-                    ops.push(AlignOp::Del);
-                    let opened = dirs.get(i, j) & F_OPEN != 0;
-                    i -= 1;
-                    if opened {
-                        break;
-                    }
+            FROM_F => loop {
+                ops.push(AlignOp::Del);
+                let opened = dir_at(i, j) & F_OPEN != 0;
+                i -= 1;
+                if opened {
+                    break;
                 }
-                state = dirs.get(i, j) & 0b11;
-            }
+            },
             _ => break, // START
         }
+        state = dir_at(i, j) & 0b11;
     }
-    (best, best_cell.0, best_cell.1, ops.len() - before)
+}
+
+/// Build the owned [`Alignment`] of the extension anchored at `(qs, ss)`
+/// from its two half walks: `raw` holds the right half's ops
+/// (`raw[..right_ops]`) then the left half's, each in backtrack order.
+/// Identity / positive / gap counts come straight from the operations.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble(
+    pssm: &Pssm,
+    query: &[Residue],
+    subject: &[Residue],
+    g: &GappedExt,
+    right: &Outcome,
+    left: &Outcome,
+    raw: &[AlignOp],
+    right_ops: usize,
+) -> Alignment {
+    let (qs, ss) = (g.q_seed as usize, g.s_seed as usize);
+    // Raw backtrack order is outermost → anchor. For the left half
+    // (computed on reversed sequences) that already reads left-to-right
+    // in true coordinates; the right half needs reversing. One exact
+    // allocation assembles the owned op vector.
+    let mut ops: Vec<AlignOp> = Vec::with_capacity(raw.len() + 1);
+    ops.extend_from_slice(&raw[right_ops..]);
+    ops.push(AlignOp::Sub); // the anchor pair
+    ops.extend(raw[..right_ops].iter().rev().copied());
+
+    let q_start = qs - left.best_cell.0;
+    let s_start = ss - left.best_cell.1;
+    let q_end = qs + 1 + right.best_cell.0;
+    let s_end = ss + 1 + right.best_cell.1;
+
+    let mut qi = q_start;
+    let mut si = s_start;
+    let mut identities = 0u32;
+    let mut positives = 0u32;
+    let mut gaps = 0u32;
+    for op in &ops {
+        match op {
+            AlignOp::Sub => {
+                identities += u32::from(query[qi] == subject[si]);
+                positives += u32::from(pssm.score(qi, subject[si]) > 0);
+                qi += 1;
+                si += 1;
+            }
+            AlignOp::Ins => {
+                si += 1;
+                gaps += 1;
+            }
+            AlignOp::Del => {
+                qi += 1;
+                gaps += 1;
+            }
+        }
+    }
+    debug_assert_eq!(qi, q_end);
+    debug_assert_eq!(si, s_end);
+
+    Alignment {
+        seq_id: g.seq_id,
+        q_start: q_start as u32,
+        q_end: q_end as u32,
+        s_start: s_start as u32,
+        s_end: s_end as u32,
+        score: left.best + pssm.score(qs, subject[ss]) + right.best,
+        ops,
+        identities,
+        positives,
+        gaps,
+    }
+}
+
+/// One half of [`traceback`]: the DP through row `stop` with directions,
+/// then the walk back from its best cell.
+fn trace_half(
+    view: &HalfView<'_>,
+    params: &SearchParams,
+    stop: usize,
+    scratch: &mut TraceScratch,
+) -> Outcome {
+    if view.is_empty() || stop == 0 {
+        return Outcome::default();
+    }
+    let mut dirs = Dirs::new(&mut scratch.rows, &mut scratch.bytes);
+    let out = band::run(view, params, None, stop, &mut dirs);
+    backtrack(out.best_cell, &mut scratch.ops, |i, j| dirs.get(i, j));
+    out
 }
 
 /// Recover the full alignment for a gapped extension.
@@ -316,6 +288,8 @@ fn half_align(
 /// The returned [`Alignment`] is re-scored from its own operations; the
 /// score always equals `g.score` (the score-only pass and this pass run
 /// the identical banded recurrence) — an invariant the test suite checks.
+/// Each half stops at the best row the score pass reported in `g`: rows
+/// past it are x-drop tail the backtrack cannot visit.
 pub fn traceback(
     pssm: &Pssm,
     query: &[Residue],
@@ -323,93 +297,33 @@ pub fn traceback(
     g: &GappedExt,
     params: &SearchParams,
 ) -> Alignment {
-    let qs = g.q_seed as usize;
-    let ss = g.s_seed as usize;
-    let qlen = pssm.query_len();
-    let slen = subject.len();
-
-    let anchor_score = pssm.score(qs, subject[ss]);
-
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.ops.clear();
-        if scratch.ops.capacity() > MAX_RETAIN {
-            scratch.ops.shrink_to(MAX_RETAIN);
-        }
-
-        let (right_score, rq, rs, right_len) = half_align(
-            scratch,
-            qlen - qs - 1,
-            slen - ss - 1,
-            |qi, sj| pssm.score(qs + 1 + qi, subject[ss + 1 + sj]),
+    let (qs, ss) = (g.q_seed as usize, g.s_seed as usize);
+    with_scratch(|scratch| {
+        let right_rows = (g.q_end - g.q_seed - 1) as usize;
+        let right = trace_half(
+            &HalfView::new(pssm, subject, qs, ss, true),
             params,
-        );
-        let (left_score, lq, ls, left_len) = half_align(
+            right_rows,
             scratch,
-            qs,
-            ss,
-            |qi, sj| pssm.score(qs - 1 - qi, subject[ss - 1 - sj]),
-            params,
         );
-
-        // Raw backtrack order is outermost → anchor. For the left half
-        // (computed on reversed sequences) that already reads left-to-right
-        // in true coordinates; the right half needs reversing. One exact
-        // allocation assembles the owned op vector.
-        let raw = &scratch.ops;
-        let mut ops: Vec<AlignOp> = Vec::with_capacity(left_len + right_len + 1);
-        ops.extend_from_slice(&raw[right_len..right_len + left_len]);
-        ops.push(AlignOp::Sub); // the anchor pair
-        ops.extend(raw[..right_len].iter().rev().copied());
-
-        let q_start = qs - lq;
-        let s_start = ss - ls;
-        let q_end = qs + 1 + rq;
-        let s_end = ss + 1 + rs;
-
-        // Identity / positive / gap counts straight from the operations.
-        let mut qi = q_start;
-        let mut si = s_start;
-        let mut identities = 0usize;
-        let mut positives = 0usize;
-        let mut gaps = 0usize;
-        for op in &ops {
-            match op {
-                AlignOp::Sub => {
-                    if query[qi] == subject[si] {
-                        identities += 1;
-                    }
-                    if pssm.score(qi, subject[si]) > 0 {
-                        positives += 1;
-                    }
-                    qi += 1;
-                    si += 1;
-                }
-                AlignOp::Ins => {
-                    si += 1;
-                    gaps += 1;
-                }
-                AlignOp::Del => {
-                    qi += 1;
-                    gaps += 1;
-                }
-            }
-        }
-        debug_assert_eq!(qi, q_end);
-        debug_assert_eq!(si, s_end);
-
-        Alignment {
-            seq_id: g.seq_id,
-            q_start: q_start as u32,
-            q_end: q_end as u32,
-            s_start: s_start as u32,
-            s_end: s_end as u32,
-            score: left_score + anchor_score + right_score,
-            ops,
-            identities: identities as u32,
-            positives: positives as u32,
-            gaps: gaps as u32,
-        }
+        let right_ops = scratch.ops.len();
+        let left_rows = (g.q_seed - g.q_start) as usize;
+        let left = trace_half(
+            &HalfView::new(pssm, subject, qs, ss, false),
+            params,
+            left_rows,
+            scratch,
+        );
+        assemble(
+            pssm,
+            query,
+            subject,
+            g,
+            &right,
+            &left,
+            &scratch.ops,
+            right_ops,
+        )
     })
 }
 
@@ -562,5 +476,71 @@ mod tests {
         assert_eq!(a.score, g.score);
         assert_eq!(a.q_start, 0);
         assert_eq!(a.ops[0], AlignOp::Sub);
+    }
+
+    /// One half's traceback through row `stop`: `(score, offsets, ops)`.
+    fn walk(
+        view: &HalfView<'_>,
+        p: &SearchParams,
+        stop: usize,
+    ) -> (i32, (usize, usize), Vec<AlignOp>) {
+        with_scratch(|scratch| {
+            let out = trace_half(view, p, stop, scratch);
+            (out.best, out.best_cell, scratch.ops.clone())
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Stopping at the score pass's best row loses nothing: rows past
+        /// it are x-drop tail no backtrack visits. Subjects carry a noise
+        /// tail after the homologous core (with the large x-drops, a long
+        /// one below the best cell), and anchors sit at either edge of
+        /// both sequences or inside the core.
+        #[test]
+        fn stopping_at_the_best_row_changes_nothing(
+            core in proptest::collection::vec(0u8..20, 1..=150),
+            q_tail in proptest::collection::vec(0u8..20, 0..=150),
+            s_tail in proptest::collection::vec(0u8..20, 0..=500),
+            mutation_stride in 3usize..40,
+            anchor_sel in 0u8..4,
+            anchor_frac in 0.0f64..1.0,
+            xdrop_sel in 0u8..5,
+            gap_open in 1i32..20,
+            gap_extend in 1i32..6,
+        ) {
+            let q: Vec<Residue> = core.iter().chain(&q_tail).copied().collect();
+            let s: Vec<Residue> = core
+                .iter()
+                .enumerate()
+                .map(|(k, &r)| if k % mutation_stride == 1 { (r + 7) % 20 } else { r })
+                .chain(s_tail.iter().copied())
+                .collect();
+            let (qs, ss) = match anchor_sel {
+                0 => (0, 0),
+                1 => (q.len() - 1, s.len() - 1),
+                _ => {
+                    let k = ((core.len() - 1) as f64 * anchor_frac) as usize;
+                    (k, k)
+                }
+            };
+            let p = SearchParams {
+                gap_open,
+                gap_extend,
+                xdrop_gapped: [0, 15, 38, 400, 100_000][xdrop_sel as usize],
+                ..SearchParams::default()
+            };
+            let pssm = Pssm::build(&Sequence::from_residues("q", q), &Matrix::blosum62());
+            for forward in [true, false] {
+                let view = HalfView::new(&pssm, &s, qs, ss, forward);
+                let whole = walk(&view, &p, usize::MAX);
+                let bounded = walk(&view, &p, whole.1 .0);
+                proptest::prop_assert_eq!(
+                    &bounded, &whole,
+                    "forward={} anchor=({}, {}) params={:?}", forward, qs, ss, p
+                );
+            }
+        }
     }
 }

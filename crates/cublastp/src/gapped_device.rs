@@ -26,14 +26,19 @@
 //! [`blast_cpu::itrace::traceback_interval`] per reportable extension —
 //! both bit-identical to the CPU reference — so swapping the backend can
 //! never change a search's output, only where the cost model charges it.
+//! On the host the two are one call
+//! ([`blast_cpu::itrace::gapped_phase_subject_traced`]): the score pass
+//! drops the checkpoints, as it does on the device.
 
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::gpu_phase::ExtensionsCsr;
 use bio_seq::alphabet::Residue;
 use blast_core::SearchParams;
-use blast_cpu::gapped::{gapped_phase_subject, GappedExt};
-use blast_cpu::itrace::{default_interval, traceback_interval, ItraceReport, ItraceScratch};
+use blast_cpu::gapped::GappedExt;
+use blast_cpu::itrace::{
+    default_interval, gapped_phase_subject_traced, ItraceReport, ItraceScratch,
+};
 use blast_cpu::report::Alignment;
 use gpu_sim::device::{TRANSACTION_BYTES, WARP_SIZE};
 use gpu_sim::{
@@ -146,21 +151,22 @@ pub fn gapped_fine_kernel(
             continue;
         }
         let subject = db.seq(i);
-        let gapped = gapped_phase_subject(&query.pssm, subject, seeds, params, trigger);
-        for g in &gapped {
+        let (gapped, traced) = gapped_phase_subject_traced(
+            &query.pssm,
+            query_seq,
+            subject,
+            seeds,
+            params,
+            trigger,
+            report_cutoff,
+            interval,
+            &mut scratch,
+        );
+        for (g, traced) in gapped.iter().zip(traced) {
             let rows = (g.q_end - g.q_start) as u64 + 1;
             let span_bytes = (g.s_end - g.s_start) as u64 + 1;
             let (mut refill_cells, mut ckpt_words) = (0u64, 0u64);
-            if g.score >= report_cutoff {
-                let (al, rep) = traceback_interval(
-                    &query.pssm,
-                    query_seq,
-                    subject,
-                    g,
-                    params,
-                    interval,
-                    &mut scratch,
-                );
+            if let Some((al, rep)) = traced {
                 // The constant-memory contract: the resident direction
                 // buffer never exceeds one interval of the widest band.
                 assert!(
@@ -305,6 +311,7 @@ mod tests {
     use super::*;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use blast_core::{Dfa, Matrix, Pssm};
+    use blast_cpu::gapped::gapped_phase_subject;
     use blast_cpu::traceback::traceback;
 
     fn setup() -> (
@@ -344,6 +351,26 @@ mod tests {
         )
         .expect("no faults armed");
         (q, dq, db, p, out.extensions)
+    }
+
+    /// The fine kernel over the whole fixture, fault-free, report cutoff 0.
+    fn run_fine(cfg: &CuBlastpConfig, ws: &KernelWorkspace) -> GappedDeviceOutput {
+        let (q, dq, db, p, exts) = setup();
+        gapped_fine_kernel(
+            &DeviceConfig::k20c(),
+            cfg,
+            &dq,
+            q.residues(),
+            &db,
+            &exts,
+            &p,
+            p.gapped_trigger,
+            0,
+            ws,
+            &FaultInjector::none(),
+            FaultCtx::default(),
+        )
+        .expect("no faults armed")
     }
 
     #[test]
@@ -390,6 +417,54 @@ mod tests {
         // The memory bound the backend exists for.
         assert!(out.itrace.peak_dir_bytes <= out.itrace.dir_budget());
         assert!(out.itrace.refill_passes > 0);
+    }
+
+    #[test]
+    fn modelled_bill_of_the_fixture_is_pinned() {
+        // `push_tiles` bills the kernel from the interval-traceback
+        // counters, so how the host computes the DP (which pass drops the
+        // checkpoints, which ISA runs it) must never show up here. The
+        // numbers are the ones the three-pass scalar implementation
+        // produced for this fixture.
+        let cfg = CuBlastpConfig {
+            grid_blocks: 3,
+            warps_per_block: 2,
+            ..CuBlastpConfig::default()
+        };
+        let out = run_fine(&cfg, &KernelWorkspace::new());
+        assert_eq!(out.stats.warp_cycles, 25_590);
+        assert_eq!(out.stats.global_transactions, 603);
+        assert_eq!(out.download_bytes, 1_170);
+        assert_eq!(
+            out.itrace,
+            ItraceReport {
+                interval: 10,
+                forward_cells: 30_568,
+                refill_cells: 19_369,
+                refill_passes: 73,
+                checkpoint_words: 600,
+                peak_dir_bytes: 373,
+                band_max: 51,
+                rows: 1_066,
+            }
+        );
+    }
+
+    #[test]
+    fn repeat_calls_reuse_workspace_buffers() {
+        // Checkpoint words and direction bytes come from the pooled
+        // workspace and go back to it: once warm, a call allocates from
+        // neither pool.
+        let ws = KernelWorkspace::new();
+        let run = || run_fine(&CuBlastpConfig::default(), &ws);
+        run();
+        run();
+        let (warm, checkouts) = (ws.allocations(), ws.checkouts());
+        for _ in 0..3 {
+            run();
+        }
+        assert_eq!(ws.allocations(), warm, "a warm call must not allocate");
+        assert!(ws.checkouts() > checkouts, "the pools must be in use");
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //!
 //! The vectorized kernels in `blast_cpu::simd` (AVX2 / SSE4.1 gapped row
 //! pass, prefix-scan ungapped walk) must change *nothing* but wall-clock:
-//! every score, band endpoint, and traceback operation comes out exactly
-//! as the scalar reference produces it, across random PSSMs, extreme
-//! x-drop and gap parameters, and sequence lengths up to 3000. Each case
-//! runs the same inputs at every forced ISA level ([`with_forced`]
-//! serializes the process-global override) and asserts full structural
-//! equality — on hosts without AVX2/SSE4.1 the forcing clamps down and
-//! the comparison degenerates to scalar-vs-scalar, which keeps the suite
-//! portable.
+//! every score, band endpoint, traceback operation and interval-traceback
+//! counter comes out exactly as the scalar reference produces it, across
+//! random PSSMs, extreme x-drop and gap parameters, and sequence lengths
+//! up to 3000. Each case runs the same inputs at every forced ISA level
+//! ([`with_forced`] serializes the process-global override) and asserts
+//! full structural equality — on hosts without AVX2/SSE4.1 the forcing
+//! clamps down and the comparison degenerates to scalar-vs-scalar, which
+//! keeps the suite portable.
 
 use bio_seq::alphabet::{Residue, STANDARD_AA};
 use bio_seq::Sequence;
 use blast_core::{Matrix, Pssm, SearchParams, WORD_LEN};
 use blast_cpu::gapped::{extend_gapped, GappedExt};
+use blast_cpu::itrace::{default_interval, traceback_interval, ItraceReport, ItraceScratch};
 use blast_cpu::simd::{with_forced, IsaLevel};
 use blast_cpu::traceback::traceback;
 use blast_cpu::ungapped::{extend, UngappedExt};
@@ -123,6 +124,44 @@ proptest! {
                 "{} alignment diverged from scalar (seed ({}, {}), params {:?})",
                 name, qm, sm, params
             );
+        }
+    }
+
+    /// Interval traceback (checkpointing forward pass + re-fill from a
+    /// restored checkpoint, both on the ISA-dependent row engine): the
+    /// alignment *and* every work / peak-memory counter the device model
+    /// is billed from are identical at every level and interval.
+    #[test]
+    fn interval_traceback_is_isa_invariant(
+        q in residues(1, 200),
+        s in residues(1, 1200),
+        qm_frac in 0.0f64..1.0,
+        sm_frac in 0.0f64..1.0,
+        gap_open in 1i32..32,
+        gap_extend in 1i32..16,
+        xdrop_sel in 0u8..8,
+        xdrop_raw in 2i32..200,
+    ) {
+        let params = gap_params(gap_open, gap_extend, xdrop_sel, xdrop_raw);
+        let query = Sequence::from_residues("q", q.clone());
+        let pssm = Pssm::build(&query, &Matrix::blosum62());
+        let qm = ((query.len() - 1) as f64 * qm_frac) as u32;
+        let sm = ((s.len() - 1) as f64 * sm_frac) as u32;
+        let seed = UngappedExt { seq_id: 0, q_start: qm, s_start: sm, len: 1, score: 0 };
+        for interval in [1, 2, 7, default_interval(query.len()), 256] {
+            let outs: [(&str, (Alignment, ItraceReport)); 3] = at_levels(|| {
+                let g = extend_gapped(&pssm, &s, &seed, &params);
+                let mut scratch = ItraceScratch::default();
+                traceback_interval(&pssm, &q, &s, &g, &params, interval, &mut scratch)
+            });
+            let (_, reference) = &outs[0];
+            for (name, got) in &outs[1..] {
+                prop_assert_eq!(
+                    got, reference,
+                    "{} diverged from scalar at interval {} (seed ({}, {}), params {:?})",
+                    name, interval, qm, sm, params
+                );
+            }
         }
     }
 
