@@ -1,17 +1,21 @@
 //! CPU-stage SIMD speedup — scalar vs runtime-dispatched vector kernels.
 //!
 //! The banded x-drop DP (gapped extension, traceback and interval
-//! traceback all run the one row engine) and the ungapped two-hit walk
-//! carry SIMD inner loops (`blast_cpu::simd`) selected at runtime (AVX2 →
-//! SSE4.1 → scalar). Their outputs are bit-identical to the scalar
-//! reference by contract, so what the vectorization buys is pure host
-//! time. This binary measures it directly: the same seed set (collected
+//! traceback all run the one row engine) carries a SIMD inner loop
+//! (`blast_cpu::simd`) selected at runtime (AVX2 → SSE4.1 → scalar). Its
+//! outputs are bit-identical to the scalar reference by contract, so what
+//! the vectorization buys is pure host time. This binary measures it directly: the same seed set (collected
 //! once per database preset) is pushed through the gapped phase, the
 //! traceback phase and the device backend's interval traceback twice —
 //! once forced scalar, once at the detected ISA — and both passes must
 //! produce identical extensions, alignments and interval-traceback
 //! reports. The stage row (gapped + traceback, what the CPU tail runs) is
 //! where a layer's speedup has to show.
+//!
+//! The ungapped x-drop walk has no vector body (one measured 2.7–3.0×
+//! slower at every length, DESIGN.md §3.5), so its row compares the walk
+//! that ships with a naive one written here, in ns per extension, over
+//! planted lengths and over the short extensions a database scan makes.
 //!
 //! DP throughput is reported as cells/second from the monotone
 //! [`blast_cpu::gapped::dp_cells`] counter, whose value is a pure
@@ -24,10 +28,13 @@
 //! Results go to stdout and `BENCH_cpusimd.json`.
 
 use bench::obsenv;
+use bench::runners::figure_config;
 use bench::table::print_table;
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use bio_seq::{Sequence, SequenceDb};
+use blast_core::Matrix;
+use blast_core::{Pssm, WORD_LEN};
 use blast_cpu::gapped::{dp_cells, gapped_phase_subject, GappedExt};
 use blast_cpu::hit::{scan_subject_mode, DiagonalScratch, HitStats};
 use blast_cpu::itrace::{default_interval, traceback_interval, ItraceReport, ItraceScratch};
@@ -35,7 +42,14 @@ use blast_cpu::report::Alignment;
 use blast_cpu::search::SearchEngine;
 use blast_cpu::simd::{self, IsaLevel};
 use blast_cpu::traceback::traceback;
+use blast_cpu::ungapped::extend;
 use blast_cpu::UngappedExt;
+use cublastp::binning::binning_kernel;
+use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
+use cublastp::extension::build_tasks;
+use cublastp::hitpack::{query_pos, seq_id, subject_pos};
+use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
+use gpu_sim::{DeviceConfig, KernelWorkspace};
 use std::time::Instant;
 
 /// Timed repetitions per pass; the best run is reported (deterministic
@@ -232,6 +246,162 @@ fn collect_seeds(engine: &SearchEngine, db: &SequenceDb) -> (Vec<SubjectSeeds>, 
     (seeds, stats)
 }
 
+/// One population of ungapped extensions and what each walk costs on it.
+struct UngappedRow {
+    shape: String,
+    extensions: usize,
+    mean_len: f64,
+    naive_ns: f64,
+    shipped_ns: f64,
+}
+
+/// The x-drop walk by its definition: score the word, walk right, walk
+/// left, one `if better … else if dropped { break }` per residue.
+fn naive_extend(pssm: &Pssm, s: &[u8], seq_id: u32, qp: u32, sp: u32, xdrop: i32) -> UngappedExt {
+    let (qp, sp) = (qp as usize, sp as usize);
+    let word: i32 = (0..WORD_LEN).map(|k| pssm.score(qp + k, s[sp + k])).sum();
+    let (mut best, mut running, mut right) = (word, word, WORD_LEN);
+    let mut k = WORD_LEN;
+    while qp + k < pssm.query_len() && sp + k < s.len() {
+        running += pssm.score(qp + k, s[sp + k]);
+        if running > best {
+            (best, right) = (running, k + 1);
+        } else if best - running > xdrop {
+            break;
+        }
+        k += 1;
+    }
+    let (mut total, mut running, mut left) = (best, best, 0);
+    let mut k = 1;
+    while qp >= k && sp >= k {
+        running += pssm.score(qp - k, s[sp - k]);
+        if running > total {
+            (total, left) = (running, k);
+        } else if total - running > xdrop {
+            break;
+        }
+        k += 1;
+    }
+    UngappedExt {
+        seq_id,
+        q_start: (qp - left) as u32,
+        s_start: (sp - left) as u32,
+        len: (left + right) as u32,
+        score: total,
+    }
+}
+
+/// The signature of `blast_cpu::ungapped::extend`.
+type Walk = fn(&Pssm, &[u8], u32, u32, u32, i32) -> UngappedExt;
+
+/// Time both walks over `seeds` = (subject, query pos, subject pos), after
+/// one untimed pass that holds them to identical output call by call.
+fn ungapped_row(
+    shape: String,
+    pssm: &Pssm,
+    seeds: &[(&[u8], u32, u32)],
+    xdrop: i32,
+) -> UngappedRow {
+    let mut total_len = 0u64;
+    for &(s, qp, sp) in seeds {
+        let got = extend(pssm, s, 0, qp, sp, xdrop);
+        assert_eq!(got, naive_extend(pssm, s, 0, qp, sp, xdrop), "{shape}");
+        total_len += got.len as u64;
+    }
+    // Enough calls per timing that the clock read is noise; the two walks
+    // alternate so a slow stretch of the host falls on both.
+    let rounds = (200_000 / seeds.len()).max(1);
+    let walks: [Walk; 2] = [naive_extend, extend];
+    let mut best_ns = [f64::INFINITY; 2];
+    for _ in 0..5 * REPS {
+        for (walk, best) in walks.iter().zip(&mut best_ns) {
+            let t0 = Instant::now();
+            for _ in 0..rounds {
+                for &(s, qp, sp) in seeds {
+                    std::hint::black_box(walk(pssm, s, 0, qp, sp, xdrop));
+                }
+            }
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e9 / (rounds * seeds.len()) as f64);
+        }
+    }
+    UngappedRow {
+        shape,
+        extensions: seeds.len(),
+        mean_len: total_len as f64 / seeds.len() as f64,
+        naive_ns: best_ns[0],
+        shipped_ns: best_ns[1],
+    }
+}
+
+/// The ungapped rows: homologies of a planted length (the query's own
+/// residues between unrelated flanks, seeded mid-way), and the seeds the
+/// extension kernel actually extends on a scan of `db`.
+fn ungapped_rows(engine: &SearchEngine, db: &SequenceDb) -> Vec<UngappedRow> {
+    let xdrop = engine.params.xdrop_ungapped;
+    let long = query(1054);
+    let pssm = Pssm::build(&long, &Matrix::blosum62());
+    let flank = query(127);
+    let mut rows = Vec::new();
+    for len in [8usize, 16, 64, 256, 1000] {
+        let subjects: Vec<Vec<u8>> = (0..16)
+            .map(|i| {
+                let q0 = i * 3;
+                let mut s = flank.residues()[i..i + 40].to_vec();
+                s.extend_from_slice(&long.residues()[q0..q0 + len]);
+                s.extend_from_slice(&flank.residues()[60 + i..100 + i]);
+                s
+            })
+            .collect();
+        let seeds: Vec<(&[u8], u32, u32)> = subjects
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (&s[..], (i * 3 + len / 2) as u32, (40 + len / 2) as u32))
+            .collect();
+        rows.push(ungapped_row(format!("planted {len}"), &pssm, &seeds, xdrop));
+    }
+
+    // What the extension kernel is fed on a scan: the filtered hits of the
+    // device hit path, walked per diagonal with the coverage check.
+    let cfg = figure_config();
+    let device = DeviceConfig::k20c();
+    let ws = KernelWorkspace::new();
+    let dq = DeviceQuery::upload(engine.dfa.clone(), engine.pssm.clone());
+    let blocks: Vec<DeviceDbBlock> = db
+        .blocks(cfg.db_block_size)
+        .into_iter()
+        .map(|b| DeviceDbBlock::upload(db.block_sequences(b), b.start))
+        .collect();
+    let mut seeds: Vec<(&[u8], u32, u32)> = Vec::new();
+    for block in &blocks {
+        let (binned, _) = binning_kernel(&device, &cfg, &dq, block, &ws);
+        let (mut asm, _) = assemble_kernel(&device, &cfg, binned, &ws);
+        sort_kernel(&device, &mut asm, &ws);
+        let window = engine.params.two_hit_window as i64;
+        let (filtered, _) = filter_kernel(&device, &cfg, &asm, window, &ws);
+        for (lo, hi) in build_tasks(&filtered.hits) {
+            let mut reach = 0u32;
+            for &h in &filtered.hits[lo..hi] {
+                let (sid, spos) = (seq_id(h), subject_pos(h));
+                if spos >= reach {
+                    let s = block.seq(sid as usize);
+                    let qpos = query_pos(h, dq.query_len());
+                    reach = extend(&engine.pssm, s, sid, qpos, spos, xdrop).s_end();
+                    seeds.push((s, qpos, spos));
+                }
+            }
+        }
+        asm.recycle(&ws);
+        filtered.recycle(&ws);
+    }
+    rows.push(ungapped_row(
+        "scan mix".to_string(),
+        &engine.pssm,
+        &seeds,
+        xdrop,
+    ));
+    rows
+}
+
 fn main() {
     let scale = bench_scale();
     obsenv::arm_from_env();
@@ -250,10 +420,14 @@ fn main() {
     let params = blast_core::SearchParams::default();
 
     let mut rows: Vec<Row> = Vec::new();
+    let mut ungapped: Vec<UngappedRow> = Vec::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &q);
         let engine = SearchEngine::new(q.clone(), params, &db);
         let (seeds, _) = collect_seeds(&engine, &db);
+        if preset == DbPreset::EnvNrMini {
+            ungapped = ungapped_rows(&engine, &db);
+        }
 
         let scalar = best_pass(Some(IsaLevel::Scalar), &engine, &db, &seeds);
         let native = best_pass(None, &engine, &db, &seeds);
@@ -343,7 +517,36 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let json = render_json(&rows, &report, scale);
+    print_table(
+        &format!(
+            "Ungapped x-drop walk, shipped vs naive (ns per extension, best of {}; \
+             scan mix = what the extension kernel extends on env_nr_mini)",
+            5 * REPS
+        ),
+        &[
+            "extensions",
+            "n",
+            "mean len",
+            "naive ns",
+            "shipped ns",
+            "speedup",
+        ],
+        &ungapped
+            .iter()
+            .map(|r| {
+                vec![
+                    r.shape.clone(),
+                    r.extensions.to_string(),
+                    format!("{:.1}", r.mean_len),
+                    format!("{:.1}", r.naive_ns),
+                    format!("{:.1}", r.shipped_ns),
+                    format!("{:.2}x", r.naive_ns / r.shipped_ns),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
+    let json = render_json(&rows, &ungapped, &report, scale);
     let path = "BENCH_cpusimd.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
@@ -374,7 +577,12 @@ fn main() {
     }
 }
 
-fn render_json(rows: &[Row], report: &blast_cpu::DispatchReport, scale: f64) -> String {
+fn render_json(
+    rows: &[Row],
+    ungapped: &[UngappedRow],
+    report: &blast_cpu::DispatchReport,
+    scale: f64,
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"cpusimd\",\n");
@@ -430,6 +638,21 @@ fn render_json(rows: &[Row], report: &blast_cpu::DispatchReport, scale: f64) -> 
             r.scalar_stage_ms() / r.simd_stage_ms(),
             r.alignments,
             if ri + 1 < rows.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"ungapped\": [\n");
+    for (ri, r) in ungapped.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"extensions\": \"{}\", \"n\": {}, \"mean_len\": {:.2}, \
+             \"naive_ns\": {:.1}, \"shipped_ns\": {:.1}, \"speedup\": {:.3}}}{}\n",
+            r.shape,
+            r.extensions,
+            r.mean_len,
+            r.naive_ns,
+            r.shipped_ns,
+            r.naive_ns / r.shipped_ns,
+            if ri + 1 < ungapped.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n");

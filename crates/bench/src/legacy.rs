@@ -10,17 +10,23 @@
 //! in `tests/hotpath_stats.rs` holds both sides to bit-identical
 //! [`KernelStats`] — so any wall-clock difference the `hotpath` binary
 //! measures is purely host-side data-structure overhead.
+//!
+//! Kernel 5 (ungapped extension) follows at the end of the file, as it
+//! stood one rework later — before its cost vectors were hoisted and its
+//! output ordered by subject buckets instead of one four-field sort.
 
-use cublastp::config::CuBlastpConfig;
+use cublastp::config::{CuBlastpConfig, ExtensionStrategy, ScoringMode};
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
-use cublastp::hitpack::{group_key, pack, subject_pos};
+use cublastp::extension::{build_tasks, ExtensionResult};
+use cublastp::hitpack::{group_key, pack, query_pos, seq_id, subject_pos};
 use gpu_sim::device::{TRANSACTION_BYTES, WARP_SIZE};
 use gpu_sim::memory::virtual_alloc;
 use gpu_sim::scan::WARP_SCAN_STEPS;
-use gpu_sim::{launch, DeviceConfig, KernelStats, LaunchConfig};
+use gpu_sim::{launch, launch_map, DeviceConfig, KernelStats, LaunchConfig};
 use parking_lot::Mutex;
 
-use blast_core::{word_code, WORD_LEN};
+use blast_core::{word_code, SearchParams, WORD_LEN};
+use blast_cpu::ungapped::{extend, UngappedExt};
 
 /// Shared-memory footprint of the compacted DFA state table (mirrors
 /// `cublastp::binning::DFA_STATES_SHARED_BYTES`).
@@ -369,4 +375,333 @@ pub fn hit_path(
     let k_sort = sort_kernel(device, &mut asm);
     let (filtered, k_filter) = filter_kernel(device, cfg, &asm, window);
     (filtered.hits, [k_bin, k_asm, k_sort, k_filter])
+}
+
+// ---------------------------------------------------------------------------
+// Kernel 5: ungapped extension, verbatim from before the host-cost rework
+// ---------------------------------------------------------------------------
+
+/// Positions an x-drop extension scans beyond the best-scoring end before
+/// giving up (cost-model constant; the functional routine computes the
+/// exact extent).
+const OVERSHOOT: u64 = 8;
+
+/// Per-lane cost aggregate for one lockstep batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneCost {
+    cycles: u64,
+    global_tx: u64,
+    useful_bytes: u64,
+    shared: u64,
+}
+
+/// Scoring-path cost per extended position, derived from §3.5.
+#[derive(Debug, Clone, Copy)]
+struct ScoringCost {
+    /// Extra cycles per scored position.
+    cycles_per_pos: u64,
+    /// Shared-memory accesses per scored position.
+    shared_per_pos: u64,
+    /// Global transactions per scored position (PSSM spilled to global:
+    /// the 64-byte column stride touches a new line every other position).
+    tx_per_pos_x2: u64, // in halves to keep integer math
+    /// Useful bytes per scored position read from global.
+    bytes_per_pos: u64,
+}
+
+fn scoring_cost(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -> ScoringCost {
+    match cfg.resolved_scoring(query_len) {
+        ScoringMode::Pssm => {
+            if cfg.pssm_in_global(query_len) {
+                ScoringCost {
+                    cycles_per_pos: device.global_transaction_cost / 2,
+                    shared_per_pos: 0,
+                    tx_per_pos_x2: 1,
+                    bytes_per_pos: 2,
+                }
+            } else {
+                // One shared-memory load per position, partially hidden
+                // behind the arithmetic.
+                ScoringCost {
+                    cycles_per_pos: 2 * device.shared_access_cost,
+                    shared_per_pos: 1,
+                    tx_per_pos_x2: 0,
+                    bytes_per_pos: 0,
+                }
+            }
+        }
+        // BLOSUM62: the query residue must be loaded before the matrix
+        // cell can be addressed — two *dependent* shared loads whose
+        // latency cannot overlap, plus bank conflicts from effectively
+        // random (query, subject) residue pairs. This is the extra memory
+        // work §3.5 trades against the PSSM's footprint.
+        ScoringMode::Blosum62 => ScoringCost {
+            cycles_per_pos: 5 * device.shared_access_cost + device.atomic_conflict_cost,
+            shared_per_pos: 2,
+            tx_per_pos_x2: 0,
+            bytes_per_pos: 0,
+        },
+        ScoringMode::Auto => unreachable!("resolved"),
+    }
+}
+
+/// Instructions per extended position: score add, running-best update,
+/// drop test, bounds check, predicate and pointer bump.
+const INSTR_PER_POS: u64 = 6;
+
+/// Cost of one sequential (single-lane) extension that scanned `scanned`
+/// subject positions. Every position issues a load (no L1 on Kepler); the
+/// loads walk one line at a time, so DRAM sees only `scanned/128` lines
+/// while the lane pays L2 latency per position.
+fn sequential_ext_cost(scanned: u64, sc: &ScoringCost, device: &DeviceConfig) -> LaneCost {
+    let dram_lines = 1 + scanned / 128;
+    LaneCost {
+        cycles: scanned
+            * (INSTR_PER_POS * device.instr_cost + sc.cycles_per_pos + device.l2_hit_cost)
+            + dram_lines * device.global_transaction_cost
+            + (scanned * sc.tx_per_pos_x2 / 2) * device.global_transaction_cost,
+        global_tx: dram_lines + scanned * sc.tx_per_pos_x2 / 2,
+        useful_bytes: scanned + scanned * sc.bytes_per_pos,
+        shared: scanned * sc.shared_per_pos,
+    }
+}
+
+/// Cost of one window-cooperative extension (`w` lanes scan `w` positions
+/// per step with a warp scan). The window's lanes read `w` *consecutive*
+/// subject bytes per step — one coalesced load, L2-resident after the
+/// first touch of each line — so the window amortizes both latency and
+/// bandwidth `w`-fold over the single-lane strategies.
+fn window_ext_cost(scanned: u64, w: u64, sc: &ScoringCost, device: &DeviceConfig) -> LaneCost {
+    let steps = scanned.div_ceil(w).max(1);
+    // A w-lane shuffle scan needs ⌈log₂ w⌉ steps (3 for the default 8).
+    let scan_steps = (w.max(2) as f64).log2().ceil() as u64;
+    // Redundant positions: the window always completes its last chunk.
+    let scanned_padded = steps * w;
+    let dram_lines = 1 + scanned_padded / 128;
+    LaneCost {
+        cycles: steps
+            * ((scan_steps + INSTR_PER_POS) * device.instr_cost
+                + sc.cycles_per_pos
+                + device.l2_hit_cost)
+            + dram_lines * device.global_transaction_cost
+            + (scanned_padded * sc.tx_per_pos_x2 / 2) * device.global_transaction_cost,
+        global_tx: dram_lines + scanned_padded * sc.tx_per_pos_x2 / 2,
+        useful_bytes: scanned_padded + scanned_padded * sc.bytes_per_pos,
+        shared: scanned_padded * sc.shared_per_pos,
+    }
+}
+
+/// Cost of walking `n_hits` packed hits on one lane (8-byte loads, 16 hits
+/// per 128-byte line since the group is contiguous).
+fn hit_walk_cost(n_hits: u64, device: &DeviceConfig) -> LaneCost {
+    let lines = 1 + n_hits / 16;
+    LaneCost {
+        cycles: n_hits * 2 * device.instr_cost + lines * device.global_transaction_cost,
+        global_tx: lines,
+        useful_bytes: n_hits * 8,
+        shared: 0,
+    }
+}
+
+impl LaneCost {
+    fn add(&mut self, other: LaneCost) {
+        self.cycles += other.cycles;
+        self.global_tx += other.global_tx;
+        self.useful_bytes += other.useful_bytes;
+        self.shared += other.shared;
+    }
+}
+
+/// Functional diagonal walk with the coverage check (Algorithm 3 lines
+/// 12–24) — the semantics shared with the CPU reference.
+fn walk_task(
+    query: &DeviceQuery,
+    db: &DeviceDbBlock,
+    hits: &[u64],
+    params: &SearchParams,
+    out: &mut Vec<UngappedExt>,
+) -> u64 {
+    let qlen = query.query_len();
+    let mut ext_reach: i64 = 0;
+    let mut scanned_total = 0u64;
+    for &h in hits {
+        let spos = subject_pos(h);
+        if (spos as i64) >= ext_reach {
+            let sid = seq_id(h);
+            let qpos = query_pos(h, qlen);
+            let ext = extend(
+                &query.pssm,
+                db.seq(sid as usize),
+                sid,
+                qpos,
+                spos,
+                params.xdrop_ungapped,
+            );
+            ext_reach = ext.s_end() as i64;
+            scanned_total += ext.len as u64 + 2 * OVERSHOOT;
+            out.push(ext);
+        }
+    }
+    scanned_total
+}
+
+/// Kernel 5 as it stood before the host-cost rework of the hit path:
+/// per-batch cost vectors, a float `log2` per window extension, and the
+/// canonical order from one stable four-field `sort_by_key` over the whole
+/// output. (The x-drop walk itself is `blast_cpu`'s and shared; `bench
+/// --bin cpusimd` measures it on its own.)
+pub fn extension_kernel(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query: &DeviceQuery,
+    db: &DeviceDbBlock,
+    filtered: &LegacyFilteredHits,
+    params: &SearchParams,
+) -> ExtensionResult {
+    let tasks = build_tasks(&filtered.hits);
+    let qlen = query.query_len();
+    let sc = scoring_cost(cfg, qlen, device);
+
+    let shared = cfg.scoring_shared_bytes(qlen);
+    let launch_cfg = LaunchConfig {
+        blocks: cfg.grid_blocks,
+        warps_per_block: cfg.warps_per_block,
+        shared_bytes_per_block: shared + 1024, // + per-block output buffer
+        use_readonly_cache: cfg.use_readonly_cache,
+    };
+
+    let name = cfg.extension.kernel_name();
+
+    let blocks = cfg.grid_blocks.max(1);
+
+    // Each block's extensions come back by value in block order — no
+    // mutex collector, no re-sorting by block id.
+    let (per_block, stats) = launch_map(device, launch_cfg, name, |block| {
+        let mut out: Vec<UngappedExt> = Vec::new();
+        match cfg.extension {
+            ExtensionStrategy::Diagonal => {
+                // Lane ↦ task; warp batch = 32 tasks; blocks stride the
+                // batch list.
+                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
+                let mut batch = block.block_id as usize;
+                let batches = tasks.len().div_ceil(WARP_SIZE as usize);
+                while batch < batches {
+                    let lo = batch * WARP_SIZE as usize;
+                    let hi = (lo + WARP_SIZE as usize).min(tasks.len());
+                    lane_costs.clear();
+                    let mut traffic = LaneCost::default();
+                    for &(s, e) in &tasks[lo..hi] {
+                        let mut lane = hit_walk_cost((e - s) as u64, block.device());
+                        let before = out.len();
+                        let scanned = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
+                        let _ = before;
+                        lane.add(sequential_ext_cost(scanned, &sc, block.device()));
+                        lane_costs.push(lane.cycles);
+                        traffic.add(LaneCost {
+                            cycles: 0,
+                            global_tx: lane.global_tx,
+                            useful_bytes: lane.useful_bytes,
+                            shared: lane.shared,
+                        });
+                    }
+                    block.lockstep(&lane_costs);
+                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    batch += blocks as usize;
+                }
+            }
+            ExtensionStrategy::Hit => {
+                // Lane ↦ hit; every filtered hit is extended, coverage be
+                // damned (Algorithm 4) — duplicates removed afterwards.
+                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
+                let n = filtered.hits.len();
+                let batches = n.div_ceil(WARP_SIZE as usize);
+                let mut batch = block.block_id as usize;
+                while batch < batches {
+                    let lo = batch * WARP_SIZE as usize;
+                    let hi = (lo + WARP_SIZE as usize).min(n);
+                    lane_costs.clear();
+                    let mut traffic = LaneCost::default();
+                    for &h in &filtered.hits[lo..hi] {
+                        let sid = seq_id(h);
+                        let spos = subject_pos(h);
+                        let qpos = query_pos(h, qlen);
+                        let ext = extend(
+                            &query.pssm,
+                            db.seq(sid as usize),
+                            sid,
+                            qpos,
+                            spos,
+                            params.xdrop_ungapped,
+                        );
+                        let scanned = ext.len as u64 + 2 * OVERSHOOT;
+                        out.push(ext);
+                        let mut lane = hit_walk_cost(1, block.device());
+                        lane.add(sequential_ext_cost(scanned, &sc, block.device()));
+                        lane_costs.push(lane.cycles);
+                        traffic.add(LaneCost { cycles: 0, ..lane });
+                    }
+                    block.lockstep(&lane_costs);
+                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    batch += blocks as usize;
+                }
+            }
+            ExtensionStrategy::Window => {
+                // Window of `window_size` lanes ↦ task; warp batch =
+                // 32 / window_size tasks (Fig. 9d).
+                let w = cfg.window_size.clamp(2, WARP_SIZE as usize) as u64;
+                let windows_per_warp = (WARP_SIZE as usize / w as usize).max(1);
+                let mut win_costs: Vec<u64> = Vec::with_capacity(windows_per_warp);
+                let batches = tasks.len().div_ceil(windows_per_warp);
+                let mut batch = block.block_id as usize;
+                while batch < batches {
+                    let lo = batch * windows_per_warp;
+                    let hi = (lo + windows_per_warp).min(tasks.len());
+                    win_costs.clear();
+                    let mut traffic = LaneCost::default();
+                    for &(s, e) in &tasks[lo..hi] {
+                        // Per-window serialized cost over its hits.
+                        let mut win = hit_walk_cost((e - s) as u64, block.device());
+                        let before = out.len();
+                        let _ = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
+                        for ext in &out[before..] {
+                            let scanned = ext.len as u64 + 2 * OVERSHOOT;
+                            win.add(window_ext_cost(scanned, w, &sc, block.device()));
+                        }
+                        win_costs.push(win.cycles);
+                        traffic.add(LaneCost { cycles: 0, ..win });
+                    }
+                    // Expand window costs to lane granularity: all lanes of
+                    // a window stay active for the window's duration.
+                    let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
+                    for &c in &win_costs {
+                        for _ in 0..w {
+                            lane_costs.push(c);
+                        }
+                    }
+                    block.lockstep(&lane_costs);
+                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    batch += blocks as usize;
+                }
+            }
+        }
+        out
+    });
+
+    let mut extensions: Vec<UngappedExt> = per_block.into_iter().flatten().collect();
+
+    // Canonical order: by subject, then position — shared by every
+    // strategy so downstream phases are order-independent.
+    extensions.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+    let mut redundant = 0u64;
+    if cfg.extension == ExtensionStrategy::Hit {
+        let before = extensions.len();
+        extensions.dedup();
+        redundant = (before - extensions.len()) as u64;
+    }
+
+    ExtensionResult {
+        extensions,
+        stats,
+        redundant,
+    }
 }

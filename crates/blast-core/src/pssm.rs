@@ -26,17 +26,16 @@ impl Pssm {
     /// Build the PSSM for `query` under `matrix`.
     pub fn build(query: &Sequence, matrix: &Matrix) -> Self {
         let query_len = query.len();
-        let mut scores = vec![i16::MIN; query_len * PADDED_ALPHABET_SIZE];
-        for (pos, &q) in query.residues().iter().enumerate() {
-            let col = &mut scores[pos * PADDED_ALPHABET_SIZE..(pos + 1) * PADDED_ALPHABET_SIZE];
-            let (alphabet, padding) = col.split_at_mut(ALPHABET_SIZE);
-            for (r, cell) in alphabet.iter_mut().enumerate() {
+        // Padding rows keep the worst score so an out-of-alphabet index
+        // can never fabricate a positive match. (`min_score` folds over the
+        // whole matrix: once per build, not once per padding cell.)
+        let mut scores = vec![matrix.min_score() as i16; query_len * PADDED_ALPHABET_SIZE];
+        for (col, &q) in scores
+            .chunks_exact_mut(PADDED_ALPHABET_SIZE)
+            .zip(query.residues())
+        {
+            for (r, cell) in col[..ALPHABET_SIZE].iter_mut().enumerate() {
                 *cell = matrix.score(q, r as Residue) as i16;
-            }
-            // Padding rows keep the worst score so an out-of-alphabet index
-            // can never fabricate a positive match.
-            for cell in padding {
-                *cell = matrix.min_score() as i16;
             }
         }
         Self { query_len, scores }
@@ -102,6 +101,26 @@ mod tests {
         let q = Sequence::from_bytes("q", &vec![b'A'; 768]);
         let p = Pssm::build(&q, &m);
         assert_eq!(p.size_bytes(), 48 * 1024);
+    }
+
+    #[test]
+    fn long_query_table_matches_naive_construction() {
+        // Cell for cell against the definition, at the length of the
+        // benchmark's longest query.
+        let m = Matrix::blosum62();
+        let q = bio_seq::generate::make_query(1054);
+        let p = Pssm::build(&q, &m);
+        let mut naive = Vec::with_capacity(1054 * PADDED_ALPHABET_SIZE);
+        for &qr in q.residues() {
+            for r in 0..PADDED_ALPHABET_SIZE {
+                naive.push(if r < ALPHABET_SIZE {
+                    m.score(qr, r as Residue) as i16
+                } else {
+                    m.min_score() as i16
+                });
+            }
+        }
+        assert_eq!(p.raw(), &naive[..]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Runtime-dispatched SIMD kernels for the CPU alignment phases.
 //!
-//! The gapped x-drop DP and the ungapped diagonal extension are the
-//! pipeline's CPU-resident stages (§3.6); this module vectorizes their
-//! inner loops without changing a single output bit. The dispatch ladder
+//! The banded x-drop DP (gapped extension, traceback, interval
+//! traceback) is the pipeline's CPU-resident stage (§3.6); this module
+//! vectorizes its row pass without changing a single output bit. Ungapped
+//! extension is deliberately not here: its walks are a handful of
+//! residues long and stay scalar (`crate::ungapped`). The dispatch ladder
 //! is AVX2 (8×i32 lanes) → SSE4.1 (4×i32) → scalar, selected once per
 //! process from CPUID and clampable two ways:
 //!
@@ -302,92 +304,12 @@ impl GappedRow<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Ungapped diagonal chunk
-// ---------------------------------------------------------------------------
-
-/// Outcome of one vectorized step of the ungapped x-drop walk: the
-/// inclusive prefix sums of `lanes` residue scores on top of the running
-/// total, reduced to what the scalar loop needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DiagChunk {
-    /// Running total after the whole chunk.
-    pub total: i32,
-    /// Maximum prefix sum inside the chunk.
-    pub max: i32,
-    /// First lane attaining `max` (strict-improvement semantics: ties
-    /// keep the earliest position, like the scalar `>` update).
-    pub max_lane: usize,
-    /// True when some lane fails the x-drop test — the caller falls back
-    /// to the scalar loop, which replays the chunk and breaks exactly
-    /// where the scalar walk would.
-    pub dropped: bool,
-}
-
-/// Evaluate one chunk of `level.lanes()` scores. `running` is the sum
-/// before the chunk, `best` the best prefix sum seen so far; the drop
-/// test matches the scalar walk exactly: a lane fires iff its running
-/// sum is below the best seen *before* that lane by more than `xdrop`.
-pub(crate) fn diag_chunk(
-    level: IsaLevel,
-    scores: &[i32],
-    running: i32,
-    best: i32,
-    xdrop: i32,
-) -> DiagChunk {
-    debug_assert_eq!(scores.len(), level.lanes());
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    {
-        debug_assert!(level <= detected_level());
-        match level {
-            // SAFETY: level is clamped to the detected capability and
-            // `scores` has exactly `lanes` elements (debug-asserted,
-            // guaranteed by the only callers), covering every load.
-            IsaLevel::Avx2 if scores.len() == 8 => {
-                return unsafe { x86::diag_chunk_avx2(scores, running, best, xdrop) }
-            }
-            IsaLevel::Sse41 if scores.len() == 4 => {
-                return unsafe { x86::diag_chunk_sse41(scores, running, best, xdrop) }
-            }
-            _ => {}
-        }
-    }
-    diag_chunk_generic(scores, running, best, xdrop)
-}
-
-/// Portable reference for [`diag_chunk`] (any chunk length).
-pub(crate) fn diag_chunk_generic(scores: &[i32], running: i32, best: i32, xdrop: i32) -> DiagChunk {
-    let mut sum = running;
-    let mut max = i32::MIN;
-    let mut max_lane = 0usize;
-    let mut b = best;
-    let mut dropped = false;
-    for (lane, &sc) in scores.iter().enumerate() {
-        sum += sc;
-        if sum > max {
-            max = sum;
-            max_lane = lane;
-        }
-        if sum > b {
-            b = sum;
-        } else if b - sum > xdrop {
-            dropped = true;
-        }
-    }
-    DiagChunk {
-        total: sum,
-        max,
-        max_lane,
-        dropped,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // x86 kernels
 // ---------------------------------------------------------------------------
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 mod x86 {
-    use super::{DiagChunk, GappedRow, FROM_F, F_OPEN, NEG_INF};
+    use super::{GappedRow, FROM_F, F_OPEN, NEG_INF};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -492,112 +414,6 @@ mod x86 {
         }
         j
     }
-
-    /// AVX2 ungapped chunk: inclusive prefix sum + prefix max over 8
-    /// lanes, horizontal reduction, exact x-drop fire mask.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `scores.len() == 8`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn diag_chunk_avx2(
-        scores: &[i32],
-        running: i32,
-        best: i32,
-        xdrop: i32,
-    ) -> DiagChunk {
-        let v = _mm256_loadu_si256(scores.as_ptr() as *const __m256i);
-        // Inclusive prefix sum: log-step shifts within each 128-bit half,
-        // then fold the low half's total into the high half.
-        let t = _mm256_add_epi32(v, _mm256_slli_si256::<4>(v));
-        let t = _mm256_add_epi32(t, _mm256_slli_si256::<8>(t));
-        let lo_tot = _mm256_permutevar8x32_epi32(t, _mm256_set1_epi32(3));
-        let fold = _mm256_blend_epi32::<0xF0>(_mm256_setzero_si256(), lo_tot);
-        let prefix = _mm256_add_epi32(t, fold);
-        let sums = _mm256_add_epi32(prefix, _mm256_set1_epi32(running));
-
-        // Inclusive prefix max of the running sums (same shift pattern,
-        // i32::MIN fill so short prefixes never win).
-        let minv = _mm256_set1_epi32(i32::MIN);
-        let m = _mm256_max_epi32(sums, _mm256_alignr_epi8::<12>(sums, minv));
-        let m = _mm256_max_epi32(m, _mm256_alignr_epi8::<8>(m, minv));
-        let lo_max = _mm256_permutevar8x32_epi32(m, _mm256_set1_epi32(3));
-        let m = _mm256_max_epi32(m, _mm256_blend_epi32::<0xF0>(minv, lo_max));
-
-        // Best-before-lane = max(best, inclusive max shifted one lane).
-        let bestv = _mm256_set1_epi32(best);
-        let rot = _mm256_permutevar8x32_epi32(m, _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6));
-        let b_pre = _mm256_max_epi32(_mm256_blend_epi32::<0x01>(rot, bestv), bestv);
-
-        // Fire exactly when the scalar walk would: the sum did not improve
-        // the best and trails it by more than xdrop.
-        let diff = _mm256_sub_epi32(b_pre, sums);
-        let fire = _mm256_and_si256(
-            _mm256_cmpgt_epi32(b_pre, sums),
-            _mm256_cmpgt_epi32(diff, _mm256_set1_epi32(xdrop)),
-        );
-        let dropped = _mm256_movemask_epi8(fire) != 0;
-
-        // Horizontal max + first lane attaining it.
-        let hm = _mm256_max_epi32(sums, _mm256_permute2x128_si256::<1>(sums, sums));
-        let hm = _mm256_max_epi32(hm, _mm256_shuffle_epi32::<0b0100_1110>(hm));
-        let hm = _mm256_max_epi32(hm, _mm256_shuffle_epi32::<0b1011_0001>(hm));
-        let max = _mm256_extract_epi32::<0>(hm);
-        let eq = _mm256_cmpeq_epi32(sums, _mm256_set1_epi32(max));
-        let max_lane =
-            (_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32).trailing_zeros() as usize;
-
-        DiagChunk {
-            total: _mm256_extract_epi32::<7>(sums),
-            max,
-            max_lane,
-            dropped,
-        }
-    }
-
-    /// SSE4.1 ungapped chunk over 4 lanes.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE4.1 is available and `scores.len() == 4`.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn diag_chunk_sse41(
-        scores: &[i32],
-        running: i32,
-        best: i32,
-        xdrop: i32,
-    ) -> DiagChunk {
-        let v = _mm_loadu_si128(scores.as_ptr() as *const __m128i);
-        let t = _mm_add_epi32(v, _mm_slli_si128::<4>(v));
-        let prefix = _mm_add_epi32(t, _mm_slli_si128::<8>(t));
-        let sums = _mm_add_epi32(prefix, _mm_set1_epi32(running));
-
-        let minv = _mm_set1_epi32(i32::MIN);
-        let m = _mm_max_epi32(sums, _mm_alignr_epi8::<12>(sums, minv));
-        let m = _mm_max_epi32(m, _mm_alignr_epi8::<8>(m, minv));
-
-        let bestv = _mm_set1_epi32(best);
-        let rot = _mm_shuffle_epi32::<0b10_01_00_11>(m);
-        let b_pre = _mm_max_epi32(_mm_blend_epi16::<0x03>(rot, bestv), bestv);
-
-        let diff = _mm_sub_epi32(b_pre, sums);
-        let fire = _mm_and_si128(
-            _mm_cmpgt_epi32(b_pre, sums),
-            _mm_cmpgt_epi32(diff, _mm_set1_epi32(xdrop)),
-        );
-        let dropped = _mm_movemask_epi8(fire) != 0;
-
-        let hm = _mm_max_epi32(sums, _mm_shuffle_epi32::<0b01_00_11_10>(sums));
-        let hm = _mm_max_epi32(hm, _mm_shuffle_epi32::<0b10_11_00_01>(hm));
-        let max = _mm_cvtsi128_si32(hm);
-        let eq = _mm_cmpeq_epi32(sums, _mm_set1_epi32(max));
-        let max_lane = (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32).trailing_zeros() as usize;
-
-        DiagChunk {
-            total: _mm_extract_epi32::<3>(sums),
-            max,
-            max_lane,
-            dropped,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -671,35 +487,6 @@ mod tests {
                 assert_eq!(active_level(), detected_level());
             }
         });
-    }
-
-    #[test]
-    fn diag_chunk_kernels_match_reference() {
-        let mut rng = Lcg(0x5eed);
-        for level in available_vector_levels() {
-            let lanes = level.lanes();
-            for case in 0..500 {
-                let scores: Vec<i32> = (0..lanes).map(|_| rng.score()).collect();
-                let running = rng.score() * 7;
-                let best = running + (rng.next() % 30) as i32;
-                let xdrop = [0, 1, 5, 22, 1000][case % 5];
-                let got = diag_chunk(level, &scores, running, best, xdrop);
-                let want = diag_chunk_generic(&scores, running, best, xdrop);
-                assert_eq!(got, want, "{level:?} case {case}: scores {scores:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn diag_chunk_ties_keep_first_lane() {
-        // Two lanes reach the same max; the scalar walk's strict `>`
-        // keeps the first.
-        let scores = [5, -5, 5, 0, 0, 0, 0, 0];
-        for level in available_vector_levels() {
-            let c = diag_chunk(level, &scores[..level.lanes()], 0, 0, 100);
-            assert_eq!(c.max, 5);
-            assert_eq!(c.max_lane, 0, "{level:?}");
-        }
     }
 
     #[test]

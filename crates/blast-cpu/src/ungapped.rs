@@ -9,7 +9,6 @@
 //! coarse-grained GPU baselines — which is what makes their outputs
 //! comparable bit-for-bit.
 
-use crate::simd;
 use bio_seq::alphabet::Residue;
 use blast_core::{Pssm, WORD_LEN};
 use serde::{Deserialize, Serialize};
@@ -56,6 +55,36 @@ impl UngappedExt {
     }
 }
 
+/// One direction of the x-drop walk: add `score_at(0)`, `score_at(1)`, …
+/// (at most `n` cells, in extension order) to a segment that already
+/// scores `start`. Returns the best score reached and how many cells the
+/// best-scoring prefix spans (0 when nothing improves on `start`; ties
+/// keep the shorter prefix).
+///
+/// Plain scalar code on purpose. Extensions average 7–9 residues on the
+/// repo benchmark, and a prefix-scan vector body measured 2.7–3.0× slower
+/// than a scalar loop at every length from 16 to 1000 (the score gather is
+/// scalar either way; DESIGN.md §3.5). What does cost on those short,
+/// unrelated stretches is the unpredictable "new best?" branch, so that
+/// update is written as selects and only the loop exit branches.
+#[inline(always)]
+fn walk(n: usize, score_at: impl Fn(usize) -> i32, start: i32, xdrop: i32) -> (i32, usize) {
+    // `gap < 0` is a strict improvement, which never drops whatever
+    // `xdrop` is; clamping the limit keeps that true for a negative one.
+    let limit = xdrop.max(-1);
+    let (mut best, mut best_len, mut running) = (start, 0usize, start);
+    for k in 0..n {
+        running += score_at(k);
+        let gap = best - running;
+        best_len = if gap < 0 { k + 1 } else { best_len };
+        best = best.max(running);
+        if gap > limit {
+            break;
+        }
+    }
+    (best, best_len)
+}
+
 /// Extend a word hit in both directions with an x-drop of `xdrop`.
 ///
 /// `query_pos`/`subject_pos` address the first residue of the W-mer hit.
@@ -71,104 +100,32 @@ pub fn extend(
     subject_pos: u32,
     xdrop: i32,
 ) -> UngappedExt {
-    let qlen = pssm.query_len();
-    let slen = subject.len();
     let qp = query_pos as usize;
     let sp = subject_pos as usize;
-    debug_assert!(qp + WORD_LEN <= qlen && sp + WORD_LEN <= slen);
+    // One past the word, on both sequences.
+    let (qr, sr) = (qp + WORD_LEN, sp + WORD_LEN);
+    debug_assert!(qr <= pssm.query_len() && sr <= subject.len());
 
-    // Score the seed word.
-    let mut word_score = 0i32;
-    for k in 0..WORD_LEN {
-        word_score += pssm.score(qp + k, subject[sp + k]);
-    }
+    let word_score: i32 = (0..WORD_LEN)
+        .map(|k| pssm.score(qp + k, subject[sp + k]))
+        .sum();
 
-    // Both walks run whole vector chunks through a prefix-sum/prefix-max
-    // scan (`simd::diag_chunk`) while no lane trips the x-drop; the first
-    // chunk that would is discarded and replayed by the scalar tail, which
-    // then breaks exactly where the pure scalar walk would. Committing a
-    // clean chunk is exact: the chunk max is the best prefix sum and its
-    // first-occurrence lane matches the scalar strict-`>` update.
-    let level = simd::active_level();
-    let lanes = level.lanes();
-    let mut scores = [0i32; 8];
-
-    // Rightward from the residue after the word.
-    let mut best = word_score;
-    let mut running = word_score;
-    let mut best_right = WORD_LEN; // length to the right of (qp, sp), inclusive of word
-    {
-        let mut k = WORD_LEN;
-        if lanes > 1 {
-            while qp + k + lanes <= qlen && sp + k + lanes <= slen {
-                for (l, slot) in scores[..lanes].iter_mut().enumerate() {
-                    *slot = pssm.score(qp + k + l, subject[sp + k + l]);
-                }
-                let c = simd::diag_chunk(level, &scores[..lanes], running, best, xdrop);
-                if c.dropped {
-                    break;
-                }
-                if c.max > best {
-                    best = c.max;
-                    best_right = k + c.max_lane + 1;
-                }
-                running = c.total;
-                k += lanes;
-            }
-        }
-        while qp + k < qlen && sp + k < slen {
-            running += pssm.score(qp + k, subject[sp + k]);
-            if running > best {
-                best = running;
-                best_right = k + 1;
-            } else if best - running > xdrop {
-                break;
-            }
-            k += 1;
-        }
-    }
+    // Rightward from the residue after the word, to whichever sequence
+    // ends first.
+    let n = (pssm.query_len() - qr).min(subject.len() - sr);
+    let right = |k: usize| pssm.score(qr + k, subject[sr + k]);
+    let (best, best_right) = walk(n, right, word_score, xdrop);
 
     // Leftward from the residue before the word. The running score restarts
     // from the best-so-far (the left extension adds to the whole segment).
-    let mut running_left = best;
-    let mut best_left = 0usize; // residues added to the left of qp/sp
-    let mut best_total = best;
-    {
-        let mut k = 1usize;
-        if lanes > 1 {
-            while qp >= k + lanes - 1 && sp >= k + lanes - 1 {
-                for (l, slot) in scores[..lanes].iter_mut().enumerate() {
-                    *slot = pssm.score(qp - k - l, subject[sp - k - l]);
-                }
-                let c = simd::diag_chunk(level, &scores[..lanes], running_left, best_total, xdrop);
-                if c.dropped {
-                    break;
-                }
-                if c.max > best_total {
-                    best_total = c.max;
-                    best_left = k + c.max_lane;
-                }
-                running_left = c.total;
-                k += lanes;
-            }
-        }
-        while qp >= k && sp >= k {
-            running_left += pssm.score(qp - k, subject[sp - k]);
-            if running_left > best_total {
-                best_total = running_left;
-                best_left = k;
-            } else if best_total - running_left > xdrop {
-                break;
-            }
-            k += 1;
-        }
-    }
+    let left = |k: usize| pssm.score(qp - 1 - k, subject[sp - 1 - k]);
+    let (best_total, best_left) = walk(qp.min(sp), left, best, xdrop);
 
     UngappedExt {
         seq_id,
         q_start: (qp - best_left) as u32,
         s_start: (sp - best_left) as u32,
-        len: (best_left + best_right) as u32,
+        len: (best_left + WORD_LEN + best_right) as u32,
         score: best_total,
     }
 }
@@ -256,19 +213,60 @@ mod tests {
         assert_eq!(ext.score, 33);
     }
 
+    /// The parent's scalar walk, branches and all: `if better {…} else if
+    /// dropped {break}` per direction.
+    fn branching_extend(
+        pssm: &Pssm,
+        s: &[Residue],
+        qp: usize,
+        sp: usize,
+        xdrop: i32,
+    ) -> UngappedExt {
+        let word: i32 = (0..WORD_LEN).map(|k| pssm.score(qp + k, s[sp + k])).sum();
+        let (mut best, mut running, mut right) = (word, word, WORD_LEN);
+        let mut k = WORD_LEN;
+        while qp + k < pssm.query_len() && sp + k < s.len() {
+            running += pssm.score(qp + k, s[sp + k]);
+            if running > best {
+                best = running;
+                right = k + 1;
+            } else if best - running > xdrop {
+                break;
+            }
+            k += 1;
+        }
+        let (mut total, mut running, mut left) = (best, best, 0);
+        let mut k = 1;
+        while qp >= k && sp >= k {
+            running += pssm.score(qp - k, s[sp - k]);
+            if running > total {
+                total = running;
+                left = k;
+            } else if total - running > xdrop {
+                break;
+            }
+            k += 1;
+        }
+        UngappedExt {
+            seq_id: 1,
+            q_start: (qp - left) as u32,
+            s_start: (sp - left) as u32,
+            len: (left + right) as u32,
+            score: total,
+        }
+    }
+
     #[test]
-    fn simd_and_scalar_walks_are_bit_identical() {
+    fn select_walk_matches_branching_walk() {
         let q = bio_seq::generate::make_query(300);
         let pssm = Pssm::build(&q, &Matrix::blosum62());
         let s = bio_seq::generate::make_query(400);
         for (qp, sp) in [(0u32, 0u32), (10, 40), (150, 90), (280, 380), (297, 397)] {
-            for xdrop in [0, 1, 5, 16, 10_000] {
-                let scalar = simd::with_forced(Some(simd::IsaLevel::Scalar), || {
-                    extend(&pssm, s.residues(), 1, qp, sp, xdrop)
-                });
-                let native =
-                    simd::with_forced(None, || extend(&pssm, s.residues(), 1, qp, sp, xdrop));
-                assert_eq!(scalar, native, "seed ({qp},{sp}) xdrop {xdrop}");
+            // Negative x-drops too: an improving step must still never drop.
+            for xdrop in [-5, -1, 0, 1, 5, 16, 10_000] {
+                let got = extend(&pssm, s.residues(), 1, qp, sp, xdrop);
+                let want = branching_extend(&pssm, s.residues(), qp as usize, sp as usize, xdrop);
+                assert_eq!(got, want, "seed ({qp},{sp}) xdrop {xdrop}");
             }
         }
     }

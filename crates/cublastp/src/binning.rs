@@ -15,8 +15,11 @@
 //! simulated block records its hits in detection order, groups them by
 //! slot with a stable counting sort, and returns its arena page by value
 //! through [`gpu_sim::launch_map`]; the host stitches pages in block
-//! order. All scratch comes from a [`KernelWorkspace`] pool, so the
-//! steady state allocates nothing.
+//! order. That body — the block's walk over its sequences, the serialized
+//! hit rounds, the page epilogue — is the private `seedpass` module,
+//! shared with the grouped kernel; this file supplies the DFA look-up. All
+//! scratch comes from a [`KernelWorkspace`] pool, so the steady state
+//! allocates nothing.
 //!
 //! Hierarchical buffering (§3.5, Fig. 10): the DFA state table lives in
 //! shared memory; the query-position lists are fetched through the
@@ -25,11 +28,10 @@
 
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::hitpack::pack;
+use crate::seedpass::SeedPass;
 use blast_core::{word_code, WORD_LEN};
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::memory::virtual_alloc;
-use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
+use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
 
 /// Shared-memory footprint of the compacted DFA state table (the paper
 /// keeps states in shared memory; FSA-BLAST's compressed automaton for a
@@ -87,218 +89,50 @@ pub fn binning_kernel(
     db: &DeviceDbBlock,
     ws: &KernelWorkspace,
 ) -> (BinnedHits, KernelStats) {
-    let grid_blocks = cfg.grid_blocks.max(1);
-    let warps_per_block = cfg.warps_per_block.max(1);
-    let num_warps = (grid_blocks * warps_per_block) as usize;
-    let num_bins = cfg.num_bins;
     let qlen = query.query_len();
+    let pass = SeedPass::new(cfg, &[qlen], db);
+    // Shared memory: the DFA states next to the pass's bin counters.
+    let launch_cfg = pass.launch_config(cfg, DFA_STATES_SHARED_BYTES);
+    let hood = query.dfa.neighborhood();
 
-    // The packed bin element (Fig. 7) stores diagonal and subject position
-    // in 16 bits each; debug_asserts vanish in release builds, so enforce
-    // the representable range here, once per block.
-    let max_slen = db.max_seq_len;
-    assert!(
-        qlen + max_slen <= u16::MAX as usize,
-        "query ({qlen}) + longest subject ({max_slen}) exceeds the 16-bit \
-         diagonal range of the packed hit format (max 65535 combined)"
-    );
-
-    // Shared memory: DFA states + the per-warp bin `top` counters
-    // (4 bytes per bin per warp) — the §4.1 occupancy trade-off.
-    let shared = DFA_STATES_SHARED_BYTES + (warps_per_block as usize * num_bins * 4) as u32;
-    let launch_cfg = LaunchConfig {
-        blocks: grid_blocks,
-        warps_per_block,
-        shared_bytes_per_block: shared,
-        use_readonly_cache: cfg.use_readonly_cache,
-    };
-
-    // Paper capacity: one bin holds up to `query words` hits; the bins of
-    // all warps live in one preallocated global buffer.
-    let bin_capacity = qlen.max(1) as u64;
-    let bins_base = virtual_alloc(num_warps as u64 * num_bins as u64 * bin_capacity * 8);
-
-    let block_slots = warps_per_block as usize * num_bins;
-
-    let (pages, stats) = launch_map(device, launch_cfg, "hit_detection", |block| {
-        // Hits in detection order, as (slot, key) columns; grouped into an
-        // arena page at block end. All scratch is pooled.
-        let mut det_slots: Vec<u32> = ws.offsets.take();
-        let mut det_keys: Vec<u64> = ws.keys.take();
-        // Per-lane scratch reused across chunks.
-        let mut lane_hits: Vec<Vec<(u32, u32)>> =
-            (0..WARP_SIZE).map(|_| ws.lane_hits.take()).collect();
+    let (mut pages, stats) = launch_map(device, launch_cfg, "hit_detection", |block| {
         let mut addrs: Vec<u64> = ws.addrs.take();
-        let mut round_bins: Vec<u64> = ws.addrs.take();
-        let mut writes: Vec<u64> = ws.addrs.take();
-        let mut tops: Vec<u64> = ws.addrs.take();
-        // Per-bin hit count of the current round — the worst count is the
-        // atomic serialization the simulator charges, so the kernel hands
-        // it over instead of having the simulator re-derive it from a
-        // target list. Reset via `round_bins` after every round.
-        let mut round_cnt: Vec<u64> = ws.addrs.take();
-        round_cnt.resize(num_bins, 0);
-        // Bin-size histogram for the block's arena page, filled from the
-        // final `top` counters as each warp retires (no extra pass).
-        let mut page_offsets: Vec<u32> = ws.offsets.take();
-        page_offsets.resize(block_slots + 1, 0);
-
-        for warp_in_block in 0..warps_per_block as usize {
-            let warp_id = block.block_id as usize * warps_per_block as usize + warp_in_block;
-            let warp_bins_base = bins_base + (warp_id * num_bins) as u64 * bin_capacity * 8;
-            tops.clear();
-            tops.resize(num_bins, 0);
-
-            let mut i = warp_id;
-            while i < db.num_seqs() {
-                let slen = db.seq_len(i);
-                let words = slen.saturating_sub(WORD_LEN - 1);
-                let subject = db.seq(i);
-                // Residues are contiguous bytes, so lane addresses are
-                // `seq_base + column` — one base computation per sequence
-                // instead of an offsets lookup per lane.
-                let seq_base = db.residue_addr(i, 0);
-
-                let mut j0 = 0usize;
-                while j0 < words {
-                    let active = (words - j0).min(WARP_SIZE as usize);
-
-                    // Coalesced read of each lane's word start (lane ℓ reads
-                    // column j0+ℓ; a word needs W consecutive residues). The
-                    // lane addresses are a stride-1 sequence, so the
-                    // coalescing is charged analytically.
-                    block.global_read_seq(seq_base + j0 as u64, active as u32, 1, WORD_LEN as u32);
-                    // DFA state transition via the shared-memory table.
-                    block.shared_access(active as u32);
-
-                    // Look up each lane's query-position list.
-                    addrs.clear();
-                    let mut max_hits = 0usize;
-                    for (l, lane) in lane_hits.iter_mut().take(active).enumerate() {
-                        lane.clear();
-                        let col = j0 + l;
-                        let code = word_code(&subject[col..col + WORD_LEN]);
-                        let positions = query.dfa.neighborhood().positions(code);
-                        let (base, len) = query.position_addrs(code);
-                        for (k, &qpos) in positions.iter().enumerate() {
-                            debug_assert!(k < len.max(1));
-                            lane.push((qpos, col as u32));
-                            addrs.push(base + (k * 4) as u64);
-                        }
-                        max_hits = max_hits.max(positions.len());
-                    }
-                    // Position-list traffic: read-only cache or global,
-                    // depending on the Fig. 17 toggle (readonly_read
-                    // degrades to a global read when the cache is off).
-                    for chunk in addrs.chunks(WARP_SIZE as usize) {
-                        block.readonly_read(chunk, 4);
-                    }
-
-                    // Serialized hit loop: lanes with more hits keep the
-                    // warp busy while others idle (Algorithm 2's `for all
-                    // hits` divergence).
-                    for k in 0..max_hits {
-                        round_bins.clear();
-                        writes.clear();
-                        let mut round_max = 0u64;
-                        for lane in lane_hits.iter().take(active) {
-                            if let Some(&(qpos, col)) = lane.get(k) {
-                                let diagonal = (col as i64 - qpos as i64 + qlen as i64) as u32;
-                                let bin_id = diagonal as usize % num_bins;
-                                let top = tops[bin_id];
-                                tops[bin_id] += 1;
-                                let c = round_cnt[bin_id] + 1;
-                                round_cnt[bin_id] = c;
-                                round_max = round_max.max(c);
-                                round_bins.push(bin_id as u64);
-                                writes.push(
-                                    warp_bins_base
-                                        + (bin_id as u64 * bin_capacity + top % bin_capacity) * 8,
-                                );
-                                det_slots.push((warp_in_block * num_bins + bin_id) as u32);
-                                det_keys.push(pack(i as u32, diagonal, col));
-                            }
-                        }
-                        // Diagonal/bin arithmetic.
-                        block.instr(writes.len() as u32);
-                        // atomicAdd on the shared `top` array; conflicts
-                        // were counted in the lane loop.
-                        block.atomic_shared_counted(writes.len() as u32, round_max);
-                        // Scattered global write of the packed hits.
-                        block.global_write(&writes, 8);
-                        for &b in round_bins.iter() {
-                            round_cnt[b as usize] = 0;
-                        }
-                    }
-
-                    j0 += WARP_SIZE as usize;
+        let pages = pass.run_block(
+            block,
+            db,
+            ws,
+            |block, subject, j0, lanes| {
+                // DFA state transition via the shared-memory table.
+                block.shared_access(lanes.len() as u32);
+                // Each lane's query-position list, borrowed from the DFA.
+                addrs.clear();
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let code = word_code(&subject[j0 + l..j0 + l + WORD_LEN]);
+                    *lane = hood.positions(code);
+                    let (base, len) = query.position_addrs(code);
+                    debug_assert_eq!(len, lane.len());
+                    addrs.extend((0..len as u64).map(|k| base + k * 4));
                 }
-                i += num_warps;
-            }
-            for (b, &t) in tops.iter().enumerate() {
-                page_offsets[warp_in_block * num_bins + b + 1] = t as u32;
-            }
-        }
+                // Position-list traffic: read-only cache or global,
+                // depending on the Fig. 17 toggle (readonly_read degrades
+                // to a global read when the cache is off).
+                for chunk in addrs.chunks(WARP_SIZE as usize) {
+                    block.readonly_read(chunk, 4);
+                }
+            },
+            |qpos: u32| (0, qpos, qlen),
+        );
         ws.addrs.put(addrs);
-        ws.addrs.put(round_bins);
-        ws.addrs.put(writes);
-        ws.addrs.put(tops);
-        ws.addrs.put(round_cnt);
-        for lane in lane_hits {
-            ws.lane_hits.put(lane);
-        }
-
-        // Group detection-order hits by slot: stable counting sort into an
-        // arena page (offsets + keys), the block's by-value result.
-        for i in 1..=block_slots {
-            page_offsets[i] += page_offsets[i - 1];
-        }
-        let mut page_keys: Vec<u64> = ws.keys.take();
-        page_keys.resize(det_keys.len(), 0);
-        let mut cursor: Vec<u32> = ws.offsets.take();
-        cursor.extend_from_slice(&page_offsets[..block_slots]);
-        for (&s, &k) in det_slots.iter().zip(det_keys.iter()) {
-            let c = &mut cursor[s as usize];
-            page_keys[*c as usize] = k;
-            *c += 1;
-        }
-        ws.offsets.put(cursor);
-        ws.offsets.put(det_slots);
-        ws.keys.put(det_keys);
-        (page_offsets, page_keys)
+        pages
     });
 
-    // Stitch per-block pages into the warp-major arena: pages arrive in
-    // block order, and each page is already warp-in-block-major, so plain
-    // concatenation (with rebased offsets) yields the global slot order.
-    let mut offsets: Vec<u32> = ws.offsets.take();
-    let mut keys: Vec<u64> = ws.keys.take();
-    offsets.push(0);
-    for (page_offsets, page_keys) in pages {
-        let base = keys.len() as u32;
-        offsets.extend(page_offsets[1..].iter().map(|&o| base + o));
-        keys.extend_from_slice(&page_keys);
-        ws.offsets.put(page_offsets);
-        ws.keys.put(page_keys);
-    }
-    let total_hits = keys.len() as u64;
-
-    (
-        BinnedHits {
-            offsets,
-            keys,
-            num_bins,
-            num_warps,
-            total_hits,
-        },
-        stats,
-    )
+    (pass.stitch(ws, &mut pages, 0), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hitpack;
+    use crate::hitpack::{self, pack};
     use bio_seq::generate::make_query;
     use bio_seq::Sequence;
     use blast_core::{Dfa, Matrix, Pssm, SearchParams};

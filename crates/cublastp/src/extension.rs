@@ -131,7 +131,7 @@ fn sequential_ext_cost(scanned: u64, sc: &ScoringCost, device: &DeviceConfig) ->
 fn window_ext_cost(scanned: u64, w: u64, sc: &ScoringCost, device: &DeviceConfig) -> LaneCost {
     let steps = scanned.div_ceil(w).max(1);
     // A w-lane shuffle scan needs ⌈log₂ w⌉ steps (3 for the default 8).
-    let scan_steps = (w.max(2) as f64).log2().ceil() as u64;
+    let scan_steps = w.max(2).next_power_of_two().trailing_zeros() as u64;
     // Redundant positions: the window always completes its last chunk.
     let scanned_padded = steps * w;
     let dram_lines = 1 + scanned_padded / 128;
@@ -216,6 +216,44 @@ fn walk_task(
     scanned_total
 }
 
+/// Canonical order of a kernel's output — by subject, then subject start,
+/// query start and length — shared by every strategy so downstream phases
+/// are order-independent. The blocks' records are bucketed by subject
+/// straight into the output buffer (a stable counting pass, so the result
+/// is already grouped the way [`crate::ExtensionsCsr`] wants it), then
+/// each subject's handful is sorted on one packed integer: the three
+/// positions are below 2¹⁶ (the packed hit format, asserted by the seeding
+/// kernels), and two records equal in all four fields are the same
+/// segment with the same score, so the unstable sort is exact.
+fn order_by_subject(per_block: Vec<Vec<UngappedExt>>, num_seqs: usize) -> Vec<UngappedExt> {
+    let mut ends = vec![0u32; num_seqs + 1];
+    for e in per_block.iter().flatten() {
+        ends[e.seq_id as usize + 1] += 1;
+    }
+    for i in 1..=num_seqs {
+        ends[i] += ends[i - 1];
+    }
+    let Some(&filler) = per_block.iter().flatten().next() else {
+        return Vec::new();
+    };
+    let mut out = vec![filler; ends[num_seqs] as usize];
+    // `ends[s]` is subject s's write cursor; once every record is placed
+    // it has advanced to the subject's end.
+    for e in per_block.into_iter().flatten() {
+        let at = &mut ends[e.seq_id as usize];
+        out[*at as usize] = e;
+        *at += 1;
+    }
+    let mut lo = 0usize;
+    for &hi in &ends[..num_seqs] {
+        out[lo..hi as usize].sort_unstable_by_key(|e| {
+            (e.s_start as u64) << 32 | (e.q_start as u64) << 16 | e.len as u64
+        });
+        lo = hi as usize;
+    }
+    out
+}
+
 /// Run the configured ungapped-extension kernel over the filtered hits.
 pub fn extension_kernel(
     device: &DeviceConfig,
@@ -259,9 +297,7 @@ pub fn extension_kernel(
                     let mut traffic = LaneCost::default();
                     for &(s, e) in &tasks[lo..hi] {
                         let mut lane = hit_walk_cost((e - s) as u64, block.device());
-                        let before = out.len();
                         let scanned = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
-                        let _ = before;
                         lane.add(sequential_ext_cost(scanned, &sc, block.device()));
                         lane_costs.push(lane.cycles);
                         traffic.add(LaneCost {
@@ -318,6 +354,7 @@ pub fn extension_kernel(
                 let w = cfg.window_size.clamp(2, WARP_SIZE as usize) as u64;
                 let windows_per_warp = (WARP_SIZE as usize / w as usize).max(1);
                 let mut win_costs: Vec<u64> = Vec::with_capacity(windows_per_warp);
+                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
                 let batches = tasks.len().div_ceil(windows_per_warp);
                 let mut batch = block.block_id as usize;
                 while batch < batches {
@@ -339,11 +376,9 @@ pub fn extension_kernel(
                     }
                     // Expand window costs to lane granularity: all lanes of
                     // a window stay active for the window's duration.
-                    let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
+                    lane_costs.clear();
                     for &c in &win_costs {
-                        for _ in 0..w {
-                            lane_costs.push(c);
-                        }
+                        lane_costs.extend(std::iter::repeat_n(c, w as usize));
                     }
                     block.lockstep(&lane_costs);
                     block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
@@ -354,11 +389,7 @@ pub fn extension_kernel(
         out
     });
 
-    let mut extensions: Vec<UngappedExt> = per_block.into_iter().flatten().collect();
-
-    // Canonical order: by subject, then position — shared by every
-    // strategy so downstream phases are order-independent.
-    extensions.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+    let mut extensions = order_by_subject(per_block, db.num_seqs());
     let mut redundant = 0u64;
     if cfg.extension == ExtensionStrategy::Hit {
         let before = extensions.len();
@@ -451,6 +482,48 @@ mod tests {
         assert_eq!(diag.extensions, win.extensions);
         assert_eq!(diag.redundant, 0);
         assert_eq!(win.redundant, 0);
+    }
+
+    #[test]
+    fn output_is_in_canonical_order_for_every_strategy() {
+        let (dq, db, f) = workload();
+        let d = DeviceConfig::k20c();
+        let p = SearchParams::default();
+        let mut redundant = Vec::new();
+        for strategy in [
+            ExtensionStrategy::Diagonal,
+            ExtensionStrategy::Hit,
+            ExtensionStrategy::Window,
+        ] {
+            let cfg = CuBlastpConfig {
+                extension: strategy,
+                grid_blocks: 3,
+                warps_per_block: 2,
+                ..Default::default()
+            };
+            let r = extension_kernel(&d, &cfg, &dq, &db, &f, &p);
+            assert!(r.extensions.len() > 12, "{strategy:?}: too few to order");
+            // The definition: a stable sort on the four-field key.
+            let mut want = r.extensions.clone();
+            want.reverse();
+            want.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+            assert_eq!(r.extensions, want, "{strategy:?}");
+            redundant.push(r.redundant);
+
+            // Grouped by subject already, so the CSR takes the buffer as it
+            // is — and equals the CSR of the same records arriving with the
+            // subjects in another order (order within a subject kept).
+            let n = db.num_seqs();
+            let grouped = crate::ExtensionsCsr::from_stream(r.extensions.clone(), n);
+            let mut interleaved = r.extensions.clone();
+            interleaved.sort_by_key(|e| std::cmp::Reverse(e.seq_id));
+            assert!(interleaved.windows(2).any(|w| w[0].seq_id > w[1].seq_id));
+            assert_eq!(grouped, crate::ExtensionsCsr::from_stream(interleaved, n));
+            assert_eq!(grouped.records(), &r.extensions[..]);
+        }
+        // Every duplicate the hit-based kernel computes is one the ordering
+        // brings together: 749 raw extensions, 29 distinct.
+        assert_eq!(redundant, [0, 720, 0]);
     }
 
     #[test]

@@ -56,20 +56,29 @@ pub struct ExtensionsCsr {
 }
 
 impl ExtensionsCsr {
-    /// Group an unordered record stream by `seq_id` via a stable counting
-    /// sort; within a subject, stream order is preserved.
+    /// Group a record stream by `seq_id`; within a subject, stream order is
+    /// preserved. A stream that is already grouped — what
+    /// [`extension_kernel`] returns — becomes the record buffer as it is;
+    /// any other order goes through a stable counting sort.
     pub fn from_stream(stream: Vec<UngappedExt>, num_seqs: usize) -> Self {
         let mut offsets = vec![0u32; num_seqs + 1];
+        let mut grouped = true;
+        let mut prev = 0u32;
         for e in &stream {
             offsets[e.seq_id as usize + 1] += 1;
+            grouped &= e.seq_id >= prev;
+            prev = e.seq_id;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut records = match stream.first() {
-            Some(&first) => vec![first; stream.len()],
-            None => Vec::new(),
-        };
+        if grouped {
+            return Self {
+                offsets,
+                records: stream,
+            };
+        }
+        let mut records = vec![stream[0]; stream.len()];
         let mut cursor: Vec<u32> = offsets[..num_seqs].to_vec();
         for e in stream {
             let c = &mut cursor[e.seq_id as usize];

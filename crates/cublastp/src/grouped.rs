@@ -8,10 +8,10 @@
 //! subject reads and word hashing are paid once per group instead of
 //! once per query.
 //!
-//! The warp structure mirrors `binning_kernel` exactly (round-robin
-//! sequences, 32-column chunks, coalesced subject reads, serialized
-//! per-hit rounds with shared-memory atomics), with two differences in
-//! the cost model:
+//! The warp structure *is* `binning_kernel`'s — both run the private
+//! `seedpass` module (round-robin sequences, 32-column chunks, coalesced
+//! subject reads, serialized per-hit rounds with shared-memory atomics) —
+//! with two differences in the cost model:
 //!
 //! * hit detection is a Murmur hash plus a linear-probe read of the slot
 //!   table through the read-only cache, then a postings-span read —
@@ -24,8 +24,8 @@
 //!   onto the same counters.
 //!
 //! The **demux is the scatter itself**: every detected hit carries its
-//! group-local member, and the host groups hits per member into the same
-//! flat CSR arena pages `binning_kernel` produces — same slot formula
+//! group-local member, and the shared pass groups hits per member into
+//! the flat CSR arena pages — same slot formula
 //! (`warp * num_bins + diagonal % num_bins`), same packed key. Each
 //! member's arena holds exactly the multiset of hits the per-query DFA
 //! scan finds (the within-bin order differs, which downstream sorting is
@@ -36,21 +36,17 @@
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::hitpack::pack;
-use blast_core::qindex::{QueryIndex, POSTING_BYTES, SLOT_BYTES};
+use crate::seedpass::SeedPass;
+use blast_core::qindex::{Posting, QueryIndex, POSTING_BYTES, SLOT_BYTES};
 use blast_core::WORD_LEN;
 use blast_core::{word_code, WordNeighborhood};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
-use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
+use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
 
 /// Modelled instruction count of the Murmur-finalizer word hash (three
 /// shifts-and-xors, two multiplies, one mask).
 const HASH_INSTRS: u64 = 6;
-
-/// Stride decorrelating member bins: hits of different members on the
-/// same diagonal land on different per-warp `top` counters.
-const MEMBER_BIN_STRIDE: usize = 131;
 
 /// A query group's index, resident in device memory: the open-addressing
 /// slot table and the flat postings array, plus the per-member metadata
@@ -111,232 +107,66 @@ pub fn grouped_seeding_kernel(
     db: &DeviceDbBlock,
     ws: &KernelWorkspace,
 ) -> (Vec<BinnedHits>, KernelStats) {
-    let grid_blocks = cfg.grid_blocks.max(1);
-    let warps_per_block = cfg.warps_per_block.max(1);
-    let num_warps = (grid_blocks * warps_per_block) as usize;
-    let num_bins = cfg.num_bins;
-    let members = group.members();
-
-    let max_slen = db.max_seq_len;
-    for (m, &qlen) in group.qlens.iter().enumerate() {
-        assert!(
-            qlen + max_slen <= u16::MAX as usize,
-            "group member {m}: query ({qlen}) + longest subject ({max_slen}) exceeds \
-             the 16-bit diagonal range of the packed hit format (max 65535 combined)"
-        );
-    }
-
-    // Shared memory: only the per-warp bin `top` counters — the DFA state
-    // table of the per-query path is gone, which is where the grouped
-    // kernel wins back the occupancy its bigger working set costs.
-    let shared = (warps_per_block as usize * num_bins * 4) as u32;
-    let launch_cfg = LaunchConfig {
-        blocks: grid_blocks,
-        warps_per_block,
-        shared_bytes_per_block: shared,
-        use_readonly_cache: cfg.use_readonly_cache,
-    };
-
     // One write arena sized for the longest member, shared by the group.
-    let bin_capacity = group.qlens.iter().copied().max().unwrap_or(0).max(1) as u64;
-    let bins_base = virtual_alloc(num_warps as u64 * num_bins as u64 * bin_capacity * 8);
-
-    let block_slots = warps_per_block as usize * num_bins;
+    let pass = SeedPass::new(cfg, &group.qlens, db);
+    // Shared memory: only the pass's bin counters — the DFA state table of
+    // the per-query path is gone, which is where the grouped kernel wins
+    // back the occupancy its bigger working set costs.
+    let launch_cfg = pass.launch_config(cfg, 0);
     let slot_mask = (group.index.capacity() - 1) as u32;
 
-    let (pages, stats) = launch_map(device, launch_cfg, "grouped_seeding", |block| {
-        // Per-member detection streams; demuxed into per-member arena
-        // pages at block end. All scratch is pooled.
-        let mut det_slots: Vec<Vec<u32>> = (0..members).map(|_| ws.offsets.take()).collect();
-        let mut det_keys: Vec<Vec<u64>> = (0..members).map(|_| ws.keys.take()).collect();
-        // Per-lane merged hit lists: ((member << 16) | qpos, column).
-        let mut lane_hits: Vec<Vec<(u32, u32)>> =
-            (0..WARP_SIZE).map(|_| ws.lane_hits.take()).collect();
+    let (mut pages, stats) = launch_map(device, launch_cfg, "grouped_seeding", |block| {
         let mut probe_addrs: Vec<u64> = ws.addrs.take();
         let mut posting_addrs: Vec<u64> = ws.addrs.take();
-        let mut round_bins: Vec<u64> = ws.addrs.take();
-        let mut writes: Vec<u64> = ws.addrs.take();
-        let mut tops: Vec<u64> = ws.addrs.take();
-        let mut round_cnt: Vec<u64> = ws.addrs.take();
-        round_cnt.resize(num_bins, 0);
-
-        for warp_in_block in 0..warps_per_block as usize {
-            let warp_id = block.block_id as usize * warps_per_block as usize + warp_in_block;
-            let warp_bins_base = bins_base + (warp_id * num_bins) as u64 * bin_capacity * 8;
-            tops.clear();
-            tops.resize(num_bins, 0);
-
-            let mut i = warp_id;
-            while i < db.num_seqs() {
-                let slen = db.seq_len(i);
-                let words = slen.saturating_sub(WORD_LEN - 1);
-                let subject = db.seq(i);
-                let seq_base = db.residue_addr(i, 0);
-
-                let mut j0 = 0usize;
-                while j0 < words {
-                    let active = (words - j0).min(WARP_SIZE as usize);
-
-                    // Coalesced subject read — identical to the per-query
-                    // kernel, but paid once for the whole group.
-                    block.global_read_seq(seq_base + j0 as u64, active as u32, 1, WORD_LEN as u32);
-                    // Murmur word hash instead of a DFA transition.
-                    block.instr_n(active as u32, HASH_INSTRS);
-
-                    // Linear-probe the slot table: every lane walks its
-                    // chain of consecutive slots, scattered across the
-                    // table by the hash.
-                    probe_addrs.clear();
-                    posting_addrs.clear();
-                    let mut max_hits = 0usize;
-                    for (l, lane) in lane_hits.iter_mut().take(active).enumerate() {
-                        lane.clear();
-                        let col = j0 + l;
-                        let code = word_code(&subject[col..col + WORD_LEN]);
-                        let probe = group.index.probe(code);
-                        for step in 0..probe.steps {
-                            let slot = (probe.home + step) & slot_mask;
-                            probe_addrs.push(group.slots_base + slot as u64 * SLOT_BYTES);
-                        }
-                        for (k, p) in probe.postings.iter().enumerate() {
-                            lane.push((((p.query as u32) << 16) | p.qpos as u32, col as u32));
-                            posting_addrs.push(
-                                group.postings_base
-                                    + (probe.offset as usize + k) as u64 * POSTING_BYTES,
-                            );
-                        }
-                        max_hits = max_hits.max(probe.postings.len());
-                    }
-                    for chunk in probe_addrs.chunks(WARP_SIZE as usize) {
-                        block.readonly_read(chunk, SLOT_BYTES as u32);
-                    }
-                    // Postings-span traffic for the lanes that hit.
-                    for chunk in posting_addrs.chunks(WARP_SIZE as usize) {
-                        block.readonly_read(chunk, POSTING_BYTES as u32);
-                    }
-
-                    // Serialized hit rounds, exactly as in the per-query
-                    // kernel; the merged postings list makes a lane's
-                    // round count the *group's* hit count on its column.
-                    for k in 0..max_hits {
-                        round_bins.clear();
-                        writes.clear();
-                        let mut round_max = 0u64;
-                        for lane in lane_hits.iter().take(active) {
-                            if let Some(&(mq, col)) = lane.get(k) {
-                                let member = (mq >> 16) as usize;
-                                let qpos = mq & 0xFFFF;
-                                let qlen = group.qlens[member];
-                                let diagonal = (col as i64 - qpos as i64 + qlen as i64) as u32;
-                                // Device bin: member-sheared so the group
-                                // doesn't serialize on shared counters.
-                                let bin_id =
-                                    (diagonal as usize + member * MEMBER_BIN_STRIDE) % num_bins;
-                                let top = tops[bin_id];
-                                tops[bin_id] += 1;
-                                let c = round_cnt[bin_id] + 1;
-                                round_cnt[bin_id] = c;
-                                round_max = round_max.max(c);
-                                round_bins.push(bin_id as u64);
-                                writes.push(
-                                    warp_bins_base
-                                        + (bin_id as u64 * bin_capacity + top % bin_capacity) * 8,
-                                );
-                                // Demux scatter: the member's arena slot
-                                // uses the same formula as binning_kernel,
-                                // so the per-member pages are shaped
-                                // identically to the per-query path.
-                                det_slots[member].push(
-                                    (warp_in_block * num_bins + diagonal as usize % num_bins)
-                                        as u32,
-                                );
-                                det_keys[member].push(pack(i as u32, diagonal, col));
-                            }
-                        }
-                        block.instr(writes.len() as u32);
-                        block.atomic_shared_counted(writes.len() as u32, round_max);
-                        block.global_write(&writes, 8);
-                        for &b in round_bins.iter() {
-                            round_cnt[b as usize] = 0;
-                        }
-                    }
-
-                    j0 += WARP_SIZE as usize;
+        let pages = pass.run_block(
+            block,
+            db,
+            ws,
+            |block, subject, j0, lanes| {
+                // Murmur word hash instead of a DFA transition.
+                block.instr_n(lanes.len() as u32, HASH_INSTRS);
+                // Linear-probe the slot table: every lane walks its chain
+                // of consecutive slots, scattered across the table by the
+                // hash. The merged postings span makes a lane's round
+                // count the *group's* hit count on its column.
+                probe_addrs.clear();
+                posting_addrs.clear();
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let code = word_code(&subject[j0 + l..j0 + l + WORD_LEN]);
+                    let probe = group.index.probe(code);
+                    *lane = probe.postings;
+                    probe_addrs.extend((0..probe.steps).map(|step| {
+                        let slot = (probe.home + step) & slot_mask;
+                        group.slots_base + slot as u64 * SLOT_BYTES
+                    }));
+                    let span = group.postings_base + probe.offset as u64 * POSTING_BYTES;
+                    posting_addrs.extend((0..lane.len() as u64).map(|k| span + k * POSTING_BYTES));
                 }
-                i += num_warps;
-            }
-        }
+                for chunk in probe_addrs.chunks(WARP_SIZE as usize) {
+                    block.readonly_read(chunk, SLOT_BYTES as u32);
+                }
+                // Postings-span traffic for the lanes that hit.
+                for chunk in posting_addrs.chunks(WARP_SIZE as usize) {
+                    block.readonly_read(chunk, POSTING_BYTES as u32);
+                }
+            },
+            // Demux is the scatter itself: the posting names its member.
+            |p: Posting| {
+                (
+                    p.query as usize,
+                    p.qpos as u32,
+                    group.qlens[p.query as usize],
+                )
+            },
+        );
         ws.addrs.put(probe_addrs);
         ws.addrs.put(posting_addrs);
-        ws.addrs.put(round_bins);
-        ws.addrs.put(writes);
-        ws.addrs.put(tops);
-        ws.addrs.put(round_cnt);
-        for lane in lane_hits {
-            ws.lane_hits.put(lane);
-        }
-
-        // Per-member stable counting sort into arena pages — the same
-        // epilogue as binning_kernel, once per member.
-        let mut member_pages: Vec<(Vec<u32>, Vec<u64>)> = Vec::with_capacity(members);
-        for (slots, keys) in det_slots.into_iter().zip(det_keys) {
-            let mut page_offsets: Vec<u32> = ws.offsets.take();
-            page_offsets.resize(block_slots + 1, 0);
-            for &s in &slots {
-                page_offsets[s as usize + 1] += 1;
-            }
-            for i in 1..=block_slots {
-                page_offsets[i] += page_offsets[i - 1];
-            }
-            let mut page_keys: Vec<u64> = ws.keys.take();
-            page_keys.resize(keys.len(), 0);
-            let mut cursor: Vec<u32> = ws.offsets.take();
-            cursor.extend_from_slice(&page_offsets[..block_slots]);
-            for (&s, &k) in slots.iter().zip(keys.iter()) {
-                let c = &mut cursor[s as usize];
-                page_keys[*c as usize] = k;
-                *c += 1;
-            }
-            ws.offsets.put(cursor);
-            member_pages.push((page_offsets, page_keys));
-            ws.offsets.put(slots);
-            ws.keys.put(keys);
-        }
-        member_pages
+        pages
     });
 
-    // Stitch per-block pages into one arena per member, in block order —
-    // the same stitching as the per-query path, fanned out per member.
-    let mut out = Vec::with_capacity(members);
-    let mut per_member: Vec<Vec<(Vec<u32>, Vec<u64>)>> = (0..members)
-        .map(|_| Vec::with_capacity(pages.len()))
+    let out = (0..pass.members)
+        .map(|m| pass.stitch(ws, &mut pages, m))
         .collect();
-    for block_pages in pages {
-        for (m, page) in block_pages.into_iter().enumerate() {
-            per_member[m].push(page);
-        }
-    }
-    for member_pages in per_member {
-        let mut offsets: Vec<u32> = ws.offsets.take();
-        let mut keys: Vec<u64> = ws.keys.take();
-        offsets.push(0);
-        for (page_offsets, page_keys) in member_pages {
-            let base = keys.len() as u32;
-            offsets.extend(page_offsets[1..].iter().map(|&o| base + o));
-            keys.extend_from_slice(&page_keys);
-            ws.offsets.put(page_offsets);
-            ws.keys.put(page_keys);
-        }
-        let total_hits = keys.len() as u64;
-        out.push(BinnedHits {
-            offsets,
-            keys,
-            num_bins,
-            num_warps,
-            total_hits,
-        });
-    }
-
     (out, stats)
 }
 

@@ -66,6 +66,7 @@ pub mod pipeline;
 pub mod reorder;
 pub mod scheduler;
 pub mod search;
+mod seedpass;
 pub mod shard;
 
 pub use cancel::CancelToken;

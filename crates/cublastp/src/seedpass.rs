@@ -1,0 +1,291 @@
+//! The body the two seeding kernels share: one pass of a thread block
+//! over its database sequences (Algorithm 2), the serialized hit rounds,
+//! and the block's arena pages.
+//!
+//! [`crate::binning::binning_kernel`] and
+//! [`crate::grouped::grouped_seeding_kernel`] differ in how a subject word
+//! finds its query positions — a DFA transition plus a position list, or a
+//! hash probe plus a postings span — and in nothing after that. So each
+//! supplies a *lookup* (charge the word look-up of one 32-column chunk,
+//! hand back every lane's postings as a borrowed slice) and a *decode*
+//! (posting → member, query position, query length); everything else is
+//! here, once: warps take sequences round-robin, lanes take consecutive
+//! columns, every round emits the k-th posting of the lanes that still
+//! have one (bin `top` bump, atomic, scattered write), and the block's
+//! hits are grouped from detection order into one CSR page per member. The
+//! per-query kernel is the one-member case.
+
+use crate::binning::BinnedHits;
+use crate::config::CuBlastpConfig;
+use crate::devicedata::DeviceDbBlock;
+use crate::hitpack::pack;
+use blast_core::WORD_LEN;
+use gpu_sim::device::WARP_SIZE;
+use gpu_sim::memory::virtual_alloc;
+use gpu_sim::{KernelWorkspace, LaunchConfig, SimBlock};
+
+const LANES: usize = WARP_SIZE as usize;
+
+/// Stride decorrelating member bins: hits of different members on the
+/// same diagonal land on different per-warp `top` counters, so a group
+/// does not serialize on them. Member 0 — the per-query kernel's only
+/// member — is unsheared.
+const MEMBER_BIN_STRIDE: usize = 131;
+
+/// One block's hits of one member: CSR offsets over the block's
+/// `warps_per_block * num_bins` slots, and the keys grouped by slot.
+pub(crate) type Page = (Vec<u32>, Vec<u64>);
+
+/// Geometry of one seeding launch and its device bin arena.
+pub(crate) struct SeedPass {
+    warps_per_block: usize,
+    num_warps: usize,
+    num_bins: usize,
+    /// Queries served by the pass (1 for the per-query kernel).
+    pub members: usize,
+    /// Paper capacity of one bin: up to `query words` hits (of the longest
+    /// member); the bins of all warps live in one preallocated buffer.
+    bin_capacity: u64,
+    bins_base: u64,
+}
+
+impl SeedPass {
+    /// Lay out a pass of queries of lengths `qlens` over `db`.
+    pub(crate) fn new(cfg: &CuBlastpConfig, qlens: &[usize], db: &DeviceDbBlock) -> Self {
+        // The packed bin element (Fig. 7) stores diagonal and subject
+        // position in 16 bits each; debug_asserts vanish in release builds,
+        // so enforce the representable range here, once per block.
+        let max_slen = db.max_seq_len;
+        for (m, &qlen) in qlens.iter().enumerate() {
+            assert!(
+                qlen + max_slen <= u16::MAX as usize,
+                "query {m} of the pass ({qlen}) + longest subject ({max_slen}) exceeds \
+                 the 16-bit diagonal range of the packed hit format (max 65535 combined)"
+            );
+        }
+        let warps_per_block = cfg.warps_per_block.max(1) as usize;
+        let num_warps = cfg.grid_blocks.max(1) as usize * warps_per_block;
+        let bin_capacity = qlens.iter().copied().max().unwrap_or(0).max(1) as u64;
+        Self {
+            warps_per_block,
+            num_warps,
+            num_bins: cfg.num_bins,
+            members: qlens.len(),
+            bin_capacity,
+            bins_base: virtual_alloc(num_warps as u64 * cfg.num_bins as u64 * bin_capacity * 8),
+        }
+    }
+
+    /// The launch configuration: the per-warp bin `top` counters (4 bytes
+    /// per bin per warp — the §4.1 occupancy trade-off) on top of whatever
+    /// the kernel's look-up keeps in shared memory.
+    pub(crate) fn launch_config(&self, cfg: &CuBlastpConfig, lookup_shared: u32) -> LaunchConfig {
+        LaunchConfig {
+            blocks: cfg.grid_blocks.max(1),
+            warps_per_block: self.warps_per_block as u32,
+            shared_bytes_per_block: lookup_shared
+                + (self.warps_per_block * self.num_bins * 4) as u32,
+            use_readonly_cache: cfg.use_readonly_cache,
+        }
+    }
+
+    /// Run one thread block and return its page per member.
+    ///
+    /// `lookup(block, subject, j0, lanes)` charges the word look-up of
+    /// columns `j0..j0 + lanes.len()` and sets `lanes[l]` to the postings
+    /// of column `j0 + l`; `decode` turns a posting into `(member, query
+    /// position, query length)`. All scratch is pooled in `ws`.
+    pub(crate) fn run_block<'p, P: Copy + 'p>(
+        &self,
+        block: &mut SimBlock,
+        db: &DeviceDbBlock,
+        ws: &KernelWorkspace,
+        mut lookup: impl FnMut(&mut SimBlock, &[u8], usize, &mut [&'p [P]]),
+        decode: impl Fn(P) -> (usize, u32, usize),
+    ) -> Vec<Page> {
+        let num_bins = self.num_bins;
+        // Two residues per hit: with the usual power-of-two bin count they
+        // are masks, not hardware divides.
+        let bin_mask = num_bins.is_power_of_two().then(|| num_bins - 1);
+        let bin_of = |x: usize| bin_mask.map_or_else(|| x % num_bins, |mask| x & mask);
+        // Hits in detection order, as (slot, key) columns per member.
+        let mut det_slots: Vec<Vec<u32>> = (0..self.members).map(|_| ws.offsets.take()).collect();
+        let mut det_keys: Vec<Vec<u64>> = (0..self.members).map(|_| ws.keys.take()).collect();
+        let mut writes: Vec<u64> = ws.addrs.take();
+        let mut tops: Vec<u64> = ws.addrs.take();
+        // Per-bin hit count of the current round — the worst count is the
+        // atomic serialization the simulator charges, so the kernel hands
+        // it over instead of having the simulator re-derive it from a
+        // target list. Reset via `round_bins` after every round.
+        let mut round_cnt: Vec<u64> = ws.addrs.take();
+        round_cnt.resize(num_bins, 0);
+        let mut round_bins: Vec<u64> = ws.addrs.take();
+        let mut lanes: [&[P]; LANES] = [&[]; LANES];
+        // Lanes that still have a posting for the current round, in lane
+        // order.
+        let mut live = [0usize; LANES];
+
+        for warp_in_block in 0..self.warps_per_block {
+            let warp_id = block.block_id as usize * self.warps_per_block + warp_in_block;
+            let warp_bins_base =
+                self.bins_base + (warp_id * num_bins) as u64 * self.bin_capacity * 8;
+            let warp_slot0 = warp_in_block * num_bins;
+            tops.clear();
+            tops.resize(num_bins, 0);
+
+            let mut i = warp_id;
+            while i < db.num_seqs() {
+                let subject = db.seq(i);
+                let words = subject.len().saturating_sub(WORD_LEN - 1);
+                // Residues are contiguous bytes, so lane addresses are
+                // `seq_base + column` — one base computation per sequence
+                // instead of an offsets lookup per lane.
+                let seq_base = db.residue_addr(i, 0);
+
+                let mut j0 = 0usize;
+                while j0 < words {
+                    let active = (words - j0).min(LANES);
+                    // Coalesced read of each lane's word start (lane ℓ reads
+                    // column j0+ℓ; a word needs W consecutive residues). The
+                    // lane addresses are a stride-1 sequence, so the
+                    // coalescing is charged analytically.
+                    block.global_read_seq(seq_base + j0 as u64, active as u32, 1, WORD_LEN as u32);
+                    lookup(block, subject, j0, &mut lanes[..active]);
+
+                    let mut n_live = 0;
+                    for (l, lane) in lanes[..active].iter().enumerate() {
+                        live[n_live] = l;
+                        n_live += !lane.is_empty() as usize;
+                    }
+                    // Serialized hit rounds: lanes with more hits keep the
+                    // warp busy while others idle (Algorithm 2's `for all
+                    // hits` divergence).
+                    let mut k = 0;
+                    while n_live > 0 {
+                        round_bins.clear();
+                        writes.clear();
+                        let mut round_max = 0u64;
+                        let mut still_live = 0;
+                        for idx in 0..n_live {
+                            let l = live[idx];
+                            let (member, qpos, qlen) = decode(lanes[l][k]);
+                            live[still_live] = l;
+                            still_live += (lanes[l].len() > k + 1) as usize;
+
+                            let col = (j0 + l) as u32;
+                            let diagonal = (col as i64 - qpos as i64 + qlen as i64) as u32;
+                            // The member's arena bin, and the device bin
+                            // whose `top` counter the hit bumps.
+                            let arena_bin = bin_of(diagonal as usize);
+                            let bin_id = if member == 0 {
+                                arena_bin
+                            } else {
+                                bin_of(arena_bin + member * MEMBER_BIN_STRIDE)
+                            };
+                            let top = tops[bin_id];
+                            tops[bin_id] += 1;
+                            // A bin rarely overflows its capacity: skip the
+                            // divide unless it has.
+                            let wrapped_top = if top < self.bin_capacity {
+                                top
+                            } else {
+                                top % self.bin_capacity
+                            };
+                            let c = round_cnt[bin_id] + 1;
+                            round_cnt[bin_id] = c;
+                            round_max = round_max.max(c);
+                            round_bins.push(bin_id as u64);
+                            writes.push(
+                                warp_bins_base
+                                    + (bin_id as u64 * self.bin_capacity + wrapped_top) * 8,
+                            );
+                            det_slots[member].push((warp_slot0 + arena_bin) as u32);
+                            det_keys[member].push(pack(i as u32, diagonal, col));
+                        }
+                        // Diagonal/bin arithmetic.
+                        block.instr(n_live as u32);
+                        // atomicAdd on the shared `top` array; conflicts
+                        // were counted in the lane loop.
+                        block.atomic_shared_counted(n_live as u32, round_max);
+                        // Scattered global write of the packed hits.
+                        block.global_write(&writes, 8);
+                        for &b in round_bins.iter() {
+                            round_cnt[b as usize] = 0;
+                        }
+                        n_live = still_live;
+                        k += 1;
+                    }
+
+                    j0 += LANES;
+                }
+                i += self.num_warps;
+            }
+        }
+        ws.addrs.put(writes);
+        ws.addrs.put(tops);
+        ws.addrs.put(round_cnt);
+        ws.addrs.put(round_bins);
+
+        // Group each member's detection-order hits by slot: stable
+        // counting sort into an arena page, the block's by-value result.
+        let block_slots = self.warps_per_block * num_bins;
+        det_slots
+            .into_iter()
+            .zip(det_keys)
+            .map(|(slots, keys)| {
+                let mut page_offsets: Vec<u32> = ws.offsets.take();
+                page_offsets.resize(block_slots + 1, 0);
+                for &s in &slots {
+                    page_offsets[s as usize + 1] += 1;
+                }
+                for i in 1..=block_slots {
+                    page_offsets[i] += page_offsets[i - 1];
+                }
+                let mut page_keys: Vec<u64> = ws.keys.take();
+                page_keys.resize(keys.len(), 0);
+                let mut cursor: Vec<u32> = ws.offsets.take();
+                cursor.extend_from_slice(&page_offsets[..block_slots]);
+                for (&s, &k) in slots.iter().zip(keys.iter()) {
+                    let c = &mut cursor[s as usize];
+                    page_keys[*c as usize] = k;
+                    *c += 1;
+                }
+                ws.offsets.put(cursor);
+                ws.offsets.put(slots);
+                ws.keys.put(keys);
+                (page_offsets, page_keys)
+            })
+            .collect()
+    }
+
+    /// Stitch member `m`'s per-block pages into its warp-major arena:
+    /// pages arrive in block order, and each page is already
+    /// warp-in-block-major, so plain concatenation (with rebased offsets)
+    /// yields the global slot order.
+    pub(crate) fn stitch(
+        &self,
+        ws: &KernelWorkspace,
+        pages: &mut [Vec<Page>],
+        m: usize,
+    ) -> BinnedHits {
+        let mut offsets: Vec<u32> = ws.offsets.take();
+        let mut keys: Vec<u64> = ws.keys.take();
+        offsets.push(0);
+        for block_pages in pages {
+            let (page_offsets, page_keys) = std::mem::take(&mut block_pages[m]);
+            let base = keys.len() as u32;
+            offsets.extend(page_offsets[1..].iter().map(|&o| base + o));
+            keys.extend_from_slice(&page_keys);
+            ws.offsets.put(page_offsets);
+            ws.keys.put(page_keys);
+        }
+        let total_hits = keys.len() as u64;
+        BinnedHits {
+            offsets,
+            keys,
+            num_bins: self.num_bins,
+            num_warps: self.num_warps,
+            total_hits,
+        }
+    }
+}

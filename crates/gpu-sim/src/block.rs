@@ -123,31 +123,18 @@ impl SimBlock {
         match &mut self.rocache {
             None => self.global_access(addrs, bytes, true),
             Some(cache) => {
-                // Distinct lines probe the cache once; lanes are attributed
-                // to hits/misses proportionally to their lines' outcomes.
-                self.scratch_lines.clear();
-                let mut sorted = true;
-                let mut prev = 0u64;
-                for (i, &a) in addrs.iter().enumerate() {
-                    let line = a / TRANSACTION_BYTES;
-                    sorted &= i == 0 || line >= prev;
-                    prev = line;
-                    self.scratch_lines.push(line);
-                }
-                if !sorted {
-                    self.scratch_lines.sort_unstable();
-                }
-                self.scratch_lines.dedup();
-                let mut miss_lines = 0u64;
-                let mut hit_lines = 0u64;
-                for &line in &self.scratch_lines {
-                    if cache.access(line * TRANSACTION_BYTES) {
-                        hit_lines += 1;
-                    } else {
-                        miss_lines += 1;
-                    }
+                // Distinct lines probe the cache once, in ascending order;
+                // lanes are attributed to hits/misses proportionally to
+                // their lines' outcomes.
+                if !lines_of(addrs, &mut self.scratch_lines) {
+                    sort_dedup(&mut self.scratch_lines);
                 }
                 let lines = self.scratch_lines.len() as u64;
+                let mut hit_lines = 0u64;
+                for &line in &self.scratch_lines {
+                    hit_lines += cache.access_line(line) as u64;
+                }
+                let miss_lines = lines - hit_lines;
                 let lane_hits = addrs.len() as u64 * hit_lines / lines;
                 let lane_misses = addrs.len() as u64 - lane_hits;
                 self.stats.rocache_hits += lane_hits;
@@ -268,31 +255,24 @@ impl SimBlock {
 
     /// Count distinct 128-byte lines among the addresses. Kernel address
     /// streams are overwhelmingly ascending (coalesced reads and writes),
-    /// so the common case is a single pass; out-of-order streams fall
-    /// back to sorting.
+    /// where the line list is the answer as it stands; a scattered warp
+    /// access (the binning kernel's hit writes) counts first occurrences
+    /// with all-pairs equality — no ordering needed for a count.
     fn count_lines(&mut self, addrs: &[u64]) -> u64 {
-        let mut count = 1u64;
-        let mut prev_addr = addrs[0];
-        let mut prev_line = prev_addr / TRANSACTION_BYTES;
-        for &a in &addrs[1..] {
-            if a < prev_addr {
-                return self.count_lines_unsorted(addrs);
+        let ascending = lines_of(addrs, &mut self.scratch_lines);
+        let lines = &mut self.scratch_lines;
+        if !ascending && lines.len() <= WARP_SIZE as usize {
+            let mut distinct = 0u64;
+            for (i, &line) in lines.iter().enumerate() {
+                let seen = lines[..i].iter().fold(false, |s, &l| s | (l == line));
+                distinct += !seen as u64;
             }
-            let line = a / TRANSACTION_BYTES;
-            count += (line != prev_line) as u64;
-            prev_line = line;
-            prev_addr = a;
+            return distinct;
         }
-        count
-    }
-
-    fn count_lines_unsorted(&mut self, addrs: &[u64]) -> u64 {
-        self.scratch_lines.clear();
-        self.scratch_lines
-            .extend(addrs.iter().map(|a| a / TRANSACTION_BYTES));
-        self.scratch_lines.sort_unstable();
-        self.scratch_lines.dedup();
-        self.scratch_lines.len() as u64
+        if !ascending {
+            sort_dedup(lines);
+        }
+        lines.len() as u64
     }
 
     /// Worst per-address conflict among the targets (allocation-free: the
@@ -323,6 +303,51 @@ fn seq_lines(start: u64, lanes: u32, step: u32) -> u64 {
         let last = start + (lanes as u64 - 1) * step as u64;
         last / TRANSACTION_BYTES - start / TRANSACTION_BYTES + 1
     }
+}
+
+/// The 128-byte line of every address, in lane order, into `lines` —
+/// skipping a line equal to its predecessor, which is most of what a warp
+/// access repeats (neighbouring lanes share a line). Returns whether the
+/// result is strictly ascending, i.e. already the distinct set in order.
+fn lines_of(addrs: &[u64], lines: &mut Vec<u64>) -> bool {
+    lines.clear();
+    let mut ascending = true;
+    let mut prev = u64::MAX;
+    for &a in addrs {
+        let line = a / TRANSACTION_BYTES;
+        if line != prev {
+            ascending &= prev == u64::MAX || line > prev;
+            lines.push(line);
+            prev = line;
+        }
+    }
+    ascending
+}
+
+/// Sort `lines` ascending and drop duplicates. A warp's worth (≤ 32, the
+/// only size the kernels produce) is placed by rank — each value's count
+/// of smaller-or-earlier-equal values is its sorted index — and compacted
+/// in one pass: all selects, no data-dependent branch, where a comparison
+/// sort on these random line numbers mispredicts every other compare.
+fn sort_dedup(lines: &mut Vec<u64>) {
+    let n = lines.len();
+    if n > WARP_SIZE as usize {
+        lines.sort_unstable();
+        lines.dedup();
+        return;
+    }
+    let mut sorted = [0u64; WARP_SIZE as usize];
+    for (i, &v) in lines.iter().enumerate() {
+        let before = lines[..i].iter().filter(|&&l| l <= v).count();
+        let after = lines[i + 1..].iter().filter(|&&l| l < v).count();
+        sorted[before + after] = v;
+    }
+    let mut kept = 0;
+    for i in 0..n {
+        lines[kept] = sorted[i];
+        kept += (i + 1 == n || sorted[i] != sorted[i + 1]) as usize;
+    }
+    lines.truncate(kept);
 }
 
 /// Longest run of equal values in a sorted slice.
@@ -445,6 +470,110 @@ mod tests {
         b.global_read(&sorted, 4);
         assert_eq!(a.stats().global_transactions, b.stats().global_transactions);
         assert_eq!(a.stats().global_transactions, 3);
+    }
+
+    /// A warp access shaped by `shape` out of raw draws: the address
+    /// patterns the kernels produce plus the degenerate ones.
+    fn shaped_addrs(raw: &[u64], shape: u8, stride: u64) -> Vec<u64> {
+        let base = 0x4_0000u64;
+        let n = raw.len() as u64;
+        raw.iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                let i = i as u64;
+                match shape {
+                    // Scattered over a few lines: many non-adjacent duplicates.
+                    0 => base + r % (6 * TRANSACTION_BYTES),
+                    // Scattered wide: mostly distinct lines.
+                    1 => base + r % (1 << 20),
+                    // Descending run, possibly several lanes per line.
+                    2 => base + (n - i) * stride,
+                    // Ascending run whose stride straddles line boundaries.
+                    3 => base + 100 + i * stride,
+                    // Every lane on one address.
+                    4 => base + 77,
+                    // Ascending runs that restart (the lanes' posting lists).
+                    _ => base + (r % 4) * 8 * TRANSACTION_BYTES + (i % 5) * stride,
+                }
+            })
+            .collect()
+    }
+
+    fn reference_lines(addrs: &[u64]) -> Vec<u64> {
+        let mut lines: Vec<u64> = addrs.iter().map(|a| a / TRANSACTION_BYTES).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    /// `readonly_read` as it stood before the rank placement: collect the
+    /// lines, comparison-sort unless already ordered, dedup, probe.
+    fn reference_readonly_read(b: &mut SimBlock, addrs: &[u64]) {
+        let lines = reference_lines(addrs);
+        let cache = b.rocache.as_mut().expect("cached block");
+        let hit_lines = lines
+            .iter()
+            .filter(|&&l| cache.access(l * TRANSACTION_BYTES))
+            .count() as u64;
+        let miss_lines = lines.len() as u64 - hit_lines;
+        let lane_hits = addrs.len() as u64 * hit_lines / lines.len() as u64;
+        b.stats.rocache_hits += lane_hits;
+        b.stats.rocache_misses += addrs.len() as u64 - lane_hits;
+        let cost = miss_lines * b.device.global_transaction_cost
+            + hit_lines.max(1) * b.device.rocache_hit_cost;
+        let active = addrs.len() as u32;
+        b.stats.warp_cycles += cost;
+        b.stats.active_lane_cycles += active.min(WARP_SIZE) as u64 * cost;
+        b.stats.divergent_idle_cycles += (WARP_SIZE.saturating_sub(active)) as u64 * cost;
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The distinct-line count and the probe list against their
+        /// definition (`sort_unstable` + `dedup` of `addr / 128`), warp
+        /// sized and past the > 32 fallback.
+        #[test]
+        fn line_sets_match_sort_and_dedup(
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..=40usize),
+            shape in 0u8..6,
+            stride in 1u64..300,
+        ) {
+            let addrs = shaped_addrs(&raw, shape, stride);
+            let want = reference_lines(&addrs);
+            proptest::prop_assert_eq!(block().count_lines(&addrs), want.len() as u64);
+            let mut lines = Vec::new();
+            if !lines_of(&addrs, &mut lines) {
+                sort_dedup(&mut lines);
+            }
+            proptest::prop_assert_eq!(lines, want);
+        }
+
+        /// `readonly_read` leaves the same stats *and* the same cache —
+        /// judged by the hit/miss sequence of later probes — as the
+        /// reference algorithm, over a run of accesses that share lines.
+        #[test]
+        fn readonly_read_matches_reference_algorithm(
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..=40usize),
+            shapes in (0u8..6, 0u8..6, 0u8..6),
+            stride in 1u64..300,
+        ) {
+            let mut got = SimBlock::new(0, DeviceConfig::k20c(), true);
+            let mut want = SimBlock::new(0, DeviceConfig::k20c(), true);
+            for shape in [shapes.0, shapes.1, shapes.2] {
+                let addrs = shaped_addrs(&raw, shape, stride);
+                got.readonly_read(&addrs, 4);
+                reference_readonly_read(&mut want, &addrs);
+                proptest::prop_assert_eq!(got.stats(), want.stats());
+            }
+            for probe in shaped_addrs(&raw, 0, stride) {
+                let (g, w) = (got.rocache.as_mut(), want.rocache.as_mut());
+                proptest::prop_assert_eq!(
+                    g.map(|c| c.access(probe)),
+                    w.map(|c| c.access(probe))
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,20 +8,35 @@
 
 use crate::device::TRANSACTION_BYTES;
 
-/// Tag value of an empty way.
-const EMPTY: u64 = u64::MAX;
+/// One way of a set: the cached line and when it was last touched.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    tag: u64,
+    /// Value of the cache's access clock at the last touch; 0 = never
+    /// (an empty way is therefore always the least recently used).
+    touched: u64,
+}
+
+/// An empty way: a tag no line has (`u64::MAX / 128` is the largest).
+const EMPTY_WAY: Way = Way {
+    tag: u64::MAX,
+    touched: 0,
+};
 
 /// Set-associative LRU cache over 128-byte lines.
 ///
-/// Tags live in one flat array (`num_sets × ways`, a few kilobytes for
-/// the Kepler configuration), each set ordered LRU-first with `EMPTY`
-/// padding at the tail — probed once per distinct line of every
-/// read-only access, so the storage must stay pointer-chase-free.
+/// Ways live in one flat array (`num_sets × ways`, a few kilobytes for
+/// the Kepler configuration) and carry a last-touched stamp instead of
+/// being kept in recency order — probed once per distinct line of every
+/// read-only access, so a probe is one pass over the set that finds the
+/// matching way and the least recently used one together, and a touch is
+/// a single store.
 #[derive(Debug, Clone)]
 pub struct ReadOnlyCache {
-    tags: Vec<u64>,
+    sets: Vec<Way>,
     ways: usize,
     num_sets: usize,
+    clock: u64,
 }
 
 impl ReadOnlyCache {
@@ -32,9 +47,10 @@ impl ReadOnlyCache {
         let ways = ways.clamp(1, lines);
         let num_sets = (lines / ways).max(1);
         Self {
-            tags: vec![EMPTY; num_sets * ways],
+            sets: vec![EMPTY_WAY; num_sets * ways],
             ways,
             num_sets,
+            clock: 0,
         }
     }
 
@@ -46,32 +62,34 @@ impl ReadOnlyCache {
     /// Access a byte address; returns `true` on hit. Misses install the
     /// line, evicting LRU.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / TRANSACTION_BYTES;
+        self.access_line(addr / TRANSACTION_BYTES)
+    }
+
+    /// [`Self::access`] by line number (`addr / 128`).
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64) -> bool {
         let set = (line as usize) % self.num_sets;
-        let ways = self.ways;
-        let entries = &mut self.tags[set * ways..(set + 1) * ways];
-        let len = entries.iter().position(|&t| t == EMPTY).unwrap_or(ways);
-        if let Some(pos) = entries[..len].iter().position(|&t| t == line) {
-            // Rotate the hit tag to the MRU position (end of the
-            // occupied prefix).
-            entries.copy_within(pos + 1..len, pos);
-            entries[len - 1] = line;
-            true
-        } else {
-            if len == ways {
-                // Evict LRU: shift everything down, install at MRU.
-                entries.copy_within(1..ways, 0);
-                entries[ways - 1] = line;
-            } else {
-                entries[len] = line;
-            }
-            false
+        let entries = &mut self.sets[set * self.ways..(set + 1) * self.ways];
+        let mut found = usize::MAX;
+        let mut lru = 0usize;
+        let mut oldest = u64::MAX;
+        for (w, way) in entries.iter().enumerate() {
+            found = if way.tag == line { w } else { found };
+            lru = if way.touched < oldest { w } else { lru };
+            oldest = oldest.min(way.touched);
         }
+        let hit = found != usize::MAX;
+        self.clock += 1;
+        entries[if hit { found } else { lru }] = Way {
+            tag: line,
+            touched: self.clock,
+        };
+        hit
     }
 
     /// Drop all cached lines.
     pub fn clear(&mut self) {
-        self.tags.fill(EMPTY);
+        self.sets.fill(EMPTY_WAY);
     }
 
     /// Cache capacity in lines.
@@ -128,6 +146,41 @@ mod tests {
         c.access(0);
         c.clear();
         assert!(!c.access(0));
+    }
+
+    #[test]
+    fn agrees_with_a_recency_list_per_set() {
+        use std::collections::VecDeque;
+        // The textbook model: one recency-ordered list per set.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for ways in [1usize, 2, 4] {
+            let mut cache = ReadOnlyCache::new(2048, ways); // 16 lines
+            let num_sets = cache.capacity_lines() / ways;
+            let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); num_sets];
+            for step in 0..10_000 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // 48 lines over 16 slots: hits, evictions and re-fetches.
+                let addr = (rng >> 33) % (48 * TRANSACTION_BYTES);
+                let line = addr / TRANSACTION_BYTES;
+                let set = &mut model[line as usize % num_sets];
+                let want = match set.iter().position(|&l| l == line) {
+                    Some(pos) => {
+                        set.remove(pos);
+                        true
+                    }
+                    None => {
+                        if set.len() == ways {
+                            set.pop_front();
+                        }
+                        false
+                    }
+                };
+                set.push_back(line);
+                assert_eq!(cache.access(addr), want, "{ways}-way, access {step}");
+            }
+        }
     }
 
     #[test]

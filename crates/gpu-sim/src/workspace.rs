@@ -1,9 +1,8 @@
 //! Reusable kernel scratch — the pinned-pool analogue of a real CUDA
 //! driver's allocator.
 //!
-//! The hit pipeline's kernels need per-block scratch (lane-hit staging,
-//! address vectors, arena pages, sort ping-pong buffers). Allocating those
-//! per launch puts `malloc` on the per-query hot path the batch engine
+//! The hit pipeline's kernels need per-block scratch (address vectors,
+//! arena pages, sort ping-pong buffers). Allocating those per launch puts `malloc` on the per-query hot path the batch engine
 //! serves from; a real GPU driver instead keeps such buffers pooled and
 //! reuses them across launches. [`KernelWorkspace`] is that pool: typed
 //! free lists of `Vec`s that kernels check out, fill, and return. Capacity
@@ -113,8 +112,6 @@ pub struct KernelWorkspace {
     pub addrs: BufferPool<u64>,
     /// CSR offsets (arena bin boundaries, segment boundaries).
     pub offsets: BufferPool<u32>,
-    /// Per-lane `(query_pos, subject_col)` staging in the binning kernel.
-    pub lane_hits: BufferPool<(u32, u32)>,
     /// Interval-traceback checkpoint rows (device gapped backend): the
     /// bounded D/F snapshots the multi-pass re-fill restores from.
     pub ckpt: BufferPool<i32>,
@@ -130,7 +127,6 @@ impl Default for KernelWorkspace {
             keys: BufferPool::named("keys"),
             addrs: BufferPool::named("addrs"),
             offsets: BufferPool::named("offsets"),
-            lane_hits: BufferPool::named("lane_hits"),
             ckpt: BufferPool::named("ckpt"),
             dirs: BufferPool::named("dirs"),
         }
@@ -148,7 +144,6 @@ impl KernelWorkspace {
         self.keys.takes()
             + self.addrs.takes()
             + self.offsets.takes()
-            + self.lane_hits.takes()
             + self.ckpt.takes()
             + self.dirs.takes()
     }
@@ -160,7 +155,6 @@ impl KernelWorkspace {
         self.keys.allocs()
             + self.addrs.allocs()
             + self.offsets.allocs()
-            + self.lane_hits.allocs()
             + self.ckpt.allocs()
             + self.dirs.allocs()
     }
@@ -172,7 +166,6 @@ impl KernelWorkspace {
         self.keys.reset();
         self.addrs.reset();
         self.offsets.reset();
-        self.lane_hits.reset();
         self.ckpt.reset();
         self.dirs.reset();
     }

@@ -1,16 +1,17 @@
 //! SIMD ↔ scalar equivalence — the bit-identity contract of the CPU
 //! alignment engine.
 //!
-//! The vectorized kernels in `blast_cpu::simd` (AVX2 / SSE4.1 gapped row
-//! pass, prefix-scan ungapped walk) must change *nothing* but wall-clock:
-//! every score, band endpoint, traceback operation and interval-traceback
-//! counter comes out exactly as the scalar reference produces it, across
-//! random PSSMs, extreme x-drop and gap parameters, and sequence lengths
-//! up to 3000. Each case runs the same inputs at every forced ISA level
+//! The vectorized kernels in `blast_cpu::simd` (the AVX2 / SSE4.1 gapped
+//! row pass) must change *nothing* but wall-clock: every score, band
+//! endpoint, traceback operation and interval-traceback counter comes out
+//! exactly as the scalar reference produces it, across random PSSMs,
+//! extreme x-drop and gap parameters, and sequence lengths up to 3000.
+//! Each case runs the same inputs at every forced ISA level
 //! ([`with_forced`] serializes the process-global override) and asserts
 //! full structural equality — on hosts without AVX2/SSE4.1 the forcing
 //! clamps down and the comparison degenerates to scalar-vs-scalar, which
-//! keeps the suite portable.
+//! keeps the suite portable. Ungapped extension ships one scalar walk, so
+//! its case compares that walk with a naive one written here.
 
 use bio_seq::alphabet::{Residue, STANDARD_AA};
 use bio_seq::Sequence;
@@ -165,11 +166,14 @@ proptest! {
         }
     }
 
-    /// Ungapped two-hit extension: the prefix-scan chunk walk reports the
-    /// same segment and score as the scalar walk, including where the
-    /// x-drop cut it.
+    /// Ungapped two-hit extension has no ISA levels to compare — one
+    /// scalar walk ships (a vector body measured slower at every length,
+    /// DESIGN.md §3.5) — so it is held to the definition instead: score
+    /// the word, then walk right and left, keeping the first best prefix
+    /// and stopping once the running score trails it by more than the
+    /// x-drop.
     #[test]
-    fn ungapped_extension_is_isa_invariant(
+    fn ungapped_extension_matches_naive_walk(
         q in residues(WORD_LEN, 800),
         s in residues(WORD_LEN, 3000),
         qp_frac in 0.0f64..1.0,
@@ -184,17 +188,35 @@ proptest! {
         };
         let query = Sequence::from_residues("q", q);
         let pssm = Pssm::build(&query, &Matrix::blosum62());
-        let qp = ((query.len() - WORD_LEN) as f64 * qp_frac) as u32;
-        let sp = ((s.len() - WORD_LEN) as f64 * sp_frac) as u32;
-        let outs: [(&str, UngappedExt); 3] =
-            at_levels(|| extend(&pssm, &s, 9, qp, sp, xdrop));
-        let (_, reference) = &outs[0];
-        for (name, got) in &outs[1..] {
-            prop_assert_eq!(
-                got, reference,
-                "{} diverged from scalar (seed ({}, {}), xdrop {})",
-                name, qp, sp, xdrop
-            );
-        }
+        let qp = ((query.len() - WORD_LEN) as f64 * qp_frac) as usize;
+        let sp = ((s.len() - WORD_LEN) as f64 * sp_frac) as usize;
+
+        // (best score, cells in the best prefix) of one direction.
+        let walk = |start: i32, cells: &mut dyn Iterator<Item = (usize, usize)>| {
+            let (mut best, mut best_n, mut running) = (start, 0, start);
+            for (n, (qi, si)) in cells.enumerate() {
+                running += pssm.score(qi, s[si]);
+                if running > best {
+                    (best, best_n) = (running, n + 1);
+                } else if best - running > xdrop {
+                    break;
+                }
+            }
+            (best, best_n)
+        };
+        let word: i32 = (0..WORD_LEN).map(|k| pssm.score(qp + k, s[sp + k])).sum();
+        let (best, right) = walk(word, &mut (qp + WORD_LEN..query.len()).zip(sp + WORD_LEN..s.len()));
+        let (score, left) = walk(best, &mut (0..qp).rev().zip((0..sp).rev()));
+        let want = UngappedExt {
+            seq_id: 9,
+            q_start: (qp - left) as u32,
+            s_start: (sp - left) as u32,
+            len: (left + WORD_LEN + right) as u32,
+            score,
+        };
+        prop_assert_eq!(
+            extend(&pssm, &s, 9, qp as u32, sp as u32, xdrop), want,
+            "seed ({}, {}), xdrop {}", qp, sp, xdrop
+        );
     }
 }
