@@ -26,6 +26,7 @@
 //! noisy).
 
 use bench::obsenv;
+use bench::report::{Obj, Report};
 use bench::runners::figure_config;
 use bench::table::{fmt, pct, print_table};
 use bench::{bench_scale, database, query};
@@ -37,6 +38,7 @@ use cublastp::gapped_gpu::gapped_kernel;
 use cublastp::gpu_phase::run_gpu_phase;
 use cublastp::{CuBlastp, GappedBackend};
 use gpu_sim::{DeviceConfig, KernelWorkspace};
+use std::process::ExitCode;
 use std::time::Instant;
 
 struct Row {
@@ -48,16 +50,16 @@ struct Row {
     total_ms: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     let params = SearchParams::default();
     let device = DeviceConfig::k20c();
     let cfg = figure_config();
 
-    let mut failures = 0usize;
+    let mut report = Report::new("gapped_gpu");
     let mut sections: Vec<(String, Vec<Row>)> = Vec::new();
-    let mut medians: Vec<(String, Vec<(String, f64)>)> = Vec::new();
+    let mut medians = Obj::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let q = query(517);
         let db = database(preset, &q);
@@ -145,16 +147,16 @@ fn main() {
             ("fine", { c.report.identity_key() }),
         ] {
             if key != a.report.identity_key() {
-                eprintln!("error: {name}: {label} design diverges from the CPU tail");
-                failures += 1;
+                report.fail(format_args!(
+                    "{name}: {label} design diverges from the CPU tail"
+                ));
             }
         }
         if c_fine_ms >= b_gapped_gpu_ms {
-            eprintln!(
-                "error: {name}: fine gapped kernel ({c_fine_ms:.4} ms) must beat the \
+            report.fail(format_args!(
+                "{name}: fine gapped kernel ({c_fine_ms:.4} ms) must beat the \
                  coarse port ({b_gapped_gpu_ms:.4} ms) on modelled gapped-phase time"
-            );
-            failures += 1;
+            ));
         }
 
         let rows = vec![
@@ -197,14 +199,13 @@ fn main() {
         );
         // Gate only the deterministic simulated quantities (measured CPU
         // wall-clock is noisy across hosts).
-        medians.push((
-            name.clone(),
-            vec![
-                ("coarse_kernel_ms".to_string(), b_gapped_gpu_ms),
-                ("fine_kernel_ms".to_string(), c_fine_ms),
-                ("fine_d2h_ms".to_string(), c.timing.d2h_ms),
-            ],
-        ));
+        medians = medians.obj(
+            name.as_str(),
+            Obj::new()
+                .fixed("coarse_kernel_ms", b_gapped_gpu_ms, 6)
+                .fixed("fine_kernel_ms", c_fine_ms, 6)
+                .fixed("fine_d2h_ms", c.timing.d2h_ms, 6),
+        );
         sections.push((name, rows));
     }
 
@@ -244,69 +245,29 @@ fn main() {
          to the paper's."
     );
 
-    let json = render_json(&sections, &medians, scale);
-    let path = "BENCH_gapped_gpu.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-    if failures > 0 {
-        eprintln!("error: {failures} gapped-ablation check(s) failed");
-        std::process::exit(1);
-    }
-}
-
-fn render_json(
-    sections: &[(String, Vec<Row>)],
-    medians: &[(String, Vec<(String, f64)>)],
-    scale: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"gapped_gpu\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"phase_medians\": {\n");
-    for (pi, (name, phases)) in medians.iter().enumerate() {
-        out.push_str(&format!("    \"{name}\": {{"));
-        for (ki, (phase, ms)) in phases.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{phase}\": {ms:.6}{}",
-                if ki + 1 < phases.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 < medians.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"presets\": [\n");
-    for (pi, (name, rows)) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"db\": \"{name}\",\n"));
-        out.push_str("      \"designs\": [\n");
-        for (ri, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"design\": \"{}\", \"gpu_ms\": {:.4}, \"gapped_ms\": {:.4}, \
-                 \"cpu_ms\": {:.4}, \"transfer_ms\": {:.4}, \"total_ms\": {:.4}}}{}\n",
-                r.design,
-                r.gpu_ms,
-                r.gapped_ms,
-                r.cpu_ms,
-                r.transfer_ms,
-                r.total_ms,
-                if ri + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if pi + 1 < sections.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let presets = sections
+        .iter()
+        .map(|(name, rows)| {
+            let designs = rows
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .text("design", &r.design)
+                        .fixed("gpu_ms", r.gpu_ms, 4)
+                        .fixed("gapped_ms", r.gapped_ms, 4)
+                        .fixed("cpu_ms", r.cpu_ms, 4)
+                        .fixed("transfer_ms", r.transfer_ms, 4)
+                        .fixed("total_ms", r.total_ms, 4)
+                })
+                .collect();
+            Obj::new().text("db", name).rows("designs", designs)
+        })
+        .collect();
+    report.finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .obj("phase_medians", medians)
+            .rows("presets", presets),
+    )
 }

@@ -21,6 +21,7 @@
 //! violation counters (all baseline 0); the scaling curve itself varies
 //! with the modelled costs and stays informational.
 
+use bench::report::{Obj, Report};
 use bench::workloads::bench_scale;
 use bench::{database, obsenv, print_table, query};
 use bio_seq::generate::DbPreset;
@@ -31,6 +32,7 @@ use cublastp::{
     ShardedDb,
 };
 use gpu_sim::DeviceConfig;
+use std::process::ExitCode;
 
 /// Shards the database is partitioned into.
 const SHARDS: usize = 8;
@@ -44,13 +46,6 @@ const RETRIES: usize = 2;
 const MIN_SPEEDUP_4DEV: f64 = 2.0;
 /// Acceptance floor: scaling efficiency at 8 devices.
 const MIN_EFFICIENCY_8DEV: f64 = 0.6;
-
-struct Violations {
-    speedup_4dev_below_2x: f64,
-    efficiency_8dev_below_0p6: f64,
-    identity_mismatch: f64,
-    query_failures: f64,
-}
 
 fn run_batch(
     queries: &[Sequence],
@@ -68,7 +63,7 @@ fn run_batch(
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     let params = SearchParams::default();
@@ -179,69 +174,40 @@ fn main() {
         outcome.seed,
     );
 
-    let v = Violations {
-        speedup_4dev_below_2x,
-        efficiency_8dev_below_0p6,
-        identity_mismatch,
-        query_failures,
-    };
-    let json = render_json(&v, &curve, &outcome, preset, scale);
-    let path = "BENCH_cluster_scaling.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-    let total = v.speedup_4dev_below_2x
-        + v.efficiency_8dev_below_0p6
-        + v.identity_mismatch
-        + v.query_failures;
-    if total > 0.0 {
-        eprintln!("cluster_scaling: {total} acceptance violation(s)");
-        std::process::exit(1);
-    }
-}
-
-fn render_json(
-    v: &Violations,
-    curve: &[(usize, f64, f64, f64, u64)],
-    outcome: &ShardedBatchOutcome,
-    preset: &str,
-    scale: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"cluster_scaling\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
     // Gated numbers: violation counters only, all baseline 0 — any
-    // violation regresses the gate. The curve varies with modelled costs
-    // and stays informational below.
-    out.push_str("  \"phase_medians\": {\n");
-    out.push_str("    \"cluster_scaling\": {\n");
-    out.push_str(&format!(
-        "      \"{preset}\": {{\"speedup_4dev_below_2x\": {:.1}, \
-         \"efficiency_8dev_below_0p6\": {:.1}, \"identity_mismatch\": {:.1}, \
-         \"query_failures\": {:.1}}}\n",
-        v.speedup_4dev_below_2x, v.efficiency_8dev_below_0p6, v.identity_mismatch, v.query_failures,
-    ));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"single_device_ms\": {:.4},\n",
-        outcome.single_device_ms
-    ));
-    out.push_str(&format!("  \"items\": {},\n", outcome.item_costs.len()));
-    out.push_str("  \"curve\": [\n");
-    for (i, (d, mk, sp, eff, st)) in curve.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"devices\": {d}, \"makespan_ms\": {mk:.4}, \"speedup\": {sp:.4}, \
-             \"efficiency\": {eff:.4}, \"steals\": {st}}}{}\n",
-            if i + 1 < curve.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    // violation regresses the gate (each was already explained on stderr
+    // where it was found). The curve varies with modelled costs and
+    // stays informational.
+    let mut report = Report::new("cluster_scaling");
+    let counters = [
+        ("speedup_4dev_below_2x", speedup_4dev_below_2x),
+        ("efficiency_8dev_below_0p6", efficiency_8dev_below_0p6),
+        ("identity_mismatch", identity_mismatch),
+        ("query_failures", query_failures),
+    ];
+    let gated = report.violations(preset, &counters);
+    let curve = curve
+        .iter()
+        .map(|&(d, mk, sp, eff, st)| {
+            Obj::new()
+                .int("devices", d as u64)
+                .fixed("makespan_ms", mk, 4)
+                .fixed("speedup", sp, 4)
+                .fixed("efficiency", eff, 4)
+                .int("steals", st)
+        })
+        .collect();
+    report.finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .int("shards", SHARDS as u64)
+            .obj(
+                "phase_medians",
+                Obj::new().obj("cluster_scaling", Obj::new().obj(preset, gated)),
+            )
+            .fixed("single_device_ms", outcome.single_device_ms, 4)
+            .int("items", outcome.item_costs.len() as u64)
+            .rows("curve", curve),
+    )
 }

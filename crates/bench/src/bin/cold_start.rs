@@ -23,6 +23,7 @@
 //! gate); raw millisecond numbers vary with the host and stay
 //! informational.
 
+use bench::report::{Obj, Report};
 use bench::{bench_scale, obsenv, query};
 use bio_seq::generate::{generate_db, DbPreset};
 use bio_seq::{Sequence, SequenceDb};
@@ -30,6 +31,7 @@ use blast_core::SearchParams;
 use cublastp::{CuBlastp, CuBlastpConfig, DeviceDb};
 use cublastp_db::DbImage;
 use gpu_sim::DeviceConfig;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -208,7 +210,7 @@ fn run_preset(preset: DbPreset, q: &Sequence, dir: &std::path::Path) -> PresetRo
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     let q = query(254);
@@ -251,66 +253,37 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let violations: f64 = rows
+    let mut report = Report::new("cold_start");
+    // Gated numbers: violation counters only, all baseline 0 — any
+    // violation regresses the gate (each was already explained on stderr
+    // where it was found). Raw milliseconds vary with the host and stay
+    // informational.
+    let gated = rows.iter().fold(Obj::new(), |gated, r| {
+        let counters = [
+            ("map_slower_violation", r.map_slower_violation),
+            ("flatten_passes", r.flatten_passes),
+            ("result_mismatch", r.result_mismatch),
+            ("steady_state_violation", r.steady_state_violation),
+        ];
+        gated.obj(r.name, report.violations(r.name, &counters))
+    });
+    let presets = rows
         .iter()
         .map(|r| {
-            r.map_slower_violation + r.flatten_passes + r.result_mismatch + r.steady_state_violation
+            Obj::new()
+                .text("preset", r.name)
+                .fixed("regen_flatten_ms", r.regen_flatten_ms, 4)
+                .fixed("image_load_ms", r.image_load_ms, 4)
+                .int("image_bytes", r.image_bytes as u64)
+                .fixed("steady_owned_ms", r.steady_owned_ms, 4)
+                .fixed("steady_mapped_ms", r.steady_mapped_ms, 4)
         })
-        .sum();
-
-    let json = render_json(&rows, scale);
-    let path = "BENCH_cold_start.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-    if violations > 0.0 {
-        eprintln!("cold_start: {violations} acceptance violation(s)");
-        std::process::exit(1);
-    }
-}
-
-fn render_json(rows: &[PresetRow], scale: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"cold_start\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    // Gated numbers: violation counters only, all baseline 0 — any
-    // violation regresses the gate. Raw milliseconds vary with the host
-    // and stay informational below.
-    out.push_str("  \"phase_medians\": {\n");
-    out.push_str("    \"cold_start\": {\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{}\": {{\"map_slower_violation\": {:.1}, \"flatten_passes\": {:.1}, \
-             \"result_mismatch\": {:.1}, \"steady_state_violation\": {:.1}}}{}\n",
-            r.name,
-            r.map_slower_violation,
-            r.flatten_passes,
-            r.result_mismatch,
-            r.steady_state_violation,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"presets\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"preset\": \"{}\", \"regen_flatten_ms\": {:.4}, \"image_load_ms\": {:.4}, \
-             \"image_bytes\": {}, \"steady_owned_ms\": {:.4}, \"steady_mapped_ms\": {:.4}}}{}\n",
-            r.name,
-            r.regen_flatten_ms,
-            r.image_load_ms,
-            r.image_bytes,
-            r.steady_owned_ms,
-            r.steady_mapped_ms,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        .collect();
+    report.finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .obj("phase_medians", Obj::new().obj("cold_start", gated))
+            .rows("presets", presets),
+    )
 }

@@ -28,6 +28,7 @@
 //! Results go to stdout and `BENCH_cpusimd.json`.
 
 use bench::obsenv;
+use bench::report::{Obj, Report};
 use bench::runners::figure_config;
 use bench::table::print_table;
 use bench::{bench_scale, database, query};
@@ -50,6 +51,7 @@ use cublastp::extension::build_tasks;
 use cublastp::hitpack::{query_pos, seq_id, subject_pos};
 use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
 use gpu_sim::{DeviceConfig, KernelWorkspace};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Timed repetitions per pass; the best run is reported (deterministic
@@ -402,15 +404,15 @@ fn ungapped_rows(engine: &SearchEngine, db: &SequenceDb) -> Vec<UngappedRow> {
     rows
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
-    let report = simd::dispatch_report();
+    let dispatch = simd::dispatch_report();
     println!(
         "cpu simd dispatch: active {} (detected {}{})",
-        report.active.name(),
-        report.detected.name(),
-        if report.forced_scalar_env {
+        dispatch.active.name(),
+        dispatch.detected.name(),
+        if dispatch.forced_scalar_env {
             ", CUBLASTP_FORCE_SCALAR=1"
         } else {
             ""
@@ -546,116 +548,76 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let json = render_json(&rows, &ungapped, &report, scale);
-    let path = "BENCH_cpusimd.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-
     // A vector body that loses to the scalar reference is a regression,
     // whatever the counts say.
-    if report.active > IsaLevel::Scalar {
-        let mut slower = false;
+    let mut report = Report::new("cpusimd");
+    if dispatch.active > IsaLevel::Scalar {
         for r in &rows {
             for (layer, scalar_ms, simd_ms) in r.layers() {
                 if simd_ms > scalar_ms {
-                    eprintln!(
-                        "error: {}: {layer} at {} ({simd_ms:.3} ms) must not be slower \
+                    report.fail(format_args!(
+                        "{}: {layer} at {} ({simd_ms:.3} ms) must not be slower \
                          than scalar ({scalar_ms:.3} ms)",
                         r.preset,
-                        report.active.name(),
-                    );
-                    slower = true;
+                        dispatch.active.name(),
+                    ));
                 }
             }
         }
-        if slower {
-            std::process::exit(1);
-        }
     }
-}
 
-fn render_json(
-    rows: &[Row],
-    ungapped: &[UngappedRow],
-    report: &blast_cpu::DispatchReport,
-    scale: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"cpusimd\",\n");
-    out.push_str("  \"query\": 517,\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!(
-        "  \"dispatch\": {{\"active\": \"{}\", \"detected\": \"{}\", \"forced_scalar_env\": {}}},\n",
-        report.active.name(),
-        report.detected.name(),
-        report.forced_scalar_env,
-    ));
     // Deterministic work counts only — this is what the perf gate checks.
-    out.push_str("  \"phase_medians\": {\n");
-    for (ri, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"gapped_cells\": {}, \"traceback_ops\": {}, \"alignments\": {}}}{}\n",
-            r.preset,
-            r.cells,
-            r.traceback_ops,
-            r.alignments,
-            if ri + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"presets\": [\n");
-    for (ri, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"db\": \"{}\", \"gapped_cells\": {}, \
-             \"scalar_gapped_ms\": {:.3}, \"simd_gapped_ms\": {:.3}, \
-             \"scalar_cells_per_sec\": {:.0}, \"simd_cells_per_sec\": {:.0}, \
-             \"gapped_speedup\": {:.3}, \
-             \"scalar_traceback_ms\": {:.3}, \"simd_traceback_ms\": {:.3}, \
-             \"traceback_speedup\": {:.3}, \
-             \"scalar_itrace_ms\": {:.3}, \"simd_itrace_ms\": {:.3}, \
-             \"itrace_speedup\": {:.3}, \
-             \"scalar_stage_ms\": {:.3}, \"simd_stage_ms\": {:.3}, \
-             \"stage_speedup\": {:.3}, \"alignments\": {}}}{}\n",
-            r.preset,
-            r.cells,
-            r.scalar_gapped_ms,
-            r.simd_gapped_ms,
-            r.scalar_cps(),
-            r.simd_cps(),
-            r.scalar_gapped_ms / r.simd_gapped_ms,
-            r.scalar_traceback_ms,
-            r.simd_traceback_ms,
-            r.scalar_traceback_ms / r.simd_traceback_ms,
-            r.scalar_itrace_ms,
-            r.simd_itrace_ms,
-            r.scalar_itrace_ms / r.simd_itrace_ms,
-            r.scalar_stage_ms(),
-            r.simd_stage_ms(),
-            r.scalar_stage_ms() / r.simd_stage_ms(),
-            r.alignments,
-            if ri + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"ungapped\": [\n");
-    for (ri, r) in ungapped.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"extensions\": \"{}\", \"n\": {}, \"mean_len\": {:.2}, \
-             \"naive_ns\": {:.1}, \"shipped_ns\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.shape,
-            r.extensions,
-            r.mean_len,
-            r.naive_ns,
-            r.shipped_ns,
-            r.naive_ns / r.shipped_ns,
-            if ri + 1 < ungapped.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let medians = rows.iter().fold(Obj::new(), |o, r| {
+        o.obj(
+            r.preset.as_str(),
+            Obj::new()
+                .int("gapped_cells", r.cells)
+                .int("traceback_ops", r.traceback_ops)
+                .int("alignments", r.alignments),
+        )
+    });
+    let presets = rows
+        .iter()
+        .map(|r| {
+            let mut o = Obj::new()
+                .text("db", &r.preset)
+                .int("gapped_cells", r.cells)
+                .fixed("scalar_cells_per_sec", r.scalar_cps(), 0)
+                .fixed("simd_cells_per_sec", r.simd_cps(), 0);
+            for (layer, scalar_ms, simd_ms) in r.layers() {
+                o = o
+                    .fixed(format!("scalar_{layer}_ms"), scalar_ms, 3)
+                    .fixed(format!("simd_{layer}_ms"), simd_ms, 3)
+                    .fixed(format!("{layer}_speedup"), scalar_ms / simd_ms, 3);
+            }
+            o.int("alignments", r.alignments)
+        })
+        .collect();
+    let ungapped = ungapped
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .text("extensions", &r.shape)
+                .int("n", r.extensions as u64)
+                .fixed("mean_len", r.mean_len, 2)
+                .fixed("naive_ns", r.naive_ns, 1)
+                .fixed("shipped_ns", r.shipped_ns, 1)
+                .fixed("speedup", r.naive_ns / r.shipped_ns, 3)
+        })
+        .collect();
+    report.finish(
+        Obj::new()
+            .int("query", 517)
+            .num("scale", scale)
+            .obj(
+                "dispatch",
+                Obj::new()
+                    .text("active", dispatch.active.name())
+                    .text("detected", dispatch.detected.name())
+                    .flag("forced_scalar_env", dispatch.forced_scalar_env),
+            )
+            .obj("phase_medians", medians)
+            .rows("presets", presets)
+            .rows("ungapped", ungapped),
+    )
 }

@@ -22,12 +22,14 @@
 //! `BENCH_grouped_seeding.json` at the repo root.
 
 use bench::obsenv;
+use bench::report::{Obj, Report};
 use bench::table::{fmt, print_table};
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
 use cublastp::{search_batch_with, BatchOptions, CuBlastpConfig, SeedMode};
 use gpu_sim::DeviceConfig;
+use std::process::ExitCode;
 
 const BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -45,7 +47,7 @@ struct Row {
     amortization: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     let device = DeviceConfig::k20c();
@@ -58,9 +60,9 @@ fn main() {
         .map(|i| query(48 + 2 * i))
         .collect();
 
-    let mut failures = 0usize;
+    let mut report = Report::new("grouped_seeding");
     let mut sections: Vec<(String, Vec<Row>)> = Vec::new();
-    let mut medians: Vec<(String, Vec<(String, f64)>)> = Vec::new();
+    let mut medians = Obj::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &queries[0]);
         let name = preset.spec().name.to_string();
@@ -88,44 +90,45 @@ fn main() {
                 let (b, g) = match (b, g) {
                     (Ok(b), Ok(g)) => (b, g),
                     _ => {
-                        eprintln!("error: {name} batch {batch} query {qi}: search failed");
-                        failures += 1;
+                        report.fail(format_args!(
+                            "{name} batch {batch} query {qi}: search failed"
+                        ));
                         continue;
                     }
                 };
                 if b.report.identity_key() != g.report.identity_key() {
-                    eprintln!(
-                        "error: {name} batch {batch} query {qi}: grouped output \
+                    report.fail(format_args!(
+                        "{name} batch {batch} query {qi}: grouped output \
                          diverges from per-query seeding"
-                    );
-                    failures += 1;
+                    ));
                 }
             }
-            let Some(report) = grouped.grouped.as_ref() else {
-                eprintln!("error: {name} batch {batch}: grouped run returned no telemetry");
-                failures += 1;
+            let Some(telemetry) = grouped.grouped.as_ref() else {
+                report.fail(format_args!(
+                    "{name} batch {batch}: grouped run returned no telemetry"
+                ));
                 continue;
             };
-            if report.queries_covered() != batch {
-                eprintln!(
-                    "error: {name} batch {batch}: rounds cover {} queries",
-                    report.queries_covered()
-                );
-                failures += 1;
+            if telemetry.queries_covered() != batch {
+                report.fail(format_args!(
+                    "{name} batch {batch}: rounds cover {} queries",
+                    telemetry.queries_covered()
+                ));
             }
-            let occupancy = if report.rounds.is_empty() {
+            let occupancy = if telemetry.rounds.is_empty() {
                 0.0
             } else {
-                report.rounds.iter().map(|r| r.occupancy).sum::<f64>() / report.rounds.len() as f64
+                telemetry.rounds.iter().map(|r| r.occupancy).sum::<f64>()
+                    / telemetry.rounds.len() as f64
             };
-            let index_bytes: u64 = report.rounds.iter().map(|r| r.index_upload_bytes).sum();
+            let index_bytes: u64 = telemetry.rounds.iter().map(|r| r.index_upload_bytes).sum();
             rows.push(Row {
                 batch,
-                rounds: report.rounds.len(),
+                rounds: telemetry.rounds.len(),
                 occupancy,
                 index_kib: index_bytes as f64 / 1024.0,
-                seeding_ms: report.total_seeding_ms(),
-                amortized: report.seeding_ms_per_block_query(),
+                seeding_ms: telemetry.total_seeding_ms(),
+                amortized: telemetry.seeding_ms_per_block_query(),
                 amortization: 1.0, // filled against the batch-1 row below
             });
         }
@@ -140,30 +143,27 @@ fn main() {
         }
         for pair in rows.windows(2) {
             if pair[1].amortized > pair[0].amortized {
-                eprintln!(
-                    "error: {name}: amortized seeding cost rose from {:.6} ms \
+                report.fail(format_args!(
+                    "{name}: amortized seeding cost rose from {:.6} ms \
                      (batch {}) to {:.6} ms (batch {})",
                     pair[0].amortized, pair[0].batch, pair[1].amortized, pair[1].batch
-                );
-                failures += 1;
+                ));
             }
         }
         if let Some(last) = rows.last() {
             if last.amortization < MIN_AMORTIZATION {
-                eprintln!(
-                    "error: {name}: batch {} amortizes seeding only {:.2}x vs \
+                report.fail(format_args!(
+                    "{name}: batch {} amortizes seeding only {:.2}x vs \
                      batch 1 (need >= {MIN_AMORTIZATION}x)",
                     last.batch, last.amortization
-                );
-                failures += 1;
+                ));
             }
         }
 
-        let phases: Vec<(String, f64)> = rows
-            .iter()
-            .map(|r| (format!("amortized_b{}", r.batch), r.amortized))
-            .collect();
-        medians.push((name.clone(), phases));
+        let phases = rows.iter().fold(Obj::new(), |o, r| {
+            o.fixed(format!("amortized_b{}", r.batch), r.amortized, 6)
+        });
+        medians = medians.obj(name.as_str(), phases);
         sections.push((name, rows));
     }
 
@@ -196,72 +196,30 @@ fn main() {
         );
     }
 
-    let json = render_json(&sections, &medians, scale);
-    let path = "BENCH_grouped_seeding.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-    if failures > 0 {
-        eprintln!("error: {failures} grouped-seeding check(s) failed");
-        std::process::exit(1);
-    }
-}
-
-fn render_json(
-    sections: &[(String, Vec<Row>)],
-    medians: &[(String, Vec<(String, f64)>)],
-    scale: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"grouped_seeding\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"phase_medians\": {\n");
-    for (pi, (name, phases)) in medians.iter().enumerate() {
-        out.push_str(&format!("    \"{name}\": {{"));
-        for (ki, (phase, ms)) in phases.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{phase}\": {ms:.6}{}",
-                if ki + 1 < phases.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 < medians.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"presets\": [\n");
-    for (pi, (name, rows)) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"db\": \"{name}\",\n"));
-        out.push_str("      \"sweep\": [\n");
-        for (ri, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"batch\": {}, \"rounds\": {}, \"occupancy\": {:.4}, \
-                 \"index_kib\": {:.2}, \"seeding_ms\": {:.4}, \
-                 \"seeding_ms_per_block_query\": {:.6}, \
-                 \"amortization_vs_batch1\": {:.3}}}{}\n",
-                r.batch,
-                r.rounds,
-                r.occupancy,
-                r.index_kib,
-                r.seeding_ms,
-                r.amortized,
-                r.amortization,
-                if ri + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if pi + 1 < sections.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let presets = sections
+        .iter()
+        .map(|(name, rows)| {
+            let sweep = rows
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .int("batch", r.batch as u64)
+                        .int("rounds", r.rounds as u64)
+                        .fixed("occupancy", r.occupancy, 4)
+                        .fixed("index_kib", r.index_kib, 2)
+                        .fixed("seeding_ms", r.seeding_ms, 4)
+                        .fixed("seeding_ms_per_block_query", r.amortized, 6)
+                        .fixed("amortization_vs_batch1", r.amortization, 3)
+                })
+                .collect();
+            Obj::new().text("db", name).rows("sweep", sweep)
+        })
+        .collect();
+    report.finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .obj("phase_medians", medians)
+            .rows("presets", presets),
+    )
 }

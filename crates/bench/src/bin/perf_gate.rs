@@ -1,42 +1,43 @@
 //! `perf_gate` — the CI perf-regression gate.
 //!
-//! Compares a bench run's `phase_medians` (deterministic simulated times)
-//! against a committed baseline:
+//! Compares each bench report in the working directory against its
+//! committed baseline — `ci/baselines/<name>.json` is paired with
+//! `BENCH_<name>.json`:
 //!
 //! ```text
-//! perf_gate --baseline ci/baselines/hotpath.json \
-//!           --measured BENCH_hotpath.json [--tolerance 0.15]
-//! perf_gate --baseline ci/baselines/hotpath.json \
-//!           --measured BENCH_hotpath.json --update
+//! perf_gate [--tolerance <frac>] ci/baselines/hotpath.json ci/baselines/cpusimd.json …
+//! perf_gate --update ci/baselines/hotpath.json …
 //! ```
 //!
-//! Exit codes: 0 gate passed, 1 gate failed (regression or missing
-//! phase), 2 usage / I/O / parse error. `--update` copies the measured
-//! report over the baseline instead of comparing (for refreshing
-//! committed baselines after an intentional change).
+//! The gated numbers are deterministic, so the default tolerance is 0:
+//! a value that moves in either direction fails. `--tolerance` exists for
+//! the one report whose gated ratio is host-measured (`serve_load`).
+//!
+//! Exit codes: 0 every gate passed, 1 a gate failed (a moved or missing
+//! phase), 2 usage / I/O / parse error — a baseline whose report is
+//! missing is an error, never a skip. `--update` copies each report over
+//! its baseline instead of comparing (for re-recording committed
+//! baselines after an intentional change).
 
 use bench::gate;
+use std::path::Path;
 use std::process::ExitCode;
 
 struct Opts {
-    baseline: String,
-    measured: String,
+    baselines: Vec<String>,
     tolerance: f64,
     update: bool,
 }
 
-const USAGE: &str =
-    "usage: perf_gate --baseline <file> --measured <file> [--tolerance <frac>] [--update]";
+const USAGE: &str = "usage: perf_gate [--tolerance <frac>] [--update] <baseline.json>...\n\
+                     (each <dir>/<name>.json is paired with ./BENCH_<name>.json)";
 
 fn parse_opts(mut argv: impl Iterator<Item = String>) -> Result<Opts, String> {
-    let mut baseline = None;
-    let mut measured = None;
-    let mut tolerance = 0.15;
+    let mut baselines = Vec::new();
+    let mut tolerance = 0.0;
     let mut update = false;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--baseline" => baseline = Some(argv.next().ok_or("--baseline needs a value")?),
-            "--measured" => measured = Some(argv.next().ok_or("--measured needs a value")?),
             "--tolerance" => {
                 let raw = argv.next().ok_or("--tolerance needs a value")?;
                 tolerance = raw
@@ -47,15 +48,41 @@ fn parse_opts(mut argv: impl Iterator<Item = String>) -> Result<Opts, String> {
                 }
             }
             "--update" => update = true,
-            other => return Err(format!("unknown option {other:?}")),
+            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
+            _ => baselines.push(arg),
         }
     }
+    if baselines.is_empty() {
+        return Err("no baseline given".into());
+    }
     Ok(Opts {
-        baseline: baseline.ok_or("missing --baseline <file>")?,
-        measured: measured.ok_or("missing --measured <file>")?,
+        baselines,
         tolerance,
         update,
     })
+}
+
+/// Gate (or re-record) one baseline against its report; `Ok(passed)`.
+fn run_one(baseline: &str, opts: &Opts) -> Result<bool, String> {
+    let name = Path::new(baseline)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .ok_or_else(|| format!("{baseline}: not a <name>.json path"))?;
+    let report = format!("BENCH_{name}.json");
+    let measured = std::fs::read_to_string(&report).map_err(|e| format!("{report}: {e}"))?;
+    if opts.update {
+        gate::check_report(&measured).map_err(|e| format!("refusing to update {baseline}: {e}"))?;
+        std::fs::write(baseline, &measured).map_err(|e| format!("{baseline}: {e}"))?;
+        println!("baseline updated: {baseline} <- {report}");
+        return Ok(true);
+    }
+    let expected = std::fs::read_to_string(baseline).map_err(|e| format!("{baseline}: {e}"))?;
+    let c = gate::compare(&expected, &measured, opts.tolerance)
+        .map_err(|e| format!("{report} vs {baseline}: {e}"))?;
+    print!("{}", gate::render(&c, opts.tolerance));
+    let verdict = if c.passed() { "PASS" } else { "FAIL" };
+    println!("perf gate: {verdict} ({report} vs {baseline})\n");
+    Ok(c.passed())
 }
 
 fn main() -> ExitCode {
@@ -66,57 +93,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let measured = match std::fs::read_to_string(&opts.measured) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", opts.measured);
-            return ExitCode::from(2);
-        }
-    };
-    if opts.update {
-        // Refuse to promote a report the gate could never check.
-        if let Err(e) = gate::compare(&measured, &measured, opts.tolerance) {
-            eprintln!("error: refusing to update baseline: {e}");
-            return ExitCode::from(2);
-        }
-        if let Some(dir) = std::path::Path::new(&opts.baseline).parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        return match std::fs::write(&opts.baseline, &measured) {
-            Ok(()) => {
-                println!("baseline updated: {}", opts.baseline);
-                ExitCode::SUCCESS
-            }
+    // Every baseline is looked at, so one log shows everything that moved.
+    let (mut failed, mut errors) = (0usize, 0usize);
+    for baseline in &opts.baselines {
+        match run_one(baseline, &opts) {
+            Ok(true) => {}
+            Ok(false) => failed += 1,
             Err(e) => {
-                eprintln!("error: {}: {e}", opts.baseline);
-                ExitCode::from(2)
+                eprintln!("error: {e}");
+                errors += 1;
             }
-        };
+        }
     }
-    let baseline = match std::fs::read_to_string(&opts.baseline) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", opts.baseline);
-            return ExitCode::from(2);
-        }
-    };
-    match gate::compare(&baseline, &measured, opts.tolerance) {
-        Ok(c) => {
-            print!("{}", gate::render(&c, opts.tolerance));
-            if c.passed() {
-                println!("perf gate: PASS ({} vs {})", opts.measured, opts.baseline);
-                ExitCode::SUCCESS
-            } else {
-                println!("perf gate: FAIL ({} vs {})", opts.measured, opts.baseline);
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
+    if errors > 0 {
+        ExitCode::from(2)
+    } else if failed > 0 {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -33,6 +33,7 @@
 //! gate). Raw latencies vary with CI load and stay informational.
 
 use bench::obsenv;
+use bench::report::{Obj, Report};
 use bench::table::{fmt, print_table};
 use bench::{bench_scale, database, query};
 use bio_seq::generate::{generate_db, DbPreset, DbSpec};
@@ -43,6 +44,7 @@ use cublastp_serve::{
     Event, LoadController, Priority, RateLimitConfig, Request, ResponseHandle, ServeConfig, Server,
 };
 use gpu_sim::DeviceConfig;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Bulk arrival-rate ramp, in multiples of measured bulk capacity.
@@ -367,7 +369,7 @@ fn run_swap_phase(server: &Server, q: &Sequence, scale: f64) -> (f64, f64) {
     (lost as f64, cross as f64)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     // Interactive = one full-length protein query (a scientist at a
@@ -503,21 +505,23 @@ fn main() {
 
     // Property 2: bulk shedding is monotone along the ramp and real at
     // saturation.
+    let mut report = Report::new("serve_load");
     let shed_rates: Vec<f64> = rows
         .iter()
         .map(|r| r.shed[1] as f64 / r.attempted[1].max(1) as f64)
         .collect();
-    for win in shed_rates.windows(2) {
-        if win[1] < win[0] - SHED_SLACK {
-            eprintln!("serve_load: shed rate not monotone along the ramp: {shed_rates:?}");
-            std::process::exit(1);
-        }
+    if shed_rates.windows(2).any(|w| w[1] < w[0] - SHED_SLACK) {
+        report.fail(format_args!(
+            "shed rate not monotone along the ramp: {shed_rates:?}"
+        ));
     }
     let top = rows.last().expect("ramp is non-empty");
     let top_bulk_shed = *shed_rates.last().expect("ramp is non-empty");
     if top_bulk_shed <= 0.0 {
-        eprintln!("serve_load: no bulk shedding at {}x capacity", top.multiple);
-        std::process::exit(1);
+        report.fail(format_args!(
+            "no bulk shedding at {}x capacity",
+            top.multiple
+        ));
     }
 
     // Property 3: interactive latency stays isolated from bulk pressure.
@@ -530,88 +534,52 @@ fn main() {
         100.0 * top_bulk_shed
     );
     if p99_ratio > P99_BOUND {
-        eprintln!("serve_load: interactive p99 {p99_ratio:.2}x exceeds the {P99_BOUND}x bound");
-        std::process::exit(1);
-    }
-
-    let json = render_json(
-        &rows,
-        scale,
-        unloaded_ms,
-        bulk_unloaded_ms,
-        p99_ratio,
-        top_bulk_shed,
-        swap_lost,
-        swap_cross,
-    );
-    let path = "BENCH_serve_load.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    rows: &[RateRow],
-    scale: f64,
-    unloaded_ms: f64,
-    bulk_unloaded_ms: f64,
-    p99_ratio: f64,
-    top_bulk_shed: f64,
-    swap_lost: f64,
-    swap_cross: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"serve_load\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    // Gated numbers: machine-robust derived ratios only. `lost_requests`
-    // has baseline 0, so any silently dropped request fails the gate;
-    // raw latencies below stay informational.
-    out.push_str("  \"phase_medians\": {\n");
-    out.push_str("    \"serve\": {");
-    out.push_str(&format!(
-        "\"interactive_p99_x_unloaded\": {p99_ratio:.4}, \"lost_requests\": 0.0, \
-         \"swap_lost_requests\": {swap_lost:.1}, \"swap_cross_generation\": {swap_cross:.1}"
-    ));
-    out.push_str("}\n");
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"unloaded_interactive_ms\": {unloaded_ms:.4},\n"
-    ));
-    out.push_str(&format!("  \"unloaded_bulk_ms\": {bulk_unloaded_ms:.4},\n"));
-    out.push_str(&format!("  \"top_bulk_shed_rate\": {top_bulk_shed:.4},\n"));
-    out.push_str("  \"ramp\": [\n");
-    for (ri, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bulk_capacity_multiple\": {:.2}, \"bulk_rate_per_sec\": {:.2}, \
-             \"interactive\": {{\"attempted\": {}, \"shed\": {}, \"terminal\": {}, \
-             \"errors\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"qps\": {:.2}}}, \
-             \"bulk\": {{\"attempted\": {}, \"shed\": {}, \"terminal\": {}, \
-             \"errors\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"qps\": {:.2}}}}}{}\n",
-            r.multiple,
-            r.bulk_rate_per_sec,
-            r.attempted[0],
-            r.shed[0],
-            r.terminal[0],
-            r.errors[0],
-            r.p50[0],
-            r.p99[0],
-            r.qps[0],
-            r.attempted[1],
-            r.shed[1],
-            r.terminal[1],
-            r.errors[1],
-            r.p50[1],
-            r.p99[1],
-            r.qps[1],
-            if ri + 1 < rows.len() { "," } else { "" },
+        report.fail(format_args!(
+            "interactive p99 {p99_ratio:.2}x exceeds the {P99_BOUND}x bound"
         ));
     }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+
+    let class = |r: &RateRow, idx: usize| {
+        Obj::new()
+            .int("attempted", r.attempted[idx] as u64)
+            .int("shed", r.shed[idx] as u64)
+            .int("terminal", r.terminal[idx] as u64)
+            .int("errors", r.errors[idx] as u64)
+            .fixed("p50_ms", r.p50[idx], 3)
+            .fixed("p99_ms", r.p99[idx], 3)
+            .fixed("qps", r.qps[idx], 2)
+    };
+    let ramp = rows
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .fixed("bulk_capacity_multiple", r.multiple, 2)
+                .fixed("bulk_rate_per_sec", r.bulk_rate_per_sec, 2)
+                .obj("interactive", class(r, 0))
+                .obj("bulk", class(r, 1))
+        })
+        .collect();
+    // Gated numbers: machine-robust derived ratios only. `lost_requests`
+    // has baseline 0 (a lost request exits above, before any report is
+    // written); raw latencies below stay informational.
+    report.finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .obj(
+                "phase_medians",
+                Obj::new().obj(
+                    "serve",
+                    Obj::new()
+                        .fixed("interactive_p99_x_unloaded", p99_ratio, 4)
+                        .fixed("lost_requests", 0.0, 1)
+                        .fixed("swap_lost_requests", swap_lost, 1)
+                        .fixed("swap_cross_generation", swap_cross, 1),
+                ),
+            )
+            .fixed("unloaded_interactive_ms", unloaded_ms, 4)
+            .fixed("unloaded_bulk_ms", bulk_unloaded_ms, 4)
+            .fixed("top_bulk_shed_rate", top_bulk_shed, 4)
+            .rows("ramp", ramp),
+    )
 }

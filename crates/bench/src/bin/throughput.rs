@@ -1,152 +1,113 @@
-//! Query-stream throughput: the NGS-style workload the paper's
-//! introduction motivates — many queries against one database.
+//! Query-stream batches on the modelled device clock: the NGS-style
+//! workload the paper's introduction motivates — many queries against
+//! one database.
 //!
-//! Sweeps batch sizes over both database presets and reports modelled
-//! queries/sec for three drivers:
+//! Sweeps batch sizes over both database presets through `search_batch`
+//! (the database is flattened once and stays device-resident) and
+//! reports, per query, the medians of the modelled kernel, H2D and D2H
+//! time. The flatten counter verifies residency: one batch flattens the
+//! database once per block, independent of batch size. The largest
+//! batch's medians — the three legs plus each kernel — are the
+//! `phase_medians` the perf gate checks.
 //!
-//! * **serial** — each query runs standalone: re-uploads the database,
-//!   drains the pipeline, pays its own setup.
-//! * **batched** — `search_batch`: the database is flattened once and
-//!   stays device-resident; the pipeline chains across query boundaries.
-//! * **parallel** — `search_batch_parallel`: additionally runs query
-//!   setup (DFA/PSSM build) and searches concurrently on the shared CPU
-//!   pool, so setup overlaps earlier queries' device work.
-//! * **grouped** — `search_batch_with` in `SeedMode::Grouped`: queries
-//!   are packed into index rounds and each database block is seeded once
-//!   per round instead of once per query (see `bench --bin
-//!   grouped_seeding` for the seeding-cost sweep).
-//!
-//! The flatten counter verifies residency: one batch flattens the
-//! database once per block, independent of batch size. Results go to
-//! stdout (table) and `BENCH_throughput.json` at the repo root.
+//! Queries per second are not reported here: a rate mixes this clock
+//! with measured host time, and `benchmark/` reports each clock on its
+//! own (host throughput and modelled device ms per query, on the
+//! `scan_stream` and `grouped_short` workloads). Results go to stdout
+//! (table) and `BENCH_throughput.json` in the working directory.
 
 use bench::obsenv;
-use bench::table::{fmt, print_table};
+use bench::report::{Obj, Report};
+use bench::table::print_table;
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
-use cublastp::{
-    flatten_count, search_batch, search_batch_parallel, search_batch_with, BatchOptions,
-    CuBlastpConfig, SeedMode,
-};
+use cublastp::{flatten_count, search_batch, CuBlastpConfig, CuBlastpResult};
 use gpu_sim::DeviceConfig;
+use std::process::ExitCode;
 
 const BATCH_SIZES: [usize; 4] = [1, 4, 16, 64];
 
-/// Modelled host: 8 CPU threads (the throughput deployment the batch
-/// engine targets; figure configs keep the paper's quad-core).
-const CPU_THREADS: usize = 8;
-
 struct Row {
     batch: usize,
-    serial_qps: f64,
-    batched_qps: f64,
-    parallel_qps: f64,
-    grouped_qps: f64,
-    speedup: f64,
+    gpu_ms: f64,
+    h2d_ms: f64,
+    d2h_ms: f64,
     flattens: u64,
     db_blocks: usize,
 }
 
-fn main() {
+fn median_of(results: &[&CuBlastpResult], f: impl Fn(&CuBlastpResult) -> f64) -> f64 {
+    let mut xs: Vec<f64> = results.iter().map(|r| f(r)).collect();
+    obsenv::median(&mut xs)
+}
+
+fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
     let device = DeviceConfig::k20c();
     let params = SearchParams::default();
-    let cfg = CuBlastpConfig {
-        cpu_threads: CPU_THREADS,
-        ..CuBlastpConfig::default()
-    };
+    let cfg = CuBlastpConfig::default();
     let queries: Vec<_> = (0..*BATCH_SIZES.last().unwrap())
         .map(|i| query(96 + 13 * (i % 24)))
         .collect();
 
     let mut sections: Vec<(String, Vec<Row>)> = Vec::new();
-    let mut medians: Vec<(String, Vec<(String, f64)>)> = Vec::new();
+    let mut medians = Obj::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &queries[0]);
         let mut rows = Vec::new();
         for batch in BATCH_SIZES {
-            let qs = &queries[..batch];
-            let s = search_batch(qs, params, cfg, device, &db);
             let before = flatten_count();
-            let p = search_batch_parallel(qs, params, cfg, device, &db);
+            let s = search_batch(&queries[..batch], params, cfg, device, &db);
             let flattens = flatten_count() - before;
-            let g = search_batch_with(
-                qs,
-                params,
-                cfg,
-                device,
-                &db,
-                BatchOptions {
-                    seed_mode: SeedMode::Grouped,
-                    ..Default::default()
-                },
-            );
-            let db_blocks = s.per_query[0]
-                .as_ref()
-                .expect("fault-free batch")
-                .block_timings
-                .len();
+            let results: Vec<&CuBlastpResult> = s.per_query.iter().flatten().collect();
+            assert_eq!(results.len(), batch, "fault-free batch");
             rows.push(Row {
                 batch,
-                // Serial baseline and speedup come from the parallel run's
-                // own standalone model, so the comparison shares one set
-                // of measured CPU times.
-                serial_qps: batch as f64 * 1e3 / p.unbatched_ms,
-                batched_qps: s.queries_per_sec(),
-                parallel_qps: p.queries_per_sec(),
-                grouped_qps: g.queries_per_sec(),
-                speedup: p.unbatched_ms / p.batch_ms,
+                gpu_ms: median_of(&results, |r| r.timing.gpu_ms),
+                h2d_ms: median_of(&results, |r| r.timing.h2d_ms),
+                d2h_ms: median_of(&results, |r| r.timing.d2h_ms),
                 flattens,
-                db_blocks,
+                db_blocks: results[0].block_timings.len(),
             });
-            // Perf-gate medians from the largest batch: per-query
-            // deterministic simulated/modelled times (host wall-clock is
-            // reported in the sweep sections but never gated).
+            // Perf-gate medians from the largest batch: the legs above
+            // plus each kernel's simulated time, merged across a query's
+            // blocks (kernel order is the pipeline order).
             if batch == *BATCH_SIZES.last().unwrap() {
-                let results: Vec<_> = s.per_query.iter().flatten().collect();
-                let med = |f: &dyn Fn(&cublastp::CuBlastpResult) -> f64| {
-                    let mut xs: Vec<f64> = results.iter().map(|r| f(r)).collect();
-                    obsenv::median(&mut xs)
-                };
-                let mut phases: Vec<(String, f64)> = vec![
-                    ("gpu_ms".to_string(), med(&|r| r.timing.gpu_ms)),
-                    ("h2d_ms".to_string(), med(&|r| r.timing.h2d_ms)),
-                    ("d2h_ms".to_string(), med(&|r| r.timing.d2h_ms)),
-                ];
-                // Per-kernel simulated time, merged across each query's
-                // blocks (kernel order is the pipeline order).
-                if let Some(first) = results.first() {
-                    for (ki, k) in first.kernels.iter().enumerate() {
-                        let mut xs: Vec<f64> = results
-                            .iter()
-                            .filter_map(|r| r.kernels.get(ki))
-                            .map(|k| k.time_ms(&device))
-                            .collect();
-                        phases.push((k.name.clone(), obsenv::median(&mut xs)));
-                    }
+                let r = rows.last().expect("just pushed");
+                let mut phases = Obj::new()
+                    .fixed("gpu_ms", r.gpu_ms, 6)
+                    .fixed("h2d_ms", r.h2d_ms, 6)
+                    .fixed("d2h_ms", r.d2h_ms, 6);
+                for (ki, k) in results[0].kernels.iter().enumerate() {
+                    let mut xs: Vec<f64> = results
+                        .iter()
+                        .filter_map(|r| r.kernels.get(ki))
+                        .map(|k| k.time_ms(&device))
+                        .collect();
+                    phases = phases.fixed(k.name.as_str(), obsenv::median(&mut xs), 6);
                 }
-                medians.push((preset.spec().name.to_string(), phases));
+                medians = medians.obj(preset.name(), phases);
             }
         }
-        sections.push((preset.spec().name.to_string(), rows));
+        sections.push((preset.name().to_string(), rows));
     }
 
     for (name, rows) in &sections {
         print_table(
-            &format!("Query-stream throughput — {name} (modelled queries/sec, {CPU_THREADS} CPU threads)"),
-            &["batch", "serial", "batched", "parallel", "grouped", "speedup", "flattens"],
+            &format!(
+                "Query-stream batches — {name} (modelled ms per query, median over the batch)"
+            ),
+            &["batch", "kernels", "h2d", "d2h", "flattens"],
             &rows
                 .iter()
                 .map(|r| {
                     vec![
                         r.batch.to_string(),
-                        fmt(r.serial_qps),
-                        fmt(r.batched_qps),
-                        fmt(r.parallel_qps),
-                        fmt(r.grouped_qps),
-                        format!("{:.2}x", r.speedup),
+                        format!("{:.4}", r.gpu_ms),
+                        format!("{:.4}", r.h2d_ms),
+                        format!("{:.4}", r.d2h_ms),
                         format!("{} ({} blocks)", r.flattens, r.db_blocks),
                     ]
                 })
@@ -154,70 +115,29 @@ fn main() {
         );
     }
 
-    let json = render_json(&sections, &medians, scale);
-    let path = "BENCH_throughput.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-    obsenv::write_exports();
-}
-
-fn render_json(
-    sections: &[(String, Vec<Row>)],
-    medians: &[(String, Vec<(String, f64)>)],
-    scale: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"throughput\",\n");
-    out.push_str("  \"device\": \"k20c\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"cpu_threads\": {CPU_THREADS},\n"));
-    out.push_str("  \"phase_medians\": {\n");
-    for (pi, (name, phases)) in medians.iter().enumerate() {
-        out.push_str(&format!("    \"{name}\": {{"));
-        for (ki, (phase, ms)) in phases.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{phase}\": {ms:.6}{}",
-                if ki + 1 < phases.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 < medians.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"presets\": [\n");
-    for (pi, (name, rows)) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"db\": \"{name}\",\n"));
-        out.push_str("      \"sweep\": [\n");
-        for (ri, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"batch\": {}, \"serial_qps\": {:.2}, \"batched_qps\": {:.2}, \
-                 \"parallel_qps\": {:.2}, \"grouped_qps\": {:.2}, \
-                 \"speedup_parallel_vs_serial\": {:.2}, \
-                 \"flattens\": {}, \"db_blocks\": {}}}{}\n",
-                r.batch,
-                r.serial_qps,
-                r.batched_qps,
-                r.parallel_qps,
-                r.grouped_qps,
-                r.speedup,
-                r.flattens,
-                r.db_blocks,
-                if ri + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if pi + 1 < sections.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let presets = sections
+        .iter()
+        .map(|(name, rows)| {
+            let sweep = rows
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .int("batch", r.batch as u64)
+                        .fixed("gpu_ms", r.gpu_ms, 6)
+                        .fixed("h2d_ms", r.h2d_ms, 6)
+                        .fixed("d2h_ms", r.d2h_ms, 6)
+                        .int("flattens", r.flattens)
+                        .int("db_blocks", r.db_blocks as u64)
+                })
+                .collect();
+            Obj::new().text("db", name).rows("sweep", sweep)
+        })
+        .collect();
+    Report::new("throughput").finish(
+        Obj::new()
+            .text("device", "k20c")
+            .num("scale", scale)
+            .obj("phase_medians", medians)
+            .rows("presets", presets),
+    )
 }

@@ -1,32 +1,30 @@
 //! The perf-regression gate: compare a bench run's `phase_medians`
 //! against a committed baseline.
 //!
-//! Both bench binaries write a `"phase_medians"` section into their JSON
-//! report — per-phase medians of *simulated* time, which are
+//! Every gated bench writes a `"phase_medians"` section into its JSON
+//! report — modelled times, work counts and violation counters, all
 //! deterministic for a given `BENCH_SCALE`, so the gate measures the cost
 //! model and the pipeline's phase structure, not the CI machine's mood.
 //! (Host wall-clock numbers stay in the other sections, informational.)
 //!
-//! The gate fails when any phase's measured median exceeds its baseline
-//! by more than the tolerance, or when a baseline phase is missing from
-//! the measurement (a silently dropped phase must not pass). New phases
-//! absent from the baseline are reported but do not fail — they start
-//! gating once the baseline is refreshed.
+//! Deterministic numbers are compared exactly: at the default tolerance
+//! of 0 a key that moves in *either* direction fails — a change that
+//! under-bills is as much a model change as one that over-bills — and the
+//! baseline is re-recorded on purpose (`perf_gate --update`). A baseline
+//! key missing from the measurement fails too (a silently dropped phase
+//! must not pass). Keys absent from the baseline are listed but do not
+//! fail; they start gating once the baseline is refreshed.
 
 use obs::json::{parse, Value};
-
-/// Absolute slack added on top of the relative tolerance, so a baseline
-/// of exactly 0.0 ms does not fail on any positive measurement jitter.
-const ABS_SLACK_MS: f64 = 1e-6;
 
 /// One compared phase.
 #[derive(Debug)]
 pub struct GateRow {
     /// Dotted key under `phase_medians` (e.g. `swissprot_mini.hit_sorting`).
     pub key: String,
-    /// Baseline median (ms).
+    /// Baseline value.
     pub baseline: f64,
-    /// Measured median (ms); `NaN` when missing from the measurement.
+    /// Measured value; `NaN` when missing from the measurement.
     pub measured: f64,
     /// Relative change, `(measured - baseline) / baseline`, as a percent.
     pub delta_pct: f64,
@@ -84,9 +82,10 @@ fn flatten(v: &Value, prefix: String, out: &mut Vec<(String, f64)>) {
     }
 }
 
-/// Compare two bench reports' `phase_medians` with a relative tolerance
-/// (`0.15` = +15%). Errors on unparseable input or a missing section;
-/// regressions and missing phases land as failing rows instead.
+/// Compare two bench reports' `phase_medians` with a two-sided relative
+/// tolerance (`0.5` = ±50 %, `0.0` = exact). Errors on unparseable input
+/// or a missing section; moved and missing phases land as failing rows
+/// instead.
 pub fn compare(
     baseline_json: &str,
     measured_json: &str,
@@ -102,7 +101,7 @@ pub fn compare(
     for (key, b) in &base {
         let row = match meas.iter().find(|(k, _)| k == key) {
             Some((_, m)) => {
-                let ok = *m <= b * (1.0 + tolerance) + ABS_SLACK_MS;
+                let ok = (m - b).abs() <= b.abs() * tolerance;
                 let delta_pct = if *b > 0.0 {
                     100.0 * (m - b) / b
                 } else if *m > 0.0 {
@@ -143,16 +142,23 @@ pub fn compare(
     })
 }
 
+/// Check that a report can serve as a baseline (`perf_gate --update`
+/// refuses to promote one the gate could never compare against).
+pub fn check_report(report_json: &str) -> Result<(), String> {
+    let doc = parse(report_json).map_err(|e| format!("report: {e}"))?;
+    phase_medians(&doc, "report").map(|_| ())
+}
+
 /// Render a comparison as the table the CI log shows.
 pub fn render(c: &Comparison, tolerance: f64) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<44} {:>12} {:>12} {:>9}  gate (tolerance +{:.0}%)",
+        "{:<54} {:>14} {:>14} {:>9}  gate (tolerance ±{:.0}%)",
         "phase",
-        "baseline ms",
-        "measured ms",
+        "baseline",
+        "measured",
         "delta",
         tolerance * 100.0
     );
@@ -164,7 +170,7 @@ pub fn render(c: &Comparison, tolerance: f64) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<44} {:>12.4} {:>12.4} {:>9}  {}",
+            "{:<54} {:>14.6} {:>14.6} {:>9}  {}",
             r.key,
             r.baseline,
             r.measured,
@@ -173,9 +179,15 @@ pub fn render(c: &Comparison, tolerance: f64) -> String {
         );
     }
     for k in &c.new_phases {
-        let _ = writeln!(out, "{k:<44} (new phase, not in baseline — not gated)");
+        let _ = writeln!(out, "{k:<54} (new phase, not in baseline — not gated)");
     }
     let _ = writeln!(out, "{} phase(s), {} failed", c.rows.len(), c.failures);
+    if c.failures > 0 {
+        let _ = writeln!(
+            out,
+            "a gated value moved: re-record the baseline with `--update` if intended"
+        );
+    }
     out
 }
 
@@ -194,7 +206,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = report(&[("hit_detection", 1.5), ("hit_sorting", 0.25)]);
-        let c = compare(&r, &r, 0.15).unwrap();
+        let c = compare(&r, &r, 0.0).unwrap();
         assert!(c.passed());
         assert_eq!(c.rows.len(), 2);
         assert!(c.rows.iter().all(|r| r.delta_pct == 0.0));
@@ -231,11 +243,23 @@ mod tests {
 
     #[test]
     fn improvement_passes_but_is_reported() {
+        // Inside an explicit tolerance only: the gate is two-sided.
         let base = report(&[("hit_detection", 2.0)]);
         let meas = report(&[("hit_detection", 1.0)]);
-        let c = compare(&base, &meas, 0.15).unwrap();
+        let c = compare(&base, &meas, 0.6).unwrap();
         assert!(c.passed());
         assert!((c.rows[0].delta_pct - (-50.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn moved_down_fails_at_zero_tolerance() {
+        // One unit in the last printed decimal, either way.
+        let base = report(&[("hit_detection", 0.147773)]);
+        for moved in [0.147772, 0.147774] {
+            let c = compare(&base, &report(&[("hit_detection", moved)]), 0.0).unwrap();
+            assert_eq!(c.failures, 1, "{moved}");
+            assert!(render(&c, 0.0).contains("--update"));
+        }
     }
 
     #[test]
@@ -257,12 +281,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_baseline_gets_absolute_slack() {
-        let base = report(&[("d2h_ms", 0.0)]);
-        let ok = report(&[("d2h_ms", 0.0)]);
-        assert!(compare(&base, &ok, 0.15).unwrap().passed());
-        let bad = report(&[("d2h_ms", 0.5)]);
-        assert!(!compare(&base, &bad, 0.15).unwrap().passed());
+    fn zero_baseline_passes_only_zero() {
+        // The violation counters: baseline 0, and no tolerance widens it.
+        let base = report(&[("lost_requests", 0.0)]);
+        let ok = report(&[("lost_requests", 0.0)]);
+        assert!(compare(&base, &ok, 0.5).unwrap().passed());
+        let bad = report(&[("lost_requests", 1.0)]);
+        assert!(!compare(&base, &bad, 0.5).unwrap().passed());
     }
 
     #[test]
@@ -271,6 +296,14 @@ mod tests {
         let ok = report(&[("a", 1.0)]);
         assert!(compare(&ok, "{\"bench\": \"x\"}", 0.15).is_err());
         assert!(compare("not json", &ok, 0.15).is_err());
+    }
+
+    #[test]
+    fn update_refuses_a_report_without_phase_medians() {
+        assert!(check_report(&report(&[("a", 1.0)])).is_ok());
+        assert!(check_report("{\"bench\": \"x\"}").is_err());
+        assert!(check_report("{\"phase_medians\": {\"db\": {}}}").is_err());
+        assert!(check_report("not json").is_err());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! numbers exactly.
 
 pub mod gate;
-pub mod legacy;
 pub mod obsenv;
+pub mod report;
 pub mod runners;
 pub mod table;
 pub mod workloads;

@@ -18,9 +18,10 @@ pub fn arm_from_env() {
     );
 }
 
-/// Write whichever exports the environment requested. Call once at the
-/// end of `main`; I/O failures are reported to stderr but do not change
-/// the benchmark's exit status.
+/// Write whichever exports the environment requested
+/// ([`crate::report::Report::finish`] does, once, at the end of `main`);
+/// I/O failures are reported to stderr but do not change the benchmark's
+/// exit status.
 pub fn write_exports() {
     if let Ok(path) = std::env::var("TRACE_OUT") {
         let trace = obs::take_trace();

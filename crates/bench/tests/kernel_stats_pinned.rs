@@ -1,20 +1,21 @@
 //! Absolute pins of the hit-path kernels' simulated stats.
 //!
-//! `hotpath_stats.rs` holds kernels 1–4 to the pre-arena code in
-//! `bench::legacy`; both sides of that comparison run on the same
-//! `gpu-sim`, so a change *inside* the simulator (how a warp's distinct
-//! lines are counted, how the read-only cache rotates a set) moves both
-//! alike. These pins are the other half: whole-struct [`KernelStats`]
-//! values of `binning_kernel`, `grouped_seeding_kernel` and
-//! `extension_kernel`, read off the commit before the host-cost rework of
-//! the hit path and never edited since — any drift is a billing change.
+//! Whole-struct [`KernelStats`] values of `binning_kernel`,
+//! `grouped_seeding_kernel` and `extension_kernel` on small fixtures, read
+//! off the commit before the host-cost rework of the hit path, then
+//! kernels 1–4 on the figure workload, read off the last commit that
+//! still carried the pre-arena pipeline to compare against. None has
+//! been edited since — any drift is a billing change, whether it comes
+//! from a kernel or from inside the simulator (how a warp's distinct
+//! lines are counted, how the read-only cache rotates a set).
 //!
 //! One test function on purpose: the grouped kernel reads two device
 //! buffers through the read-only cache, so its hit/miss sequence depends
 //! on their relative placement, and `virtual_alloc` is process-global — a
 //! second test thread allocating in between would move it.
 
-use bio_seq::generate::make_query;
+use bench::runners::figure_config;
+use bio_seq::generate::{generate_db, make_query, DbPreset};
 use bio_seq::Sequence;
 use blast_core::{Dfa, Matrix, Pssm, SearchParams};
 use cublastp::binning::binning_kernel;
@@ -179,5 +180,46 @@ fn hit_path_kernel_stats_are_pinned() {
         assert_eq!(r.stats, want, "extension_kernel {strategy:?}");
         assert_eq!(r.extensions.len(), 29, "{strategy:?}");
         assert_eq!(r.redundant, redundant, "{strategy:?}");
+    }
+
+    // Kernels 1–4 on the figure workload: query517 against the one block
+    // each preset has at scale 0.05 under `figure_config()`, with the
+    // surviving-hit count and a CRC-32 of the filtered hit vector. Until
+    // it was deleted, `bench::legacy` (the pre-arena pipeline, verbatim)
+    // was held to these same values by `hotpath_stats.rs`; they were read
+    // off that commit with both sides green.
+    let cfg = figure_config();
+    let dq = device_query(517);
+    let window = params.two_hit_window as i64;
+    // One kernel per line: the 13 counters, occupancy, grid, warps per block.
+    #[rustfmt::skip]
+    let presets = [
+        (DbPreset::SwissprotMini, 10108, 0x98b4_bf18, [
+            pinned("hit_detection", [729813, 12324615, 11029401, 422318, 4499328, 35151, 109350, 188160, 1188, 39121, 3043, 31177, 7944], 0.5, 26, 8),
+            pinned("hit_assembling", [78272, 2503744, 960, 625936, 626176, 4892, 312968, 313088, 0, 0, 0, 0, 0], 1.0, 20, 8),
+            pinned("hit_sorting", [412860, 13211520, 0, 1554176, 3108608, 24286, 777088, 1554176, 0, 0, 0, 0, 0], 0.375, 20, 8),
+            pinned("hit_filtering", [83802, 1816582, 865082, 393832, 611712, 4779, 312968, 313088, 0, 0, 0, 0, 0], 1.0, 20, 8),
+        ]),
+        (DbPreset::EnvNrMini, 16864, 0xef6a_0de4, [
+            pinned("hit_detection", [1236705, 20635129, 18939431, 707316, 7561344, 59073, 182556, 320128, 2045, 65595, 5069, 50289, 15306], 0.5, 26, 8),
+            pinned("hit_assembling", [131200, 4198080, 320, 1049520, 1049600, 8200, 524760, 524800, 0, 0, 0, 0, 0], 1.0, 33, 8),
+            pinned("hit_sorting", [648852, 20763264, 0, 2442528, 4885504, 38168, 1221264, 2442752, 0, 0, 0, 0, 0], 0.375, 33, 8),
+            pinned("hit_filtering", [140748, 3041794, 1462142, 659672, 1027584, 8028, 524760, 524800, 0, 0, 0, 0, 0], 1.0, 33, 8),
+        ]),
+    ];
+    for (preset, survivors, crc, want) in presets {
+        let name = preset.name();
+        let db = generate_db(&preset.spec().scaled(0.05), &make_query(517)).db;
+        let blocks = db.blocks(cfg.db_block_size);
+        assert_eq!(blocks.len(), 1, "{name}");
+        let block = DeviceDbBlock::upload(db.block_sequences(blocks[0]), blocks[0].start);
+        let (binned, k0) = binning_kernel(&d, &cfg, &dq, &block, &ws);
+        let (mut asm, k1) = assemble_kernel(&d, &cfg, binned, &ws);
+        let k2 = sort_kernel(&d, &mut asm, &ws);
+        let (filtered, k3) = filter_kernel(&d, &cfg, &asm, window, &ws);
+        let bytes: Vec<u8> = filtered.hits.iter().flat_map(|h| h.to_le_bytes()).collect();
+        assert_eq!(filtered.hits.len(), survivors, "{name} survivors");
+        assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} hit vector");
+        assert_eq!([k0, k1, k2, k3], want, "{name} kernels 1-4");
     }
 }
