@@ -176,31 +176,42 @@ pub struct BaselineResult {
     pub timing: BaselineTiming,
 }
 
-/// Finish a coarse run: gapped extension + traceback on a single CPU
-/// thread (neither baseline overlaps or multithreads the tail), then
-/// ranking.
+/// Finish a coarse run: the D2H leg, then gapped extension + traceback on
+/// a single CPU thread (neither baseline overlaps or multithreads the
+/// tail), then ranking. The link carries the extensions the tail reads —
+/// those that reached the gapped trigger — the same rule cuBLASTP's
+/// extension kernel ships by, so the figures compare kernels and not a
+/// billing asymmetry (the published codes do not store an ungapped
+/// extension below the trigger either). Returns the report, the modelled
+/// D2H time and the measured CPU time, both in milliseconds.
 pub fn finish_on_cpu(
     engine: &SearchEngine,
+    device: &DeviceConfig,
     db: &bio_seq::SequenceDb,
-    extensions_by_seq: Vec<(usize, Vec<UngappedExt>)>,
-) -> (SearchReport, f64) {
+    work: &[SeqWork],
+) -> (SearchReport, f64, f64) {
+    let survivors = (work.iter().flat_map(|w| &w.extensions))
+        .filter(|e| e.score >= engine.cutoffs.gapped_trigger)
+        .count();
+    let d2h_ms = device.transfer_ms((survivors * std::mem::size_of::<UngappedExt>()) as u64);
+
     let t0 = Instant::now();
     let mut report = SearchReport::default();
     let mut times = PhaseTimes::default();
-    for (idx, exts) in extensions_by_seq {
-        if exts.is_empty() {
+    for (idx, w) in work.iter().enumerate() {
+        if w.extensions.is_empty() {
             continue;
         }
         engine.finish_subject(
             idx,
             &db.sequences()[idx],
-            &exts,
+            &w.extensions,
             &mut report,
             Some(&mut times),
         );
     }
     report.finalize(engine.params.max_reported);
-    (report, t0.elapsed().as_secs_f64() * 1e3)
+    (report, d2h_ms, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

@@ -144,16 +144,8 @@ impl GpuBlastp {
         );
 
         let db_bytes: u64 = db.total_residues() as u64 + (db.len() as u64 + 1) * 8;
-        let n_ext: u64 = work.iter().map(|w| w.extensions.len() as u64).sum();
         let h2d_ms = self.device.transfer_ms(db_bytes);
-        let d2h_ms = self.device.transfer_ms(n_ext * 20);
-
-        let extensions_by_seq: Vec<(usize, Vec<blast_cpu::ungapped::UngappedExt>)> = work
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| (i, w.extensions))
-            .collect();
-        let (report, cpu_ms) = finish_on_cpu(&self.engine, db, extensions_by_seq);
+        let (report, d2h_ms, cpu_ms) = finish_on_cpu(&self.engine, &self.device, db, &work);
 
         BaselineResult {
             report,

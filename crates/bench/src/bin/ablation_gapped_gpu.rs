@@ -14,8 +14,7 @@
 //!   seed, whole-band per-lane sweeps, divergence bounded by the slowest
 //!   seed of each warp.
 //! * **C — fine kernel** (`--gapped-backend gpu`): one warp per seed,
-//!   anti-diagonal wavefronts, SaLoBa work packing, constant-memory
-//!   interval traceback.
+//!   anti-diagonal wavefronts, constant-memory interval traceback.
 //!
 //! The harness asserts C beats B on modelled gapped-phase time on every
 //! preset (the fine decomposition is the point), and that all three
@@ -107,6 +106,8 @@ fn main() -> ExitCode {
             );
             b_gapped_gpu_ms += k_gapped.time_ms(&device);
             gapped_divergence = gapped_divergence.max(k_gapped.divergence_overhead());
+            // The host's traceback reads the gapped extensions — one per
+            // trigger survivor at most — billed as the survivors' records.
             b_transfer_ms += device.transfer_ms(out.download_bytes);
             let t0 = Instant::now();
             let mut times = PhaseTimes::default();

@@ -106,6 +106,8 @@ struct Telemetry {
     retry_wait_us: u64,
     /// Blocks whose device gapped phase degraded to the CPU tail.
     degraded_gapped: u64,
+    /// Hit/extension counters (the D2H row reads them).
+    counts: cublastp::GpuPhaseCounts,
 }
 
 impl Telemetry {
@@ -127,6 +129,7 @@ impl Telemetry {
         self.queue_wait_us += r.recovery.queue_wait_us;
         self.retry_wait_us += r.recovery.retry_wait_us;
         self.degraded_gapped += r.recovery.degraded_gapped;
+        self.counts.absorb(&r.counts);
         self.queries += 1;
     }
 
@@ -144,14 +147,20 @@ impl Telemetry {
         for (name, ms) in &self.kernels {
             out!("# {:<28} {:>10.3} {:>6.1}%", name, ms, pct(*ms));
         }
-        for (name, ms) in [
-            ("h2d_transfer", self.h2d_ms),
-            ("d2h_transfer", self.d2h_ms),
-            ("gapped_extension", self.gapped_ms),
-            ("traceback", self.traceback_ms),
-            ("other (setup+merge)", self.other_ms),
+        // What the D2H leg carried, and how few of the computed
+        // extensions that is.
+        let d2h_note = format!(
+            "  {} B, {} / {} extensions reached the trigger",
+            self.counts.d2h_bytes, self.counts.triggered, self.counts.extensions,
+        );
+        for (name, ms, note) in [
+            ("h2d_transfer", self.h2d_ms, ""),
+            ("d2h_transfer", self.d2h_ms, d2h_note.as_str()),
+            ("gapped_extension", self.gapped_ms, ""),
+            ("traceback", self.traceback_ms, ""),
+            ("other (setup+merge)", self.other_ms, ""),
         ] {
-            out!("# {:<28} {:>10.3} {:>6.1}%", name, ms, pct(ms));
+            out!("# {:<28} {:>10.3} {:>6.1}%{}", name, ms, pct(ms), note);
         }
         out!("# {:<28} {:>10.3} {:>6.1}%", "total (serial)", total, 100.0);
         let dispatch = blast_cpu::simd::dispatch_report();

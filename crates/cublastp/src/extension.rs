@@ -17,6 +17,13 @@
 //!   each hit is extended cooperatively, `window_size` positions per step
 //!   with a CUB-style prefix scan computing running scores, ChangeSinceBest
 //!   and DropFlag (Fig. 8).
+//!
+//! Every strategy ends its warp batches in the same fused *trigger
+//! compaction* (`Compaction`): the only reader of the kernel's output
+//! starts gapped extension from records with `score >= gapped_trigger`, so
+//! only those are written to the output buffer — the §3.3 filter idea one
+//! stage later. A caller that wants every record passes
+//! `gapped_trigger: i32::MIN`.
 
 use crate::config::{CuBlastpConfig, ExtensionStrategy, ScoringMode};
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
@@ -25,21 +32,31 @@ use crate::reorder::FilteredHits;
 use blast_core::SearchParams;
 use blast_cpu::ungapped::{extend, UngappedExt};
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::{launch_map, DeviceConfig, KernelStats, LaunchConfig};
+use gpu_sim::{launch_map, DeviceConfig, KernelStats, LaunchConfig, SimBlock};
 
 /// Positions an x-drop extension scans beyond the best-scoring end before
 /// giving up (cost-model constant; the functional routine computes the
 /// exact extent).
 const OVERSHOOT: u64 = 8;
 
+/// Size of one extension record in the kernel's output buffer and on the
+/// D2H leg that carries it.
+pub(crate) const RECORD_BYTES: u32 = std::mem::size_of::<UngappedExt>() as u32;
+
+/// Warp instructions of one compaction vote: score compare, `__ballot`,
+/// `__popc`.
+const VOTE_INSTRS: u64 = 3;
+
 /// Output of the ungapped-extension kernel.
 pub struct ExtensionResult {
-    /// Extensions, grouped by subject sequence in block-local ids,
+    /// The extensions that reached `params.gapped_trigger` — what the
+    /// kernel writes out — grouped by subject sequence in block-local ids,
     /// de-duplicated for the hit-based strategy.
     pub extensions: Vec<UngappedExt>,
     /// Kernel stats (divergence overhead drives Fig. 16b).
     pub stats: KernelStats,
-    /// Redundant extensions the hit-based strategy computed and discarded.
+    /// Redundant extensions the hit-based strategy computed and discarded
+    /// (counted over everything computed, not just what was written).
     pub redundant: u64,
 }
 
@@ -254,7 +271,87 @@ fn order_by_subject(per_block: Vec<Vec<UngappedExt>>, num_seqs: usize) -> Vec<Un
     out
 }
 
+/// One block's share of the fused trigger compaction that ends every warp
+/// batch (the §3.3 filter idea one stage later: the CPU tail and the device
+/// gapped kernel both start from `score >= trigger`, so nothing else is
+/// written out).
+///
+/// The batch's records sit in `out[from..]`, slot after slot — a slot is
+/// the lane, or the window of lanes, that holds a record. The warp votes
+/// once per *round*, round `r` being every slot's `r`-th record: score
+/// compare + `__ballot` + `__popc`; when the round has survivors the
+/// leader reserves their output slots with one global atomic and their
+/// records go out as one coalesced write. The atomic returns an arbitrary
+/// slot, so each reservation is charged as if it began on a line boundary
+/// (one of 20 bytes that straddles a line would cost one transaction
+/// more — one write in eight).
+struct Compaction {
+    trigger: i32,
+    /// The hit-based strategy counts its duplicates over everything it
+    /// computed, so its dead records stay until the de-duplication pass.
+    keep_dead: bool,
+    /// Records this block computed, dead or alive.
+    computed: u64,
+    /// (voting slots, survivors) per round of the current batch.
+    rounds: Vec<(u32, u32)>,
+}
+
+impl Compaction {
+    fn new(cfg: &CuBlastpConfig, params: &SearchParams) -> Self {
+        Self {
+            trigger: params.gapped_trigger,
+            keep_dead: cfg.extension == ExtensionStrategy::Hit,
+            computed: 0,
+            rounds: Vec::new(),
+        }
+    }
+
+    /// Bill the compaction of the batch whose slots end at `slot_ends`
+    /// (indices into `out`, ascending from `from`) and drop its dead
+    /// records from `out`.
+    fn batch(
+        &mut self,
+        block: &mut SimBlock,
+        out: &mut Vec<UngappedExt>,
+        from: usize,
+        slot_ends: &[usize],
+        lanes_per_slot: u32,
+    ) {
+        self.rounds.clear();
+        let mut lo = from;
+        for &hi in slot_ends {
+            for (r, e) in out[lo..hi].iter().enumerate() {
+                if r == self.rounds.len() {
+                    self.rounds.push((0, 0));
+                }
+                self.rounds[r].0 += 1;
+                self.rounds[r].1 += (e.score >= self.trigger) as u32;
+            }
+            lo = hi;
+        }
+        for &(voting, survivors) in &self.rounds {
+            block.instr_n(voting * lanes_per_slot, VOTE_INSTRS);
+            if survivors > 0 {
+                block.atomic_global(&[0]);
+                block.global_write_seq(0, survivors, RECORD_BYTES, RECORD_BYTES);
+            }
+        }
+        self.computed += (out.len() - from) as u64;
+        if !self.keep_dead {
+            let mut kept = from;
+            for i in from..out.len() {
+                if out[i].score >= self.trigger {
+                    out[kept] = out[i];
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+        }
+    }
+}
+
 /// Run the configured ungapped-extension kernel over the filtered hits.
+/// The output holds the extensions that reached `params.gapped_trigger`.
 pub fn extension_kernel(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
@@ -263,6 +360,20 @@ pub fn extension_kernel(
     filtered: &FilteredHits,
     params: &SearchParams,
 ) -> ExtensionResult {
+    extension_kernel_counted(device, cfg, query, db, filtered, params).0
+}
+
+/// [`extension_kernel`], plus the number of extensions it *computed*
+/// (after de-duplication) — the figure `GpuPhaseCounts::extensions` has
+/// always reported, which the compacted output no longer shows.
+pub(crate) fn extension_kernel_counted(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query: &DeviceQuery,
+    db: &DeviceDbBlock,
+    filtered: &FilteredHits,
+    params: &SearchParams,
+) -> (ExtensionResult, u64) {
     let tasks = build_tasks(&filtered.hits);
     let qlen = query.query_len();
     let sc = scoring_cost(cfg, qlen, device);
@@ -279,10 +390,12 @@ pub fn extension_kernel(
 
     let blocks = cfg.grid_blocks.max(1);
 
-    // Each block's extensions come back by value in block order — no
-    // mutex collector, no re-sorting by block id.
+    // Each block's surviving extensions come back by value in block
+    // order — no mutex collector, no re-sorting by block id.
     let (per_block, stats) = launch_map(device, launch_cfg, name, |block| {
         let mut out: Vec<UngappedExt> = Vec::new();
+        let mut compaction = Compaction::new(cfg, params);
+        let mut slot_ends: Vec<usize> = Vec::with_capacity(WARP_SIZE as usize);
         match cfg.extension {
             ExtensionStrategy::Diagonal => {
                 // Lane ↦ task; warp batch = 32 tasks; blocks stride the
@@ -294,21 +407,20 @@ pub fn extension_kernel(
                     let lo = batch * WARP_SIZE as usize;
                     let hi = (lo + WARP_SIZE as usize).min(tasks.len());
                     lane_costs.clear();
+                    slot_ends.clear();
+                    let from = out.len();
                     let mut traffic = LaneCost::default();
                     for &(s, e) in &tasks[lo..hi] {
                         let mut lane = hit_walk_cost((e - s) as u64, block.device());
                         let scanned = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
+                        slot_ends.push(out.len());
                         lane.add(sequential_ext_cost(scanned, &sc, block.device()));
                         lane_costs.push(lane.cycles);
-                        traffic.add(LaneCost {
-                            cycles: 0,
-                            global_tx: lane.global_tx,
-                            useful_bytes: lane.useful_bytes,
-                            shared: lane.shared,
-                        });
+                        traffic.add(LaneCost { cycles: 0, ..lane });
                     }
                     block.lockstep(&lane_costs);
                     block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    compaction.batch(block, &mut out, from, &slot_ends, 1);
                     batch += blocks as usize;
                 }
             }
@@ -323,6 +435,8 @@ pub fn extension_kernel(
                     let lo = batch * WARP_SIZE as usize;
                     let hi = (lo + WARP_SIZE as usize).min(n);
                     lane_costs.clear();
+                    slot_ends.clear();
+                    let from = out.len();
                     let mut traffic = LaneCost::default();
                     for &h in &filtered.hits[lo..hi] {
                         let sid = seq_id(h);
@@ -338,6 +452,7 @@ pub fn extension_kernel(
                         );
                         let scanned = ext.len as u64 + 2 * OVERSHOOT;
                         out.push(ext);
+                        slot_ends.push(out.len());
                         let mut lane = hit_walk_cost(1, block.device());
                         lane.add(sequential_ext_cost(scanned, &sc, block.device()));
                         lane_costs.push(lane.cycles);
@@ -345,6 +460,7 @@ pub fn extension_kernel(
                     }
                     block.lockstep(&lane_costs);
                     block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    compaction.batch(block, &mut out, from, &slot_ends, 1);
                     batch += blocks as usize;
                 }
             }
@@ -361,12 +477,15 @@ pub fn extension_kernel(
                     let lo = batch * windows_per_warp;
                     let hi = (lo + windows_per_warp).min(tasks.len());
                     win_costs.clear();
+                    slot_ends.clear();
+                    let from = out.len();
                     let mut traffic = LaneCost::default();
                     for &(s, e) in &tasks[lo..hi] {
                         // Per-window serialized cost over its hits.
                         let mut win = hit_walk_cost((e - s) as u64, block.device());
                         let before = out.len();
                         let _ = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
+                        slot_ends.push(out.len());
                         for ext in &out[before..] {
                             let scanned = ext.len as u64 + 2 * OVERSHOOT;
                             win.add(window_ext_cost(scanned, w, &sc, block.device()));
@@ -382,26 +501,34 @@ pub fn extension_kernel(
                     }
                     block.lockstep(&lane_costs);
                     block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
+                    compaction.batch(block, &mut out, from, &slot_ends, w as u32);
                     batch += blocks as usize;
                 }
             }
         }
-        out
+        (out, compaction.computed)
     });
 
+    let (per_block, computed): (Vec<_>, Vec<u64>) = per_block.into_iter().unzip();
+    let mut computed: u64 = computed.iter().sum();
     let mut extensions = order_by_subject(per_block, db.num_seqs());
     let mut redundant = 0u64;
     if cfg.extension == ExtensionStrategy::Hit {
-        let before = extensions.len();
+        // The de-duplication pass sees every record the kernel computed
+        // (the ordering brings duplicates together); the dead ones go
+        // only after it.
         extensions.dedup();
-        redundant = (before - extensions.len()) as u64;
+        redundant = computed - extensions.len() as u64;
+        computed -= redundant;
+        extensions.retain(|e| e.score >= params.gapped_trigger);
     }
 
-    ExtensionResult {
+    let result = ExtensionResult {
         extensions,
         stats,
         redundant,
-    }
+    };
+    (result, computed)
 }
 
 #[cfg(test)]
@@ -421,6 +548,15 @@ mod tests {
     fn filtered(hits: Vec<u64>) -> FilteredHits {
         let before = hits.len() as u64 * 10;
         FilteredHits { hits, before }
+    }
+
+    /// Parameters under which the kernel writes out every record it
+    /// computes — how a caller asks for the uncompacted extension set.
+    fn every_record() -> SearchParams {
+        SearchParams {
+            gapped_trigger: i32::MIN,
+            ..SearchParams::default()
+        }
     }
 
     #[test]
@@ -463,7 +599,7 @@ mod tests {
     fn diagonal_and_window_produce_identical_extensions() {
         let (dq, db, f) = workload();
         let d = DeviceConfig::k20c();
-        let p = SearchParams::default();
+        let p = every_record();
         let run = |strategy| {
             let cfg = CuBlastpConfig {
                 extension: strategy,
@@ -488,7 +624,7 @@ mod tests {
     fn output_is_in_canonical_order_for_every_strategy() {
         let (dq, db, f) = workload();
         let d = DeviceConfig::k20c();
-        let p = SearchParams::default();
+        let p = every_record();
         let mut redundant = Vec::new();
         for strategy in [
             ExtensionStrategy::Diagonal,
@@ -527,10 +663,52 @@ mod tests {
     }
 
     #[test]
+    fn compaction_costs_only_votes_when_nothing_survives() {
+        // With a trigger no record reaches, the kernel writes nothing and
+        // reserves nothing: what it bills beyond the kernel before the
+        // compaction (the `warp_cycles` `kernel_stats_pinned.rs` held it to
+        // on this fixture and grid) is three instructions per vote round.
+        let (dq, db, f) = workload();
+        let d = DeviceConfig::k20c();
+        let nothing = SearchParams {
+            gapped_trigger: i32::MAX,
+            ..SearchParams::default()
+        };
+        // Rounds: the 28 diagonals fill one warp batch whose fullest lane
+        // holds two records; 749 hits are ⌈749 / 32⌉ batches of one record
+        // a lane; four windows a batch make seven, one with a second record.
+        for (strategy, uncompacted, rounds) in [
+            (ExtensionStrategy::Diagonal, 1642, 2),
+            (ExtensionStrategy::Hit, 35376, 24),
+            (ExtensionStrategy::Window, 2671, 8),
+        ] {
+            let cfg = CuBlastpConfig {
+                extension: strategy,
+                grid_blocks: 3,
+                warps_per_block: 2,
+                ..Default::default()
+            };
+            let (r, computed) = extension_kernel_counted(&d, &cfg, &dq, &db, &f, &nothing);
+            assert!(r.extensions.is_empty(), "{strategy:?}");
+            assert_eq!(computed, 29, "{strategy:?}: computed, not written");
+            assert_eq!(r.stats.atomic_ops, 0, "{strategy:?}");
+            assert_eq!(
+                r.stats.global_useful_bytes, r.stats.global_load_useful_bytes,
+                "{strategy:?}: no writes"
+            );
+            assert_eq!(
+                r.stats.warp_cycles,
+                uncompacted + VOTE_INSTRS * d.instr_cost * rounds,
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
     fn hit_based_is_superset_after_dedup() {
         let (dq, db, f) = workload();
         let d = DeviceConfig::k20c();
-        let p = SearchParams::default();
+        let p = every_record();
         let mk = |strategy| CuBlastpConfig {
             extension: strategy,
             grid_blocks: 2,
@@ -553,7 +731,7 @@ mod tests {
     fn extension_results_are_independent_of_grid_shape() {
         let (dq, db, f) = workload();
         let d = DeviceConfig::k20c();
-        let p = SearchParams::default();
+        let p = every_record();
         let run = |blocks, warps| {
             let cfg = CuBlastpConfig {
                 grid_blocks: blocks,

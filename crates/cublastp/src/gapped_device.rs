@@ -9,10 +9,11 @@
 //! * **one warp per gapped seed** — the warp sweeps the band in
 //!   anti-diagonal wavefronts, `ceil(band / 32)` warp-wide steps per DP
 //!   row, all 32 lanes in lockstep (zero intra-warp divergence);
-//! * **SaLoBa-style work packing** — seeds are tiled into bounded row
-//!   chunks, sorted by band area, and assigned longest-processing-time
-//!   first across the launch's warp slots, so one giant alignment cannot
-//!   idle the rest of the grid;
+//! * **no work packing** — warps take the seeds in order. The cost model
+//!   bills a kernel's *total* warp-cycles over the device's schedulers
+//!   ([`KernelStats::kernel_cycles`]), so which warp slot sweeps which
+//!   seed cannot move a modelled number (EXPERIMENTS.md, "Gapped
+//!   placement", has the measurement);
 //! * **constant-memory interval traceback** — no per-cell direction
 //!   matrix lives on the device. The forward pass checkpoints the rolling
 //!   D/F rows every `interval` rows into a pooled workspace buffer and
@@ -49,11 +50,6 @@ use gpu_sim::{
 /// Stats name of the fine gapped kernel (the pipeline's 6th kernel entry).
 pub const FINE_GAPPED_KERNEL: &str = "gapped_extension_fine";
 
-/// Work-packing tile height in DP rows: extensions taller than this are
-/// split so the LPT packing below can balance them across warp slots
-/// (SaLoBa's inter-sequence tiling of oversized subjects).
-const TILE_ROWS: u64 = 512;
-
 /// Warp instructions per 32-cell wavefront chunk: the affine recurrence
 /// (F, E, M, D plus the x-drop accept test and band bookkeeping).
 const CHUNK_INSTRS: u64 = 6;
@@ -86,9 +82,9 @@ pub struct GappedDeviceOutput {
     pub itrace: ItraceReport,
 }
 
-/// One packed work tile: a row slice of one extension's banded DP, with
-/// its share of the traceback re-fill and checkpoint traffic.
-struct Tile {
+/// One extension's banded DP as the kernel bills it: the forward sweep
+/// plus its traceback re-fill and checkpoint traffic.
+struct Sweep {
     /// Warp-cycles of the wavefront sweep (forward + re-fill chunks).
     cycles: u64,
     /// 128-byte global transactions (subject stage-in, checkpoint
@@ -139,7 +135,7 @@ pub fn gapped_fine_kernel(
     let mut gapped_by_seq: Vec<Vec<GappedExt>> = vec![Vec::new(); num_seqs];
     let mut aligns_by_seq: Vec<Vec<Alignment>> = vec![Vec::new(); num_seqs];
     let mut itrace = ItraceReport::default();
-    let mut tiles: Vec<Tile> = Vec::new();
+    let mut sweeps: Vec<Sweep> = Vec::new();
     let mut download_bytes = 0u64;
     let mut scratch = ItraceScratch {
         ckpt: ws.ckpt.take(),
@@ -183,38 +179,22 @@ pub fn gapped_fine_kernel(
                 download_bytes += ALIGN_HEADER_BYTES + al.ops.len() as u64;
                 aligns_by_seq[i].push(al);
             }
-            push_tiles(
-                &mut tiles,
+            sweeps.push(sweep_cost(
                 device,
                 rows,
                 band.min(subject.len() as u64 + 1),
                 span_bytes,
                 refill_cells,
                 ckpt_words,
-            );
+            ));
         }
         gapped_by_seq[i] = gapped;
     }
     ws.ckpt.put(scratch.ckpt);
     ws.dirs.put(scratch.dirs);
 
-    // ---- SaLoBa work packing: LPT over every warp slot of the grid.
-    tiles.sort_by_key(|t| std::cmp::Reverse(t.cycles));
     let blocks = cfg.grid_blocks.max(1);
     let warps = cfg.warps_per_block.max(1);
-    let slots = (blocks * warps) as usize;
-    let mut slot_tiles: Vec<Vec<usize>> = vec![Vec::new(); slots];
-    let mut slot_load = vec![0u64; slots];
-    for (t, tile) in tiles.iter().enumerate() {
-        let s = slot_load
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &load)| (load, i))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        slot_tiles[s].push(t);
-        slot_load[s] += tile.cycles;
-    }
 
     // Rolling D/F band rows per resident warp, in shared memory — far
     // below the coarse port's 24 kB per-block footprint, which is what
@@ -228,19 +208,13 @@ pub fn gapped_fine_kernel(
     };
 
     let stats = launch(device, launch_cfg, FINE_GAPPED_KERNEL, |block| {
-        let lanes = [0u64; WARP_SIZE as usize];
-        for w in 0..warps {
-            let slot = (block.block_id * warps + w) as usize;
-            for &t in &slot_tiles[slot] {
-                let tile = &tiles[t];
-                // All 32 lanes sweep the wavefront in lockstep: the warp
-                // serializes `cycles`, no lane idles (the fine kernel's
-                // whole point versus the coarse lane-per-seed port).
-                let mut lanes = lanes;
-                lanes.fill(tile.cycles.max(1));
-                block.lockstep(&lanes);
-                block.bulk_traffic(tile.tx, tile.useful_bytes, tile.shared);
-            }
+        // Blocks stride the seed list, one warp per seed.
+        for sweep in (sweeps.iter().skip(block.block_id as usize)).step_by(blocks as usize) {
+            // All 32 lanes sweep the wavefront in lockstep: the warp
+            // serializes `cycles`, no lane idles (the fine kernel's whole
+            // point versus the coarse lane-per-seed port).
+            block.lockstep(&[sweep.cycles.max(1); WARP_SIZE as usize]);
+            block.bulk_traffic(sweep.tx, sweep.useful_bytes, sweep.shared);
         }
     });
 
@@ -256,53 +230,33 @@ pub fn gapped_fine_kernel(
     })
 }
 
-/// Split one extension's DP into `TILE_ROWS`-row tiles and append their
-/// modelled costs. Re-fill cells and checkpoint words are spread evenly
-/// across the extension's tiles (remainder to the first).
-fn push_tiles(
-    tiles: &mut Vec<Tile>,
+/// Modelled cost of one extension's DP: `rows` band rows swept forward,
+/// `refill_cells` re-computed by the interval traceback, `ckpt_words` of
+/// checkpoints and `span_bytes` of subject staged in.
+fn sweep_cost(
     device: &DeviceConfig,
     rows: u64,
     band: u64,
     span_bytes: u64,
     refill_cells: u64,
     ckpt_words: u64,
-) {
-    let band = band.max(1);
-    let n = rows.div_ceil(TILE_ROWS).max(1);
+) -> Sweep {
     let chunk_cost = CHUNK_INSTRS * device.instr_cost + CHUNK_SHARED * device.shared_access_cost;
-    for t in 0..n {
-        let tile_rows = if t == n - 1 {
-            rows - t * TILE_ROWS
-        } else {
-            TILE_ROWS
-        };
-        let extra = if t == 0 {
-            (refill_cells % n, ckpt_words % n, span_bytes % n)
-        } else {
-            (0, 0, 0)
-        };
-        let refill = refill_cells / n + extra.0;
-        let ckpt = ckpt_words / n + extra.1;
-        let stage = span_bytes / n + extra.2;
-        // Forward wavefront plus traceback re-fill, both warp-wide.
-        let chunks =
-            tile_rows * band.div_ceil(WARP_SIZE as u64) + refill.div_ceil(WARP_SIZE as u64);
-        // Global traffic: subject stage-in (coalesced, once), checkpoint
-        // rows written then re-read (4 bytes per word), and the resident
-        // interval's direction bytes written and drained once each.
-        let ckpt_bytes = ckpt * 4;
-        let dir_bytes = refill * 2;
-        let useful = stage + 2 * ckpt_bytes + dir_bytes;
-        let tx = stage.div_ceil(TRANSACTION_BYTES)
+    // Forward wavefront plus traceback re-fill, both warp-wide.
+    let chunks =
+        rows * band.max(1).div_ceil(WARP_SIZE as u64) + refill_cells.div_ceil(WARP_SIZE as u64);
+    // Global traffic: subject stage-in (coalesced, once), checkpoint
+    // rows written then re-read (4 bytes per word), and the resident
+    // interval's direction bytes written and drained once each.
+    let ckpt_bytes = ckpt_words * 4;
+    let dir_bytes = refill_cells * 2;
+    Sweep {
+        cycles: chunks * chunk_cost,
+        tx: span_bytes.div_ceil(TRANSACTION_BYTES)
             + (2 * ckpt_bytes).div_ceil(TRANSACTION_BYTES)
-            + dir_bytes.div_ceil(TRANSACTION_BYTES);
-        tiles.push(Tile {
-            cycles: chunks * chunk_cost,
-            tx,
-            useful_bytes: useful,
-            shared: chunks * CHUNK_SHARED,
-        });
+            + dir_bytes.div_ceil(TRANSACTION_BYTES),
+        useful_bytes: span_bytes + 2 * ckpt_bytes + dir_bytes,
+        shared: chunks * CHUNK_SHARED,
     }
 }
 

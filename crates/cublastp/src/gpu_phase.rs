@@ -5,7 +5,7 @@
 use crate::binning::{binning_kernel, BinnedHits};
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::extension::{extension_kernel, ExtensionResult};
+use crate::extension::{extension_kernel_counted, ExtensionResult, RECORD_BYTES};
 use crate::reorder::{assemble_kernel, sort_kernel};
 use blast_core::SearchParams;
 use blast_cpu::ungapped::UngappedExt;
@@ -22,8 +22,14 @@ pub struct GpuPhaseCounts {
     pub filtered: u64,
     /// Ungapped extensions computed (after de-duplication).
     pub extensions: u64,
+    /// Of those, the ones that reached the gapped trigger — the records
+    /// the extension kernel writes out and the only ones later phases read.
+    pub triggered: u64,
     /// Redundant extensions discarded (hit-based strategy only).
     pub redundant: u64,
+    /// Bytes billed to the D2H leg — set by the search loop, which knows
+    /// what crossed ([`GpuPhaseOutput::download_bytes`], or nothing).
+    pub d2h_bytes: u64,
 }
 
 impl GpuPhaseCounts {
@@ -32,7 +38,9 @@ impl GpuPhaseCounts {
         self.hits += other.hits;
         self.filtered += other.filtered;
         self.extensions += other.extensions;
+        self.triggered += other.triggered;
         self.redundant += other.redundant;
+        self.d2h_bytes += other.d2h_bytes;
     }
 
     /// Fraction of hits that survived filtering (§3.3 reports 5–11 %).
@@ -58,7 +66,8 @@ pub struct ExtensionsCsr {
 impl ExtensionsCsr {
     /// Group a record stream by `seq_id`; within a subject, stream order is
     /// preserved. A stream that is already grouped — what
-    /// [`extension_kernel`] returns — becomes the record buffer as it is;
+    /// [`crate::extension::extension_kernel`] returns — becomes the record
+    /// buffer as it is;
     /// any other order goes through a stable counting sort.
     pub fn from_stream(stream: Vec<UngappedExt>, num_seqs: usize) -> Self {
         let mut offsets = vec![0u32; num_seqs + 1];
@@ -113,21 +122,30 @@ impl ExtensionsCsr {
     pub fn records(&self) -> &[UngappedExt] {
         &self.records
     }
+
+    /// Size of the records on the PCIe link.
+    pub fn record_bytes(&self) -> u64 {
+        self.records.len() as u64 * RECORD_BYTES as u64
+    }
 }
 
 /// Output of the GPU phase for one database block.
 #[derive(Debug)]
 pub struct GpuPhaseOutput {
-    /// Extensions grouped by block-local subject id (CSR over one flat
-    /// buffer; subjects without extensions have empty spans).
+    /// The extensions that reached the gapped trigger, grouped by
+    /// block-local subject id (CSR over one flat buffer; subjects without
+    /// any have empty spans).
     pub extensions: ExtensionsCsr,
     /// Per-kernel stats in execution order: hit detection, assembling,
     /// sorting, filtering, ungapped extension.
     pub kernels: Vec<KernelStats>,
     /// Hit/extension counters.
     pub counts: GpuPhaseCounts,
-    /// Bytes the CPU must download (the extension records, Fig. 12's
-    /// D2H leg).
+    /// Bytes the host downloads for this block (Fig. 12's D2H leg; see
+    /// DESIGN.md "PCIe legs"). The phase sets it to the trigger
+    /// survivors' records; the search loop replaces it with the alignment
+    /// payload when the device gapped kernel consumes the records itself,
+    /// and a block whose hit phase ran on the host has nothing to download.
     pub download_bytes: u64,
 }
 
@@ -292,21 +310,21 @@ fn run_gpu_tail(
     // Kernel 5: fine-grained ungapped extension (Algorithms 3–5).
     injector.check(FaultSite::KernelLaunch, ctx, "ungapped_extension")?;
     let mut k_span = obs::span(cfg.extension.kernel_name(), "kernel").with_block(ctx.block);
+    let (result, n_ext) = extension_kernel_counted(device, cfg, query, db, &filtered, params);
     let ExtensionResult {
         extensions,
         stats: k_ext,
         redundant,
-    } = extension_kernel(device, cfg, query, db, &filtered, params);
+    } = result;
     k_span.set_arg("sim_ms", k_ext.time_ms(device));
     drop(k_span);
     filtered.recycle(ws);
 
-    let n_ext = extensions.len() as u64;
     let extensions = ExtensionsCsr::from_stream(extensions, db.num_seqs());
+    let triggered = extensions.len() as u64;
+    let download_bytes = extensions.record_bytes();
 
-    let download_bytes = n_ext * std::mem::size_of::<UngappedExt>() as u64;
-
-    // D2H leg: the extension records the CPU tail consumes (Fig. 12).
+    // D2H leg: the trigger survivors the CPU tail consumes (Fig. 12).
     injector.check(FaultSite::D2h, ctx, "extension download")?;
     injector.check(FaultSite::D2hTimeout, ctx, "extension download")?;
 
@@ -322,6 +340,7 @@ fn run_gpu_tail(
         obs::counter("hits_detected_total", &[], hits);
         obs::counter("hits_survived_total", &[], n_filtered);
         obs::counter("extensions_total", &[], n_ext);
+        obs::counter("extensions_triggered_total", &[], triggered);
         obs::counter("extensions_redundant_total", &[], redundant);
         if hits > 0 {
             obs::observe(
@@ -339,7 +358,9 @@ fn run_gpu_tail(
             hits,
             filtered: n_filtered,
             extensions: n_ext,
+            triggered,
             redundant,
+            d2h_bytes: 0,
         },
         download_bytes,
     })
@@ -376,17 +397,7 @@ mod tests {
             warps_per_block: 2,
             ..Default::default()
         };
-        let out = run_gpu_phase(
-            &DeviceConfig::k20c(),
-            &cfg,
-            &dq,
-            &db,
-            &p,
-            &KernelWorkspace::new(),
-            &FaultInjector::none(),
-            FaultCtx::default(),
-        )
-        .expect("no faults armed");
+        let out = run(&cfg, &dq, &db, &p);
         assert_eq!(out.kernels.len(), 5);
         assert!(out.kernel("hit_detection").is_some());
         assert!(out.kernel("hit_sorting").is_some());
@@ -405,17 +416,7 @@ mod tests {
             warps_per_block: 2,
             ..Default::default()
         };
-        let out = run_gpu_phase(
-            &DeviceConfig::k20c(),
-            &cfg,
-            &dq,
-            &db,
-            &p,
-            &KernelWorkspace::new(),
-            &FaultInjector::none(),
-            FaultCtx::default(),
-        )
-        .expect("no faults armed");
+        let out = run(&cfg, &dq, &db, &p);
         let ratio = out.counts.survival_ratio();
         assert!(
             ratio < 0.35,
@@ -424,54 +425,168 @@ mod tests {
         assert!(ratio > 0.0);
     }
 
+    /// The column-major CPU scan with the two-hit rule over every subject
+    /// of the block: each subject's extensions in the kernels' canonical
+    /// order, and the scan's counters.
+    fn cpu_reference(
+        dq: &DeviceQuery,
+        db: &DeviceDbBlock,
+        p: &SearchParams,
+    ) -> (Vec<Vec<UngappedExt>>, blast_cpu::hit::HitStats) {
+        let mut scratch = blast_cpu::hit::DiagonalScratch::new(0);
+        let mut stats = blast_cpu::hit::HitStats::default();
+        let per_seq = (0..db.num_seqs())
+            .map(|i| {
+                let mut v = Vec::new();
+                blast_cpu::hit::scan_subject(
+                    &dq.dfa,
+                    &dq.pssm,
+                    db.seq(i),
+                    i as u32,
+                    p.two_hit_window as i64,
+                    p.xdrop_ungapped,
+                    &mut scratch,
+                    &mut v,
+                    &mut stats,
+                );
+                v.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+                v
+            })
+            .collect();
+        (per_seq, stats)
+    }
+
+    fn run(
+        cfg: &CuBlastpConfig,
+        dq: &DeviceQuery,
+        db: &DeviceDbBlock,
+        p: &SearchParams,
+    ) -> GpuPhaseOutput {
+        run_gpu_phase(
+            &DeviceConfig::k20c(),
+            cfg,
+            dq,
+            db,
+            p,
+            &KernelWorkspace::new(),
+            &FaultInjector::none(),
+            FaultCtx::default(),
+        )
+        .expect("no faults armed")
+    }
+
     #[test]
     fn extensions_match_cpu_reference() {
         // The decisive semantics test: binning → sorting → filtering →
         // diagonal walk must reproduce exactly the extension set of the
-        // column-major CPU scan with the two-hit rule.
+        // column-major CPU scan with the two-hit rule. The whole set is
+        // asked for the way any caller must: a trigger nothing falls below.
         let (dq, db, p) = setup();
         let cfg = CuBlastpConfig {
             grid_blocks: 3,
             ..Default::default()
         };
-        let out = run_gpu_phase(
-            &DeviceConfig::k20c(),
-            &cfg,
-            &dq,
-            &db,
-            &p,
-            &KernelWorkspace::new(),
-            &FaultInjector::none(),
-            FaultCtx::default(),
-        )
-        .expect("no faults armed");
-
-        let mut cpu_exts: Vec<Vec<UngappedExt>> = vec![Vec::new(); db.num_seqs()];
-        let mut scratch = blast_cpu::hit::DiagonalScratch::new(0);
-        let mut stats = blast_cpu::hit::HitStats::default();
-        for (i, slot) in cpu_exts.iter_mut().enumerate() {
-            let mut v = Vec::new();
-            blast_cpu::hit::scan_subject(
-                &dq.dfa,
-                &dq.pssm,
-                db.seq(i),
-                i as u32,
-                p.two_hit_window as i64,
-                p.xdrop_ungapped,
-                &mut scratch,
-                &mut v,
-                &mut stats,
-            );
-            *slot = v;
-        }
-        for v in cpu_exts.iter_mut() {
-            v.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
-        }
+        let (cpu_exts, stats) = cpu_reference(&dq, &db, &p);
+        let every_record = SearchParams {
+            gapped_trigger: i32::MIN,
+            ..p
+        };
+        let out = run(&cfg, &dq, &db, &every_record);
         assert_eq!(out.extensions.num_seqs(), cpu_exts.len());
         for (i, v) in cpu_exts.iter().enumerate() {
             assert_eq!(out.extensions.seq(i), v.as_slice(), "subject {i}");
         }
         assert_eq!(out.counts.hits, stats.hits);
+        assert_eq!(out.counts.extensions, stats.extensions);
+        assert_eq!(out.counts.triggered, stats.extensions);
+
+        // At the search's own trigger the CSR is that set filtered, and
+        // the counters still say what was computed.
+        let out = run(&cfg, &dq, &db, &p);
+        let mut triggered = 0;
+        for (i, v) in cpu_exts.iter().enumerate() {
+            let want: Vec<UngappedExt> = (v.iter().copied())
+                .filter(|e| e.score >= p.gapped_trigger)
+                .collect();
+            assert_eq!(out.extensions.seq(i), want.as_slice(), "subject {i}");
+            triggered += want.len() as u64;
+        }
+        assert!(0 < triggered && triggered < stats.extensions);
+        assert_eq!(out.counts.extensions, stats.extensions);
+        assert_eq!(out.counts.triggered, triggered);
+        assert_eq!(out.download_bytes, triggered * 20);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// The fused trigger compaction, over random triggers × the three
+        /// strategies × grids that are not powers of two.
+        #[test]
+        fn compaction_ships_exactly_the_trigger_survivors(
+            trigger in 0i32..100,
+            lower_by in 1i32..60,
+            strategy in 0usize..3,
+            grid_blocks in 1u32..8,
+            warps_per_block in 1u32..4,
+        ) {
+            use proptest::prop_assert_eq;
+            let (dq, db, p) = setup();
+            let cfg = CuBlastpConfig {
+                extension: [
+                    crate::ExtensionStrategy::Diagonal,
+                    crate::ExtensionStrategy::Hit,
+                    crate::ExtensionStrategy::Window,
+                ][strategy],
+                grid_blocks,
+                warps_per_block,
+                ..Default::default()
+            };
+            let at = |gapped_trigger| run(&cfg, &dq, &db, &SearchParams { gapped_trigger, ..p });
+            let (all, out, lower, none) = (
+                at(i32::MIN),
+                at(trigger),
+                at(trigger - lower_by),
+                at(i32::MAX),
+            );
+
+            // Everything computed is the CPU scan's set (a superset of it
+            // for the hit-based kernel, which ignores coverage) …
+            let (cpu_exts, stats) = cpu_reference(&dq, &db, &p);
+            for (i, v) in cpu_exts.iter().enumerate() {
+                if strategy == 1 {
+                    proptest::prop_assert!(v.iter().all(|e| all.extensions.seq(i).contains(e)));
+                } else {
+                    prop_assert_eq!(all.extensions.seq(i), v.as_slice(), "subject {}", i);
+                }
+            }
+            proptest::prop_assert!(all.counts.extensions >= stats.extensions);
+            // … and the survivors are that set filtered, in its order.
+            for i in 0..db.num_seqs() {
+                let want: Vec<UngappedExt> = (all.extensions.seq(i).iter().copied())
+                    .filter(|e| e.score >= trigger)
+                    .collect();
+                prop_assert_eq!(out.extensions.seq(i), want.as_slice(), "subject {}", i);
+            }
+            // The link carries them and nothing else; what was computed
+            // and what the hit-based kernel discarded do not depend on it.
+            prop_assert_eq!(out.counts.triggered, out.extensions.len() as u64);
+            prop_assert_eq!(out.download_bytes, out.counts.triggered * 20);
+            prop_assert_eq!(out.counts.extensions, all.counts.extensions);
+            prop_assert_eq!(out.counts.redundant, all.counts.redundant);
+
+            // Survivor sets nest, so the billed compaction never gets
+            // cheaper as the trigger falls; with no survivor at all it
+            // is votes only — no atomic, no write.
+            let cycles = |o: &GpuPhaseOutput| o.kernels[4].warp_cycles;
+            proptest::prop_assert!(cycles(&all) >= cycles(&lower));
+            proptest::prop_assert!(cycles(&lower) >= cycles(&out));
+            proptest::prop_assert!(cycles(&out) >= cycles(&none));
+            let k = &none.kernels[4];
+            prop_assert_eq!(k.atomic_ops, 0);
+            prop_assert_eq!(k.global_useful_bytes, k.global_load_useful_bytes);
+            prop_assert_eq!(none.download_bytes, 0);
+        }
     }
 
     #[test]

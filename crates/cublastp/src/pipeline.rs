@@ -24,7 +24,10 @@ pub struct BlockTiming {
     pub h2d_ms: f64,
     /// GPU kernels (hit detection … ungapped extension).
     pub gpu_ms: f64,
-    /// Device→host transfer of the extension records.
+    /// Device→host transfer of what the host reads next: the extension
+    /// records that reached the gapped trigger, or the finished alignments
+    /// when the device ran the gapped phase; exactly 0 for a block the host
+    /// computed itself (DESIGN.md "PCIe legs").
     pub d2h_ms: f64,
     /// CPU gapped extension + traceback.
     pub cpu_ms: f64,

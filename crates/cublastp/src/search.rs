@@ -397,7 +397,14 @@ impl CuBlastp {
             let mut out = self.hit_phase(&dev_block, at, bins, &mut recovery)?;
             let aligns = self.attach_gapped_backend(&dev_block, at, &mut out, &mut recovery)?;
             timing.gpu_ms = out.gpu_ms(&self.device);
-            timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+            // The link carries what the host reads: the device's
+            // alignments, else the trigger survivors the device computed.
+            // Records the host computed itself (a degraded hit phase feeding
+            // the CPU tail) cross nothing — no bytes, no latency.
+            if aligns.is_some() || recovery.degraded_blocks == 0 {
+                timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+                out.counts.d2h_bytes = out.download_bytes;
+            }
             Ok(GpuSide {
                 block,
                 base: range.start,
@@ -602,11 +609,14 @@ impl CuBlastp {
     /// Run the gapped backend for one block whose hit phase is done:
     /// under [`GappedBackend::Gpu`] the fine kernel produces the block's
     /// alignments on the device under the recovery policy (DESIGN.md
-    /// §3.7; its stats join `out.kernels` as the 6th entry, its alignment
-    /// download joins `out.download_bytes`). A fault the device cannot get
-    /// past degrades *only this block's gapped phase* back to the CPU tail
-    /// — the hit-path kernels' output is already downloaded and stays
-    /// valid. Under [`GappedBackend::Cpu`] this is a no-op.
+    /// §3.7; its stats join `out.kernels` as the 6th entry, and its
+    /// alignment payload *replaces* `out.download_bytes` — the device
+    /// consumed the extension records itself, they never cross the link).
+    /// A fault the device cannot get past degrades *only this block's
+    /// gapped phase* back to the CPU tail — the hit-path kernels' output
+    /// stays valid, and the block downloads its trigger survivors like a
+    /// [`GappedBackend::Cpu`] block. Under [`GappedBackend::Cpu`] this is
+    /// a no-op.
     fn attach_gapped_backend(
         &self,
         dev_block: &DeviceDbBlock,
@@ -657,7 +667,7 @@ impl CuBlastp {
             );
             obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
         }
-        out.download_bytes += g.download_bytes;
+        out.download_bytes = g.download_bytes;
         out.kernels.push(g.stats);
         Ok(Some(g.alignments))
     }
@@ -667,7 +677,8 @@ impl CuBlastp {
     /// every downstream alignment — are bit-identical to what the kernels
     /// produce (the equivalence the `extensions_match_cpu_reference` test
     /// pins down); only the performance counters differ (zeroed kernel
-    /// stats: the block did no simulated GPU work).
+    /// stats: the block did no simulated GPU work, and nothing to
+    /// download: the records are already on the host).
     fn cpu_fallback_phase(&self, db: &DeviceDbBlock) -> GpuPhaseOutput {
         let p = &self.engine.params;
         let mut scratch = blast_cpu::hit::DiagonalScratch::new(0);
@@ -687,11 +698,12 @@ impl CuBlastp {
                 &mut stats,
             );
         }
-        // The GPU phase emits each subject's records sorted by the packed
-        // hit key; the same order here keeps the CSR bit-identical.
-        stream.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+        // The GPU phase emits the trigger survivors, each subject's sorted
+        // by the packed hit key; the same here keeps the CSR bit-identical.
         let n_ext = stream.len() as u64;
-        let download_bytes = n_ext * std::mem::size_of::<blast_cpu::ungapped::UngappedExt>() as u64;
+        stream.retain(|e| e.score >= p.gapped_trigger);
+        stream.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
+        let triggered = stream.len() as u64;
         GpuPhaseOutput {
             extensions: ExtensionsCsr::from_stream(stream, db.num_seqs()),
             // Zeroed stats under the standard names keep the per-kernel
@@ -704,9 +716,11 @@ impl CuBlastp {
                 hits: stats.hits,
                 filtered: stats.triggers,
                 extensions: n_ext,
+                triggered,
                 redundant: 0,
+                d2h_bytes: 0,
             },
-            download_bytes,
+            download_bytes: 0,
         }
     }
 
@@ -1385,6 +1399,52 @@ mod tests {
         let cpu = CuBlastp::new(q.clone(), params, cpu_cfg, DeviceConfig::k20c(), &db)
             .search(&db)
             .expect("fault-free search");
+
+        // What each block has to offer the link: its trigger survivors'
+        // records, and the alignments the fine kernel makes of them.
+        let device = DeviceConfig::k20c();
+        let s = CuBlastp::new(q.clone(), params, cpu_cfg, device, &db);
+        let dev_db = DeviceDb::upload(&db, cpu_cfg.db_block_size);
+        let (mut record_legs, mut alignment_legs) = (Vec::new(), Vec::new());
+        for (_, block) in dev_db.blocks() {
+            let hit = run_seeded_phase(
+                &device,
+                &cpu_cfg,
+                &s.query_device,
+                block,
+                &params,
+                &s.workspace,
+                &s.injector,
+                FaultCtx::default(),
+                None,
+            )
+            .expect("no faults armed");
+            assert_eq!(hit.download_bytes, hit.counts.triggered * 20);
+            let fine = gapped_fine_kernel(
+                &device,
+                &cpu_cfg,
+                &s.query_device,
+                s.engine.query.residues(),
+                block,
+                &hit.extensions,
+                &params,
+                s.engine.cutoffs.gapped_trigger,
+                s.engine.cutoffs.report_cutoff,
+                &s.workspace,
+                &s.injector,
+                FaultCtx::default(),
+            )
+            .expect("no faults armed");
+            record_legs.push(device.transfer_ms(hit.download_bytes));
+            alignment_legs.push(device.transfer_ms(fine.download_bytes));
+        }
+        let d2h_legs =
+            |r: &CuBlastpResult| -> Vec<f64> { r.block_timings.iter().map(|b| b.d2h_ms).collect() };
+        // The CPU tail downloads the survivors' records, exactly.
+        assert_eq!(d2h_legs(&cpu), record_legs);
+        assert_eq!(cpu.timing.d2h_ms, record_legs.iter().sum::<f64>());
+        assert_ne!(record_legs, alignment_legs);
+
         for overlap in [false, true] {
             let cfg = CuBlastpConfig {
                 gapped_backend: GappedBackend::Gpu,
@@ -1408,7 +1468,10 @@ mod tests {
             assert!(fine.warp_cycles > 0);
             assert_eq!(gpu.timing.gapped_ms, 0.0);
             assert!(gpu.timing.gpu_ms > cpu.timing.gpu_ms);
-            assert!(gpu.timing.d2h_ms > cpu.timing.d2h_ms, "alignment download");
+            // The device consumed the records itself: only the
+            // alignments cross, exactly.
+            assert_eq!(d2h_legs(&gpu), alignment_legs, "overlap = {overlap}");
+            assert_eq!(gpu.timing.d2h_ms, alignment_legs.iter().sum::<f64>());
         }
     }
 

@@ -227,3 +227,66 @@ fn serve_path_degrades_gapped_faults_without_tripping_admission() {
         );
     }
 }
+
+/// A degraded block bills the link for what crossed it and nothing else:
+/// a block whose hit phase re-ran on the host downloads nothing (no bytes,
+/// no latency — the records were computed where they are read), and a
+/// block whose *gapped* phase fell back to the CPU tail downloads its
+/// trigger survivors' records while its neighbours still ship alignments
+/// only.
+#[test]
+fn degraded_blocks_bill_only_what_crossed_the_link() {
+    use cublastp::GappedBackend;
+
+    let (q, db) = scaled_workload(DbPreset::SwissprotMini);
+    let d2h_legs =
+        |r: &CuBlastpResult| -> Vec<f64> { r.block_timings.iter().map(|b| b.d2h_ms).collect() };
+    let run = |gapped_backend: GappedBackend, spec: Option<FaultSpec>| -> CuBlastpResult {
+        let cfg = CuBlastpConfig {
+            gapped_backend,
+            ..matrix_config()
+        };
+        let mut searcher = CuBlastp::new(
+            q.clone(),
+            SearchParams::default(),
+            cfg,
+            DeviceConfig::k20c(),
+            &db,
+        );
+        let plan = spec.map_or_else(FaultPlan::none, |s| FaultPlan::none().with(s));
+        searcher.injector = Arc::new(FaultInjector::new(plan));
+        searcher.search(&db).expect("recovered")
+    };
+
+    // Hit-phase arm: permanent fault on block 1, CPU tail.
+    let clean = run(GappedBackend::Cpu, None);
+    let records = d2h_legs(&clean);
+    assert!(records.iter().all(|&ms| ms > 0.0));
+    let spec = FaultSpec::permanent(FaultSite::DeviceAlloc).on_block(1);
+    let r = run(GappedBackend::Cpu, Some(spec));
+    assert_eq!(r.recovery.degraded_blocks, 1);
+    assert_eq!(r.report.identity_key(), clean.report.identity_key());
+    assert_eq!(r.counts.extensions, clean.counts.extensions);
+    assert_eq!(r.counts.triggered, clean.counts.triggered);
+    assert_eq!(d2h_legs(&r), [records[0], 0.0, records[2]]);
+    assert_eq!(r.timing.d2h_ms, records[0] + records[2]);
+
+    // Gapped arm: the device gapped phase of block 1 degrades.
+    let clean_gpu = run(GappedBackend::Gpu, None);
+    let alignments = d2h_legs(&clean_gpu);
+    assert_ne!(alignments, records, "the two payloads must differ to tell");
+    let spec = FaultSpec::permanent(FaultSite::GappedLaunch).on_block(1);
+    let r = run(GappedBackend::Gpu, Some(spec));
+    assert_eq!(r.recovery.degraded_gapped, 1);
+    assert_eq!(r.recovery.degraded_blocks, 0);
+    assert_eq!(r.report.identity_key(), clean.report.identity_key());
+    assert_eq!(d2h_legs(&r), [alignments[0], records[1], alignments[2]]);
+
+    // Both at once on one block: the host computed the records, the
+    // device still aligned them — the alignments are what crossed.
+    let spec = FaultSpec::permanent(FaultSite::DeviceAlloc).on_block(1);
+    let r = run(GappedBackend::Gpu, Some(spec));
+    assert_eq!(r.recovery.degraded_blocks, 1);
+    assert_eq!(r.report.identity_key(), clean.report.identity_key());
+    assert_eq!(d2h_legs(&r), alignments);
+}

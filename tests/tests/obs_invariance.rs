@@ -39,8 +39,12 @@ fn fingerprint(r: &CuBlastpResult) -> String {
     }
     let _ = writeln!(
         out,
-        "counts hits={} filtered={} ext={} redundant={}",
-        r.counts.hits, r.counts.filtered, r.counts.extensions, r.counts.redundant
+        "counts hits={} filtered={} ext={} triggered={} redundant={}",
+        r.counts.hits,
+        r.counts.filtered,
+        r.counts.extensions,
+        r.counts.triggered,
+        r.counts.redundant
     );
     for h in &r.report.hits {
         let a = &h.alignment;
@@ -105,6 +109,24 @@ fn armed_observability_never_changes_results() {
             obs::arm(true, true);
             let armed = run(&db, &q, strategy);
             obs::disarm();
+            // The D2H figure is explainable from the program's own output:
+            // the link's byte counter is the billed bytes, which are the
+            // trigger survivors' 20-byte records and nothing else.
+            let m = obs::metrics();
+            assert!(0 < armed.counts.triggered && armed.counts.triggered < armed.counts.extensions);
+            assert_eq!(
+                m.counter_value("pcie_bytes_total", &[("dir", "d2h")]),
+                armed.counts.d2h_bytes,
+            );
+            assert_eq!(armed.counts.d2h_bytes, armed.counts.triggered * 20);
+            assert_eq!(
+                m.counter_value("extensions_triggered_total", &[]),
+                armed.counts.triggered
+            );
+            assert_eq!(
+                m.counter_value("extensions_total", &[]),
+                armed.counts.extensions
+            );
             // Drop the observation side-products so later presets start
             // clean (and to prove draining doesn't affect anything).
             obs::take_trace();
