@@ -33,8 +33,10 @@ OPTIONS:
                          search runs on the sharded engine; replaces --db
     --shards <n>         partition the database into n contiguous shards
                          and run the sharded engine (default 1: the flat
-                         single-device path); merged output is
-                         bit-identical at every shard count
+                         single-device path, or a --db-set as stored —
+                         any other count than the set's is an error);
+                         merged output is bit-identical at every shard
+                         count
     --devices <n>        simulated devices the work-stealing scheduler
                          distributes (query × shard) items across
                          (default 1; cublastp engine only)
@@ -42,7 +44,9 @@ OPTIONS:
                          (default fixed; schedules are reproducible)
     --block-size <n>     sequences per device block (default 1024); for
                          `db build` this is baked into the image, for a
-                         search it overrides the partitioning
+                         FASTA search it sets the partitioning, and one
+                         that contradicts a --db-image or --db-set is an
+                         error
     --demo               use a built-in synthetic query + database
     --engine <name>      cublastp (default) | cpu | cuda-blastp | gpu-blastp
     --evalue <float>     e-value cutoff (default 10)
@@ -444,6 +448,11 @@ impl Args {
     /// Cross-flag validation (skipped under `--help`).
     fn validate(&self) -> Result<(), String> {
         let args = self;
+        if matches!(args.db_cmd, Some(DbCmd::Build | DbCmd::Shard))
+            && (args.db_image.is_some() || args.db_set.is_some())
+        {
+            return Err("db build / db shard read --db <fasta> (or --demo)".into());
+        }
         match args.db_cmd {
             Some(DbCmd::Build) => {
                 if !args.demo && args.db.is_none() {
@@ -518,9 +527,6 @@ impl Args {
         if (args.shards > 1 || args.db_set.is_some()) && args.seed_mode == SeedMode::Grouped {
             return Err("--seed-mode grouped is incompatible with sharded search".into());
         }
-        if args.db_set.is_some() && args.block_size.is_some() {
-            return Err("--block-size is fixed by the shard-set manifest".into());
-        }
         if args.bins == 0 {
             return Err("--bins must be positive".into());
         }
@@ -539,9 +545,6 @@ impl Args {
         if args.serve {
             if args.engine != Engine::CuBlastp {
                 return Err("serve requires --engine cublastp".into());
-            }
-            if args.db_set.is_some() {
-                return Err("serve loads --db or --db-image; use --shards to shard it".into());
             }
             if args.serve_requests == 0 {
                 return Err("--requests must be positive".into());
@@ -827,6 +830,9 @@ mod tests {
         assert!(parse(&["db", "shard", "--out", "dir"]).is_err()); // no --db/--demo
         assert!(parse(&["db", "shard", "--demo"]).is_err()); // no --out
         assert!(parse(&["db", "shard", "--demo", "--out", "dir", "--shards", "0"]).is_err());
+        // An image or a set beside the source would win in the opener.
+        assert!(parse(&["db", "shard", "--demo", "--out", "dir", "--db-set", "s"]).is_err());
+        assert!(parse(&["db", "build", "--db", "d", "--out", "x", "--db-image", "i"]).is_err());
     }
 
     #[test]
@@ -858,7 +864,10 @@ mod tests {
         assert_eq!(a.db_set.as_deref(), Some("s.cdbset"));
         assert!(parse(&["--query", "q.fa", "--db-set", "s", "--db", "d.fa"]).is_err());
         assert!(parse(&["--query", "q.fa", "--db-set", "s", "--db-image", "d.cdb"]).is_err());
-        assert!(parse(&["--query", "q.fa", "--db-set", "s", "--block-size", "8"]).is_err());
+        // Whether --block-size / --shards contradict the set is the
+        // opener's call (it has to read the manifest): exit 2 from there.
+        assert!(parse(&["--query", "q.fa", "--db-set", "s", "--block-size", "8"]).is_ok());
+        assert!(parse(&["serve", "--query", "q.fa", "--db-set", "s"]).is_ok());
         assert!(parse(&["--query", "q.fa", "--db-set", "s", "--engine", "cpu"]).is_err());
     }
 

@@ -34,14 +34,15 @@ use bio_seq::{Sequence, SequenceDb};
 use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
 use cublastp::gapped_device::FINE_GAPPED_KERNEL;
 use cublastp::{
-    search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpResult,
-    DeviceDb, GappedBackend, RecoveryReport, SearchError, SeedMode, ShardedBatchOptions, ShardedDb,
-    ShardedOptions,
+    search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpConfig,
+    CuBlastpResult, DbSource, GappedBackend, RecoveryReport, SearchError, SeedMode,
+    ShardedBatchOptions, ShardedDb, ShardedOptions,
 };
 use cublastp_db::{build_shard_set, DbImage, ShardSetManifest};
 use gpu_sim::{DeviceConfig, FaultInjector};
 use std::fs::File;
 use std::io::BufReader;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -263,59 +264,19 @@ fn main() -> ExitCode {
         return run_db(cmd, &args);
     }
 
-    // Map and fully validate the persistent image up front: a corrupt
-    // file must become a typed `db` exit before any search starts.
-    let mut args = args;
-    let image = match &args.db_image {
-        Some(path) => match open_image(path, args.block_size) {
-            Ok(img) => {
-                // The image's stored block size *is* the device layout;
-                // every downstream config must partition the same way.
-                args.block_size = Some(img.block_size());
-                Some(img)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(exit_code_for(&e));
-            }
-        },
-        None => None,
-    };
-
-    // A `--db-set` shard-set manifest maps every per-shard image up
-    // front (zero flatten passes); its stored block size and shard count
-    // override the flags, exactly like a single `--db-image`.
-    let mut sharded_set: Option<ShardedDb> = match &args.db_set {
-        Some(path) => match open_shard_set(path) {
-            Ok(sharded) => {
-                args.block_size = Some(sharded.block_size());
-                args.shards = sharded.num_shards();
-                Some(sharded)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(exit_code_for(&e));
-            }
-        },
-        None => None,
-    };
-
-    let (queries, db) = match load_inputs(&args, image.as_ref(), sharded_set.as_ref()) {
+    let (queries, db) = match load_inputs(&args) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(EXIT_INPUT);
+            return ExitCode::from(exit_code_for(&e));
         }
     };
 
     if args.serve {
-        return run_serve(&queries, db, image.as_ref(), &args);
+        return run_serve(&queries, db, &args);
     }
     if args.allvsall {
-        let sharded = sharded_set.take().unwrap_or_else(|| {
-            ShardedDb::split(&db, args.shards, args.cublastp_config().db_block_size)
-        });
-        return run_allvsall(&queries, &db, &sharded, &args);
+        return run_allvsall(&queries, &db, &args);
     }
 
     note(
@@ -325,32 +286,20 @@ fn main() -> ExitCode {
             queries.len(),
             if queries.len() == 1 { "y" } else { "ies" },
             db.name(),
-            db.len(),
+            db.total_sequences(),
             db.total_residues(),
             args.engine.name(),
         ),
     );
 
-    // The database is parsed once above and made resident once below:
-    // every query of the stream searches the resident copy. The CPU
-    // worker pool is the process-wide shared one, built on first use.
-    let flattens_before = cublastp::flatten_count();
+    // The database was parsed and made resident once above: every query
+    // of the stream searches the resident copy. The CPU worker pool is
+    // the process-wide shared one, built on first use.
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
     let mut telemetry = Telemetry::default();
     let t_batch = std::time::Instant::now();
     let failures = if args.engine == Engine::CuBlastp {
-        let sharded = sharded_set.take().or_else(|| {
-            (args.shards > 1)
-                .then(|| ShardedDb::split(&db, args.shards, args.cublastp_config().db_block_size))
-        });
-        run_batch(
-            &queries,
-            &db,
-            image.as_ref(),
-            sharded.as_ref(),
-            &args,
-            &mut telemetry,
-        )
+        run_batch(&queries, &db, &args, &mut telemetry)
     } else {
         for query in &queries {
             let t0 = std::time::Instant::now();
@@ -361,18 +310,7 @@ fn main() -> ExitCode {
         Vec::new()
     };
     let batch_wall = t_batch.elapsed();
-    if let Some(img) = &image {
-        // Stderr so `--outfmt tab` stdout stays machine-readable; the CI
-        // equivalence job greps this row for `flattens=0`.
-        eprintln!(
-            "# db image: {} format v{}, {} blocks (block-size {}), flattens={}",
-            img.region().source(),
-            img.format_version(),
-            img.num_blocks(),
-            img.block_size(),
-            cublastp::flatten_count() - flattens_before,
-        );
-    }
+    print_residency(&db);
     if args.phase_table && args.outfmt != args::OutFmt::Tab {
         telemetry.print_phase_table(&args);
     }
@@ -415,34 +353,31 @@ fn main() -> ExitCode {
 /// overloaded service, so the run exits 0 as long as at least one
 /// request completed; a run where every request failed exits with the
 /// first failure's code (6 deadline, 7 overloaded, …).
-fn run_serve(
-    queries: &[Sequence],
-    db: SequenceDb,
-    image: Option<&DbImage>,
-    args: &Args,
-) -> ExitCode {
-    use cublastp_serve::{DbSource, Event, Request, ServeConfig, Server};
+fn run_serve(queries: &[Sequence], db: ShardedDb, args: &Args) -> ExitCode {
+    use cublastp_serve::{Event, Request, ServeConfig, Server};
     use std::time::Duration;
 
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
+    let (shards, search_cfg) = (db.num_shards(), search_config(args, &db));
     let serve_cfg = ServeConfig {
         workers: args.serve_workers,
         reserved_interactive_workers: usize::from(args.serve_workers > 1),
         queue_capacity: args.serve_queue_capacity,
-        shards: args.shards,
+        shards,
         devices: args.devices,
         default_deadline: args.serve_deadline_ms.map(Duration::from_millis),
         ..ServeConfig::default()
     };
     let injector = (!args.fault_plan.is_empty())
         .then(|| Arc::new(FaultInjector::new(args.fault_plan.clone())));
-    // An image is served straight off the mapping (zero flatten passes;
-    // later generations arrive via hot swap, not process restart).
-    let source = image.map_or(DbSource::Inline(db), DbSource::Image);
+    // The open handle becomes generation 1 as it is (later generations
+    // arrive via hot swap, not process restart), so the residency row is
+    // final here: requests search it, nothing re-flattens.
+    print_residency(&db);
     let server = Server::with_injector(
-        source,
+        db,
         args.params(),
-        args.cublastp_config(),
+        search_cfg,
         DeviceConfig::k20c(),
         serve_cfg,
         injector,
@@ -463,10 +398,9 @@ fn run_serve(
             .map_or_else(|| "none".to_string(), |ms| format!("{ms} ms")),
         server.num_blocks(),
     );
-    if args.shards > 1 {
+    if shards > 1 {
         out!(
-            "# serve shards: {} over {} simulated device{}",
-            args.shards,
+            "# serve shards: {shards} over {} simulated device{}",
             args.devices,
             if args.devices == 1 { "" } else { "s" },
         );
@@ -585,32 +519,6 @@ fn run_serve(
     }
 }
 
-/// Map and validate a `.cdb` image, rejecting a `--block-size` flag that
-/// contradicts the partitioning baked into the file.
-fn open_image(path: &str, requested_block_size: Option<usize>) -> Result<DbImage, SearchError> {
-    let img = DbImage::open(std::path::Path::new(path))?;
-    if let Some(bs) = requested_block_size {
-        if bs != img.block_size() {
-            return Err(SearchError::config(format!(
-                "--block-size {bs} contradicts {path}: image was built at block size {} \
-                 (rebuild with `cublastp db build --block-size {bs}`)",
-                img.block_size(),
-            )));
-        }
-    }
-    Ok(img)
-}
-
-/// Load a `.cdbset` manifest and map every per-shard image it lists into
-/// a [`ShardedDb`] — the sharded analogue of [`open_image`]. Any stale,
-/// swapped, corrupt, or missing shard is a typed `db` error up front.
-fn open_shard_set(path: &str) -> Result<ShardedDb, SearchError> {
-    let p = std::path::Path::new(path);
-    let manifest = ShardSetManifest::load(p)?;
-    let images = manifest.open_images(p)?;
-    ShardedDb::from_images(&manifest.name, &images)
-}
-
 /// The built-in synthetic demo database (the `--demo` search corpus).
 fn demo_db() -> SequenceDb {
     let query = bio_seq::generate::make_query(220);
@@ -638,226 +546,221 @@ fn demo_allvsall_db() -> SequenceDb {
     bio_seq::generate::generate_db(&spec, &query).db
 }
 
-fn load_inputs(
-    args: &Args,
-    image: Option<&DbImage>,
-    sharded: Option<&ShardedDb>,
-) -> Result<(Vec<Sequence>, SequenceDb), String> {
-    // Read the query FASTA first so its errors surface before database
-    // errors; `--demo` synthesizes queries and `allvsall` without
-    // `--query` defaults to the database against itself (filled below).
-    let queries_from_file = if args.demo || args.query.is_none() {
-        None
+/// Read a FASTA file strictly; an unreadable, malformed or empty file is
+/// an `input` error naming the path.
+fn read_fasta_file(path: &str) -> Result<Vec<Sequence>, SearchError> {
+    let input = |e: &dyn std::fmt::Display| SearchError::input(format!("{path}: {e}"));
+    let file = File::open(path).map_err(|e| input(&e))?;
+    let records = read_fasta_strict(BufReader::new(file)).map_err(|e| input(&e))?;
+    if records.is_empty() {
+        return Err(input(&"no sequences"));
+    }
+    Ok(records)
+}
+
+/// Open the database the flags name — `--db-set`, `--db-image`, `--demo`
+/// or the `--db` FASTA, in that order — as the one resident handle every
+/// runner takes. A corrupt or stale image is a typed `db` error and a
+/// flag that contradicts what a file stores a `config` error, here,
+/// before any search starts ([`ShardedDb::open`] holds the rules).
+fn open_database(args: &Args) -> Result<ShardedDb, SearchError> {
+    // The `db` subcommands read the database whole: `--shards` there is
+    // how many images `db shard` writes.
+    let shards = if args.db_cmd.is_some() {
+        1
     } else {
-        let qpath = args.query.as_ref().ok_or("missing --query <fasta>")?;
-        let queries = read_fasta_strict(BufReader::new(
-            File::open(qpath).map_err(|e| format!("{qpath}: {e}"))?,
-        ))
-        .map_err(|e| format!("{qpath}: {e}"))?;
-        if queries.is_empty() {
-            return Err(format!("{qpath}: no sequences"));
-        }
-        Some(queries)
+        args.shards
     };
-    let db = if let Some(s) = sharded {
-        // Concatenating the per-shard host views reconstructs the full
-        // database in manifest order (shards are contiguous slices).
-        let seqs: Vec<Sequence> = s
-            .shards()
-            .iter()
-            .flat_map(|sh| sh.db.sequences().iter().cloned())
-            .collect();
-        SequenceDb::new(s.name().to_string(), seqs)
-    } else if let Some(img) = image {
-        // Already mapped and validated; rebuild the host-side view.
-        img.to_sequence_db()
+    let open = |source: DbSource<'_>| ShardedDb::open(source, shards, args.block_size);
+    if let Some(path) = &args.db_set {
+        let manifest = ShardSetManifest::load(Path::new(path))?;
+        let images = manifest.open_images(Path::new(path))?;
+        open(DbSource::Set {
+            name: &manifest.name,
+            images: &images,
+        })
+    } else if let Some(path) = &args.db_image {
+        open(DbSource::Image(&DbImage::open(Path::new(path))?))
     } else if args.demo {
-        if args.allvsall {
+        open(DbSource::Inline(if args.allvsall {
             demo_allvsall_db()
         } else {
             demo_db()
-        }
+        }))
     } else {
-        let dpath = args.db.as_ref().ok_or("missing --db <fasta>")?;
-        let subjects = read_fasta_strict(BufReader::new(
-            File::open(dpath).map_err(|e| format!("{dpath}: {e}"))?,
-        ))
-        .map_err(|e| format!("{dpath}: {e}"))?;
-        if subjects.is_empty() {
-            return Err(format!("{dpath}: no sequences"));
-        }
-        SequenceDb::new(dpath.clone(), subjects)
+        let path = (args.db.as_ref()).ok_or_else(|| SearchError::input("missing --db <fasta>"))?;
+        let subjects = read_fasta_file(path)?;
+        open(DbSource::Inline(SequenceDb::new(path.clone(), subjects)))
+    }
+}
+
+/// The search configuration the flags imply, partitioned the way `db` is
+/// (an image or a set fixes the block size).
+fn search_config(args: &Args, db: &ShardedDb) -> CuBlastpConfig {
+    CuBlastpConfig {
+        db_block_size: db.block_size(),
+        ..args.cublastp_config()
+    }
+}
+
+/// The `# db image:` residency row of a database opened from `.cdb`
+/// file(s), image or set alike. Stderr so `--outfmt tab` stdout stays
+/// machine-readable; the CI equivalence jobs grep it for `flattens=0`
+/// (the process flattens nothing but its database).
+fn print_residency(db: &ShardedDb) {
+    if let Some(origin) = db.image_origin() {
+        eprintln!(
+            "# db image: {} format v{}, {} blocks (block-size {}), flattens={}",
+            origin.label,
+            origin.format_version,
+            origin.blocks,
+            db.block_size(),
+            cublastp::flatten_count(),
+        );
+    }
+}
+
+/// The query stream and the open database.
+fn load_inputs(args: &Args) -> Result<(Vec<Sequence>, ShardedDb), SearchError> {
+    // Read the query FASTA first so its errors surface before database
+    // errors; `--demo` synthesizes queries and `allvsall` without
+    // `--query` defaults to the database against itself.
+    let from_file = match &args.query {
+        Some(path) if !args.demo => Some(read_fasta_file(path)?),
+        _ => None,
     };
-    let queries = match queries_from_file {
-        Some(q) if !args.demo => q,
-        // Many-against-many default: the database against itself.
-        _ if args.allvsall => db.sequences().to_vec(),
+    let db = open_database(args)?;
+    let queries = match from_file {
+        Some(queries) => queries,
+        _ if args.allvsall => (0..db.total_sequences())
+            .map(|i| db.sequence(i).clone())
+            .collect(),
         _ if args.demo => vec![bio_seq::generate::make_query(220)],
-        _ => return Err("missing --query <fasta>".into()),
+        _ => return Err(SearchError::input("missing --query <fasta>")),
     };
     Ok((queries, db))
 }
 
-/// The `db` subcommand: `db build` serialises a FASTA database (or the
-/// demo corpus) into a versioned, checksummed `.cdb` image; `db verify`
-/// maps one and runs the full validation pass. Every corruption is a
-/// typed error and a `db` exit (8) — never a panic.
+/// The `db` subcommand: `db build` serialises a database (FASTA, the
+/// demo corpus — anything [`open_database`] opens) into a versioned,
+/// checksummed `.cdb` image; `db shard` splits one into per-shard images
+/// plus a manifest; `db verify` maps an image and runs the full
+/// validation pass. Every corruption is a typed error and a `db` exit
+/// (8) — never a panic.
 fn run_db(cmd: DbCmd, args: &Args) -> ExitCode {
-    match cmd {
-        DbCmd::Build => {
-            let db = if args.demo {
-                demo_db()
+    let done = match cmd {
+        DbCmd::Verify => verify_image(args.db_image.as_deref().unwrap_or_default()),
+        DbCmd::Build | DbCmd::Shard => open_database(args).and_then(|db| {
+            // Opened at one shard: the whole database is shard 0.
+            let whole = &db.shards()[0].db;
+            let block_size = db.block_size();
+            if cmd == DbCmd::Build {
+                build_image(whole, block_size, args.out.as_deref().unwrap_or("db.cdb"))
             } else {
-                match load_db_fasta(args) {
-                    Ok(db) => db,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(EXIT_INPUT);
-                    }
-                }
-            };
-            let block_size = args
-                .block_size
-                .unwrap_or_else(|| cublastp::CuBlastpConfig::default().db_block_size);
-            let out_path = args.out.as_deref().unwrap_or("db.cdb");
-            match cublastp_db::build_to_file(&db, block_size, std::path::Path::new(out_path)) {
-                Ok(summary) => {
-                    out!(
-                        "# db build: {} -> {out_path}: format v{}, {} sequences, {} residues, \
-                         {} blocks (block-size {block_size}), {} bytes",
-                        db.name(),
-                        cublastp_db::FORMAT_VERSION,
-                        summary.sequences,
-                        summary.residues,
-                        summary.blocks,
-                        summary.bytes,
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    let e = SearchError::from(e);
-                    eprintln!("error: {e}");
-                    ExitCode::from(exit_code_for(&e))
-                }
+                let dir = Path::new(args.out.as_deref().unwrap_or("shards"));
+                build_set(whole, block_size, args.shards, dir)
             }
-        }
-        DbCmd::Verify => {
-            let path = args.db_image.as_deref().unwrap_or_default();
-            match open_image(path, args.block_size) {
-                Ok(img) => {
-                    let s = img.summary();
-                    out!(
-                        "# db verify: {path}: ok, format v{}, {} sequences, {} residues, \
-                         {} blocks (block-size {}), {} bytes",
-                        s.format_version,
-                        s.sequences,
-                        s.residues,
-                        s.blocks,
-                        s.block_size,
-                        s.bytes,
-                    );
-                    for sec in &s.sections {
-                        out!(
-                            "#   section {:<12} {:>10} bytes crc32 {:08x}",
-                            sec.name,
-                            sec.len,
-                            sec.crc
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(exit_code_for(&e))
-                }
-            }
-        }
-        DbCmd::Shard => {
-            let db = if args.demo {
-                demo_db()
-            } else {
-                match load_db_fasta(args) {
-                    Ok(db) => db,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(EXIT_INPUT);
-                    }
-                }
-            };
-            let block_size = args
-                .block_size
-                .unwrap_or_else(|| cublastp::CuBlastpConfig::default().db_block_size);
-            let dir = std::path::Path::new(args.out.as_deref().unwrap_or("shards"));
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: {}: {e}", dir.display());
-                return ExitCode::from(EXIT_INPUT);
-            }
-            match build_shard_set(&db, block_size, args.shards, dir) {
-                Ok((manifest, path)) => {
-                    out!(
-                        "# db shard: {} -> {}: {} shards, {} sequences, {} residues \
-                         (block-size {block_size})",
-                        db.name(),
-                        path.display(),
-                        manifest.shards.len(),
-                        manifest.sequences,
-                        manifest.residues,
-                    );
-                    for (i, s) in manifest.shards.iter().enumerate() {
-                        out!(
-                            "#   shard {:<3} {} start {} ({} sequences, {} residues)",
-                            i,
-                            s.file,
-                            s.start,
-                            s.sequences,
-                            s.residues,
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    let e = SearchError::from(e);
-                    eprintln!("error: {e}");
-                    ExitCode::from(exit_code_for(&e))
-                }
-            }
+        }),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(exit_code_for(&e))
         }
     }
 }
 
-/// Read the `--db` FASTA for `db build`.
-fn load_db_fasta(args: &Args) -> Result<SequenceDb, String> {
-    let dpath = args.db.as_ref().ok_or("missing --db <fasta>")?;
-    let subjects = read_fasta_strict(BufReader::new(
-        File::open(dpath).map_err(|e| format!("{dpath}: {e}"))?,
-    ))
-    .map_err(|e| format!("{dpath}: {e}"))?;
-    if subjects.is_empty() {
-        return Err(format!("{dpath}: no sequences"));
+/// `db build`: write `db` as one image at `out_path`.
+fn build_image(db: &SequenceDb, block_size: usize, out_path: &str) -> Result<(), SearchError> {
+    let summary = cublastp_db::build_to_file(db, block_size, Path::new(out_path))?;
+    out!(
+        "# db build: {} -> {out_path}: format v{}, {} sequences, {} residues, \
+         {} blocks (block-size {block_size}), {} bytes",
+        db.name(),
+        cublastp_db::FORMAT_VERSION,
+        summary.sequences,
+        summary.residues,
+        summary.blocks,
+        summary.bytes,
+    );
+    Ok(())
+}
+
+/// `db verify`: map `path` and run the full validation pass.
+fn verify_image(path: &str) -> Result<(), SearchError> {
+    let s = DbImage::open(Path::new(path))?.summary();
+    out!(
+        "# db verify: {path}: ok, format v{}, {} sequences, {} residues, \
+         {} blocks (block-size {}), {} bytes",
+        s.format_version,
+        s.sequences,
+        s.residues,
+        s.blocks,
+        s.block_size,
+        s.bytes,
+    );
+    for sec in &s.sections {
+        out!(
+            "#   section {:<12} {:>10} bytes crc32 {:08x}",
+            sec.name,
+            sec.len,
+            sec.crc
+        );
     }
-    Ok(SequenceDb::new(dpath.clone(), subjects))
+    Ok(())
+}
+
+/// `db shard`: write `db` as `shards` per-shard images plus a manifest
+/// into `dir`.
+fn build_set(
+    db: &SequenceDb,
+    block_size: usize,
+    shards: usize,
+    dir: &Path,
+) -> Result<(), SearchError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| SearchError::input(format!("{}: {e}", dir.display())))?;
+    let (manifest, path) = build_shard_set(db, block_size, shards, dir)?;
+    out!(
+        "# db shard: {} -> {}: {} shards, {} sequences, {} residues \
+         (block-size {block_size})",
+        db.name(),
+        path.display(),
+        manifest.shards.len(),
+        manifest.sequences,
+        manifest.residues,
+    );
+    for (i, s) in manifest.shards.iter().enumerate() {
+        out!(
+            "#   shard {:<3} {} start {} ({} sequences, {} residues)",
+            i,
+            s.file,
+            s.start,
+            s.sequences,
+            s.residues,
+        );
+    }
+    Ok(())
 }
 
 /// The cuBLASTP engine's runner: the whole query stream goes through the
-/// search executor as one batch — flat (`--seed-mode per-query`, or
-/// `grouped`: a round-packed shared word index, one seeding pass per
-/// round per database block), or sharded (`--shards` > 1 or `--db-set`:
-/// every query searches every shard, cross-shard statistics keep output
+/// search executor as one batch over the open database — flat when it
+/// is one shard (`--seed-mode per-query`, or `grouped`: a round-packed
+/// shared word index, one seeding pass per round per database block),
+/// sharded otherwise (`--shards` > 1 or a `--db-set`: every query
+/// searches every shard, cross-shard statistics keep output
 /// bit-identical to the flat path, and the work-stealing fleet schedule
 /// spans `--devices` simulated devices). Per-query reports print in
 /// input order, then the mode's summary row: `# grouped seeding:` and
-/// `# shards:` are the grep targets of the CI equivalence jobs. With a
-/// `--db-image` the mapped layout is made resident directly — zero
-/// flatten passes.
+/// `# shards:` are the grep targets of the CI equivalence jobs.
 fn run_batch(
     queries: &[Sequence],
-    db: &SequenceDb,
-    image: Option<&DbImage>,
-    sharded: Option<&ShardedDb>,
+    db: &ShardedDb,
     args: &Args,
     telemetry: &mut Telemetry,
 ) -> Vec<(usize, String, SearchError)> {
-    let (params, config, device) = (args.params(), args.cublastp_config(), DeviceConfig::k20c());
+    let (params, config, device) = (args.params(), search_config(args, db), DeviceConfig::k20c());
     let injector = Some(Arc::new(FaultInjector::new(args.fault_plan.clone())));
     let t0 = std::time::Instant::now();
     // Print every query's report (stderr row for a failed one) and fold
@@ -883,62 +786,19 @@ fn run_batch(
         }
         failures
     };
-    match sharded {
-        Some(sharded) => {
-            let mut out = search_sharded_batch(
-                queries,
-                params,
-                config,
-                device,
-                sharded,
-                &ShardedBatchOptions {
-                    sharded: ShardedOptions {
-                        devices: args.devices,
-                        seed: args.steal_seed,
-                    },
-                    injector,
-                },
-            );
-            let shards = sharded.num_shards();
-            let failures = report_all(std::mem::take(&mut out.per_query), &|_| {
-                format!(" ({shards} shards)")
-            });
-            note(
-                args,
-                &format!(
-                    "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
-                     speedup={:.2}x efficiency={:.2} steals={} upload={:.3}ms",
-                    out.devices,
-                    out.schedule.makespan_ms,
-                    out.single_device_ms,
-                    out.speedup(),
-                    out.efficiency(),
-                    out.schedule.total_steals(),
-                    out.shard_upload_ms.iter().sum::<f64>(),
-                ),
-            );
-            if args.phase_table && args.outfmt != args::OutFmt::Tab {
-                print_fleet_table(sharded, &out);
-            }
-            failures
-        }
-        None => {
-            let dev_db = match image {
-                Some(img) => DeviceDb::from_image(img),
-                None => DeviceDb::upload(db, config.db_block_size),
-            };
+    match db.shards() {
+        [whole] => {
             let out = search_batch_resident(
                 queries,
                 params,
                 config,
                 device,
-                db,
-                &dev_db,
+                &whole.db,
+                &whole.dev,
                 BatchOptions {
                     injector,
                     seed_mode: args.seed_mode,
                     group_budget: args.group_budget,
-                    ..Default::default()
                 },
             );
             let failures = report_all(out.per_query, &|r| match args.seed_mode {
@@ -965,6 +825,44 @@ fn run_batch(
                         g.seeding_ms_per_block_query(),
                     ),
                 );
+            }
+            failures
+        }
+        shards => {
+            let mut out = search_sharded_batch(
+                queries,
+                params,
+                config,
+                device,
+                db,
+                &ShardedBatchOptions {
+                    sharded: ShardedOptions {
+                        devices: args.devices,
+                        seed: args.steal_seed,
+                    },
+                    injector,
+                },
+            );
+            let shards = shards.len();
+            let failures = report_all(std::mem::take(&mut out.per_query), &|_| {
+                format!(" ({shards} shards)")
+            });
+            note(
+                args,
+                &format!(
+                    "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
+                     speedup={:.2}x efficiency={:.2} steals={} upload={:.3}ms",
+                    out.devices,
+                    out.schedule.makespan_ms,
+                    out.single_device_ms,
+                    out.speedup(),
+                    out.efficiency(),
+                    out.schedule.total_steals(),
+                    out.shard_upload_ms.iter().sum::<f64>(),
+                ),
+            );
+            if args.phase_table && args.outfmt != args::OutFmt::Tab {
+                print_fleet_table(db, &out);
             }
             failures
         }
@@ -1044,20 +942,15 @@ fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
 /// sharded engine, streaming one `qseqid sseqid score bitscore evalue`
 /// line per above-threshold pair (the best HSP of the pair) from the
 /// sparse similarity matrix.
-fn run_allvsall(
-    queries: &[Sequence],
-    db: &SequenceDb,
-    sharded: &ShardedDb,
-    args: &Args,
-) -> ExitCode {
+fn run_allvsall(queries: &[Sequence], db: &ShardedDb, args: &Args) -> ExitCode {
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
     let t0 = std::time::Instant::now();
     let r = match search_all_vs_all(
         queries,
         args.params(),
-        args.cublastp_config(),
+        search_config(args, db),
         DeviceConfig::k20c(),
-        sharded,
+        db,
         &ShardedBatchOptions {
             sharded: ShardedOptions {
                 devices: args.devices,
@@ -1078,7 +971,7 @@ fn run_allvsall(
             out!(
                 "{}\t{}\t{}\t{:.1}\t{:.2e}",
                 query.id,
-                db.sequences()[e.subject as usize].id,
+                db.sequence(e.subject as usize).id,
                 e.score,
                 e.bit_score,
                 e.evalue,
@@ -1107,7 +1000,7 @@ fn run_allvsall(
         args,
         &format!(
             "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x steals={}",
-            sharded.num_shards(),
+            db.num_shards(),
             args.devices,
             r.schedule.makespan_ms,
             r.single_device_ms,
@@ -1115,6 +1008,7 @@ fn run_allvsall(
             r.schedule.total_steals(),
         ),
     );
+    print_residency(db);
     if let Err(e) = write_observability(args) {
         eprintln!("error: {e}");
         return ExitCode::from(EXIT_INPUT);
@@ -1124,13 +1018,15 @@ fn run_allvsall(
 
 /// Search one query with a reference or coarse-grained baseline engine
 /// (all of them produce the hits the cuBLASTP pipeline does). `None` for
-/// the cuBLASTP engine itself, which [`run_batch`] drives.
+/// the cuBLASTP engine itself, which [`run_batch`] drives. The baselines
+/// take no `--shards` / `--db-set`: the whole database is shard 0.
 fn baseline_search(
     query: &Sequence,
-    db: &SequenceDb,
+    db: &ShardedDb,
     args: &Args,
 ) -> Option<(blast_cpu::report::SearchReport, String)> {
     let params = args.params();
+    let db = &db.shards()[0].db;
     match args.engine {
         Engine::CuBlastp => None,
         Engine::Cpu => {

@@ -2,14 +2,15 @@
 
 use crate::args::{Args, OutFmt};
 use bio_seq::alphabet::decode;
-use bio_seq::{Sequence, SequenceDb};
+use bio_seq::Sequence;
 use blast_cpu::report::{AlignOp, ReportedHit, SearchReport};
+use cublastp::ShardedDb;
 use std::time::Duration;
 
 /// Print the report for one query.
 pub fn print(
     query: &Sequence,
-    db: &SequenceDb,
+    db: &ShardedDb,
     report: &SearchReport,
     args: &Args,
     wall: Duration,
@@ -91,9 +92,9 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 /// Render one alignment in BLAST pairwise style (60-column blocks).
-fn print_alignment(query: &Sequence, db: &SequenceDb, hit: &ReportedHit) {
+fn print_alignment(query: &Sequence, db: &ShardedDb, hit: &ReportedHit) {
     let a = &hit.alignment;
-    let subject = &db.sequences()[hit.subject_index];
+    let subject = db.sequence(hit.subject_index);
     out!(
         "\n> {}\n Score = {:.1} bits ({}), Expect = {:.2e}",
         subject.id,

@@ -476,6 +476,15 @@ fn db_build_verify_and_image_search_roundtrip() {
     assert!(mapped.contains("planted"), "{mapped}");
     assert!(mapped_err.contains("flattens=0"), "{mapped_err}");
 
+    // The many-against-many runner searches the same mapping: no flatten.
+    let out = run(&["allvsall", "--db-image", img.to_str().unwrap()]);
+    assert!(out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("2 blocks (block-size 2), flattens=0"), "{err}");
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("planted\tplanted\t"));
+
     // A contradictory --block-size is a config error, not silent re-partitioning.
     let out = run(&[
         "--query",
@@ -486,6 +495,124 @@ fn db_build_verify_and_image_search_roundtrip() {
         "7",
     ]);
     assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard set goes through every runner the other database kinds do,
+/// and a flag that contradicts what it stores is a config error.
+#[test]
+fn shard_set_searches_serves_and_refuses_contradictions() {
+    let dir = std::env::temp_dir().join(format!("cublastp_cli_set_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let q = dir.join("q.fa");
+    let d = dir.join("d.fa");
+    write_fasta(&q, &[("probe", CORE)]);
+    write_fasta(
+        &d,
+        &[
+            ("decoy1", "GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGG"),
+            ("planted", &format!("PPPP{CORE}PPPP")),
+            ("decoy2", "KKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKK"),
+        ],
+    );
+    let set_dir = dir.join("set");
+    let out = run(&[
+        "db",
+        "shard",
+        "--db",
+        d.to_str().unwrap(),
+        "--out",
+        set_dir.to_str().unwrap(),
+        "--shards",
+        "3",
+        "--block-size",
+        "2",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("3 shards, 3 sequences"), "{text}");
+    assert!(
+        text.contains("shard 1   shard001.cdb start 1 (1 sequences"),
+        "{text}"
+    );
+    let set = set_dir.join("shards.cdbset");
+
+    let search = |extra: &[&str]| {
+        let mut argv = vec!["--query", q.to_str().unwrap(), "--outfmt", "tab"];
+        argv.extend_from_slice(extra);
+        run(&argv)
+    };
+    let flat = search(&["--db", d.to_str().unwrap(), "--block-size", "2"]);
+    // As stored, and with flags that agree with what is stored.
+    for agree in [&[][..], &["--shards", "3", "--block-size", "2"]] {
+        let mut argv = vec!["--db-set", set.to_str().unwrap()];
+        argv.extend_from_slice(agree);
+        let mapped = search(&argv);
+        assert!(mapped.status.success(), "{agree:?}");
+        assert_eq!(
+            flat.stdout, mapped.stdout,
+            "set search diverged ({agree:?})"
+        );
+        let err = String::from_utf8(mapped.stderr).unwrap();
+        assert!(err.contains("# shards: 3 devices=1"), "{err}");
+        assert!(
+            err.contains("(3 shard images) format v1, 3 blocks"),
+            "{err}"
+        );
+        assert!(err.contains("flattens=0"), "{err}");
+    }
+    for contradiction in [["--shards", "5"], ["--block-size", "7"]] {
+        let mut argv = vec!["--db-set", set.to_str().unwrap()];
+        argv.extend_from_slice(&contradiction);
+        let out = search(&argv);
+        assert_eq!(out.status.code(), Some(2), "{contradiction:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("contradicts"), "{err}");
+    }
+
+    let out = run(&[
+        "serve",
+        "--query",
+        q.to_str().unwrap(),
+        "--db-set",
+        set.to_str().unwrap(),
+        "--requests",
+        "4",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("# serve shards: 3 over 1"), "{text}");
+    assert!(text.contains("block 3/3 streamed"), "{text}");
+    assert!(text.contains("# serve summary: 4 requests, 4 ok"), "{text}");
+
+    // The demo corpus builds and shards like a FASTA database.
+    let demo_img = dir.join("demo.cdb");
+    let out = run(&["db", "build", "--demo", "--out", demo_img.to_str().unwrap()]);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("# db build: demo_db -> "), "{text}");
+    assert!(text.contains("1000 sequences"), "{text}");
+    assert!(text.contains("1 blocks (block-size 1024)"), "{text}");
+    let demo_set = dir.join("demo_set");
+    let out = run(&[
+        "db",
+        "shard",
+        "--demo",
+        "--out",
+        demo_set.to_str().unwrap(),
+        "--shards",
+        "2",
+    ]);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("2 shards, 1000 sequences"), "{text}");
+    assert!(text.contains("shard 1   shard001.cdb start 500"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -35,9 +35,10 @@ use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
 use cublastp::error::{panic_message, PipelineError};
 use cublastp::CancelToken;
+pub use cublastp::DbSource;
 use cublastp::{
-    search_sharded, BlockProgress, CuBlastpConfig, CuBlastpResult, DeviceDb, GappedBackend,
-    SearchError, SearchHooks, ShardedDb, ShardedOptions,
+    search_sharded, BlockProgress, CuBlastpConfig, CuBlastpResult, GappedBackend, SearchError,
+    SearchHooks, ShardedDb, ShardedOptions,
 };
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
 
@@ -65,72 +66,26 @@ pub struct DbGeneration {
     /// `shards` is 1 (output identical at any shard count).
     pub resident: ShardedDb,
     /// Where the generation came from: `"inline"` for an uploaded
-    /// [`SequenceDb`], otherwise the image source label.
+    /// [`SequenceDb`], otherwise the label of
+    /// [`ShardedDb::image_origin`].
     pub source: String,
 }
 
-/// Where a database generation comes from.
-pub enum DbSource<'a> {
-    /// An in-memory database, flattened to device layout at the server's
-    /// block size.
-    Inline(SequenceDb),
-    /// A validated `.cdb` image, materialised zero-copy from the mapped
-    /// arena — no flatten pass. Its stored block size must match the
-    /// server's.
-    Image(&'a DbImage),
-}
-
-impl From<SequenceDb> for DbSource<'_> {
-    fn from(db: SequenceDb) -> Self {
-        Self::Inline(db)
-    }
-}
-
-impl<'a> From<&'a DbImage> for DbSource<'a> {
-    fn from(img: &'a DbImage) -> Self {
-        Self::Image(img)
-    }
-}
-
-impl DbSource<'_> {
-    /// Counter label of the source kind.
-    fn kind(&self) -> &'static str {
-        match self {
-            Self::Inline(_) => "inline",
-            Self::Image(_) => "image",
-        }
-    }
-
-    /// Make the source resident as generation `id`. One shard keeps the
-    /// database whole, moved in beside its device copy (flattened once,
-    /// or the mapped image: no flatten, one host copy); more shards
-    /// re-partition the sequences.
-    fn into_generation(
-        self,
+impl DbGeneration {
+    /// Make `source` resident as generation `id`: [`ShardedDb::open`]
+    /// holds every rule (what is copied, mapped or flattened, and which
+    /// `shards` / `block_size` contradict what a file stores).
+    fn open(
         id: u64,
+        source: DbSource<'_>,
         shards: usize,
         block_size: usize,
-    ) -> Result<DbGeneration, SearchError> {
-        let (db, image, source) = match self {
-            Self::Inline(db) => (db, None, "inline".to_string()),
-            Self::Image(img) => {
-                if img.block_size() != block_size {
-                    return Err(SearchError::config(format!(
-                        "serve: image was built at block size {}, config wants {block_size}",
-                        img.block_size(),
-                    )));
-                }
-                let source = img.region().source().to_string();
-                (img.to_sequence_db(), Some(img), source)
-            }
-        };
-        let resident = if shards > 1 {
-            ShardedDb::split(&db, shards, block_size)
-        } else {
-            let dev = image.map_or_else(|| DeviceDb::upload(&db, block_size), DeviceDb::from_image);
-            ShardedDb::resident(db, Arc::new(dev))
-        };
-        Ok(DbGeneration {
+    ) -> Result<Self, SearchError> {
+        let resident = ShardedDb::open(source, shards, Some(block_size))?;
+        let source = resident
+            .image_origin()
+            .map_or_else(|| "inline".to_string(), |origin| origin.label.clone());
+        Ok(Self {
             id,
             resident,
             source,
@@ -306,8 +261,9 @@ pub struct ServeConfig {
     /// Interactive picks per bulk pick when both queues are non-empty.
     pub interactive_weight: u32,
     /// Shards each database generation is partitioned into (1 = the whole
-    /// database as one shard). Searches use cross-shard statistics, so
-    /// results are bit-identical at any shard count.
+    /// database as one shard, or a shard set as stored; any other count
+    /// than a set stores is a `config` error). Searches use cross-shard
+    /// statistics, so results are bit-identical at any shard count.
     pub shards: usize,
     /// Simulated devices the sharded fleet schedule spans.
     pub devices: usize,
@@ -473,7 +429,7 @@ impl Server {
         Self::with_injector(img, params, search_cfg, device, cfg, None)
     }
 
-    /// Build a server over either [`DbSource`] with a fault injector
+    /// Build a server over any [`DbSource`] with a fault injector
     /// shared by every request — the chaos/fault-matrix entry point, and
     /// the constructor [`new`](Self::new) and
     /// [`from_image`](Self::from_image) forward to.
@@ -487,9 +443,7 @@ impl Server {
     ) -> Result<Self, SearchError> {
         cfg.validate()?;
         search_cfg.validate()?;
-        let first = source
-            .into()
-            .into_generation(1, cfg.shards, search_cfg.db_block_size)?;
+        let first = DbGeneration::open(1, source.into(), cfg.shards, search_cfg.db_block_size)?;
         let shared = Arc::new(Shared {
             admission: Admission::new(AdmissionConfig {
                 queue_capacity: cfg.queue_capacity,
@@ -568,7 +522,7 @@ impl Server {
         let _span = obs::span("db_swap", "serve");
         let kind = source.kind();
         let id = sh.next_generation.fetch_add(1, Ordering::Relaxed);
-        let next = source.into_generation(id, sh.cfg.shards, sh.search_cfg.db_block_size)?;
+        let next = DbGeneration::open(id, source, sh.cfg.shards, sh.search_cfg.db_block_size)?;
         *sh.current.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         sh.publish_generation();
         obs::counter("serve_swaps_total", &[("source", kind)], 1);
@@ -1017,7 +971,7 @@ mod tests {
     #[test]
     fn served_requests_pay_no_upload_at_any_shard_count() {
         let (q, db) = workload();
-        let dev_db = DeviceDb::upload(&db, search_cfg().db_block_size);
+        let dev_db = cublastp::DeviceDb::upload(&db, search_cfg().db_block_size);
         let flat = CuBlastp::new(
             q.clone(),
             SearchParams::default(),

@@ -22,6 +22,12 @@ static FLATTEN_COUNT: AtomicU64 = AtomicU64::new(0);
 /// [`flatten_count`]: the image load path is observable through it.
 static MAPPED_BLOCK_COUNT: AtomicU64 = AtomicU64::new(0);
 
+/// Held by the unit tests that map an image: they assert exact deltas of
+/// the process-global map / unmap counters, and cargo runs tests on
+/// parallel threads.
+#[cfg(test)]
+pub(crate) static IMAGE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Current value of the flatten counter.
 pub fn flatten_count() -> u64 {
     FLATTEN_COUNT.load(Ordering::Relaxed)
@@ -411,6 +417,7 @@ mod tests {
 
     #[test]
     fn from_image_matches_upload_without_flattening() {
+        let _counters = IMAGE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let db = tiny_db();
         let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 3), "test")
             .expect("valid image");
@@ -446,6 +453,7 @@ mod tests {
 
     #[test]
     fn mapped_blocks_pin_the_region_until_dropped() {
+        let _counters = IMAGE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let db = tiny_db();
         let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 0), "pin-test")
             .expect("valid image");

@@ -18,12 +18,11 @@ use crate::error::{panic_message, PipelineError, SearchError};
 use crate::gpu_phase::merge_kernels;
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
-use crate::pipeline::BlockTiming;
 use crate::search::{BlockProgress, CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
-use rayon::prelude::*;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,23 +47,12 @@ pub(crate) struct Plan<'a> {
     /// `Some(budget)`: grouped seeding in rounds of at most `budget` index
     /// entries. `None`: each query's own DFA.
     pub grouped: Option<usize>,
-    /// Run the queries (of a round) on the shared CPU pool.
-    pub parallel: bool,
     pub injector: Option<Arc<FaultInjector>>,
-    /// Bill the database upload to the first query's block timings (flat
-    /// timeline); the fleet schedule bills uploads itself.
+    /// Bill the database upload to the block timings of the first query
+    /// whose search succeeds (flat per-query batch); the fleet schedule
+    /// bills uploads itself, and a grouped batch's caller bills it beside
+    /// the seeding rounds.
     pub charge_h2d: bool,
-}
-
-/// One grouped seeding round as executed.
-pub(crate) struct Round {
-    pub report: RoundReport,
-    /// Batch indices of the round's members.
-    pub queries: Vec<usize>,
-    /// One timeline row per seeding pass (= per block): `gpu_ms` is the
-    /// pass; `h2d_ms` carries the index upload on the first row and, in
-    /// the batch's first round, the database upload.
-    pub rows: Vec<BlockTiming>,
 }
 
 /// What [`execute`] did.
@@ -72,7 +60,7 @@ pub(crate) struct Executed {
     /// Input order; a failed (or panicked) query is an `Err` in its slot.
     pub per_query: Vec<Result<Searched, SearchError>>,
     /// Grouped seeding rounds in batch order.
-    pub rounds: Vec<Round>,
+    pub rounds: Vec<RoundReport>,
     /// Measured host wall-clock of the whole execution.
     pub wall_ms: f64,
 }
@@ -197,8 +185,7 @@ fn seed_round(
     plan: &Plan<'_>,
     members: &[(usize, &CuBlastp)],
     workspace: &KernelWorkspace,
-    first_round: bool,
-) -> (Round, Vec<Vec<BinnedHits>>) {
+) -> (RoundReport, Vec<Vec<BinnedHits>>) {
     let first_query = members.first().map_or(0, |&(i, _)| i);
     let member_queries: Vec<&DeviceQuery> = members.iter().map(|(_, s)| &s.query_device).collect();
     let group = {
@@ -209,10 +196,9 @@ fn seed_round(
     obs::gauge("group_index_occupancy", &[], index.occupancy());
     obs::gauge("group_index_entries", &[], index.entries() as f64);
     obs::gauge("group_members", &[], members.len() as f64);
-    let index_h2d_ms = plan.device.transfer_ms(group.upload_bytes());
 
     let mut bins: Vec<Vec<BinnedHits>> = members.iter().map(|_| Vec::new()).collect();
-    let mut rows = Vec::new();
+    let mut blocks = 0usize;
     let mut seeding_ms = 0.0f64;
     for view in plan.shards {
         for (idx, (_, dev_block)) in view.dev.blocks().iter().enumerate() {
@@ -233,33 +219,18 @@ fn seed_round(
             for (member, b) in bins.iter_mut().zip(block_bins) {
                 member.push(b);
             }
-            rows.push(BlockTiming {
-                // The first round's passes ride on the database upload;
-                // the index upload is charged to the round's first row.
-                h2d_ms: if rows.is_empty() { index_h2d_ms } else { 0.0 }
-                    + if first_round {
-                        plan.device.transfer_ms(dev_block.upload_bytes())
-                    } else {
-                        0.0
-                    },
-                gpu_ms: sim_ms,
-                ..BlockTiming::default()
-            });
+            blocks += 1;
         }
     }
-    let round = Round {
-        report: RoundReport {
-            first_query,
-            members: members.len(),
-            index_entries: index.entries(),
-            index_capacity: index.capacity(),
-            occupancy: index.occupancy(),
-            index_upload_bytes: group.upload_bytes(),
-            seeding_ms,
-            blocks: rows.len(),
-        },
-        queries: members.iter().map(|&(i, _)| i).collect(),
-        rows,
+    let round = RoundReport {
+        first_query,
+        members: members.len(),
+        index_entries: index.entries(),
+        index_capacity: index.capacity(),
+        occupancy: index.occupancy(),
+        index_upload_bytes: group.upload_bytes(),
+        seeding_ms,
+        blocks,
     };
     (round, bins)
 }
@@ -295,6 +266,10 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
         })
     };
 
+    // The resident database is paid for once, by the first query whose
+    // search succeeds: a query that errors or panics has its timing
+    // discarded, so it must not take the charge with it.
+    let upload_unpaid = Cell::new(plan.charge_h2d);
     let run_member = |(i, built, seeds): Member<'_>| {
         // Batch start to this query's own start: queue wait, reported
         // apart from compute.
@@ -302,7 +277,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
         let mut result = isolated("batch query", || {
             let _span = obs::span("batch_query", "batch").with_query(i as u32);
             // A per-query search sets up when its turn comes: setup is
-            // its own time, and one searcher is alive per worker.
+            // its own time, and one searcher is alive at a time.
             let own;
             let searcher = match built {
                 Some(s) => s,
@@ -311,11 +286,13 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                     &own
                 }
             };
-            // Only the first query pays for the resident database (the
-            // seeding rows of a grouped batch carry the upload instead).
-            let charge_h2d = plan.charge_h2d && seeds.is_none() && i == 0;
+            let charge_h2d = upload_unpaid.get() && seeds.is_none();
             let hooks = SearchHooks::default();
-            search_shards(searcher, plan.shards, charge_h2d, seeds, &hooks)
+            let searched = search_shards(searcher, plan.shards, charge_h2d, seeds, &hooks)?;
+            if charge_h2d {
+                upload_unpaid.set(false);
+            }
+            Ok(searched)
         });
         if let Ok(s) = &mut result {
             s.result.recovery.queue_wait_us = queue_wait_us;
@@ -325,18 +302,12 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
         obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
         result
     };
-    let run_members = |members: Vec<Member<'_>>| -> Vec<Result<Searched, SearchError>> {
-        if plan.parallel {
-            blast_cpu::search::shared_pool()
-                .install(|| members.into_par_iter().map(run_member).collect())
-        } else {
-            members.into_iter().map(run_member).collect()
-        }
-    };
 
     let mut rounds = Vec::new();
     let per_query = match plan.grouped {
-        None => run_members((0..queries.len()).map(|i| (i, None, None)).collect()),
+        None => (0..queries.len())
+            .map(|i| run_member((i, None, None)))
+            .collect(),
         Some(budget) => {
             // Round packing needs every query's neighbourhood size, so
             // all are set up first; a failed one keeps its error.
@@ -355,12 +326,10 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
             let mut ran = Vec::with_capacity(ready.len());
             for range in packing {
                 let members = &ready[range];
-                let (round, bins) = seed_round(plan, members, &workspace, rounds.is_empty());
+                let (round, bins) = seed_round(plan, members, &workspace);
                 rounds.push(round);
                 let members = members.iter().zip(bins);
-                ran.extend(run_members(
-                    members.map(|(&(i, s), b)| (i, Some(s), Some(b))).collect(),
-                ));
+                ran.extend(members.map(|(&(i, s), b)| run_member((i, Some(s), Some(b)))));
             }
             // Back into input order: rounds cover the set-up queries once.
             let mut ran = ran.into_iter();

@@ -81,12 +81,12 @@ pub use scheduler::{
     schedule_work_stealing, DeviceTimeline, StealEvent, StealSchedule, DEFAULT_STEAL_SEED,
 };
 pub use search::{
-    search_batch, search_batch_parallel, search_batch_resident, search_batch_with, BatchOptions,
-    BatchOutcome, BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport,
-    RecoveryReport, RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
+    search_batch, search_batch_resident, search_batch_with, BatchOptions, BatchOutcome,
+    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport, RecoveryReport,
+    RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
 };
 pub use shard::{
-    search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard,
-    ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions, ShardedResult, SimEntry,
-    SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
+    search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard, DbSource,
+    ImageOrigin, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions,
+    ShardedResult, SimEntry, SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
 };

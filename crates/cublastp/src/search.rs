@@ -919,13 +919,6 @@ pub struct BatchOutcome {
     /// Per-query results, in input order. A failed (or panicked) query is
     /// an `Err` in its slot; the rest of the batch completes normally.
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
-    /// Modelled makespan with the database resident on the device: one
-    /// pipeline timeline chained over every (query, block) pair, with the
-    /// host→device upload paid once for the whole batch.
-    pub batch_ms: f64,
-    /// Modelled makespan if each query ran standalone, re-uploading the
-    /// database and draining the pipeline between queries.
-    pub unbatched_ms: f64,
     /// Measured host wall-clock for the whole batch (setup included).
     pub wall_ms: f64,
     /// Grouped seeding telemetry — `Some` exactly when the batch ran with
@@ -934,24 +927,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Fraction of time saved by keeping the database resident.
-    pub fn saving(&self) -> f64 {
-        if self.unbatched_ms <= 0.0 {
-            0.0
-        } else {
-            1.0 - self.batch_ms / self.unbatched_ms
-        }
-    }
-
-    /// Modelled batch throughput in queries per second.
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.batch_ms <= 0.0 {
-            0.0
-        } else {
-            self.per_query.len() as f64 * 1e3 / self.batch_ms
-        }
-    }
-
     /// Queries that completed successfully.
     pub fn succeeded(&self) -> usize {
         self.per_query.iter().filter(|r| r.is_ok()).count()
@@ -969,10 +944,6 @@ impl BatchOutcome {
 /// Options for a multi-query batch.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Run the queries concurrently on the shared CPU pool. Results stay
-    /// in input order and bit-identical to the serial path; only host
-    /// wall-clock changes, never the modelled timings.
-    pub parallel: bool,
     /// Fault injector shared by every query of the stream (disarmed when
     /// `None`). Specs can scope to a query index with
     /// [`gpu_sim::FaultSpec::on_query`].
@@ -988,7 +959,6 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     fn default() -> Self {
         Self {
-            parallel: false,
             injector: None,
             seed_mode: SeedMode::default(),
             group_budget: DEFAULT_GROUP_BUDGET,
@@ -999,8 +969,7 @@ impl Default for BatchOptions {
 /// Search a batch of queries against one database, keeping the database
 /// resident on the device so its upload cost amortizes across queries —
 /// how real GPU BLAST deployments process query streams (and the NGS
-/// workload the paper's introduction motivates). Serial driver; see
-/// [`search_batch_parallel`] for the concurrent one.
+/// workload the paper's introduction motivates).
 pub fn search_batch(
     queries: &[Sequence],
     params: SearchParams,
@@ -1009,22 +978,6 @@ pub fn search_batch(
     db: &SequenceDb,
 ) -> BatchOutcome {
     search_batch_with(queries, params, config, device, db, BatchOptions::default())
-}
-
-/// [`search_batch`] with query setup and searches run concurrently on the
-/// shared CPU pool.
-pub fn search_batch_parallel(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-) -> BatchOutcome {
-    let opts = BatchOptions {
-        parallel: true,
-        ..Default::default()
-    };
-    search_batch_with(queries, params, config, device, db, opts)
 }
 
 /// Batch search of a flat database: flattens it into device layout
@@ -1050,17 +1003,12 @@ pub fn search_batch_with(
 ///
 /// The flat plan over the search executor (`executor.rs`): the database
 /// is one borrowed shard view and every query searches the resident
-/// copy, only the first charged the upload. With [`SeedMode::Grouped`]
-/// the executor packs the queries into index-budget-bounded rounds and
-/// seeds each round with one pass per database block; per-query reports
-/// are bit-identical in both modes. The batched makespan chains all
-/// queries' block timings through one [`schedule`] timeline, so later
-/// queries' GPU work overlaps earlier queries' CPU tail across query
-/// boundaries, and each grouped seeding pass sits on that timeline once.
-/// The unbatched baseline is every query standalone — re-uploading the
-/// database and, under grouped seeding, paying its round's full seeding
-/// passes itself (conservative: what it would pay running the grouped
-/// engine alone).
+/// copy, the upload charged to the first one that succeeds. With
+/// [`SeedMode::Grouped`] the executor packs the queries into
+/// index-budget-bounded rounds and seeds each round with one pass per
+/// database block ([`BatchOutcome::grouped`] reports the rounds; no
+/// query's timing carries them or the upload); per-query reports are
+/// bit-identical in both modes.
 ///
 /// Queries are isolated: a poisoned query (malformed state, injected
 /// panic) lands as an `Err` in its own `per_query` slot while every other
@@ -1084,69 +1032,16 @@ pub fn search_batch_resident(
             start: 0,
         }],
         grouped: (opts.seed_mode == SeedMode::Grouped).then_some(opts.group_budget),
-        parallel: opts.parallel,
         injector: opts.injector,
         charge_h2d: true,
     };
     let run = execute(&plan, queries);
-    let per_query: Vec<Result<CuBlastpResult, SearchError>> = run
-        .per_query
-        .into_iter()
-        .map(|r| r.map(|searched| searched.result))
-        .collect();
-
-    // With the concurrent driver, query setups (DFA/PSSM build — "other")
-    // genuinely run on the pool while earlier queries stream through the
-    // pipeline. Model them as work on the serial CPU resource of the
-    // timeline — overlapping other queries' device stages but contending
-    // with the gapped/traceback tail — at the concurrency the batch
-    // actually offers: min(modelled multicore speedup, batch size).
-    let setup_scale = if opts.parallel {
-        blast_cpu::search::modeled_parallel_speedup(config.cpu_threads)
-            .min(queries.len() as f64)
-            .max(1.0)
-    } else {
-        1.0
-    };
-
-    // The batch pays each seeding pass once, ahead of the members' tails.
-    let mut stream: Vec<BlockTiming> = run.rounds.iter().flat_map(|r| &r.rows).copied().collect();
-    let mut other_serial = 0.0f64;
-    let mut unbatched_ms = 0.0f64;
-    // Failed queries contribute nothing to the modelled timelines.
-    for (i, r) in per_query.iter().enumerate() {
-        let Ok(r) = r else { continue };
-        // The seeding rows of the query's grouped round, if it had one.
-        let round = run.rounds.iter().find(|round| round.queries.contains(&i));
-        let seeding = round.map_or(&[][..], |round| &round.rows);
-        if opts.parallel {
-            stream.push(BlockTiming {
-                cpu_ms: r.timing.other_ms / setup_scale,
-                ..BlockTiming::default()
-            });
-        } else {
-            other_serial += r.timing.other_ms;
-        }
-        stream.extend(&r.block_timings);
-        // Standalone, the query re-uploads every block (whether or not it
-        // paid for it in the batch) and runs its round's seeding passes.
-        let mut alone = r.block_timings.clone();
-        for (b, (t, (_, block))) in alone.iter_mut().zip(dev_db.blocks()).enumerate() {
-            t.h2d_ms = device.transfer_ms(block.upload_bytes());
-            t.gpu_ms += seeding.get(b).map_or(0.0, |row| row.gpu_ms);
-        }
-        unbatched_ms += schedule(&alone).overlapped_ms + r.timing.other_ms;
-    }
-    let batch_ms = schedule(&stream).overlapped_ms + other_serial;
-
     BatchOutcome {
-        per_query,
-        batch_ms,
-        unbatched_ms,
+        per_query: (run.per_query.into_iter())
+            .map(|r| r.map(|searched| searched.result))
+            .collect(),
         wall_ms: run.wall_ms,
-        grouped: plan.grouped.map(|_| GroupedReport {
-            rounds: run.rounds.into_iter().map(|r| r.report).collect(),
-        }),
+        grouped: plan.grouped.map(|_| GroupedReport { rounds: run.rounds }),
     }
 }
 
@@ -1236,8 +1131,6 @@ mod tests {
         );
         assert_eq!(out.per_query.len(), 3);
         assert_eq!(out.succeeded(), 3);
-        assert!(out.batch_ms < out.unbatched_ms);
-        assert!(out.saving() > 0.0);
         // Per-query results equal standalone searches.
         let standalone = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db)
             .search(&db)
@@ -1945,43 +1838,40 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(
             FaultPlan::none().with(FaultSpec::permanent(FaultSite::HostPanic).on_query(1)),
         ));
-        for parallel in [false, true] {
-            let out = search_batch_with(
-                &queries,
-                SearchParams::default(),
-                cfg,
-                DeviceConfig::k20c(),
-                &db,
-                BatchOptions {
-                    parallel,
-                    injector: Some(Arc::clone(&injector)),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.per_query.len(), 3, "parallel = {parallel}");
-            assert_eq!(out.succeeded(), 2, "parallel = {parallel}");
-            let failures: Vec<_> = out.failures().collect();
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].0, 1, "query 1 carries the injected panic");
-            assert_eq!(failures[0].1.category(), "pipeline");
-            // The surviving queries match their standalone runs.
-            let solo = CuBlastp::new(
-                queries[2].clone(),
-                SearchParams::default(),
-                cfg,
-                DeviceConfig::k20c(),
-                &db,
-            )
-            .search(&db)
-            .expect("fault-free search");
-            assert_eq!(
-                out.per_query[2]
-                    .as_ref()
-                    .expect("query 2")
-                    .report
-                    .identity_key(),
-                solo.report.identity_key()
-            );
-        }
+        let out = search_batch_with(
+            &queries,
+            SearchParams::default(),
+            cfg,
+            DeviceConfig::k20c(),
+            &db,
+            BatchOptions {
+                injector: Some(injector),
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.per_query.len(), 3);
+        assert_eq!(out.succeeded(), 2);
+        let failures: Vec<_> = out.failures().collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, 1, "query 1 carries the injected panic");
+        assert_eq!(failures[0].1.category(), "pipeline");
+        // The surviving queries match their standalone runs.
+        let solo = CuBlastp::new(
+            queries[2].clone(),
+            SearchParams::default(),
+            cfg,
+            DeviceConfig::k20c(),
+            &db,
+        )
+        .search(&db)
+        .expect("fault-free search");
+        assert_eq!(
+            out.per_query[2]
+                .as_ref()
+                .expect("query 2")
+                .report
+                .identity_key(),
+            solo.report.identity_key()
+        );
     }
 }

@@ -66,18 +66,150 @@ impl DbShard {
     }
 }
 
+/// Where a database arrives from: what [`ShardedDb::open`] makes resident.
+pub enum DbSource<'a> {
+    /// An in-memory database (parsed FASTA, a generated corpus).
+    Inline(SequenceDb),
+    /// One validated `.cdb` image.
+    Image(&'a DbImage),
+    /// A shard set: per-shard images in global database order (what
+    /// `ShardSetManifest::open_images` returns) and the database's name.
+    Set {
+        /// Database name (the manifest's).
+        name: &'a str,
+        /// One image per shard.
+        images: &'a [DbImage],
+    },
+    /// An already-open handle, passed through as stored — how a front
+    /// end that opened the database hands it to another (the CLI to the
+    /// server).
+    Open(ShardedDb),
+}
+
+impl From<SequenceDb> for DbSource<'_> {
+    fn from(db: SequenceDb) -> Self {
+        Self::Inline(db)
+    }
+}
+
+impl<'a> From<&'a DbImage> for DbSource<'a> {
+    fn from(img: &'a DbImage) -> Self {
+        Self::Image(img)
+    }
+}
+
+impl From<ShardedDb> for DbSource<'_> {
+    fn from(db: ShardedDb) -> Self {
+        Self::Open(db)
+    }
+}
+
+impl DbSource<'_> {
+    /// Stable lowercase name of the source kind, for metrics labels.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Self::Inline(_) => "inline",
+            Self::Image(_) => "image",
+            Self::Set { .. } => "set",
+            Self::Open(_) => "open",
+        }
+    }
+}
+
+/// The `.cdb` file(s) a [`ShardedDb`] was opened from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageOrigin {
+    /// The image's source label (its path), or the set's name and size.
+    pub label: String,
+    /// On-disk format version of the image(s).
+    pub format_version: u32,
+    /// Device blocks the image(s) store (re-partitioning one image into
+    /// more shards makes more resident blocks than this).
+    pub blocks: usize,
+}
+
+/// `Err` when a caller asks for a layout (`asked`) other than the one the
+/// file behind `origin` stores.
+fn agree(
+    what: &str,
+    asked: Option<usize>,
+    stored: usize,
+    origin: Option<&ImageOrigin>,
+) -> Result<(), SearchError> {
+    match asked {
+        Some(asked) if asked != stored => Err(SearchError::config(format!(
+            "{what} {asked} contradicts {}, which stores {what} {stored}",
+            origin.map_or("the open database", |o| &o.label),
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// The resident-database handle: a database partitioned across shards —
-/// a flat database is the one-shard case ([`ShardedDb::resident`]) — with
-/// global statistics retained for cross-shard Karlin–Altschul correction.
+/// a flat database is the one-shard case — with global statistics
+/// retained for cross-shard Karlin–Altschul correction. Every front end
+/// gets one through [`ShardedDb::open`].
 pub struct ShardedDb {
     name: String,
     shards: Vec<DbShard>,
     block_size: usize,
     total_sequences: usize,
     total_residues: usize,
+    origin: Option<ImageOrigin>,
 }
 
 impl ShardedDb {
+    /// Make `source` resident — the one source → handle step (DESIGN.md
+    /// §3.12). `shards` = 1 keeps the database whole, moved in beside
+    /// its device copy: an image is mapped ([`DeviceDb::from_image`], no
+    /// flatten pass), an inline database flattened once; more shards
+    /// re-partition the sequences and flatten each shard. A set or an
+    /// open handle is taken as stored, and `shards` = 1 there means "as
+    /// stored". `block_size` = `None` means the stored size, or the
+    /// engine default for an inline database. A `block_size` or `shards`
+    /// that contradicts what a file stores is a `config` error.
+    pub fn open(
+        source: DbSource<'_>,
+        shards: usize,
+        block_size: Option<usize>,
+    ) -> Result<Self, SearchError> {
+        let stored = match source {
+            DbSource::Inline(db) => {
+                let block_size =
+                    block_size.unwrap_or_else(|| CuBlastpConfig::default().db_block_size);
+                return Ok(if shards > 1 {
+                    Self::split(&db, shards, block_size)
+                } else {
+                    let dev = Arc::new(DeviceDb::upload(&db, block_size));
+                    Self::resident(db, dev)
+                });
+            }
+            DbSource::Image(img) => {
+                let origin = ImageOrigin {
+                    label: img.region().source().to_string(),
+                    format_version: img.format_version(),
+                    blocks: img.num_blocks(),
+                };
+                agree("block size", block_size, img.block_size(), Some(&origin))?;
+                let db = img.to_sequence_db();
+                let mut opened = if shards > 1 {
+                    Self::split(&db, shards, img.block_size())
+                } else {
+                    Self::resident(db, Arc::new(DeviceDb::from_image(img)))
+                };
+                opened.origin = Some(origin);
+                return Ok(opened);
+            }
+            DbSource::Set { name, images } => Self::from_images(name, images)?,
+            DbSource::Open(db) => db,
+        };
+        let origin = stored.origin.as_ref();
+        agree("block size", block_size, stored.block_size, origin)?;
+        let asked = (shards != 1).then_some(shards);
+        agree("shard count", asked, stored.num_shards(), origin)?;
+        Ok(stored)
+    }
+
     /// A flat database as one shard: `db` and its already-resident device
     /// copy (flattened, or mapped from a `.cdb` image) are moved in — no
     /// sequence is copied and no flatten pass runs.
@@ -93,6 +225,7 @@ impl ShardedDb {
                 db,
                 dev,
             }],
+            origin: None,
         }
     }
 
@@ -137,6 +270,7 @@ impl ShardedDb {
             block_size,
             total_sequences: db.len(),
             total_residues: db.total_residues(),
+            origin: None,
         }
     }
 
@@ -179,6 +313,11 @@ impl ShardedDb {
             block_size: block_size.unwrap_or(0),
             total_sequences: start,
             total_residues,
+            origin: images.first().map(|first| ImageOrigin {
+                label: format!("{name} ({} shard images)", images.len()),
+                format_version: first.format_version(),
+                blocks: images.iter().map(DbImage::num_blocks).sum(),
+            }),
         })
     }
 
@@ -216,6 +355,23 @@ impl ShardedDb {
     /// Name of the underlying database.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The `.cdb` file(s) the database was opened from; `None` for an
+    /// inline database.
+    pub fn image_origin(&self) -> Option<&ImageOrigin> {
+        self.origin.as_ref()
+    }
+
+    /// The sequence at global database index `global` — what a hit's
+    /// `subject_index` names at any shard count. Panics past the end,
+    /// like a slice.
+    pub fn sequence(&self, global: usize) -> &Sequence {
+        let shard = &self.shards[self
+            .shards
+            .partition_point(|s| s.start <= global)
+            .saturating_sub(1)];
+        &shard.db.sequences()[global - shard.start]
     }
 
     /// Build a searcher with *global* database statistics (the cross-shard
@@ -466,7 +622,6 @@ fn sharded_plan(
         device,
         shards: &sharded.views(),
         grouped: None,
-        parallel: false,
         injector: opts.injector.clone(),
         charge_h2d: false,
     };
@@ -753,6 +908,8 @@ mod tests {
 
     #[test]
     fn image_set_shards_match_split_shards() {
+        let _counters =
+            (crate::devicedata::IMAGE_COUNTERS.lock()).unwrap_or_else(|e| e.into_inner());
         let (q, db, cfg) = workload(40);
         let device = DeviceConfig::k20c();
         let split = ShardedDb::split(&db, 3, cfg.db_block_size);

@@ -7,7 +7,9 @@
 use bio_seq::generate::{generate_db, make_query, DbPreset, DbSpec};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
-use cublastp::{search_batch_with, BatchOptions, CuBlastp, CuBlastpConfig, CuBlastpResult};
+use cublastp::{
+    search_batch_with, BatchOptions, CuBlastp, CuBlastpConfig, CuBlastpResult, DeviceDb,
+};
 use gpu_sim::{DeviceConfig, FaultInjector, FaultPlan, FaultSite, FaultSpec};
 use std::sync::Arc;
 
@@ -108,43 +110,61 @@ fn every_fault_cell_recovers_bit_identically() {
     }
 }
 
-/// Fault scoping is per query: a plan pinned to stream index 1 must leave
-/// the other queries of a parallel batch untouched, and an injected panic
-/// in one query must not take down the batch.
+/// Fault scoping is per query: a plan pinned to one stream index must
+/// leave the other queries of a batch untouched, and an injected panic in
+/// one query must not take down the batch — nor its bill: the resident
+/// database is paid for exactly once, by the first query that succeeds,
+/// whichever query the fault hits (query 0 included).
 #[test]
 fn batch_fault_isolation_across_queries() {
     let (q, db) = scaled_workload(DbPreset::SwissprotMini);
     let queries = vec![q.clone(), make_query(80), make_query(95)];
-    let injector = Arc::new(FaultInjector::new(
-        FaultPlan::none().with(FaultSpec::permanent(FaultSite::HostPanic).on_query(1)),
-    ));
-    let out = search_batch_with(
-        &queries,
-        SearchParams::default(),
-        matrix_config(),
-        DeviceConfig::k20c(),
-        &db,
-        BatchOptions {
-            parallel: true,
-            injector: Some(Arc::clone(&injector)),
-            ..Default::default()
-        },
-    );
-    assert_eq!(out.per_query.len(), 3);
-    assert_eq!(out.succeeded(), 2);
-    let failures: Vec<_> = out.failures().collect();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].0, 1, "only the poisoned query fails");
-    assert_eq!(failures[0].1.category(), "pipeline");
+    let device = DeviceConfig::k20c();
+    let upload_ms: f64 = DeviceDb::upload(&db, BLOCK_SIZE)
+        .blocks()
+        .iter()
+        .map(|(_, block)| device.transfer_ms(block.upload_bytes()))
+        .sum();
+    for poisoned in [None, Some(0usize), Some(1)] {
+        let plan = poisoned.map_or(FaultPlan::none(), |i| {
+            FaultPlan::none().with(FaultSpec::permanent(FaultSite::HostPanic).on_query(i as u32))
+        });
+        let out = search_batch_with(
+            &queries,
+            SearchParams::default(),
+            matrix_config(),
+            device,
+            &db,
+            BatchOptions {
+                injector: Some(Arc::new(FaultInjector::new(plan))),
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.per_query.len(), 3);
+        let failures: Vec<_> = out.failures().collect();
+        assert_eq!(failures.len(), usize::from(poisoned.is_some()));
+        for (i, err) in failures {
+            assert_eq!(Some(i), poisoned, "only the poisoned query fails");
+            assert_eq!(err.category(), "pipeline");
+        }
 
-    // Survivors are bit-identical to their standalone runs.
-    for idx in [0usize, 2] {
-        let solo = run_with_plan(&queries[idx], &db, FaultPlan::none()).expect("fault-free");
-        let batched = out.per_query[idx].as_ref().expect("survivor");
+        // Survivors are bit-identical to their standalone runs.
+        let survivors = (0..queries.len()).filter(|&i| Some(i) != poisoned);
+        let mut h2d_ms = 0.0f64;
+        for idx in survivors {
+            let solo = run_with_plan(&queries[idx], &db, FaultPlan::none()).expect("fault-free");
+            let batched = out.per_query[idx].as_ref().expect("survivor");
+            assert_eq!(
+                batched.report.identity_key(),
+                solo.report.identity_key(),
+                "query {idx}, poisoned {poisoned:?}"
+            );
+            h2d_ms += batched.timing.h2d_ms;
+        }
         assert_eq!(
-            batched.report.identity_key(),
-            solo.report.identity_key(),
-            "query {idx}"
+            h2d_ms.to_bits(),
+            upload_ms.to_bits(),
+            "survivors pay the upload once, poisoned {poisoned:?}"
         );
     }
 }

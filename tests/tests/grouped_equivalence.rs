@@ -90,7 +90,6 @@ proptest! {
                     seed_mode: SeedMode::Grouped,
                     group_budget: budget,
                     injector,
-                    ..Default::default()
                 },
             );
             let report = grouped.grouped.as_ref().expect("grouped telemetry");
