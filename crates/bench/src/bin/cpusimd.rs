@@ -47,8 +47,7 @@ use blast_cpu::ungapped::extend;
 use blast_cpu::UngappedExt;
 use cublastp::binning::binning_kernel;
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
-use cublastp::extension::build_tasks;
-use cublastp::hitpack::{query_pos, seq_id, subject_pos};
+use cublastp::hitpack::{group_key, query_pos, seq_id, subject_pos};
 use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
 use gpu_sim::{DeviceConfig, KernelWorkspace};
 use std::process::ExitCode;
@@ -380,9 +379,12 @@ fn ungapped_rows(engine: &SearchEngine, db: &SequenceDb) -> Vec<UngappedRow> {
         sort_kernel(&device, &mut asm, &ws);
         let window = engine.params.two_hit_window as i64;
         let (filtered, _) = filter_kernel(&device, &cfg, &asm, window, &ws);
-        for (lo, hi) in build_tasks(&filtered.hits) {
+        for task in filtered
+            .hits
+            .chunk_by(|&a, &b| group_key(a) == group_key(b))
+        {
             let mut reach = 0u32;
-            for &h in &filtered.hits[lo..hi] {
+            for &h in task {
                 let (sid, spos) = (seq_id(h), subject_pos(h));
                 if spos >= reach {
                     let s = block.seq(sid as usize);

@@ -87,53 +87,67 @@ impl WordNeighborhood {
         }
         let pssm = Pssm::build(query, matrix);
         let qlen = query.len();
-        let mut per_word: Vec<Vec<u32>> = vec![Vec::new(); NUM_WORDS];
+        // The standard residues of every query position, best-scoring
+        // first: a word's letters are tried in that order, so a prefix is
+        // dropped at the first letter with which even the best completion
+        // misses T — every later letter scores no higher.
+        let ranked: Vec<[(i32, Residue); STANDARD_AA]> = (0..qlen)
+            .map(|p| {
+                let mut column =
+                    std::array::from_fn(|r| (pssm.score(p, r as Residue), r as Residue));
+                column.sort_unstable_by(|a, b| b.cmp(a));
+                column
+            })
+            .collect();
+        // The neighbourhood as flat (word code, query position) pairs, in
+        // the order the positions are visited.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
 
-        if qlen >= WORD_LEN {
-            // Per-position maximum over standard residues, used to prune the
-            // DFS early: if even the best completion cannot reach T, stop.
-            let num_positions = qlen - WORD_LEN + 1;
-            for pos in 0..num_positions {
-                if let Some(m) = mask {
-                    if m[pos..pos + WORD_LEN].iter().any(|&b| b) {
-                        continue; // soft-masked seed position
-                    }
+        for pos in 0..(qlen + 1).saturating_sub(WORD_LEN) {
+            if mask.is_some_and(|m| m[pos..pos + WORD_LEN].iter().any(|&b| b)) {
+                continue; // soft-masked seed position
+            }
+            let columns = &ranked[pos..pos + WORD_LEN];
+            // best_from[k]: the best achievable score of word letters k..
+            let mut best_from = [0i32; WORD_LEN + 1];
+            for k in (0..WORD_LEN).rev() {
+                best_from[k] = best_from[k + 1] + columns[k][0].0;
+            }
+            // Ensure the exact word is present (it may contain
+            // non-standard residues or score below T).
+            let exact = &query.residues()[pos..pos + WORD_LEN];
+            let mut missing_exact = exact
+                .iter()
+                .all(|&r| (r as usize) < ALPHABET_SIZE)
+                .then(|| word_code(exact));
+            neighbors(columns, &best_from, t, 0, 0, &mut |code| {
+                if missing_exact == Some(code) {
+                    missing_exact = None;
                 }
-                let col_max: Vec<i32> = (0..WORD_LEN)
-                    .map(|k| {
-                        (0..STANDARD_AA as Residue)
-                            .map(|r| pssm.score(pos + k, r))
-                            .fold(i32::MIN, i32::max)
-                    })
-                    .collect();
-                // suffix_max_sum[k] = max achievable score from word letters k..
-                let mut suffix: [i32; WORD_LEN + 1] = [0; WORD_LEN + 1];
-                for k in (0..WORD_LEN).rev() {
-                    suffix[k] = suffix[k + 1] + col_max[k];
-                }
-                dfs_neighbors(&pssm, pos, 0, 0, &suffix, t, &mut |code| {
-                    per_word[code].push(pos as u32);
-                });
-                // Ensure the exact word is present (it may contain
-                // non-standard residues or score below T).
-                let exact = &query.residues()[pos..pos + WORD_LEN];
-                if exact.iter().all(|&r| (r as usize) < ALPHABET_SIZE) {
-                    let code = word_code(exact);
-                    let list = &mut per_word[code];
-                    if list.last() != Some(&(pos as u32)) && !list.contains(&(pos as u32)) {
-                        list.push(pos as u32);
-                    }
-                }
+                pairs.push((code as u32, pos as u32));
+            });
+            if let Some(code) = missing_exact {
+                pairs.push((code as u32, pos as u32));
             }
         }
 
-        let mut offsets = Vec::with_capacity(NUM_WORDS + 1);
-        let mut positions = Vec::new();
-        offsets.push(0u32);
-        for list in per_word.iter_mut() {
-            list.sort_unstable();
-            positions.extend_from_slice(list);
-            offsets.push(positions.len() as u32);
+        // One stable counting pass places the pairs by word; positions were
+        // visited in ascending order, so every word's list comes out sorted.
+        let mut offsets = vec![0u32; NUM_WORDS + 1];
+        for &(code, _) in &pairs {
+            offsets[code as usize + 1] += 1;
+        }
+        // Until the scatter is done, `offsets[code + 1]` is the write cursor
+        // of `code`: its list's start, advancing to its end.
+        let mut start = 0u32;
+        for cursor in &mut offsets[1..] {
+            start += std::mem::replace(cursor, start);
+        }
+        let mut positions = vec![0u32; pairs.len()];
+        for &(code, pos) in &pairs {
+            let cursor = &mut offsets[code as usize + 1];
+            positions[*cursor as usize] = pos;
+            *cursor += 1;
         }
         Self {
             offsets,
@@ -171,51 +185,27 @@ impl WordNeighborhood {
     }
 }
 
-/// Depth-first enumeration of words whose PSSM score at `pos` reaches `t`.
-fn dfs_neighbors(
-    pssm: &Pssm,
-    pos: usize,
-    depth: usize,
-    score: i32,
-    suffix_max: &[i32; WORD_LEN + 1],
+/// Depth-first enumeration of the standard-residue words that score at
+/// least `t` against the word columns `columns[0..]` (each ranked best
+/// residue first); `score` and `code` are those of the letters chosen so
+/// far, `best_from[k]` the best score letters `k..` can add.
+fn neighbors(
+    columns: &[[(i32, Residue); STANDARD_AA]],
+    best_from: &[i32],
     t: i32,
-    emit: &mut impl FnMut(usize),
-) {
-    dfs_inner(pssm, pos, depth, score, 0, suffix_max, t, emit);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_inner(
-    pssm: &Pssm,
-    pos: usize,
-    depth: usize,
     score: i32,
     code: usize,
-    suffix_max: &[i32; WORD_LEN + 1],
-    t: i32,
     emit: &mut impl FnMut(usize),
 ) {
-    if depth == WORD_LEN {
-        if score >= t {
-            emit(code);
+    let Some((column, rest)) = columns.split_first() else {
+        return emit(code);
+    };
+    for &(s, r) in column {
+        if score + s + best_from[1] < t {
+            break; // nor does any later letter reach T
         }
-        return;
-    }
-    if score + suffix_max[depth] < t {
-        return; // even the best completion cannot reach T
-    }
-    for r in 0..STANDARD_AA as Residue {
-        let s = pssm.score(pos + depth, r);
-        dfs_inner(
-            pssm,
-            pos,
-            depth + 1,
-            score + s,
-            code * ALPHABET_SIZE + r as usize,
-            suffix_max,
-            t,
-            emit,
-        );
+        let code = code * ALPHABET_SIZE + r as usize;
+        neighbors(rest, &best_from[1..], t, score + s, code, emit);
     }
 }
 
@@ -224,11 +214,21 @@ fn dfs_inner(
 /// [`WORD_LEN`] yield nothing. Words containing `*` are skipped by hit
 /// detection but still yielded here (callers decide), keeping column
 /// numbering aligned with subject positions.
+///
+/// The code rolls — the last W−1 residues' pair code times 24 plus the
+/// new residue — so a column costs one residue read, not W.
 pub fn subject_words(residues: &[Residue]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    residues
-        .windows(WORD_LEN)
-        .enumerate()
-        .map(|(col, w)| (col, word_code(w)))
+    const PAIRS: usize = NUM_WORDS / ALPHABET_SIZE;
+    let (head, tail) = residues.split_at(residues.len().min(WORD_LEN - 1));
+    let mut pair = head
+        .iter()
+        .fold(0, |pair, &r| pair * ALPHABET_SIZE + r as usize);
+    tail.iter().enumerate().map(move |(col, &r)| {
+        debug_assert!((r as usize) < ALPHABET_SIZE);
+        let code = pair * ALPHABET_SIZE + r as usize;
+        pair = code % PAIRS;
+        (col, code)
+    })
 }
 
 /// True if every residue of the word at `code` is a standard amino acid.
@@ -255,6 +255,14 @@ mod tests {
         assert_eq!(words.len(), 3);
         assert_eq!(words[0], (0, word_code(&encode_str(b"ARN"))));
         assert_eq!(words[2], (2, word_code(&encode_str(b"NDC"))));
+        // The rolled code is the window's code, ambiguity codes included.
+        let q = bio_seq::generate::make_query(300);
+        let mut res = q.residues().to_vec();
+        res.extend(encode_str(b"XB*ZXX*A"));
+        let rolled: Vec<(usize, usize)> = subject_words(&res).collect();
+        let windows: Vec<(usize, usize)> =
+            res.windows(WORD_LEN).map(word_code).enumerate().collect();
+        assert_eq!(rolled, windows);
     }
 
     #[test]
@@ -370,6 +378,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The layout's definition: one position `Vec` per word code, filled
+    /// by scoring every standard-residue word at every position, sorted
+    /// and concatenated.
+    fn per_word_vec_build(
+        query: &Sequence,
+        matrix: &Matrix,
+        t: i32,
+        mask: Option<&[bool]>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let pssm = Pssm::build(query, matrix);
+        let mut per_word: Vec<Vec<u32>> = vec![Vec::new(); NUM_WORDS];
+        for pos in 0..(query.len() + 1).saturating_sub(WORD_LEN) {
+            if mask.is_some_and(|m| m[pos..pos + WORD_LEN].iter().any(|&b| b)) {
+                continue;
+            }
+            let exact = &query.residues()[pos..pos + WORD_LEN];
+            for (code, list) in per_word.iter_mut().enumerate() {
+                let word = word_decode(code);
+                let score: i32 = (0..WORD_LEN).map(|k| pssm.score(pos + k, word[k])).sum();
+                if word.iter().all(|&r| is_standard(r)) && score >= t || word == exact {
+                    list.push(pos as u32);
+                }
+            }
+        }
+        let mut offsets = vec![0u32];
+        let mut positions = Vec::new();
+        for list in per_word.iter_mut() {
+            list.sort_unstable();
+            positions.extend_from_slice(list);
+            offsets.push(positions.len() as u32);
+        }
+        (offsets, positions)
+    }
+
+    #[test]
+    fn flat_layout_equals_the_per_word_vec_build() {
+        let m = Matrix::blosum62();
+        let lc = bio_seq::generate::make_query_with_low_complexity(254, 4);
+        let lc_mask: Vec<bool> = (0..lc.len())
+            .map(|i| (40..90).contains(&i) || (200..203).contains(&i))
+            .collect();
+        let cases: Vec<(Sequence, i32, Option<&[bool]>)> = vec![
+            (bio_seq::generate::make_query(127), 11, None),
+            (bio_seq::generate::make_query(254), 11, None),
+            (bio_seq::generate::make_query(517), 11, None),
+            (lc.clone(), 11, Some(&lc_mask)),
+            // Ambiguity codes and a stop: exact words the DFS never names.
+            (Sequence::from_bytes("q", b"MKBVLZAXW*RNDAAB"), 11, None),
+            // Low complexity under a threshold its own words miss (AAA and
+            // SSS score 12): present only as exact words.
+            (
+                Sequence::from_bytes("q", b"AAAAAAAASSSSSSSAAASSS"),
+                13,
+                None,
+            ),
+            (Sequence::from_bytes("q", b"AR"), 11, None),
+        ];
+        for (query, t, mask) in cases {
+            let got = WordNeighborhood::build_with_mask(&query, &m, t, mask);
+            let (offsets, positions) = per_word_vec_build(&query, &m, t, mask);
+            assert_eq!(got.raw_offsets(), &offsets[..], "{} offsets", query.id);
+            assert_eq!(
+                got.raw_positions(),
+                &positions[..],
+                "{} positions",
+                query.id
+            );
+        }
+        let weak = Sequence::from_bytes("q", b"AAAAAAAASSSSSSSAAASSS");
+        let n = WordNeighborhood::build(&weak, &m, 13);
+        assert_eq!(n.positions(word_code(&encode_str(b"AAA"))).len(), 7);
     }
 
     #[test]

@@ -266,10 +266,12 @@ pub fn search_sequential(engine: &SearchEngine, db: &SequenceDb) -> CpuSearchRes
 /// threads). This reproduction may run on machines with fewer cores than
 /// the modelled CPU (the reference container exposes a single core), so
 /// multithreaded *timings* are derived deterministically from the
-/// measured single-thread CPU time and this efficiency curve, while the
-/// *implementation* stays genuinely threaded (rayon) and its output is
-/// verified identical at every thread count. 0.78 parallel efficiency per
-/// added thread reproduces the paper's 1 / 1.8 / 3.3 curve.
+/// measured single-thread CPU time and this efficiency curve. The
+/// *implementation* is written against rayon's `par_iter`, but the
+/// `rayon` this workspace builds with (`stubs/rayon`) runs every parallel
+/// iterator sequentially on the calling thread, so no thread count changes
+/// what executes — only this formula's output. 0.78 parallel efficiency
+/// per added thread reproduces the paper's 1 / 1.8 / 3.3 curve.
 pub fn modeled_parallel_speedup(threads: usize) -> f64 {
     if threads <= 1 {
         1.0

@@ -12,14 +12,14 @@
 //! `keys` buffer with `offsets[slot]..offsets[slot + 1]` delimiting bin
 //! `slot` (slot = `warp * num_bins + bin`) — mirroring the device layout
 //! instead of contradicting it with ragged `Vec<Vec<u64>>` bins. Each
-//! simulated block records its hits in detection order, groups them by
-//! slot with a stable counting sort, and returns its arena page by value
-//! through [`gpu_sim::launch_map`]; the host stitches pages in block
-//! order. That body — the block's walk over its sequences, the serialized
-//! hit rounds, the page epilogue — is the private `seedpass` module,
-//! shared with the grouped kernel; this file supplies the DFA look-up. All
-//! scratch comes from a [`KernelWorkspace`] pool, so the steady state
-//! allocates nothing.
+//! simulated block records its hits in detection order, counts them per
+//! slot as it goes, and returns both by value through
+//! [`gpu_sim::launch_map`]; the host lays the counts end to end in block
+//! order and drops every key into its bin — one copy, stable. That body —
+//! the block's walk over its sequences, the serialized hit rounds, the
+//! stitch — is the private `seedpass` module, shared with the grouped
+//! kernel; this file supplies the DFA look-up, one run of the position
+//! table per lane. All scratch is pooled in a [`KernelWorkspace`].
 //!
 //! Hierarchical buffering (§3.5, Fig. 10): the DFA state table lives in
 //! shared memory; the query-position lists are fetched through the
@@ -29,7 +29,8 @@
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::seedpass::SeedPass;
-use blast_core::{word_code, WORD_LEN};
+use blast_core::words::subject_words;
+use blast_core::WORD_LEN;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
 
@@ -94,36 +95,35 @@ pub fn binning_kernel(
     // Shared memory: the DFA states next to the pass's bin counters.
     let launch_cfg = pass.launch_config(cfg, DFA_STATES_SHARED_BYTES);
     let hood = query.dfa.neighborhood();
+    let (offsets, positions) = (hood.raw_offsets(), hood.raw_positions());
+    let positions_base = query.positions_base();
 
     let (mut pages, stats) = launch_map(device, launch_cfg, "hit_detection", |block| {
-        let mut addrs: Vec<u64> = ws.addrs.take();
-        let pages = pass.run_block(
+        pass.run_block(
             block,
             db,
             ws,
             |block, subject, j0, lanes| {
                 // DFA state transition via the shared-memory table.
                 block.shared_access(lanes.len() as u32);
-                // Each lane's query-position list, borrowed from the DFA.
-                addrs.clear();
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let code = word_code(&subject[j0 + l..j0 + l + WORD_LEN]);
-                    *lane = hood.positions(code);
-                    let (base, len) = query.position_addrs(code);
-                    debug_assert_eq!(len, lane.len());
-                    addrs.extend((0..len as u64).map(|k| base + k * 4));
+                // Each lane's query-position list, borrowed from the DFA —
+                // one contiguous run of the position table.
+                let mut runs = [(0u64, 0u32); WARP_SIZE as usize];
+                let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
+                for ((lane, run), (_, code)) in
+                    lanes.iter_mut().zip(&mut runs).zip(subject_words(window))
+                {
+                    let (lo, hi) = (offsets[code] as usize, offsets[code + 1] as usize);
+                    *lane = &positions[lo..hi];
+                    *run = (positions_base + lo as u64 * 4, (hi - lo) as u32);
                 }
                 // Position-list traffic: read-only cache or global,
-                // depending on the Fig. 17 toggle (readonly_read degrades
-                // to a global read when the cache is off).
-                for chunk in addrs.chunks(WARP_SIZE as usize) {
-                    block.readonly_read(chunk, 4);
-                }
+                // depending on the Fig. 17 toggle (the read degrades to a
+                // global read when the cache is off).
+                block.readonly_read_runs(&runs[..lanes.len()], 4);
             },
             |qpos: u32| (0, qpos, qlen),
-        );
-        ws.addrs.put(addrs);
-        pages
+        )
     });
 
     (pass.stitch(ws, &mut pages, 0), stats)

@@ -303,12 +303,12 @@ impl DeviceQuery {
         self.pssm.query_len()
     }
 
-    /// Device addresses of the position-list entries for a word code —
-    /// what the binning kernel feeds to the read-only cache.
-    pub fn position_addrs(&self, code: usize) -> (u64, usize) {
-        let lo = self.dfa.neighborhood().raw_offsets()[code] as usize;
-        let hi = self.dfa.neighborhood().raw_offsets()[code + 1] as usize;
-        (self.dfa_positions.addr(lo), hi - lo)
+    /// Device address of the flat position-list table: entry `i` of
+    /// [`blast_core::WordNeighborhood::raw_positions`] sits 4·`i` bytes in,
+    /// so a word's list is one contiguous run — what the binning kernel
+    /// feeds to the read-only cache.
+    pub fn positions_base(&self) -> u64 {
+        self.dfa_positions.addr(0)
     }
 
     /// Device address of PSSM cell `(query_pos, residue)` for the
@@ -354,19 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn query_upload_and_position_addrs() {
+    fn query_upload_and_positions_base() {
         let q = Sequence::from_bytes("q", b"WKVMSARND");
         let m = Matrix::blosum62();
         let dq = DeviceQuery::upload(Dfa::build(&q, &m, 11), Pssm::build(&q, &m));
         assert_eq!(dq.query_len(), 9);
-        // Find a word with hits and check its address span.
+        // The table's entries are the neighbourhood's, 4 bytes apart.
         let n = dq.dfa.neighborhood();
-        let code = (0..blast_core::NUM_WORDS)
-            .find(|&c| !n.positions(c).is_empty())
-            .expect("query must have neighbour words");
-        let (addr, len) = dq.position_addrs(code);
-        assert_eq!(len, n.positions(code).len());
-        assert!(addr >= dq.dfa_positions.addr(0));
+        assert_eq!(&dq.dfa_positions[..], n.raw_positions());
+        assert_eq!(dq.positions_base(), dq.dfa_positions.addr(0));
+        assert_eq!(dq.dfa_positions.addr(1) - dq.positions_base(), 4);
     }
 
     #[test]

@@ -60,15 +60,6 @@ pub struct ExtensionResult {
     pub redundant: u64,
 }
 
-/// Per-lane cost aggregate for one lockstep batch.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneCost {
-    cycles: u64,
-    global_tx: u64,
-    useful_bytes: u64,
-    shared: u64,
-}
-
 /// Scoring-path cost per extended position, derived from §3.5.
 #[derive(Debug, Clone, Copy)]
 struct ScoringCost {
@@ -123,81 +114,133 @@ fn scoring_cost(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -
 /// drop test, bounds check, predicate and pointer bump.
 const INSTR_PER_POS: u64 = 6;
 
-/// Cost of one sequential (single-lane) extension that scanned `scanned`
-/// subject positions. Every position issues a load (no L1 on Kepler); the
-/// loads walk one line at a time, so DRAM sees only `scanned/128` lines
-/// while the lane pays L2 latency per position.
-fn sequential_ext_cost(scanned: u64, sc: &ScoringCost, device: &DeviceConfig) -> LaneCost {
-    let dram_lines = 1 + scanned / 128;
-    LaneCost {
-        cycles: scanned
-            * (INSTR_PER_POS * device.instr_cost + sc.cycles_per_pos + device.l2_hit_cost)
-            + dram_lines * device.global_transaction_cost
-            + (scanned * sc.tx_per_pos_x2 / 2) * device.global_transaction_cost,
-        global_tx: dram_lines + scanned * sc.tx_per_pos_x2 / 2,
-        useful_bytes: scanned + scanned * sc.bytes_per_pos,
-        shared: scanned * sc.shared_per_pos,
-    }
+/// The cost model of one launch, its per-launch constants folded: what a
+/// *slot* — the lane, or the window of `lanes` lanes, that works one task —
+/// pays to walk the task's hits and to scan its extensions. A slot is
+/// charged as it goes ([`BatchCost::slot`]); the batch's traffic is summed
+/// and billed once.
+///
+/// * Walking `n` packed hits: 8-byte loads, 16 hits per 128-byte line
+///   since the group is contiguous.
+/// * A single lane scanning `p` subject positions: every position issues
+///   a load (no L1 on Kepler); the loads walk one line at a time, so DRAM
+///   sees only `p / 128` lines while the lane pays L2 latency per
+///   position.
+/// * A window scanning `p` positions, `lanes` per step with a warp scan:
+///   its lanes read `lanes` *consecutive* subject bytes per step — one
+///   coalesced load, L2-resident after the first touch of each line — so
+///   the window amortizes both latency and bandwidth `lanes`-fold over the
+///   single-lane strategies, and always completes its last step.
+struct CostModel {
+    /// Lanes per slot: 1, or the window size.
+    lanes: u64,
+    /// Cycles per hit walked.
+    per_hit: u64,
+    /// Cycles per scan step (`lanes` positions).
+    per_step: u64,
+    transaction: u64,
+    scoring: ScoringCost,
 }
 
-/// Cost of one window-cooperative extension (`w` lanes scan `w` positions
-/// per step with a warp scan). The window's lanes read `w` *consecutive*
-/// subject bytes per step — one coalesced load, L2-resident after the
-/// first touch of each line — so the window amortizes both latency and
-/// bandwidth `w`-fold over the single-lane strategies.
-fn window_ext_cost(scanned: u64, w: u64, sc: &ScoringCost, device: &DeviceConfig) -> LaneCost {
-    let steps = scanned.div_ceil(w).max(1);
-    // A w-lane shuffle scan needs ⌈log₂ w⌉ steps (3 for the default 8).
-    let scan_steps = w.max(2).next_power_of_two().trailing_zeros() as u64;
-    // Redundant positions: the window always completes its last chunk.
-    let scanned_padded = steps * w;
-    let dram_lines = 1 + scanned_padded / 128;
-    LaneCost {
-        cycles: steps
-            * ((scan_steps + INSTR_PER_POS) * device.instr_cost
-                + sc.cycles_per_pos
-                + device.l2_hit_cost)
-            + dram_lines * device.global_transaction_cost
-            + (scanned_padded * sc.tx_per_pos_x2 / 2) * device.global_transaction_cost,
-        global_tx: dram_lines + scanned_padded * sc.tx_per_pos_x2 / 2,
-        useful_bytes: scanned_padded + scanned_padded * sc.bytes_per_pos,
-        shared: scanned_padded * sc.shared_per_pos,
-    }
-}
-
-/// Cost of walking `n_hits` packed hits on one lane (8-byte loads, 16 hits
-/// per 128-byte line since the group is contiguous).
-fn hit_walk_cost(n_hits: u64, device: &DeviceConfig) -> LaneCost {
-    let lines = 1 + n_hits / 16;
-    LaneCost {
-        cycles: n_hits * 2 * device.instr_cost + lines * device.global_transaction_cost,
-        global_tx: lines,
-        useful_bytes: n_hits * 8,
-        shared: 0,
-    }
-}
-
-impl LaneCost {
-    fn add(&mut self, other: LaneCost) {
-        self.cycles += other.cycles;
-        self.global_tx += other.global_tx;
-        self.useful_bytes += other.useful_bytes;
-        self.shared += other.shared;
-    }
-}
-
-/// Slice the filtered hits into (sequence, diagonal) tasks — runs of equal
-/// [`group_key`].
-pub fn build_tasks(hits: &[u64]) -> Vec<(usize, usize)> {
-    let mut tasks = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=hits.len() {
-        if i == hits.len() || group_key(hits[i]) != group_key(hits[start]) {
-            tasks.push((start, i));
-            start = i;
+impl CostModel {
+    fn new(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -> Self {
+        let scoring = scoring_cost(cfg, query_len, device);
+        let lanes = match cfg.extension {
+            ExtensionStrategy::Window => cfg.window_size.clamp(2, WARP_SIZE as usize) as u64,
+            ExtensionStrategy::Diagonal | ExtensionStrategy::Hit => 1,
+        };
+        // A w-lane shuffle scan needs ⌈log₂ w⌉ steps (3 for the default 8).
+        let scan_steps = lanes.next_power_of_two().trailing_zeros() as u64;
+        Self {
+            lanes,
+            per_hit: 2 * device.instr_cost,
+            per_step: (scan_steps + INSTR_PER_POS) * device.instr_cost
+                + scoring.cycles_per_pos
+                + device.l2_hit_cost,
+            transaction: device.global_transaction_cost,
+            scoring,
         }
     }
-    tasks
+
+    /// Slots of one warp batch.
+    fn slots_per_batch(&self) -> usize {
+        WARP_SIZE as usize / self.lanes as usize
+    }
+}
+
+/// Cost-model sums of one warp batch.
+#[derive(Default)]
+struct BatchCost {
+    /// Cycles of every slot so far: the warp runs as long as its slowest.
+    slot_cycles: [u64; WARP_SIZE as usize],
+    slots: usize,
+    hits: u64,
+    /// Positions scanned, each window's last step completed.
+    positions: u64,
+    global_tx: u64,
+}
+
+impl BatchCost {
+    /// Account the slot that walked `n_hits` hits and computed `exts`.
+    fn slot(&mut self, model: &CostModel, n_hits: u64, exts: &[UngappedExt]) {
+        let (mut steps, mut tx) = (0u64, 1 + n_hits / 16);
+        let mut scan = |scanned: u64| {
+            let s = scanned.div_ceil(model.lanes).max(1);
+            let positions = s * model.lanes;
+            steps += s;
+            tx += 1 + positions / 128 + positions * model.scoring.tx_per_pos_x2 / 2;
+            self.positions += positions;
+        };
+        let scanned = |e: &UngappedExt| e.len as u64 + 2 * OVERSHOOT;
+        // A window is charged per extension; a single lane once, for the
+        // positions of all its extensions together.
+        if model.lanes > 1 {
+            exts.iter().map(scanned).for_each(&mut scan);
+        } else {
+            scan(exts.iter().map(scanned).sum());
+        }
+        self.slot_cycles[self.slots] =
+            n_hits * model.per_hit + steps * model.per_step + tx * model.transaction;
+        self.slots += 1;
+        self.hits += n_hits;
+        self.global_tx += tx;
+    }
+
+    /// Bill the batch: the lockstep run of its slots and their traffic.
+    fn charge(&self, block: &mut SimBlock, model: &CostModel) {
+        block.lockstep_groups(&self.slot_cycles[..self.slots], model.lanes as u32);
+        block.bulk_traffic(
+            self.global_tx,
+            self.hits * 8 + self.positions * (1 + model.scoring.bytes_per_pos),
+            self.positions * model.scoring.shared_per_pos,
+        );
+    }
+}
+
+/// Two hits of one (sequence, diagonal) task.
+fn same_diagonal(a: &u64, b: &u64) -> bool {
+    group_key(*a) == group_key(*b)
+}
+
+/// Where every `stride`-th task of the filtered hits begins, and
+/// `hits.len()` last — a task being a maximal run of hits `same_task`
+/// holds together. A warp batch of `stride` slots then finds its tasks by
+/// cutting `hits[starts[b]..starts[b + 1]]` at the same boundaries; no
+/// per-task list is built.
+fn batch_starts(hits: &[u64], stride: usize, same_task: fn(&u64, &u64) -> bool) -> Vec<u32> {
+    // At most one start per `stride` hits, and the end.
+    let mut starts = Vec::with_capacity(hits.len().div_ceil(stride) + 1);
+    let mut tasks = 0usize;
+    for i in 0..hits.len() {
+        if i == 0 || !same_task(&hits[i - 1], &hits[i]) {
+            if tasks % stride == 0 {
+                starts.push(i as u32);
+            }
+            tasks += 1;
+        }
+    }
+    starts.push(hits.len() as u32);
+    starts
 }
 
 /// Functional diagonal walk with the coverage check (Algorithm 3 lines
@@ -208,10 +251,9 @@ fn walk_task(
     hits: &[u64],
     params: &SearchParams,
     out: &mut Vec<UngappedExt>,
-) -> u64 {
+) {
     let qlen = query.query_len();
     let mut ext_reach: i64 = 0;
-    let mut scanned_total = 0u64;
     for &h in hits {
         let spos = subject_pos(h);
         if (spos as i64) >= ext_reach {
@@ -226,11 +268,9 @@ fn walk_task(
                 params.xdrop_ungapped,
             );
             ext_reach = ext.s_end() as i64;
-            scanned_total += ext.len as u64 + 2 * OVERSHOOT;
             out.push(ext);
         }
     }
-    scanned_total
 }
 
 /// Canonical order of a kernel's output — by subject, then subject start,
@@ -374,9 +414,18 @@ pub(crate) fn extension_kernel_counted(
     filtered: &FilteredHits,
     params: &SearchParams,
 ) -> (ExtensionResult, u64) {
-    let tasks = build_tasks(&filtered.hits);
+    let hits = &filtered.hits[..];
     let qlen = query.query_len();
-    let sc = scoring_cost(cfg, qlen, device);
+    let model = CostModel::new(cfg, qlen, device);
+    // Lane ↦ (sequence, diagonal) task, walked with the coverage check; a
+    // window of lanes ↦ task (Fig. 9d); or lane ↦ hit, every filtered hit
+    // a task of its own and extended, coverage be damned (Algorithm 4) —
+    // duplicates removed afterwards.
+    let same_task = match cfg.extension {
+        ExtensionStrategy::Diagonal | ExtensionStrategy::Window => same_diagonal,
+        ExtensionStrategy::Hit => |_: &u64, _: &u64| false,
+    };
+    let starts = batch_starts(hits, model.slots_per_batch(), same_task);
 
     let shared = cfg.scoring_shared_bytes(qlen);
     let launch_cfg = LaunchConfig {
@@ -396,115 +445,22 @@ pub(crate) fn extension_kernel_counted(
         let mut out: Vec<UngappedExt> = Vec::new();
         let mut compaction = Compaction::new(cfg, params);
         let mut slot_ends: Vec<usize> = Vec::with_capacity(WARP_SIZE as usize);
-        match cfg.extension {
-            ExtensionStrategy::Diagonal => {
-                // Lane ↦ task; warp batch = 32 tasks; blocks stride the
-                // batch list.
-                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
-                let mut batch = block.block_id as usize;
-                let batches = tasks.len().div_ceil(WARP_SIZE as usize);
-                while batch < batches {
-                    let lo = batch * WARP_SIZE as usize;
-                    let hi = (lo + WARP_SIZE as usize).min(tasks.len());
-                    lane_costs.clear();
-                    slot_ends.clear();
-                    let from = out.len();
-                    let mut traffic = LaneCost::default();
-                    for &(s, e) in &tasks[lo..hi] {
-                        let mut lane = hit_walk_cost((e - s) as u64, block.device());
-                        let scanned = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
-                        slot_ends.push(out.len());
-                        lane.add(sequential_ext_cost(scanned, &sc, block.device()));
-                        lane_costs.push(lane.cycles);
-                        traffic.add(LaneCost { cycles: 0, ..lane });
-                    }
-                    block.lockstep(&lane_costs);
-                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
-                    compaction.batch(block, &mut out, from, &slot_ends, 1);
-                    batch += blocks as usize;
-                }
+        // Blocks stride the list of warp batches.
+        let mut batch = block.block_id as usize;
+        while batch + 1 < starts.len() {
+            let batch_hits = &hits[starts[batch] as usize..starts[batch + 1] as usize];
+            let from = out.len();
+            let mut cost = BatchCost::default();
+            slot_ends.clear();
+            for task in batch_hits.chunk_by(same_task) {
+                let before = out.len();
+                walk_task(query, db, task, params, &mut out);
+                slot_ends.push(out.len());
+                cost.slot(&model, task.len() as u64, &out[before..]);
             }
-            ExtensionStrategy::Hit => {
-                // Lane ↦ hit; every filtered hit is extended, coverage be
-                // damned (Algorithm 4) — duplicates removed afterwards.
-                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
-                let n = filtered.hits.len();
-                let batches = n.div_ceil(WARP_SIZE as usize);
-                let mut batch = block.block_id as usize;
-                while batch < batches {
-                    let lo = batch * WARP_SIZE as usize;
-                    let hi = (lo + WARP_SIZE as usize).min(n);
-                    lane_costs.clear();
-                    slot_ends.clear();
-                    let from = out.len();
-                    let mut traffic = LaneCost::default();
-                    for &h in &filtered.hits[lo..hi] {
-                        let sid = seq_id(h);
-                        let spos = subject_pos(h);
-                        let qpos = query_pos(h, qlen);
-                        let ext = extend(
-                            &query.pssm,
-                            db.seq(sid as usize),
-                            sid,
-                            qpos,
-                            spos,
-                            params.xdrop_ungapped,
-                        );
-                        let scanned = ext.len as u64 + 2 * OVERSHOOT;
-                        out.push(ext);
-                        slot_ends.push(out.len());
-                        let mut lane = hit_walk_cost(1, block.device());
-                        lane.add(sequential_ext_cost(scanned, &sc, block.device()));
-                        lane_costs.push(lane.cycles);
-                        traffic.add(LaneCost { cycles: 0, ..lane });
-                    }
-                    block.lockstep(&lane_costs);
-                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
-                    compaction.batch(block, &mut out, from, &slot_ends, 1);
-                    batch += blocks as usize;
-                }
-            }
-            ExtensionStrategy::Window => {
-                // Window of `window_size` lanes ↦ task; warp batch =
-                // 32 / window_size tasks (Fig. 9d).
-                let w = cfg.window_size.clamp(2, WARP_SIZE as usize) as u64;
-                let windows_per_warp = (WARP_SIZE as usize / w as usize).max(1);
-                let mut win_costs: Vec<u64> = Vec::with_capacity(windows_per_warp);
-                let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
-                let batches = tasks.len().div_ceil(windows_per_warp);
-                let mut batch = block.block_id as usize;
-                while batch < batches {
-                    let lo = batch * windows_per_warp;
-                    let hi = (lo + windows_per_warp).min(tasks.len());
-                    win_costs.clear();
-                    slot_ends.clear();
-                    let from = out.len();
-                    let mut traffic = LaneCost::default();
-                    for &(s, e) in &tasks[lo..hi] {
-                        // Per-window serialized cost over its hits.
-                        let mut win = hit_walk_cost((e - s) as u64, block.device());
-                        let before = out.len();
-                        let _ = walk_task(query, db, &filtered.hits[s..e], params, &mut out);
-                        slot_ends.push(out.len());
-                        for ext in &out[before..] {
-                            let scanned = ext.len as u64 + 2 * OVERSHOOT;
-                            win.add(window_ext_cost(scanned, w, &sc, block.device()));
-                        }
-                        win_costs.push(win.cycles);
-                        traffic.add(LaneCost { cycles: 0, ..win });
-                    }
-                    // Expand window costs to lane granularity: all lanes of
-                    // a window stay active for the window's duration.
-                    lane_costs.clear();
-                    for &c in &win_costs {
-                        lane_costs.extend(std::iter::repeat_n(c, w as usize));
-                    }
-                    block.lockstep(&lane_costs);
-                    block.bulk_traffic(traffic.global_tx, traffic.useful_bytes, traffic.shared);
-                    compaction.batch(block, &mut out, from, &slot_ends, w as u32);
-                    batch += blocks as usize;
-                }
-            }
+            cost.charge(block, &model);
+            compaction.batch(block, &mut out, from, &slot_ends, model.lanes as u32);
+            batch += blocks as usize;
         }
         (out, compaction.computed)
     });
@@ -560,10 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn build_tasks_groups_by_sequence_and_diagonal() {
+    fn batch_starts_cut_every_nth_task() {
         let hits = vec![pack(0, 3, 1), pack(0, 3, 9), pack(0, 5, 2), pack(1, 3, 4)];
-        assert_eq!(build_tasks(&hits), vec![(0, 2), (2, 3), (3, 4)]);
-        assert!(build_tasks(&[]).is_empty());
+        // Tasks by (sequence, diagonal): hits 0..2, 2..3, 3..4.
+        let tasks: Vec<&[u64]> = hits.chunk_by(same_diagonal).collect();
+        assert_eq!(tasks, [&hits[0..2], &hits[2..3], &hits[3..4]]);
+        assert_eq!(batch_starts(&hits, 1, same_diagonal), [0, 2, 3, 4]);
+        assert_eq!(batch_starts(&hits, 2, same_diagonal), [0, 3, 4]);
+        assert_eq!(batch_starts(&hits, 32, same_diagonal), [0, 4]);
+        // Every hit its own task.
+        assert_eq!(batch_starts(&hits, 3, |_, _| false), [0, 3, 4]);
+        assert_eq!(batch_starts(&[], 4, same_diagonal), [0]);
     }
 
     fn workload() -> (DeviceQuery, DeviceDbBlock, FilteredHits) {

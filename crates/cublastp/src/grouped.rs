@@ -38,8 +38,8 @@ use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::seedpass::SeedPass;
 use blast_core::qindex::{Posting, QueryIndex, POSTING_BYTES, SLOT_BYTES};
-use blast_core::WORD_LEN;
-use blast_core::{word_code, WordNeighborhood};
+use blast_core::words::subject_words;
+use blast_core::{WordNeighborhood, WORD_LEN};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
 use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
@@ -113,12 +113,10 @@ pub fn grouped_seeding_kernel(
     // the per-query path is gone, which is where the grouped kernel wins
     // back the occupancy its bigger working set costs.
     let launch_cfg = pass.launch_config(cfg, 0);
-    let slot_mask = (group.index.capacity() - 1) as u32;
+    let capacity = group.index.capacity() as u32;
 
     let (mut pages, stats) = launch_map(device, launch_cfg, "grouped_seeding", |block| {
-        let mut probe_addrs: Vec<u64> = ws.addrs.take();
-        let mut posting_addrs: Vec<u64> = ws.addrs.take();
-        let pages = pass.run_block(
+        pass.run_block(
             block,
             db,
             ws,
@@ -126,29 +124,26 @@ pub fn grouped_seeding_kernel(
                 // Murmur word hash instead of a DFA transition.
                 block.instr_n(lanes.len() as u32, HASH_INSTRS);
                 // Linear-probe the slot table: every lane walks its chain
-                // of consecutive slots, scattered across the table by the
-                // hash. The merged postings span makes a lane's round
-                // count the *group's* hit count on its column.
-                probe_addrs.clear();
-                posting_addrs.clear();
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let code = word_code(&subject[j0 + l..j0 + l + WORD_LEN]);
+                // of consecutive slots — one run, two when the chain wraps
+                // the table — scattered across the table by the hash. The
+                // merged postings span, the lane's other run, makes its
+                // round count the *group's* hit count on its column.
+                let mut probes = [(0u64, 0u32); 2 * WARP_SIZE as usize];
+                let mut spans = [(0u64, 0u32); WARP_SIZE as usize];
+                let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
+                for (l, (_, code)) in subject_words(window).enumerate() {
                     let probe = group.index.probe(code);
-                    *lane = probe.postings;
-                    probe_addrs.extend((0..probe.steps).map(|step| {
-                        let slot = (probe.home + step) & slot_mask;
-                        group.slots_base + slot as u64 * SLOT_BYTES
-                    }));
+                    lanes[l] = probe.postings;
+                    let home = group.slots_base + probe.home as u64 * SLOT_BYTES;
+                    let to_wrap = probe.steps.min(capacity - probe.home);
+                    probes[2 * l] = (home, to_wrap);
+                    probes[2 * l + 1] = (group.slots_base, probe.steps - to_wrap);
                     let span = group.postings_base + probe.offset as u64 * POSTING_BYTES;
-                    posting_addrs.extend((0..lane.len() as u64).map(|k| span + k * POSTING_BYTES));
+                    spans[l] = (span, probe.postings.len() as u32);
                 }
-                for chunk in probe_addrs.chunks(WARP_SIZE as usize) {
-                    block.readonly_read(chunk, SLOT_BYTES as u32);
-                }
+                block.readonly_read_runs(&probes[..2 * lanes.len()], SLOT_BYTES as u32);
                 // Postings-span traffic for the lanes that hit.
-                for chunk in posting_addrs.chunks(WARP_SIZE as usize) {
-                    block.readonly_read(chunk, POSTING_BYTES as u32);
-                }
+                block.readonly_read_runs(&spans[..lanes.len()], POSTING_BYTES as u32);
             },
             // Demux is the scatter itself: the posting names its member.
             |p: Posting| {
@@ -158,10 +153,7 @@ pub fn grouped_seeding_kernel(
                     group.qlens[p.query as usize],
                 )
             },
-        );
-        ws.addrs.put(probe_addrs);
-        ws.addrs.put(posting_addrs);
-        pages
+        )
     });
 
     let out = (0..pass.members)

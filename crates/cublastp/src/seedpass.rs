@@ -11,14 +11,20 @@
 //! (posting → member, query position, query length); everything else is
 //! here, once: warps take sequences round-robin, lanes take consecutive
 //! columns, every round emits the k-th posting of the lanes that still
-//! have one (bin `top` bump, atomic, scattered write), and the block's
-//! hits are grouped from detection order into one CSR page per member. The
-//! per-query kernel is the one-member case.
+//! have one (bin `top` bump, atomic, scattered write), and the block hands
+//! back each member's keys in detection order with their per-slot counts,
+//! from which [`SeedPass::stitch`] places every key in the member's arena
+//! — one copy. The per-query kernel is the one-member case.
+//!
+//! A lane's postings are one contiguous run of a device table and are
+//! billed as one: `(base address, length)` per lane — two for a probe chain
+//! that wraps its table — through [`SimBlock::readonly_read_runs`]. Host
+//! cost follows the hits; traffic is billed by run (DESIGN.md §3.2).
 
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDbBlock;
-use crate::hitpack::pack;
+use crate::hitpack::{self, pack};
 use blast_core::WORD_LEN;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
@@ -32,15 +38,23 @@ const LANES: usize = WARP_SIZE as usize;
 /// member — is unsheared.
 const MEMBER_BIN_STRIDE: usize = 131;
 
-/// One block's hits of one member: CSR offsets over the block's
-/// `warps_per_block * num_bins` slots, and the keys grouped by slot.
-pub(crate) type Page = (Vec<u32>, Vec<u64>);
+/// One block's hits of one member: the hit count of each of the block's
+/// `warps_per_block * num_bins` slots, and the packed keys in detection
+/// order — warp after warp: counts delimit warps, a diagonal names its bin.
+#[derive(Default)]
+pub(crate) struct Page {
+    counts: Vec<u32>,
+    keys: Vec<u64>,
+}
 
 /// Geometry of one seeding launch and its device bin arena.
 pub(crate) struct SeedPass {
     warps_per_block: usize,
     num_warps: usize,
     num_bins: usize,
+    /// `num_bins - 1` when that is a mask: with the usual power-of-two bin
+    /// count the two residues per hit are masks, not hardware divides.
+    bin_mask: Option<usize>,
     /// Queries served by the pass (1 for the per-query kernel).
     pub members: usize,
     /// Paper capacity of one bin: up to `query words` hits (of the longest
@@ -70,6 +84,7 @@ impl SeedPass {
             warps_per_block,
             num_warps,
             num_bins: cfg.num_bins,
+            bin_mask: cfg.num_bins.is_power_of_two().then(|| cfg.num_bins - 1),
             members: qlens.len(),
             bin_capacity,
             bins_base: virtual_alloc(num_warps as u64 * cfg.num_bins as u64 * bin_capacity * 8),
@@ -89,12 +104,18 @@ impl SeedPass {
         }
     }
 
+    fn bin_of(&self, x: usize) -> usize {
+        self.bin_mask
+            .map_or_else(|| x % self.num_bins, |mask| x & mask)
+    }
+
     /// Run one thread block and return its page per member.
     ///
     /// `lookup(block, subject, j0, lanes)` charges the word look-up of
-    /// columns `j0..j0 + lanes.len()` and sets `lanes[l]` to the postings
-    /// of column `j0 + l`; `decode` turns a posting into `(member, query
-    /// position, query length)`. All scratch is pooled in `ws`.
+    /// columns `j0..j0 + lanes.len()` — each lane's postings billed as one
+    /// run — and sets `lanes[l]` to the postings of column `j0 + l`;
+    /// `decode` turns a posting into `(member, query position, query
+    /// length)`. All scratch is pooled in `ws`.
     pub(crate) fn run_block<'p, P: Copy + 'p>(
         &self,
         block: &mut SimBlock,
@@ -104,22 +125,25 @@ impl SeedPass {
         decode: impl Fn(P) -> (usize, u32, usize),
     ) -> Vec<Page> {
         let num_bins = self.num_bins;
-        // Two residues per hit: with the usual power-of-two bin count they
-        // are masks, not hardware divides.
-        let bin_mask = num_bins.is_power_of_two().then(|| num_bins - 1);
-        let bin_of = |x: usize| bin_mask.map_or_else(|| x % num_bins, |mask| x & mask);
-        // Hits in detection order, as (slot, key) columns per member.
-        let mut det_slots: Vec<Vec<u32>> = (0..self.members).map(|_| ws.offsets.take()).collect();
-        let mut det_keys: Vec<Vec<u64>> = (0..self.members).map(|_| ws.keys.take()).collect();
-        let mut writes: Vec<u64> = ws.addrs.take();
-        let mut tops: Vec<u64> = ws.addrs.take();
+        let mut pages: Vec<Page> = (0..self.members)
+            .map(|_| {
+                let mut counts: Vec<u32> = ws.offsets.take();
+                counts.resize(self.warps_per_block * num_bins, 0);
+                Page {
+                    counts,
+                    keys: ws.keys.take(),
+                }
+            })
+            .collect();
+        let mut tops: Vec<u32> = ws.offsets.take();
         // Per-bin hit count of the current round — the worst count is the
         // atomic serialization the simulator charges, so the kernel hands
         // it over instead of having the simulator re-derive it from a
         // target list. Reset via `round_bins` after every round.
-        let mut round_cnt: Vec<u64> = ws.addrs.take();
+        let mut round_cnt: Vec<u32> = ws.offsets.take();
         round_cnt.resize(num_bins, 0);
-        let mut round_bins: Vec<u64> = ws.addrs.take();
+        let mut round_bins = [0usize; LANES];
+        let mut writes = [0u64; LANES];
         let mut lanes: [&[P]; LANES] = [&[]; LANES];
         // Lanes that still have a posting for the current round, in lane
         // order.
@@ -162,9 +186,7 @@ impl SeedPass {
                     // hits` divergence).
                     let mut k = 0;
                     while n_live > 0 {
-                        round_bins.clear();
-                        writes.clear();
-                        let mut round_max = 0u64;
+                        let mut round_max = 0u32;
                         let mut still_live = 0;
                         for idx in 0..n_live {
                             let l = live[idx];
@@ -176,13 +198,13 @@ impl SeedPass {
                             let diagonal = (col as i64 - qpos as i64 + qlen as i64) as u32;
                             // The member's arena bin, and the device bin
                             // whose `top` counter the hit bumps.
-                            let arena_bin = bin_of(diagonal as usize);
+                            let arena_bin = self.bin_of(diagonal as usize);
                             let bin_id = if member == 0 {
                                 arena_bin
                             } else {
-                                bin_of(arena_bin + member * MEMBER_BIN_STRIDE)
+                                self.bin_of(arena_bin + member * MEMBER_BIN_STRIDE)
                             };
-                            let top = tops[bin_id];
+                            let top = tops[bin_id] as u64;
                             tops[bin_id] += 1;
                             // A bin rarely overflows its capacity: skip the
                             // divide unless it has.
@@ -194,23 +216,22 @@ impl SeedPass {
                             let c = round_cnt[bin_id] + 1;
                             round_cnt[bin_id] = c;
                             round_max = round_max.max(c);
-                            round_bins.push(bin_id as u64);
-                            writes.push(
-                                warp_bins_base
-                                    + (bin_id as u64 * self.bin_capacity + wrapped_top) * 8,
-                            );
-                            det_slots[member].push((warp_slot0 + arena_bin) as u32);
-                            det_keys[member].push(pack(i as u32, diagonal, col));
+                            round_bins[idx] = bin_id;
+                            writes[idx] = warp_bins_base
+                                + (bin_id as u64 * self.bin_capacity + wrapped_top) * 8;
+                            let page = &mut pages[member];
+                            page.counts[warp_slot0 + arena_bin] += 1;
+                            page.keys.push(pack(i as u32, diagonal, col));
                         }
                         // Diagonal/bin arithmetic.
                         block.instr(n_live as u32);
                         // atomicAdd on the shared `top` array; conflicts
                         // were counted in the lane loop.
-                        block.atomic_shared_counted(n_live as u32, round_max);
+                        block.atomic_shared_counted(n_live as u32, round_max as u64);
                         // Scattered global write of the packed hits.
-                        block.global_write(&writes, 8);
-                        for &b in round_bins.iter() {
-                            round_cnt[b as usize] = 0;
+                        block.global_write(&writes[..n_live], 8);
+                        for &b in &round_bins[..n_live] {
+                            round_cnt[b] = 0;
                         }
                         n_live = still_live;
                         k += 1;
@@ -221,47 +242,16 @@ impl SeedPass {
                 i += self.num_warps;
             }
         }
-        ws.addrs.put(writes);
-        ws.addrs.put(tops);
-        ws.addrs.put(round_cnt);
-        ws.addrs.put(round_bins);
-
-        // Group each member's detection-order hits by slot: stable
-        // counting sort into an arena page, the block's by-value result.
-        let block_slots = self.warps_per_block * num_bins;
-        det_slots
-            .into_iter()
-            .zip(det_keys)
-            .map(|(slots, keys)| {
-                let mut page_offsets: Vec<u32> = ws.offsets.take();
-                page_offsets.resize(block_slots + 1, 0);
-                for &s in &slots {
-                    page_offsets[s as usize + 1] += 1;
-                }
-                for i in 1..=block_slots {
-                    page_offsets[i] += page_offsets[i - 1];
-                }
-                let mut page_keys: Vec<u64> = ws.keys.take();
-                page_keys.resize(keys.len(), 0);
-                let mut cursor: Vec<u32> = ws.offsets.take();
-                cursor.extend_from_slice(&page_offsets[..block_slots]);
-                for (&s, &k) in slots.iter().zip(keys.iter()) {
-                    let c = &mut cursor[s as usize];
-                    page_keys[*c as usize] = k;
-                    *c += 1;
-                }
-                ws.offsets.put(cursor);
-                ws.offsets.put(slots);
-                ws.keys.put(keys);
-                (page_offsets, page_keys)
-            })
-            .collect()
+        ws.offsets.put(tops);
+        ws.offsets.put(round_cnt);
+        pages
     }
 
-    /// Stitch member `m`'s per-block pages into its warp-major arena:
-    /// pages arrive in block order, and each page is already
-    /// warp-in-block-major, so plain concatenation (with rebased offsets)
-    /// yields the global slot order.
+    /// Stitch member `m`'s per-block pages into its warp-major arena. The
+    /// arena's slot order is block order, then each block's own slots, so
+    /// the pages' slot counts, laid end to end, are the CSR offsets; every
+    /// warp's keys then drop from detection order straight into the warp's
+    /// bins (stably — a bin keeps detection order).
     pub(crate) fn stitch(
         &self,
         ws: &KernelWorkspace,
@@ -270,22 +260,40 @@ impl SeedPass {
     ) -> BinnedHits {
         let mut offsets: Vec<u32> = ws.offsets.take();
         let mut keys: Vec<u64> = ws.keys.take();
+        // Until its keys are placed, `offsets[slot + 1]` is the write
+        // cursor of `slot`: the bin's start, advancing to its end.
         offsets.push(0);
-        for block_pages in pages {
-            let (page_offsets, page_keys) = std::mem::take(&mut block_pages[m]);
-            let base = keys.len() as u32;
-            offsets.extend(page_offsets[1..].iter().map(|&o| base + o));
-            keys.extend_from_slice(&page_keys);
-            ws.offsets.put(page_offsets);
-            ws.keys.put(page_keys);
+        let mut total = 0u32;
+        for block_pages in pages.iter() {
+            for &count in &block_pages[m].counts {
+                offsets.push(total);
+                total += count;
+            }
         }
-        let total_hits = keys.len() as u64;
+        keys.resize(total as usize, 0);
+        let mut warp_cursors = offsets[1..].chunks_exact_mut(self.num_bins);
+        for block_pages in pages {
+            let page = std::mem::take(&mut block_pages[m]);
+            let mut warp_keys = &page.keys[..];
+            for (counts, cursors) in page.counts.chunks(self.num_bins).zip(&mut warp_cursors) {
+                let hits: u32 = counts.iter().sum();
+                let (these, rest) = warp_keys.split_at(hits as usize);
+                for &key in these {
+                    let cursor = &mut cursors[self.bin_of(hitpack::diagonal(key) as usize)];
+                    keys[*cursor as usize] = key;
+                    *cursor += 1;
+                }
+                warp_keys = rest;
+            }
+            ws.offsets.put(page.counts);
+            ws.keys.put(page.keys);
+        }
         BinnedHits {
             offsets,
             keys,
             num_bins: self.num_bins,
             num_warps: self.num_warps,
-            total_hits,
+            total_hits: total as u64,
         }
     }
 }

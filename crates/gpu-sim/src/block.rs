@@ -112,42 +112,84 @@ impl SimBlock {
         self.stats.divergent_idle_cycles += (WARP_SIZE.saturating_sub(active)) as u64 * cost;
     }
 
-    /// Warp-wide read through the read-only cache (`const __restrict__`
-    /// loads, §3.5). When the launch was configured without the cache the
-    /// access degrades to an ordinary global read — exactly the
+    /// Warp-wide reads through the read-only cache (`const __restrict__`
+    /// loads, §3.5) of a lane-ordered address stream given as contiguous
+    /// *runs*: run `(base, len)` stands for the addresses `base + k * bytes`,
+    /// `k < len`, with `bytes` (at most one line) consumed per address. The
+    /// stream is cut into warp accesses of 32 addresses — a run may straddle
+    /// two — and every access probes its distinct lines once, in ascending
+    /// order; lanes are attributed to hits and misses in proportion to their
+    /// lines' outcomes. When the launch was configured without the cache
+    /// each access degrades to an ordinary global read — exactly the
     /// with/without contrast of Fig. 17.
-    pub fn readonly_read(&mut self, addrs: &[u64], bytes: u32) {
-        if addrs.is_empty() {
-            return;
-        }
-        match &mut self.rocache {
-            None => self.global_access(addrs, bytes, true),
-            Some(cache) => {
-                // Distinct lines probe the cache once, in ascending order;
-                // lanes are attributed to hits/misses proportionally to
-                // their lines' outcomes.
-                if !lines_of(addrs, &mut self.scratch_lines) {
-                    sort_dedup(&mut self.scratch_lines);
+    ///
+    /// The host cost follows the runs, not the addresses: a run's piece of
+    /// an access touches the lines between its two ends, so the access's
+    /// line set is built from run ends and ordered through a bitmap.
+    pub fn readonly_read_runs(&mut self, runs: &[(u64, u32)], bytes: u32) {
+        debug_assert!(
+            bytes as u64 <= TRANSACTION_BYTES,
+            "a run must not skip lines"
+        );
+        let mut bitmap = [0u64; BITMAP_WORDS];
+        let mut pieces = [(0u64, 0u64); WARP_SIZE as usize];
+        let mut n_pieces = 0;
+        let mut lanes = 0u32;
+        for &(mut base, mut len) in runs {
+            // Written without a branch on the run's length — every other
+            // lane's run is empty, which no predictor learns: an empty
+            // piece is written and not counted. The loop repeats only for
+            // a run that fills the access.
+            loop {
+                let take = len.min(WARP_SIZE - lanes);
+                let last = base + (take.max(1) as u64 - 1) * bytes as u64;
+                pieces[n_pieces] = (base / TRANSACTION_BYTES, last / TRANSACTION_BYTES);
+                n_pieces += (take > 0) as usize;
+                lanes += take;
+                len -= take;
+                if lanes < WARP_SIZE {
+                    break;
                 }
-                let lines = self.scratch_lines.len() as u64;
-                let mut hit_lines = 0u64;
-                for &line in &self.scratch_lines {
-                    hit_lines += cache.access_line(line) as u64;
-                }
-                let miss_lines = lines - hit_lines;
-                let lane_hits = addrs.len() as u64 * hit_lines / lines;
-                let lane_misses = addrs.len() as u64 - lane_hits;
-                self.stats.rocache_hits += lane_hits;
-                self.stats.rocache_misses += lane_misses;
-                let cost = miss_lines * self.device.global_transaction_cost
-                    + hit_lines.max(1) * self.device.rocache_hit_cost;
-                let active = addrs.len() as u32;
-                self.stats.warp_cycles += cost;
-                self.stats.active_lane_cycles += active.min(WARP_SIZE) as u64 * cost;
-                self.stats.divergent_idle_cycles +=
-                    (WARP_SIZE.saturating_sub(active)) as u64 * cost;
+                self.readonly_access(&pieces[..n_pieces], &mut bitmap, lanes, bytes);
+                n_pieces = 0;
+                lanes = 0;
+                base = last + bytes as u64;
             }
         }
+        if lanes > 0 {
+            self.readonly_access(&pieces[..n_pieces], &mut bitmap, lanes, bytes);
+        }
+    }
+
+    /// One warp access of `active` lanes through the read-only cache,
+    /// touching the lines of `pieces`.
+    fn readonly_access(
+        &mut self,
+        pieces: &[(u64, u64)],
+        bitmap: &mut [u64; BITMAP_WORDS],
+        active: u32,
+        bytes: u32,
+    ) {
+        let (mut lines, mut hit_lines) = (0u64, 0u64);
+        let cache = &mut self.rocache;
+        piece_lines(pieces, bitmap, &mut self.scratch_lines, |line| {
+            lines += 1;
+            if let Some(cache) = cache {
+                hit_lines += cache.access_line(line) as u64;
+            }
+        });
+        if cache.is_none() {
+            return self.charge_global(lines, active, bytes, true);
+        }
+        let miss_lines = lines - hit_lines;
+        let lane_hits = active as u64 * hit_lines / lines;
+        self.stats.rocache_hits += lane_hits;
+        self.stats.rocache_misses += active as u64 - lane_hits;
+        let cost = miss_lines * self.device.global_transaction_cost
+            + hit_lines.max(1) * self.device.rocache_hit_cost;
+        self.stats.warp_cycles += cost;
+        self.stats.active_lane_cycles += active as u64 * cost;
+        self.stats.divergent_idle_cycles += (WARP_SIZE - active) as u64 * cost;
     }
 
     /// Warp-wide shared-memory access (bank conflicts are not modelled;
@@ -224,12 +266,18 @@ impl SimBlock {
     /// the extension kernels account loops whose trip counts differ per
     /// lane without simulating every step individually.
     pub fn lockstep(&mut self, lane_cycles: &[u64]) {
-        if lane_cycles.is_empty() {
+        self.lockstep_groups(lane_cycles, 1);
+    }
+
+    /// [`Self::lockstep`] over groups of `lanes_per_group` lanes that work
+    /// together: every lane of group `g` is busy for `group_cycles[g]`.
+    pub fn lockstep_groups(&mut self, group_cycles: &[u64], lanes_per_group: u32) {
+        if group_cycles.is_empty() {
             return;
         }
-        debug_assert!(lane_cycles.len() <= WARP_SIZE as usize);
-        let max = lane_cycles.iter().copied().max().unwrap_or(0);
-        let sum: u64 = lane_cycles.iter().sum();
+        debug_assert!(group_cycles.len() * lanes_per_group as usize <= WARP_SIZE as usize);
+        let max = group_cycles.iter().copied().max().unwrap_or(0);
+        let sum = lanes_per_group as u64 * group_cycles.iter().sum::<u64>();
         self.stats.warp_cycles += max;
         self.stats.active_lane_cycles += sum;
         self.stats.divergent_idle_cycles += WARP_SIZE as u64 * max - sum;
@@ -270,7 +318,8 @@ impl SimBlock {
             return distinct;
         }
         if !ascending {
-            sort_dedup(lines);
+            lines.sort_unstable();
+            lines.dedup();
         }
         lines.len() as u64
     }
@@ -324,30 +373,66 @@ fn lines_of(addrs: &[u64], lines: &mut Vec<u64>) -> bool {
     ascending
 }
 
-/// Sort `lines` ascending and drop duplicates. A warp's worth (≤ 32, the
-/// only size the kernels produce) is placed by rank — each value's count
-/// of smaller-or-earlier-equal values is its sorted index — and compacted
-/// in one pass: all selects, no data-dependent branch, where a comparison
-/// sort on these random line numbers mispredicts every other compare.
-fn sort_dedup(lines: &mut Vec<u64>) {
-    let n = lines.len();
-    if n > WARP_SIZE as usize {
-        lines.sort_unstable();
-        lines.dedup();
-        return;
+/// Words of the ordering bitmap of [`SimBlock::readonly_read_runs`]: 64
+/// lines each, 512 KiB of device memory together — past every position
+/// list and all but the largest group's slot table. As many as a `u64` has
+/// bits, so one more word can mark the words in use.
+const BITMAP_WORDS: usize = u64::BITS as usize;
+
+/// Visit the distinct lines of one warp access in ascending order. The
+/// access is given as `pieces` — `(first line, last line)` of each run
+/// piece, every line in between touched. Line `l` marks bit `l % 64` of
+/// word `(l / 64) % BITMAP_WORDS`, which aliases nothing while the access
+/// spans fewer words than the bitmap has; the marked words, themselves
+/// marked in a summary word, are then read back in order starting from the
+/// lowest line's. `bitmap` is all zero on entry and on return. A wider
+/// access falls back to sorting its lines in `scratch`.
+fn piece_lines(
+    pieces: &[(u64, u64)],
+    bitmap: &mut [u64; BITMAP_WORDS],
+    scratch: &mut Vec<u64>,
+    mut visit: impl FnMut(u64),
+) {
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for &(first, last) in pieces {
+        lo = lo.min(first);
+        hi = hi.max(last);
     }
-    let mut sorted = [0u64; WARP_SIZE as usize];
-    for (i, &v) in lines.iter().enumerate() {
-        let before = lines[..i].iter().filter(|&&l| l <= v).count();
-        let after = lines[i + 1..].iter().filter(|&&l| l < v).count();
-        sorted[before + after] = v;
+    let lo_word = lo / 64;
+    if hi / 64 - lo_word >= BITMAP_WORDS as u64 {
+        scratch.clear();
+        for &(first, last) in pieces {
+            scratch.extend(first..=last);
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+        return scratch.iter().copied().for_each(visit);
     }
-    let mut kept = 0;
-    for i in 0..n {
-        lines[kept] = sorted[i];
-        kept += (i + 1 == n || sorted[i] != sorted[i + 1]) as usize;
+    let mut in_use = 0u64;
+    for &(first, last) in pieces {
+        let mut line = first;
+        loop {
+            let word = (line / 64) as usize % BITMAP_WORDS;
+            bitmap[word] |= 1 << (line % 64);
+            in_use |= 1 << word;
+            if line == last {
+                break;
+            }
+            line += 1;
+        }
     }
-    lines.truncate(kept);
+    // Rotated so that bit 0 is the lowest line's word, the words in use
+    // come out in ascending line order.
+    let mut in_use = in_use.rotate_right((lo_word % BITMAP_WORDS as u64) as u32);
+    while in_use != 0 {
+        let word = lo_word + in_use.trailing_zeros() as u64;
+        in_use &= in_use - 1;
+        let mut rest = std::mem::take(&mut bitmap[word as usize % BITMAP_WORDS]);
+        while rest != 0 {
+            visit(word * 64 + rest.trailing_zeros() as u64);
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// Longest run of equal values in a sorted slice.
@@ -422,18 +507,18 @@ mod tests {
 
     #[test]
     fn readonly_cache_hits_are_cheaper_than_global() {
-        let addrs: Vec<u64> = (0..32).map(|i| 0x2000 + i * 4).collect();
+        let run = [(0x2000u64, 32u32)];
         let mut cached = SimBlock::new(0, DeviceConfig::k20c(), true);
-        cached.readonly_read(&addrs, 4); // cold: install
+        cached.readonly_read_runs(&run, 4); // cold: install
         let cold = cached.stats().warp_cycles;
-        cached.readonly_read(&addrs, 4); // warm: hit
+        cached.readonly_read_runs(&run, 4); // warm: hit
         let warm = cached.stats().warp_cycles - cold;
         assert!(warm < cold, "warm {warm} vs cold {cold}");
         assert!(cached.stats().rocache_hits > 0);
 
         let mut uncached = SimBlock::new(0, DeviceConfig::k20c(), false);
-        uncached.readonly_read(&addrs, 4);
-        uncached.readonly_read(&addrs, 4);
+        uncached.readonly_read_runs(&run, 4);
+        uncached.readonly_read_runs(&run, 4);
         assert!(uncached.stats().warp_cycles > cached.stats().warp_cycles);
         // Without the cache the traffic shows up as global transactions.
         assert!(uncached.stats().global_transactions > 0);
@@ -445,7 +530,8 @@ mod tests {
         let mut b = block();
         b.global_read(&[], 4);
         b.atomic_shared(&[]);
-        b.readonly_read(&[], 4);
+        b.readonly_read_runs(&[], 4);
+        b.readonly_read_runs(&[(0x1000, 0), (0x2000, 0)], 4);
         assert_eq!(b.stats().warp_cycles, 0);
     }
 
@@ -506,25 +592,57 @@ mod tests {
         lines
     }
 
-    /// `readonly_read` as it stood before the rank placement: collect the
-    /// lines, comparison-sort unless already ordered, dedup, probe.
-    fn reference_readonly_read(b: &mut SimBlock, addrs: &[u64]) {
-        let lines = reference_lines(addrs);
-        let cache = b.rocache.as_mut().expect("cached block");
-        let hit_lines = lines
-            .iter()
-            .filter(|&&l| cache.access(l * TRANSACTION_BYTES))
-            .count() as u64;
-        let miss_lines = lines.len() as u64 - hit_lines;
-        let lane_hits = addrs.len() as u64 * hit_lines / lines.len() as u64;
-        b.stats.rocache_hits += lane_hits;
-        b.stats.rocache_misses += addrs.len() as u64 - lane_hits;
-        let cost = miss_lines * b.device.global_transaction_cost
-            + hit_lines.max(1) * b.device.rocache_hit_cost;
-        let active = addrs.len() as u32;
-        b.stats.warp_cycles += cost;
-        b.stats.active_lane_cycles += active.min(WARP_SIZE) as u64 * cost;
-        b.stats.divergent_idle_cycles += (WARP_SIZE.saturating_sub(active)) as u64 * cost;
+    /// The definition [`SimBlock::readonly_read_runs`] is held to: the
+    /// address stream cut into warp accesses of 32, each probing its
+    /// distinct lines (`sort_unstable` + `dedup`) in ascending order — or,
+    /// without the cache, an ordinary global read.
+    fn reference_readonly_read(b: &mut SimBlock, addrs: &[u64], bytes: u32) {
+        for chunk in addrs.chunks(WARP_SIZE as usize) {
+            let Some(cache) = b.rocache.as_mut() else {
+                b.global_read(chunk, bytes);
+                continue;
+            };
+            let lines = reference_lines(chunk);
+            let hit_lines = lines
+                .iter()
+                .filter(|&&l| cache.access(l * TRANSACTION_BYTES))
+                .count() as u64;
+            let miss_lines = lines.len() as u64 - hit_lines;
+            let lane_hits = chunk.len() as u64 * hit_lines / lines.len() as u64;
+            b.stats.rocache_hits += lane_hits;
+            b.stats.rocache_misses += chunk.len() as u64 - lane_hits;
+            let cost = miss_lines * b.device.global_transaction_cost
+                + hit_lines.max(1) * b.device.rocache_hit_cost;
+            let active = chunk.len() as u64;
+            b.stats.warp_cycles += cost;
+            b.stats.active_lane_cycles += active * cost;
+            b.stats.divergent_idle_cycles += (WARP_SIZE as u64 - active) * cost;
+        }
+    }
+
+    /// Equal stats after every access, and — judged by the hit/miss
+    /// sequence of later probes — equal caches at the end.
+    fn assert_same_reads(
+        cached: bool,
+        accesses: &[(Vec<(u64, u32)>, u32)],
+        probes: &[u64],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut got = SimBlock::new(0, DeviceConfig::k20c(), cached);
+        let mut want = SimBlock::new(0, DeviceConfig::k20c(), cached);
+        for (runs, bytes) in accesses {
+            let addrs: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(base, len)| (0..len as u64).map(move |k| base + k * *bytes as u64))
+                .collect();
+            got.readonly_read_runs(runs, *bytes);
+            reference_readonly_read(&mut want, &addrs, *bytes);
+            proptest::prop_assert_eq!(got.stats(), want.stats());
+        }
+        for &probe in probes {
+            let (g, w) = (got.rocache.as_mut(), want.rocache.as_mut());
+            proptest::prop_assert_eq!(g.map(|c| c.access(probe)), w.map(|c| c.access(probe)));
+        }
+        Ok(())
     }
 
     proptest::proptest! {
@@ -532,7 +650,7 @@ mod tests {
 
         /// The distinct-line count and the probe list against their
         /// definition (`sort_unstable` + `dedup` of `addr / 128`), warp
-        /// sized and past the > 32 fallback.
+        /// sized and past it.
         #[test]
         fn line_sets_match_sort_and_dedup(
             raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..=40usize),
@@ -542,37 +660,78 @@ mod tests {
             let addrs = shaped_addrs(&raw, shape, stride);
             let want = reference_lines(&addrs);
             proptest::prop_assert_eq!(block().count_lines(&addrs), want.len() as u64);
+            let pieces: Vec<(u64, u64)> = addrs
+                .iter()
+                .map(|a| (a / TRANSACTION_BYTES, a / TRANSACTION_BYTES))
+                .collect();
+            let mut bitmap = [0u64; BITMAP_WORDS];
             let mut lines = Vec::new();
-            if !lines_of(&addrs, &mut lines) {
-                sort_dedup(&mut lines);
-            }
+            piece_lines(&pieces, &mut bitmap, &mut Vec::new(), |line| lines.push(line));
             proptest::prop_assert_eq!(lines, want);
+            proptest::prop_assert_eq!(bitmap, [0u64; BITMAP_WORDS]);
         }
 
-        /// `readonly_read` leaves the same stats *and* the same cache —
-        /// judged by the hit/miss sequence of later probes — as the
-        /// reference algorithm, over a run of accesses that share lines.
+        /// Arbitrary address streams, one address a run — scattered,
+        /// descending, repeating, wider than the bitmap — leave the same
+        /// stats *and* the same cache as the reference algorithm, over
+        /// accesses that share lines.
         #[test]
         fn readonly_read_matches_reference_algorithm(
             raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..=40usize),
             shapes in (0u8..6, 0u8..6, 0u8..6),
             stride in 1u64..300,
+            cached in proptest::prelude::any::<bool>(),
         ) {
-            let mut got = SimBlock::new(0, DeviceConfig::k20c(), true);
-            let mut want = SimBlock::new(0, DeviceConfig::k20c(), true);
-            for shape in [shapes.0, shapes.1, shapes.2] {
-                let addrs = shaped_addrs(&raw, shape, stride);
-                got.readonly_read(&addrs, 4);
-                reference_readonly_read(&mut want, &addrs);
-                proptest::prop_assert_eq!(got.stats(), want.stats());
+            let accesses: Vec<(Vec<(u64, u32)>, u32)> = [shapes.0, shapes.1, shapes.2]
+                .iter()
+                .map(|&shape| {
+                    let addrs = shaped_addrs(&raw, shape, stride);
+                    (addrs.iter().map(|&a| (a, 1)).collect(), 4)
+                })
+                .collect();
+            assert_same_reads(cached, &accesses, &shaped_addrs(&raw, 0, stride))?;
+        }
+
+        /// Runs the way the seeding kernels produce them — position lists
+        /// and posting spans of every length including zero, probe chains
+        /// that wrap to the start of their table, runs cut by the 32-address
+        /// access boundary, accesses spread wider than the bitmap — bill
+        /// what their materialised addresses bill, cache on and off.
+        #[test]
+        fn readonly_read_runs_match_materialized_chunks(
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 0u32..70, 0u8..4),
+                1..=48usize,
+            ),
+            bytes in 0usize..3,
+            spread in 0usize..3,
+            cached in proptest::prelude::any::<bool>(),
+        ) {
+            let bytes = [4u32, 8, 128][bytes];
+            // Table sizes: a few lines, inside the bitmap, eight times past it.
+            let table = [1u64 << 10, 1 << 17, 1 << 22][spread];
+            let base = 0x4_0000u64;
+            let slots = table / bytes as u64;
+            let mut runs = Vec::new();
+            for &(r, len, kind) in &raw {
+                let slot = r % slots;
+                match kind {
+                    // Mostly short lists, as a neighbourhood's are.
+                    0 => runs.push((base + slot * bytes as u64, len % 4)),
+                    1 => runs.push((base + slot * bytes as u64, len.min((slots - slot) as u32))),
+                    // A chain that wraps: the tail of the table, then its head.
+                    2 => {
+                        let tail = len.min(slots as u32).min(3);
+                        runs.push((base + (slots - tail as u64) * bytes as u64, tail));
+                        runs.push((base, len.min(slots as u32) - tail));
+                    }
+                    _ => runs.push((base + slot * bytes as u64, 0)),
+                }
             }
-            for probe in shaped_addrs(&raw, 0, stride) {
-                let (g, w) = (got.rocache.as_mut(), want.rocache.as_mut());
-                proptest::prop_assert_eq!(
-                    g.map(|c| c.access(probe)),
-                    w.map(|c| c.access(probe))
-                );
-            }
+            let probes: Vec<u64> = raw.iter().map(|&(r, _, _)| base + r % table).collect();
+            let halves = runs.split_at(runs.len() / 2);
+            let accesses = [(halves.0.to_vec(), bytes), (halves.1.to_vec(), bytes), (runs.clone(), bytes)];
+            assert_same_reads(cached, &accesses, &probes)?;
         }
     }
 

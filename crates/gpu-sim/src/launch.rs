@@ -33,10 +33,12 @@ impl LaunchConfig {
     }
 }
 
-/// Launch a kernel: run `kernel` once per block (blocks execute in
-/// parallel on host threads — simulated time comes from the cost model,
-/// not wall-clock), merge the per-block counters, and stamp the launch
-/// geometry and achieved occupancy.
+/// Launch a kernel: run `kernel` once per block, merge the per-block
+/// counters, and stamp the launch geometry and achieved occupancy. The
+/// blocks go through a `par_iter`, which the `rayon` this workspace builds
+/// with (`stubs/rayon`) runs one after another on the calling thread —
+/// simulated time comes from the cost model, not wall-clock, so only the
+/// host time of a launch depends on that.
 pub fn launch<F>(device: &DeviceConfig, cfg: LaunchConfig, name: &str, kernel: F) -> KernelStats
 where
     F: Fn(&mut SimBlock) + Sync,
@@ -153,7 +155,7 @@ mod tests {
         let mut cfg = LaunchConfig::simple(2);
         cfg.use_readonly_cache = true;
         let stats = launch(&d, cfg, "nocache", |b| {
-            b.readonly_read(&[0, 4, 8], 4);
+            b.readonly_read_runs(&[(0, 3)], 4);
         });
         assert_eq!(stats.rocache_hits + stats.rocache_misses, 0);
         assert!(stats.global_transactions > 0, "degrades to global loads");

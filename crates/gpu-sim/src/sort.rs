@@ -163,10 +163,14 @@ fn model_stats(device: &DeviceConfig, name: &str, n: usize, work: u64) -> Kernel
 /// streamed work — the Fig. 14 effect. Returns the total number of
 /// element-passes.
 fn merge_work(seg_lens: impl Iterator<Item = usize>) -> u64 {
-    seg_lens
-        .filter(|&l| l > 0)
-        .map(|l| l as u64 * (l.max(2) as f64).log2().ceil() as u64)
-        .sum()
+    seg_lens.map(|l| l as u64 * merge_passes(l as u64)).sum()
+}
+
+/// ⌈log₂ ℓ⌉ merge passes over a segment of length ℓ — at least one: the
+/// model streams a single-element segment once.
+#[inline]
+fn merge_passes(len: u64) -> u64 {
+    (u64::BITS - (len.max(2) - 1).leading_zeros()) as u64
 }
 
 /// Sort every segment of a flat CSR arena in place and return the
@@ -185,8 +189,11 @@ pub fn segmented_sort_flat(
     debug_assert!(!offsets.is_empty(), "CSR offsets need a leading 0");
     debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(keys.len()));
 
+    // Most bins hold one hit or none: nothing to order, no call.
     for w in offsets.windows(2) {
-        radix_sort_u64(&mut keys[w[0] as usize..w[1] as usize], scratch);
+        if w[1] - w[0] > 1 {
+            radix_sort_u64(&mut keys[w[0] as usize..w[1] as usize], scratch);
+        }
     }
 
     let work = merge_work(offsets.windows(2).map(|w| (w[1] - w[0]) as usize));
@@ -276,6 +283,25 @@ mod tests {
         want.sort_unstable();
         radix_sort_u64(&mut dup, &mut scratch);
         assert_eq!(dup, want);
+    }
+
+    /// The integer pass count against the floating-point formula the
+    /// model was written with, `⌈log₂ max(ℓ, 2)⌉`.
+    #[test]
+    fn merge_passes_match_the_float_formula() {
+        let float = |l: u64| (l.max(2) as f64).log2().ceil() as u64;
+        for l in 0..=1u64 << 20 {
+            assert_eq!(merge_passes(l), float(l), "ℓ = {l}");
+        }
+        for k in 1..=40 {
+            for l in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                assert_eq!(merge_passes(l), float(l), "ℓ = 2^{k} ± 1: {l}");
+            }
+        }
+        assert_eq!(
+            merge_work([0usize, 1, 2, 3, 1024, 1025].into_iter()),
+            1 + 2 + 6 + 10240 + 11275
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Reusable kernel scratch — the pinned-pool analogue of a real CUDA
 //! driver's allocator.
 //!
-//! The hit pipeline's kernels need per-block scratch (address vectors,
-//! arena pages, sort ping-pong buffers). Allocating those per launch puts `malloc` on the per-query hot path the batch engine
-//! serves from; a real GPU driver instead keeps such buffers pooled and
-//! reuses them across launches. [`KernelWorkspace`] is that pool: typed
+//! The hit pipeline's kernels need per-block scratch (bin counters, arena
+//! pages, sort ping-pong buffers). Allocating those per launch puts
+//! `malloc` on the per-query hot path the batch engine serves from; a real
+//! GPU driver instead keeps such buffers pooled and reuses them across
+//! launches. [`KernelWorkspace`] is that pool: typed
 //! free lists of `Vec`s that kernels check out, fill, and return. Capacity
 //! is retained across checkouts, so after a warm-up query the steady state
 //! performs **zero** heap allocations on this path — observable through
@@ -103,14 +104,17 @@ impl<T> BufferPool<T> {
 
 /// The scratch pools the hit-path kernels draw from, shared by every
 /// search of an engine (and across a whole batch). All pools are
-/// thread-safe, so parallel per-block kernel bodies and parallel batch
-/// queries check buffers in and out concurrently.
+/// thread-safe: whoever holds the workspace may check buffers in and out
+/// from several threads (the Fig. 12 overlap runs a block's GPU phase on a
+/// producer thread beside the caller's CPU tail). The per-block kernel
+/// bodies of one launch are not such threads — the `rayon` this workspace
+/// builds with (`stubs/rayon`) runs them one after another on the calling
+/// thread.
 pub struct KernelWorkspace {
     /// Packed 64-bit hit keys: arena pages, sort scratch, filter output.
     pub keys: BufferPool<u64>,
-    /// Per-lane device addresses fed to the coalescing tracer.
-    pub addrs: BufferPool<u64>,
-    /// CSR offsets (arena bin boundaries, segment boundaries).
+    /// CSR offsets (arena bin boundaries, segment boundaries) and the
+    /// seeding pass's per-bin and per-slot counters.
     pub offsets: BufferPool<u32>,
     /// Interval-traceback checkpoint rows (device gapped backend): the
     /// bounded D/F snapshots the multi-pass re-fill restores from.
@@ -125,7 +129,6 @@ impl Default for KernelWorkspace {
     fn default() -> Self {
         Self {
             keys: BufferPool::named("keys"),
-            addrs: BufferPool::named("addrs"),
             offsets: BufferPool::named("offsets"),
             ckpt: BufferPool::named("ckpt"),
             dirs: BufferPool::named("dirs"),
@@ -141,22 +144,14 @@ impl KernelWorkspace {
 
     /// Total checkouts across all pools.
     pub fn checkouts(&self) -> u64 {
-        self.keys.takes()
-            + self.addrs.takes()
-            + self.offsets.takes()
-            + self.ckpt.takes()
-            + self.dirs.takes()
+        self.keys.takes() + self.offsets.takes() + self.ckpt.takes() + self.dirs.takes()
     }
 
     /// Total cold-miss allocations across all pools. Once the pools are
     /// warm this is constant across searches — the quantity the
     /// workspace-reuse test asserts on.
     pub fn allocations(&self) -> u64 {
-        self.keys.allocs()
-            + self.addrs.allocs()
-            + self.offsets.allocs()
-            + self.ckpt.allocs()
-            + self.dirs.allocs()
+        self.keys.allocs() + self.offsets.allocs() + self.ckpt.allocs() + self.dirs.allocs()
     }
 
     /// Reset every pool to a cold free list (see [`BufferPool::reset`]).
@@ -164,7 +159,6 @@ impl KernelWorkspace {
     /// starts from known-good workspace state.
     pub fn reset(&self) {
         self.keys.reset();
-        self.addrs.reset();
         self.offsets.reset();
         self.ckpt.reset();
         self.dirs.reset();
