@@ -138,10 +138,7 @@ fn main() -> ExitCode {
         };
         let fine_searcher = CuBlastp::new(q.clone(), params, fine_cfg, device, &db);
         let c = fine_searcher.search(&db).expect("fault-free search");
-        let c_fine_ms = c
-            .kernel("gapped_extension_fine")
-            .map(|k| k.time_ms(&device))
-            .unwrap_or(0.0);
+        let c_fine_ms = c.kernel_ms_of("gapped_extension_fine").unwrap_or(0.0);
 
         for (label, key) in [
             ("coarse", b_report.identity_key()),

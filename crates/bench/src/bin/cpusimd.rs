@@ -29,7 +29,7 @@
 
 use bench::obsenv;
 use bench::report::{Obj, Report};
-use bench::runners::figure_config;
+use bench::runners::{figure_config, upload_blocks};
 use bench::table::print_table;
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
@@ -46,9 +46,9 @@ use blast_cpu::traceback::traceback;
 use blast_cpu::ungapped::extend;
 use blast_cpu::UngappedExt;
 use cublastp::binning::binning_kernel;
-use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
+use cublastp::devicedata::DeviceQuery;
 use cublastp::hitpack::{group_key, query_pos, seq_id, subject_pos};
-use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
+use cublastp::reorder::reorder_kernel;
 use gpu_sim::{DeviceConfig, KernelWorkspace};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -367,18 +367,12 @@ fn ungapped_rows(engine: &SearchEngine, db: &SequenceDb) -> Vec<UngappedRow> {
     let device = DeviceConfig::k20c();
     let ws = KernelWorkspace::new();
     let dq = DeviceQuery::upload(engine.dfa.clone(), engine.pssm.clone());
-    let blocks: Vec<DeviceDbBlock> = db
-        .blocks(cfg.db_block_size)
-        .into_iter()
-        .map(|b| DeviceDbBlock::upload(db.block_sequences(b), b.start))
-        .collect();
+    let blocks = upload_blocks(db, cfg.db_block_size);
     let mut seeds: Vec<(&[u8], u32, u32)> = Vec::new();
     for block in &blocks {
         let (binned, _) = binning_kernel(&device, &cfg, &dq, block, &ws);
-        let (mut asm, _) = assemble_kernel(&device, &cfg, binned, &ws);
-        sort_kernel(&device, &mut asm, &ws);
         let window = engine.params.two_hit_window as i64;
-        let (filtered, _) = filter_kernel(&device, &cfg, &asm, window, &ws);
+        let (filtered, _) = reorder_kernel(&device, binned, true, window, &ws);
         for task in filtered
             .hits
             .chunk_by(|&a, &b| group_key(a) == group_key(b))
@@ -394,7 +388,6 @@ fn ungapped_rows(engine: &SearchEngine, db: &SequenceDb) -> Vec<UngappedRow> {
                 }
             }
         }
-        asm.recycle(&ws);
         filtered.recycle(&ws);
     }
     rows.push(ungapped_row(

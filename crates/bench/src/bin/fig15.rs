@@ -12,11 +12,9 @@ use bench::{database, query, QUERY_LENGTHS};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
 use cublastp::{CuBlastpConfig, ScoringMode};
-use gpu_sim::DeviceConfig;
 
 fn main() {
     let params = SearchParams::default();
-    let device = DeviceConfig::k20c();
 
     let mut rows = Vec::new();
     for len in QUERY_LENGTHS {
@@ -29,8 +27,7 @@ fn main() {
                 ..figure_config()
             };
             let (r, _) = run_cublastp_detailed(&q, &db, params, cfg);
-            let total: f64 = r.kernels.iter().map(|k| k.time_ms(&device)).sum();
-            times.push(total);
+            times.push(r.timing.gpu_ms);
         }
         let improvement = times[0] / times[1] - 1.0;
         rows.push(vec![

@@ -12,11 +12,9 @@ use bench::{database, query, QUERY_LENGTHS};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
 use cublastp::{CuBlastpConfig, ExtensionStrategy};
-use gpu_sim::DeviceConfig;
 
 fn main() {
     let params = SearchParams::default();
-    let device = DeviceConfig::k20c();
     let strategies = [
         ("diagonal", ExtensionStrategy::Diagonal),
         ("hit", ExtensionStrategy::Hit),
@@ -36,10 +34,11 @@ fn main() {
                 ..figure_config()
             };
             let (r, _) = run_cublastp_detailed(&q, &db, params, cfg);
-            let ext = r
-                .kernel("ungapped_extension")
+            let (ext, ext_ms) = r
+                .kernel_rows()
+                .find(|(k, _)| k.name.contains("ungapped_extension"))
                 .expect("extension kernel present");
-            times.push(fmt(ext.time_ms(&device)));
+            times.push(fmt(ext_ms));
             divs.push(pct(ext.divergence_overhead()));
         }
         time_rows.push(times);

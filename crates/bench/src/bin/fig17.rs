@@ -8,11 +8,9 @@ use bench::{database, query, QUERY_LENGTHS};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
 use cublastp::CuBlastpConfig;
-use gpu_sim::DeviceConfig;
 
 fn main() {
     let params = SearchParams::default();
-    let device = DeviceConfig::k20c();
 
     let mut rows = Vec::new();
     for len in QUERY_LENGTHS {
@@ -26,8 +24,7 @@ fn main() {
                 ..figure_config()
             };
             let (r, _) = run_cublastp_detailed(&q, &db, params, cfg);
-            let total: f64 = r.kernels.iter().map(|k| k.time_ms(&device)).sum();
-            cells.push(fmt(total));
+            cells.push(fmt(r.timing.gpu_ms));
             if cache {
                 hit_rate = pct(r
                     .kernel("hit_detection")

@@ -67,8 +67,8 @@ fn main() {
     let mut push = |label: &str, ms: f64| {
         rows.push(vec![label.to_string(), fmt(ms), pct(ms / serial_total)]);
     };
-    for k in &cu.kernels {
-        push(&k.name, k.time_ms(&device));
+    for (k, ms) in cu.kernel_rows() {
+        push(&k.name, ms);
     }
     push("data transfer (H2D+D2H)", t.h2d_ms + t.d2h_ms);
     push("gapped extension (CPU)", t.gapped_ms);

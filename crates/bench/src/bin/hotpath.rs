@@ -1,12 +1,15 @@
 //! The hit path kernel by kernel on the modelled clock, and what a
 //! disarmed observability span costs on the host clock.
 //!
-//! Runs hit detection → assembling → sorting → filtering → ungapped
-//! extension over every database block of both presets and reports each
-//! kernel's median simulated time — deterministic for a given
-//! `BENCH_SCALE`; these are the `phase_medians` the perf gate checks.
+//! Runs the search's three launches — hit detection → hit reordering →
+//! ungapped extension — over every database block of both presets, and
+//! beside the fused reordering its three stages (assembling, sorting,
+//! filtering) one launch each, and reports each kernel's median simulated
+//! time — deterministic for a given `BENCH_SCALE`; these are the
+//! `phase_medians` the perf gate checks. Asserted in-run: on every preset
+//! the fused launch is cheaper than its three stages launched apart.
 //!
-//! The second table is the observability A/B: kernels 1–4 at batch 16
+//! The second table is the observability A/B: kernels 1–2 at batch 16
 //! (one workspace across the batch, as `search_batch` runs them) plain,
 //! with the pipeline's per-kernel spans compiled in but disarmed, and
 //! armed — next to the same estimator's reading between two plain series,
@@ -15,7 +18,7 @@
 
 use bench::obsenv;
 use bench::report::{Obj, Report};
-use bench::runners::figure_config;
+use bench::runners::{figure_config, staged_reorder, upload_blocks};
 use bench::table::print_table;
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
@@ -23,7 +26,7 @@ use blast_core::{Dfa, Matrix, Pssm, SearchParams};
 use cublastp::binning::binning_kernel;
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
 use cublastp::extension::extension_kernel;
-use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
+use cublastp::reorder::reorder_kernel;
 use cublastp::CuBlastpConfig;
 use gpu_sim::{DeviceConfig, KernelWorkspace};
 use std::process::ExitCode;
@@ -37,12 +40,14 @@ const AB_BATCH: usize = 16;
 /// is far below the run-to-run noise floor and needs a tight minimum.
 const AB_REPS: usize = 9;
 
-const KERNELS: [&str; 5] = [
+/// The search's launches, then the reorder stages launched apart.
+const KERNELS: [&str; 6] = [
     "hit_detection",
+    "hit_reordering",
+    "ungapped_extension",
     "hit_assembling",
     "hit_sorting",
     "hit_filtering",
-    "ungapped_extension",
 ];
 
 /// The inputs every pass shares.
@@ -59,27 +64,31 @@ impl Workload<'_> {
         self.params.two_hit_window as i64
     }
 
-    /// Median simulated time of each of the five kernels over the blocks.
-    fn modelled_medians(&self) -> [f64; 5] {
+    /// Median simulated time of each of [`KERNELS`] over the blocks.
+    fn modelled_medians(&self) -> [f64; 6] {
         let (device, cfg, dq) = (self.device, self.cfg, self.dq);
         let ws = KernelWorkspace::new();
-        let mut sim: [Vec<f64>; 5] = Default::default();
+        let mut sim: [Vec<f64>; 6] = Default::default();
         for block in self.blocks {
-            let (binned, k0) = binning_kernel(device, cfg, dq, block, &ws);
-            let (mut asm, k1) = assemble_kernel(device, cfg, binned, &ws);
-            let k2 = sort_kernel(device, &mut asm, &ws);
-            let (filtered, k3) = filter_kernel(device, cfg, &asm, self.window(), &ws);
+            let (binned, k_bin) = binning_kernel(device, cfg, dq, block, &ws);
+            let (filtered, k_reorder) = reorder_kernel(device, binned, true, self.window(), &ws);
             let ext = extension_kernel(device, cfg, dq, block, &filtered, self.params);
-            asm.recycle(&ws);
+            // The same arena again, a stage per launch.
+            let (binned, _) = binning_kernel(device, cfg, dq, block, &ws);
+            let (staged, [k_asm, k_sort, k_filter]) =
+                staged_reorder(device, cfg, binned, self.window(), &ws);
+            assert_eq!(staged.hits, filtered.hits, "one launch or three");
+            staged.recycle(&ws);
             filtered.recycle(&ws);
-            for (acc, k) in sim.iter_mut().zip([&k0, &k1, &k2, &k3, &ext.stats]) {
+            let kernels = [&k_bin, &k_reorder, &ext.stats, &k_asm, &k_sort, &k_filter];
+            for (acc, k) in sim.iter_mut().zip(kernels) {
                 acc.push(k.time_ms(device));
             }
         }
         sim.map(|mut xs| obsenv::median(&mut xs))
     }
 
-    /// Host wall-clock (ms) of kernels 1–4 over [`AB_BATCH`] passes, no
+    /// Host wall-clock (ms) of kernels 1–2 over [`AB_BATCH`] passes, no
     /// spans compiled in: the plain side of the A/B.
     fn plain_batch(&self) -> f64 {
         let (device, cfg, dq) = (self.device, self.cfg, self.dq);
@@ -89,11 +98,8 @@ impl Workload<'_> {
             for block in self.blocks {
                 let t0 = Instant::now();
                 let (binned, _) = binning_kernel(device, cfg, dq, block, &ws);
-                let (mut asm, _) = assemble_kernel(device, cfg, binned, &ws);
-                sort_kernel(device, &mut asm, &ws);
-                let (filtered, _) = filter_kernel(device, cfg, &asm, self.window(), &ws);
+                let (filtered, _) = reorder_kernel(device, binned, true, self.window(), &ws);
                 ms += t0.elapsed().as_secs_f64() * 1e3;
-                asm.recycle(&ws);
                 filtered.recycle(&ws);
             }
         }
@@ -116,20 +122,11 @@ impl Workload<'_> {
                 let (binned, k) = binning_kernel(device, cfg, dq, block, &ws);
                 s.set_arg("sim_ms", k.time_ms(device));
                 drop(s);
-                let mut s = obs::span("hit_assembling", "kernel").with_block(bi);
-                let (mut asm, k) = assemble_kernel(device, cfg, binned, &ws);
-                s.set_arg("sim_ms", k.time_ms(device));
-                drop(s);
-                let mut s = obs::span("hit_sorting", "kernel").with_block(bi);
-                let k = sort_kernel(device, &mut asm, &ws);
-                s.set_arg("sim_ms", k.time_ms(device));
-                drop(s);
-                let mut s = obs::span("hit_filtering", "kernel").with_block(bi);
-                let (filtered, k) = filter_kernel(device, cfg, &asm, self.window(), &ws);
+                let mut s = obs::span("hit_reordering", "kernel").with_block(bi);
+                let (filtered, k) = reorder_kernel(device, binned, true, self.window(), &ws);
                 s.set_arg("sim_ms", k.time_ms(device));
                 drop(s);
                 ms += t0.elapsed().as_secs_f64() * 1e3;
-                asm.recycle(&ws);
                 filtered.recycle(&ws);
             }
         }
@@ -159,15 +156,12 @@ fn main() -> ExitCode {
     let m = Matrix::blosum62();
     let dq = DeviceQuery::upload(Dfa::build(&q, &m, params.threshold), Pssm::build(&q, &m));
 
-    let mut medians: Vec<(&'static str, [f64; 5])> = Vec::new();
+    let mut report = Report::new("hotpath");
+    let mut medians: Vec<(&'static str, [f64; 6])> = Vec::new();
     let mut obs_rows: Vec<ObsRow> = Vec::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &q);
-        let blocks: Vec<DeviceDbBlock> = db
-            .blocks(cfg.db_block_size)
-            .into_iter()
-            .map(|b| DeviceDbBlock::upload(db.block_sequences(b), b.start))
-            .collect();
+        let blocks = upload_blocks(&db, cfg.db_block_size);
         let w = Workload {
             device: &device,
             cfg: &cfg,
@@ -175,7 +169,16 @@ fn main() -> ExitCode {
             dq: &dq,
             blocks: &blocks,
         };
-        medians.push((preset.name(), w.modelled_medians()));
+        let ms = w.modelled_medians();
+        let [_, fused_ms, _, assemble_ms, sort_ms, filter_ms] = ms;
+        if fused_ms >= assemble_ms + sort_ms + filter_ms {
+            report.fail(format_args!(
+                "{}: hit_reordering {fused_ms} ms is no cheaper than its stages apart \
+                 ({assemble_ms} + {sort_ms} + {filter_ms})",
+                preset.name()
+            ));
+        }
+        medians.push((preset.name(), ms));
 
         // Observability A/B: the plain loop (no spans compiled in), the
         // instrumented loop disarmed, and the instrumented loop fully
@@ -235,7 +238,7 @@ fn main() -> ExitCode {
     );
     print_table(
         &format!(
-            "Observability overhead — kernels 1-4, batch {AB_BATCH} (host ms, best of {AB_REPS})"
+            "Observability overhead — kernels 1-2, batch {AB_BATCH} (host ms, best of {AB_REPS})"
         ),
         &[
             "db",
@@ -279,11 +282,11 @@ fn main() -> ExitCode {
                 .fixed("noise_floor_pct", r.noise_floor_pct, 3)
         })
         .collect();
-    Report::new("hotpath").finish(
+    report.finish(
         Obj::new()
             .int("query", 517)
             .num("scale", scale)
-            .text("kernels", &format!("{}..{}", KERNELS[0], KERNELS[4]))
+            .text("kernels", &KERNELS.join(" "))
             .obj("phase_medians", phase_medians)
             .rows("obs_overhead", obs_overhead),
     )

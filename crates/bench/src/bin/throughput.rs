@@ -72,8 +72,9 @@ fn main() -> ExitCode {
                 db_blocks: results[0].block_timings.len(),
             });
             // Perf-gate medians from the largest batch: the legs above
-            // plus each kernel's simulated time, merged across a query's
-            // blocks (kernel order is the pipeline order).
+            // plus each kernel's simulated time, summed over a query's
+            // launches (kernel order is the pipeline order) — rows that
+            // add up to `gpu_ms` query by query.
             if batch == *BATCH_SIZES.last().unwrap() {
                 let r = rows.last().expect("just pushed");
                 let mut phases = Obj::new()
@@ -83,8 +84,7 @@ fn main() -> ExitCode {
                 for (ki, k) in results[0].kernels.iter().enumerate() {
                     let mut xs: Vec<f64> = results
                         .iter()
-                        .filter_map(|r| r.kernels.get(ki))
-                        .map(|k| k.time_ms(&device))
+                        .filter_map(|r| r.kernel_ms.get(ki).copied())
                         .collect();
                     phases = phases.fixed(k.name.as_str(), obsenv::median(&mut xs), 6);
                 }

@@ -9,8 +9,11 @@ use baselines::{CudaBlastp, GpuBlastp};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
+use cublastp::binning::BinnedHits;
+use cublastp::devicedata::DeviceDbBlock;
+use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel, FilteredHits};
 use cublastp::{CuBlastp, CuBlastpConfig, CuBlastpResult};
-use gpu_sim::DeviceConfig;
+use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 
 /// What every pipeline reports for the comparison figures.
 #[derive(Debug, Clone)]
@@ -140,6 +143,33 @@ pub fn run_gpu_blastp(q: &Sequence, db: &SequenceDb, params: SearchParams) -> Ru
         hits: r.report.hits.len(),
         identity: r.report.identity_key(),
     }
+}
+
+/// Every block of `db` at `block_size`, uploaded — what the kernel-level
+/// benches launch over.
+pub fn upload_blocks(db: &SequenceDb, block_size: usize) -> Vec<DeviceDbBlock> {
+    db.blocks(block_size)
+        .into_iter()
+        .map(|b| DeviceDbBlock::upload(db.block_sequences(b), b.start))
+        .collect()
+}
+
+/// Hit reordering one stage per launch — assembling, sorting, filtering,
+/// the paper's three kernels — where the search fuses them into
+/// `hit_reordering`. Fig. 14 sweeps these and `hotpath` holds the fused
+/// launch against their sum.
+pub fn staged_reorder(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    binned: BinnedHits,
+    window: i64,
+    ws: &KernelWorkspace,
+) -> (FilteredHits, [KernelStats; 3]) {
+    let (mut asm, k_asm) = assemble_kernel(device, cfg, binned, ws);
+    let k_sort = sort_kernel(device, &mut asm, ws);
+    let (filtered, k_filter) = filter_kernel(device, cfg, &asm, window, ws);
+    asm.recycle(ws);
+    (filtered, [k_asm, k_sort, k_filter])
 }
 
 /// The cuBLASTP configuration used for figure runs (paper defaults with a

@@ -11,13 +11,17 @@
 //! the new ones below). Any other drift is a billing change, whether it
 //! comes from a kernel or from inside the simulator (how a warp's
 //! distinct lines are counted, how the read-only cache rotates a set).
+//! The search has since fused kernels 2–4 into one launch (PR 22): their
+//! rows stay as they were — they pin the stages as standalone launches —
+//! and a `hit_reordering` row per preset, appended last, pins the fused
+//! one.
 //!
 //! One test function on purpose: the grouped kernel reads two device
 //! buffers through the read-only cache, so its hit/miss sequence depends
 //! on their relative placement, and `virtual_alloc` is process-global — a
 //! second test thread allocating in between would move it.
 
-use bench::runners::figure_config;
+use bench::runners::{figure_config, staged_reorder};
 use bio_seq::generate::{generate_db, make_query, DbPreset};
 use bio_seq::Sequence;
 use blast_core::{Dfa, Matrix, Pssm, SearchParams};
@@ -25,7 +29,7 @@ use cublastp::binning::binning_kernel;
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
 use cublastp::extension::extension_kernel;
 use cublastp::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
-use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel};
+use cublastp::reorder::reorder_kernel;
 use cublastp::{CuBlastpConfig, ExtensionStrategy};
 use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 
@@ -141,9 +145,7 @@ fn hit_path_kernel_stats_are_pinned() {
         ..Default::default()
     };
     let (binned, _) = binning_kernel(&d, &front, &dq, &db, &ws);
-    let (mut asm, _) = assemble_kernel(&d, &front, binned, &ws);
-    sort_kernel(&d, &mut asm, &ws);
-    let (filtered, _) = filter_kernel(&d, &front, &asm, 40, &ws);
+    let (filtered, _) = staged_reorder(&d, &front, binned, 40, &ws);
     let params = SearchParams::default();
     // The loads are billed through `bulk_traffic` and have not moved; the
     // compaction adds votes, one atomic per round with survivors and the
@@ -232,12 +234,34 @@ fn hit_path_kernel_stats_are_pinned() {
         assert_eq!(blocks.len(), 1, "{name}");
         let block = DeviceDbBlock::upload(db.block_sequences(blocks[0]), blocks[0].start);
         let (binned, k0) = binning_kernel(&d, &cfg, &dq, &block, &ws);
-        let (mut asm, k1) = assemble_kernel(&d, &cfg, binned, &ws);
-        let k2 = sort_kernel(&d, &mut asm, &ws);
-        let (filtered, k3) = filter_kernel(&d, &cfg, &asm, window, &ws);
+        let (filtered, [k1, k2, k3]) = staged_reorder(&d, &cfg, binned, window, &ws);
         let bytes: Vec<u8> = filtered.hits.iter().flat_map(|h| h.to_le_bytes()).collect();
         assert_eq!(filtered.hits.len(), survivors, "{name} survivors");
         assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} hit vector");
         assert_eq!([k0, k1, k2, k3], want, "{name} kernels 1-4");
+    }
+
+    // The same arenas through the search's one launch (PR 22): the rows
+    // above pin the stages as standalone launches and did not move; this
+    // one is what `hit_reordering` bills for gather + sort + filter, with
+    // the same survivors.
+    #[rustfmt::skip]
+    let fused = [
+        (DbPreset::SwissprotMini, 10108, 0x98b4_bf18,
+            pinned("hit_reordering", [418726, 12524726, 874506, 1635192, 3096832, 24194, 777240, 1243776, 0, 0, 0, 0, 0], 0.375, 20, 8)),
+        (DbPreset::EnvNrMini, 16864, 0xef6a_0de4,
+            pinned("hit_reordering", [658912, 19607170, 1478014, 2577696, 4867584, 38028, 1221520, 1922048, 0, 0, 0, 0, 0], 0.375, 33, 8)),
+    ];
+    for (preset, survivors, crc, want) in fused {
+        let name = preset.name();
+        let db = generate_db(&preset.spec().scaled(0.05), &make_query(517)).db;
+        let blocks = db.blocks(cfg.db_block_size);
+        let block = DeviceDbBlock::upload(db.block_sequences(blocks[0]), blocks[0].start);
+        let (binned, _) = binning_kernel(&d, &cfg, &dq, &block, &ws);
+        let (filtered, k) = reorder_kernel(&d, binned, true, window, &ws);
+        let bytes: Vec<u8> = filtered.hits.iter().flat_map(|h| h.to_le_bytes()).collect();
+        assert_eq!(filtered.hits.len(), survivors, "{name} survivors");
+        assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} hit vector");
+        assert_eq!(k, want, "{name} hit_reordering");
     }
 }

@@ -112,9 +112,8 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn absorb(&mut self, r: &CuBlastpResult, device: &DeviceConfig) {
-        for k in &r.kernels {
-            let ms = k.time_ms(device);
+    fn absorb(&mut self, r: &CuBlastpResult) {
+        for (k, ms) in r.kernel_rows() {
             match self.kernels.iter_mut().find(|(n, _)| *n == k.name) {
                 Some((_, acc)) => *acc += ms,
                 None => self.kernels.push((k.name.clone(), ms)),
@@ -774,7 +773,7 @@ fn run_batch(
         for (i, (query, result)) in queries.iter().zip(per_query).enumerate() {
             match result {
                 Ok(r) => {
-                    telemetry.absorb(&r, &device);
+                    telemetry.absorb(&r);
                     let line = telemetry_line(&r, &mode(&r));
                     report::print(query, db, &r.report, args, wall, &line);
                 }

@@ -152,7 +152,12 @@ pub(crate) fn search_shards(
         shard_ms[index] = r.timing.overlapped_ms;
         shard_hits[index] = r.report.hits.len();
         merged.report.hits.extend(r.report.hits);
-        merge_kernels(&mut merged.kernels, r.kernels);
+        merge_kernels(
+            &mut merged.kernels,
+            &mut merged.kernel_ms,
+            r.kernels,
+            &r.kernel_ms,
+        );
         merged.counts.absorb(&r.counts);
         merged.timing.gpu_ms += r.timing.gpu_ms;
         merged.timing.h2d_ms += r.timing.h2d_ms;

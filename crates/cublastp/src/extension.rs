@@ -552,9 +552,7 @@ mod tests {
         let d = DeviceConfig::k20c();
         let ws = gpu_sim::KernelWorkspace::new();
         let (binned, _) = crate::binning::binning_kernel(&d, &cfg, &dq, &db, &ws);
-        let (mut asm, _) = crate::reorder::assemble_kernel(&d, &cfg, binned, &ws);
-        crate::reorder::sort_kernel(&d, &mut asm, &ws);
-        let (f, _) = crate::reorder::filter_kernel(&d, &cfg, &asm, 40, &ws);
+        let (f, _) = crate::reorder::reorder_kernel(&d, binned, true, 40, &ws);
         (dq, db, f)
     }
 

@@ -47,7 +47,7 @@ use gpu_sim::{
     KernelWorkspace, LaunchConfig,
 };
 
-/// Stats name of the fine gapped kernel (the pipeline's 6th kernel entry).
+/// Stats name of the fine gapped kernel (the pipeline's 4th kernel entry).
 pub const FINE_GAPPED_KERNEL: &str = "gapped_extension_fine";
 
 /// Warp instructions per 32-cell wavefront chunk: the affine recurrence
@@ -74,7 +74,7 @@ pub struct GappedDeviceOutput {
     /// not), bit-identical to `gapped_phase_subject`.
     pub gapped: Vec<Vec<GappedExt>>,
     /// Simulated kernel counters (merges into the pipeline's kernel list
-    /// as its 6th entry).
+    /// as its 4th entry).
     pub stats: KernelStats,
     /// Bytes of the alignment download (the D2H leg this backend adds).
     pub download_bytes: u64,

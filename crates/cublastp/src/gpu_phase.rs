@@ -1,12 +1,13 @@
-//! The GPU side of cuBLASTP for one database block: the five fine-grained
-//! kernels (hit detection with binning → assembling → sorting → filtering
-//! → ungapped extension) run back to back, as in §3.2–3.4.
+//! The GPU side of cuBLASTP for one database block: hit detection with
+//! binning, hit reordering (assembling → sorting → filtering, §3.3, fused
+//! into one launch) and ungapped extension run back to back, as in
+//! §3.2–3.4.
 
 use crate::binning::{binning_kernel, BinnedHits};
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::extension::{extension_kernel_counted, ExtensionResult, RECORD_BYTES};
-use crate::reorder::{assemble_kernel, sort_kernel};
+use crate::reorder::reorder_kernel;
 use blast_core::SearchParams;
 use blast_cpu::ungapped::UngappedExt;
 use gpu_sim::{
@@ -136,8 +137,8 @@ pub struct GpuPhaseOutput {
     /// block-local subject id (CSR over one flat buffer; subjects without
     /// any have empty spans).
     pub extensions: ExtensionsCsr,
-    /// Per-kernel stats in execution order: hit detection, assembling,
-    /// sorting, filtering, ungapped extension.
+    /// Per-kernel stats in execution order: hit detection, hit reordering,
+    /// ungapped extension.
     pub kernels: Vec<KernelStats>,
     /// Hit/extension counters.
     pub counts: GpuPhaseCounts,
@@ -152,7 +153,13 @@ pub struct GpuPhaseOutput {
 impl GpuPhaseOutput {
     /// Total simulated GPU time for the block in milliseconds.
     pub fn gpu_ms(&self, device: &DeviceConfig) -> f64 {
-        self.kernels.iter().map(|k| k.time_ms(device)).sum()
+        self.kernel_ms(device).iter().sum()
+    }
+
+    /// Simulated time of each kernel launch of the block, in the order of
+    /// [`Self::kernels`].
+    pub fn kernel_ms(&self, device: &DeviceConfig) -> Vec<f64> {
+        self.kernels.iter().map(|k| k.time_ms(device)).collect()
     }
 
     /// Find one kernel's stats by name.
@@ -164,32 +171,42 @@ impl GpuPhaseOutput {
 /// Merge one block's (or shard's) per-kernel stats into the running
 /// per-kernel totals, positionally — every block runs the same kernels in
 /// the same order. A block that ran more kernels than the totals hold yet
-/// (a shard whose gapped phase carried a 6th entry) extends them.
-pub(crate) fn merge_kernels(totals: &mut Vec<KernelStats>, block: Vec<KernelStats>) {
+/// (a shard whose gapped phase carried a 4th entry) extends them.
+///
+/// The counters add; the modelled time does not follow from their sum —
+/// every launch pays its own overhead and its own `max(compute,
+/// bandwidth)` — so `ms` travels beside them, launch by launch.
+pub(crate) fn merge_kernels(
+    totals: &mut Vec<KernelStats>,
+    totals_ms: &mut Vec<f64>,
+    block: Vec<KernelStats>,
+    block_ms: &[f64],
+) {
+    debug_assert_eq!(block.len(), block_ms.len());
     for (k, o) in totals.iter_mut().zip(&block) {
         k.merge(o);
     }
+    for (t, ms) in totals_ms.iter_mut().zip(block_ms) {
+        *t += ms;
+    }
     let have = totals.len();
     totals.extend(block.into_iter().skip(have));
+    totals_ms.extend(block_ms.iter().skip(have));
 }
 
-/// Stats names of hit-path kernels 1–4, in execution order (kernel 5's is
+/// Stats names of the hit-path kernels before the extension, in execution
+/// order (the extension kernel's is
 /// [`crate::ExtensionStrategy::kernel_name`]).
-pub(crate) const HIT_PATH_KERNELS: [&str; 4] = [
-    "hit_detection",
-    "hit_assembling",
-    "hit_sorting",
-    "hit_filtering",
-];
+pub(crate) const HIT_PATH_KERNELS: [&str; 2] = ["hit_detection", "hit_reordering"];
 
-/// Run the five fine-grained kernels over one uploaded database block.
+/// Run the three hit-path kernels over one uploaded database block.
 /// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
 /// comes from `ws` and is returned to it before the call ends, so a warm
 /// workspace makes the whole phase allocation-free on the host.
 ///
 /// The `injector` is consulted at every fault site a real driver could
 /// fail at — scratch allocation, workspace checkout, each transfer leg,
-/// and each of the five kernel launches. With a disarmed injector every
+/// and each of the three kernel launches. With a disarmed injector every
 /// check is two relaxed atomic loads and the phase is infallible in
 /// practice; an armed one returns the planned [`DeviceError`] so the
 /// recovery layer above can retry or degrade.
@@ -254,12 +271,12 @@ pub(crate) fn run_seeded_phase(
     )
 }
 
-/// Kernels 2–5 over an already-binned hit arena: assembling → sorting →
-/// filtering → ungapped extension, plus the D2H leg and the phase's
-/// metrics. The per-query path feeds this the `binning_kernel` arena; the
-/// grouped path feeds it one member's demuxed slice of a grouped seeding
-/// pass — either way `binned` holds that query's hits in the standard
-/// arena shape, so downstream semantics are identical by construction.
+/// Hit reordering and ungapped extension over an already-binned hit
+/// arena, plus the D2H leg and the phase's metrics. The per-query path
+/// feeds this the `binning_kernel` arena; the grouped path feeds it one
+/// member's demuxed slice of a grouped seeding pass — either way `binned`
+/// holds that query's hits in the standard arena shape, so downstream
+/// semantics are identical by construction.
 #[allow(clippy::too_many_arguments)]
 fn run_gpu_tail(
     device: &DeviceConfig,
@@ -275,39 +292,23 @@ fn run_gpu_tail(
 ) -> Result<GpuPhaseOutput, DeviceError> {
     let hits = binned.total_hits;
 
-    // Kernel 2: assemble bins into a contiguous array (Fig. 6a) — the
-    // arena moves, only the offsets are collapsed.
-    injector.check(FaultSite::KernelLaunch, ctx, "hit_assembling")?;
-    let mut k_span = obs::span("hit_assembling", "kernel").with_block(ctx.block);
-    let (mut assembled, k_asm) = assemble_kernel(device, cfg, binned, ws);
-    k_span.set_arg("sim_ms", k_asm.time_ms(device));
-    drop(k_span);
-
-    // Kernel 3: segmented sort on the packed 64-bit keys (Fig. 6b, Fig. 7).
-    injector.check(FaultSite::KernelLaunch, ctx, "hit_sorting")?;
-    let mut k_span = obs::span("hit_sorting", "kernel").with_block(ctx.block);
-    let k_sort = sort_kernel(device, &mut assembled, ws);
-    k_span.set_arg("sim_ms", k_sort.time_ms(device));
-    drop(k_span);
-
-    // Kernel 4: filter non-extendable hits (Fig. 6c); in one-hit mode the
-    // pass degenerates to compaction.
-    injector.check(FaultSite::KernelLaunch, ctx, "hit_filtering")?;
-    let mut k_span = obs::span("hit_filtering", "kernel").with_block(ctx.block);
-    let (filtered, k_filter) = crate::reorder::filter_kernel_mode(
+    // Kernel 2: gather the bins, segmented-sort the packed keys and drop
+    // the non-extendable hits (Fig. 6a–c, Fig. 7) in one launch; in
+    // one-hit mode the filter degenerates to compaction.
+    injector.check(FaultSite::KernelLaunch, ctx, HIT_PATH_KERNELS[1])?;
+    let mut k_span = obs::span(HIT_PATH_KERNELS[1], "kernel").with_block(ctx.block);
+    let (filtered, k_reorder) = reorder_kernel(
         device,
-        cfg,
-        &assembled,
+        binned,
         params.two_hit,
         params.two_hit_window as i64,
         ws,
     );
-    k_span.set_arg("sim_ms", k_filter.time_ms(device));
+    k_span.set_arg("sim_ms", k_reorder.time_ms(device));
     drop(k_span);
-    assembled.recycle(ws);
     let n_filtered = filtered.hits.len() as u64;
 
-    // Kernel 5: fine-grained ungapped extension (Algorithms 3–5).
+    // Kernel 3: fine-grained ungapped extension (Algorithms 3–5).
     injector.check(FaultSite::KernelLaunch, ctx, "ungapped_extension")?;
     let mut k_span = obs::span(cfg.extension.kernel_name(), "kernel").with_block(ctx.block);
     let (result, n_ext) = extension_kernel_counted(device, cfg, query, db, &filtered, params);
@@ -332,7 +333,7 @@ fn run_gpu_tail(
         let labels = HIT_PATH_KERNELS
             .into_iter()
             .chain([cfg.extension.kernel_name()]);
-        for (label, k) in labels.zip([&k_bin, &k_asm, &k_sort, &k_filter, &k_ext]) {
+        for (label, k) in labels.zip([&k_bin, &k_reorder, &k_ext]) {
             let sim_ms = k.time_ms(device);
             obs::modelled("gpu (modelled)", label, sim_ms, Some(ctx.block), None);
             obs::observe("kernel_sim_ms", &[("kernel", label)], sim_ms);
@@ -353,7 +354,7 @@ fn run_gpu_tail(
 
     Ok(GpuPhaseOutput {
         extensions,
-        kernels: vec![k_bin, k_asm, k_sort, k_filter, k_ext],
+        kernels: vec![k_bin, k_reorder, k_ext],
         counts: GpuPhaseCounts {
             hits,
             filtered: n_filtered,
@@ -390,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_produces_all_five_kernels() {
+    fn phase_produces_all_three_kernels() {
         let (dq, db, p) = setup();
         let cfg = CuBlastpConfig {
             grid_blocks: 4,
@@ -398,11 +399,16 @@ mod tests {
             ..Default::default()
         };
         let out = run(&cfg, &dq, &db, &p);
-        assert_eq!(out.kernels.len(), 5);
-        assert!(out.kernel("hit_detection").is_some());
-        assert!(out.kernel("hit_sorting").is_some());
-        assert!(out.kernel("hit_filtering").is_some());
-        assert!(out.kernel("ungapped_extension").is_some());
+        let names: Vec<&str> = out.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "hit_detection",
+                "hit_reordering",
+                "ungapped_extension_window"
+            ]
+        );
+        assert!(out.kernels.iter().all(|k| k.warp_cycles > 0));
         assert!(out.counts.hits > 0);
         assert!(out.counts.extensions > 0);
         assert!(out.gpu_ms(&DeviceConfig::k20c()) > 0.0);
@@ -578,11 +584,11 @@ mod tests {
             // Survivor sets nest, so the billed compaction never gets
             // cheaper as the trigger falls; with no survivor at all it
             // is votes only — no atomic, no write.
-            let cycles = |o: &GpuPhaseOutput| o.kernels[4].warp_cycles;
+            let cycles = |o: &GpuPhaseOutput| o.kernels[2].warp_cycles;
             proptest::prop_assert!(cycles(&all) >= cycles(&lower));
             proptest::prop_assert!(cycles(&lower) >= cycles(&out));
             proptest::prop_assert!(cycles(&out) >= cycles(&none));
-            let k = &none.kernels[4];
+            let k = &none.kernels[2];
             prop_assert_eq!(k.atomic_ops, 0);
             prop_assert_eq!(k.global_useful_bytes, k.global_load_useful_bytes);
             prop_assert_eq!(none.download_bytes, 0);

@@ -5,15 +5,16 @@
 //! the SIMT simulator in the `gpu-sim` crate instead of a physical Kepler
 //! GPU (see DESIGN.md for the substitution argument).
 //!
-//! The pipeline decouples BLASTP's phases into five fine-grained GPU
-//! kernels plus a multicore CPU tail, bridged by the paper's
-//! binning–sorting–filtering reorder:
+//! The pipeline decouples BLASTP's phases into fine-grained GPU kernels
+//! plus a multicore CPU tail, bridged by the paper's
+//! binning–sorting–filtering reorder — three stages, one launch:
 //!
 //! ```text
 //! hit detection + binning      (Algorithm 2, warp per sequence)
-//!   → hit assembling           (Fig. 6a)
-//!   → segmented hit sorting    (Fig. 6b, packed 64-bit keys of Fig. 7)
-//!   → hit filtering            (Fig. 6c, two-hit window)
+//!   → hit reordering           (one kernel, tile by tile:)
+//!       hit assembling           (Fig. 6a)
+//!       segmented hit sorting    (Fig. 6b, packed 64-bit keys of Fig. 7)
+//!       hit filtering            (Fig. 6c, two-hit window)
 //!   → ungapped extension       (Algorithms 3/4/5: diagonal / hit / window)
 //!   → [PCIe] → gapped extension + traceback on CPU threads (§3.6)
 //! ```

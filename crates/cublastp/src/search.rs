@@ -1,7 +1,7 @@
 //! The cuBLASTP searcher and the flat batch plan.
 //!
 //! [`CuBlastp`] orchestrates the whole paper: database blocks stream
-//! through the five fine-grained GPU kernels (§3.2–3.5), their extension
+//! through the fine-grained GPU kernels (§3.2–3.5), their extension
 //! records cross the modelled PCIe link, and a multicore CPU pool finishes
 //! gapped extension and alignment with traceback (§3.6), overlapped
 //! block-against-block as in Fig. 12. Output is bit-identical to the
@@ -167,6 +167,11 @@ pub struct CuBlastpResult {
     pub report: SearchReport,
     /// Per-kernel stats merged across database blocks, in pipeline order.
     pub kernels: Vec<KernelStats>,
+    /// Modelled milliseconds of each entry of `kernels`, summed launch by
+    /// launch — the rows that add up to `timing.gpu_ms`. Not
+    /// `kernels[i].time_ms()`: merged counters bill one launch overhead
+    /// and one `max(compute, bandwidth)` for what was a launch per block.
+    pub kernel_ms: Vec<f64>,
     /// Hit/extension counters summed across blocks.
     pub counts: GpuPhaseCounts,
     /// Timing summary.
@@ -184,6 +189,20 @@ impl CuBlastpResult {
     /// Stats of one kernel by (partial) name.
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
         self.kernels.iter().find(|k| k.name.contains(name))
+    }
+
+    /// Modelled milliseconds of one kernel by (partial) name, summed over
+    /// its launches.
+    pub fn kernel_ms_of(&self, name: &str) -> Option<f64> {
+        self.kernel_rows()
+            .find(|(k, _)| k.name.contains(name))
+            .map(|(_, ms)| ms)
+    }
+
+    /// Every kernel's merged stats with its modelled milliseconds
+    /// ([`Self::kernel_ms`]), in pipeline order.
+    pub fn kernel_rows(&self) -> impl Iterator<Item = (&KernelStats, f64)> + '_ {
+        self.kernels.iter().zip(self.kernel_ms.iter().copied())
     }
 
     /// Stamp the makespan of a result merged over shards: the query's
@@ -464,7 +483,13 @@ impl CuBlastp {
             r.report.hits.extend(tail.report.hits);
             r.recovery.absorb(&gpu.recovery);
             r.counts.absorb(&gpu.out.counts);
-            merge_kernels(&mut r.kernels, gpu.out.kernels);
+            let launch_ms = gpu.out.kernel_ms(&self.device);
+            merge_kernels(
+                &mut r.kernels,
+                &mut r.kernel_ms,
+                gpu.out.kernels,
+                &launch_ms,
+            );
             r.timing.gpu_ms += gpu.timing.gpu_ms;
             r.timing.h2d_ms += gpu.timing.h2d_ms;
             r.timing.d2h_ms += gpu.timing.d2h_ms;
@@ -571,7 +596,7 @@ impl CuBlastp {
         }
     }
 
-    /// One block's hit phase (kernels 1–5) under the recovery policy. The
+    /// One block's hit phase (kernels 1–3) under the recovery policy. The
     /// first attempt consumes the block's grouped-round `bins`, if any; a
     /// retry re-seeds through the query's own DFA (per-slot multiset-equal
     /// to the demuxed bins, so output is bit-identical). A fault the
@@ -609,7 +634,7 @@ impl CuBlastp {
     /// Run the gapped backend for one block whose hit phase is done:
     /// under [`GappedBackend::Gpu`] the fine kernel produces the block's
     /// alignments on the device under the recovery policy (DESIGN.md
-    /// §3.7; its stats join `out.kernels` as the 6th entry, and its
+    /// §3.7; its stats join `out.kernels` as the 4th entry, and its
     /// alignment payload *replaces* `out.download_bytes` — the device
     /// consumed the extension records itself, they never cross the link).
     /// A fault the device cannot get past degrades *only this block's
@@ -650,7 +675,7 @@ impl CuBlastp {
         let Some(g) = run else {
             recovery.degraded_gapped += 1;
             obs::counter("recovery_degraded_gapped_total", &[], 1);
-            // A zeroed 6th entry keeps the positional per-kernel merge
+            // A zeroed 4th entry keeps the positional per-kernel merge
             // aligned across blocks; `None` routes this block's tail to
             // the CPU gapped phase (bit-identical by construction).
             out.kernels.push(KernelStats::new(FINE_GAPPED_KERNEL));
@@ -1194,8 +1219,45 @@ mod tests {
         assert!(r.timing.h2d_ms > 0.0);
         assert!(r.timing.overlapped_ms > 0.0);
         assert!(r.timing.overlapped_ms <= r.timing.serial_ms + 1e-9);
-        assert_eq!(r.kernels.len(), 5);
+        assert_eq!(r.kernels.len(), 3);
         assert!(r.kernel("hit_detection").is_some());
+    }
+
+    /// The per-kernel rows every reader prints (`--phase-table`,
+    /// `throughput`'s phase medians, the figure totals) add up to the
+    /// modelled GPU time, block count regardless — which the merged
+    /// counters' own `time_ms` does not: it bills one launch per kernel
+    /// per query.
+    #[test]
+    fn kernel_rows_sum_to_gpu_ms() {
+        let (q, db) = workload();
+        let device = DeviceConfig::k20c();
+        for gapped_backend in [GappedBackend::Cpu, GappedBackend::Gpu] {
+            let cfg = CuBlastpConfig {
+                db_block_size: 40,
+                gapped_backend,
+                ..Default::default()
+            };
+            let gpu = CuBlastp::new(q.clone(), SearchParams::default(), cfg, device, &db);
+            let r = gpu.search(&db).expect("fault-free search");
+            let blocks = r.block_timings.len();
+            assert!(blocks >= 3, "{blocks} blocks");
+            assert_eq!(r.kernel_ms.len(), r.kernels.len());
+            let rows: f64 = r.kernel_rows().map(|(_, ms)| ms).sum();
+            assert!(
+                (rows - r.timing.gpu_ms).abs() < 1e-12,
+                "rows {rows} vs gpu_ms {}",
+                r.timing.gpu_ms
+            );
+            let merged: f64 = r.kernels.iter().map(|k| k.time_ms(&device)).sum();
+            let launches = ((blocks - 1) * r.kernels.len()) as u64;
+            let overhead = device.cycles_to_ms(launches * device.launch_overhead_cycles);
+            assert!(
+                merged <= r.timing.gpu_ms - overhead + 1e-9,
+                "merged counters bill {merged} ms of {} over {blocks} blocks",
+                r.timing.gpu_ms
+            );
+        }
     }
 
     #[test]
@@ -1353,11 +1415,11 @@ mod tests {
                 "overlap = {overlap}"
             );
             assert!(gpu.recovery.is_clean());
-            // The gapped kernel joins the pipeline as its 6th entry and
+            // The gapped kernel joins the pipeline as its 4th entry and
             // does real modelled work; the measured CPU gapped lane is
             // gone (its time now lives in gpu_ms).
-            assert_eq!(gpu.kernels.len(), 6, "overlap = {overlap}");
-            let fine = gpu.kernel("gapped_extension_fine").expect("6th kernel");
+            assert_eq!(gpu.kernels.len(), 4, "overlap = {overlap}");
+            let fine = gpu.kernel("gapped_extension_fine").expect("4th kernel");
             assert!(fine.warp_cycles > 0);
             assert_eq!(gpu.timing.gapped_ms, 0.0);
             assert!(gpu.timing.gpu_ms > cpu.timing.gpu_ms);
@@ -1422,9 +1484,9 @@ mod tests {
             "hit-path kernels stay on the device"
         );
         assert_eq!(r.report.identity_key(), clean.report.identity_key());
-        // The degraded block contributes a zeroed 6th entry, so the
+        // The degraded block contributes a zeroed 4th entry, so the
         // positional merge stays aligned.
-        assert_eq!(r.kernels.len(), 6);
+        assert_eq!(r.kernels.len(), 4);
     }
 
     #[test]
@@ -1577,8 +1639,8 @@ mod tests {
                 p.report.identity_key(),
                 "query {i}"
             );
-            assert_eq!(g.kernels.len(), 6, "query {i}");
-            let fine = g.kernel("gapped_extension_fine").expect("6th kernel");
+            assert_eq!(g.kernels.len(), 4, "query {i}");
+            let fine = g.kernel("gapped_extension_fine").expect("4th kernel");
             if i == 0 {
                 // The homolog-bearing workload query has real gapped work.
                 assert!(fine.warp_cycles > 0);

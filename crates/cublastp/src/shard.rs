@@ -848,6 +848,9 @@ mod tests {
                 assert_eq!(a.bit_score.to_bits(), b.bit_score.to_bits());
                 assert_eq!(a.subject_id, b.subject_id);
             }
+            // The per-kernel rows survive the merge over shards.
+            let rows: f64 = r.result.kernel_rows().map(|(_, ms)| ms).sum();
+            assert!((rows - r.result.timing.gpu_ms).abs() < 1e-12);
         }
     }
 
@@ -874,6 +877,7 @@ mod tests {
             flat.report.identity_key()
         );
         assert_eq!(free.result.kernels, flat.kernels);
+        assert_eq!(free.result.kernel_ms, flat.kernel_ms);
         let device_ms = |r: &CuBlastpResult| (r.timing.gpu_ms, r.timing.h2d_ms, r.timing.d2h_ms);
         assert_eq!(device_ms(&free.result), device_ms(&flat));
         assert_eq!(free.result.timing.h2d_ms, 0.0);

@@ -86,24 +86,6 @@ where
     (outputs, stats)
 }
 
-/// A type-erased kernel body, so one sequence can mix distinct closures.
-pub type BoxedKernel<'a> = Box<dyn Fn(&mut SimBlock) + Sync + 'a>;
-
-/// Run several dependent launches and return their stats in order (a tiny
-/// convenience for multi-kernel phases like binning → assembling →
-/// sorting → filtering). Stages are boxed because each kernel body is a
-/// different closure type — a single generic parameter would force every
-/// stage to share one.
-pub fn launch_sequence(
-    device: &DeviceConfig,
-    stages: Vec<(LaunchConfig, String, BoxedKernel<'_>)>,
-) -> Vec<KernelStats> {
-    stages
-        .into_iter()
-        .map(|(cfg, name, kernel)| launch(device, cfg, &name, kernel))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,37 +148,6 @@ mod tests {
         let d = DeviceConfig::k20c();
         let stats = launch(&d, LaunchConfig::simple(0), "none", |b| b.instr(32));
         assert_eq!(stats.warp_cycles, 0);
-    }
-
-    #[test]
-    fn sequence_runs_heterogeneous_stages_in_order() {
-        let d = DeviceConfig::k20c();
-        let hits = AtomicU64::new(0);
-        let stats = launch_sequence(
-            &d,
-            vec![
-                (
-                    LaunchConfig::simple(2),
-                    "first".to_string(),
-                    Box::new(|b: &mut SimBlock| b.instr(8)) as BoxedKernel,
-                ),
-                (
-                    LaunchConfig::simple(3),
-                    "second".to_string(),
-                    Box::new(|b: &mut SimBlock| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        b.instr_n(4, 2);
-                    }) as BoxedKernel,
-                ),
-            ],
-        );
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "first");
-        assert_eq!(stats[0].blocks, 2);
-        assert_eq!(stats[1].name, "second");
-        assert_eq!(stats[1].blocks, 3);
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert!(stats.iter().all(|s| s.warp_cycles > 0));
     }
 
     #[test]

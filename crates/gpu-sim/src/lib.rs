@@ -49,7 +49,7 @@ pub use block::SimBlock;
 pub use device::{DeviceConfig, WARP_SIZE};
 pub use error::{DeviceError, TransferDir};
 pub use fault::{FaultCtx, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
-pub use launch::{launch, launch_map, launch_sequence, BoxedKernel, LaunchConfig};
+pub use launch::{launch, launch_map, LaunchConfig};
 pub use memory::GlobalBuffer;
 pub use stats::KernelStats;
 pub use workspace::{BufferPool, KernelWorkspace};

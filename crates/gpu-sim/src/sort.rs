@@ -22,7 +22,27 @@ use crate::stats::KernelStats;
 
 /// Elements each thread block processes per merge pass (mirrors
 /// ModernGPU's default tiles of 256 threads × 8 values).
-const TILE_ELEMENTS: usize = 2048;
+pub const TILE_ELEMENTS: usize = 2048;
+
+/// Warps per thread block of the sort (256 threads).
+pub const TILE_WARPS: u32 = 8;
+
+/// Shared memory one block's merge tile occupies: 2048 keys × 8 B = 16 kB.
+pub const TILE_SHARED_BYTES: u32 = (TILE_ELEMENTS * 8) as u32;
+
+/// Where the first merge pass of every segment finds its keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SortInput {
+    /// In global memory: every pass, the first included, streams its keys
+    /// in — the standalone sort.
+    Global,
+    /// Already in the block's shared-memory tile: the sort is the middle
+    /// of a fused kernel whose prologue loaded the tile and billed that
+    /// load itself. The first pass reads nothing from global memory; its
+    /// write, every later pass and the instruction count are billed as
+    /// for [`SortInput::Global`].
+    SharedTile,
+}
 
 /// Segment length at or below which the radix sort falls back to an
 /// in-place insertion sort (no histogram, no scratch traffic). Bins hold
@@ -115,46 +135,55 @@ pub fn radix_sort_u64(keys: &mut [u64], scratch: &mut Vec<u64>) {
 /// * merge-scatter write whose locality degrades to ~2 lines per 32-lane
 ///   warp-write of 8-byte keys (the measured behaviour of merge scatter),
 /// * ~8 compare/move instructions per element, spread over 32 lanes.
-fn model_stats(device: &DeviceConfig, name: &str, n: usize, work: u64) -> KernelStats {
+///
+/// Every element is in exactly one first pass, so with the tiles already
+/// in shared memory ([`SortInput::SharedTile`]) `n` of the `work`
+/// element-passes load nothing.
+fn model_stats(
+    device: &DeviceConfig,
+    name: &str,
+    n: usize,
+    work: u64,
+    input: SortInput,
+) -> KernelStats {
     let mut stats = KernelStats::new(name);
     let blocks = n.div_ceil(TILE_ELEMENTS).max(1) as u32;
     stats.blocks = blocks;
-    stats.warps_per_block = 8;
-    // Merge tiles live in shared memory: 2048 keys × 8 B = 16 kB.
-    let shared = (TILE_ELEMENTS * 8) as u32;
-    stats.occupancy = device.occupancy(8, shared);
+    stats.warps_per_block = TILE_WARPS;
+    stats.occupancy = device.occupancy(TILE_WARPS, TILE_SHARED_BYTES);
 
     if n == 0 {
         return stats;
     }
     let key_bytes = 8u64;
-    {
-        let n64 = work;
-        // Loads: the streaming read of both runs is coalesced, but the
-        // merge-path partition searches load scattered keys — measured
-        // merge sorts land near 50 % load efficiency (the paper profiles
-        // its hit sorting at 46.2 %).
-        let read_tx = (n64 * key_bytes).div_ceil(TRANSACTION_BYTES) * 2;
-        stats.global_transactions += read_tx;
-        stats.global_transacted_bytes += read_tx * TRANSACTION_BYTES;
-        stats.global_useful_bytes += n64 * key_bytes;
-        stats.global_load_useful_bytes += n64 * key_bytes;
-        stats.global_load_transacted_bytes += read_tx * TRANSACTION_BYTES;
-        // Merge scatter write: the two interleaving runs of a merge pass
-        // splinter each warp-wide 256-byte write (minimum 2 lines) into
-        // ~4 partially-filled transactions.
-        let warp_writes = n64.div_ceil(32);
-        let write_tx = warp_writes * 4;
-        stats.global_transactions += write_tx;
-        stats.global_transacted_bytes += write_tx * TRANSACTION_BYTES;
-        stats.global_useful_bytes += n64 * key_bytes;
-        stats.warp_cycles += (read_tx + write_tx) * device.global_transaction_cost;
-        stats.active_lane_cycles += 32 * (read_tx + write_tx) * device.global_transaction_cost;
-        // Compute: 8 instructions per element over 32 lanes.
-        let instr = n64 * 8 / 32;
-        stats.warp_cycles += instr * device.instr_cost;
-        stats.active_lane_cycles += 32 * instr * device.instr_cost;
-    }
+    let loaded = match input {
+        SortInput::Global => work,
+        SortInput::SharedTile => work - n as u64,
+    };
+    // Loads: the streaming read of both runs is coalesced, but the
+    // merge-path partition searches load scattered keys — measured
+    // merge sorts land near 50 % load efficiency (the paper profiles
+    // its hit sorting at 46.2 %).
+    let read_tx = (loaded * key_bytes).div_ceil(TRANSACTION_BYTES) * 2;
+    stats.global_transactions += read_tx;
+    stats.global_transacted_bytes += read_tx * TRANSACTION_BYTES;
+    stats.global_useful_bytes += loaded * key_bytes;
+    stats.global_load_useful_bytes += loaded * key_bytes;
+    stats.global_load_transacted_bytes += read_tx * TRANSACTION_BYTES;
+    // Merge scatter write: the two interleaving runs of a merge pass
+    // splinter each warp-wide 256-byte write (minimum 2 lines) into
+    // ~4 partially-filled transactions.
+    let warp_writes = work.div_ceil(32);
+    let write_tx = warp_writes * 4;
+    stats.global_transactions += write_tx;
+    stats.global_transacted_bytes += write_tx * TRANSACTION_BYTES;
+    stats.global_useful_bytes += work * key_bytes;
+    stats.warp_cycles += (read_tx + write_tx) * device.global_transaction_cost;
+    stats.active_lane_cycles += 32 * (read_tx + write_tx) * device.global_transaction_cost;
+    // Compute: 8 instructions per element over 32 lanes.
+    let instr = work * 8 / 32;
+    stats.warp_cycles += instr * device.instr_cost;
+    stats.active_lane_cycles += 32 * instr * device.instr_cost;
     stats
 }
 
@@ -186,6 +215,20 @@ pub fn segmented_sort_flat(
     name: &str,
     scratch: &mut Vec<u64>,
 ) -> KernelStats {
+    segmented_sort_flat_from(device, keys, offsets, name, scratch, SortInput::Global)
+}
+
+/// [`segmented_sort_flat`] with the first pass's input explicit: the same
+/// sort and the same model, minus the global loads a fused producer has
+/// already paid for (see [`SortInput`]).
+pub fn segmented_sort_flat_from(
+    device: &DeviceConfig,
+    keys: &mut [u64],
+    offsets: &[u32],
+    name: &str,
+    scratch: &mut Vec<u64>,
+    input: SortInput,
+) -> KernelStats {
     debug_assert!(!offsets.is_empty(), "CSR offsets need a leading 0");
     debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(keys.len()));
 
@@ -197,7 +240,7 @@ pub fn segmented_sort_flat(
     }
 
     let work = merge_work(offsets.windows(2).map(|w| (w[1] - w[0]) as usize));
-    model_stats(device, name, keys.len(), work)
+    model_stats(device, name, keys.len(), work, input)
 }
 
 /// Sort every segment in place and return the modelled kernel stats —
@@ -216,7 +259,7 @@ pub fn segmented_sort_u64(
     }
 
     let work = merge_work(segments.iter().map(|s| s.len()));
-    model_stats(device, name, n, work)
+    model_stats(device, name, n, work, SortInput::Global)
 }
 
 #[cfg(test)]
@@ -262,6 +305,40 @@ mod tests {
                 .windows(2)
                 .all(|p| p[0] <= p[1]));
         }
+    }
+
+    /// A fused producer's tiles: the sort orders the same keys and bills
+    /// the same stores and instructions; of the loads, exactly one pass
+    /// over every element is gone.
+    #[test]
+    fn shared_tile_input_drops_exactly_the_first_pass_loads() {
+        let d = DeviceConfig::k20c();
+        let keys: Vec<u64> = (0..5000u64).map(|k| k.wrapping_mul(2654435761)).collect();
+        let offsets = [0u32, 1, 1, 40, 3000, 5000];
+        let mut scratch = Vec::new();
+        let (mut a, mut b) = (keys.clone(), keys);
+        let global = segmented_sort_flat(&d, &mut a, &offsets, "s", &mut scratch);
+        let tile = segmented_sort_flat_from(
+            &d,
+            &mut b,
+            &offsets,
+            "s",
+            &mut scratch,
+            SortInput::SharedTile,
+        );
+        assert_eq!(a, b);
+        let n_bytes = 5000 * 8;
+        let first_pass_tx = 2 * (global.global_load_useful_bytes).div_ceil(TRANSACTION_BYTES)
+            - 2 * (global.global_load_useful_bytes - n_bytes).div_ceil(TRANSACTION_BYTES);
+        let mut want = global.clone();
+        want.global_load_useful_bytes -= n_bytes;
+        want.global_useful_bytes -= n_bytes;
+        want.global_transactions -= first_pass_tx;
+        want.global_transacted_bytes -= first_pass_tx * TRANSACTION_BYTES;
+        want.global_load_transacted_bytes -= first_pass_tx * TRANSACTION_BYTES;
+        want.warp_cycles -= first_pass_tx * d.global_transaction_cost;
+        want.active_lane_cycles -= 32 * first_pass_tx * d.global_transaction_cost;
+        assert_eq!(tile, want);
     }
 
     #[test]

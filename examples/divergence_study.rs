@@ -17,11 +17,11 @@ use cublastp::{CuBlastp, CuBlastpConfig, ExtensionStrategy};
 use examples_support::arg;
 use gpu_sim::{DeviceConfig, KernelStats};
 
-fn row(label: &str, k: &KernelStats, device: &DeviceConfig) {
+fn row(label: &str, k: &KernelStats, ms: f64) {
     println!(
         "  {:<36} {:>9.3} ms  load-eff {:>5.1}%  divergence {:>5.1}%  occupancy {:>5.1}%",
         label,
-        k.time_ms(device),
+        ms,
         100.0 * k.global_load_efficiency(),
         100.0 * k.divergence_overhead(),
         100.0 * k.occupancy,
@@ -46,13 +46,21 @@ fn main() {
 
     println!("coarse-grained, one thread per sequence (CUDA-BLASTP style):");
     let cuda = CudaBlastp::new(query.clone(), params, device, &db).search(&db);
-    row("fused hit-detection+extension", &cuda.kernel, &device);
+    row(
+        "fused hit-detection+extension",
+        &cuda.kernel,
+        cuda.timing.gpu_ms,
+    );
 
     println!("\ncoarse-grained with runtime work queue (GPU-BLASTP style):");
     let mut gb = GpuBlastp::new(query.clone(), params, device, &db);
     gb.total_warps = (db.len() / 160).clamp(8, 104);
     let gpub = gb.search(&db);
-    row("fused hit-detection+extension", &gpub.kernel, &device);
+    row(
+        "fused hit-detection+extension",
+        &gpub.kernel,
+        gpub.timing.gpu_ms,
+    );
 
     println!("\nfine-grained cuBLASTP (window-based extension):");
     let searcher = CuBlastp::new(
@@ -63,8 +71,8 @@ fn main() {
         &db,
     );
     let cu = searcher.search(&db).expect("fault-free search");
-    for k in &cu.kernels {
-        row(&k.name, k, &device);
+    for (k, ms) in cu.kernel_rows() {
+        row(&k.name, k, ms);
     }
 
     // The three extension strategies side by side (paper Fig. 9/16).
@@ -80,8 +88,11 @@ fn main() {
         };
         let s = CuBlastp::new(query.clone(), params, cfg, device, &db);
         let r = s.search(&db).expect("fault-free search");
-        let k = r.kernel("ungapped_extension").expect("extension kernel");
-        row(label, k, &device);
+        let (k, ms) = r
+            .kernel_rows()
+            .find(|(k, _)| k.name.contains("ungapped_extension"))
+            .expect("extension kernel");
+        row(label, k, ms);
         if strategy == ExtensionStrategy::Hit {
             println!(
                 "      ({} redundant extensions de-duplicated)",

@@ -48,11 +48,11 @@ fn main() {
     // 3. Results: identical to FSA-BLAST, plus GPU-side telemetry.
     print_report(&result.report, &query.id, 10);
     println!("\nsimulated K20c telemetry:");
-    for k in &result.kernels {
+    for (k, ms) in result.kernel_rows() {
         println!(
             "  {:<28} {:>8.3} ms  load-eff {:>5.1}%  divergence {:>5.1}%  occupancy {:>5.1}%",
             k.name,
-            k.time_ms(&searcher.device),
+            ms,
             100.0 * k.global_load_efficiency(),
             100.0 * k.divergence_overhead(),
             100.0 * k.occupancy,

@@ -133,7 +133,7 @@ fn kernel_stats_are_internally_consistent() {
         &db,
     );
     let r = cu.search(&db).expect("fault-free search");
-    assert_eq!(r.kernels.len(), 5);
+    assert_eq!(r.kernels.len(), 3);
     for k in &r.kernels {
         assert!(k.global_load_efficiency() > 0.0 && k.global_load_efficiency() <= 1.0);
         assert!(k.divergence_overhead() >= 0.0 && k.divergence_overhead() < 1.0);

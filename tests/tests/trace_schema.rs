@@ -44,9 +44,9 @@ fn armed_search_emits_a_valid_complete_trace() {
     assert!(trace.events.iter().all(|e| e.dur_us >= 0.0));
     assert!(trace.events.iter().all(|e| e.ts_us >= 0.0));
 
-    // Every phase of the pipeline shows up as a named span: the four
-    // GPU kernel phases (hit detection, assembling/sorting/filtering,
-    // ungapped extension), both PCIe legs, the CPU tail, and the host
+    // Every phase of the pipeline shows up as a named span: the three
+    // GPU kernel launches (hit detection, hit reordering, ungapped
+    // extension), both PCIe legs, the CPU tail, and the host
     // orchestration phases around them.
     let names = trace.names();
     for required in [
@@ -54,9 +54,7 @@ fn armed_search_emits_a_valid_complete_trace() {
         "query_setup",
         "gpu_phase",
         "hit_detection",
-        "hit_assembling",
-        "hit_sorting",
-        "hit_filtering",
+        "hit_reordering",
         "ungapped_extension_window",
         "h2d_transfer",
         "d2h_transfer",
