@@ -8,7 +8,9 @@
 //!   identical to the output of FSA-BLAST", §4.3) and as the sequential
 //!   baseline of Fig. 18(a–b). See [`search::search_sequential`].
 //! * **NCBI-BLAST with four threads** — the multithreaded CPU baseline of
-//!   Fig. 18(c–d). See [`search::search_parallel`].
+//!   Fig. 18(c–d), as a model: the sequential search with its phase times
+//!   divided by the Fig. 13 scaling curve; nothing runs on a second
+//!   thread. See [`search::search_parallel`].
 //!
 //! It also hosts the *shared alignment semantics* — ungapped x-drop
 //! extension, the two-hit trigger rule, gapped x-drop DP and traceback —

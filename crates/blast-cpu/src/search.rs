@@ -7,8 +7,8 @@
 //! other pipeline is compared against.
 //!
 //! [`search_parallel`] is the NCBI-BLAST-with-N-threads stand-in of
-//! Fig. 18(c–d): the database is partitioned across a rayon pool and the
-//! per-partition results merged deterministically.
+//! Fig. 18(c–d): the same search, its phase times divided by the modelled
+//! multicore speedup ([`modeled_parallel_speedup`]). No thread is spawned.
 
 use crate::gapped::gapped_phase_subject;
 use crate::hit::{DiagonalScratch, HitStats};
@@ -17,7 +17,6 @@ use crate::traceback::traceback;
 use crate::ungapped::UngappedExt;
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::{params::Cutoffs, Dfa, Matrix, Pssm, SearchParams};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Precomputed per-query search state shared by all drivers (CPU and GPU):
@@ -263,14 +262,12 @@ pub fn search_sequential(engine: &SearchEngine, db: &SequenceDb) -> CpuSearchRes
 ///
 /// The paper's Fig. 13 measures near-linear strong scaling for gapped
 /// extension + traceback on a quad-core Sandy Bridge (≈ 3.3× at 4
-/// threads). This reproduction may run on machines with fewer cores than
-/// the modelled CPU (the reference container exposes a single core), so
+/// threads). Nothing in this workspace runs those phases on more than the
+/// calling thread (the reference container exposes one or two cores, and
+/// the `rayon` it builds with, `stubs/rayon`, is sequential), so
 /// multithreaded *timings* are derived deterministically from the
-/// measured single-thread CPU time and this efficiency curve. The
-/// *implementation* is written against rayon's `par_iter`, but the
-/// `rayon` this workspace builds with (`stubs/rayon`) runs every parallel
-/// iterator sequentially on the calling thread, so no thread count changes
-/// what executes — only this formula's output. 0.78 parallel efficiency
+/// measured single-thread CPU time and this efficiency curve: a
+/// `ScheduleModel` number, never a measurement. 0.78 parallel efficiency
 /// per added thread reproduces the paper's 1 / 1.8 / 3.3 curve.
 pub fn modeled_parallel_speedup(threads: usize) -> f64 {
     if threads <= 1 {
@@ -280,111 +277,20 @@ pub fn modeled_parallel_speedup(threads: usize) -> f64 {
     }
 }
 
-/// Worker threads actually spawned: never more than the host provides
-/// (oversubscription on small hosts would corrupt the time measurements
-/// the model scales from).
-pub fn effective_threads(requested: usize) -> usize {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.clamp(1, host)
-}
-
-static SHARED_POOL: std::sync::OnceLock<rayon::ThreadPool> = std::sync::OnceLock::new();
-
-/// The process-wide CPU worker pool, built lazily on first use and sized
-/// to the host. Every search driver shares it instead of spawning a fresh
-/// pool per call — on a query stream, per-search pool construction used to
-/// dominate small-query setup. Reported timings are unaffected: wall-clock
-/// at a requested thread count is modelled from summed per-subject times
-/// (see [`modeled_parallel_speedup`]), never from pool size.
-pub fn shared_pool() -> &'static rayon::ThreadPool {
-    SHARED_POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(effective_threads(usize::MAX))
-            .build()
-            .or_else(|_| {
-                // Thread spawning failed (resource exhaustion): degrade to
-                // a single worker before giving up entirely.
-                rayon::ThreadPoolBuilder::new().num_threads(1).build()
-            })
-            .unwrap_or_else(|e| panic!("cannot start any CPU worker pool: {e}"))
-    })
-}
-
-/// Multithreaded NCBI-BLAST-style search over `threads` worker threads.
-///
-/// The database is partitioned into contiguous chunks; each worker runs the
-/// full per-subject pipeline; partial reports merge deterministically, so
-/// the output is identical to [`search_sequential`] regardless of thread
-/// count. Reported times follow [`modeled_parallel_speedup`]; see its
-/// documentation.
+/// The NCBI-BLAST-with-`threads`-threads stand-in: [`search_sequential`]
+/// — same report, same hit statistics, one thread — with every phase time
+/// divided by [`modeled_parallel_speedup`]`(threads)`, `times.other` (the
+/// final ranking) included.
 pub fn search_parallel(engine: &SearchEngine, db: &SequenceDb, threads: usize) -> CpuSearchResult {
-    let pool = shared_pool();
-
-    let chunk = db.len().div_ceil(threads.max(1)).max(1);
-    let partials: Vec<(SearchReport, PhaseTimes, HitStats)> = pool.install(|| {
-        db.sequences()
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(ci, subjects)| {
-                let base = ci * chunk;
-                let mut report = SearchReport::default();
-                let mut times = PhaseTimes::default();
-                let mut stats = HitStats::default();
-                let mut scratch = DiagonalScratch::new(engine.query.len() + db.max_length() + 1);
-                let mut ungapped: Vec<UngappedExt> = Vec::new();
-                for (off, subject) in subjects.iter().enumerate() {
-                    let idx = base + off;
-                    let t0 = Instant::now();
-                    ungapped.clear();
-                    crate::hit::scan_subject_mode(
-                        &engine.dfa,
-                        &engine.pssm,
-                        subject.residues(),
-                        idx as u32,
-                        engine.params.two_hit,
-                        engine.params.two_hit_window as i64,
-                        engine.params.xdrop_ungapped,
-                        &mut scratch,
-                        &mut ungapped,
-                        &mut stats,
-                    );
-                    times.hit_ungapped += t0.elapsed();
-                    engine.finish_subject(idx, subject, &ungapped, &mut report, Some(&mut times));
-                }
-                (report, times, stats)
-            })
-            .collect()
-    });
-
-    let mut report = SearchReport::default();
-    let mut stats = HitStats::default();
-    let mut cpu_total = PhaseTimes::default();
-    for (partial, t, s) in partials {
-        report.hits.extend(partial.hits);
-        cpu_total.add(&t);
-        stats.hits += s.hits;
-        stats.triggers += s.triggers;
-        stats.extensions += s.extensions;
-    }
-    report.finalize(engine.params.max_reported);
-
-    // Convert summed per-subject CPU time to modelled wall-clock at the
-    // requested thread count (see `modeled_parallel_speedup`).
+    let mut r = search_sequential(engine, db);
     let scale = 1.0 / modeled_parallel_speedup(threads);
-    let times = PhaseTimes {
-        hit_ungapped: cpu_total.hit_ungapped.mul_f64(scale),
-        gapped: cpu_total.gapped.mul_f64(scale),
-        traceback: cpu_total.traceback.mul_f64(scale),
-        other: cpu_total.other.mul_f64(scale),
+    r.times = PhaseTimes {
+        hit_ungapped: r.times.hit_ungapped.mul_f64(scale),
+        gapped: r.times.gapped.mul_f64(scale),
+        traceback: r.times.traceback.mul_f64(scale),
+        other: r.times.other.mul_f64(scale),
     };
-
-    CpuSearchResult {
-        report,
-        times,
-        hit_stats: stats,
-    }
+    r
 }
 
 #[cfg(test)]

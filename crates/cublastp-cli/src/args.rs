@@ -51,7 +51,9 @@ OPTIONS:
     --engine <name>      cublastp (default) | cpu | cuda-blastp | gpu-blastp
     --evalue <float>     e-value cutoff (default 10)
     --max-hits <n>       alignments shown per query (default 25)
-    --threads <n>        CPU threads for gapped extension/traceback (default 4)
+    --threads <n>        CPU threads the Fig. 13 model divides the measured
+                         gapped extension/traceback time by (default 4);
+                         the work itself runs on the calling thread
     --strategy <name>    diagonal | hit | window (default window)
     --bins <n>           bins per warp (default 128)
     --mask               SEG-mask low-complexity query regions before seeding
@@ -198,6 +200,9 @@ pub struct Args {
     pub engine: Engine,
     pub evalue: f64,
     pub max_hits: usize,
+    /// `--threads`: the parameter of the Fig. 13 multicore model
+    /// ([`CuBlastpConfig::cpu_threads`]); no thread count changes what
+    /// executes.
     pub threads: usize,
     pub strategy: ExtensionStrategy,
     pub bins: usize,
@@ -515,6 +520,9 @@ impl Args {
             if args.seed_mode == SeedMode::Grouped {
                 return Err("allvsall drives its own tiling; drop --seed-mode grouped".into());
             }
+            if args.group_budget != DEFAULT_GROUP_BUDGET {
+                return Err("allvsall drives its own tiling; drop --group-budget".into());
+            }
             if !args.demo && !has_db {
                 return Err("allvsall needs --db, --db-image or --db-set (or --demo)".into());
             }
@@ -545,6 +553,17 @@ impl Args {
         if args.serve {
             if args.engine != Engine::CuBlastp {
                 return Err("serve requires --engine cublastp".into());
+            }
+            // A request is one query on the server's own fleet schedule:
+            // nothing reads the batch's seeding or steal-order flags.
+            for (flag, given) in [
+                ("--seed-mode", args.seed_mode != SeedMode::PerQuery),
+                ("--group-budget", args.group_budget != DEFAULT_GROUP_BUDGET),
+                ("--steal-seed", args.steal_seed != DEFAULT_STEAL_SEED),
+            ] {
+                if given {
+                    return Err(format!("serve does not take {flag}"));
+                }
             }
             if args.serve_requests == 0 {
                 return Err("--requests must be positive".into());
@@ -786,6 +805,10 @@ mod tests {
         assert!(parse(&["serve", "--demo", "--workers", "0"]).is_err());
         assert!(parse(&["serve", "--demo", "--queue-capacity", "0"]).is_err());
         assert!(parse(&["serve", "--demo", "--engine", "cpu"]).is_err());
+        // Batch-only flags the server would silently ignore.
+        assert!(parse(&["serve", "--demo", "--seed-mode", "grouped"]).is_err());
+        assert!(parse(&["serve", "--demo", "--group-budget", "64"]).is_err());
+        assert!(parse(&["serve", "--demo", "--steal-seed", "7"]).is_err());
     }
 
     #[test]
@@ -892,6 +915,7 @@ mod tests {
         assert!(parse(&["allvsall", "--demo"]).is_ok());
         assert!(parse(&["allvsall", "--db", "d.fa", "--engine", "cpu"]).is_err());
         assert!(parse(&["allvsall", "--db", "d.fa", "--seed-mode", "grouped"]).is_err());
+        assert!(parse(&["allvsall", "--db", "d.fa", "--group-budget", "64"]).is_err());
     }
 
     #[test]

@@ -85,140 +85,91 @@ fn note(args: &Args, row: &str) {
     }
 }
 
-/// Per-phase simulated time and recovery telemetry accumulated across the
-/// batch: the `--phase-table` report (Fig. 11-style breakdown) and the
-/// `# gapped backend:` summary row.
-#[derive(Default)]
-struct Telemetry {
-    /// `(kernel name, summed simulated ms)` in pipeline order.
-    kernels: Vec<(String, f64)>,
-    h2d_ms: f64,
-    d2h_ms: f64,
-    gapped_ms: f64,
-    traceback_ms: f64,
-    other_ms: f64,
-    overlapped_ms: f64,
-    serial_ms: f64,
-    queries: usize,
-    /// Host wall-clock spent queued behind earlier work, microseconds
-    /// (batch scheduler / serving layer; zero for standalone searches).
-    queue_wait_us: u64,
-    /// Host wall-clock spent on the fault-retry path, microseconds.
-    retry_wait_us: u64,
-    /// Blocks whose device gapped phase degraded to the CPU tail.
-    degraded_gapped: u64,
-    /// Hit/extension counters (the D2H row reads them).
-    counts: cublastp::GpuPhaseCounts,
+/// The `--phase-table` report (Fig. 11-style breakdown): the phase rows
+/// of the batch's ledger — every query's result absorbed into one — each
+/// with the clock it is on.
+fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
+    let table = batch.phase_rows();
+    let total = table.last().map_or(0.0, |t| t.ms);
+    out!(
+        "# per-phase timing, summed over {} quer{} (simulated device + modelled CPU):",
+        queries,
+        if queries == 1 { "y" } else { "ies" }
+    );
+    let pct = |ms: f64| if total > 0.0 { 100.0 * ms / total } else { 0.0 };
+    out!("# {:<28} {:<13} {:>10} {:>7}", "phase", "clock", "ms", "%");
+    // What the D2H leg carried, and how few of the computed extensions
+    // that is.
+    let d2h_note = format!(
+        "  {} B, {} / {} extensions reached the trigger",
+        batch.counts.d2h_bytes, batch.counts.triggered, batch.counts.extensions,
+    );
+    for row in &table {
+        let clock = format!("{:?}", row.clock);
+        let note = if row.name == "d2h_transfer" {
+            d2h_note.as_str()
+        } else {
+            ""
+        };
+        out!(
+            "# {:<28} {clock:<13} {:>10.3} {:>6.1}%{note}",
+            row.name,
+            row.ms,
+            pct(row.ms)
+        );
+    }
+    let dispatch = blast_cpu::simd::dispatch_report();
+    out!(
+        "# cpu simd dispatch: {} (detected {}{})",
+        dispatch.active.name(),
+        dispatch.detected.name(),
+        if dispatch.forced_scalar_env {
+            ", CUBLASTP_FORCE_SCALAR=1"
+        } else {
+            ""
+        }
+    );
+    out!("# gapped backend: {}", args.gapped_backend.name());
+    // Host wait time, kept out of the phase totals above so retries
+    // and queueing are no longer indistinguishable from compute.
+    out!(
+        "# recovery waits: queue {:.3} ms, retry {:.3} ms (host wall-clock, \
+         excluded from phase totals)",
+        batch.recovery.queue_wait_us as f64 / 1e3,
+        batch.recovery.retry_wait_us as f64 / 1e3,
+    );
+    let t = &batch.timing;
+    if t.serial_ms > 0.0 {
+        out!(
+            "# pipeline overlap: {:.3} ms overlapped vs {:.3} ms serial ({:.1}% hidden)",
+            t.overlapped_ms,
+            t.serial_ms,
+            100.0 * batch.pipeline.saving()
+        );
+    }
 }
 
-impl Telemetry {
-    fn absorb(&mut self, r: &CuBlastpResult) {
-        for (k, ms) in r.kernel_rows() {
-            match self.kernels.iter_mut().find(|(n, _)| *n == k.name) {
-                Some((_, acc)) => *acc += ms,
-                None => self.kernels.push((k.name.clone(), ms)),
-            }
-        }
-        self.h2d_ms += r.timing.h2d_ms;
-        self.d2h_ms += r.timing.d2h_ms;
-        self.gapped_ms += r.timing.gapped_ms;
-        self.traceback_ms += r.timing.traceback_ms;
-        self.other_ms += r.timing.other_ms;
-        self.overlapped_ms += r.timing.overlapped_ms;
-        self.serial_ms += r.timing.serial_ms;
-        self.queue_wait_us += r.recovery.queue_wait_us;
-        self.retry_wait_us += r.recovery.retry_wait_us;
-        self.degraded_gapped += r.recovery.degraded_gapped;
-        self.counts.absorb(&r.counts);
-        self.queries += 1;
-    }
-
-    fn print_phase_table(&self, args: &Args) {
-        let gpu: f64 = self.kernels.iter().map(|(_, ms)| ms).sum();
-        let total =
-            gpu + self.h2d_ms + self.d2h_ms + self.gapped_ms + self.traceback_ms + self.other_ms;
-        let pct = |ms: f64| if total > 0.0 { 100.0 * ms / total } else { 0.0 };
-        out!(
-            "# per-phase timing, summed over {} quer{} (simulated device + modelled CPU):",
-            self.queries,
-            if self.queries == 1 { "y" } else { "ies" }
+/// Print the `# gapped backend:` summary row — the grep target of the
+/// CI backend-equivalence job, like the `# grouped seeding:` row for
+/// grouped seeding — plus a loud warning when any block silently left
+/// the device gapped path.
+fn print_gapped_summary(batch: &CuBlastpResult, args: &Args) {
+    let degraded_gapped = batch.recovery.degraded_gapped;
+    note(
+        args,
+        &format!(
+            "# gapped backend: {} fine-kernel-ms={:.3} degraded-gapped={}",
+            args.gapped_backend.name(),
+            batch.kernel_ms_of(FINE_GAPPED_KERNEL).unwrap_or(0.0),
+            degraded_gapped,
+        ),
+    );
+    if args.gapped_backend == GappedBackend::Gpu && degraded_gapped > 0 {
+        eprintln!(
+            "# warning: gapped device backend degraded {} block{} to the CPU tail",
+            degraded_gapped,
+            if degraded_gapped == 1 { "" } else { "s" },
         );
-        out!("# {:<28} {:>10} {:>7}", "phase", "ms", "%");
-        for (name, ms) in &self.kernels {
-            out!("# {:<28} {:>10.3} {:>6.1}%", name, ms, pct(*ms));
-        }
-        // What the D2H leg carried, and how few of the computed
-        // extensions that is.
-        let d2h_note = format!(
-            "  {} B, {} / {} extensions reached the trigger",
-            self.counts.d2h_bytes, self.counts.triggered, self.counts.extensions,
-        );
-        for (name, ms, note) in [
-            ("h2d_transfer", self.h2d_ms, ""),
-            ("d2h_transfer", self.d2h_ms, d2h_note.as_str()),
-            ("gapped_extension", self.gapped_ms, ""),
-            ("traceback", self.traceback_ms, ""),
-            ("other (setup+merge)", self.other_ms, ""),
-        ] {
-            out!("# {:<28} {:>10.3} {:>6.1}%{}", name, ms, pct(ms), note);
-        }
-        out!("# {:<28} {:>10.3} {:>6.1}%", "total (serial)", total, 100.0);
-        let dispatch = blast_cpu::simd::dispatch_report();
-        out!(
-            "# cpu simd dispatch: {} (detected {}{})",
-            dispatch.active.name(),
-            dispatch.detected.name(),
-            if dispatch.forced_scalar_env {
-                ", CUBLASTP_FORCE_SCALAR=1"
-            } else {
-                ""
-            }
-        );
-        out!("# gapped backend: {}", args.gapped_backend.name());
-        // Host wait time, kept out of the phase totals above so retries
-        // and queueing are no longer indistinguishable from compute.
-        out!(
-            "# recovery waits: queue {:.3} ms, retry {:.3} ms (host wall-clock, \
-             excluded from phase totals)",
-            self.queue_wait_us as f64 / 1e3,
-            self.retry_wait_us as f64 / 1e3,
-        );
-        if self.serial_ms > 0.0 {
-            out!(
-                "# pipeline overlap: {:.3} ms overlapped vs {:.3} ms serial ({:.1}% hidden)",
-                self.overlapped_ms,
-                self.serial_ms,
-                100.0 * (1.0 - self.overlapped_ms / self.serial_ms)
-            );
-        }
-    }
-
-    /// Print the `# gapped backend:` summary row — the grep target of the
-    /// CI backend-equivalence job, like the `# grouped seeding:` row for
-    /// grouped seeding — plus a loud warning when any block silently left
-    /// the device gapped path.
-    fn print_gapped_summary(&self, args: &Args) {
-        let fine_kernel_ms = self
-            .kernels
-            .iter()
-            .find(|(name, _)| name == FINE_GAPPED_KERNEL)
-            .map_or(0.0, |(_, ms)| *ms);
-        note(
-            args,
-            &format!(
-                "# gapped backend: {} fine-kernel-ms={:.3} degraded-gapped={}",
-                args.gapped_backend.name(),
-                fine_kernel_ms,
-                self.degraded_gapped,
-            ),
-        );
-        if args.gapped_backend == GappedBackend::Gpu && self.degraded_gapped > 0 {
-            eprintln!(
-                "# warning: gapped device backend degraded {} block{} to the CPU tail",
-                self.degraded_gapped,
-                if self.degraded_gapped == 1 { "" } else { "s" },
-            );
-        }
     }
 }
 
@@ -292,13 +243,13 @@ fn main() -> ExitCode {
     );
 
     // The database was parsed and made resident once above: every query
-    // of the stream searches the resident copy. The CPU worker pool is
-    // the process-wide shared one, built on first use.
+    // of the stream searches the resident copy, and every successful
+    // query's ledger is absorbed into the batch's.
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
-    let mut telemetry = Telemetry::default();
+    let mut batch = CuBlastpResult::default();
     let t_batch = std::time::Instant::now();
     let failures = if args.engine == Engine::CuBlastp {
-        run_batch(&queries, &db, &args, &mut telemetry)
+        run_batch(&queries, &db, &args, &mut batch)
     } else {
         for query in &queries {
             let t0 = std::time::Instant::now();
@@ -311,10 +262,15 @@ fn main() -> ExitCode {
     let batch_wall = t_batch.elapsed();
     print_residency(&db);
     if args.phase_table && args.outfmt != args::OutFmt::Tab {
-        telemetry.print_phase_table(&args);
+        // The baseline engines keep no ledger: an all-zero table.
+        let searched = match args.engine {
+            Engine::CuBlastp => queries.len() - failures.len(),
+            _ => 0,
+        };
+        print_phase_table(&batch, searched, &args);
     }
     if args.engine == Engine::CuBlastp {
-        telemetry.print_gapped_summary(&args);
+        print_gapped_summary(&batch, &args);
     }
     if let Err(e) = write_observability(&args) {
         eprintln!("error: {e}");
@@ -757,13 +713,14 @@ fn run_batch(
     queries: &[Sequence],
     db: &ShardedDb,
     args: &Args,
-    telemetry: &mut Telemetry,
+    batch: &mut CuBlastpResult,
 ) -> Vec<(usize, String, SearchError)> {
     let (params, config, device) = (args.params(), search_config(args, db), DeviceConfig::k20c());
     let injector = Some(Arc::new(FaultInjector::new(args.fault_plan.clone())));
     let t0 = std::time::Instant::now();
     // Print every query's report (stderr row for a failed one) and fold
-    // its telemetry; `mode` is the mode's note on the telemetry line.
+    // its ledger into the batch's; `mode` is the mode's note on the
+    // telemetry line.
     let mut report_all = |per_query: Vec<Result<CuBlastpResult, SearchError>>,
                           mode: &dyn Fn(&CuBlastpResult) -> String| {
         // Individual wall-clocks are not observable in a batched run;
@@ -773,7 +730,7 @@ fn run_batch(
         for (i, (query, result)) in queries.iter().zip(per_query).enumerate() {
             match result {
                 Ok(r) => {
-                    telemetry.absorb(&r);
+                    batch.absorb(&r);
                     let line = telemetry_line(&r, &mode(&r));
                     report::print(query, db, &r.report, args, wall, &line);
                 }

@@ -68,6 +68,27 @@ fn malformed_fault_plan_is_a_config_error() {
         .contains("--fault-plan"));
 }
 
+/// A flag the subcommand would never read is refused, not ignored: exit 2,
+/// and the message names both.
+#[test]
+fn flags_a_subcommand_ignores_are_config_errors() {
+    for (subcommand, flag, value) in [
+        ("serve", "--seed-mode", "grouped"),
+        ("serve", "--group-budget", "4096"),
+        ("serve", "--steal-seed", "7"),
+        ("allvsall", "--group-budget", "4096"),
+    ] {
+        let out = run(&[subcommand, "--demo", flag, value]);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{subcommand} {flag}: {err}");
+        let message = err.lines().next().unwrap_or_default();
+        assert!(
+            message.contains(subcommand) && message.contains(flag),
+            "{message}"
+        );
+    }
+}
+
 #[test]
 fn invalid_residue_in_fasta_is_an_input_error_with_location() {
     let dir = std::env::temp_dir().join(format!("cublastp_cli_badres_{}", std::process::id()));
@@ -755,6 +776,18 @@ fn phase_table_reports_recovery_waits_separately() {
     assert!(row.contains("queue"), "{row}");
     assert!(row.contains("retry"), "{row}");
     assert!(row.contains("excluded from phase totals"), "{row}");
+    // Every phase row names its clock, the one cross-clock sum included.
+    for (phase, clock) in [
+        ("hit_detection", "DeviceModel"),
+        ("d2h_transfer", "DeviceModel"),
+        ("traceback", "ScheduleModel"),
+        ("other (setup+merge)", "HostWall"),
+        ("total (serial)", "ScheduleModel"),
+    ] {
+        let row = text.lines().find(|l| l.starts_with(&format!("# {phase} ")));
+        let row = row.unwrap_or_else(|| panic!("no {phase} row in {text}"));
+        assert!(row.split_whitespace().any(|w| w == clock), "{row}");
+    }
     // A retried launch spent real host time on the retry path.
     let retry_ms: f64 = row
         .split("retry ")

@@ -54,7 +54,7 @@ pub enum ScoringMode {
 /// where the same arithmetic happens and what the cost model charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum GappedBackend {
-    /// Gapped extension + traceback on the host CPU pool (paper §3.6).
+    /// Gapped extension + traceback on the host CPU (paper §3.6).
     #[default]
     Cpu,
     /// Fine-grained device kernel: one warp per gapped seed, anti-diagonal
@@ -86,7 +86,7 @@ pub const AUTO_SCORING_CROSSOVER: usize = 320;
 ///
 /// Transient faults (kernel-launch failures, transfer errors/timeouts)
 /// are retried up to [`max_attempts`](Self::max_attempts) times with a
-/// linear backoff and a [`gpu_sim::KernelWorkspace`] reset between
+/// fixed linear backoff and a [`gpu_sim::KernelWorkspace`] reset between
 /// attempts. Permanent faults (allocation OOM, pool exhaustion) — or
 /// transient ones that exhaust the budget — degrade to the `blast-cpu`
 /// reference path for that database block when
@@ -96,8 +96,6 @@ pub const AUTO_SCORING_CROSSOVER: usize = 320;
 pub struct RecoveryPolicy {
     /// Total launch attempts per block (1 = no retry). Must be ≥ 1.
     pub max_attempts: u32,
-    /// Milliseconds of backoff before retry `n` (scaled by `n`).
-    pub backoff_ms: f64,
     /// Re-run permanently failed blocks on the CPU reference path.
     pub cpu_fallback: bool,
 }
@@ -106,7 +104,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            backoff_ms: 0.1,
             cpu_fallback: true,
         }
     }
@@ -119,8 +116,6 @@ pub struct CuBlastpConfig {
     pub num_bins: usize,
     /// Ungapped-extension strategy (paper default: window-based).
     pub extension: ExtensionStrategy,
-    /// Threads per extension window (Fig. 8 uses 8).
-    pub window_size: usize,
     /// Scoring-table placement.
     pub scoring: ScoringMode,
     /// Route DFA query positions through the read-only cache (Fig. 17).
@@ -131,7 +126,10 @@ pub struct CuBlastpConfig {
     pub grid_blocks: u32,
     /// Database sequences per pipeline block (Fig. 12 granularity).
     pub db_block_size: usize,
-    /// CPU worker threads for gapped extension and traceback (§3.6).
+    /// CPU threads of the §3.6 tail — the parameter of the Fig. 13 model
+    /// (`blast_cpu::search::modeled_parallel_speedup`): it divides the
+    /// measured gapped + traceback time that enters the Fig. 12 schedule.
+    /// The tail itself runs on the calling thread at any value.
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12).
     pub overlap: bool,
@@ -147,7 +145,6 @@ impl Default for CuBlastpConfig {
         Self {
             num_bins: 128,
             extension: ExtensionStrategy::Window,
-            window_size: 8,
             scoring: ScoringMode::Auto,
             use_readonly_cache: true,
             warps_per_block: 8,
@@ -205,11 +202,6 @@ impl CuBlastpConfig {
         if self.num_bins == 0 {
             return Err(SearchError::config("num_bins must be > 0"));
         }
-        if self.extension == ExtensionStrategy::Window && self.window_size == 0 {
-            return Err(SearchError::config(
-                "window_size must be > 0 for the window extension strategy",
-            ));
-        }
         if self.warps_per_block == 0 || self.grid_blocks == 0 {
             return Err(SearchError::config(
                 "kernel geometry (warps_per_block, grid_blocks) must be > 0",
@@ -226,11 +218,6 @@ impl CuBlastpConfig {
                 "recovery.max_attempts must be >= 1 (1 = no retry)",
             ));
         }
-        if !self.recovery.backoff_ms.is_finite() || self.recovery.backoff_ms < 0.0 {
-            return Err(SearchError::config(
-                "recovery.backoff_ms must be finite and >= 0",
-            ));
-        }
         Ok(())
     }
 }
@@ -244,7 +231,6 @@ mod tests {
         let c = CuBlastpConfig::default();
         assert_eq!(c.num_bins, 128);
         assert_eq!(c.extension, ExtensionStrategy::Window);
-        assert_eq!(c.window_size, 8);
         assert!(c.use_readonly_cache);
         assert_eq!(c.cpu_threads, 4);
         assert_eq!(c.gapped_backend, GappedBackend::Cpu, "paper tail is CPU");
@@ -299,10 +285,6 @@ mod tests {
                 ..Default::default()
             },
             CuBlastpConfig {
-                window_size: 0,
-                ..Default::default()
-            },
-            CuBlastpConfig {
                 grid_blocks: 0,
                 ..Default::default()
             },
@@ -325,13 +307,6 @@ mod tests {
             let err = bad.validate().expect_err("must reject");
             assert_eq!(err.category(), "config");
         }
-        // Zero window size is fine off the window strategy.
-        let c = CuBlastpConfig {
-            extension: ExtensionStrategy::Diagonal,
-            window_size: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -15,10 +15,11 @@ use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDb, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
-use crate::gpu_phase::merge_kernels;
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
-use crate::search::{BlockProgress, CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
+use crate::search::{
+    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, RoundReport, SearchHooks,
+};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
@@ -101,6 +102,9 @@ fn isolated<T>(
 /// (`blocks_total` = Σ blocks) and partial reports carry global subject
 /// indices — one unit at any shard count. A failed shard fails the query:
 /// a partial merge would break the identical-to-single-database contract.
+/// The shards' ledgers fold with [`CuBlastpResult::absorb`]: the result's
+/// makespan is their serial chain (`shard_ms` summed), its "other" time
+/// the query's set-up plus every shard's merge.
 pub(crate) fn search_shards(
     searcher: &CuBlastp,
     shards: &[ShardView<'_>],
@@ -108,6 +112,7 @@ pub(crate) fn search_shards(
     seeds: Option<Vec<BinnedHits>>,
     hooks: &SearchHooks<'_>,
 ) -> Result<Searched, SearchError> {
+    searcher.config.validate()?;
     let mut seeds = seeds.map(Vec::into_iter);
     let blocks_total: u32 = shards.iter().map(|v| v.dev.num_blocks() as u32).sum();
     let mut next_block = 0u32;
@@ -151,30 +156,18 @@ pub(crate) fn search_shards(
             })?;
         shard_ms[index] = r.timing.overlapped_ms;
         shard_hits[index] = r.report.hits.len();
+        merged.absorb(&r);
         merged.report.hits.extend(r.report.hits);
-        merge_kernels(
-            &mut merged.kernels,
-            &mut merged.kernel_ms,
-            r.kernels,
-            &r.kernel_ms,
-        );
-        merged.counts.absorb(&r.counts);
-        merged.timing.gpu_ms += r.timing.gpu_ms;
-        merged.timing.h2d_ms += r.timing.h2d_ms;
-        merged.timing.d2h_ms += r.timing.d2h_ms;
-        merged.timing.gapped_ms += r.timing.gapped_ms;
-        merged.timing.traceback_ms += r.timing.traceback_ms;
-        merged.timing.cpu_wall_ms += r.timing.cpu_wall_ms;
-        // Query setup happens once however many shards run: keep the
-        // largest shard's "other" instead of summing.
-        merged.timing.other_ms = merged.timing.other_ms.max(r.timing.other_ms);
-        merged.timing.serial_ms += r.timing.serial_ms;
-        merged.block_timings.extend(r.block_timings);
-        merged.recovery.absorb(&r.recovery);
     }
+    // Query setup happens once however many shards ran.
+    merged.absorb(&CuBlastpResult {
+        timing: CuBlastpTiming {
+            other_ms: searcher.setup_ms,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
     merged.report.finalize(searcher.engine.params.max_reported);
-    merged.pipeline.serial_ms = merged.timing.serial_ms;
-    merged.stamp_makespan(shard_ms.iter().sum());
     Ok(Searched {
         result: merged,
         shard_ms,

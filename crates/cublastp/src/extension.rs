@@ -13,8 +13,8 @@
 //! * **hit-based**: lane ↦ one filtered hit, extended unconditionally; no
 //!   coverage branch, but redundant extensions (duplicates are removed in
 //!   a de-duplication pass) and load imbalance from extension lengths.
-//! * **window-based**: a window of `window_size` lanes ↦ one diagonal;
-//!   each hit is extended cooperatively, `window_size` positions per step
+//! * **window-based**: a window of `WINDOW_LANES` (8) lanes ↦ one diagonal;
+//!   each hit is extended cooperatively, that many positions per step
 //!   with a CUB-style prefix scan computing running scores, ChangeSinceBest
 //!   and DropFlag (Fig. 8).
 //!
@@ -33,6 +33,9 @@ use blast_core::SearchParams;
 use blast_cpu::ungapped::{extend, UngappedExt};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::{launch_map, DeviceConfig, KernelStats, LaunchConfig, SimBlock};
+
+/// Lanes per window of the window-based strategy (Fig. 8 uses 8).
+const WINDOW_LANES: u64 = 8;
 
 /// Positions an x-drop extension scans beyond the best-scoring end before
 /// giving up (cost-model constant; the functional routine computes the
@@ -146,7 +149,7 @@ impl CostModel {
     fn new(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -> Self {
         let scoring = scoring_cost(cfg, query_len, device);
         let lanes = match cfg.extension {
-            ExtensionStrategy::Window => cfg.window_size.clamp(2, WARP_SIZE as usize) as u64,
+            ExtensionStrategy::Window => WINDOW_LANES,
             ExtensionStrategy::Diagonal | ExtensionStrategy::Hit => 1,
         };
         // A w-lane shuffle scan needs ⌈log₂ w⌉ steps (3 for the default 8).

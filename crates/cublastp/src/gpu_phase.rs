@@ -7,6 +7,7 @@ use crate::binning::{binning_kernel, BinnedHits};
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::extension::{extension_kernel_counted, ExtensionResult, RECORD_BYTES};
+use crate::gapped_device::FINE_GAPPED_KERNEL;
 use crate::reorder::reorder_kernel;
 use blast_core::SearchParams;
 use blast_cpu::ungapped::UngappedExt;
@@ -34,16 +35,6 @@ pub struct GpuPhaseCounts {
 }
 
 impl GpuPhaseCounts {
-    /// Add another block's (or shard's) counters to these.
-    pub fn absorb(&mut self, other: &GpuPhaseCounts) {
-        self.hits += other.hits;
-        self.filtered += other.filtered;
-        self.extensions += other.extensions;
-        self.triggered += other.triggered;
-        self.redundant += other.redundant;
-        self.d2h_bytes += other.d2h_bytes;
-    }
-
     /// Fraction of hits that survived filtering (§3.3 reports 5–11 %).
     pub fn survival_ratio(&self) -> f64 {
         if self.hits == 0 {
@@ -137,8 +128,9 @@ pub struct GpuPhaseOutput {
     /// block-local subject id (CSR over one flat buffer; subjects without
     /// any have empty spans).
     pub extensions: ExtensionsCsr,
-    /// Per-kernel stats in execution order: hit detection, hit reordering,
-    /// ungapped extension.
+    /// Stats of the kernels the block launched, in execution order: hit
+    /// detection (absent when a grouped pass seeded the block), hit
+    /// reordering, ungapped extension.
     pub kernels: Vec<KernelStats>,
     /// Hit/extension counters.
     pub counts: GpuPhaseCounts,
@@ -168,36 +160,21 @@ impl GpuPhaseOutput {
     }
 }
 
-/// Merge one block's (or shard's) per-kernel stats into the running
-/// per-kernel totals, positionally — every block runs the same kernels in
-/// the same order. A block that ran more kernels than the totals hold yet
-/// (a shard whose gapped phase carried a 4th entry) extends them.
-///
-/// The counters add; the modelled time does not follow from their sum —
-/// every launch pays its own overhead and its own `max(compute,
-/// bandwidth)` — so `ms` travels beside them, launch by launch.
-pub(crate) fn merge_kernels(
-    totals: &mut Vec<KernelStats>,
-    totals_ms: &mut Vec<f64>,
-    block: Vec<KernelStats>,
-    block_ms: &[f64],
-) {
-    debug_assert_eq!(block.len(), block_ms.len());
-    for (k, o) in totals.iter_mut().zip(&block) {
-        k.merge(o);
-    }
-    for (t, ms) in totals_ms.iter_mut().zip(block_ms) {
-        *t += ms;
-    }
-    let have = totals.len();
-    totals.extend(block.into_iter().skip(have));
-    totals_ms.extend(block_ms.iter().skip(have));
-}
-
 /// Stats names of the hit-path kernels before the extension, in execution
 /// order (the extension kernel's is
 /// [`crate::ExtensionStrategy::kernel_name`]).
 pub(crate) const HIT_PATH_KERNELS: [&str; 2] = ["hit_detection", "hit_reordering"];
+
+/// Where a kernel sits in a block's pipeline, by stats name: hit
+/// detection, hit reordering, the ungapped extension (whichever strategy
+/// names it), the device gapped kernel. The order the per-kernel rows of a
+/// [`crate::CuBlastpResult`] keep, whichever block first ran which kernel.
+pub(crate) fn pipeline_rank(name: &str) -> usize {
+    match name {
+        FINE_GAPPED_KERNEL => 3,
+        _ => (HIT_PATH_KERNELS.iter().position(|k| *k == name)).unwrap_or(2),
+    }
+}
 
 /// Run the three hit-path kernels over one uploaded database block.
 /// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
@@ -226,9 +203,9 @@ pub fn run_gpu_phase(
 
 /// [`run_gpu_phase`] with the block's seed source explicit. `None` runs
 /// kernel 1 through the query's own DFA. `Some(bins)` is this query's
-/// demuxed slice of a grouped seeding pass over the block: kernel 1 is
-/// skipped and its stats stay zeroed — the pass is a round-level cost the
-/// batch timeline bills once, not to each member.
+/// demuxed slice of a grouped seeding pass over the block: kernel 1 does
+/// not launch and has no entry in the output's `kernels` — the pass is a
+/// round-level cost the batch timeline bills once, not to each member.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_seeded_phase(
     device: &DeviceConfig,
@@ -255,14 +232,14 @@ pub(crate) fn run_seeded_phase(
     injector.check(FaultSite::HostPanic, ctx, "gpu phase")?;
 
     let (binned, k_bin) = match seeded {
-        Some(binned) => (binned, KernelStats::new("hit_detection")),
+        Some(binned) => (binned, None),
         None => {
             // Kernel 1: warp-based hit detection with binning (Algorithm 2).
             injector.check(FaultSite::KernelLaunch, ctx, "hit_detection")?;
             let mut k_span = obs::span("hit_detection", "kernel").with_block(ctx.block);
             let (binned, k_bin) = binning_kernel(device, cfg, query, db, ws);
             k_span.set_arg("sim_ms", k_bin.time_ms(device));
-            (binned, k_bin)
+            (binned, Some(k_bin))
         }
     };
 
@@ -288,7 +265,7 @@ fn run_gpu_tail(
     injector: &FaultInjector,
     ctx: FaultCtx,
     binned: BinnedHits,
-    k_bin: KernelStats,
+    k_bin: Option<KernelStats>,
 ) -> Result<GpuPhaseOutput, DeviceError> {
     let hits = binned.total_hits;
 
@@ -329,11 +306,15 @@ fn run_gpu_tail(
     injector.check(FaultSite::D2h, ctx, "extension download")?;
     injector.check(FaultSite::D2hTimeout, ctx, "extension download")?;
 
+    // A block a grouped pass seeded launched no kernel 1: no stats, no
+    // trace event, no row further up.
+    let seeded = k_bin.is_none();
+    let kernels: Vec<KernelStats> = k_bin.into_iter().chain([k_reorder, k_ext]).collect();
     if obs::state() != 0 {
         let labels = HIT_PATH_KERNELS
             .into_iter()
             .chain([cfg.extension.kernel_name()]);
-        for (label, k) in labels.zip([&k_bin, &k_reorder, &k_ext]) {
+        for (label, k) in labels.skip(usize::from(seeded)).zip(&kernels) {
             let sim_ms = k.time_ms(device);
             obs::modelled("gpu (modelled)", label, sim_ms, Some(ctx.block), None);
             obs::observe("kernel_sim_ms", &[("kernel", label)], sim_ms);
@@ -354,7 +335,7 @@ fn run_gpu_tail(
 
     Ok(GpuPhaseOutput {
         extensions,
-        kernels: vec![k_bin, k_reorder, k_ext],
+        kernels,
         counts: GpuPhaseCounts {
             hits,
             filtered: n_filtered,

@@ -6,7 +6,7 @@
 //! GPU (see DESIGN.md for the substitution argument).
 //!
 //! The pipeline decouples BLASTP's phases into fine-grained GPU kernels
-//! plus a multicore CPU tail, bridged by the paper's
+//! plus a CPU tail, bridged by the paper's
 //! binning–sorting–filtering reorder — three stages, one launch:
 //!
 //! ```text
@@ -16,7 +16,7 @@
 //!       segmented hit sorting    (Fig. 6b, packed 64-bit keys of Fig. 7)
 //!       hit filtering            (Fig. 6c, two-hit window)
 //!   → ungapped extension       (Algorithms 3/4/5: diagonal / hit / window)
-//!   → [PCIe] → gapped extension + traceback on CPU threads (§3.6)
+//!   → [PCIe] → gapped extension + traceback on the CPU (§3.6)
 //! ```
 //!
 //! The end-to-end entry point is [`CuBlastp`]:
@@ -83,8 +83,8 @@ pub use scheduler::{
 };
 pub use search::{
     search_batch, search_batch_resident, search_batch_with, BatchOptions, BatchOutcome,
-    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport, RecoveryReport,
-    RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
+    BlockProgress, Clock, CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport, PhaseRow,
+    RecoveryReport, RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
 };
 pub use shard::{
     search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard, DbSource,

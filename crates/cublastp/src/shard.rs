@@ -521,8 +521,11 @@ pub fn search_sharded(
         .map(|s| (s, searched.shard_ms[s]))
         .unzip();
     let (schedule, single_device_ms) = fleet_schedule(&item_costs, &item_shards, &uploads, opts);
+    // The fleet runs the shards side by side: its makespan replaces
+    // their serial chain.
     let mut result = searched.result;
-    result.stamp_makespan(schedule.makespan_ms);
+    result.timing.overlapped_ms = schedule.makespan_ms;
+    result.pipeline.overlapped_ms = schedule.makespan_ms;
     Ok(ShardedResult {
         result,
         per_shard_ms: searched

@@ -203,30 +203,12 @@ impl SimBlock {
         self.stats.divergent_idle_cycles += (WARP_SIZE - active) as u64 * cost;
     }
 
-    /// Warp-wide atomic on shared memory: one target address per active
-    /// lane. Lanes hitting the same address serialize (paper §3.2 uses
+    /// Warp-wide atomic on shared memory by `lanes` active lanes, at most
+    /// `max_conflict` of them on one address (the caller knows: a binning
+    /// kernel tracks per-bin counts anyway — no target list, no counting).
+    /// Lanes hitting the same address serialize (paper §3.2 uses
     /// shared-memory atomics for the bin `top` array precisely because
     /// they are cheap relative to global atomics).
-    pub fn atomic_shared(&mut self, targets: &[u64]) {
-        if targets.is_empty() {
-            return;
-        }
-        self.stats.atomic_ops += targets.len() as u64;
-        let max_conflict = self.max_duplicates(targets);
-        let serial_steps = max_conflict.saturating_sub(1);
-        self.stats.atomic_conflicts += serial_steps;
-        let cost = self.device.shared_access_cost + serial_steps * self.device.atomic_conflict_cost;
-        let active = (targets.len() as u32).min(WARP_SIZE);
-        self.stats.warp_cycles += cost;
-        self.stats.active_lane_cycles += active as u64 * cost;
-        self.stats.divergent_idle_cycles += (WARP_SIZE - active) as u64 * cost;
-    }
-
-    /// [`Self::atomic_shared`] for callers that already know the worst
-    /// per-address conflict of the warp (e.g. a binning kernel tracking
-    /// per-bin counts anyway). Charges stats identical to
-    /// `atomic_shared` over `lanes` targets whose maximal duplicate
-    /// count is `max_conflict` — no target list, no counting.
     #[inline]
     pub fn atomic_shared_counted(&mut self, lanes: u32, max_conflict: u64) {
         if lanes == 0 {
@@ -294,11 +276,6 @@ impl SimBlock {
         self.stats.global_load_useful_bytes += useful_bytes;
         self.stats.global_load_transacted_bytes += global_tx * TRANSACTION_BYTES;
         self.stats.shared_accesses += shared_accesses;
-    }
-
-    /// Block-wide barrier (`__syncthreads()`); charged per resident warp.
-    pub fn sync(&mut self, warps_in_block: u32) {
-        self.instr_n(WARP_SIZE, warps_in_block.max(1) as u64);
     }
 
     /// Count distinct 128-byte lines among the addresses. Kernel address
@@ -491,16 +468,14 @@ mod tests {
     fn atomic_conflicts_serialize() {
         let mut b = block();
         // All 32 lanes hit the same shared counter.
-        let targets = vec![0x42u64; 32];
-        b.atomic_shared(&targets);
+        b.atomic_shared_counted(32, 32);
         assert_eq!(b.stats().atomic_ops, 32);
         assert_eq!(b.stats().atomic_conflicts, 31);
         let serialized = b.stats().warp_cycles;
 
         let mut b2 = block();
         // Conflict-free atomics across 32 distinct addresses.
-        let targets: Vec<u64> = (0..32u64).collect();
-        b2.atomic_shared(&targets);
+        b2.atomic_shared_counted(32, 1);
         assert_eq!(b2.stats().atomic_conflicts, 0);
         assert!(b2.stats().warp_cycles < serialized);
     }
@@ -529,7 +504,7 @@ mod tests {
     fn empty_accesses_are_free() {
         let mut b = block();
         b.global_read(&[], 4);
-        b.atomic_shared(&[]);
+        b.atomic_shared_counted(0, 0);
         b.readonly_read_runs(&[], 4);
         b.readonly_read_runs(&[(0x1000, 0), (0x2000, 0)], 4);
         assert_eq!(b.stats().warp_cycles, 0);
@@ -737,27 +712,29 @@ mod tests {
 
     #[test]
     fn counted_atomic_matches_target_list() {
+        // What a warp-wide shared atomic over each target list costs: one
+        // access, plus a serialized step per extra lane on the most
+        // contended address; the lanes without a target idle.
+        let d = DeviceConfig::k20c();
         for targets in [
             vec![1u64, 2, 3, 4],
             vec![7, 7, 7, 1, 2],
             vec![5],
             (0..32u64).map(|i| i % 3).collect(),
         ] {
-            let max = {
-                let mut s = targets.clone();
-                s.sort_unstable();
-                let (mut best, mut run) = (1u64, 1u64);
-                for w in s.windows(2) {
-                    run = if w[0] == w[1] { run + 1 } else { 1 };
-                    best = best.max(run);
-                }
-                best
-            };
-            let mut a = block();
-            a.atomic_shared(&targets);
+            let lanes = targets.len() as u64;
+            let max = (targets.iter())
+                .map(|t| targets.iter().filter(|u| *u == t).count() as u64)
+                .max()
+                .unwrap();
             let mut b = block();
-            b.atomic_shared_counted(targets.len() as u32, max);
-            assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
+            b.atomic_shared_counted(lanes as u32, max);
+            let cost = d.shared_access_cost + (max - 1) * d.atomic_conflict_cost;
+            let s = b.stats();
+            assert_eq!((s.atomic_ops, s.atomic_conflicts), (lanes, max - 1));
+            assert_eq!(s.warp_cycles, cost);
+            assert_eq!(s.active_lane_cycles, lanes * cost);
+            assert_eq!(s.divergent_idle_cycles, (32 - lanes) * cost);
         }
         let mut b = block();
         b.atomic_shared_counted(0, 0);
@@ -793,13 +770,5 @@ mod tests {
         b.global_read_seq(0x1000, 0, 4, 4);
         b.global_write_seq(0x1000, 0, 4, 4);
         assert_eq!(b.stats().warp_cycles, 0);
-    }
-
-    #[test]
-    fn sync_charges_per_warp() {
-        let mut b = block();
-        b.sync(4);
-        assert_eq!(b.stats().warp_cycles, 4);
-        assert_eq!(b.stats().divergence_overhead(), 0.0);
     }
 }

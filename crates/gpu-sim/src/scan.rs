@@ -2,107 +2,25 @@
 //!
 //! The window-based ungapped extension (paper §3.4, Fig. 8) computes the
 //! running score of every position in a window with "the optimized scan
-//! algorithm derived from the CUB library". A shuffle-based warp scan
-//! needs ⌈log₂ 32⌉ = 5 steps; these helpers compute the scan functionally
-//! and charge that cost to the block tracer.
-
-use crate::block::SimBlock;
-use crate::device::WARP_SIZE;
+//! algorithm derived from the CUB library", and the hit filter compacts
+//! its survivors with one. A shuffle-based warp scan needs ⌈log₂ 32⌉ = 5
+//! steps; a kernel computes the scan's values itself and charges that
+//! cost to its block tracer (`SimBlock::instr_n(lanes, WARP_SCAN_STEPS)`).
 
 /// Number of shuffle steps of a warp-wide scan.
 pub const WARP_SCAN_STEPS: u64 = 5;
 
-/// Inclusive prefix sum over up to one warp's worth of lane values,
-/// charging the shuffle-scan cost.
-pub fn warp_inclusive_scan(block: &mut SimBlock, values: &[i32]) -> Vec<i32> {
-    debug_assert!(values.len() <= WARP_SIZE as usize);
-    block.instr_n(values.len() as u32, WARP_SCAN_STEPS);
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0i32;
-    for &v in values {
-        acc += v;
-        out.push(acc);
-    }
-    out
-}
-
-/// Exclusive prefix sum over up to one warp's worth of lane values.
-pub fn warp_exclusive_scan(block: &mut SimBlock, values: &[i32]) -> Vec<i32> {
-    debug_assert!(values.len() <= WARP_SIZE as usize);
-    block.instr_n(values.len() as u32, WARP_SCAN_STEPS);
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0i32;
-    for &v in values {
-        out.push(acc);
-        acc += v;
-    }
-    out
-}
-
-/// Warp-wide maximum reduction (used to locate the highest prefix score in
-/// the window extension); log₂(32) shuffle steps.
-pub fn warp_max(block: &mut SimBlock, values: &[i32]) -> Option<i32> {
-    if values.is_empty() {
-        return None;
-    }
-    debug_assert!(values.len() <= WARP_SIZE as usize);
-    block.instr_n(values.len() as u32, WARP_SCAN_STEPS);
-    values.iter().copied().max()
-}
-
-/// Warp ballot: which lanes vote true (one instruction on hardware).
-pub fn warp_ballot(block: &mut SimBlock, votes: &[bool]) -> u32 {
-    debug_assert!(votes.len() <= WARP_SIZE as usize);
-    block.instr(votes.len() as u32);
-    votes
-        .iter()
-        .enumerate()
-        .fold(0u32, |m, (i, &v)| if v { m | (1 << i) } else { m })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::SimBlock;
     use crate::device::DeviceConfig;
-
-    fn block() -> SimBlock {
-        SimBlock::new(0, DeviceConfig::k20c(), false)
-    }
-
-    #[test]
-    fn inclusive_scan_values() {
-        let mut b = block();
-        assert_eq!(
-            warp_inclusive_scan(&mut b, &[1, -2, 3, 4]),
-            vec![1, -1, 2, 6]
-        );
-        assert_eq!(b.stats().warp_cycles, WARP_SCAN_STEPS);
-    }
-
-    #[test]
-    fn exclusive_scan_values() {
-        let mut b = block();
-        assert_eq!(warp_exclusive_scan(&mut b, &[5, 1, 2]), vec![0, 5, 6]);
-    }
-
-    #[test]
-    fn scan_of_empty_is_empty() {
-        let mut b = block();
-        assert!(warp_inclusive_scan(&mut b, &[]).is_empty());
-    }
-
-    #[test]
-    fn max_and_ballot() {
-        let mut b = block();
-        assert_eq!(warp_max(&mut b, &[3, -1, 7, 2]), Some(7));
-        assert_eq!(warp_max(&mut b, &[]), None);
-        assert_eq!(warp_ballot(&mut b, &[true, false, true]), 0b101);
-    }
 
     #[test]
     fn partial_warp_scan_records_divergence() {
-        let mut b = block();
-        warp_inclusive_scan(&mut b, &[1; 8]);
+        let mut b = SimBlock::new(0, DeviceConfig::k20c(), false);
+        b.instr_n(8, WARP_SCAN_STEPS);
+        assert_eq!(b.stats().warp_cycles, WARP_SCAN_STEPS);
         assert!(b.stats().divergence_overhead() > 0.5);
     }
 }

@@ -243,68 +243,58 @@ pub fn segmented_sort_flat_from(
     model_stats(device, name, keys.len(), work, input)
 }
 
-/// Sort every segment in place and return the modelled kernel stats —
-/// the ragged-segment convenience wrapper over the same radix sort and
-/// cost model as [`segmented_sort_flat`].
-pub fn segmented_sort_u64(
-    device: &DeviceConfig,
-    segments: &mut [Vec<u64>],
-    name: &str,
-) -> KernelStats {
-    let n: usize = segments.iter().map(|s| s.len()).sum();
-
-    let mut scratch = Vec::new();
-    for seg in segments.iter_mut() {
-        radix_sort_u64(seg, &mut scratch);
-    }
-
-    let work = merge_work(segments.iter().map(|s| s.len()));
-    model_stats(device, name, n, work, SortInput::Global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sort ragged segments through the flat entry: keys laid end to end,
+    /// CSR offsets, sorted segments copied back.
+    fn sort_ragged(d: &DeviceConfig, segments: &mut [Vec<u64>], name: &str) -> KernelStats {
+        let mut keys: Vec<u64> = segments.iter().flatten().copied().collect();
+        let mut offsets = vec![0u32];
+        for s in segments.iter() {
+            offsets.push(offsets[offsets.len() - 1] + s.len() as u32);
+        }
+        let stats = segmented_sort_flat(d, &mut keys, &offsets, name, &mut Vec::new());
+        for (s, w) in segments.iter_mut().zip(offsets.windows(2)) {
+            s.copy_from_slice(&keys[w[0] as usize..w[1] as usize]);
+        }
+        stats
+    }
 
     #[test]
     fn sorts_each_segment_independently() {
         let d = DeviceConfig::k20c();
         let mut segs = vec![vec![3u64, 1, 2], vec![9, 7], vec![]];
-        segmented_sort_u64(&d, &mut segs, "sort");
+        sort_ragged(&d, &mut segs, "sort");
         assert_eq!(segs[0], vec![1, 2, 3]);
         assert_eq!(segs[1], vec![7, 9]);
         assert!(segs[2].is_empty());
     }
 
+    /// The flat entry over ragged shapes is its parts put together: every
+    /// segment sorted on its own, and the model of the segment lengths.
     #[test]
     fn flat_and_ragged_agree_on_result_and_stats() {
         let d = DeviceConfig::k20c();
-        let segs: Vec<Vec<u64>> = vec![
+        let mut ragged: Vec<Vec<u64>> = vec![
             (0..100u64).rev().map(|k| k << 40 | 7).collect(),
             vec![],
             vec![5, 5, 5, 1],
             (0..4000u64).map(|k| (k * 2654435761) ^ 0xABCD).collect(),
         ];
-        let mut flat: Vec<u64> = segs.iter().flatten().copied().collect();
-        let mut offsets = vec![0u32];
-        let mut total = 0u32;
-        for s in &segs {
-            total += s.len() as u32;
-            offsets.push(total);
-        }
-        let mut scratch = Vec::new();
-        let flat_stats = segmented_sort_flat(&d, &mut flat, &offsets, "s", &mut scratch);
+        let mut flat = ragged.clone();
+        let flat_stats = sort_ragged(&d, &mut flat, "s");
 
-        let mut ragged = segs;
-        let ragged_stats = segmented_sort_u64(&d, &mut ragged, "s");
-        assert_eq!(flat_stats, ragged_stats);
-        let reflat: Vec<u64> = ragged.iter().flatten().copied().collect();
-        assert_eq!(flat, reflat);
-        for w in offsets.windows(2) {
-            assert!(flat[w[0] as usize..w[1] as usize]
-                .windows(2)
-                .all(|p| p[0] <= p[1]));
+        let mut scratch = Vec::new();
+        for seg in ragged.iter_mut() {
+            radix_sort_u64(seg, &mut scratch);
         }
+        let n: usize = ragged.iter().map(Vec::len).sum();
+        let work = merge_work(ragged.iter().map(Vec::len));
+        assert_eq!(flat_stats, model_stats(&d, "s", n, work, SortInput::Global));
+        assert_eq!(flat, ragged);
+        assert!(flat.iter().all(|s| s.windows(2).all(|p| p[0] <= p[1])));
     }
 
     /// A fused producer's tiles: the sort orders the same keys and bills
@@ -388,10 +378,10 @@ mod tests {
         let data: Vec<u64> = (0..4096u64).rev().collect();
 
         let mut one_seg = vec![data.clone()];
-        let coarse = segmented_sort_u64(&d, &mut one_seg, "1seg");
+        let coarse = sort_ragged(&d, &mut one_seg, "1seg");
 
         let mut many: Vec<Vec<u64>> = data.chunks(32).map(|c| c.to_vec()).collect();
-        let fine = segmented_sort_u64(&d, &mut many, "128seg");
+        let fine = sort_ragged(&d, &mut many, "128seg");
 
         assert!(
             fine.warp_cycles < coarse.warp_cycles,
@@ -404,14 +394,10 @@ mod tests {
     #[test]
     fn empty_input_costs_nothing() {
         let d = DeviceConfig::k20c();
-        let mut segs: Vec<Vec<u64>> = vec![];
-        let s = segmented_sort_u64(&d, &mut segs, "empty");
-        assert_eq!(s.warp_cycles, 0);
-        let mut segs = vec![Vec::<u64>::new(); 4];
-        let s = segmented_sort_u64(&d, &mut segs, "empty2");
-        assert_eq!(s.warp_cycles, 0);
         let mut scratch = Vec::new();
-        let s = segmented_sort_flat(&d, &mut [], &[0], "empty3", &mut scratch);
+        let s = segmented_sort_flat(&d, &mut [], &[0], "empty", &mut scratch);
+        assert_eq!(s.warp_cycles, 0);
+        let s = segmented_sort_flat(&d, &mut [], &[0; 5], "empty2", &mut scratch);
         assert_eq!(s.warp_cycles, 0);
     }
 
@@ -421,7 +407,7 @@ mod tests {
         // kernels' single-digit efficiency, below perfect.
         let d = DeviceConfig::k20c();
         let mut segs = vec![(0..10_000u64).rev().collect::<Vec<_>>()];
-        let s = segmented_sort_u64(&d, &mut segs, "eff");
+        let s = sort_ragged(&d, &mut segs, "eff");
         let e = s.global_load_efficiency();
         assert!((0.2..=0.9).contains(&e), "efficiency = {e}");
     }

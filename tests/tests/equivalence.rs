@@ -22,13 +22,16 @@ fn fsa_key(q: &bio_seq::Sequence, db: &bio_seq::SequenceDb, p: SearchParams) -> 
 fn all_five_pipelines_agree() {
     let p = SearchParams::default();
     let (q, db) = workload(96, 150, 140, 11);
-    let reference = fsa_key(&q, &db, p);
+    let fsa = search_sequential(&SearchEngine::new(q.clone(), p, &db), &db);
+    let reference = fsa.report.identity_key();
     assert!(!reference.is_empty(), "workload must produce alignments");
 
-    // NCBI-BLAST stand-in at several thread counts.
+    // NCBI-BLAST stand-in at several thread counts: the thread count is a
+    // parameter of the time model, never of what is computed.
     for threads in [1, 2, 4, 8] {
         let r = search_parallel(&SearchEngine::new(q.clone(), p, &db), &db, threads);
         assert_eq!(r.report.identity_key(), reference, "NCBI {threads}t");
+        assert_eq!(r.hit_stats, fsa.hit_stats, "NCBI {threads}t");
     }
 
     // cuBLASTP with the default configuration.

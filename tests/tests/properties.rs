@@ -181,13 +181,18 @@ proptest! {
         segs in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..60), 0..8),
     ) {
         let device = gpu_sim::DeviceConfig::k20c();
-        let mut sorted = segs.clone();
-        gpu_sim::sort::segmented_sort_u64(&device, &mut sorted, "prop");
-        for (orig, s) in segs.iter().zip(&sorted) {
+        let mut keys: Vec<u64> = segs.iter().flatten().copied().collect();
+        let mut offsets = vec![0u32];
+        for s in &segs {
+            offsets.push(offsets.last().unwrap() + s.len() as u32);
+        }
+        gpu_sim::sort::segmented_sort_flat(&device, &mut keys, &offsets, "prop", &mut Vec::new());
+        for (orig, w) in segs.iter().zip(offsets.windows(2)) {
+            let s = &keys[w[0] as usize..w[1] as usize];
             prop_assert!(s.windows(2).all(|w| w[0] <= w[1]));
             let mut o = orig.clone();
             o.sort_unstable();
-            prop_assert_eq!(&o, s);
+            prop_assert_eq!(&o[..], s);
         }
     }
 
@@ -202,7 +207,8 @@ proptest! {
         // segments, full-range keys (all 8 radix passes), near-constant
         // keys (pass skipping), and one all-duplicate segment. Each
         // segment must come out exactly as `sort_unstable` would leave
-        // it, and the modelled stats must agree with the ragged wrapper.
+        // it, and the modelled stats must depend on the segment lengths
+        // alone.
         let mut segs = wide;
         segs.extend(narrow);
         segs.push(vec![dup; dups]);
@@ -222,9 +228,11 @@ proptest! {
             want.sort_unstable();
             prop_assert_eq!(got, &want[..]);
         }
-        let mut ragged = segs;
-        let ragged_stats = gpu_sim::sort::segmented_sort_u64(&device, &mut ragged, "prop");
-        prop_assert_eq!(flat_stats, ragged_stats);
+        let mut zeros = vec![0u64; keys.len()];
+        let shape_stats = gpu_sim::sort::segmented_sort_flat(
+            &device, &mut zeros, &offsets, "prop", &mut scratch,
+        );
+        prop_assert_eq!(flat_stats, shape_stats);
     }
 }
 
