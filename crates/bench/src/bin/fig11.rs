@@ -8,9 +8,11 @@
 //!
 //! The cuBLASTP rows come from the search's own phase table
 //! (`CuBlastpResult::phase_rows`): the kernels on the `DeviceModel` clock,
-//! gapped extension and traceback measured on one thread and divided by
-//! the Fig. 13 curve (`ScheduleModel`), and the table's serial total, the
-//! one sum across the clocks. The FSA-BLAST row is `HostWall` throughout.
+//! gapped extension and traceback measured on the threads that executed
+//! them (`HostWall`; the row label says how many ran — at most the host's
+//! cores, so "w/4CPU" is a two-thread row on a two-core box), and the
+//! table's serial total, the one sum across the clocks. The FSA-BLAST row
+//! is `HostWall` throughout.
 
 use bench::runners::{figure_config, run_cublastp_detailed};
 use bench::table::{fmt, pct, print_table};
@@ -56,7 +58,7 @@ fn main() {
         let ti = &r.timing;
         let total = r.phase_rows().last().map_or(0.0, |t| t.ms);
         rows.push(vec![
-            format!("cuBLASTP w/{threads}CPU"),
+            format!("cuBLASTP w/{threads}CPU ({} ran)", r.tail_threads_ran),
             fmt(ti.gpu_ms),
             fmt(ti.gapped_ms),
             fmt(ti.traceback_ms),
@@ -85,7 +87,7 @@ fn main() {
         &rows,
     );
     println!(
-        "(cuBLASTP rows: hit+ungapped = kernels, DeviceModel; gapped, traceback = one measured \
-         thread / Fig. 13 model, ScheduleModel; total = serial sum of the phase table)"
+        "(cuBLASTP rows: hit+ungapped = kernels, DeviceModel; gapped, traceback = HostWall, \
+         measured on the threads that ran; total = serial sum of the phase table)"
     );
 }

@@ -55,7 +55,9 @@ pub fn run_fsa_blast(q: &Sequence, db: &SequenceDb, params: SearchParams) -> Run
     }
 }
 
-/// Multithreaded NCBI-BLAST stand-in.
+/// Multithreaded NCBI-BLAST stand-in: `search_parallel` on
+/// `min(threads, available_parallelism())` executed threads, its times
+/// measured (`HostWall`) — the name says on how many cores.
 pub fn run_ncbi_blast(
     q: &Sequence,
     db: &SequenceDb,
@@ -65,7 +67,10 @@ pub fn run_ncbi_blast(
     let (engine, setup_ms) = timed_engine(q, params, db);
     let r = search_parallel(&engine, db, threads);
     RunSummary {
-        name: format!("NCBI-BLAST({threads}t)"),
+        name: format!(
+            "NCBI-BLAST({threads}t, measured on {} cores)",
+            blast_cpu::par::executed_threads(threads)
+        ),
         critical_ms: r.times.hit_ungapped.as_secs_f64() * 1e3,
         overall_ms: r.times.total().as_secs_f64() * 1e3 + setup_ms,
         hits: r.report.hits.len(),

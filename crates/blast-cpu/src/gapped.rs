@@ -48,7 +48,9 @@ thread_local! {
     static CELLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Gapped-extension DP cells computed so far on the calling thread.
+/// Gapped-extension DP cells computed so far on the calling thread, and
+/// on helper threads on its behalf: [`crate::par`] folds every helper's
+/// delta into the caller's counter when it joins a batch.
 ///
 /// Monotone; benches subtract two readings around a timed region. Counts
 /// are a pure function of the inputs (the band evolution is bit-identical

@@ -8,9 +8,12 @@
 //!   identical to the output of FSA-BLAST", §4.3) and as the sequential
 //!   baseline of Fig. 18(a–b). See [`search::search_sequential`].
 //! * **NCBI-BLAST with four threads** — the multithreaded CPU baseline of
-//!   Fig. 18(c–d), as a model: the sequential search with its phase times
-//!   divided by the Fig. 13 scaling curve; nothing runs on a second
-//!   thread. See [`search::search_parallel`].
+//!   Fig. 18(c–d): the same search with whole subjects claimed by executed
+//!   threads and merged in subject order, its times measured. See
+//!   [`search::search_parallel`].
+//!
+//! [`par`] is the ordered parallel map both it and `cublastp`'s multicore
+//! CPU tail (§3.6, Fig. 13) run on.
 //!
 //! It also hosts the *shared alignment semantics* — ungapped x-drop
 //! extension, the two-hit trigger rule, gapped x-drop DP and traceback —
@@ -26,6 +29,7 @@ mod band;
 pub mod gapped;
 pub mod hit;
 pub mod itrace;
+pub mod par;
 pub mod report;
 pub mod search;
 pub mod simd;

@@ -1,0 +1,523 @@
+//! The ordered parallel map the multicore CPU phases run on (§3.6,
+//! Fig. 13): `std` only, no `unsafe`.
+//!
+//! [`par_map`]`(threads, n, f)` is `(0..n).map(f).collect()` with the
+//! items executed on up to `threads` threads. Items are *claimed* through
+//! one atomic index — alignment cost per subject is heavy-tailed, so a
+//! static split would leave threads idle behind the longest subject — and
+//! results are returned **in index order whatever the interleaving**,
+//! which is what keeps every report bit-identical to the sequential
+//! reference.
+//!
+//! [`par_scope`] is the same map for a caller that has many batches over
+//! one lifetime (a search's database blocks): helper threads are scoped to
+//! the call, started lazily by the first shared batch (two items or
+//! more), parked between batches, and joined before `par_scope` returns —
+//! also when the body or an item panics. Because helpers outlive a batch
+//! and no `unsafe` erases lifetimes, a batch's inputs travel as an owned
+//! *job* value ([`ParMap::map`]) instead of a borrowing closure.
+//!
+//! The calling thread always participates and never waits for a helper
+//! that has claimed nothing: a batch the caller finishes before a helper
+//! wakes costs it one notification. Progress never depends on a second
+//! core. What a shared batch does cost is the helper's own wake-up (tens
+//! of microseconds of latency), so a caller that can tell a batch is
+//! cheaper than that keeps it to itself with [`ParMap::map_alone`].
+//!
+//! Thread-local tallies: [`crate::gapped::dp_cells`] counts on the thread
+//! that ran the DP. Every helper's delta is folded into the *caller's*
+//! counter when a batch is joined, so a reader on the calling thread sees
+//! the whole batch at any thread count.
+
+use crate::gapped::{count_cells, dp_cells};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
+
+type Payload = Box<dyn Any + Send + 'static>;
+
+/// Lock `m`. Every critical section in this module is a handful of plain
+/// stores that leave the data valid at each step (items run *outside* the
+/// locks, under `catch_unwind`), so a poisoned lock is recovered.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `requested` clamped to `1..=available_parallelism()`: the thread count
+/// the CPU phases execute on. The host's parallelism is read once per
+/// process (on Linux it costs a `sched_getaffinity` and cgroup reads).
+pub fn executed_threads(requested: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let available =
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    requested.clamp(1, available)
+}
+
+/// True when a batch of `n` items on `threads` threads is shared with
+/// helpers (and starts them, if it is the scope's first such batch)
+/// instead of being run by the caller alone.
+pub fn shares(threads: usize, n: usize) -> bool {
+    threads >= 2 && n >= 2
+}
+
+/// What a batch has gathered so far.
+struct Gathered<T> {
+    results: Vec<Option<T>>,
+    /// Items accounted for: run, or skipped after a panic.
+    done: usize,
+    panic: Option<Payload>,
+    /// Score-pass DP cells helpers counted on their own threads.
+    helper_cells: u64,
+    /// Threads that ran at least one item.
+    ran: usize,
+}
+
+/// One `map` call: the job, the claim index, and the gathered results.
+struct Batch<J, T> {
+    job: J,
+    n: usize,
+    /// Next unclaimed item. `Relaxed`: a claim publishes nothing — the job
+    /// reaches a helper through the `Shared` lock and results leave
+    /// through `gathered`.
+    next: AtomicUsize,
+    /// Set by the first panic so the remaining claims skip their work
+    /// (`Relaxed`: advisory, a late reader only runs one item too many).
+    poisoned: AtomicBool,
+    gathered: Mutex<Gathered<T>>,
+    all_done: Condvar,
+}
+
+impl<J, T> Batch<J, T> {
+    /// Claim and run items until none are left, then hand the results
+    /// over in one critical section.
+    fn drain(&self, work: &(dyn Fn(&J, usize) -> T + Sync), on_helper: bool) {
+        let mut mine: Vec<(usize, T)> = Vec::new();
+        let mut claimed = 0usize;
+        let mut panic: Option<Payload> = None;
+        let cells_before = dp_cells();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                break;
+            }
+            claimed += 1;
+            if self.poisoned.load(Ordering::Relaxed) {
+                continue;
+            }
+            match catch_unwind(AssertUnwindSafe(|| work(&self.job, i))) {
+                Ok(t) => mine.push((i, t)),
+                Err(payload) => {
+                    self.poisoned.store(true, Ordering::Relaxed);
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if claimed == 0 {
+            return;
+        }
+        let mut g = lock(&self.gathered);
+        for (i, t) in mine {
+            g.results[i] = Some(t);
+        }
+        if g.panic.is_none() {
+            g.panic = panic;
+        }
+        if on_helper {
+            g.helper_cells += dp_cells() - cells_before;
+        }
+        g.ran += 1;
+        g.done += claimed;
+        if g.done == self.n {
+            self.all_done.notify_all();
+        }
+    }
+}
+
+/// What helpers park on between batches.
+struct Posted<J, T> {
+    batch: Option<Arc<Batch<J, T>>>,
+    /// Bumped per posted batch, so a helper takes each batch once.
+    epoch: u64,
+    shutdown: bool,
+}
+
+struct Shared<J, T> {
+    posted: Mutex<Posted<J, T>>,
+    wake: Condvar,
+}
+
+impl<J, T> Shared<J, T> {
+    /// Make every helper parked now, or taking this epoch later, exit.
+    fn shut_down(&self) {
+        let mut p = lock(&self.posted);
+        p.shutdown = true;
+        p.batch = None;
+        drop(p);
+        self.wake.notify_all();
+    }
+
+    fn helper_loop(&self, work: &(dyn Fn(&J, usize) -> T + Sync)) {
+        let mut seen = 0u64;
+        loop {
+            let batch = {
+                let mut p = lock(&self.posted);
+                loop {
+                    if p.shutdown {
+                        return;
+                    }
+                    if p.epoch != seen {
+                        seen = p.epoch;
+                        break p.batch.clone();
+                    }
+                    p = self.wake.wait(p).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            if let Some(batch) = batch {
+                batch.drain(work, true);
+            }
+        }
+    }
+}
+
+/// The handle [`par_scope`] gives its body: maps batches over the scope's
+/// threads.
+pub struct ParMap<'scope, 'env, J, T> {
+    scope: &'scope Scope<'scope, 'env>,
+    shared: Arc<Shared<J, T>>,
+    work: &'env (dyn Fn(&J, usize) -> T + Sync),
+    /// The helpers' thread name (what `top -H` and a debugger show).
+    name: &'env str,
+    threads: usize,
+    helpers: Vec<ScopedJoinHandle<'scope, ()>>,
+    peak_ran: usize,
+}
+
+impl<'scope, 'env, J, T> ParMap<'scope, 'env, J, T>
+where
+    J: Send + Sync + 'env,
+    T: Send + 'env,
+{
+    /// `(0..n).map(|i| work(&job, i)).collect()` on the scope's threads,
+    /// results in index order. A panicking item stops further items from
+    /// starting, waits for the ones in flight, and resumes the first
+    /// panic on this thread.
+    pub fn map(&mut self, job: J, n: usize) -> Vec<T> {
+        if !shares(self.threads, n) {
+            return self.map_alone(&job, n);
+        }
+        let batch = Arc::new(Batch {
+            job,
+            n,
+            next: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            gathered: Mutex::new(Gathered {
+                results: (0..n).map(|_| None).collect(),
+                done: 0,
+                panic: None,
+                helper_cells: 0,
+                ran: 0,
+            }),
+            all_done: Condvar::new(),
+        });
+        {
+            let mut p = lock(&self.shared.posted);
+            p.batch = Some(Arc::clone(&batch));
+            p.epoch += 1;
+        }
+        if self.helpers.is_empty() {
+            // Lazily, on the first shared batch: a scope that never has one
+            // spawns nothing. A helper the OS refuses to start is one
+            // fewer — the caller claims every item nobody else does.
+            let work = self.work;
+            self.helpers = (1..self.threads)
+                .filter_map(|_| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::Builder::new()
+                        .name(self.name.to_string())
+                        .spawn_scoped(self.scope, move || shared.helper_loop(work))
+                        .ok()
+                })
+                .collect();
+        } else {
+            self.shared.wake.notify_all();
+        }
+        batch.drain(self.work, false);
+        let mut g = lock(&batch.gathered);
+        while g.done < n {
+            g = (batch.all_done.wait(g)).unwrap_or_else(PoisonError::into_inner);
+        }
+        // The job is done with: a helper that wakes late finds nothing.
+        lock(&self.shared.posted).batch = None;
+        count_cells(g.helper_cells);
+        self.peak_ran = self.peak_ran.max(g.ran);
+        if let Some(payload) = g.panic.take() {
+            drop(g);
+            resume_unwind(payload);
+        }
+        let results = std::mem::take(&mut g.results);
+        drop(g);
+        // `done == n` with no panic: every slot was filled.
+        results.into_iter().flatten().collect()
+    }
+
+    /// The same on the calling thread alone, whatever the scope has: for a
+    /// batch its caller knows to be cheaper than waking a helper.
+    pub fn map_alone(&mut self, job: &J, n: usize) -> Vec<T> {
+        self.peak_ran = self.peak_ran.max(n.min(1));
+        (0..n).map(|i| (self.work)(job, i)).collect()
+    }
+
+    /// Threads this scope may use (the caller included).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The scope the helpers are spawned on, for a caller that has a
+    /// thread of its own to run next to them.
+    pub fn scope(&self) -> &'scope Scope<'scope, 'env> {
+        self.scope
+    }
+
+    /// Tell the helpers to exit and hand over their handles, for a caller
+    /// that cares which thread joins them (the scope does otherwise).
+    /// Later batches run on the calling thread alone.
+    pub fn retire(&mut self) -> Vec<ScopedJoinHandle<'scope, ()>> {
+        self.shared.shut_down();
+        self.threads = 1;
+        std::mem::take(&mut self.helpers)
+    }
+
+    /// The most threads that ran at least one item of a single batch so
+    /// far (the caller included; 0 before the first non-empty batch).
+    pub fn peak_threads_ran(&self) -> usize {
+        self.peak_ran
+    }
+}
+
+impl<J, T> Drop for ParMap<'_, '_, J, T> {
+    /// Release the helpers — also when the body unwinds, or the scope
+    /// would wait for them forever.
+    fn drop(&mut self) {
+        self.shared.shut_down();
+    }
+}
+
+/// Run `body` with a [`ParMap`] over `threads` threads (the caller and up
+/// to `threads − 1` helpers), every batch item computed by `work(&job,
+/// i)`. Helpers are started by the first batch of two or more items and
+/// are joined before this returns or unwinds. `'env` is what `work` — and
+/// any thread the body spawns on [`ParMap::scope`] — may borrow, as in
+/// [`std::thread::scope`]; `name` names the helper threads.
+pub fn par_scope<'env, J, T, R>(
+    name: &'env str,
+    threads: usize,
+    work: &'env (dyn Fn(&J, usize) -> T + Sync),
+    body: impl for<'scope> FnOnce(&mut ParMap<'scope, 'env, J, T>) -> R,
+) -> R
+where
+    J: Send + Sync + 'env,
+    T: Send + 'env,
+{
+    let shared = Arc::new(Shared {
+        posted: Mutex::new(Posted {
+            batch: None,
+            epoch: 0,
+            shutdown: false,
+        }),
+        wake: Condvar::new(),
+    });
+    std::thread::scope(|scope| {
+        let mut par = ParMap {
+            scope,
+            shared,
+            work,
+            name,
+            threads: threads.max(1),
+            helpers: Vec::new(),
+            peak_ran: 0,
+        };
+        body(&mut par)
+    })
+}
+
+/// `(0..n).map(f).collect()` with the items run on up to `threads`
+/// threads, the caller among them; results in index order.
+pub fn par_map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    par_scope("par-map", threads, &|_: &(), i| f(i), |par| par.map((), n))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    /// Busy work whose cost the test controls (no sleep: an item must be
+    /// runnable on one core).
+    fn spin(rounds: u64) -> u64 {
+        (0..rounds).fold(0u64, |acc, x| {
+            std::hint::black_box(acc.wrapping_mul(31).wrapping_add(x))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// Index order and exactly-once execution, for every shape the
+        /// callers can produce: `threads > n`, `n` = 0 and 1, and items
+        /// whose costs differ by four orders of magnitude.
+        #[test]
+        fn results_are_in_index_order_and_every_item_runs_once(
+            n in 0usize..200,
+            threads in 1usize..9,
+            heavy_stride in 1usize..40,
+            heavy_rounds in 0u64..20_000,
+        ) {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(threads, n, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                spin(if i % heavy_stride == 0 { heavy_rounds } else { 2 });
+                i * 3 + 1
+            });
+            proptest::prop_assert_eq!(out, (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>());
+            proptest::prop_assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+
+        /// The same over a scope's many batches: helpers outlive a batch,
+        /// each batch sees only its own job.
+        #[test]
+        fn a_scope_maps_batch_after_batch(
+            sizes in proptest::collection::vec(0usize..40, 0..12),
+            threads in 1usize..9,
+        ) {
+            let got = par_scope(
+                "t",
+                threads,
+                &|job: &(usize, Vec<u64>), i| job.1[i] * 2 + job.0 as u64,
+                |par| {
+                    sizes
+                        .iter()
+                        .enumerate()
+                        .map(|(b, &n)| par.map((b, (0..n as u64).collect()), n))
+                        .collect::<Vec<_>>()
+                },
+            );
+            for (b, (&n, out)) in sizes.iter().zip(&got).enumerate() {
+                let want: Vec<u64> = (0..n as u64).map(|x| x * 2 + b as u64).collect();
+                proptest::prop_assert_eq!(out, &want, "batch {}", b);
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_really_run_items_and_start_lazily() {
+        // Two items that each wait for the other: only two threads inside
+        // `work` at once can pass the barrier.
+        let barrier = Barrier::new(2);
+        par_scope(
+            "t",
+            2,
+            &|meet: &bool, i| {
+                if *meet {
+                    barrier.wait();
+                }
+                i
+            },
+            |par| {
+                assert_eq!(par.map(false, 0), Vec::<usize>::new());
+                assert_eq!(par.map(false, 1), vec![0], "one item runs inline");
+                assert_eq!(par.helpers.len(), 0, "nothing worth sharing yet");
+                assert_eq!(par.map(true, 2), vec![0, 1]);
+                assert_eq!((par.helpers.len(), par.peak_threads_ran()), (1, 2));
+            },
+        );
+    }
+
+    #[test]
+    fn retired_helpers_exit_and_later_batches_run_on_the_caller() {
+        par_scope("t", 3, &|_: &(), i| i, |par| {
+            assert_eq!(par.map((), 8), (0..8).collect::<Vec<_>>());
+            let helpers = par.retire();
+            assert_eq!(helpers.len(), 2);
+            for helper in helpers {
+                // Returns: a retired helper leaves its park and exits.
+                helper.join().expect("helpers catch item panics");
+            }
+            assert_eq!(par.map((), 8), (0..8).collect::<Vec<_>>());
+            assert_eq!(par.map_alone(&(), 3), vec![0, 1, 2]);
+            assert!(par.helpers.is_empty() && par.threads() == 1);
+        });
+    }
+
+    #[test]
+    fn one_thread_spawns_nothing() {
+        par_scope("t", 1, &|_: &(), i| i, |par| {
+            assert_eq!(par.map((), 50), (0..50).collect::<Vec<_>>());
+            assert_eq!((par.helpers.len(), par.peak_threads_ran()), (0, 1));
+        });
+    }
+
+    #[test]
+    fn a_panicking_item_resumes_on_the_caller_with_nothing_left_running() {
+        for threads in [1, 2, 8] {
+            // Items borrow this frame; `par_map` may only return — or
+            // unwind — once no thread can touch it any more.
+            let inside = AtomicUsize::new(0);
+            let started = AtomicUsize::new(0);
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                par_map(threads, 64, |i| {
+                    struct Inside<'a>(&'a AtomicUsize);
+                    impl Drop for Inside<'_> {
+                        fn drop(&mut self) {
+                            self.0.fetch_sub(1, Ordering::SeqCst);
+                        }
+                    }
+                    inside.fetch_add(1, Ordering::SeqCst);
+                    let _inside = Inside(&inside);
+                    started.fetch_add(1, Ordering::SeqCst);
+                    spin(2_000);
+                    if i == 13 {
+                        panic!("injected item panic");
+                    }
+                    i
+                })
+            }));
+            let payload = out.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("injected item panic"),
+                "threads = {threads}"
+            );
+            assert_eq!(inside.load(Ordering::SeqCst), 0, "threads = {threads}");
+            assert!(started.load(Ordering::SeqCst) <= 64);
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_still_joins_its_helpers() {
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            par_scope("t", 4, &|_: &(), i| i, |par| {
+                par.map((), 16);
+                assert_eq!(par.helpers.len(), 3);
+                panic!("body gave up");
+            })
+        }));
+        // Returning at all is the assertion: `thread::scope` joins the
+        // parked helpers, which only `ParMap`'s drop releases.
+        assert!(out.is_err());
+    }
+
+    #[test]
+    fn helper_dp_cells_fold_into_the_callers_counter() {
+        let before = dp_cells();
+        let barrier = Barrier::new(2);
+        par_map(2, 2, |i| {
+            // Both threads are inside before either counts, so one of the
+            // two counts on a helper.
+            barrier.wait();
+            count_cells(100 + i as u64);
+        });
+        assert_eq!(dp_cells() - before, 201);
+    }
+}

@@ -51,9 +51,9 @@ OPTIONS:
     --engine <name>      cublastp (default) | cpu | cuda-blastp | gpu-blastp
     --evalue <float>     e-value cutoff (default 10)
     --max-hits <n>       alignments shown per query (default 25)
-    --threads <n>        CPU threads the Fig. 13 model divides the measured
-                         gapped extension/traceback time by (default 4);
-                         the work itself runs on the calling thread
+    --threads <n>        threads that execute gapped extension + traceback
+                         (Fig. 13; default 4), at most the cores this host
+                         has: `--phase-table` says how many ran
     --strategy <name>    diagonal | hit | window (default window)
     --bins <n>           bins per warp (default 128)
     --mask               SEG-mask low-complexity query regions before seeding
@@ -200,9 +200,10 @@ pub struct Args {
     pub engine: Engine,
     pub evalue: f64,
     pub max_hits: usize,
-    /// `--threads`: the parameter of the Fig. 13 multicore model
-    /// ([`CuBlastpConfig::cpu_threads`]); no thread count changes what
-    /// executes.
+    /// `--threads`: the threads the CPU tail executes on
+    /// ([`CuBlastpConfig::cpu_threads`]; Fig. 13), and `--engine cpu`'s
+    /// `search_parallel`. Clamped to `available_parallelism()`; the
+    /// reports are identical at every value.
     pub threads: usize,
     pub strategy: ExtensionStrategy,
     pub bins: usize,

@@ -92,7 +92,7 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
     let table = batch.phase_rows();
     let total = table.last().map_or(0.0, |t| t.ms);
     out!(
-        "# per-phase timing, summed over {} quer{} (simulated device + modelled CPU):",
+        "# per-phase timing, summed over {} quer{} (simulated device + measured CPU):",
         queries,
         if queries == 1 { "y" } else { "ies" }
     );
@@ -130,6 +130,12 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
         }
     );
     out!("# gapped backend: {}", args.gapped_backend.name());
+    out!(
+        "# cpu tail threads: {} requested, {} available, {} ran",
+        args.threads,
+        blast_cpu::par::executed_threads(usize::MAX),
+        batch.tail_threads_ran
+    );
     // Host wait time, kept out of the phase totals above so retries
     // and queueing are no longer indistinguishable from compute.
     out!(

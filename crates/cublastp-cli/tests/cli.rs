@@ -780,7 +780,8 @@ fn phase_table_reports_recovery_waits_separately() {
     for (phase, clock) in [
         ("hit_detection", "DeviceModel"),
         ("d2h_transfer", "DeviceModel"),
-        ("traceback", "ScheduleModel"),
+        ("gapped_extension", "HostWall"),
+        ("traceback", "HostWall"),
         ("other (setup+merge)", "HostWall"),
         ("total (serial)", "ScheduleModel"),
     ] {
@@ -788,6 +789,14 @@ fn phase_table_reports_recovery_waits_separately() {
         let row = row.unwrap_or_else(|| panic!("no {phase} row in {text}"));
         assert!(row.split_whitespace().any(|w| w == clock), "{row}");
     }
+    // Threads requested (the default 4), available, and the ones that ran.
+    let threads = (text.lines())
+        .find(|l| l.starts_with("# cpu tail threads: 4 requested, "))
+        .expect("cpu tail threads row");
+    let ran: usize = (threads.split(", ").nth(2))
+        .and_then(|s| s.strip_suffix(" ran")?.parse().ok())
+        .unwrap_or_else(|| panic!("{threads}"));
+    assert!((1..=4).contains(&ran), "{threads}");
     // A retried launch spent real host time on the retry path.
     let retry_ms: f64 = row
         .split("retry ")

@@ -455,7 +455,16 @@ impl Server {
             cv: Condvar::new(),
             current: Mutex::new(Arc::new(first)),
             params,
-            search_cfg,
+            // One thread per request, whatever the caller asked for: the
+            // workers are the server's parallelism, sized by
+            // `ServeConfig::workers`. A request that also fanned its CPU
+            // tail out over `cpu_threads` helpers would oversubscribe the
+            // cores the other workers are counted on, and put a thread
+            // start and its wake-ups inside every request's latency.
+            search_cfg: CuBlastpConfig {
+                cpu_threads: 1,
+                ..search_cfg
+            },
             device,
             injector,
             next_id: AtomicU64::new(1),

@@ -126,10 +126,16 @@ pub struct CuBlastpConfig {
     pub grid_blocks: u32,
     /// Database sequences per pipeline block (Fig. 12 granularity).
     pub db_block_size: usize,
-    /// CPU threads of the §3.6 tail — the parameter of the Fig. 13 model
-    /// (`blast_cpu::search::modeled_parallel_speedup`): it divides the
-    /// measured gapped + traceback time that enters the Fig. 12 schedule.
-    /// The tail itself runs on the calling thread at any value.
+    /// CPU threads of the §3.6 tail (Fig. 13): gapped extension and
+    /// traceback of a block's subjects run on
+    /// `min(cpu_threads, available_parallelism())` executed threads — the
+    /// caller and helpers that live as long as the search
+    /// (`blast_cpu::par`) — and the block's CPU lane in the Fig. 12
+    /// schedule is their measured wall-clock. Reports are bit-identical at
+    /// every value; `CuBlastpResult::tail_threads_ran` says how many
+    /// threads ran. A block whose tail is cheaper than waking a helper
+    /// stays on the caller (`search::HELPER_MIN_SEED_SCORE`), and the
+    /// server pins this to 1: its workers are its parallelism.
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12).
     pub overlap: bool,

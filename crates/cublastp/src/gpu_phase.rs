@@ -16,7 +16,7 @@ use gpu_sim::{
 };
 
 /// Counters describing what the block produced.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpuPhaseCounts {
     /// Word hits detected.
     pub hits: u64,

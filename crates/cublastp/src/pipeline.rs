@@ -9,13 +9,17 @@
 //!   D2H → CPU) used by the figures: each stage is a serial resource,
 //!   stages of different blocks overlap freely.
 //! * [`overlap_blocks`] — a real two-thread executor (crossbeam channel,
-//!   bounded to one block in flight) that the search driver uses so the
-//!   overlap is not merely modelled but actually happens on the host.
+//!   bounded to one block in flight), so the overlap is not merely
+//!   modelled but actually happens on the host. The search driver uses
+//!   [`overlap_blocks_in`], the same executor on a scope it shares with
+//!   the CPU tail's helper threads.
 
 use crate::error::{panic_message, PipelineError};
 use crossbeam::channel::bounded;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Per-block stage times in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -74,6 +78,33 @@ pub fn schedule(blocks: &[BlockTiming]) -> PipelineSchedule {
     }
 }
 
+/// The overlap thread of [`overlap_blocks_in`] once the consumer is done:
+/// gone, or parked until its owner lets it go.
+pub struct OverlapThread<'scope> {
+    thread: ScopedJoinHandle<'scope, ()>,
+    outlive: mpsc::Sender<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl<'scope> OverlapThread<'scope> {
+    /// Let the thread go, after it has joined `first` — scoped threads it
+    /// is to outlive — if it stayed for them. Returns what is left to
+    /// join, in order: joining a handle waits until its thread is gone,
+    /// thread-locals and all, which the end of a scope does not wait for.
+    pub fn release_after(
+        self,
+        first: Vec<ScopedJoinHandle<'scope, ()>>,
+    ) -> Vec<ScopedJoinHandle<'scope, ()>> {
+        // A thread that did not stay has dropped the receiver: the handle
+        // comes back and is the caller's to join.
+        let mut left: Vec<_> = (first.into_iter())
+            .filter_map(|thread| self.outlive.send(thread).err())
+            .map(|unsent| unsent.0)
+            .collect();
+        left.push(self.thread);
+        left
+    }
+}
+
 /// Run `producer` (the GPU side) over the inputs on a separate thread and
 /// `consumer` (the CPU side) on the calling thread, overlapping them with
 /// a bounded channel — the executable counterpart of Fig. 12.
@@ -91,78 +122,123 @@ pub fn schedule(blocks: &[BlockTiming]) -> PipelineSchedule {
 pub fn overlap_blocks<I, M, R>(
     inputs: Vec<I>,
     producer: impl Fn(I) -> M + Send,
-    mut consumer: impl FnMut(M) -> R,
+    consumer: impl FnMut(M) -> R,
 ) -> Result<Vec<R>, PipelineError>
 where
     I: Send,
     M: Send,
 {
+    std::thread::scope(|scope| {
+        // Nobody for the overlap thread to outlive: it exits on its own.
+        overlap_blocks_in(scope, inputs, producer, |_| false, consumer).0
+    })
+}
+
+/// [`overlap_blocks`] with the overlap thread on a scope the caller owns,
+/// for a consumer that starts scoped threads of its own — `run_blocks`'s
+/// CPU tail and its helpers. `stays_for` tells the overlap thread, block
+/// by block as it stages them, whether the consumer will start such
+/// threads for that block. If it will for any, the overlap thread does
+/// not exit after its last block: it parks until
+/// [`OverlapThread::release_after`], joins the threads named there, and
+/// leaves last.
+///
+/// Threads that leave in the reverse of the order they came in get back,
+/// in the next search, the allocator arena they filled in this one (glibc
+/// keeps the arenas of exited threads on a LIFO list). Left to itself the
+/// overlap thread exits first and the helpers last, the two roles swap
+/// arenas search after search, every arena grows to the simulator's
+/// working set, and peak RSS on `sharded_skew` reads +20…35 %
+/// (EXPERIMENTS.md "PR 24"). Staying costs the owner one wake-up at the
+/// end of the search, so a search without helpers does not pay it.
+pub fn overlap_blocks_in<'scope, I, M, R>(
+    scope: &'scope Scope<'scope, '_>,
+    inputs: Vec<I>,
+    producer: impl Fn(I) -> M + Send + 'scope,
+    stays_for: impl Fn(&M) -> bool + Send + 'scope,
+    mut consumer: impl FnMut(M) -> R,
+) -> (Result<Vec<R>, PipelineError>, OverlapThread<'scope>)
+where
+    I: Send + 'scope,
+    M: Send + 'scope,
+{
     // One staged block: the GPU side runs at most one block ahead of the
     // CPU side, as in Fig. 12.
     let (tx, rx) = bounded::<M>(1);
-    std::thread::scope(|scope| {
-        let gpu = scope.spawn(move || {
-            // The closure owns `tx`; dropping it (normally or via unwind)
-            // is what lets the consumer loop below terminate.
-            catch_unwind(AssertUnwindSafe(move || {
-                for (i, input) in inputs.into_iter().enumerate() {
-                    let mid = {
-                        let _span = obs::span("producer_block", "pipeline").with_block(i as u32);
-                        producer(input)
-                    };
-                    obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
-                    if tx.send(mid).is_err() {
-                        break;
-                    }
-                }
-            }))
-        });
-        let mut out = Vec::new();
-        let mut cpu_panic: Option<PipelineError> = None;
-        let mut consumed: u32 = 0;
-        // recv() returns Err when the producer is done (or panicked and
-        // dropped its sender) — either way the loop terminates.
-        while let Ok(mid) = rx.recv() {
-            let block = consumed;
-            consumed += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let _span = obs::span("consumer_block", "pipeline").with_block(block);
-                consumer(mid)
-            }));
-            if run.is_ok() {
-                obs::counter("pipeline_blocks_total", &[("side", "consumer")], 1);
-            }
-            match run {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    cpu_panic = Some(PipelineError::WorkerPanicked {
-                        side: "cpu consumer",
-                        payload: panic_message(payload.as_ref()),
-                    });
+    let (panicked, gpu_panic) = mpsc::channel::<String>();
+    let (outlive, reap) = mpsc::channel::<ScopedJoinHandle<'scope, ()>>();
+    let thread = scope.spawn(move || {
+        // The closure owns `tx`; dropping it (normally or via unwind) is
+        // what lets the consumer loop below terminate.
+        let run = catch_unwind(AssertUnwindSafe(move || {
+            let mut stay = false;
+            for (i, input) in inputs.into_iter().enumerate() {
+                let mid = {
+                    let _span = obs::span("producer_block", "pipeline").with_block(i as u32);
+                    producer(input)
+                };
+                obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
+                stay |= stays_for(&mid);
+                if tx.send(mid).is_err() {
                     break;
                 }
             }
+            stay
+        }));
+        // A thread that is not staying hangs up before it gives its
+        // verdict, so a handle sent after the verdict comes back.
+        let reap = matches!(run, Ok(true)).then_some(reap);
+        if let Err(payload) = &run {
+            let _ = panicked.send(panic_message(payload.as_ref()));
         }
-        // Close the channel so a producer blocked on send() fails fast
-        // and its thread winds down instead of deadlocking the join.
-        drop(rx);
-        let gpu_result = match gpu.join() {
-            Ok(r) => r,
-            // The spawned closure already caught unwinds, so join itself
-            // only fails if the catch machinery was bypassed.
-            Err(payload) => Err(payload),
-        };
-        if let Err(payload) = gpu_result {
-            return Err(PipelineError::WorkerPanicked {
-                side: "gpu producer",
-                payload: panic_message(payload.as_ref()),
-            });
+        // Closed either way: the consumer side waits for this verdict.
+        drop(panicked);
+        for thread in reap.into_iter().flatten() {
+            // A scoped thread's panic is its spawner's to report.
+            let _ = thread.join();
         }
-        if let Some(e) = cpu_panic {
-            return Err(e);
+    });
+    let overlap = OverlapThread { thread, outlive };
+    let mut out = Vec::new();
+    let mut consumed: u32 = 0;
+    // recv() returns Err when the producer is done (or panicked and
+    // dropped its sender) — either way the loop terminates.
+    while let Ok(mid) = rx.recv() {
+        let block = consumed;
+        consumed += 1;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let _span = obs::span("consumer_block", "pipeline").with_block(block);
+            consumer(mid)
+        }));
+        match run {
+            Ok(r) => {
+                obs::counter("pipeline_blocks_total", &[("side", "consumer")], 1);
+                out.push(r);
+            }
+            Err(payload) => {
+                // Close the channel so a producer blocked on send() fails
+                // fast and winds down; its verdict says whether it had
+                // panicked first.
+                drop(rx);
+                let (side, payload) = match gpu_panic.recv() {
+                    Ok(payload) => ("gpu producer", payload),
+                    Err(_) => ("cpu consumer", panic_message(payload.as_ref())),
+                };
+                return (
+                    Err(PipelineError::WorkerPanicked { side, payload }),
+                    overlap,
+                );
+            }
         }
-        Ok(out)
-    })
+    }
+    let result = match gpu_panic.recv() {
+        Ok(payload) => Err(PipelineError::WorkerPanicked {
+            side: "gpu producer",
+            payload,
+        }),
+        Err(_) => Ok(out),
+    };
+    (result, overlap)
 }
 
 #[cfg(test)]
@@ -239,6 +315,35 @@ mod tests {
             elapsed < Duration::from_millis(75),
             "no overlap observed: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn overlap_thread_that_saw_threads_coming_outlives_them() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        for stays in [true, false] {
+            let helper_gone = AtomicBool::new(false);
+            let (release_helper, parked) = mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                let (out, overlap) =
+                    overlap_blocks_in(scope, vec![1, 2, 3], |x| x * 2, |_| stays, |m| m + 1);
+                assert_eq!(out.expect("no panics"), vec![3, 5, 7]);
+                let helper_gone = &helper_gone;
+                let helper = scope.spawn(move || {
+                    let _ = parked.recv();
+                    helper_gone.store(true, Ordering::SeqCst);
+                });
+                let left = overlap.release_after(vec![helper]);
+                // An overlap thread that stayed took the helper's handle
+                // and is joining it; one that left hands it back.
+                assert_eq!(left.len(), if stays { 1 } else { 2 }, "stays = {stays}");
+                drop(release_helper);
+                for thread in left {
+                    thread.join().expect("neither thread panics");
+                }
+                assert!(helper_gone.load(Ordering::SeqCst), "stays = {stays}");
+            });
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! [`CuBlastp`] orchestrates the whole paper: database blocks stream
 //! through the fine-grained GPU kernels (§3.2–3.5), their extension
-//! records cross the modelled PCIe link, and the CPU tail finishes gapped
-//! extension and alignment with traceback (§3.6; on the calling thread,
-//! its multicore time modelled), overlapped block-against-block as in
-//! Fig. 12. Output is bit-identical to the
+//! records cross the modelled PCIe link, and the multicore CPU tail
+//! finishes gapped extension and alignment with traceback (§3.6, Fig. 13:
+//! a block's subjects claimed by executed threads, merged in subject
+//! order), overlapped block-against-block as in Fig. 12. Output is
+//! bit-identical to the
 //! FSA-BLAST reference (`blast_cpu::search_sequential`) — the property
 //! §4.3 claims and the integration tests enforce.
 
@@ -19,11 +20,12 @@ use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
-use crate::pipeline::{overlap_blocks, schedule, BlockTiming, PipelineSchedule};
+use crate::pipeline::{overlap_blocks_in, schedule, BlockTiming, PipelineSchedule};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
-use blast_cpu::report::{Alignment, PhaseTimes, SearchReport};
-use blast_cpu::search::SearchEngine;
+use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
+use blast_cpu::report::{Alignment, PhaseTimes, ReportedHit, SearchReport};
+use blast_cpu::search::{apportion_wall, SearchEngine};
 use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -36,11 +38,12 @@ pub enum Clock {
     /// The `gpu-sim` cycle model and the modelled PCIe link: a pure
     /// function of the inputs, bit-identical between runs.
     DeviceModel,
-    /// Measured `Instant` on the host.
+    /// Measured `Instant` on the host: set-up, merge, and the CPU tail on
+    /// however many threads executed it.
     HostWall,
-    /// A formula over times of the other two: measured CPU-phase time
-    /// over the Fig. 13 scaling curve, the Fig. 12 pipeline makespan, the
-    /// fleet schedule. Repeats only as well as its measured inputs.
+    /// A formula over times of the other two: the Fig. 12 pipeline
+    /// makespan, the fleet schedule. Repeats only as well as its measured
+    /// inputs.
     ScheduleModel,
 }
 
@@ -57,16 +60,18 @@ pub struct CuBlastpTiming {
     pub h2d_ms: f64,
     /// Modelled device→host transfer time (`DeviceModel`).
     pub d2h_ms: f64,
-    /// CPU gapped-extension time: measured on the calling thread, divided
-    /// by the Fig. 13 curve at `cpu_threads` (`ScheduleModel`).
+    /// CPU gapped-extension time (`HostWall`): the measured wall-clock of
+    /// each block's tail on the threads that executed it, times gapped
+    /// extension's share of the summed thread time (the threads interleave
+    /// the two phases subject by subject).
     pub gapped_ms: f64,
-    /// CPU traceback time, modelled the same way (`ScheduleModel`).
+    /// CPU traceback time, the rest of the same wall-clock (`HostWall`).
     pub traceback_ms: f64,
     /// Query setup + merge and ranking, "Other" in Fig. 19d (`HostWall`).
     pub other_ms: f64,
-    /// The CPU lane of the Fig. 12 schedule summed over blocks: gapped +
-    /// traceback as above (`ScheduleModel`), or the measured reporting
-    /// pass of blocks whose gapped phase ran on the device (`HostWall`).
+    /// The CPU lane of the Fig. 12 schedule summed over blocks
+    /// (`HostWall`): gapped + traceback as above, or the measured
+    /// reporting pass of blocks whose gapped phase ran on the device.
     pub cpu_wall_ms: f64,
     /// Makespan with the Fig. 12 overlap (`ScheduleModel`).
     pub overlapped_ms: f64,
@@ -213,6 +218,10 @@ pub struct CuBlastpResult {
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
+    /// The most threads that finished subjects of one block's CPU tail
+    /// (the caller included): what ran of `cpu_threads`. 0 when no block
+    /// had a subject for the tail.
+    pub tail_threads_ran: usize,
 }
 
 impl CuBlastpResult {
@@ -239,9 +248,10 @@ impl CuBlastpResult {
     /// shard of a query, one query of a batch. Every time, count and
     /// recovery field adds (makespans too: parts run one after another
     /// unless a schedule says otherwise, and whoever has one stamps it
-    /// afterwards); per-kernel rows merge by kernel name and keep pipeline
-    /// order, so a part that did not launch a kernel contributes nothing
-    /// to its row. `report` is not part of the ledger and is left alone.
+    /// afterwards; `tail_threads_ran`, a peak, takes the larger);
+    /// per-kernel rows merge by kernel name and keep pipeline order, so a
+    /// part that did not launch a kernel contributes nothing to its row.
+    /// `report` is not part of the ledger and is left alone.
     pub fn absorb(&mut self, part: &CuBlastpResult) {
         for (k, ms) in part.kernel_rows() {
             match self.kernels.iter().position(|have| have.name == k.name) {
@@ -272,6 +282,7 @@ impl CuBlastpResult {
         r.degraded_gapped += p.degraded_gapped;
         r.retry_wait_us += p.retry_wait_us;
         r.queue_wait_us += p.queue_wait_us;
+        self.tail_threads_ran = self.tail_threads_ran.max(part.tail_threads_ran);
         self.block_timings.extend_from_slice(&part.block_timings);
         let (t, p) = (&mut self.timing, &part.timing);
         t.gpu_ms += p.gpu_ms;
@@ -291,9 +302,9 @@ impl CuBlastpResult {
 
     /// Where the time went, one row per phase, each on its own clock:
     /// every kernel that launched and the two PCIe legs (`DeviceModel`),
-    /// the CPU tail's gapped extension and traceback (`ScheduleModel`:
-    /// host time over the Fig. 13 curve; zero where the device ran the
-    /// gapped phase, whose reporting pass is not a row), set-up and merge
+    /// the CPU tail's gapped extension and traceback (`HostWall`, measured
+    /// on the threads that ran it; zero where the device ran the gapped
+    /// phase, whose reporting pass is not a row), set-up and merge
     /// (`HostWall`). The last row is the serial total of the rows above
     /// it — with [`CuBlastpTiming::total_ms`] the only sum across clocks
     /// in the tree, and `ScheduleModel` like everything that mixes
@@ -312,8 +323,8 @@ impl CuBlastpResult {
         rows.extend([
             row("h2d_transfer", DeviceModel, t.h2d_ms),
             row("d2h_transfer", DeviceModel, t.d2h_ms),
-            row("gapped_extension", ScheduleModel, t.gapped_ms),
-            row("traceback", ScheduleModel, t.traceback_ms),
+            row("gapped_extension", HostWall, t.gapped_ms),
+            row("traceback", HostWall, t.traceback_ms),
             row("other (setup+merge)", HostWall, t.other_ms),
         ]);
         let total = rows.iter().map(|r| r.ms).sum();
@@ -372,16 +383,76 @@ struct BlockAt<'a> {
     hooks: &'a SearchHooks<'a>,
 }
 
+/// One block's CPU tail as the tail's threads see it. Owned, because the
+/// helpers outlive the block (`blast_cpu::par`).
+struct TailJob {
+    /// Shard-local index of the block's first sequence.
+    base: usize,
+    extensions: ExtensionsCsr,
+    /// Block-local indices of the subjects with records to finish — the
+    /// items the threads claim.
+    todo: Vec<u32>,
+    /// Σ ungapped score over the block's records: what its gapped phase
+    /// will cost, to first order (see [`HELPER_MIN_SEED_SCORE`]).
+    seed_score: u64,
+}
+
+/// The seed score below which a block's tail stays on the calling thread.
+///
+/// Gapped extension and traceback cost about 0.2 µs per unit of seed
+/// score (EXPERIMENTS.md "PR 24": 85 → 40–100 µs, 1 558 → 295 µs, 5 524 →
+/// 819 µs, 12 000 → 2.9 ms on one thread), and a parked helper takes
+/// about 60 µs to wake in the reference sandbox — longer than the whole
+/// tail of most blocks of a database with few homologs. Below this sum
+/// (≈ 0.4 ms of tail) a helper cannot return what waking it costs, so the
+/// block does not wake one, and a search made of such blocks never starts
+/// one. A constant, not an option: it compares two costs of the same
+/// machine, and both scale with it.
+const HELPER_MIN_SEED_SCORE: u64 = 2_000;
+
+impl TailJob {
+    /// The block's non-empty subjects and their seed score.
+    fn new(base: usize, extensions: ExtensionsCsr) -> Self {
+        let todo = (0..extensions.num_seqs())
+            .filter(|&local| !extensions.seq(local).is_empty())
+            .map(|local| local as u32)
+            .collect();
+        let seed_score = (extensions.records().iter())
+            .map(|e| u64::from(e.score.max(0).unsigned_abs()))
+            .sum();
+        Self {
+            base,
+            extensions,
+            todo,
+            seed_score,
+        }
+    }
+
+    /// True when the block's subjects are worth sharing among `threads`.
+    fn shared_among(&self, threads: usize) -> bool {
+        shares(threads, self.todo.len()) && self.seed_score >= HELPER_MIN_SEED_SCORE
+    }
+}
+
+/// The threads of one search's CPU tail: per claimed subject, its hits
+/// and its two phase times.
+type Tail<'scope, 'env> = ParMap<'scope, 'env, TailJob, (Vec<ReportedHit>, PhaseTimes)>;
+
+/// What a block leaves for the host.
+enum HostTail {
+    /// The block's trigger survivors: gapped extension and traceback.
+    Finish(TailJob),
+    /// The alignments the device gapped backend already produced:
+    /// statistics only.
+    Report(Vec<Vec<Alignment>>),
+}
+
 /// What the GPU side of one block hands to its CPU tail.
 struct GpuSide {
     block: u32,
     /// Shard-local index of the block's first sequence.
     base: usize,
-    /// The block's trigger survivors, for the CPU gapped phase.
-    extensions: ExtensionsCsr,
-    /// `Some` when the device gapped backend already produced the block's
-    /// alignments: the CPU tail then only does statistics.
-    aligns: Option<Vec<Vec<Alignment>>>,
+    tail: HostTail,
     /// The block's part of the search's ledger, device side filled in;
     /// the CPU tail adds the block's hits, its own times and the block's
     /// row of the Fig. 12 schedule.
@@ -534,8 +605,10 @@ impl CuBlastp {
             Ok(GpuSide {
                 block,
                 base: range.start,
-                extensions: out.extensions,
-                aligns,
+                tail: match aligns {
+                    Some(aligns) => HostTail::Report(aligns),
+                    None => HostTail::Finish(TailJob::new(range.start, out.extensions)),
+                },
                 part: CuBlastpResult {
                     kernels: out.kernels,
                     kernel_ms,
@@ -547,11 +620,10 @@ impl CuBlastp {
             })
         };
 
-        // The CPU tail runs on the thread that called it; its time at the
-        // configured thread count is modelled (see
-        // `blast_cpu::search::modeled_parallel_speedup`). A failed block
-        // skips its tail and carries the error through.
-        let cpu_side = |gpu: Result<GpuSide, SearchError>| {
+        // The CPU tail: the calling thread and the search's helpers claim
+        // the block's subjects (`cpu_finish_block`). A failed block skips
+        // its tail and carries the error through.
+        let cpu_side = |tail: &mut Tail<'_, '_>, gpu: Result<GpuSide, SearchError>| {
             let mut gpu = gpu?;
             // Checkpoint before the CPU tail: the GPU side may be a block
             // ahead, so an expired query skips its remaining host work too.
@@ -559,9 +631,11 @@ impl CuBlastp {
                 return Err(hooks.deadline_error(gpu.block, blocks_total));
             }
             // The tail's lane in the Fig. 12 schedule.
-            let cpu_ms = match &gpu.aligns {
-                Some(a) => self.cpu_report_block(view, gpu.base, a, &mut gpu.part),
-                None => self.cpu_finish_block(view, gpu.base, &gpu.extensions, &mut gpu.part),
+            let cpu_ms = match gpu.tail {
+                HostTail::Finish(job) => self.cpu_finish_block(tail, job, &mut gpu.part),
+                HostTail::Report(aligns) => {
+                    self.cpu_report_block(view, gpu.base, &aligns, &mut gpu.part)
+                }
             };
             let t = &mut gpu.part.timing;
             t.cpu_wall_ms = cpu_ms;
@@ -591,29 +665,59 @@ impl CuBlastp {
                 (i, *range, Arc::clone(dev_block), bins)
             })
             .collect();
-        let block_parts: Vec<Result<CuBlastpResult, SearchError>> = if self.config.overlap {
-            overlap_blocks(inputs, gpu_side, cpu_side).map_err(SearchError::Pipeline)?
-        } else {
-            inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
-        };
+        // The tail's helper threads live as long as this search, next to
+        // the overlap thread: started by the first block worth sharing
+        // (`TailJob::shared_among`), parked between blocks, joined on
+        // every way out — success, a typed error, or a panic on either
+        // side.
+        let threads = executed_threads(self.config.cpu_threads);
+        let finish = |job: &TailJob, item: usize| self.finish_tail_subject(view, job, item);
+        let helper_name = format!("tail-q{}", self.stream_index);
+        let r = par_scope(&helper_name, threads, &finish, |tail| {
+            let mut leaving = Vec::new();
+            let block_parts: Vec<Result<CuBlastpResult, SearchError>> = if self.config.overlap {
+                let starts_helpers = |gpu: &Result<GpuSide, SearchError>| {
+                    matches!(gpu, Ok(GpuSide { tail: HostTail::Finish(job), .. })
+                        if job.shared_among(threads))
+                };
+                let (parts, overlap) =
+                    overlap_blocks_in(tail.scope(), inputs, gpu_side, starts_helpers, |gpu| {
+                        cpu_side(tail, gpu)
+                    });
+                // Last in, first out: an overlap thread that saw helpers
+                // coming joins them before it leaves (`overlap_blocks_in`
+                // says why), while this thread merges.
+                leaving = overlap.release_after(tail.retire());
+                parts.map_err(SearchError::Pipeline)?
+            } else {
+                (inputs.into_iter())
+                    .map(|b| cpu_side(tail, gpu_side(b)))
+                    .collect()
+            };
 
-        let t_merge = Instant::now();
-        let merge_span = obs::span("merge", "host").with_query(self.stream_index);
-        let mut r = CuBlastpResult::default();
-        for part in block_parts {
-            let mut part = part?;
-            r.report.hits.append(&mut part.report.hits);
-            r.absorb(&part);
-        }
-        r.report.finalize(self.engine.params.max_reported);
-        // The blocks overlap as Fig. 12 schedules them, not end to end.
-        r.pipeline = schedule(&r.block_timings);
-        r.timing.overlapped_ms = r.pipeline.overlapped_ms;
-        r.timing.serial_ms = r.pipeline.serial_ms;
-        // Query set-up is the query's, not this view's: `search_shards`
-        // adds it once.
-        r.timing.other_ms = t_merge.elapsed().as_secs_f64() * 1e3;
-        drop(merge_span);
+            let t_merge = Instant::now();
+            let merge_span = obs::span("merge", "host").with_query(self.stream_index);
+            let mut r = CuBlastpResult::default();
+            for part in block_parts {
+                let mut part = part?;
+                r.report.hits.append(&mut part.report.hits);
+                r.absorb(&part);
+            }
+            r.report.finalize(self.engine.params.max_reported);
+            // The blocks overlap as Fig. 12 schedules them, not end to end.
+            r.pipeline = schedule(&r.block_timings);
+            r.timing.overlapped_ms = r.pipeline.overlapped_ms;
+            r.timing.serial_ms = r.pipeline.serial_ms;
+            // Query set-up is the query's, not this view's: `search_shards`
+            // adds it once.
+            r.timing.other_ms = t_merge.elapsed().as_secs_f64() * 1e3;
+            drop(merge_span);
+            for thread in leaving {
+                // They caught their own panics and reported them above.
+                let _ = thread.join();
+            }
+            Ok::<_, SearchError>(r)
+        })?;
         if obs::metrics_enabled() {
             let checkouts = self.workspace.checkouts();
             let allocs = self.workspace.allocations();
@@ -847,40 +951,67 @@ impl CuBlastp {
         }
     }
 
-    /// CPU tail for one block: gapped extension + traceback over the
-    /// block's extension CSR, subject after subject on the calling
-    /// thread, into `part` — the block's hits, and the two phase times
-    /// over the Fig. 13 curve at `cpu_threads`
-    /// ([`blast_cpu::search::modeled_parallel_speedup`]; no thread count
-    /// changes what executes). Returns their sum, the block's CPU lane.
-    fn cpu_finish_block(
+    /// One claimed subject of a block's CPU tail: gapped extension,
+    /// traceback and statistics, on whichever thread claimed it.
+    fn finish_tail_subject(
         &self,
         view: ShardView<'_>,
-        base: usize,
-        csr: &ExtensionsCsr,
+        job: &TailJob,
+        item: usize,
+    ) -> (Vec<ReportedHit>, PhaseTimes) {
+        let local = job.todo[item] as usize;
+        let idx = job.base + local;
+        let mut found = SearchReport::default();
+        let mut times = PhaseTimes::default();
+        self.engine.finish_subject(
+            view.start + idx,
+            &view.db.sequences()[idx],
+            job.extensions.seq(local),
+            &mut found,
+            Some(&mut times),
+        );
+        (found.hits, times)
+    }
+
+    /// CPU tail for one block (§3.6, Fig. 13): gapped extension +
+    /// traceback over the block's extension CSR, its non-empty subjects
+    /// claimed by the search's `min(cpu_threads, available_parallelism())`
+    /// threads and their hits appended to `part` in subject order — the
+    /// order the one-thread loop produces. Returns the block's CPU lane:
+    /// the measured wall-clock of the parallel tail, which `part.timing`
+    /// splits into the two phases by their share of summed thread time.
+    /// Telemetry is emitted here, once per block, never from a helper.
+    fn cpu_finish_block(
+        &self,
+        tail: &mut Tail<'_, '_>,
+        job: TailJob,
         part: &mut CuBlastpResult,
     ) -> f64 {
         let mut cpu_span = obs::span("cpu_phase", "cpu").with_query(self.stream_index);
-        let mut times = PhaseTimes::default();
-        for local in (0..csr.num_seqs()).filter(|&local| !csr.seq(local).is_empty()) {
-            let idx = base + local;
-            self.engine.finish_subject(
-                view.start + idx,
-                &view.db.sequences()[idx],
-                csr.seq(local),
-                &mut part.report,
-                Some(&mut times),
-            );
+        let t0 = Instant::now();
+        let subjects = job.todo.len();
+        let finished = if job.shared_among(tail.threads()) {
+            tail.map(job, subjects)
+        } else {
+            tail.map_alone(&job, subjects)
+        };
+        let mut summed = PhaseTimes::default();
+        for (mut hits, times) in finished {
+            part.report.hits.append(&mut hits);
+            summed.add(&times);
         }
-        let cpu_scale = 1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
-        let gapped_ms = times.gapped.as_secs_f64() * 1e3 * cpu_scale;
-        let traceback_ms = times.traceback.as_secs_f64() * 1e3 * cpu_scale;
+        let times = apportion_wall(t0.elapsed(), &summed);
+        let gapped_ms = times.gapped.as_secs_f64() * 1e3;
+        let traceback_ms = times.traceback.as_secs_f64() * 1e3;
+        part.tail_threads_ran = tail.peak_threads_ran();
         if obs::state() != 0 {
             cpu_span.set_arg("gapped_ms", gapped_ms);
             cpu_span.set_arg("traceback_ms", traceback_ms);
-            // The two CPU sub-phases interleave per subject, so their
-            // times are modelled lanes (like the GPU kernels), while
-            // `cpu_phase` above is the measured host span.
+            cpu_span.set_arg("threads_requested", self.config.cpu_threads as f64);
+            cpu_span.set_arg("threads_ran", part.tail_threads_ran as f64);
+            // The two CPU sub-phases interleave per subject and per
+            // thread, so their lanes are shares of the measured
+            // `cpu_phase` span above, laid out like the GPU kernels'.
             let q = Some(self.stream_index);
             obs::modelled(
                 "cpu tail (modelled)",
@@ -1155,6 +1286,7 @@ pub fn search_batch_resident(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PipelineError;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use blast_cpu::search::search_sequential;
 
@@ -1442,10 +1574,13 @@ mod tests {
             "{case}"
         );
         assert!(
-            close(on(Clock::ScheduleModel), t.gapped_ms + t.traceback_ms),
+            close(
+                on(Clock::HostWall),
+                t.gapped_ms + t.traceback_ms + t.other_ms
+            ),
             "{case}"
         );
-        assert!(close(on(Clock::HostWall), t.other_ms), "{case}");
+        assert_eq!(on(Clock::ScheduleModel), 0.0, "{case}: only the total");
         assert_eq!(total.clock, Clock::ScheduleModel, "{case}");
         assert!(close(total.ms, phases.iter().map(|p| p.ms).sum()), "{case}");
         if !device_gapped {
@@ -2097,6 +2232,271 @@ mod tests {
             "expected deadline error, got {err:?}"
         );
         assert_eq!(gpu.injector.injected(), 1, "no relaunch after the deadline");
+
+        // A deadline that hits between blocks of a search whose tail has
+        // started its helpers: block 0 completes on two threads, block 1's
+        // launch checkpoint (poll 3: the GPU and CPU sides poll once per
+        // block) trips, and the typed error comes back with every helper
+        // gone.
+        let (q, db) = family_workload();
+        let dev_db = DeviceDb::upload(&db, 24);
+        let params = SearchParams::default();
+        let mut gpu = CuBlastp::new(
+            q,
+            params,
+            family_config(2, false),
+            DeviceConfig::k20c(),
+            &db,
+        );
+        gpu.stream_index = 7_100;
+        let hooks = SearchHooks {
+            cancel: CancelToken::after_checks(3),
+            on_block: None,
+        };
+        let err = gpu
+            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .expect_err("tripped token must cancel the search");
+        assert!(
+            matches!(
+                err,
+                SearchError::DeadlineExceeded {
+                    blocks_completed: 1,
+                    blocks_total: 3,
+                    ..
+                }
+            ),
+            "expected a deadline after block 0, got {err:?}"
+        );
+        #[cfg(target_os = "linux")]
+        assert_eq!(threads_named("tail-q7100"), 0);
+    }
+
+    /// A homolog-rich database: every block's seed score clears
+    /// `HELPER_MIN_SEED_SCORE`, so a tail with two threads shares it.
+    fn family_workload() -> (Sequence, SequenceDb) {
+        let q = make_query(128);
+        let spec = DbSpec {
+            name: "fam",
+            num_sequences: 72,
+            mean_length: 140,
+            homolog_fraction: 0.9,
+            seed: 5,
+        };
+        (q.clone(), generate_db(&spec, &q).db)
+    }
+
+    fn family_config(cpu_threads: usize, overlap: bool) -> CuBlastpConfig {
+        CuBlastpConfig {
+            db_block_size: 24,
+            grid_blocks: 2,
+            warps_per_block: 2,
+            cpu_threads,
+            overlap,
+            ..Default::default()
+        }
+    }
+
+    /// Threads of this process named `name` (the tail's helpers carry
+    /// their query's index), polled until none is left or a second passes:
+    /// a scope's end waits for a thread's closure, not for the kernel to
+    /// reap the task, and a helper nobody released would stay parked.
+    #[cfg(target_os = "linux")]
+    fn threads_named(name: &str) -> usize {
+        let count = || {
+            let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+            tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == name)
+                .count()
+        };
+        let t0 = Instant::now();
+        while count() > 0 && t0.elapsed() < Duration::from_secs(1) {
+            std::thread::yield_now();
+        }
+        count()
+    }
+
+    #[test]
+    fn tail_really_runs_on_helpers_and_changes_nothing() {
+        // Long sequences: a block's tail takes milliseconds even in a
+        // release build, so a helper that exists gets to claim something.
+        let q = make_query(400);
+        let spec = DbSpec {
+            name: "fam",
+            num_sequences: 72,
+            mean_length: 400,
+            homolog_fraction: 0.9,
+            seed: 5,
+        };
+        let db = generate_db(&spec, &q).db;
+        let params = SearchParams::default();
+        let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
+        let dev_db = DeviceDb::upload(&db, 24);
+        let run = |cpu_threads, overlap| {
+            let cfg = family_config(cpu_threads, overlap);
+            CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
+                .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                .expect("fault-free search")
+        };
+        let one = run(1, false);
+        assert_eq!(one.tail_threads_ran, 1);
+        for overlap in [false, true] {
+            for cpu_threads in [1, 2, 3, 8] {
+                let r = run(cpu_threads, overlap);
+                let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
+                assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
+                assert_eq!(r.kernels, one.kernels, "{case}");
+                assert_eq!(r.counts, one.counts, "{case}");
+                let executed = executed_threads(cpu_threads);
+                assert!(r.tail_threads_ran <= executed, "{case}");
+                // Every block here is worth sharing.
+                assert_eq!(r.tail_threads_ran >= 2, executed >= 2, "{case}");
+                // The block's CPU lane is the two measured phases.
+                let t = &r.timing;
+                assert!(t.gapped_ms > 0.0 && t.traceback_ms > 0.0, "{case}");
+                assert!(
+                    (t.cpu_wall_ms - (t.gapped_ms + t.traceback_ms)).abs() < 1e-9,
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    /// Determinism over the whole lattice: `cpu_threads` ∈ {1, 2, 3, 8} ×
+    /// overlap × gapped backend × seeding mode × {1, 3} shards, and every
+    /// combination 16 more times at 4 threads (claim order differs run to
+    /// run; the outcome may not). Held in each: the report is
+    /// `search_sequential`'s, and every device-side number — each
+    /// kernel's stats and modelled time, the counts, the PCIe legs — is
+    /// bit-equal to the one-thread run's.
+    #[test]
+    fn thread_lattice_reports_and_kernel_stats_are_identical() {
+        use crate::shard::ShardedDb;
+        let (q, db) = family_workload();
+        let queries = vec![q, make_query(120)];
+        let (params, device) = (SearchParams::default(), DeviceConfig::k20c());
+        let reference: Vec<_> = (queries.iter())
+            .map(|q| search_sequential(&SearchEngine::new(q.clone(), params, &db), &db))
+            .map(|r| r.report.identity_key())
+            .collect();
+        assert!(reference.iter().all(|key| !key.is_empty()));
+        for overlap in [false, true] {
+            for gapped_backend in [GappedBackend::Cpu, GappedBackend::Gpu] {
+                for grouped in [None, Some(DEFAULT_GROUP_BUDGET)] {
+                    for num_shards in [1usize, 3] {
+                        let sharded = ShardedDb::split(&db, num_shards, 24);
+                        let run = |cpu_threads: usize| {
+                            let plan = Plan {
+                                params,
+                                config: CuBlastpConfig {
+                                    gapped_backend,
+                                    ..family_config(cpu_threads, overlap)
+                                },
+                                device,
+                                shards: &sharded.views(),
+                                grouped,
+                                injector: None,
+                                charge_h2d: false,
+                            };
+                            let searched = execute(&plan, &queries).per_query.into_iter();
+                            searched
+                                .map(|s| s.expect("fault-free search").result)
+                                .collect::<Vec<_>>()
+                        };
+                        let one = run(1);
+                        let threads = [2, 3, 8].into_iter().chain([4; 16]);
+                        for cpu_threads in threads {
+                            let case = format!(
+                                "cpu_threads {cpu_threads}, overlap {overlap}, {gapped_backend:?}, \
+                                 grouped {grouped:?}, {num_shards} shards"
+                            );
+                            for ((r, one), reference) in
+                                run(cpu_threads).iter().zip(&one).zip(&reference)
+                            {
+                                assert_eq!(&r.report.identity_key(), reference, "{case}");
+                                assert_eq!(&one.report.identity_key(), reference, "{case}");
+                                assert_eq!(r.kernels, one.kernels, "{case}");
+                                assert_eq!(r.kernel_ms, one.kernel_ms, "{case}");
+                                assert_eq!(r.counts, one.counts, "{case}");
+                                let (t, t1) = (&r.timing, &one.timing);
+                                assert_eq!(
+                                    (t.gpu_ms, t.h2d_ms, t.d2h_ms),
+                                    (t1.gpu_ms, t1.h2d_ms, t1.d2h_ms),
+                                    "{case}"
+                                );
+                                assert!(r.tail_threads_ran <= executed_threads(cpu_threads));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_tail_subject_stays_typed_at_every_thread_count() {
+        let (q, db) = family_workload();
+        let params = SearchParams::default();
+        let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
+        let dev_db = DeviceDb::upload(&db, 24);
+        // The host copy of the best hit's subject loses all but one
+        // residue: its extension records (computed from the resident,
+        // intact copy) now point past its end, and finishing it panics —
+        // on whichever thread claims it.
+        let victim = cpu.report.hits[0].subject_index;
+        let mut sequences = db.sequences().to_vec();
+        let id = sequences[victim].id.clone();
+        sequences[victim] = Sequence::from_residues(id, sequences[victim].residues()[..1].to_vec());
+        let poisoned = SequenceDb::new("poisoned", sequences);
+        for cpu_threads in [1, 2, 8] {
+            // Overlapped: the tail is the pipeline's consumer side.
+            let cfg = family_config(cpu_threads, true);
+            let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
+            gpu.stream_index = 7_000 + cpu_threads as u32;
+            let err = gpu
+                .run_blocks(
+                    flat(&poisoned, &dev_db),
+                    false,
+                    None,
+                    &SearchHooks::default(),
+                )
+                .expect_err("the poisoned subject must fail the search");
+            match &err {
+                SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
+                    assert_eq!(*side, "cpu consumer", "cpu_threads = {cpu_threads}")
+                }
+                other => panic!("expected a typed worker panic, got {other:?}"),
+            }
+            #[cfg(target_os = "linux")]
+            assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
+            // Nothing is left wedged: the same searcher searches again.
+            let clean = gpu
+                .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                .expect("clean database");
+            assert_eq!(clean.report.identity_key(), cpu.report.identity_key());
+
+            // Serial, through the batch executor: the poisoned query fails
+            // alone, as a typed error in its own slot.
+            let plan = Plan {
+                params,
+                config: family_config(cpu_threads, false),
+                device: DeviceConfig::k20c(),
+                shards: &[flat(&poisoned, &dev_db)],
+                grouped: None,
+                injector: None,
+                charge_h2d: false,
+            };
+            let run = execute(&plan, std::slice::from_ref(&q));
+            match &run.per_query[0] {
+                Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. })) => {
+                    assert_eq!(*side, "batch query", "cpu_threads = {cpu_threads}")
+                }
+                Err(other) => panic!("expected a typed worker panic, got {other:?}"),
+                Ok(_) => panic!("the poisoned subject must fail the query"),
+            }
+            #[cfg(target_os = "linux")]
+            assert_eq!(threads_named("tail-q0"), 0);
+        }
     }
 
     #[test]
