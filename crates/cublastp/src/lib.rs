@@ -63,6 +63,8 @@ pub mod gpu_phase;
 pub mod grouped;
 pub mod grouping;
 pub mod hitpack;
+#[cfg(test)]
+mod lattice;
 pub mod pipeline;
 pub mod reorder;
 pub mod scheduler;

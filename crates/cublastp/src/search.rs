@@ -905,12 +905,14 @@ impl CuBlastp {
     }
 
     /// Degradation path: reproduce the GPU phase for one block on the CPU
-    /// reference scan (`blast_cpu::hit`). The extension records — and so
-    /// every downstream alignment — are bit-identical to what the kernels
-    /// produce (the equivalence the `extensions_match_cpu_reference` test
-    /// pins down); only the performance counters differ (no kernel stats:
-    /// the block launched nothing, and nothing to download: the records
-    /// are already on the host).
+    /// reference scan (`blast_cpu::hit`). The extension records are
+    /// bit-identical to what the diagonal- and window-based kernels produce
+    /// (the equivalence the `extensions_match_cpu_reference` test pins
+    /// down), a subset of the hit-based kernel's, which skips the coverage
+    /// check; every downstream alignment is identical either way. Only the
+    /// performance counters differ (no kernel stats: the block launched
+    /// nothing, and nothing to download: the records are already on the
+    /// host).
     fn cpu_fallback_phase(&self, db: &DeviceDbBlock) -> GpuPhaseOutput {
         let p = &self.engine.params;
         let mut scratch = blast_cpu::hit::DiagonalScratch::new(0);
@@ -1287,8 +1289,10 @@ pub fn search_batch_resident(
 mod tests {
     use super::*;
     use crate::error::PipelineError;
+    use crate::lattice::{check_all, Case, Fault, Layout, Seed};
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use blast_cpu::search::search_sequential;
+    use gpu_sim::FaultSite;
 
     fn workload() -> (Sequence, SequenceDb) {
         let q = make_query(96);
@@ -1307,31 +1311,77 @@ mod tests {
         ShardView { db, dev, start: 0 }
     }
 
-    #[test]
-    fn output_identical_to_fsa_blast() {
-        let (q, db) = workload();
-        let params = SearchParams::default();
-        let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
+    /// Pinned cases of the differential lattice (`crate::lattice`): one
+    /// test per behaviour, each a list of `Case` literals run through the
+    /// lattice's one oracle — the report is `search_sequential`'s, the
+    /// device side the one-thread run's, the ledger, the link and the
+    /// recovery report what the case predicts, an error the one it
+    /// predicts. A failure the lattice minimises lands here.
+    macro_rules! pinned {
+        ($($name:ident: [$($case:expr),+ $(,)?];)+) => {$(
+            #[test]
+            fn $name() {
+                check_all([$($case),+]);
+            }
+        )+};
+    }
 
-        for overlap in [false, true] {
-            let cfg = CuBlastpConfig {
-                db_block_size: 40,
-                grid_blocks: 4,
-                warps_per_block: 2,
-                overlap,
-                cpu_threads: 2,
-                ..Default::default()
-            };
-            let gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
-            let result = gpu.search(&db).expect("fault-free search");
-            assert_eq!(
-                result.report.identity_key(),
-                cpu.report.identity_key(),
-                "overlap = {overlap}"
-            );
-            assert!(!result.report.hits.is_empty());
-            assert!(result.recovery.is_clean());
-        }
+    pinned! {
+        output_identical_to_fsa_blast: [
+            Case::default(),
+            Case { threads: 2, overlap: true, ..Case::default() },
+        ];
+        kernel_rows_sum_to_gpu_ms: [
+            Case { backend: GappedBackend::Gpu, shards: Layout::Even3,
+                   fault: Fault::Permanent(FaultSite::DeviceAlloc), ..Case::default() },
+            Case { seed: Seed::Grouped, backend: GappedBackend::Gpu, shards: Layout::Even3,
+                   fault: Fault::Permanent(FaultSite::GappedLaunch), ..Case::default() },
+        ];
+        transient_fault_retries_to_bit_identical_output: [
+            Case { fault: Fault::Once(FaultSite::KernelLaunch), fault_block: 1, ..Case::default() },
+        ];
+        permanent_fault_degrades_to_bit_identical_output: [
+            Case { fault: Fault::Permanent(FaultSite::DeviceAlloc), ..Case::default() },
+        ];
+        gpu_gapped_backend_is_bit_identical_to_cpu_backend: [
+            Case { backend: GappedBackend::Gpu, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, threads: 2, overlap: true, ..Case::default() },
+        ];
+        gpu_gapped_transient_fault_retries_to_identical_output: [
+            Case { backend: GappedBackend::Gpu, fault: Fault::Once(FaultSite::GappedLaunch),
+                   fault_block: 1, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, fault: Fault::Once(FaultSite::GappedD2h),
+                   fault_block: 1, ..Case::default() },
+        ];
+        gpu_gapped_permanent_fault_degrades_gapped_phase_only: [
+            Case { backend: GappedBackend::Gpu, fault: Fault::Permanent(FaultSite::GappedLaunch),
+                   ..Case::default() },
+        ];
+        fallback_disabled_surfaces_the_device_error: [
+            Case { fault: Fault::NoFallback(FaultSite::D2h), fault_block: 1, ..Case::default() },
+        ];
+        grouped_batch_is_bit_identical_to_per_query_batch: [
+            Case { seed: Seed::Grouped, ..Case::default() },
+            Case { seed: Seed::GroupedBudget1, ..Case::default() },
+        ];
+        grouped_batch_with_gpu_gapped_backend_is_identical: [
+            Case { seed: Seed::Grouped, backend: GappedBackend::Gpu, ..Case::default() },
+        ];
+        grouped_member_fault_degrades_to_identical_output: [
+            Case { seed: Seed::Grouped, fault: Fault::Permanent(FaultSite::DeviceAlloc),
+                   fault_query: 1, ..Case::default() },
+            Case { seed: Seed::Grouped, fault: Fault::Once(FaultSite::KernelLaunch), fault_query: 1,
+                   ..Case::default() },
+        ];
+        thread_lattice_reports_and_kernel_stats_are_identical: [
+            Case { seed: Seed::Grouped, backend: GappedBackend::Gpu, shards: Layout::Even3,
+                   threads: 8, overlap: true, ..Case::default() },
+            Case { shards: Layout::Ragged, scalar: true, threads: 2, ..Case::default() },
+        ];
+        poisoned_batch_query_fails_alone: [
+            Case { fault: Fault::Panic, ..Case::default() },
+            Case { fault: Fault::Panic, fault_query: 1, ..Case::default() },
+        ];
     }
 
     #[test]
@@ -1437,161 +1487,6 @@ mod tests {
         assert!(r.kernel("hit_detection").is_some());
     }
 
-    /// The ledger on combinations: {per-query, grouped seeding} × {CPU,
-    /// device gapped backend} × {1, 3 shards} × {clean, block 0's hit
-    /// phase degraded, block 0's gapped phase degraded}, through the
-    /// executor's plan. Three blocks either way — one view of three, or
-    /// three views of one — so "block 0" is one block of three on the
-    /// flat database and every block on the sharded one, where a
-    /// degraded phase's kernels never launch at all.
-    ///
-    /// Held in each: the per-kernel rows every reader prints add up to
-    /// `timing.gpu_ms` (which the merged counters' own `time_ms` does
-    /// not: it bills one launch per kernel per query), name exactly the
-    /// kernels that launched, once each, in pipeline order; the phase
-    /// rows of each clock add up to the timing fields of that clock; and
-    /// the report is the reference's.
-    #[test]
-    fn kernel_rows_sum_to_gpu_ms() {
-        use crate::shard::ShardedDb;
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let queries = vec![q, make_query(80)];
-        let (params, device) = (SearchParams::default(), DeviceConfig::k20c());
-        let reference: Vec<_> = (queries.iter())
-            .map(|q| search_sequential(&SearchEngine::new(q.clone(), params, &db), &db))
-            .map(|r| r.report.identity_key())
-            .collect();
-        let faults = [
-            None,
-            Some(FaultSite::DeviceAlloc),
-            Some(FaultSite::GappedLaunch),
-        ];
-        for grouped in [None, Some(DEFAULT_GROUP_BUDGET)] {
-            for gapped_backend in [GappedBackend::Cpu, GappedBackend::Gpu] {
-                for num_shards in [1usize, 3] {
-                    for fault in faults {
-                        let case = format!(
-                            "grouped {grouped:?}, {gapped_backend:?}, {num_shards} shards, \
-                             fault {fault:?}"
-                        );
-                        let config = CuBlastpConfig {
-                            db_block_size: 50,
-                            gapped_backend,
-                            ..Default::default()
-                        };
-                        let sharded = ShardedDb::split(&db, num_shards, config.db_block_size);
-                        let plan = Plan {
-                            params,
-                            config,
-                            device,
-                            shards: &sharded.views(),
-                            grouped,
-                            injector: fault.map(|site| {
-                                let spec = FaultSpec::permanent(site).on_block(0);
-                                Arc::new(FaultInjector::new(FaultPlan::none().with(spec)))
-                            }),
-                            charge_h2d: grouped.is_none() && num_shards == 1,
-                        };
-                        let run = execute(&plan, &queries);
-                        for (searched, reference) in run.per_query.iter().zip(&reference) {
-                            let r = &searched.as_ref().expect("degrades, never fails").result;
-                            assert_eq!(&r.report.identity_key(), reference, "{case}");
-                            check_ledger(r, &plan, fault, &case);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One result of [`kernel_rows_sum_to_gpu_ms`]'s table.
-    fn check_ledger(
-        r: &CuBlastpResult,
-        plan: &Plan<'_>,
-        fault: Option<gpu_sim::FaultSite>,
-        case: &str,
-    ) {
-        use gpu_sim::FaultSite;
-        let blocks = r.block_timings.len() as u64;
-        assert_eq!(blocks, 3, "{case}");
-        let device_gapped = plan.config.gapped_backend == GappedBackend::Gpu;
-        // Block 0 of every view: one block of the flat database, all three
-        // of the sharded one.
-        let faulted = if plan.shards.len() == 1 { 1 } else { blocks };
-        let (degraded_hit, degraded_gapped) = match fault {
-            Some(FaultSite::DeviceAlloc) => (faulted, 0),
-            Some(FaultSite::GappedLaunch) if device_gapped => (0, faulted),
-            _ => (0, 0),
-        };
-        assert_eq!(r.recovery.degraded_blocks, degraded_hit, "{case}");
-        assert_eq!(r.recovery.degraded_gapped, degraded_gapped, "{case}");
-
-        // Exactly the kernels that launched, once each, in pipeline order.
-        let mut launched = Vec::new();
-        if degraded_hit < blocks {
-            if plan.grouped.is_none() {
-                launched.push("hit_detection");
-            }
-            launched.extend(["hit_reordering", "ungapped_extension_window"]);
-        }
-        if device_gapped && degraded_gapped < blocks {
-            launched.push(FINE_GAPPED_KERNEL);
-        }
-        let names: Vec<&str> = r.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(names, launched, "{case}");
-        assert!(r.kernels.iter().all(|k| k.blocks > 0), "{case}: {names:?}");
-        assert_eq!(r.kernel_ms.len(), r.kernels.len(), "{case}");
-
-        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
-        let t = &r.timing;
-        let rows: f64 = r.kernel_rows().map(|(_, ms)| ms).sum();
-        assert!(close(rows, t.gpu_ms), "{case}: rows {rows} vs {}", t.gpu_ms);
-        if fault.is_none() && !device_gapped {
-            // Every hit-path kernel launched once per block with work to
-            // do; its merged counters bill one launch.
-            let merged: f64 = r.kernels.iter().map(|k| k.time_ms(&plan.device)).sum();
-            let launches = (blocks - 1) * r.kernels.len() as u64;
-            let overhead =
-                (plan.device).cycles_to_ms(launches * plan.device.launch_overhead_cycles);
-            assert!(
-                merged <= t.gpu_ms - overhead + 1e-9,
-                "{case}: merged counters bill {merged} ms of {}",
-                t.gpu_ms
-            );
-        }
-
-        // Each clock's phase rows add up to that clock's fields; the last
-        // row is the one sum across clocks.
-        let table = r.phase_rows();
-        let (total, phases) = table.split_last().expect("a total row");
-        let on = |clock: Clock| -> f64 {
-            let rows = phases.iter().filter(|p| p.clock == clock);
-            rows.map(|p| p.ms).sum()
-        };
-        assert!(
-            close(on(Clock::DeviceModel), t.gpu_ms + t.h2d_ms + t.d2h_ms),
-            "{case}"
-        );
-        assert!(
-            close(
-                on(Clock::HostWall),
-                t.gapped_ms + t.traceback_ms + t.other_ms
-            ),
-            "{case}"
-        );
-        assert_eq!(on(Clock::ScheduleModel), 0.0, "{case}: only the total");
-        assert_eq!(total.clock, Clock::ScheduleModel, "{case}");
-        assert!(close(total.ms, phases.iter().map(|p| p.ms).sum()), "{case}");
-        if !device_gapped {
-            // The serial total is the unoverlapped pipeline plus "other".
-            assert!(
-                (total.ms - (t.serial_ms + t.other_ms)).abs() < 1e-9,
-                "{case}"
-            );
-        }
-    }
-
     /// `absorb` is a fold: blocks into shards into a query read the same
     /// as the flat block list, whichever kernels each part launched.
     /// Every value is a dyadic rational, so the sums are exact and so is
@@ -1690,381 +1585,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_fault_retries_to_bit_identical_output() {
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 3,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let clean = CuBlastp::new(
-            q.clone(),
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-        )
-        .search(&db)
-        .expect("fault-free search");
-
-        let mut faulty = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
-        faulty.injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::once(FaultSite::KernelLaunch).on_block(1)),
-        ));
-        let r = faulty.search(&db).expect("transient fault must recover");
-        assert_eq!(r.recovery.faults, 1);
-        assert_eq!(r.recovery.retries, 1);
-        assert_eq!(r.recovery.degraded_blocks, 0);
-        assert_eq!(r.report.identity_key(), clean.report.identity_key());
-        assert_eq!(r.counts.hits, clean.counts.hits);
-        assert_eq!(r.counts.extensions, clean.counts.extensions);
-    }
-
-    #[test]
-    fn permanent_fault_degrades_to_bit_identical_output() {
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 3,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let clean = CuBlastp::new(
-            q.clone(),
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-        )
-        .search(&db)
-        .expect("fault-free search");
-
-        let mut faulty = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
-        faulty.injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::DeviceAlloc).on_block(0)),
-        ));
-        let r = faulty.search(&db).expect("permanent fault must degrade");
-        assert_eq!(r.recovery.degraded_blocks, 1);
-        assert_eq!(r.recovery.retries, 0, "permanent faults are not retried");
-        assert_eq!(r.report.identity_key(), clean.report.identity_key());
-        assert_eq!(r.counts.hits, clean.counts.hits);
-        assert_eq!(r.counts.extensions, clean.counts.extensions);
-    }
-
-    #[test]
-    fn gpu_gapped_backend_is_bit_identical_to_cpu_backend() {
-        let (q, db) = workload();
-        let params = SearchParams::default();
-        let cpu_cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 3,
-            warps_per_block: 2,
-            cpu_threads: 2,
-            ..Default::default()
-        };
-        let cpu = CuBlastp::new(q.clone(), params, cpu_cfg, DeviceConfig::k20c(), &db)
-            .search(&db)
-            .expect("fault-free search");
-
-        // What each block has to offer the link: its trigger survivors'
-        // records, and the alignments the fine kernel makes of them.
-        let device = DeviceConfig::k20c();
-        let s = CuBlastp::new(q.clone(), params, cpu_cfg, device, &db);
-        let dev_db = DeviceDb::upload(&db, cpu_cfg.db_block_size);
-        let (mut record_legs, mut alignment_legs) = (Vec::new(), Vec::new());
-        for (_, block) in dev_db.blocks() {
-            let hit = run_seeded_phase(
-                &device,
-                &cpu_cfg,
-                &s.query_device,
-                block,
-                &params,
-                &s.workspace,
-                &s.injector,
-                FaultCtx::default(),
-                None,
-            )
-            .expect("no faults armed");
-            assert_eq!(hit.download_bytes, hit.counts.triggered * 20);
-            let fine = gapped_fine_kernel(
-                &device,
-                &cpu_cfg,
-                &s.query_device,
-                s.engine.query.residues(),
-                block,
-                &hit.extensions,
-                &params,
-                s.engine.cutoffs.gapped_trigger,
-                s.engine.cutoffs.report_cutoff,
-                &s.workspace,
-                &s.injector,
-                FaultCtx::default(),
-            )
-            .expect("no faults armed");
-            record_legs.push(device.transfer_ms(hit.download_bytes));
-            alignment_legs.push(device.transfer_ms(fine.download_bytes));
-        }
-        let d2h_legs =
-            |r: &CuBlastpResult| -> Vec<f64> { r.block_timings.iter().map(|b| b.d2h_ms).collect() };
-        // The CPU tail downloads the survivors' records, exactly.
-        assert_eq!(d2h_legs(&cpu), record_legs);
-        assert_eq!(cpu.timing.d2h_ms, record_legs.iter().sum::<f64>());
-        assert_ne!(record_legs, alignment_legs);
-
-        for overlap in [false, true] {
-            let cfg = CuBlastpConfig {
-                gapped_backend: GappedBackend::Gpu,
-                overlap,
-                ..cpu_cfg
-            };
-            let gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .search(&db)
-                .expect("fault-free search");
-            assert_eq!(
-                gpu.report.identity_key(),
-                cpu.report.identity_key(),
-                "overlap = {overlap}"
-            );
-            assert!(gpu.recovery.is_clean());
-            // The gapped kernel joins the pipeline as its 4th entry and
-            // does real modelled work; the measured CPU gapped lane is
-            // gone (its time now lives in gpu_ms).
-            assert_eq!(gpu.kernels.len(), 4, "overlap = {overlap}");
-            let fine = gpu.kernel("gapped_extension_fine").expect("4th kernel");
-            assert!(fine.warp_cycles > 0);
-            assert_eq!(gpu.timing.gapped_ms, 0.0);
-            assert!(gpu.timing.gpu_ms > cpu.timing.gpu_ms);
-            // The device consumed the records itself: only the
-            // alignments cross, exactly.
-            assert_eq!(d2h_legs(&gpu), alignment_legs, "overlap = {overlap}");
-            assert_eq!(gpu.timing.d2h_ms, alignment_legs.iter().sum::<f64>());
-        }
-    }
-
-    #[test]
-    fn gpu_gapped_transient_fault_retries_to_identical_output() {
-        use gpu_sim::{FaultPlan, FaultSpec};
-        let (q, db) = workload();
-        let params = SearchParams::default();
-        let cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 3,
-            warps_per_block: 2,
-            gapped_backend: GappedBackend::Gpu,
-            ..Default::default()
-        };
-        let clean = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-            .search(&db)
-            .expect("fault-free search");
-        for site in gpu_sim::FaultSite::GAPPED {
-            let mut faulty = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
-            faulty.injector = Arc::new(FaultInjector::new(
-                FaultPlan::none().with(FaultSpec::once(site).on_block(1)),
-            ));
-            let r = faulty.search(&db).expect("transient fault must recover");
-            assert_eq!(r.recovery.faults, 1, "site {}", site.name());
-            assert_eq!(r.recovery.retries, 1, "site {}", site.name());
-            assert_eq!(r.recovery.degraded_gapped, 0, "site {}", site.name());
-            assert_eq!(r.report.identity_key(), clean.report.identity_key());
-        }
-    }
-
-    #[test]
-    fn gpu_gapped_permanent_fault_degrades_gapped_phase_only() {
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let params = SearchParams::default();
-        let cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 3,
-            warps_per_block: 2,
-            gapped_backend: GappedBackend::Gpu,
-            ..Default::default()
-        };
-        let clean = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-            .search(&db)
-            .expect("fault-free search");
-        let mut faulty = CuBlastp::new(q, params, cfg, DeviceConfig::k20c(), &db);
-        faulty.injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::GappedLaunch).on_block(0)),
-        ));
-        let r = faulty.search(&db).expect("gapped fault must degrade");
-        assert_eq!(r.recovery.degraded_gapped, 1);
-        assert_eq!(
-            r.recovery.degraded_blocks, 0,
-            "hit-path kernels stay on the device"
-        );
-        assert_eq!(r.report.identity_key(), clean.report.identity_key());
-        // The other blocks launched the fine kernel; the degraded one adds
-        // nothing to its row.
-        assert_eq!(r.kernels.len(), 4);
-    }
-
-    #[test]
-    fn fallback_disabled_surfaces_the_device_error() {
-        use crate::config::RecoveryPolicy;
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let cfg = CuBlastpConfig {
-            db_block_size: 40,
-            grid_blocks: 2,
-            recovery: RecoveryPolicy {
-                max_attempts: 2,
-                cpu_fallback: false,
-            },
-            ..Default::default()
-        };
-        let mut faulty = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
-        faulty.injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::D2h).on_block(1)),
-        ));
-        let err = faulty
-            .search(&db)
-            .expect_err("no fallback, permanent fault must fail the search");
-        match err {
-            SearchError::Device {
-                block, attempts, ..
-            } => {
-                // Transient class: the policy budget of 2 attempts is spent.
-                assert_eq!(block, 1);
-                assert_eq!(attempts, 2);
-            }
-            other => panic!("expected device error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn grouped_batch_is_bit_identical_to_per_query_batch() {
-        let (q, db) = workload();
-        let queries = vec![q, make_query(80), make_query(110), make_query(64)];
-        let cfg = CuBlastpConfig {
-            db_block_size: 60,
-            grid_blocks: 2,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let per_query = search_batch(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-        );
-        // One big round, and tiny budgets that force round splits — the
-        // report must not depend on the packing.
-        for budget in [DEFAULT_GROUP_BUDGET, 1] {
-            let grouped = search_batch_with(
-                &queries,
-                SearchParams::default(),
-                cfg,
-                DeviceConfig::k20c(),
-                &db,
-                BatchOptions {
-                    seed_mode: SeedMode::Grouped,
-                    group_budget: budget,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(grouped.succeeded(), queries.len(), "budget {budget}");
-            for (i, (g, p)) in grouped
-                .per_query
-                .iter()
-                .zip(&per_query.per_query)
-                .enumerate()
-            {
-                let (g, p) = (g.as_ref().expect("grouped"), p.as_ref().expect("per-query"));
-                assert_eq!(
-                    g.report.identity_key(),
-                    p.report.identity_key(),
-                    "query {i}, budget {budget}"
-                );
-                assert_eq!(g.counts.hits, p.counts.hits, "query {i}, budget {budget}");
-                assert_eq!(
-                    g.counts.extensions, p.counts.extensions,
-                    "query {i}, budget {budget}"
-                );
-            }
-            let report = grouped.grouped.as_ref().expect("grouped telemetry");
-            assert_eq!(report.queries_covered(), queries.len());
-            if budget == 1 {
-                // An impossible budget degrades to singleton rounds, never
-                // to a silent per-query fallback.
-                assert_eq!(report.rounds.len(), queries.len());
-            } else {
-                assert_eq!(report.rounds.len(), 1);
-            }
-            for r in &report.rounds {
-                assert!(r.occupancy > 0.0 && r.occupancy <= 0.5 + f64::EPSILON);
-                assert!(r.seeding_ms > 0.0);
-                assert!(r.index_upload_bytes > 0);
-            }
-        }
-        assert!(per_query.grouped.is_none());
-    }
-
-    #[test]
-    fn grouped_batch_with_gpu_gapped_backend_is_identical() {
-        // A grouped member's tail must honour the backend too: grouped
-        // seeding + device gapped phase vs the plain per-query CPU tail.
-        let (q, db) = workload();
-        let queries = vec![q, make_query(80), make_query(110)];
-        let cpu_cfg = CuBlastpConfig {
-            db_block_size: 60,
-            grid_blocks: 2,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let reference = search_batch(
-            &queries,
-            SearchParams::default(),
-            cpu_cfg,
-            DeviceConfig::k20c(),
-            &db,
-        );
-        let cfg = CuBlastpConfig {
-            gapped_backend: GappedBackend::Gpu,
-            ..cpu_cfg
-        };
-        let grouped = search_batch_with(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-            BatchOptions {
-                seed_mode: SeedMode::Grouped,
-                ..Default::default()
-            },
-        );
-        assert_eq!(grouped.succeeded(), queries.len());
-        for (i, (g, p)) in grouped
-            .per_query
-            .iter()
-            .zip(&reference.per_query)
-            .enumerate()
-        {
-            let (g, p) = (g.as_ref().expect("grouped"), p.as_ref().expect("per-query"));
-            assert_eq!(
-                g.report.identity_key(),
-                p.report.identity_key(),
-                "query {i}"
-            );
-            // The round seeded every block: no member launched kernel 1.
-            let names: Vec<&str> = g.kernels.iter().map(|k| k.name.as_str()).collect();
-            let ext = cfg.extension.kernel_name();
-            assert_eq!(names, ["hit_reordering", ext, FINE_GAPPED_KERNEL]);
-            let fine = g.kernel(FINE_GAPPED_KERNEL).expect("named above");
-            if i == 0 {
-                // The homolog-bearing workload query has real gapped work.
-                assert!(fine.warp_cycles > 0);
-            }
-        }
-    }
-
-    #[test]
     fn grouped_round_amortizes_seeding_over_members() {
         let (_, db) = workload();
         let queries: Vec<Sequence> = (0..6).map(|k| make_query(56 + 4 * k)).collect();
@@ -2100,63 +1620,6 @@ mod tests {
             one_round.seeding_ms_per_block_query(),
             singletons.seeding_ms_per_block_query()
         );
-    }
-
-    #[test]
-    fn grouped_member_fault_degrades_to_identical_output() {
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let queries = vec![q, make_query(80), make_query(110)];
-        let cfg = CuBlastpConfig {
-            db_block_size: 60,
-            grid_blocks: 2,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let clean = search_batch(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-        );
-        // A permanent fault degrades the member's blocks to the CPU scan;
-        // a transient one retries on the device, re-seeding the block
-        // through the member's own DFA (its round bins are spent).
-        for (spec, transient) in [
-            (FaultSpec::permanent(FaultSite::DeviceAlloc), false),
-            (FaultSpec::once(FaultSite::KernelLaunch), true),
-        ] {
-            let injector = Arc::new(FaultInjector::new(FaultPlan::none().with(spec.on_query(1))));
-            let out = search_batch_with(
-                &queries,
-                SearchParams::default(),
-                cfg,
-                DeviceConfig::k20c(),
-                &db,
-                BatchOptions {
-                    seed_mode: SeedMode::Grouped,
-                    injector: Some(injector),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.succeeded(), 3);
-            let r1 = out.per_query[1].as_ref().expect("degraded, not failed");
-            if transient {
-                assert_eq!(r1.recovery.retries, 1);
-                assert_eq!(r1.recovery.degraded_blocks, 0);
-            } else {
-                assert!(r1.recovery.degraded_blocks > 0);
-            }
-            assert_eq!(
-                r1.report.identity_key(),
-                clean.per_query[1]
-                    .as_ref()
-                    .expect("clean")
-                    .report
-                    .identity_key()
-            );
-        }
     }
 
     #[test]
@@ -2362,77 +1825,6 @@ mod tests {
         }
     }
 
-    /// Determinism over the whole lattice: `cpu_threads` ∈ {1, 2, 3, 8} ×
-    /// overlap × gapped backend × seeding mode × {1, 3} shards, and every
-    /// combination 16 more times at 4 threads (claim order differs run to
-    /// run; the outcome may not). Held in each: the report is
-    /// `search_sequential`'s, and every device-side number — each
-    /// kernel's stats and modelled time, the counts, the PCIe legs — is
-    /// bit-equal to the one-thread run's.
-    #[test]
-    fn thread_lattice_reports_and_kernel_stats_are_identical() {
-        use crate::shard::ShardedDb;
-        let (q, db) = family_workload();
-        let queries = vec![q, make_query(120)];
-        let (params, device) = (SearchParams::default(), DeviceConfig::k20c());
-        let reference: Vec<_> = (queries.iter())
-            .map(|q| search_sequential(&SearchEngine::new(q.clone(), params, &db), &db))
-            .map(|r| r.report.identity_key())
-            .collect();
-        assert!(reference.iter().all(|key| !key.is_empty()));
-        for overlap in [false, true] {
-            for gapped_backend in [GappedBackend::Cpu, GappedBackend::Gpu] {
-                for grouped in [None, Some(DEFAULT_GROUP_BUDGET)] {
-                    for num_shards in [1usize, 3] {
-                        let sharded = ShardedDb::split(&db, num_shards, 24);
-                        let run = |cpu_threads: usize| {
-                            let plan = Plan {
-                                params,
-                                config: CuBlastpConfig {
-                                    gapped_backend,
-                                    ..family_config(cpu_threads, overlap)
-                                },
-                                device,
-                                shards: &sharded.views(),
-                                grouped,
-                                injector: None,
-                                charge_h2d: false,
-                            };
-                            let searched = execute(&plan, &queries).per_query.into_iter();
-                            searched
-                                .map(|s| s.expect("fault-free search").result)
-                                .collect::<Vec<_>>()
-                        };
-                        let one = run(1);
-                        let threads = [2, 3, 8].into_iter().chain([4; 16]);
-                        for cpu_threads in threads {
-                            let case = format!(
-                                "cpu_threads {cpu_threads}, overlap {overlap}, {gapped_backend:?}, \
-                                 grouped {grouped:?}, {num_shards} shards"
-                            );
-                            for ((r, one), reference) in
-                                run(cpu_threads).iter().zip(&one).zip(&reference)
-                            {
-                                assert_eq!(&r.report.identity_key(), reference, "{case}");
-                                assert_eq!(&one.report.identity_key(), reference, "{case}");
-                                assert_eq!(r.kernels, one.kernels, "{case}");
-                                assert_eq!(r.kernel_ms, one.kernel_ms, "{case}");
-                                assert_eq!(r.counts, one.counts, "{case}");
-                                let (t, t1) = (&r.timing, &one.timing);
-                                assert_eq!(
-                                    (t.gpu_ms, t.h2d_ms, t.d2h_ms),
-                                    (t1.gpu_ms, t1.h2d_ms, t1.d2h_ms),
-                                    "{case}"
-                                );
-                                assert!(r.tail_threads_ran <= executed_threads(cpu_threads));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn panicking_tail_subject_stays_typed_at_every_thread_count() {
         let (q, db) = family_workload();
@@ -2565,56 +1957,5 @@ mod tests {
         let last = out.per_query[2].as_ref().expect("query 2");
         assert!(last.recovery.queue_wait_us > 0);
         assert!(last.recovery.is_clean(), "queue wait does not dirty a run");
-    }
-
-    #[test]
-    fn poisoned_batch_query_fails_alone() {
-        use gpu_sim::{FaultPlan, FaultSite, FaultSpec};
-        let (q, db) = workload();
-        let queries = vec![q.clone(), make_query(80), make_query(110)];
-        let cfg = CuBlastpConfig {
-            db_block_size: 60,
-            grid_blocks: 2,
-            warps_per_block: 2,
-            ..Default::default()
-        };
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::HostPanic).on_query(1)),
-        ));
-        let out = search_batch_with(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-            BatchOptions {
-                injector: Some(injector),
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.per_query.len(), 3);
-        assert_eq!(out.succeeded(), 2);
-        let failures: Vec<_> = out.failures().collect();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, 1, "query 1 carries the injected panic");
-        assert_eq!(failures[0].1.category(), "pipeline");
-        // The surviving queries match their standalone runs.
-        let solo = CuBlastp::new(
-            queries[2].clone(),
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-        )
-        .search(&db)
-        .expect("fault-free search");
-        assert_eq!(
-            out.per_query[2]
-                .as_ref()
-                .expect("query 2")
-                .report
-                .identity_key(),
-            solo.report.identity_key()
-        );
     }
 }

@@ -3,7 +3,6 @@
 use crate::block::SimBlock;
 use crate::device::DeviceConfig;
 use crate::stats::KernelStats;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Geometry and resources of one kernel launch.
@@ -35,13 +34,12 @@ impl LaunchConfig {
 
 /// Launch a kernel: run `kernel` once per block, merge the per-block
 /// counters, and stamp the launch geometry and achieved occupancy. The
-/// blocks go through a `par_iter`, which the `rayon` this workspace builds
-/// with (`stubs/rayon`) runs one after another on the calling thread —
-/// simulated time comes from the cost model, not wall-clock, so only the
-/// host time of a launch depends on that.
+/// blocks run one after another on the calling thread — simulated time
+/// comes from the cost model, not wall-clock, so only the host time of a
+/// launch depends on that.
 pub fn launch<F>(device: &DeviceConfig, cfg: LaunchConfig, name: &str, kernel: F) -> KernelStats
 where
-    F: Fn(&mut SimBlock) + Sync,
+    F: Fn(&mut SimBlock),
 {
     launch_map(device, cfg, name, |block| kernel(block)).1
 }
@@ -59,26 +57,17 @@ pub fn launch_map<T, F>(
     kernel: F,
 ) -> (Vec<T>, KernelStats)
 where
-    T: Send,
-    F: Fn(&mut SimBlock) -> T + Sync,
+    F: Fn(&mut SimBlock) -> T,
 {
     // A device without a read-only data cache (e.g. the GTX 680 preset)
     // cannot honour the `const __restrict__` path regardless of config.
     let use_cache = cfg.use_readonly_cache && device.readonly_cache_bytes > 0;
-    let partials: Vec<(T, KernelStats)> = (0..cfg.blocks)
-        .into_par_iter()
-        .map(|block_id| {
-            let mut block = SimBlock::new(block_id, *device, use_cache);
-            let out = kernel(&mut block);
-            (out, block.stats)
-        })
-        .collect();
-
     let mut stats = KernelStats::new(name);
-    let mut outputs = Vec::with_capacity(partials.len());
-    for (out, p) in partials {
-        outputs.push(out);
-        stats.merge_owned(p);
+    let mut outputs = Vec::with_capacity(cfg.blocks as usize);
+    for block_id in 0..cfg.blocks {
+        let mut block = SimBlock::new(block_id, *device, use_cache);
+        outputs.push(kernel(&mut block));
+        stats.merge_owned(block.stats);
     }
     stats.blocks = cfg.blocks;
     stats.warps_per_block = cfg.warps_per_block;

@@ -107,9 +107,8 @@ impl<T> BufferPool<T> {
 /// thread-safe: whoever holds the workspace may check buffers in and out
 /// from several threads (the Fig. 12 overlap runs a block's GPU phase on a
 /// producer thread beside the caller's CPU tail). The per-block kernel
-/// bodies of one launch are not such threads — the `rayon` this workspace
-/// builds with (`stubs/rayon`) runs them one after another on the calling
-/// thread.
+/// bodies of one launch are not such threads — `launch_map` runs them one
+/// after another on the calling thread.
 pub struct KernelWorkspace {
     /// Packed 64-bit hit keys: arena pages, sort scratch, filter output.
     pub keys: BufferPool<u64>,

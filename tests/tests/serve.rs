@@ -365,3 +365,74 @@ fn overload_sheds_monotonically_and_loses_nothing() {
     let (admitted, shed) = run_burst(&server, fx, 1);
     assert_eq!((admitted, shed), (1, 0), "post-burst request refused");
 }
+
+/// The serve path under permanently faulted gapped device phases
+/// (`gapped-launch` / `gapped-d2h`): every request completes by degrading
+/// that block's gapped placement to the CPU tail — bit-identical output —
+/// and the admission controller keeps admitting follow-up requests (a
+/// degraded device is slower, not overloaded; see DESIGN.md §3.8).
+#[test]
+fn serve_path_degrades_gapped_faults_without_tripping_admission() {
+    use cublastp::{CuBlastpResult, GappedBackend};
+    use cublastp_serve::DegradationLevel;
+    use gpu_sim::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
+
+    let fx = fixture();
+    let gapped_config = CuBlastpConfig {
+        gapped_backend: GappedBackend::Gpu,
+        ..serve_config()
+    };
+    let serve_cfg = ServeConfig {
+        workers: 1,
+        reserved_interactive_workers: 0,
+        ..ServeConfig::default()
+    };
+    let serve_once = |injector: Option<Arc<FaultInjector>>| -> CuBlastpResult {
+        let server = Server::with_injector(
+            fx.db.clone(),
+            SearchParams::default(),
+            gapped_config,
+            DeviceConfig::k20c(),
+            serve_cfg,
+            injector,
+        )
+        .expect("server");
+        let first = server
+            .submit(Request::interactive(fx.query.clone(), "t-fault"))
+            .expect("first request admitted")
+            .wait()
+            .expect("first request completed");
+        // The controller must not read a permanently-degraded device as
+        // load: the ladder stays put and the next request is admitted.
+        assert_eq!(server.level(), DegradationLevel::Normal);
+        let second = server
+            .submit(Request::bulk(fx.query.clone(), "t-fault"))
+            .expect("admission tripped by a degraded block")
+            .wait()
+            .expect("second request completed");
+        assert_eq!(
+            first.result.report.identity_key(),
+            second.result.report.identity_key(),
+            "degradation must be deterministic across requests"
+        );
+        first.result
+    };
+
+    let clean = serve_once(None);
+    assert!(clean.recovery.is_clean());
+    assert_eq!(clean.report.identity_key(), fx.reference);
+
+    for site in FaultSite::GAPPED {
+        let injector = Arc::new(FaultInjector::new(
+            FaultPlan::none().with(FaultSpec::permanent(site)),
+        ));
+        let faulted = serve_once(Some(injector));
+        let name = site.name();
+        assert_eq!(faulted.report.identity_key(), fx.reference, "{name}");
+        assert!(faulted.recovery.degraded_gapped >= 1, "{name}: never fired");
+        assert_eq!(
+            faulted.recovery.degraded_blocks, 0,
+            "{name}: only the gapped phase degrades, not whole blocks"
+        );
+    }
+}
