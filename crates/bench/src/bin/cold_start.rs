@@ -104,7 +104,7 @@ fn run_preset(preset: DbPreset, q: &Sequence, dir: &std::path::Path) -> PresetRo
                 std::process::exit(2);
             }
         };
-        let dev = DeviceDb::from_image(&img);
+        let dev = DeviceDb::from_image(&img, 0..img.num_sequences());
         (t0.elapsed().as_secs_f64() * 1e3, (img, dev))
     });
 
@@ -132,7 +132,7 @@ fn run_preset(preset: DbPreset, q: &Sequence, dir: &std::path::Path) -> PresetRo
         (image_load_ms, _) = median_of(|| {
             let t0 = Instant::now();
             let img = DbImage::open(&path).expect("image validated above");
-            let dev = DeviceDb::from_image(&img);
+            let dev = DeviceDb::from_image(&img, 0..img.num_sequences());
             (t0.elapsed().as_secs_f64() * 1e3, (img, dev))
         });
     }

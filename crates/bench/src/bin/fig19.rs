@@ -85,6 +85,6 @@ fn main() {
         "serial pipeline: {} ms; overlapped (Fig. 12): {} ms; hidden by overlap: {}",
         fmt(t.serial_ms + t.other_ms),
         fmt(t.total_ms()),
-        pct(cu.pipeline.saving()),
+        pct(1.0 - t.overlapped_ms / t.serial_ms),
     );
 }

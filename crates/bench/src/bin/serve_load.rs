@@ -105,7 +105,6 @@ fn serve_config() -> ServeConfig {
         cost_capacity: 1 << 40,
         interactive_weight: 4,
         shards: 1,
-        devices: 1,
         default_deadline: None,
         tenant_rate: RateLimitConfig::default(),
         controller: LoadController::default(),

@@ -38,6 +38,21 @@ impl DbBlock {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
+
+    /// Split `len` sequences into blocks of at most `block_size`; the last
+    /// may be smaller, and a `block_size` of zero means one block for all.
+    pub fn partition(len: usize, block_size: usize) -> Vec<DbBlock> {
+        let block_size = if block_size == 0 { len } else { block_size };
+        (0..len)
+            .step_by(block_size.max(1))
+            .enumerate()
+            .map(|(block_id, start)| DbBlock {
+                block_id,
+                start,
+                end: (start + block_size).min(len),
+            })
+            .collect()
+    }
 }
 
 impl SequenceDb {
@@ -61,6 +76,11 @@ impl SequenceDb {
     /// All sequences, in database order.
     pub fn sequences(&self) -> &[Sequence] {
         &self.sequences
+    }
+
+    /// The sequences, moved out.
+    pub fn into_sequences(self) -> Vec<Sequence> {
+        self.sequences
     }
 
     /// Number of sequences.
@@ -93,28 +113,9 @@ impl SequenceDb {
         }
     }
 
-    /// Split the database into blocks of at most `block_size` sequences.
-    ///
-    /// The final block may be smaller. `block_size` of zero is treated as
-    /// "one block for everything".
+    /// Split the database into blocks ([`DbBlock::partition`]).
     pub fn blocks(&self, block_size: usize) -> Vec<DbBlock> {
-        if self.sequences.is_empty() {
-            return Vec::new();
-        }
-        let block_size = if block_size == 0 {
-            self.sequences.len()
-        } else {
-            block_size
-        };
-        (0..self.sequences.len())
-            .step_by(block_size)
-            .enumerate()
-            .map(|(block_id, start)| DbBlock {
-                block_id,
-                start,
-                end: (start + block_size).min(self.sequences.len()),
-            })
-            .collect()
+        DbBlock::partition(self.sequences.len(), block_size)
     }
 
     /// Borrow the sequences of one block.

@@ -38,8 +38,8 @@ OPTIONS:
                          merged output is bit-identical at every shard
                          count
     --devices <n>        simulated devices the work-stealing scheduler
-                         distributes (query × shard) items across
-                         (default 1; cublastp engine only)
+                         distributes a batch's (query × shard) items
+                         across (default 1; cublastp engine, not serve)
     --steal-seed <n>     seed for the deterministic steal order
                          (default fixed; schedules are reproducible)
     --block-size <n>     sequences per device block (default 1024); for
@@ -555,11 +555,12 @@ impl Args {
             if args.engine != Engine::CuBlastp {
                 return Err("serve requires --engine cublastp".into());
             }
-            // A request is one query on the server's own fleet schedule:
-            // nothing reads the batch's seeding or steal-order flags.
+            // A request is one query searching its shards in turn: nothing
+            // reads the batch's seeding or fleet flags.
             for (flag, given) in [
                 ("--seed-mode", args.seed_mode != SeedMode::PerQuery),
                 ("--group-budget", args.group_budget != DEFAULT_GROUP_BUDGET),
+                ("--devices", args.devices != 1),
                 ("--steal-seed", args.steal_seed != DEFAULT_STEAL_SEED),
             ] {
                 if given {
@@ -810,6 +811,7 @@ mod tests {
         assert!(parse(&["serve", "--demo", "--seed-mode", "grouped"]).is_err());
         assert!(parse(&["serve", "--demo", "--group-budget", "64"]).is_err());
         assert!(parse(&["serve", "--demo", "--steal-seed", "7"]).is_err());
+        assert!(parse(&["serve", "--demo", "--shards", "3", "--devices", "2"]).is_err());
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
             "# pipeline overlap: {:.3} ms overlapped vs {:.3} ms serial ({:.1}% hidden)",
             t.overlapped_ms,
             t.serial_ms,
-            100.0 * batch.pipeline.saving()
+            100.0 * (1.0 - t.overlapped_ms / t.serial_ms)
         );
     }
 }
@@ -325,7 +325,6 @@ fn run_serve(queries: &[Sequence], db: ShardedDb, args: &Args) -> ExitCode {
         reserved_interactive_workers: usize::from(args.serve_workers > 1),
         queue_capacity: args.serve_queue_capacity,
         shards,
-        devices: args.devices,
         default_deadline: args.serve_deadline_ms.map(Duration::from_millis),
         ..ServeConfig::default()
     };
@@ -360,11 +359,7 @@ fn run_serve(queries: &[Sequence], db: ShardedDb, args: &Args) -> ExitCode {
         server.num_blocks(),
     );
     if shards > 1 {
-        out!(
-            "# serve shards: {shards} over {} simulated device{}",
-            args.devices,
-            if args.devices == 1 { "" } else { "s" },
-        );
+        out!("# serve shards: {shards}");
     }
 
     let mut handles = Vec::new();

@@ -610,7 +610,7 @@ fn shard_set_searches_serves_and_refuses_contradictions() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("# serve shards: 3 over 1"), "{text}");
+    assert!(text.contains("# serve shards: 3\n"), "{text}");
     assert!(text.contains("block 3/3 streamed"), "{text}");
     assert!(text.contains("# serve summary: 4 requests, 4 ok"), "{text}");
 

@@ -21,7 +21,7 @@ use crate::format::{
     SECTIONS, TOC_ENTRY_LEN,
 };
 use bio_seq::alphabet::ALPHABET_SIZE;
-use bio_seq::{DbBlock, Sequence, SequenceDb};
+use bio_seq::{Sequence, SequenceDb};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -513,40 +513,18 @@ impl DbImage {
         validated_str(&self.region.bytes()[start..end])
     }
 
-    /// Block partitioning of the image, identical to
-    /// [`SequenceDb::blocks`] at the stored block size.
-    pub fn blocks(&self) -> Vec<DbBlock> {
-        let n = self.num_sequences();
-        if n == 0 {
-            return Vec::new();
-        }
-        let bs = if self.block_size == 0 {
-            n
-        } else {
-            self.block_size
-        };
-        (0..n)
-            .step_by(bs)
-            .enumerate()
-            .map(|(block_id, start)| DbBlock {
-                block_id,
-                start,
-                end: (start + bs).min(n),
-            })
-            .collect()
+    /// Sequence `i`, its residues copied out of the arena.
+    pub fn sequence(&self, i: usize) -> Sequence {
+        let mut s = Sequence::from_residues(self.seq_id(i), self.seq_residues(i).to_vec());
+        s.description = self.seq_desc(i).to_string();
+        s
     }
 
     /// Rebuild an owned [`SequenceDb`] equal to the one the image was
     /// built from (same name, ids, descriptions, residues).
     pub fn to_sequence_db(&self) -> SequenceDb {
-        let n = self.num_sequences();
-        let mut seqs = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut s = Sequence::from_residues(self.seq_id(i), self.seq_residues(i).to_vec());
-            s.description = self.seq_desc(i).to_string();
-            seqs.push(s);
-        }
-        SequenceDb::new(self.name(), seqs)
+        let seqs = (0..self.num_sequences()).map(|i| self.sequence(i));
+        SequenceDb::new(self.name(), seqs.collect())
     }
 
     /// Post-validation summary for `db verify` reporting. All checks ran
@@ -600,7 +578,6 @@ mod tests {
         let back = img.to_sequence_db();
         assert_eq!(back.name(), db.name());
         assert_eq!(back.sequences(), db.sequences());
-        assert_eq!(img.blocks(), db.blocks(2));
     }
 
     #[test]

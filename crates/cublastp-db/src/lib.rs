@@ -43,4 +43,4 @@ pub use format::{
     block_count, build_to_file, build_to_vec, BuildSummary, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use image::{map_count, unmap_count, DbImage, MappedRegion, SectionReport, VerifySummary};
-pub use shards::{build_shard_set, ShardEntry, ShardSetManifest, SHARD_SET_VERSION};
+pub use shards::{build_shard_set, even_split, ShardEntry, ShardSetManifest, SHARD_SET_VERSION};

@@ -249,23 +249,28 @@ impl ShardSetManifest {
     }
 }
 
-/// Split `db` into `num_shards` contiguous near-equal shards, write one
-/// `.cdb` image per shard into `dir` (`shard000.cdb`, `shard001.cdb`, …)
-/// plus a `shards.cdbset` manifest, and return the manifest with its
-/// path. The split matches the engine's `ShardedDb::split` exactly, so a
-/// set built here loads into the same shard boundaries.
+/// The even cut (mpiBLAST segmentation): the first index of each of
+/// `num_shards` (at least one) contiguous near-equal shards of `len`
+/// sequences; a cut wider than the database ends in empty shards.
+pub fn even_split(len: usize, num_shards: usize) -> Vec<usize> {
+    let n = num_shards.max(1);
+    let shard_size = len.div_ceil(n).max(1);
+    (0..n).map(|i| (i * shard_size).min(len)).collect()
+}
+
+/// Split `db` at [`even_split`] — the cut `ShardedDb::open` makes — and
+/// write one `.cdb` image per shard into `dir` (`shard000.cdb`, …) plus
+/// a `shards.cdbset` manifest; returns the manifest and its path.
 pub fn build_shard_set(
     db: &SequenceDb,
     block_size: usize,
     num_shards: usize,
     dir: &Path,
 ) -> Result<(ShardSetManifest, PathBuf), DbError> {
-    let n = num_shards.max(1);
-    let shard_size = db.len().div_ceil(n).max(1);
-    let mut shards = Vec::with_capacity(n);
-    for index in 0..n {
-        let start = (index * shard_size).min(db.len());
-        let end = ((index + 1) * shard_size).min(db.len());
+    let starts = even_split(db.len(), num_shards);
+    let mut shards = Vec::with_capacity(starts.len());
+    for (index, &start) in starts.iter().enumerate() {
+        let end = starts.get(index + 1).copied().unwrap_or(db.len());
         let seqs: Vec<Sequence> = db.sequences()[start..end].to_vec();
         let residues: usize = seqs.iter().map(|s| s.len()).sum();
         let local = SequenceDb::new(format!("{}:{index}", db.name()), seqs);

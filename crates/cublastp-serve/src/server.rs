@@ -38,7 +38,7 @@ use cublastp::CancelToken;
 pub use cublastp::DbSource;
 use cublastp::{
     search_sharded, BlockProgress, CuBlastpConfig, CuBlastpResult, GappedBackend, SearchError,
-    SearchHooks, ShardedDb, ShardedOptions,
+    SearchHooks, ShardedDb,
 };
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
 
@@ -265,8 +265,6 @@ pub struct ServeConfig {
     /// than a set stores is a `config` error). Searches use cross-shard
     /// statistics, so results are bit-identical at any shard count.
     pub shards: usize,
-    /// Simulated devices the sharded fleet schedule spans.
-    pub devices: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Option<Duration>,
     /// Per-tenant token-bucket limits.
@@ -284,7 +282,6 @@ impl Default for ServeConfig {
             cost_capacity: 1 << 32,
             interactive_weight: 4,
             shards: 1,
-            devices: 1,
             default_deadline: None,
             tenant_rate: RateLimitConfig::default(),
             controller: LoadController::default(),
@@ -316,9 +313,6 @@ impl ServeConfig {
         }
         if self.shards == 0 {
             return Err(SearchError::config("serve: shards must be > 0"));
-        }
-        if self.devices == 0 {
-            return Err(SearchError::config("serve: devices must be > 0"));
         }
         Ok(())
     }
@@ -764,12 +758,8 @@ fn process_job(sh: &Shared, workspace: &Arc<KernelWorkspace>, job: Job) {
         if let Some(inj) = &sh.injector {
             searcher.injector = Arc::clone(inj);
         }
-        let opts = ShardedOptions {
-            devices: sh.cfg.devices,
-            ..ShardedOptions::default()
-        };
         // The generation is already resident; no request pays the upload.
-        search_sharded(&searcher, resident, &opts, false, &hooks).map(|r| r.result)
+        search_sharded(&searcher, resident, false, &hooks)
     }));
     let service_ms = t_service.elapsed().as_secs_f64() * 1e3;
 
@@ -913,7 +903,6 @@ mod tests {
                 DeviceConfig::k20c(),
                 ServeConfig {
                     shards: 3,
-                    devices: 2,
                     ..ServeConfig::default()
                 },
             )
@@ -965,12 +954,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(ServeConfig {
-            devices: 0,
-            ..ServeConfig::default()
-        }
-        .validate()
-        .is_err());
     }
 
     /// A resident generation charges no upload, flat or sharded: the
@@ -1010,7 +993,7 @@ mod tests {
                 (b.h2d_ms, b.gpu_ms, b.d2h_ms)
             );
         }
-        // One item, no upload: the fleet makespan is the pipeline's own.
+        // One shard, no upload: the makespan is the pipeline's own.
         let pipeline_ms = cublastp::schedule(&one.block_timings).overlapped_ms;
         assert_eq!(one.timing.overlapped_ms, pipeline_ms);
 
@@ -1034,6 +1017,7 @@ mod tests {
         let resident = &srv.shared.current().resident;
         let uploads: f64 = resident.upload_ms(&DeviceConfig::k20c()).iter().sum();
         assert!(uploads > 0.0);
+        assert_eq!(three.timing.h2d_ms, 0.0);
         let mut timings = three.block_timings.iter().copied();
         let shards_ms: f64 = (resident.shards().iter())
             .map(|s| {

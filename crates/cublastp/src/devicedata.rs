@@ -209,29 +209,27 @@ impl DeviceDb {
         Self { blocks, block_size }
     }
 
-    /// Materialise the whole database zero-copy from a validated `.cdb`
-    /// image: every block is a view of the shared mapped arena, built at
-    /// the image's stored block size with no flatten pass. Byte layout,
+    /// Materialise the sequences `seqs` of a validated `.cdb` image
+    /// zero-copy, as one database of their own: every block is a view of
+    /// the shared mapped arena, built at the image's stored block size
+    /// with no flatten pass, its indices local to the range. Byte layout,
     /// offsets, and 256-aligned base addresses are identical to what
-    /// [`DeviceDb::upload`] produces for the equivalent [`SequenceDb`],
-    /// so searches over the two are bit-identical.
-    pub fn from_image(img: &DbImage) -> Self {
-        let seq_offsets = img.seq_offsets();
-        let arena = img.residues_range();
-        let blocks = img
-            .blocks()
+    /// [`DeviceDb::upload`] produces for those sequences as a
+    /// [`SequenceDb`], so searches over the two are bit-identical.
+    pub fn from_image(img: &DbImage, seqs: Range<usize>) -> Self {
+        let seq_offsets = &img.seq_offsets()[seqs.start..=seqs.end];
+        let arena = img.residues_range().start;
+        let blocks = DbBlock::partition(seqs.len(), img.block_size())
             .into_iter()
             .map(|b| {
-                let start_byte = seq_offsets[b.start];
-                let end_byte = seq_offsets[b.end];
-                let range = arena.start + start_byte..arena.start + end_byte;
+                let (start_byte, end_byte) = (seq_offsets[b.start], seq_offsets[b.end]);
                 let offsets: Vec<usize> = seq_offsets[b.start..=b.end]
                     .iter()
                     .map(|&o| o - start_byte)
                     .collect();
                 let dev = Arc::new(DeviceDbBlock::from_mapped(
                     Arc::clone(img.region()),
-                    range,
+                    arena + start_byte..arena + end_byte,
                     offsets,
                     b.start,
                 ));
@@ -418,33 +416,39 @@ mod tests {
         let db = tiny_db();
         let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 3), "test")
             .expect("valid image");
-        let uploaded = DeviceDb::upload(&db, 3);
-        let flattens_before = flatten_count();
-        let mapped_before = mapped_block_count();
-        let mapped = DeviceDb::from_image(&img);
-        assert_eq!(
-            flatten_count(),
-            flattens_before,
-            "image load must not flatten"
-        );
-        assert_eq!(mapped_block_count(), mapped_before + 3);
-        assert!(mapped.is_mapped());
-        assert!(!uploaded.is_mapped());
-        assert_eq!(mapped.num_blocks(), uploaded.num_blocks());
-        assert_eq!(mapped.block_size(), uploaded.block_size());
-        assert_eq!(mapped.upload_bytes(), uploaded.upload_bytes());
-        for ((ba, a), (bb, b)) in mapped.blocks().iter().zip(uploaded.blocks()) {
-            assert_eq!(ba, bb);
-            assert_eq!(a.offsets, b.offsets);
-            assert_eq!(a.base_index, b.base_index);
-            assert_eq!(a.max_seq_len, b.max_seq_len);
-            for i in 0..a.num_seqs() {
-                assert_eq!(a.seq(i), b.seq(i));
+        // The whole image, and a range of it as a shard cut would take it:
+        // the same blocks as flattening those sequences as their own
+        // database, indices local to the range.
+        for (seqs, blocks) in [(0..7, 3), (2..7, 2)] {
+            let range = SequenceDb::new("range", db.sequences()[seqs.clone()].to_vec());
+            let uploaded = DeviceDb::upload(&range, 3);
+            let flattens_before = flatten_count();
+            let mapped_before = mapped_block_count();
+            let mapped = DeviceDb::from_image(&img, seqs);
+            assert_eq!(
+                flatten_count(),
+                flattens_before,
+                "image load must not flatten"
+            );
+            assert_eq!(mapped_block_count(), mapped_before + blocks);
+            assert!(mapped.is_mapped());
+            assert!(!uploaded.is_mapped());
+            assert_eq!(mapped.num_blocks(), uploaded.num_blocks());
+            assert_eq!(mapped.block_size(), uploaded.block_size());
+            assert_eq!(mapped.upload_bytes(), uploaded.upload_bytes());
+            for ((ba, a), (bb, b)) in mapped.blocks().iter().zip(uploaded.blocks()) {
+                assert_eq!(ba, bb);
+                assert_eq!(a.offsets, b.offsets);
+                assert_eq!(a.base_index, b.base_index);
+                assert_eq!(a.max_seq_len, b.max_seq_len);
+                for i in 0..a.num_seqs() {
+                    assert_eq!(a.seq(i), b.seq(i));
+                }
+                // Same address arithmetic: contiguous within the block, own
+                // 256-aligned base per block.
+                assert_eq!(a.residue_addr(0, 0) % 256, 0);
+                assert_eq!(a.residue_addr(1, 0) - a.residue_addr(0, 0), 12);
             }
-            // Same address arithmetic: contiguous within the block, own
-            // 256-aligned base per block.
-            assert_eq!(a.residue_addr(0, 0) % 256, 0);
-            assert_eq!(a.residue_addr(1, 0) - a.residue_addr(0, 0), 12);
         }
     }
 
@@ -455,7 +459,7 @@ mod tests {
         let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 0), "pin-test")
             .expect("valid image");
         let unmaps_before = cublastp_db::unmap_count();
-        let dev = DeviceDb::from_image(&img);
+        let dev = DeviceDb::from_image(&img, 0..db.len());
         drop(img);
         // The resident blocks still alias the arena — not unmapped yet.
         assert_eq!(cublastp_db::unmap_count(), unmaps_before);

@@ -75,8 +75,6 @@ pub(crate) struct Searched {
     /// overlapped pipeline makespan (no upload, no setup); zero for an
     /// empty shard.
     pub shard_ms: Vec<f64>,
-    /// Hits each shard contributed before the global report cap.
-    pub shard_hits: Vec<usize>,
 }
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
@@ -118,7 +116,6 @@ pub(crate) fn search_shards(
     let mut next_block = 0u32;
     let mut merged = CuBlastpResult::default();
     let mut shard_ms = vec![0.0f64; shards.len()];
-    let mut shard_hits = vec![0usize; shards.len()];
     for (index, view) in shards.iter().enumerate() {
         let blocks = view.dev.num_blocks();
         let first_block = next_block;
@@ -155,7 +152,6 @@ pub(crate) fn search_shards(
                 other => other,
             })?;
         shard_ms[index] = r.timing.overlapped_ms;
-        shard_hits[index] = r.report.hits.len();
         merged.absorb(&r);
         merged.report.hits.extend(r.report.hits);
     }
@@ -171,7 +167,6 @@ pub(crate) fn search_shards(
     Ok(Searched {
         result: merged,
         shard_ms,
-        shard_hits,
     })
 }
 

@@ -22,7 +22,7 @@ use blast_core::SearchParams;
 use blast_cpu::gapped::{gapped_phase_subject, GappedExt};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::{launch, DeviceConfig, KernelStats, LaunchConfig};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Run gapped extension for every subject of a block on the simulated
 /// GPU. `extensions` is the ungapped-extension output of the block's GPU
@@ -97,11 +97,12 @@ pub fn gapped_kernel(
             block.bulk_traffic(tx_total, bytes_total, 0);
             batch += blocks;
         }
-        results.lock().extend(out);
+        let mut done = results.lock().unwrap_or_else(PoisonError::into_inner);
+        done.extend(out);
     });
 
     let mut gapped_by_seq: Vec<Vec<GappedExt>> = vec![Vec::new(); extensions.num_seqs()];
-    for (seq, gapped) in results.into_inner() {
+    for (seq, gapped) in results.into_inner().unwrap_or_else(PoisonError::into_inner) {
         gapped_by_seq[seq] = gapped;
     }
     (gapped_by_seq, stats)

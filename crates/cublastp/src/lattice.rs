@@ -66,10 +66,13 @@ pub(crate) enum Seed {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Layout {
     One,
-    /// Three near-equal shards (`ShardedDb::split`).
+    /// Three near-equal shards (`ShardedDb::open` at 3).
     Even3,
     /// Boundaries [`RAGGED`]: a one-block shard, an empty one, the rest.
     Ragged,
+    /// Boundaries drawn by the random extension, in any order and past
+    /// the end; not on the tier-1 list.
+    Cuts([usize; 3]),
 }
 
 /// What the database is opened from.
@@ -284,9 +287,6 @@ pub(crate) fn unsupported(case: &Case) -> Option<&'static str> {
              isolation to its caller (the batch executor, the server's worker)",
         );
     }
-    if case.source == Source::Image && case.shards == Layout::Ragged {
-        return Some("`ShardedDb::open` re-splits one `.cdb` image only evenly");
-    }
     None
 }
 
@@ -435,21 +435,22 @@ fn cached<V: Clone>(map: &Mutex<HashMap<String, V>>, key: String, make: impl FnO
 /// Open the fixture database from `source`, cut as `layout`.
 fn open(source: Source, layout: Layout) -> ShardedDb {
     let fx = fixture();
-    let parsed = || {
-        let seqs = read_fasta_strict(fx.fasta.as_bytes()).expect("fixture FASTA parses");
-        SequenceDb::new(fx.db.name(), seqs)
-    };
     let image = |db: &SequenceDb| {
         DbImage::from_bytes(build_to_vec(db, BLOCK_SIZE), db.name()).expect("fixture image")
     };
-    let count = if layout == Layout::Even3 { 3 } else { 1 };
-    match (source, layout) {
-        (Source::Fasta, Layout::Ragged) => {
-            Ok(ShardedDb::from_boundaries(&parsed(), &RAGGED, BLOCK_SIZE))
+    let cut = |source: DbSource<'_>| match layout {
+        Layout::One => ShardedDb::open(source, 1, Some(BLOCK_SIZE)),
+        Layout::Even3 => ShardedDb::open(source, 3, Some(BLOCK_SIZE)),
+        Layout::Ragged => ShardedDb::from_boundaries(source, &RAGGED, Some(BLOCK_SIZE)),
+        Layout::Cuts(cuts) => ShardedDb::from_boundaries(source, &cuts, Some(BLOCK_SIZE)),
+    };
+    match source {
+        Source::Fasta => {
+            let seqs = read_fasta_strict(fx.fasta.as_bytes()).expect("fixture FASTA parses");
+            cut(DbSource::Inline(SequenceDb::new(fx.db.name(), seqs)))
         }
-        (Source::Fasta, _) => ShardedDb::open(DbSource::Inline(parsed()), count, Some(BLOCK_SIZE)),
-        (Source::Image, _) => ShardedDb::open(DbSource::Image(&image(&fx.db)), count, None),
-        (Source::Set, _) => {
+        Source::Image => cut(DbSource::Image(&image(&fx.db))),
+        Source::Set => {
             let images: Vec<DbImage> = (open(Source::Fasta, layout).shards().iter())
                 .map(|s| image(&s.db))
                 .collect();
@@ -1106,6 +1107,8 @@ mod tests {
         }
         let missing: Vec<_> = reachable_pairs().difference(&held).copied().collect();
         assert!(missing.is_empty(), "pairs no case holds: {missing:?}");
+        let image_ragged = |c: &Case| c.source == Source::Image && c.shards == Layout::Ragged;
+        assert!(cases.iter().any(image_ragged), "image × ragged");
         let peak = check_all(cases);
         if executed_threads(2) >= 2 {
             assert!(peak >= 2, "no case shared a block's tail among threads");
@@ -1128,6 +1131,10 @@ mod tests {
             }
             case.deadline = case.deadline.map(|_| 1 + rng.below(16) as u64);
             case.threads = 1 + rng.below(8);
+            if rng.below(2) == 0 {
+                // The fixture holds 36 sequences: some cuts fall past it.
+                case.shards = Layout::Cuts([0; 3].map(|_| rng.below(40)));
+            }
             if unsupported(&case).is_some() {
                 continue;
             }

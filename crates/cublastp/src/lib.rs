@@ -90,6 +90,6 @@ pub use search::{
 };
 pub use shard::{
     search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard, DbSource,
-    ImageOrigin, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions,
-    ShardedResult, SimEntry, SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
+    ImageOrigin, ShardedBatchOptions, ShardedBatchOutcome, ShardedDb, ShardedOptions, SimEntry,
+    SparseSimMatrix, ALL_VS_ALL_TILE_ROWS,
 };

@@ -8,14 +8,13 @@
 //! * [`schedule`] — the analytic four-stage pipeline timeline (H2D → GPU →
 //!   D2H → CPU) used by the figures: each stage is a serial resource,
 //!   stages of different blocks overlap freely.
-//! * [`overlap_blocks`] — a real two-thread executor (crossbeam channel,
+//! * [`overlap_blocks`] — a real two-thread executor (a `sync_channel`
 //!   bounded to one block in flight), so the overlap is not merely
 //!   modelled but actually happens on the host. The search driver uses
 //!   [`overlap_blocks_in`], the same executor on a scope it shares with
 //!   the CPU tail's helper threads.
 
 use crate::error::{panic_message, PipelineError};
-use crossbeam::channel::bounded;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -164,7 +163,7 @@ where
 {
     // One staged block: the GPU side runs at most one block ahead of the
     // CPU side, as in Fig. 12.
-    let (tx, rx) = bounded::<M>(1);
+    let (tx, rx) = mpsc::sync_channel::<M>(1);
     let (panicked, gpu_panic) = mpsc::channel::<String>();
     let (outlive, reap) = mpsc::channel::<ScopedJoinHandle<'scope, ()>>();
     let thread = scope.spawn(move || {
@@ -385,7 +384,7 @@ mod tests {
     fn consumer_panic_returns_err_not_deadlock() {
         // The producer keeps sending while the consumer dies; the closed
         // channel must wind the producer down instead of blocking forever
-        // on the bounded(1) send.
+        // on the sync_channel(1) send.
         let out = overlap_blocks(
             (0..100).collect::<Vec<i32>>(),
             |x| x,

@@ -20,7 +20,7 @@ use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
-use crate::pipeline::{overlap_blocks_in, schedule, BlockTiming, PipelineSchedule};
+use crate::pipeline::{overlap_blocks_in, schedule, BlockTiming};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
@@ -211,8 +211,6 @@ pub struct CuBlastpResult {
     pub counts: GpuPhaseCounts,
     /// Timing summary.
     pub timing: CuBlastpTiming,
-    /// Pipeline schedule details.
-    pub pipeline: PipelineSchedule,
     /// Per-block stage times in pipeline order — the raw schedule input,
     /// kept so the batch plan can chain several queries into one timeline.
     pub block_timings: Vec<BlockTiming>,
@@ -294,10 +292,6 @@ impl CuBlastpResult {
         t.cpu_wall_ms += p.cpu_wall_ms;
         t.overlapped_ms += p.overlapped_ms;
         t.serial_ms += p.serial_ms;
-        self.pipeline = PipelineSchedule {
-            overlapped_ms: t.overlapped_ms,
-            serial_ms: t.serial_ms,
-        };
     }
 
     /// Where the time went, one row per phase, each on its own clock:
@@ -705,9 +699,9 @@ impl CuBlastp {
             }
             r.report.finalize(self.engine.params.max_reported);
             // The blocks overlap as Fig. 12 schedules them, not end to end.
-            r.pipeline = schedule(&r.block_timings);
-            r.timing.overlapped_ms = r.pipeline.overlapped_ms;
-            r.timing.serial_ms = r.pipeline.serial_ms;
+            let pipeline = schedule(&r.block_timings);
+            r.timing.overlapped_ms = pipeline.overlapped_ms;
+            r.timing.serial_ms = pipeline.serial_ms;
             // Query set-up is the query's, not this view's: `search_shards`
             // adds it once.
             r.timing.other_ms = t_merge.elapsed().as_secs_f64() * 1e3;
@@ -1566,7 +1560,6 @@ mod tests {
         assert_eq!(flat.kernel_ms, [0.875, 2.625, 4.375, 5.25]);
         assert_eq!(flat.block_timings.len(), parts.len());
         assert_eq!(flat.timing.gpu_ms, flat.kernel_ms.iter().sum::<f64>());
-        assert_eq!(flat.pipeline.serial_ms, flat.timing.serial_ms);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! future work — scale-out for very large databases — as plans over the
 //! search executor.
 //!
-//! The database is partitioned into [`DbShard`]s (mpiBLAST-style
-//! contiguous segmentation), each flattened into its own resident
-//! [`DeviceDb`] (or materialised zero-copy from a per-shard `.cdb`
-//! image), and (query-group × shard) work items are distributed across N
-//! simulated devices by the deterministic work-stealing scheduler in
-//! [`crate::scheduler`].
+//! A database is cut into contiguous [`DbShard`]s (mpiBLAST-style
+//! segmentation) by one routine: an in-memory database's sequences move
+//! into their shards and each shard is flattened once, while each shard of
+//! a `.cdb` image is a zero-copy view of its sequence range in the one
+//! mapping. A batch's (query-group × shard) work items are distributed
+//! across N simulated devices by the deterministic work-stealing scheduler
+//! in [`crate::scheduler`]; a single query searches its shards one after
+//! another and schedules no fleet.
 //!
 //! Statistical identity is the load-bearing contract: every searcher is
 //! built with [`CuBlastp::with_db_stats`] over the *global* database's
@@ -16,8 +18,9 @@
 //! touches a shard-local [`SequenceDb`]. Shard-local subject indices are
 //! remapped by the shard's global start offset and the merged report is
 //! re-ranked with the same `finalize` the single path uses — the merged
-//! output is bit-identical at every shard count, which the
-//! `sharded_equivalence` proptests and CI job pin down.
+//! output is bit-identical at every shard count, which the differential
+//! lattice (`lattice.rs`, the `equivalence` CI job) holds at every layout
+//! and source.
 //!
 //! [`search_all_vs_all`] drives the many-against-many workload (PASTIS's
 //! problem shape): above-threshold pairs land in a CSR
@@ -32,8 +35,9 @@ use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
-use cublastp_db::DbImage;
+use cublastp_db::{even_split, DbImage};
 use gpu_sim::{DeviceConfig, FaultInjector};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One contiguous database shard with its resident device copy.
@@ -58,11 +62,6 @@ impl DbShard {
     /// True for a shard holding no sequences (a ragged split's tail).
     pub fn is_empty(&self) -> bool {
         self.db.len() == 0
-    }
-
-    /// Modelled host→device payload of the whole shard.
-    pub fn upload_bytes(&self) -> u64 {
-        self.dev.upload_bytes()
     }
 }
 
@@ -114,6 +113,31 @@ impl DbSource<'_> {
             Self::Open(_) => "open",
         }
     }
+
+    /// Sequences in the source.
+    fn len(&self) -> usize {
+        match self {
+            Self::Inline(db) => db.len(),
+            Self::Image(img) => img.num_sequences(),
+            Self::Set { images, .. } => images.iter().map(DbImage::num_sequences).sum(),
+            Self::Open(db) => db.total_sequences(),
+        }
+    }
+}
+
+/// What a cut reads its shards from.
+enum Whole<'a> {
+    /// An in-memory database, whose sequences move into their shards.
+    Owned(SequenceDb),
+    /// A mapped image, whose shards are views of its sequence ranges.
+    Image(&'a DbImage),
+}
+
+/// Sequences `seqs` of `img` as shard `name`: a zero-copy device view
+/// ([`DeviceDb::from_image`]), the host sequences read out of it once.
+fn mapped(img: &DbImage, seqs: Range<usize>, name: String) -> (SequenceDb, Arc<DeviceDb>) {
+    let host = SequenceDb::new(name, seqs.clone().map(|i| img.sequence(i)).collect());
+    (host, Arc::new(DeviceDb::from_image(img, seqs)))
 }
 
 /// The `.cdb` file(s) a [`ShardedDb`] was opened from.
@@ -160,48 +184,24 @@ pub struct ShardedDb {
 
 impl ShardedDb {
     /// Make `source` resident — the one source → handle step (DESIGN.md
-    /// §3.12). `shards` = 1 keeps the database whole, moved in beside
-    /// its device copy: an image is mapped ([`DeviceDb::from_image`], no
-    /// flatten pass), an inline database flattened once; more shards
-    /// re-partition the sequences and flatten each shard. A set or an
-    /// open handle is taken as stored, and `shards` = 1 there means "as
-    /// stored". `block_size` = `None` means the stored size, or the
-    /// engine default for an inline database. A `block_size` or `shards`
-    /// that contradicts what a file stores is a `config` error.
+    /// §3.12). An inline database or an image is cut evenly into
+    /// `shards` shards ([`even_split`]; see [`Self::from_boundaries`]).
+    /// A set or an open handle is taken as stored, and `shards` = 1 there
+    /// means "as stored". `block_size` = `None` means the stored size, or
+    /// the engine default for an inline database. A `block_size` or
+    /// `shards` that contradicts what a file stores is a `config` error.
     pub fn open(
         source: DbSource<'_>,
         shards: usize,
         block_size: Option<usize>,
     ) -> Result<Self, SearchError> {
         let stored = match source {
-            DbSource::Inline(db) => {
-                let block_size =
-                    block_size.unwrap_or_else(|| CuBlastpConfig::default().db_block_size);
-                return Ok(if shards > 1 {
-                    Self::split(&db, shards, block_size)
-                } else {
-                    let dev = Arc::new(DeviceDb::upload(&db, block_size));
-                    Self::resident(db, dev)
-                });
-            }
-            DbSource::Image(img) => {
-                let origin = ImageOrigin {
-                    label: img.region().source().to_string(),
-                    format_version: img.format_version(),
-                    blocks: img.num_blocks(),
-                };
-                agree("block size", block_size, img.block_size(), Some(&origin))?;
-                let db = img.to_sequence_db();
-                let mut opened = if shards > 1 {
-                    Self::split(&db, shards, img.block_size())
-                } else {
-                    Self::resident(db, Arc::new(DeviceDb::from_image(img)))
-                };
-                opened.origin = Some(origin);
-                return Ok(opened);
-            }
             DbSource::Set { name, images } => Self::from_images(name, images)?,
             DbSource::Open(db) => db,
+            whole => {
+                let starts = even_split(whole.len(), shards);
+                return Self::from_boundaries(whole, &starts[1..], block_size);
+            }
         };
         let origin = stored.origin.as_ref();
         agree("block size", block_size, stored.block_size, origin)?;
@@ -210,115 +210,145 @@ impl ShardedDb {
         Ok(stored)
     }
 
+    /// Cut an inline database or an image before each of `boundaries`,
+    /// clamped and sorted (`k` boundaries make `k + 1` shards; duplicates
+    /// make empty ones); `block_size` as in [`Self::open`]. A set or an
+    /// open handle keeps the cut it was stored with: a `config` error.
+    pub fn from_boundaries(
+        source: DbSource<'_>,
+        boundaries: &[usize],
+        block_size: Option<usize>,
+    ) -> Result<Self, SearchError> {
+        let mut starts: Vec<usize> = boundaries.iter().map(|&b| b.min(source.len())).collect();
+        starts.push(0);
+        starts.sort_unstable();
+        let (whole, block_size, origin) = match source {
+            DbSource::Inline(db) => {
+                let engine_default = CuBlastpConfig::default().db_block_size;
+                (Whole::Owned(db), block_size.unwrap_or(engine_default), None)
+            }
+            DbSource::Image(img) => {
+                let origin = ImageOrigin {
+                    label: img.region().source().to_string(),
+                    format_version: img.format_version(),
+                    blocks: img.num_blocks(),
+                };
+                agree("block size", block_size, img.block_size(), Some(&origin))?;
+                (Whole::Image(img), img.block_size(), Some(origin))
+            }
+            stored => {
+                let kind = stored.kind();
+                let why = format!("a database opened as {kind} keeps the cut it was stored with");
+                return Err(SearchError::config(why));
+            }
+        };
+        let cut = Self::cut(whole, &starts, block_size);
+        Ok(Self { origin, ..cut })
+    }
+
     /// A flat database as one shard: `db` and its already-resident device
     /// copy (flattened, or mapped from a `.cdb` image) are moved in — no
     /// sequence is copied and no flatten pass runs.
     pub fn resident(db: SequenceDb, dev: Arc<DeviceDb>) -> Self {
-        Self {
-            name: db.name().to_string(),
-            block_size: dev.block_size(),
-            total_sequences: db.len(),
-            total_residues: db.total_residues(),
-            shards: vec![DbShard {
-                index: 0,
-                start: 0,
-                db,
-                dev,
-            }],
-            origin: None,
-        }
+        let (name, block_size) = (db.name().to_string(), dev.block_size());
+        Self::assemble(name, vec![(db, dev)], block_size)
     }
 
-    /// Partition `db` into `num_shards` contiguous near-equal shards
-    /// (mpiBLAST segmentation), flattening each at `block_size`. A split
-    /// wider than the database keeps its empty tail shards, so per-shard
-    /// telemetry always has `num_shards` entries.
+    /// Cut `db` evenly into `num_shards` shards ([`even_split`]),
+    /// flattening each at `block_size`. A split wider than the database
+    /// keeps its empty tail shards, so per-shard telemetry always has
+    /// `num_shards` entries.
     pub fn split(db: &SequenceDb, num_shards: usize, block_size: usize) -> Self {
-        let n = num_shards.max(1);
-        let shard_size = db.len().div_ceil(n).max(1);
-        let boundaries: Vec<usize> = (1..n).map(|i| (i * shard_size).min(db.len())).collect();
-        Self::from_boundaries(db, &boundaries, block_size)
-    }
-
-    /// Partition `db` at explicit split points: `boundaries` lists the
-    /// global index of each shard's first sequence after the first shard
-    /// (so `k` boundaries make `k + 1` shards). Out-of-range or unsorted
-    /// boundaries are clamped and sorted; duplicates produce empty shards.
-    pub fn from_boundaries(db: &SequenceDb, boundaries: &[usize], block_size: usize) -> Self {
-        let mut cuts: Vec<usize> = boundaries.iter().map(|&b| b.min(db.len())).collect();
-        cuts.sort_unstable();
-        let mut starts = vec![0usize];
-        starts.extend(cuts);
-        let mut shards = Vec::with_capacity(starts.len());
-        for (index, &start) in starts.iter().enumerate() {
-            let end = starts.get(index + 1).copied().unwrap_or(db.len());
-            let local = SequenceDb::new(
-                format!("{}:{index}", db.name()),
-                db.sequences()[start..end].to_vec(),
-            );
-            let dev = Arc::new(DeviceDb::upload(&local, block_size));
-            shards.push(DbShard {
-                index,
-                start,
-                db: local,
-                dev,
-            });
-        }
-        Self {
-            name: db.name().to_string(),
-            shards,
-            block_size,
-            total_sequences: db.len(),
-            total_residues: db.total_residues(),
-            origin: None,
-        }
+        let starts = even_split(db.len(), num_shards);
+        Self::cut(Whole::Owned(db.clone()), &starts, block_size)
     }
 
     /// Assemble a sharded database from per-shard `.cdb` images (the
     /// [`cublastp_db`] shard-set path): each image becomes one shard
-    /// materialised zero-copy via [`DeviceDb::from_image`] — no flatten
-    /// pass runs. Images must share one block size; shard order is image
-    /// order and global starts are cumulative sequence counts.
+    /// mapped whole — no flatten pass runs. Images must share one block
+    /// size; shard order is image order and global starts are cumulative
+    /// sequence counts.
     pub fn from_images(name: &str, images: &[DbImage]) -> Result<Self, SearchError> {
-        let mut shards = Vec::with_capacity(images.len());
-        let mut start = 0usize;
-        let mut total_residues = 0usize;
-        let mut block_size = None;
-        for (index, img) in images.iter().enumerate() {
-            match block_size {
-                None => block_size = Some(img.block_size()),
-                Some(bs) if bs != img.block_size() => {
-                    return Err(SearchError::config(format!(
-                        "shard {index} image has block size {}, shard set wants {bs}",
-                        img.block_size()
-                    )));
-                }
-                Some(_) => {}
-            }
-            let local = img.to_sequence_db();
-            let dev = Arc::new(DeviceDb::from_image(img));
-            total_residues += local.total_residues();
-            let len = local.len();
-            shards.push(DbShard {
-                index,
-                start,
-                db: local,
-                dev,
-            });
-            start += len;
+        let block_size = images.first().map_or(0, DbImage::block_size);
+        let mut images_at = images.iter().enumerate();
+        if let Some((index, img)) = images_at.find(|(_, img)| img.block_size() != block_size) {
+            return Err(SearchError::config(format!(
+                "shard {index} image has block size {}, shard set wants {block_size}",
+                img.block_size()
+            )));
         }
+        let shards = (images.iter())
+            .map(|img| mapped(img, 0..img.num_sequences(), img.name().to_string()))
+            .collect();
         Ok(Self {
-            name: name.to_string(),
-            shards,
-            block_size: block_size.unwrap_or(0),
-            total_sequences: start,
-            total_residues,
             origin: images.first().map(|first| ImageOrigin {
                 label: format!("{name} ({} shard images)", images.len()),
                 format_version: first.format_version(),
                 blocks: images.iter().map(DbImage::num_blocks).sum(),
             }),
+            ..Self::assemble(name.to_string(), shards, block_size)
         })
+    }
+
+    /// The cut: `whole` split before each of `starts` (ascending, the
+    /// first 0), every shard resident at `block_size` once — an owned
+    /// database's sequences moved into their shards and flattened, an
+    /// image's ranges mapped ([`mapped`]). A one-shard cut keeps the
+    /// database's name.
+    fn cut(whole: Whole<'_>, starts: &[usize], block_size: usize) -> Self {
+        let (name, len) = match &whole {
+            Whole::Owned(db) => (db.name().to_string(), db.len()),
+            Whole::Image(img) => (img.name().to_string(), img.num_sequences()),
+        };
+        let ends = starts.iter().skip(1).chain([&len]);
+        let ranges = starts.iter().zip(ends).map(|(&s, &e)| s..e).enumerate();
+        let shard_name = |index| match starts.len() {
+            1 => name.clone(),
+            _ => format!("{name}:{index}"),
+        };
+        let shards: Vec<_> = match whole {
+            Whole::Owned(db) => {
+                let mut rest = db.into_sequences().into_iter();
+                let flatten = |(index, seqs): (usize, Range<usize>)| {
+                    let seqs = rest.by_ref().take(seqs.len()).collect();
+                    let db = SequenceDb::new(shard_name(index), seqs);
+                    let dev = Arc::new(DeviceDb::upload(&db, block_size));
+                    (db, dev)
+                };
+                ranges.map(flatten).collect()
+            }
+            Whole::Image(img) => {
+                let map = |(index, seqs)| mapped(img, seqs, shard_name(index));
+                ranges.map(map).collect()
+            }
+        };
+        Self::assemble(name, shards, block_size)
+    }
+
+    /// The handle over resident shards in global order: a shard starts
+    /// after the sequences before it, and the totals are their sums.
+    fn assemble(name: String, shards: Vec<(SequenceDb, Arc<DeviceDb>)>, block_size: usize) -> Self {
+        let mut start = 0;
+        let shards: Vec<DbShard> = (shards.into_iter().enumerate())
+            .map(|(index, (db, dev))| {
+                let shard = DbShard {
+                    index,
+                    start,
+                    db,
+                    dev,
+                };
+                start += shard.len();
+                shard
+            })
+            .collect();
+        Self {
+            name,
+            total_sequences: start,
+            total_residues: shards.iter().map(|s| s.db.total_residues()).sum(),
+            shards,
+            block_size,
+            origin: None,
+        }
     }
 
     /// The shards, in global database order.
@@ -416,20 +446,14 @@ impl ShardedDb {
     /// shard — the residence charge the scheduler bills per
     /// (device, shard) first touch.
     pub fn upload_ms(&self, device: &DeviceConfig) -> Vec<f64> {
-        self.shards
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    0.0
-                } else {
-                    device.transfer_ms(s.upload_bytes())
-                }
-            })
+        let upload = |s: &DbShard| device.transfer_ms(s.dev.upload_bytes());
+        (self.shards.iter())
+            .map(|s| if s.is_empty() { 0.0 } else { upload(s) })
             .collect()
     }
 }
 
-/// Options for a sharded search.
+/// Fleet geometry of a sharded batch.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedOptions {
     /// Simulated devices the schedule distributes work across.
@@ -447,97 +471,26 @@ impl Default for ShardedOptions {
     }
 }
 
-/// The fleet fold every sharded plan ends with: the work-stealing
-/// schedule of the measured items at the requested device count, the same
-/// items on one device as the scaling baseline, and the fleet's
-/// per-device gauges (disarmed-cheap like every obs call).
-fn fleet_schedule(
-    item_costs: &[f64],
-    item_shards: &[usize],
-    uploads: &[f64],
-    opts: &ShardedOptions,
-) -> (StealSchedule, f64) {
-    let schedule =
-        schedule_work_stealing(item_costs, item_shards, uploads, opts.devices, opts.seed);
-    let single_device_ms =
-        schedule_work_stealing(item_costs, item_shards, uploads, 1, opts.seed).makespan_ms;
-    if obs::metrics_enabled() {
-        for (d, tl) in schedule.per_device.iter().enumerate() {
-            let label = d.to_string();
-            obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
-            obs::gauge("device_steals", &[("device", &label)], tl.steals as f64);
-        }
-        obs::counter("fleet_steals_total", &[], schedule.total_steals());
-        obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
-    }
-    (schedule, single_device_ms)
-}
-
-/// Merged outcome of one query searched across every shard.
-pub struct ShardedResult {
-    /// Merged, re-ranked result — bit-identical to the single-DB search.
-    pub result: CuBlastpResult,
-    /// Modelled per-shard cost (device pipeline, plus the shard upload
-    /// when the search was charged for it), indexed by shard; zero for
-    /// empty shards.
-    pub per_shard_ms: Vec<f64>,
-    /// Hits each shard contributed before the report cap.
-    pub per_shard_hits: Vec<usize>,
-    /// The work-stealing schedule the fleet executed.
-    pub schedule: StealSchedule,
-    /// Makespan of the same items on one device (the scaling baseline;
-    /// see [`StealSchedule::speedup`]).
-    pub single_device_ms: f64,
-}
-
-/// Search every shard with `searcher` and merge — the single-query plan.
-/// The searcher must carry global statistics (build it with
-/// [`ShardedDb::searcher`], or against the full database); a shard whose
-/// search fails fails the whole query, as partial merges would break the
-/// identical-to-single-DB contract. `charge_h2d` bills each shard's upload
-/// to the fleet schedule per (device, shard) first touch — a standalone
-/// search pays it, a search over an already-resident handle (the serving
-/// layer's) does not. The hooks' cancel token is polled at every block
-/// boundary of every shard, and `on_block` fires once per database block
-/// in global pipeline order (`blocks_total` = [`ShardedDb::num_blocks`])
-/// with the block's partial report in global subject indices.
+/// Search every shard with `searcher` and merge — the single-query plan,
+/// [`CuBlastp::search_resident`] over the handle's shards: they run one
+/// after another and schedule no fleet. The searcher must carry global
+/// statistics (build it with [`ShardedDb::searcher`], or against the full
+/// database); a shard whose search fails fails the whole query, as
+/// partial merges would break the identical-to-single-DB contract.
+/// `charge_h2d` bills every block's upload to `h2d_ms` as it streams — a
+/// standalone search pays it, a search over an already-resident handle
+/// (the serving layer's) does not. The hooks' cancel token is polled at
+/// every block boundary of every shard, and `on_block` fires once per
+/// database block in global pipeline order (`blocks_total` =
+/// [`ShardedDb::num_blocks`]) with the block's partial report in global
+/// subject indices.
 pub fn search_sharded(
     searcher: &CuBlastp,
     sharded: &ShardedDb,
-    opts: &ShardedOptions,
     charge_h2d: bool,
     hooks: &SearchHooks<'_>,
-) -> Result<ShardedResult, SearchError> {
-    let searched = search_shards(searcher, &sharded.views(), false, None, hooks)?;
-    // The fleet runs one item per non-empty shard; setup is paid once
-    // globally.
-    let uploads = if charge_h2d {
-        sharded.upload_ms(&searcher.device)
-    } else {
-        vec![0.0; sharded.num_shards()]
-    };
-    let (item_shards, item_costs): (Vec<usize>, Vec<f64>) = sharded
-        .live_shards()
-        .map(|s| (s, searched.shard_ms[s]))
-        .unzip();
-    let (schedule, single_device_ms) = fleet_schedule(&item_costs, &item_shards, &uploads, opts);
-    // The fleet runs the shards side by side: its makespan replaces
-    // their serial chain.
-    let mut result = searched.result;
-    result.timing.overlapped_ms = schedule.makespan_ms;
-    result.pipeline.overlapped_ms = schedule.makespan_ms;
-    Ok(ShardedResult {
-        result,
-        per_shard_ms: searched
-            .shard_ms
-            .iter()
-            .zip(&uploads)
-            .map(|(cost, upload)| cost + upload)
-            .collect(),
-        per_shard_hits: searched.shard_hits,
-        schedule,
-        single_device_ms,
-    })
+) -> Result<CuBlastpResult, SearchError> {
+    search_shards(searcher, &sharded.views(), charge_h2d, None, hooks).map(|s| s.result)
 }
 
 /// Options for a sharded batch.
@@ -641,9 +594,28 @@ fn sharded_plan(
             item_shards.push(shard);
         }
     }
-    let uploads = sharded.upload_ms(&device);
-    let (schedule, single_device_ms) =
-        fleet_schedule(&item_costs, &item_shards, &uploads, &opts.sharded);
+    // The fleet's schedule at the requested device count, the same items
+    // on one device as the scaling baseline, and the fleet's per-device
+    // gauges (disarmed-cheap like every obs call).
+    let (uploads, fleet) = (sharded.upload_ms(&device), &opts.sharded);
+    let schedule = schedule_work_stealing(
+        &item_costs,
+        &item_shards,
+        &uploads,
+        fleet.devices,
+        fleet.seed,
+    );
+    let single_device_ms =
+        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, fleet.seed).makespan_ms;
+    if obs::metrics_enabled() {
+        for (d, tl) in schedule.per_device.iter().enumerate() {
+            let label = d.to_string();
+            obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
+            obs::gauge("device_steals", &[("device", &label)], tl.steals as f64);
+        }
+        obs::counter("fleet_steals_total", &[], schedule.total_steals());
+        obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
+    }
     ShardedBatchOutcome {
         per_query: (run.per_query.into_iter())
             .map(|r| r.map(|searched| searched.result))
@@ -827,123 +799,36 @@ mod tests {
         (q, db, cfg)
     }
 
-    #[test]
-    fn sharded_search_matches_single_db_at_every_shard_count() {
-        let (q, db, cfg) = workload(96);
-        let device = DeviceConfig::k20c();
-        let single = CuBlastp::new(q.clone(), SearchParams::default(), cfg, device, &db)
-            .search(&db)
-            .expect("single-DB search");
-        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
-        for num_shards in [1usize, 2, 3, 5, 8] {
-            let sharded = ShardedDb::split(&db, num_shards, cfg.db_block_size);
-            let searcher = sharded.searcher(q.clone(), SearchParams::default(), cfg, device);
-            let r =
-                search_sharded(&searcher, &sharded, &opts, true, &hooks).expect("sharded search");
-            assert_eq!(
-                r.result.report.identity_key(),
-                single.report.identity_key(),
-                "shards = {num_shards}"
-            );
-            // Float fields too: E-values and bit scores must agree exactly.
-            for (a, b) in r.result.report.hits.iter().zip(&single.report.hits) {
-                assert_eq!(a.evalue.to_bits(), b.evalue.to_bits(), "evalue bits");
-                assert_eq!(a.bit_score.to_bits(), b.bit_score.to_bits());
-                assert_eq!(a.subject_id, b.subject_id);
-            }
-            // The per-kernel rows survive the merge over shards.
-            let rows: f64 = r.result.kernel_rows().map(|(_, ms)| ms).sum();
-            assert!((rows - r.result.timing.gpu_ms).abs() < 1e-12);
-        }
-    }
-
     /// The flat database is the one-shard case: moved into a resident
-    /// handle, its uncharged search is the flat resident search in every
-    /// modelled number; charging the uploads adds exactly them to a
-    /// one-device makespan.
+    /// handle, its search is the flat resident search in every modelled
+    /// number, uncharged and charged alike — a charged upload is billed
+    /// block by block to `h2d_ms`, as the flat search bills it.
     #[test]
     fn resident_handle_is_the_flat_search() {
         let (q, db, cfg) = workload(96);
         let device = DeviceConfig::k20c();
         let dev = Arc::new(DeviceDb::upload(&db, cfg.db_block_size));
         let searcher = CuBlastp::new(q, SearchParams::default(), cfg, device, &db);
-        let flat = searcher
-            .search_resident(&db, &dev, false)
-            .expect("flat resident search");
+        let flat = [false, true].map(|charge| {
+            (searcher.search_resident(&db, &dev, charge)).expect("flat resident search")
+        });
         let resident = ShardedDb::resident(db, dev);
         assert_eq!(resident.num_shards(), 1);
-        assert_eq!(resident.num_blocks(), flat.block_timings.len());
-        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
-        let free = search_sharded(&searcher, &resident, &opts, false, &hooks).expect("resident");
-        assert_eq!(
-            free.result.report.identity_key(),
-            flat.report.identity_key()
-        );
-        assert_eq!(free.result.kernels, flat.kernels);
-        assert_eq!(free.result.kernel_ms, flat.kernel_ms);
-        let device_ms = |r: &CuBlastpResult| (r.timing.gpu_ms, r.timing.h2d_ms, r.timing.d2h_ms);
-        assert_eq!(device_ms(&free.result), device_ms(&flat));
-        assert_eq!(free.result.timing.h2d_ms, 0.0);
-        let pipeline_ms = crate::pipeline::schedule(&free.result.block_timings).overlapped_ms;
-        assert_eq!(free.schedule.makespan_ms, pipeline_ms);
-        assert_eq!(free.per_shard_ms, vec![pipeline_ms]);
-
-        let charged = search_sharded(&searcher, &resident, &opts, true, &hooks).expect("charged");
-        let uploads: f64 = resident.upload_ms(&device).iter().sum();
-        assert!(uploads > 0.0);
-        let own_ms = crate::pipeline::schedule(&charged.result.block_timings).overlapped_ms;
-        assert!((charged.schedule.makespan_ms - own_ms - uploads).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ragged_boundaries_cover_everything() {
-        let (q, db, cfg) = workload(61);
-        let device = DeviceConfig::k20c();
-        let single = CuBlastp::new(q.clone(), SearchParams::default(), cfg, device, &db)
-            .search(&db)
-            .expect("single-DB search");
-        // Deliberately ugly cuts: duplicate (empty shard), tail-heavy.
-        let sharded = ShardedDb::from_boundaries(&db, &[7, 7, 9, 60], cfg.db_block_size);
-        assert_eq!(sharded.num_shards(), 5);
-        assert!(sharded.shards()[1].is_empty());
-        let searcher = sharded.searcher(q, SearchParams::default(), cfg, device);
-        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
-        let r = search_sharded(&searcher, &sharded, &opts, true, &hooks).expect("sharded");
-        assert_eq!(r.result.report.identity_key(), single.report.identity_key());
-        assert!(r.per_shard_hits.iter().sum::<usize>() >= r.result.report.hits.len());
-    }
-
-    #[test]
-    fn image_set_shards_match_split_shards() {
-        let _counters =
-            (crate::devicedata::IMAGE_COUNTERS.lock()).unwrap_or_else(|e| e.into_inner());
-        let (q, db, cfg) = workload(40);
-        let device = DeviceConfig::k20c();
-        let split = ShardedDb::split(&db, 3, cfg.db_block_size);
-        let images: Vec<DbImage> = split
-            .shards()
-            .iter()
-            .map(|s| {
-                DbImage::from_bytes(
-                    cublastp_db::build_to_vec(&s.db, cfg.db_block_size),
-                    "in-memory",
-                )
-                .expect("valid shard image")
-            })
-            .collect();
-        let mapped = ShardedDb::from_images(db.name(), &images).expect("image set");
-        assert_eq!(mapped.total_sequences(), db.len());
-        assert_eq!(mapped.total_residues(), db.total_residues());
-        assert!(mapped.shards().iter().all(|s| s.dev.is_mapped()));
-        let (opts, hooks) = (ShardedOptions::default(), SearchHooks::default());
-        let searcher = mapped.searcher(q.clone(), SearchParams::default(), cfg, device);
-        let a = search_sharded(&searcher, &mapped, &opts, true, &hooks).expect("mapped");
-        let searcher = split.searcher(q, SearchParams::default(), cfg, device);
-        let b = search_sharded(&searcher, &split, &opts, true, &hooks).expect("split");
-        assert_eq!(
-            a.result.report.identity_key(),
-            b.result.report.identity_key()
-        );
+        assert_eq!(resident.num_blocks(), flat[0].block_timings.len());
+        let modelled = |r: &CuBlastpResult| {
+            let t = &r.timing;
+            let blocks = r.block_timings.iter();
+            let legs: Vec<_> = blocks.map(|b| (b.h2d_ms, b.gpu_ms, b.d2h_ms)).collect();
+            let device_ms = (t.gpu_ms, t.h2d_ms, t.d2h_ms);
+            let ledger = (r.kernels.clone(), r.kernel_ms.clone(), r.counts, r.recovery);
+            (r.report.identity_key(), ledger, device_ms, legs)
+        };
+        for (charge, flat) in [false, true].into_iter().zip(&flat) {
+            let hooks = SearchHooks::default();
+            let sharded = search_sharded(&searcher, &resident, charge, &hooks).expect("resident");
+            assert_eq!(modelled(&sharded), modelled(flat), "charge_h2d = {charge}");
+            assert_eq!(sharded.timing.h2d_ms > 0.0, charge);
+        }
     }
 
     #[test]

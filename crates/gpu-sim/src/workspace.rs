@@ -15,8 +15,14 @@
 //! The pools only carry *host-side scratch*; simulated cost is unaffected
 //! by construction (the tracer never sees where a buffer came from).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `m`, recovered if a holder panicked: a free list is valid at every
+/// point one can unwind from.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A free list of `Vec<T>` buffers. `take` pops a retained buffer (or
 /// allocates an empty one on a cold miss); `put` clears the buffer and
@@ -55,7 +61,7 @@ impl<T> BufferPool<T> {
     /// pooled.
     pub fn take(&self) -> Vec<T> {
         self.takes.fetch_add(1, Ordering::Relaxed);
-        let buf = self.free.lock().pop();
+        let buf = lock(&self.free).pop();
         let cold = buf.is_none();
         if cold {
             self.allocs.fetch_add(1, Ordering::Relaxed);
@@ -73,7 +79,7 @@ impl<T> BufferPool<T> {
     /// retained for the next [`take`](Self::take).
     pub fn put(&self, mut buf: Vec<T>) {
         buf.clear();
-        self.free.lock().push(buf);
+        lock(&self.free).push(buf);
     }
 
     /// Buffers checked out since construction.
@@ -90,7 +96,7 @@ impl<T> BufferPool<T> {
 
     /// Buffers currently sitting in the free list.
     pub fn pooled(&self) -> usize {
-        self.free.lock().len()
+        lock(&self.free).len()
     }
 
     /// Drop every pooled buffer, releasing retained capacity. The recovery
@@ -98,7 +104,7 @@ impl<T> BufferPool<T> {
     /// outstanding buffers unreturned, and a fresh free list restores the
     /// pool to a known-good (cold) state. Counters are preserved.
     pub fn reset(&self) {
-        self.free.lock().clear();
+        lock(&self.free).clear();
     }
 }
 

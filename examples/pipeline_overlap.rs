@@ -65,7 +65,7 @@ fn main() {
             db.len().div_ceil(cfg.db_block_size),
             t.serial_ms,
             t.overlapped_ms,
-            100.0 * r.pipeline.saving(),
+            100.0 * (1.0 - t.overlapped_ms / t.serial_ms),
             t.gpu_ms,
             t.cpu_wall_ms,
         );

@@ -72,6 +72,6 @@ fn main() {
         t.h2d_ms + t.d2h_ms,
         t.cpu_wall_ms,
         t.total_ms(),
-        100.0 * result.pipeline.saving(),
+        100.0 * (1.0 - t.overlapped_ms / t.serial_ms),
     );
 }

@@ -76,7 +76,7 @@ fn roundtrip_preserves_database_and_search_results() {
     // one, without running the flatten loop.
     let flattened = Arc::new(DeviceDb::upload(&fx.db, BLOCK_SIZE));
     let flattens_before = cublastp::flatten_count();
-    let mapped = Arc::new(DeviceDb::from_image(&img));
+    let mapped = Arc::new(DeviceDb::from_image(&img, 0..img.num_sequences()));
     assert_eq!(cublastp::flatten_count(), flattens_before);
     assert!(mapped.is_mapped());
     assert_eq!(

@@ -78,7 +78,8 @@ fn one_flatten_per_block_regardless_of_batch_size() {
 
     // Every source kind through the one opener, into the batch entries
     // and into the server: reference output at 1 and at 3 shards, and a
-    // mapped source at its stored shard count never flattens.
+    // mapped source never flattens — an image cut into 3 shards maps each
+    // shard's range of the one image, block by block.
     let block_size = config.db_block_size;
     let set: Vec<DbImage> = (ShardedDb::split(&db, 3, block_size).shards().iter())
         .map(|shard| image_of(&shard.db, block_size))
@@ -105,12 +106,17 @@ fn one_flatten_per_block_regardless_of_batch_size() {
     for kind in ["inline", "image", "set"] {
         for shards in [1usize, 3] {
             let label = format!("{kind} at {shards} shards");
-            let stored = kind == "set" || (kind == "image" && shards == 1);
+            let mapped = kind != "inline";
 
-            let before = flatten_count();
+            let (before, mapped_before) = (flatten_count(), mapped_block_count());
             let handle = ShardedDb::open(source(kind), shards, Some(block_size)).expect("opens");
             assert_eq!(handle.num_shards(), if kind == "set" { 3 } else { shards });
-            assert_eq!(handle.image_origin().is_some(), kind != "inline", "{label}");
+            assert_eq!(handle.image_origin().is_some(), mapped, "{label}");
+            if mapped {
+                let maps = mapped_block_count() - mapped_before;
+                assert_eq!(maps, handle.num_blocks() as u64, "{label}");
+                assert!(handle.shards().iter().all(|s| s.dev.is_mapped()), "{label}");
+            }
             let per_query = match handle.shards() {
                 [whole] => {
                     let opts = BatchOptions::default();
@@ -128,7 +134,7 @@ fn one_flatten_per_block_regardless_of_batch_size() {
             }
             // 100 sequences in blocks of 40: three blocks at 1 and at 3 shards.
             assert_eq!(handle.num_blocks(), blocks, "{label}");
-            let flattened = if stored { 0 } else { blocks as u64 };
+            let flattened = if mapped { 0 } else { blocks as u64 };
             assert_eq!(flatten_count() - before, flattened, "batch over {label}");
 
             let before = flatten_count();

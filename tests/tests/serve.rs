@@ -19,7 +19,7 @@ use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use cublastp::{
     search_sharded, CancelToken, CuBlastp, CuBlastpConfig, DeviceDb, SearchError, SearchHooks,
-    ShardedDb, ShardedOptions,
+    ShardedDb,
 };
 use cublastp_serve::{Event, Request, ResponseHandle, ServeConfig, Server};
 use gpu_sim::DeviceConfig;
@@ -112,17 +112,11 @@ fn cancel_at(n: u64, resident: &ShardedDb, overlap: bool) -> Result<Option<u32>,
         cancel: CancelToken::after_checks(n),
         on_block: None,
     };
-    match search_sharded(
-        &searcher,
-        resident,
-        &ShardedOptions::default(),
-        true,
-        &hooks,
-    ) {
+    match search_sharded(&searcher, resident, true, &hooks) {
         Ok(r) => {
             // Complete means *complete*: bit-identical to the reference.
             prop_assert_eq!(
-                r.result.report.identity_key(),
+                r.report.identity_key(),
                 fx.reference.clone(),
                 "cancel at {}",
                 n
