@@ -138,7 +138,6 @@ fn main() -> ExitCode {
             s.makespan_ms,
             outcome.single_device_ms / s.makespan_ms.max(1e-9),
             s.efficiency(outcome.single_device_ms),
-            s.total_steals(),
         ));
     }
     print_table(
@@ -146,32 +145,24 @@ fn main() -> ExitCode {
             "§3.10 sharded fleet strong scaling — {} queries × {SHARDS} shards, {preset}",
             queries.len()
         ),
-        &[
-            "devices",
-            "makespan (ms)",
-            "speedup",
-            "efficiency",
-            "steals",
-        ],
+        &["devices", "makespan (ms)", "speedup", "efficiency"],
         &curve
             .iter()
-            .map(|(d, mk, sp, eff, st)| {
+            .map(|(d, mk, sp, eff)| {
                 vec![
                     d.to_string(),
                     format!("{mk:.3}"),
                     format!("{sp:.2}x"),
                     format!("{eff:.2}"),
-                    st.to_string(),
                 ]
             })
             .collect::<Vec<_>>(),
     );
     println!(
         "Work items are measured once ({} items, {:.3} ms single-device) and \
-         rescheduled deterministically per device count (seed {:#x}).",
+         rescheduled deterministically per device count.",
         outcome.item_costs.len(),
         outcome.single_device_ms,
-        outcome.seed,
     );
 
     // Gated numbers: violation counters only, all baseline 0 — any
@@ -188,13 +179,12 @@ fn main() -> ExitCode {
     let gated = report.violations(preset, &counters);
     let curve = curve
         .iter()
-        .map(|&(d, mk, sp, eff, st)| {
+        .map(|&(d, mk, sp, eff)| {
             Obj::new()
                 .int("devices", d as u64)
                 .fixed("makespan_ms", mk, 4)
                 .fixed("speedup", sp, 4)
                 .fixed("efficiency", eff, 4)
-                .int("steals", st)
         })
         .collect();
     report.finish(

@@ -2,10 +2,7 @@
 //! CLI dependency).
 
 use blast_core::SearchParams;
-use cublastp::{
-    CuBlastpConfig, ExtensionStrategy, GappedBackend, SeedMode, DEFAULT_GROUP_BUDGET,
-    DEFAULT_STEAL_SEED,
-};
+use cublastp::{CuBlastpConfig, ExtensionStrategy, GappedBackend, SeedMode};
 use gpu_sim::FaultPlan;
 
 /// Usage text.
@@ -37,11 +34,9 @@ OPTIONS:
                          any other count than the set's is an error);
                          merged output is bit-identical at every shard
                          count
-    --devices <n>        simulated devices the work-stealing scheduler
-                         distributes a batch's (query × shard) items
-                         across (default 1; cublastp engine, not serve)
-    --steal-seed <n>     seed for the deterministic steal order
-                         (default fixed; schedules are reproducible)
+    --devices <n>        simulated devices the fleet schedule distributes
+                         a batch's (query × shard) items across (default
+                         1; cublastp engine, not serve)
     --block-size <n>     sequences per device block (default 1024); for
                          `db build` this is baked into the image, for a
                          FASTA search it sets the partitioning, and one
@@ -63,8 +58,6 @@ OPTIONS:
                          query stream into rounds sharing one device word
                          index and makes a single seeding pass per round
                          over each database block (cublastp engine only)
-    --group-budget <n>   device index budget per grouped round, in
-                         word-entry units (default 65536)
     --gapped-backend <name>
                          cpu (default) | gpu — where gapped extension +
                          traceback run; gpu moves them into the per-block
@@ -185,8 +178,6 @@ pub struct Args {
     pub shards: usize,
     /// `--devices`: simulated devices the fleet schedule spans.
     pub devices: usize,
-    /// `--steal-seed`: deterministic steal-order seed.
-    pub steal_seed: u64,
     /// `allvsall` subcommand: many-against-many sparse-matrix search.
     pub allvsall: bool,
     /// `--block-size`: sequences per device block. `None` keeps the
@@ -211,7 +202,6 @@ pub struct Args {
     pub comp_based_stats: bool,
     pub overlap: bool,
     pub seed_mode: SeedMode,
-    pub group_budget: usize,
     pub gapped_backend: GappedBackend,
     pub alignments: bool,
     pub outfmt: OutFmt,
@@ -240,7 +230,6 @@ impl Default for Args {
             db_set: None,
             shards: 1,
             devices: 1,
-            steal_seed: DEFAULT_STEAL_SEED,
             allvsall: false,
             block_size: None,
             db_cmd: None,
@@ -256,7 +245,6 @@ impl Default for Args {
             comp_based_stats: false,
             overlap: true,
             seed_mode: SeedMode::PerQuery,
-            group_budget: DEFAULT_GROUP_BUDGET,
             gapped_backend: GappedBackend::Cpu,
             alignments: false,
             outfmt: OutFmt::Pairwise,
@@ -311,11 +299,6 @@ impl Args {
                     args.devices = value(&mut argv, "--devices")?
                         .parse()
                         .map_err(|e| format!("--devices: {e}"))?
-                }
-                "--steal-seed" => {
-                    args.steal_seed = value(&mut argv, "--steal-seed")?
-                        .parse()
-                        .map_err(|e| format!("--steal-seed: {e}"))?
                 }
                 "--block-size" => {
                     args.block_size = Some(
@@ -396,11 +379,6 @@ impl Args {
                         "grouped" => SeedMode::Grouped,
                         other => return Err(format!("unknown seed mode {other:?}")),
                     }
-                }
-                "--group-budget" => {
-                    args.group_budget = value(&mut argv, "--group-budget")?
-                        .parse()
-                        .map_err(|e| format!("--group-budget: {e}"))?
                 }
                 "--gapped-backend" => {
                     args.gapped_backend = match value(&mut argv, "--gapped-backend")?.as_str() {
@@ -521,9 +499,6 @@ impl Args {
             if args.seed_mode == SeedMode::Grouped {
                 return Err("allvsall drives its own tiling; drop --seed-mode grouped".into());
             }
-            if args.group_budget != DEFAULT_GROUP_BUDGET {
-                return Err("allvsall drives its own tiling; drop --group-budget".into());
-            }
             if !args.demo && !has_db {
                 return Err("allvsall needs --db, --db-image or --db-set (or --demo)".into());
             }
@@ -542,9 +517,6 @@ impl Args {
         if args.max_retries == 0 {
             return Err("--max-retries must be positive".into());
         }
-        if args.group_budget == 0 {
-            return Err("--group-budget must be positive".into());
-        }
         if args.seed_mode == SeedMode::Grouped && args.engine != Engine::CuBlastp {
             return Err("--seed-mode grouped requires --engine cublastp".into());
         }
@@ -559,9 +531,7 @@ impl Args {
             // reads the batch's seeding or fleet flags.
             for (flag, given) in [
                 ("--seed-mode", args.seed_mode != SeedMode::PerQuery),
-                ("--group-budget", args.group_budget != DEFAULT_GROUP_BUDGET),
                 ("--devices", args.devices != 1),
-                ("--steal-seed", args.steal_seed != DEFAULT_STEAL_SEED),
             ] {
                 if given {
                     return Err(format!("serve does not take {flag}"));
@@ -700,10 +670,8 @@ mod tests {
     fn seed_mode_parses_and_validates() {
         let d = parse(&["--demo"]).unwrap();
         assert_eq!(d.seed_mode, SeedMode::PerQuery);
-        assert_eq!(d.group_budget, DEFAULT_GROUP_BUDGET);
-        let a = parse(&["--demo", "--seed-mode", "grouped", "--group-budget", "4096"]).unwrap();
+        let a = parse(&["--demo", "--seed-mode", "grouped"]).unwrap();
         assert_eq!(a.seed_mode, SeedMode::Grouped);
-        assert_eq!(a.group_budget, 4096);
         assert_eq!(
             parse(&["--demo", "--seed-mode", "per-query"])
                 .unwrap()
@@ -711,7 +679,6 @@ mod tests {
             SeedMode::PerQuery
         );
         assert!(parse(&["--demo", "--seed-mode", "psychic"]).is_err());
-        assert!(parse(&["--demo", "--group-budget", "0"]).is_err());
         assert!(parse(&["--demo", "--seed-mode", "grouped", "--engine", "cpu"]).is_err());
     }
 
@@ -809,8 +776,6 @@ mod tests {
         assert!(parse(&["serve", "--demo", "--engine", "cpu"]).is_err());
         // Batch-only flags the server would silently ignore.
         assert!(parse(&["serve", "--demo", "--seed-mode", "grouped"]).is_err());
-        assert!(parse(&["serve", "--demo", "--group-budget", "64"]).is_err());
-        assert!(parse(&["serve", "--demo", "--steal-seed", "7"]).is_err());
         assert!(parse(&["serve", "--demo", "--shards", "3", "--devices", "2"]).is_err());
     }
 
@@ -866,18 +831,8 @@ mod tests {
         let d = parse(&["--demo"]).unwrap();
         assert_eq!(d.shards, 1);
         assert_eq!(d.devices, 1);
-        assert_eq!(d.steal_seed, DEFAULT_STEAL_SEED);
-        let a = parse(&[
-            "--demo",
-            "--shards",
-            "4",
-            "--devices",
-            "2",
-            "--steal-seed",
-            "99",
-        ])
-        .unwrap();
-        assert_eq!((a.shards, a.devices, a.steal_seed), (4, 2, 99));
+        let a = parse(&["--demo", "--shards", "4", "--devices", "2"]).unwrap();
+        assert_eq!((a.shards, a.devices), (4, 2));
         assert!(parse(&["--demo", "--shards", "0"]).is_err());
         assert!(parse(&["--demo", "--devices", "0"]).is_err());
         assert!(parse(&["--demo", "--shards", "2", "--engine", "cpu"]).is_err());
@@ -918,7 +873,6 @@ mod tests {
         assert!(parse(&["allvsall", "--demo"]).is_ok());
         assert!(parse(&["allvsall", "--db", "d.fa", "--engine", "cpu"]).is_err());
         assert!(parse(&["allvsall", "--db", "d.fa", "--seed-mode", "grouped"]).is_err());
-        assert!(parse(&["allvsall", "--db", "d.fa", "--group-budget", "64"]).is_err());
     }
 
     #[test]

@@ -35,8 +35,8 @@ use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
 use cublastp::gapped_device::FINE_GAPPED_KERNEL;
 use cublastp::{
     search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpConfig,
-    CuBlastpResult, DbSource, GappedBackend, RecoveryReport, SearchError, SeedMode,
-    ShardedBatchOptions, ShardedDb, ShardedOptions,
+    CuBlastpResult, DbSource, FleetSchedule, GappedBackend, RecoveryReport, SearchError, SeedMode,
+    ShardedBatchOptions, ShardedDb, ShardedOptions, DEFAULT_GROUP_BUDGET,
 };
 use cublastp_db::{build_shard_set, DbImage, ShardSetManifest};
 use gpu_sim::{DeviceConfig, FaultInjector};
@@ -706,8 +706,8 @@ fn build_set(
 /// shared word index, one seeding pass per round per database block),
 /// sharded otherwise (`--shards` > 1 or a `--db-set`: every query
 /// searches every shard, cross-shard statistics keep output
-/// bit-identical to the flat path, and the work-stealing fleet schedule
-/// spans `--devices` simulated devices). Per-query reports print in
+/// bit-identical to the flat path, and the fleet schedule spans
+/// `--devices` simulated devices). Per-query reports print in
 /// input order, then the mode's summary row: `# grouped seeding:` and
 /// `# shards:` are the grep targets of the CI equivalence jobs.
 fn run_batch(
@@ -755,7 +755,6 @@ fn run_batch(
                 BatchOptions {
                     injector,
                     seed_mode: args.seed_mode,
-                    group_budget: args.group_budget,
                 },
             );
             let failures = report_all(out.per_query, &|r| match args.seed_mode {
@@ -777,7 +776,7 @@ fn run_batch(
                          amortized-seeding={:.4} ms/block/query",
                         g.rounds.len(),
                         g.queries_covered(),
-                        args.group_budget,
+                        DEFAULT_GROUP_BUDGET,
                         mean_occ,
                         g.seeding_ms_per_block_query(),
                     ),
@@ -795,7 +794,7 @@ fn run_batch(
                 &ShardedBatchOptions {
                     sharded: ShardedOptions {
                         devices: args.devices,
-                        seed: args.steal_seed,
+                        ..ShardedOptions::default()
                     },
                     injector,
                 },
@@ -804,20 +803,7 @@ fn run_batch(
             let failures = report_all(std::mem::take(&mut out.per_query), &|_| {
                 format!(" ({shards} shards)")
             });
-            note(
-                args,
-                &format!(
-                    "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
-                     speedup={:.2}x efficiency={:.2} steals={} upload={:.3}ms",
-                    out.devices,
-                    out.schedule.makespan_ms,
-                    out.single_device_ms,
-                    out.speedup(),
-                    out.efficiency(),
-                    out.schedule.total_steals(),
-                    out.shard_upload_ms.iter().sum::<f64>(),
-                ),
-            );
+            fleet_note(args, shards, &out.schedule, out.single_device_ms);
             if args.phase_table && args.outfmt != args::OutFmt::Tab {
                 print_fleet_table(db, &out);
             }
@@ -858,9 +844,28 @@ fn recovery_note(recovery: &RecoveryReport) -> String {
     )
 }
 
+/// The `# shards:` summary row of a fleet-scheduled run (batch and
+/// `allvsall`): the schedule's makespan against the same items on one
+/// device, and the uploads it billed across the fleet.
+fn fleet_note(args: &Args, shards: usize, schedule: &FleetSchedule, single_device_ms: f64) {
+    note(
+        args,
+        &format!(
+            "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
+             speedup={:.2}x efficiency={:.2} upload={:.3}ms",
+            schedule.per_device.len(),
+            schedule.makespan_ms,
+            single_device_ms,
+            schedule.speedup(single_device_ms),
+            schedule.efficiency(single_device_ms),
+            schedule.per_device.iter().map(|d| d.upload_ms).sum::<f64>(),
+        ),
+    );
+}
+
 /// The per-shard / per-device rows of `--phase-table` under the sharded
 /// engine: modelled search time per shard and the fleet timeline each
-/// device executed (busy, upload, items run, items stolen).
+/// device executed (busy, upload, items run).
 fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
     let n = sharded.num_shards();
     let mut cost = vec![0.0f64; n];
@@ -885,12 +890,11 @@ fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
     }
     for (d, t) in out.schedule.per_device.iter().enumerate() {
         out!(
-            "# device {:<2} busy {:>10.3} ms ({:>8.3} ms upload), {:>4} items, {} stolen",
+            "# device {:<2} busy {:>10.3} ms ({:>8.3} ms upload), {:>4} items",
             d,
             t.busy_ms,
             t.upload_ms,
             t.items.len(),
-            t.steals,
         );
     }
 }
@@ -911,7 +915,7 @@ fn run_allvsall(queries: &[Sequence], db: &ShardedDb, args: &Args) -> ExitCode {
         &ShardedBatchOptions {
             sharded: ShardedOptions {
                 devices: args.devices,
-                seed: args.steal_seed,
+                ..ShardedOptions::default()
             },
             injector: Some(Arc::new(FaultInjector::new(args.fault_plan.clone()))),
         },
@@ -953,18 +957,7 @@ fn run_allvsall(queries: &[Sequence], db: &ShardedDb, args: &Args) -> ExitCode {
             wall_ms,
         ),
     );
-    note(
-        args,
-        &format!(
-            "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x steals={}",
-            db.num_shards(),
-            args.devices,
-            r.schedule.makespan_ms,
-            r.single_device_ms,
-            r.schedule.speedup(r.single_device_ms),
-            r.schedule.total_steals(),
-        ),
-    );
+    fleet_note(args, db.num_shards(), &r.schedule, r.single_device_ms);
     print_residency(db);
     if let Err(e) = write_observability(args) {
         eprintln!("error: {e}");

@@ -69,14 +69,13 @@ fn malformed_fault_plan_is_a_config_error() {
 }
 
 /// A flag the subcommand would never read is refused, not ignored: exit 2,
-/// and the message names both.
+/// and the message names both. The schedule has no seed and the grouped
+/// budget is a constant: those flags are unknown everywhere.
 #[test]
 fn flags_a_subcommand_ignores_are_config_errors() {
     for (subcommand, flag, value) in [
         ("serve", "--seed-mode", "grouped"),
-        ("serve", "--group-budget", "4096"),
-        ("serve", "--steal-seed", "7"),
-        ("allvsall", "--group-budget", "4096"),
+        ("serve", "--devices", "2"),
     ] {
         let out = run(&[subcommand, "--demo", flag, value]);
         let err = String::from_utf8(out.stderr).unwrap();
@@ -86,6 +85,12 @@ fn flags_a_subcommand_ignores_are_config_errors() {
             message.contains(subcommand) && message.contains(flag),
             "{message}"
         );
+    }
+    for flag in ["--steal-seed", "--group-budget"] {
+        let out = run(&["--demo", flag, "7"]);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(&format!("unknown option \"{flag}\"")), "{err}");
     }
 }
 

@@ -1,79 +1,57 @@
-//! Deterministic work-stealing scheduler for the sharded engine
-//! (DESIGN.md §3.10).
+//! The fleet schedule of the sharded engine (DESIGN.md §3.10).
 //!
-//! Work items are (query × shard) searches whose device cost is already
-//! known from the modelled pipeline timeline, so scheduling is a pure
-//! function: LPT (longest-processing-time) seeding places every item on
-//! the least-loaded device's deque, then a discrete-event simulation runs
-//! the fleet — each device pops its own deque from the front and, when it
-//! runs dry, steals from the *back* of the richest victim's deque (the
-//! classic owner-LIFO / thief-FIFO split that steals the largest staged
-//! work). Shard residence is charged faithfully: the first time a device
-//! touches a shard it pays that shard's modelled H2D upload, so a steal
-//! that drags a new shard onto a device is not free and the schedule
-//! prefers affinity when costs tie.
+//! Work items are (query × shard) searches whose modelled cost is known
+//! before the schedule starts, so the schedule is a pure function of
+//! `(costs, shards, uploads, devices)` and balances nothing at run time:
+//! LPT list scheduling. Items are taken longest first (item id ascending
+//! on ties) and each goes to the device that would finish it first — the
+//! device's clock, plus the shard's H2D upload unless the shard is already
+//! resident there, plus the item's cost; ties go to the lowest device
+//! index. An upload is billed on first touch, so affinity wins whenever it
+//! finishes no later than a fresh device would.
 //!
-//! Everything — victim choice, tie-breaks, the steal log — is a
-//! deterministic function of `(costs, shards, uploads, devices, seed)`.
-//! The seed feeds a xorshift64* generator used only to rotate the victim
-//! scan origin, so two runs with the same seed produce byte-identical
-//! schedules (the perf gate and the bit-identity tests rely on this) and
-//! different seeds still produce valid, merely differently-tied
-//! schedules.
+//! At one device the loop is the left fold of the items in LPT order, each
+//! shard's upload before its first item's cost, so the single-device
+//! makespan is that fold bit for bit. At any device count the makespan is
+//! no longer than at one device: an item whose shard was seen can always
+//! run where it is resident, no later than in the fold. It is *not*
+//! monotone in the device count — LPT has rare anomalies where one more
+//! device finishes later.
 
-use std::collections::VecDeque;
-
-/// Default seed for the steal-order generator; any fixed value keeps the
-/// schedule reproducible, this one is just the crate's convention.
+/// Inert: the fleet schedule has no seed. Kept only because the
+/// `benchmark/` package names it; ROADMAP item 1 removes it.
 pub const DEFAULT_STEAL_SEED: u64 = 0x5EED_CB1A;
 
-/// Modelled latency of one steal operation (deque CAS + task migration),
-/// in milliseconds. Charged to the thief.
-pub const STEAL_LATENCY_MS: f64 = 0.002;
-
-/// One recorded steal, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealEvent {
-    /// Device that ran out of local work.
-    pub thief: usize,
-    /// Device whose deque was robbed.
-    pub victim: usize,
-    /// The migrated work item.
-    pub item: usize,
-}
-
-/// One device's simulated timeline.
+/// One device's timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceTimeline {
-    /// Modelled busy time: item costs + shard uploads + steal latency.
+    /// Modelled busy time — the device's clock after its last item: item
+    /// costs plus first-touch shard uploads.
     pub busy_ms: f64,
     /// Of which, time spent uploading shards on first touch.
     pub upload_ms: f64,
     /// Items this device executed, in execution order.
     pub items: Vec<usize>,
-    /// Steals this device performed.
-    pub steals: u64,
     /// Distinct shards resident on this device at the end of the run.
     pub shards_resident: usize,
 }
 
 /// The complete schedule: per-device timelines plus the merged view.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct StealSchedule {
+pub struct FleetSchedule {
     /// One timeline per device.
     pub per_device: Vec<DeviceTimeline>,
-    /// Makespan: the busiest device's clock when the last item finishes.
+    /// Makespan: the busiest device's clock when its last item finishes.
     pub makespan_ms: f64,
-    /// Steals across the fleet, in execution order.
-    pub steal_log: Vec<StealEvent>,
     /// Device each item ran on (`assignment[item] = device`).
     pub assignment: Vec<usize>,
 }
 
-impl StealSchedule {
-    /// Total steals across the fleet.
+impl FleetSchedule {
+    /// Inert: always 0, the schedule steals nothing. Kept only because the
+    /// `benchmark/` package reads it; ROADMAP item 1 removes it.
     pub fn total_steals(&self) -> u64 {
-        self.per_device.iter().map(|d| d.steals).sum()
+        0
     }
 
     /// Makespan speedup over a given single-device makespan of the same
@@ -98,241 +76,236 @@ impl StealSchedule {
     }
 }
 
-/// xorshift64* — tiny, seedable, and good enough for tie-break rotation.
-/// A zero seed is mapped to a fixed odd constant (xorshift's one bad
-/// state).
-fn xorshift64(state: &mut u64) -> u64 {
-    if *state == 0 {
-        *state = 0x9E37_79B9_7F4A_7C15;
-    }
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Remaining queued cost of one device's deque.
-fn queued_cost(deque: &VecDeque<usize>, costs: &[f64]) -> f64 {
-    deque.iter().map(|&i| costs[i]).sum()
-}
-
 /// Schedule `costs.len()` work items over `devices` identical simulated
-/// devices with LPT seeding and deque-based work stealing.
+/// devices by LPT list scheduling (see the module docs).
 ///
 /// * `costs[i]` — modelled execution time of item `i` in ms.
 /// * `shards[i]` — shard item `i` reads; the first item of a shard on a
 ///   device charges `uploads[shard]` to that device (per-shard residence).
-/// * `seed` — steal-order seed; the schedule is a deterministic function
-///   of all five arguments.
 ///
 /// Zero devices is treated as one; zero items yields an empty schedule.
-pub fn schedule_work_stealing(
+pub fn schedule_fleet(
     costs: &[f64],
     shards: &[usize],
     uploads: &[f64],
     devices: usize,
-    seed: u64,
-) -> StealSchedule {
-    let n_dev = devices.max(1);
-    let n = costs.len();
-    let mut per_device = vec![DeviceTimeline::default(); n_dev];
-    let mut schedule = StealSchedule {
-        assignment: vec![0; n],
-        ..Default::default()
-    };
-
-    // LPT seeding: longest item first onto the least-loaded deque. Stable
-    // tie-break on item id keeps the seeding deterministic.
-    let mut order: Vec<usize> = (0..n).collect();
+) -> FleetSchedule {
+    let mut per_device = vec![DeviceTimeline::default(); devices.max(1)];
+    let mut resident = vec![vec![false; uploads.len()]; per_device.len()];
+    let mut assignment = vec![0; costs.len()];
+    let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by(|&a, &b| {
         costs[b]
             .partial_cmp(&costs[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_dev];
-    let mut seeded = vec![0.0f64; n_dev];
-    for &item in &order {
-        let mut best = 0usize;
-        for d in 1..n_dev {
-            if seeded[d] < seeded[best] - 1e-12 {
-                best = d;
-            }
-        }
-        seeded[best] += costs[item];
-        deques[best].push_back(item);
-    }
-
-    // Discrete-event simulation: the device with the earliest clock acts
-    // next. Owners pop the front of their own deque; a dry device steals
-    // from the back of the richest victim (scan origin rotated by the
-    // seeded generator so equal-cost victims break ties reproducibly).
-    let mut rng = seed;
-    let mut clocks = vec![0.0f64; n_dev];
-    let mut resident: Vec<Vec<bool>> = vec![vec![false; uploads.len()]; n_dev];
-    let mut remaining = n;
-    let mut parked = vec![false; n_dev];
-    while remaining > 0 {
-        let mut dev = usize::MAX;
-        for d in 0..n_dev {
-            if parked[d] {
-                continue;
-            }
-            if dev == usize::MAX || clocks[d] < clocks[dev] - 1e-12 {
-                dev = d;
-            }
-        }
-        if dev == usize::MAX {
-            break; // unreachable: remaining > 0 implies a non-parked owner
-        }
-
-        let (item, stolen_from) = if let Some(item) = deques[dev].pop_front() {
-            (item, None)
-        } else {
-            // Steal from the victim with the most queued cost. The scan
-            // starts at a seed-rotated origin so exact ties resolve
-            // deterministically but not always toward device 0.
-            let origin = (xorshift64(&mut rng) % n_dev as u64) as usize;
-            let mut victim = usize::MAX;
-            let mut victim_cost = 0.0f64;
-            for k in 0..n_dev {
-                let v = (origin + k) % n_dev;
-                if v == dev || deques[v].is_empty() {
-                    continue;
-                }
-                let c = queued_cost(&deques[v], costs);
-                if victim == usize::MAX || c > victim_cost + 1e-12 {
-                    victim = v;
-                    victim_cost = c;
-                }
-            }
-            match victim {
-                usize::MAX => {
-                    // Nothing left anywhere: this device is done.
-                    parked[dev] = true;
-                    continue;
-                }
-                v => match deques[v].pop_back() {
-                    Some(item) => (item, Some(v)),
-                    None => continue, // unreachable: non-empty by scan
-                },
-            }
-        };
-
-        let tl = &mut per_device[dev];
-        if let Some(victim) = stolen_from {
-            clocks[dev] += STEAL_LATENCY_MS;
-            tl.busy_ms += STEAL_LATENCY_MS;
-            tl.steals += 1;
-            schedule.steal_log.push(StealEvent {
-                thief: dev,
-                victim,
-                item,
-            });
-        }
+    for item in order {
         let shard = shards.get(item).copied().unwrap_or(0);
-        if let Some(slot) = resident[dev].get_mut(shard) {
-            if !*slot {
-                *slot = true;
-                let up = uploads.get(shard).copied().unwrap_or(0.0);
-                clocks[dev] += up;
-                tl.busy_ms += up;
-                tl.upload_ms += up;
-                tl.shards_resident += 1;
-            }
+        let finish = |d: usize| {
+            let upload = match resident[d].get(shard) {
+                Some(false) => uploads[shard],
+                _ => 0.0,
+            };
+            per_device[d].busy_ms + upload + costs[item]
+        };
+        // `min_by` keeps the first of equal minima: the lowest index.
+        let dev = (0..per_device.len())
+            .min_by(|&a, &b| finish(a).total_cmp(&finish(b)))
+            .unwrap_or(0);
+        let tl = &mut per_device[dev];
+        if let Some(slot) = resident[dev].get_mut(shard).filter(|r| !**r) {
+            *slot = true;
+            tl.busy_ms += uploads[shard];
+            tl.upload_ms += uploads[shard];
+            tl.shards_resident += 1;
         }
-        clocks[dev] += costs[item];
         tl.busy_ms += costs[item];
         tl.items.push(item);
-        schedule.assignment[item] = dev;
-        remaining -= 1;
+        assignment[item] = dev;
     }
-
-    schedule.makespan_ms = clocks.iter().copied().fold(0.0, f64::max);
-    schedule.per_device = per_device;
-    schedule
+    FleetSchedule {
+        makespan_ms: per_device.iter().map(|d| d.busy_ms).fold(0.0, f64::max),
+        per_device,
+        assignment,
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-device schedule written out: the items in LPT order (cost
+    /// descending, id ascending), each shard's upload added before its
+    /// first item's cost.
+    pub(crate) fn lpt_fold(costs: &[f64], shards: &[usize], uploads: &[f64]) -> f64 {
+        let mut order: Vec<usize> = (0..costs.len()).collect();
+        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+        let mut seen = vec![false; uploads.len()];
+        order.into_iter().fold(0.0, |clock, item| {
+            let s = shards[item];
+            let clock = if seen[s] { clock } else { clock + uploads[s] };
+            seen[s] = true;
+            clock + costs[item]
+        })
+    }
+
+    /// Costs, shards and uploads of one generated case: each `(u, shard)`
+    /// draw becomes a heavy-tailed cost in 0.01…100 ms (most items small, a
+    /// few giants) on one of `n_shards` shards; uploads are up to 2 ms, and
+    /// one case in four uploads for free.
+    fn case(
+        draws: &[(f64, usize)],
+        raw_uploads: &[f64],
+        n_shards: usize,
+    ) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
+        let (costs, shards) = (draws.iter())
+            .map(|&(u, s)| (0.01 + 100.0 * u.powi(6), s % n_shards))
+            .unzip();
+        let free = raw_uploads[0] < 0.5;
+        let uploads = (raw_uploads[..n_shards].iter())
+            .map(|&u| if free { 0.0 } else { u })
+            .collect();
+        (costs, shards, uploads)
+    }
+
+    fn strategy_draws() -> impl Strategy<Value = Vec<(f64, usize)>> {
+        prop::collection::vec((0.0f64..1.0, 0usize..8), 0..80)
+    }
+
+    fn strategy_uploads() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(0.0f64..2.0, 8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_item_runs_exactly_once(
+            draws in strategy_draws(),
+            raw in strategy_uploads(),
+            n_shards in 1usize..=8,
+            devices in 1usize..=9,
+        ) {
+            let (costs, shards, uploads) = case(&draws, &raw, n_shards);
+            let s = schedule_fleet(&costs, &shards, &uploads, devices);
+            prop_assert_eq!(s.per_device.len(), devices);
+            let mut seen = vec![0usize; costs.len()];
+            for (d, tl) in s.per_device.iter().enumerate() {
+                for &i in &tl.items {
+                    seen[i] += 1;
+                    prop_assert_eq!(s.assignment[i], d);
+                }
+            }
+            prop_assert!(seen.iter().all(|&c| c == 1), "each item exactly once: {seen:?}");
+        }
+
+        #[test]
+        fn uploads_charge_once_per_device_shard_pair(
+            draws in strategy_draws(),
+            raw in strategy_uploads(),
+            n_shards in 1usize..=8,
+            devices in 1usize..=9,
+        ) {
+            let (costs, shards, uploads) = case(&draws, &raw, n_shards);
+            let s = schedule_fleet(&costs, &shards, &uploads, devices);
+            for (d, tl) in s.per_device.iter().enumerate() {
+                // Resident = a shard one of this device's items read, in
+                // first-touch order; billed exactly once each.
+                let mut resident: Vec<usize> = Vec::new();
+                for &i in &tl.items {
+                    if !resident.contains(&shards[i]) {
+                        resident.push(shards[i]);
+                    }
+                }
+                let billed = resident.iter().fold(0.0, |sum, &r| sum + uploads[r]);
+                prop_assert_eq!(tl.shards_resident, resident.len(), "device {}", d);
+                prop_assert_eq!(tl.upload_ms.to_bits(), billed.to_bits(), "device {}", d);
+            }
+        }
+
+        #[test]
+        fn makespan_is_within_the_list_scheduling_bounds(
+            draws in strategy_draws(),
+            raw in strategy_uploads(),
+            n_shards in 1usize..=8,
+            devices in 1usize..=9,
+        ) {
+            let (costs, shards, uploads) = case(&draws, &raw, n_shards);
+            let s = schedule_fleet(&costs, &shards, &uploads, devices);
+            let mean = s.per_device.iter().map(|d| d.busy_ms).sum::<f64>() / devices as f64;
+            let max_cost = costs.iter().copied().fold(0.0, f64::max);
+            let max_item = (costs.iter().zip(&shards))
+                .map(|(&c, &sh)| c + uploads[sh])
+                .fold(0.0, f64::max);
+            let slack = 1e-9 * (1.0 + mean);
+            let m = s.makespan_ms;
+            prop_assert!(m + slack >= mean.max(max_cost), "{m} < max({mean}, {max_cost})");
+            prop_assert!(m <= mean + max_item + slack, "{m} > {mean} + {max_item}");
+        }
+
+        #[test]
+        fn more_devices_never_outlast_one(
+            draws in strategy_draws(),
+            raw in strategy_uploads(),
+            n_shards in 1usize..=8,
+            devices in 2usize..=9,
+        ) {
+            let (costs, shards, uploads) = case(&draws, &raw, n_shards);
+            let one = schedule_fleet(&costs, &shards, &uploads, 1).makespan_ms;
+            let many = schedule_fleet(&costs, &shards, &uploads, devices).makespan_ms;
+            prop_assert!(many <= one, "{devices} devices: {many} > {one}");
+        }
+
+        #[test]
+        fn one_device_is_the_lpt_left_fold(
+            draws in strategy_draws(),
+            raw in strategy_uploads(),
+            n_shards in 1usize..=8,
+        ) {
+            let (costs, shards, uploads) = case(&draws, &raw, n_shards);
+            let s = schedule_fleet(&costs, &shards, &uploads, 1);
+            let fold = lpt_fold(&costs, &shards, &uploads);
+            prop_assert_eq!(s.makespan_ms.to_bits(), fold.to_bits(), "{} vs {}", s.makespan_ms, fold);
+        }
+    }
 
     #[test]
     fn empty_and_single_item_schedules() {
-        let s = schedule_work_stealing(&[], &[], &[], 4, 1);
+        let s = schedule_fleet(&[], &[], &[], 4);
         assert_eq!(s.makespan_ms, 0.0);
-        assert_eq!(s.total_steals(), 0);
-        let s = schedule_work_stealing(&[3.0], &[0], &[0.5], 4, 1);
+        assert_eq!(s.per_device.len(), 4);
+        let s = schedule_fleet(&[3.0], &[0], &[0.5], 4);
         assert_eq!(s.makespan_ms, 3.5, "one item: cost + its shard upload");
-        assert_eq!(s.assignment, vec![s.assignment[0]]);
+        assert_eq!(s.assignment, vec![0], "ties go to the lowest device");
     }
 
     #[test]
-    fn every_item_runs_exactly_once() {
-        let costs: Vec<f64> = (0..37).map(|i| 1.0 + (i % 7) as f64).collect();
-        let shards: Vec<usize> = (0..37).map(|i| i % 5).collect();
-        let uploads = vec![0.25; 5];
-        let s = schedule_work_stealing(&costs, &shards, &uploads, 6, 9);
-        let mut seen = vec![0usize; costs.len()];
-        for tl in &s.per_device {
-            for &i in &tl.items {
-                seen[i] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "each item exactly once");
-        assert_eq!(s.assignment.len(), costs.len());
-    }
-
-    #[test]
-    fn same_seed_reproduces_schedule_and_steal_order() {
-        let costs: Vec<f64> = (0..64).map(|i| 1.0 + ((i * 31) % 13) as f64).collect();
-        let shards: Vec<usize> = (0..64).map(|i| i % 8).collect();
-        let uploads = vec![0.5; 8];
-        let a = schedule_work_stealing(&costs, &shards, &uploads, 8, 42);
-        let b = schedule_work_stealing(&costs, &shards, &uploads, 8, 42);
-        assert_eq!(a, b, "same inputs, same seed: identical schedule");
-    }
-
-    #[test]
-    fn stealing_rescues_a_skewed_seeding() {
-        // One huge item plus many small ones: without stealing, the LPT
-        // deque holding the small items after the giant would idle the
-        // rest of the fleet. The makespan must beat the serial sum by a
-        // wide margin and steals must actually happen.
+    fn a_giant_item_bounds_the_makespan() {
+        // One item as large as the 99 small ones together: the giant runs
+        // alone on one device, the rest spread over the other three.
         let mut costs = vec![100.0];
         costs.extend(std::iter::repeat_n(1.0, 99));
-        let shards = vec![0usize; 100];
-        let uploads = vec![0.0];
-        let s = schedule_work_stealing(&costs, &shards, &uploads, 4, 7);
-        let serial: f64 = costs.iter().sum();
-        assert!(
-            s.makespan_ms <= serial / 1.9,
-            "4 devices must roughly halve"
-        );
-        assert!(s.makespan_ms >= 100.0, "bounded by the giant item");
+        let s = schedule_fleet(&costs, &[0; 100], &[0.0], 4);
+        assert_eq!(s.makespan_ms, 100.0, "bounded by the giant item alone");
+        assert_eq!(s.per_device[s.assignment[0]].items, vec![0]);
     }
 
     #[test]
-    fn uploads_charge_once_per_device_shard_pair() {
-        // Two shards, four equal items each, two devices, huge uploads:
-        // the best schedule keeps each shard on one device.
-        let costs = vec![1.0; 8];
-        let shards = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let uploads = vec![10.0, 10.0];
-        let s = schedule_work_stealing(&costs, &shards, &uploads, 2, 3);
-        let total_upload: f64 = s.per_device.iter().map(|d| d.upload_ms).sum();
-        // At most every (device, shard) pair uploads; at least each shard
-        // uploads somewhere.
-        assert!((20.0..=40.0).contains(&total_upload));
-        for tl in &s.per_device {
-            assert_eq!(
-                tl.upload_ms,
-                10.0 * tl.shards_resident as f64,
-                "upload charged exactly once per resident shard"
-            );
-        }
+    fn a_resident_shard_keeps_an_item_a_fresh_upload_would_delay() {
+        // Device 0 takes the 11 ms item of shard 1 (16 ms with its
+        // upload), device 1 the 10 ms item of shard 0 (15 ms). The last
+        // item, of shard 1, would end at 17 ms on device 1 before its
+        // 5 ms upload and at 22 ms after it: it stays with its shard and
+        // ends at 18 ms.
+        let s = schedule_fleet(&[10.0, 11.0, 2.0], &[0, 1, 1], &[5.0, 5.0], 2);
+        assert_eq!(s.assignment, vec![1, 0, 0]);
+        assert_eq!(s.makespan_ms, 18.0);
+        assert_eq!(
+            (s.per_device[0].upload_ms, s.per_device[1].upload_ms),
+            (5.0, 5.0)
+        );
     }
 
     #[test]
@@ -340,7 +313,7 @@ mod tests {
         let costs: Vec<f64> = (0..48).map(|i| 2.0 + (i % 5) as f64).collect();
         let shards: Vec<usize> = (0..48).map(|i| i % 8).collect();
         let uploads = vec![0.1; 8];
-        let m = |d| schedule_work_stealing(&costs, &shards, &uploads, d, 1).makespan_ms;
+        let m = |d| schedule_fleet(&costs, &shards, &uploads, d).makespan_ms;
         let (m1, m2, m4, m8) = (m(1), m(2), m(4), m(8));
         assert!(m2 < m1 && m4 < m2 && m8 < m4);
         assert!(m1 / m4 >= 2.0, "4 devices at least halve 48 even items");

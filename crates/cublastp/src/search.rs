@@ -1074,7 +1074,7 @@ pub enum SeedMode {
     Grouped,
 }
 
-/// Default device index budget for [`SeedMode::Grouped`], in word →
+/// Device index budget of every [`SeedMode::Grouped`] round, in word →
 /// (query, position) entries. Roughly the combined neighbourhood of 16–24
 /// typical queries; see DESIGN.md §3.6 for the occupancy trade-off.
 pub const DEFAULT_GROUP_BUDGET: usize = 65_536;
@@ -1176,28 +1176,16 @@ impl BatchOutcome {
 }
 
 /// Options for a multi-query batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     /// Fault injector shared by every query of the stream (disarmed when
     /// `None`). Specs can scope to a query index with
     /// [`gpu_sim::FaultSpec::on_query`].
     pub injector: Option<Arc<FaultInjector>>,
     /// Hit-detection strategy: per-query DFA passes (default) or grouped
-    /// index passes. Per-query output is bit-identical either way.
+    /// index passes of [`DEFAULT_GROUP_BUDGET`] entries per round.
+    /// Per-query output is bit-identical either way.
     pub seed_mode: SeedMode,
-    /// Device index budget for [`SeedMode::Grouped`], in word →
-    /// (query, position) entries per round. Ignored in per-query mode.
-    pub group_budget: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        Self {
-            injector: None,
-            seed_mode: SeedMode::default(),
-            group_budget: DEFAULT_GROUP_BUDGET,
-        }
-    }
 }
 
 /// Search a batch of queries against one database, keeping the database
@@ -1265,7 +1253,7 @@ pub fn search_batch_resident(
             dev: dev_db,
             start: 0,
         }],
-        grouped: (opts.seed_mode == SeedMode::Grouped).then_some(opts.group_budget),
+        grouped: (opts.seed_mode == SeedMode::Grouped).then_some(DEFAULT_GROUP_BUDGET),
         injector: opts.injector,
         charge_h2d: true,
     };
@@ -1587,21 +1575,20 @@ mod tests {
             warps_per_block: 2,
             ..Default::default()
         };
+        let dev_db = DeviceDb::upload(&db, cfg.db_block_size);
         let run = |budget: usize| {
-            search_batch_with(
-                &queries,
-                SearchParams::default(),
-                cfg,
-                DeviceConfig::k20c(),
-                &db,
-                BatchOptions {
-                    seed_mode: SeedMode::Grouped,
-                    group_budget: budget,
-                    ..Default::default()
-                },
-            )
-            .grouped
-            .expect("grouped telemetry")
+            let plan = Plan {
+                params: SearchParams::default(),
+                config: cfg,
+                device: DeviceConfig::k20c(),
+                shards: &[flat(&db, &dev_db)],
+                grouped: Some(budget),
+                injector: None,
+                charge_h2d: true,
+            };
+            GroupedReport {
+                rounds: execute(&plan, &queries).rounds,
+            }
         };
         let one_round = run(DEFAULT_GROUP_BUDGET);
         let singletons = run(1);

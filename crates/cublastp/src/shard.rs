@@ -7,8 +7,8 @@
 //! into their shards and each shard is flattened once, while each shard of
 //! a `.cdb` image is a zero-copy view of its sequence range in the one
 //! mapping. A batch's (query-group × shard) work items are distributed
-//! across N simulated devices by the deterministic work-stealing scheduler
-//! in [`crate::scheduler`]; a single query searches its shards one after
+//! across N simulated devices by the fleet schedule in
+//! [`crate::scheduler`]; a single query searches its shards one after
 //! another and schedules no fleet.
 //!
 //! Statistical identity is the load-bearing contract: every searcher is
@@ -30,7 +30,7 @@ use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
 use crate::executor::{execute, search_shards, Plan, ShardView};
-use crate::scheduler::{schedule_work_stealing, StealSchedule, DEFAULT_STEAL_SEED};
+use crate::scheduler::{schedule_fleet, FleetSchedule, DEFAULT_STEAL_SEED};
 use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
@@ -458,7 +458,9 @@ impl ShardedDb {
 pub struct ShardedOptions {
     /// Simulated devices the schedule distributes work across.
     pub devices: usize,
-    /// Steal-order seed — the schedule is deterministic given it.
+    /// Inert: the fleet schedule has no seed. Kept only because the
+    /// `benchmark/` package spells this struct field by field; ROADMAP
+    /// item 1 removes it.
     pub seed: u64,
 }
 
@@ -496,7 +498,7 @@ pub fn search_sharded(
 /// Options for a sharded batch.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedBatchOptions {
-    /// Schedule geometry (devices, steal seed).
+    /// Schedule geometry (devices).
     pub sharded: ShardedOptions,
     /// Fault injector shared by every query of the stream, scoping specs
     /// by query index; disarmed when `None`.
@@ -512,7 +514,7 @@ pub struct ShardedBatchOutcome {
     /// is an `Err` in its slot and contributes no items to the schedule.
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// The fleet schedule at the requested device count.
-    pub schedule: StealSchedule,
+    pub schedule: FleetSchedule,
     /// Makespan of the same items on one device.
     pub single_device_ms: f64,
     /// Devices the schedule ran with.
@@ -523,8 +525,6 @@ pub struct ShardedBatchOutcome {
     pub item_shards: Vec<usize>,
     /// Per-shard upload charge the scheduler bills on first touch.
     pub shard_upload_ms: Vec<f64>,
-    /// Steal-order seed the schedules used.
-    pub seed: u64,
     /// Measured host wall-clock of the whole batch.
     pub wall_ms: f64,
 }
@@ -541,15 +541,14 @@ impl ShardedBatchOutcome {
     }
 
     /// Re-simulate the measured items at another device count — same
-    /// costs, same uploads, same seed, no re-search. The scaling bench
-    /// sweeps device counts through this.
-    pub fn reschedule(&self, devices: usize) -> StealSchedule {
-        schedule_work_stealing(
+    /// costs, same uploads, no re-search. The scaling bench sweeps device
+    /// counts through this.
+    pub fn reschedule(&self, devices: usize) -> FleetSchedule {
+        schedule_fleet(
             &self.item_costs,
             &self.item_shards,
             &self.shard_upload_ms,
             devices,
-            self.seed,
         )
     }
 
@@ -597,23 +596,14 @@ fn sharded_plan(
     // The fleet's schedule at the requested device count, the same items
     // on one device as the scaling baseline, and the fleet's per-device
     // gauges (disarmed-cheap like every obs call).
-    let (uploads, fleet) = (sharded.upload_ms(&device), &opts.sharded);
-    let schedule = schedule_work_stealing(
-        &item_costs,
-        &item_shards,
-        &uploads,
-        fleet.devices,
-        fleet.seed,
-    );
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, fleet.seed).makespan_ms;
+    let uploads = sharded.upload_ms(&device);
+    let schedule = schedule_fleet(&item_costs, &item_shards, &uploads, opts.sharded.devices);
+    let single_device_ms = schedule_fleet(&item_costs, &item_shards, &uploads, 1).makespan_ms;
     if obs::metrics_enabled() {
         for (d, tl) in schedule.per_device.iter().enumerate() {
             let label = d.to_string();
             obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
-            obs::gauge("device_steals", &[("device", &label)], tl.steals as f64);
         }
-        obs::counter("fleet_steals_total", &[], schedule.total_steals());
         obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
     }
     ShardedBatchOutcome {
@@ -626,7 +616,6 @@ fn sharded_plan(
         item_costs,
         item_shards,
         shard_upload_ms: uploads,
-        seed: opts.sharded.seed,
         wall_ms: run.wall_ms,
     }
 }
@@ -709,9 +698,9 @@ pub struct AllVsAllResult {
     /// The sparse similarity matrix (CSR over query rows).
     pub matrix: SparseSimMatrix,
     /// Fleet schedule over the (tile × shard) work items.
-    pub schedule: StealSchedule,
+    pub schedule: FleetSchedule,
     /// Makespan of the same items on one device (the scaling baseline;
-    /// see [`StealSchedule::speedup`]).
+    /// see [`FleetSchedule::speedup`]).
     pub single_device_ms: f64,
     /// Query tiles the sweep streamed.
     pub tiles: usize,
@@ -947,7 +936,7 @@ mod tests {
         let opts = ShardedBatchOptions {
             sharded: ShardedOptions {
                 devices: 4,
-                seed: 11,
+                ..Default::default()
             },
             ..Default::default()
         };
@@ -960,13 +949,14 @@ mod tests {
             &opts,
         );
         // Determinism: the schedule is a pure function of the measured
-        // item costs and the seed — re-simulating reproduces it exactly,
-        // steal log included.
-        assert_eq!(
-            a.reschedule(4),
-            a.schedule,
-            "same items + seed, same schedule"
-        );
+        // items — re-simulating reproduces it exactly, timeline for
+        // timeline — and the one-device baseline is the LPT left fold of
+        // the same items, bit for bit.
+        assert_eq!(a.reschedule(4), a.schedule, "same items, same schedule");
+        let fold =
+            crate::scheduler::tests::lpt_fold(&a.item_costs, &a.item_shards, &a.shard_upload_ms);
+        assert_eq!(a.single_device_ms.to_bits(), fold.to_bits());
+        assert_eq!(a.reschedule(1).makespan_ms.to_bits(), fold.to_bits());
         assert!(a.schedule.makespan_ms < a.single_device_ms);
         assert!(a.speedup() > 1.5, "4 devices over 24 items must scale");
     }

@@ -22,8 +22,8 @@ fn config() -> CuBlastpConfig {
 }
 
 /// The schedule is a pure function of (item costs, shards, uploads,
-/// devices, seed): re-simulating the measured items at the outcome's own
-/// device count reproduces the schedule exactly, timeline for timeline.
+/// devices): re-simulating the measured items at the outcome's own device
+/// count reproduces the schedule exactly, timeline for timeline.
 #[test]
 fn reschedule_at_same_device_count_is_identical() {
     let (q, db) = workload(140, 60, 120, 11);
