@@ -103,7 +103,6 @@ fn serve_config() -> ServeConfig {
         // behind a deep backlog.
         queue_capacity: 2,
         cost_capacity: 1 << 40,
-        interactive_weight: 4,
         shards: 1,
         default_deadline: None,
         tenant_rate: RateLimitConfig::default(),

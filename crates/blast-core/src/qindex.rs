@@ -233,11 +233,6 @@ impl QueryIndex {
         self.per_query_entries[q] as usize
     }
 
-    /// The flat postings array, for device upload.
-    pub fn raw_postings(&self) -> &[Posting] {
-        &self.postings
-    }
-
     /// Modelled device footprint of the index in bytes (slot table +
     /// postings).
     pub fn device_bytes(&self) -> u64 {

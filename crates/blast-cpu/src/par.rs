@@ -11,18 +11,26 @@
 //!
 //! [`par_scope`] is the same map for a caller that has many batches over
 //! one lifetime (a search's database blocks): helper threads are scoped to
-//! the call, started lazily by the first shared batch (two items or
-//! more), parked between batches, and joined before `par_scope` returns —
-//! also when the body or an item panics. Because helpers outlive a batch
-//! and no `unsafe` erases lifetimes, a batch's inputs travel as an owned
-//! *job* value ([`ParMap::map`]) instead of a borrowing closure.
+//! the call, started lazily by the first batch that wants them, parked
+//! between batches, and joined before `par_scope` returns — also when the
+//! body or an item panics. Because helpers outlive a batch and no `unsafe`
+//! erases lifetimes, a batch's inputs travel as an owned *job* value
+//! instead of a borrowing closure. A batch is either
 //!
-//! The calling thread always participates and never waits for a helper
-//! that has claimed nothing: a batch the caller finishes before a helper
-//! wakes costs it one notification. Progress never depends on a second
-//! core. What a shared batch does cost is the helper's own wake-up (tens
-//! of microseconds of latency), so a caller that can tell a batch is
-//! cheaper than that keeps it to itself with [`ParMap::map_alone`].
+//! * *mapped* ([`ParMap::map`]): the caller claims items next to the
+//!   helpers and returns with the results — it never waits for a helper
+//!   that has claimed nothing, so a batch the caller finishes before a
+//!   helper wakes costs it one notification; or
+//! * *posted* ([`ParMap::post`]): only helpers claim its items while the
+//!   caller does other work — the CPU side of the Fig. 12 overlap — and
+//!   [`ParMap::join`] collects it later. A batch no helper has started by
+//!   then (none could be started, or none has woken yet) the join runs on
+//!   the caller, so a join never waits for a wake-up.
+//!
+//! Either way progress never depends on a second core. What a helper does
+//! cost is its wake-up (tens of microseconds of latency), so a caller that
+//! can tell a batch is cheaper than that keeps it to itself with
+//! [`ParMap::map_alone`].
 //!
 //! Thread-local tallies: [`crate::gapped::dp_cells`] counts on the thread
 //! that ran the DP. Every helper's delta is folded into the *caller's*
@@ -35,6 +43,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 type Payload = Box<dyn Any + Send + 'static>;
 
@@ -67,6 +76,8 @@ struct Gathered<T> {
     results: Vec<Option<T>>,
     /// Items accounted for: run, or skipped after a panic.
     done: usize,
+    /// When `done` reached the batch's size.
+    finished: Option<Instant>,
     panic: Option<Payload>,
     /// Score-pass DP cells helpers counted on their own threads.
     helper_cells: u64,
@@ -74,7 +85,7 @@ struct Gathered<T> {
     ran: usize,
 }
 
-/// One `map` call: the job, the claim index, and the gathered results.
+/// One batch: the job, the claim index, and the gathered results.
 struct Batch<J, T> {
     job: J,
     n: usize,
@@ -82,6 +93,8 @@ struct Batch<J, T> {
     /// reaches a helper through the `Shared` lock and results leave
     /// through `gathered`.
     next: AtomicUsize,
+    /// Helpers that may still take part.
+    seats: AtomicUsize,
     /// Set by the first panic so the remaining claims skip their work
     /// (`Relaxed`: advisory, a late reader only runs one item too many).
     poisoned: AtomicBool,
@@ -130,13 +143,14 @@ impl<J, T> Batch<J, T> {
         g.ran += 1;
         g.done += claimed;
         if g.done == self.n {
+            g.finished = Some(Instant::now());
             self.all_done.notify_all();
         }
     }
 }
 
 /// What helpers park on between batches.
-struct Posted<J, T> {
+struct Board<J, T> {
     batch: Option<Arc<Batch<J, T>>>,
     /// Bumped per posted batch, so a helper takes each batch once.
     epoch: u64,
@@ -144,41 +158,48 @@ struct Posted<J, T> {
 }
 
 struct Shared<J, T> {
-    posted: Mutex<Posted<J, T>>,
+    board: Mutex<Board<J, T>>,
     wake: Condvar,
 }
 
 impl<J, T> Shared<J, T> {
-    /// Make every helper parked now, or taking this epoch later, exit.
-    fn shut_down(&self) {
-        let mut p = lock(&self.posted);
-        p.shutdown = true;
-        p.batch = None;
-        drop(p);
-        self.wake.notify_all();
-    }
-
     fn helper_loop(&self, work: &(dyn Fn(&J, usize) -> T + Sync)) {
         let mut seen = 0u64;
         loop {
             let batch = {
-                let mut p = lock(&self.posted);
+                let mut b = lock(&self.board);
                 loop {
-                    if p.shutdown {
+                    if b.shutdown {
                         return;
                     }
-                    if p.epoch != seen {
-                        seen = p.epoch;
-                        break p.batch.clone();
+                    if b.epoch != seen {
+                        seen = b.epoch;
+                        break b.batch.clone();
                     }
-                    p = self.wake.wait(p).unwrap_or_else(PoisonError::into_inner);
+                    b = self.wake.wait(b).unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            if let Some(batch) = batch {
+            let take = |s: usize| s.checked_sub(1);
+            let seated = |b: &&Arc<Batch<J, T>>| {
+                (b.seats
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take))
+                .is_ok()
+            };
+            if let Some(batch) = batch.as_ref().filter(seated) {
                 batch.drain(work, true);
             }
         }
     }
+}
+
+/// A batch [`ParMap::post`] handed to the helpers, until
+/// [`ParMap::join`].
+#[must_use = "a posted batch is collected by `ParMap::join`"]
+pub struct Posted<J, T> {
+    batch: Arc<Batch<J, T>>,
+    /// The batch's seats while no helper has taken one.
+    offered: usize,
+    at: Instant,
 }
 
 /// The handle [`par_scope`] gives its body: maps batches over the scope's
@@ -200,66 +221,100 @@ where
     T: Send + 'env,
 {
     /// `(0..n).map(|i| work(&job, i)).collect()` on the scope's threads,
-    /// results in index order. A panicking item stops further items from
-    /// starting, waits for the ones in flight, and resumes the first
-    /// panic on this thread.
+    /// results in index order: [`Self::post`] to `threads − 1` helpers,
+    /// the caller claims items next to them, then [`Self::join`]. A
+    /// panicking item stops further items from starting, waits for the
+    /// ones in flight, and resumes the first panic on this thread.
     pub fn map(&mut self, job: J, n: usize) -> Vec<T> {
         if !shares(self.threads, n) {
             return self.map_alone(&job, n);
         }
+        let posted = self.post(job, n, self.threads - 1);
+        posted.batch.drain(self.work, false);
+        self.join(posted).0
+    }
+
+    /// Hand `(0..n).map(|i| work(&job, i))` to at most `helpers` helper
+    /// threads and return at once; the caller is free until
+    /// [`Self::join`]. Helpers are started lazily, up to the most any
+    /// batch has asked for, and parked between batches; one the OS refuses
+    /// to start is one fewer. Join a posted batch before posting the next.
+    pub fn post(&mut self, job: J, n: usize, helpers: usize) -> Posted<J, T> {
+        let offered = if n == 0 { 0 } else { helpers };
         let batch = Arc::new(Batch {
             job,
             n,
             next: AtomicUsize::new(0),
+            seats: AtomicUsize::new(offered),
             poisoned: AtomicBool::new(false),
             gathered: Mutex::new(Gathered {
                 results: (0..n).map(|_| None).collect(),
                 done: 0,
+                finished: None,
                 panic: None,
                 helper_cells: 0,
                 ran: 0,
             }),
             all_done: Condvar::new(),
         });
+        let at = Instant::now();
+        if offered == 0 {
+            return Posted { batch, offered, at };
+        }
         {
-            let mut p = lock(&self.shared.posted);
-            p.batch = Some(Arc::clone(&batch));
-            p.epoch += 1;
+            let mut b = lock(&self.shared.board);
+            b.batch = Some(Arc::clone(&batch));
+            b.epoch += 1;
         }
-        if self.helpers.is_empty() {
-            // Lazily, on the first shared batch: a scope that never has one
-            // spawns nothing. A helper the OS refuses to start is one
-            // fewer — the caller claims every item nobody else does.
-            let work = self.work;
-            self.helpers = (1..self.threads)
-                .filter_map(|_| {
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::Builder::new()
-                        .name(self.name.to_string())
-                        .spawn_scoped(self.scope, move || shared.helper_loop(work))
-                        .ok()
-                })
-                .collect();
-        } else {
-            self.shared.wake.notify_all();
+        match (self.helpers.len(), helpers) {
+            (0, _) => {}
+            (_, 1) => self.shared.wake.notify_one(),
+            _ => self.shared.wake.notify_all(),
         }
-        batch.drain(self.work, false);
+        let work = self.work;
+        while self.helpers.len() < helpers {
+            let shared = Arc::clone(&self.shared);
+            let started = std::thread::Builder::new()
+                .name(self.name.to_string())
+                .spawn_scoped(self.scope, move || shared.helper_loop(work));
+            match started {
+                Ok(helper) => self.helpers.push(helper),
+                Err(_) => break,
+            }
+        }
+        Posted { batch, offered, at }
+    }
+
+    /// Wait for a posted batch and return its results in index order,
+    /// with the batch's own wall-clock: from [`Self::post`] — or from now,
+    /// if no helper had taken a seat and this thread runs it — to its last
+    /// item done, not to this call. Resumes the first panic of an item on
+    /// this thread.
+    pub fn join(&mut self, posted: Posted<J, T>) -> (Vec<T>, Duration) {
+        let (batch, mut at) = (posted.batch, posted.at);
+        // Closing the seats decides it: a helper that sat down first is
+        // draining, one that comes later finds none.
+        let seats = &batch.seats;
+        if (seats.compare_exchange(posted.offered, 0, Ordering::Relaxed, Ordering::Relaxed)).is_ok()
+        {
+            at = Instant::now();
+            batch.drain(self.work, false);
+        }
         let mut g = lock(&batch.gathered);
-        while g.done < n {
+        while g.done < batch.n {
             g = (batch.all_done.wait(g)).unwrap_or_else(PoisonError::into_inner);
         }
-        // The job is done with: a helper that wakes late finds nothing.
-        lock(&self.shared.posted).batch = None;
         count_cells(g.helper_cells);
         self.peak_ran = self.peak_ran.max(g.ran);
         if let Some(payload) = g.panic.take() {
             drop(g);
             resume_unwind(payload);
         }
+        let wall = g.finished.map_or(Duration::ZERO, |done| done - at);
         let results = std::mem::take(&mut g.results);
         drop(g);
         // `done == n` with no panic: every slot was filled.
-        results.into_iter().flatten().collect()
+        (results.into_iter().flatten().collect(), wall)
     }
 
     /// The same on the calling thread alone, whatever the scope has: for a
@@ -269,24 +324,9 @@ where
         (0..n).map(|i| (self.work)(job, i)).collect()
     }
 
-    /// Threads this scope may use (the caller included).
+    /// Threads a mapped batch may use (the caller included).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The scope the helpers are spawned on, for a caller that has a
-    /// thread of its own to run next to them.
-    pub fn scope(&self) -> &'scope Scope<'scope, 'env> {
-        self.scope
-    }
-
-    /// Tell the helpers to exit and hand over their handles, for a caller
-    /// that cares which thread joins them (the scope does otherwise).
-    /// Later batches run on the calling thread alone.
-    pub fn retire(&mut self) -> Vec<ScopedJoinHandle<'scope, ()>> {
-        self.shared.shut_down();
-        self.threads = 1;
-        std::mem::take(&mut self.helpers)
     }
 
     /// The most threads that ran at least one item of a single batch so
@@ -300,16 +340,20 @@ impl<J, T> Drop for ParMap<'_, '_, J, T> {
     /// Release the helpers — also when the body unwinds, or the scope
     /// would wait for them forever.
     fn drop(&mut self) {
-        self.shared.shut_down();
+        let mut b = lock(&self.shared.board);
+        b.shutdown = true;
+        b.batch = None;
+        drop(b);
+        self.shared.wake.notify_all();
     }
 }
 
-/// Run `body` with a [`ParMap`] over `threads` threads (the caller and up
-/// to `threads − 1` helpers), every batch item computed by `work(&job,
-/// i)`. Helpers are started by the first batch of two or more items and
-/// are joined before this returns or unwinds. `'env` is what `work` — and
-/// any thread the body spawns on [`ParMap::scope`] — may borrow, as in
-/// [`std::thread::scope`]; `name` names the helper threads.
+/// Run `body` with a [`ParMap`] over `threads` threads (a mapped batch
+/// runs on the caller and up to `threads − 1` helpers), every batch item
+/// computed by `work(&job, i)`. Helpers are started by the first batch
+/// that wants them and are joined before this returns or unwinds. `'env`
+/// is what `work` may borrow, as in [`std::thread::scope`]; `name` names
+/// the helper threads.
 pub fn par_scope<'env, J, T, R>(
     name: &'env str,
     threads: usize,
@@ -321,7 +365,7 @@ where
     T: Send + 'env,
 {
     let shared = Arc::new(Shared {
-        posted: Mutex::new(Posted {
+        board: Mutex::new(Board {
             batch: None,
             epoch: 0,
             shutdown: false,
@@ -352,6 +396,7 @@ pub fn par_map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync)
 mod tests {
     use super::*;
     use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     /// Busy work whose cost the test controls (no sleep: an item must be
     /// runnable on one core).
@@ -408,6 +453,36 @@ mod tests {
                 proptest::prop_assert_eq!(out, &want, "batch {}", b);
             }
         }
+
+        /// Posted batches too, while the caller works between post and
+        /// join: helpers only, or — with no helper asked for — the joining
+        /// caller.
+        #[test]
+        fn posted_batches_join_in_index_order_and_run_every_item_once(
+            batches in proptest::collection::vec((0usize..40, 0usize..4), 0..10),
+            threads in 1usize..5,
+        ) {
+            let runs: Vec<AtomicUsize> = (0..batches.len() * 40).map(|_| AtomicUsize::new(0)).collect();
+            let work = |b: &usize, i: usize| {
+                runs[b * 40 + i].fetch_add(1, Ordering::Relaxed);
+                spin(if i % 7 == 0 { 5_000 } else { 2 });
+                b * 1_000 + i
+            };
+            par_scope("t", threads, &work, |par| {
+                for (b, &(n, helpers)) in batches.iter().enumerate() {
+                    let posted = par.post(b, n, helpers);
+                    spin(1_000);
+                    let (out, _) = par.join(posted);
+                    let want: Vec<usize> = (0..n).map(|i| b * 1_000 + i).collect();
+                    proptest::prop_assert_eq!(out, want, "batch {}", b);
+                }
+                Ok(())
+            })?;
+            for (b, &(n, _)) in batches.iter().enumerate() {
+                let ran = |i: usize| runs[b * 40 + i].load(Ordering::Relaxed);
+                proptest::prop_assert!((0..40).all(|i| ran(i) == usize::from(i < n)), "batch {}", b);
+            }
+        }
     }
 
     #[test]
@@ -435,19 +510,69 @@ mod tests {
     }
 
     #[test]
-    fn retired_helpers_exit_and_later_batches_run_on_the_caller() {
-        par_scope("t", 3, &|_: &(), i| i, |par| {
-            assert_eq!(par.map((), 8), (0..8).collect::<Vec<_>>());
-            let helpers = par.retire();
-            assert_eq!(helpers.len(), 2);
-            for helper in helpers {
-                // Returns: a retired helper leaves its park and exits.
-                helper.join().expect("helpers catch item panics");
+    fn a_batch_no_helper_takes_runs_on_the_joining_caller() {
+        let caller = std::thread::current().id();
+        let claimed = AtomicUsize::new(0);
+        let work = |_: &(), i| {
+            claimed.fetch_add(1, Ordering::SeqCst);
+            (i, std::thread::current().id())
+        };
+        let on = |out: &[(usize, ThreadId)]| -> Vec<ThreadId> { out.iter().map(|o| o.1).collect() };
+        par_scope("t", 3, &work, |par| {
+            // No seat offered (as when no helper could be started): the
+            // join runs the batch.
+            let posted = par.post((), 8, 0);
+            let (out, _) = par.join(posted);
+            let indices: Vec<usize> = out.iter().map(|o| o.0).collect();
+            assert_eq!(indices, (0..8).collect::<Vec<_>>());
+            assert!(on(&out).iter().all(|&t| t == caller));
+            assert!(par.helpers.is_empty(), "no helper was asked for");
+            // Helpers start as batches ask for them; once one has sat
+            // down, only helpers claim.
+            for (seats, started) in [(1, 1), (3, 3), (1, 3)] {
+                let before = claimed.load(Ordering::SeqCst);
+                let posted = par.post((), 64, seats);
+                while claimed.load(Ordering::SeqCst) == before {
+                    std::thread::yield_now();
+                }
+                let (out, _) = par.join(posted);
+                let ran = on(&out);
+                assert!(ran.iter().all(|&t| t != caller), "seats = {seats}");
+                assert_eq!(par.helpers.len(), started);
+                if seats == 1 {
+                    assert!(ran.iter().all(|&t| t == ran[0]), "one seat, one helper");
+                }
             }
-            assert_eq!(par.map((), 8), (0..8).collect::<Vec<_>>());
-            assert_eq!(par.map_alone(&(), 3), vec![0, 1, 2]);
-            assert!(par.helpers.is_empty() && par.threads() == 1);
         });
+    }
+
+    #[test]
+    fn a_posted_batch_runs_while_the_caller_works() {
+        // Four batches of one 10 ms item beside 10 ms of the caller's own
+        // work each: ≥ 80 ms end to end, ≈ 40 ms overlapped. Sleeps, so
+        // it holds on one core too.
+        let t0 = Instant::now();
+        let nap = |ms| std::thread::sleep(Duration::from_millis(ms));
+        par_scope("t", 1, &|_: &(), _| nap(10), |par| {
+            for _ in 0..4 {
+                let posted = par.post((), 1, 1);
+                nap(10);
+                let (out, wall) = par.join(posted);
+                assert_eq!(out.len(), 1);
+                assert!(wall >= Duration::from_millis(10), "{wall:?}");
+            }
+            // A batch's wall-clock ends with its last item, not the join.
+            let posted = par.post((), 1, 1);
+            nap(60);
+            let (_, wall) = par.join(posted);
+            assert!(wall < Duration::from_millis(60), "{wall:?}");
+            assert_eq!((par.helpers.len(), par.peak_threads_ran()), (1, 1));
+        });
+        let elapsed = t0.elapsed() - Duration::from_millis(60);
+        assert!(
+            elapsed < Duration::from_millis(75),
+            "no overlap observed: {elapsed:?}"
+        );
     }
 
     #[test]
@@ -460,13 +585,13 @@ mod tests {
 
     #[test]
     fn a_panicking_item_resumes_on_the_caller_with_nothing_left_running() {
-        for threads in [1, 2, 8] {
+        for (threads, posted) in [1, 2, 8].into_iter().flat_map(|t| [(t, false), (t, true)]) {
             // Items borrow this frame; `par_map` may only return — or
             // unwind — once no thread can touch it any more.
             let inside = AtomicUsize::new(0);
             let started = AtomicUsize::new(0);
             let out = catch_unwind(AssertUnwindSafe(|| {
-                par_map(threads, 64, |i| {
+                let work = |_: &(), i| {
                     struct Inside<'a>(&'a AtomicUsize);
                     impl Drop for Inside<'_> {
                         fn drop(&mut self) {
@@ -481,13 +606,21 @@ mod tests {
                         panic!("injected item panic");
                     }
                     i
+                };
+                par_scope("t", threads, &work, |par| match posted {
+                    // Posted: only helpers claim, the join resumes.
+                    true => {
+                        let posted = par.post((), 64, threads);
+                        par.join(posted).0
+                    }
+                    false => par.map((), 64),
                 })
             }));
             let payload = out.expect_err("the panic must reach the caller");
             assert_eq!(
                 payload.downcast_ref::<&str>().copied(),
                 Some("injected item panic"),
-                "threads = {threads}"
+                "threads = {threads}, posted = {posted}"
             );
             assert_eq!(inside.load(Ordering::SeqCst), 0, "threads = {threads}");
             assert!(started.load(Ordering::SeqCst) <= 64);

@@ -234,6 +234,14 @@ fn main() -> ExitCode {
     if args.allvsall {
         return run_allvsall(&queries, &db, &args);
     }
+    // A one-shard batch has no fleet to schedule: `--devices` would be
+    // ignored, so it is refused as `serve` refuses it.
+    if args.devices != 1 && db.num_shards() == 1 {
+        let e =
+            SearchError::config("--devices needs a sharded database (--shards > 1 or --db-set)");
+        eprintln!("error: {e}");
+        return ExitCode::from(exit_code_for(&e));
+    }
 
     note(
         &args,

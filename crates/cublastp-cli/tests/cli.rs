@@ -86,6 +86,14 @@ fn flags_a_subcommand_ignores_are_config_errors() {
             "{message}"
         );
     }
+    // A one-shard batch has no fleet for `--devices` to size.
+    let out = run(&["--demo", "--devices", "2"]);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "--devices: {err}");
+    assert!(
+        err.lines().next().unwrap_or_default().contains("--devices"),
+        "{err}"
+    );
     for flag in ["--steal-seed", "--group-budget"] {
         let out = run(&["--demo", flag, "7"]);
         let err = String::from_utf8(out.stderr).unwrap();

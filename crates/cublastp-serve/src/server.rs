@@ -14,7 +14,7 @@
 //! search on a client that has already given up.
 //!
 //! Workers drain the two class queues by weighted round-robin
-//! (`interactive_weight` interactive picks per bulk pick), with the first
+//! (`INTERACTIVE_WEIGHT` = 4 interactive picks per bulk pick), with the first
 //! `reserved_interactive_workers` threads dedicated to the interactive
 //! class so a long bulk search can never occupy every lane. Results stream
 //! back over the handle's channel: one [`Event::Block`] per database block
@@ -258,8 +258,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Outstanding DP-cell budget across all admitted requests.
     pub cost_capacity: u64,
-    /// Interactive picks per bulk pick when both queues are non-empty.
-    pub interactive_weight: u32,
     /// Shards each database generation is partitioned into (1 = the whole
     /// database as one shard, or a shard set as stored; any other count
     /// than a set stores is a `config` error). Searches use cross-shard
@@ -280,7 +278,6 @@ impl Default for ServeConfig {
             reserved_interactive_workers: 1,
             queue_capacity: 16,
             cost_capacity: 1 << 32,
-            interactive_weight: 4,
             shards: 1,
             default_deadline: None,
             tenant_rate: RateLimitConfig::default(),
@@ -308,9 +305,6 @@ impl ServeConfig {
         if self.queue_capacity == 0 {
             return Err(SearchError::config("serve: queue_capacity must be > 0"));
         }
-        if self.interactive_weight == 0 {
-            return Err(SearchError::config("serve: interactive_weight must be > 0"));
-        }
         if self.shards == 0 {
             return Err(SearchError::config("serve: shards must be > 0"));
         }
@@ -329,6 +323,9 @@ struct Job {
     generation: Arc<DbGeneration>,
     tx: mpsc::Sender<Event>,
 }
+
+/// Interactive picks per bulk pick when both class queues are non-empty.
+const INTERACTIVE_WEIGHT: u32 = 4;
 
 #[derive(Default)]
 struct QueueState {
@@ -657,7 +654,7 @@ fn pick_job(sh: &Shared, interactive_only: bool) -> Option<Job> {
         let has_b = !st.queues[1].is_empty() && !interactive_only;
         if has_i || has_b {
             let take_interactive = if has_i && has_b {
-                if st.interactive_run < sh.cfg.interactive_weight {
+                if st.interactive_run < INTERACTIVE_WEIGHT {
                     st.interactive_run += 1;
                     true
                 } else {
@@ -1472,10 +1469,6 @@ mod tests {
             },
             ServeConfig {
                 queue_capacity: 0,
-                ..Default::default()
-            },
-            ServeConfig {
-                interactive_weight: 0,
                 ..Default::default()
             },
         ] {

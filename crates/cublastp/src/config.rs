@@ -134,10 +134,12 @@ pub struct CuBlastpConfig {
     /// schedule is their measured wall-clock. Reports are bit-identical at
     /// every value; `CuBlastpResult::tail_threads_ran` says how many
     /// threads ran. A block whose tail is cheaper than waking a helper
-    /// stays on the caller (`search::HELPER_MIN_SEED_SCORE`), and the
+    /// runs on one thread (`search::HELPER_MIN_SEED_SCORE`), and the
     /// server pins this to 1: its workers are its parallelism.
     pub cpu_threads: usize,
-    /// Overlap CPU phases and transfers with GPU kernels (Fig. 12).
+    /// Overlap CPU phases and transfers with GPU kernels (Fig. 12): the
+    /// searching thread runs block *n*'s GPU side while the tail helpers
+    /// finish block *n − 1*.
     pub overlap: bool,
     /// Where the gapped phase runs (CPU tail vs device kernel, §3.7).
     #[serde(default)]

@@ -11,14 +11,18 @@
 use gpu_sim::DeviceError;
 use std::fmt;
 
-/// A failure inside the CPU–GPU overlap executor or batch scheduler: a
-/// worker panicked or disappeared mid-stream. The executor converts the
-/// panic into this error instead of poisoning its channel and hanging.
+/// A failure inside the per-block pipeline, the batch executor or the
+/// server: a side panicked or a worker disappeared mid-stream. The panic
+/// is caught where it happened and turned into this error instead of
+/// unwinding through the caller or hanging a peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
-    /// A pipeline worker panicked; `side` names the stage ("gpu producer",
-    /// "cpu consumer", "batch query") and `payload` is the stringified
-    /// panic message.
+    /// A pipeline stage panicked; `side` names it ("gpu side": a block's
+    /// device phases on the searching thread, "cpu tail": a block's
+    /// gapped extension and traceback, on whichever thread claimed the
+    /// subject — both at any `overlap` setting; "batch query setup",
+    /// "batch query", "serve worker": outside the per-block loop) and
+    /// `payload` is the stringified panic message.
     WorkerPanicked {
         /// Which pipeline stage the panic escaped from.
         side: &'static str,
@@ -88,7 +92,8 @@ pub enum SearchError {
         /// Launch attempts made before giving up.
         attempts: u32,
     },
-    /// The overlap executor or batch scheduler failed.
+    /// A side of the per-block pipeline, the batch executor or a server
+    /// worker failed.
     Pipeline(PipelineError),
     /// The request's deadline expired at a cancellation checkpoint: the
     /// search stopped between database blocks and freed its slot. Carries

@@ -79,7 +79,7 @@ pub(crate) struct Searched {
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
 /// a poisoned query fails alone instead of taking the batch down.
-fn isolated<T>(
+pub(crate) fn isolated<T>(
     side: &'static str,
     f: impl FnOnce() -> Result<T, SearchError>,
 ) -> Result<T, SearchError> {

@@ -88,11 +88,6 @@ impl DeviceGroupIndex {
     pub fn upload_bytes(&self) -> u64 {
         self.index.device_bytes()
     }
-
-    /// Query length of group member `m`.
-    pub fn member_qlen(&self, m: usize) -> usize {
-        self.qlens[m]
-    }
 }
 
 /// One grouped seeding pass over a database block: probe the group index

@@ -281,12 +281,6 @@ pub(crate) fn unsupported(case: &Case) -> Option<&'static str> {
     if case.deadline.is_some() && case.seed != Seed::PerQuery {
         return Some("grouped seeding runs only through `executor::execute`, which takes no hooks");
     }
-    if case.deadline.is_some() && case.fault == Fault::Panic {
-        return Some(
-            "a search with hooks is one query through `search_shards`, which leaves panic \
-             isolation to its caller (the batch executor, the server's worker)",
-        );
-    }
     None
 }
 

@@ -79,7 +79,7 @@ pub use error::{PipelineError, SearchError};
 pub use gpu_phase::{ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput};
 pub use grouped::DeviceGroupIndex;
 pub use grouping::plan_rounds;
-pub use pipeline::{overlap_blocks, schedule, BlockTiming, PipelineSchedule};
+pub use pipeline::{schedule, BlockTiming, PipelineSchedule};
 pub use scheduler::{schedule_fleet, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED};
 pub use search::{
     search_batch, search_batch_resident, search_batch_with, BatchOptions, BatchOutcome,

@@ -38,14 +38,6 @@ impl<T> GlobalBuffer<T> {
         Self { base, data }
     }
 
-    /// Allocate a zero-initialized buffer of `len` elements.
-    pub fn zeroed(len: usize) -> Self
-    where
-        T: Default + Clone,
-    {
-        Self::new(vec![T::default(); len])
-    }
-
     /// Synthetic device byte address of element `i`.
     #[inline]
     pub fn addr(&self, i: usize) -> u64 {
