@@ -47,8 +47,9 @@ OPTIONS:
     --evalue <float>     e-value cutoff (default 10)
     --max-hits <n>       alignments shown per query (default 25)
     --threads <n>        threads that execute gapped extension + traceback
-                         (Fig. 13; default 4), at most the cores this host
-                         has: `--phase-table` says how many ran
+                         (Fig. 13; default 4; under `--gapped-backend gpu`
+                         the device pass's DP), at most the cores this
+                         host has: `--phase-table` says how many ran
     --strategy <name>    diagonal | hit | window (default window)
     --bins <n>           bins per warp (default 128)
     --mask               SEG-mask low-complexity query regions before seeding
@@ -191,7 +192,8 @@ pub struct Args {
     pub engine: Engine,
     pub evalue: f64,
     pub max_hits: usize,
-    /// `--threads`: the threads the CPU tail executes on
+    /// `--threads`: the threads the CPU tail — and under
+    /// `--gapped-backend gpu` the device pass's DP — executes on
     /// ([`CuBlastpConfig::cpu_threads`]; Fig. 13), and `--engine cpu`'s
     /// `search_parallel`. Clamped to `available_parallelism()`; the
     /// reports are identical at every value.

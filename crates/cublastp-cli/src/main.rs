@@ -130,6 +130,8 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
         }
     );
     out!("# gapped backend: {}", args.gapped_backend.name());
+    // The threads of every search: under `--gapped-backend gpu` they run
+    // the device pass's DP as well as the reports, so K counts those too.
     out!(
         "# cpu tail threads: {} requested, {} available, {} ran",
         args.threads,

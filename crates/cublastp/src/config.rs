@@ -131,11 +131,14 @@ pub struct CuBlastpConfig {
     /// `min(cpu_threads, available_parallelism())` executed threads — the
     /// caller and helpers that live as long as the search
     /// (`blast_cpu::par`) — and the block's CPU lane in the Fig. 12
-    /// schedule is their measured wall-clock. Reports are bit-identical at
-    /// every value; `CuBlastpResult::tail_threads_ran` says how many
-    /// threads ran. A block whose tail is cheaper than waking a helper
-    /// runs on one thread (`search::HELPER_MIN_SEED_SCORE`), and the
-    /// server pins this to 1: its workers are its parallelism.
+    /// schedule is their measured wall-clock. Under [`GappedBackend::Gpu`]
+    /// the same threads run the device pass's functional DP, claiming a
+    /// block's subjects one at a time. Reports and modelled device times
+    /// are bit-identical at every value; `CuBlastpResult::tail_threads_ran`
+    /// says how many threads ran. A block whose gapped phase is cheaper
+    /// than waking a helper runs on one thread
+    /// (`search::HELPER_MIN_SEED_SCORE`), and the server pins this to 1:
+    /// its workers are its parallelism.
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12): the
     /// searching thread runs block *n*'s GPU side while the tail helpers

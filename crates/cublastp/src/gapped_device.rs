@@ -96,68 +96,83 @@ struct Sweep {
     shared: u64,
 }
 
-/// Run fine-grained gapped extension + interval traceback for one block.
-///
-/// `trigger` and `report_cutoff` are the engine's gapped-trigger and
-/// report cutoffs; `query_seq` is the raw query (the traceback needs
-/// residues, not just PSSM scores). Scratch (checkpoint words, direction
-/// bytes) comes from `ws` and returns to it before the call ends.
-///
-/// The injector is consulted at the two sites this backend adds:
-/// [`FaultSite::GappedLaunch`] before the kernel and
-/// [`FaultSite::GappedD2h`] on the alignment download.
-#[allow(clippy::too_many_arguments)]
-pub fn gapped_fine_kernel(
-    device: &DeviceConfig,
-    cfg: &CuBlastpConfig,
-    query: &DeviceQuery,
-    query_seq: &[Residue],
-    db: &DeviceDbBlock,
-    extensions: &ExtensionsCsr,
-    params: &SearchParams,
-    trigger: i32,
-    report_cutoff: i32,
-    ws: &KernelWorkspace,
-    injector: &FaultInjector,
-    ctx: FaultCtx,
-) -> Result<GappedDeviceOutput, DeviceError> {
-    injector.check(FaultSite::GappedLaunch, ctx, FINE_GAPPED_KERNEL)?;
+/// One subject's share of the fine kernel: its functional DP and the
+/// sweeps the launch bills for it.
+#[derive(Default)]
+pub(crate) struct SubjectDp {
+    /// Block-local subject index.
+    seq: usize,
+    gapped: Vec<GappedExt>,
+    alignments: Vec<Alignment>,
+    sweeps: Vec<Sweep>,
+    download_bytes: u64,
+    itrace: ItraceReport,
+}
 
-    // One checkpoint interval per launch (merged reports must agree, and
-    // a uniform interval gives the workspace one fixed budget to honour).
-    let interval = default_interval(query.query_len());
-    let band = (2 * params.xdrop_gapped + 1).max(1) as u64;
+/// The query side of one launch of the fine kernel: what every subject's
+/// DP reads. `trigger` and `report_cutoff` are the engine's gapped-trigger
+/// and report cutoffs; `query_seq` is the raw query (the traceback needs
+/// residues, not just PSSM scores).
+pub(crate) struct FineDp<'a> {
+    pub device: &'a DeviceConfig,
+    pub query: &'a DeviceQuery,
+    pub query_seq: &'a [Residue],
+    pub params: &'a SearchParams,
+    pub trigger: i32,
+    pub report_cutoff: i32,
+    /// Where each subject's checkpoint words and direction bytes come
+    /// from and go back to.
+    pub ws: &'a KernelWorkspace,
+}
 
-    // ---- Functional pass: the exact CPU semantics, per subject in
-    // block order (the gapped phase is serial per subject — containment
-    // skipping makes its output order-dependent).
-    let num_seqs = extensions.num_seqs();
-    let mut gapped_by_seq: Vec<Vec<GappedExt>> = vec![Vec::new(); num_seqs];
-    let mut aligns_by_seq: Vec<Vec<Alignment>> = vec![Vec::new(); num_seqs];
-    let mut itrace = ItraceReport::default();
-    let mut sweeps: Vec<Sweep> = Vec::new();
-    let mut download_bytes = 0u64;
-    let mut scratch = ItraceScratch {
-        ckpt: ws.ckpt.take(),
-        dirs: ws.dirs.take(),
-    };
-    for i in 0..num_seqs {
+impl FineDp<'_> {
+    /// Band cells per DP row.
+    fn band(&self) -> u64 {
+        (2 * self.params.xdrop_gapped + 1).max(1) as u64
+    }
+
+    /// The functional DP of subject `i` of `db`: the exact CPU semantics
+    /// ([`gapped_phase_subject_traced`]) and the sweep of every extension.
+    /// The gapped phase is serial *within* a subject — containment
+    /// skipping makes its output order-dependent — but subjects are
+    /// independent, so threads may run subjects of one block side by side:
+    /// each takes its own scratch from the workspace and returns it.
+    pub(crate) fn subject(
+        &self,
+        db: &DeviceDbBlock,
+        extensions: &ExtensionsCsr,
+        i: usize,
+    ) -> SubjectDp {
+        let mut out = SubjectDp {
+            seq: i,
+            ..SubjectDp::default()
+        };
         let seeds = extensions.seq(i);
-        if !seeds.iter().any(|e| e.score >= trigger) {
-            continue;
+        if !seeds.iter().any(|e| e.score >= self.trigger) {
+            return out;
         }
+        // One checkpoint interval per launch (merged reports must agree,
+        // and a uniform interval gives the workspace one fixed budget to
+        // honour).
+        let interval = default_interval(self.query.query_len());
         let subject = db.seq(i);
+        let mut scratch = ItraceScratch {
+            ckpt: self.ws.ckpt.take(),
+            dirs: self.ws.dirs.take(),
+        };
         let (gapped, traced) = gapped_phase_subject_traced(
-            &query.pssm,
-            query_seq,
+            &self.query.pssm,
+            self.query_seq,
             subject,
             seeds,
-            params,
-            trigger,
-            report_cutoff,
+            self.params,
+            self.trigger,
+            self.report_cutoff,
             interval,
             &mut scratch,
         );
+        self.ws.ckpt.put(scratch.ckpt);
+        self.ws.dirs.put(scratch.dirs);
         for (g, traced) in gapped.iter().zip(traced) {
             let rows = (g.q_end - g.q_start) as u64 + 1;
             let span_bytes = (g.s_end - g.s_start) as u64 + 1;
@@ -175,58 +190,136 @@ pub fn gapped_fine_kernel(
                 );
                 refill_cells = rep.refill_cells;
                 ckpt_words = rep.checkpoint_words;
-                itrace.absorb(&rep);
-                download_bytes += ALIGN_HEADER_BYTES + al.ops.len() as u64;
-                aligns_by_seq[i].push(al);
+                out.itrace.absorb(&rep);
+                out.download_bytes += ALIGN_HEADER_BYTES + al.ops.len() as u64;
+                out.alignments.push(al);
             }
-            sweeps.push(sweep_cost(
-                device,
+            out.sweeps.push(sweep_cost(
+                self.device,
                 rows,
-                band.min(subject.len() as u64 + 1),
+                self.band().min(subject.len() as u64 + 1),
                 span_bytes,
                 refill_cells,
                 ckpt_words,
             ));
         }
-        gapped_by_seq[i] = gapped;
+        out.gapped = gapped;
+        out
     }
-    ws.ckpt.put(scratch.ckpt);
-    ws.dirs.put(scratch.dirs);
 
-    let blocks = cfg.grid_blocks.max(1);
-    let warps = cfg.warps_per_block.max(1);
+    /// Launch the kernel over one block of `num_seqs` subjects and bill
+    /// it. `pass` is the functional pass: [`Self::subject`] of every
+    /// subject with records, once each, returned in block order — so the
+    /// merged sweeps, download and [`ItraceReport`] are the serial loop's
+    /// bit for bit, whichever threads ran them.
+    ///
+    /// The injector is consulted at the two sites this backend adds:
+    /// [`FaultSite::GappedLaunch`] before the pass and
+    /// [`FaultSite::GappedD2h`] on the alignment download.
+    pub(crate) fn launch(
+        &self,
+        cfg: &CuBlastpConfig,
+        num_seqs: usize,
+        injector: &FaultInjector,
+        ctx: FaultCtx,
+        pass: impl FnOnce() -> Vec<SubjectDp>,
+    ) -> Result<GappedDeviceOutput, DeviceError> {
+        injector.check(FaultSite::GappedLaunch, ctx, FINE_GAPPED_KERNEL)?;
 
-    // Rolling D/F band rows per resident warp, in shared memory — far
-    // below the coarse port's 24 kB per-block footprint, which is what
-    // buys this kernel its occupancy.
-    let shared_bytes = (warps * 4 * band as u32 * 4).min(device.shared_mem_per_sm);
-    let launch_cfg = LaunchConfig {
-        blocks,
-        warps_per_block: warps,
-        shared_bytes_per_block: shared_bytes,
-        use_readonly_cache: false,
-    };
-
-    let stats = launch(device, launch_cfg, FINE_GAPPED_KERNEL, |block| {
-        // Blocks stride the seed list, one warp per seed.
-        for sweep in (sweeps.iter().skip(block.block_id as usize)).step_by(blocks as usize) {
-            // All 32 lanes sweep the wavefront in lockstep: the warp
-            // serializes `cycles`, no lane idles (the fine kernel's whole
-            // point versus the coarse lane-per-seed port).
-            block.lockstep(&[sweep.cycles.max(1); WARP_SIZE as usize]);
-            block.bulk_traffic(sweep.tx, sweep.useful_bytes, sweep.shared);
+        let mut gapped_by_seq: Vec<Vec<GappedExt>> = vec![Vec::new(); num_seqs];
+        let mut aligns_by_seq: Vec<Vec<Alignment>> = vec![Vec::new(); num_seqs];
+        let mut itrace = ItraceReport::default();
+        let mut sweeps: Vec<Sweep> = Vec::new();
+        let mut download_bytes = 0u64;
+        for s in pass() {
+            gapped_by_seq[s.seq] = s.gapped;
+            aligns_by_seq[s.seq] = s.alignments;
+            sweeps.extend(s.sweeps);
+            download_bytes += s.download_bytes;
+            // A subject with nothing to report traced nothing.
+            if s.itrace.interval != 0 {
+                itrace.absorb(&s.itrace);
+            }
         }
-    });
 
-    // D2H leg: the finished alignments the CPU reporting tail consumes.
-    injector.check(FaultSite::GappedD2h, ctx, "alignment download")?;
+        let device = self.device;
+        let blocks = cfg.grid_blocks.max(1);
+        let warps = cfg.warps_per_block.max(1);
 
-    Ok(GappedDeviceOutput {
-        alignments: aligns_by_seq,
-        gapped: gapped_by_seq,
-        stats,
-        download_bytes,
-        itrace,
+        // Rolling D/F band rows per resident warp, in shared memory — far
+        // below the coarse port's 24 kB per-block footprint, which is what
+        // buys this kernel its occupancy.
+        let shared_bytes = (warps * 4 * self.band() as u32 * 4).min(device.shared_mem_per_sm);
+        let launch_cfg = LaunchConfig {
+            blocks,
+            warps_per_block: warps,
+            shared_bytes_per_block: shared_bytes,
+            use_readonly_cache: false,
+        };
+
+        let stats = launch(device, launch_cfg, FINE_GAPPED_KERNEL, |block| {
+            // Blocks stride the seed list, one warp per seed.
+            for sweep in (sweeps.iter().skip(block.block_id as usize)).step_by(blocks as usize) {
+                // All 32 lanes sweep the wavefront in lockstep: the warp
+                // serializes `cycles`, no lane idles (the fine kernel's
+                // whole point versus the coarse lane-per-seed port).
+                block.lockstep(&[sweep.cycles.max(1); WARP_SIZE as usize]);
+                block.bulk_traffic(sweep.tx, sweep.useful_bytes, sweep.shared);
+            }
+        });
+
+        // D2H leg: the finished alignments the CPU reporting tail consumes.
+        injector.check(FaultSite::GappedD2h, ctx, "alignment download")?;
+
+        Ok(GappedDeviceOutput {
+            alignments: aligns_by_seq,
+            gapped: gapped_by_seq,
+            stats,
+            download_bytes,
+            itrace,
+        })
+    }
+}
+
+/// Run fine-grained gapped extension + interval traceback for one block,
+/// its subjects one after another on the calling thread: [`FineDp::launch`]
+/// over [`FineDp::subject`] of every subject. A search runs the same two
+/// parts with the subjects claimed by its threads.
+///
+/// `trigger` and `report_cutoff` are the engine's gapped-trigger and
+/// report cutoffs; `query_seq` is the raw query. Scratch (checkpoint
+/// words, direction bytes) comes from `ws` and returns to it before the
+/// call ends. The injector is consulted at [`FaultSite::GappedLaunch`]
+/// before the kernel and [`FaultSite::GappedD2h`] on the download.
+#[allow(clippy::too_many_arguments)]
+pub fn gapped_fine_kernel(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query: &DeviceQuery,
+    query_seq: &[Residue],
+    db: &DeviceDbBlock,
+    extensions: &ExtensionsCsr,
+    params: &SearchParams,
+    trigger: i32,
+    report_cutoff: i32,
+    ws: &KernelWorkspace,
+    injector: &FaultInjector,
+    ctx: FaultCtx,
+) -> Result<GappedDeviceOutput, DeviceError> {
+    let dp = FineDp {
+        device,
+        query,
+        query_seq,
+        params,
+        trigger,
+        report_cutoff,
+        ws,
+    };
+    let num_seqs = extensions.num_seqs();
+    dp.launch(cfg, num_seqs, injector, ctx, || {
+        (0..num_seqs)
+            .map(|i| dp.subject(db, extensions, i))
+            .collect()
     })
 }
 

@@ -55,6 +55,13 @@ pub struct ExtensionsCsr {
     records: Vec<UngappedExt>,
 }
 
+impl Default for ExtensionsCsr {
+    /// No subjects.
+    fn default() -> Self {
+        Self::from_stream(Vec::new(), 0)
+    }
+}
+
 impl ExtensionsCsr {
     /// Group a record stream by `seq_id`; within a subject, stream order is
     /// preserved. A stream that is already grouped — what

@@ -16,7 +16,7 @@ use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
 use crate::executor::{execute, isolated, search_shards, Plan, ShardView};
-use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
+use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
@@ -372,23 +372,26 @@ struct BlockAt<'a> {
     hooks: &'a SearchHooks<'a>,
 }
 
-/// What a block leaves for the host.
+/// What a block leaves for the search's threads.
 enum TailWork {
     /// The block's trigger survivors: gapped extension and traceback.
-    Finish(ExtensionsCsr),
+    Finish(Arc<ExtensionsCsr>),
+    /// The same survivors, aligned by the device gapped backend's
+    /// functional DP (on the GPU side, before the kernel is billed).
+    Align(Arc<DeviceDbBlock>, Arc<ExtensionsCsr>),
     /// The alignments the device gapped backend already produced:
     /// statistics only.
     Report(Vec<Vec<Alignment>>),
 }
 
-/// One block's CPU tail as the tail's threads see it. Owned, because the
-/// helpers outlive the block (`blast_cpu::par`).
+/// One batch of a block's subjects as the search's threads see it.
+/// Owned, because the helpers outlive the block (`blast_cpu::par`).
 struct TailJob {
     /// Shard-local index of the block's first sequence.
     base: usize,
     work: TailWork,
     /// Block-local indices of the subjects with records to finish or
-    /// alignments to report — the items the threads claim.
+    /// align, or alignments to report — the items the threads claim.
     todo: Vec<u32>,
     /// Σ ungapped score over the block's records: what its gapped phase
     /// will cost, to first order (see [`HELPER_MIN_SEED_SCORE`]); 0 for a
@@ -396,25 +399,27 @@ struct TailJob {
     seed_score: u64,
 }
 
-/// The seed score below which a block's tail runs on one thread: the
-/// caller, or — under `overlap` — one helper beside the next block's GPU
-/// side.
+/// The seed score below which a block's gapped phase runs on one thread:
+/// the caller, or — under `overlap`, on the CPU backend — one helper
+/// beside the next block's GPU side.
 ///
 /// Gapped extension and traceback cost about 0.2 µs per unit of seed
 /// score (EXPERIMENTS.md "PR 24": 85 → 40–100 µs, 1 558 → 295 µs, 5 524 →
-/// 819 µs, 12 000 → 2.9 ms on one thread), and a parked helper takes
-/// about 60 µs to wake in the reference sandbox — longer than the whole
-/// tail of most blocks of a database with few homologs. Below this sum
-/// (≈ 0.4 ms of tail) a second thread cannot return what waking it costs,
-/// so the block wakes no more than it must. A constant, not an option: it
-/// compares two costs of the same machine, and both scale with it.
+/// 819 µs, 12 000 → 2.9 ms on one thread; the device backend's functional
+/// DP costs about the same, EXPERIMENTS.md "Gapped placement"), and a
+/// parked helper takes about 60 µs to wake in the reference sandbox —
+/// longer than the whole gapped phase of most blocks of a database with
+/// few homologs. Below this sum (≈ 0.4 ms of DP) a second thread cannot
+/// return what waking it costs, so the block wakes no more than it must.
+/// A constant, not an option: it compares two costs of the same machine,
+/// and both scale with it.
 const HELPER_MIN_SEED_SCORE: u64 = 2_000;
 
 impl TailJob {
     /// The block's non-empty subjects and their seed score.
     fn new(base: usize, work: TailWork) -> Self {
         let (todo, seed_score) = match &work {
-            TailWork::Finish(extensions) => (
+            TailWork::Finish(extensions) | TailWork::Align(_, extensions) => (
                 (0..extensions.num_seqs())
                     .filter(|&local| !extensions.seq(local).is_empty())
                     .map(|local| local as u32)
@@ -440,22 +445,38 @@ impl TailJob {
     fn shared_among(&self, threads: usize) -> bool {
         shares(threads, self.todo.len()) && self.seed_score >= HELPER_MIN_SEED_SCORE
     }
+
+    /// Run the batch now: on the caller and the helpers if it is worth
+    /// sharing, on the caller alone otherwise.
+    fn run(self, tail: &mut Tail<'_, '_>) -> Vec<Done> {
+        let n = self.todo.len();
+        if self.shared_among(tail.threads()) {
+            tail.map(self, n)
+        } else {
+            tail.map_alone(&self, n)
+        }
+    }
 }
 
-/// One finished subject of a block's CPU tail: its hits and its two phase
-/// times (zero for a report).
-type Finished = (Vec<ReportedHit>, PhaseTimes);
+/// One claimed subject, as the thread that claimed it leaves it.
+enum Done {
+    /// Finished or reported: its hits and its two phase times (zero for
+    /// a report).
+    Subject(Vec<ReportedHit>, PhaseTimes),
+    /// Aligned by the device pass's DP.
+    Aligned(SubjectDp),
+}
 
-/// The threads of one search's CPU tail.
-type Tail<'scope, 'env> = ParMap<'scope, 'env, TailJob, Finished>;
+/// The threads of one search: the caller and its helpers.
+type Tail<'scope, 'env> = ParMap<'scope, 'env, TailJob, Done>;
 
 /// A block's CPU tail between the hand-off and the join.
 enum Subjects {
     /// Run at the join: by the caller, and by the helpers too if the
     /// block is worth sharing.
     Held(TailJob),
-    /// Posted to the helpers at the hand-off (`overlap`).
-    Posted(Posted<TailJob, Finished>),
+    /// Posted to the helpers at the hand-off (`overlap`, CPU backend).
+    Posted(Posted<TailJob, Done>),
 }
 
 /// What the GPU side of one block hands to its CPU tail.
@@ -582,61 +603,67 @@ impl CuBlastp {
             return Err(hooks.deadline_error(0, blocks_total));
         }
 
-        // The GPU side of one block, on the calling thread. `bins` is the
-        // block's seed source: this query's bins from a grouped seeding
-        // round, or `None` for the query's own DFA pass.
-        let gpu_side =
-            |block: u32, range: &DbBlock, dev_block: &DeviceDbBlock, bins: Option<BinnedHits>| {
-                // Cancellation checkpoint between blocks: an expired query
-                // stops launching kernels and frees the device mid-search.
-                if hooks.cancel.check() {
-                    return Err(hooks.deadline_error(block, blocks_total));
-                }
-                let mut timing = CuBlastpTiming::default();
-                if charge_h2d {
-                    timing.h2d_ms = self.bill_transfer(H2D, dev_block.upload_bytes(), block);
-                }
-                let at = BlockAt {
-                    ctx: FaultCtx {
-                        query: self.stream_index,
-                        block,
-                    },
-                    blocks_total,
-                    hooks,
-                };
-                let mut recovery = RecoveryReport::default();
-                let mut out = self.hit_phase(dev_block, at, bins, &mut recovery)?;
-                let aligns = self.attach_gapped_backend(dev_block, at, &mut out, &mut recovery)?;
-                let kernel_ms = out.kernel_ms(&self.device);
-                timing.gpu_ms = kernel_ms.iter().sum();
-                // The link carries what the host reads: the device's
-                // alignments, else the trigger survivors the device computed.
-                // Records the host computed itself (a degraded hit phase feeding
-                // the CPU tail) cross nothing — no bytes, no latency.
-                if aligns.is_some() || recovery.degraded_blocks == 0 {
-                    timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
-                    out.counts.d2h_bytes = out.download_bytes;
-                }
-                Ok(GpuSide {
+        // The GPU side of one block, on the calling thread (and, for the
+        // device gapped backend's DP, on the search's helpers too). `bins`
+        // is the block's seed source: this query's bins from a grouped
+        // seeding round, or `None` for the query's own DFA pass.
+        let gpu_side = |tail: &mut Tail<'_, '_>,
+                        block: u32,
+                        range: &DbBlock,
+                        dev_block: &Arc<DeviceDbBlock>,
+                        bins: Option<BinnedHits>| {
+            // Cancellation checkpoint between blocks: an expired query
+            // stops launching kernels and frees the device mid-search.
+            if hooks.cancel.check() {
+                return Err(hooks.deadline_error(block, blocks_total));
+            }
+            let mut timing = CuBlastpTiming::default();
+            if charge_h2d {
+                timing.h2d_ms = self.bill_transfer(H2D, dev_block.upload_bytes(), block);
+            }
+            let at = BlockAt {
+                ctx: FaultCtx {
+                    query: self.stream_index,
                     block,
-                    reports: aligns.is_some(),
-                    tail: Subjects::Held(TailJob::new(
-                        range.start,
-                        match aligns {
-                            Some(aligns) => TailWork::Report(aligns),
-                            None => TailWork::Finish(out.extensions),
-                        },
-                    )),
-                    part: CuBlastpResult {
-                        kernels: out.kernels,
-                        kernel_ms,
-                        counts: out.counts,
-                        timing,
-                        recovery,
-                        ..Default::default()
-                    },
-                })
+                },
+                blocks_total,
+                hooks,
             };
+            let mut recovery = RecoveryReport::default();
+            let mut out = self.hit_phase(dev_block, at, bins, &mut recovery)?;
+            let work = self.attach_gapped_backend(
+                tail,
+                range.start,
+                dev_block,
+                at,
+                &mut out,
+                &mut recovery,
+            )?;
+            let reports = matches!(work, TailWork::Report(_));
+            let kernel_ms = out.kernel_ms(&self.device);
+            timing.gpu_ms = kernel_ms.iter().sum();
+            // The link carries what the host reads: the device's
+            // alignments, else the trigger survivors the device computed.
+            // Records the host computed itself (a degraded hit phase feeding
+            // the CPU tail) cross nothing — no bytes, no latency.
+            if reports || recovery.degraded_blocks == 0 {
+                timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+                out.counts.d2h_bytes = out.download_bytes;
+            }
+            Ok(GpuSide {
+                block,
+                reports,
+                tail: Subjects::Held(TailJob::new(range.start, work)),
+                part: CuBlastpResult {
+                    kernels: out.kernels,
+                    kernel_ms,
+                    counts: out.counts,
+                    timing,
+                    recovery,
+                    ..Default::default()
+                },
+            })
+        };
 
         // The CPU tail of one block, joined on the calling thread: its
         // subjects finished or reported by the caller and the search's
@@ -670,22 +697,23 @@ impl CuBlastp {
 
         // Fig. 12 on one kind of thread: this one runs block n's GPU side
         // while the search's tail helpers finish block n − 1 (`overlap`),
-        // or each block's tail right after its GPU side. The helpers live
+        // or each block's tail right after its GPU side; under the device
+        // gapped backend the helpers share the GPU side's DP. The helpers live
         // as long as this search — started by the first block that needs
         // them, parked between blocks, joined on every way out: success, a
         // typed error, or a panic on either side.
         let threads = executed_threads(self.config.cpu_threads);
-        let finish = |job: &TailJob, item: usize| self.finish_tail_subject(view, job, item);
+        let item = |job: &TailJob, item: usize| self.tail_item(view, job, item);
         let helper_name = format!("tail-q{}", self.stream_index);
         let mut seeds = seeds.map(Vec::into_iter);
-        let r = par_scope(&helper_name, threads, &finish, |tail| {
+        let r = par_scope(&helper_name, threads, &item, |tail| {
             let mut parts = Vec::with_capacity(blocks_total as usize);
             let mut in_flight = None;
             for (block, (range, dev_block)) in (0u32..).zip(dev_db.blocks()) {
                 let bins = seeds.as_mut().and_then(Iterator::next);
                 let gpu = {
                     let _span = obs::span("producer_block", "pipeline").with_block(block);
-                    isolated("gpu side", || gpu_side(block, range, dev_block, bins))
+                    isolated("gpu side", || gpu_side(tail, block, range, dev_block, bins))
                 };
                 obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
                 // The previous block's tail ran beside this GPU side.
@@ -703,15 +731,20 @@ impl CuBlastp {
                     continue;
                 }
                 // Hand the tail off: a light block to one helper, one worth
-                // sharing to all of them.
-                if let Subjects::Held(job) = gpu.tail {
-                    let helpers = if job.shared_among(threads) {
-                        threads
-                    } else {
-                        1
-                    };
-                    let n = job.todo.len();
-                    gpu.tail = Subjects::Posted(tail.post(job, n, helpers));
+                // sharing to all of them. Under the device backend the next
+                // block's GPU side maps its DP on these threads, and a batch
+                // is joined before the next is posted: the tail (statistics,
+                // or a degraded block's gapped phase) is held for the join.
+                if self.config.gapped_backend == GappedBackend::Cpu {
+                    if let Subjects::Held(job) = gpu.tail {
+                        let helpers = if job.shared_among(threads) {
+                            threads
+                        } else {
+                            1
+                        };
+                        let n = job.todo.len();
+                        gpu.tail = Subjects::Posted(tail.post(job, n, helpers));
+                    }
                 }
                 in_flight = Some(gpu);
             }
@@ -859,53 +892,74 @@ impl CuBlastp {
         }))
     }
 
-    /// Run the gapped backend for one block whose hit phase is done:
-    /// under [`GappedBackend::Gpu`] the fine kernel produces the block's
-    /// alignments on the device under the recovery policy (DESIGN.md
-    /// §3.7; its stats join `out.kernels` after the hit path's, and its
-    /// alignment payload *replaces* `out.download_bytes` — the device
-    /// consumed the extension records itself, they never cross the link).
-    /// A fault the device cannot get past degrades *only this block's
-    /// gapped phase* back to the CPU tail — the hit-path kernels' output
-    /// stays valid, and the block downloads its trigger survivors like a
-    /// [`GappedBackend::Cpu`] block. Under [`GappedBackend::Cpu`] this is
-    /// a no-op.
+    /// The query side of this searcher's fine gapped kernel.
+    fn fine_dp(&self) -> FineDp<'_> {
+        FineDp {
+            device: &self.device,
+            query: &self.query_device,
+            query_seq: self.engine.query.residues(),
+            params: &self.engine.params,
+            trigger: self.engine.cutoffs.gapped_trigger,
+            report_cutoff: self.engine.cutoffs.report_cutoff,
+            ws: &self.workspace,
+        }
+    }
+
+    /// Run the gapped backend for one block whose hit phase is done and
+    /// say what the block's tail does. Under [`GappedBackend::Gpu`] the
+    /// fine kernel produces the block's alignments under the recovery
+    /// policy (DESIGN.md §3.7): its functional DP claims the block's
+    /// subjects on the search's threads (`tail`), its stats join
+    /// `out.kernels` after the hit path's, and its alignment payload
+    /// *replaces* `out.download_bytes` — the device consumed the extension
+    /// records itself, they never cross the link. The tail then only
+    /// reports. A fault the device cannot get past degrades *only this
+    /// block's gapped phase* back to the CPU tail — the hit-path kernels'
+    /// output stays valid, and the block downloads its trigger survivors
+    /// like a [`GappedBackend::Cpu`] block, whose tail finishes them.
     fn attach_gapped_backend(
         &self,
-        dev_block: &DeviceDbBlock,
+        tail: &mut Tail<'_, '_>,
+        base: usize,
+        dev_block: &Arc<DeviceDbBlock>,
         at: BlockAt<'_>,
         out: &mut GpuPhaseOutput,
         recovery: &mut RecoveryReport,
-    ) -> Result<Option<Vec<Vec<Alignment>>>, SearchError> {
+    ) -> Result<TailWork, SearchError> {
+        let extensions = Arc::new(std::mem::take(&mut out.extensions));
         if self.config.gapped_backend != GappedBackend::Gpu {
-            return Ok(None);
+            return Ok(TailWork::Finish(extensions));
         }
         let block = at.ctx.block;
+        let dp = self.fine_dp();
         let run = self.recover("gapped_retry", at, recovery, || {
             let _span = obs::span("gapped_device", "gpu")
                 .with_block(block)
                 .with_query(at.ctx.query);
-            gapped_fine_kernel(
-                &self.device,
+            let pass = || {
+                let work = TailWork::Align(Arc::clone(dev_block), Arc::clone(&extensions));
+                let done = TailJob::new(base, work).run(tail);
+                (done.into_iter())
+                    .filter_map(|d| match d {
+                        Done::Aligned(subject) => Some(subject),
+                        Done::Subject(..) => None,
+                    })
+                    .collect()
+            };
+            dp.launch(
                 &self.config,
-                &self.query_device,
-                self.engine.query.residues(),
-                dev_block,
-                &out.extensions,
-                &self.engine.params,
-                self.engine.cutoffs.gapped_trigger,
-                self.engine.cutoffs.report_cutoff,
-                &self.workspace,
+                extensions.num_seqs(),
                 &self.injector,
                 at.ctx,
+                pass,
             )
         })?;
         let Some(g) = run else {
             recovery.degraded_gapped += 1;
             obs::counter("recovery_degraded_gapped_total", &[], 1);
-            // `None` routes this block's tail to the CPU gapped phase
-            // (bit-identical by construction).
-            return Ok(None);
+            // The CPU gapped phase finishes the block (bit-identical by
+            // construction).
+            return Ok(TailWork::Finish(extensions));
         };
         if obs::state() != 0 {
             let sim_ms = g.stats.time_ms(&self.device);
@@ -920,7 +974,7 @@ impl CuBlastp {
         }
         out.download_bytes = g.download_bytes;
         out.kernels.push(g.stats);
-        Ok(Some(g.alignments))
+        Ok(TailWork::Report(g.alignments))
     }
 
     /// Degradation path: reproduce the GPU phase for one block on the CPU
@@ -972,10 +1026,10 @@ impl CuBlastp {
         }
     }
 
-    /// One claimed subject of a block's CPU tail, on whichever thread
-    /// claimed it: gapped extension, traceback and statistics, or the
-    /// statistics of the device's alignments.
-    fn finish_tail_subject(&self, view: ShardView<'_>, job: &TailJob, item: usize) -> Finished {
+    /// One claimed subject of a block, on whichever thread claimed it:
+    /// gapped extension, traceback and statistics; the device pass's DP;
+    /// or the statistics of the device's alignments.
+    fn tail_item(&self, view: ShardView<'_>, job: &TailJob, item: usize) -> Done {
         let local = job.todo[item] as usize;
         let idx = job.base + local;
         let subject = &view.db.sequences()[idx];
@@ -989,6 +1043,9 @@ impl CuBlastp {
                 &mut found,
                 Some(&mut times),
             ),
+            TailWork::Align(dev_block, extensions) => {
+                return Done::Aligned(self.fine_dp().subject(dev_block, extensions, local))
+            }
             TailWork::Report(aligns) => (self.engine).report_from_alignments(
                 view.start + idx,
                 subject,
@@ -996,7 +1053,7 @@ impl CuBlastp {
                 &mut found,
             ),
         }
-        (found.hits, times)
+        Done::Subject(found.hits, times)
     }
 
     /// CPU tail for one block (§3.6, Fig. 13): gapped extension +
@@ -1024,24 +1081,18 @@ impl CuBlastp {
         let mut cpu_span = obs::span(span_name, "cpu").with_query(self.stream_index);
         let t0 = Instant::now();
         let (finished, posted_wall) = match subjects {
-            Subjects::Held(job) => {
-                let n = job.todo.len();
-                let finished = if job.shared_among(tail.threads()) {
-                    tail.map(job, n)
-                } else {
-                    tail.map_alone(&job, n)
-                };
-                (finished, None)
-            }
+            Subjects::Held(job) => (job.run(tail), None),
             Subjects::Posted(posted) => {
                 let (finished, wall) = tail.join(posted);
                 (finished, Some(wall))
             }
         };
         let mut summed = PhaseTimes::default();
-        for (mut hits, times) in finished {
-            part.report.hits.append(&mut hits);
-            summed.add(&times);
+        for done in finished {
+            if let Done::Subject(mut hits, times) = done {
+                part.report.hits.append(&mut hits);
+                summed.add(&times);
+            }
         }
         let wall = posted_wall.unwrap_or_else(|| t0.elapsed());
         part.tail_threads_ran = tail.peak_threads_ran();
@@ -1796,10 +1847,9 @@ pub(crate) mod tests {
         SequenceDb::new("poisoned", sequences)
     }
 
-    #[test]
-    fn tail_really_runs_on_helpers_and_changes_nothing() {
-        // Long sequences: a block's tail takes milliseconds even in a
-        // release build, so a helper that exists gets to claim something.
+    /// Long homologs: a block's gapped phase takes milliseconds even in a
+    /// release build, so a helper that exists gets to claim something.
+    fn long_family_workload() -> (Sequence, SequenceDb) {
         let q = make_query(400);
         let spec = DbSpec {
             name: "fam",
@@ -1808,7 +1858,12 @@ pub(crate) mod tests {
             homolog_fraction: 0.9,
             seed: 5,
         };
-        let db = generate_db(&spec, &q).db;
+        (q.clone(), generate_db(&spec, &q).db)
+    }
+
+    #[test]
+    fn tail_really_runs_on_helpers_and_changes_nothing() {
+        let (q, db) = long_family_workload();
         let params = SearchParams::default();
         let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
         let dev_db = DeviceDb::upload(&db, 24);
@@ -1838,6 +1893,77 @@ pub(crate) mod tests {
                     (t.cpu_wall_ms - (t.gapped_ms + t.traceback_ms)).abs() < 1e-9,
                     "{case}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn device_gapped_pass_runs_on_helpers_and_changes_nothing() {
+        let (q, db) = long_family_workload();
+        let params = SearchParams::default();
+        let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
+        let dev_db = DeviceDb::upload(&db, 24);
+        let run = |cpu_threads, overlap| {
+            let cfg = CuBlastpConfig {
+                gapped_backend: GappedBackend::Gpu,
+                ..family_config(cpu_threads, overlap)
+            };
+            let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
+            gpu.stream_index = 7_300 + cpu_threads as u32;
+            let r = (gpu.run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default()))
+                .expect("fault-free search");
+            #[cfg(target_os = "linux")]
+            assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
+            r
+        };
+        let one = run(1, false);
+        assert_eq!(one.tail_threads_ran, 1);
+        assert!(one.kernel(FINE_GAPPED_KERNEL).is_some());
+        for overlap in [false, true] {
+            for cpu_threads in [1, 2, 3, 8] {
+                let r = run(cpu_threads, overlap);
+                let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
+                assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
+                assert_eq!(r.kernels, one.kernels, "{case}");
+                assert_eq!(r.counts, one.counts, "{case}");
+                let executed = executed_threads(cpu_threads);
+                assert!(r.tail_threads_ran <= executed, "{case}");
+                // Every block's DP here is worth sharing.
+                assert_eq!(r.tail_threads_ran >= 2, executed >= 2, "{case}");
+                // The device ran every gapped phase: the tail only reported.
+                let t = &r.timing;
+                assert_eq!((t.gapped_ms, t.traceback_ms), (0.0, 0.0), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn device_gapped_scratch_grows_to_one_buffer_per_thread() {
+        // Each subject's DP checks its checkpoint words and direction bytes
+        // out of the searcher's workspace on whichever thread claimed it,
+        // and returns them: the two pools hold at most one buffer per
+        // thread, so once they do a search allocates from neither.
+        let (q, db) = family_workload();
+        let cfg = CuBlastpConfig {
+            gapped_backend: GappedBackend::Gpu,
+            ..family_config(2, false)
+        };
+        let gpu = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
+        let dev_db = DeviceDb::upload(&db, cfg.db_block_size);
+        let ws = &gpu.workspace;
+        let threads = executed_threads(2) as u64;
+        let mut takes = 0;
+        for _ in 0..6 {
+            gpu.search_resident(&db, &dev_db, false)
+                .expect("fault-free search");
+            assert!(ws.ckpt.takes() > takes, "the device pass must use the pools");
+            takes = ws.ckpt.takes();
+            for (name, allocs, pooled) in [
+                ("ckpt", ws.ckpt.allocs(), ws.ckpt.pooled()),
+                ("dirs", ws.dirs.allocs(), ws.dirs.pooled()),
+            ] {
+                assert!(allocs <= threads, "{name}: {allocs} buffers for {threads} threads");
+                assert_eq!(pooled as u64, allocs, "{name}: every buffer came back");
             }
         }
     }

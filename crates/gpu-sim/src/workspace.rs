@@ -111,8 +111,9 @@ impl<T> BufferPool<T> {
 /// The scratch pools the hit-path kernels draw from, shared by every
 /// search of an engine (and across a whole batch). All pools are
 /// thread-safe: whoever holds the workspace may check buffers in and out
-/// from several threads (the Fig. 12 overlap runs a block's GPU phase on a
-/// producer thread beside the caller's CPU tail). The per-block kernel
+/// from several threads (a search's threads run the device gapped
+/// backend's per-subject DP side by side, each with its own checkpoint and
+/// direction buffers). The per-block kernel
 /// bodies of one launch are not such threads — `launch_map` runs them one
 /// after another on the calling thread.
 pub struct KernelWorkspace {
