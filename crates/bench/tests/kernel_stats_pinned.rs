@@ -16,10 +16,11 @@
 //! and a `hit_reordering` row per preset, appended last, pins the fused
 //! one.
 //!
-//! One test function on purpose: the grouped kernel reads two device
-//! buffers through the read-only cache, so its hit/miss sequence depends
-//! on their relative placement, and `virtual_alloc` is process-global — a
-//! second test thread allocating in between would move it.
+//! One test per pin. `virtual_alloc` is process-global, so the tests move
+//! each other's buffers; that changes no pin: the grouped kernel's two
+//! read-only arrays are one reservation, and every other kernel reads
+//! through the cache from a single buffer, where a common shift of all
+//! addresses only rotates cache sets.
 
 use bench::runners::{figure_config, staged_reorder};
 use bio_seq::generate::{generate_db, make_query, DbPreset};
@@ -31,7 +32,9 @@ use cublastp::extension::extension_kernel;
 use cublastp::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use cublastp::reorder::reorder_kernel;
 use cublastp::{CuBlastpConfig, ExtensionStrategy};
+use gpu_sim::memory::virtual_alloc;
 use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn device_query(qlen: usize) -> DeviceQuery {
     let q = make_query(qlen);
@@ -81,17 +84,19 @@ fn pinned(
     }
 }
 
-#[test]
-fn hit_path_kernel_stats_are_pinned() {
-    let d = DeviceConfig::k20c();
-    let ws = KernelWorkspace::new();
-    let grid = CuBlastpConfig {
+/// The grid of the binning and grouped seeding pins.
+fn seeding_grid() -> CuBlastpConfig {
+    CuBlastpConfig {
         grid_blocks: 4,
         warps_per_block: 2,
         num_bins: 16,
         ..Default::default()
-    };
+    }
+}
 
+#[test]
+fn binning_kernel_stats_are_pinned() {
+    let (d, ws, grid) = (DeviceConfig::k20c(), KernelWorkspace::new(), seeding_grid());
     // binning.rs: `binning_finds_exactly_the_reference_hits`.
     let dq = device_query(64);
     let db = DeviceDbBlock::upload(&subjects(40, 60), 0);
@@ -107,7 +112,11 @@ fn hit_path_kernel_stats_are_pinned() {
         2,
     );
     assert_eq!(stats, want, "binning_kernel");
+}
 
+/// The grouped seeding pin: its index upload and one pass.
+fn check_grouped_seeding_pin() {
+    let (d, ws, grid) = (DeviceConfig::k20c(), KernelWorkspace::new(), seeding_grid());
     // grouped.rs: `grouped_arena_matches_per_query_binning_per_slot`.
     let queries: Vec<DeviceQuery> = [48, 64, 80, 57].iter().map(|&l| device_query(l)).collect();
     let refs: Vec<&DeviceQuery> = queries.iter().collect();
@@ -124,7 +133,36 @@ fn hit_path_kernel_stats_are_pinned() {
         2,
     );
     assert_eq!(stats, want, "grouped_seeding_kernel");
+}
 
+#[test]
+fn grouped_seeding_kernel_stats_are_pinned() {
+    check_grouped_seeding_pin();
+}
+
+#[test]
+fn grouped_seeding_pin_holds_beside_a_concurrent_allocator() {
+    // Another thread reserves device addresses the whole time the index
+    // is uploaded and probed.
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                virtual_alloc(64);
+            }
+        });
+        let pins = s.spawn(|| (0..50).for_each(|_| check_grouped_seeding_pin()));
+        let held = pins.join();
+        done.store(true, Ordering::Relaxed);
+        if let Err(panic) = held {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+#[test]
+fn extension_kernel_stats_are_pinned() {
+    let (d, ws) = (DeviceConfig::k20c(), KernelWorkspace::new());
     // extension.rs: `workload()` — subjects embedding the query, filtered
     // hits from the real front half of the pipeline.
     let dq = device_query(64);
@@ -201,16 +239,23 @@ fn hit_path_kernel_stats_are_pinned() {
         assert_eq!(r.extensions.len(), 29, "{strategy:?}");
         assert_eq!(r.redundant, redundant, "{strategy:?}");
     }
+}
 
+#[test]
+fn hit_path_kernel_stats_are_pinned() {
+    let (d, ws, cfg) = (
+        DeviceConfig::k20c(),
+        KernelWorkspace::new(),
+        figure_config(),
+    );
     // Kernels 1–4 on the figure workload: query517 against the one block
     // each preset has at scale 0.05 under `figure_config()`, with the
     // surviving-hit count and a CRC-32 of the filtered hit vector. Until
     // it was deleted, `bench::legacy` (the pre-arena pipeline, verbatim)
     // was held to these same values by `hotpath_stats.rs`; they were read
     // off that commit with both sides green.
-    let cfg = figure_config();
     let dq = device_query(517);
-    let window = params.two_hit_window as i64;
+    let window = SearchParams::default().two_hit_window as i64;
     // One kernel per line: the 13 counters, occupancy, grid, warps per block.
     #[rustfmt::skip]
     let presets = [
@@ -240,9 +285,19 @@ fn hit_path_kernel_stats_are_pinned() {
         assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} hit vector");
         assert_eq!([k0, k1, k2, k3], want, "{name} kernels 1-4");
     }
+}
 
+#[test]
+fn fused_reorder_stats_are_pinned() {
+    let (d, ws, cfg) = (
+        DeviceConfig::k20c(),
+        KernelWorkspace::new(),
+        figure_config(),
+    );
+    let dq = device_query(517);
+    let window = SearchParams::default().two_hit_window as i64;
     // The same arenas through the search's one launch (PR 22): the rows
-    // above pin the stages as standalone launches and did not move; this
+    // of `hit_path_kernel_stats_are_pinned` pin the stages as standalone launches and did not move; this
     // one is what `hit_reordering` bills for gather + sort + filter, with
     // the same survivors.
     #[rustfmt::skip]

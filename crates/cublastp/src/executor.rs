@@ -7,9 +7,10 @@
 //! members share one seeding pass per database block (one kernel indexed
 //! by group, as Chorus does, not a second code path). The executor owns
 //! searcher construction, round planning and seeding, panic isolation,
-//! queue-wait and outcome accounting, and the per-shard merge; a plan adds
-//! only its model of the batch's time (the flat pipeline timeline, or the
-//! fleet schedule).
+//! and queue-wait and outcome accounting; each query is one
+//! [`CuBlastp::run_blocks`] call over every view. A plan adds only its
+//! model of the batch's time (the flat pipeline timeline, or the fleet
+//! schedule).
 
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
@@ -17,9 +18,7 @@ use crate::devicedata::{DeviceDb, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
-use crate::search::{
-    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, RoundReport, SearchHooks,
-};
+use crate::search::{CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
@@ -88,85 +87,6 @@ pub(crate) fn isolated<T>(
             side,
             payload: panic_message(payload.as_ref()),
         }))
-    })
-}
-
-/// The (query × shard) items of one query: search every non-empty view
-/// with `searcher` (which must carry global statistics) and merge.
-/// `seeds` holds the query's grouped-round bins, one per block in view
-/// order. The cancel token is polled inside every shard search. Progress
-/// is forwarded per database block in global pipeline order: `on_block`
-/// and a deadline error number the blocks over all views
-/// (`blocks_total` = Σ blocks) and partial reports carry global subject
-/// indices — one unit at any shard count. A failed shard fails the query:
-/// a partial merge would break the identical-to-single-database contract.
-/// The shards' ledgers fold with [`CuBlastpResult::absorb`]: the result's
-/// makespan is their serial chain (`shard_ms` summed), its "other" time
-/// the query's set-up plus every shard's merge.
-pub(crate) fn search_shards(
-    searcher: &CuBlastp,
-    shards: &[ShardView<'_>],
-    charge_h2d: bool,
-    seeds: Option<Vec<BinnedHits>>,
-    hooks: &SearchHooks<'_>,
-) -> Result<Searched, SearchError> {
-    searcher.config.validate()?;
-    let mut seeds = seeds.map(Vec::into_iter);
-    let blocks_total: u32 = shards.iter().map(|v| v.dev.num_blocks() as u32).sum();
-    let mut next_block = 0u32;
-    let mut merged = CuBlastpResult::default();
-    let mut shard_ms = vec![0.0f64; shards.len()];
-    for (index, view) in shards.iter().enumerate() {
-        let blocks = view.dev.num_blocks();
-        let first_block = next_block;
-        next_block += blocks as u32;
-        if view.db.is_empty() {
-            continue;
-        }
-        let forward = |p: BlockProgress<'_>| {
-            if let Some(on_block) = hooks.on_block {
-                on_block(BlockProgress {
-                    block: first_block + p.block,
-                    blocks_total,
-                    partial: p.partial,
-                });
-            }
-        };
-        let per_block = SearchHooks {
-            cancel: hooks.cancel.clone(),
-            on_block: Some(&forward),
-        };
-        let bins = seeds.as_mut().map(|s| s.take(blocks).collect());
-        let r = searcher
-            .run_blocks(*view, charge_h2d, bins, &per_block)
-            .map_err(|e| match e {
-                SearchError::DeadlineExceeded {
-                    elapsed_ms,
-                    blocks_completed,
-                    ..
-                } => SearchError::DeadlineExceeded {
-                    elapsed_ms,
-                    blocks_completed: first_block + blocks_completed,
-                    blocks_total,
-                },
-                other => other,
-            })?;
-        shard_ms[index] = r.timing.overlapped_ms;
-        merged.absorb(&r);
-        merged.report.hits.extend(r.report.hits);
-    }
-    // Query setup happens once however many shards ran.
-    merged.absorb(&CuBlastpResult {
-        timing: CuBlastpTiming {
-            other_ms: searcher.setup_ms,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    merged.report.finalize(searcher.engine.params.max_reported);
-    Ok(Searched {
-        result: merged,
-        shard_ms,
     })
 }
 
@@ -281,7 +201,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
             };
             let charge_h2d = upload_unpaid.get() && seeds.is_none();
             let hooks = SearchHooks::default();
-            let searched = search_shards(searcher, plan.shards, charge_h2d, seeds, &hooks)?;
+            let searched = searcher.run_blocks(plan.shards, charge_h2d, seeds, &hooks)?;
             if charge_h2d {
                 upload_unpaid.set(false);
             }

@@ -58,14 +58,27 @@ pub struct DeviceGroupIndex {
     qlens: Vec<usize>,
 }
 
+/// Device bytes the slot table of `capacity` slots spans: a reservation's
+/// size, rounded to 256 bytes and at least 256 (`virtual_alloc`).
+fn slot_table_span(capacity: usize) -> u64 {
+    ((capacity as u64 * SLOT_BYTES + 255) & !255).max(256)
+}
+
 impl DeviceGroupIndex {
     /// Build the group index from the member queries (in batch order) and
     /// place it in device memory.
     pub fn upload(members: &[&DeviceQuery]) -> Self {
         let hoods: Vec<&WordNeighborhood> = members.iter().map(|m| m.dfa.neighborhood()).collect();
         let index = QueryIndex::build(&hoods);
-        let slots_base = virtual_alloc(index.capacity() as u64 * SLOT_BYTES);
-        let postings_base = virtual_alloc((index.entries() as u64 * POSTING_BYTES).max(8));
+        // One reservation for both arrays: the kernel reads them through
+        // the read-only cache, so its hits depend on their relative offset,
+        // which an allocation on another thread between two reservations
+        // would move. The postings start where a reservation of the slot
+        // table alone would have ended.
+        let table = slot_table_span(index.capacity());
+        let postings = (index.entries() as u64 * POSTING_BYTES).max(8);
+        let slots_base = virtual_alloc(table + postings);
+        let postings_base = slots_base + table;
         DeviceGroupIndex {
             index,
             slots_base,
@@ -339,6 +352,39 @@ mod tests {
             }
         }
         assert_eq!(ws.allocations(), warm, "steady state must not allocate");
+    }
+
+    #[test]
+    fn an_upload_keeps_its_arrays_contiguous_beside_other_uploads() {
+        // Eight threads upload at once beside one that only reserves: each
+        // index's postings still start where its slot table ends.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let queries = [device_query(12), device_query(20)];
+        let refs: Vec<&DeviceQuery> = queries.iter().collect();
+        let start = std::sync::Barrier::new(8);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    virtual_alloc(64);
+                }
+            });
+            let uploads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..50 {
+                            let g = DeviceGroupIndex::upload(&refs);
+                            let table = slot_table_span(g.index.capacity());
+                            assert_eq!(g.postings_base - g.slots_base, table);
+                        }
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = uploads.into_iter().map(|u| u.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            assert!(joined.iter().all(Result::is_ok), "an upload was split");
+        });
     }
 
     #[test]

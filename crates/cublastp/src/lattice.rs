@@ -29,7 +29,7 @@
 
 use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend, ScoringMode};
 use crate::error::{PipelineError, SearchError};
-use crate::executor::{execute, search_shards, Plan, ShardView};
+use crate::executor::{execute, Plan, ShardView};
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{run_seeded_phase, GpuPhaseCounts};
 use crate::search::{Clock, CuBlastpResult, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET};
@@ -501,7 +501,7 @@ fn run(case: &Case) -> Run {
                         cancel: CancelToken::after_checks(checks),
                         on_block: None,
                     };
-                    search_shards(&s, &views, false, None, &hooks).map(|s| s.result)
+                    s.run_blocks(&views, false, None, &hooks).map(|s| s.result)
                 })
                 .collect()
         }
@@ -1109,8 +1109,14 @@ mod tests {
             (cases.into_iter()).partition(|c| c.backend == GappedBackend::Gpu);
         let (host_peak, device_peak) = (check_all(host), check_all(device));
         if executed_threads(2) >= 2 {
-            assert!(host_peak >= 2, "no case shared a block's tail among threads");
-            assert!(device_peak >= 2, "no device-gapped case shared a block's DP");
+            assert!(
+                host_peak >= 2,
+                "no case shared a block's tail among threads"
+            );
+            assert!(
+                device_peak >= 2,
+                "no device-gapped case shared a block's DP"
+            );
         }
     }
 

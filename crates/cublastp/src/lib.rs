@@ -37,8 +37,9 @@
 //!     &db,
 //! );
 //! let result = searcher.search(&db).expect("search failed");
-//! println!("{} alignments, {:.2} ms on the simulated K20c",
-//!          result.report.hits.len(), result.timing.total_ms());
+//! let t = &result.timing;
+//! println!("{} alignments, {:.2} ms of kernels and PCIe on the simulated K20c",
+//!          result.report.hits.len(), t.gpu_ms + t.h2d_ms + t.d2h_ms);
 //! ```
 //!
 //! Searches return `Result`: device faults that survive the bounded-retry

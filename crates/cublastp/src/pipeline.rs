@@ -208,7 +208,8 @@ mod tests {
                 ..Default::default()
             };
             let r = searcher(&db, overlap, 7_400)
-                .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+                .map(|s| s.result)
                 .expect("fault-free search");
             (r, order.into_inner().unwrap())
         };
@@ -239,7 +240,8 @@ mod tests {
         assert!(dev_db.blocks().is_empty());
         for overlap in [false, true] {
             let r = searcher(&db, overlap, 7_410)
-                .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result)
                 .expect("no blocks is no error");
             assert!(r.report.hits.is_empty(), "overlap = {overlap}");
             assert!(r.block_timings.is_empty(), "overlap = {overlap}");
@@ -259,7 +261,9 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_420 + overlap as u32);
             panic_once_at(&mut gpu, 1);
-            let got = gpu.run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default());
+            let got = gpu
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(
@@ -269,7 +273,8 @@ mod tests {
             );
             // The fault fired once: the same searcher searches again.
             let clean = gpu
-                .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result)
                 .expect("the fault fires once");
             assert_eq!(
                 clean.report.identity_key(),
@@ -299,7 +304,9 @@ mod tests {
                 ..Default::default()
             };
             let gpu = searcher(&db, overlap, 7_430 + overlap as u32);
-            let got = gpu.run_blocks(flat(&poisoned, &dev_db), false, None, &hooks);
+            let got = gpu
+                .run_blocks(&[flat(&poisoned, &dev_db)], false, None, &hooks)
+                .map(|s| s.result);
             expect_panic_on("cpu tail", got, &case);
             assert_eq!(reported.into_inner().unwrap(), 0, "{case}");
             #[cfg(target_os = "linux")]
@@ -323,7 +330,9 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_440 + overlap as u32);
             panic_once_at(&mut gpu, 0);
-            let got = gpu.run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default());
+            let got = gpu
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(

@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
-use crate::executor::{execute, isolated, search_shards, Plan, ShardView};
+use crate::executor::{execute, isolated, Plan, Searched, ShardView};
 use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
@@ -350,7 +350,7 @@ pub struct CuBlastp {
     pub stream_index: u32,
     pub(crate) query_device: DeviceQuery,
     /// Measured host time of building the engine and the query's device
-    /// structures; `search_shards` books it once per query.
+    /// structures; `run_blocks` books it once per query.
     pub(crate) setup_ms: f64,
 }
 
@@ -363,12 +363,15 @@ type PcieLeg = (&'static str, &'static str, &'static str);
 const H2D: PcieLeg = ("h2d", "pcie h2d (modelled)", "h2d_transfer");
 const D2H: PcieLeg = ("d2h", "pcie d2h (modelled)", "d2h_transfer");
 
-/// Where a device step runs, as the recovery loop needs it: the fault
-/// scope, and what a deadline error reports.
+/// Where a device step runs: the fault scope (fault specs count a view's
+/// blocks), the block's place in the query's database (what a deadline
+/// error reports) and the view its subjects belong to.
 #[derive(Clone, Copy)]
 struct BlockAt<'a> {
     ctx: FaultCtx,
+    block: u32,
     blocks_total: u32,
+    shard: usize,
     hooks: &'a SearchHooks<'a>,
 }
 
@@ -387,6 +390,8 @@ enum TailWork {
 /// One batch of a block's subjects as the search's threads see it.
 /// Owned, because the helpers outlive the block (`blast_cpu::par`).
 struct TailJob {
+    /// The shard view the block belongs to.
+    shard: usize,
     /// Shard-local index of the block's first sequence.
     base: usize,
     work: TailWork,
@@ -417,7 +422,7 @@ const HELPER_MIN_SEED_SCORE: u64 = 2_000;
 
 impl TailJob {
     /// The block's non-empty subjects and their seed score.
-    fn new(base: usize, work: TailWork) -> Self {
+    fn new(shard: usize, base: usize, work: TailWork) -> Self {
         let (todo, seed_score) = match &work {
             TailWork::Finish(extensions) | TailWork::Align(_, extensions) => (
                 (0..extensions.num_seqs())
@@ -434,6 +439,7 @@ impl TailJob {
             }
         };
         Self {
+            shard,
             base,
             work,
             todo,
@@ -560,26 +566,34 @@ impl CuBlastp {
             dev: dev_db,
             start: 0,
         };
-        search_shards(self, &[view], charge_h2d, None, &SearchHooks::default()).map(|s| s.result)
+        self.run_blocks(&[view], charge_h2d, None, &SearchHooks::default())
+            .map(|s| s.result)
     }
 
-    /// The per-block loop every search runs (Fig. 12): each resident block
-    /// goes through the GPU side (hit phase, gapped backend, PCIe legs)
-    /// and then the CPU tail, overlapped block-against-block when
-    /// configured, and the per-block parts fold into one result
-    /// ([`CuBlastpResult::absorb`]). The caller has validated the config.
-    /// `seeds` only says where the hit bins come from: one demuxed
-    /// [`BinnedHits`] per block from a grouped seeding round, or `None`
-    /// for the query's own DFA pass over every block. Hits carry *global*
-    /// subject indices (`view.start` + shard-local index); block indices
-    /// are the view's own.
+    /// The one loop of a query's search (Fig. 12): every resident block of
+    /// every shard view, in global order, goes through the GPU side (hit
+    /// phase, gapped backend, PCIe legs) and then the CPU tail, overlapped
+    /// block-against-block when configured — across shard boundaries too,
+    /// under one set of tail helpers. A flat database is one view. `seeds`
+    /// only says where the hit bins come from: one demuxed [`BinnedHits`]
+    /// per block from a grouped seeding round, or `None` for the query's
+    /// own DFA pass over every block. Hits carry *global* subject indices
+    /// (`view.start` + shard-local index); `on_block` and a deadline error
+    /// number the blocks over all views (`blocks_total` = Σ blocks), fault
+    /// specs within a view. A failed block fails the query: a partial
+    /// merge would break the identical-to-single-database contract. The
+    /// block parts fold into their shard's part and the shard parts into
+    /// the query's result ([`CuBlastpResult::absorb`]): the result's
+    /// makespan is the shards' serial chain (`shard_ms` summed), its
+    /// "other" time the query's set-up plus the merge.
     pub(crate) fn run_blocks(
         &self,
-        view: ShardView<'_>,
+        views: &[ShardView<'_>],
         charge_h2d: bool,
         seeds: Option<Vec<BinnedHits>>,
         hooks: &SearchHooks<'_>,
-    ) -> Result<CuBlastpResult, SearchError> {
+    ) -> Result<Searched, SearchError> {
+        self.config.validate()?;
         let _search_span = obs::span("search", "host").with_query(self.stream_index);
         // Record which SIMD instruction set the CPU phases dispatch to for
         // this search, and which backend owns the gapped phase (§3.7).
@@ -587,16 +601,17 @@ impl CuBlastp {
         obs::gauge("cpu_simd_dispatch", &[("isa", dispatch.active.name())], 1.0);
         let backend = self.config.gapped_backend.name();
         obs::gauge("gapped_backend", &[("backend", backend)], 1.0);
-        let dev_db = view.dev;
-        if dev_db.block_size() != self.config.db_block_size {
-            return Err(SearchError::config(format!(
-                "resident database was partitioned at block size {}, config wants {}",
-                dev_db.block_size(),
-                self.config.db_block_size
-            )));
+        for view in views {
+            if view.dev.block_size() != self.config.db_block_size {
+                return Err(SearchError::config(format!(
+                    "resident database was partitioned at block size {}, config wants {}",
+                    view.dev.block_size(),
+                    self.config.db_block_size
+                )));
+            }
         }
 
-        let blocks_total = dev_db.blocks().len() as u32;
+        let blocks_total: u32 = views.iter().map(|v| v.dev.num_blocks() as u32).sum();
         // Reject an already-expired request before any device work: the
         // serving layer admits with the deadline clock already running.
         if hooks.cancel.is_cancelled() {
@@ -608,10 +623,11 @@ impl CuBlastp {
         // is the block's seed source: this query's bins from a grouped
         // seeding round, or `None` for the query's own DFA pass.
         let gpu_side = |tail: &mut Tail<'_, '_>,
-                        block: u32,
+                        at: BlockAt<'_>,
                         range: &DbBlock,
                         dev_block: &Arc<DeviceDbBlock>,
                         bins: Option<BinnedHits>| {
+            let block = at.block;
             // Cancellation checkpoint between blocks: an expired query
             // stops launching kernels and frees the device mid-search.
             if hooks.cancel.check() {
@@ -621,14 +637,6 @@ impl CuBlastp {
             if charge_h2d {
                 timing.h2d_ms = self.bill_transfer(H2D, dev_block.upload_bytes(), block);
             }
-            let at = BlockAt {
-                ctx: FaultCtx {
-                    query: self.stream_index,
-                    block,
-                },
-                blocks_total,
-                hooks,
-            };
             let mut recovery = RecoveryReport::default();
             let mut out = self.hit_phase(dev_block, at, bins, &mut recovery)?;
             let work = self.attach_gapped_backend(
@@ -653,7 +661,7 @@ impl CuBlastp {
             Ok(GpuSide {
                 block,
                 reports,
-                tail: Subjects::Held(TailJob::new(range.start, work)),
+                tail: Subjects::Held(TailJob::new(at.shard, range.start, work)),
                 part: CuBlastpResult {
                     kernels: out.kernels,
                     kernel_ms,
@@ -699,21 +707,33 @@ impl CuBlastp {
         // while the search's tail helpers finish block n − 1 (`overlap`),
         // or each block's tail right after its GPU side; under the device
         // gapped backend the helpers share the GPU side's DP. The helpers live
-        // as long as this search — started by the first block that needs
-        // them, parked between blocks, joined on every way out: success, a
-        // typed error, or a panic on either side.
+        // as long as this search, over every shard — started by the first
+        // block that needs them, parked between blocks, joined on every way
+        // out: success, a typed error, or a panic on either side.
         let threads = executed_threads(self.config.cpu_threads);
-        let item = |job: &TailJob, item: usize| self.tail_item(view, job, item);
+        let item = |job: &TailJob, item: usize| self.tail_item(views[job.shard], job, item);
         let helper_name = format!("tail-q{}", self.stream_index);
         let mut seeds = seeds.map(Vec::into_iter);
+        let blocks = (views.iter().enumerate())
+            .flat_map(|(shard, view)| (0u32..).zip(view.dev.blocks()).map(move |b| (shard, b)));
         let r = par_scope(&helper_name, threads, &item, |tail| {
             let mut parts = Vec::with_capacity(blocks_total as usize);
             let mut in_flight = None;
-            for (block, (range, dev_block)) in (0u32..).zip(dev_db.blocks()) {
+            for (block, (shard, (local, (range, dev_block)))) in (0u32..).zip(blocks) {
+                let at = BlockAt {
+                    ctx: FaultCtx {
+                        query: self.stream_index,
+                        block: local,
+                    },
+                    block,
+                    blocks_total,
+                    shard,
+                    hooks,
+                };
                 let bins = seeds.as_mut().and_then(Iterator::next);
                 let gpu = {
                     let _span = obs::span("producer_block", "pipeline").with_block(block);
-                    isolated("gpu side", || gpu_side(tail, block, range, dev_block, bins))
+                    isolated("gpu side", || gpu_side(tail, at, range, dev_block, bins))
                 };
                 obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
                 // The previous block's tail ran beside this GPU side.
@@ -754,21 +774,31 @@ impl CuBlastp {
 
             let t_merge = Instant::now();
             let merge_span = obs::span("merge", "host").with_query(self.stream_index);
+            // Each shard's blocks overlap as Fig. 12 schedules them; the
+            // shards run one after another, each the cost of one
+            // (query × shard) item of the fleet schedule.
             let mut r = CuBlastpResult::default();
-            for mut part in parts {
-                r.report.hits.append(&mut part.report.hits);
-                r.absorb(&part);
+            let mut shard_ms = Vec::with_capacity(views.len());
+            let mut parts = parts.into_iter();
+            for view in views {
+                let mut shard = CuBlastpResult::default();
+                for mut part in parts.by_ref().take(view.dev.num_blocks()) {
+                    r.report.hits.append(&mut part.report.hits);
+                    shard.absorb(&part);
+                }
+                let pipeline = schedule(&shard.block_timings);
+                shard.timing.overlapped_ms = pipeline.overlapped_ms;
+                shard.timing.serial_ms = pipeline.serial_ms;
+                shard_ms.push(pipeline.overlapped_ms);
+                r.absorb(&shard);
             }
             r.report.finalize(self.engine.params.max_reported);
-            // The blocks overlap as Fig. 12 schedules them, not end to end.
-            let pipeline = schedule(&r.block_timings);
-            r.timing.overlapped_ms = pipeline.overlapped_ms;
-            r.timing.serial_ms = pipeline.serial_ms;
-            // Query set-up is the query's, not this view's: `search_shards`
-            // adds it once.
-            r.timing.other_ms = t_merge.elapsed().as_secs_f64() * 1e3;
+            r.timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
             drop(merge_span);
-            Ok(r)
+            Ok(Searched {
+                result: r,
+                shard_ms,
+            })
         })?;
         if obs::metrics_enabled() {
             let checkouts = self.workspace.checkouts();
@@ -810,13 +840,13 @@ impl CuBlastp {
         loop {
             attempts += 1;
             if attempts > 1 && at.hooks.cancel.check() {
-                return Err(at.hooks.deadline_error(at.ctx.block, at.blocks_total));
+                return Err(at.hooks.deadline_error(at.block, at.blocks_total));
             }
             // Re-launches after a fault get their own span, so retry storms
             // are visible as repeated retry lanes in the trace.
             let _retry_span = (attempts > 1).then(|| {
                 obs::span(retry_span, "recovery")
-                    .with_block(at.ctx.block)
+                    .with_block(at.block)
                     .with_query(at.ctx.query)
                     .with_arg("attempt", attempts as f64)
             });
@@ -886,7 +916,7 @@ impl CuBlastp {
             recovery.degraded_blocks += 1;
             obs::counter("recovery_degraded_blocks_total", &[], 1);
             let _fb_span = obs::span("cpu_fallback", "recovery")
-                .with_block(at.ctx.block)
+                .with_block(at.block)
                 .with_query(at.ctx.query);
             self.cpu_fallback_phase(dev_block)
         }))
@@ -930,7 +960,7 @@ impl CuBlastp {
         if self.config.gapped_backend != GappedBackend::Gpu {
             return Ok(TailWork::Finish(extensions));
         }
-        let block = at.ctx.block;
+        let block = at.block;
         let dp = self.fine_dp();
         let run = self.recover("gapped_retry", at, recovery, || {
             let _span = obs::span("gapped_device", "gpu")
@@ -938,7 +968,7 @@ impl CuBlastp {
                 .with_query(at.ctx.query);
             let pass = || {
                 let work = TailWork::Align(Arc::clone(dev_block), Arc::clone(&extensions));
-                let done = TailJob::new(base, work).run(tail);
+                let done = TailJob::new(at.shard, base, work).run(tail);
                 (done.into_iter())
                     .filter_map(|d| match d {
                         Done::Aligned(subject) => Some(subject),
@@ -1696,7 +1726,8 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+            .map(|s| s.result)
             .expect_err("tripped token must cancel the search");
         match err {
             SearchError::DeadlineExceeded {
@@ -1717,7 +1748,8 @@ pub(crate) mod tests {
         };
         std::thread::sleep(Duration::from_millis(1));
         let err = gpu
-            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+            .map(|s| s.result)
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
         // The device gapped phase polls the token before a retry too: a
@@ -1736,7 +1768,8 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+            .map(|s| s.result)
             .expect_err("tripped token must stop the gapped retry");
         assert!(
             matches!(
@@ -1771,7 +1804,8 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+            .map(|s| s.result)
             .expect_err("tripped token must cancel the search");
         assert!(
             matches!(
@@ -1813,28 +1847,31 @@ pub(crate) mod tests {
         }
     }
 
-    /// Threads of this process named `name` now (the tail's helpers
-    /// carry their query's index).
+    /// Thread ids of this process's threads named `name` now (the tail's
+    /// helpers carry their query's index).
     #[cfg(target_os = "linux")]
-    fn live_threads_named(name: &str) -> usize {
+    fn tids_named(name: &str) -> Vec<String> {
         let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
-        tasks
-            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-            .filter(|comm| comm.trim_end() == name)
-            .count()
+        (tasks.filter_map(Result::ok))
+            .filter(|t| {
+                std::fs::read_to_string(t.path().join("comm"))
+                    .is_ok_and(|comm| comm.trim_end() == name)
+            })
+            .map(|t| t.file_name().to_string_lossy().into_owned())
+            .collect()
     }
 
-    /// [`live_threads_named`], polled until none is left or a second
-    /// passes: a scope's end waits for a thread's closure, not for the
-    /// kernel to reap the task, and a helper nobody released would stay
-    /// parked.
+    /// How many threads are named `name`, polled until none is left or a
+    /// second passes: a scope's end waits for a thread's closure, not for
+    /// the kernel to reap the task, and a helper nobody released would
+    /// stay parked.
     #[cfg(target_os = "linux")]
     pub(crate) fn threads_named(name: &str) -> usize {
         let t0 = Instant::now();
-        while live_threads_named(name) > 0 && t0.elapsed() < Duration::from_secs(1) {
+        while !tids_named(name).is_empty() && t0.elapsed() < Duration::from_secs(1) {
             std::thread::yield_now();
         }
-        live_threads_named(name)
+        tids_named(name).len()
     }
 
     /// `db` with the host copy of its subject `victim` cut to one residue:
@@ -1870,7 +1907,8 @@ pub(crate) mod tests {
         let run = |cpu_threads, overlap| {
             let cfg = family_config(cpu_threads, overlap);
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result)
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -1910,7 +1948,9 @@ pub(crate) mod tests {
             };
             let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
             gpu.stream_index = 7_300 + cpu_threads as u32;
-            let r = (gpu.run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default()))
+            let r = gpu
+                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                .map(|s| s.result)
                 .expect("fault-free search");
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
@@ -1956,13 +1996,19 @@ pub(crate) mod tests {
         for _ in 0..6 {
             gpu.search_resident(&db, &dev_db, false)
                 .expect("fault-free search");
-            assert!(ws.ckpt.takes() > takes, "the device pass must use the pools");
+            assert!(
+                ws.ckpt.takes() > takes,
+                "the device pass must use the pools"
+            );
             takes = ws.ckpt.takes();
             for (name, allocs, pooled) in [
                 ("ckpt", ws.ckpt.allocs(), ws.ckpt.pooled()),
                 ("dirs", ws.dirs.allocs(), ws.dirs.pooled()),
             ] {
-                assert!(allocs <= threads, "{name}: {allocs} buffers for {threads} threads");
+                assert!(
+                    allocs <= threads,
+                    "{name}: {allocs} buffers for {threads} threads"
+                );
                 assert_eq!(pooled as u64, allocs, "{name}: every buffer came back");
             }
         }
@@ -1984,11 +2030,12 @@ pub(crate) mod tests {
                 gpu.stream_index = 7_000 + cpu_threads as u32;
                 let err = gpu
                     .run_blocks(
-                        flat(&poisoned, &dev_db),
+                        &[flat(&poisoned, &dev_db)],
                         false,
                         None,
                         &SearchHooks::default(),
                     )
+                    .map(|s| s.result)
                     .expect_err("the poisoned subject must fail the search");
                 match &err {
                     SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
@@ -2000,7 +2047,8 @@ pub(crate) mod tests {
                 assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
                 // Nothing is left wedged: the same searcher searches again.
                 let clean = gpu
-                    .run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default())
+                    .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                    .map(|s| s.result)
                     .expect("clean database");
                 assert_eq!(clean.report.identity_key(), cpu.report.identity_key());
             }
@@ -2043,7 +2091,10 @@ pub(crate) mod tests {
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 let panic_at = FaultSpec::once(FaultSite::HostPanic).on_block(block);
                 gpu.injector = Arc::new(FaultInjector::new(FaultPlan::none().with(panic_at)));
-                match gpu.run_blocks(flat(&db, &dev_db), false, None, &SearchHooks::default()) {
+                match gpu
+                    .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
+                    .map(|s| s.result)
+                {
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, payload })) => {
                         assert_eq!(side, "gpu side", "{case}");
                         assert!(payload.contains("injected host panic"), "{case}: {payload}");
@@ -2075,7 +2126,7 @@ pub(crate) mod tests {
             // Counted on every block's join, while the search runs.
             let peak = AtomicUsize::new(0);
             let on_block = |_: BlockProgress<'_>| {
-                peak.fetch_max(live_threads_named(&name), Ordering::SeqCst);
+                peak.fetch_max(tids_named(&name).len(), Ordering::SeqCst);
             };
             let runs = [
                 ("ok", &db, CancelToken::never()),
@@ -2089,7 +2140,9 @@ pub(crate) mod tests {
                     cancel,
                     on_block: Some(&on_block),
                 };
-                let got = gpu.run_blocks(flat(source, &dev_db), false, None, &hooks);
+                let got = gpu
+                    .run_blocks(&[flat(source, &dev_db)], false, None, &hooks)
+                    .map(|s| s.result);
                 let expected = match &got {
                     Ok(_) => "ok",
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { .. })) => {
@@ -2110,6 +2163,103 @@ pub(crate) mod tests {
             assert!(
                 peak <= executed_threads(cpu_threads),
                 "cpu_threads = {cpu_threads}"
+            );
+        }
+    }
+
+    /// A sharded query is one search: one set of tail helpers over all its
+    /// shards, blocks numbered over the whole database, and the result of
+    /// the same database searched as one shard.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sharded_search_starts_its_helpers_once() {
+        use crate::shard::{DbSource, ShardedDb};
+        use std::collections::BTreeSet;
+        use std::sync::Mutex;
+        let (q, db) = family_workload();
+        let open = |cuts: &[usize]| {
+            ShardedDb::from_boundaries(DbSource::Inline(db.clone()), cuts, Some(24))
+                .expect("an inline database cuts anywhere")
+        };
+        // Shards of 24, 0 and 48 sequences: the one-shard search's blocks.
+        let (cut, whole) = (open(&[24, 24]), open(&[]));
+        let views = cut.views();
+        let blocks: Vec<usize> = views.iter().map(|v| v.dev.num_blocks()).collect();
+        assert_eq!(blocks, [1, 0, 2]);
+        let num_blocks = cut.num_blocks() as u32;
+        for overlap in [false, true] {
+            let case = format!("overlap = {overlap}");
+            let config = family_config(2, overlap);
+            let mut gpu = cut.searcher(
+                q.clone(),
+                SearchParams::default(),
+                config,
+                DeviceConfig::k20c(),
+            );
+            gpu.stream_index = 7_500 + overlap as u32;
+            let name = format!("tail-q{}", gpu.stream_index);
+            // Every helper the search ran, sampled at every block's join.
+            let helpers = Mutex::new(BTreeSet::new());
+            let order = Mutex::new(Vec::new());
+            let on_block = |p: BlockProgress<'_>| {
+                order.lock().unwrap().push((p.block, p.blocks_total));
+                helpers.lock().unwrap().extend(tids_named(&name));
+            };
+            let hooks = SearchHooks {
+                on_block: Some(&on_block),
+                ..Default::default()
+            };
+            let sharded = gpu
+                .run_blocks(&views, false, None, &hooks)
+                .expect("fault-free search");
+            assert_eq!(
+                threads_named(&name),
+                0,
+                "{case}: a helper outlived the search"
+            );
+            let in_order: Vec<(u32, u32)> = (0..num_blocks).map(|b| (b, num_blocks)).collect();
+            assert_eq!(order.into_inner().unwrap(), in_order, "{case}");
+            // No more helpers than one scope starts. (None is no error: a
+            // helper names itself once it runs, which may be after a join.)
+            let started = helpers.into_inner().unwrap().len();
+            let most = executed_threads(2);
+            assert!(started <= most, "{case}: {started} helpers");
+
+            let hooks = SearchHooks::default();
+            let one = (gpu.run_blocks(&whole.views(), false, None, &hooks)).expect("one shard");
+            let (r, want) = (&sharded.result, &one.result);
+            assert_eq!(
+                r.report.identity_key(),
+                want.report.identity_key(),
+                "{case}"
+            );
+            assert_eq!(r.kernels, want.kernels, "{case}");
+            assert_eq!(r.counts, want.counts, "{case}");
+            assert_eq!(
+                sharded.shard_ms[1], 0.0,
+                "{case}: the empty shard costs nothing"
+            );
+            let chain: f64 = sharded.shard_ms.iter().sum();
+            assert_eq!(chain.to_bits(), r.timing.overlapped_ms.to_bits(), "{case}");
+
+            // Polls 2k + 1 trips at block k's launch (two polls a block):
+            // block 2 is the last shard's second.
+            let hooks = SearchHooks {
+                cancel: CancelToken::after_checks(5),
+                on_block: None,
+            };
+            match gpu.run_blocks(&views, false, None, &hooks).err() {
+                Some(SearchError::DeadlineExceeded {
+                    blocks_completed,
+                    blocks_total,
+                    ..
+                }) => assert_eq!((blocks_completed, blocks_total), (2, num_blocks), "{case}"),
+                other => panic!("{case}: expected a deadline error, got {other:?}"),
+            }
+            assert_eq!(
+                threads_named(&name),
+                0,
+                "{case}: a helper outlived the deadline"
             );
         }
     }
@@ -2141,7 +2291,8 @@ pub(crate) mod tests {
             on_block: Some(&on_block),
         };
         let r = gpu
-            .run_blocks(flat(&db, &dev_db), false, None, &hooks)
+            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
+            .map(|s| s.result)
             .expect("fault-free search");
         let streamed = streamed.into_inner().expect("test mutex");
         let blocks_total = dev_db.blocks().len();

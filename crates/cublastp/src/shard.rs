@@ -29,7 +29,7 @@
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
-use crate::executor::{execute, search_shards, Plan, ShardView};
+use crate::executor::{execute, Plan, ShardView};
 use crate::scheduler::{schedule_fleet, FleetSchedule, DEFAULT_STEAL_SEED};
 use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
@@ -473,9 +473,10 @@ impl Default for ShardedOptions {
     }
 }
 
-/// Search every shard with `searcher` and merge — the single-query plan,
-/// [`CuBlastp::search_resident`] over the handle's shards: they run one
-/// after another and schedule no fleet. The searcher must carry global
+/// Search every shard with `searcher` and merge — the single-query plan:
+/// one pass of the query's block loop over the blocks of every shard in
+/// turn, as [`CuBlastp::search_resident`] makes over one database, with
+/// no fleet scheduled. The searcher must carry global
 /// statistics (build it with [`ShardedDb::searcher`], or against the full
 /// database); a shard whose search fails fails the whole query, as
 /// partial merges would break the identical-to-single-DB contract.
@@ -492,7 +493,9 @@ pub fn search_sharded(
     charge_h2d: bool,
     hooks: &SearchHooks<'_>,
 ) -> Result<CuBlastpResult, SearchError> {
-    search_shards(searcher, &sharded.views(), charge_h2d, None, hooks).map(|s| s.result)
+    searcher
+        .run_blocks(&sharded.views(), charge_h2d, None, hooks)
+        .map(|s| s.result)
 }
 
 /// Options for a sharded batch.
