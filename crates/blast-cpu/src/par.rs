@@ -21,11 +21,13 @@
 //!   helpers and returns with the results — it never waits for a helper
 //!   that has claimed nothing, so a batch the caller finishes before a
 //!   helper wakes costs it one notification; or
-//! * *posted* ([`ParMap::post`]): only helpers claim its items while the
-//!   caller does other work — the CPU side of the Fig. 12 overlap — and
-//!   [`ParMap::join`] collects it later. A batch no helper has started by
-//!   then (none could be started, or none has woken yet) the join runs on
-//!   the caller, so a join never waits for a wake-up.
+//! * *posted* ([`ParMap::post`]): helpers claim its items while the
+//!   caller does other work — the CPU side of the Fig. 12 overlap. The
+//!   caller then either claims what is left beside them
+//!   ([`ParMap::help`]), or leaves the batch to them and collects it
+//!   ([`ParMap::join`]). A batch no helper has started by the join (none
+//!   could be started, or none has woken yet) the join runs on the
+//!   caller, so a join never waits for a wake-up.
 //!
 //! Either way progress never depends on a second core. What a helper does
 //! cost is its wake-up (tens of microseconds of latency), so a caller that
@@ -43,7 +45,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
-use std::time::{Duration, Instant};
 
 type Payload = Box<dyn Any + Send + 'static>;
 
@@ -76,13 +77,9 @@ struct Gathered<T> {
     results: Vec<Option<T>>,
     /// Items accounted for: run, or skipped after a panic.
     done: usize,
-    /// When `done` reached the batch's size.
-    finished: Option<Instant>,
     panic: Option<Payload>,
     /// Score-pass DP cells helpers counted on their own threads.
     helper_cells: u64,
-    /// Threads that ran at least one item.
-    ran: usize,
 }
 
 /// One batch: the job, the claim index, and the gathered results.
@@ -140,10 +137,8 @@ impl<J, T> Batch<J, T> {
         if on_helper {
             g.helper_cells += dp_cells() - cells_before;
         }
-        g.ran += 1;
         g.done += claimed;
         if g.done == self.n {
-            g.finished = Some(Instant::now());
             self.all_done.notify_all();
         }
     }
@@ -199,7 +194,6 @@ pub struct Posted<J, T> {
     batch: Arc<Batch<J, T>>,
     /// The batch's seats while no helper has taken one.
     offered: usize,
-    at: Instant,
 }
 
 /// The handle [`par_scope`] gives its body: maps batches over the scope's
@@ -212,7 +206,6 @@ pub struct ParMap<'scope, 'env, J, T> {
     name: &'env str,
     threads: usize,
     helpers: Vec<ScopedJoinHandle<'scope, ()>>,
-    peak_ran: usize,
 }
 
 impl<'scope, 'env, J, T> ParMap<'scope, 'env, J, T>
@@ -230,8 +223,15 @@ where
             return self.map_alone(&job, n);
         }
         let posted = self.post(job, n, self.threads - 1);
+        self.help(posted)
+    }
+
+    /// Claim a posted batch's items next to its helpers, then join it:
+    /// for a caller that had its own work to do first and is free now.
+    /// It waits only for items a helper is still running.
+    pub fn help(&mut self, posted: Posted<J, T>) -> Vec<T> {
         posted.batch.drain(self.work, false);
-        self.join(posted).0
+        self.join(posted)
     }
 
     /// Hand `(0..n).map(|i| work(&job, i))` to at most `helpers` helper
@@ -250,16 +250,13 @@ where
             gathered: Mutex::new(Gathered {
                 results: (0..n).map(|_| None).collect(),
                 done: 0,
-                finished: None,
                 panic: None,
                 helper_cells: 0,
-                ran: 0,
             }),
             all_done: Condvar::new(),
         });
-        let at = Instant::now();
         if offered == 0 {
-            return Posted { batch, offered, at };
+            return Posted { batch, offered };
         }
         {
             let mut b = lock(&self.shared.board);
@@ -282,22 +279,19 @@ where
                 Err(_) => break,
             }
         }
-        Posted { batch, offered, at }
+        Posted { batch, offered }
     }
 
-    /// Wait for a posted batch and return its results in index order,
-    /// with the batch's own wall-clock: from [`Self::post`] — or from now,
-    /// if no helper had taken a seat and this thread runs it — to its last
-    /// item done, not to this call. Resumes the first panic of an item on
-    /// this thread.
-    pub fn join(&mut self, posted: Posted<J, T>) -> (Vec<T>, Duration) {
-        let (batch, mut at) = (posted.batch, posted.at);
+    /// Wait for a posted batch and return its results in index order —
+    /// running it here if no helper has taken a seat. Resumes the first
+    /// panic of an item on this thread.
+    pub fn join(&mut self, posted: Posted<J, T>) -> Vec<T> {
+        let batch = posted.batch;
         // Closing the seats decides it: a helper that sat down first is
         // draining, one that comes later finds none.
         let seats = &batch.seats;
         if (seats.compare_exchange(posted.offered, 0, Ordering::Relaxed, Ordering::Relaxed)).is_ok()
         {
-            at = Instant::now();
             batch.drain(self.work, false);
         }
         let mut g = lock(&batch.gathered);
@@ -305,34 +299,25 @@ where
             g = (batch.all_done.wait(g)).unwrap_or_else(PoisonError::into_inner);
         }
         count_cells(g.helper_cells);
-        self.peak_ran = self.peak_ran.max(g.ran);
         if let Some(payload) = g.panic.take() {
             drop(g);
             resume_unwind(payload);
         }
-        let wall = g.finished.map_or(Duration::ZERO, |done| done - at);
         let results = std::mem::take(&mut g.results);
         drop(g);
         // `done == n` with no panic: every slot was filled.
-        (results.into_iter().flatten().collect(), wall)
+        results.into_iter().flatten().collect()
     }
 
     /// The same on the calling thread alone, whatever the scope has: for a
     /// batch its caller knows to be cheaper than waking a helper.
     pub fn map_alone(&mut self, job: &J, n: usize) -> Vec<T> {
-        self.peak_ran = self.peak_ran.max(n.min(1));
         (0..n).map(|i| (self.work)(job, i)).collect()
     }
 
     /// Threads a mapped batch may use (the caller included).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The most threads that ran at least one item of a single batch so
-    /// far (the caller included; 0 before the first non-empty batch).
-    pub fn peak_threads_ran(&self) -> usize {
-        self.peak_ran
     }
 }
 
@@ -380,7 +365,6 @@ where
             name,
             threads: threads.max(1),
             helpers: Vec::new(),
-            peak_ran: 0,
         };
         body(&mut par)
     })
@@ -397,6 +381,7 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
     use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     /// Busy work whose cost the test controls (no sleep: an item must be
     /// runnable on one core).
@@ -472,7 +457,7 @@ mod tests {
                 for (b, &(n, helpers)) in batches.iter().enumerate() {
                     let posted = par.post(b, n, helpers);
                     spin(1_000);
-                    let (out, _) = par.join(posted);
+                    let out = par.join(posted);
                     let want: Vec<usize> = (0..n).map(|i| b * 1_000 + i).collect();
                     proptest::prop_assert_eq!(out, want, "batch {}", b);
                 }
@@ -504,7 +489,7 @@ mod tests {
                 assert_eq!(par.map(false, 1), vec![0], "one item runs inline");
                 assert_eq!(par.helpers.len(), 0, "nothing worth sharing yet");
                 assert_eq!(par.map(true, 2), vec![0, 1]);
-                assert_eq!((par.helpers.len(), par.peak_threads_ran()), (1, 2));
+                assert_eq!(par.helpers.len(), 1);
             },
         );
     }
@@ -522,7 +507,7 @@ mod tests {
             // No seat offered (as when no helper could be started): the
             // join runs the batch.
             let posted = par.post((), 8, 0);
-            let (out, _) = par.join(posted);
+            let out = par.join(posted);
             let indices: Vec<usize> = out.iter().map(|o| o.0).collect();
             assert_eq!(indices, (0..8).collect::<Vec<_>>());
             assert!(on(&out).iter().all(|&t| t == caller));
@@ -535,7 +520,7 @@ mod tests {
                 while claimed.load(Ordering::SeqCst) == before {
                     std::thread::yield_now();
                 }
-                let (out, _) = par.join(posted);
+                let out = par.join(posted);
                 let ran = on(&out);
                 assert!(ran.iter().all(|&t| t != caller), "seats = {seats}");
                 assert_eq!(par.helpers.len(), started);
@@ -557,18 +542,11 @@ mod tests {
             for _ in 0..4 {
                 let posted = par.post((), 1, 1);
                 nap(10);
-                let (out, wall) = par.join(posted);
-                assert_eq!(out.len(), 1);
-                assert!(wall >= Duration::from_millis(10), "{wall:?}");
+                assert_eq!(par.join(posted).len(), 1);
             }
-            // A batch's wall-clock ends with its last item, not the join.
-            let posted = par.post((), 1, 1);
-            nap(60);
-            let (_, wall) = par.join(posted);
-            assert!(wall < Duration::from_millis(60), "{wall:?}");
-            assert_eq!((par.helpers.len(), par.peak_threads_ran()), (1, 1));
+            assert_eq!(par.helpers.len(), 1);
         });
-        let elapsed = t0.elapsed() - Duration::from_millis(60);
+        let elapsed = t0.elapsed();
         assert!(
             elapsed < Duration::from_millis(75),
             "no overlap observed: {elapsed:?}"
@@ -576,10 +554,30 @@ mod tests {
     }
 
     #[test]
+    fn a_helping_caller_claims_what_its_helpers_left() {
+        // Two items that each wait for the other: the caller is busy with
+        // its own work when the batch is posted, so a helper takes one and
+        // the helping caller the other.
+        let barrier = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let work = |_: &(), i| {
+            barrier.wait();
+            (i, std::thread::current().id())
+        };
+        par_scope("t", 2, &work, |par| {
+            let posted = par.post((), 2, 1);
+            spin(1_000);
+            let out = par.help(posted);
+            assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), [0, 1]);
+            assert_eq!(out.iter().filter(|o| o.1 == caller).count(), 1);
+        });
+    }
+
+    #[test]
     fn one_thread_spawns_nothing() {
         par_scope("t", 1, &|_: &(), i| i, |par| {
             assert_eq!(par.map((), 50), (0..50).collect::<Vec<_>>());
-            assert_eq!((par.helpers.len(), par.peak_threads_ran()), (0, 1));
+            assert!(par.helpers.is_empty());
         });
     }
 
@@ -611,7 +609,7 @@ mod tests {
                     // Posted: only helpers claim, the join resumes.
                     true => {
                         let posted = par.post((), 64, threads);
-                        par.join(posted).0
+                        par.join(posted)
                     }
                     false => par.map((), 64),
                 })

@@ -126,23 +126,28 @@ pub struct CuBlastpConfig {
     pub grid_blocks: u32,
     /// Database sequences per pipeline block (Fig. 12 granularity).
     pub db_block_size: usize,
-    /// CPU threads of the §3.6 tail (Fig. 13): gapped extension and
-    /// traceback of a block's subjects run on
-    /// `min(cpu_threads, available_parallelism())` executed threads — the
-    /// caller and helpers that live as long as the search
-    /// (`blast_cpu::par`) — and the block's CPU lane in the Fig. 12
-    /// schedule is their measured wall-clock. Under [`GappedBackend::Gpu`]
-    /// the same threads run the device pass's functional DP, claiming a
-    /// block's subjects one at a time. Reports and modelled device times
-    /// are bit-identical at every value; `CuBlastpResult::tail_threads_ran`
-    /// says how many threads ran. A block whose gapped phase is cheaper
-    /// than waking a helper runs on one thread
-    /// (`search::HELPER_MIN_SEED_SCORE`), and the server pins this to 1:
-    /// its workers are its parallelism.
+    /// Threads a search runs on: `min(cpu_threads, available_parallelism())`
+    /// executed threads — the caller and helpers that live as long as the
+    /// search (`blast_cpu::par`). They run the §3.6 tail (Fig. 13):
+    /// gapped extension and traceback of a block's subjects, and the
+    /// block's CPU lane in the Fig. 12 schedule is their measured
+    /// wall-clock, first subject's start to last subject's end. Under
+    /// [`GappedBackend::Gpu`] the same threads run the device pass's
+    /// functional DP, claiming a block's subjects one at a time; under
+    /// `overlap` they also run several blocks' hit phases at once. Reports
+    /// and modelled device times are bit-identical at every value;
+    /// `CuBlastpResult::tail_threads_ran` says how many threads ran a
+    /// block's tail. A block whose gapped phase is cheaper than waking a
+    /// helper runs it on one thread (`search::HELPER_MIN_SEED_SCORE`), and
+    /// the server pins this to 1: its workers are its parallelism.
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12): the
-    /// searching thread runs block *n*'s GPU side while the tail helpers
-    /// finish block *n − 1*.
+    /// search's threads run a *wave* of blocks' hit phases — the first on
+    /// the caller — beside the tails of the blocks before them. A wave is
+    /// as wide as the executed threads after a light block, and one block
+    /// after a heavy one, on one thread (where one helper runs the tails),
+    /// with a fault injector armed, or under grouped seeding. Without
+    /// overlap each block's tail runs right after its GPU side.
     pub overlap: bool,
     /// Where the gapped phase runs (CPU tail vs device kernel, §3.7).
     #[serde(default)]

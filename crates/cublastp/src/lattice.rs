@@ -32,7 +32,9 @@ use crate::error::{PipelineError, SearchError};
 use crate::executor::{execute, Plan, ShardView};
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{run_seeded_phase, GpuPhaseCounts};
-use crate::search::{Clock, CuBlastpResult, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET};
+use crate::search::{
+    meet, Clock, CuBlastpResult, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET,
+};
 use crate::shard::{DbSource, ShardedDb};
 use crate::CancelToken;
 use bio_seq::fasta::{read_fasta_strict, to_fasta};
@@ -1105,9 +1107,15 @@ mod tests {
         assert!(cases.iter().any(image_ragged), "image × ragged");
         // The device backend's DP shares its blocks on the same threads as
         // the CPU tail: one peak over both would hide a pass that never did.
+        // Each peak's first shared tail waits for its second thread, so a
+        // helper slow to wake still takes its seat.
         let (device, host): (Vec<Case>, Vec<Case>) =
             (cases.into_iter()).partition(|c| c.backend == GappedBackend::Gpu);
-        let (host_peak, device_peak) = (check_all(host), check_all(device));
+        let peak = |cases| {
+            let _meet = (executed_threads(2) >= 2).then(|| meet::arm(meet::Kind::Tail));
+            check_all(cases)
+        };
+        let (host_peak, device_peak) = (peak(host), peak(device));
         if executed_threads(2) >= 2 {
             assert!(
                 host_peak >= 2,

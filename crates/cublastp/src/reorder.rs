@@ -330,7 +330,7 @@ fn filter_tiles(
         if tile_resident && lo > 0 {
             block.global_read_seq(src_base + (lo as u64 - 1) * 8, 1, 8, 8);
         }
-        let mut kept: Vec<u64> = ws.keys.take();
+        let mut kept: Vec<u64> = ws.tile_keys.take();
         // In two-hit mode the array's very first hit has no neighbour.
         let mut prev = lo.checked_sub(1).map(|p| concat[p]);
         let mut j = lo;
@@ -361,7 +361,7 @@ fn filter_tiles(
     let mut hits: Vec<u64> = ws.keys.take();
     for kept in per_block {
         hits.extend_from_slice(&kept);
-        ws.keys.put(kept);
+        ws.tile_keys.put(kept);
     }
     (FilteredHits { hits, before }, stats)
 }

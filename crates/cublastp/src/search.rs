@@ -23,12 +23,13 @@ use crate::gpu_phase::{
 use crate::pipeline::{schedule, BlockTiming};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
-use blast_cpu::par::{executed_threads, par_scope, shares, ParMap, Posted};
+use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
 use blast_cpu::report::{Alignment, PhaseTimes, ReportedHit, SearchReport};
 use blast_cpu::search::{apportion_wall, SearchEngine};
 use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// The clock a reported time is on (DESIGN.md "Clocks, threads and the
@@ -216,9 +217,11 @@ pub struct CuBlastpResult {
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
-    /// The most threads that finished or reported subjects of one block's
-    /// CPU tail: what ran of `cpu_threads`. 0 when no block had a subject
-    /// for the tail.
+    /// The most threads that finished, aligned or reported subjects of
+    /// one block's CPU tail (its device DP included): what ran of
+    /// `cpu_threads`. Under `overlap` a light block's subjects go to
+    /// whichever threads are free beside the next wave's hit phases, so
+    /// they may count two. 0 when no block had a subject for the tail.
     pub tail_threads_ran: usize,
 }
 
@@ -387,8 +390,8 @@ enum TailWork {
     Report(Vec<Vec<Alignment>>),
 }
 
-/// One batch of a block's subjects as the search's threads see it.
-/// Owned, because the helpers outlive the block (`blast_cpu::par`).
+/// One block's subjects as the search's threads see them. Owned, because
+/// the helpers outlive the block (`blast_cpu::par`).
 struct TailJob {
     /// The shard view the block belongs to.
     shard: usize,
@@ -404,9 +407,12 @@ struct TailJob {
     seed_score: u64,
 }
 
-/// The seed score below which a block's gapped phase runs on one thread:
-/// the caller, or — under `overlap`, on the CPU backend — one helper
-/// beside the next block's GPU side.
+/// The seed score below which a block is *light*: its gapped phase runs
+/// on one thread — the caller, or under `overlap` whichever thread is free
+/// beside the next block's hit phase — and the next wave of hit phases is
+/// as wide as the search's threads. A heavy block's gapped phase (or the
+/// device backend's functional DP) is shared among all of them, and the
+/// next wave is one block: its tail keeps the helpers busy.
 ///
 /// Gapped extension and traceback cost about 0.2 µs per unit of seed
 /// score (EXPERIMENTS.md "PR 24": 85 → 40–100 µs, 1 558 → 295 µs, 5 524 →
@@ -447,50 +453,191 @@ impl TailJob {
         }
     }
 
-    /// True when the block's subjects are worth sharing among `threads`.
+    /// True when the block is heavy: its subjects are worth sharing among
+    /// `threads`.
     fn shared_among(&self, threads: usize) -> bool {
         shares(threads, self.todo.len()) && self.seed_score >= HELPER_MIN_SEED_SCORE
     }
+}
 
-    /// Run the batch now: on the caller and the helpers if it is worth
-    /// sharing, on the caller alone otherwise.
-    fn run(self, tail: &mut Tail<'_, '_>) -> Vec<Done> {
-        let n = self.todo.len();
-        if self.shared_among(tail.threads()) {
-            tail.map(self, n)
+/// A hit phase a batch carries: the block (an index into the search's
+/// block list) and its grouped-round bins, until the item that runs it
+/// takes them.
+struct HitJob {
+    block: usize,
+    bins: Mutex<Option<BinnedHits>>,
+}
+
+/// One batch of the search's threads: the hit phases of a wave's blocks
+/// past its first (the caller runs that one itself), then the subjects of
+/// earlier blocks' tails in block order. The device pass's DP of one
+/// block is a batch of its `Align` tail.
+struct Batch {
+    hits: Vec<HitJob>,
+    tails: Vec<TailJob>,
+    /// Blocks in the wave the hit phases belong to.
+    wave: usize,
+    /// Helpers claim items beside a claiming caller (test rendezvous wait
+    /// only in such a batch).
+    #[cfg(test)]
+    shared: bool,
+}
+
+impl Batch {
+    fn new(hits: Vec<HitJob>, tails: Vec<TailJob>, wave: usize) -> Self {
+        Self {
+            hits,
+            tails,
+            wave,
+            #[cfg(test)]
+            shared: false,
+        }
+    }
+
+    /// One block's tail alone.
+    fn tail(job: TailJob) -> Self {
+        Self::new(Vec::new(), vec![job], 0)
+    }
+
+    fn len(&self) -> usize {
+        self.hits.len() + self.tails.iter().map(|t| t.todo.len()).sum::<usize>()
+    }
+
+    /// The tail and its item for item `i` of the subjects.
+    fn subject(&self, mut i: usize) -> (usize, usize) {
+        let mut t = 0;
+        while i >= self.tails[t].todo.len() {
+            i -= self.tails[t].todo.len();
+            t += 1;
+        }
+        (t, i)
+    }
+
+    /// Run the batch on the search's threads, and `own` — the caller's own
+    /// hit phase, if `beside` — on the caller; the items' results come
+    /// back in index order. Helpers are woken only for work beside the
+    /// caller: hit phases or a heavy tail (all helpers), a light tail that
+    /// finishes extension records while the caller runs `own` (one). The
+    /// caller claims what is left once it is free, unless the search has
+    /// one thread: its overlap helper then finishes the batch alone.
+    fn run<R>(
+        self,
+        tail: &mut Tail<'_, '_>,
+        beside: bool,
+        own: impl FnOnce() -> R,
+    ) -> (R, Vec<Done>) {
+        let (n, threads) = (self.len(), tail.threads());
+        let heavy = self.tails.iter().any(|t| t.shared_among(threads));
+        // Statistics over the device's alignments cost less than a wake-up.
+        let finishes = self
+            .tails
+            .iter()
+            .any(|t| !matches!(t.work, TailWork::Report(_)));
+        let helpers = match n {
+            0 => 0,
+            _ if !self.hits.is_empty() || heavy => threads - 1,
+            _ => usize::from(beside && finishes),
+        };
+        let claims = threads >= 2;
+        #[cfg(test)]
+        let (batch, pair) = {
+            let shared = helpers > 0 && claims;
+            let pair = beside && shared && !self.hits.is_empty();
+            (Batch { shared, ..self }, pair)
+        };
+        #[cfg(not(test))]
+        let batch = self;
+        if helpers == 0 {
+            let r = own();
+            return (r, tail.map_alone(&batch, n));
+        }
+        let posted = tail.post(batch, n, helpers);
+        // The caller's own hit phase meets one a helper claimed.
+        #[cfg(test)]
+        if let Some(m) = meet::armed() {
+            m.arrive(meet::Kind::Hits, pair);
+        }
+        let r = own();
+        let done = if claims {
+            tail.help(posted)
         } else {
-            tail.map_alone(&self, n)
+            tail.join(posted)
+        };
+        (r, done)
+    }
+}
+
+/// A block's hit phase as it left the thread that ran it.
+struct HitPhase {
+    out: GpuPhaseOutput,
+    recovery: RecoveryReport,
+}
+
+/// Which thread ran one tail subject, and from when to when.
+struct Lane {
+    on: ThreadId,
+    from: Instant,
+    to: Instant,
+}
+
+/// One claimed item, as the thread that claimed it leaves it.
+enum Done {
+    /// A hit phase, or why it failed.
+    Hit(Result<HitPhase, SearchError>),
+    /// Finished or reported: its hits and its two phase times (zero for
+    /// a report).
+    Subject(Vec<ReportedHit>, PhaseTimes, Lane),
+    /// Aligned by the device pass's DP.
+    Aligned(SubjectDp, Lane),
+}
+
+impl Done {
+    fn lane(&self) -> Option<&Lane> {
+        match self {
+            Done::Hit(_) => None,
+            Done::Subject(.., lane) | Done::Aligned(_, lane) => Some(lane),
         }
     }
 }
 
-/// One claimed subject, as the thread that claimed it leaves it.
-enum Done {
-    /// Finished or reported: its hits and its two phase times (zero for
-    /// a report).
-    Subject(Vec<ReportedHit>, PhaseTimes),
-    /// Aligned by the device pass's DP.
-    Aligned(SubjectDp),
+/// The threads that ran `done`'s subjects, and their wall-clock: the
+/// first subject's start to the last one's end.
+fn lanes(done: &[Done]) -> (usize, Duration) {
+    let mut on: Vec<ThreadId> = Vec::new();
+    let mut span: Option<(Instant, Instant)> = None;
+    for lane in done.iter().filter_map(Done::lane) {
+        if !on.contains(&lane.on) {
+            on.push(lane.on);
+        }
+        span = Some(span.map_or((lane.from, lane.to), |(from, to)| {
+            (from.min(lane.from), to.max(lane.to))
+        }));
+    }
+    (
+        on.len(),
+        span.map_or(Duration::ZERO, |(from, to)| to - from),
+    )
 }
 
 /// The threads of one search: the caller and its helpers.
-type Tail<'scope, 'env> = ParMap<'scope, 'env, TailJob, Done>;
+type Tail<'scope, 'env> = ParMap<'scope, 'env, Batch, Done>;
 
-/// A block's CPU tail between the hand-off and the join.
-enum Subjects {
-    /// Run at the join: by the caller, and by the helpers too if the
-    /// block is worth sharing.
-    Held(TailJob),
-    /// Posted to the helpers at the hand-off (`overlap`, CPU backend).
-    Posted(Posted<TailJob, Done>),
+/// One block of the query's database, as the search walks it.
+struct Block<'a> {
+    at: BlockAt<'a>,
+    range: &'a DbBlock,
+    dev: &'a Arc<DeviceDbBlock>,
 }
 
 /// What the GPU side of one block hands to its CPU tail.
 struct GpuSide {
     block: u32,
-    tail: Subjects,
     /// The device gapped backend aligned the block: its tail only reports.
     reports: bool,
+    /// The block's gapped phase — the CPU tail's, or the device pass's
+    /// DP — was worth sharing among the search's threads: the next wave is
+    /// one block wide.
+    heavy: bool,
     /// The block's part of the search's ledger, device side filled in;
     /// the CPU tail adds the block's hits, its own times and the block's
     /// row of the Fig. 12 schedule.
@@ -573,7 +720,7 @@ impl CuBlastp {
     /// The one loop of a query's search (Fig. 12): every resident block of
     /// every shard view, in global order, goes through the GPU side (hit
     /// phase, gapped backend, PCIe legs) and then the CPU tail, overlapped
-    /// block-against-block when configured — across shard boundaries too,
+    /// wave-against-wave when configured — across shard boundaries too,
     /// under one set of tail helpers. A flat database is one view. `seeds`
     /// only says where the hit bins come from: one demuxed [`BinnedHits`]
     /// per block from a grouped seeding round, or `None` for the query's
@@ -618,72 +765,38 @@ impl CuBlastp {
             return Err(hooks.deadline_error(0, blocks_total));
         }
 
-        // The GPU side of one block, on the calling thread (and, for the
-        // device gapped backend's DP, on the search's helpers too). `bins`
-        // is the block's seed source: this query's bins from a grouped
-        // seeding round, or `None` for the query's own DFA pass.
-        let gpu_side = |tail: &mut Tail<'_, '_>,
-                        at: BlockAt<'_>,
-                        range: &DbBlock,
-                        dev_block: &Arc<DeviceDbBlock>,
-                        bins: Option<BinnedHits>| {
-            let block = at.block;
-            // Cancellation checkpoint between blocks: an expired query
-            // stops launching kernels and frees the device mid-search.
-            if hooks.cancel.check() {
-                return Err(hooks.deadline_error(block, blocks_total));
-            }
-            let mut timing = CuBlastpTiming::default();
-            if charge_h2d {
-                timing.h2d_ms = self.bill_transfer(H2D, dev_block.upload_bytes(), block);
-            }
-            let mut recovery = RecoveryReport::default();
-            let mut out = self.hit_phase(dev_block, at, bins, &mut recovery)?;
-            let work = self.attach_gapped_backend(
-                tail,
-                range.start,
-                dev_block,
-                at,
-                &mut out,
-                &mut recovery,
-            )?;
-            let reports = matches!(work, TailWork::Report(_));
-            let kernel_ms = out.kernel_ms(&self.device);
-            timing.gpu_ms = kernel_ms.iter().sum();
-            // The link carries what the host reads: the device's
-            // alignments, else the trigger survivors the device computed.
-            // Records the host computed itself (a degraded hit phase feeding
-            // the CPU tail) cross nothing — no bytes, no latency.
-            if reports || recovery.degraded_blocks == 0 {
-                timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
-                out.counts.d2h_bytes = out.download_bytes;
-            }
-            Ok(GpuSide {
-                block,
-                reports,
-                tail: Subjects::Held(TailJob::new(at.shard, range.start, work)),
-                part: CuBlastpResult {
-                    kernels: out.kernels,
-                    kernel_ms,
-                    counts: out.counts,
-                    timing,
-                    recovery,
-                    ..Default::default()
+        // Every block of every view, numbered over the query's database,
+        // and its seed source: this query's bins from a grouped seeding
+        // round, or `None` for the query's own DFA pass.
+        let blocks: Vec<Block<'_>> = (views.iter().enumerate())
+            .flat_map(|(shard, view)| (0u32..).zip(view.dev.blocks()).map(move |b| (shard, b)))
+            .zip(0u32..)
+            .map(|((shard, (local, (range, dev))), block)| Block {
+                at: BlockAt {
+                    ctx: FaultCtx {
+                        query: self.stream_index,
+                        block: local,
+                    },
+                    block,
+                    blocks_total,
+                    shard,
+                    hooks,
                 },
+                range,
+                dev,
             })
-        };
+            .collect();
+        let seeded = seeds.is_some();
+        let mut bins: Vec<Option<BinnedHits>> = (seeds.into_iter().flatten()).map(Some).collect();
+        bins.resize_with(blocks.len(), || None);
 
-        // The CPU tail of one block, joined on the calling thread: its
-        // subjects finished or reported by the caller and the search's
-        // helpers (`cpu_finish_block`); then the block's row of the Fig. 12
-        // schedule and its progress event.
-        let cpu_side = |tail: &mut Tail<'_, '_>, mut gpu: GpuSide| {
+        // The CPU tail of one block, folded on the calling thread once the
+        // search's threads have run its subjects: its hits, its row of the
+        // Fig. 12 schedule and its progress event, in block order.
+        let cpu_side = |mut gpu: GpuSide, done: Vec<Done>| {
             let _span = obs::span("consumer_block", "pipeline").with_block(gpu.block);
             let part = &mut gpu.part;
-            // The tail's lane in the Fig. 12 schedule.
-            let cpu_ms = isolated("cpu tail", || {
-                Ok(self.cpu_finish_block(tail, gpu.tail, gpu.reports, part))
-            })?;
+            let cpu_ms = self.fold_tail(done, gpu.reports, part);
             let t = &mut part.timing;
             t.cpu_wall_ms = cpu_ms;
             part.block_timings.push(BlockTiming {
@@ -700,76 +813,139 @@ impl CuBlastp {
                 });
             }
             obs::counter("pipeline_blocks_total", &[("side", "consumer")], 1);
-            Ok::<_, SearchError>(gpu.part)
+            gpu.part
         };
 
-        // Fig. 12 on one kind of thread: this one runs block n's GPU side
-        // while the search's tail helpers finish block n − 1 (`overlap`),
-        // or each block's tail right after its GPU side; under the device
-        // gapped backend the helpers share the GPU side's DP. The helpers live
-        // as long as this search, over every shard — started by the first
-        // block that needs them, parked between blocks, joined on every way
-        // out: success, a typed error, or a panic on either side.
+        // Fig. 12 on one kind of thread. The caller walks the blocks in
+        // *waves*: one batch of the search's threads runs a wave's hit
+        // phases — the first on the caller — beside the tails of the wave
+        // before it; then, in block order on the caller, each block's
+        // launch checkpoint, the rest of its GPU side (gapped backend, PCIe
+        // legs) and its tail checkpoint. A wave is as wide as the threads
+        // after a light block, and one block after a heavy one (its tail
+        // keeps the helpers busy), when `overlap` is off (each tail runs
+        // right after its block), on one thread, or with the injector
+        // armed: a wider wave runs hit phases before their checkpoint, so
+        // they may neither fault nor poll. Blocks seeded by a grouped
+        // round go one at a time too: their hit phase has no seeding
+        // kernel, and two at once bought no throughput (EXPERIMENTS.md
+        // "Hit-phase waves"). The helpers live as long as
+        // this search, over every shard — started by the first batch that
+        // wants them, parked between batches, joined on every way out:
+        // success, a typed error, or a panic on either side.
         let threads = executed_threads(self.config.cpu_threads);
-        let item = |job: &TailJob, item: usize| self.tail_item(views[job.shard], job, item);
+        let waves = self.config.overlap && threads >= 2 && self.injector.is_disarmed() && !seeded;
+        let caller = std::thread::current().id();
+        #[cfg(test)]
+        let rendezvous = meet::armed();
+        let item = |batch: &Batch, i: usize| match batch.hits.get(i) {
+            Some(hit) => {
+                #[cfg(test)]
+                if let Some(m) = &rendezvous {
+                    m.arrive(meet::Kind::Hits, batch.shared);
+                }
+                let bins = (hit.bins.lock().unwrap_or_else(PoisonError::into_inner)).take();
+                let on_caller = std::thread::current().id() == caller;
+                Done::Hit(self.hit_item(&blocks[hit.block], bins, batch.wave, on_caller))
+            }
+            None => {
+                let (t, item) = batch.subject(i - batch.hits.len());
+                #[cfg(test)]
+                if let Some(m) = &rendezvous {
+                    let pair = batch.tails.iter().position(|t| t.todo.len() >= 2);
+                    m.arrive(meet::Kind::Tail, batch.shared && pair == Some(t));
+                }
+                let job = &batch.tails[t];
+                self.tail_item(views[job.shard], job, item)
+            }
+        };
         let helper_name = format!("tail-q{}", self.stream_index);
-        let mut seeds = seeds.map(Vec::into_iter);
-        let blocks = (views.iter().enumerate())
-            .flat_map(|(shard, view)| (0u32..).zip(view.dev.blocks()).map(move |b| (shard, b)));
         let r = par_scope(&helper_name, threads, &item, |tail| {
-            let mut parts = Vec::with_capacity(blocks_total as usize);
-            let mut in_flight = None;
-            for (block, (shard, (local, (range, dev_block)))) in (0u32..).zip(blocks) {
-                let at = BlockAt {
-                    ctx: FaultCtx {
-                        query: self.stream_index,
-                        block: local,
-                    },
-                    block,
-                    blocks_total,
-                    shard,
-                    hooks,
+            let mut parts = Vec::with_capacity(blocks.len());
+            // Blocks whose tails the next batch runs (`overlap`).
+            let mut pending: Vec<(GpuSide, TailJob)> = Vec::new();
+            // Why the search ends early: it launches nothing more, and the
+            // tails of blocks that passed their tail checkpoint still run,
+            // so `on_block` fires for exactly those.
+            let mut stop = None;
+            let (mut next, mut width) = (0, 1);
+            while (stop.is_none() && next < blocks.len()) || !pending.is_empty() {
+                let mut wave = next..next;
+                if stop.is_none() {
+                    wave.end = blocks.len().min(next + width);
+                }
+                // Cancellation checkpoint of the wave's first block: an
+                // expired query stops launching kernels and frees the
+                // device mid-search.
+                if !wave.is_empty() && hooks.cancel.check() {
+                    stop = Some(hooks.deadline_error(blocks[wave.start].at.block, blocks_total));
+                    wave.end = wave.start;
+                }
+                next = wave.end;
+                let (sides, tails): (Vec<GpuSide>, Vec<TailJob>) = pending.drain(..).unzip();
+                let sizes: Vec<usize> = tails.iter().map(|t| t.todo.len()).collect();
+                let hits: Vec<HitJob> = (wave.clone().skip(1))
+                    .map(|b| HitJob {
+                        block: b,
+                        bins: Mutex::new(bins[b].take()),
+                    })
+                    .collect();
+                let n_hits = hits.len();
+                let own_bins = bins.get_mut(wave.start).and_then(Option::take);
+                let own = || {
+                    let first = blocks[wave.clone()].first();
+                    first.map(|b| self.hit_item(b, own_bins, wave.len(), true))
                 };
-                let bins = seeds.as_mut().and_then(Iterator::next);
-                let gpu = {
-                    let _span = obs::span("producer_block", "pipeline").with_block(block);
-                    isolated("gpu side", || gpu_side(tail, at, range, dev_block, bins))
-                };
-                obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
-                // The previous block's tail ran beside this GPU side.
-                if let Some(prev) = in_flight.take() {
-                    parts.push(cpu_side(tail, prev)?);
+                let (own, done) = isolated("cpu tail", || {
+                    let batch = Batch::new(hits, tails, wave.len());
+                    Ok(batch.run(tail, !wave.is_empty(), own))
+                })?;
+                let mut done = done.into_iter();
+                let hit_phases: Vec<Result<HitPhase, SearchError>> = (own.into_iter())
+                    .chain(done.by_ref().take(n_hits).filter_map(|d| match d {
+                        Done::Hit(hit) => Some(hit),
+                        _ => None,
+                    }))
+                    .collect();
+                for (gpu, size) in sides.into_iter().zip(sizes) {
+                    parts.push(cpu_side(gpu, done.by_ref().take(size).collect()));
                 }
-                let mut gpu = gpu?;
-                // Checkpoint before the CPU tail: an expired query skips
-                // its host work too.
-                if hooks.cancel.check() {
-                    return Err(hooks.deadline_error(block, blocks_total));
-                }
-                if !self.config.overlap {
-                    parts.push(cpu_side(tail, gpu)?);
-                    continue;
-                }
-                // Hand the tail off: a light block to one helper, one worth
-                // sharing to all of them. Under the device backend the next
-                // block's GPU side maps its DP on these threads, and a batch
-                // is joined before the next is posted: the tail (statistics,
-                // or a degraded block's gapped phase) is held for the join.
-                if self.config.gapped_backend == GappedBackend::Cpu {
-                    if let Subjects::Held(job) = gpu.tail {
-                        let helpers = if job.shared_among(threads) {
-                            threads
-                        } else {
-                            1
+                let mut heavy = false;
+                for (k, (b, hit)) in blocks[wave].iter().zip(hit_phases).enumerate() {
+                    // The later blocks' launch checkpoints: a hit phase
+                    // that ran before its own is dropped when it trips.
+                    if k > 0 && hooks.cancel.check() {
+                        stop = Some(hooks.deadline_error(b.at.block, blocks_total));
+                        break;
+                    }
+                    let (gpu, job) =
+                        match isolated("gpu side", || self.gpu_side(tail, b, hit?, charge_h2d)) {
+                            Ok(side) => side,
+                            Err(e) => {
+                                stop = Some(e);
+                                break;
+                            }
                         };
-                        let n = job.todo.len();
-                        gpu.tail = Subjects::Posted(tail.post(job, n, helpers));
+                    obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
+                    // Checkpoint before the CPU tail: an expired query
+                    // skips its host work too.
+                    if hooks.cancel.check() {
+                        stop = Some(hooks.deadline_error(b.at.block, blocks_total));
+                        break;
+                    }
+                    heavy = gpu.heavy;
+                    if self.config.overlap {
+                        pending.push((gpu, job));
+                    } else {
+                        let (_, done) =
+                            isolated("cpu tail", || Ok(Batch::tail(job).run(tail, false, || ())))?;
+                        parts.push(cpu_side(gpu, done));
                     }
                 }
-                in_flight = Some(gpu);
+                width = if waves && !heavy { threads } else { 1 };
             }
-            if let Some(last) = in_flight {
-                parts.push(cpu_side(tail, last)?);
+            if let Some(e) = stop {
+                return Err(e);
             }
 
             let t_merge = Instant::now();
@@ -809,6 +985,83 @@ impl CuBlastp {
             }
         }
         Ok(r)
+    }
+
+    /// One block's hit phase (kernels 1–3, or the seeded pair) under the
+    /// recovery policy, on whichever thread runs it: a `producer_block`
+    /// span with the width of its wave and whether the caller ran it. A
+    /// panic comes back typed as the GPU side's.
+    fn hit_item(
+        &self,
+        b: &Block<'_>,
+        bins: Option<BinnedHits>,
+        wave: usize,
+        on_caller: bool,
+    ) -> Result<HitPhase, SearchError> {
+        let _span = obs::span("producer_block", "pipeline")
+            .with_block(b.at.block)
+            .with_arg("wave", wave as f64)
+            .with_arg("on_caller", f64::from(u8::from(on_caller)));
+        let thread = if on_caller { "caller" } else { "helper" };
+        obs::counter("pipeline_hit_phases_total", &[("thread", thread)], 1);
+        isolated("gpu side", || {
+            let mut recovery = RecoveryReport::default();
+            let out = self.hit_phase(b.dev, b.at, bins, &mut recovery)?;
+            Ok(HitPhase { out, recovery })
+        })
+    }
+
+    /// The rest of a block's GPU side once its hit phase is back, on the
+    /// caller: the gapped backend (the device pass's DP claims the block's
+    /// subjects on the search's threads) and the two PCIe legs.
+    fn gpu_side(
+        &self,
+        tail: &mut Tail<'_, '_>,
+        b: &Block<'_>,
+        hit: HitPhase,
+        charge_h2d: bool,
+    ) -> Result<(GpuSide, TailJob), SearchError> {
+        let HitPhase {
+            mut out,
+            mut recovery,
+        } = hit;
+        let block = b.at.block;
+        let mut timing = CuBlastpTiming::default();
+        if charge_h2d {
+            timing.h2d_ms = self.bill_transfer(H2D, b.dev.upload_bytes(), block);
+        }
+        let extensions = Arc::new(std::mem::take(&mut out.extensions));
+        let finish = TailJob::new(b.at.shard, b.range.start, TailWork::Finish(extensions));
+        let heavy = finish.shared_among(tail.threads());
+        let mut dp_threads = 0;
+        let job =
+            self.attach_gapped_backend(tail, b, finish, &mut out, &mut recovery, &mut dp_threads)?;
+        let reports = matches!(job.work, TailWork::Report(_));
+        let kernel_ms = out.kernel_ms(&self.device);
+        timing.gpu_ms = kernel_ms.iter().sum();
+        // The link carries what the host reads: the device's alignments,
+        // else the trigger survivors the device computed. Records the host
+        // computed itself (a degraded hit phase feeding the CPU tail) cross
+        // nothing — no bytes, no latency.
+        if reports || recovery.degraded_blocks == 0 {
+            timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+            out.counts.d2h_bytes = out.download_bytes;
+        }
+        let gpu = GpuSide {
+            block,
+            reports,
+            heavy,
+            part: CuBlastpResult {
+                kernels: out.kernels,
+                kernel_ms,
+                counts: out.counts,
+                timing,
+                recovery,
+                tail_threads_ran: dp_threads,
+                ..Default::default()
+            },
+        };
+        Ok((gpu, job))
     }
 
     /// Modelled time of moving `bytes` for `block` over one PCIe leg,
@@ -936,7 +1189,8 @@ impl CuBlastp {
     }
 
     /// Run the gapped backend for one block whose hit phase is done and
-    /// say what the block's tail does. Under [`GappedBackend::Gpu`] the
+    /// say what the block's tail does: `finish` its extension records, as
+    /// on [`GappedBackend::Cpu`], or report. Under [`GappedBackend::Gpu`] the
     /// fine kernel produces the block's alignments under the recovery
     /// policy (DESIGN.md §3.7): its functional DP claims the block's
     /// subjects on the search's threads (`tail`), its stats join
@@ -950,16 +1204,19 @@ impl CuBlastp {
     fn attach_gapped_backend(
         &self,
         tail: &mut Tail<'_, '_>,
-        base: usize,
-        dev_block: &Arc<DeviceDbBlock>,
-        at: BlockAt<'_>,
+        b: &Block<'_>,
+        finish: TailJob,
         out: &mut GpuPhaseOutput,
         recovery: &mut RecoveryReport,
-    ) -> Result<TailWork, SearchError> {
-        let extensions = Arc::new(std::mem::take(&mut out.extensions));
-        if self.config.gapped_backend != GappedBackend::Gpu {
-            return Ok(TailWork::Finish(extensions));
-        }
+        dp_threads: &mut usize,
+    ) -> Result<TailJob, SearchError> {
+        let extensions = match &finish.work {
+            TailWork::Finish(e) if self.config.gapped_backend == GappedBackend::Gpu => {
+                Arc::clone(e)
+            }
+            _ => return Ok(finish),
+        };
+        let at = b.at;
         let block = at.block;
         let dp = self.fine_dp();
         let run = self.recover("gapped_retry", at, recovery, || {
@@ -967,12 +1224,14 @@ impl CuBlastp {
                 .with_block(block)
                 .with_query(at.ctx.query);
             let pass = || {
-                let work = TailWork::Align(Arc::clone(dev_block), Arc::clone(&extensions));
-                let done = TailJob::new(at.shard, base, work).run(tail);
+                let work = TailWork::Align(Arc::clone(b.dev), Arc::clone(&extensions));
+                let job = TailJob::new(at.shard, b.range.start, work);
+                let (_, done) = Batch::tail(job).run(tail, false, || ());
+                *dp_threads = (*dp_threads).max(lanes(&done).0);
                 (done.into_iter())
                     .filter_map(|d| match d {
-                        Done::Aligned(subject) => Some(subject),
-                        Done::Subject(..) => None,
+                        Done::Aligned(subject, _) => Some(subject),
+                        _ => None,
                     })
                     .collect()
             };
@@ -989,7 +1248,7 @@ impl CuBlastp {
             obs::counter("recovery_degraded_gapped_total", &[], 1);
             // The CPU gapped phase finishes the block (bit-identical by
             // construction).
-            return Ok(TailWork::Finish(extensions));
+            return Ok(finish);
         };
         if obs::state() != 0 {
             let sim_ms = g.stats.time_ms(&self.device);
@@ -1004,7 +1263,8 @@ impl CuBlastp {
         }
         out.download_bytes = g.download_bytes;
         out.kernels.push(g.stats);
-        Ok(TailWork::Report(g.alignments))
+        let aligned = TailWork::Report(g.alignments);
+        Ok(TailJob::new(at.shard, b.range.start, aligned))
     }
 
     /// Degradation path: reproduce the GPU phase for one block on the CPU
@@ -1060,6 +1320,12 @@ impl CuBlastp {
     /// gapped extension, traceback and statistics; the device pass's DP;
     /// or the statistics of the device's alignments.
     fn tail_item(&self, view: ShardView<'_>, job: &TailJob, item: usize) -> Done {
+        let from = Instant::now();
+        let lane = || Lane {
+            on: std::thread::current().id(),
+            from,
+            to: Instant::now(),
+        };
         let local = job.todo[item] as usize;
         let idx = job.base + local;
         let subject = &view.db.sequences()[idx];
@@ -1074,7 +1340,8 @@ impl CuBlastp {
                 Some(&mut times),
             ),
             TailWork::Align(dev_block, extensions) => {
-                return Done::Aligned(self.fine_dp().subject(dev_block, extensions, local))
+                let dp = self.fine_dp().subject(dev_block, extensions, local);
+                return Done::Aligned(dp, lane());
             }
             TailWork::Report(aligns) => (self.engine).report_from_alignments(
                 view.start + idx,
@@ -1083,49 +1350,33 @@ impl CuBlastp {
                 &mut found,
             ),
         }
-        Done::Subject(found.hits, times)
+        Done::Subject(found.hits, times, lane())
     }
 
-    /// CPU tail for one block (§3.6, Fig. 13): gapped extension +
-    /// traceback over the block's extension CSR — or, when the device
-    /// gapped backend aligned the block (`reports`), statistics and
-    /// e-value filtering over its alignments — its non-empty subjects
-    /// claimed by the search's `min(cpu_threads, available_parallelism())`
-    /// threads (held subjects by the caller and, if worth sharing, the
-    /// helpers; posted ones by the helpers alone) and their hits appended
-    /// to `part` in subject order, the order the one-thread loop produces.
-    /// Returns the block's CPU lane: the measured wall-clock of the tail
-    /// (a posted one's from its hand-off to its last subject), which
-    /// `part.timing` splits into the two phases by their share of summed
-    /// thread time — a report's lane is all but empty, the gapped work
-    /// shows up in the block's kernel time instead. Telemetry is emitted
-    /// here, once per block, never from a helper.
-    fn cpu_finish_block(
-        &self,
-        tail: &mut Tail<'_, '_>,
-        subjects: Subjects,
-        reports: bool,
-        part: &mut CuBlastpResult,
-    ) -> f64 {
+    /// CPU tail for one block (§3.6, Fig. 13) once the search's
+    /// `min(cpu_threads, available_parallelism())` threads have run its
+    /// subjects — gapped extension + traceback over the block's extension
+    /// CSR, or, when the device gapped backend aligned the block
+    /// (`reports`), statistics and e-value filtering over its alignments:
+    /// their hits appended to `part` in subject order, the order the
+    /// one-thread loop produces. Returns the block's CPU lane: the
+    /// measured wall-clock from its first subject's start to its last
+    /// one's end, which `part.timing` splits into the two phases by their
+    /// share of summed thread time — a report's lane is all but empty, the
+    /// gapped work shows up in the block's kernel time instead. Telemetry
+    /// is emitted here, once per block, never from a helper.
+    fn fold_tail(&self, done: Vec<Done>, reports: bool, part: &mut CuBlastpResult) -> f64 {
         let span_name = if reports { "cpu_report" } else { "cpu_phase" };
         let mut cpu_span = obs::span(span_name, "cpu").with_query(self.stream_index);
-        let t0 = Instant::now();
-        let (finished, posted_wall) = match subjects {
-            Subjects::Held(job) => (job.run(tail), None),
-            Subjects::Posted(posted) => {
-                let (finished, wall) = tail.join(posted);
-                (finished, Some(wall))
-            }
-        };
+        let (ran, wall) = lanes(&done);
         let mut summed = PhaseTimes::default();
-        for done in finished {
-            if let Done::Subject(mut hits, times) = done {
+        for d in done {
+            if let Done::Subject(mut hits, times, _) = d {
                 part.report.hits.append(&mut hits);
                 summed.add(&times);
             }
         }
-        let wall = posted_wall.unwrap_or_else(|| t0.elapsed());
-        part.tail_threads_ran = tail.peak_threads_ran();
+        part.tail_threads_ran = part.tail_threads_ran.max(ran);
         if reports {
             if obs::state() != 0 {
                 obs::counter("alignments_total", &[], part.report.hits.len() as u64);
@@ -1371,6 +1622,131 @@ pub fn search_batch_resident(
     }
 }
 
+/// A test-only rendezvous that makes "two threads ran items of one batch"
+/// deterministic. A test arms it on its own thread ([`arm`]); the searches
+/// that thread runs then hold the first thread to enter an item of the
+/// armed kind, in a batch that a claiming caller shares with helpers,
+/// until a second thread enters one too — a helper slow to wake still
+/// gets its seat. One meeting per arming. A wait gives up after
+/// [`PATIENCE`], so the assertion it guards fails instead of hanging.
+#[cfg(test)]
+pub(crate) mod meet {
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    /// Which items meet.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub(crate) enum Kind {
+        /// Hit phases: the caller's own and one a helper claimed.
+        Hits,
+        /// Subjects of the first tail in a batch with two or more.
+        Tail,
+    }
+
+    #[derive(Default)]
+    struct State {
+        waiting: Option<ThreadId>,
+        met: bool,
+        /// The first thread stopped waiting with nobody come.
+        gave_up: bool,
+    }
+
+    pub(crate) struct Rendezvous {
+        kind: Kind,
+        state: Mutex<State>,
+        cv: Condvar,
+        /// Names of the threads that entered an item of the armed kind.
+        ran_on: Mutex<BTreeSet<String>>,
+    }
+
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    thread_local! {
+        static ARMED: RefCell<Option<Arc<Rendezvous>>> = const { RefCell::new(None) };
+    }
+
+    /// Armed until dropped.
+    pub(crate) struct Armed(Arc<Rendezvous>);
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            ARMED.with(|a| a.borrow_mut().take());
+        }
+    }
+
+    impl std::ops::Deref for Armed {
+        type Target = Rendezvous;
+        fn deref(&self) -> &Rendezvous {
+            &self.0
+        }
+    }
+
+    /// Arm `kind` for the searches this thread runs.
+    pub(crate) fn arm(kind: Kind) -> Armed {
+        let r = Arc::new(Rendezvous {
+            kind,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+            ran_on: Mutex::default(),
+        });
+        ARMED.with(|a| *a.borrow_mut() = Some(Arc::clone(&r)));
+        Armed(r)
+    }
+
+    /// What this thread armed, if anything.
+    pub(crate) fn armed() -> Option<Arc<Rendezvous>> {
+        ARMED.with(|a| a.borrow().clone())
+    }
+
+    impl Rendezvous {
+        /// An item of `kind` starts on this thread. `pair`: a second
+        /// thread is bound to enter one of the same batch.
+        pub(crate) fn arrive(&self, kind: Kind, pair: bool) {
+            if kind != self.kind {
+                return;
+            }
+            let me = std::thread::current();
+            lock(&self.ran_on).insert(me.name().unwrap_or("").to_string());
+            let mut s = lock(&self.state);
+            if !pair || s.met {
+                return;
+            }
+            match s.waiting {
+                None => {
+                    s.waiting = Some(me.id());
+                    let (mut s, _) = (self.cv.wait_timeout_while(s, PATIENCE, |s| !s.met))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    s.gave_up = !s.met;
+                    s.met = true;
+                }
+                Some(first) if first != me.id() => {
+                    s.met = true;
+                    self.cv.notify_all();
+                }
+                Some(_) => {}
+            }
+        }
+
+        /// Whether two threads met.
+        pub(crate) fn met(&self) -> bool {
+            let s = lock(&self.state);
+            s.met && !s.gave_up
+        }
+
+        /// Names of the threads that entered an item of the armed kind.
+        pub(crate) fn ran_on(&self) -> BTreeSet<String> {
+            lock(&self.ran_on).clone()
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1551,6 +1927,51 @@ pub(crate) mod tests {
             gpu.workspace.allocations(),
             warm_allocs,
             "steady-state search must allocate zero workspace buffers"
+        );
+    }
+
+    /// The pools hold buffers by role: after two rounds of a stream of
+    /// different queries over a multi-block database the workspace holds
+    /// what a third round needs. A free list that hands a launch-wide
+    /// buffer to a per-thread-block use grows every buffer it holds
+    /// toward the largest use, round after round.
+    #[test]
+    fn workspace_stops_growing_after_two_rounds_of_a_query_stream() {
+        let q = make_query(96);
+        let spec = DbSpec {
+            name: "ratchet",
+            num_sequences: 160,
+            mean_length: 160,
+            homolog_fraction: 0.2,
+            seed: 33,
+        };
+        let db = generate_db(&spec, &q).db;
+        let cfg = CuBlastpConfig {
+            db_block_size: 32,
+            grid_blocks: 2,
+            warps_per_block: 2,
+            cpu_threads: 1,
+            overlap: false,
+            ..Default::default()
+        };
+        let dev_db = DeviceDb::upload(&db, cfg.db_block_size);
+        assert!(dev_db.num_blocks() >= 4, "a multi-block database");
+        let queries: Vec<Sequence> = [96, 300, 60, 180, 420, 128].map(make_query).into();
+        let ws = Arc::new(KernelWorkspace::new());
+        let mut retained = Vec::new();
+        for _ in 0..3 {
+            for q in &queries {
+                let params = SearchParams::default();
+                let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
+                gpu.workspace = Arc::clone(&ws);
+                gpu.search_resident(&db, &dev_db, false)
+                    .expect("fault-free search");
+            }
+            retained.push(ws.pooled_bytes());
+        }
+        assert!(
+            retained[2] as f64 <= retained[1] as f64 * 1.05,
+            "retained bytes after rounds 1-3: {retained:?}"
         );
     }
 
@@ -1915,12 +2336,14 @@ pub(crate) mod tests {
         assert_eq!(one.tail_threads_ran, 1);
         for overlap in [false, true] {
             for cpu_threads in [1, 2, 3, 8] {
+                let executed = executed_threads(cpu_threads);
+                // A helper slow to wake still takes a seat.
+                let _meet = (executed >= 2).then(|| meet::arm(meet::Kind::Tail));
                 let r = run(cpu_threads, overlap);
                 let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
                 assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
                 assert_eq!(r.kernels, one.kernels, "{case}");
                 assert_eq!(r.counts, one.counts, "{case}");
-                let executed = executed_threads(cpu_threads);
                 assert!(r.tail_threads_ran <= executed, "{case}");
                 // Every block here is worth sharing.
                 assert_eq!(r.tail_threads_ran >= 2, executed >= 2, "{case}");
@@ -1931,6 +2354,123 @@ pub(crate) mod tests {
                     (t.cpu_wall_ms - (t.gapped_ms + t.traceback_ms)).abs() < 1e-9,
                     "{case}"
                 );
+            }
+        }
+    }
+
+    /// Hit phases of several blocks run at once on the search's threads
+    /// under `overlap` — every block here is light, so after the first
+    /// each wave is as wide as the threads — and nothing observable moves:
+    /// the report, the device side, the block order of `on_block`, and the
+    /// outcome of a deadline at every poll count with the blocks it
+    /// reported. Hit phases run on the caller and the search's own
+    /// helpers, and on nothing else.
+    #[test]
+    fn hit_phases_share_the_search_threads_and_change_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        let q = make_query(96);
+        let spec = DbSpec {
+            name: "light",
+            num_sequences: 120,
+            mean_length: 120,
+            homolog_fraction: 0.05,
+            seed: 8,
+        };
+        let db = generate_db(&spec, &q).db;
+        let params = SearchParams::default();
+        let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
+        let dev_db = DeviceDb::upload(&db, 24);
+        let blocks = dev_db.num_blocks() as u32;
+        assert!(blocks >= 4, "a multi-block database");
+        let gpu_lanes = |r: &CuBlastpResult| -> Vec<[u64; 3]> {
+            (r.block_timings.iter())
+                .map(|t| [t.h2d_ms.to_bits(), t.gpu_ms.to_bits(), t.d2h_ms.to_bits()])
+                .collect()
+        };
+        // A search's result, the blocks `on_block` saw in the order it saw
+        // them, and the most helpers alive at one of them.
+        let search = |cpu_threads, overlap, stream: u32, cancel| {
+            let cfg = CuBlastpConfig {
+                db_block_size: 24,
+                grid_blocks: 2,
+                warps_per_block: 2,
+                cpu_threads,
+                overlap,
+                ..Default::default()
+            };
+            let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
+            gpu.stream_index = stream;
+            let helper = format!("tail-q{stream}");
+            let (order, peak) = (Mutex::new(Vec::new()), AtomicUsize::new(0));
+            let on_block = |p: BlockProgress<'_>| {
+                order.lock().unwrap().push(p.block);
+                #[cfg(target_os = "linux")]
+                peak.fetch_max(tids_named(&helper).len(), Ordering::SeqCst);
+            };
+            let hooks = SearchHooks {
+                cancel,
+                on_block: Some(&on_block),
+            };
+            let r = gpu.run_blocks(&[flat(&db, &dev_db)], false, None, &hooks);
+            #[cfg(target_os = "linux")]
+            assert_eq!(threads_named(&helper), 0, "a helper outlived the search");
+            (r, order.into_inner().unwrap(), peak.into_inner())
+        };
+        // What a deadline at poll `k` ends in: `None` for a search that
+        // finishes, else the blocks the error reports.
+        let ending = |r: Result<Searched, SearchError>| match r {
+            Ok(_) => None,
+            Err(SearchError::DeadlineExceeded {
+                blocks_completed,
+                blocks_total,
+                ..
+            }) => Some((blocks_completed, blocks_total)),
+            Err(other) => panic!("expected a deadline error, got {other:?}"),
+        };
+        // At every poll count: the outcome, and the blocks whose progress
+        // was reported.
+        let stopped = |cpu_threads, overlap, stream, k| {
+            let (r, order, _) = search(cpu_threads, overlap, stream, CancelToken::after_checks(k));
+            (ending(r), order)
+        };
+        let polls = 1..=2 * u64::from(blocks) + 1;
+        let serial: Vec<_> = (polls.clone())
+            .map(|k| stopped(1, false, 7_600, k))
+            .collect();
+        assert_eq!(serial.last().map(|s| s.0), Some(None), "every poll counted");
+        let (one, ..) = search(1, false, 7_600, CancelToken::never());
+        let one = one.expect("fault-free search").result;
+        assert_eq!(one.report.identity_key(), cpu.report.identity_key());
+        let caller = std::thread::current().name().map(str::to_string);
+        for overlap in [false, true] {
+            for cpu_threads in [1, 2, 8] {
+                let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
+                let stream = 7_610 + cpu_threads as u32 + 100 * u32::from(overlap);
+                let executed = executed_threads(cpu_threads);
+                let hits = meet::arm(meet::Kind::Hits);
+                let (r, order, peak) = search(cpu_threads, overlap, stream, CancelToken::never());
+                let r = r.expect("fault-free search").result;
+                assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
+                assert_eq!(r.kernels, one.kernels, "{case}");
+                assert_eq!(r.counts, one.counts, "{case}");
+                assert_eq!(gpu_lanes(&r), gpu_lanes(&one), "{case}");
+                assert_eq!(order, (0..blocks).collect::<Vec<_>>(), "{case}");
+                // Two hit phases ran at once exactly when waves are wide.
+                assert_eq!(hits.met(), overlap && executed >= 2, "{case}");
+                // On the caller and the search's helpers, and no more of
+                // those than it has threads.
+                let helper = format!("tail-q{stream}");
+                for on in hits.ran_on() {
+                    let ok = Some(&on) == caller.as_ref() || on == helper;
+                    assert!(ok, "{case}: a hit phase ran on thread {on:?}");
+                }
+                assert!(peak <= executed, "{case}: {peak} helpers");
+                drop(hits);
+                let ends: Vec<_> = (polls.clone())
+                    .map(|k| stopped(cpu_threads, overlap, stream, k))
+                    .collect();
+                assert_eq!(ends, serial, "{case}: deadline outcomes by poll count");
             }
         }
     }
@@ -1961,12 +2501,14 @@ pub(crate) mod tests {
         assert!(one.kernel(FINE_GAPPED_KERNEL).is_some());
         for overlap in [false, true] {
             for cpu_threads in [1, 2, 3, 8] {
+                let executed = executed_threads(cpu_threads);
+                // A helper slow to wake still takes a seat.
+                let _meet = (executed >= 2).then(|| meet::arm(meet::Kind::Tail));
                 let r = run(cpu_threads, overlap);
                 let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
                 assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
                 assert_eq!(r.kernels, one.kernels, "{case}");
                 assert_eq!(r.counts, one.counts, "{case}");
-                let executed = executed_threads(cpu_threads);
                 assert!(r.tail_threads_ran <= executed, "{case}");
                 // Every block's DP here is worth sharing.
                 assert_eq!(r.tail_threads_ran >= 2, executed >= 2, "{case}");

@@ -127,20 +127,20 @@ impl SeedPass {
         let num_bins = self.num_bins;
         let mut pages: Vec<Page> = (0..self.members)
             .map(|_| {
-                let mut counts: Vec<u32> = ws.offsets.take();
+                let mut counts: Vec<u32> = ws.tile_counts.take();
                 counts.resize(self.warps_per_block * num_bins, 0);
                 Page {
                     counts,
-                    keys: ws.keys.take(),
+                    keys: ws.tile_keys.take(),
                 }
             })
             .collect();
-        let mut tops: Vec<u32> = ws.offsets.take();
+        let mut tops: Vec<u32> = ws.tile_counts.take();
         // Per-bin hit count of the current round — the worst count is the
         // atomic serialization the simulator charges, so the kernel hands
         // it over instead of having the simulator re-derive it from a
         // target list. Reset via `round_bins` after every round.
-        let mut round_cnt: Vec<u32> = ws.offsets.take();
+        let mut round_cnt: Vec<u32> = ws.tile_counts.take();
         round_cnt.resize(num_bins, 0);
         let mut round_bins = [0usize; LANES];
         let mut writes = [0u64; LANES];
@@ -242,8 +242,8 @@ impl SeedPass {
                 i += self.num_warps;
             }
         }
-        ws.offsets.put(tops);
-        ws.offsets.put(round_cnt);
+        ws.tile_counts.put(tops);
+        ws.tile_counts.put(round_cnt);
         pages
     }
 
@@ -285,8 +285,8 @@ impl SeedPass {
                 }
                 warp_keys = rest;
             }
-            ws.offsets.put(page.counts);
-            ws.keys.put(page.keys);
+            ws.tile_counts.put(page.counts);
+            ws.tile_keys.put(page.keys);
         }
         BinnedHits {
             offsets,

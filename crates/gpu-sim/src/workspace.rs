@@ -99,6 +99,13 @@ impl<T> BufferPool<T> {
         lock(&self.free).len()
     }
 
+    /// Bytes of capacity the free list retains: what the pool holds on to
+    /// between checkouts.
+    pub fn pooled_bytes(&self) -> usize {
+        let held: usize = lock(&self.free).iter().map(Vec::capacity).sum();
+        held * std::mem::size_of::<T>()
+    }
+
     /// Drop every pooled buffer, releasing retained capacity. The recovery
     /// path calls this between retries of a failed block: a fault may leave
     /// outstanding buffers unreturned, and a fresh free list restores the
@@ -111,17 +118,30 @@ impl<T> BufferPool<T> {
 /// The scratch pools the hit-path kernels draw from, shared by every
 /// search of an engine (and across a whole batch). All pools are
 /// thread-safe: whoever holds the workspace may check buffers in and out
-/// from several threads (a search's threads run the device gapped
-/// backend's per-subject DP side by side, each with its own checkpoint and
-/// direction buffers). The per-block kernel
-/// bodies of one launch are not such threads — `launch_map` runs them one
-/// after another on the calling thread.
+/// from several threads — a search's threads run the hit phases of
+/// different database blocks side by side, and the device gapped
+/// backend's per-subject DP, each with its own buffers. The per-block
+/// kernel bodies of one launch are not such threads — `launch_map` runs
+/// them one after another on the thread that launched.
+///
+/// Pools are split by buffer *role*, not only by element type: a free
+/// list hands its most recently returned buffer to the next taker, so a
+/// pool shared by a launch-wide array (an arena of every hit of a block)
+/// and a per-thread-block one (one block's page) grows every buffer it
+/// holds toward the largest use. Per-thread-block scratch therefore has
+/// pools of its own (`tile_*`).
 pub struct KernelWorkspace {
-    /// Packed 64-bit hit keys: arena pages, sort scratch, filter output.
+    /// Launch-wide packed 64-bit hit keys: the bin arena, sort scratch,
+    /// filter output.
     pub keys: BufferPool<u64>,
-    /// CSR offsets (arena bin boundaries, segment boundaries) and the
-    /// seeding pass's per-bin and per-slot counters.
+    /// Launch-wide CSR offsets: arena bin boundaries, segment boundaries.
     pub offsets: BufferPool<u32>,
+    /// Keys one thread block holds: a seeding block's page, a filter
+    /// tile's survivors.
+    pub tile_keys: BufferPool<u64>,
+    /// Counters one thread block holds: a seeding block's per-slot hit
+    /// counts, its per-bin `top` and round counters.
+    pub tile_counts: BufferPool<u32>,
     /// Interval-traceback checkpoint rows (device gapped backend): the
     /// bounded D/F snapshots the multi-pass re-fill restores from.
     pub ckpt: BufferPool<i32>,
@@ -136,6 +156,8 @@ impl Default for KernelWorkspace {
         Self {
             keys: BufferPool::named("keys"),
             offsets: BufferPool::named("offsets"),
+            tile_keys: BufferPool::named("tile_keys"),
+            tile_counts: BufferPool::named("tile_counts"),
             ckpt: BufferPool::named("ckpt"),
             dirs: BufferPool::named("dirs"),
         }
@@ -150,14 +172,35 @@ impl KernelWorkspace {
 
     /// Total checkouts across all pools.
     pub fn checkouts(&self) -> u64 {
-        self.keys.takes() + self.offsets.takes() + self.ckpt.takes() + self.dirs.takes()
+        self.keys.takes()
+            + self.offsets.takes()
+            + self.tile_keys.takes()
+            + self.tile_counts.takes()
+            + self.ckpt.takes()
+            + self.dirs.takes()
     }
 
     /// Total cold-miss allocations across all pools. Once the pools are
     /// warm this is constant across searches — the quantity the
     /// workspace-reuse test asserts on.
     pub fn allocations(&self) -> u64 {
-        self.keys.allocs() + self.offsets.allocs() + self.ckpt.allocs() + self.dirs.allocs()
+        self.keys.allocs()
+            + self.offsets.allocs()
+            + self.tile_keys.allocs()
+            + self.tile_counts.allocs()
+            + self.ckpt.allocs()
+            + self.dirs.allocs()
+    }
+
+    /// Bytes of capacity all pools retain between checkouts
+    /// ([`BufferPool::pooled_bytes`]).
+    pub fn pooled_bytes(&self) -> usize {
+        self.keys.pooled_bytes()
+            + self.offsets.pooled_bytes()
+            + self.tile_keys.pooled_bytes()
+            + self.tile_counts.pooled_bytes()
+            + self.ckpt.pooled_bytes()
+            + self.dirs.pooled_bytes()
     }
 
     /// Reset every pool to a cold free list (see [`BufferPool::reset`]).
@@ -166,6 +209,8 @@ impl KernelWorkspace {
     pub fn reset(&self) {
         self.keys.reset();
         self.offsets.reset();
+        self.tile_keys.reset();
+        self.tile_counts.reset();
         self.ckpt.reset();
         self.dirs.reset();
     }
@@ -185,6 +230,9 @@ mod tests {
         let b = pool.take();
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap, "capacity must be retained");
+        assert_eq!(pool.pooled_bytes(), 0, "the buffer is checked out");
+        pool.put(b);
+        assert_eq!(pool.pooled_bytes(), cap * 8);
         assert_eq!(pool.takes(), 2);
         assert_eq!(pool.allocs(), 1, "second take must hit the free list");
     }
