@@ -35,6 +35,7 @@ use cublastp::{CuBlastpConfig, ExtensionStrategy};
 use gpu_sim::memory::virtual_alloc;
 use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 fn device_query(qlen: usize) -> DeviceQuery {
     let q = make_query(qlen);
@@ -114,16 +115,19 @@ fn binning_kernel_stats_are_pinned() {
     assert_eq!(stats, want, "binning_kernel");
 }
 
-/// The grouped seeding pin: its index upload and one pass.
-fn check_grouped_seeding_pin() {
-    let (d, ws, grid) = (DeviceConfig::k20c(), KernelWorkspace::new(), seeding_grid());
+/// The grouped seeding pin's fixture: the group index of four queries,
+/// uploaded, and the block it probes.
+fn grouped_seeding_fixture() -> (DeviceGroupIndex, DeviceDbBlock) {
     // grouped.rs: `grouped_arena_matches_per_query_binning_per_slot`.
     let queries: Vec<DeviceQuery> = [48, 64, 80, 57].iter().map(|&l| device_query(l)).collect();
     let refs: Vec<&DeviceQuery> = queries.iter().collect();
     let db = DeviceDbBlock::upload(&subjects(30, 60), 0);
-    let group = DeviceGroupIndex::upload(&refs);
-    let (_, stats) = grouped_seeding_kernel(&d, &grid, &group, &db, &ws);
-    let want = pinned(
+    (DeviceGroupIndex::upload(&refs), db)
+}
+
+/// What one pass over the fixture bills.
+fn grouped_seeding_pin() -> KernelStats {
+    pinned(
         "grouped_seeding",
         [
             96325, 1987380, 1095020, 32355, 230016, 1797, 14355, 25728, 0, 2250, 338, 4988, 4846,
@@ -131,8 +135,15 @@ fn check_grouped_seeding_pin() {
         0.5,
         4,
         2,
-    );
-    assert_eq!(stats, want, "grouped_seeding_kernel");
+    )
+}
+
+/// The grouped seeding pin: its index upload and one pass.
+fn check_grouped_seeding_pin() {
+    let (d, ws, grid) = (DeviceConfig::k20c(), KernelWorkspace::new(), seeding_grid());
+    let (group, db) = grouped_seeding_fixture();
+    let (_, stats) = grouped_seeding_kernel(&d, &grid, &group, &db, &ws);
+    assert_eq!(stats, grouped_seeding_pin(), "grouped_seeding_kernel");
 }
 
 #[test]
@@ -158,6 +169,38 @@ fn grouped_seeding_pin_holds_beside_a_concurrent_allocator() {
             std::panic::resume_unwind(panic);
         }
     });
+}
+
+#[test]
+fn grouped_seeding_pin_holds_when_two_passes_run_at_once() {
+    // Two threads run the pin's pass over one uploaded group at the same
+    // moment, as a grouped round's passes do on a batch's threads: they
+    // share the index and the workspace, and each reserves its own bin
+    // arena in `SeedPass::new` while the other runs.
+    let (d, ws, grid) = (DeviceConfig::k20c(), KernelWorkspace::new(), seeding_grid());
+    let (group, db) = grouped_seeding_fixture();
+    let start = Barrier::new(2);
+    for _ in 0..20 {
+        let stats: Vec<KernelStats> = std::thread::scope(|s| {
+            let passes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        grouped_seeding_kernel(&d, &grid, &group, &db, &ws).1
+                    })
+                })
+                .collect();
+            (passes.into_iter())
+                .map(|p| {
+                    p.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        for (t, stats) in stats.iter().enumerate() {
+            assert_eq!(stats, &grouped_seeding_pin(), "thread {t}");
+        }
+    }
 }
 
 #[test]

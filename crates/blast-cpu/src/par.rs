@@ -298,6 +298,14 @@ where
         while g.done < batch.n {
             g = (batch.all_done.wait(g)).unwrap_or_else(PoisonError::into_inner);
         }
+        // The board lets go of a joined batch: its job goes once the last
+        // helper leaves it, not when the next batch is posted.
+        if posted.offered > 0 {
+            let mut b = lock(&self.shared.board);
+            if b.batch.as_ref().is_some_and(|on| Arc::ptr_eq(on, &batch)) {
+                b.batch = None;
+            }
+        }
         count_cells(g.helper_cells);
         if let Some(payload) = g.panic.take() {
             drop(g);
@@ -570,6 +578,29 @@ mod tests {
             let out = par.help(posted);
             assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), [0, 1]);
             assert_eq!(out.iter().filter(|o| o.1 == caller).count(), 1);
+        });
+    }
+
+    #[test]
+    fn a_joined_batch_lets_go_of_its_job() {
+        // A job may own something large (a grouped round's index): once
+        // its batch is joined the board no longer holds it, though the
+        // helpers live on and no other batch has been posted — the job
+        // goes as soon as the last helper leaves the batch.
+        let job = Arc::new(vec![0u8; 1 << 10]);
+        par_scope("t", 2, &|job: &Arc<Vec<u8>>, i| job[i], |par| {
+            for _ in 0..4 {
+                assert_eq!(par.map(Arc::clone(&job), 8), vec![0; 8]);
+                assert!(lock(&par.shared.board).batch.is_none());
+            }
+            let posted = par.post(Arc::clone(&job), 8, 1);
+            assert_eq!(par.join(posted).len(), 8);
+            assert!(lock(&par.shared.board).batch.is_none());
+            let t0 = Instant::now();
+            while Arc::strong_count(&job) > 1 && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            assert_eq!(Arc::strong_count(&job), 1);
         });
     }
 

@@ -12,12 +12,12 @@
 //! `keys` buffer with `offsets[slot]..offsets[slot + 1]` delimiting bin
 //! `slot` (slot = `warp * num_bins + bin`) — mirroring the device layout
 //! instead of contradicting it with ragged `Vec<Vec<u64>>` bins. Each
-//! simulated block records its hits in detection order, counts them per
-//! slot as it goes, and returns both by value through
-//! [`gpu_sim::launch_map`]; the host lays the counts end to end in block
-//! order and drops every key into its bin — one copy, stable. That body —
-//! the block's walk over its sequences, the serialized hit rounds, the
-//! stitch — is the private `seedpass` module, shared with the grouped
+//! simulated block records its hits in detection order and counts them per
+//! slot as it goes; as soon as the block is done, the host lays its counts
+//! after those of the blocks before it and drops every key into its bin —
+//! one copy, stable — so a launch holds one block's pages at a time. That
+//! body — the block's walk over its sequences, the serialized hit rounds,
+//! the stitch — is the private `seedpass` module, shared with the grouped
 //! kernel; this file supplies the DFA look-up, one run of the position
 //! table per lane. All scratch is pooled in a [`KernelWorkspace`].
 //!
@@ -32,7 +32,7 @@ use crate::seedpass::SeedPass;
 use blast_core::words::subject_words;
 use blast_core::WORD_LEN;
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 
 /// Shared-memory footprint of the compacted DFA state table (the paper
 /// keeps states in shared memory; FSA-BLAST's compressed automaton for a
@@ -92,41 +92,40 @@ pub fn binning_kernel(
 ) -> (BinnedHits, KernelStats) {
     let qlen = query.query_len();
     let pass = SeedPass::new(cfg, &[qlen], db);
-    // Shared memory: the DFA states next to the pass's bin counters.
-    let launch_cfg = pass.launch_config(cfg, DFA_STATES_SHARED_BYTES);
     let hood = query.dfa.neighborhood();
     let (offsets, positions) = (hood.raw_offsets(), hood.raw_positions());
     let positions_base = query.positions_base();
 
-    let (mut pages, stats) = launch_map(device, launch_cfg, "hit_detection", |block| {
-        pass.run_block(
-            block,
-            db,
-            ws,
-            |block, subject, j0, lanes| {
-                // DFA state transition via the shared-memory table.
-                block.shared_access(lanes.len() as u32);
-                // Each lane's query-position list, borrowed from the DFA —
-                // one contiguous run of the position table.
-                let mut runs = [(0u64, 0u32); WARP_SIZE as usize];
-                let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
-                for ((lane, run), (_, code)) in
-                    lanes.iter_mut().zip(&mut runs).zip(subject_words(window))
-                {
-                    let (lo, hi) = (offsets[code] as usize, offsets[code + 1] as usize);
-                    *lane = &positions[lo..hi];
-                    *run = (positions_base + lo as u64 * 4, (hi - lo) as u32);
-                }
-                // Position-list traffic: read-only cache or global,
-                // depending on the Fig. 17 toggle (the read degrades to a
-                // global read when the cache is off).
-                block.readonly_read_runs(&runs[..lanes.len()], 4);
-            },
-            |qpos: u32| (0, qpos, qlen),
-        )
-    });
-
-    (pass.stitch(ws, &mut pages, 0), stats)
+    // Shared memory: the DFA states next to the pass's bin counters.
+    let (mut arenas, stats) = pass.launch(
+        device,
+        cfg,
+        DFA_STATES_SHARED_BYTES,
+        "hit_detection",
+        db,
+        ws,
+        |block, subject, j0, lanes| {
+            // DFA state transition via the shared-memory table.
+            block.shared_access(lanes.len() as u32);
+            // Each lane's query-position list, borrowed from the DFA — one
+            // contiguous run of the position table.
+            let mut runs = [(0u64, 0u32); WARP_SIZE as usize];
+            let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
+            for ((lane, run), (_, code)) in
+                lanes.iter_mut().zip(&mut runs).zip(subject_words(window))
+            {
+                let (lo, hi) = (offsets[code] as usize, offsets[code + 1] as usize);
+                *lane = &positions[lo..hi];
+                *run = (positions_base + lo as u64 * 4, (hi - lo) as u32);
+            }
+            // Position-list traffic: read-only cache or global, depending
+            // on the Fig. 17 toggle (the read degrades to a global read
+            // when the cache is off).
+            block.readonly_read_runs(&runs[..lanes.len()], 4);
+        },
+        |qpos: u32| (0, qpos, qlen),
+    );
+    (arenas.swap_remove(0), stats)
 }
 
 #[cfg(test)]

@@ -134,7 +134,8 @@ pub struct CuBlastpConfig {
     /// wall-clock, first subject's start to last subject's end. Under
     /// [`GappedBackend::Gpu`] the same threads run the device pass's
     /// functional DP, claiming a block's subjects one at a time; under
-    /// `overlap` they also run several blocks' hit phases at once. Reports
+    /// `overlap` they also run several blocks' hit phases at once, and in
+    /// a grouped batch a round's seeding passes, one block each. Reports
     /// and modelled device times are bit-identical at every value;
     /// `CuBlastpResult::tail_threads_ran` says how many threads ran a
     /// block's tail. A block whose gapped phase is cheaper than waking a

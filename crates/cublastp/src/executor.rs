@@ -6,21 +6,23 @@
 //! per-query search a group of one, a grouped seeding round a group whose
 //! members share one seeding pass per database block (one kernel indexed
 //! by group, as Chorus does, not a second code path). The executor owns
-//! searcher construction, round planning and seeding, panic isolation,
-//! and queue-wait and outcome accounting; each query is one
+//! searcher construction, round planning and seeding — a round's passes
+//! run on the batch's threads, one block each — panic isolation, and
+//! queue-wait and outcome accounting; each query is one
 //! [`CuBlastp::run_blocks`] call over every view. A plan adds only its
 //! model of the batch's time (the flat pipeline timeline, or the fleet
 //! schedule).
 
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
-use crate::devicedata::{DeviceDb, DeviceQuery};
+use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
 use crate::search::{CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
+use blast_cpu::par::{executed_threads, par_scope, ParMap};
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,14 +92,29 @@ pub(crate) fn isolated<T>(
     })
 }
 
-/// One grouped seeding round: build the members' shared word index and
-/// probe it over every resident block once, demuxing each pass into
-/// per-member hit arenas. Returns the round's telemetry and each member's
-/// bins, one per block in view order.
+/// One grouped seeding pass as the thread that ran it hands it back: the
+/// block's index within its view, each member's bins for the block, and
+/// the pass's modelled time.
+struct Pass {
+    block: u32,
+    bins: Vec<BinnedHits>,
+    sim_ms: f64,
+}
+
+/// The batch's threads, as a grouped seeding round maps its passes over
+/// them: the job is the round's index, an item one database block.
+type Passes<'scope, 'env> = ParMap<'scope, 'env, DeviceGroupIndex, Pass>;
+
+/// One grouped seeding round: build the members' shared word index on the
+/// caller, then probe it over every resident block once — one pass per
+/// block, each claimed by one of the batch's threads and demuxed there
+/// into per-member hit arenas. The caller folds the `blocks` passes in
+/// block order, so the round's telemetry and each member's bins, one per
+/// block in view order, do not depend on which thread ran what.
 fn seed_round(
-    plan: &Plan<'_>,
     members: &[(usize, &CuBlastp)],
-    workspace: &KernelWorkspace,
+    blocks: usize,
+    passes: &mut Passes<'_, '_>,
 ) -> (RoundReport, Vec<Vec<BinnedHits>>) {
     let first_query = members.first().map_or(0, |&(i, _)| i);
     let member_queries: Vec<&DeviceQuery> = members.iter().map(|(_, s)| &s.query_device).collect();
@@ -109,42 +126,31 @@ fn seed_round(
     obs::gauge("group_index_occupancy", &[], index.occupancy());
     obs::gauge("group_index_entries", &[], index.entries() as f64);
     obs::gauge("group_members", &[], members.len() as f64);
-
-    let mut bins: Vec<Vec<BinnedHits>> = members.iter().map(|_| Vec::new()).collect();
-    let mut blocks = 0usize;
-    let mut seeding_ms = 0.0f64;
-    for view in plan.shards {
-        for (idx, (_, dev_block)) in view.dev.blocks().iter().enumerate() {
-            let mut k_span = obs::span("grouped_seeding", "kernel").with_block(idx as u32);
-            let (block_bins, stats) =
-                grouped_seeding_kernel(&plan.device, &plan.config, &group, dev_block, workspace);
-            let sim_ms = stats.time_ms(&plan.device);
-            k_span.set_arg("sim_ms", sim_ms);
-            drop(k_span);
-            obs::modelled(
-                "gpu (modelled)",
-                "grouped_seeding",
-                sim_ms,
-                Some(idx as u32),
-                None,
-            );
-            seeding_ms += sim_ms;
-            for (member, b) in bins.iter_mut().zip(block_bins) {
-                member.push(b);
-            }
-            blocks += 1;
-        }
-    }
-    let round = RoundReport {
+    let mut round = RoundReport {
         first_query,
         members: members.len(),
         index_entries: index.entries(),
         index_capacity: index.capacity(),
         occupancy: index.occupancy(),
         index_upload_bytes: group.upload_bytes(),
-        seeding_ms,
+        seeding_ms: 0.0,
         blocks,
     };
+
+    let mut bins: Vec<Vec<BinnedHits>> = members.iter().map(|_| Vec::new()).collect();
+    for pass in passes.map(group, blocks) {
+        obs::modelled(
+            "gpu (modelled)",
+            "grouped_seeding",
+            pass.sim_ms,
+            Some(pass.block),
+            None,
+        );
+        round.seeding_ms += pass.sim_ms;
+        for (member, b) in bins.iter_mut().zip(pass.bins) {
+            member.push(b);
+        }
+    }
     (round, bins)
 }
 
@@ -236,14 +242,57 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                 .collect();
             let packing = plan_rounds(&entries, budget);
             obs::counter("grouped_rounds_total", &[], packing.len() as u64);
-            let mut ran = Vec::with_capacity(ready.len());
-            for range in packing {
-                let members = &ready[range];
-                let (round, bins) = seed_round(plan, members, &workspace);
-                rounds.push(round);
-                let members = members.iter().zip(bins);
-                ran.extend(members.map(|(&(i, s), b)| run_member((i, Some(s), Some(b)))));
-            }
+            // Every resident block of every view, and its index within
+            // its view: what one pass of a round covers.
+            let blocks: Vec<(u32, &DeviceDbBlock)> = (plan.shards.iter())
+                .flat_map(|v| {
+                    (0u32..)
+                        .zip(v.dev.blocks())
+                        .map(|(idx, (_, dev))| (idx, &**dev))
+                })
+                .collect();
+            // A round's passes share one read-only index and nothing
+            // else, so they run on the batch's threads: the caller and
+            // helpers that live as long as the batch, parked while the
+            // members search.
+            let threads = executed_threads(plan.config.cpu_threads);
+            let caller = std::thread::current().id();
+            #[cfg(test)]
+            let rendezvous = crate::search::meet::armed();
+            let pass = |group: &DeviceGroupIndex, i: usize| {
+                let (idx, block) = blocks[i];
+                #[cfg(test)]
+                if let Some(m) = &rendezvous {
+                    let pair = blast_cpu::par::shares(threads, blocks.len());
+                    m.arrive(crate::search::meet::Kind::Round, pair);
+                }
+                let on_caller = std::thread::current().id() == caller;
+                let thread = if on_caller { "caller" } else { "helper" };
+                obs::counter("grouped_passes_total", &[("thread", thread)], 1);
+                let mut span = obs::span("grouped_seeding", "kernel")
+                    .with_block(idx)
+                    .with_arg("on_caller", f64::from(u8::from(on_caller)));
+                let (bins, stats) =
+                    grouped_seeding_kernel(&plan.device, &plan.config, group, block, &workspace);
+                let sim_ms = stats.time_ms(&plan.device);
+                span.set_arg("sim_ms", sim_ms);
+                Pass {
+                    block: idx,
+                    bins,
+                    sim_ms,
+                }
+            };
+            let ran = par_scope("seed-rounds", threads, &pass, |passes| {
+                let mut ran = Vec::with_capacity(ready.len());
+                for range in packing {
+                    let members = &ready[range];
+                    let (round, bins) = seed_round(members, blocks.len(), passes);
+                    rounds.push(round);
+                    let members = members.iter().zip(bins);
+                    ran.extend(members.map(|(&(i, s), b)| run_member((i, Some(s), Some(b)))));
+                }
+                ran
+            });
             // Back into input order: rounds cover the set-up queries once.
             let mut ran = ran.into_iter();
             let unpacked = || Err(SearchError::config("round packing skipped a query"));

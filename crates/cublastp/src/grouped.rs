@@ -42,7 +42,7 @@ use blast_core::words::subject_words;
 use blast_core::{WordNeighborhood, WORD_LEN};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
-use gpu_sim::{launch_map, DeviceConfig, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 
 /// Modelled instruction count of the Murmur-finalizer word hash (three
 /// shifts-and-xors, two multiplies, one mask).
@@ -117,57 +117,52 @@ pub fn grouped_seeding_kernel(
 ) -> (Vec<BinnedHits>, KernelStats) {
     // One write arena sized for the longest member, shared by the group.
     let pass = SeedPass::new(cfg, &group.qlens, db);
+    let capacity = group.index.capacity() as u32;
+
     // Shared memory: only the pass's bin counters — the DFA state table of
     // the per-query path is gone, which is where the grouped kernel wins
     // back the occupancy its bigger working set costs.
-    let launch_cfg = pass.launch_config(cfg, 0);
-    let capacity = group.index.capacity() as u32;
-
-    let (mut pages, stats) = launch_map(device, launch_cfg, "grouped_seeding", |block| {
-        pass.run_block(
-            block,
-            db,
-            ws,
-            |block, subject, j0, lanes| {
-                // Murmur word hash instead of a DFA transition.
-                block.instr_n(lanes.len() as u32, HASH_INSTRS);
-                // Linear-probe the slot table: every lane walks its chain
-                // of consecutive slots — one run, two when the chain wraps
-                // the table — scattered across the table by the hash. The
-                // merged postings span, the lane's other run, makes its
-                // round count the *group's* hit count on its column.
-                let mut probes = [(0u64, 0u32); 2 * WARP_SIZE as usize];
-                let mut spans = [(0u64, 0u32); WARP_SIZE as usize];
-                let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
-                for (l, (_, code)) in subject_words(window).enumerate() {
-                    let probe = group.index.probe(code);
-                    lanes[l] = probe.postings;
-                    let home = group.slots_base + probe.home as u64 * SLOT_BYTES;
-                    let to_wrap = probe.steps.min(capacity - probe.home);
-                    probes[2 * l] = (home, to_wrap);
-                    probes[2 * l + 1] = (group.slots_base, probe.steps - to_wrap);
-                    let span = group.postings_base + probe.offset as u64 * POSTING_BYTES;
-                    spans[l] = (span, probe.postings.len() as u32);
-                }
-                block.readonly_read_runs(&probes[..2 * lanes.len()], SLOT_BYTES as u32);
-                // Postings-span traffic for the lanes that hit.
-                block.readonly_read_runs(&spans[..lanes.len()], POSTING_BYTES as u32);
-            },
-            // Demux is the scatter itself: the posting names its member.
-            |p: Posting| {
-                (
-                    p.query as usize,
-                    p.qpos as u32,
-                    group.qlens[p.query as usize],
-                )
-            },
-        )
-    });
-
-    let out = (0..pass.members)
-        .map(|m| pass.stitch(ws, &mut pages, m))
-        .collect();
-    (out, stats)
+    pass.launch(
+        device,
+        cfg,
+        0,
+        "grouped_seeding",
+        db,
+        ws,
+        |block, subject, j0, lanes| {
+            // Murmur word hash instead of a DFA transition.
+            block.instr_n(lanes.len() as u32, HASH_INSTRS);
+            // Linear-probe the slot table: every lane walks its chain of
+            // consecutive slots — one run, two when the chain wraps the
+            // table — scattered across the table by the hash. The merged
+            // postings span, the lane's other run, makes its round count
+            // the *group's* hit count on its column.
+            let mut probes = [(0u64, 0u32); 2 * WARP_SIZE as usize];
+            let mut spans = [(0u64, 0u32); WARP_SIZE as usize];
+            let window = &subject[j0..j0 + lanes.len() + WORD_LEN - 1];
+            for (l, (_, code)) in subject_words(window).enumerate() {
+                let probe = group.index.probe(code);
+                lanes[l] = probe.postings;
+                let home = group.slots_base + probe.home as u64 * SLOT_BYTES;
+                let to_wrap = probe.steps.min(capacity - probe.home);
+                probes[2 * l] = (home, to_wrap);
+                probes[2 * l + 1] = (group.slots_base, probe.steps - to_wrap);
+                let span = group.postings_base + probe.offset as u64 * POSTING_BYTES;
+                spans[l] = (span, probe.postings.len() as u32);
+            }
+            block.readonly_read_runs(&probes[..2 * lanes.len()], SLOT_BYTES as u32);
+            // Postings-span traffic for the lanes that hit.
+            block.readonly_read_runs(&spans[..lanes.len()], POSTING_BYTES as u32);
+        },
+        // Demux is the scatter itself: the posting names its member.
+        |p: Posting| {
+            (
+                p.query as usize,
+                p.qpos as u32,
+                group.qlens[p.query as usize],
+            )
+        },
+    )
 }
 
 #[cfg(test)]

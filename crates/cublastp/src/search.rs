@@ -1646,6 +1646,8 @@ pub(crate) mod meet {
         Hits,
         /// Subjects of the first tail in a batch with two or more.
         Tail,
+        /// Passes of a grouped seeding round over two or more blocks.
+        Round,
     }
 
     #[derive(Default)]
@@ -1662,6 +1664,14 @@ pub(crate) mod meet {
         cv: Condvar,
         /// Names of the threads that entered an item of the armed kind.
         ran_on: Mutex<BTreeSet<String>>,
+        /// Their kernel thread ids (Linux; empty elsewhere).
+        tids: Mutex<BTreeSet<String>>,
+    }
+
+    /// The calling thread's kernel thread id, read off `/proc/thread-self`.
+    pub(crate) fn own_tid() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        Some(link.file_name()?.to_string_lossy().into_owned())
     }
 
     fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1695,6 +1705,7 @@ pub(crate) mod meet {
             state: Mutex::default(),
             cv: Condvar::new(),
             ran_on: Mutex::default(),
+            tids: Mutex::default(),
         });
         ARMED.with(|a| *a.borrow_mut() = Some(Arc::clone(&r)));
         Armed(r)
@@ -1714,6 +1725,7 @@ pub(crate) mod meet {
             }
             let me = std::thread::current();
             lock(&self.ran_on).insert(me.name().unwrap_or("").to_string());
+            lock(&self.tids).extend(own_tid());
             let mut s = lock(&self.state);
             if !pair || s.met {
                 return;
@@ -1743,6 +1755,12 @@ pub(crate) mod meet {
         /// Names of the threads that entered an item of the armed kind.
         pub(crate) fn ran_on(&self) -> BTreeSet<String> {
             lock(&self.ran_on).clone()
+        }
+
+        /// Kernel thread ids of the threads that entered an item of the
+        /// armed kind.
+        pub(crate) fn tids(&self) -> BTreeSet<String> {
+            lock(&self.tids).clone()
         }
     }
 }
@@ -2471,6 +2489,108 @@ pub(crate) mod tests {
                     .map(|k| stopped(cpu_threads, overlap, stream, k))
                     .collect();
                 assert_eq!(ends, serial, "{case}: deadline outcomes by poll count");
+            }
+        }
+    }
+
+    /// A grouped round's passes run on the batch's threads — over a flat
+    /// database and over three shard views — and nothing observable moves:
+    /// reports, device statistics, kernel times and every field of every
+    /// round. Passes run on the caller and the batch's helpers, two at once
+    /// when the host has two cores, and no helper outlives the batch.
+    #[test]
+    fn grouped_round_passes_share_the_batch_threads_and_change_nothing() {
+        use crate::shard::{DbSource, ShardedDb};
+        let (_, db) = workload();
+        let queries: Vec<Sequence> = (0..6).map(|k| make_query(56 + 4 * k)).collect();
+        let open = |cuts: &[usize]| {
+            ShardedDb::from_boundaries(DbSource::Inline(db.clone()), cuts, Some(24))
+                .expect("an inline database cuts anywhere")
+        };
+        let rounds = |e: &crate::executor::Executed| -> Vec<[u64; 8]> {
+            (e.rounds.iter())
+                .map(|r| {
+                    [
+                        r.first_query as u64,
+                        r.members as u64,
+                        r.index_entries as u64,
+                        r.index_capacity as u64,
+                        r.occupancy.to_bits(),
+                        r.index_upload_bytes,
+                        r.seeding_ms.to_bits(),
+                        r.blocks as u64,
+                    ]
+                })
+                .collect()
+        };
+        let caller = std::thread::current().name().map(str::to_string);
+        for (layout, sharded) in [("flat", open(&[])), ("3 shards", open(&[50, 100]))] {
+            let views = sharded.views();
+            let run = |cpu_threads| {
+                let plan = Plan {
+                    params: SearchParams::default(),
+                    config: CuBlastpConfig {
+                        db_block_size: 24,
+                        grid_blocks: 2,
+                        warps_per_block: 2,
+                        cpu_threads,
+                        ..Default::default()
+                    },
+                    device: DeviceConfig::k20c(),
+                    shards: &views,
+                    grouped: Some(DEFAULT_GROUP_BUDGET),
+                    injector: None,
+                    charge_h2d: false,
+                };
+                execute(&plan, &queries)
+            };
+            let one = run(1);
+            assert_eq!(one.rounds.len(), 1, "{layout}");
+            assert!(one.rounds[0].blocks >= 7, "{layout}: a multi-block round");
+            let one_results: Vec<&CuBlastpResult> = (one.per_query.iter())
+                .map(|r| &r.as_ref().expect("fault-free query").result)
+                .collect();
+            for cpu_threads in [1, 2, 8] {
+                let case = format!("{layout}, cpu_threads = {cpu_threads}");
+                let executed = executed_threads(cpu_threads);
+                let round = meet::arm(meet::Kind::Round);
+                let got = run(cpu_threads);
+                assert_eq!(rounds(&got), rounds(&one), "{case}");
+                for (q, (r, want)) in got.per_query.iter().zip(&one_results).enumerate() {
+                    let r = &r.as_ref().expect("fault-free query").result;
+                    let case = format!("{case}, query {q}");
+                    assert_eq!(
+                        r.report.identity_key(),
+                        want.report.identity_key(),
+                        "{case}"
+                    );
+                    assert_eq!(r.kernels, want.kernels, "{case}");
+                    let bits = |ms: &[f64]| ms.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&r.kernel_ms), bits(&want.kernel_ms), "{case}");
+                }
+                // Two passes ran at once exactly when there are two cores.
+                assert_eq!(round.met(), executed >= 2, "{case}");
+                for on in round.ran_on() {
+                    let ok = Some(&on) == caller.as_ref() || on == "seed-rounds";
+                    assert!(ok, "{case}: a pass ran on thread {on:?}");
+                }
+                #[cfg(target_os = "linux")]
+                {
+                    let helpers: Vec<String> = (round.tids().into_iter())
+                        .filter(|t| Some(t) != meet::own_tid().as_ref())
+                        .collect();
+                    assert_eq!(helpers.is_empty(), executed < 2, "{case}: {helpers:?}");
+                    let t0 = Instant::now();
+                    let alive = || {
+                        (helpers.iter())
+                            .filter(|t| std::path::Path::new("/proc/self/task").join(t).exists())
+                            .count()
+                    };
+                    while alive() > 0 && t0.elapsed() < Duration::from_secs(1) {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(alive(), 0, "{case}: a helper outlived the batch");
+                }
             }
         }
     }

@@ -13,8 +13,10 @@
 //! columns, every round emits the k-th posting of the lanes that still
 //! have one (bin `top` bump, atomic, scattered write), and the block hands
 //! back each member's keys in detection order with their per-slot counts,
-//! from which [`SeedPass::stitch`] places every key in the member's arena
-//! — one copy. The per-query kernel is the one-member case.
+//! from which [`SeedPass::launch`] places every key in the member's arena
+//! — one copy — as soon as the block is done, so a pass holds one block's
+//! pages at a time, not the grid's. The per-query kernel is the one-member
+//! case.
 //!
 //! A lane's postings are one contiguous run of a device table and are
 //! billed as one: `(base address, length)` per lane — two for a probe chain
@@ -28,7 +30,8 @@ use crate::hitpack::{self, pack};
 use blast_core::WORD_LEN;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
-use gpu_sim::{KernelWorkspace, LaunchConfig, SimBlock};
+use gpu_sim::{launch, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig, SimBlock};
+use std::cell::RefCell;
 
 const LANES: usize = WARP_SIZE as usize;
 
@@ -41,8 +44,7 @@ const MEMBER_BIN_STRIDE: usize = 131;
 /// One block's hits of one member: the hit count of each of the block's
 /// `warps_per_block * num_bins` slots, and the packed keys in detection
 /// order — warp after warp: counts delimit warps, a diagonal names its bin.
-#[derive(Default)]
-pub(crate) struct Page {
+struct Page {
     counts: Vec<u32>,
     keys: Vec<u64>,
 }
@@ -94,7 +96,7 @@ impl SeedPass {
     /// The launch configuration: the per-warp bin `top` counters (4 bytes
     /// per bin per warp — the §4.1 occupancy trade-off) on top of whatever
     /// the kernel's look-up keeps in shared memory.
-    pub(crate) fn launch_config(&self, cfg: &CuBlastpConfig, lookup_shared: u32) -> LaunchConfig {
+    fn launch_config(&self, cfg: &CuBlastpConfig, lookup_shared: u32) -> LaunchConfig {
         LaunchConfig {
             blocks: cfg.grid_blocks.max(1),
             warps_per_block: self.warps_per_block as u32,
@@ -102,6 +104,46 @@ impl SeedPass {
                 + (self.warps_per_block * self.num_bins * 4) as u32,
             use_readonly_cache: cfg.use_readonly_cache,
         }
+    }
+
+    /// Launch the pass as kernel `name` over `db` and return each member's
+    /// arena with the launch's stats. `lookup_shared` is what the look-up
+    /// keeps in shared memory; `lookup` and `decode` are
+    /// [`Self::run_block`]'s. Thread blocks run in block order, and each
+    /// one's pages are stitched into the arenas as soon as it is done.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn launch<'p, P: Copy + 'p>(
+        &self,
+        device: &DeviceConfig,
+        cfg: &CuBlastpConfig,
+        lookup_shared: u32,
+        name: &str,
+        db: &DeviceDbBlock,
+        ws: &KernelWorkspace,
+        lookup: impl Fn(&mut SimBlock, &[u8], usize, &mut [&'p [P]]),
+        decode: impl Fn(P) -> (usize, u32, usize),
+    ) -> (Vec<BinnedHits>, KernelStats) {
+        let arenas: Vec<BinnedHits> = (0..self.members)
+            .map(|_| {
+                let mut offsets: Vec<u32> = ws.offsets.take();
+                offsets.reserve_exact(self.num_warps * self.num_bins + 1);
+                offsets.push(0);
+                BinnedHits {
+                    offsets,
+                    keys: ws.keys.take(),
+                    num_bins: self.num_bins,
+                    num_warps: self.num_warps,
+                    total_hits: 0,
+                }
+            })
+            .collect();
+        let arenas = RefCell::new(arenas);
+        let launch_cfg = self.launch_config(cfg, lookup_shared);
+        let stats = launch(device, launch_cfg, name, |block| {
+            let pages = self.run_block(block, db, ws, &lookup, &decode);
+            self.stitch(ws, &mut arenas.borrow_mut(), pages);
+        });
+        (arenas.into_inner(), stats)
     }
 
     fn bin_of(&self, x: usize) -> usize {
@@ -116,13 +158,13 @@ impl SeedPass {
     /// run — and sets `lanes[l]` to the postings of column `j0 + l`;
     /// `decode` turns a posting into `(member, query position, query
     /// length)`. All scratch is pooled in `ws`.
-    pub(crate) fn run_block<'p, P: Copy + 'p>(
+    fn run_block<'p, P: Copy + 'p>(
         &self,
         block: &mut SimBlock,
         db: &DeviceDbBlock,
         ws: &KernelWorkspace,
-        mut lookup: impl FnMut(&mut SimBlock, &[u8], usize, &mut [&'p [P]]),
-        decode: impl Fn(P) -> (usize, u32, usize),
+        lookup: &impl Fn(&mut SimBlock, &[u8], usize, &mut [&'p [P]]),
+        decode: &impl Fn(P) -> (usize, u32, usize),
     ) -> Vec<Page> {
         let num_bins = self.num_bins;
         let mut pages: Vec<Page> = (0..self.members)
@@ -247,35 +289,28 @@ impl SeedPass {
         pages
     }
 
-    /// Stitch member `m`'s per-block pages into its warp-major arena. The
-    /// arena's slot order is block order, then each block's own slots, so
-    /// the pages' slot counts, laid end to end, are the CSR offsets; every
-    /// warp's keys then drop from detection order straight into the warp's
-    /// bins (stably — a bin keeps detection order).
-    pub(crate) fn stitch(
-        &self,
-        ws: &KernelWorkspace,
-        pages: &mut [Vec<Page>],
-        m: usize,
-    ) -> BinnedHits {
-        let mut offsets: Vec<u32> = ws.offsets.take();
-        let mut keys: Vec<u64> = ws.keys.take();
-        // Until its keys are placed, `offsets[slot + 1]` is the write
-        // cursor of `slot`: the bin's start, advancing to its end.
-        offsets.push(0);
-        let mut total = 0u32;
-        for block_pages in pages.iter() {
-            for &count in &block_pages[m].counts {
-                offsets.push(total);
+    /// Stitch one thread block's pages — blocks arrive in block order —
+    /// into the members' warp-major arenas, and return the pages' buffers
+    /// to the pool. An arena's slot order is block order, then each
+    /// block's own slots, so the block's slot counts, laid after those of
+    /// the blocks before it, are its CSR offsets; every warp's keys then
+    /// drop from detection order straight into the warp's bins (stably — a
+    /// bin keeps detection order).
+    fn stitch(&self, ws: &KernelWorkspace, arenas: &mut [BinnedHits], pages: Vec<Page>) {
+        for (arena, page) in arenas.iter_mut().zip(pages) {
+            // Until its keys are placed, `offsets[slot + 1]` is the write
+            // cursor of `slot`: the bin's start, advancing to its end.
+            let first = arena.offsets.len();
+            let mut total = arena.keys.len() as u32;
+            for &count in &page.counts {
+                arena.offsets.push(total);
                 total += count;
             }
-        }
-        keys.resize(total as usize, 0);
-        let mut warp_cursors = offsets[1..].chunks_exact_mut(self.num_bins);
-        for block_pages in pages {
-            let page = std::mem::take(&mut block_pages[m]);
+            arena.keys.resize(total as usize, 0);
+            let keys = &mut arena.keys;
             let mut warp_keys = &page.keys[..];
-            for (counts, cursors) in page.counts.chunks(self.num_bins).zip(&mut warp_cursors) {
+            let cursors = arena.offsets[first..].chunks_exact_mut(self.num_bins);
+            for (counts, cursors) in page.counts.chunks(self.num_bins).zip(cursors) {
                 let hits: u32 = counts.iter().sum();
                 let (these, rest) = warp_keys.split_at(hits as usize);
                 for &key in these {
@@ -285,15 +320,9 @@ impl SeedPass {
                 }
                 warp_keys = rest;
             }
+            arena.total_hits = u64::from(total);
             ws.tile_counts.put(page.counts);
             ws.tile_keys.put(page.keys);
-        }
-        BinnedHits {
-            offsets,
-            keys,
-            num_bins: self.num_bins,
-            num_warps: self.num_warps,
-            total_hits: total as u64,
         }
     }
 }

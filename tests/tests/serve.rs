@@ -430,3 +430,57 @@ fn serve_path_degrades_gapped_faults_without_tripping_admission() {
         );
     }
 }
+
+/// Device statistics do not depend on how many workers a server runs:
+/// the same requests on one worker and on three — where searches run side
+/// by side and reserve device addresses in between each other's — bill
+/// the same `KernelStats` and the same per-kernel times to the last bit,
+/// request by request.
+#[test]
+fn device_statistics_are_identical_on_one_and_three_workers() {
+    let fx = fixture();
+    let queries: Vec<Sequence> = std::iter::once(fx.query.clone())
+        .chain([64, 96, 150, 200, 88, 130, 110].map(make_query))
+        .collect();
+    let serve = |workers: usize| {
+        let server = Server::new(
+            fx.db.clone(),
+            SearchParams::default(),
+            serve_config(),
+            DeviceConfig::k20c(),
+            ServeConfig {
+                workers,
+                reserved_interactive_workers: 0,
+                queue_capacity: 64,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("server");
+        let handles: Vec<ResponseHandle> = (queries.iter().enumerate())
+            .map(|(i, q)| {
+                let req = match i % 2 {
+                    0 => Request::interactive(q.clone(), "t-workers"),
+                    _ => Request::bulk(q.clone(), "t-workers"),
+                };
+                server.submit(req).expect("admitted")
+            })
+            .collect();
+        (handles.into_iter())
+            .map(|h| h.wait().expect("completed").result)
+            .collect::<Vec<_>>()
+    };
+    let one = serve(1);
+    let three = serve(3);
+    assert_eq!(one.len(), queries.len());
+    let bits = |ms: &[f64]| ms.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    for (i, (a, b)) in one.iter().zip(&three).enumerate() {
+        assert!(!a.kernels.is_empty(), "request {i} launched nothing");
+        assert_eq!(a.kernels, b.kernels, "request {i}");
+        assert_eq!(bits(&a.kernel_ms), bits(&b.kernel_ms), "request {i}");
+        assert_eq!(
+            a.report.identity_key(),
+            b.report.identity_key(),
+            "request {i}"
+        );
+    }
+}
