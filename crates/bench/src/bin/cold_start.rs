@@ -143,7 +143,7 @@ fn run_preset(preset: DbPreset, q: &Sequence, dir: &std::path::Path) -> PresetRo
     let mapped_dev = Arc::new(mapped_dev);
     let search = |db: &SequenceDb, dev: &Arc<DeviceDb>| {
         let searcher = CuBlastp::new(q.clone(), params, cfg, device, db);
-        match searcher.search_resident(db, dev, false) {
+        match searcher.search_resident(db, dev) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cold_start: {name}: search failed: {e}");

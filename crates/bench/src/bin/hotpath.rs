@@ -10,7 +10,7 @@
 //! the fused launch is cheaper than its three stages launched apart.
 //!
 //! The second table is the observability A/B: kernels 1–2 at batch 16
-//! (one workspace across the batch, as `search_batch` runs them) plain,
+//! (one workspace across the batch, as `search_batch_with` runs them) plain,
 //! with the pipeline's per-kernel spans compiled in but disarmed, and
 //! armed — next to the same estimator's reading between two plain series,
 //! its noise floor on this host. Results go to stdout and
@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// Batch size of the observability A/B (one workspace across the batch,
-/// so its cold allocations amortize exactly as `search_batch`'s do).
+/// so its cold allocations amortize exactly as `search_batch_with`'s do).
 const AB_BATCH: usize = 16;
 /// Repetitions of the A/B; the best run of each variant is reported. The
 /// quantity under test (a disarmed span's cost, one relaxed atomic load)

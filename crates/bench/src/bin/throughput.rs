@@ -2,7 +2,7 @@
 //! workload the paper's introduction motivates — many queries against
 //! one database.
 //!
-//! Sweeps batch sizes over both database presets through `search_batch`
+//! Sweeps batch sizes over both database presets through `search_batch_with`
 //! (the database is flattened once and stays device-resident) and
 //! reports, per query, the medians of the modelled kernel, H2D and D2H
 //! time. The flatten counter verifies residency: one batch flattens the
@@ -22,7 +22,7 @@ use bench::table::print_table;
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
-use cublastp::{flatten_count, search_batch, CuBlastpConfig, CuBlastpResult};
+use cublastp::{flatten_count, search_batch_with, BatchOptions, CuBlastpConfig, CuBlastpResult};
 use gpu_sim::DeviceConfig;
 use std::process::ExitCode;
 
@@ -59,7 +59,8 @@ fn main() -> ExitCode {
         let mut rows = Vec::new();
         for batch in BATCH_SIZES {
             let before = flatten_count();
-            let s = search_batch(&queries[..batch], params, cfg, device, &db);
+            let opts = BatchOptions::default();
+            let s = search_batch_with(&queries[..batch], params, cfg, device, &db, opts);
             let flattens = flatten_count() - before;
             let results: Vec<&CuBlastpResult> = s.per_query.iter().flatten().collect();
             assert_eq!(results.len(), batch, "fault-free batch");

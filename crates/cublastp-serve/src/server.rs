@@ -756,7 +756,7 @@ fn process_job(sh: &Shared, workspace: &Arc<KernelWorkspace>, job: Job) {
             searcher.injector = Arc::clone(inj);
         }
         // The generation is already resident; no request pays the upload.
-        search_sharded(&searcher, resident, false, &hooks)
+        search_sharded(&searcher, resident, &hooks)
     }));
     let service_ms = t_service.elapsed().as_secs_f64() * 1e3;
 
@@ -968,7 +968,7 @@ mod tests {
             DeviceConfig::k20c(),
             &db,
         )
-        .search_resident(&db, &dev_db, false)
+        .search_resident(&db, &dev_db)
         .expect("flat resident search");
 
         let (srv, _) = server(ServeConfig::default());

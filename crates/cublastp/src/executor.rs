@@ -19,12 +19,12 @@ use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
-use crate::search::{CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
+use crate::pipeline::{schedule, BlockTiming, PipelineSchedule};
+use crate::search::{bill_upload, CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, ParMap};
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,6 +39,21 @@ pub(crate) struct ShardView<'a> {
     pub start: usize,
 }
 
+/// Each view's Fig. 12 schedule over its run of `block_timings` (a query's
+/// blocks, in view order): the cost of a (query × shard) item of the fleet
+/// schedule, and, summed in view order, the query's makespan.
+pub(crate) fn view_schedules(
+    block_timings: &[BlockTiming],
+    views: &[ShardView<'_>],
+) -> Vec<PipelineSchedule> {
+    let runs = views.iter().scan(block_timings, |rest, v| {
+        let (own, next) = rest.split_at(v.dev.num_blocks().min(rest.len()));
+        *rest = next;
+        Some(schedule(own))
+    });
+    runs.collect()
+}
+
 /// What to execute. Searchers get the *global* totals over `shards`, so
 /// cutoffs and E-values match a single-database run at any partition.
 pub(crate) struct Plan<'a> {
@@ -50,32 +65,20 @@ pub(crate) struct Plan<'a> {
     /// entries. `None`: each query's own DFA.
     pub grouped: Option<usize>,
     pub injector: Option<Arc<FaultInjector>>,
-    /// Bill the database upload to the block timings of the first query
-    /// whose search succeeds (flat per-query batch); the fleet schedule
-    /// bills uploads itself, and a grouped batch's caller bills it beside
-    /// the seeding rounds.
-    pub charge_h2d: bool,
+    /// Bill the database upload, once all queries ran, to the lowest-index
+    /// one that succeeded. A grouped plan never pays (`grouped` wins); the
+    /// fleet schedule bills uploads itself.
+    pub pays_upload: bool,
 }
 
 /// What [`execute`] did.
 pub(crate) struct Executed {
     /// Input order; a failed (or panicked) query is an `Err` in its slot.
-    pub per_query: Vec<Result<Searched, SearchError>>,
+    pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// Grouped seeding rounds in batch order.
     pub rounds: Vec<RoundReport>,
     /// Measured host wall-clock of the whole execution.
     pub wall_ms: f64,
-}
-
-/// One query searched over every shard view and merged.
-pub(crate) struct Searched {
-    /// Shaped like a single-database result; `overlapped_ms` is the
-    /// query's serial chain over its shards.
-    pub result: CuBlastpResult,
-    /// Modelled cost of the (query × shard) item per view: the shard's
-    /// overlapped pipeline makespan (no upload, no setup); zero for an
-    /// empty shard.
-    pub shard_ms: Vec<f64>,
 }
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
@@ -185,10 +188,6 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
         })
     };
 
-    // The resident database is paid for once, by the first query whose
-    // search succeeds: a query that errors or panics has its timing
-    // discarded, so it must not take the charge with it.
-    let upload_unpaid = Cell::new(plan.charge_h2d);
     let run_member = |(i, built, seeds): Member<'_>| {
         // Batch start to this query's own start: queue wait, reported
         // apart from compute.
@@ -205,16 +204,10 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                     &own
                 }
             };
-            let charge_h2d = upload_unpaid.get() && seeds.is_none();
-            let hooks = SearchHooks::default();
-            let searched = searcher.run_blocks(plan.shards, charge_h2d, seeds, &hooks)?;
-            if charge_h2d {
-                upload_unpaid.set(false);
-            }
-            Ok(searched)
+            searcher.run_blocks(plan.shards, seeds, &SearchHooks::default())
         });
-        if let Ok(s) = &mut result {
-            s.result.recovery.queue_wait_us = queue_wait_us;
+        if let Ok(r) = &mut result {
+            r.recovery.queue_wait_us = queue_wait_us;
             obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
         }
         let outcome = if result.is_ok() { "ok" } else { "err" };
@@ -223,7 +216,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
     };
 
     let mut rounds = Vec::new();
-    let per_query = match plan.grouped {
+    let mut per_query: Vec<Result<CuBlastpResult, _>> = match plan.grouped {
         None => (0..queries.len())
             .map(|i| run_member((i, None, None)))
             .collect(),
@@ -305,6 +298,13 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                 .collect()
         }
     };
+    // The resident database is paid for once, by the lowest-index query
+    // that succeeded: a failed query's timing is discarded, so it must not
+    // take the charge with it.
+    let payer = (per_query.iter_mut().zip(0u32..)).find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
+    if let (Some((r, i)), true) = (payer, plan.pays_upload && plan.grouped.is_none()) {
+        bill_upload(&plan.device, plan.shards, i, r);
+    }
     Executed {
         per_query,
         rounds,

@@ -282,8 +282,8 @@ impl FineDp<'_> {
 }
 
 /// Run fine-grained gapped extension + interval traceback for one block,
-/// its subjects one after another on the calling thread: [`FineDp::launch`]
-/// over [`FineDp::subject`] of every subject. A search runs the same two
+/// its subjects one after another on the calling thread: `FineDp::launch`
+/// over `FineDp::subject` of every subject. A search runs the same two
 /// parts with the subjects claimed by its threads.
 ///
 /// `trigger` and `report_cutoff` are the engine's gapped-trigger and

@@ -485,10 +485,9 @@ fn run(case: &Case) -> Run {
                 shards: &views,
                 grouped: case.grouped(),
                 injector: case.injector(),
-                charge_h2d: true,
+                pays_upload: true,
             };
-            let run = execute(&plan, &fx.queries).per_query.into_iter();
-            run.map(|r| r.map(|searched| searched.result)).collect()
+            execute(&plan, &fx.queries).per_query
         }
         Some(checks) => {
             let injector = case.injector();
@@ -503,7 +502,7 @@ fn run(case: &Case) -> Run {
                         cancel: CancelToken::after_checks(checks),
                         on_block: None,
                     };
-                    s.run_blocks(&views, false, None, &hooks).map(|s| s.result)
+                    s.run_blocks(&views, None, &hooks)
                 })
                 .collect()
         }
@@ -830,7 +829,7 @@ pub(crate) fn check(case: &Case) -> usize {
         h2d += r.timing.h2d_ms;
     }
     // A batch's surviving queries pay the resident database once: the
-    // executor bills the first per-query search that succeeds.
+    // executor bills the lowest-index per-query search that succeeded.
     let pays = case.deadline.is_none() && case.seed == Seed::PerQuery;
     let survived = ran.per_query.iter().any(Result::is_ok);
     let upload = if pays && survived { ran.upload_ms } else { 0.0 };

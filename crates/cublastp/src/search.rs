@@ -15,12 +15,12 @@ use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
-use crate::executor::{execute, isolated, Plan, Searched, ShardView};
+use crate::executor::{execute, isolated, view_schedules, Plan, ShardView};
 use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
-use crate::pipeline::{schedule, BlockTiming};
+use crate::pipeline::BlockTiming;
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
@@ -28,7 +28,7 @@ use blast_cpu::report::{Alignment, PhaseTimes, ReportedHit, SearchReport};
 use blast_cpu::search::{apportion_wall, SearchEngine};
 use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -212,8 +212,9 @@ pub struct CuBlastpResult {
     pub counts: GpuPhaseCounts,
     /// Timing summary.
     pub timing: CuBlastpTiming,
-    /// Per-block stage times in pipeline order — the raw schedule input,
-    /// kept so the batch plan can chain several queries into one timeline.
+    /// Per-block stage times in pipeline order — the raw schedule input:
+    /// each shard view's Fig. 12 schedule is stamped from its run of
+    /// blocks, and the fleet schedule's item costs are those schedules.
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
@@ -366,6 +367,54 @@ type PcieLeg = (&'static str, &'static str, &'static str);
 const H2D: PcieLeg = ("h2d", "pcie h2d (modelled)", "h2d_transfer");
 const D2H: PcieLeg = ("d2h", "pcie d2h (modelled)", "d2h_transfer");
 
+/// Modelled time of moving `bytes` for `block` of `query` over one PCIe
+/// leg, recorded on the leg's trace track and byte counter.
+fn bill_transfer(device: &DeviceConfig, leg: PcieLeg, bytes: u64, block: u32, query: u32) -> f64 {
+    let (dir, track, event) = leg;
+    let ms = device.transfer_ms(bytes);
+    obs::modelled(track, event, ms, Some(block), Some(query));
+    obs::counter("pcie_bytes_total", &[("dir", dir)], bytes);
+    ms
+}
+
+/// Stamp `r`'s makespans: each view's Fig. 12 schedule over its blocks
+/// ([`view_schedules`]), the views one after another.
+fn stamp_schedules(r: &mut CuBlastpResult, views: &[ShardView<'_>]) {
+    let t = &mut r.timing;
+    (t.overlapped_ms, t.serial_ms) = (0.0, 0.0);
+    for s in view_schedules(&r.block_timings, views) {
+        t.overlapped_ms += s.overlapped_ms;
+        t.serial_ms += s.serial_ms;
+    }
+}
+
+/// Bill the upload of every block of `views` to `r`, `query`'s finished
+/// search over them: each block's H2D leg into its [`BlockTiming`], the
+/// legs folded view by view into `timing.h2d_ms` as the merge folds the
+/// others, and the schedules stamped again. Called by the search that
+/// uploaded ([`CuBlastp::search`]) and, in a batch that pays, for the
+/// lowest-index query that succeeded: who pays never depends on the order
+/// in which queries finish.
+pub(crate) fn bill_upload(
+    device: &DeviceConfig,
+    views: &[ShardView<'_>],
+    query: u32,
+    r: &mut CuBlastpResult,
+) {
+    let mut legs = r.block_timings.iter_mut().zip(0u32..);
+    let mut h2d_ms = 0.0;
+    for view in views {
+        let mut shard_ms = 0.0;
+        for ((_, dev), (timing, block)) in view.dev.blocks().iter().zip(legs.by_ref()) {
+            timing.h2d_ms = bill_transfer(device, H2D, dev.upload_bytes(), block, query);
+            shard_ms += timing.h2d_ms;
+        }
+        h2d_ms += shard_ms;
+    }
+    r.timing.h2d_ms = h2d_ms;
+    stamp_schedules(r, views);
+}
+
 /// Where a device step runs: the fault scope (fault specs count a view's
 /// blocks), the block's place in the query's database (what a deadline
 /// error reports) and the view its subjects belong to.
@@ -460,20 +509,14 @@ impl TailJob {
     }
 }
 
-/// A hit phase a batch carries: the block (an index into the search's
-/// block list) and its grouped-round bins, until the item that runs it
-/// takes them.
-struct HitJob {
-    block: usize,
-    bins: Mutex<Option<BinnedHits>>,
-}
-
 /// One batch of the search's threads: the hit phases of a wave's blocks
 /// past its first (the caller runs that one itself), then the subjects of
 /// earlier blocks' tails in block order. The device pass's DP of one
 /// block is a batch of its `Align` tail.
 struct Batch {
-    hits: Vec<HitJob>,
+    /// Indices into the search's blocks: a wave this wide is never seeded
+    /// by a grouped round, so its hit phases carry no bins.
+    hits: Vec<usize>,
     tails: Vec<TailJob>,
     /// Blocks in the wave the hit phases belong to.
     wave: usize,
@@ -484,7 +527,7 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(hits: Vec<HitJob>, tails: Vec<TailJob>, wave: usize) -> Self {
+    fn new(hits: Vec<usize>, tails: Vec<TailJob>, wave: usize) -> Self {
         Self {
             hits,
             tails,
@@ -691,35 +734,31 @@ impl CuBlastp {
         }
     }
 
-    /// Search the database: flatten it into device layout once, then run
-    /// the pipeline against the resident copy (charging the upload).
+    /// Search the database: flatten it into device layout once, run the
+    /// pipeline against the resident copy, then bill the upload.
     pub fn search(&self, db: &SequenceDb) -> Result<CuBlastpResult, SearchError> {
-        let dev_db = DeviceDb::upload(db, self.config.db_block_size);
-        self.search_resident(db, &dev_db, true)
+        let dev = &DeviceDb::upload(db, self.config.db_block_size);
+        let view = [ShardView { db, dev, start: 0 }];
+        let mut r = self.run_blocks(&view, None, &SearchHooks::default())?;
+        bill_upload(&self.device, &view, self.stream_index, &mut r);
+        Ok(r)
     }
 
     /// Search against a database already resident on the device (see
-    /// [`DeviceDb`]). `charge_h2d` controls whether the database upload is
-    /// billed to this query's timing: a standalone search pays it; in a
-    /// batch only the first query does, the rest reuse the resident copy.
+    /// [`DeviceDb`]): the upload was paid when it became resident, so this
+    /// query's timing carries no H2D leg.
     pub fn search_resident(
         &self,
         db: &SequenceDb,
-        dev_db: &DeviceDb,
-        charge_h2d: bool,
+        dev: &DeviceDb,
     ) -> Result<CuBlastpResult, SearchError> {
-        let view = ShardView {
-            db,
-            dev: dev_db,
-            start: 0,
-        };
-        self.run_blocks(&[view], charge_h2d, None, &SearchHooks::default())
-            .map(|s| s.result)
+        let view = ShardView { db, dev, start: 0 };
+        self.run_blocks(&[view], None, &SearchHooks::default())
     }
 
     /// The one loop of a query's search (Fig. 12): every resident block of
     /// every shard view, in global order, goes through the GPU side (hit
-    /// phase, gapped backend, PCIe legs) and then the CPU tail, overlapped
+    /// phase, gapped backend, D2H leg) and then the CPU tail, overlapped
     /// wave-against-wave when configured — across shard boundaries too,
     /// under one set of tail helpers. A flat database is one view. `seeds`
     /// only says where the hit bins come from: one demuxed [`BinnedHits`]
@@ -731,15 +770,15 @@ impl CuBlastp {
     /// merge would break the identical-to-single-database contract. The
     /// block parts fold into their shard's part and the shard parts into
     /// the query's result ([`CuBlastpResult::absorb`]): the result's
-    /// makespan is the shards' serial chain (`shard_ms` summed), its
-    /// "other" time the query's set-up plus the merge.
+    /// makespan is the shards' serial chain ([`stamp_schedules`]), its
+    /// "other" time the query's set-up plus the merge. No block carries
+    /// an H2D leg: a payer bills it afterwards ([`bill_upload`]).
     pub(crate) fn run_blocks(
         &self,
         views: &[ShardView<'_>],
-        charge_h2d: bool,
         seeds: Option<Vec<BinnedHits>>,
         hooks: &SearchHooks<'_>,
-    ) -> Result<Searched, SearchError> {
+    ) -> Result<CuBlastpResult, SearchError> {
         self.config.validate()?;
         let _search_span = obs::span("search", "host").with_query(self.stream_index);
         // Record which SIMD instruction set the CPU phases dispatch to for
@@ -820,8 +859,8 @@ impl CuBlastp {
         // *waves*: one batch of the search's threads runs a wave's hit
         // phases — the first on the caller — beside the tails of the wave
         // before it; then, in block order on the caller, each block's
-        // launch checkpoint, the rest of its GPU side (gapped backend, PCIe
-        // legs) and its tail checkpoint. A wave is as wide as the threads
+        // launch checkpoint, the rest of its GPU side (gapped backend, D2H
+        // leg) and its tail checkpoint. A wave is as wide as the threads
         // after a light block, and one block after a heavy one (its tail
         // keeps the helpers busy), when `overlap` is off (each tail runs
         // right after its block), on one thread, or with the injector
@@ -839,14 +878,13 @@ impl CuBlastp {
         #[cfg(test)]
         let rendezvous = meet::armed();
         let item = |batch: &Batch, i: usize| match batch.hits.get(i) {
-            Some(hit) => {
+            Some(&b) => {
                 #[cfg(test)]
                 if let Some(m) = &rendezvous {
                     m.arrive(meet::Kind::Hits, batch.shared);
                 }
-                let bins = (hit.bins.lock().unwrap_or_else(PoisonError::into_inner)).take();
                 let on_caller = std::thread::current().id() == caller;
-                Done::Hit(self.hit_item(&blocks[hit.block], bins, batch.wave, on_caller))
+                Done::Hit(self.hit_item(&blocks[b], None, batch.wave, on_caller))
             }
             None => {
                 let (t, item) = batch.subject(i - batch.hits.len());
@@ -884,12 +922,7 @@ impl CuBlastp {
                 next = wave.end;
                 let (sides, tails): (Vec<GpuSide>, Vec<TailJob>) = pending.drain(..).unzip();
                 let sizes: Vec<usize> = tails.iter().map(|t| t.todo.len()).collect();
-                let hits: Vec<HitJob> = (wave.clone().skip(1))
-                    .map(|b| HitJob {
-                        block: b,
-                        bins: Mutex::new(bins[b].take()),
-                    })
-                    .collect();
+                let hits: Vec<usize> = wave.clone().skip(1).collect();
                 let n_hits = hits.len();
                 let own_bins = bins.get_mut(wave.start).and_then(Option::take);
                 let own = || {
@@ -918,14 +951,13 @@ impl CuBlastp {
                         stop = Some(hooks.deadline_error(b.at.block, blocks_total));
                         break;
                     }
-                    let (gpu, job) =
-                        match isolated("gpu side", || self.gpu_side(tail, b, hit?, charge_h2d)) {
-                            Ok(side) => side,
-                            Err(e) => {
-                                stop = Some(e);
-                                break;
-                            }
-                        };
+                    let (gpu, job) = match isolated("gpu side", || self.gpu_side(tail, b, hit?)) {
+                        Ok(side) => side,
+                        Err(e) => {
+                            stop = Some(e);
+                            break;
+                        }
+                    };
                     obs::counter("pipeline_blocks_total", &[("side", "producer")], 1);
                     // Checkpoint before the CPU tail: an expired query
                     // skips its host work too.
@@ -950,11 +982,8 @@ impl CuBlastp {
 
             let t_merge = Instant::now();
             let merge_span = obs::span("merge", "host").with_query(self.stream_index);
-            // Each shard's blocks overlap as Fig. 12 schedules them; the
-            // shards run one after another, each the cost of one
-            // (query × shard) item of the fleet schedule.
+            // The blocks fold into their shard, the shards into the query.
             let mut r = CuBlastpResult::default();
-            let mut shard_ms = Vec::with_capacity(views.len());
             let mut parts = parts.into_iter();
             for view in views {
                 let mut shard = CuBlastpResult::default();
@@ -962,19 +991,13 @@ impl CuBlastp {
                     r.report.hits.append(&mut part.report.hits);
                     shard.absorb(&part);
                 }
-                let pipeline = schedule(&shard.block_timings);
-                shard.timing.overlapped_ms = pipeline.overlapped_ms;
-                shard.timing.serial_ms = pipeline.serial_ms;
-                shard_ms.push(pipeline.overlapped_ms);
                 r.absorb(&shard);
             }
+            stamp_schedules(&mut r, views);
             r.report.finalize(self.engine.params.max_reported);
             r.timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
             drop(merge_span);
-            Ok(Searched {
-                result: r,
-                shard_ms,
-            })
+            Ok(r)
         })?;
         if obs::metrics_enabled() {
             let checkouts = self.workspace.checkouts();
@@ -1013,13 +1036,12 @@ impl CuBlastp {
 
     /// The rest of a block's GPU side once its hit phase is back, on the
     /// caller: the gapped backend (the device pass's DP claims the block's
-    /// subjects on the search's threads) and the two PCIe legs.
+    /// subjects on the search's threads) and the D2H leg.
     fn gpu_side(
         &self,
         tail: &mut Tail<'_, '_>,
         b: &Block<'_>,
         hit: HitPhase,
-        charge_h2d: bool,
     ) -> Result<(GpuSide, TailJob), SearchError> {
         let HitPhase {
             mut out,
@@ -1027,9 +1049,6 @@ impl CuBlastp {
         } = hit;
         let block = b.at.block;
         let mut timing = CuBlastpTiming::default();
-        if charge_h2d {
-            timing.h2d_ms = self.bill_transfer(H2D, b.dev.upload_bytes(), block);
-        }
         let extensions = Arc::new(std::mem::take(&mut out.extensions));
         let finish = TailJob::new(b.at.shard, b.range.start, TailWork::Finish(extensions));
         let heavy = finish.shared_among(tail.threads());
@@ -1044,7 +1063,8 @@ impl CuBlastp {
         // computed itself (a degraded hit phase feeding the CPU tail) cross
         // nothing — no bytes, no latency.
         if reports || recovery.degraded_blocks == 0 {
-            timing.d2h_ms = self.bill_transfer(D2H, out.download_bytes, block);
+            let query = self.stream_index;
+            timing.d2h_ms = bill_transfer(&self.device, D2H, out.download_bytes, block, query);
             out.counts.d2h_bytes = out.download_bytes;
         }
         let gpu = GpuSide {
@@ -1062,16 +1082,6 @@ impl CuBlastp {
             },
         };
         Ok((gpu, job))
-    }
-
-    /// Modelled time of moving `bytes` for `block` over one PCIe leg,
-    /// recorded on the leg's trace track and byte counter.
-    fn bill_transfer(&self, leg: PcieLeg, bytes: u64, block: u32) -> f64 {
-        let (dir, track, event) = leg;
-        let ms = self.device.transfer_ms(bytes);
-        obs::modelled(track, event, ms, Some(block), Some(self.stream_index));
-        obs::counter("pcie_bytes_total", &[("dir", dir)], bytes);
-        ms
     }
 
     /// The retry loop every device fault site shares. A transient fault
@@ -1503,7 +1513,7 @@ impl GroupedReport {
     }
 }
 
-/// Outcome of a multi-query batch (see [`search_batch`]).
+/// Outcome of a multi-query batch (see [`search_batch_with`]).
 pub struct BatchOutcome {
     /// Per-query results, in input order. A failed (or panicked) query is
     /// an `Err` in its slot; the rest of the batch completes normally.
@@ -1546,19 +1556,8 @@ pub struct BatchOptions {
 /// Search a batch of queries against one database, keeping the database
 /// resident on the device so its upload cost amortizes across queries —
 /// how real GPU BLAST deployments process query streams (and the NGS
-/// workload the paper's introduction motivates).
-pub fn search_batch(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-) -> BatchOutcome {
-    search_batch_with(queries, params, config, device, db, BatchOptions::default())
-}
-
-/// Batch search of a flat database: flattens it into device layout
-/// exactly once ([`DeviceDb`]) and runs [`search_batch_resident`].
+/// workload the paper's introduction motivates): flattens it into device
+/// layout exactly once ([`DeviceDb`]) and runs [`search_batch_resident`].
 pub fn search_batch_with(
     queries: &[Sequence],
     params: SearchParams,
@@ -1580,7 +1579,9 @@ pub fn search_batch_with(
 ///
 /// The flat plan over the search executor (`executor.rs`): the database
 /// is one borrowed shard view and every query searches the resident
-/// copy, the upload charged to the first one that succeeds. With
+/// copy. Once every query has run, the upload is billed to the
+/// lowest-index query that succeeded — the same legs a standalone
+/// [`CuBlastp::search`] of that query carries — and to no other. With
 /// [`SeedMode::Grouped`] the executor packs the queries into
 /// index-budget-bounded rounds and seeds each round with one pass per
 /// database block ([`BatchOutcome::grouped`] reports the rounds; no
@@ -1596,27 +1597,21 @@ pub fn search_batch_resident(
     config: CuBlastpConfig,
     device: DeviceConfig,
     db: &SequenceDb,
-    dev_db: &DeviceDb,
+    dev: &DeviceDb,
     opts: BatchOptions,
 ) -> BatchOutcome {
     let plan = Plan {
         params,
         config,
         device,
-        shards: &[ShardView {
-            db,
-            dev: dev_db,
-            start: 0,
-        }],
+        shards: &[ShardView { db, dev, start: 0 }],
         grouped: (opts.seed_mode == SeedMode::Grouped).then_some(DEFAULT_GROUP_BUDGET),
         injector: opts.injector,
-        charge_h2d: true,
+        pays_upload: true,
     };
     let run = execute(&plan, queries);
     BatchOutcome {
-        per_query: (run.per_query.into_iter())
-            .map(|r| r.map(|searched| searched.result))
-            .collect(),
+        per_query: run.per_query,
         wall_ms: run.wall_ms,
         grouped: plan.grouped.map(|_| GroupedReport { rounds: run.rounds }),
     }
@@ -1891,12 +1886,13 @@ pub(crate) mod tests {
             warps_per_block: 2,
             ..Default::default()
         };
-        let out = search_batch(
+        let out = search_batch_with(
             &queries,
             SearchParams::default(),
             cfg,
             DeviceConfig::k20c(),
             &db,
+            BatchOptions::default(),
         );
         assert_eq!(out.per_query.len(), 3);
         assert_eq!(out.succeeded(), 3);
@@ -1914,6 +1910,87 @@ pub(crate) mod tests {
         );
     }
 
+    /// A flat per-query batch bills the upload once, after every query ran,
+    /// to the lowest-index query that succeeded: the legs and makespans of
+    /// that query searched alone, nothing on a later one, and nothing under
+    /// grouped seeding or on a resident or sharded search. The gapped
+    /// trigger is out of reach, so no block has a CPU tail and every stage
+    /// time is on the device clock: the makespans compare bit for bit.
+    #[test]
+    fn the_lowest_index_query_that_succeeds_pays_the_upload() {
+        use crate::config::RecoveryPolicy;
+        use crate::pipeline::schedule;
+        use crate::shard::{search_sharded, ShardedDb};
+        use gpu_sim::{FaultPlan, FaultSpec};
+        let (q, db) = workload();
+        let queries = [make_query(80), q, make_query(110)];
+        let params = SearchParams {
+            gapped_trigger: i32::MAX,
+            ..Default::default()
+        };
+        let config = CuBlastpConfig {
+            db_block_size: 60,
+            grid_blocks: 2,
+            warps_per_block: 2,
+            recovery: RecoveryPolicy {
+                cpu_fallback: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let device = DeviceConfig::k20c();
+        let fault = FaultSpec::permanent(FaultSite::KernelLaunch).on_query(0);
+        let batch = |seed_mode| {
+            let injector = FaultInjector::new(FaultPlan::none().with(fault.clone()));
+            let opts = BatchOptions {
+                injector: Some(Arc::new(injector)),
+                seed_mode,
+            };
+            search_batch_with(&queries, params, config, device, &db, opts).per_query
+        };
+        let bits = |r: &CuBlastpResult| {
+            let legs = r.block_timings.iter();
+            let t = &r.timing;
+            (
+                legs.map(|b| [b.h2d_ms, b.gpu_ms, b.d2h_ms, b.cpu_ms].map(f64::to_bits))
+                    .collect::<Vec<_>>(),
+                [t.h2d_ms, t.overlapped_ms, t.serial_ms].map(f64::to_bits),
+            )
+        };
+        let unpaid = |r: &CuBlastpResult| {
+            r.timing.h2d_ms == 0.0 && r.block_timings.iter().all(|b| b.h2d_ms == 0.0)
+        };
+
+        let per_query = batch(SeedMode::PerQuery);
+        assert!(per_query[0].is_err(), "query 0 fails");
+        let (paying, after) = (&per_query[1], &per_query[2]);
+        let paying = paying.as_ref().expect("query 1 succeeds");
+        let solo = CuBlastp::new(queries[1].clone(), params, config, device, &db);
+        let solo = solo.search(&db).expect("fault-free search");
+        assert!(solo.block_timings.len() >= 2, "a multi-block database");
+        assert!(paying.timing.h2d_ms > 0.0);
+        assert_eq!(bits(paying), bits(&solo));
+        // The makespans were stamped again once the legs were billed.
+        let stamped = schedule(&paying.block_timings);
+        assert_eq!(paying.timing.overlapped_ms, stamped.overlapped_ms);
+        assert_eq!(paying.timing.serial_ms, stamped.serial_ms);
+        assert!(unpaid(after.as_ref().expect("query 2 succeeds")));
+
+        for r in batch(SeedMode::Grouped).iter().flatten() {
+            assert!(unpaid(r), "a grouped batch pays nothing");
+        }
+        let dev = DeviceDb::upload(&db, config.db_block_size);
+        let searcher = CuBlastp::new(queries[1].clone(), params, config, device, &db);
+        assert!(unpaid(
+            &searcher.search_resident(&db, &dev).expect("resident")
+        ));
+        let sharded = ShardedDb::split(&db, 2, config.db_block_size);
+        let searcher = sharded.searcher(queries[1].clone(), params, config, device);
+        let hooks = SearchHooks::default();
+        let r = search_sharded(&searcher, &sharded, &hooks).expect("sharded");
+        assert!(unpaid(&r), "a sharded search pays nothing");
+    }
+
     #[test]
     fn steady_state_searches_are_workspace_allocation_free() {
         // The allocation-free contract of the flat-arena hit path: after a
@@ -1929,12 +2006,12 @@ pub(crate) mod tests {
         };
         let gpu = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
         let dev_db = DeviceDb::upload(&db, cfg.db_block_size);
-        gpu.search_resident(&db, &dev_db, false).expect("warmup");
-        gpu.search_resident(&db, &dev_db, false).expect("warmup");
+        gpu.search_resident(&db, &dev_db).expect("warmup");
+        gpu.search_resident(&db, &dev_db).expect("warmup");
         let warm_allocs = gpu.workspace.allocations();
         let warm_checkouts = gpu.workspace.checkouts();
         let r = gpu
-            .search_resident(&db, &dev_db, false)
+            .search_resident(&db, &dev_db)
             .expect("steady-state search");
         assert!(!r.report.hits.is_empty());
         assert!(
@@ -1982,7 +2059,7 @@ pub(crate) mod tests {
                 let params = SearchParams::default();
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 gpu.workspace = Arc::clone(&ws);
-                gpu.search_resident(&db, &dev_db, false)
+                gpu.search_resident(&db, &dev_db)
                     .expect("fault-free search");
             }
             retained.push(ws.pooled_bytes());
@@ -2103,7 +2180,7 @@ pub(crate) mod tests {
         let gpu = CuBlastp::new(q, SearchParams::default(), cfg, DeviceConfig::k20c(), &db);
         let dev_db = DeviceDb::upload(&db, 64);
         let err = gpu
-            .search_resident(&db, &dev_db, true)
+            .search_resident(&db, &dev_db)
             .expect_err("block-size mismatch must be rejected");
         assert_eq!(err.category(), "config");
     }
@@ -2127,7 +2204,7 @@ pub(crate) mod tests {
                 shards: &[flat(&db, &dev_db)],
                 grouped: Some(budget),
                 injector: None,
-                charge_h2d: true,
+                pays_upload: true,
             };
             GroupedReport {
                 rounds: execute(&plan, &queries).rounds,
@@ -2165,8 +2242,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
-            .map(|s| s.result)
+            .run_blocks(&[flat(&db, &dev_db)], None, &hooks)
             .expect_err("tripped token must cancel the search");
         match err {
             SearchError::DeadlineExceeded {
@@ -2187,8 +2263,7 @@ pub(crate) mod tests {
         };
         std::thread::sleep(Duration::from_millis(1));
         let err = gpu
-            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
-            .map(|s| s.result)
+            .run_blocks(&[flat(&db, &dev_db)], None, &hooks)
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
         // The device gapped phase polls the token before a retry too: a
@@ -2207,8 +2282,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
-            .map(|s| s.result)
+            .run_blocks(&[flat(&db, &dev_db)], None, &hooks)
             .expect_err("tripped token must stop the gapped retry");
         assert!(
             matches!(
@@ -2243,8 +2317,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
-            .map(|s| s.result)
+            .run_blocks(&[flat(&db, &dev_db)], None, &hooks)
             .expect_err("tripped token must cancel the search");
         assert!(
             matches!(
@@ -2346,8 +2419,7 @@ pub(crate) mod tests {
         let run = |cpu_threads, overlap| {
             let cfg = family_config(cpu_threads, overlap);
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
-                .map(|s| s.result)
+                .run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default())
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -2430,14 +2502,14 @@ pub(crate) mod tests {
                 cancel,
                 on_block: Some(&on_block),
             };
-            let r = gpu.run_blocks(&[flat(&db, &dev_db)], false, None, &hooks);
+            let r = gpu.run_blocks(&[flat(&db, &dev_db)], None, &hooks);
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&helper), 0, "a helper outlived the search");
             (r, order.into_inner().unwrap(), peak.into_inner())
         };
         // What a deadline at poll `k` ends in: `None` for a search that
         // finishes, else the blocks the error reports.
-        let ending = |r: Result<Searched, SearchError>| match r {
+        let ending = |r: Result<CuBlastpResult, SearchError>| match r {
             Ok(_) => None,
             Err(SearchError::DeadlineExceeded {
                 blocks_completed,
@@ -2458,7 +2530,7 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(serial.last().map(|s| s.0), Some(None), "every poll counted");
         let (one, ..) = search(1, false, 7_600, CancelToken::never());
-        let one = one.expect("fault-free search").result;
+        let one = one.expect("fault-free search");
         assert_eq!(one.report.identity_key(), cpu.report.identity_key());
         let caller = std::thread::current().name().map(str::to_string);
         for overlap in [false, true] {
@@ -2468,7 +2540,7 @@ pub(crate) mod tests {
                 let executed = executed_threads(cpu_threads);
                 let hits = meet::arm(meet::Kind::Hits);
                 let (r, order, peak) = search(cpu_threads, overlap, stream, CancelToken::never());
-                let r = r.expect("fault-free search").result;
+                let r = r.expect("fault-free search");
                 assert_eq!(r.report.identity_key(), cpu.report.identity_key(), "{case}");
                 assert_eq!(r.kernels, one.kernels, "{case}");
                 assert_eq!(r.counts, one.counts, "{case}");
@@ -2540,7 +2612,7 @@ pub(crate) mod tests {
                     shards: &views,
                     grouped: Some(DEFAULT_GROUP_BUDGET),
                     injector: None,
-                    charge_h2d: false,
+                    pays_upload: false,
                 };
                 execute(&plan, &queries)
             };
@@ -2548,7 +2620,7 @@ pub(crate) mod tests {
             assert_eq!(one.rounds.len(), 1, "{layout}");
             assert!(one.rounds[0].blocks >= 7, "{layout}: a multi-block round");
             let one_results: Vec<&CuBlastpResult> = (one.per_query.iter())
-                .map(|r| &r.as_ref().expect("fault-free query").result)
+                .map(|r| r.as_ref().expect("fault-free query"))
                 .collect();
             for cpu_threads in [1, 2, 8] {
                 let case = format!("{layout}, cpu_threads = {cpu_threads}");
@@ -2557,7 +2629,7 @@ pub(crate) mod tests {
                 let got = run(cpu_threads);
                 assert_eq!(rounds(&got), rounds(&one), "{case}");
                 for (q, (r, want)) in got.per_query.iter().zip(&one_results).enumerate() {
-                    let r = &r.as_ref().expect("fault-free query").result;
+                    let r = r.as_ref().expect("fault-free query");
                     let case = format!("{case}, query {q}");
                     assert_eq!(
                         r.report.identity_key(),
@@ -2609,8 +2681,7 @@ pub(crate) mod tests {
             let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
             gpu.stream_index = 7_300 + cpu_threads as u32;
             let r = gpu
-                .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
-                .map(|s| s.result)
+                .run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default())
                 .expect("fault-free search");
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
@@ -2656,7 +2727,7 @@ pub(crate) mod tests {
         let threads = executed_threads(2) as u64;
         let mut takes = 0;
         for _ in 0..6 {
-            gpu.search_resident(&db, &dev_db, false)
+            gpu.search_resident(&db, &dev_db)
                 .expect("fault-free search");
             assert!(
                 ws.ckpt.takes() > takes,
@@ -2691,13 +2762,7 @@ pub(crate) mod tests {
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 gpu.stream_index = 7_000 + cpu_threads as u32;
                 let err = gpu
-                    .run_blocks(
-                        &[flat(&poisoned, &dev_db)],
-                        false,
-                        None,
-                        &SearchHooks::default(),
-                    )
-                    .map(|s| s.result)
+                    .run_blocks(&[flat(&poisoned, &dev_db)], None, &SearchHooks::default())
                     .expect_err("the poisoned subject must fail the search");
                 match &err {
                     SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
@@ -2709,8 +2774,7 @@ pub(crate) mod tests {
                 assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
                 // Nothing is left wedged: the same searcher searches again.
                 let clean = gpu
-                    .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
-                    .map(|s| s.result)
+                    .run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default())
                     .expect("clean database");
                 assert_eq!(clean.report.identity_key(), cpu.report.identity_key());
             }
@@ -2724,7 +2788,7 @@ pub(crate) mod tests {
                 shards: &[flat(&poisoned, &dev_db)],
                 grouped: None,
                 injector: None,
-                charge_h2d: false,
+                pays_upload: false,
             };
             let run = execute(&plan, std::slice::from_ref(&q));
             match &run.per_query[0] {
@@ -2753,10 +2817,7 @@ pub(crate) mod tests {
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 let panic_at = FaultSpec::once(FaultSite::HostPanic).on_block(block);
                 gpu.injector = Arc::new(FaultInjector::new(FaultPlan::none().with(panic_at)));
-                match gpu
-                    .run_blocks(&[flat(&db, &dev_db)], false, None, &SearchHooks::default())
-                    .map(|s| s.result)
-                {
+                match gpu.run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default()) {
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, payload })) => {
                         assert_eq!(side, "gpu side", "{case}");
                         assert!(payload.contains("injected host panic"), "{case}: {payload}");
@@ -2802,9 +2863,7 @@ pub(crate) mod tests {
                     cancel,
                     on_block: Some(&on_block),
                 };
-                let got = gpu
-                    .run_blocks(&[flat(source, &dev_db)], false, None, &hooks)
-                    .map(|s| s.result);
+                let got = gpu.run_blocks(&[flat(source, &dev_db)], None, &hooks);
                 let expected = match &got {
                     Ok(_) => "ok",
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { .. })) => {
@@ -2872,7 +2931,7 @@ pub(crate) mod tests {
                 ..Default::default()
             };
             let sharded = gpu
-                .run_blocks(&views, false, None, &hooks)
+                .run_blocks(&views, None, &hooks)
                 .expect("fault-free search");
             assert_eq!(
                 threads_named(&name),
@@ -2888,8 +2947,8 @@ pub(crate) mod tests {
             assert!(started <= most, "{case}: {started} helpers");
 
             let hooks = SearchHooks::default();
-            let one = (gpu.run_blocks(&whole.views(), false, None, &hooks)).expect("one shard");
-            let (r, want) = (&sharded.result, &one.result);
+            let one = (gpu.run_blocks(&whole.views(), None, &hooks)).expect("one shard");
+            let (r, want) = (&sharded, &one);
             assert_eq!(
                 r.report.identity_key(),
                 want.report.identity_key(),
@@ -2897,11 +2956,12 @@ pub(crate) mod tests {
             );
             assert_eq!(r.kernels, want.kernels, "{case}");
             assert_eq!(r.counts, want.counts, "{case}");
+            let shards = view_schedules(&r.block_timings, &views);
             assert_eq!(
-                sharded.shard_ms[1], 0.0,
+                shards[1].overlapped_ms, 0.0,
                 "{case}: the empty shard costs nothing"
             );
-            let chain: f64 = sharded.shard_ms.iter().sum();
+            let chain: f64 = shards.iter().map(|s| s.overlapped_ms).sum();
             assert_eq!(chain.to_bits(), r.timing.overlapped_ms.to_bits(), "{case}");
 
             // Polls 2k + 1 trips at block k's launch (two polls a block):
@@ -2910,7 +2970,7 @@ pub(crate) mod tests {
                 cancel: CancelToken::after_checks(5),
                 on_block: None,
             };
-            match gpu.run_blocks(&views, false, None, &hooks).err() {
+            match gpu.run_blocks(&views, None, &hooks).err() {
                 Some(SearchError::DeadlineExceeded {
                     blocks_completed,
                     blocks_total,
@@ -2953,8 +3013,7 @@ pub(crate) mod tests {
             on_block: Some(&on_block),
         };
         let r = gpu
-            .run_blocks(&[flat(&db, &dev_db)], false, None, &hooks)
-            .map(|s| s.result)
+            .run_blocks(&[flat(&db, &dev_db)], None, &hooks)
             .expect("fault-free search");
         let streamed = streamed.into_inner().expect("test mutex");
         let blocks_total = dev_db.blocks().len();
@@ -2981,12 +3040,13 @@ pub(crate) mod tests {
             warps_per_block: 2,
             ..Default::default()
         };
-        let out = search_batch(
+        let out = search_batch_with(
             &queries,
             SearchParams::default(),
             cfg,
             DeviceConfig::k20c(),
             &db,
+            BatchOptions::default(),
         );
         // Later queries in a serial batch waited behind earlier ones; the
         // wait is telemetry, not a recovery action, so they stay clean.

@@ -29,7 +29,7 @@
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
-use crate::executor::{execute, Plan, ShardView};
+use crate::executor::{execute, view_schedules, Plan, ShardView};
 use crate::scheduler::{schedule_fleet, FleetSchedule, DEFAULT_STEAL_SEED};
 use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
@@ -480,22 +480,18 @@ impl Default for ShardedOptions {
 /// statistics (build it with [`ShardedDb::searcher`], or against the full
 /// database); a shard whose search fails fails the whole query, as
 /// partial merges would break the identical-to-single-DB contract.
-/// `charge_h2d` bills every block's upload to `h2d_ms` as it streams — a
-/// standalone search pays it, a search over an already-resident handle
-/// (the serving layer's) does not. The hooks' cancel token is polled at
-/// every block boundary of every shard, and `on_block` fires once per
-/// database block in global pipeline order (`blocks_total` =
-/// [`ShardedDb::num_blocks`]) with the block's partial report in global
-/// subject indices.
+/// The shards are resident, so the query pays no upload: its timing
+/// carries no H2D leg, as [`CuBlastp::search_resident`]'s does not. The
+/// hooks' cancel token is polled at every block boundary of every shard,
+/// and `on_block` fires once per database block in global pipeline order
+/// (`blocks_total` = [`ShardedDb::num_blocks`]) with the block's partial
+/// report in global subject indices.
 pub fn search_sharded(
     searcher: &CuBlastp,
     sharded: &ShardedDb,
-    charge_h2d: bool,
     hooks: &SearchHooks<'_>,
 ) -> Result<CuBlastpResult, SearchError> {
-    searcher
-        .run_blocks(&sharded.views(), charge_h2d, None, hooks)
-        .map(|s| s.result)
+    searcher.run_blocks(&sharded.views(), None, hooks)
 }
 
 /// Options for a sharded batch.
@@ -574,25 +570,30 @@ fn sharded_plan(
     opts: &ShardedBatchOptions,
     tile: usize,
 ) -> ShardedBatchOutcome {
+    let views = sharded.views();
     let plan = Plan {
         params,
         config,
         device,
-        shards: &sharded.views(),
+        shards: &views,
         grouped: None,
         injector: opts.injector.clone(),
-        charge_h2d: false,
+        pays_upload: false,
     };
     let run = execute(&plan, queries);
     let mut item_costs = Vec::new();
     let mut item_shards = Vec::new();
     for tile in run.per_query.chunks(tile) {
-        let costs: Vec<&Vec<f64>> = tile.iter().flatten().map(|s| &s.shard_ms).collect();
+        // A (query × shard) item costs the shard's overlapped pipeline
+        // makespan (no upload, no setup); zero for an empty shard.
+        let costs: Vec<_> = (tile.iter().flatten())
+            .map(|r| view_schedules(&r.block_timings, &views))
+            .collect();
         if costs.is_empty() {
             continue;
         }
         for shard in sharded.live_shards() {
-            item_costs.push(costs.iter().map(|ms| ms[shard]).sum());
+            item_costs.push(costs.iter().map(|s| s[shard].overlapped_ms).sum());
             item_shards.push(shard);
         }
     }
@@ -610,9 +611,7 @@ fn sharded_plan(
         obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
     }
     ShardedBatchOutcome {
-        per_query: (run.per_query.into_iter())
-            .map(|r| r.map(|searched| searched.result))
-            .collect(),
+        per_query: run.per_query,
         devices: schedule.per_device.len(),
         schedule,
         single_device_ms,
@@ -770,6 +769,7 @@ pub fn search_all_vs_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::bill_upload;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
 
     fn workload(seqs: usize) -> (Sequence, SequenceDb, CuBlastpConfig) {
@@ -793,17 +793,21 @@ mod tests {
 
     /// The flat database is the one-shard case: moved into a resident
     /// handle, its search is the flat resident search in every modelled
-    /// number, uncharged and charged alike — a charged upload is billed
-    /// block by block to `h2d_ms`, as the flat search bills it.
+    /// number, and with its upload billed afterwards ([`bill_upload`]) it
+    /// is the flat search that performed the upload — billed block by
+    /// block to `h2d_ms`, as [`CuBlastp::search`] bills it.
     #[test]
     fn resident_handle_is_the_flat_search() {
         let (q, db, cfg) = workload(96);
         let device = DeviceConfig::k20c();
         let dev = Arc::new(DeviceDb::upload(&db, cfg.db_block_size));
         let searcher = CuBlastp::new(q, SearchParams::default(), cfg, device, &db);
-        let flat = [false, true].map(|charge| {
-            (searcher.search_resident(&db, &dev, charge)).expect("flat resident search")
-        });
+        let flat = [
+            searcher
+                .search_resident(&db, &dev)
+                .expect("flat resident search"),
+            searcher.search(&db).expect("flat search"),
+        ];
         let resident = ShardedDb::resident(db, dev);
         assert_eq!(resident.num_shards(), 1);
         assert_eq!(resident.num_blocks(), flat[0].block_timings.len());
@@ -815,11 +819,15 @@ mod tests {
             let ledger = (r.kernels.clone(), r.kernel_ms.clone(), r.counts, r.recovery);
             (r.report.identity_key(), ledger, device_ms, legs)
         };
-        for (charge, flat) in [false, true].into_iter().zip(&flat) {
+        for (billed, flat) in [false, true].into_iter().zip(&flat) {
             let hooks = SearchHooks::default();
-            let sharded = search_sharded(&searcher, &resident, charge, &hooks).expect("resident");
-            assert_eq!(modelled(&sharded), modelled(flat), "charge_h2d = {charge}");
-            assert_eq!(sharded.timing.h2d_ms > 0.0, charge);
+            let mut sharded = search_sharded(&searcher, &resident, &hooks).expect("resident");
+            assert_eq!(sharded.timing.h2d_ms, 0.0, "a resident search pays nothing");
+            if billed {
+                bill_upload(&device, &resident.views(), 0, &mut sharded);
+            }
+            assert_eq!(modelled(&sharded), modelled(flat), "billed = {billed}");
+            assert_eq!(sharded.timing.h2d_ms > 0.0, billed);
         }
     }
 

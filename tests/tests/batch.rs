@@ -3,7 +3,7 @@
 use bio_seq::alphabet::STANDARD_AA;
 use bio_seq::Sequence;
 use blast_core::SearchParams;
-use cublastp::{search_batch, CuBlastp, CuBlastpConfig};
+use cublastp::{search_batch_with, BatchOptions, CuBlastp, CuBlastpConfig};
 use gpu_sim::DeviceConfig;
 use integration_support::workload;
 use proptest::prelude::*;
@@ -38,7 +38,8 @@ proptest! {
         };
         let device = DeviceConfig::k20c();
 
-        let batch = search_batch(&queries, params, config, device, &db);
+        let opts = BatchOptions::default();
+        let batch = search_batch_with(&queries, params, config, device, &db, opts);
         prop_assert_eq!(batch.per_query.len(), queries.len());
         for (q, br) in queries.iter().zip(&batch.per_query) {
             let br = br.as_ref().expect("fault-free batch query");

@@ -56,7 +56,7 @@ fn search_key(
         DeviceConfig::k20c(),
         db,
     )
-    .search_resident(db, dev, false)
+    .search_resident(db, dev)
     .expect("fault-free search")
     .report
     .identity_key()

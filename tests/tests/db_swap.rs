@@ -51,7 +51,7 @@ fn reference_key(query: &Sequence, db: &SequenceDb) -> IdentityKey {
         DeviceConfig::k20c(),
         db,
     )
-    .search_resident(db, &dev, true)
+    .search_resident(db, &dev)
     .expect("fault-free reference")
     .report
     .identity_key()

@@ -8,8 +8,9 @@ use bio_seq::Sequence;
 use blast_core::SearchParams;
 use blast_cpu::search::{search_sequential, SearchEngine};
 use cublastp::{
-    flatten_count, mapped_block_count, search_batch, search_batch_resident, search_sharded_batch,
-    BatchOptions, CuBlastpConfig, DbSource, DeviceDb, ShardedBatchOptions, ShardedDb,
+    flatten_count, mapped_block_count, search_batch_resident, search_batch_with,
+    search_sharded_batch, BatchOptions, CuBlastpConfig, DbSource, DeviceDb, ShardedBatchOptions,
+    ShardedDb,
 };
 use cublastp_db::DbImage;
 use cublastp_serve::{Request, ServeConfig, Server};
@@ -39,12 +40,13 @@ fn one_flatten_per_block_regardless_of_batch_size() {
     // A whole batch flattens the database exactly once per block — not
     // once per query per block.
     let before = flatten_count();
-    let outcome = search_batch(&queries, params, config, device, &db);
+    let opts = BatchOptions::default();
+    let outcome = search_batch_with(&queries, params, config, device, &db, opts);
     assert_eq!(outcome.per_query.len(), queries.len());
     assert_eq!(
         flatten_count() - before,
         blocks as u64,
-        "search_batch must upload each block exactly once"
+        "search_batch_with must upload each block exactly once"
     );
 
     // Making an already-flattened database the one-shard resident handle

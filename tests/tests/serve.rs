@@ -75,7 +75,7 @@ fn fixture() -> &'static Fixture {
             &db,
         );
         let reference = searcher
-            .search_resident(&db, &dev_db, true)
+            .search_resident(&db, &dev_db)
             .expect("fault-free reference")
             .report
             .identity_key();
@@ -112,7 +112,7 @@ fn cancel_at(n: u64, resident: &ShardedDb, overlap: bool) -> Result<Option<u32>,
         cancel: CancelToken::after_checks(n),
         on_block: None,
     };
-    match search_sharded(&searcher, resident, true, &hooks) {
+    match search_sharded(&searcher, resident, &hooks) {
         Ok(r) => {
             // Complete means *complete*: bit-identical to the reference.
             prop_assert_eq!(
