@@ -98,11 +98,19 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
     );
     let pct = |ms: f64| if total > 0.0 { 100.0 * ms / total } else { 0.0 };
     out!("# {:<28} {:<13} {:>10} {:>7}", "phase", "clock", "ms", "%");
-    // What the D2H leg carried, and how few of the computed extensions
-    // that is.
+    // What the D2H legs carried, in how many legs — one per device pass
+    // that downloaded anything: a block on the CPU backend, a shard view
+    // under `--gapped-backend gpu` — and how few of the computed
+    // extensions that is.
+    let legs = (batch.block_timings.iter())
+        .filter(|b| b.d2h_ms > 0.0)
+        .count();
     let d2h_note = format!(
-        "  {} B, {} / {} extensions reached the trigger",
-        batch.counts.d2h_bytes, batch.counts.triggered, batch.counts.extensions,
+        "  {} B in {legs} leg{}, {} / {} extensions reached the trigger",
+        batch.counts.d2h_bytes,
+        if legs == 1 { "" } else { "s" },
+        batch.counts.triggered,
+        batch.counts.extensions,
     );
     for row in &table {
         let clock = format!("{:?}", row.clock);

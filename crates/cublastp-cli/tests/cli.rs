@@ -341,6 +341,110 @@ fn trace_and_metrics_flags_write_exports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--trace-out` run's modelled device events: how many of each name
+/// the `gpu (modelled)` track and the D2H track hold, and their summed
+/// milliseconds.
+fn modelled_events(trace: &std::path::Path) -> (Vec<(String, usize)>, f64, f64) {
+    let body = std::fs::read_to_string(trace).unwrap();
+    let doc = obs::json::parse(&body).expect("a JSON trace");
+    let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+    let str_of =
+        |e: &obs::json::Value, k: &str| e.get(k).and_then(|v| v.as_str()).map(String::from);
+    let mut counts: Vec<(String, usize)> = Vec::new();
+    let (mut gpu_ms, mut d2h_ms) = (0.0, 0.0);
+    for e in events
+        .iter()
+        .filter(|e| str_of(e, "cat").as_deref() == Some("modelled"))
+    {
+        let name = str_of(e, "name").unwrap();
+        let ms = e.get("dur").and_then(|v| v.as_f64()).unwrap() / 1e3;
+        match name.as_str() {
+            "d2h_transfer" => d2h_ms += ms,
+            "h2d_transfer" | "gapped_extension" | "traceback" => continue,
+            _ => gpu_ms += ms,
+        }
+        match counts.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((name, 1)),
+        }
+    }
+    (counts, gpu_ms, d2h_ms)
+}
+
+/// The milliseconds of the `--phase-table` rows `pick` selects.
+fn phase_ms(table: &str, pick: impl Fn(&str) -> bool) -> f64 {
+    (table.lines())
+        .filter_map(|l| l.strip_prefix("# "))
+        .filter(|l| l.contains(" DeviceModel ") && pick(l.split(' ').next().unwrap()))
+        .map(|l| l.split_whitespace().nth(2).unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+#[test]
+fn device_gapped_trace_draws_one_pass_per_shard_view() {
+    let dir = std::env::temp_dir().join(format!("cublastp_cli_pass_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let shape = [
+        "--demo",
+        "--block-size",
+        "32",
+        "--shards",
+        "3",
+        "--phase-table",
+    ];
+    let mut legs_by_backend = Vec::new();
+    for backend in ["gpu", "cpu"] {
+        let mut args = shape.to_vec();
+        args.extend([
+            "--gapped-backend",
+            backend,
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ]);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let table = String::from_utf8(out.stdout).unwrap();
+        let (counts, gpu_ms, d2h_ms) = modelled_events(&trace);
+        let d2h_row = (table.lines())
+            .find(|l| l.starts_with("# d2h_transfer "))
+            .expect("a d2h row");
+        let legs: usize = (d2h_row.split(" B in ").nth(1))
+            .and_then(|s| s.split(" leg").next()?.parse().ok())
+            .unwrap_or_else(|| panic!("{d2h_row}"));
+        // One D2H event per leg, and as many launches of every kernel.
+        for (name, n) in &counts {
+            assert_eq!(*n, legs, "{backend}: {name} in {counts:?}");
+        }
+        assert_eq!(
+            counts.len(),
+            if backend == "gpu" { 5 } else { 4 },
+            "{counts:?}"
+        );
+        // The events add up to the ledger's rows (printed to 3 decimals).
+        let kernels = phase_ms(&table, |name| !name.ends_with("_transfer"));
+        let d2h = phase_ms(&table, |name| name == "d2h_transfer");
+        assert!(
+            (gpu_ms - kernels).abs() < 2e-3,
+            "{backend}: {gpu_ms} vs {table}"
+        );
+        assert!(
+            (d2h_ms - d2h).abs() < 1e-3,
+            "{backend}: {d2h_ms} vs {table}"
+        );
+        legs_by_backend.push(legs);
+    }
+    // The device backend's host reads nothing between a view's blocks:
+    // one pass per shard view, where the CPU tail reads every block.
+    assert_eq!(legs_by_backend[0], 3);
+    assert!(legs_by_backend[1] > 3, "{legs_by_backend:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tabular_output_has_twelve_columns() {
     let dir = std::env::temp_dir().join(format!("cublastp_cli_tab_{}", std::process::id()));

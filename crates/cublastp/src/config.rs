@@ -48,7 +48,7 @@ pub enum ScoringMode {
 /// Where the gapped extension + traceback phase runs (DESIGN.md §3.7).
 ///
 /// The paper's pipeline leaves gapped extension on the CPU (§3.6); the
-/// device backend moves it into the per-block GPU timeline as a
+/// device backend moves it into the GPU timeline as a
 /// warp-cooperative banded-DP kernel with constant-memory interval
 /// traceback. Output is bit-identical either way — the backend only moves
 /// where the same arithmetic happens and what the cost model charges.
@@ -58,7 +58,10 @@ pub enum GappedBackend {
     #[default]
     Cpu,
     /// Fine-grained device kernel: one warp per gapped seed, anti-diagonal
-    /// wavefronts within the band, interval-checkpoint traceback.
+    /// wavefronts within the band, interval-checkpoint traceback. The host
+    /// reads nothing between a shard view's blocks, so the view is billed
+    /// as one device pass: one launch per kernel, one D2H leg
+    /// (`executor::view_passes`, DESIGN.md §3.7).
     Gpu,
 }
 

@@ -14,14 +14,14 @@
 //! schedule).
 
 use crate::binning::BinnedHits;
-use crate::config::CuBlastpConfig;
+use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
 use crate::pipeline::{schedule, BlockTiming, PipelineSchedule};
 use crate::search::{bill_upload, CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
-use bio_seq::{Sequence, SequenceDb};
+use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, ParMap};
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
@@ -39,15 +39,38 @@ pub(crate) struct ShardView<'a> {
     pub start: usize,
 }
 
-/// Each view's Fig. 12 schedule over its run of `block_timings` (a query's
-/// blocks, in view order): the cost of a (query × shard) item of the fleet
-/// schedule, and, summed in view order, the query's makespan.
+/// `view`'s blocks cut into device passes under `backend`: each pass one
+/// launch per kernel over its blocks, one D2H leg, one entry of a
+/// result's `block_timings` — one block of the Fig. 12 schedule.
+/// Launches and legs coalesce up to the next point where the host must
+/// read device output. On [`GappedBackend::Cpu`] every block's trigger
+/// survivors are such a read — the CPU tail of block n hides behind the
+/// kernels of block n + 1 — so a pass is one block; the device backend
+/// leaves the host nothing to hide, so a pass is the whole view.
+pub(crate) fn view_passes<'v>(
+    backend: GappedBackend,
+    view: &ShardView<'v>,
+) -> std::slice::Chunks<'v, (DbBlock, Arc<DeviceDbBlock>)> {
+    let blocks = view.dev.blocks();
+    let width = match backend {
+        GappedBackend::Cpu => 1,
+        GappedBackend::Gpu => blocks.len(),
+    };
+    blocks.chunks(width.max(1))
+}
+
+/// Each view's Fig. 12 schedule over its run of `block_timings` (a
+/// query's device passes, in view order): the cost of a (query × shard)
+/// item of the fleet schedule, and, summed in view order, the query's
+/// makespan.
 pub(crate) fn view_schedules(
     block_timings: &[BlockTiming],
     views: &[ShardView<'_>],
+    backend: GappedBackend,
 ) -> Vec<PipelineSchedule> {
     let runs = views.iter().scan(block_timings, |rest, v| {
-        let (own, next) = rest.split_at(v.dev.num_blocks().min(rest.len()));
+        let passes = view_passes(backend, v).len();
+        let (own, next) = rest.split_at(passes.min(rest.len()));
         *rest = next;
         Some(schedule(own))
     });
@@ -303,7 +326,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
     // take the charge with it.
     let payer = (per_query.iter_mut().zip(0u32..)).find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
     if let (Some((r, i)), true) = (payer, plan.pays_upload && plan.grouped.is_none()) {
-        bill_upload(&plan.device, plan.shards, i, r);
+        bill_upload(&plan.device, plan.shards, plan.config.gapped_backend, i, r);
     }
     Executed {
         per_query,

@@ -207,11 +207,13 @@ impl FineDp<'_> {
         out
     }
 
-    /// Launch the kernel over one block of `num_seqs` subjects and bill
+    /// Launch the kernel over one block of `num_seqs` subjects and count
     /// it. `pass` is the functional pass: [`Self::subject`] of every
     /// subject with records, once each, returned in block order — so the
     /// merged sweeps, download and [`ItraceReport`] are the serial loop's
-    /// bit for bit, whichever threads ran them.
+    /// bit for bit, whichever threads ran them. The stats are the block's
+    /// counters; a search prices them with its other blocks', as one
+    /// launch per shard view (DESIGN.md §3.7, "Pipeline integration").
     ///
     /// The injector is consulted at the two sites this backend adds:
     /// [`FaultSite::GappedLaunch`] before the pass and

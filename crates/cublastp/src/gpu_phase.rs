@@ -150,17 +150,6 @@ pub struct GpuPhaseOutput {
 }
 
 impl GpuPhaseOutput {
-    /// Total simulated GPU time for the block in milliseconds.
-    pub fn gpu_ms(&self, device: &DeviceConfig) -> f64 {
-        self.kernel_ms(device).iter().sum()
-    }
-
-    /// Simulated time of each kernel launch of the block, in the order of
-    /// [`Self::kernels`].
-    pub fn kernel_ms(&self, device: &DeviceConfig) -> Vec<f64> {
-        self.kernels.iter().map(|k| k.time_ms(device)).collect()
-    }
-
     /// Find one kernel's stats by name.
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
         self.kernels.iter().find(|k| k.name.contains(name))
@@ -181,6 +170,18 @@ pub(crate) fn pipeline_rank(name: &str) -> usize {
         FINE_GAPPED_KERNEL => 3,
         _ => (HIT_PATH_KERNELS.iter().position(|k| *k == name)).unwrap_or(2),
     }
+}
+
+/// A pipeline kernel's stats name as the `&'static str` a trace event is
+/// named by: one of [`HIT_PATH_KERNELS`], an extension strategy's kernel,
+/// or the device gapped kernel.
+pub(crate) fn kernel_label(name: &str) -> &'static str {
+    use crate::config::ExtensionStrategy::{Diagonal, Hit, Window};
+    let extension = [Diagonal, Hit, Window].map(|s| s.kernel_name());
+    (HIT_PATH_KERNELS.into_iter().chain(extension))
+        .chain([FINE_GAPPED_KERNEL])
+        .find(|k| *k == name)
+        .unwrap_or("kernel")
 }
 
 /// Run the three hit-path kernels over one uploaded database block.
@@ -314,18 +315,10 @@ fn run_gpu_tail(
     injector.check(FaultSite::D2hTimeout, ctx, "extension download")?;
 
     // A block a grouped pass seeded launched no kernel 1: no stats, no
-    // trace event, no row further up.
-    let seeded = k_bin.is_none();
+    // row further up. The search bills the launches — and draws them on
+    // the trace's modelled track — per device pass, not here.
     let kernels: Vec<KernelStats> = k_bin.into_iter().chain([k_reorder, k_ext]).collect();
     if obs::state() != 0 {
-        let labels = HIT_PATH_KERNELS
-            .into_iter()
-            .chain([cfg.extension.kernel_name()]);
-        for (label, k) in labels.skip(usize::from(seeded)).zip(&kernels) {
-            let sim_ms = k.time_ms(device);
-            obs::modelled("gpu (modelled)", label, sim_ms, Some(ctx.block), None);
-            obs::observe("kernel_sim_ms", &[("kernel", label)], sim_ms);
-        }
         obs::counter("hits_detected_total", &[], hits);
         obs::counter("hits_survived_total", &[], n_filtered);
         obs::counter("extensions_total", &[], n_ext);
@@ -399,7 +392,8 @@ mod tests {
         assert!(out.kernels.iter().all(|k| k.warp_cycles > 0));
         assert!(out.counts.hits > 0);
         assert!(out.counts.extensions > 0);
-        assert!(out.gpu_ms(&DeviceConfig::k20c()) > 0.0);
+        let k20c = DeviceConfig::k20c();
+        assert!(out.kernels.iter().all(|k| k.time_ms(&k20c) > 0.0));
     }
 
     #[test]

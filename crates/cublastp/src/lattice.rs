@@ -15,8 +15,10 @@
 //! * its ledger holds: kernel rows sum to `gpu_ms` and name exactly the
 //!   kernels the case launches, in pipeline order; each clock's phase
 //!   rows sum to that clock's fields;
-//! * its counts and every block's D2H leg are what the kernels compute
-//!   when called one by one outside the pipeline;
+//! * its counts and every device pass's bill — one D2H leg and one
+//!   launch per kernel, per block on the CPU backend and per shard view on
+//!   the device backend — are what the kernels compute when called one by
+//!   one outside the pipeline;
 //! * its `RecoveryReport` is what [`Expect`] derives from the fault's
 //!   site class and kind alone, and a batch's surviving queries pay the
 //!   database upload once;
@@ -31,7 +33,7 @@ use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend, ScoringMod
 use crate::error::{PipelineError, SearchError};
 use crate::executor::{execute, Plan, ShardView};
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
-use crate::gpu_phase::{run_seeded_phase, GpuPhaseCounts};
+use crate::gpu_phase::{pipeline_rank, run_seeded_phase, GpuPhaseCounts};
 use crate::search::{
     meet, Clock, CuBlastpResult, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET,
 };
@@ -554,10 +556,14 @@ fn device_sides(run: &Run) -> Vec<Result<DeviceSide, String>> {
 /// the pipeline, fault-free.
 #[derive(Clone)]
 struct ByKernel {
-    /// Per block in search order: the modelled D2H leg of the trigger
-    /// survivors' records, and of the alignments the device gapped kernel
-    /// makes of them.
-    legs: Vec<(f64, f64)>,
+    /// Per block in search order: the bytes of the trigger survivors'
+    /// records, and of the alignments the device gapped kernel makes of
+    /// them.
+    legs: Vec<(u64, u64)>,
+    /// Per block in search order: the counters of each of its launches,
+    /// the hit path's in pipeline order, then the device gapped kernel's
+    /// under the device backend.
+    launches: Vec<Vec<KernelStats>>,
     /// Hits, extensions and trigger survivors, summed over blocks.
     counts: [u64; 3],
 }
@@ -578,7 +584,7 @@ fn by_kernel(case: &Case, query: usize) -> ByKernel {
         let (params, config, device) = (key.params.get(), key.config(), DeviceConfig::k20c());
         let s = sharded.searcher(fixture().queries[query].clone(), params, config, device);
         let none = FaultInjector::none();
-        let mut legs = Vec::new();
+        let (mut legs, mut launches) = (Vec::new(), Vec::new());
         let mut counts = [0; 3];
         for view in sharded.views() {
             for (_, block) in view.dev.blocks() {
@@ -593,11 +599,12 @@ fn by_kernel(case: &Case, query: usize) -> ByKernel {
                 for (sum, n) in counts.iter_mut().zip([c.hits, c.extensions, c.triggered]) {
                     *sum += n;
                 }
+                let mut launched = hit.kernels.clone();
                 let payload = if key.backend == GappedBackend::Gpu {
                     let cutoffs = &s.engine.cutoffs;
                     let residues = s.engine.query.residues();
                     let (trigger, report) = (cutoffs.gapped_trigger, cutoffs.report_cutoff);
-                    gapped_fine_kernel(
+                    let fine = gapped_fine_kernel(
                         &device,
                         &config,
                         q,
@@ -611,18 +618,21 @@ fn by_kernel(case: &Case, query: usize) -> ByKernel {
                         &none,
                         ctx,
                     )
-                    .expect("no fault armed")
-                    .download_bytes
+                    .expect("no fault armed");
+                    launched.push(fine.stats);
+                    fine.download_bytes
                 } else {
                     0
                 };
-                legs.push((
-                    device.transfer_ms(hit.download_bytes),
-                    device.transfer_ms(payload),
-                ));
+                legs.push((hit.download_bytes, payload));
+                launches.push(launched);
             }
         }
-        ByKernel { legs, counts }
+        ByKernel {
+            legs,
+            launches,
+            counts,
+        }
     })
 }
 
@@ -642,8 +652,8 @@ struct Expect {
     /// phase fallen back to the CPU tail.
     hit_on_host: Vec<bool>,
     gapped_on_host: Vec<bool>,
-    /// A retry re-seeded a grouped member's block through its own DFA.
-    reseeded: bool,
+    /// The block a retry re-seeded through a grouped member's own DFA.
+    reseeded: Option<usize>,
 }
 
 fn is_gapped_site(site: FaultSite) -> bool {
@@ -664,7 +674,7 @@ impl Expect {
             recovery: RecoveryReport::default(),
             hit_on_host: vec![false; blocks],
             gapped_on_host: vec![false; blocks],
-            reseeded: false,
+            reseeded: None,
         };
         let site = match case.fault {
             Fault::None => return e,
@@ -718,7 +728,9 @@ impl Expect {
         // A once-fault the device retried past: a grouped member's retry
         // seeds the block through its own DFA (its round bins are spent).
         let retried_past = degraded.is_empty() && !is_gapped_site(site);
-        e.reseeded = retried_past && case.seed != Seed::PerQuery;
+        if retried_past && case.seed != Seed::PerQuery {
+            e.reseeded = Some(targets[0]);
+        }
         e
     }
 
@@ -726,7 +738,7 @@ impl Expect {
     fn launched(&self, case: &Case) -> Vec<&'static str> {
         let mut launched = Vec::new();
         if self.hit_on_host.iter().any(|host| !host) {
-            if case.seed == Seed::PerQuery || self.reseeded {
+            if case.seed == Seed::PerQuery || self.reseeded.is_some() {
                 launched.push("hit_detection");
             }
             launched.extend(["hit_reordering", case.extension.kernel_name()]);
@@ -792,7 +804,16 @@ pub(crate) fn check(case: &Case) -> usize {
         let make = || device_sides(&run(&canonical));
         cached(&fixture().canonical, canonical.to_string(), make)
     };
-    let blocks: usize = ran.view_blocks.iter().sum();
+    // One entry of the Fig. 12 schedule per device pass: every block on
+    // the CPU backend, whose tail reads each block's survivors; every
+    // view that has blocks on the device backend, whose host reads
+    // nothing between them.
+    let passes: usize = (ran.view_blocks.iter())
+        .map(|&n| match case.backend {
+            GappedBackend::Cpu => n,
+            GappedBackend::Gpu => usize::from(n > 0),
+        })
+        .sum();
     let mut h2d = 0.0f64;
     let mut peak = 0;
     for (i, got) in ran.per_query.iter().enumerate() {
@@ -819,11 +840,11 @@ pub(crate) fn check(case: &Case) -> usize {
             ..r.recovery
         };
         assert_eq!(rec, expect.recovery, "{at}: recovery");
-        assert_eq!(r.block_timings.len(), blocks, "{at}");
+        assert_eq!(r.block_timings.len(), passes, "{at}: an entry per pass");
         let side = DeviceSide::of(r);
         assert_eq!(Ok(&side), canonical[i].as_ref(), "{at}: device side");
         check_ledger(r, case, &expect, &at);
-        check_by_kernel(r, case, i, &expect, &at);
+        check_by_kernel(r, case, i, &expect, &ran.view_blocks, &at);
         assert!(r.tail_threads_ran <= executed_threads(case.threads), "{at}");
         peak = peak.max(r.tail_threads_ran);
         h2d += r.timing.h2d_ms;
@@ -894,33 +915,115 @@ fn check_ledger(r: &CuBlastpResult, case: &Case, expect: &Expect, at: &str) {
 
 /// Against the kernels called one by one: the query's hits, extensions
 /// and trigger survivors, however its blocks were seeded, sharded,
-/// threaded or recovered; and every block's D2H leg — the device's
-/// alignments under the device gapped backend, else the trigger
-/// survivors' records, none at all when the host computed them.
-fn check_by_kernel(r: &CuBlastpResult, case: &Case, query: usize, expect: &Expect, at: &str) {
+/// threaded or recovered; and the bill of every device pass. A block's
+/// D2H payload is the device's alignments under the device gapped
+/// backend, else the trigger survivors' records, nothing at all when the
+/// host computed them. On the CPU backend a pass is one block: its leg is
+/// that payload. On the device backend a pass is a shard view: one leg of
+/// its blocks' payloads together (none when no block has one), and each
+/// kernel's row is one launch of its counters merged over the view's
+/// blocks that ran it, the views' rows summed in view order.
+fn check_by_kernel(
+    r: &CuBlastpResult,
+    case: &Case,
+    query: usize,
+    expect: &Expect,
+    view_blocks: &[usize],
+    at: &str,
+) {
     let want = by_kernel(case, query);
     // A block the host recomputed counts the host scan's records: a
     // subset of what the hit-based kernel (no coverage check) computes.
-    if case.extension != ExtensionStrategy::Hit || !expect.hit_on_host.contains(&true) {
+    let host_subset =
+        case.extension == ExtensionStrategy::Hit && expect.hit_on_host.contains(&true);
+    if !host_subset {
         let c = &r.counts;
         let counts = [c.hits, c.extensions, c.triggered];
         assert_eq!(counts, want.counts, "{at}: counts");
     }
+    let device = DeviceConfig::k20c();
     let device_gapped = case.backend == GappedBackend::Gpu;
-    let blocks = want.legs.iter().zip(&r.block_timings);
-    for (b, (&(records, alignments), timing)) in blocks.enumerate() {
-        let leg = if device_gapped && !expect.gapped_on_host[b] {
-            alignments
+    let payload = |b: usize| {
+        let (records, alignments) = want.legs[b];
+        if device_gapped && !expect.gapped_on_host[b] {
+            Some(alignments)
         } else if expect.hit_on_host[b] {
-            0.0
+            None
         } else {
-            records
+            Some(records)
+        }
+    };
+    if !device_gapped {
+        for (b, timing) in r.block_timings.iter().enumerate() {
+            let leg = payload(b).map_or(0.0, |bytes| device.transfer_ms(bytes));
+            assert_eq!(
+                timing.d2h_ms.to_bits(),
+                leg.to_bits(),
+                "{at}: block {b} D2H"
+            );
+        }
+        return;
+    }
+    // The launches block `b` made: no hit path when the host scanned it,
+    // no seeding kernel when a grouped round seeded it, no gapped kernel
+    // when its gapped phase fell back to the host.
+    let launched = |b: usize| {
+        let grouped = case.seed != Seed::PerQuery && expect.reseeded != Some(b);
+        (want.launches[b].iter()).filter(move |k| match k.name.as_str() {
+            FINE_GAPPED_KERNEL => !expect.gapped_on_host[b],
+            "hit_detection" => !expect.hit_on_host[b] && !grouped,
+            _ => !expect.hit_on_host[b],
+        })
+    };
+    let mut passes = r.block_timings.iter();
+    let mut rows: Vec<(String, f64)> = Vec::new();
+    let mut first = 0;
+    for (v, &n) in view_blocks.iter().enumerate() {
+        let blocks = first..first + n;
+        first += n;
+        if n == 0 {
+            continue;
+        }
+        let pass = passes.next().expect("a pass per view with blocks");
+        let payloads: Vec<u64> = blocks.clone().filter_map(payload).collect();
+        let leg = match payloads.is_empty() {
+            true => 0.0,
+            false => device.transfer_ms(payloads.iter().sum()),
         };
-        assert_eq!(
-            timing.d2h_ms.to_bits(),
-            leg.to_bits(),
-            "{at}: block {b} D2H"
-        );
+        assert_eq!(pass.d2h_ms.to_bits(), leg.to_bits(), "{at}: view {v} D2H");
+        // The host scan's records feed a gapped kernel the reference did
+        // not run on them.
+        if host_subset {
+            continue;
+        }
+        let mut merged: Vec<KernelStats> = Vec::new();
+        for k in blocks.flat_map(launched) {
+            match merged.iter_mut().find(|m| m.name == k.name) {
+                Some(m) => m.merge(k),
+                None => merged.push(k.clone()),
+            }
+        }
+        merged.sort_by_key(|k| pipeline_rank(&k.name));
+        let view_ms: Vec<f64> = merged.iter().map(|k| k.time_ms(&device)).collect();
+        let gpu_ms: f64 = view_ms.iter().sum();
+        assert_eq!(pass.gpu_ms.to_bits(), gpu_ms.to_bits(), "{at}: view {v}");
+        for (k, ms) in merged.iter().zip(view_ms) {
+            match rows.iter_mut().find(|(name, _)| *name == k.name) {
+                Some((_, sum)) => *sum += ms,
+                None => rows.push((k.name.clone(), ms)),
+            }
+        }
+    }
+    assert!(passes.next().is_none(), "{at}: a pass per view with blocks");
+    if !host_subset {
+        rows.sort_by_key(|(name, _)| pipeline_rank(name));
+        let got: Vec<(&str, u64)> = (r.kernel_rows())
+            .map(|(k, ms)| (k.name.as_str(), ms.to_bits()))
+            .collect();
+        let want: Vec<(&str, u64)> = (rows.iter())
+            .map(|(k, ms)| (k.as_str(), ms.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{at}: kernel rows");
     }
 }
 

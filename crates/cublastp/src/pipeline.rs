@@ -12,7 +12,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Per-block stage times in milliseconds.
+/// Stage times of one block of the schedule in milliseconds: a database
+/// block, or under the device gapped backend a whole shard view, billed
+/// as one device pass (DESIGN.md §3.7).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BlockTiming {
     /// Host→device transfer.
@@ -21,8 +23,8 @@ pub struct BlockTiming {
     pub gpu_ms: f64,
     /// Device→host transfer of what the host reads next: the extension
     /// records that reached the gapped trigger, or the finished alignments
-    /// when the device ran the gapped phase; exactly 0 for a block the host
-    /// computed itself (DESIGN.md "PCIe legs").
+    /// when the device ran the gapped phase; exactly 0 when the host
+    /// computed every block itself (DESIGN.md "PCIe legs").
     pub d2h_ms: f64,
     /// CPU gapped extension + traceback.
     pub cpu_ms: f64,

@@ -15,10 +15,10 @@ use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
-use crate::executor::{execute, isolated, view_schedules, Plan, ShardView};
-use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
+use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, ShardView};
+use crate::gapped_device::{FineDp, SubjectDp};
 use crate::gpu_phase::{
-    pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
+    kernel_label, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
 use crate::pipeline::BlockTiming;
 use bio_seq::{DbBlock, Sequence, SequenceDb};
@@ -204,17 +204,23 @@ pub struct CuBlastpResult {
     /// search degraded to the host) has no entry.
     pub kernels: Vec<KernelStats>,
     /// Modelled milliseconds of each entry of `kernels`, summed launch by
-    /// launch — the rows that add up to `timing.gpu_ms`. Not
-    /// `kernels[i].time_ms()`: merged counters bill one launch overhead
-    /// and one `max(compute, bandwidth)` for what was a launch per block.
+    /// launch — the rows that add up to `timing.gpu_ms`. A launch is one
+    /// device pass: a block on [`GappedBackend::Cpu`], a shard view on
+    /// [`GappedBackend::Gpu`] (DESIGN.md §3.7), billed as the `time_ms`
+    /// of the counters merged over it. So a device-gapped search over
+    /// one view has `kernel_ms[i] == kernels[i].time_ms()`;
+    /// anywhere else the query's merged counters bill one launch overhead
+    /// and one `max(compute, bandwidth)` for what was several launches.
     pub kernel_ms: Vec<f64>,
     /// Hit/extension counters summed across blocks.
     pub counts: GpuPhaseCounts,
     /// Timing summary.
     pub timing: CuBlastpTiming,
-    /// Per-block stage times in pipeline order — the raw schedule input:
-    /// each shard view's Fig. 12 schedule is stamped from its run of
-    /// blocks, and the fleet schedule's item costs are those schedules.
+    /// Stage times in pipeline order, one entry per device pass — per
+    /// block on [`GappedBackend::Cpu`], per non-empty shard view on
+    /// [`GappedBackend::Gpu`]: the raw schedule input. Each shard view's
+    /// Fig. 12 schedule is stamped from its run of passes, and the fleet
+    /// schedule's item costs are those schedules.
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
@@ -377,20 +383,21 @@ fn bill_transfer(device: &DeviceConfig, leg: PcieLeg, bytes: u64, block: u32, qu
     ms
 }
 
-/// Stamp `r`'s makespans: each view's Fig. 12 schedule over its blocks
+/// Stamp `r`'s makespans: each view's Fig. 12 schedule over its passes
 /// ([`view_schedules`]), the views one after another.
-fn stamp_schedules(r: &mut CuBlastpResult, views: &[ShardView<'_>]) {
+fn stamp_schedules(r: &mut CuBlastpResult, views: &[ShardView<'_>], backend: GappedBackend) {
     let t = &mut r.timing;
     (t.overlapped_ms, t.serial_ms) = (0.0, 0.0);
-    for s in view_schedules(&r.block_timings, views) {
+    for s in view_schedules(&r.block_timings, views, backend) {
         t.overlapped_ms += s.overlapped_ms;
         t.serial_ms += s.serial_ms;
     }
 }
 
 /// Bill the upload of every block of `views` to `r`, `query`'s finished
-/// search over them: each block's H2D leg into its [`BlockTiming`], the
-/// legs folded view by view into `timing.h2d_ms` as the merge folds the
+/// search over them under `backend`: one H2D leg per block, the legs of a
+/// device pass ([`view_passes`]) folded into its [`BlockTiming`], the
+/// passes folded view by view into `timing.h2d_ms` as the merge folds the
 /// others, and the schedules stamped again. Called by the search that
 /// uploaded ([`CuBlastp::search`]) and, in a batch that pays, for the
 /// lowest-index query that succeeded: who pays never depends on the order
@@ -398,21 +405,27 @@ fn stamp_schedules(r: &mut CuBlastpResult, views: &[ShardView<'_>]) {
 pub(crate) fn bill_upload(
     device: &DeviceConfig,
     views: &[ShardView<'_>],
+    backend: GappedBackend,
     query: u32,
     r: &mut CuBlastpResult,
 ) {
-    let mut legs = r.block_timings.iter_mut().zip(0u32..);
+    let mut passes = r.block_timings.iter_mut();
+    let mut blocks = 0u32..;
     let mut h2d_ms = 0.0;
     for view in views {
         let mut shard_ms = 0.0;
-        for ((_, dev), (timing, block)) in view.dev.blocks().iter().zip(legs.by_ref()) {
-            timing.h2d_ms = bill_transfer(device, H2D, dev.upload_bytes(), block, query);
-            shard_ms += timing.h2d_ms;
+        for (pass, timing) in view_passes(backend, view).zip(passes.by_ref()) {
+            let mut pass_ms = 0.0;
+            for ((_, dev), block) in pass.iter().zip(blocks.by_ref()) {
+                pass_ms += bill_transfer(device, H2D, dev.upload_bytes(), block, query);
+            }
+            timing.h2d_ms = pass_ms;
+            shard_ms += pass_ms;
         }
         h2d_ms += shard_ms;
     }
     r.timing.h2d_ms = h2d_ms;
-    stamp_schedules(r, views);
+    stamp_schedules(r, views, backend);
 }
 
 /// Where a device step runs: the fault scope (fault specs count a view's
@@ -672,7 +685,8 @@ struct Block<'a> {
     dev: &'a Arc<DeviceDbBlock>,
 }
 
-/// What the GPU side of one block hands to its CPU tail.
+/// What the GPU side of one block hands to its CPU tail, and the tail in
+/// turn to the block's device pass ([`CuBlastp::bill_pass`]).
 struct GpuSide {
     block: u32,
     /// The device gapped backend aligned the block: its tail only reports.
@@ -681,9 +695,12 @@ struct GpuSide {
     /// DP — was worth sharing among the search's threads: the next wave is
     /// one block wide.
     heavy: bool,
-    /// The block's part of the search's ledger, device side filled in;
-    /// the CPU tail adds the block's hits, its own times and the block's
-    /// row of the Fig. 12 schedule.
+    /// The host reads device output of the block: `part.counts.d2h_bytes`
+    /// cross the link in its pass's D2H leg.
+    crosses: bool,
+    /// The block's part of the search's ledger: the counters of its
+    /// launches, unpriced (rows of 0 ms) until its pass bills them; the
+    /// CPU tail adds the block's hits and its own times.
     part: CuBlastpResult,
 }
 
@@ -740,7 +757,8 @@ impl CuBlastp {
         let dev = &DeviceDb::upload(db, self.config.db_block_size);
         let view = [ShardView { db, dev, start: 0 }];
         let mut r = self.run_blocks(&view, None, &SearchHooks::default())?;
-        bill_upload(&self.device, &view, self.stream_index, &mut r);
+        let backend = self.config.gapped_backend;
+        bill_upload(&self.device, &view, backend, self.stream_index, &mut r);
         Ok(r)
     }
 
@@ -758,7 +776,7 @@ impl CuBlastp {
 
     /// The one loop of a query's search (Fig. 12): every resident block of
     /// every shard view, in global order, goes through the GPU side (hit
-    /// phase, gapped backend, D2H leg) and then the CPU tail, overlapped
+    /// phase, gapped backend) and then the CPU tail, overlapped
     /// wave-against-wave when configured — across shard boundaries too,
     /// under one set of tail helpers. A flat database is one view. `seeds`
     /// only says where the hit bins come from: one demuxed [`BinnedHits`]
@@ -768,11 +786,13 @@ impl CuBlastp {
     /// number the blocks over all views (`blocks_total` = Σ blocks), fault
     /// specs within a view. A failed block fails the query: a partial
     /// merge would break the identical-to-single-database contract. The
-    /// block parts fold into their shard's part and the shard parts into
-    /// the query's result ([`CuBlastpResult::absorb`]): the result's
-    /// makespan is the shards' serial chain ([`stamp_schedules`]), its
-    /// "other" time the query's set-up plus the merge. No block carries
-    /// an H2D leg: a payer bills it afterwards ([`bill_upload`]).
+    /// block parts fold into their device passes, which bill them
+    /// ([`Self::bill_pass`]), the passes into their shard's part and the
+    /// shard parts into the query's result ([`CuBlastpResult::absorb`]):
+    /// the result's makespan is the shards' serial chain
+    /// ([`stamp_schedules`]), its "other" time the query's set-up plus the
+    /// merge. No block carries an H2D leg: a payer bills it afterwards
+    /// ([`bill_upload`]).
     pub(crate) fn run_blocks(
         &self,
         views: &[ShardView<'_>],
@@ -835,15 +855,7 @@ impl CuBlastp {
         let cpu_side = |mut gpu: GpuSide, done: Vec<Done>| {
             let _span = obs::span("consumer_block", "pipeline").with_block(gpu.block);
             let part = &mut gpu.part;
-            let cpu_ms = self.fold_tail(done, gpu.reports, part);
-            let t = &mut part.timing;
-            t.cpu_wall_ms = cpu_ms;
-            part.block_timings.push(BlockTiming {
-                h2d_ms: t.h2d_ms,
-                gpu_ms: t.gpu_ms,
-                d2h_ms: t.d2h_ms,
-                cpu_ms,
-            });
+            part.timing.cpu_wall_ms = self.fold_tail(done, gpu.reports, part);
             if let Some(on_block) = hooks.on_block {
                 on_block(BlockProgress {
                     block: gpu.block,
@@ -852,15 +864,15 @@ impl CuBlastp {
                 });
             }
             obs::counter("pipeline_blocks_total", &[("side", "consumer")], 1);
-            gpu.part
+            gpu
         };
 
         // Fig. 12 on one kind of thread. The caller walks the blocks in
         // *waves*: one batch of the search's threads runs a wave's hit
         // phases — the first on the caller — beside the tails of the wave
         // before it; then, in block order on the caller, each block's
-        // launch checkpoint, the rest of its GPU side (gapped backend, D2H
-        // leg) and its tail checkpoint. A wave is as wide as the threads
+        // launch checkpoint, the rest of its GPU side (gapped backend, what
+        // it downloads) and its tail checkpoint. A wave is as wide as the threads
         // after a light block, and one block after a heavy one (its tail
         // keeps the helpers busy), when `overlap` is off (each tail runs
         // right after its block), on one thread, or with the injector
@@ -982,18 +994,20 @@ impl CuBlastp {
 
             let t_merge = Instant::now();
             let merge_span = obs::span("merge", "host").with_query(self.stream_index);
-            // The blocks fold into their shard, the shards into the query.
+            // The blocks fold into their device passes, the passes into
+            // their shard, the shards into the query.
+            let backend = self.config.gapped_backend;
             let mut r = CuBlastpResult::default();
             let mut parts = parts.into_iter();
             for view in views {
                 let mut shard = CuBlastpResult::default();
-                for mut part in parts.by_ref().take(view.dev.num_blocks()) {
-                    r.report.hits.append(&mut part.report.hits);
-                    shard.absorb(&part);
+                for pass in view_passes(backend, view) {
+                    let blocks = parts.by_ref().take(pass.len());
+                    shard.absorb(&self.bill_pass(blocks, &mut r.report.hits));
                 }
                 r.absorb(&shard);
             }
-            stamp_schedules(&mut r, views);
+            stamp_schedules(&mut r, views, backend);
             r.report.finalize(self.engine.params.max_reported);
             r.timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
             drop(merge_span);
@@ -1036,7 +1050,9 @@ impl CuBlastp {
 
     /// The rest of a block's GPU side once its hit phase is back, on the
     /// caller: the gapped backend (the device pass's DP claims the block's
-    /// subjects on the search's threads) and the D2H leg.
+    /// subjects on the search's threads) and what the block downloads.
+    /// Nothing is priced here: the block's pass bills its launches and its
+    /// leg ([`Self::bill_pass`]).
     fn gpu_side(
         &self,
         tail: &mut Tail<'_, '_>,
@@ -1047,8 +1063,6 @@ impl CuBlastp {
             mut out,
             mut recovery,
         } = hit;
-        let block = b.at.block;
-        let mut timing = CuBlastpTiming::default();
         let extensions = Arc::new(std::mem::take(&mut out.extensions));
         let finish = TailJob::new(b.at.shard, b.range.start, TailWork::Finish(extensions));
         let heavy = finish.shared_among(tail.threads());
@@ -1056,32 +1070,74 @@ impl CuBlastp {
         let job =
             self.attach_gapped_backend(tail, b, finish, &mut out, &mut recovery, &mut dp_threads)?;
         let reports = matches!(job.work, TailWork::Report(_));
-        let kernel_ms = out.kernel_ms(&self.device);
-        timing.gpu_ms = kernel_ms.iter().sum();
         // The link carries what the host reads: the device's alignments,
         // else the trigger survivors the device computed. Records the host
         // computed itself (a degraded hit phase feeding the CPU tail) cross
         // nothing — no bytes, no latency.
-        if reports || recovery.degraded_blocks == 0 {
-            let query = self.stream_index;
-            timing.d2h_ms = bill_transfer(&self.device, D2H, out.download_bytes, block, query);
+        let crosses = reports || recovery.degraded_blocks == 0;
+        if crosses {
             out.counts.d2h_bytes = out.download_bytes;
         }
         let gpu = GpuSide {
-            block,
+            block: b.at.block,
             reports,
             heavy,
+            crosses,
             part: CuBlastpResult {
+                kernel_ms: vec![0.0; out.kernels.len()],
                 kernels: out.kernels,
-                kernel_ms,
                 counts: out.counts,
-                timing,
                 recovery,
                 tail_threads_ran: dp_threads,
                 ..Default::default()
             },
         };
         Ok((gpu, job))
+    }
+
+    /// Bill one device pass — a view's blocks up to the next read of
+    /// device output ([`view_passes`]) — from their unpriced parts: each
+    /// kernel one launch over the pass (the `time_ms` of its counters
+    /// merged over the blocks), one D2H leg of everything the host reads
+    /// from them (none when every block was computed on the host), and
+    /// the pass's entry of the Fig. 12 schedule. The blocks' hits go to `hits`, in block order.
+    /// A pass of one block — every pass of [`GappedBackend::Cpu`] — is
+    /// that block's own launches and leg.
+    fn bill_pass(
+        &self,
+        blocks: impl Iterator<Item = GpuSide>,
+        hits: &mut Vec<ReportedHit>,
+    ) -> CuBlastpResult {
+        let mut pass = CuBlastpResult::default();
+        let (mut first, mut crosses) = (None, false);
+        for mut side in blocks {
+            first = first.or(Some(side.block));
+            crosses |= side.crosses;
+            hits.append(&mut side.part.report.hits);
+            pass.absorb(&side.part);
+        }
+        let (block, query) = (first.unwrap_or(0), self.stream_index);
+        pass.kernel_ms = (pass.kernels.iter())
+            .map(|k| k.time_ms(&self.device))
+            .collect();
+        for (k, ms) in pass.kernel_rows() {
+            let label = kernel_label(&k.name);
+            obs::modelled("gpu (modelled)", label, ms, Some(block), Some(query));
+            obs::observe("kernel_sim_ms", &[("kernel", label)], ms);
+        }
+        let t = &mut pass.timing;
+        t.gpu_ms = pass.kernel_ms.iter().sum();
+        if crosses {
+            let bytes = pass.counts.d2h_bytes;
+            t.d2h_ms = bill_transfer(&self.device, D2H, bytes, block, query);
+        }
+        pass.block_timings.push(BlockTiming {
+            h2d_ms: 0.0,
+            gpu_ms: t.gpu_ms,
+            d2h_ms: t.d2h_ms,
+            cpu_ms: t.cpu_wall_ms,
+        });
+        pass
     }
 
     /// The retry loop every device fault site shares. A transient fault
@@ -1260,17 +1316,6 @@ impl CuBlastp {
             // construction).
             return Ok(finish);
         };
-        if obs::state() != 0 {
-            let sim_ms = g.stats.time_ms(&self.device);
-            obs::modelled(
-                "gpu (modelled)",
-                FINE_GAPPED_KERNEL,
-                sim_ms,
-                Some(block),
-                None,
-            );
-            obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
-        }
         out.download_bytes = g.download_bytes;
         out.kernels.push(g.stats);
         let aligned = TailWork::Report(g.alignments);
@@ -1764,6 +1809,7 @@ pub(crate) mod meet {
 pub(crate) mod tests {
     use super::*;
     use crate::error::PipelineError;
+    use crate::gapped_device::FINE_GAPPED_KERNEL;
     use crate::lattice::{check_all, Case, Fault, Layout, Seed};
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use blast_cpu::search::search_sequential;
@@ -1827,6 +1873,20 @@ pub(crate) mod tests {
                    fault_block: 1, ..Case::default() },
             Case { backend: GappedBackend::Gpu, fault: Fault::Once(FaultSite::GappedD2h),
                    fault_block: 1, ..Case::default() },
+        ];
+        device_pass_bills_one_launch_per_kernel_and_one_leg_per_view: [
+            Case { backend: GappedBackend::Gpu, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, threads: 2, overlap: true, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, shards: Layout::Even3, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, shards: Layout::Ragged, threads: 2,
+                   ..Case::default() },
+            Case { seed: Seed::Grouped, backend: GappedBackend::Gpu, shards: Layout::Ragged,
+                   ..Case::default() },
+            Case { backend: GappedBackend::Gpu, fault: Fault::Permanent(FaultSite::GappedLaunch),
+                   fault_block: 1, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, shards: Layout::Ragged, threads: 2,
+                   fault: Fault::Permanent(FaultSite::GappedLaunch), fault_block: 1,
+                   ..Case::default() },
         ];
         gpu_gapped_permanent_fault_degrades_gapped_phase_only: [
             Case { backend: GappedBackend::Gpu, fault: Fault::Permanent(FaultSite::GappedLaunch),
@@ -2956,7 +3016,7 @@ pub(crate) mod tests {
             );
             assert_eq!(r.kernels, want.kernels, "{case}");
             assert_eq!(r.counts, want.counts, "{case}");
-            let shards = view_schedules(&r.block_timings, &views);
+            let shards = view_schedules(&r.block_timings, &views, gpu.config.gapped_backend);
             assert_eq!(
                 shards[1].overlapped_ms, 0.0,
                 "{case}: the empty shard costs nothing"

@@ -587,7 +587,7 @@ fn sharded_plan(
         // A (query × shard) item costs the shard's overlapped pipeline
         // makespan (no upload, no setup); zero for an empty shard.
         let costs: Vec<_> = (tile.iter().flatten())
-            .map(|r| view_schedules(&r.block_timings, &views))
+            .map(|r| view_schedules(&r.block_timings, &views, config.gapped_backend))
             .collect();
         if costs.is_empty() {
             continue;
@@ -824,7 +824,13 @@ mod tests {
             let mut sharded = search_sharded(&searcher, &resident, &hooks).expect("resident");
             assert_eq!(sharded.timing.h2d_ms, 0.0, "a resident search pays nothing");
             if billed {
-                bill_upload(&device, &resident.views(), 0, &mut sharded);
+                bill_upload(
+                    &device,
+                    &resident.views(),
+                    cfg.gapped_backend,
+                    0,
+                    &mut sharded,
+                );
             }
             assert_eq!(modelled(&sharded), modelled(flat), "billed = {billed}");
             assert_eq!(sharded.timing.h2d_ms > 0.0, billed);
