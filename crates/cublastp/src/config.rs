@@ -135,9 +135,10 @@ pub struct CuBlastpConfig {
     /// gapped extension and traceback of a block's subjects, and the
     /// block's CPU lane in the Fig. 12 schedule is their measured
     /// wall-clock, first subject's start to last subject's end. Under
-    /// [`GappedBackend::Gpu`] the same threads run the device pass's
-    /// functional DP, claiming a block's subjects one at a time; under
-    /// `overlap` they also run several blocks' hit phases at once, and in
+    /// [`GappedBackend::Gpu`] the block's tail is the device pass's
+    /// functional DP and its reports, claimed a subject at a time; under
+    /// `overlap` they also run several blocks' hit phases at once (beside
+    /// the tails of the blocks before them, on either backend), and in
     /// a grouped batch a round's seeding passes, one block each. Reports
     /// and modelled device times are bit-identical at every value;
     /// `CuBlastpResult::tail_threads_ran` says how many threads ran a

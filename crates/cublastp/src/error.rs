@@ -19,8 +19,9 @@ use std::fmt;
 pub enum PipelineError {
     /// A pipeline stage panicked; `side` names it ("gpu side": a block's
     /// device phases on the searching thread, "cpu tail": a block's
-    /// gapped extension and traceback, on whichever thread claimed the
-    /// subject — both at any `overlap` setting; "batch query setup",
+    /// gapped extension and traceback, or the device pass's DP and
+    /// report, on whichever thread claimed the subject — both at any
+    /// `overlap` setting; "batch query setup",
     /// "batch query", "serve worker": outside the per-block loop) and
     /// `payload` is the stringified panic message.
     WorkerPanicked {

@@ -103,7 +103,8 @@ pub(crate) struct SubjectDp {
     /// Block-local subject index.
     seq: usize,
     gapped: Vec<GappedExt>,
-    alignments: Vec<Alignment>,
+    /// What the block's tail reports for the subject.
+    pub(crate) alignments: Vec<Alignment>,
     sweeps: Vec<Sweep>,
     download_bytes: u64,
     itrace: ItraceReport,
@@ -207,33 +208,25 @@ impl FineDp<'_> {
         out
     }
 
-    /// Launch the kernel over one block of `num_seqs` subjects and count
-    /// it. `pass` is the functional pass: [`Self::subject`] of every
-    /// subject with records, once each, returned in block order — so the
-    /// merged sweeps, download and [`ItraceReport`] are the serial loop's
-    /// bit for bit, whichever threads ran them. The stats are the block's
-    /// counters; a search prices them with its other blocks', as one
-    /// launch per shard view (DESIGN.md §3.7, "Pipeline integration").
-    ///
-    /// The injector is consulted at the two sites this backend adds:
-    /// [`FaultSite::GappedLaunch`] before the pass and
-    /// [`FaultSite::GappedD2h`] on the alignment download.
-    pub(crate) fn launch(
+    /// Bill the kernel over one block of `num_seqs` subjects from their
+    /// DPs: [`Self::subject`] of every subject with records, once each, in
+    /// block order — so the merged sweeps, download and [`ItraceReport`]
+    /// are the serial loop's bit for bit, whichever threads ran them. The
+    /// stats are the block's counters; a search prices them with its other
+    /// blocks', as one launch per shard view (DESIGN.md §3.7, "Pipeline
+    /// integration"). Checks no fault site: the caller does, at launch.
+    pub(crate) fn bill(
         &self,
         cfg: &CuBlastpConfig,
         num_seqs: usize,
-        injector: &FaultInjector,
-        ctx: FaultCtx,
-        pass: impl FnOnce() -> Vec<SubjectDp>,
-    ) -> Result<GappedDeviceOutput, DeviceError> {
-        injector.check(FaultSite::GappedLaunch, ctx, FINE_GAPPED_KERNEL)?;
-
+        subjects: Vec<SubjectDp>,
+    ) -> GappedDeviceOutput {
         let mut gapped_by_seq: Vec<Vec<GappedExt>> = vec![Vec::new(); num_seqs];
         let mut aligns_by_seq: Vec<Vec<Alignment>> = vec![Vec::new(); num_seqs];
         let mut itrace = ItraceReport::default();
         let mut sweeps: Vec<Sweep> = Vec::new();
         let mut download_bytes = 0u64;
-        for s in pass() {
+        for s in subjects {
             gapped_by_seq[s.seq] = s.gapped;
             aligns_by_seq[s.seq] = s.alignments;
             sweeps.extend(s.sweeps);
@@ -270,23 +263,21 @@ impl FineDp<'_> {
             }
         });
 
-        // D2H leg: the finished alignments the CPU reporting tail consumes.
-        injector.check(FaultSite::GappedD2h, ctx, "alignment download")?;
-
-        Ok(GappedDeviceOutput {
+        GappedDeviceOutput {
             alignments: aligns_by_seq,
             gapped: gapped_by_seq,
             stats,
             download_bytes,
             itrace,
-        })
+        }
     }
 }
 
 /// Run fine-grained gapped extension + interval traceback for one block,
-/// its subjects one after another on the calling thread: `FineDp::launch`
-/// over `FineDp::subject` of every subject. A search runs the same two
-/// parts with the subjects claimed by its threads.
+/// its subjects one after another on the calling thread: the launch's
+/// fault check, [`FineDp::subject`] of every subject, [`FineDp::bill`],
+/// and the download's. A search runs the same parts with both checks at
+/// launch and the subjects as the block's tail, claimed by its threads.
 ///
 /// `trigger` and `report_cutoff` are the engine's gapped-trigger and
 /// report cutoffs; `query_seq` is the raw query. Scratch (checkpoint
@@ -317,12 +308,13 @@ pub fn gapped_fine_kernel(
         report_cutoff,
         ws,
     };
+    injector.check(FaultSite::GappedLaunch, ctx, FINE_GAPPED_KERNEL)?;
     let num_seqs = extensions.num_seqs();
-    dp.launch(cfg, num_seqs, injector, ctx, || {
-        (0..num_seqs)
-            .map(|i| dp.subject(db, extensions, i))
-            .collect()
-    })
+    let subjects = (0..num_seqs).map(|i| dp.subject(db, extensions, i));
+    let out = dp.bill(cfg, num_seqs, subjects.collect());
+    // D2H leg: the finished alignments the CPU reporting tail consumes.
+    injector.check(FaultSite::GappedD2h, ctx, "alignment download")?;
+    Ok(out)
 }
 
 /// Modelled cost of one extension's DP: `rows` band rows swept forward,

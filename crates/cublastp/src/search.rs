@@ -16,7 +16,7 @@ use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
 use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, ShardView};
-use crate::gapped_device::{FineDp, SubjectDp};
+use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     kernel_label, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
@@ -24,9 +24,11 @@ use crate::pipeline::BlockTiming;
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
-use blast_cpu::report::{Alignment, PhaseTimes, ReportedHit, SearchReport};
+use blast_cpu::report::{PhaseTimes, ReportedHit, SearchReport};
 use blast_cpu::search::{apportion_wall, SearchEngine};
-use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
+use gpu_sim::{
+    DeviceConfig, DeviceError, FaultCtx, FaultInjector, FaultSite, KernelStats, KernelWorkspace,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::thread::ThreadId;
@@ -71,8 +73,9 @@ pub struct CuBlastpTiming {
     /// Query setup + merge and ranking, "Other" in Fig. 19d (`HostWall`).
     pub other_ms: f64,
     /// The CPU lane of the Fig. 12 schedule summed over blocks
-    /// (`HostWall`): gapped + traceback as above, or the measured
-    /// reporting pass of blocks whose gapped phase ran on the device.
+    /// (`HostWall`): gapped + traceback as above, or, for a block whose
+    /// gapped phase ran on the device, the summed report time of its
+    /// subjects (its DP, on the same threads, is billed as the kernel).
     pub cpu_wall_ms: f64,
     /// Makespan with the Fig. 12 overlap (`ScheduleModel`).
     pub overlapped_ms: f64,
@@ -224,11 +227,11 @@ pub struct CuBlastpResult {
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
-    /// The most threads that finished, aligned or reported subjects of
-    /// one block's CPU tail (its device DP included): what ran of
-    /// `cpu_threads`. Under `overlap` a light block's subjects go to
-    /// whichever threads are free beside the next wave's hit phases, so
-    /// they may count two. 0 when no block had a subject for the tail.
+    /// The most threads that finished or aligned subjects of one block's
+    /// tail (the device pass's DP is one): what ran of `cpu_threads`.
+    /// Under `overlap` a block's subjects go to whichever threads are
+    /// free beside the next wave's hit phases, so a light block's may
+    /// count two. 0 when no block had a subject for the tail.
     pub tail_threads_ran: usize,
 }
 
@@ -445,36 +448,34 @@ enum TailWork {
     /// The block's trigger survivors: gapped extension and traceback.
     Finish(Arc<ExtensionsCsr>),
     /// The same survivors, aligned by the device gapped backend's
-    /// functional DP (on the GPU side, before the kernel is billed).
+    /// functional DP, then reported; the fold bills the kernel.
     Align(Arc<DeviceDbBlock>, Arc<ExtensionsCsr>),
-    /// The alignments the device gapped backend already produced:
-    /// statistics only.
-    Report(Vec<Vec<Alignment>>),
 }
 
 /// One block's subjects as the search's threads see them. Owned, because
 /// the helpers outlive the block (`blast_cpu::par`).
 struct TailJob {
+    /// The block, numbered over the query's database.
+    block: u32,
     /// The shard view the block belongs to.
     shard: usize,
     /// Shard-local index of the block's first sequence.
     base: usize,
     work: TailWork,
     /// Block-local indices of the subjects with records to finish or
-    /// align, or alignments to report — the items the threads claim.
+    /// align — the items the threads claim.
     todo: Vec<u32>,
     /// Σ ungapped score over the block's records: what its gapped phase
-    /// will cost, to first order (see [`HELPER_MIN_SEED_SCORE`]); 0 for a
-    /// report.
+    /// will cost, to first order (see [`HELPER_MIN_SEED_SCORE`]).
     seed_score: u64,
 }
 
 /// The seed score below which a block is *light*: its gapped phase runs
 /// on one thread — the caller, or under `overlap` whichever thread is free
 /// beside the next block's hit phase — and the next wave of hit phases is
-/// as wide as the search's threads. A heavy block's gapped phase (or the
-/// device backend's functional DP) is shared among all of them, and the
-/// next wave is one block: its tail keeps the helpers busy.
+/// as wide as the search's threads. A heavy block's gapped phase (on the
+/// CPU, or the device backend's functional DP) is shared among all of
+/// them, and the next wave is one block: its tail keeps the helpers busy.
 ///
 /// Gapped extension and traceback cost about 0.2 µs per unit of seed
 /// score (EXPERIMENTS.md "PR 24": 85 → 40–100 µs, 1 558 → 295 µs, 5 524 →
@@ -490,25 +491,19 @@ const HELPER_MIN_SEED_SCORE: u64 = 2_000;
 
 impl TailJob {
     /// The block's non-empty subjects and their seed score.
-    fn new(shard: usize, base: usize, work: TailWork) -> Self {
-        let (todo, seed_score) = match &work {
-            TailWork::Finish(extensions) | TailWork::Align(_, extensions) => (
-                (0..extensions.num_seqs())
-                    .filter(|&local| !extensions.seq(local).is_empty())
-                    .map(|local| local as u32)
-                    .collect(),
-                (extensions.records().iter())
-                    .map(|e| u64::from(e.score.max(0).unsigned_abs()))
-                    .sum(),
-            ),
-            TailWork::Report(aligns) => {
-                let todo = (0..aligns.len()).filter(|&local| !aligns[local].is_empty());
-                (todo.map(|local| local as u32).collect(), 0)
-            }
-        };
+    fn new(b: &Block<'_>, work: TailWork) -> Self {
+        let (TailWork::Finish(extensions) | TailWork::Align(_, extensions)) = &work;
+        let todo = (0..extensions.num_seqs())
+            .filter(|&local| !extensions.seq(local).is_empty())
+            .map(|local| local as u32)
+            .collect();
+        let seed_score = (extensions.records().iter())
+            .map(|e| u64::from(e.score.max(0).unsigned_abs()))
+            .sum();
         Self {
-            shard,
-            base,
+            block: b.at.block,
+            shard: b.at.shard,
+            base: b.range.start,
             work,
             todo,
             seed_score,
@@ -524,8 +519,7 @@ impl TailJob {
 
 /// One batch of the search's threads: the hit phases of a wave's blocks
 /// past its first (the caller runs that one itself), then the subjects of
-/// earlier blocks' tails in block order. The device pass's DP of one
-/// block is a batch of its `Align` tail.
+/// earlier blocks' tails in block order.
 struct Batch {
     /// Indices into the search's blocks: a wave this wide is never seeded
     /// by a grouped round, so its hit phases carry no bins.
@@ -572,10 +566,10 @@ impl Batch {
     /// Run the batch on the search's threads, and `own` — the caller's own
     /// hit phase, if `beside` — on the caller; the items' results come
     /// back in index order. Helpers are woken only for work beside the
-    /// caller: hit phases or a heavy tail (all helpers), a light tail that
-    /// finishes extension records while the caller runs `own` (one). The
-    /// caller claims what is left once it is free, unless the search has
-    /// one thread: its overlap helper then finishes the batch alone.
+    /// caller: hit phases or a heavy tail (all helpers), a light tail
+    /// while the caller runs `own` (one). The caller claims what is left
+    /// once it is free, unless the search has one thread: its overlap
+    /// helper then finishes the batch alone.
     fn run<R>(
         self,
         tail: &mut Tail<'_, '_>,
@@ -584,22 +578,19 @@ impl Batch {
     ) -> (R, Vec<Done>) {
         let (n, threads) = (self.len(), tail.threads());
         let heavy = self.tails.iter().any(|t| t.shared_among(threads));
-        // Statistics over the device's alignments cost less than a wake-up.
-        let finishes = self
-            .tails
-            .iter()
-            .any(|t| !matches!(t.work, TailWork::Report(_)));
         let helpers = match n {
             0 => 0,
             _ if !self.hits.is_empty() || heavy => threads - 1,
-            _ => usize::from(beside && finishes),
+            _ => usize::from(beside),
         };
         let claims = threads >= 2;
         #[cfg(test)]
-        let (batch, pair) = {
+        let (batch, pair, aligns) = {
             let shared = helpers > 0 && claims;
             let pair = beside && shared && !self.hits.is_empty();
-            (Batch { shared, ..self }, pair)
+            let aligns = (self.tails.iter())
+                .any(|t| matches!(t.work, TailWork::Align(..)) && !t.todo.is_empty());
+            (Batch { shared, ..self }, pair, beside && shared && aligns)
         };
         #[cfg(not(test))]
         let batch = self;
@@ -608,10 +599,12 @@ impl Batch {
             return (r, tail.map_alone(&batch, n));
         }
         let posted = tail.post(batch, n, helpers);
-        // The caller's own hit phase meets one a helper claimed.
+        // The caller's own hit phase meets one a helper claimed, or an
+        // `Align` subject.
         #[cfg(test)]
         if let Some(m) = meet::armed() {
             m.arrive(meet::Kind::Hits, pair);
+            m.arrive(meet::Kind::Beside, aligns);
         }
         let r = own();
         let done = if claims {
@@ -640,18 +633,18 @@ struct Lane {
 enum Done {
     /// A hit phase, or why it failed.
     Hit(Result<HitPhase, SearchError>),
-    /// Finished or reported: its hits and its two phase times (zero for
-    /// a report).
+    /// Finished: its hits and its two phase times.
     Subject(Vec<ReportedHit>, PhaseTimes, Lane),
-    /// Aligned by the device pass's DP.
-    Aligned(SubjectDp, Lane),
+    /// Aligned by the device pass's DP, then reported: the DP, its hits
+    /// and how long the report took.
+    Aligned(SubjectDp, Vec<ReportedHit>, Duration, Lane),
 }
 
 impl Done {
     fn lane(&self) -> Option<&Lane> {
         match self {
             Done::Hit(_) => None,
-            Done::Subject(.., lane) | Done::Aligned(_, lane) => Some(lane),
+            Done::Subject(.., lane) | Done::Aligned(.., lane) => Some(lane),
         }
     }
 }
@@ -689,18 +682,16 @@ struct Block<'a> {
 /// turn to the block's device pass ([`CuBlastp::bill_pass`]).
 struct GpuSide {
     block: u32,
-    /// The device gapped backend aligned the block: its tail only reports.
-    reports: bool,
-    /// The block's gapped phase — the CPU tail's, or the device pass's
-    /// DP — was worth sharing among the search's threads: the next wave is
-    /// one block wide.
-    heavy: bool,
+    /// `Some(n)` when the device pass's DP aligns the block in its tail:
+    /// the block's `n` subjects, which the fold bills the kernel over.
+    aligned: Option<usize>,
     /// The host reads device output of the block: `part.counts.d2h_bytes`
     /// cross the link in its pass's D2H leg.
     crosses: bool,
     /// The block's part of the search's ledger: the counters of its
     /// launches, unpriced (rows of 0 ms) until its pass bills them; the
-    /// CPU tail adds the block's hits and its own times.
+    /// CPU tail adds the block's hits, its own times and, for an aligned
+    /// block, the fine kernel's counters.
     part: CuBlastpResult,
 }
 
@@ -855,7 +846,7 @@ impl CuBlastp {
         let cpu_side = |mut gpu: GpuSide, done: Vec<Done>| {
             let _span = obs::span("consumer_block", "pipeline").with_block(gpu.block);
             let part = &mut gpu.part;
-            part.timing.cpu_wall_ms = self.fold_tail(done, gpu.reports, part);
+            part.timing.cpu_wall_ms = self.fold_tail(done, gpu.aligned, part);
             if let Some(on_block) = hooks.on_block {
                 on_block(BlockProgress {
                     block: gpu.block,
@@ -870,9 +861,10 @@ impl CuBlastp {
         // Fig. 12 on one kind of thread. The caller walks the blocks in
         // *waves*: one batch of the search's threads runs a wave's hit
         // phases — the first on the caller — beside the tails of the wave
-        // before it; then, in block order on the caller, each block's
-        // launch checkpoint, the rest of its GPU side (gapped backend, what
-        // it downloads) and its tail checkpoint. A wave is as wide as the threads
+        // before it (the device pass's DP included); then, in block order
+        // on the caller, each block's launch checkpoint, the rest of its
+        // GPU side (the gapped backend's fault checks, what it downloads)
+        // and its tail checkpoint. A wave is as wide as the threads
         // after a light block, and one block after a heavy one (its tail
         // keeps the helpers busy), when `overlap` is off (each tail runs
         // right after its block), on one thread, or with the injector
@@ -889,24 +881,28 @@ impl CuBlastp {
         let caller = std::thread::current().id();
         #[cfg(test)]
         let rendezvous = meet::armed();
-        let item = |batch: &Batch, i: usize| match batch.hits.get(i) {
-            Some(&b) => {
-                #[cfg(test)]
-                if let Some(m) = &rendezvous {
-                    m.arrive(meet::Kind::Hits, batch.shared);
+        let item = |batch: &Batch, i: usize| {
+            let on_caller = std::thread::current().id() == caller;
+            match batch.hits.get(i) {
+                Some(&b) => {
+                    #[cfg(test)]
+                    if let Some(m) = &rendezvous {
+                        m.arrive(meet::Kind::Hits, batch.shared);
+                    }
+                    Done::Hit(self.hit_item(&blocks[b], None, batch.wave, on_caller))
                 }
-                let on_caller = std::thread::current().id() == caller;
-                Done::Hit(self.hit_item(&blocks[b], None, batch.wave, on_caller))
-            }
-            None => {
-                let (t, item) = batch.subject(i - batch.hits.len());
-                #[cfg(test)]
-                if let Some(m) = &rendezvous {
-                    let pair = batch.tails.iter().position(|t| t.todo.len() >= 2);
-                    m.arrive(meet::Kind::Tail, batch.shared && pair == Some(t));
+                None => {
+                    let (t, item) = batch.subject(i - batch.hits.len());
+                    let job = &batch.tails[t];
+                    #[cfg(test)]
+                    if let Some(m) = &rendezvous {
+                        let pair = batch.tails.iter().position(|t| t.todo.len() >= 2);
+                        m.arrive(meet::Kind::Tail, batch.shared && pair == Some(t));
+                        let aligns = matches!(job.work, TailWork::Align(..));
+                        m.arrive(meet::Kind::Beside, batch.shared && aligns && !on_caller);
+                    }
+                    self.tail_item(views[job.shard], job, item, on_caller)
                 }
-                let job = &batch.tails[t];
-                self.tail_item(views[job.shard], job, item)
             }
         };
         let helper_name = format!("tail-q{}", self.stream_index);
@@ -963,7 +959,7 @@ impl CuBlastp {
                         stop = Some(hooks.deadline_error(b.at.block, blocks_total));
                         break;
                     }
-                    let (gpu, job) = match isolated("gpu side", || self.gpu_side(tail, b, hit?)) {
+                    let (gpu, job) = match isolated("gpu side", || self.gpu_side(b, hit?)) {
                         Ok(side) => side,
                         Err(e) => {
                             stop = Some(e);
@@ -977,7 +973,8 @@ impl CuBlastp {
                         stop = Some(hooks.deadline_error(b.at.block, blocks_total));
                         break;
                     }
-                    heavy = gpu.heavy;
+                    // A device block counts as heavy by its DP.
+                    heavy = job.shared_among(threads);
                     if self.config.overlap {
                         pending.push((gpu, job));
                     } else {
@@ -1049,50 +1046,38 @@ impl CuBlastp {
     }
 
     /// The rest of a block's GPU side once its hit phase is back, on the
-    /// caller: the gapped backend (the device pass's DP claims the block's
-    /// subjects on the search's threads) and what the block downloads.
-    /// Nothing is priced here: the block's pass bills its launches and its
-    /// leg ([`Self::bill_pass`]).
-    fn gpu_side(
-        &self,
-        tail: &mut Tail<'_, '_>,
-        b: &Block<'_>,
-        hit: HitPhase,
-    ) -> Result<(GpuSide, TailJob), SearchError> {
+    /// caller: the gapped backend's fault checks, which pick the block's
+    /// tail, and what the block downloads. Nothing is priced here: the
+    /// block's pass bills its launches and its leg ([`Self::bill_pass`]).
+    fn gpu_side(&self, b: &Block<'_>, hit: HitPhase) -> Result<(GpuSide, TailJob), SearchError> {
         let HitPhase {
             mut out,
             mut recovery,
         } = hit;
         let extensions = Arc::new(std::mem::take(&mut out.extensions));
-        let finish = TailJob::new(b.at.shard, b.range.start, TailWork::Finish(extensions));
-        let heavy = finish.shared_among(tail.threads());
-        let mut dp_threads = 0;
-        let job =
-            self.attach_gapped_backend(tail, b, finish, &mut out, &mut recovery, &mut dp_threads)?;
-        let reports = matches!(job.work, TailWork::Report(_));
-        // The link carries what the host reads: the device's alignments,
-        // else the trigger survivors the device computed. Records the host
-        // computed itself (a degraded hit phase feeding the CPU tail) cross
-        // nothing — no bytes, no latency.
-        let crosses = reports || recovery.degraded_blocks == 0;
+        let work = self.attach_gapped_backend(b, extensions, &mut recovery)?;
+        let aligned = matches!(work, TailWork::Align(..)).then(|| b.dev.num_seqs());
+        // The link carries what the host reads: the device's alignments
+        // (the fold counts them), else the trigger survivors the device
+        // computed. Records the host computed itself (a degraded hit phase
+        // feeding the CPU tail) cross nothing — no bytes, no latency.
+        let crosses = aligned.is_some() || recovery.degraded_blocks == 0;
         if crosses {
             out.counts.d2h_bytes = out.download_bytes;
         }
         let gpu = GpuSide {
             block: b.at.block,
-            reports,
-            heavy,
+            aligned,
             crosses,
             part: CuBlastpResult {
                 kernel_ms: vec![0.0; out.kernels.len()],
                 kernels: out.kernels,
                 counts: out.counts,
                 recovery,
-                tail_threads_ran: dp_threads,
                 ..Default::default()
             },
         };
-        Ok((gpu, job))
+        Ok((gpu, TailJob::new(b, work)))
     }
 
     /// Bill one device pass — a view's blocks up to the next read of
@@ -1254,72 +1239,37 @@ impl CuBlastp {
         }
     }
 
-    /// Run the gapped backend for one block whose hit phase is done and
-    /// say what the block's tail does: `finish` its extension records, as
-    /// on [`GappedBackend::Cpu`], or report. Under [`GappedBackend::Gpu`] the
-    /// fine kernel produces the block's alignments under the recovery
-    /// policy (DESIGN.md §3.7): its functional DP claims the block's
-    /// subjects on the search's threads (`tail`), its stats join
-    /// `out.kernels` after the hit path's, and its alignment payload
-    /// *replaces* `out.download_bytes` — the device consumed the extension
-    /// records itself, they never cross the link. The tail then only
-    /// reports. A fault the device cannot get past degrades *only this
-    /// block's gapped phase* back to the CPU tail — the hit-path kernels'
-    /// output stays valid, and the block downloads its trigger survivors
-    /// like a [`GappedBackend::Cpu`] block, whose tail finishes them.
+    /// Pick the tail of one block whose hit phase is done: finish its
+    /// `extensions`, as on [`GappedBackend::Cpu`], or align them. Under
+    /// [`GappedBackend::Gpu`] the fine kernel's two fault sites are checked
+    /// here, in launch order, under the recovery policy (DESIGN.md §3.7);
+    /// its functional DP then runs as the block's tail, whose fold bills
+    /// the kernel and its alignment payload. A fault the device cannot get
+    /// past degrades *only this block's gapped phase* back to the CPU
+    /// tail — the hit-path kernels' output stays valid, and the block
+    /// downloads its trigger survivors like a [`GappedBackend::Cpu`] block.
     fn attach_gapped_backend(
         &self,
-        tail: &mut Tail<'_, '_>,
         b: &Block<'_>,
-        finish: TailJob,
-        out: &mut GpuPhaseOutput,
+        extensions: Arc<ExtensionsCsr>,
         recovery: &mut RecoveryReport,
-        dp_threads: &mut usize,
-    ) -> Result<TailJob, SearchError> {
-        let extensions = match &finish.work {
-            TailWork::Finish(e) if self.config.gapped_backend == GappedBackend::Gpu => {
-                Arc::clone(e)
-            }
-            _ => return Ok(finish),
-        };
-        let at = b.at;
-        let block = at.block;
-        let dp = self.fine_dp();
-        let run = self.recover("gapped_retry", at, recovery, || {
-            let _span = obs::span("gapped_device", "gpu")
-                .with_block(block)
-                .with_query(at.ctx.query);
-            let pass = || {
-                let work = TailWork::Align(Arc::clone(b.dev), Arc::clone(&extensions));
-                let job = TailJob::new(at.shard, b.range.start, work);
-                let (_, done) = Batch::tail(job).run(tail, false, || ());
-                *dp_threads = (*dp_threads).max(lanes(&done).0);
-                (done.into_iter())
-                    .filter_map(|d| match d {
-                        Done::Aligned(subject, _) => Some(subject),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            dp.launch(
-                &self.config,
-                extensions.num_seqs(),
-                &self.injector,
-                at.ctx,
-                pass,
-            )
+    ) -> Result<TailWork, SearchError> {
+        if self.config.gapped_backend != GappedBackend::Gpu {
+            return Ok(TailWork::Finish(extensions));
+        }
+        let (injector, ctx) = (&self.injector, b.at.ctx);
+        let launched = self.recover("gapped_retry", b.at, recovery, || {
+            injector.check(FaultSite::GappedLaunch, ctx, FINE_GAPPED_KERNEL)?;
+            injector.check(FaultSite::GappedD2h, ctx, "alignment download")
         })?;
-        let Some(g) = run else {
+        if launched.is_none() {
             recovery.degraded_gapped += 1;
             obs::counter("recovery_degraded_gapped_total", &[], 1);
             // The CPU gapped phase finishes the block (bit-identical by
             // construction).
-            return Ok(finish);
-        };
-        out.download_bytes = g.download_bytes;
-        out.kernels.push(g.stats);
-        let aligned = TailWork::Report(g.alignments);
-        Ok(TailJob::new(at.shard, b.range.start, aligned))
+            return Ok(TailWork::Finish(extensions));
+        }
+        Ok(TailWork::Align(Arc::clone(b.dev), extensions))
     }
 
     /// Degradation path: reproduce the GPU phase for one block on the CPU
@@ -1372,9 +1322,9 @@ impl CuBlastp {
     }
 
     /// One claimed subject of a block, on whichever thread claimed it:
-    /// gapped extension, traceback and statistics; the device pass's DP;
-    /// or the statistics of the device's alignments.
-    fn tail_item(&self, view: ShardView<'_>, job: &TailJob, item: usize) -> Done {
+    /// gapped extension, traceback and statistics; or the device pass's DP
+    /// (a `gapped_device` span) and the statistics of its alignments.
+    fn tail_item(&self, view: ShardView<'_>, job: &TailJob, item: usize, on_caller: bool) -> Done {
         let from = Instant::now();
         let lane = || Lane {
             on: std::thread::current().id(),
@@ -1385,58 +1335,82 @@ impl CuBlastp {
         let idx = job.base + local;
         let subject = &view.db.sequences()[idx];
         let mut found = SearchReport::default();
-        let mut times = PhaseTimes::default();
         match &job.work {
-            TailWork::Finish(extensions) => self.engine.finish_subject(
-                view.start + idx,
-                subject,
-                extensions.seq(local),
-                &mut found,
-                Some(&mut times),
-            ),
-            TailWork::Align(dev_block, extensions) => {
-                let dp = self.fine_dp().subject(dev_block, extensions, local);
-                return Done::Aligned(dp, lane());
+            TailWork::Finish(extensions) => {
+                let mut times = PhaseTimes::default();
+                (self.engine).finish_subject(
+                    view.start + idx,
+                    subject,
+                    extensions.seq(local),
+                    &mut found,
+                    Some(&mut times),
+                );
+                Done::Subject(found.hits, times, lane())
             }
-            TailWork::Report(aligns) => (self.engine).report_from_alignments(
-                view.start + idx,
-                subject,
-                &aligns[local],
-                &mut found,
-            ),
+            TailWork::Align(dev_block, extensions) => {
+                let span = obs::span("gapped_device", "gpu")
+                    .with_block(job.block)
+                    .with_query(self.stream_index)
+                    .with_arg("on_caller", f64::from(u8::from(on_caller)));
+                let dp = self.fine_dp().subject(dev_block, extensions, local);
+                drop(span);
+                let t_report = Instant::now();
+                let (index, aligns) = (view.start + idx, &dp.alignments);
+                (self.engine).report_from_alignments(index, subject, aligns, &mut found);
+                Done::Aligned(dp, found.hits, t_report.elapsed(), lane())
+            }
         }
-        Done::Subject(found.hits, times, lane())
     }
 
     /// CPU tail for one block (§3.6, Fig. 13) once the search's
     /// `min(cpu_threads, available_parallelism())` threads have run its
     /// subjects — gapped extension + traceback over the block's extension
-    /// CSR, or, when the device gapped backend aligned the block
-    /// (`reports`), statistics and e-value filtering over its alignments:
-    /// their hits appended to `part` in subject order, the order the
-    /// one-thread loop produces. Returns the block's CPU lane: the
-    /// measured wall-clock from its first subject's start to its last
-    /// one's end, which `part.timing` splits into the two phases by their
-    /// share of summed thread time — a report's lane is all but empty, the
-    /// gapped work shows up in the block's kernel time instead. Telemetry
-    /// is emitted here, once per block, never from a helper.
-    fn fold_tail(&self, done: Vec<Done>, reports: bool, part: &mut CuBlastpResult) -> f64 {
-        let span_name = if reports { "cpu_report" } else { "cpu_phase" };
+    /// CSR, or, when the device pass's DP aligned the block (`aligned`:
+    /// its subject count), statistics and e-value filtering over the
+    /// alignments: their hits appended to `part` in subject order, the
+    /// order the one-thread loop produces. An aligned block's DPs merge in
+    /// subject order into the fine kernel's bill ([`FineDp::bill`]), whose
+    /// counters join `part.kernels` and whose alignment payload is the
+    /// block's download. Returns the block's CPU lane: the measured
+    /// wall-clock from its first subject's start to its last one's end,
+    /// which `part.timing` splits into the two phases by their share of
+    /// summed thread time — or, for an aligned block, the summed time of
+    /// its reports: the DP shows up in the block's kernel time instead.
+    /// Telemetry is emitted here, once per block, never from a helper.
+    fn fold_tail(&self, done: Vec<Done>, aligned: Option<usize>, part: &mut CuBlastpResult) -> f64 {
+        let span_name = if aligned.is_some() {
+            "cpu_report"
+        } else {
+            "cpu_phase"
+        };
         let mut cpu_span = obs::span(span_name, "cpu").with_query(self.stream_index);
         let (ran, wall) = lanes(&done);
         let mut summed = PhaseTimes::default();
+        let (mut dps, mut reported) = (Vec::new(), Duration::ZERO);
         for d in done {
-            if let Done::Subject(mut hits, times, _) = d {
-                part.report.hits.append(&mut hits);
-                summed.add(&times);
+            match d {
+                Done::Subject(mut hits, times, _) => {
+                    part.report.hits.append(&mut hits);
+                    summed.add(&times);
+                }
+                Done::Aligned(dp, mut hits, report, _) => {
+                    part.report.hits.append(&mut hits);
+                    dps.push(dp);
+                    reported += report;
+                }
+                Done::Hit(_) => {}
             }
         }
         part.tail_threads_ran = part.tail_threads_ran.max(ran);
-        if reports {
+        if let Some(num_seqs) = aligned {
+            let g = self.fine_dp().bill(&self.config, num_seqs, dps);
+            part.kernels.push(g.stats);
+            part.kernel_ms.push(0.0);
+            part.counts.d2h_bytes = g.download_bytes;
             if obs::state() != 0 {
                 obs::counter("alignments_total", &[], part.report.hits.len() as u64);
             }
-            return wall.as_secs_f64() * 1e3;
+            return reported.as_secs_f64() * 1e3;
         }
         let times = apportion_wall(wall, &summed);
         let gapped_ms = times.gapped.as_secs_f64() * 1e3;
@@ -1688,6 +1662,9 @@ pub(crate) mod meet {
         Tail,
         /// Passes of a grouped seeding round over two or more blocks.
         Round,
+        /// An `Align` subject a helper claimed and the caller's own hit
+        /// phase of the next wave.
+        Beside,
     }
 
     #[derive(Default)]
@@ -1873,6 +1850,8 @@ pub(crate) mod tests {
                    fault_block: 1, ..Case::default() },
             Case { backend: GappedBackend::Gpu, fault: Fault::Once(FaultSite::GappedD2h),
                    fault_block: 1, ..Case::default() },
+            Case { backend: GappedBackend::Gpu, fault: Fault::Once(FaultSite::GappedD2h),
+                   threads: 2, overlap: true, ..Case::default() },
         ];
         device_pass_bills_one_launch_per_kernel_and_one_leg_per_view: [
             Case { backend: GappedBackend::Gpu, ..Case::default() },
@@ -1891,6 +1870,8 @@ pub(crate) mod tests {
         gpu_gapped_permanent_fault_degrades_gapped_phase_only: [
             Case { backend: GappedBackend::Gpu, fault: Fault::Permanent(FaultSite::GappedLaunch),
                    ..Case::default() },
+            Case { backend: GappedBackend::Gpu, fault: Fault::Permanent(FaultSite::GappedD2h),
+                   fault_block: 1, shards: Layout::Even3, ..Case::default() },
         ];
         fallback_disabled_surfaces_the_device_error: [
             Case { fault: Fault::NoFallback(FaultSite::D2h), fault_block: 1, ..Case::default() },
@@ -2770,6 +2751,40 @@ pub(crate) mod tests {
         }
     }
 
+    /// The device pass's DP is its block's tail: under `overlap` a helper
+    /// aligns a subject of block b while the caller runs the hit phase of
+    /// block b + 1, and nothing observable moves.
+    #[test]
+    fn device_dp_runs_beside_the_next_hit_phase() {
+        let (q, db) = long_family_workload();
+        let params = SearchParams::default();
+        let dev_db = DeviceDb::upload(&db, 24);
+        assert!(dev_db.num_blocks() >= 2, "a multi-block database");
+        let run = |cpu_threads, overlap| {
+            let cfg = CuBlastpConfig {
+                gapped_backend: GappedBackend::Gpu,
+                ..family_config(cpu_threads, overlap)
+            };
+            CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
+                .run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default())
+                .expect("fault-free search")
+        };
+        let one = run(1, false);
+        let beside = meet::arm(meet::Kind::Beside);
+        let r = run(2, true);
+        assert_eq!(
+            beside.met(),
+            executed_threads(2) >= 2,
+            "an Align subject beside a hit phase"
+        );
+        let bits = |ms: &[f64]| ms.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        assert_eq!(r.report.identity_key(), one.report.identity_key());
+        assert_eq!(r.kernels, one.kernels);
+        assert_eq!(bits(&r.kernel_ms), bits(&one.kernel_ms));
+        assert_eq!(r.counts, one.counts);
+        assert_eq!(r.block_timings.len(), one.block_timings.len());
+    }
+
     #[test]
     fn device_gapped_scratch_grows_to_one_buffer_per_thread() {
         // Each subject's DP checks its checkpoint words and direction bytes
@@ -2814,15 +2829,32 @@ pub(crate) mod tests {
         let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
         let dev_db = DeviceDb::upload(&db, 24);
         let poisoned = poisoned(&db, cpu.report.hits[0].subject_index);
+        // The device pass's DP reads the device's copy of a subject, but
+        // the host's copy of the query (its traceback): cut to one residue,
+        // aligning any subject panics.
+        let cut_query = Sequence::from_residues(q.id.clone(), q.residues()[..1].to_vec());
         for cpu_threads in [1, 2, 8] {
             // Posted to the helpers, or run by the caller and the helpers.
-            for overlap in [true, false] {
-                let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}");
-                let cfg = family_config(cpu_threads, overlap);
+            for (overlap, backend) in [true, false]
+                .into_iter()
+                .flat_map(|o| [(o, GappedBackend::Cpu), (o, GappedBackend::Gpu)])
+            {
+                let case = format!("cpu_threads = {cpu_threads}, overlap = {overlap}, {backend:?}");
+                let cfg = CuBlastpConfig {
+                    gapped_backend: backend,
+                    ..family_config(cpu_threads, overlap)
+                };
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 gpu.stream_index = 7_000 + cpu_threads as u32;
+                let source = match backend {
+                    GappedBackend::Cpu => &poisoned,
+                    GappedBackend::Gpu => {
+                        gpu.engine.query = cut_query.clone();
+                        &db
+                    }
+                };
                 let err = gpu
-                    .run_blocks(&[flat(&poisoned, &dev_db)], None, &SearchHooks::default())
+                    .run_blocks(&[flat(source, &dev_db)], None, &SearchHooks::default())
                     .expect_err("the poisoned subject must fail the search");
                 match &err {
                     SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
@@ -2833,6 +2865,7 @@ pub(crate) mod tests {
                 #[cfg(target_os = "linux")]
                 assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
                 // Nothing is left wedged: the same searcher searches again.
+                gpu.engine.query = q.clone();
                 let clean = gpu
                     .run_blocks(&[flat(&db, &dev_db)], None, &SearchHooks::default())
                     .expect("clean database");
