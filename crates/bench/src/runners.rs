@@ -99,7 +99,7 @@ pub fn run_cublastp_detailed(
     };
     let summary = RunSummary {
         name: "cuBLASTP".into(),
-        critical_ms: r.timing.critical_ms(),
+        critical_ms: r.timing.gpu_ms,
         overall_ms: r.timing.total_ms(),
         hits: r.report.hits.len(),
         identity: r.report.identity_key(),

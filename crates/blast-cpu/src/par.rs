@@ -31,8 +31,8 @@
 //!
 //! Either way progress never depends on a second core. What a helper does
 //! cost is its wake-up (tens of microseconds of latency), so a caller that
-//! can tell a batch is cheaper than that keeps it to itself with
-//! [`ParMap::map_alone`].
+//! can tell a batch is cheaper than that posts it to no helper: the join
+//! then runs it on the caller, in index order.
 //!
 //! Thread-local tallies: [`crate::gapped::dp_cells`] counts on the thread
 //! that ran the DP. Every helper's delta is folded into the *caller's*
@@ -220,7 +220,7 @@ where
     /// ones in flight, and resumes the first panic on this thread.
     pub fn map(&mut self, job: J, n: usize) -> Vec<T> {
         if !shares(self.threads, n) {
-            return self.map_alone(&job, n);
+            return (0..n).map(|i| (self.work)(&job, i)).collect();
         }
         let posted = self.post(job, n, self.threads - 1);
         self.help(posted)
@@ -315,12 +315,6 @@ where
         drop(g);
         // `done == n` with no panic: every slot was filled.
         results.into_iter().flatten().collect()
-    }
-
-    /// The same on the calling thread alone, whatever the scope has: for a
-    /// batch its caller knows to be cheaper than waking a helper.
-    pub fn map_alone(&mut self, job: &J, n: usize) -> Vec<T> {
-        (0..n).map(|i| (self.work)(job, i)).collect()
     }
 
     /// Threads a mapped batch may use (the caller included).

@@ -138,8 +138,9 @@ pub struct CuBlastpConfig {
     /// [`GappedBackend::Gpu`] the block's tail is the device pass's
     /// functional DP and its reports, claimed a subject at a time; under
     /// `overlap` they also run several blocks' hit phases at once (beside
-    /// the tails of the blocks before them, on either backend), and in
-    /// a grouped batch a round's seeding passes, one block each. Reports
+    /// the tails of the blocks before them, on either backend, a grouped
+    /// member's seeded ones too), and in a grouped batch a round's
+    /// seeding passes, one block each. Reports
     /// and modelled device times are bit-identical at every value;
     /// `CuBlastpResult::tail_threads_ran` says how many threads ran a
     /// block's tail. A block whose gapped phase is cheaper than waking a
@@ -148,11 +149,13 @@ pub struct CuBlastpConfig {
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12): the
     /// search's threads run a *wave* of blocks' hit phases — the first on
-    /// the caller — beside the tails of the blocks before them. A wave is
-    /// as wide as the executed threads after a light block, and one block
-    /// after a heavy one, on one thread (where one helper runs the tails),
-    /// with a fault injector armed, or under grouped seeding. Without
-    /// overlap each block's tail runs right after its GPU side.
+    /// the caller — beside the tails of the blocks before them. The first
+    /// wave is one block; after it a wave is as wide as the executed
+    /// threads after a light block, and one block after a heavy one, on
+    /// one thread (where one helper runs the tails) or with a fault
+    /// injector armed, however the query is seeded. Without overlap no
+    /// block launches while a tail is pending: each block's tail runs
+    /// alone, right after its GPU side.
     pub overlap: bool,
     /// Where the gapped phase runs (CPU tail vs device kernel, §3.7).
     #[serde(default)]

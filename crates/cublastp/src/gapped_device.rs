@@ -275,7 +275,7 @@ impl FineDp<'_> {
 
 /// Run fine-grained gapped extension + interval traceback for one block,
 /// its subjects one after another on the calling thread: the launch's
-/// fault check, [`FineDp::subject`] of every subject, [`FineDp::bill`],
+/// fault check, `FineDp::subject` of every subject, `FineDp::bill`,
 /// and the download's. A search runs the same parts with both checks at
 /// launch and the subjects as the block's tail, claimed by its threads.
 ///

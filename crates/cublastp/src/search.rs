@@ -30,7 +30,7 @@ use gpu_sim::{
     DeviceConfig, DeviceError, FaultCtx, FaultInjector, FaultSite, KernelStats, KernelWorkspace,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -89,11 +89,6 @@ impl CuBlastpTiming {
     /// `ScheduleModel` makespan plus `HostWall` time.
     pub fn total_ms(&self) -> f64 {
         self.overlapped_ms + self.other_ms
-    }
-
-    /// The paper's "critical phases" time: the GPU kernels.
-    pub fn critical_ms(&self) -> f64 {
-        self.gpu_ms
     }
 }
 
@@ -517,16 +512,36 @@ impl TailJob {
     }
 }
 
+/// How many blocks' hit phases the search's next step runs beside the
+/// pending tails, `last` the last of them; `waves`: `overlap`, two or
+/// more threads and a disarmed injector. The first wave is one block: a
+/// wider one holds a second hit-path working set while no tail has said
+/// how busy the helpers will be (EXPERIMENTS.md "Hit-phase waves").
+/// Without `overlap` (Figs. 11 and 13 time each phase alone) a pending
+/// tail runs in a step of its own, before the next block's launch
+/// checkpoint: width 0. After a light block the wave
+/// is as wide as the threads, after a heavy one one block — its tail
+/// keeps the helpers busy; a device block is heavy by its DP. On one
+/// thread, or with the injector armed, every wave is one block: a wider
+/// one runs hit phases before their launch checkpoint, so they may
+/// neither fault nor poll.
+fn wave_width(last: Option<&TailJob>, overlap: bool, threads: usize, waves: bool) -> usize {
+    match last {
+        None => 1,
+        Some(_) if !overlap => 0,
+        Some(job) if waves && !job.shared_among(threads) => threads,
+        Some(_) => 1,
+    }
+}
+
 /// One batch of the search's threads: the hit phases of a wave's blocks
 /// past its first (the caller runs that one itself), then the subjects of
 /// earlier blocks' tails in block order.
 struct Batch {
-    /// Indices into the search's blocks: a wave this wide is never seeded
-    /// by a grouped round, so its hit phases carry no bins.
+    /// Indices into the search's blocks; with the caller's own, a wave of
+    /// `hits.len() + 1` blocks.
     hits: Vec<usize>,
     tails: Vec<TailJob>,
-    /// Blocks in the wave the hit phases belong to.
-    wave: usize,
     /// Helpers claim items beside a claiming caller (test rendezvous wait
     /// only in such a batch).
     #[cfg(test)]
@@ -534,19 +549,13 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(hits: Vec<usize>, tails: Vec<TailJob>, wave: usize) -> Self {
+    fn new(hits: Vec<usize>, tails: Vec<TailJob>) -> Self {
         Self {
             hits,
             tails,
-            wave,
             #[cfg(test)]
             shared: false,
         }
-    }
-
-    /// One block's tail alone.
-    fn tail(job: TailJob) -> Self {
-        Self::new(Vec::new(), vec![job], 0)
     }
 
     fn len(&self) -> usize {
@@ -568,8 +577,9 @@ impl Batch {
     /// back in index order. Helpers are woken only for work beside the
     /// caller: hit phases or a heavy tail (all helpers), a light tail
     /// while the caller runs `own` (one). The caller claims what is left
-    /// once it is free, unless the search has one thread: its overlap
-    /// helper then finishes the batch alone.
+    /// once it is free — all of it when no helper was woken — unless the
+    /// search has one thread: its overlap helper then finishes the batch
+    /// alone.
     fn run<R>(
         self,
         tail: &mut Tail<'_, '_>,
@@ -578,10 +588,10 @@ impl Batch {
     ) -> (R, Vec<Done>) {
         let (n, threads) = (self.len(), tail.threads());
         let heavy = self.tails.iter().any(|t| t.shared_among(threads));
-        let helpers = match n {
-            0 => 0,
-            _ if !self.hits.is_empty() || heavy => threads - 1,
-            _ => usize::from(beside),
+        let helpers = if !self.hits.is_empty() || heavy {
+            threads - 1
+        } else {
+            usize::from(beside)
         };
         let claims = threads >= 2;
         #[cfg(test)]
@@ -594,10 +604,6 @@ impl Batch {
         };
         #[cfg(not(test))]
         let batch = self;
-        if helpers == 0 {
-            let r = own();
-            return (r, tail.map_alone(&batch, n));
-        }
         let posted = tail.post(batch, n, helpers);
         // The caller's own hit phase meets one a helper claimed, or an
         // `Align` subject.
@@ -676,6 +682,10 @@ struct Block<'a> {
     at: BlockAt<'a>,
     range: &'a DbBlock,
     dev: &'a Arc<DeviceDbBlock>,
+    /// The block's bins from a grouped seeding round until the first
+    /// attempt of its hit phase takes them, on whichever thread runs it;
+    /// `None` for the query's own DFA pass.
+    seed: Mutex<Option<BinnedHits>>,
 }
 
 /// What the GPU side of one block hands to its CPU tail, and the tail in
@@ -816,8 +826,8 @@ impl CuBlastp {
         }
 
         // Every block of every view, numbered over the query's database,
-        // and its seed source: this query's bins from a grouped seeding
-        // round, or `None` for the query's own DFA pass.
+        // with its seed.
+        let mut seeds = seeds.into_iter().flatten();
         let blocks: Vec<Block<'_>> = (views.iter().enumerate())
             .flat_map(|(shard, view)| (0u32..).zip(view.dev.blocks()).map(move |b| (shard, b)))
             .zip(0u32..)
@@ -834,11 +844,9 @@ impl CuBlastp {
                 },
                 range,
                 dev,
+                seed: Mutex::new(seeds.next()),
             })
             .collect();
-        let seeded = seeds.is_some();
-        let mut bins: Vec<Option<BinnedHits>> = (seeds.into_iter().flatten()).map(Some).collect();
-        bins.resize_with(blocks.len(), || None);
 
         // The CPU tail of one block, folded on the calling thread once the
         // search's threads have run its subjects: its hits, its row of the
@@ -858,26 +866,19 @@ impl CuBlastp {
             gpu
         };
 
-        // Fig. 12 on one kind of thread. The caller walks the blocks in
-        // *waves*: one batch of the search's threads runs a wave's hit
-        // phases — the first on the caller — beside the tails of the wave
-        // before it (the device pass's DP included); then, in block order
-        // on the caller, each block's launch checkpoint, the rest of its
-        // GPU side (the gapped backend's fault checks, what it downloads)
-        // and its tail checkpoint. A wave is as wide as the threads
-        // after a light block, and one block after a heavy one (its tail
-        // keeps the helpers busy), when `overlap` is off (each tail runs
-        // right after its block), on one thread, or with the injector
-        // armed: a wider wave runs hit phases before their checkpoint, so
-        // they may neither fault nor poll. Blocks seeded by a grouped
-        // round go one at a time too: their hit phase has no seeding
-        // kernel, and two at once bought no throughput (EXPERIMENTS.md
-        // "Hit-phase waves"). The helpers live as long as
-        // this search, over every shard — started by the first batch that
-        // wants them, parked between batches, joined on every way out:
-        // success, a typed error, or a panic on either side.
+        // Fig. 12 on one kind of thread. Each step is one batch of the
+        // search's threads: a wave's hit phases — the first on the caller,
+        // as wide as `wave_width` says — beside the pending tails (the
+        // device pass's DP included); then, in block order on the caller,
+        // each block's launch checkpoint, the rest of its GPU side (the
+        // gapped backend's fault checks, what it downloads) and its tail
+        // checkpoint, after which its tail is pending. The helpers live as
+        // long as this search, over every shard — started by the first
+        // batch that wants them, parked between batches, joined on every
+        // way out: success, a typed error, or a panic on either side.
+        let overlap = self.config.overlap;
         let threads = executed_threads(self.config.cpu_threads);
-        let waves = self.config.overlap && threads >= 2 && self.injector.is_disarmed() && !seeded;
+        let waves = overlap && threads >= 2 && self.injector.is_disarmed();
         let caller = std::thread::current().id();
         #[cfg(test)]
         let rendezvous = meet::armed();
@@ -889,7 +890,7 @@ impl CuBlastp {
                     if let Some(m) = &rendezvous {
                         m.arrive(meet::Kind::Hits, batch.shared);
                     }
-                    Done::Hit(self.hit_item(&blocks[b], None, batch.wave, on_caller))
+                    Done::Hit(self.hit_item(&blocks[b], batch.hits.len() + 1, on_caller))
                 }
                 None => {
                     let (t, item) = batch.subject(i - batch.hits.len());
@@ -908,16 +909,18 @@ impl CuBlastp {
         let helper_name = format!("tail-q{}", self.stream_index);
         let r = par_scope(&helper_name, threads, &item, |tail| {
             let mut parts = Vec::with_capacity(blocks.len());
-            // Blocks whose tails the next batch runs (`overlap`).
+            // Blocks whose tails the next batch runs.
             let mut pending: Vec<(GpuSide, TailJob)> = Vec::new();
             // Why the search ends early: it launches nothing more, and the
             // tails of blocks that passed their tail checkpoint still run,
             // so `on_block` fires for exactly those.
             let mut stop = None;
-            let (mut next, mut width) = (0, 1);
+            let mut next = 0;
             while (stop.is_none() && next < blocks.len()) || !pending.is_empty() {
                 let mut wave = next..next;
                 if stop.is_none() {
+                    let last = pending.last().map(|(_, job)| job);
+                    let width = wave_width(last, overlap, threads, waves);
                     wave.end = blocks.len().min(next + width);
                 }
                 // Cancellation checkpoint of the wave's first block: an
@@ -932,14 +935,12 @@ impl CuBlastp {
                 let sizes: Vec<usize> = tails.iter().map(|t| t.todo.len()).collect();
                 let hits: Vec<usize> = wave.clone().skip(1).collect();
                 let n_hits = hits.len();
-                let own_bins = bins.get_mut(wave.start).and_then(Option::take);
                 let own = || {
                     let first = blocks[wave.clone()].first();
-                    first.map(|b| self.hit_item(b, own_bins, wave.len(), true))
+                    first.map(|b| self.hit_item(b, wave.len(), true))
                 };
                 let (own, done) = isolated("cpu tail", || {
-                    let batch = Batch::new(hits, tails, wave.len());
-                    Ok(batch.run(tail, !wave.is_empty(), own))
+                    Ok(Batch::new(hits, tails).run(tail, !wave.is_empty(), own))
                 })?;
                 let mut done = done.into_iter();
                 let hit_phases: Vec<Result<HitPhase, SearchError>> = (own.into_iter())
@@ -951,7 +952,6 @@ impl CuBlastp {
                 for (gpu, size) in sides.into_iter().zip(sizes) {
                     parts.push(cpu_side(gpu, done.by_ref().take(size).collect()));
                 }
-                let mut heavy = false;
                 for (k, (b, hit)) in blocks[wave].iter().zip(hit_phases).enumerate() {
                     // The later blocks' launch checkpoints: a hit phase
                     // that ran before its own is dropped when it trips.
@@ -959,7 +959,7 @@ impl CuBlastp {
                         stop = Some(hooks.deadline_error(b.at.block, blocks_total));
                         break;
                     }
-                    let (gpu, job) = match isolated("gpu side", || self.gpu_side(b, hit?)) {
+                    let side = match isolated("gpu side", || self.gpu_side(b, hit?)) {
                         Ok(side) => side,
                         Err(e) => {
                             stop = Some(e);
@@ -973,17 +973,8 @@ impl CuBlastp {
                         stop = Some(hooks.deadline_error(b.at.block, blocks_total));
                         break;
                     }
-                    // A device block counts as heavy by its DP.
-                    heavy = job.shared_among(threads);
-                    if self.config.overlap {
-                        pending.push((gpu, job));
-                    } else {
-                        let (_, done) =
-                            isolated("cpu tail", || Ok(Batch::tail(job).run(tail, false, || ())))?;
-                        parts.push(cpu_side(gpu, done));
-                    }
+                    pending.push(side);
                 }
-                width = if waves && !heavy { threads } else { 1 };
             }
             if let Some(e) = stop {
                 return Err(e);
@@ -1028,7 +1019,6 @@ impl CuBlastp {
     fn hit_item(
         &self,
         b: &Block<'_>,
-        bins: Option<BinnedHits>,
         wave: usize,
         on_caller: bool,
     ) -> Result<HitPhase, SearchError> {
@@ -1040,6 +1030,7 @@ impl CuBlastp {
         obs::counter("pipeline_hit_phases_total", &[("thread", thread)], 1);
         isolated("gpu side", || {
             let mut recovery = RecoveryReport::default();
+            let bins = (b.seed.lock().unwrap_or_else(PoisonError::into_inner)).take();
             let out = self.hit_phase(b.dev, b.at, bins, &mut recovery)?;
             Ok(HitPhase { out, recovery })
         })
@@ -2603,6 +2594,115 @@ pub(crate) mod tests {
                     .collect();
                 assert_eq!(ends, serial, "{case}: deadline outcomes by poll count");
             }
+        }
+    }
+
+    /// A grouped member's blocks run in waves like any query's: each block
+    /// carries its own round bins, so a helper's hit phase is seeded like
+    /// the caller's — no `hit_detection` launch — and nothing observable
+    /// moves against the one-thread grouped run without overlap.
+    #[test]
+    fn grouped_member_hit_phases_share_the_search_threads() {
+        let q = make_query(96);
+        let spec = DbSpec {
+            name: "light",
+            num_sequences: 120,
+            mean_length: 120,
+            homolog_fraction: 0.05,
+            seed: 8,
+        };
+        let db = generate_db(&spec, &q).db;
+        let queries: Vec<Sequence> = (0..3).map(|k| make_query(80 + 8 * k)).collect();
+        let dev_db = DeviceDb::upload(&db, 24);
+        assert!(dev_db.num_blocks() >= 4, "a multi-block database");
+        let run = |cpu_threads, overlap| {
+            let plan = Plan {
+                params: SearchParams::default(),
+                config: CuBlastpConfig {
+                    db_block_size: 24,
+                    grid_blocks: 2,
+                    warps_per_block: 2,
+                    cpu_threads,
+                    overlap,
+                    ..Default::default()
+                },
+                device: DeviceConfig::k20c(),
+                shards: &[flat(&db, &dev_db)],
+                grouped: Some(DEFAULT_GROUP_BUDGET),
+                injector: None,
+                pays_upload: false,
+            };
+            let ran = execute(&plan, &queries);
+            assert_eq!(ran.rounds.len(), 1, "one round");
+            (ran.per_query.into_iter())
+                .map(|r| r.expect("fault-free query"))
+                .collect::<Vec<_>>()
+        };
+        let one = run(1, false);
+        let hits = meet::arm(meet::Kind::Hits);
+        let got = run(2, true);
+        assert_eq!(
+            hits.met(),
+            executed_threads(2) >= 2,
+            "two seeded hit phases at once"
+        );
+        let bits = |ms: &[f64]| ms.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        for (q, (r, want)) in got.iter().zip(&one).enumerate() {
+            assert_eq!(
+                r.report.identity_key(),
+                want.report.identity_key(),
+                "query {q}"
+            );
+            assert_eq!(r.kernels, want.kernels, "query {q}");
+            assert_eq!(bits(&r.kernel_ms), bits(&want.kernel_ms), "query {q}");
+            assert_eq!(r.counts, want.counts, "query {q}");
+            assert_eq!(r.block_timings.len(), want.block_timings.len(), "query {q}");
+            assert!(
+                r.kernel("hit_detection").is_none(),
+                "query {q}: a seeding launch"
+            );
+        }
+        drop(hits);
+        // Pinned: what the lattice minimised a helper's hit phase run
+        // without its block's bins to (DESIGN.md §3.14).
+        check_all([Case {
+            seed: Seed::Grouped,
+            threads: 8,
+            overlap: true,
+            ..Case::default()
+        }]);
+    }
+
+    /// One row per rule of `wave_width`.
+    #[test]
+    fn wave_width_has_one_rule_per_row() {
+        let tail = |seed_score| TailJob {
+            block: 0,
+            shard: 0,
+            base: 0,
+            work: TailWork::Finish(Arc::new(ExtensionsCsr::default())),
+            todo: vec![0, 1],
+            seed_score,
+        };
+        let (light, heavy) = (tail(0), tail(HELPER_MIN_SEED_SCORE));
+        // (last pending tail, overlap, threads, waves allowed) → width.
+        let rows = [
+            ("nothing pending", None, true, 2, true, 1),
+            (
+                "no overlap, a tail pending",
+                Some(&light),
+                false,
+                2,
+                false,
+                0,
+            ),
+            ("waves, the last tail light", Some(&light), true, 2, true, 2),
+            ("the last tail heavy", Some(&heavy), true, 2, true, 1),
+            ("one thread", Some(&light), true, 1, false, 1),
+            ("the injector armed", Some(&light), true, 2, false, 1),
+        ];
+        for (rule, last, overlap, threads, waves, want) in rows {
+            assert_eq!(wave_width(last, overlap, threads, waves), want, "{rule}");
         }
     }
 
