@@ -19,7 +19,10 @@
 //! B and C leave the host no CPU tail to hide behind the next block's
 //! kernels, so both are billed as one device pass (DESIGN.md §3.7): each
 //! kernel one launch of its counters merged over the blocks, the download
-//! one D2H leg. A keeps a launch per kernel and a leg per block.
+//! one D2H leg. A keeps a launch per kernel and a leg per block. All three
+//! run the search's hit path — `hit_detection`, then reordering as the
+//! extension kernel's prologue (`hit_tail`, DESIGN.md §3.2) — so the
+//! designs differ only in where the gapped phase runs.
 //!
 //! The harness asserts C beats B on modelled gapped-phase time on every
 //! preset (the fine decomposition is the point), and that all three

@@ -6,8 +6,8 @@
 //! degrades past 128 bins because the per-warp `top` arrays consume
 //! shared memory and depress occupancy; 128 is the sweet spot overall.
 //!
-//! The search runs assembling → sorting → filtering as one launch
-//! (`hit_reordering`); the figure is about the sort *stage*, so the
+//! The search runs assembling → sorting → filtering and the extension as
+//! one launch (`hit_tail`); the figure is about the sort *stage*, so the
 //! sorting and filtering columns launch the stages one at a time over the
 //! same bins, block by block, as the paper's code does. Hit detection,
 //! the fused launch and the total are the search's own.
@@ -19,6 +19,7 @@ use bio_seq::generate::DbPreset;
 use blast_core::{Dfa, Matrix, Pssm, SearchParams};
 use cublastp::binning::binning_kernel;
 use cublastp::devicedata::DeviceQuery;
+use cublastp::extension::HIT_TAIL_KERNEL;
 use cublastp::CuBlastpConfig;
 use gpu_sim::{DeviceConfig, KernelWorkspace};
 
@@ -58,7 +59,7 @@ fn main() {
             fmt(k("hit_detection")),
             fmt(sorting),
             fmt(filtering),
-            fmt(k("hit_reordering")),
+            fmt(k(HIT_TAIL_KERNEL)),
             fmt(r.timing.gpu_ms),
             fmt(r
                 .kernel("hit_detection")
@@ -73,7 +74,7 @@ fn main() {
             "hit detection",
             "hit sorting (stage)",
             "hit filtering (stage)",
-            "hit reordering (fused)",
+            "hit tail (fused)",
             "total kernels",
             "detection occupancy",
         ],

@@ -7,13 +7,19 @@
 //! efficiency vs 5.2 % / 11.5 % for the fused coarse kernels, with far
 //! lower divergence and higher occupancy; transfers and CPU phases are
 //! largely hidden by the Fig. 12 pipeline.
+//!
+//! (a)–(c) profile the paper's kernels one launch each
+//! (`bench::runners::staged_hit_path`), then the search's own fused
+//! `hit_tail` — reordering as the extension's prologue — on its row;
+//! (d) is the search's own bill.
 
 use baselines::{CudaBlastp, GpuBlastp};
-use bench::runners::{figure_config, run_cublastp_detailed};
+use bench::runners::{figure_config, run_cublastp_detailed, staged_hit_path};
 use bench::table::{fmt, pct, print_table};
 use bench::{database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
+use cublastp::extension::HIT_TAIL_KERNEL;
 use gpu_sim::DeviceConfig;
 
 fn main() {
@@ -29,10 +35,12 @@ fn main() {
     let gpub = gpub_searcher.search(&db);
 
     // (a)–(c): per-kernel metrics.
+    let staged = staged_hit_path(&q, &db, params, figure_config());
     let mut rows = Vec::new();
-    for k in &cu.kernels {
+    let search_tail = cu.kernel(HIT_TAIL_KERNEL).map(|k| (k, " (search)"));
+    for (k, note) in (staged.iter().map(|(k, _)| (k, ""))).chain(search_tail) {
         rows.push(vec![
-            format!("cuBLASTP::{}", k.name),
+            format!("cuBLASTP::{}{note}", k.name),
             pct(k.global_load_efficiency()),
             pct(k.divergence_overhead()),
             pct(k.occupancy),

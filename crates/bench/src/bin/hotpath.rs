@@ -1,13 +1,17 @@
 //! The hit path kernel by kernel on the modelled clock, and what a
 //! disarmed observability span costs on the host clock.
 //!
-//! Runs the search's three launches — hit detection → hit reordering →
-//! ungapped extension — over every database block of both presets, and
-//! beside the fused reordering its three stages (assembling, sorting,
-//! filtering) one launch each, and reports each kernel's median simulated
-//! time — deterministic for a given `BENCH_SCALE`; these are the
-//! `phase_medians` the perf gate checks. Asserted in-run: on every preset
-//! the fused launch is cheaper than its three stages launched apart.
+//! Runs the hit path's kernels — hit detection → hit reordering →
+//! ungapped extension, one launch each — over every database block of
+//! both presets, beside the fused reordering its three stages
+//! (assembling, sorting, filtering) one launch each, and the search's own
+//! second launch, `hit_tail` (reordering as the extension's prologue), and
+//! reports each kernel's median simulated time — deterministic for a given
+//! `BENCH_SCALE`; these are the `phase_medians` the perf gate checks.
+//! Asserted in-run: on every preset the fused reordering is cheaper than
+//! its three stages launched apart, and on every block `hit_tail` costs no
+//! more than `hit_reordering` + `ungapped_extension` and returns the same
+//! extensions.
 //!
 //! The second table is the observability A/B: kernels 1–2 at batch 16
 //! (one workspace across the batch, as `search_batch_with` runs them) plain,
@@ -25,7 +29,7 @@ use bio_seq::generate::DbPreset;
 use blast_core::{Dfa, Matrix, Pssm, SearchParams};
 use cublastp::binning::binning_kernel;
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
-use cublastp::extension::extension_kernel;
+use cublastp::extension::{extension_kernel, hit_tail_kernel, HIT_TAIL_KERNEL};
 use cublastp::reorder::reorder_kernel;
 use cublastp::CuBlastpConfig;
 use gpu_sim::{DeviceConfig, KernelWorkspace};
@@ -40,14 +44,16 @@ const AB_BATCH: usize = 16;
 /// is far below the run-to-run noise floor and needs a tight minimum.
 const AB_REPS: usize = 9;
 
-/// The search's launches, then the reorder stages launched apart.
-const KERNELS: [&str; 6] = [
+/// The paper's launches, the reorder stages launched apart, and the
+/// search's fused hit tail.
+const KERNELS: [&str; 7] = [
     "hit_detection",
     "hit_reordering",
     "ungapped_extension",
     "hit_assembling",
     "hit_sorting",
     "hit_filtering",
+    HIT_TAIL_KERNEL,
 ];
 
 /// The inputs every pass shares.
@@ -64,12 +70,15 @@ impl Workload<'_> {
         self.params.two_hit_window as i64
     }
 
-    /// Median simulated time of each of [`KERNELS`] over the blocks.
-    fn modelled_medians(&self) -> [f64; 6] {
+    /// Median simulated time of each of [`KERNELS`] over the blocks, and
+    /// the blocks whose `hit_tail` cost more than its two launches apart
+    /// or returned other extensions.
+    fn modelled_medians(&self) -> ([f64; 7], Vec<usize>) {
         let (device, cfg, dq) = (self.device, self.cfg, self.dq);
         let ws = KernelWorkspace::new();
-        let mut sim: [Vec<f64>; 6] = Default::default();
-        for block in self.blocks {
+        let mut sim: [Vec<f64>; 7] = Default::default();
+        let mut dearer = Vec::new();
+        for (i, block) in self.blocks.iter().enumerate() {
             let (binned, k_bin) = binning_kernel(device, cfg, dq, block, &ws);
             let (filtered, k_reorder) = reorder_kernel(device, binned, true, self.window(), &ws);
             let ext = extension_kernel(device, cfg, dq, block, &filtered, self.params);
@@ -80,12 +89,22 @@ impl Workload<'_> {
             assert_eq!(staged.hits, filtered.hits, "one launch or three");
             staged.recycle(&ws);
             filtered.recycle(&ws);
-            let kernels = [&k_bin, &k_reorder, &ext.stats, &k_asm, &k_sort, &k_filter];
+            // The same arena again, through the search's fused tail.
+            let (binned, _) = binning_kernel(device, cfg, dq, block, &ws);
+            let tail = hit_tail_kernel(device, cfg, dq, block, binned, self.params, &ws);
+            let k_tail = &tail.result.stats;
+            let apart = k_reorder.time_ms(device) + ext.stats.time_ms(device);
+            if k_tail.time_ms(device) > apart || tail.result.extensions != ext.extensions {
+                dearer.push(i);
+            }
+            let kernels = [
+                &k_bin, &k_reorder, &ext.stats, &k_asm, &k_sort, &k_filter, k_tail,
+            ];
             for (acc, k) in sim.iter_mut().zip(kernels) {
                 acc.push(k.time_ms(device));
             }
         }
-        sim.map(|mut xs| obsenv::median(&mut xs))
+        (sim.map(|mut xs| obsenv::median(&mut xs)), dearer)
     }
 
     /// Host wall-clock (ms) of kernels 1–2 over [`AB_BATCH`] passes, no
@@ -157,7 +176,7 @@ fn main() -> ExitCode {
     let dq = DeviceQuery::upload(Dfa::build(&q, &m, params.threshold), Pssm::build(&q, &m));
 
     let mut report = Report::new("hotpath");
-    let mut medians: Vec<(&'static str, [f64; 6])> = Vec::new();
+    let mut medians: Vec<(&'static str, [f64; 7])> = Vec::new();
     let mut obs_rows: Vec<ObsRow> = Vec::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &q);
@@ -169,8 +188,22 @@ fn main() -> ExitCode {
             dq: &dq,
             blocks: &blocks,
         };
-        let ms = w.modelled_medians();
-        let [_, fused_ms, _, assemble_ms, sort_ms, filter_ms] = ms;
+        let (ms, dearer) = w.modelled_medians();
+        if !dearer.is_empty() {
+            report.fail(format_args!(
+                "{}: hit_tail costs more than hit_reordering + ungapped_extension, or \
+                 returns other extensions, on blocks {dearer:?}",
+                preset.name()
+            ));
+        }
+        let [_, fused_ms, ext_ms, assemble_ms, sort_ms, filter_ms, tail_ms] = ms;
+        if tail_ms > fused_ms + ext_ms {
+            report.fail(format_args!(
+                "{}: hit_tail {tail_ms} ms is dearer than hit_reordering + \
+                 ungapped_extension ({fused_ms} + {ext_ms})",
+                preset.name()
+            ));
+        }
         if fused_ms >= assemble_ms + sort_ms + filter_ms {
             report.fail(format_args!(
                 "{}: hit_reordering {fused_ms} ms is no cheaper than its stages apart \

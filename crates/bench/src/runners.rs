@@ -9,9 +9,12 @@ use baselines::{CudaBlastp, GpuBlastp};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
-use cublastp::binning::BinnedHits;
-use cublastp::devicedata::DeviceDbBlock;
-use cublastp::reorder::{assemble_kernel, filter_kernel, sort_kernel, FilteredHits};
+use cublastp::binning::{binning_kernel, BinnedHits};
+use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
+use cublastp::extension::extension_kernel;
+use cublastp::reorder::{
+    assemble_kernel, filter_kernel, reorder_kernel, sort_kernel, FilteredHits,
+};
 use cublastp::{CuBlastp, CuBlastpConfig, CuBlastpResult};
 use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 
@@ -160,9 +163,10 @@ pub fn upload_blocks(db: &SequenceDb, block_size: usize) -> Vec<DeviceDbBlock> {
 }
 
 /// Hit reordering one stage per launch — assembling, sorting, filtering,
-/// the paper's three kernels — where the search fuses them into
-/// `hit_reordering`. Fig. 14 sweeps these and `hotpath` holds the fused
-/// launch against their sum.
+/// the paper's three kernels — where `hit_reordering` runs them as one
+/// launch (and the search runs that as the prologue of the extension
+/// kernel, `hit_tail`). Fig. 14 sweeps these and `hotpath` holds the
+/// fused launch against their sum.
 pub fn staged_reorder(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
@@ -175,6 +179,45 @@ pub fn staged_reorder(
     let (filtered, k_filter) = filter_kernel(device, cfg, &asm, window, ws);
     asm.recycle(ws);
     (filtered, [k_asm, k_sort, k_filter])
+}
+
+/// The hit path one kernel per launch, database block by database block:
+/// `hit_detection`, `hit_reordering`, then the configured extension
+/// kernel over its survivors — where the search launches `hit_detection`
+/// and the fused `hit_tail`. One row per kernel, in that order: its stats
+/// merged over the blocks and its modelled milliseconds summed block by
+/// block, as the search bills a database block. Figs. 16 and 19(a–c)
+/// profile the paper's kernels through this.
+pub fn staged_hit_path(
+    q: &Sequence,
+    db: &SequenceDb,
+    params: SearchParams,
+    cfg: CuBlastpConfig,
+) -> Vec<(KernelStats, f64)> {
+    let device = DeviceConfig::k20c();
+    let engine = CuBlastp::new(q.clone(), params, cfg, device, db).engine;
+    let dq = DeviceQuery::upload(engine.dfa, engine.pssm);
+    let p = &engine.params;
+    let ws = KernelWorkspace::new();
+    let mut rows: Vec<(KernelStats, f64)> = Vec::new();
+    for block in upload_blocks(db, cfg.db_block_size) {
+        let (binned, k_bin) = binning_kernel(&device, &cfg, &dq, &block, &ws);
+        let window = p.two_hit_window as i64;
+        let (filtered, k_reorder) = reorder_kernel(&device, binned, p.two_hit, window, &ws);
+        let ext = extension_kernel(&device, &cfg, &dq, &block, &filtered, p);
+        filtered.recycle(&ws);
+        for (i, k) in [k_bin, k_reorder, ext.stats].into_iter().enumerate() {
+            let ms = k.time_ms(&device);
+            match rows.get_mut(i) {
+                Some((sum, total)) => {
+                    sum.merge(&k);
+                    *total += ms;
+                }
+                None => rows.push((k, ms)),
+            }
+        }
+    }
+    rows
 }
 
 /// The cuBLASTP configuration used for figure runs (paper defaults with a

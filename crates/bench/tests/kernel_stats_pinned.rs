@@ -11,10 +11,12 @@
 //! the new ones below). Any other drift is a billing change, whether it
 //! comes from a kernel or from inside the simulator (how a warp's
 //! distinct lines are counted, how the read-only cache rotates a set).
-//! The search has since fused kernels 2–4 into one launch (PR 22): their
-//! rows stay as they were — they pin the stages as standalone launches —
-//! and a `hit_reordering` row per preset, appended last, pins the fused
-//! one.
+//! Kernels 2–4 have since become one launch (PR 22): their rows stay as
+//! they were — they pin the stages as standalone launches — and a
+//! `hit_reordering` row per preset, appended, pins the fused one. The
+//! search has since run that launch as the prologue of the extension
+//! kernel (`hit_tail`); a row per preset, appended last, pins it with the
+//! extensions it returns.
 //!
 //! One test per pin. `virtual_alloc` is process-global, so the tests move
 //! each other's buffers; that changes no pin: the grouped kernel's two
@@ -28,7 +30,7 @@ use bio_seq::Sequence;
 use blast_core::{Dfa, Matrix, Pssm, SearchParams};
 use cublastp::binning::binning_kernel;
 use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
-use cublastp::extension::extension_kernel;
+use cublastp::extension::{extension_kernel, hit_tail_kernel};
 use cublastp::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use cublastp::reorder::reorder_kernel;
 use cublastp::{CuBlastpConfig, ExtensionStrategy};
@@ -361,5 +363,50 @@ fn fused_reorder_stats_are_pinned() {
         assert_eq!(filtered.hits.len(), survivors, "{name} survivors");
         assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} hit vector");
         assert_eq!(k, want, "{name} hit_reordering");
+    }
+}
+
+#[test]
+fn fused_hit_tail_stats_are_pinned() {
+    let (d, ws, cfg) = (
+        DeviceConfig::k20c(),
+        KernelWorkspace::new(),
+        figure_config(),
+    );
+    let dq = device_query(517);
+    let params = SearchParams::default();
+    // The same arenas through the search's second launch: reordering as
+    // the prologue of the window-based extension kernel (`hit_tail`). The
+    // rows above pin `hit_reordering` and the stages as standalone
+    // launches and did not move; this one pins what the fused launch
+    // bills, with the survivors' count, the trigger survivors it extends
+    // to and a CRC of their records.
+    #[rustfmt::skip]
+    let fused = [
+        (DbPreset::SwissprotMini, 10108, 8316, 6, 0xbf71_038e,
+            pinned("hit_tail", [730026, 20560182, 2800650, 1778432, 3865472, 30199, 1001144, 2309632, 447648, 5, 0, 0, 0], 1.0, 20, 32)),
+        (DbPreset::EnvNrMini, 16864, 14095, 11, 0x075a_188c,
+            pinned("hit_tail", [1176754, 33221714, 4434414, 2822148, 6172544, 48223, 1600608, 3727744, 758064, 11, 0, 0, 0], 1.0, 33, 32)),
+    ];
+    for (preset, survivors, computed, triggered, crc, want) in fused {
+        let name = preset.name();
+        let db = generate_db(&preset.spec().scaled(0.05), &make_query(517)).db;
+        let blocks = db.blocks(cfg.db_block_size);
+        let block = DeviceDbBlock::upload(db.block_sequences(blocks[0]), blocks[0].start);
+        let (binned, _) = binning_kernel(&d, &cfg, &dq, &block, &ws);
+        let tail = hit_tail_kernel(&d, &cfg, &dq, &block, binned, &params, &ws);
+        let exts = &tail.result.extensions;
+        let bytes: Vec<u8> = (exts.iter())
+            .flat_map(|e| [e.seq_id, e.q_start, e.s_start, e.len, e.score as u32])
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        assert_eq!(tail.filtered, survivors, "{name} survivors");
+        assert_eq!(
+            (tail.computed, exts.len()),
+            (computed, triggered),
+            "{name} extensions"
+        );
+        assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} extension records");
+        assert_eq!(tail.result.stats, want, "{name} hit_tail");
     }
 }

@@ -420,9 +420,15 @@ fn device_gapped_trace_draws_one_pass_per_shard_view() {
         for (name, n) in &counts {
             assert_eq!(*n, legs, "{backend}: {name} in {counts:?}");
         }
+        let names: Vec<&str> = counts.iter().map(|(n, _)| n.as_str()).collect();
+        let fine: &[&str] = if backend == "gpu" {
+            &["gapped_extension_fine"]
+        } else {
+            &[]
+        };
         assert_eq!(
-            counts.len(),
-            if backend == "gpu" { 5 } else { 4 },
+            names,
+            [&["hit_detection", "hit_tail"][..], fine, &["d2h_transfer"]].concat(),
             "{counts:?}"
         );
         // The events add up to the ledger's rows (printed to 3 decimals).

@@ -1,14 +1,13 @@
 //! The GPU side of cuBLASTP for one database block: hit detection with
-//! binning, hit reordering (assembling → sorting → filtering, §3.3, fused
-//! into one launch) and ungapped extension run back to back, as in
-//! §3.2–3.4.
+//! binning, then hit reordering (assembling → sorting → filtering, §3.3)
+//! and ungapped extension (§3.4) as one launch, the fused hit tail — two
+//! launches where the paper's decoupled design has five.
 
 use crate::binning::{binning_kernel, BinnedHits};
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::extension::{extension_kernel_counted, ExtensionResult, RECORD_BYTES};
+use crate::extension::{hit_tail_kernel, ExtensionResult, HitTail, HIT_TAIL_KERNEL, RECORD_BYTES};
 use crate::gapped_device::FINE_GAPPED_KERNEL;
-use crate::reorder::reorder_kernel;
 use blast_core::SearchParams;
 use blast_cpu::ungapped::UngappedExt;
 use gpu_sim::{
@@ -136,8 +135,8 @@ pub struct GpuPhaseOutput {
     /// any have empty spans).
     pub extensions: ExtensionsCsr,
     /// Stats of the kernels the block launched, in execution order: hit
-    /// detection (absent when a grouped pass seeded the block), hit
-    /// reordering, ungapped extension.
+    /// detection (absent when a grouped pass seeded the block) and the
+    /// fused hit tail (hit reordering as the extension's prologue).
     pub kernels: Vec<KernelStats>,
     /// Hit/extension counters.
     pub counts: GpuPhaseCounts,
@@ -150,48 +149,64 @@ pub struct GpuPhaseOutput {
 }
 
 impl GpuPhaseOutput {
-    /// Find one kernel's stats by name.
+    /// Find one kernel's stats by name ([`kernel_named`]).
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
-        self.kernels.iter().find(|k| k.name.contains(name))
+        self.kernels.iter().find(|k| kernel_named(&k.name, name))
     }
 }
 
-/// Stats names of the hit-path kernels before the extension, in execution
-/// order (the extension kernel's is
-/// [`crate::ExtensionStrategy::kernel_name`]).
-pub(crate) const HIT_PATH_KERNELS: [&str; 2] = ["hit_detection", "hit_reordering"];
+/// The name that stands for every strategy's standalone extension kernel
+/// ([`crate::ExtensionStrategy::kernel_name`]) in a kernel lookup.
+pub const EXTENSION_FAMILY: &str = "ungapped_extension";
 
-/// Where a kernel sits in a block's pipeline, by stats name: hit
-/// detection, hit reordering, the ungapped extension (whichever strategy
-/// names it), the device gapped kernel. The order the per-kernel rows of a
-/// [`crate::CuBlastpResult`] keep, whichever block first ran which kernel.
+/// Whether the kernel row named `row` answers a lookup by `name`: the
+/// same name, or [`EXTENSION_FAMILY`] and one strategy's extension
+/// kernel. Never a substring: a row whose name contains another's is
+/// another kernel. The one rule of every by-name lookup of a kernel row.
+pub fn kernel_named(row: &str, name: &str) -> bool {
+    use crate::config::ExtensionStrategy::{Diagonal, Hit, Window};
+    row == name
+        || (name == EXTENSION_FAMILY
+            && [Diagonal, Hit, Window]
+                .iter()
+                .any(|s| s.kernel_name() == row))
+}
+
+/// Stats names of the hit-path kernels, in execution order: hit detection
+/// (absent when a grouped pass seeded the block) and the fused hit tail —
+/// reordering as the extension kernel's prologue.
+pub(crate) const HIT_PATH_KERNELS: [&str; 2] = ["hit_detection", HIT_TAIL_KERNEL];
+
+/// Where a kernel sits in a block's pipeline, by stats name: the
+/// hit-path kernels, then the device gapped kernel. The order the
+/// per-kernel rows of a [`crate::CuBlastpResult`] keep, whichever block
+/// first ran which kernel.
 pub(crate) fn pipeline_rank(name: &str) -> usize {
     match name {
-        FINE_GAPPED_KERNEL => 3,
-        _ => (HIT_PATH_KERNELS.iter().position(|k| *k == name)).unwrap_or(2),
+        FINE_GAPPED_KERNEL => HIT_PATH_KERNELS.len(),
+        _ => {
+            (HIT_PATH_KERNELS.iter().position(|k| *k == name)).unwrap_or(HIT_PATH_KERNELS.len() + 1)
+        }
     }
 }
 
 /// A pipeline kernel's stats name as the `&'static str` a trace event is
-/// named by: one of [`HIT_PATH_KERNELS`], an extension strategy's kernel,
-/// or the device gapped kernel.
+/// named by: one of [`HIT_PATH_KERNELS`] or the device gapped kernel.
 pub(crate) fn kernel_label(name: &str) -> &'static str {
-    use crate::config::ExtensionStrategy::{Diagonal, Hit, Window};
-    let extension = [Diagonal, Hit, Window].map(|s| s.kernel_name());
-    (HIT_PATH_KERNELS.into_iter().chain(extension))
+    (HIT_PATH_KERNELS.into_iter())
         .chain([FINE_GAPPED_KERNEL])
         .find(|k| *k == name)
         .unwrap_or("kernel")
 }
 
-/// Run the three hit-path kernels over one uploaded database block.
+/// Run the two hit-path kernels over one uploaded database block.
 /// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
 /// comes from `ws` and is returned to it before the call ends, so a warm
 /// workspace makes the whole phase allocation-free on the host.
 ///
 /// The `injector` is consulted at every fault site a real driver could
 /// fail at — scratch allocation, workspace checkout, each transfer leg,
-/// and each of the three kernel launches. With a disarmed injector every
+/// and each of the two kernel launches. With a disarmed injector every
 /// check is two relaxed atomic loads and the phase is infallible in
 /// practice; an armed one returns the planned [`DeviceError`] so the
 /// recovery layer above can retry or degrade.
@@ -257,7 +272,8 @@ pub(crate) fn run_seeded_phase(
 }
 
 /// Hit reordering and ungapped extension over an already-binned hit
-/// arena, plus the D2H leg and the phase's metrics. The per-query path
+/// arena — one launch, [`hit_tail_kernel`] — plus the D2H leg and the
+/// phase's metrics. The per-query path
 /// feeds this the `binning_kernel` arena; the grouped path feeds it one
 /// member's demuxed slice of a grouped seeding pass — either way `binned`
 /// holds that query's hits in the standard arena shape, so downstream
@@ -277,34 +293,24 @@ fn run_gpu_tail(
 ) -> Result<GpuPhaseOutput, DeviceError> {
     let hits = binned.total_hits;
 
-    // Kernel 2: gather the bins, segmented-sort the packed keys and drop
-    // the non-extendable hits (Fig. 6a–c, Fig. 7) in one launch; in
-    // one-hit mode the filter degenerates to compaction.
-    injector.check(FaultSite::KernelLaunch, ctx, HIT_PATH_KERNELS[1])?;
-    let mut k_span = obs::span(HIT_PATH_KERNELS[1], "kernel").with_block(ctx.block);
-    let (filtered, k_reorder) = reorder_kernel(
-        device,
-        binned,
-        params.two_hit,
-        params.two_hit_window as i64,
-        ws,
-    );
-    k_span.set_arg("sim_ms", k_reorder.time_ms(device));
-    drop(k_span);
-    let n_filtered = filtered.hits.len() as u64;
-
-    // Kernel 3: fine-grained ungapped extension (Algorithms 3–5).
-    injector.check(FaultSite::KernelLaunch, ctx, "ungapped_extension")?;
-    let mut k_span = obs::span(cfg.extension.kernel_name(), "kernel").with_block(ctx.block);
-    let (result, n_ext) = extension_kernel_counted(device, cfg, query, db, &filtered, params);
+    // Kernel 2: gather the bins, segmented-sort the packed keys, drop the
+    // non-extendable hits (Fig. 6a–c, Fig. 7; in one-hit mode the filter
+    // degenerates to compaction) and extend the survivors
+    // (Algorithms 3–5) in one launch.
+    injector.check(FaultSite::KernelLaunch, ctx, HIT_TAIL_KERNEL)?;
+    let mut k_span = obs::span(HIT_TAIL_KERNEL, "kernel").with_block(ctx.block);
+    let HitTail {
+        result,
+        computed: n_ext,
+        filtered: n_filtered,
+    } = hit_tail_kernel(device, cfg, query, db, binned, params, ws);
     let ExtensionResult {
         extensions,
-        stats: k_ext,
+        stats: k_tail,
         redundant,
     } = result;
-    k_span.set_arg("sim_ms", k_ext.time_ms(device));
+    k_span.set_arg("sim_ms", k_tail.time_ms(device));
     drop(k_span);
-    filtered.recycle(ws);
 
     let extensions = ExtensionsCsr::from_stream(extensions, db.num_seqs());
     let triggered = extensions.len() as u64;
@@ -317,7 +323,7 @@ fn run_gpu_tail(
     // A block a grouped pass seeded launched no kernel 1: no stats, no
     // row further up. The search bills the launches — and draws them on
     // the trace's modelled track — per device pass, not here.
-    let kernels: Vec<KernelStats> = k_bin.into_iter().chain([k_reorder, k_ext]).collect();
+    let kernels: Vec<KernelStats> = k_bin.into_iter().chain([k_tail]).collect();
     if obs::state() != 0 {
         obs::counter("hits_detected_total", &[], hits);
         obs::counter("hits_survived_total", &[], n_filtered);
@@ -381,19 +387,51 @@ mod tests {
         };
         let out = run(&cfg, &dq, &db, &p);
         let names: Vec<&str> = out.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "hit_detection",
-                "hit_reordering",
-                "ungapped_extension_window"
-            ]
-        );
+        assert_eq!(names, ["hit_detection", HIT_TAIL_KERNEL]);
         assert!(out.kernels.iter().all(|k| k.warp_cycles > 0));
         assert!(out.counts.hits > 0);
         assert!(out.counts.extensions > 0);
         let k20c = DeviceConfig::k20c();
         assert!(out.kernels.iter().all(|k| k.time_ms(&k20c) > 0.0));
+    }
+
+    #[test]
+    fn kernel_rows_are_found_by_exact_name_or_the_extension_family() {
+        use crate::config::ExtensionStrategy::{Diagonal, Hit, Window};
+        let out = |names: &[&str]| GpuPhaseOutput {
+            extensions: ExtensionsCsr::default(),
+            kernels: names.iter().map(|&n| KernelStats::new(n)).collect(),
+            counts: GpuPhaseCounts::default(),
+            download_bytes: 0,
+        };
+        let found = |o: &GpuPhaseOutput, name| o.kernel(name).map(|k| k.name.clone());
+        // A row whose name contains another's is another kernel.
+        let search = out(&["hit_detection", HIT_TAIL_KERNEL, FINE_GAPPED_KERNEL]);
+        for name in ["hit", "hit_", "tail", "gapped_extension", "extension"] {
+            assert_eq!(found(&search, name), None, "{name}");
+        }
+        for name in ["hit_detection", HIT_TAIL_KERNEL, FINE_GAPPED_KERNEL] {
+            assert_eq!(found(&search, name).as_deref(), Some(name));
+        }
+        assert_eq!(
+            found(&search, EXTENSION_FAMILY),
+            None,
+            "no extension launched"
+        );
+        // The family finds whichever strategy's extension kernel ran, and
+        // nothing that merely names an extension.
+        for s in [Diagonal, Hit, Window] {
+            let staged = out(&["hit_reordering", FINE_GAPPED_KERNEL, s.kernel_name()]);
+            assert_eq!(
+                found(&staged, EXTENSION_FAMILY).as_deref(),
+                Some(s.kernel_name())
+            );
+            assert_eq!(
+                found(&staged, s.kernel_name()).as_deref(),
+                Some(s.kernel_name())
+            );
+        }
+        assert!(!kernel_named(FINE_GAPPED_KERNEL, EXTENSION_FAMILY));
     }
 
     #[test]
@@ -565,14 +603,19 @@ mod tests {
 
             // Survivor sets nest, so the billed compaction never gets
             // cheaper as the trigger falls; with no survivor at all it
-            // is votes only — no atomic, no write.
-            let cycles = |o: &GpuPhaseOutput| o.kernels[2].warp_cycles;
+            // is votes only — no atomic, no record written: what the
+            // launch writes then is its prologue's alone, 20 B per record
+            // below what it writes when every record survives.
+            let tail = |o: &GpuPhaseOutput| o.kernel(HIT_TAIL_KERNEL).cloned().unwrap_or_default();
+            let cycles = |o: &GpuPhaseOutput| tail(o).warp_cycles;
             proptest::prop_assert!(cycles(&all) >= cycles(&lower));
             proptest::prop_assert!(cycles(&lower) >= cycles(&out));
             proptest::prop_assert!(cycles(&out) >= cycles(&none));
-            let k = &none.kernels[2];
+            let k = tail(&none);
             prop_assert_eq!(k.atomic_ops, 0);
-            prop_assert_eq!(k.global_useful_bytes, k.global_load_useful_bytes);
+            let writes = |k: &KernelStats| k.global_useful_bytes - k.global_load_useful_bytes;
+            let records = all.counts.extensions + all.counts.redundant;
+            prop_assert_eq!(writes(&tail(&all)) - writes(&k), records * 20);
             prop_assert_eq!(none.download_bytes, 0);
         }
     }

@@ -32,6 +32,7 @@
 use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend, ScoringMode};
 use crate::error::{PipelineError, SearchError};
 use crate::executor::{execute, Plan, ShardView};
+use crate::extension::HIT_TAIL_KERNEL;
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{pipeline_rank, run_seeded_phase, GpuPhaseCounts};
 use crate::search::{
@@ -741,7 +742,7 @@ impl Expect {
             if case.seed == Seed::PerQuery || self.reseeded.is_some() {
                 launched.push("hit_detection");
             }
-            launched.extend(["hit_reordering", case.extension.kernel_name()]);
+            launched.push(HIT_TAIL_KERNEL);
         }
         let device_gapped = case.backend == GappedBackend::Gpu;
         if device_gapped && self.gapped_on_host.iter().any(|host| !host) {

@@ -17,12 +17,14 @@
 //!    hit can never trigger an extension. The paper measures only 5–11 %
 //!    of hits surviving, which is what makes the extra pass profitable.
 //!
-//! The search runs them as **one launch**, [`reorder_kernel`]
-//! (`hit_reordering`): thread blocks tile the hit arena in the sort's
-//! 2 048-key tiles, the gather fills the tile in shared memory, the merge
-//! passes run on it, and the neighbour test is the epilogue on the sorted
-//! tile — the assembled array is never written, the sorted array never
-//! re-read (DESIGN.md §3.2 has the billing rule). [`assemble_kernel`],
+//! They run as **one launch**, [`reorder_kernel`] (`hit_reordering`):
+//! thread blocks tile the hit arena in the sort's 2 048-key tiles, the
+//! gather fills the tile in shared memory, the merge passes run on it,
+//! and the neighbour test is the epilogue on the sorted tile — the
+//! assembled array is never written, the sorted array never re-read
+//! (DESIGN.md §3.2 has the billing rule). The search runs that launch as
+//! the prologue of the extension kernel,
+//! [`crate::extension::hit_tail_kernel`]. [`assemble_kernel`],
 //! [`sort_kernel`] and [`filter_kernel_mode`] launch one stage each over
 //! the same stage bodies; Fig. 14, the pinned stats and the benchmark's
 //! traced replay read those.
@@ -45,7 +47,9 @@ use gpu_sim::scan::WARP_SCAN_STEPS;
 use gpu_sim::sort::{
     segmented_sort_flat_from, SortInput, TILE_ELEMENTS as TILE, TILE_SHARED_BYTES, TILE_WARPS,
 };
-use gpu_sim::{launch, launch_map, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
+use gpu_sim::{
+    launch, launch_map, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig, SimBlock,
+};
 
 /// Contiguous, segment-delimited hits (output of assembling; segments are
 /// the former non-empty bins). `seg_offsets[s]..seg_offsets[s+1]` delimits
@@ -132,7 +136,7 @@ pub fn assemble_kernel(
 /// block size, no shared memory.
 fn stage_launch(cfg: &CuBlastpConfig, n: usize) -> LaunchConfig {
     LaunchConfig {
-        blocks: n.div_ceil(TILE).max(1) as u32,
+        blocks: tiles(n),
         warps_per_block: cfg.warps_per_block,
         shared_bytes_per_block: 0,
         use_readonly_cache: false,
@@ -259,7 +263,9 @@ pub fn filter_kernel_mode(
 /// one key a tile cannot see, its left neighbour across the tile edge,
 /// is an 8-byte global read). One launch overhead, at the occupancy of
 /// the sort's 16 kB tile. The survivors equal the staged path's, in its
-/// order.
+/// order. The search runs this prologue inside
+/// [`crate::extension::hit_tail_kernel`]; Figs. 16 and 19 profile it
+/// here, on its own.
 pub fn reorder_kernel(
     device: &DeviceConfig,
     binned: BinnedHits,
@@ -269,13 +275,12 @@ pub fn reorder_kernel(
 ) -> (FilteredHits, KernelStats) {
     const NAME: &str = "hit_reordering";
     let launch_cfg = LaunchConfig {
-        blocks: (binned.total_hits as usize).div_ceil(TILE).max(1) as u32,
+        blocks: tiles(binned.total_hits as usize),
         warps_per_block: TILE_WARPS,
         shared_bytes_per_block: TILE_SHARED_BYTES,
         use_readonly_cache: false,
     };
-    let mut hits = collapse_empty_bins(binned, ws);
-    let k_sort = sort_stage(device, &mut hits, NAME, SortInput::SharedTile, ws);
+    let (hits, k_sort) = sorted_tiles(device, binned, NAME, ws);
     let rule = Neighbour { two_hit, window };
     let (filtered, mut stats) = filter_tiles(device, launch_cfg, NAME, &hits, rule, true, ws);
     stats.merge(&k_sort);
@@ -283,18 +288,39 @@ pub fn reorder_kernel(
     (filtered, stats)
 }
 
+/// Thread blocks of a launch that tiles `n` keys.
+pub(crate) fn tiles(n: usize) -> u32 {
+    n.div_ceil(TILE).max(1) as u32
+}
+
+/// The first two stages of a fused launch named `name`: the bins
+/// collapse into segments (host-side only — the gather into the tile is
+/// billed by the epilogue's load) and every segment is sorted with the
+/// first merge pass reading the tile in shared memory. Returns the sorted
+/// arena and the merge passes' bill.
+pub(crate) fn sorted_tiles(
+    device: &DeviceConfig,
+    binned: BinnedHits,
+    name: &str,
+    ws: &KernelWorkspace,
+) -> (AssembledHits, KernelStats) {
+    let mut hits = collapse_empty_bins(binned, ws);
+    let k_sort = sort_stage(device, &mut hits, name, SortInput::SharedTile, ws);
+    (hits, k_sort)
+}
+
 /// The two-hit rule of the filter.
 #[derive(Clone, Copy)]
-struct Neighbour {
-    two_hit: bool,
-    window: i64,
+pub(crate) struct Neighbour {
+    pub(crate) two_hit: bool,
+    pub(crate) window: i64,
 }
 
 impl Neighbour {
     /// Whether `cur` can trigger an extension given its left neighbour in
     /// the sorted array (`None` for the array's first hit).
     #[inline]
-    fn extendable(self, prev: Option<u64>, cur: u64) -> bool {
+    pub(crate) fn extendable(self, prev: Option<u64>, cur: u64) -> bool {
         !self.two_hit
             || prev.is_some_and(|prev| {
                 group_key(cur) == group_key(prev)
@@ -303,13 +329,8 @@ impl Neighbour {
     }
 }
 
-/// The tile walk under both filters: every 32-lane chunk loads its keys,
-/// runs the neighbour test and warp-scans its survivors into the block's
-/// output. Standalone, the load is the sorted array; fused
-/// (`tile_resident`), the same stream is the gather from the bins into
-/// the shared-memory tile the sort and this epilogue then work on, and a
-/// tile past the first fetches its left neighbour across the tile edge
-/// with one 8-byte read.
+/// The tile walk under both filters: every block runs [`filter_tile`]
+/// over its 2 048 keys and writes its survivors out.
 fn filter_tiles(
     device: &DeviceConfig,
     launch_cfg: LaunchConfig,
@@ -325,36 +346,14 @@ fn filter_tiles(
     let dst_base = virtual_alloc(before.max(1) * 8);
 
     let (per_block, stats) = launch_map(device, launch_cfg, name, |block| {
-        let lo = block.block_id as usize * TILE;
-        let hi = (lo + TILE).min(concat.len());
-        if tile_resident && lo > 0 {
-            block.global_read_seq(src_base + (lo as u64 - 1) * 8, 1, 8, 8);
-        }
         let mut kept: Vec<u64> = ws.tile_keys.take();
-        // In two-hit mode the array's very first hit has no neighbour.
-        let mut prev = lo.checked_sub(1).map(|p| concat[p]);
-        let mut j = lo;
-        while j < hi {
-            let active = (hi - j).min(WARP_SIZE as usize);
-            // Each lane reads its hit; the left neighbour is the previous
-            // lane's value (one extra element at the chunk boundary).
-            block.global_read_seq(src_base + (j as u64) * 8, active as u32, 8, 8);
-            // Distance comparison + warp-scan compaction of survivors.
-            block.instr(active as u32);
-            block.instr_n(active as u32, WARP_SCAN_STEPS);
-            // Survivor writes advance with both the output cursor and the
-            // in-warp scan rank, a stride-16 sequence from the chunk's
-            // first free output slot — charged analytically.
-            let n0 = kept.len() as u64;
-            for &cur in &concat[j..j + active] {
-                if rule.extendable(prev, cur) {
-                    kept.push(cur);
-                }
-                prev = Some(cur);
-            }
-            block.global_write_seq(dst_base + n0 * 8, (kept.len() as u64 - n0) as u32, 16, 8);
-            j += WARP_SIZE as usize;
-        }
+        let tile = FilterTile {
+            rule,
+            tile_resident,
+            src_base,
+            dst_base: Some(dst_base),
+        };
+        tile.run(block, concat, &mut kept);
         kept
     });
 
@@ -364,6 +363,62 @@ fn filter_tiles(
         ws.tile_keys.put(kept);
     }
     (FilteredHits { hits, before }, stats)
+}
+
+/// One thread block's neighbour filter over its tile of the sorted keys:
+/// every 32-lane chunk loads its keys, runs the neighbour test and
+/// warp-scans its survivors into the block's output. Standalone, the load
+/// is the sorted array; fused (`tile_resident`), the same stream is the
+/// gather from the bins into the shared-memory tile the sort and this
+/// epilogue then work on, and a tile past the first fetches its left
+/// neighbour across the tile edge with one 8-byte read. With `dst_base`
+/// the survivors are written to global memory; without it they stay in
+/// the tile for the kernel's next stage.
+pub(crate) struct FilterTile {
+    pub(crate) rule: Neighbour,
+    pub(crate) tile_resident: bool,
+    pub(crate) src_base: u64,
+    pub(crate) dst_base: Option<u64>,
+}
+
+impl FilterTile {
+    /// Filter tile `block.block_id` of `keys`, appending its survivors to
+    /// `kept`.
+    pub(crate) fn run(&self, block: &mut SimBlock, keys: &[u64], kept: &mut Vec<u64>) {
+        let lo = block.block_id as usize * TILE;
+        let hi = (lo + TILE).min(keys.len());
+        if self.tile_resident && lo > 0 {
+            block.global_read_seq(self.src_base + (lo as u64 - 1) * 8, 1, 8, 8);
+        }
+        // In two-hit mode the array's very first hit has no neighbour.
+        let mut prev = lo.checked_sub(1).map(|p| keys[p]);
+        let first = kept.len();
+        let mut j = lo;
+        while j < hi {
+            let active = (hi - j).min(WARP_SIZE as usize);
+            // Each lane reads its hit; the left neighbour is the previous
+            // lane's value (one extra element at the chunk boundary).
+            block.global_read_seq(self.src_base + (j as u64) * 8, active as u32, 8, 8);
+            // Distance comparison + warp-scan compaction of survivors.
+            block.instr(active as u32);
+            block.instr_n(active as u32, WARP_SCAN_STEPS);
+            let n0 = kept.len();
+            for &cur in &keys[j..j + active] {
+                if self.rule.extendable(prev, cur) {
+                    kept.push(cur);
+                }
+                prev = Some(cur);
+            }
+            // Survivor writes advance with both the output cursor and the
+            // in-warp scan rank, a stride-16 sequence from the chunk's
+            // first free output slot — charged analytically.
+            if let Some(dst) = self.dst_base {
+                let at = dst + (n0 - first) as u64 * 8;
+                block.global_write_seq(at, (kept.len() - n0) as u32, 16, 8);
+            }
+            j += WARP_SIZE as usize;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@ use crate::error::SearchError;
 use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, ShardView};
 use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
-    kernel_label, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
+    kernel_label, kernel_named, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts,
+    GpuPhaseOutput,
 };
 use crate::pipeline::BlockTiming;
 use bio_seq::{DbBlock, Sequence, SequenceDb};
@@ -231,16 +232,16 @@ pub struct CuBlastpResult {
 }
 
 impl CuBlastpResult {
-    /// Stats of one kernel by (partial) name.
+    /// Stats of one kernel by name ([`crate::gpu_phase::kernel_named`]).
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
-        self.kernels.iter().find(|k| k.name.contains(name))
+        self.kernels.iter().find(|k| kernel_named(&k.name, name))
     }
 
-    /// Modelled milliseconds of one kernel by (partial) name, summed over
-    /// its launches.
+    /// Modelled milliseconds of one kernel by name
+    /// ([`crate::gpu_phase::kernel_named`]), summed over its launches.
     pub fn kernel_ms_of(&self, name: &str) -> Option<f64> {
         self.kernel_rows()
-            .find(|(k, _)| k.name.contains(name))
+            .find(|(k, _)| kernel_named(&k.name, name))
             .map(|(_, ms)| ms)
     }
 
@@ -1777,6 +1778,7 @@ pub(crate) mod meet {
 pub(crate) mod tests {
     use super::*;
     use crate::error::PipelineError;
+    use crate::extension::HIT_TAIL_KERNEL;
     use crate::gapped_device::FINE_GAPPED_KERNEL;
     use crate::lattice::{check_all, Case, Fault, Layout, Seed};
     use bio_seq::generate::{generate_db, make_query, DbSpec};
@@ -2117,8 +2119,9 @@ pub(crate) mod tests {
         assert!(r.timing.h2d_ms > 0.0);
         assert!(r.timing.overlapped_ms > 0.0);
         assert!(r.timing.overlapped_ms <= r.timing.serial_ms + 1e-9);
-        assert_eq!(r.kernels.len(), 3);
+        assert_eq!(r.kernels.len(), 2);
         assert!(r.kernel("hit_detection").is_some());
+        assert!(r.kernel(HIT_TAIL_KERNEL).is_some());
     }
 
     /// `absorb` is a fold: blocks into shards into a query read the same
@@ -2127,7 +2130,6 @@ pub(crate) mod tests {
     /// the comparison.
     #[test]
     fn absorb_over_blocks_then_shards_equals_the_flat_fold() {
-        let ext = "ungapped_extension_window";
         let part = |names: &[&str], n: u32| -> CuBlastpResult {
             let x = f64::from(n) / 8.0;
             let kernel_ms: Vec<f64> = (1..=names.len()).map(|k| x * k as f64).collect();
@@ -2176,14 +2178,14 @@ pub(crate) mod tests {
         // A grouped member's block, a clean per-query block, a block the
         // host computed, one whose hit phase degraded under the device
         // gapped backend, a full device-gapped block, and a grouped one.
-        let (det, reo) = ("hit_detection", "hit_reordering");
+        let (det, tail) = ("hit_detection", HIT_TAIL_KERNEL);
         let parts = [
-            part(&[reo, ext], 1),
-            part(&[det, reo, ext], 2),
+            part(&[tail], 1),
+            part(&[det, tail], 2),
             part(&[], 3),
             part(&[FINE_GAPPED_KERNEL], 4),
-            part(&[det, reo, ext, FINE_GAPPED_KERNEL], 5),
-            part(&[reo, ext, FINE_GAPPED_KERNEL], 6),
+            part(&[det, tail, FINE_GAPPED_KERNEL], 5),
+            part(&[tail, FINE_GAPPED_KERNEL], 6),
         ];
         let fold = |parts: &[CuBlastpResult]| {
             let mut r = CuBlastpResult::default();
@@ -2196,8 +2198,8 @@ pub(crate) mod tests {
         assert_eq!(format!("{nested:?}"), format!("{flat:?}"));
 
         let names: Vec<&str> = flat.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(names, [det, reo, ext, FINE_GAPPED_KERNEL]);
-        assert_eq!(flat.kernel_ms, [0.875, 2.625, 4.375, 5.25]);
+        assert_eq!(names, [det, tail, FINE_GAPPED_KERNEL]);
+        assert_eq!(flat.kernel_ms, [0.875, 2.625, 3.875]);
         assert_eq!(flat.block_timings.len(), parts.len());
         assert_eq!(flat.timing.gpu_ms, flat.kernel_ms.iter().sum::<f64>());
     }
