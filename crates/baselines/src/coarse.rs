@@ -97,6 +97,18 @@ pub fn lane_traffic(w: &SeqWork, weights: &CoarseWeights) -> (u64, u64) {
     (tx, bytes)
 }
 
+/// The fused coarse kernel's launch over `num_warps` warps: blocks of
+/// `warps_per_block`, each declaring the weights' per-block state
+/// footprint.
+fn footprint(num_warps: u32, weights: &CoarseWeights, warps_per_block: u32) -> LaunchConfig {
+    LaunchConfig {
+        blocks: num_warps.div_ceil(warps_per_block).max(1),
+        warps_per_block,
+        shared_bytes_per_block: weights.state_bytes_per_block,
+        use_readonly_cache: false,
+    }
+}
+
 /// Run the fused coarse kernel given an explicit lane assignment:
 /// `assignment[warp][lane]` indexes into `work`. Warps are distributed
 /// round-robin over blocks of `warps_per_block`.
@@ -108,14 +120,7 @@ pub fn run_coarse_kernel(
     weights: &CoarseWeights,
     warps_per_block: u32,
 ) -> KernelStats {
-    let num_warps = assignment.len() as u32;
-    let blocks = num_warps.div_ceil(warps_per_block).max(1);
-    let cfg = LaunchConfig {
-        blocks,
-        warps_per_block,
-        shared_bytes_per_block: weights.state_bytes_per_block,
-        use_readonly_cache: false,
-    };
+    let cfg = footprint(assignment.len() as u32, weights, warps_per_block);
     launch(device, cfg, name, |block| {
         let lo = (block.block_id * warps_per_block) as usize;
         let hi = (lo + warps_per_block as usize).min(assignment.len());

@@ -13,8 +13,9 @@
 //! more than `hit_reordering` + `ungapped_extension` and returns the same
 //! extensions.
 //!
-//! The second table is the observability A/B: kernels 1–2 at batch 16
-//! (one workspace across the batch, as `search_batch_with` runs them) plain,
+//! The second table is the observability A/B: the search's two launches
+//! per block, `hit_detection` and `hit_tail`, at batch 16 (one workspace
+//! across the batch, as `search_batch_with` runs them) plain,
 //! with the pipeline's per-kernel spans compiled in but disarmed, and
 //! armed — next to the same estimator's reading between two plain series,
 //! its noise floor on this host. Results go to stdout and
@@ -107,8 +108,9 @@ impl Workload<'_> {
         (sim.map(|mut xs| obsenv::median(&mut xs)), dearer)
     }
 
-    /// Host wall-clock (ms) of kernels 1–2 over [`AB_BATCH`] passes, no
-    /// spans compiled in: the plain side of the A/B.
+    /// Host wall-clock (ms) of the search's launches per block,
+    /// `hit_detection` then `hit_tail`, over [`AB_BATCH`] passes, no spans
+    /// compiled in: the plain side of the A/B.
     fn plain_batch(&self) -> f64 {
         let (device, cfg, dq) = (self.device, self.cfg, self.dq);
         let ws = KernelWorkspace::new();
@@ -117,9 +119,8 @@ impl Workload<'_> {
             for block in self.blocks {
                 let t0 = Instant::now();
                 let (binned, _) = binning_kernel(device, cfg, dq, block, &ws);
-                let (filtered, _) = reorder_kernel(device, binned, true, self.window(), &ws);
+                let _tail = hit_tail_kernel(device, cfg, dq, block, binned, self.params, &ws);
                 ms += t0.elapsed().as_secs_f64() * 1e3;
-                filtered.recycle(&ws);
             }
         }
         ms
@@ -141,12 +142,11 @@ impl Workload<'_> {
                 let (binned, k) = binning_kernel(device, cfg, dq, block, &ws);
                 s.set_arg("sim_ms", k.time_ms(device));
                 drop(s);
-                let mut s = obs::span("hit_reordering", "kernel").with_block(bi);
-                let (filtered, k) = reorder_kernel(device, binned, true, self.window(), &ws);
-                s.set_arg("sim_ms", k.time_ms(device));
+                let mut s = obs::span(HIT_TAIL_KERNEL, "kernel").with_block(bi);
+                let tail = hit_tail_kernel(device, cfg, dq, block, binned, self.params, &ws);
+                s.set_arg("sim_ms", tail.result.stats.time_ms(device));
                 drop(s);
                 ms += t0.elapsed().as_secs_f64() * 1e3;
-                filtered.recycle(&ws);
             }
         }
         ms
@@ -271,7 +271,7 @@ fn main() -> ExitCode {
     );
     print_table(
         &format!(
-            "Observability overhead — kernels 1-2, batch {AB_BATCH} (host ms, best of {AB_REPS})"
+            "Observability overhead — hit_detection + hit_tail, batch {AB_BATCH} (host ms, best of {AB_REPS})"
         ),
         &[
             "db",

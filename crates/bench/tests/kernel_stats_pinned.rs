@@ -16,7 +16,8 @@
 //! `hit_reordering` row per preset, appended, pins the fused one. The
 //! search has since run that launch as the prologue of the extension
 //! kernel (`hit_tail`); a row per preset, appended last, pins it with the
-//! extensions it returns.
+//! extensions it returns. A last test pins both extension launches on
+//! an explicit PSSM too large for either to hold in shared memory.
 //!
 //! One test per pin. `virtual_alloc` is process-global, so the tests move
 //! each other's buffers; that changes no pin: the grouped kernel's two
@@ -33,7 +34,7 @@ use cublastp::devicedata::{DeviceDbBlock, DeviceQuery};
 use cublastp::extension::{extension_kernel, hit_tail_kernel};
 use cublastp::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use cublastp::reorder::reorder_kernel;
-use cublastp::{CuBlastpConfig, ExtensionStrategy};
+use cublastp::{CuBlastpConfig, ExtensionStrategy, ScoringMode};
 use gpu_sim::memory::virtual_alloc;
 use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -408,5 +409,58 @@ fn fused_hit_tail_stats_are_pinned() {
         );
         assert_eq!(cublastp_db::crc32(&bytes), crc, "{name} extension records");
         assert_eq!(tail.result.stats, want, "{name} hit_tail");
+    }
+}
+
+#[test]
+fn a_pssm_past_752_residues_is_read_from_global_memory_without_a_de_rate() {
+    let (d, ws) = (DeviceConfig::k20c(), KernelWorkspace::new());
+    let cfg = CuBlastpConfig {
+        scoring: ScoringMode::Pssm,
+        ..figure_config()
+    };
+    let params = SearchParams::default();
+    let window = params.two_hit_window as i64;
+    // An explicit PSSM on 760 residues: 760 × 64 B + the 1 kB output
+    // buffer is more than an SM's 48 kB, so neither `hit_tail` nor the
+    // standalone extension kernel fits with the table in shared memory.
+    // Both read it from global memory — no shared-memory access at all —
+    // at an occupancy the time model does not de-rate; while the table
+    // stayed in shared memory up to 768 residues, both were billed at
+    // occupancy 0. One block of the scale-0.05 preset under
+    // `figure_config()`, with the trigger survivors and a CRC of their
+    // records.
+    let dq = device_query(760);
+    let db = generate_db(
+        &DbPreset::SwissprotMini.spec().scaled(0.05),
+        &make_query(760),
+    )
+    .db;
+    let blocks = db.blocks(cfg.db_block_size);
+    let block = DeviceDbBlock::upload(db.block_sequences(blocks[0]), blocks[0].start);
+    let (binned, _) = binning_kernel(&d, &cfg, &dq, &block, &ws);
+    let tail = hit_tail_kernel(&d, &cfg, &dq, &block, binned, &params, &ws);
+    let (binned, _) = binning_kernel(&d, &cfg, &dq, &block, &ws);
+    let (filtered, _) = reorder_kernel(&d, binned, true, window, &ws);
+    let ext = extension_kernel(&d, &cfg, &dq, &block, &filtered, &params);
+    let exts = &tail.result.extensions;
+    assert_eq!(exts, &ext.extensions, "one launch or two");
+    let bytes: Vec<u8> = (exts.iter())
+        .flat_map(|e| [e.seq_id, e.q_start, e.s_start, e.len, e.score as u32])
+        .flat_map(u32::to_le_bytes)
+        .collect();
+    assert_eq!((tail.filtered, exts.len()), (15418, 11), "survivors");
+    assert_eq!(cublastp_db::crc32(&bytes), 0xfe91_5025, "extension records");
+    #[rustfmt::skip]
+    let want = [
+        pinned("hit_tail", [2115684, 55598384, 12103504, 3911948, 28830336, 225237, 2469496, 25943936, 0, 11, 0, 0, 0], 1.0, 30, 32),
+        pinned("ungapped_extension_window", [1436056, 34139312, 11814480, 1150596, 25030016, 195547, 1150376, 25028608, 0, 11, 0, 0, 0], 1.0, 26, 8),
+    ];
+    assert_eq!([&tail.result.stats, &ext.stats], [&want[0], &want[1]]);
+    // No shared-memory access — the table is in global memory — and no
+    // de-rate.
+    for k in [&tail.result.stats, &ext.stats] {
+        assert_eq!(k.shared_accesses, 0, "{}", k.name);
+        assert!(k.occupancy >= 0.5, "{}", k.name);
     }
 }

@@ -51,7 +51,9 @@ OPTIONS:
                          the device pass's DP), at most the cores this
                          host has: `--phase-table` says how many ran
     --strategy <name>    diagonal | hit | window (default window)
-    --bins <n>           bins per warp (default 128)
+    --bins <n>           bins per warp (default 128; at most 1280, which
+                         fills an SM's 48 kB of shared memory with
+                         hit_detection's DFA states and 32 B a bin)
     --mask               SEG-mask low-complexity query regions before seeding
     --comp-based-stats   composition-adjusted e-values for biased queries
     --no-overlap         disable the CPU–GPU pipeline overlap

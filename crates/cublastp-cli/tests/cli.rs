@@ -103,6 +103,25 @@ fn flags_a_subcommand_ignores_are_config_errors() {
 }
 
 #[test]
+fn bins_past_what_hit_detection_fits_are_refused_before_launch() {
+    // 8 kB of DFA states + 32 B a bin at 8 warps: 1 280 bins fill the
+    // 48 kB SM exactly, one more fits no block.
+    let out = run(&["--demo", "--bins", "1280", "--outfmt", "tab"]);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!out.stdout.is_empty());
+    let out = run(&["--demo", "--bins", "1281", "--outfmt", "tab"]);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("config error") && err.contains("hit_detection cannot launch"),
+        "{err}"
+    );
+    assert!(err.contains("49184 B"), "names the kernel's bytes: {err}");
+    assert!(out.stdout.is_empty(), "no hit table from a refused search");
+}
+
+#[test]
 fn invalid_residue_in_fasta_is_an_input_error_with_location() {
     let dir = std::env::temp_dir().join(format!("cublastp_cli_badres_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

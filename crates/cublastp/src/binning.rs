@@ -28,11 +28,11 @@
 
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::seedpass::SeedPass;
+use crate::seedpass::{self, SeedPass};
 use blast_core::words::subject_words;
 use blast_core::WORD_LEN;
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
 
 /// Shared-memory footprint of the compacted DFA state table (the paper
 /// keeps states in shared memory; FSA-BLAST's compressed automaton for a
@@ -81,6 +81,13 @@ impl BinnedHits {
     }
 }
 
+/// `hit_detection`'s launch under `cfg`: the DFA states in shared memory
+/// next to the pass's bin counters — 8 kB + 32 B a bin at 8 warps, so up
+/// to 1 280 bins fit a 48 kB SM.
+pub(crate) fn footprint(cfg: &CuBlastpConfig) -> LaunchConfig {
+    seedpass::footprint(cfg, DFA_STATES_SHARED_BYTES)
+}
+
 /// Run the fine-grained hit-detection + binning kernel over one database
 /// block. Returns the hit arena and the kernel's simulated stats.
 pub fn binning_kernel(
@@ -96,11 +103,9 @@ pub fn binning_kernel(
     let (offsets, positions) = (hood.raw_offsets(), hood.raw_positions());
     let positions_base = query.positions_base();
 
-    // Shared memory: the DFA states next to the pass's bin counters.
     let (mut arenas, stats) = pass.launch(
         device,
-        cfg,
-        DFA_STATES_SHARED_BYTES,
+        footprint(cfg),
         "hit_detection",
         db,
         ws,

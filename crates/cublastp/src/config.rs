@@ -34,8 +34,11 @@ impl ExtensionStrategy {
 /// Scoring-table placement for the extension kernels (§3.5, Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoringMode {
-    /// Query-specific PSS matrix: shared memory while it fits (query ≤ 768
-    /// residues), global memory beyond.
+    /// Query-specific PSS matrix, 64 bytes a query column: in shared
+    /// memory while its kernel still fits with it, in global memory beyond
+    /// (on a 48 kB SM: past 752 residues in either extension launch, and
+    /// beside `hit_tail`'s tile only up to 496 —
+    /// `extension::hit_tail_footprint`, `extension::extension_footprint`).
     Pssm,
     /// Fixed 2 kB BLOSUM62 matrix, always in shared memory.
     Blosum62,
@@ -75,14 +78,13 @@ impl GappedBackend {
     }
 }
 
-/// Query length above which the PSS matrix no longer fits in the 48 kB of
-/// shared memory (64 bytes per query column, §3.5).
-pub const PSSM_SHARED_LIMIT: usize = 768;
-
 /// Query length at which [`ScoringMode::Auto`] switches from PSSM to
-/// BLOSUM62. The paper measures PSSM winning at 127 and losing at 517; the
-/// crossover sits where the PSSM's shared-memory footprint starts to
-/// depress occupancy.
+/// BLOSUM62: a calibration point between the paper's Fig. 15
+/// measurements, where the PSSM wins on a 127-residue query and loses on a
+/// 517-residue one. It is not a footprint. Under the occupancy model the
+/// standalone extension kernel is de-rated from 177 residues, and
+/// `hit_tail`, which the search runs, drops to occupancy 0.5 at 113 and
+/// never de-rates a resident PSSM, so no fit rule lands on 320.
 pub const AUTO_SCORING_CROSSOVER: usize = 320;
 
 /// How the pipeline reacts to device faults (see DESIGN.md §3.3).
@@ -197,26 +199,15 @@ impl CuBlastpConfig {
         }
     }
 
-    /// Shared-memory bytes per block consumed by the scoring table.
-    pub fn scoring_shared_bytes(&self, query_len: usize) -> u32 {
+    /// Bytes of the scoring table (§3.5): 64 per query column for the
+    /// PSSM, 2 kB for BLOSUM62. Whether a kernel keeps it in shared memory
+    /// is that kernel's footprint's call.
+    pub fn scoring_table_bytes(&self, query_len: usize) -> u32 {
         match self.resolved_scoring(query_len) {
-            ScoringMode::Pssm => {
-                if query_len <= PSSM_SHARED_LIMIT {
-                    (query_len * 64) as u32
-                } else {
-                    0 // spilled to global memory
-                }
-            }
+            ScoringMode::Pssm => (query_len * 64) as u32,
             ScoringMode::Blosum62 => 2 * 1024,
             ScoringMode::Auto => unreachable!("resolved above"),
         }
-    }
-
-    /// True when the PSSM path reads from global memory (query too long
-    /// for shared memory).
-    pub fn pssm_in_global(&self, query_len: usize) -> bool {
-        matches!(self.resolved_scoring(query_len), ScoringMode::Pssm)
-            && query_len > PSSM_SHARED_LIMIT
     }
 
     /// Reject configurations the pipeline cannot run. Checked once at the
@@ -281,10 +272,9 @@ mod tests {
             scoring: ScoringMode::Pssm,
             ..Default::default()
         };
-        assert_eq!(c.scoring_shared_bytes(768), 48 * 1024);
-        assert_eq!(c.scoring_shared_bytes(769), 0, "spills to global");
-        assert!(c.pssm_in_global(769));
-        assert!(!c.pssm_in_global(768));
+        assert_eq!(c.scoring_table_bytes(127), 127 * 64);
+        assert_eq!(c.scoring_table_bytes(768), 48 * 1024);
+        assert_eq!(c.scoring_table_bytes(2300), 2300 * 64);
     }
 
     #[test]
@@ -339,8 +329,7 @@ mod tests {
             scoring: ScoringMode::Blosum62,
             ..Default::default()
         };
-        assert_eq!(c.scoring_shared_bytes(127), 2048);
-        assert_eq!(c.scoring_shared_bytes(10_000), 2048);
-        assert!(!c.pssm_in_global(10_000));
+        assert_eq!(c.scoring_table_bytes(127), 2048);
+        assert_eq!(c.scoring_table_bytes(10_000), 2048);
     }
 }

@@ -245,8 +245,10 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
             .collect(),
         Some(budget) => {
             // Round packing needs every query's neighbourhood size, so
-            // all are set up first; a failed one keeps its error.
-            let built: Vec<Result<CuBlastp, SearchError>> = (0..queries.len()).map(build).collect();
+            // all are set up first; a failed one keeps its error, and so
+            // does one whose launches do not fit: it joins no round.
+            let checked = |i| build(i).and_then(|s| s.check_launches(true).map(|()| s));
+            let built: Vec<Result<CuBlastp, _>> = (0..queries.len()).map(checked).collect();
             let ready: Vec<(usize, &CuBlastp)> = built
                 .iter()
                 .enumerate()

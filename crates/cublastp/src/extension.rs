@@ -86,10 +86,15 @@ struct ScoringCost {
     bytes_per_pos: u64,
 }
 
-fn scoring_cost(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -> ScoringCost {
+fn scoring_cost(
+    cfg: &CuBlastpConfig,
+    query_len: usize,
+    device: &DeviceConfig,
+    table: Table,
+) -> ScoringCost {
     match cfg.resolved_scoring(query_len) {
         ScoringMode::Pssm => {
-            if cfg.pssm_in_global(query_len) {
+            if table == Table::Global {
                 ScoringCost {
                     cycles_per_pos: device.global_transaction_cost / 2,
                     shared_per_pos: 0,
@@ -159,6 +164,17 @@ struct CostModel {
     walk: Walk,
 }
 
+/// Where an extension launch keeps the scoring table (§3.5): decided by
+/// the launch's footprint ([`extension_footprint`],
+/// [`hit_tail_footprint`]), read by its cost model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Table {
+    /// In the block's shared memory.
+    Shared,
+    /// In global memory: an explicit PSSM its kernel does not fit with.
+    Global,
+}
+
 /// Where an extension launch's lanes find the filtered hits they walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Walk {
@@ -170,8 +186,14 @@ pub(crate) enum Walk {
 }
 
 impl CostModel {
-    fn new(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig, walk: Walk) -> Self {
-        let scoring = scoring_cost(cfg, query_len, device);
+    fn new(
+        cfg: &CuBlastpConfig,
+        query_len: usize,
+        device: &DeviceConfig,
+        walk: Walk,
+        table: Table,
+    ) -> Self {
+        let scoring = scoring_cost(cfg, query_len, device, table);
         let lanes = match cfg.extension {
             ExtensionStrategy::Window => WINDOW_LANES,
             ExtensionStrategy::Diagonal | ExtensionStrategy::Hit => 1,
@@ -449,15 +471,9 @@ pub(crate) fn extension_launch(
     params: &SearchParams,
     walk: Walk,
 ) -> (ExtensionResult, u64) {
-    let qlen = query.query_len();
-    let extender = Extender::new(device, cfg, query, db, params, walk);
+    let (table, launch_cfg) = extension_footprint(device, cfg, query.query_len());
+    let extender = Extender::new(device, cfg, query, db, params, walk, table);
     let starts = extender.batch_starts(hits);
-    let launch_cfg = LaunchConfig {
-        blocks: cfg.grid_blocks,
-        warps_per_block: cfg.warps_per_block,
-        shared_bytes_per_block: cfg.scoring_shared_bytes(qlen) + OUTPUT_BUFFER_BYTES,
-        use_readonly_cache: cfg.use_readonly_cache,
-    };
     let blocks = cfg.grid_blocks.max(1) as usize;
 
     // Each block's surviving extensions come back by value in block
@@ -477,6 +493,63 @@ pub(crate) fn extension_launch(
 /// Shared memory of the per-block output buffer the extension stages its
 /// records in.
 const OUTPUT_BUFFER_BYTES: u32 = 1024;
+
+/// The standalone extension launch for a query of `query_len`: `cfg`'s
+/// grid with the scoring table and the output buffer in shared memory
+/// while a block fits with them, else a PSSM in global memory (past 752
+/// residues on a 48 kB SM). BLOSUM62 never moves.
+pub(crate) fn extension_footprint(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query_len: usize,
+) -> (Table, LaunchConfig) {
+    let launch = |table: u32| LaunchConfig {
+        blocks: cfg.grid_blocks,
+        warps_per_block: cfg.warps_per_block,
+        shared_bytes_per_block: table + OUTPUT_BUFFER_BYTES,
+        use_readonly_cache: cfg.use_readonly_cache,
+    };
+    let resident = launch(cfg.scoring_table_bytes(query_len));
+    let spills = cfg.resolved_scoring(query_len) == ScoringMode::Pssm;
+    match resident.fits(device) || !spills {
+        true => (Table::Shared, resident),
+        false => (Table::Global, launch(0)),
+    }
+}
+
+/// The fused hit tail's launch of `blocks` tiles for a query of
+/// `query_len`, at the first of three placements that fits an SM: (1)
+/// the tile, the scoring table and the output buffer; (2) the table and
+/// the buffer in the tile's place, the survivors through global memory
+/// as in the staged path; (3) the tile and the buffer, a PSSM in global
+/// memory. On a 48 kB SM an explicit PSSM takes (1) up to 496 residues,
+/// (2) up to 752 and (3) beyond; BLOSUM62 has no (3).
+pub(crate) fn hit_tail_footprint(
+    device: &DeviceConfig,
+    cfg: &CuBlastpConfig,
+    query_len: usize,
+    blocks: u32,
+) -> (Walk, Table, LaunchConfig) {
+    let tile = TILE_SHARED_BYTES;
+    let table = cfg.scoring_table_bytes(query_len) + OUTPUT_BUFFER_BYTES;
+    let placements = [
+        (Walk::Shared, Table::Shared, tile + table),
+        (Walk::Global, Table::Shared, tile.max(table)),
+        (Walk::Shared, Table::Global, tile + OUTPUT_BUFFER_BYTES),
+    ];
+    let spills = cfg.resolved_scoring(query_len) == ScoringMode::Pssm;
+    let open = if spills { 3 } else { 2 };
+    let launch = |shared_bytes_per_block| LaunchConfig {
+        blocks,
+        warps_per_block: HIT_TAIL_WARPS,
+        shared_bytes_per_block,
+        use_readonly_cache: cfg.use_readonly_cache,
+    };
+    let (walk, table, shared) = (placements[..open].iter().copied())
+        .find(|&(_, _, shared)| launch(shared).fits(device))
+        .unwrap_or(placements[open - 1]);
+    (walk, table, launch(shared))
+}
 
 /// Warps per block of the fused hit tail: 1 024 threads, two keys of the
 /// 2 048-key tile each. With the tile, the scoring table and the output
@@ -509,12 +582,8 @@ pub struct HitTail {
 /// by their tile and read back by that one (the hit-based strategy, whose
 /// task is one hit, has no such group). DESIGN.md §3.2 has the billing
 /// rule; the extensions, their order and the counts equal the staged
-/// path's (`reorder_kernel` then [`extension_kernel`]).
-///
-/// When the tile, the scoring table and the output buffer do not fit one
-/// SM's shared memory together (an explicit PSSM on a query over 496
-/// residues), the survivors go through global memory as in the staged
-/// path and the table takes the tile's place.
+/// path's (`reorder_kernel` then [`extension_kernel`]). Where the table
+/// and the survivors live is [`hit_tail_footprint`]'s call.
 pub fn hit_tail_kernel(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
@@ -524,21 +593,13 @@ pub fn hit_tail_kernel(
     params: &SearchParams,
     ws: &KernelWorkspace,
 ) -> HitTail {
-    let table = cfg.scoring_shared_bytes(query.query_len()) + OUTPUT_BUFFER_BYTES;
-    let resident = TILE_SHARED_BYTES + table <= device.shared_mem_per_sm;
-    let (walk, shared) = match resident {
-        true => (Walk::Shared, TILE_SHARED_BYTES + table),
-        false => (Walk::Global, TILE_SHARED_BYTES.max(table)),
-    };
     let (hits, k_sort) = sorted_tiles(device, binned, HIT_TAIL_KERNEL, ws);
     let keys = &hits.keys[..];
-    let launch_cfg = LaunchConfig {
-        blocks: tiles(keys.len()),
-        warps_per_block: HIT_TAIL_WARPS,
-        shared_bytes_per_block: shared,
-        use_readonly_cache: cfg.use_readonly_cache,
-    };
-    let extender = Extender::new(device, cfg, query, db, params, walk);
+    let (walk, table, launch_cfg) =
+        hit_tail_footprint(device, cfg, query.query_len(), tiles(keys.len()));
+    // The survivors stay in the tile.
+    let resident = walk == Walk::Shared;
+    let extender = Extender::new(device, cfg, query, db, params, walk, table);
     let filter = FilterTile {
         rule: Neighbour {
             two_hit: params.two_hit,
@@ -659,6 +720,7 @@ impl<'a> Extender<'a> {
         db: &'a DeviceDbBlock,
         params: &'a SearchParams,
         walk: Walk,
+        table: Table,
     ) -> Self {
         // Lane ↦ (sequence, diagonal) task, walked with the coverage
         // check; a window of lanes ↦ task (Fig. 9d); or lane ↦ hit, every
@@ -672,7 +734,7 @@ impl<'a> Extender<'a> {
             query,
             db,
             params,
-            model: CostModel::new(cfg, query.query_len(), device, walk),
+            model: CostModel::new(cfg, query.query_len(), device, walk, table),
             same_task,
         }
     }
@@ -1001,14 +1063,14 @@ mod tests {
 
     /// Scoring × query length of the fixtures: the PSSM resident beside
     /// the tile (two blocks an SM, then one), the PSSM too large to sit
-    /// beside it (the survivors go through global memory), BLOSUM62, and
-    /// — on a query long enough for one group to span three tiles —
-    /// the PSSM spilled to global memory (its extensions bandwidth-bound)
-    /// and BLOSUM62 (compute-bound: what an occupancy de-rate shows on).
-    /// An explicit PSSM on 753–768 residues fits neither this launch's
-    /// nor the standalone extension's shared memory (both bill
-    /// occupancy 0), so no fixture sits there.
-    const FIXTURES: [(ScoringMode, usize); 7] = [
+    /// beside it (the survivors go through global memory), BLOSUM62; on a
+    /// query long enough for one group to span three tiles, the PSSM
+    /// spilled to global memory (its extensions bandwidth-bound) and
+    /// BLOSUM62 (compute-bound: what an occupancy de-rate shows on); and
+    /// a PSSM too large for either launch to hold in shared memory at
+    /// 753–768 residues, which both billed at occupancy 0 while the table
+    /// stayed there up to 768.
+    const FIXTURES: [(ScoringMode, usize); 8] = [
         (ScoringMode::Pssm, 64),
         (ScoringMode::Pssm, 300),
         (ScoringMode::Pssm, 600),
@@ -1016,6 +1078,7 @@ mod tests {
         (ScoringMode::Blosum62, 517),
         (ScoringMode::Pssm, 2300),
         (ScoringMode::Blosum62, 2300),
+        (ScoringMode::Pssm, 760),
     ];
 
     /// The fixtures whose diagonals are longer than a tile.
@@ -1507,13 +1570,13 @@ mod tests {
         /// is never the dearer.
         #[test]
         fn fused_hit_tail_bills_reorder_and_extension_minus_named_traffic(case in TailCases) {
-            let table = case.cfg().scoring_shared_bytes(case.fixture().qlen) + OUTPUT_BUFFER_BYTES;
             let books = tile_books(&case);
             let groups = case.strategy != ExtensionStrategy::Hit;
             for d in [DeviceConfig::k20c(), DeviceConfig::k40(), DeviceConfig::gtx680()] {
                 let (filtered, k_reorder, ext, _) = case.staged(&d);
                 let k = case.fused(&d).result.stats;
-                let resident = TILE_SHARED_BYTES + table <= d.shared_mem_per_sm;
+                let (walk, _, _) = hit_tail_footprint(&d, &case.cfg(), case.fixture().qlen, 1);
+                let resident = walk == Walk::Shared;
                 let l = tail_ledger(&d, &case, &books, &ext, resident);
 
                 let mut owed = add(counters(&k_reorder), counters(&ext.stats));

@@ -126,12 +126,28 @@ pub(crate) struct FineDp<'a> {
     pub ws: &'a KernelWorkspace,
 }
 
-impl FineDp<'_> {
-    /// Band cells per DP row.
-    fn band(&self) -> u64 {
-        (2 * self.params.xdrop_gapped + 1).max(1) as u64
-    }
+/// Band cells per DP row under `params`.
+fn band(params: &SearchParams) -> u64 {
+    (2 * i64::from(params.xdrop_gapped) + 1).max(1) as u64
+}
 
+/// The fine kernel's launch under `cfg` for `params`' band: `cfg`'s grid,
+/// and every warp's rolling D/F band rows in shared memory (4 rows of
+/// 4-byte cells) — far below the coarse port's 24 kB per-block footprint,
+/// which is what buys this kernel its occupancy. A band too wide for one
+/// block to fit an SM is refused by the search.
+pub(crate) fn footprint(cfg: &CuBlastpConfig, params: &SearchParams) -> LaunchConfig {
+    let warps = cfg.warps_per_block.max(1);
+    let rows = u64::from(warps) * 4 * band(params) * 4;
+    LaunchConfig {
+        blocks: cfg.grid_blocks.max(1),
+        warps_per_block: warps,
+        shared_bytes_per_block: u32::try_from(rows).unwrap_or(u32::MAX),
+        use_readonly_cache: false,
+    }
+}
+
+impl FineDp<'_> {
     /// The functional DP of subject `i` of `db`: the exact CPU semantics
     /// ([`gapped_phase_subject_traced`]) and the sweep of every extension.
     /// The gapped phase is serial *within* a subject — containment
@@ -198,7 +214,7 @@ impl FineDp<'_> {
             out.sweeps.push(sweep_cost(
                 self.device,
                 rows,
-                self.band().min(subject.len() as u64 + 1),
+                band(self.params).min(subject.len() as u64 + 1),
                 span_bytes,
                 refill_cells,
                 ckpt_words,
@@ -237,22 +253,9 @@ impl FineDp<'_> {
             }
         }
 
-        let device = self.device;
-        let blocks = cfg.grid_blocks.max(1);
-        let warps = cfg.warps_per_block.max(1);
-
-        // Rolling D/F band rows per resident warp, in shared memory — far
-        // below the coarse port's 24 kB per-block footprint, which is what
-        // buys this kernel its occupancy.
-        let shared_bytes = (warps * 4 * self.band() as u32 * 4).min(device.shared_mem_per_sm);
-        let launch_cfg = LaunchConfig {
-            blocks,
-            warps_per_block: warps,
-            shared_bytes_per_block: shared_bytes,
-            use_readonly_cache: false,
-        };
-
-        let stats = launch(device, launch_cfg, FINE_GAPPED_KERNEL, |block| {
+        let launch_cfg = footprint(cfg, self.params);
+        let blocks = launch_cfg.blocks;
+        let stats = launch(self.device, launch_cfg, FINE_GAPPED_KERNEL, |block| {
             // Blocks stride the seed list, one warp per seed.
             for sweep in (sweeps.iter().skip(block.block_id as usize)).step_by(blocks as usize) {
                 // All 32 lanes sweep the wavefront in lockstep: the warp

@@ -24,6 +24,19 @@ use gpu_sim::device::WARP_SIZE;
 use gpu_sim::{launch, DeviceConfig, KernelStats, LaunchConfig};
 use std::sync::{Mutex, PoisonError};
 
+/// The coarse gapped kernel's launch under `cfg`: its grid, and a heavy
+/// per-block state footprint — the DP rows live in per-thread local
+/// memory, and 24 kB stands for the register and local-memory pressure
+/// that caps these kernels' occupancy on real hardware.
+fn footprint(cfg: &CuBlastpConfig) -> LaunchConfig {
+    LaunchConfig {
+        blocks: cfg.grid_blocks.max(1),
+        warps_per_block: cfg.warps_per_block,
+        shared_bytes_per_block: 24 * 1024,
+        use_readonly_cache: false,
+    }
+}
+
 /// Run gapped extension for every subject of a block on the simulated
 /// GPU. `extensions` is the ungapped-extension output of the block's GPU
 /// phase (CSR over block-local subject ids).
@@ -41,21 +54,11 @@ pub fn gapped_kernel(
         .filter(|&i| extensions.seq(i).iter().any(|e| e.score >= trigger))
         .collect();
 
-    let launch_cfg = LaunchConfig {
-        blocks: cfg.grid_blocks.max(1),
-        warps_per_block: cfg.warps_per_block,
-        // The DP rows live in per-thread local memory; charge a heavy
-        // state footprint (the register/local pressure that caps these
-        // kernels' occupancy on real hardware).
-        shared_bytes_per_block: 24 * 1024,
-        use_readonly_cache: false,
-    };
-
     let results: Mutex<Vec<(usize, Vec<GappedExt>)>> = Mutex::new(Vec::new());
     let blocks = cfg.grid_blocks.max(1) as usize;
     let band = (2 * params.xdrop_gapped + 1) as u64;
 
-    let stats = launch(device, launch_cfg, "gapped_extension_gpu", |block| {
+    let stats = launch(device, footprint(cfg), "gapped_extension_gpu", |block| {
         let mut out: Vec<(usize, Vec<GappedExt>)> = Vec::new();
         let mut lane_costs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
         // Lane ↦ subject (coarse): warp batches of 32 subjects, strided

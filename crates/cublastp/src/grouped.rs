@@ -36,13 +36,13 @@
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
-use crate::seedpass::SeedPass;
+use crate::seedpass::{self, SeedPass};
 use blast_core::qindex::{Posting, QueryIndex, POSTING_BYTES, SLOT_BYTES};
 use blast_core::words::subject_words;
 use blast_core::{WordNeighborhood, WORD_LEN};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::memory::virtual_alloc;
-use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
 
 /// Modelled instruction count of the Murmur-finalizer word hash (three
 /// shifts-and-xors, two multiplies, one mask).
@@ -103,6 +103,14 @@ impl DeviceGroupIndex {
     }
 }
 
+/// `grouped_seeding`'s launch under `cfg`: only the pass's bin counters
+/// in shared memory — the DFA state table of the per-query path is gone,
+/// which is where the grouped kernel wins back the occupancy its bigger
+/// working set costs.
+pub(crate) fn footprint(cfg: &CuBlastpConfig) -> LaunchConfig {
+    seedpass::footprint(cfg, 0)
+}
+
 /// One grouped seeding pass over a database block: probe the group index
 /// with every subject word and scatter each hit into its member's arena.
 /// Returns one [`BinnedHits`] per group member — shaped exactly like
@@ -119,13 +127,9 @@ pub fn grouped_seeding_kernel(
     let pass = SeedPass::new(cfg, &group.qlens, db);
     let capacity = group.index.capacity() as u32;
 
-    // Shared memory: only the pass's bin counters — the DFA state table of
-    // the per-query path is gone, which is where the grouped kernel wins
-    // back the occupancy its bigger working set costs.
     pass.launch(
         device,
-        cfg,
-        0,
+        footprint(cfg),
         "grouped_seeding",
         db,
         ws,

@@ -6,16 +6,18 @@
 //! GPU (see DESIGN.md for the substitution argument).
 //!
 //! The pipeline decouples BLASTP's phases into fine-grained GPU kernels
-//! plus a CPU tail, bridged by the paper's
-//! binning–sorting–filtering reorder — three stages, one launch:
+//! plus a CPU tail, bridged by the paper's binning–sorting–filtering
+//! reorder, which runs as the prologue of ungapped extension: two launches
+//! per database block, `hit_detection` and `hit_tail` (`hit_tail` alone
+//! for a block a grouped seeding round seeded):
 //!
 //! ```text
-//! hit detection + binning      (Algorithm 2, warp per sequence)
-//!   → hit reordering           (one kernel, tile by tile:)
-//!       hit assembling           (Fig. 6a)
-//!       segmented hit sorting    (Fig. 6b, packed 64-bit keys of Fig. 7)
-//!       hit filtering            (Fig. 6c, two-hit window)
-//!   → ungapped extension       (Algorithms 3/4/5: diagonal / hit / window)
+//! hit_detection: hit detection + binning   (Algorithm 2, warp per sequence)
+//!   → hit_tail: one kernel, tile by tile
+//!       hit assembling                     (Fig. 6a)
+//!       segmented hit sorting              (Fig. 6b, packed 64-bit keys of Fig. 7)
+//!       hit filtering                      (Fig. 6c, two-hit window)
+//!       ungapped extension                 (Algorithms 3/4/5: diagonal / hit / window)
 //!   → [PCIe] → gapped extension + traceback on the CPU (§3.6)
 //! ```
 //!

@@ -10,17 +10,19 @@
 //! FSA-BLAST reference (`blast_cpu::search_sequential`) — the property
 //! §4.3 claims and the integration tests enforce.
 
-use crate::binning::BinnedHits;
+use crate::binning::{self, BinnedHits};
 use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
 use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, ShardView};
-use crate::gapped_device::{FineDp, SubjectDp, FINE_GAPPED_KERNEL};
+use crate::extension::{hit_tail_footprint, HIT_TAIL_KERNEL};
+use crate::gapped_device::{self, FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
     kernel_label, kernel_named, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts,
     GpuPhaseOutput,
 };
+use crate::grouped;
 use crate::pipeline::BlockTiming;
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
@@ -801,7 +803,7 @@ impl CuBlastp {
         seeds: Option<Vec<BinnedHits>>,
         hooks: &SearchHooks<'_>,
     ) -> Result<CuBlastpResult, SearchError> {
-        self.config.validate()?;
+        self.check_launches(seeds.is_some())?;
         let _search_span = obs::span("search", "host").with_query(self.stream_index);
         // Record which SIMD instruction set the CPU phases dispatch to for
         // this search, and which backend owns the gapped phase (§3.7).
@@ -1013,10 +1015,48 @@ impl CuBlastp {
         Ok(r)
     }
 
-    /// One block's hit phase (kernels 1–3, or the seeded pair) under the
-    /// recovery policy, on whichever thread runs it: a `producer_block`
-    /// span with the width of its wave and whether the caller ran it. A
-    /// panic comes back typed as the GPU side's.
+    /// Refuse, before the first launch, a configuration that leaves one
+    /// of this query's launches without a block shape that fits the
+    /// device: `hit_detection` (which also re-seeds a grouped member's
+    /// block after a fault), `grouped_seeding` when the query is `seeded`
+    /// by a round, `hit_tail`, and the fine gapped kernel under
+    /// [`GappedBackend::Gpu`] — through the footprint function each launch
+    /// calls. The error is [`SearchError::Config`], naming the kernel and
+    /// its bytes, not a device fault: no retry or degradation hides it.
+    pub(crate) fn check_launches(&self, seeded: bool) -> Result<(), SearchError> {
+        self.config.validate()?;
+        let (cfg, device) = (&self.config, &self.device);
+        let qlen = self.query_device.query_len();
+        let mut launches = vec![
+            ("hit_detection", binning::footprint(cfg)),
+            (HIT_TAIL_KERNEL, hit_tail_footprint(device, cfg, qlen, 1).2),
+        ];
+        if seeded {
+            launches.push(("grouped_seeding", grouped::footprint(cfg)));
+        }
+        if cfg.gapped_backend == GappedBackend::Gpu {
+            let fine = gapped_device::footprint(cfg, &self.engine.params);
+            launches.push((FINE_GAPPED_KERNEL, fine));
+        }
+        let unfit = launches.into_iter().find(|(_, l)| !l.fits(device));
+        match unfit {
+            Some((kernel, launch)) => Err(SearchError::config(format!(
+                "{kernel} cannot launch: a block of {} warps and {} B of shared memory \
+                 fits no SM of the device ({} warps, {} B)",
+                launch.warps_per_block,
+                launch.shared_bytes_per_block,
+                device.max_warps_per_sm,
+                device.shared_mem_per_sm,
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// One block's hit phase (`hit_detection` and `hit_tail`, or
+    /// `hit_tail` alone for a seeded block) under the recovery policy, on
+    /// whichever thread runs it: a `producer_block` span with the width of
+    /// its wave and whether the caller ran it. A panic comes back typed as
+    /// the GPU side's.
     fn hit_item(
         &self,
         b: &Block<'_>,
@@ -1183,7 +1223,8 @@ impl CuBlastp {
         }
     }
 
-    /// One block's hit phase (kernels 1–3) under the recovery policy. The
+    /// One block's hit phase (`hit_detection` and `hit_tail`, or `hit_tail`
+    /// alone for a seeded block) under the recovery policy. The
     /// first attempt consumes the block's grouped-round `bins`, if any; a
     /// retry re-seeds through the query's own DFA (per-slot multiset-equal
     /// to the demuxed bins, so output is bit-identical). A fault the
@@ -1891,6 +1932,118 @@ pub(crate) mod tests {
             Case { fault: Fault::Panic, ..Case::default() },
             Case { fault: Fault::Panic, fault_query: 1, ..Case::default() },
         ];
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// Queries of 480–800 residues — half of them on either side of
+        /// `hit_tail`'s two boundaries for an explicit PSSM (496, 752) or
+        /// in the 753–768 that used to bill occupancy 0 — under every
+        /// scoring mode, on every preset and both gapped backends: every
+        /// launch the search makes fits its device, and the report is
+        /// `search_sequential`'s.
+        #[test]
+        fn every_launch_fits_from_480_to_800_residues(
+            qlen in 480usize..=800,
+            edge in 0usize..16,
+            scoring in 0usize..3,
+            preset in 0usize..3,
+            gpu_gapped in 0usize..2,
+        ) {
+            use crate::config::ScoringMode;
+            const EDGES: [usize; 8] = [496, 497, 752, 753, 760, 768, 769, 800];
+            let qlen = EDGES.get(edge).copied().unwrap_or(qlen);
+            let scoring = [ScoringMode::Pssm, ScoringMode::Blosum62, ScoringMode::Auto][scoring];
+            let device = [DeviceConfig::k20c(), DeviceConfig::k40(), DeviceConfig::gtx680()][preset];
+            let q = make_query(qlen);
+            let spec = DbSpec {
+                name: "fit",
+                num_sequences: 12,
+                mean_length: 160,
+                homolog_fraction: 0.5,
+                seed: qlen as u64,
+            };
+            let db = generate_db(&spec, &q).db;
+            let params = SearchParams::default();
+            let want = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db).report;
+            let cfg = CuBlastpConfig {
+                scoring,
+                db_block_size: 8,
+                grid_blocks: 2,
+                gapped_backend: [GappedBackend::Cpu, GappedBackend::Gpu][gpu_gapped],
+                ..Default::default()
+            };
+            let r = CuBlastp::new(q, params, cfg, device, &db).search(&db);
+            let r = r.map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
+            proptest::prop_assert!(r.kernel(HIT_TAIL_KERNEL).is_some());
+            for k in &r.kernels {
+                proptest::prop_assert!(k.occupancy > 0.0, "{} billed at occupancy 0", k.name);
+            }
+            proptest::prop_assert_eq!(r.report.identity_key(), want.identity_key());
+            for (a, b) in r.report.hits.iter().zip(&want.hits) {
+                proptest::prop_assert_eq!(a.evalue.to_bits(), b.evalue.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_launch_no_placement_fits_is_refused_before_the_first_launch() {
+        use gpu_sim::{FaultPlan, FaultSpec};
+        let (q, db) = workload();
+        let params = SearchParams::default();
+        let fits = CuBlastpConfig {
+            num_bins: 1280,
+            db_block_size: 64,
+            ..Default::default()
+        };
+        let device = DeviceConfig::k20c();
+        // One block's injector would fire on the first launch: a refusal
+        // must come before it, so no fault is ever seen.
+        let plan = FaultPlan::none().with(FaultSpec::once(FaultSite::KernelLaunch));
+        for (cfg, kernel) in [
+            (
+                CuBlastpConfig {
+                    num_bins: 1281,
+                    ..fits
+                },
+                "hit_detection",
+            ),
+            (
+                CuBlastpConfig {
+                    warps_per_block: 65,
+                    num_bins: 16,
+                    ..fits
+                },
+                "hit_detection",
+            ),
+            (
+                CuBlastpConfig {
+                    gapped_backend: GappedBackend::Gpu,
+                    warps_per_block: 40,
+                    num_bins: 16,
+                    ..fits
+                },
+                FINE_GAPPED_KERNEL,
+            ),
+        ] {
+            let mut s = CuBlastp::new(q.clone(), params, cfg, device, &db);
+            s.injector = Arc::new(FaultInjector::new(plan.clone()));
+            let err = s.search(&db).expect_err("refused");
+            assert_eq!(err.category(), "config", "{err}");
+            assert!(
+                err.to_string().contains(&format!("{kernel} cannot launch")),
+                "{err}"
+            );
+            assert_eq!(
+                s.injector.injected(),
+                0,
+                "{kernel}: refused before any launch"
+            );
+        }
+        let ok = CuBlastp::new(q, params, fits, device, &db).search(&db);
+        let r = ok.expect("1 280 bins fit");
+        assert!(r.kernels.iter().all(|k| k.occupancy > 0.0));
     }
 
     #[test]

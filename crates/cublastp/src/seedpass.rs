@@ -49,6 +49,23 @@ struct Page {
     keys: Vec<u64>,
 }
 
+/// The launch of a seeding pass under `cfg`: its grid, and the per-warp
+/// bin `top` counters (4 bytes per bin per warp — the §4.1 occupancy
+/// trade-off) on top of `lookup_shared`, what the kernel's look-up keeps
+/// in shared memory. Each seeding kernel's footprint is this with its
+/// look-up ([`crate::binning::footprint`], [`crate::grouped::footprint`]).
+pub(crate) fn footprint(cfg: &CuBlastpConfig, lookup_shared: u32) -> LaunchConfig {
+    let warps_per_block = cfg.warps_per_block.max(1);
+    let counters = u64::from(warps_per_block) * cfg.num_bins as u64 * 4;
+    LaunchConfig {
+        blocks: cfg.grid_blocks.max(1),
+        warps_per_block,
+        shared_bytes_per_block: u32::try_from(u64::from(lookup_shared) + counters)
+            .unwrap_or(u32::MAX),
+        use_readonly_cache: cfg.use_readonly_cache,
+    }
+}
+
 /// Geometry of one seeding launch and its device bin arena.
 pub(crate) struct SeedPass {
     warps_per_block: usize,
@@ -93,30 +110,16 @@ impl SeedPass {
         }
     }
 
-    /// The launch configuration: the per-warp bin `top` counters (4 bytes
-    /// per bin per warp — the §4.1 occupancy trade-off) on top of whatever
-    /// the kernel's look-up keeps in shared memory.
-    fn launch_config(&self, cfg: &CuBlastpConfig, lookup_shared: u32) -> LaunchConfig {
-        LaunchConfig {
-            blocks: cfg.grid_blocks.max(1),
-            warps_per_block: self.warps_per_block as u32,
-            shared_bytes_per_block: lookup_shared
-                + (self.warps_per_block * self.num_bins * 4) as u32,
-            use_readonly_cache: cfg.use_readonly_cache,
-        }
-    }
-
-    /// Launch the pass as kernel `name` over `db` and return each member's
-    /// arena with the launch's stats. `lookup_shared` is what the look-up
-    /// keeps in shared memory; `lookup` and `decode` are
-    /// [`Self::run_block`]'s. Thread blocks run in block order, and each
-    /// one's pages are stitched into the arenas as soon as it is done.
+    /// Launch the pass as kernel `name` at `launch_cfg` (its kernel's
+    /// [`footprint`]) over `db` and return each member's arena with the
+    /// launch's stats. `lookup` and `decode` are [`Self::run_block`]'s.
+    /// Thread blocks run in block order, and each one's pages are stitched
+    /// into the arenas as soon as it is done.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch<'p, P: Copy + 'p>(
         &self,
         device: &DeviceConfig,
-        cfg: &CuBlastpConfig,
-        lookup_shared: u32,
+        launch_cfg: LaunchConfig,
         name: &str,
         db: &DeviceDbBlock,
         ws: &KernelWorkspace,
@@ -138,7 +141,6 @@ impl SeedPass {
             })
             .collect();
         let arenas = RefCell::new(arenas);
-        let launch_cfg = self.launch_config(cfg, lookup_shared);
         let stats = launch(device, launch_cfg, name, |block| {
             let pages = self.run_block(block, db, ws, &lookup, &decode);
             self.stitch(ws, &mut arenas.borrow_mut(), pages);

@@ -119,22 +119,32 @@ impl DeviceConfig {
         self.pcie_latency_us / 1_000.0 + bytes as f64 / (self.pcie_gb_per_s * 1e6)
     }
 
-    /// Achievable occupancy for a launch using `warps_per_block` warps and
-    /// `shared_bytes` of shared memory per block: resident warps over the
-    /// maximum, limited by shared memory, block slots, and warp slots
-    /// (paper §4.1: "more bins use more shared memory … and decrease the
-    /// occupancy of the kernel").
-    pub fn occupancy(&self, warps_per_block: u32, shared_bytes: u32) -> f64 {
+    /// Thread blocks of `warps_per_block` warps and `shared_bytes` of
+    /// shared memory each that one SM holds at once, limited by its warp
+    /// slots, its shared memory and its block slots. This is the one fit
+    /// rule of the simulator: a block shape *fits* the device when at
+    /// least one block of it fits an SM ([`crate::LaunchConfig::fits`]),
+    /// and 0 means a launch of that shape cannot run.
+    pub fn blocks_per_sm(&self, warps_per_block: u32, shared_bytes: u32) -> u32 {
         if warps_per_block == 0 {
-            return 0.0;
+            return 0;
         }
         let by_warps = self.max_warps_per_sm / warps_per_block;
-        let by_shared = if shared_bytes == 0 {
-            self.max_blocks_per_sm
-        } else {
-            self.shared_mem_per_sm / shared_bytes.max(1)
+        let by_shared = match shared_bytes {
+            0 => self.max_blocks_per_sm,
+            bytes => self.shared_mem_per_sm / bytes,
         };
-        let blocks = by_warps.min(by_shared).min(self.max_blocks_per_sm);
+        by_warps.min(by_shared).min(self.max_blocks_per_sm)
+    }
+
+    /// Achievable occupancy for a launch using `warps_per_block` warps and
+    /// `shared_bytes` of shared memory per block: the warps of the
+    /// [`blocks_per_sm`](Self::blocks_per_sm) resident blocks over the
+    /// maximum (paper §4.1: "more bins use more shared memory … and
+    /// decrease the occupancy of the kernel"). 0 for a shape that does
+    /// not fit.
+    pub fn occupancy(&self, warps_per_block: u32, shared_bytes: u32) -> f64 {
+        let blocks = self.blocks_per_sm(warps_per_block, shared_bytes);
         let resident = (blocks * warps_per_block).min(self.max_warps_per_sm);
         resident as f64 / self.max_warps_per_sm as f64
     }
@@ -196,6 +206,36 @@ mod tests {
         assert!(k40.dram_bytes_per_cycle > k20.dram_bytes_per_cycle);
         assert!(gtx.num_sms < k20.num_sms);
         assert_eq!(gtx.readonly_cache_bytes, 0);
+    }
+
+    #[test]
+    fn blocks_per_sm_is_the_fit_and_occupancy_follows_it() {
+        let d = DeviceConfig::k20c();
+        // Block slots, warp slots, shared memory: whichever binds first.
+        assert_eq!(d.blocks_per_sm(1, 0), 16);
+        assert_eq!(d.blocks_per_sm(8, 0), 8);
+        assert_eq!(d.blocks_per_sm(8, 16 * 1024), 3);
+        // Exactly one SM's shared memory fits once; one byte more, never.
+        assert_eq!(d.blocks_per_sm(8, 48 * 1024), 1);
+        assert_eq!(d.blocks_per_sm(8, 48 * 1024 + 1), 0);
+        assert_eq!(d.occupancy(8, 48 * 1024 + 1), 0.0);
+        // More warps than an SM holds, or none, fit nowhere.
+        assert_eq!(d.blocks_per_sm(65, 0), 0);
+        assert_eq!(d.blocks_per_sm(0, 0), 0);
+        let shape = |warps_per_block, shared_bytes_per_block| crate::LaunchConfig {
+            blocks: 4,
+            warps_per_block,
+            shared_bytes_per_block,
+            use_readonly_cache: false,
+        };
+        assert!(shape(8, 48 * 1024).fits(&d) && shape(64, 0).fits(&d));
+        assert!(!shape(8, 48 * 1024 + 1).fits(&d) && !shape(65, 0).fits(&d));
+        for (warps, shared) in [(1, 0), (2, 9000), (8, 24 * 1024), (32, 17 * 1024), (64, 1)] {
+            let blocks = d.blocks_per_sm(warps, shared);
+            assert!(blocks >= 1, "{warps} warps, {shared} B");
+            let occ = (blocks * warps) as f64 / d.max_warps_per_sm as f64;
+            assert_eq!(d.occupancy(warps, shared), occ);
+        }
     }
 
     #[test]

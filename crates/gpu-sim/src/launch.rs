@@ -30,6 +30,15 @@ impl LaunchConfig {
             use_readonly_cache: true,
         }
     }
+
+    /// Whether one block of this shape fits an SM of `device`
+    /// ([`DeviceConfig::blocks_per_sm`]). A launch that does not fit
+    /// cannot run; a kernel that can place its data elsewhere asks this of
+    /// each placement and takes the first that fits, and a search refuses
+    /// a configuration that leaves one of its launches without any.
+    pub fn fits(&self, device: &DeviceConfig) -> bool {
+        device.blocks_per_sm(self.warps_per_block, self.shared_bytes_per_block) >= 1
+    }
 }
 
 /// Launch a kernel: run `kernel` once per block, merge the per-block

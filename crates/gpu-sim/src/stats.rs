@@ -107,7 +107,10 @@ impl KernelStats {
         let throughput = (device.num_sms * device.schedulers_per_sm) as f64;
         // Latency-hiding de-rate: an SM at full occupancy sustains its
         // schedulers; below ~50 % occupancy throughput degrades roughly
-        // linearly. Floor keeps tiny kernels finite.
+        // linearly. The floor binds below occupancy 0.025 — one resident
+        // warp, a one-warp block alone on its SM (DESIGN.md §3.2). A
+        // shape that fits no block (occupancy 0) is refused by the search
+        // before launch; a kernel called directly on one is billed here.
         let occ_factor = (self.occupancy * 2.0).clamp(0.05, 1.0);
         let compute = self.warp_cycles as f64 / (throughput * occ_factor);
         let bandwidth = self.global_transacted_bytes as f64 / device.dram_bytes_per_cycle;
