@@ -106,6 +106,7 @@ fn main() -> ExitCode {
                 &ws,
                 &gpu_sim::FaultInjector::none(),
                 gpu_sim::FaultCtx::default(),
+                None,
             )
             .expect("no faults armed");
             if b_hit_path.is_empty() {

@@ -20,6 +20,14 @@
 //! that pass across members, not by beating the DFA one-on-one (see
 //! DESIGN.md §3.6). Results go to stdout (table) and
 //! `BENCH_grouped_seeding.json` at the repo root.
+//!
+//! An informational `end_to_end` section runs whole batches of 1, 4, 16
+//! and 32 queries once per seed mode and gives each run's host
+//! milliseconds per query (`HostWall`) and device-model milliseconds per
+//! query (`DeviceModel`: kernels, PCIe legs, and under grouped seeding the
+//! rounds' passes and index uploads and the database upload the
+//! per-query path bills to its first query). It asserts nothing and is
+//! not in `phase_medians`, so the perf gate does not read it.
 
 use bench::obsenv;
 use bench::report::{Obj, Report};
@@ -27,11 +35,14 @@ use bench::table::{fmt, print_table};
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
-use cublastp::{search_batch_with, BatchOptions, CuBlastpConfig, SeedMode};
+use cublastp::{search_batch_with, BatchOptions, BatchOutcome, CuBlastpConfig, DeviceDb, SeedMode};
 use gpu_sim::DeviceConfig;
 use std::process::ExitCode;
 
 const BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Batch sizes of the informational end-to-end section.
+const END_TO_END_BATCHES: [usize; 4] = [1, 4, 16, 32];
 
 /// Required amortization at the largest batch size vs the singleton
 /// round (the ISSUE's acceptance threshold).
@@ -47,6 +58,31 @@ struct Row {
     amortization: f64,
 }
 
+/// One end-to-end batch run: both clocks per query.
+struct EndToEnd {
+    batch: usize,
+    mode: &'static str,
+    host_ms_per_query: f64,
+    device_model_ms_per_query: f64,
+}
+
+/// `DeviceModel` milliseconds per query of a batch run: every query's
+/// kernels and PCIe legs, plus under grouped seeding what the batch bills
+/// outside the queries — the rounds' passes, their index uploads and the
+/// database upload (the per-query path bills it to its first query).
+fn device_model_ms_per_query(out: &BatchOutcome, device: &DeviceConfig, upload_ms: f64) -> f64 {
+    let per_query: f64 = (out.per_query.iter().flatten())
+        .map(|r| r.timing.gpu_ms + r.timing.h2d_ms + r.timing.d2h_ms)
+        .sum();
+    let batch = out.grouped.as_ref().map_or(0.0, |g| {
+        let index: f64 = (g.rounds.iter())
+            .map(|r| device.transfer_ms(r.index_upload_bytes))
+            .sum();
+        g.total_seeding_ms() + index + upload_ms
+    });
+    (per_query + batch) / out.per_query.len() as f64
+}
+
 fn main() -> ExitCode {
     let scale = bench_scale();
     obsenv::arm_from_env();
@@ -56,12 +92,13 @@ fn main() -> ExitCode {
     // Moderate query lengths (48..=78): the regime where a group's
     // combined neighborhood still fits one index round at the default
     // budget, so batch 16 is a single 16-member round.
-    let queries: Vec<_> = (0..*BATCH_SIZES.last().unwrap())
+    let queries: Vec<_> = (0..*END_TO_END_BATCHES.last().unwrap())
         .map(|i| query(48 + 2 * i))
         .collect();
 
     let mut report = Report::new("grouped_seeding");
     let mut sections: Vec<(String, Vec<Row>)> = Vec::new();
+    let mut end_to_end: Vec<(String, Vec<EndToEnd>)> = Vec::new();
     let mut medians = Obj::new();
     for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
         let db = database(preset, &queries[0]);
@@ -164,6 +201,33 @@ fn main() -> ExitCode {
             o.fixed(format!("amortized_b{}", r.batch), r.amortized, 6)
         });
         medians = medians.obj(name.as_str(), phases);
+
+        let upload_ms: f64 = (DeviceDb::upload(&db, cfg.db_block_size).blocks().iter())
+            .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
+            .sum();
+        let mut runs = Vec::new();
+        for batch in END_TO_END_BATCHES {
+            for (mode, seed_mode) in [
+                ("per-query", SeedMode::PerQuery),
+                ("grouped", SeedMode::Grouped),
+            ] {
+                let opts = BatchOptions {
+                    seed_mode,
+                    ..Default::default()
+                };
+                let out = search_batch_with(&queries[..batch], params, cfg, device, &db, opts);
+                if out.succeeded() != batch {
+                    report.fail(format_args!("{name} batch {batch} {mode}: a query failed"));
+                }
+                runs.push(EndToEnd {
+                    batch,
+                    mode,
+                    host_ms_per_query: out.wall_ms / batch as f64,
+                    device_model_ms_per_query: device_model_ms_per_query(&out, &device, upload_ms),
+                });
+            }
+        }
+        end_to_end.push((name.clone(), runs));
         sections.push((name, rows));
     }
 
@@ -196,6 +260,29 @@ fn main() -> ExitCode {
         );
     }
 
+    for (name, runs) in &end_to_end {
+        print_table(
+            &format!("End to end — {name} (ms per query, k20c; informational)"),
+            &[
+                "batch",
+                "seed mode",
+                "host (HostWall)",
+                "device (DeviceModel)",
+            ],
+            &runs
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.batch.to_string(),
+                        r.mode.to_string(),
+                        format!("{:.3}", r.host_ms_per_query),
+                        format!("{:.5}", r.device_model_ms_per_query),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+    }
+
     let presets = sections
         .iter()
         .map(|(name, rows)| {
@@ -220,6 +307,23 @@ fn main() -> ExitCode {
             .text("device", "k20c")
             .num("scale", scale)
             .obj("phase_medians", medians)
-            .rows("presets", presets),
+            .rows("presets", presets)
+            .rows("end_to_end", end_to_end_rows(&end_to_end)),
     )
+}
+
+/// The `end_to_end` JSON rows: one per preset, batch and seed mode.
+fn end_to_end_rows(end_to_end: &[(String, Vec<EndToEnd>)]) -> Vec<Obj> {
+    (end_to_end.iter())
+        .flat_map(|(name, runs)| {
+            runs.iter().map(move |r| {
+                Obj::new()
+                    .text("db", name)
+                    .int("batch", r.batch as u64)
+                    .text("seed_mode", r.mode)
+                    .fixed("host_ms_per_query", r.host_ms_per_query, 3)
+                    .fixed("device_model_ms_per_query", r.device_model_ms_per_query, 6)
+            })
+        })
+        .collect()
 }

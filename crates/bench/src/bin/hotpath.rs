@@ -160,8 +160,8 @@ struct ObsRow {
     armed_ms: f64,
     /// `(disarmed − plain) / plain` of the best-of-[`AB_REPS`] times above.
     overhead_pct: f64,
-    /// The same estimator between two plain series: what it reads when
-    /// there is nothing to measure.
+    /// The range, over the interleaved reps, of the gap between two plain
+    /// runs of one rep: how far apart two readings of nothing land.
     noise_floor_pct: f64,
 }
 
@@ -218,21 +218,24 @@ fn main() -> ExitCode {
         // armed. Disarmed-vs-plain is the overhead contract; armed is
         // informational. The variants are interleaved within each rep so
         // slow drift (thermal, cache pressure) hits all of them alike,
-        // and best-of filters the rest. A second plain series runs
-        // alongside: the estimator applied to plain-vs-plain is its noise
-        // floor on this host.
+        // and best-of filters the rest. Every rep runs the plain loop
+        // twice: the spread of those plain-vs-plain gaps over the reps is
+        // the noise floor on this host.
         let was_tracing = obs::tracing_enabled();
         let was_metrics = obs::metrics_enabled();
-        let [mut plain_ms, mut plain_b_ms, mut disarmed_ms, mut armed_ms] = [f64::INFINITY; 4];
+        let [mut plain_ms, mut disarmed_ms, mut armed_ms] = [f64::INFINITY; 3];
+        let mut gaps = Vec::with_capacity(AB_REPS);
         obs::disarm();
         // One untimed warmup so the first timed variant does not absorb
         // the cold caches left by the modelled pass.
         let _ = w.plain_batch();
         for _ in 0..AB_REPS {
             obs::disarm();
-            plain_ms = plain_ms.min(w.plain_batch());
+            let plain = w.plain_batch();
             disarmed_ms = disarmed_ms.min(w.spanned_batch());
-            plain_b_ms = plain_b_ms.min(w.plain_batch());
+            let plain_b = w.plain_batch();
+            plain_ms = plain_ms.min(plain);
+            gaps.push(100.0 * (plain_b - plain) / plain);
             obs::arm(true, true);
             armed_ms = armed_ms.min(w.spanned_batch());
         }
@@ -243,17 +246,18 @@ fn main() -> ExitCode {
         if !was_tracing {
             obs::take_trace();
         }
-        // One estimator: the gap between the best-of-AB_REPS times, which
+        // The overhead is the gap between the best-of-AB_REPS times, which
         // are the two numbers printed beside it. A disarmed span is one
         // relaxed atomic load — nanoseconds against a hundreds-of-ms
         // workload — so a reading inside the noise floor is a zero.
+        let spread = |f: fn(f64, f64) -> f64, from| gaps.iter().copied().fold(from, f);
         obs_rows.push(ObsRow {
             preset: preset.name(),
             plain_ms,
             disarmed_ms,
             armed_ms,
             overhead_pct: 100.0 * (disarmed_ms - plain_ms) / plain_ms,
-            noise_floor_pct: 100.0 * (plain_b_ms - plain_ms).abs() / plain_ms,
+            noise_floor_pct: spread(f64::max, f64::NEG_INFINITY) - spread(f64::min, f64::INFINITY),
         });
     }
 
@@ -280,6 +284,7 @@ fn main() -> ExitCode {
             "armed",
             "disarmed overhead",
             "noise floor",
+            "reading",
         ],
         &obs_rows
             .iter()
@@ -290,7 +295,13 @@ fn main() -> ExitCode {
                     format!("{:.2}", r.disarmed_ms),
                     format!("{:.2}", r.armed_ms),
                     format!("{:+.2}%", r.overhead_pct),
-                    format!("±{:.2}%", r.noise_floor_pct),
+                    format!("{:.2}%", r.noise_floor_pct),
+                    if r.overhead_pct.abs() <= r.noise_floor_pct {
+                        "within noise"
+                    } else {
+                        "above noise"
+                    }
+                    .to_string(),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -446,12 +446,15 @@ impl Server {
             cv: Condvar::new(),
             current: Mutex::new(Arc::new(first)),
             params,
-            // One thread per request, whatever the caller asked for: the
-            // workers are the server's parallelism, sized by
+            // One search thread per request, whatever the caller asked
+            // for: the workers are the server's parallelism, sized by
             // `ServeConfig::workers`. A request that also fanned its CPU
             // tail out over `cpu_threads` helpers would oversubscribe the
-            // cores the other workers are counted on, and put a thread
-            // start and its wake-ups inside every request's latency.
+            // cores the other workers are counted on, and put thread
+            // starts and their wake-ups inside every request's latency.
+            // Under overlap a request still starts one helper, which runs
+            // a light tail beside the next block's hit phase (DESIGN.md
+            // §3.13, one helper at threads 1), so it runs on at most two.
             search_cfg: CuBlastpConfig {
                 cpu_threads: 1,
                 ..search_cfg

@@ -9,17 +9,20 @@
 //! 64-bit element (Fig. 7) is written into the bin in global memory.
 //!
 //! Host-side the bins are one flat **hit arena** in CSR form — a single
-//! `keys` buffer with `offsets[slot]..offsets[slot + 1]` delimiting bin
-//! `slot` (slot = `warp * num_bins + bin`) — mirroring the device layout
-//! instead of contradicting it with ragged `Vec<Vec<u64>>` bins. Each
-//! simulated block records its hits in detection order and counts them per
-//! slot as it goes; as soon as the block is done, the host lays its counts
-//! after those of the blocks before it and drops every key into its bin —
-//! one copy, stable — so a launch holds one block's pages at a time. That
-//! body — the block's walk over its sequences, the serialized hit rounds,
-//! the stitch — is the private `seedpass` module, shared with the grouped
-//! kernel; this file supplies the DFA look-up, one run of the position
-//! table per lane. All scratch is pooled in a [`KernelWorkspace`].
+//! `keys` buffer with `offsets[s]..offsets[s + 1]` delimiting segment `s`
+//! — mirroring the device layout instead of contradicting it with ragged
+//! `Vec<Vec<u64>>` bins. A segment is one bin that holds hits; empty bins
+//! are never stored, and segments follow slot order (slot = `warp *
+//! num_bins + bin`), so the arena is already what the segmented sort
+//! streams. Each simulated block records its hits in detection order and
+//! counts them per slot as it goes; as soon as the block is done, the host
+//! lays its non-empty slots after the segments of the blocks before it and
+//! drops every key into its bin — one copy, stable — so a launch holds one
+//! block's pages at a time. That body — the block's walk over its
+//! sequences, the serialized hit rounds, the stitch — is the private
+//! `seedpass` module, shared with the grouped kernel; this file supplies
+//! the DFA look-up, one run of the position table per lane. All scratch
+//! is pooled in a [`KernelWorkspace`].
 //!
 //! Hierarchical buffering (§3.5, Fig. 10): the DFA state table lives in
 //! shared memory; the query-position lists are fetched through the
@@ -39,39 +42,28 @@ use gpu_sim::{DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig};
 /// protein query fits in a few kilobytes).
 pub const DFA_STATES_SHARED_BYTES: u32 = 8 * 1024;
 
-/// Output of the binning kernel: the flat hit arena. Packed hits of bin
-/// `slot` (slot = `warp * num_bins + bin`) sit in
-/// `keys[offsets[slot]..offsets[slot + 1]]`, in detection order —
-/// interleaved across diagonals, exactly the Fig. 5 situation the sorting
-/// kernel exists to fix.
+/// The hit arena — what the seeding kernels write and every hit-reordering
+/// stage reads. Packed hits of segment `s` sit in
+/// `keys[offsets[s]..offsets[s + 1]]`, in detection order — interleaved
+/// across diagonals, exactly the Fig. 5 situation the sorting kernel
+/// exists to fix. A segment is one bin that holds hits; segments follow
+/// slot order (slot = `warp * num_bins + bin`), and no segment is empty.
 pub struct BinnedHits {
-    /// CSR bin boundaries: `num_warps * num_bins + 1` entries.
+    /// CSR segment boundaries: a leading 0, then the end of every
+    /// non-empty bin — at most `total_hits + 1` entries.
     pub offsets: Vec<u32>,
-    /// All packed hits, grouped by bin slot.
+    /// All packed hits, grouped by segment.
     pub keys: Vec<u64>,
-    /// Bins per warp.
-    pub num_bins: usize,
-    /// Total warps that participated.
-    pub num_warps: usize,
     /// Total hits detected.
     pub total_hits: u64,
 }
 
 impl BinnedHits {
-    /// Number of bin slots (`num_warps * num_bins`).
-    pub fn num_slots(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Packed hits of bin `slot`.
-    #[inline]
-    pub fn bin(&self, slot: usize) -> &[u64] {
-        &self.keys[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
-    }
-
-    /// Iterate all hits (unordered across bins).
-    pub fn iter_hits(&self) -> impl Iterator<Item = u64> + '_ {
-        self.keys.iter().copied()
+    /// The segments as slices of the flat buffer, in slot order.
+    pub fn segments(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.keys[w[0] as usize..w[1] as usize])
     }
 
     /// Return the arena buffers to the workspace they were drawn from.
@@ -134,9 +126,45 @@ pub fn binning_kernel(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::hitpack::{self, pack};
+    use crate::hitpack::{diagonal, pack, seq_id};
+
+    /// An arena of the given bins in order; empty bins are not stored, as
+    /// the seeding kernels store none.
+    pub(crate) fn arena(bins: &[Vec<u64>]) -> BinnedHits {
+        let mut keys = Vec::new();
+        let mut offsets = vec![0u32];
+        for bin in bins.iter().filter(|b| !b.is_empty()) {
+            keys.extend_from_slice(bin);
+            offsets.push(keys.len() as u32);
+        }
+        BinnedHits {
+            offsets,
+            total_hits: keys.len() as u64,
+            keys,
+        }
+    }
+
+    /// Each segment's slot in a launch of `num_warps` warps and `num_bins`
+    /// bins (warp = sequence mod `num_warps`, bin = diagonal mod
+    /// `num_bins`), asserting that every key of a segment names the same
+    /// slot.
+    pub(crate) fn segment_slots(
+        bins: &BinnedHits,
+        num_warps: usize,
+        num_bins: usize,
+    ) -> Vec<usize> {
+        let slot =
+            |k: u64| (seq_id(k) as usize % num_warps) * num_bins + diagonal(k) as usize % num_bins;
+        bins.segments()
+            .map(|seg| {
+                let s = slot(seg[0]);
+                assert!(seg.iter().all(|&k| slot(k) == s), "segment spans slots");
+                s
+            })
+            .collect()
+    }
     use bio_seq::generate::make_query;
     use bio_seq::Sequence;
     use blast_core::{Dfa, Matrix, Pssm, SearchParams};
@@ -181,12 +209,11 @@ mod tests {
         };
         let ws = KernelWorkspace::new();
         let (bins, stats) = binning_kernel(&DeviceConfig::k20c(), &cfg, &dq, &db, &ws);
-        let mut got: Vec<u64> = bins.iter_hits().collect();
+        let mut got = bins.keys.clone();
         got.sort_unstable();
         let want = reference_hits(&dq, &db);
         assert_eq!(got, want);
         assert_eq!(bins.total_hits as usize, want.len());
-        assert_eq!(bins.num_slots(), bins.num_warps * bins.num_bins);
         assert!(stats.warp_cycles > 0);
         assert!(stats.atomic_ops >= bins.total_hits);
     }
@@ -206,10 +233,61 @@ mod tests {
         };
         let ws = KernelWorkspace::new();
         let (bins, _) = binning_kernel(&DeviceConfig::k20c(), &cfg, &dq, &db, &ws);
-        for slot in 0..bins.num_slots() {
-            let bin_id = slot % bins.num_bins;
-            for &e in bins.bin(slot) {
-                assert_eq!(hitpack::diagonal(e) as usize % bins.num_bins, bin_id);
+        assert!(bins.total_hits > 0);
+        // One warp: a segment's slot is its keys' diagonal bin, and the
+        // bins follow each other in slot order.
+        let slots = segment_slots(&bins, 1, 8);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "{slots:?}");
+    }
+
+    /// The arena of `binning_kernel` and of every member of
+    /// `grouped_seeding_kernel` stores only the bins that hold hits, in
+    /// slot order: no empty segment, at most `total_hits + 1` boundaries,
+    /// and slots strictly rising — however many slots the launch has.
+    #[test]
+    fn arena_stores_only_bins_that_hold_hits() {
+        use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
+        let subjects: Vec<Sequence> = (0..30)
+            .map(|k| {
+                Sequence::from_residues(format!("s{k}"), make_query(40 + k * 9).residues().to_vec())
+            })
+            .collect();
+        let (dq, db) = setup(64, subjects);
+        let others: Vec<DeviceQuery> = [23, 90].iter().map(|&l| setup(l, vec![]).0).collect();
+        let d = DeviceConfig::k20c();
+        let ws = KernelWorkspace::new();
+        let check = |bins: &BinnedHits, cfg: &CuBlastpConfig| {
+            let num_warps = (cfg.grid_blocks * cfg.warps_per_block) as usize;
+            assert!(bins.total_hits > 0);
+            assert_eq!(*bins.offsets.last().unwrap() as u64, bins.total_hits);
+            assert!(bins.offsets.len() as u64 <= bins.total_hits + 1);
+            assert!(bins.segments().all(|seg| !seg.is_empty()), "empty segment");
+            let slots = segment_slots(bins, num_warps, cfg.num_bins);
+            assert!(slots.windows(2).all(|w| w[0] < w[1]), "{slots:?}");
+        };
+        // The default launch has 26 624 slots; the others mask (16 bins)
+        // and divide (24) the diagonal.
+        for cfg in [
+            CuBlastpConfig::default(),
+            CuBlastpConfig {
+                grid_blocks: 3,
+                warps_per_block: 2,
+                num_bins: 16,
+                ..Default::default()
+            },
+            CuBlastpConfig {
+                grid_blocks: 2,
+                warps_per_block: 4,
+                num_bins: 24,
+                ..Default::default()
+            },
+        ] {
+            let (bins, _) = binning_kernel(&d, &cfg, &dq, &db, &ws);
+            check(&bins, &cfg);
+            let group = DeviceGroupIndex::upload(&[&others[0], &dq, &others[1]]);
+            let (members, _) = grouped_seeding_kernel(&d, &cfg, &group, &db, &ws);
+            for member in &members {
+                check(member, &cfg);
             }
         }
     }
@@ -242,8 +320,9 @@ mod tests {
         let ws = KernelWorkspace::new();
         let (bins, _) = binning_kernel(&DeviceConfig::k20c(), &cfg, &dq, &db, &ws);
         assert_eq!(bins.total_hits, 0);
-        assert_eq!(bins.num_slots(), bins.num_warps * bins.num_bins);
-        assert!(bins.offsets.iter().all(|&o| o == 0));
+        assert!(bins.keys.is_empty());
+        assert_eq!(bins.offsets, [0], "no segment");
+        assert_eq!(bins.segments().count(), 0);
     }
 
     #[test]

@@ -147,7 +147,9 @@ pub struct CuBlastpConfig {
     /// `CuBlastpResult::tail_threads_ran` says how many threads ran a
     /// block's tail. A block whose gapped phase is cheaper than waking a
     /// helper runs it on one thread (`search::HELPER_MIN_SEED_SCORE`), and
-    /// the server pins this to 1: its workers are its parallelism.
+    /// the server pins this to 1: its workers are its parallelism. At 1 an
+    /// overlapped search still starts one helper, which runs a light tail
+    /// beside the next block's hit phase: two threads, not one.
     pub cpu_threads: usize,
     /// Overlap CPU phases and transfers with GPU kernels (Fig. 12): the
     /// search's threads run a *wave* of blocks' hit phases — the first on

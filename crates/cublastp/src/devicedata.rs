@@ -22,11 +22,17 @@ static FLATTEN_COUNT: AtomicU64 = AtomicU64::new(0);
 /// [`flatten_count`]: the image load path is observable through it.
 static MAPPED_BLOCK_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// Held by the unit tests that map an image: they assert exact deltas of
-/// the process-global map / unmap counters, and cargo runs tests on
-/// parallel threads.
+/// Held by the unit test that asserts an exact delta of the
+/// process-global unmap counter: cargo runs tests on parallel threads.
 #[cfg(test)]
 pub(crate) static IMAGE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's flattens and mapped blocks: the process counters
+    /// above also count whatever tests on other threads upload.
+    static ON_THIS_THREAD: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
 
 /// Current value of the flatten counter.
 pub fn flatten_count() -> u64 {
@@ -110,6 +116,8 @@ impl DeviceDbBlock {
     /// Flatten a slice of sequences into device layout.
     pub fn upload(sequences: &[Sequence], base_index: usize) -> Self {
         FLATTEN_COUNT.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        ON_THIS_THREAD.with(|n| n.set((n.get().0 + 1, n.get().1)));
         let total: usize = sequences.iter().map(|s| s.len()).sum();
         let mut residues = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(sequences.len() + 1);
@@ -141,6 +149,8 @@ impl DeviceDbBlock {
         base_index: usize,
     ) -> Self {
         MAPPED_BLOCK_COUNT.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        ON_THIS_THREAD.with(|n| n.set((n.get().0, n.get().1 + 1)));
         debug_assert_eq!(offsets.last().copied(), Some(range.len()));
         let max_seq_len = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         let base = gpu_sim::memory::virtual_alloc(range.len() as u64);
@@ -412,7 +422,6 @@ mod tests {
 
     #[test]
     fn from_image_matches_upload_without_flattening() {
-        let _counters = IMAGE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let db = tiny_db();
         let img = cublastp_db::DbImage::from_bytes(cublastp_db::build_to_vec(&db, 3), "test")
             .expect("valid image");
@@ -422,15 +431,12 @@ mod tests {
         for (seqs, blocks) in [(0..7, 3), (2..7, 2)] {
             let range = SequenceDb::new("range", db.sequences()[seqs.clone()].to_vec());
             let uploaded = DeviceDb::upload(&range, 3);
-            let flattens_before = flatten_count();
-            let mapped_before = mapped_block_count();
+            // Counted on this thread: tests beside this one upload too.
+            let (flattens_before, mapped_before) = ON_THIS_THREAD.get();
             let mapped = DeviceDb::from_image(&img, seqs);
-            assert_eq!(
-                flatten_count(),
-                flattens_before,
-                "image load must not flatten"
-            );
-            assert_eq!(mapped_block_count(), mapped_before + blocks);
+            let (flattens, mapped_blocks) = ON_THIS_THREAD.get();
+            assert_eq!(flattens, flattens_before, "image load must not flatten");
+            assert_eq!(mapped_blocks, mapped_before + blocks);
             assert!(mapped.is_mapped());
             assert!(!uploaded.is_mapped());
             assert_eq!(mapped.num_blocks(), uploaded.num_blocks());

@@ -583,17 +583,17 @@ pub struct HitTail {
 /// task is one hit, has no such group). DESIGN.md §3.2 has the billing
 /// rule; the extensions, their order and the counts equal the staged
 /// path's (`reorder_kernel` then [`extension_kernel`]). Where the table
-/// and the survivors live is [`hit_tail_footprint`]'s call.
+/// and the survivors live is `hit_tail_footprint`'s call.
 pub fn hit_tail_kernel(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
     query: &DeviceQuery,
     db: &DeviceDbBlock,
-    binned: BinnedHits,
+    mut hits: BinnedHits,
     params: &SearchParams,
     ws: &KernelWorkspace,
 ) -> HitTail {
-    let (hits, k_sort) = sorted_tiles(device, binned, HIT_TAIL_KERNEL, ws);
+    let k_sort = sorted_tiles(device, &mut hits, HIT_TAIL_KERNEL, ws);
     let keys = &hits.keys[..];
     let (walk, table, launch_cfg) =
         hit_tail_footprint(device, cfg, query.query_len(), tiles(keys.len()));
@@ -1227,22 +1227,6 @@ mod tests {
         v
     }
 
-    fn binned(bins: &[Vec<u64>]) -> BinnedHits {
-        let mut offsets = vec![0u32];
-        let mut keys = Vec::new();
-        for b in bins {
-            keys.extend_from_slice(b);
-            offsets.push(keys.len() as u32);
-        }
-        BinnedHits {
-            offsets,
-            total_hits: keys.len() as u64,
-            keys,
-            num_bins: bins.len(),
-            num_warps: 1,
-        }
-    }
-
     /// One generated case of the fused-tail tests.
     #[derive(Debug, Clone)]
     struct TailCase {
@@ -1338,7 +1322,7 @@ mod tests {
             let p = self.params();
             let (filtered, k_reorder) = crate::reorder::reorder_kernel(
                 d,
-                binned(&self.bins()),
+                crate::binning::tests::arena(&self.bins()),
                 p.two_hit,
                 p.two_hit_window as i64,
                 &ws,
@@ -1363,7 +1347,7 @@ mod tests {
                 &self.cfg(),
                 &f.query,
                 &f.db,
-                binned(&self.bins()),
+                crate::binning::tests::arena(&self.bins()),
                 &self.params(),
                 &ws,
             )

@@ -392,6 +392,7 @@ mod tests {
             &gpu_sim::KernelWorkspace::new(),
             &gpu_sim::FaultInjector::none(),
             gpu_sim::FaultCtx::default(),
+            None,
         )
         .expect("no faults armed");
         (q, dq, db, p, out.extensions)

@@ -145,6 +145,7 @@ mod tests {
             &gpu_sim::KernelWorkspace::new(),
             &gpu_sim::FaultInjector::none(),
             gpu_sim::FaultCtx::default(),
+            None,
         )
         .expect("no faults armed");
         (dq, db, p, out.extensions)

@@ -199,10 +199,20 @@ pub(crate) fn kernel_label(name: &str) -> &'static str {
         .unwrap_or("kernel")
 }
 
-/// Run the two hit-path kernels over one uploaded database block.
-/// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
-/// comes from `ws` and is returned to it before the call ends, so a warm
-/// workspace makes the whole phase allocation-free on the host.
+/// Run the two hit-path kernels over one uploaded database block:
+/// hit detection with binning, then hit reordering and ungapped extension
+/// as one launch, [`hit_tail_kernel`], plus the D2H leg and the phase's
+/// metrics. Hit-path scratch (arena pages, sort ping-pong, compaction
+/// buffers) comes from `ws` and is returned to it before the call ends, so
+/// a warm workspace makes the whole phase allocation-free on the host.
+///
+/// `seeded` is the block's seed source. `None` runs kernel 1 through the
+/// query's own DFA. `Some(bins)` is this query's demuxed arena of a
+/// grouped seeding pass over the block: kernel 1 does not launch and has
+/// no entry in the output's `kernels` — the pass is a round-level cost
+/// the batch timeline bills once, not to each member. Either way the
+/// arena holds that query's hits in the one arena format, so downstream
+/// semantics are identical by construction.
 ///
 /// The `injector` is consulted at every fault site a real driver could
 /// fail at — scratch allocation, workspace checkout, each transfer leg,
@@ -212,25 +222,6 @@ pub(crate) fn kernel_label(name: &str) -> &'static str {
 /// recovery layer above can retry or degrade.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gpu_phase(
-    device: &DeviceConfig,
-    cfg: &CuBlastpConfig,
-    query: &DeviceQuery,
-    db: &DeviceDbBlock,
-    params: &SearchParams,
-    ws: &KernelWorkspace,
-    injector: &FaultInjector,
-    ctx: FaultCtx,
-) -> Result<GpuPhaseOutput, DeviceError> {
-    run_seeded_phase(device, cfg, query, db, params, ws, injector, ctx, None)
-}
-
-/// [`run_gpu_phase`] with the block's seed source explicit. `None` runs
-/// kernel 1 through the query's own DFA. `Some(bins)` is this query's
-/// demuxed slice of a grouped seeding pass over the block: kernel 1 does
-/// not launch and has no entry in the output's `kernels` — the pass is a
-/// round-level cost the batch timeline bills once, not to each member.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_seeded_phase(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
     query: &DeviceQuery,
@@ -265,32 +256,6 @@ pub(crate) fn run_seeded_phase(
             (binned, Some(k_bin))
         }
     };
-
-    run_gpu_tail(
-        device, cfg, query, db, params, ws, injector, ctx, binned, k_bin,
-    )
-}
-
-/// Hit reordering and ungapped extension over an already-binned hit
-/// arena — one launch, [`hit_tail_kernel`] — plus the D2H leg and the
-/// phase's metrics. The per-query path
-/// feeds this the `binning_kernel` arena; the grouped path feeds it one
-/// member's demuxed slice of a grouped seeding pass — either way `binned`
-/// holds that query's hits in the standard arena shape, so downstream
-/// semantics are identical by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_gpu_tail(
-    device: &DeviceConfig,
-    cfg: &CuBlastpConfig,
-    query: &DeviceQuery,
-    db: &DeviceDbBlock,
-    params: &SearchParams,
-    ws: &KernelWorkspace,
-    injector: &FaultInjector,
-    ctx: FaultCtx,
-    binned: BinnedHits,
-    k_bin: Option<KernelStats>,
-) -> Result<GpuPhaseOutput, DeviceError> {
     let hits = binned.total_hits;
 
     // Kernel 2: gather the bins, segmented-sort the packed keys, drop the
@@ -497,6 +462,7 @@ mod tests {
             &KernelWorkspace::new(),
             &FaultInjector::none(),
             FaultCtx::default(),
+            None,
         )
         .expect("no faults armed")
     }
@@ -639,6 +605,7 @@ mod tests {
                 &KernelWorkspace::new(),
                 &inj,
                 FaultCtx::block(0),
+                None,
             )
             .expect_err("armed fault must surface");
             assert_eq!(inj.injected(), 1, "site {}", site.name());
@@ -652,6 +619,7 @@ mod tests {
                 &KernelWorkspace::new(),
                 &inj,
                 FaultCtx::block(0),
+                None,
             )
             .unwrap_or_else(|e| panic!("site {} must clear, got {e}", site.name()));
             let _ = err;
@@ -679,6 +647,7 @@ mod tests {
             &KernelWorkspace::new(),
             &inj,
             FaultCtx::block(0),
+            None,
         )
         .expect("fault scoped to block 2 must not fire on block 0");
         // Block 2 fails, naming the first kernel launch.
@@ -691,6 +660,7 @@ mod tests {
             &KernelWorkspace::new(),
             &inj,
             FaultCtx::block(2),
+            None,
         )
         .expect_err("scoped fault must fire on block 2");
         assert_eq!(
@@ -741,6 +711,7 @@ mod tests {
             &KernelWorkspace::new(),
             &FaultInjector::none(),
             FaultCtx::default(),
+            None,
         )
         .expect("no faults armed");
         assert_eq!(out.counts.hits, 0);

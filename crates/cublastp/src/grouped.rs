@@ -26,12 +26,13 @@
 //! The **demux is the scatter itself**: every detected hit carries its
 //! group-local member, and the shared pass groups hits per member into
 //! the flat CSR arena pages — same slot formula
-//! (`warp * num_bins + diagonal % num_bins`), same packed key. Each
-//! member's arena holds exactly the multiset of hits the per-query DFA
-//! scan finds (the within-bin order differs, which downstream sorting is
-//! insensitive to — see `reorder`), so binning, sorting, filtering,
-//! extension, and reporting run unchanged and per-query output stays
-//! bit-identical.
+//! (`warp * num_bins + diagonal % num_bins`), same packed key, and, as
+//! for every arena, one segment per bin that holds hits. Each member's
+//! arena has the per-query arena's segments, each holding the multiset of
+//! hits the per-query DFA scan finds in that bin (the within-segment
+//! order differs, which downstream sorting is insensitive to — see
+//! `reorder`), so sorting, filtering, extension, and reporting run
+//! unchanged and per-query output stays bit-identical.
 
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
@@ -173,10 +174,10 @@ pub fn grouped_seeding_kernel(
 mod tests {
     use super::*;
     use crate::binning::binning_kernel;
+    use crate::binning::tests::segment_slots;
     use bio_seq::generate::make_query;
     use bio_seq::Sequence;
     use blast_core::{Dfa, Matrix, Pssm, SearchParams};
-    use std::collections::HashMap;
 
     fn device_query(qlen: usize) -> DeviceQuery {
         let q = make_query(qlen);
@@ -194,16 +195,16 @@ mod tests {
             .collect()
     }
 
-    /// Per-slot hit multiset: (slot, sorted keys in slot).
-    fn slot_multisets(bins: &BinnedHits) -> HashMap<usize, Vec<u64>> {
-        (0..bins.num_slots())
-            .filter(|&s| !bins.bin(s).is_empty())
-            .map(|s| {
-                let mut v = bins.bin(s).to_vec();
-                v.sort_unstable();
-                (s, v)
-            })
-            .collect()
+    /// Per-segment hit multisets, in segment order: the segment boundaries
+    /// and each segment's keys, sorted.
+    fn segment_multisets(bins: &BinnedHits) -> (Vec<u32>, Vec<u64>) {
+        let mut keys = Vec::with_capacity(bins.keys.len());
+        for seg in bins.segments() {
+            let from = keys.len();
+            keys.extend_from_slice(seg);
+            keys[from..].sort_unstable();
+        }
+        (bins.offsets.clone(), keys)
     }
 
     #[test]
@@ -231,11 +232,17 @@ mod tests {
                 grouped[m].total_hits, solo.total_hits,
                 "member {m} hit count"
             );
-            assert_eq!(grouped[m].num_slots(), solo.num_slots());
+            let warps = (cfg.grid_blocks * cfg.warps_per_block) as usize;
+            let slots = |b: &BinnedHits| segment_slots(b, warps, cfg.num_bins);
             assert_eq!(
-                slot_multisets(&grouped[m]),
-                slot_multisets(&solo),
-                "member {m}: per-slot hit multisets must match the per-query path"
+                slots(&grouped[m]),
+                slots(&solo),
+                "member {m}: segment slots"
+            );
+            assert_eq!(
+                segment_multisets(&grouped[m]),
+                segment_multisets(&solo),
+                "member {m}: per-segment hit multisets must match the per-query path"
             );
         }
     }
@@ -255,7 +262,7 @@ mod tests {
         let group = DeviceGroupIndex::upload(&[&q]);
         let (grouped, _) = grouped_seeding_kernel(&d, &cfg, &group, &db, &ws);
         let (solo, _) = binning_kernel(&d, &cfg, &q, &db, &ws);
-        assert_eq!(slot_multisets(&grouped[0]), slot_multisets(&solo));
+        assert_eq!(segment_multisets(&grouped[0]), segment_multisets(&solo));
     }
 
     #[test]
@@ -396,6 +403,6 @@ mod tests {
         let (bins, _) = grouped_seeding_kernel(&DeviceConfig::k20c(), &cfg, &group, &db, &ws);
         assert_eq!(bins.len(), 1);
         assert_eq!(bins[0].total_hits, 0);
-        assert!(bins[0].offsets.iter().all(|&o| o == 0));
+        assert_eq!(bins[0].offsets, [0], "no segment");
     }
 }

@@ -34,7 +34,7 @@ use crate::error::{PipelineError, SearchError};
 use crate::executor::{execute, Plan, ShardView};
 use crate::extension::HIT_TAIL_KERNEL;
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
-use crate::gpu_phase::{pipeline_rank, run_seeded_phase, GpuPhaseCounts};
+use crate::gpu_phase::{pipeline_rank, run_gpu_phase, GpuPhaseCounts};
 use crate::search::{
     meet, Clock, CuBlastpResult, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET,
 };
@@ -591,9 +591,8 @@ fn by_kernel(case: &Case, query: usize) -> ByKernel {
             for (_, block) in view.dev.blocks() {
                 let ctx = FaultCtx::default();
                 let (q, ws) = (&s.query_device, &s.workspace);
-                let hit =
-                    run_seeded_phase(&device, &config, q, block, &params, ws, &none, ctx, None)
-                        .expect("no fault armed");
+                let hit = run_gpu_phase(&device, &config, q, block, &params, ws, &none, ctx, None)
+                    .expect("no fault armed");
                 // A record crosses the link as 20 bytes.
                 assert_eq!(hit.download_bytes, hit.counts.triggered * 20);
                 let c = &hit.counts;

@@ -8,7 +8,8 @@
 //!
 //! 1. **Assembling** (Fig. 6a) — gather the ragged bins into one
 //!    contiguous array so the segmented sort can stream them at full
-//!    throughput.
+//!    throughput. Host-side the seeding kernels already write that array
+//!    (below), so assembling is billed on the modelled device only.
 //! 2. **Sorting** (Fig. 6b) — a segmented sort of the packed 64-bit
 //!    elements; ascending order is (sequence, diagonal, subject position)
 //!    by construction of the packing.
@@ -29,14 +30,14 @@
 //! the same stage bodies; Fig. 14, the pinned stats and the benchmark's
 //! traced replay read those.
 //!
-//! Host-side, every stage operates on the flat hit arena of
-//! [`BinnedHits`]: assembling *moves* the already-contiguous key buffer
-//! and merely collapses empty bins out of the offsets (zero copies of the
-//! keys themselves — the copy the standalone kernel charges happens only
-//! on the modelled device); sorting runs the radix segmented sort in
-//! place over segment slices; filtering reads the same flat buffer and
-//! compacts survivors through pooled per-block buffers returned by value
-//! from [`gpu_sim::launch_map`].
+//! Host-side, every stage operates on the one hit-arena format,
+//! [`BinnedHits`]: CSR over the bins that hold hits, in slot order, as the
+//! seeding kernels write it. Assembling hands the arena on untouched (the
+//! copy the standalone kernel charges happens only on the modelled
+//! device); sorting runs the radix segmented sort in place over segment
+//! slices; filtering reads the same flat buffer and compacts survivors
+//! through pooled per-block buffers returned by value from
+//! [`gpu_sim::launch_map`].
 
 use crate::binning::BinnedHits;
 use crate::config::CuBlastpConfig;
@@ -51,66 +52,18 @@ use gpu_sim::{
     launch, launch_map, DeviceConfig, KernelStats, KernelWorkspace, LaunchConfig, SimBlock,
 };
 
-/// Contiguous, segment-delimited hits (output of assembling; segments are
-/// the former non-empty bins). `seg_offsets[s]..seg_offsets[s+1]` delimits
-/// segment `s` in `keys`.
-pub struct AssembledHits {
-    /// All hits, one contiguous buffer (the arena, carried over from
-    /// binning without copying).
-    pub keys: Vec<u64>,
-    /// Segment boundaries: leading 0, then the end of every non-empty
-    /// former bin.
-    pub seg_offsets: Vec<u32>,
-}
-
-impl AssembledHits {
-    /// Number of segments.
-    pub fn num_segments(&self) -> usize {
-        self.seg_offsets.len() - 1
-    }
-
-    /// Iterate the segments as slices of the flat buffer.
-    pub fn segments(&self) -> impl Iterator<Item = &[u64]> + '_ {
-        self.seg_offsets
-            .windows(2)
-            .map(|w| &self.keys[w[0] as usize..w[1] as usize])
-    }
-
-    /// Build from explicit ragged segments (test/bench convenience; the
-    /// pipeline itself never materializes `Vec<Vec<_>>`). Empty segments
-    /// are dropped, matching what assembling does to empty bins.
-    pub fn from_segments(segments: Vec<Vec<u64>>) -> Self {
-        let mut keys = Vec::new();
-        let mut seg_offsets = vec![0u32];
-        for seg in segments {
-            if seg.is_empty() {
-                continue;
-            }
-            keys.extend_from_slice(&seg);
-            seg_offsets.push(keys.len() as u32);
-        }
-        Self { keys, seg_offsets }
-    }
-
-    /// Return the buffers to the workspace they were drawn from.
-    pub fn recycle(self, ws: &KernelWorkspace) {
-        ws.keys.put(self.keys);
-        ws.offsets.put(self.seg_offsets);
-    }
-}
-
 /// Assemble the bins into a contiguous array. Thread blocks tile the
 /// *output* array (2048 elements each) and gather from the bins — both
 /// sides stream, so reads and writes coalesce and lanes stay fully active
-/// regardless of how small individual bins are. Host-side the arena is
-/// already contiguous, so the functional work is only collapsing empty
-/// bins out of the offsets; the key buffer moves, it is never copied.
+/// regardless of how small individual bins are. Host-side the arena
+/// already is that array, so the output is the input, and `_ws` is
+/// unused.
 pub fn assemble_kernel(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
     binned: BinnedHits,
-    ws: &KernelWorkspace,
-) -> (AssembledHits, KernelStats) {
+    _ws: &KernelWorkspace,
+) -> (BinnedHits, KernelStats) {
     let total = binned.total_hits as usize;
     let src_base = virtual_alloc(total.max(1) as u64 * 8);
     let dst_base = virtual_alloc(total.max(1) as u64 * 8);
@@ -129,7 +82,7 @@ pub fn assemble_kernel(
             j += WARP_SIZE as usize;
         }
     });
-    (collapse_empty_bins(binned, ws), stats)
+    (binned, stats)
 }
 
 /// A single-stage launch over `n` keys: 2048-key tiles at the configured
@@ -143,27 +96,12 @@ fn stage_launch(cfg: &CuBlastpConfig, n: usize) -> LaunchConfig {
     }
 }
 
-/// The functional half of assembling: consecutive equal offsets vanish,
-/// leaving one boundary per non-empty bin. The keys are untouched.
-fn collapse_empty_bins(binned: BinnedHits, ws: &KernelWorkspace) -> AssembledHits {
-    let BinnedHits { offsets, keys, .. } = binned;
-    let mut seg_offsets: Vec<u32> = ws.offsets.take();
-    seg_offsets.push(0);
-    for w in offsets.windows(2) {
-        if w[1] > w[0] {
-            seg_offsets.push(w[1]);
-        }
-    }
-    ws.offsets.put(offsets);
-    AssembledHits { keys, seg_offsets }
-}
-
-/// Segmented sort of the assembled hits (Fig. 6b / Fig. 7) — delegates to
-/// the ModernGPU-model radix kernel in `gpu-sim`, sorting each segment
-/// slice of the arena in place with pooled ping-pong scratch.
+/// Segmented sort of the hit arena (Fig. 6b / Fig. 7) — delegates to the
+/// ModernGPU-model radix kernel in `gpu-sim`, sorting each segment slice
+/// of the arena in place with pooled ping-pong scratch.
 pub fn sort_kernel(
     device: &DeviceConfig,
-    hits: &mut AssembledHits,
+    hits: &mut BinnedHits,
     ws: &KernelWorkspace,
 ) -> KernelStats {
     sort_stage(device, hits, "hit_sorting", SortInput::Global, ws)
@@ -173,7 +111,7 @@ pub fn sort_kernel(
 /// says whether the first merge pass loads from global memory.
 fn sort_stage(
     device: &DeviceConfig,
-    hits: &mut AssembledHits,
+    hits: &mut BinnedHits,
     name: &str,
     input: SortInput,
     ws: &KernelWorkspace,
@@ -182,7 +120,7 @@ fn sort_stage(
     let stats = segmented_sort_flat_from(
         device,
         &mut hits.keys,
-        &hits.seg_offsets,
+        &hits.offsets,
         name,
         &mut scratch,
         input,
@@ -227,7 +165,7 @@ impl FilteredHits {
 pub fn filter_kernel(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
-    sorted: &AssembledHits,
+    sorted: &BinnedHits,
     window: i64,
     ws: &KernelWorkspace,
 ) -> (FilteredHits, KernelStats) {
@@ -241,7 +179,7 @@ pub fn filter_kernel(
 pub fn filter_kernel_mode(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
-    sorted: &AssembledHits,
+    sorted: &BinnedHits,
     two_hit: bool,
     window: i64,
     ws: &KernelWorkspace,
@@ -268,19 +206,19 @@ pub fn filter_kernel_mode(
 /// here, on its own.
 pub fn reorder_kernel(
     device: &DeviceConfig,
-    binned: BinnedHits,
+    mut hits: BinnedHits,
     two_hit: bool,
     window: i64,
     ws: &KernelWorkspace,
 ) -> (FilteredHits, KernelStats) {
     const NAME: &str = "hit_reordering";
     let launch_cfg = LaunchConfig {
-        blocks: tiles(binned.total_hits as usize),
+        blocks: tiles(hits.total_hits as usize),
         warps_per_block: TILE_WARPS,
         shared_bytes_per_block: TILE_SHARED_BYTES,
         use_readonly_cache: false,
     };
-    let (hits, k_sort) = sorted_tiles(device, binned, NAME, ws);
+    let k_sort = sorted_tiles(device, &mut hits, NAME, ws);
     let rule = Neighbour { two_hit, window };
     let (filtered, mut stats) = filter_tiles(device, launch_cfg, NAME, &hits, rule, true, ws);
     stats.merge(&k_sort);
@@ -293,20 +231,17 @@ pub(crate) fn tiles(n: usize) -> u32 {
     n.div_ceil(TILE).max(1) as u32
 }
 
-/// The first two stages of a fused launch named `name`: the bins
-/// collapse into segments (host-side only — the gather into the tile is
-/// billed by the epilogue's load) and every segment is sorted with the
-/// first merge pass reading the tile in shared memory. Returns the sorted
-/// arena and the merge passes' bill.
+/// The first two stages of a fused launch named `name`: every segment of
+/// the arena is sorted in place with the first merge pass reading the tile
+/// in shared memory (the gather into the tile is billed by the epilogue's
+/// load). Returns the merge passes' bill.
 pub(crate) fn sorted_tiles(
     device: &DeviceConfig,
-    binned: BinnedHits,
+    hits: &mut BinnedHits,
     name: &str,
     ws: &KernelWorkspace,
-) -> (AssembledHits, KernelStats) {
-    let mut hits = collapse_empty_bins(binned, ws);
-    let k_sort = sort_stage(device, &mut hits, name, SortInput::SharedTile, ws);
-    (hits, k_sort)
+) -> KernelStats {
+    sort_stage(device, hits, name, SortInput::SharedTile, ws)
 }
 
 /// The two-hit rule of the filter.
@@ -335,7 +270,7 @@ fn filter_tiles(
     device: &DeviceConfig,
     launch_cfg: LaunchConfig,
     name: &str,
-    sorted: &AssembledHits,
+    sorted: &BinnedHits,
     rule: Neighbour,
     tile_resident: bool,
     ws: &KernelWorkspace,
@@ -427,21 +362,7 @@ mod tests {
     use crate::hitpack::pack;
 
     fn binned(bins: Vec<Vec<u64>>) -> BinnedHits {
-        let num_bins = bins.len();
-        let mut offsets = vec![0u32];
-        let mut keys = Vec::new();
-        for b in &bins {
-            keys.extend_from_slice(b);
-            offsets.push(keys.len() as u32);
-        }
-        let total = keys.len() as u64;
-        BinnedHits {
-            offsets,
-            keys,
-            num_bins,
-            num_warps: 1,
-            total_hits: total,
-        }
+        crate::binning::tests::arena(&bins)
     }
 
     #[test]
@@ -455,8 +376,8 @@ mod tests {
             vec![pack(0, 2, 1), pack(1, 2, 9)],
         ]);
         let (asm, _) = assemble_kernel(&d, &cfg, b, &ws);
-        assert_eq!(asm.num_segments(), 2);
-        assert_eq!(asm.keys.len(), 3);
+        assert_eq!(asm.offsets, [0, 1, 3], "the arena stores no empty bin");
+        assert_eq!(asm.keys, [pack(0, 5, 3), pack(0, 2, 1), pack(1, 2, 9)]);
         let lens: Vec<usize> = asm.segments().map(<[u64]>::len).collect();
         assert_eq!(lens, vec![1, 2]);
     }
@@ -467,9 +388,10 @@ mod tests {
         let cfg = CuBlastpConfig::default();
         let ws = KernelWorkspace::new();
         let b = binned(vec![vec![pack(0, 1, 1)], vec![pack(0, 2, 2)]]);
-        let key_ptr = b.keys.as_ptr();
+        let (key_ptr, offsets_ptr) = (b.keys.as_ptr(), b.offsets.as_ptr());
         let (asm, _) = assemble_kernel(&d, &cfg, b, &ws);
         assert_eq!(asm.keys.as_ptr(), key_ptr, "keys must move, not copy");
+        assert_eq!(asm.offsets.as_ptr(), offsets_ptr, "the arena is the output");
     }
 
     #[test]
@@ -491,8 +413,7 @@ mod tests {
     fn sort_orders_within_segments() {
         let d = DeviceConfig::k20c();
         let ws = KernelWorkspace::new();
-        let mut asm =
-            AssembledHits::from_segments(vec![vec![pack(1, 3, 7), pack(0, 9, 2), pack(0, 9, 1)]]);
+        let mut asm = binned(vec![vec![pack(1, 3, 7), pack(0, 9, 2), pack(0, 9, 1)]]);
         sort_kernel(&d, &mut asm, &ws);
         assert_eq!(asm.keys, vec![pack(0, 9, 1), pack(0, 9, 2), pack(1, 3, 7)]);
     }
@@ -502,7 +423,7 @@ mod tests {
         let d = DeviceConfig::k20c();
         let cfg = CuBlastpConfig::default();
         let ws = KernelWorkspace::new();
-        let asm = AssembledHits::from_segments(vec![vec![
+        let asm = binned(vec![vec![
             pack(0, 4, 10),
             pack(0, 4, 30),  // within 40 of 10 → kept
             pack(0, 4, 100), // 70 away → dropped
@@ -521,8 +442,7 @@ mod tests {
         let d = DeviceConfig::k20c();
         let cfg = CuBlastpConfig::default();
         let ws = KernelWorkspace::new();
-        let asm =
-            AssembledHits::from_segments(vec![vec![pack(0, 4, 0), pack(0, 4, 40), pack(0, 4, 81)]]);
+        let asm = binned(vec![vec![pack(0, 4, 0), pack(0, 4, 40), pack(0, 4, 81)]]);
         let (f, _) = filter_kernel(&d, &cfg, &asm, 40, &ws);
         // Distance 40 ≤ 40 kept; 41 dropped.
         assert_eq!(f.hits, vec![pack(0, 4, 40)]);
@@ -536,7 +456,7 @@ mod tests {
         let ws = KernelWorkspace::new();
         let mut seg: Vec<u64> = (0..33u32).map(|k| pack(0, 4, k * 2)).collect();
         seg.sort_unstable();
-        let asm = AssembledHits::from_segments(vec![seg]);
+        let asm = binned(vec![seg]);
         let (f, _) = filter_kernel(&d, &cfg, &asm, 40, &ws);
         assert_eq!(f.hits.len(), 32, "all but the first are within window");
     }
@@ -547,7 +467,7 @@ mod tests {
         let cfg = CuBlastpConfig::default();
         let ws = KernelWorkspace::new();
         let (asm, _) = assemble_kernel(&d, &cfg, binned(vec![vec![], vec![]]), &ws);
-        assert_eq!(asm.num_segments(), 0);
+        assert_eq!(asm.segments().count(), 0);
         let (f, _) = filter_kernel(&d, &cfg, &asm, 40, &ws);
         assert!(f.hits.is_empty());
         assert_eq!(f.survival_ratio(), 0.0);

@@ -19,7 +19,7 @@ use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, Shar
 use crate::extension::{hit_tail_footprint, HIT_TAIL_KERNEL};
 use crate::gapped_device::{self, FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
-    kernel_label, kernel_named, pipeline_rank, run_seeded_phase, ExtensionsCsr, GpuPhaseCounts,
+    kernel_label, kernel_named, pipeline_rank, run_gpu_phase, ExtensionsCsr, GpuPhaseCounts,
     GpuPhaseOutput,
 };
 use crate::grouped;
@@ -598,22 +598,31 @@ impl Batch {
         };
         let claims = threads >= 2;
         #[cfg(test)]
-        let (batch, pair, aligns) = {
+        let (batch, pair, aligns, alone) = {
             let shared = helpers > 0 && claims;
             let pair = beside && shared && !self.hits.is_empty();
             let aligns = (self.tails.iter())
                 .any(|t| matches!(t.work, TailWork::Align(..)) && !t.todo.is_empty());
-            (Batch { shared, ..self }, pair, beside && shared && aligns)
+            // The overlap helper of a one-thread search has the batch to
+            // itself.
+            let alone = beside && helpers > 0 && !claims && n > 0;
+            (
+                Batch { shared, ..self },
+                pair,
+                beside && shared && aligns,
+                alone,
+            )
         };
         #[cfg(not(test))]
         let batch = self;
         let posted = tail.post(batch, n, helpers);
-        // The caller's own hit phase meets one a helper claimed, or an
-        // `Align` subject.
+        // The caller's own hit phase meets one a helper claimed, an
+        // `Align` subject, or the overlap helper's subject.
         #[cfg(test)]
         if let Some(m) = meet::armed() {
             m.arrive(meet::Kind::Hits, pair);
             m.arrive(meet::Kind::Beside, aligns);
+            m.arrive(meet::Kind::Overlap, alone);
         }
         let r = own();
         let done = if claims {
@@ -904,6 +913,7 @@ impl CuBlastp {
                         m.arrive(meet::Kind::Tail, batch.shared && pair == Some(t));
                         let aligns = matches!(job.work, TailWork::Align(..));
                         m.arrive(meet::Kind::Beside, batch.shared && aligns && !on_caller);
+                        m.arrive(meet::Kind::Overlap, threads < 2 && !on_caller);
                     }
                     self.tail_item(views[job.shard], job, item, on_caller)
                 }
@@ -1226,7 +1236,7 @@ impl CuBlastp {
     /// One block's hit phase (`hit_detection` and `hit_tail`, or `hit_tail`
     /// alone for a seeded block) under the recovery policy. The
     /// first attempt consumes the block's grouped-round `bins`, if any; a
-    /// retry re-seeds through the query's own DFA (per-slot multiset-equal
+    /// retry re-seeds through the query's own DFA (per-segment multiset-equal
     /// to the demuxed bins, so output is bit-identical). A fault the
     /// device cannot get past degrades the block to the CPU scan.
     fn hit_phase(
@@ -1237,7 +1247,7 @@ impl CuBlastp {
         recovery: &mut RecoveryReport,
     ) -> Result<GpuPhaseOutput, SearchError> {
         let out = self.recover("block_retry", at, recovery, || {
-            run_seeded_phase(
+            run_gpu_phase(
                 &self.device,
                 &self.config,
                 &self.query_device,
@@ -1672,9 +1682,10 @@ pub fn search_batch_resident(
 /// A test-only rendezvous that makes "two threads ran items of one batch"
 /// deterministic. A test arms it on its own thread ([`arm`]); the searches
 /// that thread runs then hold the first thread to enter an item of the
-/// armed kind, in a batch that a claiming caller shares with helpers,
-/// until a second thread enters one too — a helper slow to wake still
-/// gets its seat. One meeting per arming. A wait gives up after
+/// armed kind, in a batch that a claiming caller shares with helpers (at
+/// one thread: that the overlap helper runs beside the caller's own hit
+/// phase), until a second thread enters one too — a helper slow to wake
+/// still gets its seat. One meeting per arming. A wait gives up after
 /// [`PATIENCE`], so the assertion it guards fails instead of hanging.
 #[cfg(test)]
 pub(crate) mod meet {
@@ -1698,6 +1709,9 @@ pub(crate) mod meet {
         /// An `Align` subject a helper claimed and the caller's own hit
         /// phase of the next wave.
         Beside,
+        /// At one thread: a tail subject the overlap helper claimed and
+        /// the caller's own hit phase beside it.
+        Overlap,
     }
 
     #[derive(Default)]
@@ -1825,6 +1839,7 @@ pub(crate) mod tests {
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use blast_cpu::search::search_sequential;
     use gpu_sim::FaultSite;
+    use std::collections::BTreeSet;
 
     fn workload() -> (Sequence, SequenceDb) {
         let q = make_query(96);
@@ -2560,17 +2575,37 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// How many threads are named `name`, polled until none is left or a
-    /// second passes: a scope's end waits for a thread's closure, not for
-    /// the kernel to reap the task, and a helper nobody released would
-    /// stay parked.
+    /// `live()` polled until it reads 0 or a second passes: a scope's end
+    /// waits for a thread's closure, not for the kernel to reap the task,
+    /// and a helper nobody released would stay parked.
     #[cfg(target_os = "linux")]
-    pub(crate) fn threads_named(name: &str) -> usize {
+    fn settled(live: impl Fn() -> usize) -> usize {
         let t0 = Instant::now();
-        while !tids_named(name).is_empty() && t0.elapsed() < Duration::from_secs(1) {
+        while live() > 0 && t0.elapsed() < Duration::from_secs(1) {
             std::thread::yield_now();
         }
-        tids_named(name).len()
+        live()
+    }
+
+    /// How many threads are named `name`, once settled.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn threads_named(name: &str) -> usize {
+        settled(|| tids_named(name).len())
+    }
+
+    /// How many of the threads `tids` are still alive, once settled.
+    #[cfg(target_os = "linux")]
+    fn threads_alive(tids: &BTreeSet<String>) -> usize {
+        let task = |tid: &String| std::path::Path::new("/proc/self/task").join(tid);
+        settled(|| tids.iter().filter(|tid| task(tid).exists()).count())
+    }
+
+    /// The helpers a rendezvous saw run items: its threads but the caller.
+    fn helpers_of(seen: &meet::Rendezvous) -> BTreeSet<String> {
+        let caller = meet::own_tid();
+        let mut tids = seen.tids();
+        tids.retain(|t| Some(t) != caller.as_ref());
+        tids
     }
 
     /// `db` with the host copy of its subject `victim` cut to one residue:
@@ -3138,6 +3173,10 @@ pub(crate) mod tests {
                 injector: None,
                 pays_upload: false,
             };
+            // Its helpers carry the name of every batch's query 0, so they
+            // are told apart by the subjects they ran.
+            #[cfg(target_os = "linux")]
+            let tail = meet::arm(meet::Kind::Tail);
             let run = execute(&plan, std::slice::from_ref(&q));
             match &run.per_query[0] {
                 Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. })) => {
@@ -3147,7 +3186,11 @@ pub(crate) mod tests {
                 Ok(_) => panic!("the poisoned subject must fail the query"),
             }
             #[cfg(target_os = "linux")]
-            assert_eq!(threads_named("tail-q0"), 0);
+            assert_eq!(
+                threads_alive(&helpers_of(&tail)),
+                0,
+                "cpu_threads = {cpu_threads}"
+            );
         }
     }
 
@@ -3179,26 +3222,25 @@ pub(crate) mod tests {
     /// One kind of search thread: beside the caller, an overlapped search
     /// runs only its tail helpers — at most `executed_threads(cpu_threads)`
     /// of them, named `tail-q{i}` — and none is left once it returns,
-    /// whether with `Ok`, a typed error or a deadline.
+    /// whether with `Ok`, a typed error or a deadline. A helper is counted
+    /// by the tail subjects it ran, not by a name sampled while it may not
+    /// have run yet; the rendezvous sees that one does, at every thread
+    /// count.
     #[cfg(target_os = "linux")]
     #[test]
     fn tail_threads_stay_within_budget_and_none_outlive_the_search() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let (q, db) = family_workload();
         let params = SearchParams::default();
         let cpu = search_sequential(&SearchEngine::new(q.clone(), params, &db), &db);
         let dev_db = DeviceDb::upload(&db, 24);
         let poisoned = poisoned(&db, cpu.report.hits[0].subject_index);
         for cpu_threads in [1, 2, 8] {
+            let executed = executed_threads(cpu_threads);
             let cfg = family_config(cpu_threads, true);
             let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
             gpu.stream_index = 7_200 + cpu_threads as u32;
             let name = format!("tail-q{}", gpu.stream_index);
-            // Counted on every block's join, while the search runs.
-            let peak = AtomicUsize::new(0);
-            let on_block = |_: BlockProgress<'_>| {
-                peak.fetch_max(tids_named(&name).len(), Ordering::SeqCst);
-            };
+            let mut peak = 0;
             let runs = [
                 ("ok", &db, CancelToken::never()),
                 ("typed error", &poisoned, CancelToken::never()),
@@ -3207,9 +3249,14 @@ pub(crate) mod tests {
             ];
             for (outcome, source, cancel) in runs {
                 let case = format!("cpu_threads = {cpu_threads}, {outcome}");
+                let seen = meet::arm(if executed >= 2 {
+                    meet::Kind::Tail
+                } else {
+                    meet::Kind::Overlap
+                });
                 let hooks = SearchHooks {
                     cancel,
-                    on_block: Some(&on_block),
+                    on_block: None,
                 };
                 let got = gpu.run_blocks(&[flat(source, &dev_db)], None, &hooks);
                 let expected = match &got {
@@ -3221,18 +3268,21 @@ pub(crate) mod tests {
                     Err(other) => panic!("{case}: {other:?}"),
                 };
                 assert_eq!(expected, outcome, "{case}");
+                let helpers = helpers_of(&seen);
+                assert_eq!(
+                    threads_alive(&helpers),
+                    0,
+                    "{case}: a helper outlived the search"
+                );
                 assert_eq!(
                     threads_named(&name),
                     0,
                     "{case}: a helper outlived the search"
                 );
+                peak = peak.max(helpers.len());
             }
-            let peak = peak.into_inner();
             assert!(peak >= 1, "cpu_threads = {cpu_threads}: no tail was posted");
-            assert!(
-                peak <= executed_threads(cpu_threads),
-                "cpu_threads = {cpu_threads}"
-            );
+            assert!(peak <= executed, "cpu_threads = {cpu_threads}");
         }
     }
 

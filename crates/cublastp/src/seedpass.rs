@@ -15,7 +15,9 @@
 //! back each member's keys in detection order with their per-slot counts,
 //! from which [`SeedPass::launch`] places every key in the member's arena
 //! — one copy — as soon as the block is done, so a pass holds one block's
-//! pages at a time, not the grid's. The per-query kernel is the one-member
+//! pages at a time, not the grid's. The arena stores a boundary only for a
+//! slot that holds hits: its size follows the hits, not the `num_warps *
+//! num_bins` slots of the launch. The per-query kernel is the one-member
 //! case.
 //!
 //! A lane's postings are one contiguous run of a device table and are
@@ -44,6 +46,7 @@ const MEMBER_BIN_STRIDE: usize = 131;
 /// One block's hits of one member: the hit count of each of the block's
 /// `warps_per_block * num_bins` slots, and the packed keys in detection
 /// order — warp after warp: counts delimit warps, a diagonal names its bin.
+/// While the page is stitched, each count becomes its slot's write cursor.
 struct Page {
     counts: Vec<u32>,
     keys: Vec<u64>,
@@ -129,13 +132,10 @@ impl SeedPass {
         let arenas: Vec<BinnedHits> = (0..self.members)
             .map(|_| {
                 let mut offsets: Vec<u32> = ws.offsets.take();
-                offsets.reserve_exact(self.num_warps * self.num_bins + 1);
                 offsets.push(0);
                 BinnedHits {
                     offsets,
                     keys: ws.keys.take(),
-                    num_bins: self.num_bins,
-                    num_warps: self.num_warps,
                     total_hits: 0,
                 }
             })
@@ -292,32 +292,33 @@ impl SeedPass {
     }
 
     /// Stitch one thread block's pages — blocks arrive in block order —
-    /// into the members' warp-major arenas, and return the pages' buffers
-    /// to the pool. An arena's slot order is block order, then each
-    /// block's own slots, so the block's slot counts, laid after those of
-    /// the blocks before it, are its CSR offsets; every warp's keys then
+    /// into the members' arenas, and return the pages' buffers to the
+    /// pool. An arena's slot order is block order, then each block's own
+    /// slots, so the block's non-empty slots, laid after the segments of
+    /// the blocks before it, are its next segments; every warp's keys then
     /// drop from detection order straight into the warp's bins (stably — a
     /// bin keeps detection order).
     fn stitch(&self, ws: &KernelWorkspace, arenas: &mut [BinnedHits], pages: Vec<Page>) {
-        for (arena, page) in arenas.iter_mut().zip(pages) {
-            // Until its keys are placed, `offsets[slot + 1]` is the write
-            // cursor of `slot`: the bin's start, advancing to its end.
-            let first = arena.offsets.len();
+        for (arena, mut page) in arenas.iter_mut().zip(pages) {
             let mut total = arena.keys.len() as u32;
-            for &count in &page.counts {
-                arena.offsets.push(total);
-                total += count;
-            }
-            arena.keys.resize(total as usize, 0);
-            let keys = &mut arena.keys;
+            arena.keys.resize(arena.keys.len() + page.keys.len(), 0);
             let mut warp_keys = &page.keys[..];
-            let cursors = arena.offsets[first..].chunks_exact_mut(self.num_bins);
-            for (counts, cursors) in page.counts.chunks(self.num_bins).zip(cursors) {
-                let hits: u32 = counts.iter().sum();
-                let (these, rest) = warp_keys.split_at(hits as usize);
+            for cursors in page.counts.chunks_exact_mut(self.num_bins) {
+                // Until its keys are placed, a slot's count is its write
+                // cursor: the bin's start, advancing to its end.
+                let start = total;
+                for cursor in cursors.iter_mut() {
+                    let hits = *cursor;
+                    *cursor = total;
+                    if hits > 0 {
+                        total += hits;
+                        arena.offsets.push(total);
+                    }
+                }
+                let (these, rest) = warp_keys.split_at((total - start) as usize);
                 for &key in these {
                     let cursor = &mut cursors[self.bin_of(hitpack::diagonal(key) as usize)];
-                    keys[*cursor as usize] = key;
+                    arena.keys[*cursor as usize] = key;
                     *cursor += 1;
                 }
                 warp_keys = rest;

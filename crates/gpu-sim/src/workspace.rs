@@ -134,13 +134,14 @@ pub struct KernelWorkspace {
     /// Launch-wide packed 64-bit hit keys: the bin arena, sort scratch,
     /// filter output.
     pub keys: BufferPool<u64>,
-    /// Launch-wide CSR offsets: arena bin boundaries, segment boundaries.
+    /// Launch-wide CSR offsets: the hit arena's segment boundaries.
     pub offsets: BufferPool<u32>,
     /// Keys one thread block holds: a seeding block's page, a filter
     /// tile's survivors.
     pub tile_keys: BufferPool<u64>,
     /// Counters one thread block holds: a seeding block's per-slot hit
-    /// counts, its per-bin `top` and round counters.
+    /// counts (the slots' write cursors while its page is stitched), its
+    /// per-bin `top` and round counters.
     pub tile_counts: BufferPool<u32>,
     /// Interval-traceback checkpoint rows (device gapped backend): the
     /// bounded D/F snapshots the multi-pass re-fill restores from.
