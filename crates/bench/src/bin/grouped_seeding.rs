@@ -22,12 +22,13 @@
 //! `BENCH_grouped_seeding.json` at the repo root.
 //!
 //! An informational `end_to_end` section runs whole batches of 1, 4, 16
-//! and 32 queries once per seed mode and gives each run's host
-//! milliseconds per query (`HostWall`) and device-model milliseconds per
-//! query (`DeviceModel`: kernels, PCIe legs, and under grouped seeding the
-//! rounds' passes and index uploads and the database upload the
-//! per-query path bills to its first query). It asserts nothing and is
-//! not in `phase_medians`, so the perf gate does not read it.
+//! and 32 queries once per seed mode, at one thread and at the threads a
+//! search executes, and gives each run's host milliseconds per query
+//! (`HostWall`), device-model milliseconds per query
+//! (`BatchOutcome::device_model_ms`, `DeviceModel`) and the batch's
+//! pooled hit-path scratch. It is not in `phase_medians`, so the perf
+//! gate does not read it; it asserts only that the device clock does not
+//! depend on the thread count.
 
 use bench::obsenv;
 use bench::report::{Obj, Report};
@@ -35,7 +36,8 @@ use bench::table::{fmt, print_table};
 use bench::{bench_scale, database, query};
 use bio_seq::generate::DbPreset;
 use blast_core::SearchParams;
-use cublastp::{search_batch_with, BatchOptions, BatchOutcome, CuBlastpConfig, DeviceDb, SeedMode};
+use blast_cpu::par::executed_threads;
+use cublastp::{search_batch_with, BatchOptions, CuBlastpConfig, SeedMode};
 use gpu_sim::DeviceConfig;
 use std::process::ExitCode;
 
@@ -58,29 +60,15 @@ struct Row {
     amortization: f64,
 }
 
-/// One end-to-end batch run: both clocks per query.
+/// One end-to-end batch run: both clocks per query, and the memory the
+/// batch kept.
 struct EndToEnd {
     batch: usize,
     mode: &'static str,
+    threads: usize,
     host_ms_per_query: f64,
     device_model_ms_per_query: f64,
-}
-
-/// `DeviceModel` milliseconds per query of a batch run: every query's
-/// kernels and PCIe legs, plus under grouped seeding what the batch bills
-/// outside the queries — the rounds' passes, their index uploads and the
-/// database upload (the per-query path bills it to its first query).
-fn device_model_ms_per_query(out: &BatchOutcome, device: &DeviceConfig, upload_ms: f64) -> f64 {
-    let per_query: f64 = (out.per_query.iter().flatten())
-        .map(|r| r.timing.gpu_ms + r.timing.h2d_ms + r.timing.d2h_ms)
-        .sum();
-    let batch = out.grouped.as_ref().map_or(0.0, |g| {
-        let index: f64 = (g.rounds.iter())
-            .map(|r| device.transfer_ms(r.index_upload_bytes))
-            .sum();
-        g.total_seeding_ms() + index + upload_ms
-    });
-    (per_query + batch) / out.per_query.len() as f64
+    pooled_mib: f64,
 }
 
 fn main() -> ExitCode {
@@ -202,29 +190,40 @@ fn main() -> ExitCode {
         });
         medians = medians.obj(name.as_str(), phases);
 
-        let upload_ms: f64 = (DeviceDb::upload(&db, cfg.db_block_size).blocks().iter())
-            .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
-            .sum();
-        let mut runs = Vec::new();
+        let mut runs: Vec<EndToEnd> = Vec::new();
         for batch in END_TO_END_BATCHES {
             for (mode, seed_mode) in [
                 ("per-query", SeedMode::PerQuery),
                 ("grouped", SeedMode::Grouped),
             ] {
-                let opts = BatchOptions {
-                    seed_mode,
-                    ..Default::default()
-                };
-                let out = search_batch_with(&queries[..batch], params, cfg, device, &db, opts);
-                if out.succeeded() != batch {
-                    report.fail(format_args!("{name} batch {batch} {mode}: a query failed"));
+                for cpu_threads in [1, cfg.cpu_threads] {
+                    let opts = BatchOptions {
+                        seed_mode,
+                        ..Default::default()
+                    };
+                    let cfg = CuBlastpConfig { cpu_threads, ..cfg };
+                    let qs = &queries[..batch];
+                    let out = search_batch_with(qs, params, cfg, device, &db, opts);
+                    if out.succeeded() != batch {
+                        report.fail(format_args!("{name} batch {batch} {mode}: a query failed"));
+                    }
+                    let run = EndToEnd {
+                        batch,
+                        mode,
+                        threads: executed_threads(cpu_threads),
+                        host_ms_per_query: out.wall_ms / batch as f64,
+                        device_model_ms_per_query: out.device_model_ms() / batch as f64,
+                        pooled_mib: out.pooled_bytes as f64 / (1024.0 * 1024.0),
+                    };
+                    let one = (runs.last()).filter(|r| r.batch == batch && r.mode == mode);
+                    let model = |r: &EndToEnd| r.device_model_ms_per_query.to_bits();
+                    if one.is_some_and(|one| model(one) != model(&run)) {
+                        report.fail(format_args!(
+                            "{name} batch {batch} {mode}: the device clock moved with the threads"
+                        ));
+                    }
+                    runs.push(run);
                 }
-                runs.push(EndToEnd {
-                    batch,
-                    mode,
-                    host_ms_per_query: out.wall_ms / batch as f64,
-                    device_model_ms_per_query: device_model_ms_per_query(&out, &device, upload_ms),
-                });
             }
         }
         end_to_end.push((name.clone(), runs));
@@ -266,8 +265,10 @@ fn main() -> ExitCode {
             &[
                 "batch",
                 "seed mode",
+                "threads",
                 "host (HostWall)",
                 "device (DeviceModel)",
+                "pooled MiB",
             ],
             &runs
                 .iter()
@@ -275,8 +276,10 @@ fn main() -> ExitCode {
                     vec![
                         r.batch.to_string(),
                         r.mode.to_string(),
+                        r.threads.to_string(),
                         format!("{:.3}", r.host_ms_per_query),
                         format!("{:.5}", r.device_model_ms_per_query),
+                        format!("{:.2}", r.pooled_mib),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -321,8 +324,10 @@ fn end_to_end_rows(end_to_end: &[(String, Vec<EndToEnd>)]) -> Vec<Obj> {
                     .text("db", name)
                     .int("batch", r.batch as u64)
                     .text("seed_mode", r.mode)
+                    .int("threads", r.threads as u64)
                     .fixed("host_ms_per_query", r.host_ms_per_query, 3)
                     .fixed("device_model_ms_per_query", r.device_model_ms_per_query, 6)
+                    .fixed("pooled_mib", r.pooled_mib, 2)
             })
         })
         .collect()

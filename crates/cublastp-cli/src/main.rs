@@ -35,8 +35,8 @@ use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
 use cublastp::gapped_device::FINE_GAPPED_KERNEL;
 use cublastp::{
     search_all_vs_all, search_batch_resident, search_sharded_batch, BatchOptions, CuBlastpConfig,
-    CuBlastpResult, DbSource, FleetSchedule, GappedBackend, RecoveryReport, SearchError, SeedMode,
-    ShardedBatchOptions, ShardedDb, ShardedOptions, DEFAULT_GROUP_BUDGET,
+    CuBlastpResult, DbSource, DevicePass, FleetSchedule, GappedBackend, RecoveryReport,
+    SearchError, SeedMode, ShardedBatchOptions, ShardedDb, ShardedOptions, DEFAULT_GROUP_BUDGET,
 };
 use cublastp_db::{build_shard_set, DbImage, ShardSetManifest};
 use gpu_sim::{DeviceConfig, FaultInjector};
@@ -87,8 +87,9 @@ fn note(args: &Args, row: &str) {
 
 /// The `--phase-table` report (Fig. 11-style breakdown): the phase rows
 /// of the batch's ledger — every query's result absorbed into one — each
-/// with the clock it is on.
-fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
+/// with the clock it is on; `passes` are the device passes the batch was
+/// billed in.
+fn print_phase_table(batch: &CuBlastpResult, passes: &[DevicePass], queries: usize, args: &Args) {
     let table = batch.phase_rows();
     let total = table.last().map_or(0.0, |t| t.ms);
     out!(
@@ -100,15 +101,29 @@ fn print_phase_table(batch: &CuBlastpResult, queries: usize, args: &Args) {
     out!("# {:<28} {:<13} {:>10} {:>7}", "phase", "clock", "ms", "%");
     // What the D2H legs carried, in how many legs — one per device pass
     // that downloaded anything: a block on the CPU backend, a shard view
-    // under `--gapped-backend gpu` — and how few of the computed
+    // under `--gapped-backend gpu`, shared by the queries of a flat batch
+    // (of a grouped round), each query's own under `--shards` — in how
+    // many passes of how many queries, and how few of the computed
     // extensions that is.
-    let legs = (batch.block_timings.iter())
-        .filter(|b| b.d2h_ms > 0.0)
-        .count();
+    let legs = passes.iter().filter(|p| p.d2h_ms > 0.0).count();
+    let members = |pick: fn(usize, usize) -> usize| {
+        passes.iter().map(|p| p.members).reduce(pick).unwrap_or(0)
+    };
+    let (fewest, most) = (members(usize::min), members(usize::max));
     let d2h_note = format!(
-        "  {} B in {legs} leg{}, {} / {} extensions reached the trigger",
+        "  {} B in {legs} leg{} ({} device pass{} of {}{} quer{}), \
+         {} / {} extensions reached the trigger",
         batch.counts.d2h_bytes,
         if legs == 1 { "" } else { "s" },
+        passes.len(),
+        if passes.len() == 1 { "" } else { "es" },
+        if fewest < most {
+            format!("{fewest}–")
+        } else {
+            String::new()
+        },
+        most,
+        if most == 1 { "y" } else { "ies" },
         batch.counts.triggered,
         batch.counts.extensions,
     );
@@ -271,9 +286,10 @@ fn main() -> ExitCode {
     // query's ledger is absorbed into the batch's.
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
     let mut batch = CuBlastpResult::default();
+    let mut passes = Vec::new();
     let t_batch = std::time::Instant::now();
     let failures = if args.engine == Engine::CuBlastp {
-        run_batch(&queries, &db, &args, &mut batch)
+        run_batch(&queries, &db, &args, &mut batch, &mut passes)
     } else {
         for query in &queries {
             let t0 = std::time::Instant::now();
@@ -291,7 +307,7 @@ fn main() -> ExitCode {
             Engine::CuBlastp => queries.len() - failures.len(),
             _ => 0,
         };
-        print_phase_table(&batch, searched, &args);
+        print_phase_table(&batch, &passes, searched, &args);
     }
     if args.engine == Engine::CuBlastp {
         print_gapped_summary(&batch, &args);
@@ -727,12 +743,14 @@ fn build_set(
 /// bit-identical to the flat path, and the fleet schedule spans
 /// `--devices` simulated devices). Per-query reports print in
 /// input order, then the mode's summary row: `# grouped seeding:` and
-/// `# shards:` are the grep targets of the CI equivalence jobs.
+/// `# shards:` are the grep targets of the CI equivalence jobs. The
+/// device passes the batch was billed in go to `passes`.
 fn run_batch(
     queries: &[Sequence],
     db: &ShardedDb,
     args: &Args,
     batch: &mut CuBlastpResult,
+    passes: &mut Vec<DevicePass>,
 ) -> Vec<(usize, String, SearchError)> {
     let (params, config, device) = (args.params(), search_config(args, db), DeviceConfig::k20c());
     let injector = Some(Arc::new(FaultInjector::new(args.fault_plan.clone())));
@@ -775,6 +793,7 @@ fn run_batch(
                     seed_mode: args.seed_mode,
                 },
             );
+            *passes = out.passes;
             let failures = report_all(out.per_query, &|r| match args.seed_mode {
                 SeedMode::Grouped => " (grouped seeding)".to_string(),
                 SeedMode::PerQuery => {
@@ -818,6 +837,7 @@ fn run_batch(
                 },
             );
             let shards = shards.len();
+            *passes = std::mem::take(&mut out.passes);
             let failures = report_all(std::mem::take(&mut out.per_query), &|_| {
                 format!(" ({shards} shards)")
             });

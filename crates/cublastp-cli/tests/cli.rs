@@ -470,6 +470,95 @@ fn device_gapped_trace_draws_one_pass_per_shard_view() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flat batch bills each database block (each shard view under
+/// `--gapped-backend gpu`) as one device pass shared by its queries: the
+/// trace draws one event per batch launch and leg, each naming its
+/// members, the events add up to the ledger, and `--phase-table` counts
+/// the batch's passes, not one per query.
+#[test]
+fn a_batch_trace_draws_one_event_per_batch_launch_and_leg() {
+    let dir = std::env::temp_dir().join(format!("cublastp_cli_batch_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (q, d, trace) = (dir.join("q.fa"), dir.join("d.fa"), dir.join("trace.json"));
+    let rotated = |k: usize| format!("{}{}", &CORE[k..], &CORE[..k]);
+    let queries = [CORE.to_string(), rotated(5), CORE.chars().rev().collect()];
+    let subjects: Vec<String> = (0..8).map(|i| rotated(3 * i)).collect();
+    let write = |path: &std::path::Path, id: &str, seqs: &[String]| {
+        let ids: Vec<String> = (0..seqs.len()).map(|i| format!("{id}{i}")).collect();
+        let records: Vec<(&str, &str)> = (ids.iter().zip(seqs))
+            .map(|(id, seq)| (id.as_str(), seq.as_str()))
+            .collect();
+        write_fasta(path, &records);
+    };
+    write(&q, "q", &queries);
+    write(&d, "s", &subjects);
+    let mut legs_by_backend = Vec::new();
+    for backend in ["gpu", "cpu"] {
+        let out = run(&[
+            "--query",
+            q.to_str().unwrap(),
+            "--db",
+            d.to_str().unwrap(),
+            "--block-size",
+            "2",
+            "--phase-table",
+            "--gapped-backend",
+            backend,
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let table = String::from_utf8(out.stdout).unwrap();
+        let d2h_row = (table.lines())
+            .find(|l| l.starts_with("# d2h_transfer "))
+            .expect("a d2h row");
+        let legs: usize = (d2h_row.split(" B in ").nth(1))
+            .and_then(|s| s.split(" leg").next()?.parse().ok())
+            .unwrap_or_else(|| panic!("{d2h_row}"));
+        let passes = format!(
+            "({legs} device pass{} of 3 queries)",
+            if legs == 1 { "" } else { "es" }
+        );
+        assert!(d2h_row.contains(&passes), "{backend}: {d2h_row}");
+        // One event per batch launch and leg, each naming its 3 members.
+        let (counts, gpu_ms, d2h_ms) = modelled_events(&trace);
+        for (name, n) in &counts {
+            assert_eq!(*n, legs, "{backend}: {name} in {counts:?}");
+        }
+        let body = std::fs::read_to_string(&trace).unwrap();
+        let doc = obs::json::parse(&body).expect("a JSON trace");
+        let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        let device_events = events.iter().filter(|e| {
+            let track = e.get("name").and_then(|v| v.as_str()).unwrap_or("");
+            let modelled = e.get("cat").and_then(|v| v.as_str()) == Some("modelled");
+            modelled && !matches!(track, "h2d_transfer" | "gapped_extension" | "traceback")
+        });
+        for e in device_events {
+            let members = e.get("args").and_then(|a| a.get("members"));
+            assert_eq!(members.and_then(|m| m.as_f64()), Some(3.0), "{backend}");
+        }
+        let kernels = phase_ms(&table, |name| !name.ends_with("_transfer"));
+        let d2h = phase_ms(&table, |name| name == "d2h_transfer");
+        assert!(
+            (gpu_ms - kernels).abs() < 2e-3,
+            "{backend}: {gpu_ms} vs {table}"
+        );
+        assert!(
+            (d2h_ms - d2h).abs() < 1e-3,
+            "{backend}: {d2h_ms} vs {table}"
+        );
+        legs_by_backend.push(legs);
+    }
+    // The device backend: one pass for the one view; the CPU backend:
+    // one pass per block of two subjects.
+    assert_eq!(legs_by_backend, [1, 4]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tabular_output_has_twelve_columns() {
     let dir = std::env::temp_dir().join(format!("cublastp_cli_tab_{}", std::process::id()));

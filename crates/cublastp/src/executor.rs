@@ -9,9 +9,10 @@
 //! searcher construction, round planning and seeding — a round's passes
 //! run on the batch's threads, one block each — panic isolation, and
 //! queue-wait and outcome accounting; each query is one
-//! [`CuBlastp::run_blocks`] call over every view. A plan adds only its
-//! model of the batch's time (the flat pipeline timeline, or the fleet
-//! schedule).
+//! [`CuBlastp::run_blocks`] call over every view. Once every query has
+//! run, the executor bills the device passes — shared by the batch's
+//! queries on one device, each query's own in a fleet — and the upload.
+//! A plan adds only its model of the batch's time (the fleet schedule).
 
 use crate::binning::BinnedHits;
 use crate::config::{CuBlastpConfig, GappedBackend};
@@ -20,7 +21,10 @@ use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
 use crate::pipeline::{schedule, BlockTiming, PipelineSchedule};
-use crate::search::{bill_upload, CuBlastp, CuBlastpResult, RoundReport, SearchHooks};
+use crate::search::{
+    bill_passes, bill_upload, CuBlastp, CuBlastpResult, DevicePass, RoundReport, SearchHooks,
+    Searched,
+};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, ParMap};
@@ -88,10 +92,14 @@ pub(crate) struct Plan<'a> {
     /// entries. `None`: each query's own DFA.
     pub grouped: Option<usize>,
     pub injector: Option<Arc<FaultInjector>>,
-    /// Bill the database upload, once all queries ran, to the lowest-index
-    /// one that succeeded. A grouped plan never pays (`grouped` wins); the
-    /// fleet schedule bills uploads itself.
-    pub pays_upload: bool,
+    /// The plan's (query × shard) items land on different devices: each
+    /// query's device passes are its own, and the fleet schedule bills
+    /// the uploads. Otherwise the batch runs on one device: its queries
+    /// share each device pass — all of them under per-query seeding, a
+    /// round's members under grouped seeding — and the lowest-index query
+    /// that succeeded pays the database upload (a grouped batch bills it
+    /// to no query).
+    pub fleet: bool,
 }
 
 /// What [`execute`] did.
@@ -100,8 +108,14 @@ pub(crate) struct Executed {
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// Grouped seeding rounds in batch order.
     pub rounds: Vec<RoundReport>,
+    /// The device passes the batch's queries were billed in, batch unit
+    /// by batch unit, each in pass order.
+    pub passes: Vec<DevicePass>,
     /// Measured host wall-clock of the whole execution.
     pub wall_ms: f64,
+    /// Bytes the batch's pooled hit-path scratch holds once every query
+    /// ran ([`KernelWorkspace::pooled_bytes`]).
+    pub pooled_bytes: usize,
 }
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
@@ -171,6 +185,7 @@ fn seed_round(
             pass.sim_ms,
             Some(pass.block),
             None,
+            &[],
         );
         round.seeding_ms += pass.sim_ms;
         for (member, b) in bins.iter_mut().zip(pass.bins) {
@@ -178,6 +193,12 @@ fn seed_round(
         }
     }
     (round, bins)
+}
+
+/// The error left in a query's slot that no batch unit covered: round
+/// packing skipped it.
+fn unbilled() -> SearchError {
+    SearchError::config("round packing skipped a query")
 }
 
 /// A query about to run: batch index and, under grouped seeding, its
@@ -230,7 +251,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
             searcher.run_blocks(plan.shards, seeds, &SearchHooks::default())
         });
         if let Ok(r) = &mut result {
-            r.recovery.queue_wait_us = queue_wait_us;
+            r.result.recovery.queue_wait_us = queue_wait_us;
             obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
         }
         let outcome = if result.is_ok() { "ok" } else { "err" };
@@ -239,10 +260,15 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
     };
 
     let mut rounds = Vec::new();
-    let mut per_query: Vec<Result<CuBlastpResult, _>> = match plan.grouped {
-        None => (0..queries.len())
-            .map(|i| run_member((i, None, None)))
-            .collect(),
+    // The queries that share device passes: the batch, or each round.
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let searched: Vec<Result<Searched, _>> = match plan.grouped {
+        None => {
+            units.push((0..queries.len()).collect());
+            (0..queries.len())
+                .map(|i| run_member((i, None, None)))
+                .collect()
+        }
         Some(budget) => {
             // Round packing needs every query's neighbourhood size, so
             // all are set up first; a failed one keeps its error, and so
@@ -306,6 +332,7 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                     let members = &ready[range];
                     let (round, bins) = seed_round(members, blocks.len(), passes);
                     rounds.push(round);
+                    units.push(members.iter().map(|&(i, _)| i).collect());
                     let members = members.iter().zip(bins);
                     ran.extend(members.map(|(&(i, s), b)| run_member((i, Some(s), Some(b)))));
                 }
@@ -313,26 +340,53 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
             });
             // Back into input order: rounds cover the set-up queries once.
             let mut ran = ran.into_iter();
-            let unpacked = || Err(SearchError::config("round packing skipped a query"));
             built
                 .iter()
                 .map(|b| match b {
-                    Ok(_) => ran.next().unwrap_or_else(unpacked),
+                    Ok(_) => ran.next().unwrap_or_else(|| Err(unbilled())),
                     Err(e) => Err(e.clone()),
                 })
                 .collect()
         }
     };
+    // Every query has run: bill the device passes, unit by unit. A failed
+    // query joins no pass.
+    if plan.fleet {
+        units = (0..queries.len()).map(|i| vec![i]).collect();
+    }
+    let backend = plan.config.gapped_backend;
+    let mut slots: Vec<Option<Searched>> = Vec::with_capacity(queries.len());
+    let mut per_query: Vec<Result<CuBlastpResult, SearchError>> = Vec::with_capacity(queries.len());
+    for r in searched {
+        let (slot, billed) = match r {
+            Ok(s) => (Some(s), Err(unbilled())),
+            Err(e) => (None, Err(e)),
+        };
+        slots.push(slot);
+        per_query.push(billed);
+    }
+    let mut passes = Vec::new();
+    for unit in units {
+        let ids: Vec<usize> = unit.into_iter().filter(|&i| slots[i].is_some()).collect();
+        let members = (ids.iter()).filter_map(|&i| Some((i as u32, slots[i].take()?)));
+        let (results, billed) = bill_passes(&plan.device, plan.shards, backend, members.collect());
+        for (i, r) in ids.into_iter().zip(results) {
+            per_query[i] = Ok(r);
+        }
+        passes.extend(billed);
+    }
     // The resident database is paid for once, by the lowest-index query
     // that succeeded: a failed query's timing is discarded, so it must not
     // take the charge with it.
     let payer = (per_query.iter_mut().zip(0u32..)).find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
-    if let (Some((r, i)), true) = (payer, plan.pays_upload && plan.grouped.is_none()) {
-        bill_upload(&plan.device, plan.shards, plan.config.gapped_backend, i, r);
+    if let (Some((r, i)), false) = (payer, plan.fleet || plan.grouped.is_some()) {
+        bill_upload(&plan.device, plan.shards, backend, i, r);
     }
     Executed {
         per_query,
         rounds,
+        passes,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        pooled_bytes: workspace.pooled_bytes(),
     }
 }

@@ -823,6 +823,39 @@ mod tests {
         }
     }
 
+    /// A batch's `hit_tail` launch declares the largest footprint among
+    /// its queries (DESIGN.md §3.2). That never de-rates the time model:
+    /// whichever placement a query of any length takes, under any scoring
+    /// mode and on any preset, one or two blocks fit an SM — occupancy
+    /// 0.5 or 1.0, where `kernel_cycles` bills full throughput.
+    #[test]
+    fn every_hit_tail_placement_has_occupancy_at_least_one_half() {
+        let devices = [
+            DeviceConfig::k20c(),
+            DeviceConfig::k40(),
+            DeviceConfig::gtx680(),
+        ];
+        let scorings = [ScoringMode::Auto, ScoringMode::Pssm, ScoringMode::Blosum62];
+        for device in &devices {
+            for scoring in scorings {
+                let cfg = CuBlastpConfig {
+                    scoring,
+                    ..CuBlastpConfig::default()
+                };
+                for qlen in (1..=1200)
+                    .step_by(7)
+                    .chain([320, 321, 496, 497, 752, 753, 768])
+                {
+                    let (_, _, launch) = hit_tail_footprint(device, &cfg, qlen, 1);
+                    let shared = launch.shared_bytes_per_block;
+                    let occupancy = device.occupancy(launch.warps_per_block, shared);
+                    assert!(launch.fits(device), "{scoring:?} {qlen}");
+                    assert!(occupancy >= 0.5, "{scoring:?} {qlen}: {occupancy}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn batch_starts_cut_every_nth_task() {
         let hits = vec![pack(0, 3, 1), pack(0, 3, 9), pack(0, 5, 2), pack(1, 3, 4)];

@@ -86,8 +86,8 @@ pub use pipeline::{schedule, BlockTiming, PipelineSchedule};
 pub use scheduler::{schedule_fleet, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED};
 pub use search::{
     search_batch_resident, search_batch_with, BatchOptions, BatchOutcome, BlockProgress, Clock,
-    CuBlastp, CuBlastpResult, CuBlastpTiming, GroupedReport, PhaseRow, RecoveryReport, RoundReport,
-    SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
+    CuBlastp, CuBlastpResult, CuBlastpTiming, DevicePass, GroupedReport, PhaseRow, RecoveryReport,
+    RoundReport, SearchHooks, SeedMode, DEFAULT_GROUP_BUDGET,
 };
 pub use shard::{
     search_all_vs_all, search_sharded, search_sharded_batch, AllVsAllResult, DbShard, DbSource,

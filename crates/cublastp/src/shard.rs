@@ -31,7 +31,7 @@ use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
 use crate::executor::{execute, view_schedules, Plan, ShardView};
 use crate::scheduler::{schedule_fleet, FleetSchedule, DEFAULT_STEAL_SEED};
-use crate::search::{CuBlastp, CuBlastpResult, SearchHooks};
+use crate::search::{CuBlastp, CuBlastpResult, DevicePass, SearchHooks};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
@@ -491,7 +491,7 @@ pub fn search_sharded(
     sharded: &ShardedDb,
     hooks: &SearchHooks<'_>,
 ) -> Result<CuBlastpResult, SearchError> {
-    searcher.run_blocks(&sharded.views(), None, hooks)
+    searcher.run_alone(&sharded.views(), hooks)
 }
 
 /// Options for a sharded batch.
@@ -526,6 +526,9 @@ pub struct ShardedBatchOutcome {
     pub shard_upload_ms: Vec<f64>,
     /// Measured host wall-clock of the whole batch.
     pub wall_ms: f64,
+    /// The device passes the queries were billed in, query by query: the
+    /// items land on different devices, so each pass has one member.
+    pub passes: Vec<DevicePass>,
 }
 
 impl ShardedBatchOutcome {
@@ -578,7 +581,7 @@ fn sharded_plan(
         shards: &views,
         grouped: None,
         injector: opts.injector.clone(),
-        pays_upload: false,
+        fleet: true,
     };
     let run = execute(&plan, queries);
     let mut item_costs = Vec::new();
@@ -619,6 +622,7 @@ fn sharded_plan(
         item_shards,
         shard_upload_ms: uploads,
         wall_ms: run.wall_ms,
+        passes: run.passes,
     }
 }
 

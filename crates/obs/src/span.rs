@@ -106,8 +106,9 @@ impl Drop for PhaseSpan {
 }
 
 /// Record a modelled span on the virtual track `track`: the event starts
-/// at the track's cursor and advances it by `dur_ms` of simulated time.
-/// Disarmed (or metrics-only) processes skip it after one relaxed load.
+/// at the track's cursor and advances it by `dur_ms` of simulated time,
+/// with `args` as its arguments. Disarmed (or metrics-only) processes
+/// skip it after one relaxed load.
 #[inline]
 pub fn modelled(
     track: &'static str,
@@ -115,11 +116,12 @@ pub fn modelled(
     dur_ms: f64,
     block: Option<u32>,
     query: Option<u32>,
+    args: &[(&'static str, f64)],
 ) {
     if crate::state() & TRACE == 0 {
         return;
     }
-    trace::record_modelled(track, name, dur_ms, block, query);
+    trace::record_modelled(track, name, dur_ms, block, query, args);
 }
 
 #[cfg(test)]

@@ -150,6 +150,7 @@ pub(crate) fn record_modelled(
     dur_ms: f64,
     block: Option<u32>,
     query: Option<u32>,
+    args: &[(&'static str, f64)],
 ) {
     let mut buf = buffer();
     let i = buf.track(track);
@@ -163,7 +164,7 @@ pub(crate) fn record_modelled(
         tid,
         block,
         query,
-        args: Vec::new(),
+        args: args.to_vec(),
     });
     buf.tracks[i].2 = cursor + dur_us;
 }
@@ -382,7 +383,14 @@ mod tests {
             let mut inner = crate::span("inner_test_span", "host");
             inner.set_arg("bytes", 1024.0);
         }
-        crate::modelled("test-track", "modelled_leg", 1.5, Some(3), None);
+        crate::modelled(
+            "test-track",
+            "modelled_leg",
+            1.5,
+            Some(3),
+            None,
+            &[("members", 2.0)],
+        );
         crate::disarm();
         let trace = take_trace();
         trace.validate().expect("real trace must validate");
@@ -403,6 +411,8 @@ mod tests {
             .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("modelled_leg"))
             .expect("modelled event present");
         assert!(modelled.get("tid").and_then(|t| t.as_f64()).unwrap_or(0.0) >= 1000.0);
+        let members = modelled.get("args").and_then(|a| a.get("members"));
+        assert_eq!(members.and_then(|m| m.as_f64()), Some(2.0));
     }
 
     #[test]
@@ -413,7 +423,7 @@ mod tests {
         {
             let _s = crate::span("should_not_appear", "host");
         }
-        crate::modelled("quiet-track", "quiet", 1.0, None, None);
+        crate::modelled("quiet-track", "quiet", 1.0, None, None, &[]);
         assert!(take_trace().is_empty());
     }
 }
