@@ -102,9 +102,9 @@ fn print_phase_table(batch: &CuBlastpResult, passes: &[DevicePass], queries: usi
     // What the D2H legs carried, in how many legs — one per device pass
     // that downloaded anything: a block on the CPU backend, a shard view
     // under `--gapped-backend gpu`, shared by the queries of a flat batch
-    // (of a grouped round), each query's own under `--shards` — in how
-    // many passes of how many queries, and how few of the computed
-    // extensions that is.
+    // (of a grouped round), or of a fleet device's group on one shard
+    // under `--shards` — in how many passes of how many queries, and how
+    // few of the computed extensions that is.
     let legs = passes.iter().filter(|p| p.d2h_ms > 0.0).count();
     let members = |pick: fn(usize, usize) -> usize| {
         passes.iter().map(|p| p.members).reduce(pick).unwrap_or(0)
@@ -883,14 +883,21 @@ fn recovery_note(recovery: &RecoveryReport) -> String {
 }
 
 /// The `# shards:` summary row of a fleet-scheduled run (batch and
-/// `allvsall`): the schedule's makespan against the same items on one
-/// device, and the uploads it billed across the fleet.
+/// `allvsall`), on the `DeviceModel` clock: the schedule's makespan
+/// against the same items placed and billed on one device, the uploads
+/// it billed across the fleet, and the (device × shard) groups whose
+/// queries shared each device pass.
 fn fleet_note(args: &Args, shards: usize, schedule: &FleetSchedule, single_device_ms: f64) {
+    let groups = schedule
+        .per_device
+        .iter()
+        .map(|d| d.groups.len())
+        .sum::<usize>();
     note(
         args,
         &format!(
             "# shards: {shards} devices={} makespan={:.3}ms single-device={:.3}ms \
-             speedup={:.2}x efficiency={:.2} upload={:.3}ms",
+             speedup={:.2}x efficiency={:.2} upload={:.3}ms groups={groups} (DeviceModel)",
             schedule.per_device.len(),
             schedule.makespan_ms,
             single_device_ms,
@@ -902,8 +909,9 @@ fn fleet_note(args: &Args, shards: usize, schedule: &FleetSchedule, single_devic
 }
 
 /// The per-shard / per-device rows of `--phase-table` under the sharded
-/// engine: modelled search time per shard and the fleet timeline each
-/// device executed (busy, upload, items run).
+/// engine, on the `DeviceModel` clock: each shard's items billed alone,
+/// and the fleet timeline each device executed (busy, upload, items run),
+/// then its groups — the queries of one shard that shared its passes.
 fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
     let n = sharded.num_shards();
     let mut cost = vec![0.0f64; n];
@@ -913,12 +921,12 @@ fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
         items[s] += 1;
     }
     out!(
-        "# per-shard totals ({n} shards over {} devices):",
+        "# per-shard totals ({n} shards over {} devices, DeviceModel):",
         out.devices
     );
     for (i, shard) in sharded.shards().iter().enumerate() {
         out!(
-            "# shard {:<3} {:>6} seqs {:>4} items {:>10.3} ms search {:>8.3} ms upload",
+            "# shard {:<3} {:>6} seqs {:>4} items {:>10.3} ms alone {:>8.3} ms upload",
             i,
             shard.len(),
             items[i],
@@ -934,6 +942,15 @@ fn print_fleet_table(sharded: &ShardedDb, out: &cublastp::ShardedBatchOutcome) {
             t.upload_ms,
             t.items.len(),
         );
+        for g in &t.groups {
+            out!(
+                "#   group shard {:<3} {:>4} members {:>4} passes {:>10.3} ms",
+                g.shard,
+                g.members,
+                g.passes,
+                g.bill_ms,
+            );
+        }
     }
 }
 

@@ -559,6 +559,126 @@ fn a_batch_trace_draws_one_event_per_batch_launch_and_leg() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sharded batch bills each fleet device's queries on one shard as one
+/// group of device passes, on the `DeviceModel` clock: the `# shards:`
+/// row names its clock and counts the groups, `--phase-table` lists each
+/// device's groups with their members, its D2H note counts the groups'
+/// passes, and the trace draws one event per group launch and leg, each
+/// naming its members and its device.
+#[test]
+fn a_fleet_trace_draws_one_event_per_group_launch_and_leg() {
+    let dir = std::env::temp_dir().join(format!("cublastp_cli_fleet_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (q, d, trace) = (dir.join("q.fa"), dir.join("d.fa"), dir.join("trace.json"));
+    let rotated = |k: usize| format!("{}{}", &CORE[k..], &CORE[..k]);
+    let queries = [CORE.to_string(), rotated(5), CORE.chars().rev().collect()];
+    let subjects: Vec<String> = (0..8).map(|i| rotated(3 * i)).collect();
+    let write = |path: &std::path::Path, id: &str, seqs: &[String]| {
+        let ids: Vec<String> = (0..seqs.len()).map(|i| format!("{id}{i}")).collect();
+        let records: Vec<(&str, &str)> = (ids.iter().zip(seqs))
+            .map(|(id, seq)| (id.as_str(), seq.as_str()))
+            .collect();
+        write_fasta(path, &records);
+    };
+    write(&q, "q", &queries);
+    write(&d, "s", &subjects);
+    for backend in ["gpu", "cpu"] {
+        let out = run(&[
+            "--query",
+            q.to_str().unwrap(),
+            "--db",
+            d.to_str().unwrap(),
+            "--block-size",
+            "2",
+            "--shards",
+            "3",
+            "--devices",
+            "2",
+            "--phase-table",
+            "--gapped-backend",
+            backend,
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let table = String::from_utf8(out.stdout).unwrap();
+        // Each device's groups: (members, passes).
+        let groups: Vec<(usize, usize)> = (table.lines())
+            .filter_map(|l| l.strip_prefix("#   group shard "))
+            .map(|l| {
+                let words: Vec<&str> = l.split_whitespace().collect();
+                (words[1].parse().unwrap(), words[3].parse().unwrap())
+            })
+            .collect();
+        // Three queries on each of three shards, each in one group.
+        let members: usize = groups.iter().map(|&(m, _)| m).sum();
+        assert_eq!(members, 9, "{backend}: {table}");
+        let passes: usize = groups.iter().map(|&(_, p)| p).sum();
+        let shards_row = (table.lines())
+            .find(|l| l.starts_with("# shards: 3 devices=2 "))
+            .expect("a # shards row");
+        let named = format!(" groups={} (DeviceModel)", groups.len());
+        assert!(shards_row.ends_with(&named), "{backend}: {shards_row}");
+        let d2h_row = (table.lines())
+            .find(|l| l.starts_with("# d2h_transfer "))
+            .expect("a d2h row");
+        let fewest = groups.iter().map(|&(m, _)| m).min().unwrap();
+        let most = groups.iter().map(|&(m, _)| m).max().unwrap();
+        let span = match fewest < most {
+            true => format!("{fewest}–{most}"),
+            false => most.to_string(),
+        };
+        let quer = if most == 1 { "y" } else { "ies" };
+        let counted = format!("({passes} device passes of {span} quer{quer})");
+        assert!(
+            d2h_row.contains(&counted),
+            "{backend}: {d2h_row} vs {counted}"
+        );
+        // One event per group launch and leg, naming its members and device.
+        let (counts, gpu_ms, d2h_ms) = modelled_events(&trace);
+        for (name, n) in &counts {
+            assert_eq!(*n, passes, "{backend}: {name} in {counts:?}");
+        }
+        let body = std::fs::read_to_string(&trace).unwrap();
+        let doc = obs::json::parse(&body).expect("a JSON trace");
+        let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        let legs = events.iter().filter(|e| {
+            let modelled = e.get("cat").and_then(|v| v.as_str()) == Some("modelled");
+            modelled && e.get("name").and_then(|v| v.as_str()) == Some("d2h_transfer")
+        });
+        let mut leg_members = 0;
+        for e in legs {
+            let arg = |k: &str| e.get("args").and_then(|a| a.get(k)?.as_f64());
+            assert!(
+                matches!(arg("device"), Some(d) if d == 0.0 || d == 1.0),
+                "{backend}"
+            );
+            leg_members += arg("members").expect("a members arg") as usize;
+        }
+        let billed: usize = groups.iter().map(|&(m, p)| m * p).sum();
+        assert_eq!(
+            leg_members, billed,
+            "{backend}: a leg per pass of each group"
+        );
+        // The events add up to the ledger's rows (printed to 3 decimals).
+        let kernels = phase_ms(&table, |name| !name.ends_with("_transfer"));
+        let d2h = phase_ms(&table, |name| name == "d2h_transfer");
+        assert!(
+            (gpu_ms - kernels).abs() < 2e-3,
+            "{backend}: {gpu_ms} vs {table}"
+        );
+        assert!(
+            (d2h_ms - d2h).abs() < 1e-3,
+            "{backend}: {d2h_ms} vs {table}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tabular_output_has_twelve_columns() {
     let dir = std::env::temp_dir().join(format!("cublastp_cli_tab_{}", std::process::id()));

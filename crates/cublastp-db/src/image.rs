@@ -29,14 +29,41 @@ use std::sync::Arc;
 static MAPS: AtomicU64 = AtomicU64::new(0);
 static UNMAPS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of regions mapped since process start.
+#[cfg(test)]
+thread_local! {
+    /// The maps and unmaps this thread made. The crate's unit tests run
+    /// on many threads of one process and map images concurrently, so
+    /// there the counters read the calling thread's own.
+    static OWN: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Count one map (`map`) or unmap, and under test the calling thread's.
+fn count(map: bool) {
+    let counter = if map { &MAPS } else { &UNMAPS };
+    counter.fetch_add(1, Ordering::SeqCst);
+    #[cfg(test)]
+    OWN.with(|own| {
+        let (maps, unmaps) = own.get();
+        own.set((maps + u64::from(map), unmaps + u64::from(!map)));
+    });
+}
+
+/// Number of regions mapped since process start (under the crate's unit
+/// tests, by the calling thread).
 pub fn map_count() -> u64 {
+    #[cfg(test)]
+    return OWN.with(|own| own.get().0);
+    #[cfg(not(test))]
     MAPS.load(Ordering::SeqCst)
 }
 
 /// Number of regions unmapped (dropped at refcount zero) since process
-/// start. `map_count() - unmap_count()` is the number of live mappings.
+/// start (under the crate's unit tests, by the calling thread).
+/// `map_count() - unmap_count()` is the number of live mappings.
 pub fn unmap_count() -> u64 {
+    #[cfg(test)]
+    return OWN.with(|own| own.get().1);
+    #[cfg(not(test))]
     UNMAPS.load(Ordering::SeqCst)
 }
 
@@ -52,7 +79,7 @@ pub struct MappedRegion {
 
 impl MappedRegion {
     fn new(bytes: Vec<u8>, source: String) -> Self {
-        MAPS.fetch_add(1, Ordering::SeqCst);
+        count(true);
         Self {
             bytes: bytes.into_boxed_slice(),
             source,
@@ -85,7 +112,7 @@ impl MappedRegion {
 
 impl Drop for MappedRegion {
     fn drop(&mut self) {
-        UNMAPS.fetch_add(1, Ordering::SeqCst);
+        count(false);
     }
 }
 

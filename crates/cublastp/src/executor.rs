@@ -1,7 +1,7 @@
 //! The search executor: the one place queries meet database shards.
 //!
 //! Every batch-shaped entry point of the crate is a short *plan* over
-//! [`execute`]: queries, [`ShardView`]s, and a seed source. Work items are
+//! [`run`]: queries, [`ShardView`]s, and a seed source. Work items are
 //! (query-group × shard) pairs — a flat database is one borrowed view, a
 //! per-query search a group of one, a grouped seeding round a group whose
 //! members share one seeding pass per database block (one kernel indexed
@@ -10,9 +10,10 @@
 //! run on the batch's threads, one block each — panic isolation, and
 //! queue-wait and outcome accounting; each query is one
 //! [`CuBlastp::run_blocks`] call over every view. Once every query has
-//! run, the executor bills the device passes — shared by the batch's
-//! queries on one device, each query's own in a fleet — and the upload.
-//! A plan adds only its model of the batch's time (the fleet schedule).
+//! run, the plan bills the device passes in its groups ([`Ran::bill`]):
+//! [`execute`] as one device — the batch's queries (a round's) share each
+//! pass and the batch pays the upload once — the fleet plan in the
+//! (device × view) groups its placement made (`shard::sharded_plan`).
 
 use crate::binning::BinnedHits;
 use crate::config::{CuBlastpConfig, GappedBackend};
@@ -22,8 +23,8 @@ use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
 use crate::pipeline::{schedule, BlockTiming, PipelineSchedule};
 use crate::search::{
-    bill_passes, bill_upload, CuBlastp, CuBlastpResult, DevicePass, RoundReport, SearchHooks,
-    Searched,
+    bill_passes, bill_upload, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, RoundReport,
+    SearchHooks, Searched,
 };
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
@@ -64,9 +65,8 @@ pub(crate) fn view_passes<'v>(
 }
 
 /// Each view's Fig. 12 schedule over its run of `block_timings` (a
-/// query's device passes, in view order): the cost of a (query × shard)
-/// item of the fleet schedule, and, summed in view order, the query's
-/// makespan.
+/// query's device passes, in view order): summed in view order, the
+/// query's makespan.
 pub(crate) fn view_schedules(
     block_timings: &[BlockTiming],
     views: &[ShardView<'_>],
@@ -92,30 +92,80 @@ pub(crate) struct Plan<'a> {
     /// entries. `None`: each query's own DFA.
     pub grouped: Option<usize>,
     pub injector: Option<Arc<FaultInjector>>,
-    /// The plan's (query × shard) items land on different devices: each
-    /// query's device passes are its own, and the fleet schedule bills
-    /// the uploads. Otherwise the batch runs on one device: its queries
-    /// share each device pass — all of them under per-query seeding, a
-    /// round's members under grouped seeding — and the lowest-index query
-    /// that succeeded pays the database upload (a grouped batch bills it
-    /// to no query).
-    pub fleet: bool,
 }
 
-/// What [`execute`] did.
+/// A plan's queries searched, their device passes not yet billed.
+pub(crate) struct Ran {
+    /// Input order; a failed (or panicked) query is an `Err` in its slot.
+    /// A successful query's result holds its report and host time only
+    /// until [`Self::bill`] folds its device passes in.
+    pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
+    /// Each query's unpriced device passes, view by view; `None` for a
+    /// failed query.
+    pub passes: Vec<Option<Passes>>,
+    /// Grouped seeding rounds in batch order.
+    pub rounds: Vec<RoundReport>,
+    /// The queries that would share each device pass on one device: the
+    /// whole batch under per-query seeding, each round under grouped
+    /// seeding.
+    units: Vec<Vec<usize>>,
+    /// When the plan started.
+    pub t0: Instant,
+    pooled_bytes: usize,
+}
+
+/// What a plan billed.
 pub(crate) struct Executed {
     /// Input order; a failed (or panicked) query is an `Err` in its slot.
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// Grouped seeding rounds in batch order.
     pub rounds: Vec<RoundReport>,
-    /// The device passes the batch's queries were billed in, batch unit
-    /// by batch unit, each in pass order.
+    /// The device passes the plan billed, group by group, each in pass
+    /// order.
     pub passes: Vec<DevicePass>,
     /// Measured host wall-clock of the whole execution.
     pub wall_ms: f64,
     /// Bytes the batch's pooled hit-path scratch holds once every query
     /// ran ([`KernelWorkspace::pooled_bytes`]).
     pub pooled_bytes: usize,
+}
+
+impl Ran {
+    /// The batch on one device: a group over every view per unit, of the
+    /// unit's queries that succeeded.
+    pub fn one_device(&self, views: usize) -> Vec<Group> {
+        let groups = self.units.iter().map(|unit| Group {
+            views: 0..views,
+            members: unit
+                .iter()
+                .copied()
+                .filter(|&i| self.passes[i].is_some())
+                .collect(),
+            device: None,
+        });
+        groups.filter(|g| !g.members.is_empty()).collect()
+    }
+
+    /// Bill `groups` ([`bill_passes`]): every successful query gets its
+    /// shares of the passes of its groups.
+    pub fn bill(mut self, plan: &Plan<'_>, groups: &[Group]) -> Executed {
+        let backend = plan.config.gapped_backend;
+        let passes = bill_passes(
+            &plan.device,
+            plan.shards,
+            backend,
+            &mut self.per_query,
+            &self.passes,
+            groups,
+        );
+        Executed {
+            wall_ms: self.t0.elapsed().as_secs_f64() * 1e3,
+            per_query: self.per_query,
+            rounds: self.rounds,
+            passes: passes.into_iter().flatten().collect(),
+            pooled_bytes: self.pooled_bytes,
+        }
+    }
 }
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
@@ -143,7 +193,7 @@ struct Pass {
 
 /// The batch's threads, as a grouped seeding round maps its passes over
 /// them: the job is the round's index, an item one database block.
-type Passes<'scope, 'env> = ParMap<'scope, 'env, DeviceGroupIndex, Pass>;
+type RoundPasses<'scope, 'env> = ParMap<'scope, 'env, DeviceGroupIndex, Pass>;
 
 /// One grouped seeding round: build the members' shared word index on the
 /// caller, then probe it over every resident block once — one pass per
@@ -154,7 +204,7 @@ type Passes<'scope, 'env> = ParMap<'scope, 'env, DeviceGroupIndex, Pass>;
 fn seed_round(
     members: &[(usize, &CuBlastp)],
     blocks: usize,
-    passes: &mut Passes<'_, '_>,
+    passes: &mut RoundPasses<'_, '_>,
 ) -> (RoundReport, Vec<Vec<BinnedHits>>) {
     let first_query = members.first().map_or(0, |&(i, _)| i);
     let member_queries: Vec<&DeviceQuery> = members.iter().map(|(_, s)| &s.query_device).collect();
@@ -205,8 +255,30 @@ fn unbilled() -> SearchError {
 /// already-built searcher and its round bins.
 type Member<'m> = (usize, Option<&'m CuBlastp>, Option<Vec<BinnedHits>>);
 
-/// Execute a plan: search every query over every shard view.
+/// Execute a plan on one device: search every query over every shard
+/// view ([`run`]) and bill the batch — its queries share each device
+/// pass, all of them under per-query seeding, a round's members under
+/// grouped seeding — and the lowest-index query that succeeded pays the
+/// database upload (a grouped batch bills it to no query).
 pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
+    let ran = run(plan, queries);
+    let groups = ran.one_device(plan.shards.len());
+    let mut billed = ran.bill(plan, &groups);
+    // The resident database is paid for once, by the lowest-index query
+    // that succeeded: a failed query's timing is discarded, so it must not
+    // take the charge with it.
+    let mut per_query = billed.per_query.iter_mut().zip(0u32..);
+    let payer = per_query.find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
+    if let (Some((r, i)), None) = (payer, plan.grouped) {
+        let backend = plan.config.gapped_backend;
+        bill_upload(&plan.device, plan.shards, backend, i, r);
+    }
+    billed
+}
+
+/// Search every query of a plan over every shard view, the device passes
+/// left unpriced for the plan to bill.
+pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
     let t0 = Instant::now();
     let db_residues: usize = plan.shards.iter().map(|v| v.db.total_residues()).sum();
     let db_sequences: usize = plan.shards.iter().map(|v| v.db.len()).sum();
@@ -349,44 +421,20 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
                 .collect()
         }
     };
-    // Every query has run: bill the device passes, unit by unit. A failed
-    // query joins no pass.
-    if plan.fleet {
-        units = (0..queries.len()).map(|i| vec![i]).collect();
-    }
-    let backend = plan.config.gapped_backend;
-    let mut slots: Vec<Option<Searched>> = Vec::with_capacity(queries.len());
-    let mut per_query: Vec<Result<CuBlastpResult, SearchError>> = Vec::with_capacity(queries.len());
-    for r in searched {
-        let (slot, billed) = match r {
-            Ok(s) => (Some(s), Err(unbilled())),
-            Err(e) => (None, Err(e)),
-        };
-        slots.push(slot);
-        per_query.push(billed);
-    }
-    let mut passes = Vec::new();
-    for unit in units {
-        let ids: Vec<usize> = unit.into_iter().filter(|&i| slots[i].is_some()).collect();
-        let members = (ids.iter()).filter_map(|&i| Some((i as u32, slots[i].take()?)));
-        let (results, billed) = bill_passes(&plan.device, plan.shards, backend, members.collect());
-        for (i, r) in ids.into_iter().zip(results) {
-            per_query[i] = Ok(r);
-        }
-        passes.extend(billed);
-    }
-    // The resident database is paid for once, by the lowest-index query
-    // that succeeded: a failed query's timing is discarded, so it must not
-    // take the charge with it.
-    let payer = (per_query.iter_mut().zip(0u32..)).find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
-    if let (Some((r, i)), false) = (payer, plan.fleet || plan.grouped.is_some()) {
-        bill_upload(&plan.device, plan.shards, backend, i, r);
-    }
-    Executed {
+    // Every query has run: its passes wait for the plan's bill.
+    let (per_query, passes) = searched
+        .into_iter()
+        .map(|r| match r {
+            Ok(Searched { result, passes }) => (Ok(result), Some(passes)),
+            Err(e) => (Err(e), None),
+        })
+        .unzip();
+    Ran {
         per_query,
-        rounds,
         passes,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        rounds,
+        units,
+        t0,
         pooled_bytes: workspace.pooled_bytes(),
     }
 }

@@ -20,8 +20,11 @@
 //!   the device backend — are what the kernels compute when called one by
 //!   one outside the pipeline;
 //! * its `RecoveryReport` is what [`Expect`] derives from the fault's
-//!   site class and kind alone, and a batch's surviving queries pay the
-//!   database upload once;
+//!   site class and kind alone, and a single-device batch's surviving
+//!   queries pay the database upload once;
+//! * on the fleet plan, each (device × view) group of the placement is
+//!   billed as one batch unit, each device's clock is its uploads plus its
+//!   groups' bills, and placing and billing again reproduces the schedule;
 //! * an `Err` appears only where the case predicts one.
 //!
 //! A combination the code does not offer is skipped in one place,
@@ -35,10 +38,13 @@ use crate::executor::{execute, Plan, ShardView};
 use crate::extension::HIT_TAIL_KERNEL;
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{pipeline_rank, run_gpu_phase, GpuPhaseCounts};
+use crate::scheduler::{DeviceGroup, DeviceTimeline, FleetSchedule};
 use crate::search::{
     meet, Clock, CuBlastpResult, DevicePass, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET,
 };
-use crate::shard::{DbSource, ShardedDb};
+use crate::shard::{
+    search_sharded_batch, DbSource, ShardedBatchOptions, ShardedDb, ShardedOptions,
+};
 use crate::CancelToken;
 use bio_seq::fasta::{read_fasta_strict, to_fasta};
 use bio_seq::generate::{generate_db, make_query, make_query_with_low_complexity, DbSpec};
@@ -153,6 +159,9 @@ pub(crate) struct Case {
     pub readonly_cache: bool,
     pub params: Params,
     pub queries: Queries,
+    /// The fleet plan (`search_sharded_batch`) at this many devices;
+    /// `None`: the single-device batch (`executor::execute`).
+    pub devices: Option<usize>,
 }
 
 impl Default for Case {
@@ -175,6 +184,7 @@ impl Default for Case {
             readonly_cache: true,
             params: Params::Default,
             queries: Queries::Fixture,
+            devices: None,
         }
     }
 }
@@ -206,6 +216,7 @@ const PARAMS: [Params; 4] = [
     Params::Masked,
 ];
 const QUERIES: [Queries; 1] = [Queries::Fixture];
+const DEVICES: [Option<usize>; 3] = [None, Some(1), Some(2)];
 
 /// Every device and gapped site once and permanently, the panic, and
 /// fallback-off at one site of each recovery class.
@@ -248,7 +259,7 @@ macro_rules! axis {
     };
 }
 
-const AXES: [Axis; 17] = [
+const AXES: [Axis; 18] = [
     axis!(seed, SEEDS, "Seed::"),
     axis!(backend, BACKENDS, "GappedBackend::"),
     axis!(shards, LAYOUTS, "Layout::"),
@@ -266,6 +277,7 @@ const AXES: [Axis; 17] = [
     axis!(readonly_cache, CACHE, ""),
     axis!(params, PARAMS, "Params::"),
     axis!(queries, QUERIES, "Queries::"),
+    axis!(devices, DEVICES, ""),
 ];
 
 /// As Rust source, like every value a failing case prints.
@@ -302,6 +314,12 @@ impl fmt::Display for Case {
 pub(crate) fn unsupported(case: &Case) -> Option<&'static str> {
     if case.deadline.is_some() && case.seed != Seed::PerQuery {
         return Some("grouped seeding runs only through `executor::execute`, which takes no hooks");
+    }
+    if case.devices.is_some() && case.seed != Seed::PerQuery {
+        return Some("the fleet plan seeds every query through its own DFA");
+    }
+    if case.devices.is_some() && case.deadline.is_some() {
+        return Some("the fleet plan takes no hooks");
     }
     None
 }
@@ -486,12 +504,37 @@ fn open(fx: &Fixture, source: Source, layout: Layout) -> ShardedDb {
     .expect("the fixture opens from every source")
 }
 
+/// A batch unit as the lattice states it: the queries whose pass p on
+/// each of `views` is one device pass (failed ones included; they join
+/// no pass), and the fleet device that ran them.
+#[derive(Debug)]
+struct Unit {
+    views: Range<usize>,
+    members: Vec<usize>,
+    device: Option<usize>,
+}
+
+/// What the fleet plan scheduled.
+struct Fleet {
+    schedule: FleetSchedule,
+    /// `reschedule` at the schedule's own device count.
+    again: FleetSchedule,
+    single_device_ms: f64,
+    /// `reschedule(1)`'s makespan.
+    one: f64,
+    shard_upload_ms: Vec<f64>,
+    item_shards: Vec<usize>,
+}
+
 /// One case's per-query results, and the blocks each shard view holds.
 struct Run {
     per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// The device passes the batch billed; `None` when every query ran
     /// alone under its own hooks.
     passes: Option<Vec<DevicePass>>,
+    /// The batch units, in the order the passes were billed.
+    units: Vec<Unit>,
+    fleet: Option<Fleet>,
     view_blocks: Vec<usize>,
     num_blocks: usize,
     /// The modelled upload of every block, folded view by view as a
@@ -505,8 +548,8 @@ fn run(case: &Case) -> Run {
     let views = sharded.views();
     let (params, config, device) = (case.params.get(), case.config(), DeviceConfig::k20c());
     let isa = case.scalar.then_some(IsaLevel::Scalar);
-    let (per_query, passes) = with_forced(isa, || match case.deadline {
-        None => {
+    let (per_query, passes, fleet) = with_forced(isa, || match (case.deadline, case.devices) {
+        (None, None) => {
             let plan = Plan {
                 params,
                 config,
@@ -514,12 +557,30 @@ fn run(case: &Case) -> Run {
                 shards: &views,
                 grouped: case.grouped(),
                 injector: case.injector(),
-                fleet: false,
             };
             let ran = execute(&plan, &fx.queries);
-            (ran.per_query, Some(ran.passes))
+            (ran.per_query, Some(ran.passes), None)
         }
-        Some(checks) => {
+        (None, Some(devices)) => {
+            let opts = ShardedBatchOptions {
+                sharded: ShardedOptions {
+                    devices,
+                    ..ShardedOptions::default()
+                },
+                injector: case.injector(),
+            };
+            let out = search_sharded_batch(&fx.queries, params, config, device, &sharded, &opts);
+            let fleet = Fleet {
+                again: out.reschedule(out.devices),
+                one: out.reschedule(1).makespan_ms,
+                schedule: out.schedule,
+                single_device_ms: out.single_device_ms,
+                shard_upload_ms: out.shard_upload_ms,
+                item_shards: out.item_shards,
+            };
+            (out.per_query, Some(out.passes), Some(fleet))
+        }
+        (Some(checks), _) => {
             let injector = case.injector();
             let alone = (fx.queries.iter().enumerate())
                 .map(|(i, q)| {
@@ -535,7 +596,7 @@ fn run(case: &Case) -> Run {
                     s.run_alone(&views, &hooks)
                 })
                 .collect();
-            (alone, None)
+            (alone, None, None)
         }
     });
     let upload = |v: &ShardView<'_>| {
@@ -546,10 +607,13 @@ fn run(case: &Case) -> Run {
             .map(|(_, b)| device.transfer_ms(b.upload_bytes()));
         legs.fold(0.0, |sum, ms| sum + ms)
     };
+    let view_blocks: Vec<usize> = views.iter().map(|v| v.dev.num_blocks()).collect();
     Run {
+        units: units(case, &per_query, &view_blocks, fleet.as_ref()),
         per_query,
         passes,
-        view_blocks: views.iter().map(|v| v.dev.num_blocks()).collect(),
+        fleet,
+        view_blocks,
         num_blocks: sharded.num_blocks(),
         upload_ms: views.iter().map(upload).fold(0.0, |sum, ms| sum + ms),
     }
@@ -842,7 +906,6 @@ pub(crate) fn check(case: &Case) -> usize {
         .iter()
         .map(Vec::len)
         .sum();
-    let units = units(case, ran.per_query.len());
     let expects: Vec<Expect> = (0..ran.per_query.len())
         .map(|i| Expect::new(case, i, &ran.view_blocks))
         .collect();
@@ -874,20 +937,25 @@ pub(crate) fn check(case: &Case) -> usize {
         assert_eq!(r.block_timings.len(), passes, "{at}: an entry per pass");
         let side = DeviceSide::of(r);
         assert_eq!(Ok(&side), canonical[i].as_ref(), "{at}: device side");
-        let unit = units
-            .iter()
-            .find(|u| u.contains(&i))
-            .expect("a unit per query");
-        let alone = unit.iter().filter(|&&j| ran.per_query[j].is_ok()).count() == 1;
+        // Billed alone: every unit it joined has no other successful member.
+        let mut joined = ran.units.iter().filter(|u| u.members.contains(&i));
+        let ok = |u: &Unit| {
+            u.members
+                .iter()
+                .filter(|&&j| ran.per_query[j].is_ok())
+                .count()
+        };
+        let alone = joined.all(|u| ok(u) == 1);
         check_ledger(r, case, expect, alone, &at);
         check_counts(r, case, i, expect, &at);
         assert!(r.tail_threads_ran <= executed_threads(case.threads), "{at}");
         peak = peak.max(r.tail_threads_ran);
         h2d += r.timing.h2d_ms;
     }
-    // A batch's surviving queries pay the resident database once: the
-    // executor bills the lowest-index per-query search that succeeded.
-    let pays = case.deadline.is_none() && case.seed == Seed::PerQuery;
+    // A single-device batch's surviving queries pay the resident database
+    // once: the executor bills the lowest-index per-query search that
+    // succeeded. The fleet bills uploads to its devices' clocks.
+    let pays = case.deadline.is_none() && case.seed == Seed::PerQuery && case.devices.is_none();
     let survived = ran.per_query.iter().any(Result::is_ok);
     let upload = if pays && survived { ran.upload_ms } else { 0.0 };
     assert_eq!(
@@ -895,7 +963,7 @@ pub(crate) fn check(case: &Case) -> usize {
         upload.to_bits(),
         "{case}: upload billed once"
     );
-    check_passes(case, &ran, &expects, &units);
+    check_passes(case, &ran, &expects);
     peak
 }
 
@@ -986,15 +1054,63 @@ fn pass_blocks(case: &Case, view_blocks: &[usize]) -> Vec<Vec<Range<usize>>> {
     views
 }
 
-/// The queries that share device passes: the whole batch, each round of
-/// a grouped batch (the fixture's two queries are one round at the
-/// default budget, two at a budget of one entry), each query alone when
-/// it runs under its own hooks.
-fn units(case: &Case, queries: usize) -> Vec<Vec<usize>> {
-    match (case.deadline, case.seed) {
-        (None, Seed::PerQuery | Seed::Grouped) => vec![(0..queries).collect()],
-        _ => (0..queries).map(|i| vec![i]).collect(),
+/// The batch units (DESIGN.md §3.2), in the order their passes are
+/// billed. On one device: the whole batch over every view, or each round
+/// of a grouped batch (the fixture's two queries are one round at the
+/// default budget, two at a budget of one entry), or each query alone
+/// when it runs under its own hooks. On the fleet: the fleet's items are
+/// (successful query × view with sequences), in that order, and each
+/// device holds one unit per view it ran items of — the queries of those
+/// items — device by device, views in order.
+fn units(
+    case: &Case,
+    per_query: &[Result<CuBlastpResult, SearchError>],
+    view_blocks: &[usize],
+    fleet: Option<&Fleet>,
+) -> Vec<Unit> {
+    let all = 0..view_blocks.len();
+    let unit = |members: Vec<usize>| Unit {
+        views: all.clone(),
+        members,
+        device: None,
+    };
+    let queries = per_query.len();
+    let Some(fleet) = fleet else {
+        return match (case.deadline, case.seed) {
+            (None, Seed::PerQuery | Seed::Grouped) => vec![unit((0..queries).collect())],
+            _ => (0..queries).map(|i| unit(vec![i])).collect(),
+        };
+    };
+    let live: Vec<usize> = all.clone().filter(|&v| view_blocks[v] > 0).collect();
+    let ok = (0..queries).filter(|&i| per_query[i].is_ok());
+    let items: Vec<(usize, usize)> = ok.flat_map(|i| live.iter().map(move |&v| (i, v))).collect();
+    let shards: Vec<usize> = items.iter().map(|&(_, v)| v).collect();
+    assert_eq!(
+        fleet.item_shards, shards,
+        "{case}: an item per (query × live view)"
+    );
+    let placed = &fleet.schedule.assignment;
+    assert_eq!(placed.len(), items.len(), "{case}: a device per item");
+    let mut units = Vec::new();
+    for device in 0..fleet.schedule.per_device.len() {
+        for &view in &live {
+            let on = |&(k, &(_, v)): &(usize, &(usize, usize))| placed[k] == device && v == view;
+            let members: Vec<usize> = items
+                .iter()
+                .enumerate()
+                .filter(on)
+                .map(|(_, &(i, _))| i)
+                .collect();
+            if !members.is_empty() {
+                units.push(Unit {
+                    views: view..view + 1,
+                    members,
+                    device: Some(device),
+                });
+            }
+        }
     }
+    units
 }
 
 /// One query's part of a device pass, billed as if it ran alone: each
@@ -1056,33 +1172,50 @@ fn add_row(rows: &mut Vec<(String, f64)>, name: &str, ms: f64) {
 }
 
 /// The bill of every device pass (DESIGN.md §3.2). The successful queries
-/// of a unit ([`units`]) share each pass: each kernel is one launch over
-/// their counters merged, at the largest footprint among them (the
-/// lowest occupancy), and the pass has one D2H leg of all their bytes.
-/// Each query's rows are its shares: its bill alone × (pass bill ÷ Σ
-/// bills alone), never above its bill alone; a pass of one query is
-/// that query's bill, untouched. Checked per pass (each query's
-/// schedule entry, the batch's `DevicePass`) and per kernel row (the
-/// shares folded pass by pass into their view, views in order). A
-/// failed query joins no pass.
-fn check_passes(case: &Case, ran: &Run, expects: &[Expect], units: &[Vec<usize>]) {
+/// of a unit ([`units`]) share each pass on its views: each kernel is one
+/// launch over their counters merged, at the largest footprint among them
+/// (the lowest occupancy), and the pass has one D2H leg of all their
+/// bytes. Each query's rows are its shares: its bill alone × (pass bill ÷
+/// Σ bills alone), never above its bill alone; a pass of one query is
+/// that query's bill, untouched. Checked per pass (each query's schedule
+/// entry, the `DevicePass` list) and per kernel row (the shares folded
+/// pass by pass into their view, views in order). A failed query joins no
+/// pass. On the fleet, each device's timeline is its units in order, each
+/// its view's upload and its passes' bill ([`check_fleet`]).
+fn check_passes(case: &Case, ran: &Run, expects: &[Expect]) {
     let device = DeviceConfig::k20c();
     let layout = pass_blocks(case, &ran.view_blocks);
+    // Each view's first pass in a query's schedule.
+    let firsts: Vec<usize> = (layout.iter())
+        .scan(0, |next, view| {
+            let first = *next;
+            *next += view.len();
+            Some(first)
+        })
+        .collect();
     let mut billed = ran.passes.as_ref().map(|p| p.iter());
-    for unit in units {
-        let members: Vec<(usize, &CuBlastpResult)> = (unit.iter())
+    // Each query's kernel rows, view by view, and whether a unit of its
+    // ran kernels the reference did not compute.
+    let mut rows: Vec<Vec<Vec<(String, f64)>>> =
+        vec![vec![Vec::new(); layout.len()]; ran.per_query.len()];
+    let mut unchecked = vec![false; ran.per_query.len()];
+    let mut timelines: Vec<DeviceTimeline> = Vec::new();
+    for unit in &ran.units {
+        let members: Vec<(usize, &CuBlastpResult)> = (unit.members.iter())
             .filter_map(|&i| ran.per_query[i].as_ref().ok().map(|r| (i, r)))
             .collect();
-        let at = format!("{case}, queries {unit:?}");
+        let at = format!("{case}, {unit:?}");
         // The device backend's gapped kernel runs on the host scan's
         // records, which the reference did not compute.
         let skip_kernels = case.backend == GappedBackend::Gpu
             && members.iter().any(|&(i, _)| host_subset(case, &expects[i]));
-        let mut rows: Vec<Vec<(String, f64)>> = vec![Vec::new(); members.len()];
-        let mut p = 0;
-        for view in &layout {
-            let mut view_rows: Vec<Vec<(String, f64)>> = vec![Vec::new(); members.len()];
-            for blocks in view {
+        for &(i, _) in &members {
+            unchecked[i] |= skip_kernels;
+        }
+        let mut unit_passes = 0;
+        let mut bill_ms = 0.0f64;
+        for v in unit.views.clone() {
+            for (p, blocks) in (firsts[v]..).zip(&layout[v]) {
                 let own: Vec<Alone> = (members.iter())
                     .map(|&(i, _)| alone(case, i, &expects[i], blocks.clone()))
                     .collect();
@@ -1123,7 +1256,7 @@ fn check_passes(case: &Case, ran: &Run, expects: &[Expect], units: &[Vec<usize>]
                         let ms = share(mine, &all, pass);
                         assert!(ms <= mine, "{at}: pass {p} {} rises", launch.name);
                         shares[m].push(ms);
-                        add_row(&mut view_rows[m], &launch.name, ms);
+                        add_row(&mut rows[members[m].0][v], &launch.name, ms);
                     }
                 }
                 let bytes: Vec<u64> = own.iter().filter_map(|a| a.leg).collect();
@@ -1155,36 +1288,104 @@ fn check_passes(case: &Case, ran: &Run, expects: &[Expect], units: &[Vec<usize>]
                 if let (Some(billed), false) = (&mut billed, members.is_empty()) {
                     let pass = billed.next().expect("a DevicePass per pass");
                     assert_eq!(pass.members, members.len(), "{at}: pass {p} members");
+                    assert_eq!(pass.launches, launches.len(), "{at}: pass {p} launches");
                     assert_eq!(pass.d2h_bytes, bytes.iter().sum::<u64>(), "{at}: pass {p}");
                     assert_eq!(pass.d2h_ms.to_bits(), pass_d2h.to_bits(), "{at}: pass {p}");
                     if !skip_kernels {
                         assert_eq!(pass.gpu_ms.to_bits(), pass_gpu.to_bits(), "{at}: pass {p}");
                     }
-                }
-                p += 1;
-            }
-            for (rows, view) in rows.iter_mut().zip(view_rows) {
-                for (name, ms) in view {
-                    add_row(rows, &name, ms);
+                    unit_passes += 1;
+                    bill_ms += pass.bill_ms();
                 }
             }
         }
-        if skip_kernels {
-            continue;
-        }
-        for (rows, &(i, r)) in rows.iter_mut().zip(&members) {
-            rows.sort_by_key(|(name, _)| pipeline_rank(name));
-            let got: Vec<(&str, u64)> = (r.kernel_rows())
-                .map(|(k, ms)| (k.name.as_str(), ms.to_bits()))
-                .collect();
-            let want: Vec<(&str, u64)> = (rows.iter())
-                .map(|(k, ms)| (k.as_str(), ms.to_bits()))
-                .collect();
-            assert_eq!(got, want, "{at}: query {i} kernel rows");
+        if let (Some(d), Some(fleet)) = (unit.device, &ran.fleet) {
+            // The device's clock: its view's upload, then the unit's bill.
+            timelines.resize_with(timelines.len().max(d + 1), Default::default);
+            let shard = unit.views.start;
+            let upload = fleet.shard_upload_ms[shard];
+            let t = &mut timelines[d];
+            t.busy_ms += upload;
+            t.busy_ms += bill_ms;
+            t.upload_ms += upload;
+            t.shards_resident += 1;
+            t.groups.push(DeviceGroup {
+                shard,
+                members: members.len(),
+                passes: unit_passes,
+                bill_ms,
+            });
         }
     }
     if let Some(mut billed) = billed {
         assert!(billed.next().is_none(), "{case}: a DevicePass per pass");
+    }
+    if let Some(fleet) = &ran.fleet {
+        check_fleet(case, fleet, timelines);
+    }
+    for (i, r) in ran.per_query.iter().enumerate() {
+        let (Ok(r), false) = (r, unchecked[i]) else {
+            continue;
+        };
+        let mut folded = Vec::new();
+        for view in &rows[i] {
+            for (name, ms) in view {
+                add_row(&mut folded, name, *ms);
+            }
+        }
+        folded.sort_by_key(|(name, _)| pipeline_rank(name));
+        let got: Vec<(&str, u64)> = (r.kernel_rows())
+            .map(|(k, ms)| (k.name.as_str(), ms.to_bits()))
+            .collect();
+        let want: Vec<(&str, u64)> = (folded.iter())
+            .map(|(k, ms)| (k.as_str(), ms.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{case}: query {i} kernel rows");
+    }
+}
+
+/// The fleet's schedule is its placement billed: each device's timeline
+/// is `timelines` (its units' uploads and bills, as [`check_passes`]
+/// stated them) with the items it ran, the makespan the busiest clock;
+/// placing and billing again at the same device count is the schedule bit
+/// for bit, and the one-device baseline is the placement at one device.
+fn check_fleet(case: &Case, fleet: &Fleet, mut timelines: Vec<DeviceTimeline>) {
+    let s = &fleet.schedule;
+    timelines.resize_with(s.per_device.len(), Default::default);
+    for (t, got) in timelines.iter_mut().zip(&s.per_device) {
+        t.items.clone_from(&got.items);
+    }
+    let bits = |t: &[DeviceTimeline]| -> Vec<(u64, u64)> {
+        let clocks = t
+            .iter()
+            .map(|d| (d.busy_ms.to_bits(), d.upload_ms.to_bits()));
+        clocks.collect()
+    };
+    assert_eq!(s.per_device, timelines, "{case}: device timelines");
+    assert_eq!(
+        bits(&s.per_device),
+        bits(&timelines),
+        "{case}: device clocks"
+    );
+    let makespan = timelines.iter().map(|d| d.busy_ms).fold(0.0, f64::max);
+    assert_eq!(
+        s.makespan_ms.to_bits(),
+        makespan.to_bits(),
+        "{case}: makespan"
+    );
+    assert_eq!(fleet.again, *s, "{case}: placed and billed again");
+    assert_eq!(bits(&fleet.again.per_device), bits(&s.per_device), "{case}");
+    assert_eq!(
+        fleet.single_device_ms.to_bits(),
+        fleet.one.to_bits(),
+        "{case}"
+    );
+    if s.per_device.len() == 1 {
+        assert_eq!(
+            s.makespan_ms.to_bits(),
+            fleet.one.to_bits(),
+            "{case}: one device"
+        );
     }
 }
 

@@ -83,7 +83,9 @@ pub use gpu_phase::{ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput};
 pub use grouped::DeviceGroupIndex;
 pub use grouping::plan_rounds;
 pub use pipeline::{schedule, BlockTiming, PipelineSchedule};
-pub use scheduler::{schedule_fleet, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED};
+pub use scheduler::{
+    schedule_fleet, DeviceGroup, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED,
+};
 pub use search::{
     search_batch_resident, search_batch_with, BatchOptions, BatchOutcome, BlockProgress, Clock,
     CuBlastp, CuBlastpResult, CuBlastpTiming, DevicePass, GroupedReport, PhaseRow, RecoveryReport,

@@ -33,6 +33,7 @@ use gpu_sim::{
     DeviceConfig, DeviceError, FaultCtx, FaultInjector, FaultSite, KernelStats, KernelWorkspace,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -222,9 +223,8 @@ pub struct CuBlastpResult {
     /// Stage times in pipeline order, one entry per device pass — per
     /// block on [`GappedBackend::Cpu`], per non-empty shard view on
     /// [`GappedBackend::Gpu`], holding this query's shares of a pass its
-    /// batch shares: the raw schedule input. Each shard view's Fig. 12
-    /// schedule is stamped from its run of passes, and the fleet
-    /// schedule's item costs are those schedules.
+    /// batch (or its fleet group) shares: the raw schedule input. Each
+    /// shard view's Fig. 12 schedule is stamped from its run of passes.
     pub block_timings: Vec<BlockTiming>,
     /// What the fault-recovery policy did (all zeros when fault-free).
     pub recovery: RecoveryReport,
@@ -445,6 +445,9 @@ pub(crate) fn bill_upload(
 /// back: the pass's blocks ([`view_passes`]) folded into one part, every
 /// launch still unpriced.
 pub(crate) struct Unpriced {
+    /// The query's index in its batch stream: how its trace events are
+    /// labelled when it is billed alone.
+    query: u32,
     /// The pass's first block, numbered over the query's database: where
     /// its trace events sit.
     block: u32,
@@ -457,12 +460,16 @@ pub(crate) struct Unpriced {
     part: CuBlastpResult,
 }
 
+/// A query's device passes, view by view, as [`CuBlastp::run_blocks`]
+/// hands them back: not yet billed.
+pub(crate) type Passes = Vec<Vec<Unpriced>>;
+
 /// A query's search as [`CuBlastp::run_blocks`] hands it back: the merged
 /// and ranked report with the query's set-up and merge time, and its
-/// device passes view by view, not yet billed ([`bill_passes`]).
+/// device passes, not yet billed ([`bill_passes`]).
 pub(crate) struct Searched {
     pub(crate) result: CuBlastpResult,
-    passes: Vec<Vec<Unpriced>>,
+    pub(crate) passes: Passes,
 }
 
 /// One device pass as its device ran it (DESIGN.md §3.2): one launch of
@@ -471,8 +478,11 @@ pub(crate) struct Searched {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DevicePass {
     /// Queries the pass billed: every successful query of a single-device
-    /// batch (of a grouped round), or the one query of a search alone.
+    /// batch (of a grouped round), the queries a fleet device ran on the
+    /// pass's shard view, or the one query of a search alone.
     pub members: usize,
+    /// Kernels the pass launched, one launch each.
+    pub launches: usize,
     /// Modelled milliseconds of the pass's launches (`DeviceModel`).
     pub gpu_ms: f64,
     /// Modelled milliseconds of its D2H leg, 0 when the host read nothing
@@ -480,6 +490,40 @@ pub struct DevicePass {
     pub d2h_ms: f64,
     /// Bytes the leg carried.
     pub d2h_bytes: u64,
+}
+
+impl DevicePass {
+    /// The pass's bill (`DeviceModel`): its launches and its leg.
+    pub(crate) fn bill_ms(&self) -> f64 {
+        self.gpu_ms + self.d2h_ms
+    }
+
+    /// The fixed part of the bill: one launch overhead per launch and one
+    /// link latency for the leg — what a query that joins the pass does
+    /// not pay again.
+    pub(crate) fn fixed_ms(&self, device: &DeviceConfig) -> f64 {
+        let launches = self.launches as u64 * device.launch_overhead_cycles;
+        let leg = match self.d2h_ms > 0.0 {
+            true => device.pcie_latency_us / 1e3,
+            false => 0.0,
+        };
+        device.cycles_to_ms(launches) + leg
+    }
+}
+
+/// A batch unit on the device clock (DESIGN.md §3.2): the queries whose
+/// pass p on each view of `views` is one device pass. A single-device
+/// batch is one group over every view (a grouped batch one per round), a
+/// search alone a group of one, and the fleet one group per (device ×
+/// shard view) of its placement (DESIGN.md §3.10).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Group {
+    /// The views whose passes the members share.
+    pub views: Range<usize>,
+    /// Batch indices of the members, ascending; every one succeeded.
+    pub members: Vec<usize>,
+    /// The fleet device that ran the group; `None` on a single device.
+    pub device: Option<usize>,
 }
 
 /// A member's share of one launch or leg of a pass: `own`, its
@@ -499,19 +543,27 @@ fn share(own: f64, pass: f64, total: f64, takers: usize) -> f64 {
 /// largest footprint among them (a launch has one shared-memory size, so
 /// the lowest occupancy), and one D2H leg of the bytes of every member
 /// whose host reads the pass. Returns each member's pass priced with its
-/// [`share`]s, and the pass as the device ran it.
+/// [`share`]s, and the pass as the device ran it; `draw` puts each launch
+/// and leg on the trace and the counters, labelled with the member count
+/// and the fleet device `on`.
 fn bill_pass(
     device: &DeviceConfig,
-    members: Vec<(u32, Unpriced)>,
+    members: &[&Unpriced],
+    on: Option<usize>,
+    draw: bool,
 ) -> (Vec<CuBlastpResult>, DevicePass) {
-    let block = members.first().map_or(0, |(_, m)| m.block);
-    let query = match members[..] {
-        [(q, _)] => Some(q),
+    let block = members.first().map_or(0, |m| m.block);
+    let query = match members {
+        [m] => Some(m.query),
         _ => None,
     };
-    let args = [("members", members.len() as f64)];
+    let args = [
+        ("members", members.len() as f64),
+        ("device", on.unwrap_or(0) as f64),
+    ];
+    let args = &args[..1 + usize::from(on.is_some())];
     let mut launches: Vec<KernelStats> = Vec::new();
-    for k in members.iter().flat_map(|(_, m)| &m.part.kernels) {
+    for k in members.iter().flat_map(|m| &m.part.kernels) {
         match launches.iter_mut().find(|l| l.name == k.name) {
             Some(l) => {
                 l.merge(k);
@@ -523,36 +575,41 @@ fn bill_pass(
     launches.sort_by_key(|k| pipeline_rank(&k.name));
     let mut pass = DevicePass {
         members: members.len(),
+        launches: launches.len(),
         ..DevicePass::default()
     };
     // Each launch's bill, with Σ and the count of its takers' own bills.
     let mut bills = Vec::with_capacity(launches.len());
     for launch in &launches {
         let ms = launch.time_ms(device);
-        let label = kernel_label(&launch.name);
-        obs::modelled("gpu (modelled)", label, ms, Some(block), query, &args);
-        obs::observe("kernel_sim_ms", &[("kernel", label)], ms);
+        if draw {
+            let label = kernel_label(&launch.name);
+            obs::modelled("gpu (modelled)", label, ms, Some(block), query, args);
+            obs::observe("kernel_sim_ms", &[("kernel", label)], ms);
+        }
         pass.gpu_ms += ms;
-        let own = members
-            .iter()
-            .filter_map(|(_, m)| m.part.kernel(&launch.name));
+        let own = members.iter().filter_map(|m| m.part.kernel(&launch.name));
         let total: f64 = own.clone().map(|k| k.time_ms(device)).sum();
         bills.push((launch.name.as_str(), ms, total, own.count()));
     }
-    let crossing = members.iter().filter(|(_, m)| m.crosses);
+    let crossing = members.iter().filter(|m| m.crosses);
     let legs = crossing.clone().count();
     let leg = |m: &Unpriced| device.transfer_ms(m.part.counts.d2h_bytes);
-    let total_d2h: f64 = crossing.clone().map(|(_, m)| leg(m)).sum();
+    let total_d2h: f64 = crossing.clone().map(|m| leg(m)).sum();
     if legs > 0 {
-        pass.d2h_bytes = crossing.map(|(_, m)| m.part.counts.d2h_bytes).sum();
-        pass.d2h_ms = bill_transfer(device, D2H, pass.d2h_bytes, block, query, &args);
+        pass.d2h_bytes = crossing.map(|m| m.part.counts.d2h_bytes).sum();
+        pass.d2h_ms = match draw {
+            true => bill_transfer(device, D2H, pass.d2h_bytes, block, query, args),
+            false => device.transfer_ms(pass.d2h_bytes),
+        };
     }
-    let priced = members.into_iter().map(|(_, m)| {
+    let priced = members.iter().map(|m| {
         let d2h_ms = match m.crosses {
-            true => share(leg(&m), pass.d2h_ms, total_d2h, legs),
+            true => share(leg(m), pass.d2h_ms, total_d2h, legs),
             false => 0.0,
         };
-        let mut part = m.part;
+        let mut part = CuBlastpResult::default();
+        part.absorb(&m.part);
         part.kernel_ms = (part.kernels.iter())
             .map(|k| {
                 let bill = bills.iter().find(|(name, ..)| *name == k.name);
@@ -575,53 +632,85 @@ fn bill_pass(
     (priced.collect(), pass)
 }
 
+/// What [`price`] billed.
+pub(crate) struct Priced {
+    /// Per batch index, each view's priced passes folded in pass order;
+    /// `None` for a query with no passes.
+    pub shards: Vec<Option<Vec<CuBlastpResult>>>,
+    /// Each group's passes as the device ran them: view by view, each in
+    /// pass order.
+    pub groups: Vec<Vec<DevicePass>>,
+}
+
+/// Price `groups` over `passes` (per batch index; `None` for a failed
+/// query, which no group names): pass p of every member on each of a
+/// group's views is one device pass ([`bill_pass`]). `draw` puts every
+/// launch and leg on the trace; without it, a pure function of its
+/// inputs.
+pub(crate) fn price(
+    device: &DeviceConfig,
+    passes: &[Option<Passes>],
+    groups: &[Group],
+    draw: bool,
+) -> Priced {
+    let mut shards: Vec<Option<Vec<CuBlastpResult>>> = (passes.iter())
+        .map(|p| Some(p.as_ref()?.iter().map(|_| Default::default()).collect()))
+        .collect();
+    let mut billed = Vec::with_capacity(groups.len());
+    for group in groups {
+        let mut own = Vec::new();
+        for v in group.views.clone() {
+            let walks: Vec<(usize, &[Unpriced])> = (group.members.iter())
+                .filter_map(|&q| Some((q, passes.get(q)?.as_ref()?.get(v)?.as_slice())))
+                .collect();
+            for p in 0.. {
+                let (ids, pass): (Vec<usize>, Vec<&Unpriced>) = (walks.iter())
+                    .filter_map(|&(q, walk)| Some((q, walk.get(p)?)))
+                    .unzip();
+                if pass.is_empty() {
+                    break;
+                }
+                let (priced, bill) = bill_pass(device, &pass, group.device, draw);
+                for (q, part) in ids.into_iter().zip(&priced) {
+                    if let Some(shard) = shards[q].as_mut().and_then(|s| s.get_mut(v)) {
+                        shard.absorb(part);
+                    }
+                }
+                own.push(bill);
+            }
+        }
+        billed.push(own);
+    }
+    Priced {
+        shards,
+        groups: billed,
+    }
+}
+
 /// The one biller of device passes (DESIGN.md §3.2), for every plan:
-/// `members` searched the same shard views on one device, each a query
-/// index with its [`Searched`]. Pass p of every member is one pass
-/// ([`bill_pass`]); each member's priced passes fold into its shard and
-/// its shards into its result, as [`CuBlastpResult::absorb`] folds any
-/// ledger, and its Fig. 12 schedules are stamped over its shares. A
-/// search alone is a batch of one member, billed as the device ran it.
-/// Returns the results in member order and the passes the device ran.
+/// [`price`] `groups` over `passes` and fold each query's priced passes
+/// into its `results` slot — its views in order, as
+/// [`CuBlastpResult::absorb`] folds any ledger — with its Fig. 12
+/// schedules stamped over its shares. A search alone is a group of one,
+/// billed as the device ran it. Returns each group's passes.
 pub(crate) fn bill_passes(
     device: &DeviceConfig,
     views: &[ShardView<'_>],
     backend: GappedBackend,
-    members: Vec<(u32, Searched)>,
-) -> (Vec<CuBlastpResult>, Vec<DevicePass>) {
-    let mut results = Vec::with_capacity(members.len());
-    let mut queries = Vec::with_capacity(members.len());
-    let mut walks = Vec::with_capacity(members.len());
-    for (query, searched) in members {
-        queries.push(query);
-        results.push(searched.result);
-        walks.push(searched.passes.into_iter().map(Vec::into_iter));
-    }
-    let mut passes = Vec::new();
-    for _ in views {
-        let mut own: Vec<_> = walks.iter_mut().filter_map(Iterator::next).collect();
-        let mut shards: Vec<CuBlastpResult> = own.iter().map(|_| Default::default()).collect();
-        loop {
-            let pass: Vec<(u32, Unpriced)> = (queries.iter().copied())
-                .zip(own.iter_mut().filter_map(Iterator::next))
-                .collect();
-            if pass.is_empty() {
-                break;
+    results: &mut [Result<CuBlastpResult, SearchError>],
+    passes: &[Option<Passes>],
+    groups: &[Group],
+) -> Vec<Vec<DevicePass>> {
+    let priced = price(device, passes, groups, true);
+    for (r, shards) in results.iter_mut().zip(priced.shards) {
+        if let (Ok(r), Some(shards)) = (r, shards) {
+            for shard in &shards {
+                r.absorb(shard);
             }
-            let (priced, billed) = bill_pass(device, pass);
-            for (shard, part) in shards.iter_mut().zip(&priced) {
-                shard.absorb(part);
-            }
-            passes.push(billed);
-        }
-        for (r, shard) in results.iter_mut().zip(&shards) {
-            r.absorb(shard);
+            stamp_schedules(r, views, backend);
         }
     }
-    for r in &mut results {
-        stamp_schedules(r, views, backend);
-    }
-    (results, passes)
+    priced.groups
 }
 
 /// Where a device step runs: the fault scope (fault specs count a view's
@@ -990,11 +1079,24 @@ impl CuBlastp {
         views: &[ShardView<'_>],
         hooks: &SearchHooks<'_>,
     ) -> Result<CuBlastpResult, SearchError> {
-        let searched = self.run_blocks(views, None, hooks)?;
+        let Searched { result, passes } = self.run_blocks(views, None, hooks)?;
         let backend = self.config.gapped_backend;
-        let members = vec![(self.stream_index, searched)];
-        let (results, _) = bill_passes(&self.device, views, backend, members);
-        Ok(results.into_iter().next().unwrap_or_default())
+        let mut results = [Ok(result)];
+        let alone = Group {
+            views: 0..views.len(),
+            members: vec![0],
+            device: None,
+        };
+        bill_passes(
+            &self.device,
+            views,
+            backend,
+            &mut results,
+            &[Some(passes)],
+            &[alone],
+        );
+        let [result] = results;
+        result
     }
 
     /// The one loop of a query's search (Fig. 12): every resident block of
@@ -1214,6 +1316,7 @@ impl CuBlastp {
                 let mut own = Vec::new();
                 for blocks in view_passes(backend, view) {
                     let mut pass = Unpriced {
+                        query: self.stream_index,
                         block: 0,
                         crosses: false,
                         part: CuBlastpResult::default(),
@@ -1876,7 +1979,6 @@ pub fn search_batch_resident(
         shards: &[ShardView { db, dev, start: 0 }],
         grouped: (opts.seed_mode == SeedMode::Grouped).then_some(DEFAULT_GROUP_BUDGET),
         injector: opts.injector,
-        fleet: false,
     };
     let run = execute(&plan, queries);
     let grouped = plan.grouped.map(|_| {
@@ -2170,6 +2272,16 @@ pub(crate) mod tests {
             Case { queries: Queries::Mixed, backend: GappedBackend::Gpu, shards: Layout::Even3,
                    ..Case::default() },
             Case { queries: Queries::Mixed, seed: Seed::Grouped, threads: 2, overlap: true,
+                   ..Case::default() },
+        ];
+        fleet_bills_each_device_view_group_as_one_unit: [
+            Case { shards: Layout::Even3, devices: Some(2), ..Case::default() },
+            Case { backend: GappedBackend::Gpu, shards: Layout::Ragged, devices: Some(2),
+                   threads: 2, overlap: true, ..Case::default() },
+            Case { shards: Layout::Even3, devices: Some(1), fault: Fault::Panic,
+                   fault_query: 1, ..Case::default() },
+            Case { queries: Queries::Mixed, shards: Layout::Even3, devices: Some(2),
+                   fault: Fault::Permanent(FaultSite::DeviceAlloc), fault_block: 1,
                    ..Case::default() },
         ];
         poisoned_batch_query_fails_alone: [
@@ -2717,7 +2829,6 @@ pub(crate) mod tests {
                 shards: &[flat(&db, &dev_db)],
                 grouped: Some(budget),
                 injector: None,
-                fleet: false,
             };
             GroupedReport {
                 rounds: execute(&plan, &queries).rounds,
@@ -3133,7 +3244,6 @@ pub(crate) mod tests {
                 shards: &[flat(&db, &dev_db)],
                 grouped: Some(DEFAULT_GROUP_BUDGET),
                 injector: None,
-                fleet: false,
             };
             let ran = execute(&plan, &queries);
             assert_eq!(ran.rounds.len(), 1, "one round");
@@ -3256,7 +3366,6 @@ pub(crate) mod tests {
                     shards: &views,
                     grouped: Some(DEFAULT_GROUP_BUDGET),
                     injector: None,
-                    fleet: false,
                 };
                 execute(&plan, &queries)
             };
@@ -3484,7 +3593,6 @@ pub(crate) mod tests {
                 shards: &[flat(&poisoned, &dev_db)],
                 grouped: None,
                 injector: None,
-                fleet: false,
             };
             // Its helpers carry the name of every batch's query 0, so they
             // are told apart by the subjects they ran.

@@ -29,9 +29,13 @@
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
-use crate::executor::{execute, view_schedules, Plan, ShardView};
-use crate::scheduler::{schedule_fleet, FleetSchedule, DEFAULT_STEAL_SEED};
-use crate::search::{CuBlastp, CuBlastpResult, DevicePass, SearchHooks};
+use crate::executor::{run, Plan, ShardView};
+use crate::scheduler::{
+    schedule_fleet, DeviceGroup, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED,
+};
+use crate::search::{
+    bill_passes, price, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, SearchHooks,
+};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
@@ -505,20 +509,26 @@ pub struct ShardedBatchOptions {
 }
 
 /// Outcome of a sharded multi-query batch: per-query merged results plus
-/// the fleet schedule over every (query × shard) item. Item costs are
-/// retained so scaling studies can re-simulate the same measured work at
-/// other device counts without re-searching ([`Self::reschedule`]).
+/// the fleet schedule over every (query × shard) item, billed. The items'
+/// unpriced device passes are retained so scaling studies can place and
+/// bill the same work at other device counts without re-searching
+/// ([`Self::reschedule`]).
 pub struct ShardedBatchOutcome {
     /// Per-query merged results, input order; a failed or panicked query
     /// is an `Err` in its slot and contributes no items to the schedule.
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
-    /// The fleet schedule at the requested device count.
+    /// The fleet schedule at the requested device count, billed: each
+    /// device's clock is its uploads plus the exact bills of its groups.
     pub schedule: FleetSchedule,
-    /// Makespan of the same items on one device.
+    /// The same items placed and billed on one device.
     pub single_device_ms: f64,
     /// Devices the schedule ran with.
     pub devices: usize,
-    /// Modelled cost of each (query × shard) item, schedule order.
+    /// Each (query × shard) item's bill alone (`DeviceModel`): the launches
+    /// and legs of its passes on its shard view billed as a group of its
+    /// own — for one query the standalone bill of its search of the
+    /// shard, for an all-vs-all tile its queries sharing those passes — no
+    /// CPU lane, no upload. Schedule order.
     pub item_costs: Vec<f64>,
     /// Shard of each item (parallel to `item_costs`).
     pub item_shards: Vec<usize>,
@@ -526,9 +536,25 @@ pub struct ShardedBatchOutcome {
     pub shard_upload_ms: Vec<f64>,
     /// Measured host wall-clock of the whole batch.
     pub wall_ms: f64,
-    /// The device passes the queries were billed in, query by query: the
-    /// items land on different devices, so each pass has one member.
+    /// The device passes the queries were billed in: each (device × shard
+    /// view) group of the schedule — device by device, a device's groups
+    /// in shard order — each in pass order.
     pub passes: Vec<DevicePass>,
+    /// What placing and billing again needs.
+    fleet: Fleet,
+}
+
+/// A sharded batch's items as its outcome keeps them.
+struct Fleet {
+    device: DeviceConfig,
+    /// Each query's unpriced device passes, view by view; `None` for a
+    /// failed query.
+    passes: Vec<Option<Passes>>,
+    /// Each item's queries: its tile's successful ones, ascending.
+    members: Vec<Vec<usize>>,
+    /// Each item's fixed part ([`DevicePass::fixed_ms`] over its passes
+    /// alone): what it does not pay again when it joins a group.
+    fixed: Vec<f64>,
 }
 
 impl ShardedBatchOutcome {
@@ -542,16 +568,80 @@ impl ShardedBatchOutcome {
         self.schedule.efficiency(self.single_device_ms)
     }
 
-    /// Re-simulate the measured items at another device count — same
-    /// costs, same uploads, no re-search. The scaling bench sweeps device
-    /// counts through this.
+    /// Place the items at another device count and bill the placement —
+    /// the same items, uploads and unpriced passes, through the same
+    /// biller, no re-search. `reschedule(self.devices)` is `schedule` bit
+    /// for bit, and the scaling bench sweeps device counts through this.
     pub fn reschedule(&self, devices: usize) -> FleetSchedule {
-        schedule_fleet(
-            &self.item_costs,
-            &self.item_shards,
-            &self.shard_upload_ms,
-            devices,
-        )
+        let (placed, groups) = self.place(devices);
+        let billed = price(&self.fleet.device, &self.fleet.passes, &groups, false);
+        self.billed(placed, &groups, &billed.groups)
+    }
+
+    /// The items placed on `devices` ([`schedule_fleet`]) and the groups
+    /// the placement makes: for each device, for each shard it holds
+    /// items of, the queries of those items.
+    fn place(&self, devices: usize) -> (FleetSchedule, Vec<Group>) {
+        let fleet = &self.fleet;
+        let (costs, shards) = (&self.item_costs, &self.item_shards);
+        let uploads = &self.shard_upload_ms;
+        let placed = schedule_fleet(costs, &fleet.fixed, shards, uploads, devices);
+        let mut groups = Vec::new();
+        for device in 0..placed.per_device.len() {
+            for shard in 0..uploads.len() {
+                let on = |&i: &usize| placed.assignment[i] == device && shards[i] == shard;
+                let items = (0..costs.len()).filter(on);
+                let mut members: Vec<usize> =
+                    items.flat_map(|i| fleet.members[i].clone()).collect();
+                members.sort_unstable();
+                if !members.is_empty() {
+                    groups.push(Group {
+                        views: shard..shard + 1,
+                        members,
+                        device: Some(device),
+                    });
+                }
+            }
+        }
+        (placed, groups)
+    }
+
+    /// `placed` as its groups were billed (`passes`, one list per group):
+    /// each device's clock is, group by group, its shard's upload and the
+    /// group's bill.
+    fn billed(
+        &self,
+        placed: FleetSchedule,
+        groups: &[Group],
+        passes: &[Vec<DevicePass>],
+    ) -> FleetSchedule {
+        let mut per_device: Vec<_> = (placed.per_device.into_iter())
+            .map(|t| DeviceTimeline {
+                items: t.items,
+                ..DeviceTimeline::default()
+            })
+            .collect();
+        for (group, passes) in groups.iter().zip(passes) {
+            let (shard, device) = (group.views.start, group.device.unwrap_or(0));
+            let bill_ms: f64 = passes.iter().map(DevicePass::bill_ms).sum();
+            let upload = self.shard_upload_ms[shard];
+            let t = &mut per_device[device];
+            t.busy_ms += upload;
+            t.busy_ms += bill_ms;
+            t.upload_ms += upload;
+            t.shards_resident += 1;
+            t.groups.push(DeviceGroup {
+                shard,
+                members: group.members.len(),
+                passes: passes.len(),
+                bill_ms,
+            });
+        }
+        FleetSchedule {
+            makespan_ms: per_device.iter().map(|d| d.busy_ms).fold(0.0, f64::max),
+            per_device,
+            assignment: placed.assignment,
+        }
     }
 
     /// Queries that completed successfully.
@@ -560,10 +650,12 @@ impl ShardedBatchOutcome {
     }
 }
 
-/// The sharded batch plan over the search executor: every query searches
-/// every shard, and the fleet schedules one item per `tile` consecutive
-/// queries per non-empty shard (cost: the sum over the tile; a tile with
-/// no successful query contributes none).
+/// The sharded batch plan over the search executor, on the device clock:
+/// every query searches every shard; the fleet's items are one per `tile`
+/// consecutive queries per non-empty shard (a tile with no successful
+/// query makes none), each priced alone; the fleet schedule places them,
+/// and each (device × shard view) group of the placement is billed as one
+/// batch unit.
 fn sharded_plan(
     queries: &[Sequence],
     params: SearchParams,
@@ -581,49 +673,80 @@ fn sharded_plan(
         shards: &views,
         grouped: None,
         injector: opts.injector.clone(),
-        fleet: true,
     };
-    let run = execute(&plan, queries);
-    let mut item_costs = Vec::new();
+    let ran = run(&plan, queries);
+    let mut members = Vec::new();
     let mut item_shards = Vec::new();
-    for tile in run.per_query.chunks(tile) {
-        // A (query × shard) item costs the shard's overlapped pipeline
-        // makespan (no upload, no setup); zero for an empty shard.
-        let costs: Vec<_> = (tile.iter().flatten())
-            .map(|r| view_schedules(&r.block_timings, &views, config.gapped_backend))
-            .collect();
-        if costs.is_empty() {
+    for first in (0..queries.len()).step_by(tile.max(1)) {
+        let tile = first..(first + tile).min(queries.len());
+        let ok: Vec<usize> = tile.filter(|&q| ran.passes[q].is_some()).collect();
+        if ok.is_empty() {
             continue;
         }
         for shard in sharded.live_shards() {
-            item_costs.push(costs.iter().map(|s| s[shard].overlapped_ms).sum());
+            members.push(ok.clone());
             item_shards.push(shard);
         }
     }
-    // The fleet's schedule at the requested device count, the same items
-    // on one device as the scaling baseline, and the fleet's per-device
-    // gauges (disarmed-cheap like every obs call).
-    let uploads = sharded.upload_ms(&device);
-    let schedule = schedule_fleet(&item_costs, &item_shards, &uploads, opts.sharded.devices);
-    let single_device_ms = schedule_fleet(&item_costs, &item_shards, &uploads, 1).makespan_ms;
+    // Each item alone: its queries' passes on its view as one group.
+    let alone: Vec<Group> = (members.iter().zip(&item_shards))
+        .map(|(m, &shard)| Group {
+            views: shard..shard + 1,
+            members: m.clone(),
+            device: None,
+        })
+        .collect();
+    let priced = price(&device, &ran.passes, &alone, false).groups;
+    let item_costs = (priced.iter())
+        .map(|p| p.iter().map(DevicePass::bill_ms).sum())
+        .collect();
+    let fixed = (priced.iter())
+        .map(|p| p.iter().map(|pass| pass.fixed_ms(&device)).sum())
+        .collect();
+    let t0 = ran.t0;
+    let mut out = ShardedBatchOutcome {
+        per_query: ran.per_query,
+        schedule: FleetSchedule::default(),
+        single_device_ms: 0.0,
+        devices: 0,
+        item_costs,
+        item_shards,
+        shard_upload_ms: sharded.upload_ms(&device),
+        wall_ms: 0.0,
+        passes: Vec::new(),
+        fleet: Fleet {
+            device,
+            passes: ran.passes,
+            members,
+            fixed,
+        },
+    };
+    // The same items on one device, the scaling baseline; then the
+    // placement at the requested count, billed into the results.
+    out.single_device_ms = out.reschedule(1).makespan_ms;
+    let (placed, groups) = out.place(opts.sharded.devices);
+    let backend = config.gapped_backend;
+    let fleet = &out.fleet;
+    let billed = bill_passes(
+        &device,
+        &views,
+        backend,
+        &mut out.per_query,
+        &fleet.passes,
+        &groups,
+    );
+    out.schedule = out.billed(placed, &groups, &billed);
+    out.devices = out.schedule.per_device.len();
+    out.passes = billed.into_iter().flatten().collect();
+    out.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     if obs::metrics_enabled() {
-        for (d, tl) in schedule.per_device.iter().enumerate() {
+        for (d, tl) in out.schedule.per_device.iter().enumerate() {
             let label = d.to_string();
             obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
         }
-        obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
+        obs::gauge("fleet_makespan_ms", &[], out.schedule.makespan_ms);
     }
-    ShardedBatchOutcome {
-        per_query: run.per_query,
-        devices: schedule.per_device.len(),
-        schedule,
-        single_device_ms,
-        item_costs,
-        item_shards,
-        shard_upload_ms: uploads,
-        wall_ms: run.wall_ms,
-        passes: run.passes,
-    }
+    out
 }
 
 /// Search a batch of queries against a sharded database: every query
@@ -775,6 +898,7 @@ mod tests {
     use super::*;
     use crate::search::bill_upload;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
+    use gpu_sim::{FaultKind, FaultPlan, FaultSite, FaultSpec};
 
     fn workload(seqs: usize) -> (Sequence, SequenceDb, CuBlastpConfig) {
         let q = make_query(80);
@@ -948,6 +1072,53 @@ mod tests {
         }
     }
 
+    /// A query that fails (a panic injected into query 1) adds no item to
+    /// the fleet and joins no group, and placing and billing the outcome
+    /// again at its own device count is its schedule bit for bit.
+    #[test]
+    fn a_failed_query_adds_no_item_and_reschedule_is_the_schedule() {
+        let (_, db, cfg) = workload(48);
+        let queries: Vec<Sequence> = (0..3).map(|i| make_query(64 + 16 * i)).collect();
+        let sharded = ShardedDb::split(&db, 3, cfg.db_block_size);
+        let panic = FaultSpec {
+            kind: FaultKind::Permanent,
+            ..FaultSpec::once(FaultSite::HostPanic)
+                .on_block(0)
+                .on_query(1)
+        };
+        let opts = ShardedBatchOptions {
+            sharded: ShardedOptions {
+                devices: 2,
+                ..Default::default()
+            },
+            injector: Some(Arc::new(FaultInjector::new(FaultPlan::none().with(panic)))),
+        };
+        let params = SearchParams::default();
+        let device = DeviceConfig::k20c();
+        let out = search_sharded_batch(&queries, params, cfg, device, &sharded, &opts);
+        assert!(out.per_query[1].is_err(), "query 1 panicked");
+        assert_eq!(out.succeeded(), 2);
+        assert_eq!(
+            out.item_costs.len(),
+            2 * 3,
+            "an item per (survivor × shard)"
+        );
+        let groups = out.schedule.per_device.iter().flat_map(|t| &t.groups);
+        assert_eq!(groups.map(|g| g.members).sum::<usize>(), 2 * 3);
+        assert!(out.passes.iter().all(|p| (1..=2).contains(&p.members)));
+        let again = out.reschedule(out.devices);
+        assert_eq!(again, out.schedule);
+        let bits = |s: &FleetSchedule| -> Vec<(u64, u64)> {
+            let clocks = s.per_device.iter().map(|t| (t.busy_ms, t.upload_ms));
+            clocks.map(|(b, u)| (b.to_bits(), u.to_bits())).collect()
+        };
+        assert_eq!(bits(&again), bits(&out.schedule));
+        assert_eq!(
+            again.makespan_ms.to_bits(),
+            out.schedule.makespan_ms.to_bits()
+        );
+    }
+
     #[test]
     fn fleet_schedule_is_deterministic_and_scales() {
         let (q, db, cfg) = workload(96);
@@ -969,41 +1140,25 @@ mod tests {
             &sharded,
             &opts,
         );
-        // Determinism: the schedule is a pure function of the measured
-        // items — re-simulating reproduces it exactly, timeline for
-        // timeline — and the one-device baseline is the LPT left fold of
-        // the same items, bit for bit.
+        // Determinism: the schedule is a pure function of the items'
+        // `DeviceModel` bills — placing and billing again reproduces it
+        // exactly, timeline for timeline — and the one-device baseline is
+        // the same items placed and billed on one device, bit for bit.
         assert_eq!(a.reschedule(4), a.schedule, "same items, same schedule");
-        let fold =
-            crate::scheduler::tests::lpt_fold(&a.item_costs, &a.item_shards, &a.shard_upload_ms);
-        assert_eq!(a.single_device_ms.to_bits(), fold.to_bits());
-        assert_eq!(a.reschedule(1).makespan_ms.to_bits(), fold.to_bits());
-        // Scaling, on costs the code determines: the measured items carry
-        // CPU lanes that host load moves, so the same items are costed on
-        // the `DeviceModel` clock — each (query × shard) item's kernels
-        // and PCIe legs.
-        let views = sharded.views();
-        let model: Vec<f64> = (a.per_query.iter())
-            .map(|r| r.as_ref().expect("fault-free query"))
-            .flat_map(|r| {
-                let mut rest = &r.block_timings[..];
-                let per_view: Vec<f64> = (views.iter())
-                    .map(|v| {
-                        let passes = crate::executor::view_passes(cfg.gapped_backend, v).len();
-                        let (own, next) = rest.split_at(passes);
-                        rest = next;
-                        own.iter().map(|b| b.h2d_ms + b.gpu_ms + b.d2h_ms).sum()
-                    })
-                    .collect();
-                sharded.live_shards().map(move |s| per_view[s])
-            })
-            .collect();
-        assert_eq!(model.len(), a.item_costs.len());
-        let makespan = |devices| {
-            schedule_fleet(&model, &a.item_shards, &a.shard_upload_ms, devices).makespan_ms
-        };
+        let one = a.reschedule(1);
+        assert_eq!(a.single_device_ms.to_bits(), one.makespan_ms.to_bits());
+        // One device holds every shard: one group per shard, of all three
+        // queries.
+        let groups = &one.per_device[0].groups;
+        assert_eq!(groups.len(), 8);
+        assert!(groups.iter().all(|g| g.members == 3), "{groups:?}");
+        // A device's clock is its uploads plus its groups' bills.
+        for t in &a.schedule.per_device {
+            let bills = t.groups.iter().map(|g| g.bill_ms).sum::<f64>();
+            assert!((t.busy_ms - t.upload_ms - bills).abs() < 1e-12, "{t:?}");
+        }
         assert!(
-            makespan(1) > 1.5 * makespan(4),
+            one.makespan_ms > 1.5 * a.schedule.makespan_ms,
             "4 devices over 24 items must scale"
         );
     }
