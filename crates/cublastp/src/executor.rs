@@ -10,7 +10,7 @@
 //! run on the batch's threads, one block each — panic isolation, and
 //! queue-wait and outcome accounting; each query is one
 //! [`CuBlastp::run_blocks`] call over every view. Once every query has
-//! run, the plan bills the device passes in its groups ([`Ran::bill`]):
+//! run, the plan bills the device passes in its groups (`bill_passes`):
 //! [`execute`] as one device — the batch's queries (a round's) share each
 //! pass and the batch pays the upload once — the fleet plan in the
 //! (device × view) groups its placement made (`shard::sharded_plan`).
@@ -21,9 +21,8 @@ use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
-use crate::pipeline::{schedule, BlockTiming, PipelineSchedule};
 use crate::search::{
-    bill_passes, bill_upload, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, RoundReport,
+    bill_passes, BatchOutcome, CuBlastp, CuBlastpResult, Group, GroupedReport, Passes, RoundReport,
     SearchHooks, Searched,
 };
 use bio_seq::{DbBlock, Sequence, SequenceDb};
@@ -64,23 +63,6 @@ pub(crate) fn view_passes<'v>(
     blocks.chunks(width.max(1))
 }
 
-/// Each view's Fig. 12 schedule over its run of `block_timings` (a
-/// query's device passes, in view order): summed in view order, the
-/// query's makespan.
-pub(crate) fn view_schedules(
-    block_timings: &[BlockTiming],
-    views: &[ShardView<'_>],
-    backend: GappedBackend,
-) -> Vec<PipelineSchedule> {
-    let runs = views.iter().scan(block_timings, |rest, v| {
-        let passes = view_passes(backend, v).len();
-        let (own, next) = rest.split_at(passes.min(rest.len()));
-        *rest = next;
-        Some(schedule(own))
-    });
-    runs.collect()
-}
-
 /// What to execute. Searchers get the *global* totals over `shards`, so
 /// cutoffs and E-values match a single-database run at any partition.
 pub(crate) struct Plan<'a> {
@@ -98,7 +80,7 @@ pub(crate) struct Plan<'a> {
 pub(crate) struct Ran {
     /// Input order; a failed (or panicked) query is an `Err` in its slot.
     /// A successful query's result holds its report and host time only
-    /// until [`Self::bill`] folds its device passes in.
+    /// until the plan bills its device passes (`bill_passes`).
     pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
     /// Each query's unpriced device passes, view by view; `None` for a
     /// failed query.
@@ -112,60 +94,6 @@ pub(crate) struct Ran {
     /// When the plan started.
     pub t0: Instant,
     pooled_bytes: usize,
-}
-
-/// What a plan billed.
-pub(crate) struct Executed {
-    /// Input order; a failed (or panicked) query is an `Err` in its slot.
-    pub per_query: Vec<Result<CuBlastpResult, SearchError>>,
-    /// Grouped seeding rounds in batch order.
-    pub rounds: Vec<RoundReport>,
-    /// The device passes the plan billed, group by group, each in pass
-    /// order.
-    pub passes: Vec<DevicePass>,
-    /// Measured host wall-clock of the whole execution.
-    pub wall_ms: f64,
-    /// Bytes the batch's pooled hit-path scratch holds once every query
-    /// ran ([`KernelWorkspace::pooled_bytes`]).
-    pub pooled_bytes: usize,
-}
-
-impl Ran {
-    /// The batch on one device: a group over every view per unit, of the
-    /// unit's queries that succeeded.
-    pub fn one_device(&self, views: usize) -> Vec<Group> {
-        let groups = self.units.iter().map(|unit| Group {
-            views: 0..views,
-            members: unit
-                .iter()
-                .copied()
-                .filter(|&i| self.passes[i].is_some())
-                .collect(),
-            device: None,
-        });
-        groups.filter(|g| !g.members.is_empty()).collect()
-    }
-
-    /// Bill `groups` ([`bill_passes`]): every successful query gets its
-    /// shares of the passes of its groups.
-    pub fn bill(mut self, plan: &Plan<'_>, groups: &[Group]) -> Executed {
-        let backend = plan.config.gapped_backend;
-        let passes = bill_passes(
-            &plan.device,
-            plan.shards,
-            backend,
-            &mut self.per_query,
-            &self.passes,
-            groups,
-        );
-        Executed {
-            wall_ms: self.t0.elapsed().as_secs_f64() * 1e3,
-            per_query: self.per_query,
-            rounds: self.rounds,
-            passes: passes.into_iter().flatten().collect(),
-            pooled_bytes: self.pooled_bytes,
-        }
-    }
 }
 
 /// Run `f`, turning a panic into a typed pipeline error naming `side`, so
@@ -259,21 +187,52 @@ type Member<'m> = (usize, Option<&'m CuBlastp>, Option<Vec<BinnedHits>>);
 /// view ([`run`]) and bill the batch — its queries share each device
 /// pass, all of them under per-query seeding, a round's members under
 /// grouped seeding — and the lowest-index query that succeeded pays the
-/// database upload (a grouped batch bills it to no query).
-pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> Executed {
-    let ran = run(plan, queries);
-    let groups = ran.one_device(plan.shards.len());
-    let mut billed = ran.bill(plan, &groups);
-    // The resident database is paid for once, by the lowest-index query
-    // that succeeded: a failed query's timing is discarded, so it must not
-    // take the charge with it.
-    let mut per_query = billed.per_query.iter_mut().zip(0u32..);
-    let payer = per_query.find_map(|(r, i)| Some((r.as_mut().ok()?, i)));
-    if let (Some((r, i)), None) = (payer, plan.grouped) {
-        let backend = plan.config.gapped_backend;
-        bill_upload(&plan.device, plan.shards, backend, i, r);
+/// database upload (a grouped batch bills it to no query, and reports it
+/// with its rounds).
+pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> BatchOutcome {
+    let mut ran = run(plan, queries);
+    let groups: Vec<Group> = (ran.units.iter())
+        .map(|unit| {
+            // A failed query's timing is discarded, so it must not take
+            // the upload with it.
+            let members: Vec<usize> = (unit.iter().copied())
+                .filter(|&i| ran.passes[i].is_some())
+                .collect();
+            Group {
+                views: 0..plan.shards.len(),
+                payer: members.first().copied().filter(|_| plan.grouped.is_none()),
+                members,
+                device: None,
+            }
+        })
+        .filter(|g| !g.members.is_empty())
+        .collect();
+    let (device, backend) = (&plan.device, plan.config.gapped_backend);
+    let passes = bill_passes(
+        device,
+        plan.shards,
+        backend,
+        &mut ran.per_query,
+        &ran.passes,
+        &groups,
+    );
+    let grouped = plan.grouped.map(|_| GroupedReport {
+        index_upload_ms: (ran.rounds.iter())
+            .map(|r| device.transfer_ms(r.index_upload_bytes))
+            .sum(),
+        db_upload_ms: (plan.shards.iter())
+            .flat_map(|v| v.dev.blocks())
+            .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
+            .sum(),
+        rounds: ran.rounds,
+    });
+    BatchOutcome {
+        per_query: ran.per_query,
+        wall_ms: ran.t0.elapsed().as_secs_f64() * 1e3,
+        grouped,
+        passes: passes.into_iter().flatten().collect(),
+        pooled_bytes: ran.pooled_bytes,
     }
-    billed
 }
 
 /// Search every query of a plan over every shard view, the device passes

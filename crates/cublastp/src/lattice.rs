@@ -593,7 +593,7 @@ fn run(case: &Case) -> Run {
                         cancel: CancelToken::after_checks(checks),
                         on_block: None,
                     };
-                    s.run_alone(&views, &hooks)
+                    s.run_alone(&views, &hooks, false)
                 })
                 .collect();
             (alone, None, None)

@@ -210,7 +210,7 @@ mod tests {
                 ..Default::default()
             };
             let r = searcher(&db, overlap, 7_400)
-                .run_alone(&[flat(&db, &dev_db)], &hooks)
+                .run_alone(&[flat(&db, &dev_db)], &hooks, false)
                 .expect("fault-free search");
             (r, order.into_inner().unwrap())
         };
@@ -241,7 +241,7 @@ mod tests {
         assert!(dev_db.blocks().is_empty());
         for overlap in [false, true] {
             let r = searcher(&db, overlap, 7_410)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                 .expect("no blocks is no error");
             assert!(r.report.hits.is_empty(), "overlap = {overlap}");
             assert!(r.block_timings.is_empty(), "overlap = {overlap}");
@@ -261,7 +261,7 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_420 + overlap as u32);
             panic_once_at(&mut gpu, 1);
-            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default());
+            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(
@@ -271,7 +271,7 @@ mod tests {
             );
             // The fault fired once: the same searcher searches again.
             let clean = gpu
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                 .expect("the fault fires once");
             assert_eq!(
                 clean.report.identity_key(),
@@ -301,7 +301,7 @@ mod tests {
                 ..Default::default()
             };
             let gpu = searcher(&db, overlap, 7_430 + overlap as u32);
-            let got = gpu.run_alone(&[flat(&poisoned, &dev_db)], &hooks);
+            let got = gpu.run_alone(&[flat(&poisoned, &dev_db)], &hooks, false);
             expect_panic_on("cpu tail", got, &case);
             assert_eq!(reported.into_inner().unwrap(), 0, "{case}");
             #[cfg(target_os = "linux")]
@@ -325,7 +325,7 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_440 + overlap as u32);
             panic_once_at(&mut gpu, 0);
-            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default());
+            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(

@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
-use crate::executor::{execute, isolated, view_passes, view_schedules, Plan, ShardView};
+use crate::executor::{execute, isolated, view_passes, Plan, ShardView};
 use crate::extension::{hit_tail_footprint, HIT_TAIL_KERNEL};
 use crate::gapped_device::{self, FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
@@ -23,7 +23,7 @@ use crate::gpu_phase::{
     GpuPhaseOutput,
 };
 use crate::grouped;
-use crate::pipeline::BlockTiming;
+use crate::pipeline::{schedule, BlockTiming};
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::par::{executed_threads, par_scope, shares, ParMap};
@@ -395,52 +395,6 @@ fn bill_transfer(
     ms
 }
 
-/// Stamp `r`'s makespans: each view's Fig. 12 schedule over its passes
-/// ([`view_schedules`]), the views one after another.
-fn stamp_schedules(r: &mut CuBlastpResult, views: &[ShardView<'_>], backend: GappedBackend) {
-    let t = &mut r.timing;
-    (t.overlapped_ms, t.serial_ms) = (0.0, 0.0);
-    for s in view_schedules(&r.block_timings, views, backend) {
-        t.overlapped_ms += s.overlapped_ms;
-        t.serial_ms += s.serial_ms;
-    }
-}
-
-/// Bill the upload of every block of `views` to `r`, `query`'s finished
-/// search over them under `backend`: one H2D leg per block, the legs of a
-/// device pass ([`view_passes`]) folded into its [`BlockTiming`], the
-/// passes folded view by view into `timing.h2d_ms` as the merge folds the
-/// others, and the schedules stamped again. Called by the search that
-/// uploaded ([`CuBlastp::search`]) and, in a batch that pays, for the
-/// lowest-index query that succeeded: who pays never depends on the order
-/// in which queries finish.
-pub(crate) fn bill_upload(
-    device: &DeviceConfig,
-    views: &[ShardView<'_>],
-    backend: GappedBackend,
-    query: u32,
-    r: &mut CuBlastpResult,
-) {
-    let mut passes = r.block_timings.iter_mut();
-    let mut blocks = 0u32..;
-    let mut h2d_ms = 0.0;
-    for view in views {
-        let mut shard_ms = 0.0;
-        for (pass, timing) in view_passes(backend, view).zip(passes.by_ref()) {
-            let mut pass_ms = 0.0;
-            for ((_, dev), block) in pass.iter().zip(blocks.by_ref()) {
-                let bytes = dev.upload_bytes();
-                pass_ms += bill_transfer(device, H2D, bytes, block, Some(query), &[]);
-            }
-            timing.h2d_ms = pass_ms;
-            shard_ms += pass_ms;
-        }
-        h2d_ms += shard_ms;
-    }
-    r.timing.h2d_ms = h2d_ms;
-    stamp_schedules(r, views, backend);
-}
-
 /// One device pass of one query as [`CuBlastp::run_blocks`] hands it
 /// back: the pass's blocks ([`view_passes`]) folded into one part, every
 /// launch still unpriced.
@@ -522,177 +476,152 @@ pub(crate) struct Group {
     pub views: Range<usize>,
     /// Batch indices of the members, ascending; every one succeeded.
     pub members: Vec<usize>,
+    /// The member that pays the upload of `views` (DESIGN.md §3.1): its
+    /// H2D legs fold into its passes. `None` where the plan bills the
+    /// upload to no query.
+    pub payer: Option<usize>,
     /// The fleet device that ran the group; `None` on a single device.
     pub device: Option<usize>,
 }
 
-/// A member's share of one launch or leg of a pass: `own`, its
-/// standalone bill, × (`pass` ÷ `total`, Σ the standalone bills of the
-/// `takers` that took part). A launch or leg of one member is that
-/// member's bill, untouched.
-fn share(own: f64, pass: f64, total: f64, takers: usize) -> f64 {
-    match takers {
-        1 => own,
-        _ if total > 0.0 => own * (pass / total),
-        _ => 0.0,
+/// How one launch or leg of a pass splits among its members: its bill
+/// (`ms`) and Σ the standalone bills of the `takers` that took part.
+struct Split {
+    ms: f64,
+    total: f64,
+    takers: usize,
+}
+
+impl Split {
+    /// A taker's share: `own`, its standalone bill, × (`ms` ÷ `total`). A
+    /// launch or leg of one taker is that taker's bill, untouched.
+    fn share(&self, own: f64) -> f64 {
+        match self.takers {
+            1 => own,
+            _ if self.total > 0.0 => own * (self.ms / self.total),
+            _ => 0.0,
+        }
     }
+}
+
+/// One device pass billed ([`bill_pass`]): the pass as its device ran it,
+/// each launch in pipeline order with its split, and the D2H leg's split
+/// (no takers when the host read nothing).
+struct PassBill {
+    pass: DevicePass,
+    launches: Vec<(String, Split)>,
+    leg: Split,
 }
 
 /// Bill one device pass of `members` — pass p of each of them: each
 /// kernel one launch over the members' counters merged, declared at the
 /// largest footprint among them (a launch has one shared-memory size, so
 /// the lowest occupancy), and one D2H leg of the bytes of every member
-/// whose host reads the pass. Returns each member's pass priced with its
-/// [`share`]s, and the pass as the device ran it; `draw` puts each launch
-/// and leg on the trace and the counters, labelled with the member count
-/// and the fleet device `on`.
-fn bill_pass(
-    device: &DeviceConfig,
-    members: &[&Unpriced],
-    on: Option<usize>,
-    draw: bool,
-) -> (Vec<CuBlastpResult>, DevicePass) {
-    let block = members.first().map_or(0, |m| m.block);
-    let query = match members {
-        [m] => Some(m.query),
-        _ => None,
-    };
-    let args = [
-        ("members", members.len() as f64),
-        ("device", on.unwrap_or(0) as f64),
-    ];
-    let args = &args[..1 + usize::from(on.is_some())];
-    let mut launches: Vec<KernelStats> = Vec::new();
-    for k in members.iter().flat_map(|m| &m.part.kernels) {
-        match launches.iter_mut().find(|l| l.name == k.name) {
+/// whose host reads the pass. A pure function of its inputs.
+fn bill_pass(device: &DeviceConfig, members: &[(usize, &Unpriced)]) -> PassBill {
+    let mut merged: Vec<KernelStats> = Vec::new();
+    for k in members.iter().flat_map(|(_, m)| &m.part.kernels) {
+        match merged.iter_mut().find(|l| l.name == k.name) {
             Some(l) => {
                 l.merge(k);
                 l.occupancy = l.occupancy.min(k.occupancy);
             }
-            None => launches.push(k.clone()),
+            None => merged.push(k.clone()),
         }
     }
-    launches.sort_by_key(|k| pipeline_rank(&k.name));
+    merged.sort_by_key(|k| pipeline_rank(&k.name));
     let mut pass = DevicePass {
         members: members.len(),
-        launches: launches.len(),
+        launches: merged.len(),
         ..DevicePass::default()
     };
-    // Each launch's bill, with Σ and the count of its takers' own bills.
-    let mut bills = Vec::with_capacity(launches.len());
-    for launch in &launches {
+    let mut launches = Vec::with_capacity(merged.len());
+    for launch in merged {
         let ms = launch.time_ms(device);
-        if draw {
-            let label = kernel_label(&launch.name);
-            obs::modelled("gpu (modelled)", label, ms, Some(block), query, args);
-            obs::observe("kernel_sim_ms", &[("kernel", label)], ms);
-        }
         pass.gpu_ms += ms;
-        let own = members.iter().filter_map(|m| m.part.kernel(&launch.name));
-        let total: f64 = own.clone().map(|k| k.time_ms(device)).sum();
-        bills.push((launch.name.as_str(), ms, total, own.count()));
+        let own = (members.iter()).filter_map(|(_, m)| m.part.kernel(&launch.name));
+        let total = own.clone().map(|k| k.time_ms(device)).sum();
+        let takers = own.count();
+        launches.push((launch.name, Split { ms, total, takers }));
     }
-    let crossing = members.iter().filter(|m| m.crosses);
-    let legs = crossing.clone().count();
-    let leg = |m: &Unpriced| device.transfer_ms(m.part.counts.d2h_bytes);
-    let total_d2h: f64 = crossing.clone().map(|m| leg(m)).sum();
-    if legs > 0 {
+    let crossing = members.iter().filter(|(_, m)| m.crosses).map(|(_, m)| m);
+    let legs = (crossing.clone()).map(|m| device.transfer_ms(m.part.counts.d2h_bytes));
+    let takers = crossing.clone().count();
+    if takers > 0 {
         pass.d2h_bytes = crossing.map(|m| m.part.counts.d2h_bytes).sum();
-        pass.d2h_ms = match draw {
-            true => bill_transfer(device, D2H, pass.d2h_bytes, block, query, args),
-            false => device.transfer_ms(pass.d2h_bytes),
-        };
+        pass.d2h_ms = device.transfer_ms(pass.d2h_bytes);
     }
-    let priced = members.iter().map(|m| {
-        let d2h_ms = match m.crosses {
-            true => share(leg(m), pass.d2h_ms, total_d2h, legs),
-            false => 0.0,
-        };
-        let mut part = CuBlastpResult::default();
-        part.absorb(&m.part);
-        part.kernel_ms = (part.kernels.iter())
-            .map(|k| {
-                let bill = bills.iter().find(|(name, ..)| *name == k.name);
-                bill.map_or(0.0, |&(_, ms, total, takers)| {
-                    share(k.time_ms(device), ms, total, takers)
-                })
-            })
-            .collect();
-        let t = &mut part.timing;
-        t.gpu_ms = part.kernel_ms.iter().sum();
-        t.d2h_ms = d2h_ms;
-        part.block_timings.push(BlockTiming {
-            h2d_ms: 0.0,
-            gpu_ms: t.gpu_ms,
-            d2h_ms: t.d2h_ms,
-            cpu_ms: t.cpu_wall_ms,
-        });
-        part
-    });
-    (priced.collect(), pass)
+    let leg = Split {
+        ms: pass.d2h_ms,
+        total: legs.sum(),
+        takers,
+    };
+    PassBill {
+        pass,
+        launches,
+        leg,
+    }
 }
 
-/// What [`price`] billed.
-pub(crate) struct Priced {
-    /// Per batch index, each view's priced passes folded in pass order;
-    /// `None` for a query with no passes.
-    pub shards: Vec<Option<Vec<CuBlastpResult>>>,
-    /// Each group's passes as the device ran them: view by view, each in
-    /// pass order.
-    pub groups: Vec<Vec<DevicePass>>,
+/// One device pass of a group as [`walk`] meets it: the view, the pass's
+/// index within it ([`view_passes`]), each member's batch index and pass
+/// (ascending), and the pass billed.
+type Met<'p> = (usize, usize, Vec<(usize, &'p Unpriced)>, PassBill);
+
+/// Every device pass of each of `groups` over `passes` (per batch index;
+/// `None` for a failed query, which no group names), billed
+/// ([`bill_pass`]): pass p of every member on each of a group's views is
+/// one device pass. Group by group, view by view, in pass order; a pure
+/// function of its inputs.
+fn walk<'p>(
+    device: &DeviceConfig,
+    passes: &'p [Option<Passes>],
+    groups: &[Group],
+) -> Vec<Vec<Met<'p>>> {
+    let group = |g: &Group| {
+        let mut met = Vec::new();
+        for view in g.views.clone() {
+            let walks: Vec<(usize, &[Unpriced])> = (g.members.iter())
+                .filter_map(|&q| Some((q, passes.get(q)?.as_ref()?.get(view)?.as_slice())))
+                .collect();
+            for pass in 0.. {
+                let members: Vec<(usize, &Unpriced)> = (walks.iter())
+                    .filter_map(|&(q, walk)| Some((q, walk.get(pass)?)))
+                    .collect();
+                if members.is_empty() {
+                    break;
+                }
+                let bill = bill_pass(device, &members);
+                met.push((view, pass, members, bill));
+            }
+        }
+        met
+    };
+    groups.iter().map(group).collect()
 }
 
-/// Price `groups` over `passes` (per batch index; `None` for a failed
-/// query, which no group names): pass p of every member on each of a
-/// group's views is one device pass ([`bill_pass`]). `draw` puts every
-/// launch and leg on the trace; without it, a pure function of its
-/// inputs.
-pub(crate) fn price(
+/// Each group's device passes as the device ran them ([`walk`]): view by
+/// view, each in pass order.
+pub(crate) fn group_passes(
     device: &DeviceConfig,
     passes: &[Option<Passes>],
     groups: &[Group],
-    draw: bool,
-) -> Priced {
-    let mut shards: Vec<Option<Vec<CuBlastpResult>>> = (passes.iter())
-        .map(|p| Some(p.as_ref()?.iter().map(|_| Default::default()).collect()))
-        .collect();
-    let mut billed = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut own = Vec::new();
-        for v in group.views.clone() {
-            let walks: Vec<(usize, &[Unpriced])> = (group.members.iter())
-                .filter_map(|&q| Some((q, passes.get(q)?.as_ref()?.get(v)?.as_slice())))
-                .collect();
-            for p in 0.. {
-                let (ids, pass): (Vec<usize>, Vec<&Unpriced>) = (walks.iter())
-                    .filter_map(|&(q, walk)| Some((q, walk.get(p)?)))
-                    .unzip();
-                if pass.is_empty() {
-                    break;
-                }
-                let (priced, bill) = bill_pass(device, &pass, group.device, draw);
-                for (q, part) in ids.into_iter().zip(&priced) {
-                    if let Some(shard) = shards[q].as_mut().and_then(|s| s.get_mut(v)) {
-                        shard.absorb(part);
-                    }
-                }
-                own.push(bill);
-            }
-        }
-        billed.push(own);
-    }
-    Priced {
-        shards,
-        groups: billed,
-    }
+) -> Vec<Vec<DevicePass>> {
+    let walked = walk(device, passes, groups).into_iter();
+    walked
+        .map(|g| g.into_iter().map(|(.., bill)| bill.pass).collect())
+        .collect()
 }
 
 /// The one biller of device passes (DESIGN.md §3.2), for every plan:
-/// [`price`] `groups` over `passes` and fold each query's priced passes
-/// into its `results` slot — its views in order, as
-/// [`CuBlastpResult::absorb`] folds any ledger — with its Fig. 12
-/// schedules stamped over its shares. A search alone is a group of one,
-/// billed as the device ran it. Returns each group's passes.
+/// [`walk`] `groups` over `passes`, draw each pass's launches and leg on
+/// the trace (labelled with the member count and the fleet device) and
+/// fold each member's shares of it — the payer's with its H2D legs, one
+/// per block — into its `results` slot: pass by pass into each view, then
+/// its views in order, as [`CuBlastpResult::absorb`] folds any ledger,
+/// with its makespans stamped once over the whole. A search alone is a
+/// group of one, billed as the device ran it. Returns each group's passes
+/// ([`group_passes`] bit for bit).
 pub(crate) fn bill_passes(
     device: &DeviceConfig,
     views: &[ShardView<'_>],
@@ -701,16 +630,82 @@ pub(crate) fn bill_passes(
     passes: &[Option<Passes>],
     groups: &[Group],
 ) -> Vec<Vec<DevicePass>> {
-    let priced = price(device, passes, groups, true);
-    for (r, shards) in results.iter_mut().zip(priced.shards) {
-        if let (Ok(r), Some(shards)) = (r, shards) {
-            for shard in &shards {
-                r.absorb(shard);
+    let mut ledgers: Vec<Vec<CuBlastpResult>> = (passes.iter())
+        .map(|p| (p.iter().flatten()).map(|_| Default::default()).collect())
+        .collect();
+    let mut billed = Vec::with_capacity(groups.len());
+    for (g, walked) in groups.iter().zip(walk(device, passes, groups)) {
+        let mut own = Vec::with_capacity(walked.len());
+        for (view, pass, members, bill) in walked {
+            let block = members.first().map_or(0, |(_, m)| m.block);
+            let query = match members[..] {
+                [(_, m)] => Some(m.query),
+                _ => None,
+            };
+            let args = [
+                ("members", members.len() as f64),
+                ("device", g.device.unwrap_or(0) as f64),
+            ];
+            let args = &args[..1 + usize::from(g.device.is_some())];
+            for (name, launch) in &bill.launches {
+                let label = kernel_label(name);
+                obs::modelled("gpu (modelled)", label, launch.ms, Some(block), query, args);
+                obs::observe("kernel_sim_ms", &[("kernel", label)], launch.ms);
             }
-            stamp_schedules(r, views, backend);
+            if bill.leg.takers > 0 {
+                bill_transfer(device, D2H, bill.pass.d2h_bytes, block, query, args);
+            }
+            for (q, m) in members {
+                let mut part = CuBlastpResult::default();
+                part.absorb(&m.part);
+                part.kernel_ms = (part.kernels.iter())
+                    .map(|k| {
+                        let launch = bill.launches.iter().find(|(name, _)| *name == k.name);
+                        launch.map_or(0.0, |(_, s)| s.share(k.time_ms(device)))
+                    })
+                    .collect();
+                let t = &mut part.timing;
+                t.gpu_ms = part.kernel_ms.iter().sum();
+                t.d2h_ms = match m.crosses {
+                    true => (bill.leg).share(device.transfer_ms(m.part.counts.d2h_bytes)),
+                    false => 0.0,
+                };
+                if g.payer == Some(q) {
+                    let blocks = (view_passes(backend, &views[view]).nth(pass)).unwrap_or_default();
+                    for ((_, dev), b) in blocks.iter().zip(m.block..) {
+                        let bytes = dev.upload_bytes();
+                        t.h2d_ms += bill_transfer(device, H2D, bytes, b, Some(m.query), &[]);
+                    }
+                }
+                part.block_timings.push(BlockTiming {
+                    h2d_ms: t.h2d_ms,
+                    gpu_ms: t.gpu_ms,
+                    d2h_ms: t.d2h_ms,
+                    cpu_ms: t.cpu_wall_ms,
+                });
+                ledgers[q][view].absorb(&part);
+            }
+            own.push(bill.pass);
+        }
+        billed.push(own);
+    }
+    for (r, ledger) in results.iter_mut().zip(&ledgers) {
+        let Ok(r) = r else { continue };
+        for view in ledger {
+            r.absorb(view);
+        }
+        // Each view's Fig. 12 schedule over its run of passes, the views
+        // one after another.
+        let mut rest = r.block_timings.as_slice();
+        for view in views {
+            let (own, next) = rest.split_at(view_passes(backend, view).len().min(rest.len()));
+            rest = next;
+            let s = schedule(own);
+            r.timing.overlapped_ms += s.overlapped_ms;
+            r.timing.serial_ms += s.serial_ms;
         }
     }
-    priced.groups
+    billed
 }
 
 /// Where a device step runs: the fault scope (fault specs count a view's
@@ -1048,15 +1043,12 @@ impl CuBlastp {
         }
     }
 
-    /// Search the database: flatten it into device layout once, run the
-    /// pipeline against the resident copy, then bill the upload.
+    /// Search the database: flatten it into device layout once and run the
+    /// pipeline against the resident copy, paying the upload it made.
     pub fn search(&self, db: &SequenceDb) -> Result<CuBlastpResult, SearchError> {
         let dev = &DeviceDb::upload(db, self.config.db_block_size);
-        let view = [ShardView { db, dev, start: 0 }];
-        let mut r = self.run_alone(&view, &SearchHooks::default())?;
-        let backend = self.config.gapped_backend;
-        bill_upload(&self.device, &view, backend, self.stream_index, &mut r);
-        Ok(r)
+        let view = ShardView { db, dev, start: 0 };
+        self.run_alone(&[view], &SearchHooks::default(), true)
     }
 
     /// Search against a database already resident on the device (see
@@ -1068,16 +1060,18 @@ impl CuBlastp {
         dev: &DeviceDb,
     ) -> Result<CuBlastpResult, SearchError> {
         let view = ShardView { db, dev, start: 0 };
-        self.run_alone(&[view], &SearchHooks::default())
+        self.run_alone(&[view], &SearchHooks::default(), false)
     }
 
     /// [`Self::run_blocks`] over the query's own DFA, billed as a search
     /// alone on its device: every device pass has this query as its one
-    /// member ([`bill_passes`]).
+    /// member, which pays the upload of `views` when it `pays`
+    /// ([`bill_passes`]).
     pub(crate) fn run_alone(
         &self,
         views: &[ShardView<'_>],
         hooks: &SearchHooks<'_>,
+        pays: bool,
     ) -> Result<CuBlastpResult, SearchError> {
         let Searched { result, passes } = self.run_blocks(views, None, hooks)?;
         let backend = self.config.gapped_backend;
@@ -1085,6 +1079,7 @@ impl CuBlastp {
         let alone = Group {
             views: 0..views.len(),
             members: vec![0],
+            payer: pays.then_some(0),
             device: None,
         };
         bill_passes(
@@ -1115,8 +1110,8 @@ impl CuBlastp {
     /// with the merged report, whose "other" time is the query's set-up
     /// plus the merge: whoever ran the query bills its passes with the
     /// batch's ([`bill_passes`]), which folds them into the query's ledger.
-    /// No block carries an H2D leg: a payer bills it afterwards
-    /// ([`bill_upload`]).
+    /// No block carries an H2D leg: the biller folds its payer's in
+    /// ([`Group::payer`]).
     pub(crate) fn run_blocks(
         &self,
         views: &[ShardView<'_>],
@@ -1944,20 +1939,18 @@ pub fn search_batch_with(
 ///
 /// The flat plan over the search executor (`executor.rs`): the database
 /// is one borrowed shard view and every query searches the resident
-/// copy on one device. Once every query has run, the batch is billed:
-/// each database block (each shard view under [`GappedBackend::Gpu`])
-/// is one device pass shared by every query that succeeded — one launch
-/// per kernel over their merged counters, one D2H leg — and each query's
-/// rows are its share of it, its bill alone × (pass ÷ Σ bills alone),
-/// never more than its bill alone ([`BatchOutcome::passes`]; DESIGN.md
-/// §3.2). Then the upload is billed to the lowest-index query that
-/// succeeded — the same legs a standalone [`CuBlastp::search`] of that
-/// query carries — and to no other. With [`SeedMode::Grouped`] the
+/// copy on one device. Once every query has run, each database block
+/// (each shard view under [`GappedBackend::Gpu`]) is one device pass
+/// shared by every query that succeeded, and each query's rows are its
+/// share of it, never more than its bill alone ([`BatchOutcome::passes`];
+/// DESIGN.md §3.2). The lowest-index query that succeeded pays the upload
+/// — its passes carry the H2D legs a standalone [`CuBlastp::search`] of
+/// it carries — and no other does. With [`SeedMode::Grouped`] the
 /// executor packs the queries into index-budget-bounded rounds, seeds
-/// each round with one pass per database block and shares the round's
-/// device passes among its members ([`BatchOutcome::grouped`] reports
-/// the rounds; no query's timing carries them or the upload, which
-/// [`BatchOutcome::device_model_ms`] adds); per-query reports are
+/// each with one pass per database block and shares the round's device
+/// passes among its members; no query's timing carries the rounds or the
+/// upload ([`BatchOutcome::grouped`] reports them,
+/// [`BatchOutcome::device_model_ms`] adds them). Per-query reports are
 /// bit-identical in both modes.
 ///
 /// Queries are isolated: a poisoned query (malformed state, injected
@@ -1980,27 +1973,7 @@ pub fn search_batch_resident(
         grouped: (opts.seed_mode == SeedMode::Grouped).then_some(DEFAULT_GROUP_BUDGET),
         injector: opts.injector,
     };
-    let run = execute(&plan, queries);
-    let grouped = plan.grouped.map(|_| {
-        let index_upload_ms = (run.rounds.iter())
-            .map(|r| device.transfer_ms(r.index_upload_bytes))
-            .sum();
-        let db_upload_ms = (dev.blocks().iter())
-            .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
-            .sum();
-        GroupedReport {
-            rounds: run.rounds,
-            index_upload_ms,
-            db_upload_ms,
-        }
-    });
-    BatchOutcome {
-        per_query: run.per_query,
-        wall_ms: run.wall_ms,
-        grouped,
-        passes: run.passes,
-        pooled_bytes: run.pooled_bytes,
-    }
+    execute(&plan, queries)
 }
 
 /// A test-only rendezvous that makes "two threads ran items of one batch"
@@ -2386,6 +2359,38 @@ pub(crate) mod tests {
             };
             let out = search_batch_with(&queries, params, config, device, &db, opts);
             let dev = DeviceDb::upload(&db, config.db_block_size);
+            // The pure walk bills the batch's group to the bit, as the
+            // biller that folds its shares into the results does.
+            let view = [ShardView { db: &db, dev: &dev, start: 0 }];
+            let flat = Plan {
+                params,
+                config,
+                device,
+                shards: &view,
+                grouped: None,
+                injector: Some(plan()),
+            };
+            let mut ran = crate::executor::run(&flat, &queries);
+            let members: Vec<usize> =
+                (0..queries.len()).filter(|&q| ran.passes[q].is_some()).collect();
+            let groups = [Group {
+                views: 0..1,
+                payer: members.first().copied(),
+                members,
+                device: None,
+            }];
+            let walked = group_passes(&device, &ran.passes, &groups).concat();
+            let backend = config.gapped_backend;
+            let results = &mut ran.per_query;
+            let billed = bill_passes(&device, &view, backend, results, &ran.passes, &groups);
+            let pass_bits = |passes: &[DevicePass]| -> Vec<_> {
+                let bits = |p: &DevicePass| [p.gpu_ms.to_bits(), p.d2h_ms.to_bits()];
+                (passes.iter())
+                    .map(|p| (p.members, p.launches, bits(p), p.d2h_bytes))
+                    .collect()
+            };
+            proptest::prop_assert_eq!(pass_bits(&walked), pass_bits(&billed.concat()));
+            proptest::prop_assert_eq!(pass_bits(&walked), pass_bits(&out.passes));
             let ok = out.succeeded();
             proptest::prop_assert_eq!(ok, queries.len() - usize::from(failed < queries.len()));
             let bits = |x: f64| x.to_bits();
@@ -2830,11 +2835,7 @@ pub(crate) mod tests {
                 grouped: Some(budget),
                 injector: None,
             };
-            GroupedReport {
-                rounds: execute(&plan, &queries).rounds,
-                index_upload_ms: 0.0,
-                db_upload_ms: 0.0,
-            }
+            execute(&plan, &queries).grouped.expect("a grouped batch")
         };
         let one_round = run(DEFAULT_GROUP_BUDGET);
         let singletons = run(1);
@@ -2868,7 +2869,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks)
+            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
             .expect_err("tripped token must cancel the search");
         match err {
             SearchError::DeadlineExceeded {
@@ -2889,7 +2890,7 @@ pub(crate) mod tests {
         };
         std::thread::sleep(Duration::from_millis(1));
         let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks)
+            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
         // The device gapped phase polls the token before a retry too: a
@@ -2908,7 +2909,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks)
+            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
             .expect_err("tripped token must stop the gapped retry");
         assert!(
             matches!(
@@ -2943,7 +2944,7 @@ pub(crate) mod tests {
             on_block: None,
         };
         let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks)
+            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
             .expect_err("tripped token must cancel the search");
         assert!(
             matches!(
@@ -3065,7 +3066,7 @@ pub(crate) mod tests {
         let run = |cpu_threads, overlap| {
             let cfg = family_config(cpu_threads, overlap);
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -3148,7 +3149,7 @@ pub(crate) mod tests {
                 cancel,
                 on_block: Some(&on_block),
             };
-            let r = gpu.run_alone(&[flat(&db, &dev_db)], &hooks);
+            let r = gpu.run_alone(&[flat(&db, &dev_db)], &hooks, false);
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&helper), 0, "a helper outlived the search");
             (r, order.into_inner().unwrap(), peak.into_inner())
@@ -3246,7 +3247,8 @@ pub(crate) mod tests {
                 injector: None,
             };
             let ran = execute(&plan, &queries);
-            assert_eq!(ran.rounds.len(), 1, "one round");
+            let rounds = ran.grouped.map(|g| g.rounds.len());
+            assert_eq!(rounds, Some(1), "one round");
             (ran.per_query.into_iter())
                 .map(|r| r.expect("fault-free query"))
                 .collect::<Vec<_>>()
@@ -3333,8 +3335,8 @@ pub(crate) mod tests {
             ShardedDb::from_boundaries(DbSource::Inline(db.clone()), cuts, Some(24))
                 .expect("an inline database cuts anywhere")
         };
-        let rounds = |e: &crate::executor::Executed| -> Vec<[u64; 8]> {
-            (e.rounds.iter())
+        let rounds = |e: &BatchOutcome| -> Vec<[u64; 8]> {
+            (e.grouped.iter().flat_map(|g| &g.rounds))
                 .map(|r| {
                     [
                         r.first_query as u64,
@@ -3370,8 +3372,9 @@ pub(crate) mod tests {
                 execute(&plan, &queries)
             };
             let one = run(1);
-            assert_eq!(one.rounds.len(), 1, "{layout}");
-            assert!(one.rounds[0].blocks >= 7, "{layout}: a multi-block round");
+            let one_rounds = &one.grouped.as_ref().expect("a grouped batch").rounds;
+            assert_eq!(one_rounds.len(), 1, "{layout}");
+            assert!(one_rounds[0].blocks >= 7, "{layout}: a multi-block round");
             let one_results: Vec<&CuBlastpResult> = (one.per_query.iter())
                 .map(|r| r.as_ref().expect("fault-free query"))
                 .collect();
@@ -3434,7 +3437,7 @@ pub(crate) mod tests {
             let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
             gpu.stream_index = 7_300 + cpu_threads as u32;
             let r = gpu
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                 .expect("fault-free search");
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&format!("tail-q{}", gpu.stream_index)), 0);
@@ -3478,7 +3481,7 @@ pub(crate) mod tests {
                 ..family_config(cpu_threads, overlap)
             };
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -3566,7 +3569,7 @@ pub(crate) mod tests {
                     }
                 };
                 let err = gpu
-                    .run_alone(&[flat(source, &dev_db)], &SearchHooks::default())
+                    .run_alone(&[flat(source, &dev_db)], &SearchHooks::default(), false)
                     .expect_err("the poisoned subject must fail the search");
                 match &err {
                     SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
@@ -3579,7 +3582,7 @@ pub(crate) mod tests {
                 // Nothing is left wedged: the same searcher searches again.
                 gpu.engine.query = q.clone();
                 let clean = gpu
-                    .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default())
+                    .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
                     .expect("clean database");
                 assert_eq!(clean.report.identity_key(), cpu.report.identity_key());
             }
@@ -3629,7 +3632,7 @@ pub(crate) mod tests {
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 let panic_at = FaultSpec::once(FaultSite::HostPanic).on_block(block);
                 gpu.injector = Arc::new(FaultInjector::new(FaultPlan::none().with(panic_at)));
-                match gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default()) {
+                match gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false) {
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, payload })) => {
                         assert_eq!(side, "gpu side", "{case}");
                         assert!(payload.contains("injected host panic"), "{case}: {payload}");
@@ -3679,7 +3682,7 @@ pub(crate) mod tests {
                     cancel,
                     on_block: None,
                 };
-                let got = gpu.run_alone(&[flat(source, &dev_db)], &hooks);
+                let got = gpu.run_alone(&[flat(source, &dev_db)], &hooks, false);
                 let expected = match &got {
                     Ok(_) => "ok",
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { .. })) => {
@@ -3749,7 +3752,9 @@ pub(crate) mod tests {
                 on_block: Some(&on_block),
                 ..Default::default()
             };
-            let sharded = gpu.run_alone(&views, &hooks).expect("fault-free search");
+            let sharded = gpu
+                .run_alone(&views, &hooks, false)
+                .expect("fault-free search");
             assert_eq!(
                 threads_named(&name),
                 0,
@@ -3764,7 +3769,7 @@ pub(crate) mod tests {
             assert!(started <= most, "{case}: {started} helpers");
 
             let hooks = SearchHooks::default();
-            let one = (gpu.run_alone(&whole.views(), &hooks)).expect("one shard");
+            let one = (gpu.run_alone(&whole.views(), &hooks, false)).expect("one shard");
             let (r, want) = (&sharded, &one);
             assert_eq!(
                 r.report.identity_key(),
@@ -3773,7 +3778,14 @@ pub(crate) mod tests {
             );
             assert_eq!(r.kernels, want.kernels, "{case}");
             assert_eq!(r.counts, want.counts, "{case}");
-            let shards = view_schedules(&r.block_timings, &views, gpu.config.gapped_backend);
+            let mut rest = r.block_timings.as_slice();
+            let shards: Vec<_> = (views.iter())
+                .map(|v| {
+                    let own;
+                    (own, rest) = rest.split_at(view_passes(gpu.config.gapped_backend, v).len());
+                    crate::pipeline::schedule(own)
+                })
+                .collect();
             assert_eq!(
                 shards[1].overlapped_ms, 0.0,
                 "{case}: the empty shard costs nothing"
@@ -3787,7 +3799,7 @@ pub(crate) mod tests {
                 cancel: CancelToken::after_checks(5),
                 on_block: None,
             };
-            match gpu.run_alone(&views, &hooks).err() {
+            match gpu.run_alone(&views, &hooks, false).err() {
                 Some(SearchError::DeadlineExceeded {
                     blocks_completed,
                     blocks_total,
@@ -3830,7 +3842,7 @@ pub(crate) mod tests {
             on_block: Some(&on_block),
         };
         let r = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks)
+            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
             .expect("fault-free search");
         let streamed = streamed.into_inner().expect("test mutex");
         let blocks_total = dev_db.blocks().len();

@@ -34,7 +34,7 @@ use crate::scheduler::{
     schedule_fleet, DeviceGroup, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED,
 };
 use crate::search::{
-    bill_passes, price, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, SearchHooks,
+    bill_passes, group_passes, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, SearchHooks,
 };
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
@@ -495,7 +495,7 @@ pub fn search_sharded(
     sharded: &ShardedDb,
     hooks: &SearchHooks<'_>,
 ) -> Result<CuBlastpResult, SearchError> {
-    searcher.run_alone(&sharded.views(), hooks)
+    searcher.run_alone(&sharded.views(), hooks, false)
 }
 
 /// Options for a sharded batch.
@@ -569,13 +569,13 @@ impl ShardedBatchOutcome {
     }
 
     /// Place the items at another device count and bill the placement —
-    /// the same items, uploads and unpriced passes, through the same
-    /// biller, no re-search. `reschedule(self.devices)` is `schedule` bit
-    /// for bit, and the scaling bench sweeps device counts through this.
+    /// the same items, uploads and unpriced passes, through the biller's
+    /// pure walk ([`group_passes`]), no re-search. `reschedule(self.devices)`
+    /// is `schedule` bit for bit; the scaling bench sweeps devices here.
     pub fn reschedule(&self, devices: usize) -> FleetSchedule {
         let (placed, groups) = self.place(devices);
-        let billed = price(&self.fleet.device, &self.fleet.passes, &groups, false);
-        self.billed(placed, &groups, &billed.groups)
+        let billed = group_passes(&self.fleet.device, &self.fleet.passes, &groups);
+        self.billed(placed, &groups, &billed)
     }
 
     /// The items placed on `devices` ([`schedule_fleet`]) and the groups
@@ -598,6 +598,7 @@ impl ShardedBatchOutcome {
                     groups.push(Group {
                         views: shard..shard + 1,
                         members,
+                        payer: None,
                         device: Some(device),
                     });
                 }
@@ -693,10 +694,11 @@ fn sharded_plan(
         .map(|(m, &shard)| Group {
             views: shard..shard + 1,
             members: m.clone(),
+            payer: None,
             device: None,
         })
         .collect();
-    let priced = price(&device, &ran.passes, &alone, false).groups;
+    let priced = group_passes(&device, &ran.passes, &alone);
     let item_costs = (priced.iter())
         .map(|p| p.iter().map(DevicePass::bill_ms).sum())
         .collect();
@@ -725,14 +727,12 @@ fn sharded_plan(
     // placement at the requested count, billed into the results.
     out.single_device_ms = out.reschedule(1).makespan_ms;
     let (placed, groups) = out.place(opts.sharded.devices);
-    let backend = config.gapped_backend;
-    let fleet = &out.fleet;
     let billed = bill_passes(
         &device,
         &views,
-        backend,
+        config.gapped_backend,
         &mut out.per_query,
-        &fleet.passes,
+        &out.fleet.passes,
         &groups,
     );
     out.schedule = out.billed(placed, &groups, &billed);
@@ -896,7 +896,6 @@ pub fn search_all_vs_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::bill_upload;
     use bio_seq::generate::{generate_db, make_query, DbSpec};
     use gpu_sim::{FaultKind, FaultPlan, FaultSite, FaultSpec};
 
@@ -921,9 +920,10 @@ mod tests {
 
     /// The flat database is the one-shard case: moved into a resident
     /// handle, its search is the flat resident search in every modelled
-    /// number, and with its upload billed afterwards ([`bill_upload`]) it
-    /// is the flat search that performed the upload — billed block by
-    /// block to `h2d_ms`, as [`CuBlastp::search`] bills it.
+    /// number, and with the search as the payer of its upload
+    /// ([`crate::search::Group::payer`]) it is the flat search that
+    /// performed the upload — billed block by block to `h2d_ms`, as
+    /// [`CuBlastp::search`] bills it.
     #[test]
     fn resident_handle_is_the_flat_search() {
         let (q, db, cfg) = workload(96);
@@ -952,13 +952,7 @@ mod tests {
             let mut sharded = search_sharded(&searcher, &resident, &hooks).expect("resident");
             assert_eq!(sharded.timing.h2d_ms, 0.0, "a resident search pays nothing");
             if billed {
-                bill_upload(
-                    &device,
-                    &resident.views(),
-                    cfg.gapped_backend,
-                    0,
-                    &mut sharded,
-                );
+                sharded = (searcher.run_alone(&resident.views(), &hooks, true)).expect("paying");
             }
             assert_eq!(modelled(&sharded), modelled(flat), "billed = {billed}");
             assert_eq!(sharded.timing.h2d_ms > 0.0, billed);
