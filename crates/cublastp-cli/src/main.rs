@@ -162,12 +162,15 @@ fn print_phase_table(batch: &CuBlastpResult, passes: &[DevicePass], queries: usi
         batch.tail_threads_ran
     );
     // Host wait time, kept out of the phase totals above so retries
-    // and queueing are no longer indistinguishable from compute.
+    // and queueing are no longer indistinguishable from compute, and when
+    // the last query completed: queries overlap, so the waits alone do
+    // not place it.
     out!(
-        "# recovery waits: queue {:.3} ms, retry {:.3} ms (host wall-clock, \
-         excluded from phase totals)",
+        "# recovery waits: queue {:.3} ms, retry {:.3} ms, last completed at {:.3} ms \
+         (host wall-clock, excluded from phase totals)",
         batch.recovery.queue_wait_us as f64 / 1e3,
         batch.recovery.retry_wait_us as f64 / 1e3,
+        batch.recovery.completed_us as f64 / 1e3,
     );
     let t = &batch.timing;
     if t.serial_ms > 0.0 {

@@ -1126,6 +1126,7 @@ fn phase_table_reports_recovery_waits_separately() {
         .expect("recovery waits row");
     assert!(row.contains("queue"), "{row}");
     assert!(row.contains("retry"), "{row}");
+    assert!(row.contains("last completed at"), "{row}");
     assert!(row.contains("excluded from phase totals"), "{row}");
     // Every phase row names its clock, the one cross-clock sum included.
     for (phase, clock) in [

@@ -6,14 +6,17 @@
 //! per-query search a group of one, a grouped seeding round a group whose
 //! members share one seeding pass per database block (one kernel indexed
 //! by group, as Chorus does, not a second code path). The executor owns
-//! searcher construction, round planning and seeding — a round's passes
-//! run on the batch's threads, one block each — panic isolation, and
-//! queue-wait and outcome accounting; each query is one
-//! [`CuBlastp::run_blocks`] call over every view. Once every query has
-//! run, the plan bills the device passes in its groups (`bill_passes`):
-//! [`execute`] as one device — the batch's queries (a round's) share each
-//! pass and the batch pays the upload once — the fleet plan in the
-//! (device × view) groups its placement made (`shard::sharded_plan`).
+//! searcher construction, round planning and seeding, panic isolation,
+//! and queue-wait, completion and outcome accounting. A plan is one
+//! [`run_board`] call: its queries' blocks, every view of each, run as one
+//! stream on one set of threads — a round's seeding passes, one block
+//! each, among them — so one query's last tails run beside the next one's
+//! set-up and first hit phases, and at most two searchers are alive at a
+//! time under per-query seeding. Once every query has run, the plan
+//! bills the device passes in its groups (`bill_passes`): [`execute`] as
+//! one device — the batch's queries (a round's) share each pass and the
+//! batch pays the upload once — the fleet plan in the (device × view)
+//! groups its placement made (`shard::sharded_plan`).
 
 use crate::binning::BinnedHits;
 use crate::config::{CuBlastpConfig, GappedBackend};
@@ -22,12 +25,13 @@ use crate::error::{panic_message, PipelineError, SearchError};
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
 use crate::search::{
-    bill_passes, BatchOutcome, CuBlastp, CuBlastpResult, Group, GroupedReport, Passes, RoundReport,
-    SearchHooks, Searched,
+    bill_passes, run_board, BatchOutcome, CuBlastp, CuBlastpResult, Entry, Group, GroupedReport,
+    Passes, RoundReport, SearchHooks, Searched, SeedFn, Setup, Threads,
 };
 use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
-use blast_cpu::par::{executed_threads, par_scope, ParMap};
+#[cfg(test)]
+use blast_cpu::par::executed_threads;
 use gpu_sim::{DeviceConfig, FaultInjector, KernelWorkspace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -113,26 +117,23 @@ pub(crate) fn isolated<T>(
 /// One grouped seeding pass as the thread that ran it hands it back: the
 /// block's index within its view, each member's bins for the block, and
 /// the pass's modelled time.
-struct Pass {
+pub(crate) struct Pass {
     block: u32,
     bins: Vec<BinnedHits>,
     sim_ms: f64,
 }
 
-/// The batch's threads, as a grouped seeding round maps its passes over
-/// them: the job is the round's index, an item one database block.
-type RoundPasses<'scope, 'env> = ParMap<'scope, 'env, DeviceGroupIndex, Pass>;
-
 /// One grouped seeding round: build the members' shared word index on the
 /// caller, then probe it over every resident block once — one pass per
-/// block, each claimed by one of the batch's threads and demuxed there
-/// into per-member hit arenas. The caller folds the `blocks` passes in
-/// block order, so the round's telemetry and each member's bins, one per
-/// block in view order, do not depend on which thread ran what.
-fn seed_round(
+/// block (`pass`), each claimed by one of the plan's threads and demuxed
+/// there into per-member hit arenas. The caller folds the `blocks` passes
+/// in block order, so the round's telemetry and each member's bins, one
+/// per block in view order, do not depend on which thread ran what.
+fn seed_round<'a>(
     members: &[(usize, &CuBlastp)],
     blocks: usize,
-    passes: &mut RoundPasses<'_, '_>,
+    pass: SeedFn<'a>,
+    mut threads: Threads<'_, '_, '_, 'a>,
 ) -> (RoundReport, Vec<Vec<BinnedHits>>) {
     let first_query = members.first().map_or(0, |&(i, _)| i);
     let member_queries: Vec<&DeviceQuery> = members.iter().map(|(_, s)| &s.query_device).collect();
@@ -156,7 +157,7 @@ fn seed_round(
     };
 
     let mut bins: Vec<Vec<BinnedHits>> = members.iter().map(|_| Vec::new()).collect();
-    for pass in passes.map(group, blocks) {
+    for pass in threads.seed(pass, group, blocks) {
         obs::modelled(
             "gpu (modelled)",
             "grouped_seeding",
@@ -178,10 +179,6 @@ fn seed_round(
 fn unbilled() -> SearchError {
     SearchError::config("round packing skipped a query")
 }
-
-/// A query about to run: batch index and, under grouped seeding, its
-/// already-built searcher and its round bins.
-type Member<'m> = (usize, Option<&'m CuBlastp>, Option<Vec<BinnedHits>>);
 
 /// Execute a plan on one device: search every query over every shard
 /// view ([`run`]) and bill the batch — its queries share each device
@@ -235,8 +232,14 @@ pub(crate) fn execute(plan: &Plan<'_>, queries: &[Sequence]) -> BatchOutcome {
     }
 }
 
-/// Search every query of a plan over every shard view, the device passes
-/// left unpriced for the plan to bill.
+/// Search every query of a plan over every shard view on one board
+/// ([`run_board`]: one stream of blocks on one set of threads, its
+/// helpers named `plan`), the device passes left unpriced for the plan to
+/// bill. A per-query plan sets each query up on the first thread that
+/// runs one of its blocks, so at most two searchers are alive at a time;
+/// a grouped plan sets every query up first (round packing needs each
+/// neighbourhood's size) and seeds each round on the board's threads as
+/// its first member enters.
 pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
     let t0 = Instant::now();
     let db_residues: usize = plan.shards.iter().map(|v| v.db.total_residues()).sum();
@@ -262,43 +265,55 @@ pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
             Ok(s)
         })
     };
-
-    let run_member = |(i, built, seeds): Member<'_>| {
-        // Batch start to this query's own start: queue wait, reported
-        // apart from compute.
-        let queue_wait_us = t0.elapsed().as_micros() as u64;
-        let mut result = isolated("batch query", || {
-            let _span = obs::span("batch_query", "batch").with_query(i as u32);
-            // A per-query search sets up when its turn comes: setup is
-            // its own time, and one searcher is alive at a time.
-            let own;
-            let searcher = match built {
-                Some(s) => s,
-                None => {
-                    own = build(i)?;
-                    &own
-                }
-            };
-            searcher.run_blocks(plan.shards, seeds, &SearchHooks::default())
+    let hooks = SearchHooks::default();
+    let armed = (plan.injector.as_ref()).is_some_and(|inj| !inj.is_disarmed());
+    let name = "plan".to_string();
+    #[cfg(test)]
+    let name = crate::search::meet::helper_name().unwrap_or(name);
+    let mut slots: Vec<Option<Result<Searched, SearchError>>> =
+        (0..queries.len()).map(|_| None).collect();
+    // Queue wait (batch start to the query's entry, reported apart from
+    // compute) and completion (to the end of its fold), stamped on its
+    // result.
+    let mut stamp = |i: usize, entered: Instant, r: Result<Searched, SearchError>| {
+        let r = r.map(|mut s| {
+            let recovery = &mut s.result.recovery;
+            recovery.queue_wait_us = entered.duration_since(t0).as_micros() as u64;
+            recovery.completed_us = t0.elapsed().as_micros() as u64;
+            obs::observe(
+                "batch_queue_wait_ms",
+                &[],
+                recovery.queue_wait_us as f64 / 1e3,
+            );
+            s
         });
-        if let Ok(r) = &mut result {
-            r.result.recovery.queue_wait_us = queue_wait_us;
-            obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
-        }
-        let outcome = if result.is_ok() { "ok" } else { "err" };
+        let outcome = if r.is_ok() { "ok" } else { "err" };
         obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
-        result
+        slots[i] = Some(r);
     };
 
     let mut rounds = Vec::new();
     // The queries that share device passes: the batch, or each round.
     let mut units: Vec<Vec<usize>> = Vec::new();
-    let searched: Vec<Result<Searched, _>> = match plan.grouped {
+    let build = &build;
+    let built: Vec<Result<CuBlastp, SearchError>> = match plan.grouped {
         None => {
             units.push((0..queries.len()).collect());
-            (0..queries.len())
-                .map(|i| run_member((i, None, None)))
-                .collect()
+            let entry = |i: usize| Entry {
+                setup: Setup::Lazy(i as u32, Box::new(move || build(i))),
+                seeds: None,
+                hooks: &hooks,
+            };
+            run_board(
+                &name,
+                plan.shards,
+                &plan.config,
+                armed,
+                queries.len(),
+                |i, _| entry(i),
+                &mut stamp,
+            );
+            Vec::new()
         }
         Some(budget) => {
             // Round packing needs every query's neighbourhood size, so
@@ -327,10 +342,7 @@ pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
                 })
                 .collect();
             // A round's passes share one read-only index and nothing
-            // else, so they run on the batch's threads: the caller and
-            // helpers that live as long as the batch, parked while the
-            // members search.
-            let threads = executed_threads(plan.config.cpu_threads);
+            // else, so they run on the plan's threads, one block each.
             let caller = std::thread::current().id();
             #[cfg(test)]
             let rendezvous = crate::search::meet::armed();
@@ -338,6 +350,7 @@ pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
                 let (idx, block) = blocks[i];
                 #[cfg(test)]
                 if let Some(m) = &rendezvous {
+                    let threads = executed_threads(plan.config.cpu_threads);
                     let pair = blast_cpu::par::shares(threads, blocks.len());
                     m.arrive(crate::search::meet::Kind::Round, pair);
                 }
@@ -357,32 +370,49 @@ pub(crate) fn run(plan: &Plan<'_>, queries: &[Sequence]) -> Ran {
                     sim_ms,
                 }
             };
-            let ran = par_scope("seed-rounds", threads, &pass, |passes| {
-                let mut ran = Vec::with_capacity(ready.len());
-                for range in packing {
-                    let members = &ready[range];
-                    let (round, bins) = seed_round(members, blocks.len(), passes);
-                    rounds.push(round);
-                    units.push(members.iter().map(|&(i, _)| i).collect());
-                    let members = members.iter().zip(bins);
-                    ran.extend(members.map(|(&(i, s), b)| run_member((i, Some(s), Some(b)))));
-                }
-                ran
-            });
-            // Back into input order: rounds cover the set-up queries once.
-            let mut ran = ran.into_iter();
+            // The board's queries are the set-up ones in input order, a
+            // round's members consecutive; each round is seeded as its
+            // first member enters.
+            let mut seeds: Vec<Option<Vec<BinnedHits>>> = ready.iter().map(|_| None).collect();
+            let mut packing = packing.into_iter().peekable();
+            run_board(
+                &name,
+                plan.shards,
+                &plan.config,
+                armed,
+                ready.len(),
+                |k, threads| {
+                    if let Some(range) = packing.next_if(|r| r.start == k) {
+                        let members = &ready[range.clone()];
+                        let (round, bins) = seed_round(members, blocks.len(), &pass, threads);
+                        rounds.push(round);
+                        units.push(members.iter().map(|&(i, _)| i).collect());
+                        for (slot, b) in seeds[range].iter_mut().zip(bins) {
+                            *slot = Some(b);
+                        }
+                    }
+                    Entry {
+                        setup: Setup::Ready(ready[k].1),
+                        seeds: seeds[k].take(),
+                        hooks: &hooks,
+                    }
+                },
+                |k, entered, r| stamp(ready[k].0, entered, r),
+            );
             built
-                .iter()
-                .map(|b| match b {
-                    Ok(_) => ran.next().unwrap_or_else(|| Err(unbilled())),
-                    Err(e) => Err(e.clone()),
-                })
-                .collect()
         }
     };
+    // Back into input order: a query that failed set-up keeps its error,
+    // and one no round covered says so.
+    let searched = slots.into_iter().enumerate().map(|(i, slot)| match slot {
+        Some(r) => r,
+        None => Err(match built.get(i) {
+            Some(Err(e)) => e.clone(),
+            _ => unbilled(),
+        }),
+    });
     // Every query has run: its passes wait for the plan's bill.
     let (per_query, passes) = searched
-        .into_iter()
         .map(|r| match r {
             Ok(Searched { result, passes }) => (Ok(result), Some(passes)),
             Err(e) => (Err(e), None),

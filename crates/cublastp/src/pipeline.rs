@@ -6,9 +6,9 @@
 //! directions. [`schedule`] is the analytic four-stage timeline (H2D → GPU
 //! → D2H → CPU) the ledger and the figures use: each stage is a serial
 //! resource, stages of different blocks overlap freely. The overlap itself
-//! runs in `CuBlastp::run_blocks`: the calling thread simulates block
-//! *n+1* while the search's tail helpers (`blast_cpu::par`) finish block
-//! *n*.
+//! runs in `search::run_board`: the calling thread simulates block *n+1*
+//! while the plan's helpers (`blast_cpu::par`) finish block *n* — the
+//! previous query's last block, too, when a batch's queries share waves.
 
 use serde::{Deserialize, Serialize};
 
@@ -166,8 +166,8 @@ mod tests {
         }
     }
 
-    // The executable overlap: `CuBlastp::run_blocks` runs block n + 1's GPU
-    // side on the caller while the search's tail helpers finish block n.
+    // The executable overlap: `search::run_board` runs block n + 1's GPU
+    // side on the caller while the plan's helpers finish block n.
 
     fn searcher(db: &SequenceDb, overlap: bool, stream_index: u32) -> CuBlastp {
         let (q, _) = family_workload();
@@ -265,7 +265,7 @@ mod tests {
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(
-                threads_named(&format!("tail-q{}", gpu.stream_index)),
+                threads_named(&format!("plan-q{}", gpu.stream_index)),
                 0,
                 "{case}"
             );
@@ -306,7 +306,7 @@ mod tests {
             assert_eq!(reported.into_inner().unwrap(), 0, "{case}");
             #[cfg(target_os = "linux")]
             assert_eq!(
-                threads_named(&format!("tail-q{}", gpu.stream_index)),
+                threads_named(&format!("plan-q{}", gpu.stream_index)),
                 0,
                 "{case}"
             );
@@ -329,7 +329,7 @@ mod tests {
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(
-                threads_named(&format!("tail-q{}", gpu.stream_index)),
+                threads_named(&format!("plan-q{}", gpu.stream_index)),
                 0,
                 "{case}"
             );
