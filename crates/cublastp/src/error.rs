@@ -21,8 +21,9 @@ pub enum PipelineError {
     /// device phases on the searching thread, "cpu tail": a block's
     /// gapped extension and traceback, or the device pass's DP and
     /// report, on whichever thread claimed the subject — both at any
-    /// `overlap` setting; "batch query setup",
-    /// "batch query", "serve worker": outside the per-block loop) and
+    /// `overlap` setting; "batch query setup": building a batch query's
+    /// searcher; "batch query": a query's admission check or merge, on
+    /// whichever thread ran it; "serve worker": outside the board) and
     /// `payload` is the stringified panic message.
     WorkerPanicked {
         /// Which pipeline stage the panic escaped from.
