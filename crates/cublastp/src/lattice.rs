@@ -34,7 +34,7 @@
 
 use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend, ScoringMode};
 use crate::error::{PipelineError, SearchError};
-use crate::executor::{execute, Plan, ShardView};
+use crate::executor::{execute, Input, Plan, ShardView};
 use crate::extension::HIT_TAIL_KERNEL;
 use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{pipeline_rank, run_gpu_phase, GpuPhaseCounts};
@@ -42,9 +42,7 @@ use crate::scheduler::{DeviceGroup, DeviceTimeline, FleetSchedule};
 use crate::search::{
     meet, Clock, CuBlastpResult, DevicePass, RecoveryReport, SearchHooks, DEFAULT_GROUP_BUDGET,
 };
-use crate::shard::{
-    search_sharded_batch, DbSource, ShardedBatchOptions, ShardedDb, ShardedOptions,
-};
+use crate::shard::{on_fleet, search_sharded, DbSource, ShardedDb};
 use crate::CancelToken;
 use bio_seq::fasta::{read_fasta_strict, to_fasta};
 use bio_seq::generate::{generate_db, make_query, make_query_with_low_complexity, DbSpec};
@@ -164,8 +162,8 @@ pub(crate) struct Case {
     pub readonly_cache: bool,
     pub params: Params,
     pub queries: Queries,
-    /// The fleet plan (`search_sharded_batch`) at this many devices;
-    /// `None`: the single-device batch (`executor::execute`).
+    /// The fleet plan (`shard::on_fleet`, what `search_sharded_batch`
+    /// runs) at this many devices; `None`: the single-device batch.
     pub devices: Option<usize>,
 }
 
@@ -317,14 +315,8 @@ impl fmt::Display for Case {
 /// combination is skipped, and the written record of the capability holes
 /// between the crate's paths.
 pub(crate) fn unsupported(case: &Case) -> Option<&'static str> {
-    if case.deadline.is_some() && case.seed != Seed::PerQuery {
-        return Some("grouped seeding runs only through `executor::execute`, which takes no hooks");
-    }
     if case.devices.is_some() && case.seed != Seed::PerQuery {
-        return Some("the fleet plan seeds every query through its own DFA");
-    }
-    if case.devices.is_some() && case.deadline.is_some() {
-        return Some("the fleet plan takes no hooks");
+        return Some("the fleet places queries, not grouped rounds (ROADMAP item 5)");
     }
     None
 }
@@ -541,9 +533,8 @@ struct Fleet {
 /// One case's per-query results, and the blocks each shard view holds.
 struct Run {
     per_query: Vec<Result<CuBlastpResult, SearchError>>,
-    /// The device passes the batch billed; `None` when every query ran
-    /// alone under its own hooks.
-    passes: Option<Vec<DevicePass>>,
+    /// The device passes the plan billed.
+    passes: Vec<DevicePass>,
     /// The batch units, in the order the passes were billed.
     units: Vec<Unit>,
     fleet: Option<Fleet>,
@@ -558,30 +549,35 @@ fn run(case: &Case) -> Run {
     let fx = fixture(case.queries);
     let sharded = open(fx, case.source, case.shards);
     let views = sharded.views();
-    let (params, config, device) = (case.params.get(), case.config(), DeviceConfig::k20c());
+    // Each query under its own token.
+    let hooks: Vec<SearchHooks> = (fx.queries.iter())
+        .map(|_| SearchHooks {
+            cancel: case
+                .deadline
+                .map_or_else(CancelToken::never, CancelToken::after_checks),
+            on_block: None,
+        })
+        .collect();
+    let plan = Plan {
+        params: case.params.get(),
+        config: case.config(),
+        device: DeviceConfig::k20c(),
+        shards: &views,
+        queries: Input::Sequences(&fx.queries),
+        grouped: case.grouped(),
+        injector: case.injector(),
+        hooks: &hooks,
+        pays: true,
+        fleet: case.devices.map(|devices| (devices, 1)),
+    };
     let isa = case.scalar.then_some(IsaLevel::Scalar);
-    let (per_query, passes, fleet) = with_forced(isa, || match (case.deadline, case.devices) {
-        (None, None) => {
-            let plan = Plan {
-                params,
-                config,
-                device,
-                shards: &views,
-                grouped: case.grouped(),
-                injector: case.injector(),
-            };
-            let ran = execute(&plan, &fx.queries);
-            (ran.per_query, Some(ran.passes), None)
+    let (per_query, passes, fleet) = with_forced(isa, || match case.devices {
+        None => {
+            let (out, _) = execute(&plan);
+            (out.per_query, out.passes, None)
         }
-        (None, Some(devices)) => {
-            let opts = ShardedBatchOptions {
-                sharded: ShardedOptions {
-                    devices,
-                    ..ShardedOptions::default()
-                },
-                injector: case.injector(),
-            };
-            let out = search_sharded_batch(&fx.queries, params, config, device, &sharded, &opts);
+        Some(_) => {
+            let out = on_fleet(&plan);
             let fleet = Fleet {
                 again: out.reschedule(out.devices),
                 one: out.reschedule(1).makespan_ms,
@@ -590,25 +586,7 @@ fn run(case: &Case) -> Run {
                 shard_upload_ms: out.shard_upload_ms,
                 item_shards: out.item_shards,
             };
-            (out.per_query, Some(out.passes), Some(fleet))
-        }
-        (Some(checks), _) => {
-            let injector = case.injector();
-            let alone = (fx.queries.iter().enumerate())
-                .map(|(i, q)| {
-                    let mut s = sharded.searcher(q.clone(), params, config, device);
-                    if let Some(inj) = &injector {
-                        s.injector = Arc::clone(inj);
-                    }
-                    s.stream_index = i as u32;
-                    let hooks = SearchHooks {
-                        cancel: CancelToken::after_checks(checks),
-                        on_block: None,
-                    };
-                    s.run_alone(&views, &hooks, false)
-                })
-                .collect();
-            (alone, None, None)
+            (out.per_query, out.passes, Some(fleet))
         }
     });
     let upload = |v: &ShardView<'_>| {
@@ -616,7 +594,7 @@ fn run(case: &Case) -> Run {
             .dev
             .blocks()
             .iter()
-            .map(|(_, b)| device.transfer_ms(b.upload_bytes()));
+            .map(|(_, b)| plan.device.transfer_ms(b.upload_bytes()));
         legs.fold(0.0, |sum, ms| sum + ms)
     };
     let view_blocks: Vec<usize> = views.iter().map(|v| v.dev.num_blocks()).collect();
@@ -756,7 +734,6 @@ fn solo_kernels(case: &Case) -> Vec<Solo> {
     let fx = fixture(case.queries);
     cached(&fx.solo, key.to_string(), || {
         let sharded = open(fx, key.source, key.shards);
-        let views = sharded.views();
         let (params, config, device) = (key.params.get(), key.config(), DeviceConfig::k20c());
         let injector = key.injector();
         (fx.queries.iter().enumerate())
@@ -766,7 +743,7 @@ fn solo_kernels(case: &Case) -> Vec<Solo> {
                     s.injector = Arc::clone(inj);
                 }
                 s.stream_index = i as u32;
-                let alone = s.run_alone(&views, &SearchHooks::default(), false);
+                let alone = search_sharded(&s, &sharded, &SearchHooks::default());
                 alone.map(|r| r.kernels).map_err(|e| e.to_string())
             })
             .collect()
@@ -1009,7 +986,7 @@ pub(crate) fn check(case: &Case) -> usize {
     // A single-device batch's surviving queries pay the resident database
     // once: the executor bills the lowest-index per-query search that
     // succeeded. The fleet bills uploads to its devices' clocks.
-    let pays = case.deadline.is_none() && case.seed == Seed::PerQuery && case.devices.is_none();
+    let pays = case.seed == Seed::PerQuery && case.devices.is_none();
     let survived = ran.per_query.iter().any(Result::is_ok);
     let upload = if pays && survived { ran.upload_ms } else { 0.0 };
     assert_eq!(
@@ -1111,11 +1088,10 @@ fn pass_blocks(case: &Case, view_blocks: &[usize]) -> Vec<Vec<Range<usize>>> {
 /// The batch units (DESIGN.md §3.2), in the order their passes are
 /// billed. On one device: the whole batch over every view, or each round
 /// of a grouped batch (the fixture's two queries are one round at the
-/// default budget, two at a budget of one entry), or each query alone
-/// when it runs under its own hooks. On the fleet: the fleet's items are
-/// (successful query × view with sequences), in that order, and each
-/// device holds one unit per view it ran items of — the queries of those
-/// items — device by device, views in order.
+/// default budget, two at a budget of one entry). On the fleet: the
+/// fleet's items are (successful query × view with sequences), in that
+/// order, and each device holds one unit per view it ran items of — the
+/// queries of those items — device by device, views in order.
 fn units(
     case: &Case,
     per_query: &[Result<CuBlastpResult, SearchError>],
@@ -1130,9 +1106,9 @@ fn units(
     };
     let queries = per_query.len();
     let Some(fleet) = fleet else {
-        return match (case.deadline, case.seed) {
-            (None, Seed::PerQuery | Seed::Grouped) => vec![unit((0..queries).collect())],
-            _ => (0..queries).map(|i| unit(vec![i])).collect(),
+        return match case.seed {
+            Seed::PerQuery | Seed::Grouped => vec![unit((0..queries).collect())],
+            Seed::GroupedBudget1 => (0..queries).map(|i| unit(vec![i])).collect(),
         };
     };
     let live: Vec<usize> = all.clone().filter(|&v| view_blocks[v] > 0).collect();
@@ -1247,7 +1223,7 @@ fn check_passes(case: &Case, ran: &Run, expects: &[Expect]) {
             Some(first)
         })
         .collect();
-    let mut billed = ran.passes.as_ref().map(|p| p.iter());
+    let mut billed = ran.passes.iter();
     // Each query's kernel rows, view by view, and whether a unit of its
     // ran kernels the reference did not compute.
     let mut rows: Vec<Vec<Vec<(String, f64)>>> =
@@ -1339,7 +1315,7 @@ fn check_passes(case: &Case, ran: &Run, expects: &[Expect]) {
                         );
                     }
                 }
-                if let (Some(billed), false) = (&mut billed, members.is_empty()) {
+                if !members.is_empty() {
                     let pass = billed.next().expect("a DevicePass per pass");
                     assert_eq!(pass.members, members.len(), "{at}: pass {p} members");
                     assert_eq!(pass.launches, launches.len(), "{at}: pass {p} launches");
@@ -1371,9 +1347,7 @@ fn check_passes(case: &Case, ran: &Run, expects: &[Expect]) {
             });
         }
     }
-    if let Some(mut billed) = billed {
-        assert!(billed.next().is_none(), "{case}: a DevicePass per pass");
-    }
+    assert!(billed.next().is_none(), "{case}: a DevicePass per pass");
     if let Some(fleet) = &ran.fleet {
         check_fleet(case, fleet, timelines);
     }
@@ -1678,11 +1652,12 @@ mod tests {
 
     /// Pinned: the middle query of three fails — the host copy of its
     /// best subject is cut short, so finishing it panics in its tail, or
-    /// its merge panics on the plan's caller — at every thread count, with
-    /// and without overlap. Only that query is `Err`; its neighbours, whose
-    /// blocks share steps with its own under waves, are
-    /// `search_sequential`'s reports with the counters of their solo runs
-    /// over the same database.
+    /// its merge panics on the plan's caller, or its own deadline token
+    /// trips mid-search — at every thread count, with and without overlap,
+    /// on one device and on the fleet at two. Only that query is `Err`;
+    /// its neighbours, whose blocks share steps with its own under waves,
+    /// are `search_sequential`'s reports with the counters of their solo
+    /// runs over the same database.
     #[test]
     fn a_failing_middle_query_fails_alone() {
         let fx = fixture(Queries::Three);
@@ -1693,7 +1668,12 @@ mod tests {
         let mut cut_short = sharded.views();
         cut_short[0].db = &poisoned;
         let (params, device) = (SearchParams::default(), DeviceConfig::k20c());
-        for (views, side) in [(&cut_short, "cpu tail"), (&clean, "batch query")] {
+        let sides = [
+            (&cut_short, "cpu tail"),
+            (&clean, "batch query"),
+            (&clean, "deadline"),
+        ];
+        for (views, side) in sides {
             let _merge = (side == "batch query").then(|| meet::panic_in_merge(1));
             let solo: Vec<CuBlastpResult> = (fx.queries.iter().enumerate())
                 .filter(|&(i, _)| i != 1)
@@ -1701,49 +1681,65 @@ mod tests {
                     let config = Case::default().config();
                     let mut s = sharded.searcher(q.clone(), params, config, device);
                     s.stream_index = i as u32;
-                    let alone = s.run_alone(views, &SearchHooks::default(), false);
+                    let alone = s.search_resident(views[0].db, views[0].dev);
                     alone.expect("a neighbour never meets the middle query's fault")
                 })
                 .collect();
-            for threads in THREADS {
-                for overlap in BOOLS {
-                    let at = format!("{side}: threads = {threads}, overlap = {overlap}");
-                    let case = Case {
-                        queries: Queries::Three,
-                        threads,
-                        overlap,
-                        ..Case::default()
-                    };
-                    let plan = Plan {
-                        params,
-                        config: case.config(),
-                        device,
-                        shards: views,
-                        grouped: None,
-                        injector: None,
-                    };
-                    let ran = execute(&plan, &fx.queries);
-                    match &ran.per_query[1] {
-                        Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                            side: got,
-                            ..
-                        })) => assert_eq!(*got, side, "{at}"),
-                        other => panic!(
-                            "{at}: the middle query must fail, got {:?}",
-                            other.as_ref().err()
-                        ),
-                    }
-                    for (i, want) in [0, 2].into_iter().zip(&solo) {
-                        let r = ran.per_query[i].as_ref().expect("a neighbour succeeds");
-                        let reference = reference(fx, Params::Default, i);
-                        assert_eq!(
-                            r.report.identity_key(),
-                            reference.identity_key(),
-                            "{at}: {i}"
-                        );
-                        assert_eq!(r.kernels, want.kernels, "{at}: query {i}");
-                        assert_eq!(r.counts, want.counts, "{at}: query {i}");
-                    }
+            for (threads, overlap, fleet) in THREADS
+                .into_iter()
+                .flat_map(|t| BOOLS.map(|o| (t, o)))
+                .flat_map(|(t, o)| [None, Some((2, 1))].map(|f| (t, o, f)))
+            {
+                let at = format!("{side}: threads = {threads}, overlap = {overlap}, {fleet:?}");
+                let case = Case {
+                    queries: Queries::Three,
+                    threads,
+                    overlap,
+                    ..Case::default()
+                };
+                // Only the middle query's token trips.
+                let mut hooks = [0, 1, 2].map(|_| SearchHooks::default());
+                if side == "deadline" {
+                    hooks[1].cancel = CancelToken::after_checks(5);
+                }
+                let plan = Plan {
+                    params,
+                    config: case.config(),
+                    device,
+                    shards: views,
+                    queries: Input::Sequences(&fx.queries),
+                    hooks: &hooks,
+                    fleet,
+                    ..Plan::default()
+                };
+                let per_query = match fleet {
+                    None => execute(&plan).0.per_query,
+                    Some(_) => on_fleet(&plan).per_query,
+                };
+                match &per_query[1] {
+                    Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
+                        side: got, ..
+                    })) => assert_eq!(*got, side, "{at}"),
+                    Err(SearchError::DeadlineExceeded {
+                        blocks_completed,
+                        blocks_total,
+                        ..
+                    }) if side == "deadline" => assert!(blocks_completed < blocks_total, "{at}"),
+                    other => panic!(
+                        "{at}: the middle query must fail, got {:?}",
+                        other.as_ref().err()
+                    ),
+                }
+                for (i, want) in [0, 2].into_iter().zip(&solo) {
+                    let r = per_query[i].as_ref().expect("a neighbour succeeds");
+                    let reference = reference(fx, Params::Default, i);
+                    assert_eq!(
+                        r.report.identity_key(),
+                        reference.identity_key(),
+                        "{at}: {i}"
+                    );
+                    assert_eq!(r.kernels, want.kernels, "{at}: query {i}");
+                    assert_eq!(r.counts, want.counts, "{at}: query {i}");
                 }
             }
         }

@@ -76,6 +76,7 @@ mod tests {
     use super::*;
     use crate::devicedata::DeviceDb;
     use crate::error::PipelineError;
+    use crate::executor::execute;
     #[cfg(target_os = "linux")]
     use crate::search::tests::threads_named;
     use crate::search::tests::{family_config, family_workload, flat, poisoned};
@@ -209,9 +210,14 @@ mod tests {
                 on_block: Some(&on_block),
                 ..Default::default()
             };
-            let r = searcher(&db, overlap, 7_400)
-                .run_alone(&[flat(&db, &dev_db)], &hooks, false)
-                .expect("fault-free search");
+            let r = execute(&searcher(&db, overlap, 7_400).alone(
+                &[flat(&db, &dev_db)],
+                &[hooks],
+                false,
+            ))
+            .0
+            .only()
+            .expect("fault-free search");
             (r, order.into_inner().unwrap())
         };
         let (serial, serial_order) = run(false);
@@ -241,7 +247,7 @@ mod tests {
         assert!(dev_db.blocks().is_empty());
         for overlap in [false, true] {
             let r = searcher(&db, overlap, 7_410)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
+                .search_resident(&db, &dev_db)
                 .expect("no blocks is no error");
             assert!(r.report.hits.is_empty(), "overlap = {overlap}");
             assert!(r.block_timings.is_empty(), "overlap = {overlap}");
@@ -261,7 +267,7 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_420 + overlap as u32);
             panic_once_at(&mut gpu, 1);
-            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false);
+            let got = gpu.search_resident(&db, &dev_db);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(
@@ -271,7 +277,7 @@ mod tests {
             );
             // The fault fired once: the same searcher searches again.
             let clean = gpu
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
+                .search_resident(&db, &dev_db)
                 .expect("the fault fires once");
             assert_eq!(
                 clean.report.identity_key(),
@@ -301,7 +307,9 @@ mod tests {
                 ..Default::default()
             };
             let gpu = searcher(&db, overlap, 7_430 + overlap as u32);
-            let got = gpu.run_alone(&[flat(&poisoned, &dev_db)], &hooks, false);
+            let got = execute(&gpu.alone(&[flat(&poisoned, &dev_db)], &[hooks], false))
+                .0
+                .only();
             expect_panic_on("cpu tail", got, &case);
             assert_eq!(reported.into_inner().unwrap(), 0, "{case}");
             #[cfg(target_os = "linux")]
@@ -325,7 +333,7 @@ mod tests {
             let case = format!("overlap = {overlap}");
             let mut gpu = searcher(&db, overlap, 7_440 + overlap as u32);
             panic_once_at(&mut gpu, 0);
-            let got = gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false);
+            let got = gpu.search_resident(&db, &dev_db);
             expect_panic_on("gpu side", got, &case);
             #[cfg(target_os = "linux")]
             assert_eq!(

@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::SearchError;
-use crate::executor::{execute, isolated, view_passes, Pass, Plan, ShardView};
+use crate::executor::{execute, isolated, view_passes, Input, Pass, Plan, ShardView};
 use crate::extension::{hit_tail_footprint, HIT_TAIL_KERNEL};
 use crate::gapped_device::{self, FineDp, SubjectDp, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
@@ -1019,7 +1019,8 @@ impl<'a> Threads<'_, '_, '_, 'a> {
 
 /// How a plan's query gets its searcher.
 pub(crate) enum Setup<'a> {
-    /// Built by the plan; the board checks it as the query enters.
+    /// Built already — by a grouped plan, or handed in by a search
+    /// alone; the board checks it as the query enters.
     Ready(&'a CuBlastp),
     /// Built — as stream query `.0` — and checked by the first thread
     /// that runs one of the query's blocks, beside whatever else its step
@@ -1535,8 +1536,8 @@ impl CuBlastp {
     /// pipeline against the resident copy, paying the upload it made.
     pub fn search(&self, db: &SequenceDb) -> Result<CuBlastpResult, SearchError> {
         let dev = &DeviceDb::upload(db, self.config.db_block_size);
-        let view = ShardView { db, dev, start: 0 };
-        self.run_alone(&[view], &SearchHooks::default(), true)
+        let view = [ShardView { db, dev, start: 0 }];
+        execute(&self.alone(&view, &[], true)).0.only()
     }
 
     /// Search against a database already resident on the device (see
@@ -1547,56 +1548,30 @@ impl CuBlastp {
         db: &SequenceDb,
         dev: &DeviceDb,
     ) -> Result<CuBlastpResult, SearchError> {
-        let view = ShardView { db, dev, start: 0 };
-        self.run_alone(&[view], &SearchHooks::default(), false)
+        let view = [ShardView { db, dev, start: 0 }];
+        execute(&self.alone(&view, &[], false)).0.only()
     }
 
-    /// This query over `views` under `hooks` — the one-query case of the
-    /// board ([`run_board`], its helpers named `plan-q{stream index}`) —
-    /// over its own DFA, billed as a search alone on its device: every
-    /// device pass has this query as its one member, which pays the upload
-    /// of `views` when it `pays` ([`bill_passes`]).
-    pub(crate) fn run_alone(
-        &self,
-        views: &[ShardView<'_>],
-        hooks: &SearchHooks<'_>,
+    /// The one-query plan of this query over `views` under `hooks` (inert
+    /// when empty): it enters with this searcher, its helpers named
+    /// `plan-q{stream index}`, and pays the upload of `views` when it
+    /// `pays` and succeeds.
+    pub(crate) fn alone<'a>(
+        &'a self,
+        views: &'a [ShardView<'a>],
+        hooks: &'a [SearchHooks<'a>],
         pays: bool,
-    ) -> Result<CuBlastpResult, SearchError> {
-        let mut searched = Err(SearchError::config("the board ran no query"));
-        let name = format!("plan-q{}", self.stream_index);
-        let armed = !self.injector.is_disarmed();
-        run_board(
-            &name,
-            views,
-            &self.config,
-            armed,
-            1,
-            |_, _| Entry {
-                setup: Setup::Ready(self),
-                seeds: None,
-                hooks,
-            },
-            |_, _, r| searched = r,
-        );
-        let Searched { result, passes } = searched?;
-        let backend = self.config.gapped_backend;
-        let mut results = [Ok(result)];
-        let alone = Group {
-            views: 0..views.len(),
-            members: vec![0],
-            payer: pays.then_some(0),
-            device: None,
-        };
-        bill_passes(
-            &self.device,
-            views,
-            backend,
-            &mut results,
-            &[Some(passes)],
-            &[alone],
-        );
-        let [result] = results;
-        result
+    ) -> Plan<'a> {
+        Plan {
+            params: self.engine.params,
+            config: self.config,
+            device: self.device,
+            shards: views,
+            queries: Input::Ready(self),
+            hooks,
+            pays,
+            ..Plan::default()
+        }
     }
 
     /// Refuse, before the query's first launch, what would fail every one
@@ -2174,6 +2149,12 @@ impl BatchOutcome {
         self.per_query.iter().filter(|r| r.is_ok()).count()
     }
 
+    /// The result of a plan of one query ([`CuBlastp::alone`]).
+    pub(crate) fn only(self) -> Result<CuBlastpResult, SearchError> {
+        let only = self.per_query.into_iter().next();
+        only.unwrap_or_else(|| Err(SearchError::config("the plan ran no query")))
+    }
+
     /// Queries that failed, with their input index and error.
     pub fn failures(&self) -> impl Iterator<Item = (usize, &SearchError)> {
         self.per_query
@@ -2253,10 +2234,13 @@ pub fn search_batch_resident(
         config,
         device,
         shards: &[ShardView { db, dev, start: 0 }],
+        queries: Input::Sequences(queries),
         grouped: (opts.seed_mode == SeedMode::Grouped).then_some(DEFAULT_GROUP_BUDGET),
         injector: opts.injector,
+        pays: true,
+        ..Plan::default()
     };
-    execute(&plan, queries)
+    execute(&plan).0
 }
 
 /// A test-only rendezvous that makes "two threads ran items of one batch"
@@ -2704,20 +2688,23 @@ pub(crate) mod tests {
                 shards: &view,
                 grouped: None,
                 injector: Some(plan()),
+                queries: Input::Sequences(&queries),
+                pays: true,
+                ..Plan::default()
             };
-            let mut ran = crate::executor::run(&flat, &queries);
+            let (mut ran, passes, _) = crate::executor::run(&flat);
             let members: Vec<usize> =
-                (0..queries.len()).filter(|&q| ran.passes[q].is_some()).collect();
+                (0..queries.len()).filter(|&q| passes[q].is_some()).collect();
             let groups = [Group {
                 views: 0..1,
                 payer: members.first().copied(),
                 members,
                 device: None,
             }];
-            let walked = group_passes(&device, &ran.passes, &groups).concat();
+            let walked = group_passes(&device, &passes, &groups).concat();
             let backend = config.gapped_backend;
             let results = &mut ran.per_query;
-            let billed = bill_passes(&device, &view, backend, results, &ran.passes, &groups);
+            let billed = bill_passes(&device, &view, backend, results, &passes, &groups);
             let pass_bits = |passes: &[DevicePass]| -> Vec<_> {
                 let bits = |p: &DevicePass| [p.gpu_ms.to_bits(), p.d2h_ms.to_bits()];
                 (passes.iter())
@@ -3169,8 +3156,11 @@ pub(crate) mod tests {
                 shards: &[flat(&db, &dev_db)],
                 grouped: Some(budget),
                 injector: None,
+                queries: Input::Sequences(&queries),
+                pays: true,
+                ..Plan::default()
             };
-            execute(&plan, &queries).grouped.expect("a grouped batch")
+            execute(&plan).0.grouped.expect("a grouped batch")
         };
         let one_round = run(DEFAULT_GROUP_BUDGET);
         let singletons = run(1);
@@ -3203,8 +3193,9 @@ pub(crate) mod tests {
             cancel: CancelToken::after_checks(1),
             on_block: None,
         };
-        let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
+        let err = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+            .0
+            .only()
             .expect_err("tripped token must cancel the search");
         match err {
             SearchError::DeadlineExceeded {
@@ -3224,8 +3215,9 @@ pub(crate) mod tests {
             on_block: None,
         };
         std::thread::sleep(Duration::from_millis(1));
-        let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
+        let err = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+            .0
+            .only()
             .expect_err("expired deadline must cancel");
         assert_eq!(err.category(), "deadline");
         // The device gapped phase polls the token before a retry too: a
@@ -3243,8 +3235,9 @@ pub(crate) mod tests {
             cancel: CancelToken::after_checks(2),
             on_block: None,
         };
-        let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
+        let err = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+            .0
+            .only()
             .expect_err("tripped token must stop the gapped retry");
         assert!(
             matches!(
@@ -3278,8 +3271,9 @@ pub(crate) mod tests {
             cancel: CancelToken::after_checks(3),
             on_block: None,
         };
-        let err = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
+        let err = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+            .0
+            .only()
             .expect_err("tripped token must cancel the search");
         assert!(
             matches!(
@@ -3401,7 +3395,7 @@ pub(crate) mod tests {
         let run = |cpu_threads, overlap| {
             let cfg = family_config(cpu_threads, overlap);
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
+                .search_resident(&db, &dev_db)
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -3484,7 +3478,9 @@ pub(crate) mod tests {
                 cancel,
                 on_block: Some(&on_block),
             };
-            let r = gpu.run_alone(&[flat(&db, &dev_db)], &hooks, false);
+            let r = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+                .0
+                .only();
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&helper), 0, "a helper outlived the search");
             (r, order.into_inner().unwrap(), peak.into_inner())
@@ -3580,8 +3576,11 @@ pub(crate) mod tests {
                 shards: &[flat(&db, &dev_db)],
                 grouped: Some(DEFAULT_GROUP_BUDGET),
                 injector: None,
+                queries: Input::Sequences(&queries),
+                pays: true,
+                ..Plan::default()
             };
-            let ran = execute(&plan, &queries);
+            let ran = execute(&plan).0;
             let rounds = ran.grouped.map(|g| g.rounds.len());
             assert_eq!(rounds, Some(1), "one round");
             (ran.per_query.into_iter())
@@ -3703,8 +3702,11 @@ pub(crate) mod tests {
                     shards: &views,
                     grouped: Some(DEFAULT_GROUP_BUDGET),
                     injector: None,
+                    queries: Input::Sequences(&queries),
+                    pays: true,
+                    ..Plan::default()
                 };
-                execute(&plan, &queries)
+                execute(&plan).0
             };
             let one = run(1);
             let one_rounds = &one.grouped.as_ref().expect("a grouped batch").rounds;
@@ -3773,7 +3775,7 @@ pub(crate) mod tests {
             let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
             gpu.stream_index = 7_300 + cpu_threads as u32;
             let r = gpu
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
+                .search_resident(&db, &dev_db)
                 .expect("fault-free search");
             #[cfg(target_os = "linux")]
             assert_eq!(threads_named(&format!("plan-q{}", gpu.stream_index)), 0);
@@ -3817,7 +3819,7 @@ pub(crate) mod tests {
                 ..family_config(cpu_threads, overlap)
             };
             CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db)
-                .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
+                .search_resident(&db, &dev_db)
                 .expect("fault-free search")
         };
         let one = run(1, false);
@@ -3905,7 +3907,7 @@ pub(crate) mod tests {
                     }
                 };
                 let err = gpu
-                    .run_alone(&[flat(source, &dev_db)], &SearchHooks::default(), false)
+                    .search_resident(source, &dev_db)
                     .expect_err("the poisoned subject must fail the search");
                 match &err {
                     SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. }) => {
@@ -3917,9 +3919,7 @@ pub(crate) mod tests {
                 assert_eq!(threads_named(&format!("plan-q{}", gpu.stream_index)), 0);
                 // Nothing is left wedged: the same searcher searches again.
                 gpu.engine.query = q.clone();
-                let clean = gpu
-                    .run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false)
-                    .expect("clean database");
+                let clean = gpu.search_resident(&db, &dev_db).expect("clean database");
                 assert_eq!(clean.report.identity_key(), cpu.report.identity_key());
             }
 
@@ -3932,12 +3932,15 @@ pub(crate) mod tests {
                 shards: &[flat(&poisoned, &dev_db)],
                 grouped: None,
                 injector: None,
+                queries: Input::Sequences(std::slice::from_ref(&q)),
+                pays: true,
+                ..Plan::default()
             };
             // Its helpers carry the name of every batch's query 0, so they
             // are told apart by the subjects they ran.
             #[cfg(target_os = "linux")]
             let tail = meet::arm(meet::Kind::Tail);
-            let run = execute(&plan, std::slice::from_ref(&q));
+            let run = execute(&plan).0;
             match &run.per_query[0] {
                 Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, .. })) => {
                     assert_eq!(*side, "cpu tail", "cpu_threads = {cpu_threads}")
@@ -3968,7 +3971,7 @@ pub(crate) mod tests {
                 let mut gpu = CuBlastp::new(q.clone(), params, cfg, DeviceConfig::k20c(), &db);
                 let panic_at = FaultSpec::once(FaultSite::HostPanic).on_block(block);
                 gpu.injector = Arc::new(FaultInjector::new(FaultPlan::none().with(panic_at)));
-                match gpu.run_alone(&[flat(&db, &dev_db)], &SearchHooks::default(), false) {
+                match gpu.search_resident(&db, &dev_db) {
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { side, payload })) => {
                         assert_eq!(side, "gpu side", "{case}");
                         assert!(payload.contains("injected host panic"), "{case}: {payload}");
@@ -4016,7 +4019,9 @@ pub(crate) mod tests {
                     cancel,
                     on_block: None,
                 };
-                let got = gpu.run_alone(&[flat(source, &dev_db)], &hooks, false);
+                let got = execute(&gpu.alone(&[flat(source, &dev_db)], &[hooks], false))
+                    .0
+                    .only();
                 let expected = match &got {
                     Ok(_) => "ok",
                     Err(SearchError::Pipeline(PipelineError::WorkerPanicked { .. })) => {
@@ -4052,7 +4057,7 @@ pub(crate) mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_sharded_search_starts_its_helpers_once() {
-        use crate::shard::{DbSource, ShardedDb};
+        use crate::shard::{search_sharded, DbSource, ShardedDb};
         use std::sync::Mutex;
         let (q, db) = family_workload();
         let params = SearchParams::default();
@@ -4084,7 +4089,7 @@ pub(crate) mod tests {
                     on_block: Some(&on_block),
                     ..Default::default()
                 };
-                let sharded = (gpu.run_alone(&views, &hooks, false)).expect("fault-free search");
+                let sharded = search_sharded(&gpu, &cut, &hooks).expect("fault-free search");
                 assert_eq!(
                     threads_named(&name),
                     0,
@@ -4098,7 +4103,7 @@ pub(crate) mod tests {
                 assert!(started <= most, "{case}: {started} helpers");
 
                 let hooks = SearchHooks::default();
-                let one = (gpu.run_alone(&whole.views(), &hooks, false)).expect("one shard");
+                let one = search_sharded(&gpu, &whole, &hooks).expect("one shard");
                 let (r, want) = (&sharded, &one);
                 let key = |r: &CuBlastpResult| r.report.identity_key();
                 assert_eq!(key(r), key(want), "{case}");
@@ -4126,7 +4131,7 @@ pub(crate) mod tests {
                     cancel: CancelToken::after_checks(5),
                     on_block: None,
                 };
-                match gpu.run_alone(&views, &hooks, false).err() {
+                match search_sharded(&gpu, &cut, &hooks).err() {
                     Some(SearchError::DeadlineExceeded {
                         blocks_completed,
                         blocks_total,
@@ -4193,6 +4198,9 @@ pub(crate) mod tests {
                         shards: &views,
                         grouped,
                         injector: None,
+                        queries: Input::Sequences(&queries),
+                        pays: true,
+                        ..Plan::default()
                     };
                     let name = format!("plan-t{}", 7_200 + cpu_threads);
                     let _named = meet::name_helpers(&name);
@@ -4201,7 +4209,7 @@ pub(crate) mod tests {
                     } else {
                         meet::Kind::Overlap
                     });
-                    let ran = execute(&plan, &queries);
+                    let ran = execute(&plan).0;
                     let failed: Vec<usize> = ran.failures().map(|(i, _)| i).collect();
                     for (i, e) in ran.failures() {
                         match e {
@@ -4265,8 +4273,9 @@ pub(crate) mod tests {
             cancel: CancelToken::never(),
             on_block: Some(&on_block),
         };
-        let r = gpu
-            .run_alone(&[flat(&db, &dev_db)], &hooks, false)
+        let r = execute(&gpu.alone(&[flat(&db, &dev_db)], &[hooks], false))
+            .0
+            .only()
             .expect("fault-free search");
         let streamed = streamed.into_inner().expect("test mutex");
         let blocks_total = dev_db.blocks().len();
@@ -4313,9 +4322,11 @@ pub(crate) mod tests {
     /// second never before the first nor past the batch. On one thread the
     /// board runs one query at a time, so query i + 1 starts no earlier
     /// than query i completes; with waves it starts before — per query and
-    /// under grouped seeding.
+    /// under grouped seeding. A search alone is no batch query: `search`,
+    /// `search_resident` and `search_sharded` leave both stamps at 0.
     #[test]
     fn batch_queries_are_stamped_at_start_and_completion() {
+        use crate::shard::{search_sharded, ShardedDb};
         let (q, db) = family_workload();
         let queries = vec![q.clone(), make_query(110), q];
         let dev_db = DeviceDb::upload(&db, 24);
@@ -4329,8 +4340,11 @@ pub(crate) mod tests {
                     shards: &[flat(&db, &dev_db)],
                     grouped,
                     injector: None,
+                    queries: Input::Sequences(&queries),
+                    pays: true,
+                    ..Plan::default()
                 };
-                let ran = execute(&plan, &queries);
+                let ran = execute(&plan).0;
                 let stamps: Vec<(u64, u64)> = (ran.per_query.iter())
                     .map(|r| {
                         let r = &r.as_ref().expect("fault-free query").recovery;
@@ -4349,6 +4363,29 @@ pub(crate) mod tests {
                     let at = format!("query {} entered at {next}, {i} done at {done}", i + 1);
                     assert_eq!(next < done, waves, "{case}: {at}");
                 }
+            }
+            let config = family_config(cpu_threads, true);
+            let device = DeviceConfig::k20c();
+            let solo = CuBlastp::new(
+                queries[1].clone(),
+                SearchParams::default(),
+                config,
+                device,
+                &db,
+            );
+            let resident = ShardedDb::resident(db.clone(), Arc::new(DeviceDb::upload(&db, 24)));
+            let alone = [
+                ("search", solo.search(&db)),
+                ("search_resident", solo.search_resident(&db, &dev_db)),
+                (
+                    "search_sharded",
+                    search_sharded(&solo, &resident, &SearchHooks::default()),
+                ),
+            ];
+            for (entry, r) in alone {
+                let r = r.expect("fault-free search").recovery;
+                let stamps = (r.queue_wait_us, r.completed_us);
+                assert_eq!(stamps, (0, 0), "cpu_threads = {cpu_threads}: {entry}");
             }
         }
     }

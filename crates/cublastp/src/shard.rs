@@ -29,12 +29,12 @@
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
 use crate::error::SearchError;
-use crate::executor::{run, Plan, ShardView};
+use crate::executor::{execute, Input, Plan, ShardView};
 use crate::scheduler::{
     schedule_fleet, DeviceGroup, DeviceTimeline, FleetSchedule, DEFAULT_STEAL_SEED,
 };
 use crate::search::{
-    bill_passes, group_passes, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, SearchHooks,
+    group_passes, CuBlastp, CuBlastpResult, DevicePass, Group, Passes, SearchHooks,
 };
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
@@ -440,21 +440,20 @@ impl ShardedDb {
             .collect()
     }
 
-    /// Indices of the shards that hold sequences — the ones that become
-    /// work items.
-    pub(crate) fn live_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.shards.len()).filter(|&s| !self.shards[s].is_empty())
-    }
-
     /// Modelled H2D upload cost of each shard on `device`, indexed by
     /// shard — the residence charge the scheduler bills per
     /// (device, shard) first touch.
     pub fn upload_ms(&self, device: &DeviceConfig) -> Vec<f64> {
-        let upload = |s: &DbShard| device.transfer_ms(s.dev.upload_bytes());
-        (self.shards.iter())
-            .map(|s| if s.is_empty() { 0.0 } else { upload(s) })
-            .collect()
+        uploads(device, &self.views())
     }
+}
+
+/// Each view's upload on `device`; 0 for a view without sequences.
+fn uploads(device: &DeviceConfig, views: &[ShardView<'_>]) -> Vec<f64> {
+    let upload = |v: &ShardView<'_>| device.transfer_ms(v.dev.upload_bytes());
+    (views.iter())
+        .map(|v| if v.db.is_empty() { 0.0 } else { upload(v) })
+        .collect()
 }
 
 /// Fleet geometry of a sharded batch.
@@ -477,25 +476,24 @@ impl Default for ShardedOptions {
     }
 }
 
-/// Search every shard with `searcher` and merge — the single-query plan:
-/// one pass of the query's block loop over the blocks of every shard in
-/// turn, as [`CuBlastp::search_resident`] makes over one database, with
-/// no fleet scheduled. The searcher must carry global
-/// statistics (build it with [`ShardedDb::searcher`], or against the full
-/// database); a shard whose search fails fails the whole query, as
-/// partial merges would break the identical-to-single-DB contract.
-/// The shards are resident, so the query pays no upload: its timing
-/// carries no H2D leg, as [`CuBlastp::search_resident`]'s does not. The
-/// hooks' cancel token is polled at every block boundary of every shard,
-/// and `on_block` fires once per database block in global pipeline order
-/// (`blocks_total` = [`ShardedDb::num_blocks`]) with the block's partial
-/// report in global subject indices.
+/// Search every shard with `searcher` and merge: one query alone, its
+/// block loop over the blocks of every shard in turn, as
+/// [`CuBlastp::search_resident`] runs over one database; no fleet is
+/// scheduled. The searcher must carry global statistics (build it with
+/// [`ShardedDb::searcher`], or against the full database); a shard whose
+/// search fails fails the whole query, as partial merges would break the
+/// identical-to-single-DB contract. The shards are resident, so its timing
+/// carries no H2D leg. The hooks' cancel token is polled at every block
+/// boundary of every shard, and `on_block` fires once per database block
+/// in global pipeline order (`blocks_total` = [`ShardedDb::num_blocks`])
+/// with the block's partial report in global subject indices.
 pub fn search_sharded(
     searcher: &CuBlastp,
     sharded: &ShardedDb,
     hooks: &SearchHooks<'_>,
 ) -> Result<CuBlastpResult, SearchError> {
-    searcher.run_alone(&sharded.views(), hooks, false)
+    let (views, hooks) = (sharded.views(), std::slice::from_ref(hooks));
+    execute(&searcher.alone(&views, hooks, false)).0.only()
 }
 
 /// Options for a sharded batch.
@@ -544,17 +542,135 @@ pub struct ShardedBatchOutcome {
     fleet: Fleet,
 }
 
-/// A sharded batch's items as its outcome keeps them.
-struct Fleet {
+/// A fleet plan's items as its outcome keeps them: each (`tile` queries ×
+/// view with sequences), priced alone, with what placing and billing them
+/// again needs.
+#[derive(Default)]
+pub(crate) struct Fleet {
     device: DeviceConfig,
     /// Each query's unpriced device passes, view by view; `None` for a
     /// failed query.
-    passes: Vec<Option<Passes>>,
-    /// Each item's queries: its tile's successful ones, ascending.
-    members: Vec<Vec<usize>>,
+    pub(crate) passes: Vec<Option<Passes>>,
+    /// Each item alone: its view, and its tile's successful queries.
+    items: Vec<Group>,
+    /// Each item's bill alone (`ShardedBatchOutcome::item_costs`).
+    costs: Vec<f64>,
     /// Each item's fixed part ([`DevicePass::fixed_ms`] over its passes
     /// alone): what it does not pay again when it joins a group.
     fixed: Vec<f64>,
+    /// Each view's upload ([`ShardedDb::upload_ms`]).
+    uploads: Vec<f64>,
+}
+
+impl Fleet {
+    /// The items of a fleet plan over `views`: one per `tile` consecutive
+    /// queries per view with sequences (a tile with no successful query
+    /// makes none), each priced alone — its queries' passes on its view as
+    /// one group.
+    pub(crate) fn new(
+        device: DeviceConfig,
+        views: &[ShardView<'_>],
+        passes: Vec<Option<Passes>>,
+        tile: usize,
+    ) -> Self {
+        let live = (0..views.len()).filter(|&v| !views[v].db.is_empty());
+        let mut items = Vec::new();
+        for first in (0..passes.len()).step_by(tile.max(1)) {
+            let tile = first..(first + tile).min(passes.len());
+            let ok: Vec<usize> = tile.filter(|&q| passes[q].is_some()).collect();
+            for shard in live.clone().filter(|_| !ok.is_empty()) {
+                let (views, members) = (shard..shard + 1, ok.clone());
+                items.push(Group {
+                    views,
+                    members,
+                    payer: None,
+                    device: None,
+                });
+            }
+        }
+        let priced = group_passes(&device, &passes, &items);
+        let sum = |price: &dyn Fn(&DevicePass) -> f64| -> Vec<f64> {
+            (priced.iter()).map(|p| p.iter().map(price).sum()).collect()
+        };
+        Self {
+            costs: sum(&DevicePass::bill_ms),
+            fixed: sum(&|pass| pass.fixed_ms(&device)),
+            uploads: uploads(&device, views),
+            device,
+            passes,
+            items,
+        }
+    }
+
+    /// The items placed on `devices` ([`schedule_fleet`]) and billed by
+    /// `bill`, which gets the groups the placement makes — for each device,
+    /// for each shard it holds items of, the queries of those items — and
+    /// returns each group's passes. Each device's clock becomes, group by
+    /// group, its shard's upload and the group's bill. Returns the billed
+    /// schedule and the groups' passes.
+    pub(crate) fn placed(
+        &self,
+        devices: usize,
+        bill: impl FnOnce(&[Group]) -> Vec<Vec<DevicePass>>,
+    ) -> (FleetSchedule, Vec<Vec<DevicePass>>) {
+        let shards: Vec<usize> = self.items.iter().map(|item| item.views.start).collect();
+        let (costs, uploads) = (&self.costs, &self.uploads);
+        let placed = schedule_fleet(costs, &self.fixed, &shards, uploads, devices);
+        let mut groups = Vec::new();
+        for device in 0..placed.per_device.len() {
+            for shard in 0..uploads.len() {
+                let on = |&i: &usize| placed.assignment[i] == device && shards[i] == shard;
+                let items = (0..costs.len()).filter(on);
+                let members = items.flat_map(|i| self.items[i].members.iter().copied());
+                let mut members: Vec<usize> = members.collect();
+                members.sort_unstable();
+                if !members.is_empty() {
+                    groups.push(Group {
+                        views: shard..shard + 1,
+                        members,
+                        payer: None,
+                        device: Some(device),
+                    });
+                }
+            }
+        }
+        let billed = bill(&groups);
+        let mut per_device: Vec<_> = (placed.per_device.into_iter())
+            .map(|t| DeviceTimeline {
+                items: t.items,
+                ..DeviceTimeline::default()
+            })
+            .collect();
+        for (group, passes) in groups.iter().zip(&billed) {
+            let (shard, device) = (group.views.start, group.device.unwrap_or(0));
+            let bill_ms: f64 = passes.iter().map(DevicePass::bill_ms).sum();
+            let upload = self.uploads[shard];
+            let t = &mut per_device[device];
+            t.busy_ms += upload;
+            t.busy_ms += bill_ms;
+            t.upload_ms += upload;
+            t.shards_resident += 1;
+            t.groups.push(DeviceGroup {
+                shard,
+                members: group.members.len(),
+                passes: passes.len(),
+                bill_ms,
+            });
+        }
+        let schedule = FleetSchedule {
+            makespan_ms: per_device.iter().map(|d| d.busy_ms).fold(0.0, f64::max),
+            per_device,
+            assignment: placed.assignment,
+        };
+        (schedule, billed)
+    }
+
+    /// The items placed on `devices` and billed through the biller's pure
+    /// walk ([`group_passes`]), no re-search.
+    fn reschedule(&self, devices: usize) -> FleetSchedule {
+        let walk = |groups: &[Group]| group_passes(&self.device, &self.passes, groups);
+        self.placed(devices, walk).0
+    }
 }
 
 impl ShardedBatchOutcome {
@@ -573,76 +689,7 @@ impl ShardedBatchOutcome {
     /// pure walk ([`group_passes`]), no re-search. `reschedule(self.devices)`
     /// is `schedule` bit for bit; the scaling bench sweeps devices here.
     pub fn reschedule(&self, devices: usize) -> FleetSchedule {
-        let (placed, groups) = self.place(devices);
-        let billed = group_passes(&self.fleet.device, &self.fleet.passes, &groups);
-        self.billed(placed, &groups, &billed)
-    }
-
-    /// The items placed on `devices` ([`schedule_fleet`]) and the groups
-    /// the placement makes: for each device, for each shard it holds
-    /// items of, the queries of those items.
-    fn place(&self, devices: usize) -> (FleetSchedule, Vec<Group>) {
-        let fleet = &self.fleet;
-        let (costs, shards) = (&self.item_costs, &self.item_shards);
-        let uploads = &self.shard_upload_ms;
-        let placed = schedule_fleet(costs, &fleet.fixed, shards, uploads, devices);
-        let mut groups = Vec::new();
-        for device in 0..placed.per_device.len() {
-            for shard in 0..uploads.len() {
-                let on = |&i: &usize| placed.assignment[i] == device && shards[i] == shard;
-                let items = (0..costs.len()).filter(on);
-                let mut members: Vec<usize> =
-                    items.flat_map(|i| fleet.members[i].clone()).collect();
-                members.sort_unstable();
-                if !members.is_empty() {
-                    groups.push(Group {
-                        views: shard..shard + 1,
-                        members,
-                        payer: None,
-                        device: Some(device),
-                    });
-                }
-            }
-        }
-        (placed, groups)
-    }
-
-    /// `placed` as its groups were billed (`passes`, one list per group):
-    /// each device's clock is, group by group, its shard's upload and the
-    /// group's bill.
-    fn billed(
-        &self,
-        placed: FleetSchedule,
-        groups: &[Group],
-        passes: &[Vec<DevicePass>],
-    ) -> FleetSchedule {
-        let mut per_device: Vec<_> = (placed.per_device.into_iter())
-            .map(|t| DeviceTimeline {
-                items: t.items,
-                ..DeviceTimeline::default()
-            })
-            .collect();
-        for (group, passes) in groups.iter().zip(passes) {
-            let (shard, device) = (group.views.start, group.device.unwrap_or(0));
-            let bill_ms: f64 = passes.iter().map(DevicePass::bill_ms).sum();
-            let upload = self.shard_upload_ms[shard];
-            let t = &mut per_device[device];
-            t.busy_ms += upload;
-            t.busy_ms += bill_ms;
-            t.upload_ms += upload;
-            t.shards_resident += 1;
-            t.groups.push(DeviceGroup {
-                shard,
-                members: group.members.len(),
-                passes: passes.len(),
-                bill_ms,
-            });
-        }
-        FleetSchedule {
-            makespan_ms: per_device.iter().map(|d| d.busy_ms).fold(0.0, f64::max),
-            per_device,
-            assignment: placed.assignment,
-        }
+        self.fleet.reschedule(devices)
     }
 
     /// Queries that completed successfully.
@@ -651,12 +698,37 @@ impl ShardedBatchOutcome {
     }
 }
 
-/// The sharded batch plan over the search executor, on the device clock:
-/// every query searches every shard; the fleet's items are one per `tile`
-/// consecutive queries per non-empty shard (a tile with no successful
-/// query makes none), each priced alone; the fleet schedule places them,
-/// and each (device × shard view) group of the placement is billed as one
-/// batch unit.
+/// A fleet plan ([`Plan::fleet`]) executed: [`execute`] searches its
+/// queries, places its items and bills each (device × shard view) group
+/// of the placement as one batch unit; the outcome adds the one-device
+/// baseline of the same items.
+pub(crate) fn on_fleet(plan: &Plan<'_>) -> ShardedBatchOutcome {
+    let (batch, placed) = execute(plan);
+    let (fleet, schedule) = placed.unwrap_or_default();
+    if obs::metrics_enabled() {
+        for (d, tl) in schedule.per_device.iter().enumerate() {
+            let label = d.to_string();
+            obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
+        }
+        obs::gauge("fleet_makespan_ms", &[], schedule.makespan_ms);
+    }
+    ShardedBatchOutcome {
+        per_query: batch.per_query,
+        single_device_ms: fleet.reschedule(1).makespan_ms,
+        devices: schedule.per_device.len(),
+        schedule,
+        item_costs: fleet.costs.clone(),
+        item_shards: fleet.items.iter().map(|item| item.views.start).collect(),
+        shard_upload_ms: fleet.uploads.clone(),
+        wall_ms: batch.wall_ms,
+        passes: batch.passes,
+        fleet,
+    }
+}
+
+/// The sharded batch plan on the device clock: every query searches every
+/// shard; the fleet's items are one per `tile` consecutive queries per
+/// non-empty shard ([`on_fleet`]).
 fn sharded_plan(
     queries: &[Sequence],
     params: SearchParams,
@@ -666,87 +738,16 @@ fn sharded_plan(
     opts: &ShardedBatchOptions,
     tile: usize,
 ) -> ShardedBatchOutcome {
-    let views = sharded.views();
-    let plan = Plan {
+    on_fleet(&Plan {
         params,
         config,
         device,
-        shards: &views,
-        grouped: None,
+        shards: &sharded.views(),
+        queries: Input::Sequences(queries),
         injector: opts.injector.clone(),
-    };
-    let ran = run(&plan, queries);
-    let mut members = Vec::new();
-    let mut item_shards = Vec::new();
-    for first in (0..queries.len()).step_by(tile.max(1)) {
-        let tile = first..(first + tile).min(queries.len());
-        let ok: Vec<usize> = tile.filter(|&q| ran.passes[q].is_some()).collect();
-        if ok.is_empty() {
-            continue;
-        }
-        for shard in sharded.live_shards() {
-            members.push(ok.clone());
-            item_shards.push(shard);
-        }
-    }
-    // Each item alone: its queries' passes on its view as one group.
-    let alone: Vec<Group> = (members.iter().zip(&item_shards))
-        .map(|(m, &shard)| Group {
-            views: shard..shard + 1,
-            members: m.clone(),
-            payer: None,
-            device: None,
-        })
-        .collect();
-    let priced = group_passes(&device, &ran.passes, &alone);
-    let item_costs = (priced.iter())
-        .map(|p| p.iter().map(DevicePass::bill_ms).sum())
-        .collect();
-    let fixed = (priced.iter())
-        .map(|p| p.iter().map(|pass| pass.fixed_ms(&device)).sum())
-        .collect();
-    let t0 = ran.t0;
-    let mut out = ShardedBatchOutcome {
-        per_query: ran.per_query,
-        schedule: FleetSchedule::default(),
-        single_device_ms: 0.0,
-        devices: 0,
-        item_costs,
-        item_shards,
-        shard_upload_ms: sharded.upload_ms(&device),
-        wall_ms: 0.0,
-        passes: Vec::new(),
-        fleet: Fleet {
-            device,
-            passes: ran.passes,
-            members,
-            fixed,
-        },
-    };
-    // The same items on one device, the scaling baseline; then the
-    // placement at the requested count, billed into the results.
-    out.single_device_ms = out.reschedule(1).makespan_ms;
-    let (placed, groups) = out.place(opts.sharded.devices);
-    let billed = bill_passes(
-        &device,
-        &views,
-        config.gapped_backend,
-        &mut out.per_query,
-        &out.fleet.passes,
-        &groups,
-    );
-    out.schedule = out.billed(placed, &groups, &billed);
-    out.devices = out.schedule.per_device.len();
-    out.passes = billed.into_iter().flatten().collect();
-    out.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if obs::metrics_enabled() {
-        for (d, tl) in out.schedule.per_device.iter().enumerate() {
-            let label = d.to_string();
-            obs::gauge("device_busy_ms", &[("device", &label)], tl.busy_ms);
-        }
-        obs::gauge("fleet_makespan_ms", &[], out.schedule.makespan_ms);
-    }
-    out
+        fleet: Some((opts.sharded.devices, tile)),
+        ..Plan::default()
+    })
 }
 
 /// Search a batch of queries against a sharded database: every query
@@ -952,7 +953,10 @@ mod tests {
             let mut sharded = search_sharded(&searcher, &resident, &hooks).expect("resident");
             assert_eq!(sharded.timing.h2d_ms, 0.0, "a resident search pays nothing");
             if billed {
-                sharded = (searcher.run_alone(&resident.views(), &hooks, true)).expect("paying");
+                sharded = execute(&searcher.alone(&resident.views(), &[hooks], true))
+                    .0
+                    .only()
+                    .expect("paying");
             }
             assert_eq!(modelled(&sharded), modelled(flat), "billed = {billed}");
             assert_eq!(sharded.timing.h2d_ms > 0.0, billed);
